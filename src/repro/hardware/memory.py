@@ -90,6 +90,7 @@ class MemoryDevice:
         self.spec = spec
         self.name = name or spec.name
         self._data = SparseBuffer(spec.capacity_bytes)
+        self._capacity = spec.capacity_bytes  # read on every access
         self._channels = Resource(sim, capacity=spec.channels, name=f"{self.name}.channels")
         self._per_channel_read_bw = spec.read_bw / spec.channels
         self._per_channel_write_bw = spec.write_bw / spec.channels
@@ -112,7 +113,7 @@ class MemoryDevice:
         return self.spec.kind == "nvm"
 
     def _check_range(self, offset: int, nbytes: int) -> None:
-        if offset < 0 or nbytes < 0 or offset + nbytes > self.capacity:
+        if offset < 0 or nbytes < 0 or offset + nbytes > self._capacity:
             raise MemoryAccessError(
                 f"{self.name}: access [{offset}, {offset + nbytes}) outside "
                 f"capacity {self.capacity}"

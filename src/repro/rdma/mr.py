@@ -65,6 +65,9 @@ class MemoryRegion:
         self.base = base
         self.length = length
         self.access = access
+        # Int mask of the flags *not* granted: check() runs on every verb,
+        # and Flag arithmetic costs five calls into enum.py per test.
+        self._denied = ~access._value_
         keys = _key_counter_for(device.sim)
         self.lkey = next(keys)
         self.rkey = next(keys)
@@ -78,7 +81,7 @@ class MemoryRegion:
                 f"{self.name}: access [{offset}, {offset + nbytes}) outside "
                 f"region length {self.length}"
             )
-        if need & ~self.access:
+        if need._value_ & self._denied:
             raise MrError(f"{self.name}: access flags {need} not granted ({self.access})")
 
     # ------------------------------------------------------------------

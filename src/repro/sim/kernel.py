@@ -7,12 +7,16 @@ touched only when an instant becomes occupied, so the per-event cost is a
 dict probe and a list append instead of an O(log n) heap push.  Dispatch
 drains one bucket at a time in append order.
 
-Ordering contract (pinned by ``tests/sim/test_dispatch_trace.py``): events
-run in ``(time, seq)`` order where ``seq`` is the global scheduling order —
-entries for one instant are appended strictly in the order they were
-scheduled, and instants are consumed in time order, so the total dispatch
-order is exactly what the original single-heap kernel produced.  Every run
-with the same seed is bit-for-bit reproducible.
+Ordering contract (pinned by ``tests/sim/test_dispatch_trace.py``): queued
+entries run in ``(time, seq)`` order where ``seq`` is the global scheduling
+order — entries for one instant are appended strictly in the order they were
+scheduled, and instants are consumed in time order.  What the contract pins
+is the order in which *processes resume*; a dispatch that would only pass a
+finished wait through is not part of it.  A process whose next wait is
+already over (fired, no other waiter, no dispatch queued) continues inline
+when the running dispatch is the last entry of the instant — the position a
+freshly queued wake-up would take — and is woken through the queue
+otherwise.  Every run with the same seed is bit-for-bit reproducible.
 
 :class:`Process` adapts a Python generator into the event system: each value
 the generator yields must be an :class:`~repro.sim.primitives.Event` (or a
@@ -56,6 +60,11 @@ _BOOTSTRAP = object()
 #: instead of a construct-per-wait cold path).
 _SLEEP_REFILL = 8
 
+
+#: Consecutive inline continuations one dispatch may run before the next
+#: already-over wait is scheduled instead (the same order at the tail), so
+#: ``max_events`` still sees a process spinning on born-fired events.
+_INLINE_RUN_MAX = 64
 
 #: The generator type a process function must return.
 ProcessGenerator = Generator[Event, Any, Any]
@@ -120,7 +129,9 @@ class Process(Event):
             return
         # Detach from whatever we were waiting on; the stale callback will
         # notice _waiting_on no longer matches and do nothing.
-        self._waiting_on = None
+        waited, self._waiting_on = self._waiting_on, None
+        if waited is not None:
+            waited._abandon()
         self._step(Interrupt(cause), is_exception=True)
 
     # ------------------------------------------------------------------
@@ -137,35 +148,50 @@ class Process(Event):
         # Inlined success path of _step: resume → next wait.  This runs once
         # per yield in every process, so the generic _step (which also
         # handles bootstrap and thrown exceptions) is bypassed here.
-        try:
-            target = self._send(event._value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as step_exc:  # noqa: BLE001 - propagate to joiners
-            if isinstance(step_exc, (KeyboardInterrupt, SystemExit)):
-                raise
-            self.fail(step_exc)
-            return
-        if not isinstance(target, Event):
-            self._reject_yield(target)
-            return
-        if target.sim is not self.sim:
-            self._generator.close()
-            self.fail(SimulationError("yielded event belongs to another simulator"))
-            return
-        self._waiting_on = target
-        # Fast-path callback registration (the common case: we are the only
-        # waiter on a pending event) — equivalent to target.add_callback.
-        if target._processed or target._cb1 is not None:
+        sim = self.sim
+        send = self._send
+        value = event._value
+        # Inline continuations left.  None while ``event`` has callbacks
+        # after this one: they must run before our next step.
+        inline = _INLINE_RUN_MAX if event._more is None else 0
+        while True:
+            try:
+                target = send(value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            except BaseException as step_exc:  # noqa: BLE001 - propagate to joiners
+                if isinstance(step_exc, (KeyboardInterrupt, SystemExit)):
+                    raise
+                self.fail(step_exc)
+                return
+            if not isinstance(target, Event):
+                self._reject_yield(target)
+                return
+            if target.sim is not sim:
+                self._generator.close()
+                self.fail(SimulationError("yielded event belongs to another simulator"))
+                return
+            if target._cb1 is None:
+                if target._value is _PENDING:
+                    if target._exception is None:
+                        # The common case: sole waiter on a pending event.
+                        self._waiting_on = target
+                        target._cb1 = self._wake
+                        return
+                elif (inline and not target._scheduled
+                        and not sim._entries.__length_hint__()):
+                    # The wait is already over, nobody else waits on it and
+                    # the running dispatch is the last entry of this instant:
+                    # "append a zero-delay dispatch and return to the loop"
+                    # and "keep going" are the same schedule.  Keep going.
+                    inline -= 1
+                    target._processed = True
+                    value = target._value
+                    continue
+            self._waiting_on = target
             target.add_callback(self._wake)
-        else:
-            target._cb1 = self._wake
-            if (not target._scheduled
-                    and (target._value is not _PENDING
-                         or target._exception is not None)):
-                target._scheduled = True
-                self.sim.schedule(0, target._dispatch)
+            return
 
     def _reject_yield(self, target: Any) -> None:
         self._generator.close()
@@ -231,6 +257,12 @@ class Simulator:
         #: is created).  The heap sees one entry per *instant*, not per
         #: event — that amortization is the core of the calendar design.
         self._instants: list[int] = []
+        #: Iterator over the bucket being dispatched.  A list iterator's
+        #: ``__length_hint__()`` is exactly the number of entries not yet
+        #: started, appends included, so 0 means "the running dispatch is
+        #: the last entry of this instant" — the test a process applies
+        #: before continuing inline past a wait that is already over.
+        self._entries = iter(())
         self.seed = seed
         #: Total events dispatched over this simulator's lifetime (the
         #: denominator of the perf harness's events/sec figure).
@@ -413,16 +445,16 @@ class Simulator:
                 pop(instants)
                 self._now = when
                 bucket = buckets[when]
-                i = 0
+                entries = self._entries = iter(bucket)
                 try:
                     # The list iterator sees entries appended mid-batch, so
                     # zero-delay scheduling lands in this same instant.
-                    for fn, args in bucket:
-                        i += 1
+                    for fn, args in entries:
                         fn(*args)
                 except BaseException:
                     # Put the unconsumed suffix back so a resumed run sees
                     # exactly the entries the old per-event loop would have.
+                    i = len(bucket) - entries.__length_hint__()
                     dispatched += i - 1
                     del bucket[:i]
                     if bucket:
@@ -430,7 +462,7 @@ class Simulator:
                     else:
                         del buckets[when]
                     raise
-                dispatched += i
+                dispatched += len(bucket)
                 del buckets[when]
             if until is not None and until > self._now:
                 self._now = until
@@ -459,22 +491,22 @@ class Simulator:
                 pop(instants)
                 self._now = when
                 bucket = buckets[when]
-                i = 0
+                entries = self._entries = iter(bucket)
                 try:
-                    while i < len(bucket):
+                    while entries.__length_hint__():
                         if max_events is not None and dispatched >= max_events:
                             raise SimulationError(
                                 f"exceeded max_events={max_events}; likely a livelock"
                             )
-                        fn, args = bucket[i]
-                        i += 1
+                        fn, args = next(entries)
                         if hook is not None:
                             hook(when, fn)
                         fn(*args)
                         dispatched += 1
                 finally:
-                    if i < len(bucket):
-                        del bucket[:i]
+                    left = entries.__length_hint__()
+                    if left:
+                        del bucket[:len(bucket) - left]
                         heappush(instants, when)
                     else:
                         del buckets[when]
@@ -507,28 +539,26 @@ class Simulator:
                 when = pop(instants)
                 self._now = when
                 bucket = buckets[when]
-                i = 0
+                entries = self._entries = iter(bucket)
                 try:
-                    for fn, args in bucket:
-                        i += 1
+                    for fn, args in entries:
                         fn(*args)
                         if (process._value is not _PENDING
                                 or process._exception is not None):
                             break
                 except BaseException:
-                    dispatched += i - 1
-                    del bucket[:i]
-                    if bucket:
+                    dispatched -= 1  # the entry that raised is dropped, not counted
+                    raise
+                finally:
+                    # Entries not started (an exception, or completion
+                    # mid-instant) stay queued for a resumed run.
+                    i = len(bucket) - entries.__length_hint__()
+                    dispatched += i
+                    if i < len(bucket):
+                        del bucket[:i]
                         heappush(instants, when)
                     else:
                         del buckets[when]
-                    raise
-                dispatched += i
-                if i < len(bucket):  # completed mid-instant; keep the rest
-                    del bucket[:i]
-                    heappush(instants, when)
-                else:
-                    del buckets[when]
         finally:
             self.total_dispatched += dispatched
         return process.value
@@ -551,20 +581,20 @@ class Simulator:
                 when = pop(instants)
                 self._now = when
                 bucket = buckets[when]
-                i = 0
+                entries = self._entries = iter(bucket)
                 try:
-                    while i < len(bucket) and not process.triggered:
+                    while entries.__length_hint__() and not process.triggered:
                         if max_events is not None and dispatched >= max_events:
                             raise SimulationError(f"exceeded max_events={max_events}")
-                        fn, args = bucket[i]
-                        i += 1
+                        fn, args = next(entries)
                         if hook is not None:
                             hook(when, fn)
                         fn(*args)
                         dispatched += 1
                 finally:
-                    if i < len(bucket):
-                        del bucket[:i]
+                    left = entries.__length_hint__()
+                    if left:
+                        del bucket[:len(bucket) - left]
                         heappush(instants, when)
                     else:
                         del buckets[when]

@@ -53,9 +53,14 @@ class Event:
     exactly once, either with :meth:`succeed` (delivering ``value`` to all
     waiters) or :meth:`fail` (raising the exception inside all waiters).
 
-    Events fire through the simulator's scheduling queue, so callbacks always
-    run at a well-defined point in virtual time (the current instant), never
-    re-entrantly inside the call to ``succeed``.
+    Callbacks never run re-entrantly inside ``succeed``/``fail``: a
+    completion with a callback registered queues one dispatch in the current
+    instant.  With none registered it queues nothing — the event is simply
+    *fired*, and the first waiter to arrive schedules the dispatch (or, for a
+    process at the tail of the instant, continues inline; see
+    ``Process._on_wait_complete``).  Fast paths that complete an event at
+    birth (``Resource.request``, ``Store.get``/``put``) set ``_value``
+    directly, which is the same state.
     """
 
     __slots__ = ("sim", "_value", "_exception", "_cb1", "_more",
@@ -113,7 +118,7 @@ class Event:
         if self._value is not _PENDING or self._exception is not None:
             raise RuntimeError(f"event {self.name!r} already triggered")
         self._value = value
-        if not self._scheduled:
+        if self._cb1 is not None and not self._scheduled:
             self._scheduled = True
             # Inlined sim.schedule(0, self._dispatch) — completion is hot.
             sim = self.sim
@@ -134,7 +139,7 @@ class Event:
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
         self._exception = exception
-        if not self._scheduled:
+        if self._cb1 is not None and not self._scheduled:
             self._scheduled = True
             sim = self.sim
             buckets = sim._buckets
@@ -168,14 +173,15 @@ class Event:
             self._scheduled = True
             self.sim.schedule(0, self._dispatch)
 
-    def _schedule_dispatch(self) -> None:
-        if not self._scheduled:
-            self._scheduled = True
-            self.sim.schedule(0, self._dispatch)
+    def _abandon(self) -> None:
+        """Kernel hook: the process waiting on this event was interrupted
+        away from it.  Only :class:`~repro.sim.resources.Request` cares."""
 
     def _dispatch(self) -> None:
         # Mark processed *before* invoking callbacks so late registrations
-        # (from inside a callback) go through the scheduler.
+        # (from inside a callback) go through the scheduler.  ``_more`` stays
+        # set until the last callback returns: a woken process reads it to
+        # learn that this dispatch still has work after it.
         self._processed = True
         self._scheduled = False
         cb1 = self._cb1
@@ -184,9 +190,9 @@ class Event:
             cb1(self)
         more = self._more
         if more is not None:
-            self._more = None
             for fn in more:
                 fn(self)
+            self._more = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "pending"
@@ -247,9 +253,9 @@ class Timeout(Event):
             cb1(self)
         more = self._more
         if more is not None:
-            self._more = None
             for fn in more:
                 fn(self)
+            self._more = None
         pool = self._pool
         if pool is not None and len(pool) < _TIMEOUT_POOL_MAX:
             # Done with the sole-waiter fast path: back on the free list.

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Generator, Optional
 
-from repro.sim.primitives import Event
+from repro.sim.primitives import _PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -30,21 +30,46 @@ class Request(Event):
     __slots__ = ("resource", "_released")
 
     def __init__(self, sim: "Simulator", resource: "Resource"):
-        super().__init__(sim, name=resource._request_name)
+        # Event.__init__ inlined: every memory/NIC/channel acquire builds one.
+        self.sim = sim
+        self.name = resource._request_name
+        self._value = _PENDING
+        self._exception = None
+        self._cb1 = None
+        self._more = None
+        self._processed = False
+        self._scheduled = False
         self.resource = resource
         self._released = False
 
-    def release(self) -> None:
-        """Give the slot back (idempotent)."""
-        if not self._released:
-            self._released = True
-            self.resource._release(self)
+    def release(self, *_exc_info: Any) -> None:
+        """Give the slot back (idempotent).  A request that was never
+        granted leaves the queue instead: it has no slot to give."""
+        if self._released:
+            return
+        self._released = True
+        res = self.resource
+        queue = res._queue
+        if self._value is _PENDING:
+            if self in queue:
+                queue.remove(self)
+            return
+        # Hand the slot directly to the next waiter, if any.
+        while queue:
+            nxt = queue.popleft()
+            if nxt._exception is None:  # else failed while queued; skip it
+                nxt.succeed(nxt)
+                return
+        res._in_use -= 1
+        if res._in_use < 0:
+            raise RuntimeError(f"resource {res.name!r} over-released")
 
     def __enter__(self) -> "Request":
         return self
 
-    def __exit__(self, *exc_info: Any) -> None:
-        self.release()
+    __exit__ = release
+    # The waiting process was interrupted: it will never enter the ``with``.
+    _abandon = release
 
 
 class Resource:
@@ -53,6 +78,13 @@ class Resource:
     Waiters are granted strictly in request order, which both matches the
     hardware being modelled (memory channel queues, NIC SQ processing) and
     keeps runs deterministic.
+
+    Invariant: ``in_use + free == capacity`` where ``in_use`` counts exactly
+    the granted, unreleased requests, and every one of those has a live
+    owner.  A request that is released — or whose waiting process is
+    interrupted — before it was granted is dequeued; it never frees or
+    consumes a slot.  (An interrupt thus cancels the request: request again
+    rather than re-yielding it.)
     """
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "resource"):
@@ -78,26 +110,15 @@ class Resource:
         return len(self._queue)
 
     def request(self) -> Request:
-        """Ask for a slot; the returned event fires when granted."""
+        """Ask for a slot; the returned event fires when granted (it is
+        born fired when a slot is free)."""
         req = Request(self.sim, self)
         if self._in_use < self.capacity:
             self._in_use += 1
-            req.succeed(req)
+            req._value = req
         else:
             self._queue.append(req)
         return req
-
-    def _release(self, _req: Request) -> None:
-        # Hand the slot directly to the next waiter, if any.
-        while self._queue:
-            nxt = self._queue.popleft()
-            if nxt.triggered:  # cancelled/failed waiter; skip it
-                continue
-            nxt.succeed(nxt)
-            return
-        self._in_use -= 1
-        if self._in_use < 0:
-            raise RuntimeError(f"resource {self.name!r} over-released")
 
     def acquire(self) -> Generator[Event, Any, Request]:
         """Process-style helper: ``req = yield from resource.acquire()``.
@@ -144,15 +165,19 @@ class Store:
             self._putters.append((ev, item))
             return ev
         self._accept(item)
-        ev.succeed(None)
+        ev._value = None  # born fired
         return ev
 
     def get(self) -> Event:
         """Take the oldest item; the returned event fires with the item."""
         ev = Event(self.sim, name=self._get_name)
         if self._items:
-            ev.succeed(self._items.popleft())
-            self._admit_blocked_putter()
+            ev._value = self._items.popleft()  # born fired
+            if self._putters:
+                # The getter's wake-up goes ahead of the putter's it unblocks.
+                ev._scheduled = True
+                self.sim.schedule(0, ev._dispatch)
+                self._admit_blocked_putter()
         else:
             self._getters.append(ev)
             if self._demand_waiters:

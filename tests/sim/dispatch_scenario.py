@@ -1,23 +1,23 @@
-"""The shared scenario behind the same-seed dispatch-order pin.
+"""The shared scenario behind the same-seed kernel pins.
 
 A seeded YCSB-B run over the full Gengar pool with a chaos mix layered on
 top (ring stalls on both servers, a lossy-link window with retransmits, and
-a latency spike).  The kernel determinism contract says the dispatch order
-of such a run is a pure function of the seed: every dispatch happens at a
-well-defined (time, seq) position regardless of how the event queue is
-implemented internally.
+a latency spike).  The kernel determinism contract says such a run is a pure
+function of the seed: processes resume in one well-defined order, and every
+dispatch happens at a well-defined (time, seq) position, regardless of how
+the event queue is implemented internally.
 
-``tests/sim/test_dispatch_trace.py`` replays this scenario and compares the
-per-dispatch (time, callback) trace against a committed golden fingerprint
-captured from the pre-calendar-queue heap kernel — so the slotted-queue
-kernel (and any future queue rewrite) is pinned to the exact same total
-order the original single-heap implementation produced.
+``tests/sim/test_dispatch_trace.py`` replays this scenario against two
+committed fingerprints: the resumption order (``logged_resumptions`` below;
+captured under the always-dispatch kernel and never to move) and the
+per-dispatch (time, callback) trace seen by ``sim.dispatch_hook``.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from hashlib import sha256
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 SCENARIO_SEED = 1234
 
@@ -82,3 +82,55 @@ def fingerprint(trace: List[Tuple[int, str]]) -> dict:
 def callback_name(fn) -> str:
     """A refactor-stable label for a scheduled callback."""
     return getattr(fn, "__qualname__", None) or type(fn).__name__
+
+
+class _LoggedGenerator:
+    """Stands in for a process generator and logs every resume."""
+
+    def __init__(self, generator, sim, label: str, log: list):
+        self._generator = generator
+        self._sim = sim
+        self._label = label
+        self._log = log
+        self.__name__ = getattr(generator, "__name__", "process")
+        self.close = generator.close
+
+    def send(self, value):
+        self._log.append((self._sim.now, self._label))
+        return self._generator.send(value)
+
+    def throw(self, exc):
+        self._log.append((self._sim.now, self._label))
+        return self._generator.throw(exc)
+
+
+@contextmanager
+def logged_resumptions(log: List[Tuple[int, str]]) -> Iterator[None]:
+    """Append ``(sim.now, "<process name>#<spawn index>")`` to ``log`` at
+    every generator resume (``send`` or ``throw``) of every process spawned
+    inside the block.
+
+    Entirely test-side: ``Process.__init__`` is wrapped so the generator it
+    receives is a logging stand-in; the kernel has no hook for this.  The
+    resumption sequence is what the simulation *is* — every virtual time, RNG
+    draw and metric follows from it — so unlike the dispatch trace it must
+    survive any change to how the kernel delivers wake-ups.
+    """
+    from repro.sim.kernel import Process
+
+    original = Process.__init__
+    spawned = [0]
+
+    def init(self, sim, generator, name: str = "", _defer: bool = False):
+        if hasattr(generator, "send"):
+            name = name or getattr(generator, "__name__", "process")
+            generator = _LoggedGenerator(
+                generator, sim, "%s#%d" % (name, spawned[0]), log)
+            spawned[0] += 1
+        original(self, sim, generator, name=name, _defer=_defer)
+
+    Process.__init__ = init
+    try:
+        yield
+    finally:
+        Process.__init__ = original

@@ -1,15 +1,30 @@
-"""Permanent same-seed determinism pin for the kernel's dispatch order.
+"""Permanent same-seed determinism pins for the kernel.
 
-Replays the seeded YCSB-B + chaos scenario from ``dispatch_scenario.py``
-with ``sim.dispatch_hook`` installed and compares the per-dispatch
-(time, callback) trace against ``tests/data/dispatch_trace_golden.json``,
-which was captured from the pre-calendar-queue single-heap kernel.
+Both replay the seeded YCSB-B + chaos scenario from ``dispatch_scenario.py``.
 
-A mismatch means the event queue no longer dispatches in (time, seq) order —
-i.e. same-seed runs are no longer bit-for-bit comparable across kernel
-versions.  That is a kernel bug (or a deliberate ordering change that must
-be called out loudly and re-golden'd together with every virtual-time
-baseline), never something to silence by editing the scenario.
+**Resumption order** (``tests/data/resumption_order_golden.json``): the
+``(time, process)`` sequence of every generator resume, logged by a
+test-side wrapper.  This is what the simulation *is* — every virtual time,
+RNG draw and metric follows from it — so no kernel change may move it.  The
+golden was captured on PR 11's commit, under the kernel that dispatched
+every wake-up, and PR 12 (zero-delay event elision) had to reproduce it
+byte for byte.
+
+**Dispatch trace** (``tests/data/dispatch_trace_golden.json``): the
+``(time, callback)`` sequence seen by ``sim.dispatch_hook``.  It pins how
+the kernel *delivers* those resumptions and catches a queue that no longer
+runs entries in (time, seq) order.  RE-CAPTURED ONCE, IN PR 12: 16,832
+dispatches became 9,374 because a wait that is already over (free
+``Resource`` slot, ``Store`` item present, accepted ``put``, an event fired
+with no waiter) no longer costs a pass-through ``Event._dispatch``.  The
+scenario did not change (``SCENARIO_VERSION`` stays 1), ``final_time_ns``
+did not change (287,477), and the resumption pin above is the proof that
+nothing else did; the golden's own ``recaptured`` block records the old
+count and hash.
+
+A mismatch in either is a kernel bug (or a deliberate contract change that
+must be called out as loudly as this one), never something to silence by
+editing the scenario.
 """
 
 import json
@@ -20,13 +35,36 @@ from tests.sim.dispatch_scenario import (
     SCENARIO_VERSION,
     callback_name,
     fingerprint,
+    logged_resumptions,
     run_scenario,
 )
 
-GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "dispatch_trace_golden.json"
+DATA = Path(__file__).resolve().parents[1] / "data"
+GOLDEN_PATH = DATA / "dispatch_trace_golden.json"
+RESUMPTION_GOLDEN_PATH = DATA / "resumption_order_golden.json"
 
 
-def test_dispatch_order_matches_pre_refactor_golden():
+def test_resumption_order_matches_the_always_dispatch_kernel():
+    golden = json.loads(RESUMPTION_GOLDEN_PATH.read_text())
+    assert golden["version"] == SCENARIO_VERSION
+    assert golden["seed"] == SCENARIO_SEED
+
+    log = []
+    with logged_resumptions(log):
+        sim = run_scenario()
+
+    for idx, when, label in golden["checkpoints"]:
+        assert idx < len(log), f"log too short: {len(log)} <= {idx}"
+        assert log[idx] == (when, label), (
+            f"resumption #{idx} diverged: got {log[idx]}, golden ({when}, {label!r})"
+        )
+    got = fingerprint(log)
+    assert got["dispatches"] == golden["resumptions"]
+    assert sim.now == golden["final_time_ns"]
+    assert got["sha256"] == golden["sha256"]
+
+
+def test_dispatch_order_matches_golden():
     golden = json.loads(GOLDEN_PATH.read_text())
     assert golden["version"] == SCENARIO_VERSION
     assert golden["seed"] == SCENARIO_SEED

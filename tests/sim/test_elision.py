@@ -1,0 +1,241 @@
+"""Zero-delay event elision: waits that are already over.
+
+The kernel rule under test (``docs/KERNEL.md``, "The ordering contract"): a
+process that yields an event which has already fired, has no other waiter
+and has no dispatch queued continues inline when — and only when — the
+running dispatch is the last entry of the current instant's bucket.
+Otherwise it registers and is woken by a scheduled dispatch.  Either way the
+order in which processes resume is the same; only pass-through dispatches
+disappear.
+"""
+
+from math import ceil
+
+import pytest
+
+from repro.sim import Resource, SimulationError, Simulator, Store
+from repro.sim import kernel
+
+
+# ---------------------------------------------------------------------------
+# Born-fired sources and lazy completion
+# ---------------------------------------------------------------------------
+def _free_slot(sim):
+    req = Resource(sim, capacity=1).request()
+    return req, req  # a request succeeds with itself
+
+
+def _item_present(sim):
+    store = Store(sim)
+    store.put("item")
+    return store.get(), "item"
+
+
+def _put_accepted(sim):
+    return Store(sim).put("item"), None
+
+
+@pytest.mark.parametrize("source", [_free_slot, _item_present, _put_accepted])
+def test_born_fired_sources_schedule_nothing(source):
+    sim = Simulator()
+    ev, expect = source(sim)
+    assert ev.triggered and not ev.processed
+    assert ev.value is expect
+    assert sim.peek() is None  # fired, and nothing queued to say so
+
+    got = []
+
+    def waiter(sim):
+        got.append((yield ev))
+
+    sim.spawn(waiter(sim))
+    sim.run()
+    assert got == [expect]
+    # One bootstrap step, one wake-up: a bootstrap step always registers.
+    assert sim.total_dispatched == 2
+
+
+def test_succeed_with_no_waiter_queues_no_dispatch():
+    sim = Simulator()
+    ev = sim.event()
+    ev.succeed(7)
+    assert ev.triggered and sim.peek() is None
+    sim.run()
+    assert sim.total_dispatched == 0 and not ev.processed
+
+
+def test_unjoined_process_completion_is_not_dispatched():
+    sim = Simulator()
+
+    def body(sim):
+        yield sim.timeout(5)
+
+    sim.spawn(body(sim))
+    sim.run()
+    assert sim.total_dispatched == 2  # bootstrap + the timeout, no completion
+
+
+# ---------------------------------------------------------------------------
+# The tail rule
+# ---------------------------------------------------------------------------
+def test_sole_waiter_at_the_tail_continues_inline():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    store = Store(sim)
+    got = []
+
+    def body(sim):
+        yield sim.timeout(1)
+        with (yield res.request()) as req:
+            got.append(req)
+            got.append((yield store.put("x")))
+            got.append((yield store.get()))
+
+    sim.spawn(body(sim))
+    sim.run()
+    assert got[1:] == [None, "x"] and got[0].resource is res
+    assert sim.total_dispatched == 2  # bootstrap + the timeout
+    assert res.in_use == 0
+
+
+def test_a_wait_that_is_over_is_scheduled_when_not_at_the_tail():
+    """B's bootstrap is queued behind A's, so A's already-granted request is
+    not at the tail: A must let B start first, as it always did."""
+    sim = Simulator()
+    res = Resource(sim, capacity=2)
+    order = []
+
+    def body(sim, tag):
+        order.append((tag, "start"))
+        with (yield res.request()):
+            order.append((tag, "granted"))
+
+    sim.spawn(body(sim, "A"))
+    sim.spawn(body(sim, "B"))
+    sim.run()
+    assert order == [("A", "start"), ("B", "start"),
+                     ("A", "granted"), ("B", "granted")]
+
+
+def test_second_waiter_on_a_born_fired_event_goes_through_the_scheduler():
+    sim = Simulator()
+    req = Resource(sim, capacity=1).request()
+    order = []
+
+    def body(sim, tag):
+        yield req
+        order.append(tag)
+
+    sim.spawn(body(sim, "first"))
+    sim.spawn(body(sim, "second"))
+    sim.run_until_complete(sim.timeout(0))  # both have yielded, none woken
+    assert order == []
+    sim.run()
+    assert order == ["first", "second"] and req.processed
+
+
+def test_add_callback_on_a_born_fired_event_never_runs_inline():
+    sim = Simulator()
+    ev = Store(sim).put("x")
+    seen = []
+    ev.add_callback(seen.append)
+    assert seen == []
+    sim.run()
+    assert seen == [ev] and sim.total_dispatched == 1
+
+
+def test_other_waiters_of_the_waking_event_run_before_an_inline_continuation():
+    """P1 and P2 wait on one event.  When it fires, P1's next wait is
+    already over and the bucket is empty behind the dispatch — but P2's
+    wake-up is still owed by that same dispatch, so P1 may not run on."""
+    sim = Simulator()
+    gate = sim.event()
+    res = Resource(sim, capacity=1)
+    order = []
+
+    def p1(sim):
+        yield gate
+        order.append("p1 woken")
+        with (yield res.request()):
+            order.append("p1 granted")
+
+    def p2(sim):
+        yield gate
+        order.append("p2 woken")
+
+    sim.spawn(p1(sim))
+    sim.spawn(p2(sim))
+    sim.schedule(5, gate.succeed)
+    sim.run()
+    assert order == ["p1 woken", "p2 woken", "p1 granted"]
+
+
+# ---------------------------------------------------------------------------
+# Late waiters on a lazily-dispatched event
+# ---------------------------------------------------------------------------
+def test_late_waiter_in_a_later_instant():
+    sim = Simulator()
+    ev = sim.event()
+    ev.succeed("early")
+    got = []
+
+    def late(sim):
+        yield sim.timeout(5)
+        got.append((sim.now, (yield ev)))
+
+    sim.spawn(late(sim))
+    sim.run()
+    assert got == [(5, "early")]
+
+
+def test_late_waiter_in_the_same_instant_keeps_its_turn():
+    """The waiter of an event that fired earlier in this instant resumes
+    after everything already queued in the instant, never ahead of it."""
+    sim = Simulator()
+    ev = sim.event()
+    nudge = sim.event()
+    order = []
+
+    def sleeper(sim):
+        yield nudge
+        order.append("sleeper")
+
+    def late(sim):
+        yield sim.timeout(1)
+        ev.succeed("fired")
+        nudge.succeed()          # queues the sleeper's wake-up ...
+        order.append((yield ev))  # ... which runs before this wait returns
+
+    sim.spawn(sleeper(sim))
+    sim.spawn(late(sim))
+    sim.run()
+    assert order == ["sleeper", "fired"]
+
+
+# ---------------------------------------------------------------------------
+# The inline-run bound
+# ---------------------------------------------------------------------------
+def _spinner(store, n=None):
+    i = 0
+    while n is None or i < n:
+        store.put(i)
+        yield store.get()
+        i += 1
+
+
+def test_spinner_over_an_always_full_store_still_trips_max_events():
+    sim = Simulator()
+    sim.spawn(_spinner(Store(sim)))
+    with pytest.raises(SimulationError, match="max_events"):
+        sim.run(max_events=500)
+
+
+@pytest.mark.parametrize("instrumented", [False, True])
+def test_inline_runs_are_bounded_and_counted_alike_by_both_loops(instrumented):
+    sim = Simulator()
+    n = 200
+    proc = sim.spawn(_spinner(Store(sim), n))
+    sim.run(max_events=10**6 if instrumented else None)
+    assert proc.ok
+    # The bootstrap step, then one dispatch per (bound + 1) waits.
+    assert sim.total_dispatched == 1 + ceil(n / (kernel._INLINE_RUN_MAX + 1))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import FifoChannel, Resource, Simulator, Store, TokenBucket
+from repro.sim import FifoChannel, Interrupt, Resource, Simulator, Store, TokenBucket
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +82,84 @@ def test_resource_parallelism_matches_capacity():
     sim.run()
     # Two waves of three.
     assert [t for t, _ in done] == [10, 10, 10, 20, 20, 20]
+
+
+def test_release_of_an_ungranted_request_frees_no_slot():
+    """``with r.request() as req: yield req`` interrupted while queued behind
+    another waiter used to release() a slot it never held: the waiter ahead
+    was granted while the real holder still held (two holders, capacity 1)."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    holding = []
+    peak = [0]
+
+    def worker(sim, tag, hold):
+        with res.request() as req:
+            yield req
+            holding.append(tag)
+            peak[0] = max(peak[0], len(holding))
+            yield sim.timeout(hold)
+            holding.remove(tag)
+
+    sim.spawn(worker(sim, "holder", 100))
+    sim.spawn(worker(sim, "ahead", 10))
+    victim = sim.spawn(worker(sim, "victim", 10))
+    sim.schedule(10, victim.interrupt)
+    sim.run(until=15)
+    assert holding == ["holder"]  # not also "ahead"
+    assert res.in_use == 1 and res.queued == 1
+    sim.run()
+    assert peak[0] == 1
+    assert isinstance(victim.exception, Interrupt)
+    assert res.in_use == 0 and res.queued == 0
+
+
+def test_interrupted_waiter_abandons_its_queued_request():
+    """The hot-path idiom ``with (yield r.request()):`` interrupted while
+    queued used to leave the request in the deque; it was later granted to
+    the dead process and never released, starving every later requester."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    served = []
+
+    def worker(sim, tag):
+        with (yield res.request()):
+            yield sim.timeout(10)
+            served.append((sim.now, tag))
+
+    sim.spawn(worker(sim, "holder"))
+    victim = sim.spawn(worker(sim, "victim"))
+    sim.spawn(worker(sim, "later"))
+    sim.schedule(5, victim.interrupt)
+    sim.run(until=6)
+    assert res.in_use == 1 and res.queued == 1  # holder, later
+    sim.run()
+    assert served == [(10, "holder"), (20, "later")]
+    assert res.in_use == 0 and res.queued == 0
+
+
+def test_interrupt_between_grant_and_delivery_returns_the_slot():
+    """A request granted in the same instant its waiter is interrupted must
+    not stay held by a process that will never enter the ``with``."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    first = res.request()
+
+    def worker(sim):
+        with (yield res.request()):
+            yield sim.timeout(10)
+
+    victim = sim.spawn(worker(sim))
+    sim.run()
+
+    def interrupt_then_grant():
+        victim.interrupt()  # delivered first ...
+        first.release()     # ... so this grant's wake-up finds nobody
+
+    sim.schedule(1, interrupt_then_grant)
+    sim.run()
+    assert isinstance(victim.exception, Interrupt)
+    assert res.in_use == 0 and res.queued == 0
 
 
 # ---------------------------------------------------------------------------
