@@ -31,11 +31,14 @@ Usage::
     PYTHONPATH=src python -m repro.bench.perf --smoke         # tiny CI smoke run
     PYTHONPATH=src python -m repro.bench.perf --guard-against BENCH_perf.json
 
-``--guard-against`` is the CI regression gate: it re-measures the kernel
-microbenchmark and the medium YCSB run, compares against the committed
-file's ``current`` section, and exits non-zero if either the kernel's
-``events_per_sec`` or ycsb_medium's ``sim_throughput_ops_s`` regressed
-more than 10%.  It never writes the JSON file.
+``--guard-against`` is the CI regression gate.  It gates on what repeats
+exactly on any machine: every ``virtual_time_ns`` pin must equal the
+committed file's ``current`` section, and the event budgets
+(``kernel.dispatched_events``, ``rpc.events_per_call``,
+``doorbell.events_per_wr``) must not rise.  Host time is printed as
+``INFO`` and never fails the job — it swings 15-25 % on a shared box, and
+host-time claims are made with ``benchmarks/ledger`` (see its README).  It
+never writes the JSON file.
 
 ``__slots__`` note: the per-object bookkeeping types on the hot path
 (``Counter``, ``ObjectStats``, WRs, span tuples) all declare ``__slots__``.
@@ -91,11 +94,8 @@ def bench_kernel(num_procs: int = 64, timeouts_per_proc: int = 2000,
     """
 
     def worker(sim: Simulator, n: int):
-        # Prefer the pooled sleep() fast path (the API all hot hardware
-        # models use); fall back to timeout() on kernels without it.
-        wait = getattr(sim, "sleep", None) or sim.timeout
         for _ in range(n):
-            yield wait(10)
+            yield 10  # the bare delay every hardware model waits with
 
     best: Optional[Dict[str, Any]] = None
     for _ in range(max(1, repeats)):
@@ -646,7 +646,8 @@ def run_harness(out_path: Path, set_baseline: bool = False,
     return doc
 
 
-#: Regression tolerance for ``--guard-against`` (fraction of committed value).
+#: ``--guard-against`` tolerance for ycsb_medium's virtual throughput
+#: (fraction of the committed value).
 GUARD_FLOOR = 0.9
 
 
@@ -654,13 +655,14 @@ def run_guard(guard_path: Path) -> int:
     """CI regression gate: re-measure and compare against a committed file.
 
     Runs the full-size kernel microbenchmark and the medium YCSB pass
-    regardless of ``--smoke`` — ``sim_throughput_ops_s`` is a virtual
-    (machine-independent) number, so it only compares against the committed
-    figure when measured at the committed run shape.  The control-plane
-    scale-out section is re-run at full shape too and checked exactly
-    (virtual times per shard count, plus monotonic ops/s through 4 shards).
-    Exits 1 on a >10% regression of a guarded wall-clock metric or any
-    virtual-metric drift; never writes the JSON file.
+    regardless of ``--smoke`` — virtual times, virtual throughput and event
+    counts are machine-independent, so they only compare against the
+    committed figures when measured at the committed run shape.  The
+    control-plane scale-out section is re-run at full shape too and checked
+    exactly (virtual times per shard count, plus monotonic ops/s through 4
+    shards).  Exits 1 when an event budget rose, a virtual time drifted or
+    virtual throughput fell more than 10%; host time is reported, not gated.
+    Never writes the JSON file.
     """
     try:
         committed = json.loads(guard_path.read_text())
@@ -672,21 +674,36 @@ def run_guard(guard_path: Path) -> int:
     kernel = bench_kernel()
     medium = bench_ycsb(record_count=1000, num_workers=8, ops_per_worker=500,
                         repeats=2)
+    budgets = {"kernel": kernel, "rpc": bench_rpc(repeats=1),
+               "doorbell": bench_doorbell(repeats=1)}
 
     checks = []
-    for label, got, want in (
-        ("kernel events_per_sec", kernel["events_per_sec"],
-         (ref.get("kernel") or {}).get("events_per_sec")),
-        ("ycsb_medium sim_throughput_ops_s", medium["sim_throughput_ops_s"],
-         (ref.get("ycsb_medium") or {}).get("sim_throughput_ops_s")),
-    ):
-        if not want:
-            print(f"perf-guard: no committed reference for {label}; skipped")
+    want = (ref.get("kernel") or {}).get("events_per_sec")
+    if want:
+        print(f"perf-guard kernel events_per_sec: "
+              f"{kernel['events_per_sec']:,.0f} vs committed {want:,.0f} "
+              f"(x{kernel['events_per_sec'] / want:.3f}) INFO (host time, "
+              f"not gated)")
+    # Event budgets: dispatch counts repeat exactly and must not rise.
+    for section, key in (("kernel", "dispatched_events"),
+                         ("rpc", "events_per_call"),
+                         ("doorbell", "events_per_wr")):
+        got, want = budgets[section][key], (ref.get(section) or {}).get(key)
+        if want is None:
+            print(f"perf-guard: no committed reference for {section} {key}; "
+                  f"skipped")
             continue
-        ratio = got / want
+        ok = got <= want
+        print(f"perf-guard {section} {key}: {got} vs committed {want} "
+              f"{'OK' if ok else 'ROSE'}")
+        checks.append(ok)
+    want = (ref.get("ycsb_medium") or {}).get("sim_throughput_ops_s")
+    if want:
+        ratio = medium["sim_throughput_ops_s"] / want
         ok = ratio >= GUARD_FLOOR
-        print(f"perf-guard {label}: {got:,.0f} vs committed {want:,.0f} "
-              f"(x{ratio:.3f}) {'OK' if ok else 'REGRESSION'}")
+        print(f"perf-guard ycsb_medium sim_throughput_ops_s: "
+              f"{medium['sim_throughput_ops_s']:,.0f} vs committed "
+              f"{want:,.0f} (x{ratio:.3f}) {'OK' if ok else 'REGRESSION'}")
         checks.append(ok)
     # Determinism guard (noise-free, machine-independent): the medium run's
     # final virtual time must match the committed figure exactly — any drift
@@ -764,8 +781,9 @@ def run_guard(guard_path: Path) -> int:
     if checks and all(checks):
         print("perf-guard: PASS")
         return 0
-    print(f"perf-guard: FAIL (regression beyond x{GUARD_FLOOR} "
-          f"of the committed current section)")
+    print(f"perf-guard: FAIL (an event budget rose, a virtual time drifted "
+          f"or virtual throughput fell below x{GUARD_FLOOR} of the committed "
+          f"current section)")
     return 1
 
 
@@ -785,8 +803,9 @@ def main(argv=None) -> int:
     parser.add_argument("--guard-against", default=None, metavar="PATH",
                         help="regression-gate mode: compare a fresh "
                              "measurement against this committed JSON's "
-                             "'current' section and exit 1 on a >10%% "
-                             "regression (writes nothing)")
+                             "'current' section and exit 1 when an "
+                             "event budget rose or a virtual number "
+                             "drifted (writes nothing)")
     args = parser.parse_args(argv)
 
     if args.guard_against:

@@ -66,7 +66,7 @@ class Node:
             duration_ns = self.spec.cpu_op_ns
         with (yield self._cpu.request()):
             if duration_ns > 0:
-                yield self.sim.sleep(duration_ns)
+                yield duration_ns
 
     @property
     def cpu_utilized(self) -> int:

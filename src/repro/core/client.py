@@ -928,7 +928,7 @@ class GengarClient:
                 yield from self._poll_drained(conn)
                 if conn.drained_known < conn.written:
                     backoff = min(backoff + 1, 5)
-                    yield self.sim.sleep(500 * (1 << backoff))
+                    yield 500 * (1 << backoff)
             self._prune_overlay(sid)
             if rec is not None:
                 rec.record(self.name, "phase.drain_wait", t0, op=span_op,
@@ -1187,8 +1187,7 @@ class GengarClient:
                         getattr(exc, "shard", 0))
                 rec = self.sim.spans
                 t_wait = self.sim.now if rec is not None else 0
-                yield self.sim.sleep(
-                    policy.backoff_ns(attempt, self._jitter_rng()))
+                yield policy.backoff_ns(attempt, self._jitter_rng())
                 if rec is not None:
                     rec.record(self.name, "phase.retry_wait", t_wait,
                                op=span_op, attempt=attempt,
@@ -2140,7 +2139,7 @@ class GengarClient:
             if patience and stalled_polls >= patience:
                 return False
             backoff = min(backoff + 1, 5)
-            yield self.sim.sleep(500 * (1 << backoff))
+            yield 500 * (1 << backoff)
 
     def _prune_overlay(self, server_id: int) -> None:
         conn = self._conns[server_id]

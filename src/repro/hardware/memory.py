@@ -137,7 +137,7 @@ class MemoryDevice:
         self.queue_depth.adjust(+1)
         try:
             with (yield self._channels.request()):
-                yield self.sim.sleep(self.read_service_time(nbytes))
+                yield self.read_service_time(nbytes)
         finally:
             self.queue_depth.adjust(-1)
         self.bytes_read.add(nbytes)
@@ -152,7 +152,7 @@ class MemoryDevice:
         self.queue_depth.adjust(+1)
         try:
             with (yield self._channels.request()):
-                yield self.sim.sleep(self.write_service_time(nbytes))
+                yield self.write_service_time(nbytes)
         finally:
             self.queue_depth.adjust(-1)
         self._data.write(offset, payload)

@@ -177,7 +177,7 @@ class Fabric:
                 # The message died in flight; the sender notices only by
                 # timeout and retransmits.  The ports stay free meanwhile.
                 self.dropped_messages.add()
-                yield self.sim.sleep(self.retransmit_ns)
+                yield self.retransmit_ns
 
         wire_bytes = nbytes + self.spec.header_bytes
         if self._crosses_core(src, dst):
@@ -187,25 +187,25 @@ class Fabric:
             down = self._core_down[self._rack_of[dst]]
             core_time = max(1, round(wire_bytes / self._core_bandwidth))
             with (yield egress.gate.request()):
-                yield self.sim.sleep(self.wire_time(nbytes))
+                yield self.wire_time(nbytes)
                 egress.bytes_moved += wire_bytes
             with (yield up.gate.request()):
                 with (yield down.gate.request()):
-                    yield self.sim.sleep(core_time)
+                    yield core_time
                     up.bytes_moved += wire_bytes
                     down.bytes_moved += wire_bytes
             with (yield ingress.gate.request()):
-                yield self.sim.sleep(self.wire_time(nbytes))
+                yield self.wire_time(nbytes)
                 ingress.bytes_moved += wire_bytes
-            yield self.sim.sleep(self.spec.propagation_ns + self._core_hop_ns + extra_ns)
+            yield self.spec.propagation_ns + self._core_hop_ns + extra_ns
             self.inter_rack_messages.add()
         else:
             with (yield egress.gate.request()):
                 with (yield ingress.gate.request()):
-                    yield self.sim.sleep(self.wire_time(nbytes))
+                    yield self.wire_time(nbytes)
                     egress.bytes_moved += wire_bytes
                     ingress.bytes_moved += wire_bytes
-            yield self.sim.sleep(self.spec.propagation_ns + extra_ns)
+            yield self.spec.propagation_ns + extra_ns
         self.messages.add()
         self.payload_bytes.add(nbytes)
 

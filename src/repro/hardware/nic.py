@@ -53,13 +53,13 @@ class Nic:
         """Pay the initiator-side cost of posting one work element."""
         yield from self._msg_limiter.consume(1.0)
         with (yield self._tx.request()):
-            yield self.sim.sleep(self.spec.processing_ns)
+            yield self.spec.processing_ns
         self.tx_messages.add()
 
     def rx_process(self) -> Generator[Any, Any, None]:
         """Pay the responder-side cost of handling one inbound packet."""
         with (yield self._rx.request()):
-            yield self.sim.sleep(self.spec.processing_ns)
+            yield self.spec.processing_ns
         self.rx_messages.add()
 
     def __repr__(self) -> str:  # pragma: no cover

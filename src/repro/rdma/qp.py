@@ -209,7 +209,7 @@ class QueuePair:
         if not remote_ep.alive:
             # The request is retransmitted into silence until the QP's
             # retry budget expires.
-            yield self.sim.sleep(local.retry_timeout_ns)
+            yield local.retry_timeout_ns
             self._complete(wr, done, WcStatus.RETRY_EXCEEDED)
             return
         yield from remote_ep.nic.rx_process()

@@ -12,8 +12,9 @@ small, dependency-free engine in the style of SimPy:
 * :mod:`~repro.sim.stats` — streaming metrics (counters, histograms).
 * :mod:`~repro.sim.rng` — named deterministic random streams.
 
-Processes are plain Python generators that ``yield`` waitables; the kernel
-resumes them when the waitable fires.  All simulated time is kept as integer
+Processes are plain Python generators that ``yield`` waitables — or a bare
+``int``, a delay in nanoseconds — and the kernel resumes them when the
+waitable fires or the delay is over.  All simulated time is kept as integer
 nanoseconds so long runs never accumulate floating-point drift.
 """
 

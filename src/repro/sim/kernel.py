@@ -18,20 +18,22 @@ when the running dispatch is the last entry of the instant — the position a
 freshly queued wake-up would take — and is woken through the queue
 otherwise.  Every run with the same seed is bit-for-bit reproducible.
 
-:class:`Process` adapts a Python generator into the event system: each value
-the generator yields must be an :class:`~repro.sim.primitives.Event` (or a
-``Process``, which is itself an event that fires when the generator returns).
+:class:`Process` adapts a Python generator into the event system.  A
+process may yield two things: an :class:`~repro.sim.primitives.Event` (or a
+``Process``, which is itself an event that fires when the generator
+returns), or a non-negative ``int`` — a wait of that many virtual
+nanoseconds, for which the kernel queues the process's own wake-up and
+creates no event at all.  ``sim.timeout(n)`` is the timer *event*, for waits
+that are stored, composed into ``all_of``/``any_of`` or carry a value.
 
 Fast-path notes: the ``run`` loops bind the bucket machinery to locals and
 dispatch a whole instant per outer iteration (one clock write and one
 ``until`` comparison per *instant*); completion fast paths in
-:mod:`repro.sim.primitives` append to the calendar inline.
-:meth:`Simulator.sleep` hands out pooled :class:`Timeout` objects (refilled
-in small batches) for the fire-and-forget ``yield sim.sleep(n)`` pattern
-used throughout the hardware models, and :meth:`Simulator.schedule_many` /
-:meth:`Simulator.timeout_many` / :meth:`Simulator.spawn_many` arm N timers
-or processes with one kernel call.  All of this is wall-clock only —
-virtual-time results are bit-for-bit identical to the straightforward loop.
+:mod:`repro.sim.primitives` append to the calendar inline, and
+:meth:`Simulator.schedule_many` / :meth:`Simulator.timeout_many` /
+:meth:`Simulator.spawn_many` arm N timers or processes with one kernel
+call.  All of this is wall-clock only — virtual-time results are bit-for-bit
+identical to the straightforward loop.
 
 Profiling/debug: assign ``sim.dispatch_hook = lambda when, fn: ...`` to
 observe every dispatch; the hot loops are swapped for an instrumented
@@ -42,7 +44,7 @@ See ``docs/KERNEL.md`` for the design rationale.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional, Sequence
+from typing import Any, Callable, Generator, Iterable, Optional, Sequence, Union
 
 from repro.sim.primitives import _PENDING, Event, Interrupt, Timeout
 
@@ -51,23 +53,13 @@ class SimulationError(RuntimeError):
     """Raised when the simulation reaches an inconsistent state."""
 
 
-# First resume of a generator must be send(None); this sentinel marks it so a
-# legitimate event *value* that happens to be an Event is not misinterpreted.
-_BOOTSTRAP = object()
-
-#: Dormant pooled timeouts created per :meth:`Simulator.sleep` refill when
-#: the free list runs dry (vectorized pool refill: one batch allocation
-#: instead of a construct-per-wait cold path).
-_SLEEP_REFILL = 8
-
-
 #: Consecutive inline continuations one dispatch may run before the next
 #: already-over wait is scheduled instead (the same order at the tail), so
 #: ``max_events`` still sees a process spinning on born-fired events.
 _INLINE_RUN_MAX = 64
 
 #: The generator type a process function must return.
-ProcessGenerator = Generator[Event, Any, Any]
+ProcessGenerator = Generator[Union[Event, int], Any, Any]
 
 
 class Process(Event):
@@ -77,9 +69,15 @@ class Process(Event):
     return value when the generator finishes, and fails with the exception if
     the generator raises.  This lets processes wait on each other by yielding
     a process object ("join").
+
+    The generator may yield an :class:`Event`, or a non-negative ``int``: a
+    wait of that many virtual nanoseconds.  A bare delay creates nothing —
+    the kernel appends this process's wake-up entry to the bucket at
+    ``now + n`` — so it can be neither stored nor composed nor given a
+    value; ``sim.timeout(n)`` is the event for that.
     """
 
-    __slots__ = ("_generator", "_send", "_waiting_on", "_wake")
+    __slots__ = ("_generator", "_send", "_waiting_on", "_wake", "_epoch", "_entry")
 
     def __init__(self, sim: "Simulator", generator: ProcessGenerator, name: str = "",
                  _defer: bool = False):
@@ -94,19 +92,25 @@ class Process(Event):
         # simulator, so skip the attribute lookup on every wake-up.
         self._send = generator.send
         self._waiting_on: Optional[Event] = None
-        # Bound once: every yield registers this same callback object.
-        self._wake = self._on_wait_complete
+        # Bound once: every wake-up, by event or by timer, is this callable.
+        self._wake = self._resume
+        # Interrupts delivered so far.  The queued entry of a bare delay (and
+        # of the first step) carries the count current when it was queued; an
+        # interrupt makes a new entry, so the one left in the calendar is
+        # recognisably stale.  One entry object serves every wait in between.
+        self._epoch = 0
+        self._entry = (self._wake, (0,))
         if not _defer:
             # Kick off the first step from the loop, not inline.  Inlined
-            # sim.schedule(0, self._step, _BOOTSTRAP, False) — spawn is hot.
+            # sim.schedule(0, ...) — spawn is hot.
             buckets = sim._buckets
-            t = sim._now
+            t = sim.now
             b = buckets.get(t)
             if b is None:
-                buckets[t] = [(self._step, (_BOOTSTRAP, False))]
+                buckets[t] = [self._entry]
                 heappush(sim._instants, t)
             else:
-                b.append((self._step, (_BOOTSTRAP, False)))
+                b.append(self._entry)
 
     # ------------------------------------------------------------------
     @property
@@ -127,33 +131,45 @@ class Process(Event):
     def _deliver_interrupt(self, cause: Any) -> None:
         if not self.is_alive:
             return
-        # Detach from whatever we were waiting on; the stale callback will
-        # notice _waiting_on no longer matches and do nothing.
+        # Whatever wake-up is outstanding is stale from here on: a queued
+        # delay entry carries the old epoch, an event's callback will find
+        # _waiting_on no longer matches.  A bare delay has nothing to abandon.
+        epoch = self._epoch = self._epoch + 1
+        self._entry = (self._wake, (epoch,))
         waited, self._waiting_on = self._waiting_on, None
         if waited is not None:
             waited._abandon()
-        self._step(Interrupt(cause), is_exception=True)
+        self._resume(epoch, Interrupt(cause))
 
     # ------------------------------------------------------------------
-    def _on_wait_complete(self, event: Event) -> None:
-        if self._waiting_on is not event:
-            return  # stale wake-up after an interrupt
-        self._waiting_on = None
-        exc = event._exception
-        if exc is not None:
-            self._step(exc, True)
-            return
+    def _resume(self, token: Any, exc: Optional[BaseException] = None) -> None:
+        """The one way a process runs: first step, timer, event, interrupt.
+
+        ``token`` says which wait is over: the epoch of a queued delay entry,
+        or the event this was registered on.  ``exc`` is thrown into the
+        generator instead of a value being sent.
+        """
+        if token.__class__ is int:
+            if token != self._epoch:
+                return  # a delay the process was interrupted out of
+            value = None
+            inline = _INLINE_RUN_MAX
+        else:
+            if self._waiting_on is not token:
+                return  # stale wake-up after an interrupt
+            self._waiting_on = None
+            exc = token._exception
+            value = token._value
+            # Inline continuations left.  None while ``token`` has callbacks
+            # after this one: they must run before our next step.
+            inline = _INLINE_RUN_MAX if token._more is None else 0
         if self._value is not _PENDING or self._exception is not None:
-            return  # process already finished (interrupt raced the wake-up)
-        # Inlined success path of _step: resume → next wait.  This runs once
-        # per yield in every process, so the generic _step (which also
-        # handles bootstrap and thrown exceptions) is bypassed here.
+            return  # process already finished (completed from outside)
         sim = self.sim
         send = self._send
-        value = event._value
-        # Inline continuations left.  None while ``event`` has callbacks
-        # after this one: they must run before our next step.
-        inline = _INLINE_RUN_MAX if event._more is None else 0
+        if exc is not None:
+            # A throw never continues inline: it registers, as it always did.
+            send, value, inline = self._generator.throw, exc, 0
         while True:
             try:
                 target = send(value)
@@ -165,14 +181,35 @@ class Process(Event):
                     raise
                 self.fail(step_exc)
                 return
-            if not isinstance(target, Event):
-                self._reject_yield(target)
+            if target.__class__ is int:
+                if target < 0:
+                    send, value, inline = self._generator.throw, ValueError(
+                        f"cannot wait a negative delay ({target})"), 0
+                    continue
+                # Inlined sim.schedule(target, self._resume, epoch).
+                buckets = sim._buckets
+                t = sim.now + target
+                b = buckets.get(t)
+                if b is None:
+                    buckets[t] = [self._entry]
+                    heappush(sim._instants, t)
+                else:
+                    b.append(self._entry)
                 return
-            if target.sim is not sim:
+            try:
+                foreign = target.sim is not sim
+                cb1 = target._cb1
+            except AttributeError:
+                self._generator.close()
+                self.fail(SimulationError(
+                    f"process {self.name!r} yielded {target!r}; processes may "
+                    "only yield Event instances or non-negative int delays"))
+                return
+            if foreign:
                 self._generator.close()
                 self.fail(SimulationError("yielded event belongs to another simulator"))
                 return
-            if target._cb1 is None:
+            if cb1 is None:
                 if target._value is _PENDING:
                     if target._exception is None:
                         # The common case: sole waiter on a pending event.
@@ -193,42 +230,6 @@ class Process(Event):
             target.add_callback(self._wake)
             return
 
-    def _reject_yield(self, target: Any) -> None:
-        self._generator.close()
-        self.fail(
-            SimulationError(
-                f"process {self.name!r} yielded {target!r}; "
-                "processes may only yield Event instances"
-            )
-        )
-
-    def _step(self, payload: Any, is_exception: bool) -> None:
-        if self.triggered:
-            return
-        try:
-            if is_exception:
-                target = self._generator.throw(payload)
-            else:
-                target = self._send(None if payload is _BOOTSTRAP else payload)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:  # noqa: BLE001 - propagate to joiners
-            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                raise
-            self.fail(exc)
-            return
-
-        if not isinstance(target, Event):
-            self._reject_yield(target)
-            return
-        if target.sim is not self.sim:
-            self._generator.close()
-            self.fail(SimulationError("yielded event belongs to another simulator"))
-            return
-        self._waiting_on = target
-        target.add_callback(self._wake)
-
 
 class Simulator:
     """The event loop: a virtual clock plus a calendar queue of callbacks.
@@ -247,7 +248,9 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0):
-        self._now = 0
+        #: Current virtual time in nanoseconds.  A plain attribute because it
+        #: is read on every hot path; only the run loops write it.
+        self.now = 0
         #: Calendar queue: per-instant buckets of ``(fn, args)`` entries in
         #: scheduling order.  A bucket exists exactly while its instant has
         #: pending entries (it stays in the dict during its own dispatch so
@@ -267,8 +270,6 @@ class Simulator:
         #: Total events dispatched over this simulator's lifetime (the
         #: denominator of the perf harness's events/sec figure).
         self.total_dispatched = 0
-        #: Free list backing :meth:`sleep` (see Timeout pooling notes).
-        self._timeout_pool: list[Timeout] = []
         #: Optional per-dispatch observer ``hook(when, fn)`` for profiling
         #: and the dispatch-order pin test.  While set, the run loops switch
         #: to an instrumented variant; when None the hot loops are untouched.
@@ -290,16 +291,11 @@ class Simulator:
         self.history = None
 
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> int:
-        """Current virtual time in nanoseconds."""
-        return self._now
-
     def schedule(self, delay: int, fn: Callable, *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` ns of virtual time."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        t = self._now + int(delay)
+        t = self.now + int(delay)
         b = self._buckets.get(t)
         if b is None:
             self._buckets[t] = [(fn, args)]
@@ -317,7 +313,7 @@ class Simulator:
         """
         buckets = self._buckets
         instants = self._instants
-        now = self._now
+        now = self.now
         for delay, fn, args in items:
             if delay < 0:
                 raise ValueError(f"cannot schedule into the past (delay={delay})")
@@ -343,40 +339,15 @@ class Simulator:
     def timeout_many(self, delays: Sequence[int], value: Any = None) -> list:
         """Arm N independent timers with one kernel call.
 
-        Returns a list of fresh (unpooled) :class:`Timeout` events, one per
-        delay, armed in list order — virtual semantics identical to calling
+        Returns a list of fresh :class:`Timeout` events, one per delay,
+        armed in list order — virtual semantics identical to calling
         :meth:`timeout` per delay, with the construction and calendar
-        bindings batched.  Use for retry fan-outs and fault plans; the
-        returned events are safe to store and compose (unlike ``sleep()``).
+        bindings batched.  Use for retry fan-outs and fault plans.
         """
         out = []
         for d in delays:
             out.append(Timeout(self, int(d), value))
         return out
-
-    def sleep(self, delay: int, value: Any = None) -> Timeout:
-        """A pooled timeout for the fire-and-forget ``yield sim.sleep(n)``
-        pattern.
-
-        Semantically identical to :meth:`timeout` (same scheduling, same
-        virtual-time behaviour), but the returned event is recycled through
-        a free list right after it fires, sparing hot paths one allocation
-        per wait.  The free list is refilled in small batches when it runs
-        dry.  **Contract:** yield the result immediately and do not retain
-        it past its firing — use :meth:`timeout` for events you store,
-        compose into conditions, or inspect later.  (The pool rules are
-        pinned by ``tests/sim/test_sleep_pool.py`` and documented in
-        ``docs/KERNEL.md``.)
-        """
-        pool = self._timeout_pool
-        if not pool:
-            # Vectorized refill: allocate a batch of dormant pooled timeouts
-            # in one go; each hand-out below arms via the _reuse fast path.
-            pool.extend(Timeout(self, 0, pool=pool, arm=False)
-                        for _ in range(_SLEEP_REFILL))
-        t = pool.pop()
-        t._reuse(int(delay), value)
-        return t
 
     def spawn(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a new process from a generator; returns the joinable handle."""
@@ -384,23 +355,23 @@ class Simulator:
 
     def spawn_many(self, generators: Sequence[ProcessGenerator],
                    name: str = "") -> list:
-        """Start N processes with one kernel call (batched bootstrap arming).
+        """Start N processes with one kernel call (batched first-step arming).
 
         Identical to calling :meth:`spawn` per generator in order — each
-        process's bootstrap step is appended to the current instant in list
+        process's first step is appended to the current instant in list
         order — but the calendar bindings are paid once.  This is the
         doorbell-batch fast path: ``post_send_many`` arms one process per WR
         through here.
         """
         procs = [Process(self, g, name=name, _defer=True) for g in generators]
         buckets = self._buckets
-        t = self._now
+        t = self.now
         b = buckets.get(t)
         if b is None:
             b = buckets[t] = []
             heappush(self._instants, t)
         for p in procs:
-            b.append((p._step, (_BOOTSTRAP, False)))
+            b.append(p._entry)
         return procs
 
     def all_of(self, events) -> Event:
@@ -443,7 +414,7 @@ class Simulator:
                 if until is not None and when > until:
                     break
                 pop(instants)
-                self._now = when
+                self.now = when
                 bucket = buckets[when]
                 entries = self._entries = iter(bucket)
                 try:
@@ -452,21 +423,14 @@ class Simulator:
                     for fn, args in entries:
                         fn(*args)
                 except BaseException:
-                    # Put the unconsumed suffix back so a resumed run sees
-                    # exactly the entries the old per-event loop would have.
-                    i = len(bucket) - entries.__length_hint__()
-                    dispatched += i - 1
-                    del bucket[:i]
-                    if bucket:
-                        heappush(instants, when)
-                    else:
-                        del buckets[when]
+                    # The entry that raised is dropped, not counted.
+                    dispatched += self._requeue_rest(when, bucket, entries) - 1
                     raise
                 dispatched += len(bucket)
                 del buckets[when]
-            if until is not None and until > self._now:
-                self._now = until
-            return self._now
+            if until is not None and until > self.now:
+                self.now = until
+            return self.now
         finally:
             self.total_dispatched += dispatched
 
@@ -489,7 +453,7 @@ class Simulator:
                 if until is not None and when > until:
                     break
                 pop(instants)
-                self._now = when
+                self.now = when
                 bucket = buckets[when]
                 entries = self._entries = iter(bucket)
                 try:
@@ -504,15 +468,10 @@ class Simulator:
                         fn(*args)
                         dispatched += 1
                 finally:
-                    left = entries.__length_hint__()
-                    if left:
-                        del bucket[:len(bucket) - left]
-                        heappush(instants, when)
-                    else:
-                        del buckets[when]
-            if until is not None and until > self._now:
-                self._now = until
-            return self._now
+                    self._requeue_rest(when, bucket, entries)
+            if until is not None and until > self.now:
+                self.now = until
+            return self.now
         finally:
             self.total_dispatched += dispatched
 
@@ -537,7 +496,7 @@ class Simulator:
                         "event queue is empty"
                     )
                 when = pop(instants)
-                self._now = when
+                self.now = when
                 bucket = buckets[when]
                 entries = self._entries = iter(bucket)
                 try:
@@ -546,19 +505,15 @@ class Simulator:
                         if (process._value is not _PENDING
                                 or process._exception is not None):
                             break
-                except BaseException:
-                    dispatched -= 1  # the entry that raised is dropped, not counted
-                    raise
-                finally:
-                    # Entries not started (an exception, or completion
-                    # mid-instant) stay queued for a resumed run.
-                    i = len(bucket) - entries.__length_hint__()
-                    dispatched += i
-                    if i < len(bucket):
-                        del bucket[:i]
-                        heappush(instants, when)
                     else:
+                        dispatched += len(bucket)
                         del buckets[when]
+                        continue
+                except BaseException:
+                    dispatched += self._requeue_rest(when, bucket, entries) - 1
+                    raise
+                # Completion mid-instant.
+                dispatched += self._requeue_rest(when, bucket, entries)
         finally:
             self.total_dispatched += dispatched
         return process.value
@@ -579,7 +534,7 @@ class Simulator:
                         "event queue is empty"
                     )
                 when = pop(instants)
-                self._now = when
+                self.now = when
                 bucket = buckets[when]
                 entries = self._entries = iter(bucket)
                 try:
@@ -592,15 +547,22 @@ class Simulator:
                         fn(*args)
                         dispatched += 1
                 finally:
-                    left = entries.__length_hint__()
-                    if left:
-                        del bucket[:len(bucket) - left]
-                        heappush(instants, when)
-                    else:
-                        del buckets[when]
+                    self._requeue_rest(when, bucket, entries)
         finally:
             self.total_dispatched += dispatched
         return process.value
+
+    def _requeue_rest(self, when: int, bucket: list, entries) -> int:
+        """Leave the entries of ``bucket`` that were not started queued for a
+        resumed run (an exception, completion mid-instant, ``max_events``);
+        returns how many were started."""
+        started = len(bucket) - entries.__length_hint__()
+        del bucket[:started]
+        if bucket:
+            heappush(self._instants, when)
+        else:
+            del self._buckets[when]
+        return started
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled entry, or None if the queue is empty."""
@@ -608,4 +570,4 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         queued = sum(len(b) for b in self._buckets.values())
-        return f"<Simulator t={self._now}ns queued={queued}>"
+        return f"<Simulator t={self.now}ns queued={queued}>"

@@ -1,12 +1,14 @@
 """Waitable primitives for simulation processes.
 
-A *process* is a Python generator that yields waitables.  The kernel
-(:mod:`repro.sim.kernel`) resumes the generator when the yielded waitable
-*triggers*.  The primitives here mirror SimPy's core vocabulary:
+A *process* is a Python generator that yields waitables (or a bare ``int``
+delay, which is the kernel's business and involves nothing from this file).
+The kernel (:mod:`repro.sim.kernel`) resumes the generator when the yielded
+waitable *triggers*.  The primitives here mirror SimPy's core vocabulary:
 
 * :class:`Event` — a one-shot signal that can succeed with a value or fail
   with an exception.
-* :class:`Timeout` — an event that triggers after a fixed delay.
+* :class:`Timeout` — an event that triggers after a fixed delay: the timer
+  to store, compose into a condition or give a value.
 * :class:`AllOf` / :class:`AnyOf` — composite conditions.
 * :class:`Interrupt` — the exception thrown into a process by
   :meth:`repro.sim.kernel.Process.interrupt`.
@@ -15,8 +17,7 @@ Fast-path notes: events are the single hottest allocation in the simulator
 (every verb phase, memory access, and RPC creates several), so the class is
 tuned for the common case — *one* waiting process per event.  The first
 callback lives in a dedicated slot (``_cb1``); a list (``_more``) is only
-allocated for the rare multi-waiter event.  Timeouts acquired through
-:meth:`repro.sim.kernel.Simulator.sleep` are recycled through a free list.
+allocated for the rare multi-waiter event.
 """
 
 from __future__ import annotations
@@ -29,9 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 
 # Sentinel distinguishing "not yet triggered" from a legitimate None value.
 _PENDING = object()
-
-#: Upper bound on the per-simulator Timeout free list (memory safety valve).
-_TIMEOUT_POOL_MAX = 1024
 
 
 class Interrupt(Exception):
@@ -58,7 +56,7 @@ class Event:
     instant.  With none registered it queues nothing — the event is simply
     *fired*, and the first waiter to arrive schedules the dispatch (or, for a
     process at the tail of the instant, continues inline; see
-    ``Process._on_wait_complete``).  Fast paths that complete an event at
+    ``Process._resume``).  Fast paths that complete an event at
     birth (``Resource.request``, ``Store.get``/``put``) set ``_value``
     directly, which is the same state.
     """
@@ -123,7 +121,7 @@ class Event:
             # Inlined sim.schedule(0, self._dispatch) — completion is hot.
             sim = self.sim
             buckets = sim._buckets
-            t = sim._now
+            t = sim.now
             b = buckets.get(t)
             if b is None:
                 buckets[t] = [(self._dispatch, ())]
@@ -143,7 +141,7 @@ class Event:
             self._scheduled = True
             sim = self.sim
             buckets = sim._buckets
-            t = sim._now
+            t = sim.now
             b = buckets.get(t)
             if b is None:
                 buckets[t] = [(self._dispatch, ())]
@@ -175,7 +173,7 @@ class Event:
 
     def _abandon(self) -> None:
         """Kernel hook: the process waiting on this event was interrupted
-        away from it.  Only :class:`~repro.sim.resources.Request` cares."""
+        away from it.  Queued :mod:`~repro.sim.resources` waits withdraw."""
 
     def _dispatch(self) -> None:
         # Mark processed *before* invoking callbacks so late registrations
@@ -202,88 +200,21 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that succeeds after ``delay`` nanoseconds of virtual time.
+    """An event that succeeds after ``delay`` nanoseconds of virtual time."""
 
-    When constructed with a ``pool`` (via :meth:`Simulator.sleep`), the
-    instance returns itself to that free list right after its callbacks run,
-    so fire-and-forget waits recycle one object instead of allocating.
-    Pooled timeouts must not be retained by callers past their firing.
-    """
+    __slots__ = ("delay",)
 
-    __slots__ = ("delay", "_pool", "_firecb")
-
-    def __init__(self, sim: "Simulator", delay: int, value: Any = None,
-                 pool: Optional[list] = None, arm: bool = True):
-        if delay < 0:
-            raise ValueError(f"negative timeout: {delay}")
+    def __init__(self, sim: "Simulator", delay: int, value: Any = None):
         Event.__init__(self, sim)
         self.delay = delay
-        self._pool = pool
-        # Bind once: scheduling re-creates no method object on reuse.
-        self._firecb = self._fire
-        if arm:
-            self._scheduled = True
-            # Inlined sim.schedule(delay, self._firecb, value); a None value
-            # schedules no-arg (firing falls through to _fire's default) so
-            # the default case skips a one-tuple per timer.
-            buckets = sim._buckets
-            t = sim._now + delay
-            entry = (self._firecb, (value,) if value is not None else ())
-            b = buckets.get(t)
-            if b is None:
-                buckets[t] = [entry]
-                heappush(sim._instants, t)
-            else:
-                b.append(entry)
-        # arm=False leaves a dormant pooled timeout (kernel sleep-pool
-        # refill); Simulator.sleep arms it through _reuse before handing
-        # it out.
-
-    def _fire(self, value: Any = None) -> None:
-        # The event only becomes `triggered` at its due time, so conditions
-        # and state inspection see a pending event until then.  The dispatch
-        # logic is inlined here (rather than calling Event._dispatch) because
-        # timeout firing is the single hottest code path in the simulator.
-        self._value = value
-        self._processed = True
-        self._scheduled = False
-        cb1 = self._cb1
-        if cb1 is not None:
-            self._cb1 = None
-            cb1(self)
-        more = self._more
-        if more is not None:
-            for fn in more:
-                fn(self)
-            self._more = None
-        pool = self._pool
-        if pool is not None and len(pool) < _TIMEOUT_POOL_MAX:
-            # Done with the sole-waiter fast path: back on the free list.
-            # (Safe under the sleep() no-retain contract.)
-            pool.append(self)
-
-    def _reuse(self, delay: int, value: Any) -> None:
-        """Re-arm a recycled pooled timeout (kernel internal)."""
-        if delay < 0:
-            raise ValueError(f"negative timeout: {delay}")
-        self._value = _PENDING
-        self._exception = None
-        self._cb1 = None
-        self._more = None
-        self._processed = False
         self._scheduled = True
-        self.delay = delay
-        # Inlined sim.schedule (delay already validated non-negative).
-        sim = self.sim
-        buckets = sim._buckets
-        t = sim._now + delay
-        entry = (self._firecb, (value,) if value is not None else ())
-        b = buckets.get(t)
-        if b is None:
-            buckets[t] = [entry]
-            heappush(sim._instants, t)
-        else:
-            b.append(entry)
+        sim.schedule(delay, self._fire, value)  # rejects a negative delay
+
+    def _fire(self, value: Any) -> None:
+        # The event only becomes `triggered` at its due time, so conditions
+        # and state inspection see a pending event until then.
+        self._value = value
+        self._dispatch()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "pending"

@@ -133,11 +133,37 @@ class Resource:
         return req
 
 
+class _Parked(Event):
+    """A ``Store.get`` or ``put`` that has to wait, in the store's queue."""
+
+    __slots__ = ("_queue", "item")
+
+    def __init__(self, sim: "Simulator", name: str, queue: Deque["_Parked"],
+                 item: Any = None):
+        Event.__init__(self, sim, name)
+        self._queue = queue
+        self.item = item
+        queue.append(self)
+
+    def _abandon(self) -> None:
+        # The waiting process was interrupted: nobody is left to take the
+        # item (get) or to learn that it was accepted (put).
+        if self._value is _PENDING and self in self._queue:
+            self._queue.remove(self)
+
+
 class Store:
     """An unbounded-or-bounded FIFO queue of items between processes.
 
     ``put`` blocks only when a ``capacity`` is set and reached; ``get`` blocks
     while the store is empty.  Delivery order is FIFO on both sides.
+
+    Every queued getter and putter has a live process behind it: interrupting
+    a process parked on ``yield store.get()`` or on a blocked
+    ``yield store.put(x)`` withdraws the request — no later item is handed to
+    the dead getter, and ``x`` is never inserted.  (As with
+    :class:`Resource`, an interrupt cancels the request: ask again rather
+    than re-yielding it.)
     """
 
     def __init__(self, sim: "Simulator", capacity: Optional[int] = None, name: str = "store"):
@@ -149,8 +175,8 @@ class Store:
         self._put_name = f"put({name})"
         self._get_name = f"get({name})"
         self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
+        self._getters: Deque[_Parked] = deque()
+        self._putters: Deque[_Parked] = deque()
         # Demand watchers (see :meth:`demand`); None until first used so the
         # hot get() path pays a single falsy check.
         self._demand_waiters: Optional[list] = None
@@ -160,18 +186,17 @@ class Store:
 
     def put(self, item: Any) -> Event:
         """Offer ``item``; the returned event fires once it is accepted."""
-        ev = Event(self.sim, name=self._put_name)
         if self.capacity is not None and len(self._items) >= self.capacity:
-            self._putters.append((ev, item))
-            return ev
+            return _Parked(self.sim, self._put_name, self._putters, item)
+        ev = Event(self.sim, name=self._put_name)
         self._accept(item)
         ev._value = None  # born fired
         return ev
 
     def get(self) -> Event:
         """Take the oldest item; the returned event fires with the item."""
-        ev = Event(self.sim, name=self._get_name)
         if self._items:
+            ev = Event(self.sim, name=self._get_name)
             ev._value = self._items.popleft()  # born fired
             if self._putters:
                 # The getter's wake-up goes ahead of the putter's it unblocks.
@@ -179,7 +204,7 @@ class Store:
                 self.sim.schedule(0, ev._dispatch)
                 self._admit_blocked_putter()
         else:
-            self._getters.append(ev)
+            ev = _Parked(self.sim, self._get_name, self._getters)
             if self._demand_waiters:
                 waiters, self._demand_waiters = self._demand_waiters, None
                 for w in waiters:
@@ -232,8 +257,8 @@ class Store:
 
     def _admit_blocked_putter(self) -> None:
         if self._putters and (self.capacity is None or len(self._items) < self.capacity):
-            ev, item = self._putters.popleft()
-            self._accept(item)
+            ev = self._putters.popleft()
+            self._accept(ev.item)
             if not ev.triggered:
                 ev.succeed(None)
 
@@ -265,7 +290,7 @@ class FifoChannel:
         """Process helper: occupy the channel for the payload's wire time."""
         with (yield self._gate.request()):
             if nbytes > 0:
-                yield self.sim.sleep(self.busy_time(nbytes))
+                yield self.busy_time(nbytes)
                 self.bytes_moved += nbytes
 
     @property
@@ -307,6 +332,6 @@ class TokenBucket:
             self._refill()
             if self._tokens < tokens:
                 deficit = tokens - self._tokens
-                yield self.sim.sleep(max(1, round(deficit / self.rate)))
+                yield max(1, round(deficit / self.rate))
                 self._refill()
             self._tokens -= tokens

@@ -22,6 +22,18 @@ did not change (287,477), and the resumption pin above is the proof that
 nothing else did; the golden's own ``recaptured`` block records the old
 count and hash.
 
+RE-CAPTURED A SECOND TIME, IN PR 13 (bare-delay waits), AND NOT A SECOND
+CONTRACT CHANGE: the trace hashes callback *names*, and the names of the
+wake-ups changed.  4,858 of the 4,859 ``Timeout._fire`` entries are now the
+sleeping process's own ``Process._resume``, queued at the same position of
+the same bucket; the 702 ``Process._step`` first steps are ``Process._resume``
+too, and since the first step now obeys PR 12's tail rule like every other
+resume, 311 follow-on ``Event._dispatch`` entries are gone (9,374 → 9,063).
+Every surviving entry is dispatched at the instant it was before,
+``final_time_ns`` is 287,477, ``SCENARIO_VERSION`` stays 1, and the resumption
+pin is reproduced byte for byte.  Old count, hash and reason are appended to
+the golden's ``recaptured`` list.
+
 A mismatch in either is a kernel bug (or a deliberate contract change that
 must be called out as loudly as this one), never something to silence by
 editing the scenario.

@@ -51,8 +51,9 @@ def test_born_fired_sources_schedule_nothing(source):
     sim.spawn(waiter(sim))
     sim.run()
     assert got == [expect]
-    # One bootstrap step, one wake-up: a bootstrap step always registers.
-    assert sim.total_dispatched == 2
+    # The first step is the only entry of its instant, so it obeys the tail
+    # rule like any other resume: the finished wait costs no second dispatch.
+    assert sim.total_dispatched == 1
 
 
 def test_succeed_with_no_waiter_queues_no_dispatch():
@@ -72,7 +73,7 @@ def test_unjoined_process_completion_is_not_dispatched():
 
     sim.spawn(body(sim))
     sim.run()
-    assert sim.total_dispatched == 2  # bootstrap + the timeout, no completion
+    assert sim.total_dispatched == 2  # first step + the timeout, no completion
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +95,7 @@ def test_sole_waiter_at_the_tail_continues_inline():
     sim.spawn(body(sim))
     sim.run()
     assert got[1:] == [None, "x"] and got[0].resource is res
-    assert sim.total_dispatched == 2  # bootstrap + the timeout
+    assert sim.total_dispatched == 2  # first step + the timeout
     assert res.in_use == 0
 
 
@@ -237,5 +238,6 @@ def test_inline_runs_are_bounded_and_counted_alike_by_both_loops(instrumented):
     proc = sim.spawn(_spinner(Store(sim), n))
     sim.run(max_events=10**6 if instrumented else None)
     assert proc.ok
-    # The bootstrap step, then one dispatch per (bound + 1) waits.
-    assert sim.total_dispatched == 1 + ceil(n / (kernel._INLINE_RUN_MAX + 1))
+    # n + 1 sends (the last one ends the generator); every dispatch, the
+    # first step included, makes one and at most ``bound`` more inline.
+    assert sim.total_dispatched == ceil((n + 1) / (kernel._INLINE_RUN_MAX + 1))

@@ -1,5 +1,5 @@
 """Regression tests for the kernel fast path: exact max_events semantics,
-pooled sleep(), and the dispatch counter."""
+the dispatch counter and the batched arming calls."""
 
 import pytest
 
@@ -54,87 +54,6 @@ def test_max_events_counts_same_timestamp_batch():
         sim.schedule(5, lambda: None)
     with pytest.raises(SimulationError, match="max_events"):
         sim.run(max_events=7)
-
-
-# ----------------------------------------------------------------------
-# sleep(): pooled timeouts, identical virtual-time semantics
-# ----------------------------------------------------------------------
-def test_sleep_behaves_like_timeout():
-    def drive(use_sleep):
-        sim = Simulator(seed=3)
-        trace = []
-
-        def worker(sim, tag, delay):
-            wait = sim.sleep if use_sleep else sim.timeout
-            for _ in range(4):
-                yield wait(delay)
-                trace.append((tag, sim.now))
-
-        sim.spawn(worker(sim, "a", 10))
-        sim.spawn(worker(sim, "b", 7))
-        sim.run()
-        return trace, sim.now
-
-    assert drive(True) == drive(False)
-
-
-def test_sleep_delivers_value():
-    sim = Simulator()
-
-    def worker(sim):
-        got = yield sim.sleep(5, value="payload")
-        return got
-
-    p = sim.spawn(worker(sim))
-    sim.run()
-    assert p.value == "payload"
-
-
-def test_sleep_recycles_objects_through_the_pool():
-    sim = Simulator()
-
-    def worker(sim):
-        for _ in range(50):
-            yield sim.sleep(1)
-
-    sim.spawn(worker(sim))
-    sim.run()
-    # The pool refills in one batch of _SLEEP_REFILL dormant timeouts when
-    # empty; sequential sleeps then ping-pong through that batch (a firing
-    # timeout recycles *after* its callback runs, which is where the next
-    # sleep() is requested) instead of allocating 50.
-    from repro.sim.kernel import _SLEEP_REFILL
-
-    assert len(sim._timeout_pool) == _SLEEP_REFILL
-
-
-def test_sleep_rejects_negative_delay():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        sim.sleep(-1)
-    # A pooled re-arm must validate too.
-    def worker(sim):
-        yield sim.sleep(1)
-
-    sim.spawn(worker(sim))
-    sim.run()
-    with pytest.raises(ValueError):
-        sim.sleep(-5)
-
-
-def test_pooled_sleep_does_not_leak_state_between_uses():
-    sim = Simulator()
-    seen = []
-
-    def worker(sim):
-        first = yield sim.sleep(2, value="one")
-        seen.append(first)
-        second = yield sim.sleep(3)  # default None must not inherit "one"
-        seen.append(second)
-
-    sim.spawn(worker(sim))
-    sim.run()
-    assert seen == ["one", None]
 
 
 # ----------------------------------------------------------------------

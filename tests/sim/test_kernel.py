@@ -120,11 +120,14 @@ def test_spawning_non_generator_raises():
         sim.spawn(lambda: None)  # type: ignore[arg-type]
 
 
-def test_yielding_non_event_fails_process():
+@pytest.mark.parametrize("junk", [True, 1.5, "x", None])
+def test_yielding_non_event_fails_process(junk):
+    """Only an Event or a plain non-negative int is a wait; a bool or a
+    float is not quietly taken for a delay."""
     sim = Simulator()
 
     def bad(sim):
-        yield 42  # not an Event
+        yield junk
 
     p = sim.spawn(bad(sim))
     sim.run()

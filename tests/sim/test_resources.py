@@ -243,6 +243,54 @@ def test_store_capacity_backpressure():
     assert puts == [0, 10, 20]  # second/third puts wait for drains
 
 
+def test_interrupted_getter_leaves_the_store_queue():
+    """A process interrupted while parked on ``yield store.get()`` used to
+    leave its getter queued: the next put handed the item to the dead getter,
+    the item was lost and a later ``get()`` starved forever."""
+    sim = Simulator()
+    store = Store(sim)
+    got = []
+
+    def victim(sim):
+        yield store.get()
+        got.append("victim")
+
+    def consumer(sim):
+        yield sim.timeout(30)
+        got.append((sim.now, (yield store.get())))
+
+    v = sim.spawn(victim(sim))
+    sim.spawn(consumer(sim))
+    sim.schedule(10, v.interrupt)
+    sim.schedule(20, store.put, "A")
+    sim.run(until=25)
+    assert len(store) == 1  # "A" waits for a live getter
+    sim.run()
+    assert isinstance(v.exception, Interrupt)
+    assert got == [(30, "A")] and len(store) == 0
+
+
+def test_interrupted_blocked_putter_never_inserts_its_item():
+    """The mirror case on a bounded store: an interrupted blocked
+    ``put("ghost")`` used to be inserted once space freed."""
+    sim = Simulator()
+    store = Store(sim, capacity=1)
+    store.put("first")
+
+    def victim(sim):
+        yield store.put("ghost")
+
+    v = sim.spawn(victim(sim))
+    sim.schedule(10, v.interrupt)
+    sim.run()
+    assert isinstance(v.exception, Interrupt)
+    assert store.try_get() == (True, "first")
+    assert store.try_get() == (False, None) and len(store) == 0
+    # The store still works for whoever comes next.
+    store.put("second")
+    assert store.try_get() == (True, "second")
+
+
 def test_store_try_get():
     sim = Simulator()
     store = Store(sim)

@@ -132,18 +132,18 @@ def test_histogram_median_matches_sorted_definition(values):
 
 
 # ---------------------------------------------------------------------------
-# Zero-delay event elision is order-exact: a differential test
+# Zero-delay event elision and bare delays are order-exact: a differential test
 # ---------------------------------------------------------------------------
 # A random program is a list of processes, each a list of steps over shared
-# Resources, Stores (one bounded), a TokenBucket, timers, all_of and two
-# broadcast gates (one event, many waiting processes).  Every
+# Resources, Stores (one bounded), a TokenBucket, bare delays, timer events,
+# all_of and two broadcast gates (one event, many waiting processes).  Every
 # step draws a jitter from ONE shared RNG stream and records into shared
 # metrics, so any change in the order processes resume in shows up as a
 # different draw, a different virtual time and a different metric snapshot.
 _delay = st.integers(min_value=0, max_value=3)
 _which = st.integers(min_value=0, max_value=1)
 _step = st.one_of(
-    st.tuples(st.just("sleep"), _delay),
+    st.tuples(st.just("delay"), _delay),
     st.tuples(st.just("timeout"), _delay),
     st.tuples(st.just("hold"), _which, _delay),
     st.tuples(st.just("put"), _which),
@@ -164,7 +164,25 @@ _step = st.one_of(
 _programs = st.lists(st.lists(_step, min_size=1, max_size=8), min_size=1, max_size=6)
 
 
-def _run_program(program):
+def _delays_as_timeouts(sim, generator):
+    """Run ``generator`` resume for resume, but hand the kernel a
+    ``sim.timeout(n)`` for every bare delay ``n`` it yields — its own and
+    those of the helpers it delegates to (``TokenBucket.consume``)."""
+    resume, arg = generator.send, None
+    while True:
+        try:
+            target = resume(arg)
+        except StopIteration as stop:
+            return stop.value
+        if type(target) is int:
+            target = sim.timeout(target)
+        try:
+            resume, arg = generator.send, (yield target)
+        except BaseException as exc:  # noqa: BLE001 - forwarded, not handled
+            resume, arg = generator.throw, exc
+
+
+def _run_program(program, timer_events=False):
     from repro.obs import registry_snapshot
     from repro.sim import TokenBucket
     from tests.sim.dispatch_scenario import logged_resumptions
@@ -179,9 +197,14 @@ def _run_program(program):
     latency = sim.metrics.histogram("step_latency")
     running = sim.metrics.level("running")
 
+    def spawn(generator, name):
+        if timer_events:
+            generator = _delays_as_timeouts(sim, generator)
+        return sim.spawn(generator, name=name)
+
     def child(sim, delay):
         if delay:
-            yield sim.sleep(delay)
+            yield delay
         return rng.randrange(100)
 
     def worker(sim, ops):
@@ -189,14 +212,14 @@ def _run_program(program):
         for op in ops:
             start = sim.now
             kind = op[0]
-            if kind == "sleep":
-                yield sim.sleep(op[1])
+            if kind == "delay":
+                yield op[1]
             elif kind == "timeout":
                 yield sim.timeout(op[1], value=kind)
             elif kind == "hold":
                 with (yield resources[op[1]].request()):
                     if op[2]:
-                        yield sim.sleep(op[2])
+                        yield op[2]
             elif kind == "put":
                 yield stores[op[1]].put(rng.randrange(100))
             elif kind == "put_unawaited":
@@ -215,7 +238,7 @@ def _run_program(program):
                 yield sim.all_of(parts)
                 parts[-1].release()
             elif kind == "join":
-                steps.add((yield sim.spawn(child(sim, op[1]), name="child")))
+                steps.add((yield spawn(child(sim, op[1]), "child")))
             elif kind == "fire_then_wait":
                 ev = sim.event()
                 ev.succeed(rng.randrange(100))
@@ -226,14 +249,14 @@ def _run_program(program):
                 if not gates[op[1]].triggered:
                     gates[op[1]].succeed(rng.randrange(100))
             elif kind == "jitter":
-                yield sim.sleep(rng.randrange(3))
+                yield rng.randrange(3)
             steps.add(1)
             latency.record(sim.now - start)
         running.adjust(-1)
 
     log = []
     with logged_resumptions(log):
-        procs = [sim.spawn(worker(sim, ops), name=f"w{i}") for i, ops in enumerate(program)]
+        procs = [spawn(worker(sim, ops), f"w{i}") for i, ops in enumerate(program)]
         sim.run(max_events=100_000)
     outcomes = [(p.triggered, p.ok) for p in procs]
     return log, sim.now, registry_snapshot(sim.metrics), outcomes, sim.total_dispatched
@@ -242,12 +265,14 @@ def _run_program(program):
 @given(program=_programs)
 @settings(max_examples=300, deadline=None)
 def test_elision_never_changes_what_a_program_does(program):
-    """Run a random program twice: as shipped, and with inline continuation
-    switched off so every wait that is already over takes the scheduled path
-    (a bound of zero makes the tail rule's predicate false everywhere —
-    the always-dispatch behaviour).  Resumption logs, final times, metric
-    snapshots and process outcomes must be identical; only the dispatch
-    count may differ, and only downwards."""
+    """Run a random program three times: as shipped; with inline
+    continuation switched off, so every wait that is already over takes the
+    scheduled path (a bound of zero makes the tail rule's predicate false
+    everywhere — the always-dispatch behaviour); and with every bare delay
+    replaced by ``yield sim.timeout(n)``.  Resumption logs, final times,
+    metric snapshots and process outcomes must be identical.  Elision may
+    only lower the dispatch count; a timer event costs the dispatch its
+    bare delay did."""
     from repro.sim import kernel
 
     shipped = _run_program(program)
@@ -259,3 +284,4 @@ def test_elision_never_changes_what_a_program_does(program):
         kernel._INLINE_RUN_MAX = bound
     assert shipped[:4] == scheduled[:4]
     assert shipped[4] <= scheduled[4]
+    assert shipped == _run_program(program, timer_events=True)
