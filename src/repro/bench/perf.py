@@ -15,9 +15,7 @@ repo root:
   sharded control plane;
 * **client-fanout scale-out** — YCSB-B virtual throughput vs the number
   of attached clients (16/32/64/128 over 8 servers x 4 shards), the
-  scaling record for the elastic shared receive pool, plus a legacy pin
-  (fixed 16-slot rings, credits off) that must stay byte-identical to
-  the committed ``ycsb_medium`` virtual time.
+  scaling record for the elastic shared receive pool.
 
 Alongside each wall-clock figure the harness records the run's *virtual*
 results (final virtual time, simulated throughput).  Optimisations must be
@@ -372,30 +370,21 @@ def bench_scaleout(shard_counts=(1, 2, 4, 8), num_servers: int = 8,
 def bench_scaleout_clients(client_counts=(16, 32, 64, 128),
                            num_servers: int = 8, shards: int = 4,
                            record_count: int = 256, ops_per_worker: int = 20,
-                           seed: int = 61,
-                           legacy_pin: bool = True) -> Dict[str, Any]:
+                           seed: int = 61) -> Dict[str, Any]:
     """YCSB-B throughput vs *attached-client* count (the E3c fanout axis).
 
     Every client attaches a control QP to every master shard and every
     server, so the binding resource is the servers' RPC receive pools.
-    With the elastic shared receive pool (``rpc_ring_slots="auto"``,
-    the default) each pool grows in powers of two as clients attach and
-    credit-based flow control bounds each client's outstanding requests,
-    so the sweep completes at every point; with the legacy fixed-depth
-    rings the >=16-client points wedge (see
-    ``tests/rdma/test_ring_elastic.py``).  All recorded figures are
-    virtual (simulated ns) and therefore deterministic.
+    Each elastic shared receive pool grows in powers of two as clients
+    attach and credit-based flow control bounds each client's outstanding
+    requests, so the sweep completes at every point (a fixed 16-slot ring
+    wedged at >=16 clients; ``tests/rdma/test_ring_elastic.py`` pins the
+    fix).  All recorded figures are virtual (simulated ns) and therefore
+    deterministic.
 
     Each point also snapshots the first master shard's
     :meth:`RpcServer.pool_stats` so the growth trajectory (capacity,
     grow count, peak occupancy) is part of the committed record.
-
-    ``legacy_pin`` additionally re-runs the 2-client ``ycsb_medium``
-    shape with the elastic ring and credits *disabled*
-    (``rpc_ring_slots=16, rpc_credits=False``) and records its final
-    virtual time.  That figure must stay byte-identical to the committed
-    ``ycsb_medium`` virtual time: at depths the fixed rings can serve,
-    the elastic data plane is a no-op on the event schedule.
     """
     from dataclasses import replace
 
@@ -426,29 +415,13 @@ def bench_scaleout_clients(client_counts=(16, 32, 64, 128),
                 "peak_occupancy": stats["peak_occupancy"],
             },
         })
-    out: Dict[str, Any] = {
+    return {
         "num_servers": num_servers,
         "shards": shards,
         "record_count": record_count,
         "ops_per_worker": ops_per_worker,
         "points": points,
     }
-    if legacy_pin:
-        sim = Simulator(seed=42)
-        system = build_system(
-            "gengar", sim, num_servers=2, num_clients=2,
-            config_overrides=lambda c: replace(c, rpc_ring_slots=16,
-                                               rpc_credits=False))
-        spec = WORKLOAD_B.scaled(record_count=1000, value_size=128)
-        runner = YcsbRunner(system, spec, num_workers=8, ops_per_worker=500)
-        runner.load()
-        runner.run()
-        out["legacy_pin"] = {
-            "rpc_ring_slots": 16,
-            "rpc_credits": False,
-            "virtual_time_ns": sim.now,
-        }
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -567,7 +540,7 @@ def measure(smoke: bool = False) -> Dict[str, Any]:
                                   ops_per_worker=20)
         scaleout_clients = bench_scaleout_clients(
             client_counts=(4, 8), num_servers=2, shards=2,
-            record_count=64, ops_per_worker=10, legacy_pin=False)
+            record_count=64, ops_per_worker=10)
         ycsb_small = bench_ycsb(record_count=64, num_workers=2, ops_per_worker=50)
         ycsb_medium = None
     else:
@@ -740,12 +713,9 @@ def run_guard(guard_path: Path) -> int:
               f"{'MONOTONIC' if ok else 'NOT MONOTONIC'}")
         checks.append(ok)
     # Client-fanout guard: the E3c sweep along the attached-client axis.
-    # All-virtual again, so three exact checks: per-point virtual times,
+    # All-virtual again, so two exact checks: per-point virtual times and
     # YCSB throughput monotonic 16->32->64 clients (the elastic receive
-    # pool must keep scaling; 128 is recorded but past the NIC knee), and
-    # the legacy pin — with elastic rings and credits disabled the
-    # 2-client medium shape must stay byte-identical to the committed
-    # ycsb_medium virtual time.
+    # pool must keep scaling; 128 is recorded but past the NIC knee).
     want_fanout = (ref.get("scaleout_clients") or {}).get("points")
     if want_fanout:
         fanout = bench_scaleout_clients()
@@ -766,15 +736,6 @@ def run_guard(guard_path: Path) -> int:
               f"{[f'{v:,.0f}' for v in curve]} "
               f"{'MONOTONIC' if ok else 'NOT MONOTONIC'}")
         checks.append(ok)
-        pin = fanout.get("legacy_pin")
-        want_pin = ((ref.get("scaleout_clients") or {}).get("legacy_pin")
-                    or {}).get("virtual_time_ns") or want_vt
-        if pin and want_pin:
-            ok = pin["virtual_time_ns"] == want_pin
-            print(f"perf-guard legacy-pin (rpc_ring_slots=16, credits off) "
-                  f"virtual_time_ns: {pin['virtual_time_ns']} vs committed "
-                  f"{want_pin} {'OK' if ok else 'ORDERING DRIFT'}")
-            checks.append(ok)
     print(f"perf-guard ycsb_medium cache_hit_ratio: "
           f"{medium['cache_hit_ratio']:.4f}, "
           f"read_pipeline_depth: {medium['read_pipeline_depth']}")
@@ -842,10 +803,6 @@ def main(argv=None) -> int:
                   f"{pt['ops_per_sec_virtual']:,.0f} YCSB ops/s virtual, "
                   f"pool {mp['capacity']} slots ({mp['grows']} grows, "
                   f"peak occupancy {mp['peak_occupancy']:.0f})")
-        pin = cur["scaleout_clients"].get("legacy_pin")
-        if pin:
-            print(f"legacy pin (fixed rings, credits off): "
-                  f"virtual_time_ns {pin['virtual_time_ns']}")
     for scale in ("ycsb_small", "ycsb_medium"):
         if cur.get(scale):
             print(f"{scale}: {cur[scale]['ops_per_sec_wallclock']:,.1f} ops/s "

@@ -48,13 +48,17 @@ from repro.hardware.specs import (
     NicSpec,
 )
 from repro.rdma.endpoint import connect
-from repro.rdma.rpc import DEFAULT_BUFFER_SIZE, RpcClient
+from repro.rdma.rpc import DEFAULT_BUFFER_SIZE, DEFAULT_RING_SLOTS, RpcClient
+
+#: DRAM reserved on a client for one RPC connection's rings (receive + send).
+_RPC_SPAN = 2 * DEFAULT_RING_SLOTS * DEFAULT_BUFFER_SIZE
 
 
-def _rpc_span(config: GengarConfig) -> int:
-    """DRAM reserved on clients/masters for one RPC connection's rings
-    (receive + send), derived from the config's single ring-depth knob."""
-    return 2 * config.rpc_initial_ring_slots * DEFAULT_BUFFER_SIZE
+def _control_client(node, qp, base: int, name: str) -> RpcClient:
+    """The calling side of one control connection (credit-gated, like
+    every control connection of a pool)."""
+    return RpcClient(node.endpoint, qp, node.dram, base=base, name=name,
+                     credits=True)
 
 
 class GengarPool:
@@ -159,12 +163,8 @@ class GengarPool:
             for sid, server in servers.items():
                 qp_m, qp_s = connect(m.node.endpoint, server.node.endpoint)
                 server.serve_control(qp_s, peer=m.node.name)
-                rpc_base = m.carve_rpc_span()
-                rpc = RpcClient(m.node.endpoint, qp_m, m.node.dram,
-                                base=rpc_base,
-                                num_buffers=config.rpc_initial_ring_slots,
-                                name=f"{m.node.name}->server{sid}",
-                                credits=config.rpc_credits)
+                rpc = _control_client(m.node, qp_m, m.carve_rpc_span(),
+                                      f"{m.node.name}->server{sid}")
                 m.add_server(server.descriptor(), rpc,
                              data_capacity=server.data_capacity,
                              owned=shard_map[sid] == m.shard_id)
@@ -174,11 +174,8 @@ class GengarPool:
         for m in masters[1:]:
             qp_0, qp_k = connect(master_node.endpoint, m.node.endpoint)
             m.serve_control(qp_k, peer=master_node.name)
-            rpc = RpcClient(master_node.endpoint, qp_0, master_node.dram,
-                            base=master.carve_rpc_span(),
-                            num_buffers=config.rpc_initial_ring_slots,
-                            name=f"master->{m.node.name}",
-                            credits=config.rpc_credits)
+            rpc = _control_client(master_node, qp_0, master.carve_rpc_span(),
+                                  f"master->{m.node.name}")
             master.add_peer_shard(m.shard_id, rpc)
 
         # Warm standby for shard 0: wired to every server (for the journal
@@ -194,11 +191,9 @@ class GengarPool:
             for sid, server in servers.items():
                 qp_m, qp_s = connect(standby_node.endpoint, server.node.endpoint)
                 server.serve_control(qp_s, peer=standby_node.name)
-                rpc = RpcClient(standby_node.endpoint, qp_m, standby_node.dram,
-                                base=standby.carve_rpc_span(),
-                                num_buffers=config.rpc_initial_ring_slots,
-                                name=f"master1->server{sid}",
-                                credits=config.rpc_credits)
+                rpc = _control_client(standby_node, qp_m,
+                                      standby.carve_rpc_span(),
+                                      f"master1->server{sid}")
                 standby.add_server(server.descriptor(), rpc,
                                    data_capacity=server.data_capacity,
                                    owned=shard_map[sid] == 0)
@@ -208,38 +203,28 @@ class GengarPool:
         for cid in range(num_clients):
             client_node = cluster.node(f"client{cid}")
             client = GengarClient(client_node, name=f"client{cid}")
-            span = _rpc_span(config)
             for m in masters:
                 qp_c, qp_m = connect(client_node.endpoint, m.node.endpoint)
                 m.serve_control(qp_m, peer=client.name)
-                client.add_master_conn(RpcClient(
-                    client_node.endpoint, qp_c, client_node.dram,
-                    base=client.carve_dram(span, f"rpc.{m.node.name}"),
-                    num_buffers=config.rpc_initial_ring_slots,
-                    name=f"{client.name}->{m.node.name}",
-                    credits=config.rpc_credits,
-                ), shard=m.shard_id)
+                client.add_master_conn(_control_client(
+                    client_node, qp_c,
+                    client.carve_dram(_RPC_SPAN, f"rpc.{m.node.name}"),
+                    f"{client.name}->{m.node.name}"), shard=m.shard_id)
             if standby is not None:
                 qp_c2, qp_m2 = connect(client_node.endpoint,
                                        standby.node.endpoint)
                 standby.serve_control(qp_m2, peer=client.name)
-                client.add_master_conn(RpcClient(
-                    client_node.endpoint, qp_c2, client_node.dram,
-                    base=client.carve_dram(span, "rpc.master1"),
-                    num_buffers=config.rpc_initial_ring_slots,
-                    name=f"{client.name}->master1",
-                    credits=config.rpc_credits,
-                ))
+                client.add_master_conn(_control_client(
+                    client_node, qp_c2,
+                    client.carve_dram(_RPC_SPAN, "rpc.master1"),
+                    f"{client.name}->master1"))
             for sid, server in servers.items():
                 ctrl_c, ctrl_s = connect(client_node.endpoint, server.node.endpoint)
                 server.serve_control(ctrl_s, peer=client.name)
-                server_rpc = RpcClient(
-                    client_node.endpoint, ctrl_c, client_node.dram,
-                    base=client.carve_dram(span, f"rpc.server{sid}"),
-                    num_buffers=config.rpc_initial_ring_slots,
-                    name=f"{client.name}->server{sid}",
-                    credits=config.rpc_credits,
-                )
+                server_rpc = _control_client(
+                    client_node, ctrl_c,
+                    client.carve_dram(_RPC_SPAN, f"rpc.server{sid}"),
+                    f"{client.name}->server{sid}")
                 data_c, _data_s = connect(client_node.endpoint, server.node.endpoint)
                 client.add_server_conn(server.descriptor(), data_c, server_rpc)
             clients.append(client)

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
+from itertools import repeat
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, NamedTuple,
+                    Optional)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
@@ -47,7 +49,6 @@ from repro.core.errors import (
     NotMyShard,
     PartitionSuspected,
     RetryableError,
-    RingSaturatedError,
     ServerUnavailableError,
     StaleRingError,
     StaleTermError,
@@ -86,7 +87,6 @@ __all__ = [
     "RetryableError",
     "ServerUnavailableError",
     "MasterUnavailableError",
-    "RingSaturatedError",
     "StaleRingError",
     "FencedError",
     "DeadlineExceededError",
@@ -133,6 +133,10 @@ class RetryPolicy:
         if self.jitter and delay > self.base_backoff_ns:
             return rng.randrange(self.base_backoff_ns, delay + 1)
         return delay
+
+
+#: The policy of verbs that do not retry as a whole (batch and lock verbs).
+_ONE_ATTEMPT = RetryPolicy()
 
 
 @dataclass
@@ -486,71 +490,65 @@ class GengarClient:
         """
         rpc = self._shard_active.get(shard) or self.master_rpc
         try:
-            result = yield from rpc.call(method, payload)
-        except RpcError as exc:
-            msg = str(exc)
-            if "not my shard" in msg:
-                owner, epoch = self._learn_redirect(msg)
-                self.m_shard_redirects.add()
-                if self.sim.tracer is not None:
-                    trace(self.sim, "shard", f"{method} redirected",
-                          client=self.name, shard=shard, owner=owner)
-                raise NotMyShard(
-                    f"{method}: {msg}", shard_id=shard, owner_shard=owner,
-                    map_epoch=epoch) from exc
-            if "master deposed" in msg or "stale master term" in msg:
-                self.m_stale_terms.add()
-                if self.sim.tracer is not None:
-                    trace(self.sim, "term", f"{method} hit a deposed master",
-                          client=self.name, shard=shard)
-                err = StaleTermError(
-                    f"{method}: {msg}",
-                    known_term=self._master_terms.get(shard, 0))
-                err.shard = shard
-                raise err from exc
-            if "transport failed" in msg:
-                streak = self._master_fail_streaks.get(shard, 0) + 1
-                self._master_fail_streaks[shard] = streak
-                if streak >= _SUSPECT_STREAK:
-                    self.m_partition_suspected.add()
+            try:
+                result = yield from rpc.call(method, payload)
+            except RpcError as exc:
+                msg = str(exc)
+                if "not my shard" in msg:
+                    owner, epoch = self._learn_redirect(msg)
+                    self.m_shard_redirects.add()
                     if self.sim.tracer is not None:
-                        trace(self.sim, "partition",
-                              "master path suspected partitioned",
-                              client=self.name, shard=shard,
-                              failures=streak)
-                    err = PartitionSuspected(
-                        f"{method}: {streak} consecutive "
-                        f"master transport failures ({msg})")
-                    err.shard = shard
-                    raise err from exc
-                err = MasterUnavailableError(f"{method}: {msg}")
-                err.shard = shard
-                raise err from exc
-            if "master recovering" in msg:
-                err = MasterUnavailableError(f"{method}: {msg}")
-                err.shard = shard
-                raise err from exc
+                        trace(self.sim, "shard", f"{method} redirected",
+                              client=self.name, shard=shard, owner=owner)
+                    raise NotMyShard(
+                        f"{method}: {msg}", shard_id=shard, owner_shard=owner,
+                        map_epoch=epoch) from exc
+                if "master deposed" in msg or "stale master term" in msg:
+                    self.m_stale_terms.add()
+                    if self.sim.tracer is not None:
+                        trace(self.sim, "term", f"{method} hit a deposed master",
+                              client=self.name, shard=shard)
+                    raise StaleTermError(
+                        f"{method}: {msg}",
+                        known_term=self._master_terms.get(shard, 0)) from exc
+                if "transport failed" in msg:
+                    streak = self._master_fail_streaks.get(shard, 0) + 1
+                    self._master_fail_streaks[shard] = streak
+                    if streak >= _SUSPECT_STREAK:
+                        self.m_partition_suspected.add()
+                        if self.sim.tracer is not None:
+                            trace(self.sim, "partition",
+                                  "master path suspected partitioned",
+                                  client=self.name, shard=shard,
+                                  failures=streak)
+                        raise PartitionSuspected(
+                            f"{method}: {streak} consecutive "
+                            f"master transport failures ({msg})") from exc
+                    raise MasterUnavailableError(f"{method}: {msg}") from exc
+                if "master recovering" in msg:
+                    raise MasterUnavailableError(f"{method}: {msg}") from exc
+                raise
+            self._master_fail_streaks[shard] = 0
+            if (isinstance(result, dict) and len(result) == 2
+                    and "t" in result and "r" in result):
+                # Term envelope (checked structurally: attach learns the config
+                # *from* this reply, so the flag may not be known yet).
+                term = result["t"]
+                known = self._master_terms.get(shard, 0)
+                if term < known:
+                    self.m_stale_terms.add()
+                    if self.sim.tracer is not None:
+                        trace(self.sim, "term", f"{method} reply term stale",
+                              client=self.name, shard=shard, reply_term=term,
+                              known_term=known)
+                    raise StaleTermError(
+                        f"{method}: reply term {term} below observed "
+                        f"{known}", reply_term=term, known_term=known)
+                self._master_terms[shard] = term
+                result = result["r"]
+        except RetryableError as err:
+            err.shard = shard
             raise
-        self._master_fail_streaks[shard] = 0
-        if (isinstance(result, dict) and len(result) == 2
-                and "t" in result and "r" in result):
-            # Term envelope (checked structurally: attach learns the config
-            # *from* this reply, so the flag may not be known yet).
-            term = result["t"]
-            known = self._master_terms.get(shard, 0)
-            if term < known:
-                self.m_stale_terms.add()
-                if self.sim.tracer is not None:
-                    trace(self.sim, "term", f"{method} reply term stale",
-                          client=self.name, shard=shard, reply_term=term,
-                          known_term=known)
-                err = StaleTermError(
-                    f"{method}: reply term {term} below observed "
-                    f"{known}", reply_term=term, known_term=known)
-                err.shard = shard
-                raise err
-            self._master_terms[shard] = term
-            result = result["r"]
         return result
 
     def _resolve_shard(self, gaddr: int) -> int:
@@ -627,11 +625,14 @@ class GengarClient:
                     f"master lists server {desc.server_id} but no QP was wired"
                 )
             if self.config.enable_proxy:
-                conn.ring = yield from conn.rpc.call(
-                    "attach",
-                    {"client": self.name, "qp_num": conn.data_qp.remote.qp_num},
-                )
+                conn.ring = yield from self._ring_handshake(conn)
         self._attached = True
+
+    def _ring_handshake(self, conn: _ServerConn) -> Generator[Any, Any, Any]:
+        """Ask the server for a (fresh) proxy ring bound to our data QP."""
+        return conn.rpc.call(
+            "attach",
+            {"client": self.name, "qp_num": conn.data_qp.remote.qp_num})
 
     # ------------------------------------------------------------------
     # Public API
@@ -653,7 +654,7 @@ class GengarClient:
             self._alloc_rr += 1
         try:
             meta = yield from self._resilient(
-                "gmalloc", lambda: self._gmalloc_once(size, req_id))
+                "gmalloc", self._gmalloc_once, size, req_id)
         finally:
             self._req_shards.pop(req_id, None)
         return meta.gaddr
@@ -686,16 +687,20 @@ class GengarClient:
         """Free a pool object.  Outstanding writes are synced first."""
         self._require_attached()
         if gaddr in self._overlay:
-            yield from self._gsync_traced(server_id=self._overlay[gaddr].server_id)
-        req_id = self._next_req_id()
+            yield from self._op("gsync", self._overlay[gaddr].server_id,
+                                history=False)
         yield from self._resilient(
-            "gfree", lambda: self._master_call(
-                "gfree", {"gaddr": gaddr, "req_id": req_id},
-                shard=self._resolve_shard(gaddr)))
+            "gfree", self._gfree_once, gaddr, self._next_req_id())
         self._invalidate_meta(gaddr)
         self._access_counts.pop(gaddr, None)
         self._touch_counts.pop(gaddr, None)
         self._prefetch_requested.discard(gaddr)
+
+    def _gfree_once(self, gaddr: int,
+                    req_id: int) -> Generator[Any, Any, None]:
+        # Re-resolved per attempt: a redirect may have moved the shard.
+        return self._master_call("gfree", {"gaddr": gaddr, "req_id": req_id},
+                                 shard=self._resolve_shard(gaddr))
 
     def gread(self, gaddr: int, offset: int = 0,
               length: Optional[int] = None) -> Generator[Any, Any, bytes]:
@@ -706,44 +711,10 @@ class GengarClient:
         ``max_attempts``, optionally re-attaching automatically; a deadline
         turns an unbounded stall into :class:`DeadlineExceededError`.
         """
-        hist = self.sim.history
-        if hist is not None:
-            tok = hist.invoke(self.name, "read", gaddr,
-                              offset=offset, length=length)
-            try:
-                data = yield from self._gread_traced(gaddr, offset, length)
-            except BaseException as exc:
-                # Reads have no effect: a failed read is a definite no-op.
-                hist.fail(tok, exc)
-                raise
-            hist.ok(tok, value=hist.encode(data))
-            return data
-        data = yield from self._gread_traced(gaddr, offset, length)
-        return data
+        return self._op("gread", gaddr, offset, length)
 
-    def _gread_traced(self, gaddr: int, offset: int = 0,
-                      length: Optional[int] = None) -> Generator[Any, Any, bytes]:
-        rec = self.sim.spans
-        if rec is None:
-            data = yield from self._resilient(
-                "gread", lambda: self._gread_once(gaddr, offset, length))
-            return data
-        t0 = self.sim.now
-        op = rec.next_op()
-        try:
-            data = yield from self._resilient(
-                "gread", lambda: self._gread_once(gaddr, offset, length, op),
-                span_op=op)
-            return data
-        finally:
-            rec.record(self.name, "op.gread", t0, op=op, gaddr=hex(gaddr))
-
-    def _gread_once(self, gaddr: int, offset: int = 0,
-                    length: Optional[int] = None,
-                    span_op: int = 0) -> Generator[Any, Any, bytes]:
-        self._require_attached()
-        self._check_lease_fence("gread")
-        start = self.sim.now
+    def _gread_attempt(self, span_op: int, gaddr: int, offset: int,
+                       length: Optional[int]) -> Generator[Any, Any, bytes]:
         meta = self._cached_meta(gaddr)
         if meta is None:
             meta = yield from self._meta(gaddr, span_op=span_op)
@@ -751,7 +722,6 @@ class GengarClient:
             length = meta.size - offset
         self._check_bounds(meta, offset, length)
         yield from self.node.cpu_work()
-        self.m_reads.add()
 
         # Read-your-writes: serve from the overlay when it covers the range.
         pending = self._overlay.get(gaddr)
@@ -760,16 +730,14 @@ class GengarClient:
                     and offset + length <= pending.offset + len(pending.data)):
                 self.m_overlay_hits.add()
                 self._note_access(gaddr, read=True)
-                self.h_read.record(self.sim.now - start)
                 lo = offset - pending.offset
                 return pending.data[lo : lo + length]
             # Partial overlap: force the write down before reading remotely.
-            yield from self._gsync_traced(server_id=pending.server_id)
+            yield from self._op("gsync", pending.server_id, history=False)
 
         data = yield from self._remote_read(gaddr, meta, offset, length,
                                             span_op=span_op)
         self._note_access(gaddr, read=True)
-        self.h_read.record(self.sim.now - start)
         return data
 
     def gwrite(self, gaddr: int, data: bytes, offset: int = 0) -> Generator[Any, Any, None]:
@@ -779,53 +747,17 @@ class GengarClient:
         write whose proxy ring is unavailable or stalled falls back to the
         direct-to-NVM path instead of blocking.
         """
-        hist = self.sim.history
-        if hist is not None:
-            tok = hist.invoke(self.name, "write", gaddr,
-                              value=hist.encode(data), offset=offset,
-                              length=len(data))
-            try:
-                yield from self._gwrite_traced(gaddr, data, offset)
-            except BaseException as exc:
-                # A failed write is *indeterminate*: an abandoned attempt
-                # (deadline, crash) may still land later.  The checker must
-                # treat it as possibly-applied, so record info, not fail.
-                hist.info(tok, exc)
-                raise
-            hist.ok(tok)
-            return
-        yield from self._gwrite_traced(gaddr, data, offset)
+        return self._op("gwrite", gaddr, data, offset)
 
-    def _gwrite_traced(self, gaddr: int, data: bytes,
-                       offset: int = 0) -> Generator[Any, Any, None]:
-        rec = self.sim.spans
-        if rec is None:
-            yield from self._resilient(
-                "gwrite", lambda: self._gwrite_once(gaddr, data, offset))
-            return
-        t0 = self.sim.now
-        op = rec.next_op()
-        try:
-            yield from self._resilient(
-                "gwrite", lambda: self._gwrite_once(gaddr, data, offset, op),
-                span_op=op)
-        finally:
-            rec.record(self.name, "op.gwrite", t0, op=op, gaddr=hex(gaddr),
-                       bytes=len(data))
-
-    def _gwrite_once(self, gaddr: int, data: bytes, offset: int = 0,
-                     span_op: int = 0) -> Generator[Any, Any, None]:
-        self._require_attached()
-        self._check_lease_fence("gwrite")
+    def _gwrite_attempt(self, span_op: int, gaddr: int, data: bytes,
+                        offset: int) -> Generator[Any, Any, None]:
         if not data:
             raise FatalError("empty write")
-        start = self.sim.now
         meta = self._cached_meta(gaddr)
         if meta is None:
             meta = yield from self._meta(gaddr, span_op=span_op)
         self._check_bounds(meta, offset, len(data))
         yield from self.node.cpu_work()
-        self.m_writes.add()
 
         conn = self._conns[meta.server_id]
         use_proxy = (
@@ -859,7 +791,6 @@ class GengarClient:
                     trace(self.sim, "degraded", "no ring -> direct write",
                           client=self.name, gaddr=hex(gaddr))
         self._note_access(gaddr, read=False)
-        self.h_write.record(self.sim.now - start)
 
     def gsync(self, server_id: Optional[int] = None) -> Generator[Any, Any, None]:
         """Block until outstanding proxy writes have drained to NVM.
@@ -870,37 +801,10 @@ class GengarClient:
         staged writes are recorded in :attr:`fault_log` and the sync
         trivially completes).
         """
-        hist = self.sim.history
-        if hist is not None:
-            tok = hist.invoke(self.name, "sync", None, server=server_id)
-            try:
-                yield from self._gsync_traced(server_id)
-            except BaseException as exc:
-                hist.info(tok, exc)  # staged writes may have drained anyway
-                raise
-            hist.ok(tok)
-            return
-        yield from self._gsync_traced(server_id)
+        return self._op("gsync", server_id)
 
-    def _gsync_traced(
-            self, server_id: Optional[int] = None) -> Generator[Any, Any, None]:
-        rec = self.sim.spans
-        if rec is None:
-            yield from self._resilient(
-                "gsync", lambda: self._gsync_once(server_id))
-            return
-        t0 = self.sim.now
-        op = rec.next_op()
-        try:
-            yield from self._resilient(
-                "gsync", lambda: self._gsync_once(server_id, op), span_op=op)
-        finally:
-            rec.record(self.name, "op.gsync", t0, op=op)
-
-    def _gsync_once(self, server_id: Optional[int] = None,
-                    span_op: int = 0) -> Generator[Any, Any, None]:
-        self._require_attached()
-        self._check_lease_fence("gsync")
+    def _gsync_attempt(self, span_op: int,
+                       server_id: Optional[int]) -> Generator[Any, Any, None]:
         targets = [server_id] if server_id is not None else sorted(self._conns)
         for sid in targets:
             conn = self._conns[sid]
@@ -957,10 +861,7 @@ class GengarClient:
             # mode, take the direct path.
             conn.ring = None
             try:
-                new_ring = yield from conn.rpc.call(
-                    "attach",
-                    {"client": self.name, "qp_num": conn.data_qp.remote.qp_num},
-                )
+                new_ring = yield from self._ring_handshake(conn)
             except BaseException:
                 conn.ring = prev_ring
                 raise
@@ -1058,69 +959,43 @@ class GengarClient:
                 if self._fenced:
                     return
             if self.sim.now - self._last_renew_ns < interval:
-                continue  # a piggybacked report renewed recently
-            try:
-                reply = yield from self._master_call(
-                    "renew", {"client": self.name, "epoch": self.fence_epoch})
-            except StaleTermError:
-                # Our master was deposed: rotate / re-attach so renewals
-                # reach the incumbent before the lease deadline does.
-                if self.config.auto_reattach:
-                    yield from self._auto_reattach_master()
-                continue
-            except (MasterUnavailableError, PartitionSuspected, RpcError):
-                continue  # master down/recovering: keep trying until fenced
-            if reply.get("ok"):
-                self._note_renewal(reply.get("lease_ns", self.lease_ns))
-                continue
-            reason = reply.get("reason")
-            if reason == "unknown" and self.config.auto_reattach:
-                # A restarted master forgot us: re-adopt our identity.
-                yield from self._auto_reattach_master()
-                continue
-            self._fenced = True
-            self.m_fence_rejections.add()
-            if self.sim.tracer is not None:
-                trace(self.sim, "fence", "heartbeat fenced", client=self.name,
-                      reason=reason)
-            return
+                continue  # a piggybacked report renewed shard 0 recently
+            yield from self._renew_shard(0)
+            if self._fenced:
+                return
 
     def _renew_shard(self, shard: int) -> Generator[Any, Any, None]:
-        """One standalone renewal against a secondary shard; failures are
-        swallowed (the next tick tries again), a ``fenced`` verdict sets
-        the global fenced flag — the epoch is retired everywhere."""
+        """One standalone renewal against one shard; failures are
+        swallowed (the next tick tries again, and so does a failed
+        re-attach: it must cost a tick, not the loop keeping the other
+        shards' leases alive), a ``fenced`` verdict sets the global fenced
+        flag — the epoch is retired everywhere."""
         try:
             reply = yield from self._master_call(
                 "renew", {"client": self.name, "epoch": self.fence_epoch},
                 shard=shard)
         except StaleTermError:
+            # Our master was deposed: rotate / re-attach so renewals
+            # reach the incumbent before the lease deadline does.
             if self.config.auto_reattach:
-                yield from self._reattach_shard_quietly(shard)
+                yield from self._auto_reattach_master(shard)
             return
         except (RetryableError, RpcError):
-            return
+            return  # master down/recovering: keep trying until fenced
         if reply.get("ok"):
+            if shard == 0:  # the local deadline tracks shard 0's lease
+                self._note_renewal(reply.get("lease_ns", self.lease_ns))
             return
-        if reply.get("reason") == "unknown" and self.config.auto_reattach:
-            # A restarted shard forgot us: re-adopt our identity there.
-            yield from self._reattach_shard_quietly(shard)
+        reason = reply.get("reason")
+        if reason == "unknown" and self.config.auto_reattach:
+            # A restarted master forgot us: re-adopt our identity there.
+            yield from self._auto_reattach_master(shard)
             return
         self._fenced = True
         self.m_fence_rejections.add()
         if self.sim.tracer is not None:
             trace(self.sim, "fence", "heartbeat fenced", client=self.name,
-                  shard=shard)
-
-    def _reattach_shard_quietly(self, shard: int) -> Generator[Any, Any, None]:
-        """Re-adopt our identity at one shard, swallowing failures.
-
-        The heartbeat loop is the only thing keeping N-1 other leases
-        alive — one shard's reattach failing (still recovering, dropped
-        on a lossy link) must cost a tick, not the whole loop."""
-        try:
-            yield from self._auto_reattach_master(shard)
-        except (RetryableError, RpcError):
-            pass  # next tick retries; the lease has 3 ticks of slack
+                  shard=shard, reason=reason)
 
     def _note_renewal(self, lease_ns: int) -> None:
         self._last_renew_ns = self.sim.now
@@ -1135,28 +1010,92 @@ class GengarClient:
             self._retry_rng = self.sim.rng.stream(f"{self.name}.retry")
         return self._retry_rng
 
-    def _resilient(self, op: str, attempt_factory,
+    def _op(self, name: str, *args: Any,
+            history: bool = True) -> Generator[Any, Any, Any]:
+        """The op driver: every data and lock verb is one call into here.
+
+        One ladder, in this order: history invoke → ``op.<name>`` span (its
+        op id minted up front, so every phase of the op can repeat it) →
+        retry policy → per-attempt attach + lease-fence precheck → the
+        verb's attempt body → logical-op accounting → history completion.
+        What differs per verb is data: its :class:`_Verb` row.
+
+        ``history=False`` is the no-history entry for ops the library (or a
+        layer above it: txn reads, audits) issues on its own behalf — same
+        span, retries and accounting, no history event.
+
+        With no recorder installed nothing is built per op: the attempt
+        travels as function + args, and history / span fields are computed
+        only under their ``is not None`` checks.
+        """
+        verb = _VERBS[name]
+        sim = self.sim
+        hist = sim.history if history else None
+        rec = sim.spans
+        start = sim.now
+        toks: Any = ()
+        if hist is not None:
+            toks = [hist.invoke(self.name, verb.kind, key, **fields)
+                    for key, fields in verb.events(self, hist.encode, *args)]
+        span_op = rec.next_op() if rec is not None else 0
+        try:
+            result = yield from self._resilient(
+                name, verb.attempt, self, span_op, *args,
+                retries=verb.retries, fenced=verb.data, span_op=span_op)
+        except BaseException as exc:
+            if hist is not None:
+                complete = hist.info if verb.may_land else hist.fail
+                for tok in toks:
+                    complete(tok, exc)
+            raise
+        finally:
+            if rec is not None:
+                rec.record(self.name, "op." + name, start, op=span_op,
+                           **verb.span_fields(*args))
+        if verb.tally:
+            # Logical-op accounting: one count and one first-attempt-to-
+            # completion sample per op, however many attempts it took.
+            if verb.kind == "read":
+                self.m_reads.add()
+                self.h_read.record(sim.now - start)
+            else:
+                self.m_writes.add()
+                self.h_write.record(sim.now - start)
+        if hist is not None:
+            for tok, value in zip(toks, verb.ok_values(self, hist.encode,
+                                                       result)):
+                hist.ok(tok, value=value)
+        return result
+
+    def _resilient(self, op: str, attempt: Callable[..., Generator], *args: Any,
+                   retries: bool = True, fenced: bool = False,
                    span_op: int = 0) -> Generator[Any, Any, Any]:
-        """Run one op under the active :class:`RetryPolicy`.
+        """Run ``attempt(*args)`` under the active :class:`RetryPolicy`
+        (``retries=False``: exactly once — the batch verbs retry per item
+        through their serial fallbacks, the lock verbs in their CAS loop).
+        ``fenced`` starts every attempt with the data-plane precheck.
 
         Pay-as-you-go: with the default policy (one attempt, no deadline)
         this is a plain ``yield from`` of the attempt — no extra simulated
         events, so virtual-time results are bit-identical to the
         pre-resilience client.
         """
-        policy = self.retry_policy
+        policy = self.retry_policy if retries else _ONE_ATTEMPT
         start = self.sim.now
-        attempt = 1
+        tries = 1
         while True:
             try:
+                if fenced:
+                    self._require_attached()
+                    self._check_lease_fence(op)
                 if policy.deadline_ns:
                     result = yield from self._attempt_with_deadline(
-                        op, attempt_factory, start, policy)
+                        op, start, policy, attempt, args)
                 else:
-                    result = yield from attempt_factory()
+                    result = yield from attempt(*args)
                 return result
             except RetryableError as exc:
-                if attempt >= policy.max_attempts:
+                if tries >= policy.max_attempts:
                     raise
                 if (policy.deadline_ns
                         and self.sim.now - start >= policy.deadline_ns):
@@ -1166,7 +1105,7 @@ class GengarClient:
                         f"(deadline {policy.deadline_ns} ns): {exc}") from exc
                 self.m_retries.add()
                 if self.sim.tracer is not None:
-                    trace(self.sim, "retry", f"{op} attempt {attempt} failed",
+                    trace(self.sim, "retry", f"{op} attempt {tries} failed",
                           client=self.name, cause=type(exc).__name__)
                 server_id = getattr(exc, "server_id", None)
                 if self.config.auto_reattach and server_id is not None:
@@ -1187,15 +1126,16 @@ class GengarClient:
                         getattr(exc, "shard", 0))
                 rec = self.sim.spans
                 t_wait = self.sim.now if rec is not None else 0
-                yield policy.backoff_ns(attempt, self._jitter_rng())
+                yield policy.backoff_ns(tries, self._jitter_rng())
                 if rec is not None:
                     rec.record(self.name, "phase.retry_wait", t_wait,
-                               op=span_op, attempt=attempt,
+                               op=span_op, attempt=tries,
                                cause=type(exc).__name__)
-                attempt += 1
+                tries += 1
 
-    def _attempt_with_deadline(self, op: str, attempt_factory, start: int,
-                               policy: RetryPolicy) -> Generator[Any, Any, Any]:
+    def _attempt_with_deadline(self, op: str, start: int, policy: RetryPolicy,
+                               attempt: Callable[..., Generator],
+                               args: tuple) -> Generator[Any, Any, Any]:
         """One attempt raced against the remaining deadline budget.
 
         A timed-out attempt is *abandoned*, never interrupted: interrupting
@@ -1210,7 +1150,7 @@ class GengarClient:
             self.m_deadline_misses.add()
             raise DeadlineExceededError(
                 f"{op} deadline of {policy.deadline_ns} ns exhausted")
-        proc = self.sim.spawn(attempt_factory(), name=f"{self.name}.{op}")
+        proc = self.sim.spawn(attempt(*args), name=f"{self.name}.{op}")
         timer = self.sim.timeout(remaining)
         # A failed attempt fails the any_of, re-raising its typed error here.
         yield self.sim.any_of([proc, timer])
@@ -1223,40 +1163,52 @@ class GengarClient:
         raise DeadlineExceededError(
             f"{op} exceeded its {policy.deadline_ns} ns deadline")
 
-    def _auto_reattach(self, server_id: int) -> Generator[Any, Any, None]:
-        """Coalesced re-attach: the first failed op runs the handshake, any
-        concurrent failures wait on its gate.  Failure (server still down)
-        is swallowed — the caller backs off and retries, re-entering here.
+    def _coalesced(self, gates: Dict[int, Any], key: int, gate_name: str,
+                   handshake) -> Generator[Any, Any, Optional[tuple]]:
+        """Run ``handshake(key)`` unless one is already in flight for
+        ``key``: the first failed op runs it, concurrent failures wait on
+        its gate.  Returns ``(result, None)`` or — the failure swallowed,
+        the caller backs off and retries, re-entering here — ``(None,
+        exc)``; a waiter gets ``None``.
         """
-        gate = self._reattach_gates.get(server_id)
+        gate = gates.get(key)
         if gate is not None:
             yield gate
-            return
-        gate = self.sim.event(name=f"{self.name}.reattach{server_id}")
-        self._reattach_gates[server_id] = gate
+            return None
+        gate = gates[key] = self.sim.event(name=gate_name)
         try:
-            try:
-                lost = yield from self.reattach_server(server_id)
-            except (RetryableError, RpcError) as exc:
-                if self.sim.tracer is not None:
-                    trace(self.sim, "failover", "re-attach failed",
-                          client=self.name, server=server_id,
-                          cause=type(exc).__name__)
-            else:
-                self.m_failovers.add()
-                if lost:
-                    self.m_lost_writes.add(len(lost))
-                self.fault_log.append({
-                    "time_ns": self.sim.now,
-                    "server_id": server_id,
-                    "lost": lost,
-                })
-                if self.sim.tracer is not None:
-                    trace(self.sim, "failover", "re-attached",
-                          client=self.name, server=server_id, lost=len(lost))
+            return (yield from handshake(key)), None
+        except (RetryableError, RpcError) as exc:
+            return None, exc
         finally:
-            self._reattach_gates.pop(server_id, None)
+            gates.pop(key, None)
             gate.succeed()
+
+    def _auto_reattach(self, server_id: int) -> Generator[Any, Any, None]:
+        """Coalesced server re-attach (see :meth:`_coalesced`)."""
+        outcome = yield from self._coalesced(
+            self._reattach_gates, server_id,
+            f"{self.name}.reattach{server_id}", self.reattach_server)
+        if outcome is None:
+            return
+        lost, exc = outcome
+        if exc is not None:
+            if self.sim.tracer is not None:
+                trace(self.sim, "failover", "re-attach failed",
+                      client=self.name, server=server_id,
+                      cause=type(exc).__name__)
+            return
+        self.m_failovers.add()
+        if lost:
+            self.m_lost_writes.add(len(lost))
+        self.fault_log.append({
+            "time_ns": self.sim.now,
+            "server_id": server_id,
+            "lost": lost,
+        })
+        if self.sim.tracer is not None:
+            trace(self.sim, "failover", "re-attached",
+                  client=self.name, server=server_id, lost=len(lost))
 
     def _lease_lapse_probe(self, op: str) -> Generator[Any, Any, None]:
         """Resolve a *locally* lapsed lease before the next attempt.
@@ -1301,40 +1253,30 @@ class GengarClient:
             "reattach_master() to rejoin")
 
     def _auto_reattach_master(self, shard: int = 0) -> Generator[Any, Any, None]:
-        """Coalesced master re-attach, mirroring :meth:`_auto_reattach`:
-        the first op to hit a dead/recovering master shard runs the
-        handshake, concurrent failures against the SAME shard wait on its
-        gate (other shards re-attach independently).  Failure is
-        swallowed — the caller backs off and retries."""
-        gate = self._reattach_master_gates.get(shard)
-        if gate is not None:
-            yield gate
+        """Coalesced master re-attach (see :meth:`_coalesced`), one gate
+        per shard: other shards re-attach independently."""
+        outcome = yield from self._coalesced(
+            self._reattach_master_gates, shard,
+            f"{self.name}.reattach_master" + (f"_s{shard}" if shard else ""),
+            self.reattach_master)
+        if outcome is None:
             return
-        gate = self.sim.event(
-            name=f"{self.name}.reattach_master" + (f"_s{shard}" if shard else ""))
-        self._reattach_master_gates[shard] = gate
-        try:
-            try:
-                yield from self.reattach_master(shard)
-            except (RetryableError, RpcError) as exc:
-                if self.sim.tracer is not None:
-                    trace(self.sim, "failover", "master re-attach failed",
-                          client=self.name, shard=shard,
-                          cause=type(exc).__name__)
-                # Next retry tries the shard's next wired master (no-op
-                # without standbys): an unreachable or deposed master
-                # should not absorb the whole retry budget when a live one
-                # exists.
-                self._rotate_master(shard)
-            else:
-                self.m_master_failovers.add()
-                if self.sim.tracer is not None:
-                    trace(self.sim, "failover", "re-attached to master",
-                          client=self.name, shard=shard,
-                          epoch=self.fence_epoch)
-        finally:
-            self._reattach_master_gates.pop(shard, None)
-            gate.succeed()
+        _, exc = outcome
+        if exc is not None:
+            if self.sim.tracer is not None:
+                trace(self.sim, "failover", "master re-attach failed",
+                      client=self.name, shard=shard,
+                      cause=type(exc).__name__)
+            # Next retry tries the shard's next wired master (no-op
+            # without standbys): an unreachable or deposed master
+            # should not absorb the whole retry budget when a live one
+            # exists.
+            self._rotate_master(shard)
+            return
+        self.m_master_failovers.add()
+        if self.sim.tracer is not None:
+            trace(self.sim, "failover", "re-attached to master",
+                  client=self.name, shard=shard, epoch=self.fence_epoch)
 
     def _check_wc(self, wc, what: str, conn: _ServerConn,
                   ring: bool = False) -> None:
@@ -1372,43 +1314,10 @@ class GengarClient:
         the :class:`RetryPolicy`); the first failure, in argument order,
         propagates.
         """
-        gaddrs = list(gaddrs)
-        hist = self.sim.history
-        if hist is not None:
-            # One event per object, all sharing the batch's time window —
-            # conservative (wider windows admit more linearizations) but
-            # sound.
-            toks = [hist.invoke(self.name, "read", g) for g in gaddrs]
-            try:
-                results = yield from self._gread_many_traced(gaddrs)
-            except BaseException as exc:
-                for tok in toks:
-                    hist.fail(tok, exc)
-                raise
-            for tok, data in zip(toks, results):
-                hist.ok(tok, value=hist.encode(data))
-            return results
-        results = yield from self._gread_many_traced(gaddrs)
-        return results
+        return self._op("gread_many", list(gaddrs))
 
-    def _gread_many_traced(self, gaddrs) -> Generator[Any, Any, list]:
-        rec = self.sim.spans
-        if rec is None:
-            results = yield from self._gread_many_once(gaddrs)
-            return results
-        t0 = self.sim.now
-        op = rec.next_op()
-        try:
-            results = yield from self._gread_many_once(gaddrs, span_op=op)
-            return results
-        finally:
-            rec.record(self.name, "op.gread_many", t0, op=op,
-                       reads=len(gaddrs))
-
-    def _gread_many_once(self, gaddrs,
-                         span_op: int = 0) -> Generator[Any, Any, list]:
-        self._require_attached()
-        self._check_lease_fence("gread_many")
+    def _gread_many_attempt(self, span_op: int,
+                            gaddrs: list) -> Generator[Any, Any, list]:
         start = self.sim.now
         rec = self.sim.spans
         results: list = [None] * len(gaddrs)
@@ -1542,7 +1451,8 @@ class GengarClient:
         failures: list = []
         for idx in sorted(fallback):
             try:
-                results[idx] = yield from self._gread_traced(gaddrs[idx])
+                results[idx] = yield from self._op(
+                    "gread", gaddrs[idx], 0, None, history=False)
             except ClientError as exc:
                 failures.append((idx, exc))
         if failures:
@@ -1665,40 +1575,10 @@ class GengarClient:
         the inline proxy path (proxy disabled, payload too large for a ring
         slot or for NIC inlining) fall back to the regular gwrite path.
         """
-        hist = self.sim.history
-        if hist is not None:
-            writes = list(writes)
-            toks = [hist.invoke(self.name, "write", g, value=hist.encode(d),
-                                length=len(d))
-                    for g, d in writes]
-            try:
-                yield from self._gwrite_batch_traced(writes)
-            except BaseException as exc:
-                for tok in toks:
-                    hist.info(tok, exc)  # indeterminate: some may have landed
-                raise
-            for tok in toks:
-                hist.ok(tok)
-            return
-        yield from self._gwrite_batch_traced(writes)
+        return self._op("gwrite_batch", list(writes))
 
-    def _gwrite_batch_traced(self, writes) -> Generator[Any, Any, None]:
-        rec = self.sim.spans
-        if rec is None:
-            yield from self._gwrite_batch_once(writes)
-            return
-        t0 = self.sim.now
-        op = rec.next_op()
-        try:
-            yield from self._gwrite_batch_once(writes, span_op=op)
-        finally:
-            rec.record(self.name, "op.gwrite_batch", t0, op=op,
-                       writes=len(writes))
-
-    def _gwrite_batch_once(self, writes,
-                           span_op: int = 0) -> Generator[Any, Any, None]:
-        self._require_attached()
-        self._check_lease_fence("gwrite_batch")
+    def _gwrite_batch_attempt(self, span_op: int,
+                              writes: list) -> Generator[Any, Any, None]:
         start = self.sim.now
         staged: Dict[int, list] = {}  # server_id -> [(gaddr, data, payload)]
         fallback = []
@@ -1786,61 +1666,28 @@ class GengarClient:
             rec.record(self.name, "phase.batch_stage", t_stage, op=span_op,
                        servers=len(staged), staged=len(pending))
         for gaddr, data in fallback:
-            yield from self._gwrite_traced(gaddr, data)
+            yield from self._op("gwrite", gaddr, data, 0, history=False)
 
     # Lock API (delegates to the consistency layer) ----------------------
     def glock(self, gaddr: int, write: bool = True) -> Generator[Any, Any, None]:
         """Acquire the object's lock (exclusive by default, shared if not)."""
-        hist = self.sim.history
-        tok = -1
-        if hist is not None:
-            # The epoch rides the event: the checker's monotonic-epoch model
-            # asserts no lock is ever acquired under an epoch below one a
-            # later holder already presented (a fenced zombie re-locking).
-            tok = hist.invoke(self.name, "lock", gaddr, write=write,
-                              epoch=self.fence_epoch)
-        rec = self.sim.spans
-        t0 = self.sim.now if rec is not None else 0
-        try:
-            if write:
-                yield from self.locks.acquire_write(gaddr)
-            else:
-                yield from self.locks.acquire_read(gaddr)
-        except BaseException as exc:
-            if hist is not None:
-                hist.fail(tok, exc)  # an acquire that failed holds nothing
-            raise
-        finally:
-            if rec is not None:
-                rec.record(self.name, "op.glock", t0, op=rec.next_op(),
-                           gaddr=hex(gaddr), write=write)
-        if hist is not None:
-            hist.ok(tok, value=self.fence_epoch)
+        return self._op("glock", gaddr, write)
+
+    def _glock_attempt(self, span_op: int, gaddr: int,
+                       write: bool) -> Generator[Any, Any, None]:
+        if write:
+            return self.locks.acquire_write(gaddr, span_op=span_op)
+        return self.locks.acquire_read(gaddr, span_op=span_op)
 
     def gunlock(self, gaddr: int, write: bool = True) -> Generator[Any, Any, None]:
         """Release the object's lock.  Write unlocks sync first."""
-        hist = self.sim.history
-        tok = -1
-        if hist is not None:
-            tok = hist.invoke(self.name, "unlock", gaddr, write=write,
-                              epoch=self.fence_epoch)
-        rec = self.sim.spans
-        t0 = self.sim.now if rec is not None else 0
-        try:
-            if write:
-                yield from self.locks.release_write(gaddr)
-            else:
-                yield from self.locks.release_read(gaddr)
-        except BaseException as exc:
-            if hist is not None:
-                hist.fail(tok, exc)
-            raise
-        finally:
-            if rec is not None:
-                rec.record(self.name, "op.gunlock", t0, op=rec.next_op(),
-                           gaddr=hex(gaddr), write=write)
-        if hist is not None:
-            hist.ok(tok, value=self.fence_epoch)
+        return self._op("gunlock", gaddr, write)
+
+    def _gunlock_attempt(self, span_op: int, gaddr: int,
+                         write: bool) -> Generator[Any, Any, None]:
+        if write:
+            return self.locks.release_write(gaddr, span_op=span_op)
+        return self.locks.release_read(gaddr, span_op=span_op)
 
     # Transactions (delegates to repro.txn) ------------------------------
     @property
@@ -2021,16 +1868,14 @@ class GengarClient:
                 opcode=Opcode.RDMA_WRITE_IMM,
                 remote_rkey=ring.ring_rkey,
                 remote_offset=slot * ring.slot_size,
-                imm_data=slot,
+                imm_data=slot, length=len(payload),
             )
             if scratch_off is None:
                 wr.inline_data = payload
-                wr.length = len(payload)
             else:
                 self._scratch_mr.poke(scratch_off, payload)
                 wr.local_mr = self._scratch_mr
                 wr.local_offset = scratch_off
-                wr.length = len(payload)
             wc = yield conn.data_qp.post_send(wr)
         finally:
             if scratch_off is not None:
@@ -2190,11 +2035,11 @@ class GengarClient:
                 pos += len(chunk)
             return
         wr = WorkRequest(
-            opcode=Opcode.RDMA_WRITE, remote_rkey=rkey, remote_offset=remote_offset,
+            opcode=Opcode.RDMA_WRITE, remote_rkey=rkey,
+            remote_offset=remote_offset, length=len(data),
         )
         if self.node.nic.is_inline(len(data)):
             wr.inline_data = data
-            wr.length = len(data)
             wc = yield conn.data_qp.post_send(wr)
         else:
             scratch_off = yield self._scratch_free.get()
@@ -2202,7 +2047,6 @@ class GengarClient:
                 self._scratch_mr.poke(scratch_off, data)
                 wr.local_mr = self._scratch_mr
                 wr.local_offset = scratch_off
-                wr.length = len(data)
                 wc = yield conn.data_qp.post_send(wr)
             finally:
                 self._scratch_free.put(scratch_off)
@@ -2247,6 +2091,17 @@ class GengarClient:
             self._report_inflight = True
             self.sim.spawn(self._send_report(), name=f"{self.name}.report")
 
+    def _by_shard(self, entries: list) -> Dict[int, list]:
+        """Split report / prefetch entries (gaddr first) along the shard
+        map: each shard scores only the objects it owns, so the batch
+        becomes one RPC per shard with entries."""
+        if self._num_shards <= 1:
+            return {0: entries}
+        groups: Dict[int, list] = {}
+        for entry in entries:
+            groups.setdefault(self._resolve_shard(entry[0]), []).append(entry)
+        return groups
+
     def _send_report(self) -> Generator[Any, Any, None]:
         entries = []
         for gaddr, (reads, writes) in self._access_counts.items():
@@ -2257,17 +2112,8 @@ class GengarClient:
         self._access_counts.clear()
         self._ops_since_report = 0
         piggyback = bool(self.lease_ns and not self._fenced and not self._crashed)
-        if self._num_shards > 1:
-            # Each shard scores only the objects it owns: split the batch
-            # along the shard map (one RPC per shard with entries).
-            groups: Dict[int, list] = {}
-            for entry in entries:
-                groups.setdefault(self._resolve_shard(entry[0]),
-                                  []).append(entry)
-        else:
-            groups = {0: entries}
         try:
-            for shard, group in groups.items():
+            for shard, group in self._by_shard(entries).items():
                 request: Dict[str, Any] = {"entries": group}
                 if piggyback:
                     # Every report doubles as a lease heartbeat for free.
@@ -2316,19 +2162,24 @@ class GengarClient:
         self._predictor.observe(gaddr)
         if touches != self.config.admission_threshold:
             return
-        meta = self._cached_meta(gaddr)
-        if meta is None or meta.cached:
+        if not self._nominate(gaddr):
             return
-        if not self._prefetch_safe(meta):
-            return
-        if gaddr in self._prefetch_requested:
-            return
-        self._prefetch_requested.add(gaddr)
         self._prefetch_queue.append(gaddr)
         if not self._prefetch_inflight:
             self._prefetch_inflight = True
             self.sim.spawn(self._send_prefetch(),
                            name=f"{self.name}.prefetch")
+
+    def _nominate(self, gaddr: int) -> bool:
+        """Mark ``gaddr`` requested if a promotion request is worth
+        sending: not already pending, believed uncached, and safe."""
+        if gaddr in self._prefetch_requested:
+            return False
+        meta = self._cached_meta(gaddr)
+        if meta is None or meta.cached or not self._prefetch_safe(meta):
+            return False
+        self._prefetch_requested.add(gaddr)
+        return True
 
     def _prefetch_safe(self, meta: ObjectMeta) -> bool:
         """Whether promoting this object behind our back stays coherent.
@@ -2369,25 +2220,11 @@ class GengarClient:
                     for g in self._predictor.predict():
                         if len(entries) >= depth:
                             break
-                        if g in self._prefetch_requested:
-                            continue
-                        meta = self._cached_meta(g)
-                        if meta is None or meta.cached:
-                            continue
-                        if not self._prefetch_safe(meta):
-                            continue
-                        self._prefetch_requested.add(g)
-                        entries.append((g, self._touch_counts.get(g, 1)))
-                if self._num_shards > 1:
-                    groups: Dict[int, list] = {}
-                    for entry in entries:
-                        groups.setdefault(self._resolve_shard(entry[0]),
-                                          []).append(entry)
-                else:
-                    groups = {0: entries}
+                        if self._nominate(g):
+                            entries.append((g, self._touch_counts.get(g, 1)))
                 updates = []
                 sent = 0
-                for shard, group in groups.items():
+                for shard, group in self._by_shard(entries).items():
                     try:
                         part = yield from self._master_call(
                             "prefetch",
@@ -2422,3 +2259,81 @@ class GengarClient:
                           promoted=promoted)
         finally:
             self._prefetch_inflight = False
+
+
+class _Verb(NamedTuple):
+    """What the op driver (:meth:`GengarClient._op`) knows about one verb."""
+
+    #: One attempt: ``attempt(client, span_op, *args)``.
+    attempt: Callable[..., Generator]
+    #: History op kind; a failed op records ``fail`` (it took no effect) or,
+    #: with ``may_land``, ``info`` (an abandoned attempt may still land).
+    kind: str
+    #: ``(client, encode, *args)`` → one ``(key, invoke fields)`` per
+    #: history event (the batch verbs record one event per item, all
+    #: sharing the batch's time window — conservative but sound).
+    events: Callable[..., list]
+    #: ``(*args)`` → fields of the ``op.<name>`` span.
+    span_fields: Callable[..., dict]
+    #: ``(client, encode, result)`` → the ``ok`` value of each event.
+    ok_values: Callable[..., Any] = lambda c, enc, result: repeat(None)
+    may_land: bool = False
+    #: The whole op retries under the client's :class:`RetryPolicy`.
+    retries: bool = False
+    #: Data verb: each attempt starts with the attach + lease-fence
+    #: precheck (the lock verbs resolve their fence in the lock layer).
+    data: bool = True
+    #: Counted and latency-sampled per logical op, under its kind (the
+    #: batch verbs account per item in their attempt bodies).
+    tally: bool = False
+
+
+def _lock_event(c, enc, gaddr, write):
+    # The epoch rides the event: the checker's monotonic-epoch model asserts
+    # no lock is ever acquired under an epoch below one a later holder
+    # already presented (a fenced zombie re-locking).
+    return [(gaddr, {"write": write, "epoch": c.fence_epoch})]
+
+
+def _lock_span(gaddr, write):
+    return {"gaddr": hex(gaddr), "write": write}
+
+
+_VERBS = {
+    "gread": _Verb(
+        GengarClient._gread_attempt, "read",
+        lambda c, enc, gaddr, offset, length:
+            [(gaddr, {"offset": offset, "length": length})],
+        lambda gaddr, offset, length: {"gaddr": hex(gaddr)},
+        ok_values=lambda c, enc, data: (enc(data),),
+        retries=True, tally=True),
+    "gwrite": _Verb(
+        GengarClient._gwrite_attempt, "write",
+        lambda c, enc, gaddr, data, offset:
+            [(gaddr, {"value": enc(data), "offset": offset,
+                      "length": len(data)})],
+        lambda gaddr, data, offset: {"gaddr": hex(gaddr), "bytes": len(data)},
+        may_land=True, retries=True, tally=True),
+    "gsync": _Verb(
+        GengarClient._gsync_attempt, "sync",
+        lambda c, enc, server_id: [(None, {"server": server_id})],
+        lambda server_id: {},
+        may_land=True, retries=True),  # staged writes may drain anyway
+    "gread_many": _Verb(
+        GengarClient._gread_many_attempt, "read",
+        lambda c, enc, gaddrs: [(g, {}) for g in gaddrs],
+        lambda gaddrs: {"reads": len(gaddrs)},
+        ok_values=lambda c, enc, results: map(enc, results)),
+    "gwrite_batch": _Verb(
+        GengarClient._gwrite_batch_attempt, "write",
+        lambda c, enc, writes:
+            [(g, {"value": enc(d), "length": len(d)}) for g, d in writes],
+        lambda writes: {"writes": len(writes)},
+        may_land=True),  # some items may have landed
+    "glock": _Verb(  # a failed acquire holds nothing
+        GengarClient._glock_attempt, "lock", _lock_event, _lock_span,
+        ok_values=lambda c, enc, result: (c.fence_epoch,), data=False),
+    "gunlock": _Verb(
+        GengarClient._gunlock_attempt, "unlock", _lock_event, _lock_span,
+        ok_values=lambda c, enc, result: (c.fence_epoch,), data=False),
+}

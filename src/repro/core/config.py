@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.rdma.rpc import DEFAULT_RING_SLOTS
 from repro.sim.units import KIB, MIB
 
 
@@ -178,25 +177,6 @@ class GengarConfig:
     #: op-deadline behaviour byte-identical.
     lock_acquire_timeout_ns: int = 0
 
-    # ---- RPC data plane ---------------------------------------------------
-    #: Control-RPC ring depth.  ``"auto"`` (the default) makes the server
-    #: side elastic: receive/response rings start at
-    #: :data:`~repro.rdma.rpc.DEFAULT_RING_SLOTS` slots and form an
-    #: SRQ-style shared pool that grows in powers of two with the
-    #: attached-QP count (and under response-occupancy pressure), then
-    #: shrinks after idle epochs — this removes the historical ≥16-client
-    #: slot-exhaustion wedge by construction.  An integer pins every ring
-    #: to that fixed depth with no growth (``16`` reproduces the legacy
-    #: data plane exactly, event for event).  Node-local: never shipped in
-    #: the attach reply (see ``_WIRE_LOCAL``).
-    rpc_ring_slots: int | str = "auto"
-    #: Credit-based flow control on control RPCs: servers piggyback a
-    #: receive-credit grant on each reply's immediate data (zero wire
-    #: bytes) and clients park new calls at zero credits instead of
-    #: overrunning the server pool.  Off: replies carry no immediate data
-    #: and clients are bounded only by their own ring, as before.
-    rpc_credits: bool = True
-
     # ---- control-plane sharding ------------------------------------------
     #: Master shards.  Object metadata is partitioned by home server
     #: (``shard_of(gaddr) = server_of(gaddr) % num_master_shards``); each
@@ -264,11 +244,6 @@ class GengarConfig:
         if self.lock_acquire_timeout_ns < 0:
             raise ValueError("lock_acquire_timeout_ns must be non-negative "
                              "(0 disables)")
-        if self.rpc_ring_slots != "auto" and (
-                not isinstance(self.rpc_ring_slots, int)
-                or isinstance(self.rpc_ring_slots, bool)
-                or self.rpc_ring_slots < 2):
-            raise ValueError('rpc_ring_slots must be "auto" or an int >= 2')
         if self.num_master_shards < 1:
             raise ValueError("num_master_shards must be at least 1")
         if self.shard_aggregation_ns < 0:
@@ -295,40 +270,17 @@ class GengarConfig:
         "shard_aggregation_ns": 0,
     }
 
-    # Fields that configure purely node-local wiring (ring sizing, credit
-    # windows), decided at build time and never consulted by the receiver
-    # of an attach reply: ALWAYS stripped from the pickled wire image, so
-    # the control protocol's bytes are independent of their value.
-    _WIRE_LOCAL = ("rpc_ring_slots", "rpc_credits")
-
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         for name, default in self._WIRE_OPTIONAL.items():
             if state.get(name) == default:
                 del state[name]
-        for name in self._WIRE_LOCAL:
-            state.pop(name, None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         for name, default in self._WIRE_OPTIONAL.items():
             state.setdefault(name, default)
-        for name in self._WIRE_LOCAL:
-            state.setdefault(name, getattr(type(self), name))
         self.__dict__.update(state)
-
-    # RPC sizing helpers ---------------------------------------------------
-    @property
-    def rpc_elastic(self) -> bool:
-        """True when the server-side RPC rings grow/shrink with load."""
-        return self.rpc_ring_slots == "auto"
-
-    @property
-    def rpc_initial_ring_slots(self) -> int:
-        """Ring depth every RPC endpoint starts from (single source of
-        truth for servers and clients — they can never disagree)."""
-        return DEFAULT_RING_SLOTS if self.rpc_ring_slots == "auto" \
-            else self.rpc_ring_slots
 
     # Convenience ablation constructors -----------------------------------
     def ablate(self, *, cache: bool | None = None, proxy: bool | None = None) -> "GengarConfig":

@@ -198,7 +198,8 @@ class LockOps:
                 f"{self.sim.now - start_ns} ns (deadline {deadline} ns)")
 
     # ------------------------------------------------------------------
-    def acquire_write(self, gaddr: int, timeout_ns=None) -> Generator[Any, Any, None]:
+    def acquire_write(self, gaddr: int, timeout_ns=None,
+                      span_op: int = 0) -> Generator[Any, Any, None]:
         """Take the exclusive lock on ``gaddr`` (blocks until acquired, or
         until the client's op deadline — if one is configured — expires).
 
@@ -208,7 +209,7 @@ class LockOps:
         :class:`LockTimeoutError`."""
         timeout_ns = self._effective_timeout(timeout_ns)
         yield from self._resolve_fence(gaddr, "write-lock")
-        meta = yield from self.client._meta(gaddr)
+        meta = yield from self.client._meta(gaddr, span_op=span_op)
         offset = self._word_offset(meta.lock_idx)
         word = write_lock_word(self.client.uid, self.client.fence_epoch)
         start = self.sim.now
@@ -227,12 +228,13 @@ class LockOps:
             yield from self._contention_wait(attempt, timeout_ns)
             attempt += 1
 
-    def release_write(self, gaddr: int) -> Generator[Any, Any, None]:
+    def release_write(self, gaddr: int,
+                      span_op: int = 0) -> Generator[Any, Any, None]:
         """Release the exclusive lock, after syncing outstanding writes."""
         # Fence before gsync: a zombie past its lease must not touch the
         # pool at all, not even to flush stale staged writes.
         yield from self._resolve_fence(gaddr, "write-unlock")
-        meta = yield from self.client._meta(gaddr)
+        meta = yield from self.client._meta(gaddr, span_op=span_op)
         # Release consistency: all writes issued under the lock must be
         # durable (and cache-visible) before anyone else can acquire it.
         # (Disabled by config.sync_on_release=False at the cost of the
@@ -305,14 +307,15 @@ class LockOps:
                 return
         raise LockError(f"write-unlock of {gaddr:#x}: lock word thrashing")
 
-    def acquire_read(self, gaddr: int, timeout_ns=None) -> Generator[Any, Any, None]:
+    def acquire_read(self, gaddr: int, timeout_ns=None,
+                     span_op: int = 0) -> Generator[Any, Any, None]:
         """Take a shared lock on ``gaddr`` (blocks until acquired, or until
         the client's op deadline — if one is configured — expires).
 
         ``timeout_ns`` as in :meth:`acquire_write`."""
         timeout_ns = self._effective_timeout(timeout_ns)
         yield from self._resolve_fence(gaddr, "read-lock")
-        meta = yield from self.client._meta(gaddr)
+        meta = yield from self.client._meta(gaddr, span_op=span_op)
         offset = self._word_offset(meta.lock_idx)
         start = self.sim.now
         attempt = 0
@@ -332,9 +335,10 @@ class LockOps:
             yield from self._contention_wait(attempt, timeout_ns)
             attempt += 1
 
-    def release_read(self, gaddr: int) -> Generator[Any, Any, None]:
+    def release_read(self, gaddr: int,
+                     span_op: int = 0) -> Generator[Any, Any, None]:
         """Drop a shared lock."""
-        meta = yield from self.client._meta(gaddr)
+        meta = yield from self.client._meta(gaddr, span_op=span_op)
         old = yield from self.client._atomic_faa(
             meta.server_id, self._word_offset(meta.lock_idx), add=_MINUS_READER
         )

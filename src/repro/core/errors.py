@@ -59,20 +59,6 @@ class FatalError(ClientError):
     protocol state."""
 
 
-class RingSaturatedError(FatalError):
-    """A control-plane attach would overcommit a fixed-depth RPC receive
-    pool (``rpc_ring_slots`` set to an integer, one posted receive per
-    attached QP already claims every slot).
-
-    Fatal rather than retryable: with elastic pools disabled the ring
-    cannot grow, so admitting the QP would leave the fleet one receive
-    short and wedge under concurrent load — the classic silent >=16-client
-    deadlock this error replaces.  The fixes are config-side: leave
-    ``rpc_ring_slots="auto"`` (the default) or raise the fixed depth
-    above the planned QP fanout.
-    """
-
-
 class RetryableError(ClientError):
     """A transient failure: retrying the operation (possibly after a
     re-attach) may succeed."""

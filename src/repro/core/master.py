@@ -19,7 +19,6 @@ from repro.core.addressing import server_of
 from repro.core.allocator import ExtentAllocator, OutOfMemory, PoolAllocationPolicy
 from repro.core.config import GengarConfig
 from repro.core.directory import Directory
-from repro.core.errors import RingSaturatedError
 from repro.core.hotness import EpochDecayPolicy, NeverCachePolicy
 from repro.core.layout import DramCarver
 from repro.core.protocol import (
@@ -32,12 +31,10 @@ from repro.core.protocol import (
     ServerDescriptor,
     proxy_payload_capacity,
 )
-from repro.rdma.rpc import RpcError, RpcServer
+from repro.rdma.rpc import DEFAULT_RING_SLOTS, RpcError, RpcServer
 from repro.sim.trace import trace
 
-#: RPC buffer size; ring depth comes from GengarConfig
-#: (``rpc_initial_ring_slots``), the single source of truth shared with
-#: servers and clients.
+#: RPC buffer size; every ring starts at ``DEFAULT_RING_SLOTS`` deep.
 _RPC_BUFFER_SIZE = 4096
 
 
@@ -118,16 +115,14 @@ class Master:
         self._policies: Dict[int, Any] = {}
 
         carver = DramCarver(node.dram)
-        rpc_slots = config.rpc_initial_ring_slots
-        rpc_base = carver.carve(2 * rpc_slots * _RPC_BUFFER_SIZE, "rpc")
+        rpc_base = carver.carve(
+            2 * DEFAULT_RING_SLOTS * _RPC_BUFFER_SIZE, "rpc")
         self._carver = carver
         self.rpc = RpcServer(
             node.endpoint, node.dram, base=rpc_base,
-            num_buffers=rpc_slots, buffer_size=_RPC_BUFFER_SIZE,
-            name=f"{node.name}.rpc",
-            grow_cb=(lambda nbytes: carver.carve(nbytes, "rpc-grow"))
-            if config.rpc_elastic else None,
-            credits=config.rpc_credits,
+            buffer_size=_RPC_BUFFER_SIZE, name=f"{node.name}.rpc",
+            grow_cb=lambda nbytes: carver.carve(nbytes, "rpc-grow"),
+            credits=True,
         )
         self._client_uids: Dict[str, int] = {}
         self._next_uid = 1
@@ -252,18 +247,7 @@ class Master:
 
         ``peer`` (the client's node name) enables slot reclamation when the
         lease sweep later fences that client.
-
-        With elastic pools disabled (``rpc_ring_slots`` fixed), an attach
-        that would claim the last free receive slot is rejected up front:
-        a fully-committed fixed ring wedges silently under concurrent
-        load, and a typed error at attach time beats a deadlock mid-run.
         """
-        if self.rpc.would_overcommit():
-            raise RingSaturatedError(
-                f"{self.node.name}: fixed RPC receive pool "
-                f"({self.rpc.pool_stats()['capacity']} slots) cannot admit "
-                f"another control QP; use rpc_ring_slots='auto' or raise "
-                f"the fixed depth")
         self.rpc.serve(qp, peer=peer)
 
     def _corack_servers(self, client_name: str) -> list:
@@ -277,8 +261,8 @@ class Master:
 
     def carve_rpc_span(self) -> int:
         """Reserve master DRAM for one outbound RPC client's buffer rings."""
-        slots = self.config.rpc_initial_ring_slots
-        return self._carver.carve(2 * slots * _RPC_BUFFER_SIZE, "rpc-client")
+        return self._carver.carve(
+            2 * DEFAULT_RING_SLOTS * _RPC_BUFFER_SIZE, "rpc-client")
 
     def start_planner(self) -> None:
         """Launch the periodic promotion/demotion planner (and, on shard 0

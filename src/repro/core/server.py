@@ -26,7 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover
 from repro.core.addressing import make_gaddr, offset_of, server_of
 from repro.core.allocator import ExtentAllocator, OutOfMemory
 from repro.core.config import GengarConfig
-from repro.core.errors import RingSaturatedError
 from repro.core.layout import DramCarver
 from repro.core.protocol import (
     CACHE_TAG_BYTES,
@@ -44,7 +43,7 @@ from repro.core.protocol import (
     unpack_proxy_header,
 )
 from repro.rdma.mr import AccessFlags
-from repro.rdma.rpc import RpcServer
+from repro.rdma.rpc import DEFAULT_RING_SLOTS, RpcServer
 from repro.sim.trace import trace
 
 
@@ -67,8 +66,8 @@ class _ClientRing:
     client: str = ""  # owning client's name (span/trace attribution)
 
 
-#: RPC buffer size for control traffic (attach/promote/demote); ring depth
-#: comes from GengarConfig (``rpc_initial_ring_slots``).
+#: RPC buffer size for control traffic (attach/promote/demote); every ring
+#: starts at ``DEFAULT_RING_SLOTS`` deep.
 _RPC_BUFFER_SIZE = 4096
 
 
@@ -172,18 +171,16 @@ class MemoryServer:
         carver = DramCarver(node.dram)
         self._carver = carver
 
-        # Control plane.  With rpc_ring_slots="auto" the receive/response
-        # rings form an elastic shared pool that grows with attached QPs,
-        # carving further DRAM chunks on demand.
-        rpc_slots = config.rpc_initial_ring_slots
-        rpc_base = carver.carve(2 * rpc_slots * _RPC_BUFFER_SIZE, "rpc")
+        # Control plane.  The receive/response rings form an elastic shared
+        # pool that grows with attached QPs, carving further DRAM chunks on
+        # demand.
+        rpc_base = carver.carve(
+            2 * DEFAULT_RING_SLOTS * _RPC_BUFFER_SIZE, "rpc")
         self.rpc = RpcServer(
             node.endpoint, node.dram, base=rpc_base,
-            num_buffers=rpc_slots, buffer_size=_RPC_BUFFER_SIZE,
-            name=f"{node.name}.rpc",
-            grow_cb=(lambda nbytes: carver.carve(nbytes, "rpc-grow"))
-            if config.rpc_elastic else None,
-            credits=config.rpc_credits,
+            buffer_size=_RPC_BUFFER_SIZE, name=f"{node.name}.rpc",
+            grow_cb=lambda nbytes: carver.carve(nbytes, "rpc-grow"),
+            credits=True,
         )
         self.rpc.register("promote", self._handle_promote)
         self.rpc.register("demote", self._handle_demote)
@@ -336,18 +333,7 @@ class MemoryServer:
 
         ``peer`` (the remote's node name) enables slot reclamation for that
         connection when the peer is later fenced or crashes.
-
-        With elastic pools disabled (``rpc_ring_slots`` fixed), an attach
-        that would claim the last free receive slot is rejected up front:
-        a fully-committed fixed ring wedges silently under concurrent
-        load, and a typed error at attach time beats a deadlock mid-run.
         """
-        if self.rpc.would_overcommit():
-            raise RingSaturatedError(
-                f"{self.node.name}: fixed RPC receive pool "
-                f"({self.rpc.pool_stats()['capacity']} slots) cannot admit "
-                f"another control QP; use rpc_ring_slots='auto' or raise "
-                f"the fixed depth")
         self.rpc.serve(qp, peer=peer)
 
     # ------------------------------------------------------------------

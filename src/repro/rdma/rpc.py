@@ -16,8 +16,8 @@ occupancy pressure on the response side), and shrinks again after idle
 epochs.  Credit-based flow control rides the reply envelope's immediate
 data: the server piggybacks a receive-credit grant on every response, and
 clients block new sends at zero credits instead of silently overrunning the
-ring.  Both mechanisms are pay-as-you-go — a fixed-size ring with credits
-off executes the exact legacy event sequence.
+ring.  Both are constructor opt-ins (``grow_cb``, ``credits``): a pool
+always wires them, a bare server without a DRAM carver runs fixed rings.
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ def _req_ids_for(sim):
 #: bulk data clearly does not belong on this path.
 DEFAULT_BUFFER_SIZE = 4096
 
-#: Default ring depth — the single source of truth for the historical 16-slot
-#: rings (GengarConfig derives both server and client sizing from this, so
-#: the two sides can never silently disagree).
+#: Default (and, for an elastic server pool, initial) ring depth — the
+#: single source of truth for both sides of every control connection, so
+#: the two can never silently disagree.
 DEFAULT_RING_SLOTS = 16
 
 #: Hard ceiling on elastic growth: a runaway producer can at most double a
@@ -359,17 +359,6 @@ class RpcServer:
             self._recv_ring.ensure_capacity(needed)
             self._resp_ring.ensure_capacity(needed)
         self.sim.spawn(self._serve_loop(qp), name=f"{self.name}.loop")
-
-    def would_overcommit(self) -> bool:
-        """True if admitting one more QP would exceed a *fixed* receive pool.
-
-        Elastic pools never overcommit (``serve`` grows them ahead of the
-        QP count); a fixed pool with every slot claimed by an attached QP
-        would wedge under concurrent load, so callers should reject the
-        attach instead (see ``repro.core.errors.RingSaturatedError``).
-        """
-        ring = self._recv_ring
-        return (not ring.elastic) and len(self._qps) + 1 > ring.capacity
 
     def reclaim_peer(self, peer: str) -> bool:
         """Return a dead peer's posted receive slot to the shared pool.

@@ -121,7 +121,8 @@ class Transaction:
             # constraint, so it is deliberately not recorded.
             return bytes(buffered)
         client = self.manager.client
-        data = yield from client._gread_traced(gaddr, offset, length)
+        data = yield from client._op("gread", gaddr, offset, length,
+                                     history=False)
         hist = client.sim.history
         if hist is not None:
             tok = hist.invoke(client.name, "txn_read", gaddr, txn=self.id,
@@ -196,8 +197,7 @@ class TxnManager:
         rkey = self._stamp_rkeys.get(server_id)
         if rkey is None:
             reply = yield from self.client._resilient(
-                "txn_desc",
-                lambda: self._server_call(server_id, "txn_desc", {}))
+                "txn_desc", self._server_call, server_id, "txn_desc", {})
             rkey = reply["stamp_rkey"]
             self._stamp_rkeys[server_id] = rkey
         return rkey
@@ -354,8 +354,7 @@ class TxnManager:
         # the resilience engine (renew probe) first; only the terminal
         # verdict aborts.
         try:
-            yield from client._resilient(
-                "txn_validate", lambda: self._validate_epoch())
+            yield from client._resilient("txn_validate", self._validate_epoch)
         except FencedError as exc:
             self._abort_cleanup(txn, exc, write_toks)
             raise TxnAbortedError(
@@ -375,9 +374,8 @@ class TxnManager:
                   "epoch": client.fence_epoch, "writes": writes}
         try:
             yield from client._resilient(
-                "txn_intent",
-                lambda: self._server_call(coordinator, "txn_intent_put",
-                                          intent))
+                "txn_intent", self._server_call, coordinator,
+                "txn_intent_put", intent)
         except FencedError as exc:
             self._abort_cleanup(txn, exc, write_toks)
             raise TxnAbortedError(
@@ -417,9 +415,8 @@ class TxnManager:
         for sid in sorted(by_server):
             try:
                 yield from client._resilient(
-                    "txn_apply",
-                    lambda sid=sid: self._server_call(
-                        sid, "txn_apply", {"writes": by_server[sid]}))
+                    "txn_apply", self._server_call, sid, "txn_apply",
+                    {"writes": by_server[sid]})
             except FencedError:
                 # Past the commit point a fence is a hand-off, not a
                 # failure: the master's sweep rolls the intent forward.
@@ -432,9 +429,8 @@ class TxnManager:
         if not handed_off:
             try:
                 yield from client._resilient(
-                    "txn_clear",
-                    lambda: self._server_call(coordinator, "txn_intent_clear",
-                                              {"txn": txn.id}))
+                    "txn_clear", self._server_call, coordinator,
+                    "txn_intent_clear", {"txn": txn.id})
             except FencedError:
                 handed_off = True
         self._hook("post-clear", txn)

@@ -91,12 +91,14 @@ def bank_read_balances(client,
                        gaddrs: Sequence[int]) -> Generator[Any, Any, Dict[int, int]]:
     """Read every balance outside any transaction (audit helper).
 
-    Uses the untraced read path so the audit itself doesn't pollute a
-    recorded history with single-register reads of txn-managed keys.
+    Uses the op driver's no-history entry so the audit itself doesn't
+    pollute a recorded history with single-register reads of txn-managed
+    keys.
     """
     balances: Dict[int, int] = {}
     for gaddr in gaddrs:
-        raw = yield from client._gread_traced(gaddr, 0, BALANCE_BYTES)
+        raw = yield from client._op("gread", gaddr, 0, BALANCE_BYTES,
+                                    history=False)
         balances[gaddr] = decode_balance(raw)
     return balances
 

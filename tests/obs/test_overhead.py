@@ -2,9 +2,10 @@
 
 Three properties are pinned here:
 
-1. With instrumentation off (``sim.spans is None``, ``sim.tracer is None``)
-   the hot paths never construct a Span, call SpanRecorder.record, or build
-   a trace message — proven by making all three explode and running anyway.
+1. With instrumentation off (``sim.spans is None``, ``sim.tracer is None``,
+   ``sim.history is None``) the hot paths never construct a Span, call
+   SpanRecorder.record, build a trace message, or touch a HistoryRecorder —
+   proven by making all of them explode and running anyway.
 2. Installing the span recorder does not move virtual time: the simulation
    schedule is bit-identical with and without instrumentation.
 3. The uninstrumented small-YCSB virtual time matches the committed
@@ -52,10 +53,14 @@ def _boom(*args, **kwargs):
 def test_disabled_path_never_builds_spans_or_trace_strings(monkeypatch):
     monkeypatch.setattr("repro.obs.spans.Span.__init__", _boom)
     monkeypatch.setattr("repro.obs.spans.SpanRecorder.record", _boom)
+    monkeypatch.setattr("repro.obs.spans.SpanRecorder.next_op", _boom)
+    for hook in ("invoke", "ok", "fail", "info", "encode"):
+        monkeypatch.setattr(f"repro.check.history.HistoryRecorder.{hook}",
+                            _boom)
     for mod in TRACE_CONSUMERS:
         monkeypatch.setattr(f"{mod}.trace", _boom)
     sim, result = _run_ycsb(instrument=False)
-    assert sim.spans is None and sim.tracer is None
+    assert sim.spans is None and sim.tracer is None and sim.history is None
     assert result.total_ops == 160
 
 

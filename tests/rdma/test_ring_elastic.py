@@ -7,13 +7,9 @@ Covers the PROTOCOLS.md §12 mechanisms at three levels:
 * ``RpcServer``/``RpcClient`` protocol behaviour — structural growth as
   QPs attach, zero-credit backpressure, crash-mid-credit reclamation and
   re-attach over the same QP;
-* the pinned scale regressions — the historical >=16-client wedge must
-  stay fixed (structurally, capacity always exceeds the QP count), and a
-  fixed-depth pool must fail the overcommitting attach with a typed
-  error instead of wedging later.
+* the pinned scale regression — the historical >=16-client wedge must
+  stay fixed (structurally, capacity always exceeds the QP count).
 """
-
-import pytest
 
 from repro.rdma import connect
 from repro.rdma.rpc import RpcClient, RpcServer, _BufferRing, _CreditGate
@@ -268,17 +264,3 @@ def test_concurrent_32_client_ycsb_completes():
     # No slot leak: after quiesce each live serve loop holds exactly its
     # one posted receive.
     assert stats["outstanding"] == stats["qps"] - stats["parked"]
-
-
-def test_fixed_ring_overcommit_raises_typed_error():
-    from dataclasses import replace
-
-    from repro.baselines.common import build_system
-    from repro.core.errors import RingSaturatedError
-
-    sim = Simulator(seed=17)
-    with pytest.raises(RingSaturatedError):
-        build_system(
-            "gengar", sim, num_servers=2, num_clients=8,
-            config_overrides=lambda c: replace(c, rpc_ring_slots=4,
-                                               rpc_credits=False))
