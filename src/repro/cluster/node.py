@@ -64,9 +64,11 @@ class Node:
         """Occupy one core for ``duration_ns`` (default: the per-op cost)."""
         if duration_ns is None:
             duration_ns = self.spec.cpu_op_ns
-        with (yield self._cpu.request()):
-            if duration_ns > 0:
-                yield duration_ns
+        if duration_ns > 0:
+            yield (self._cpu, duration_ns)
+        else:
+            with (yield self._cpu):
+                pass  # a turn at a core, and no delay queued
 
     @property
     def cpu_utilized(self) -> int:

@@ -275,8 +275,12 @@ class GengarPool:
         proc = self.sim.spawn(standby.recovery_process(rebuild=rebuild),
                               name="master1.promote")
         # The promoted standby is the pool's master from here on (the old
-        # incumbent object stays alive — and fenced — for inspection).
+        # incumbent object stays alive — and fenced — for inspection).  It
+        # stands by for shard 0, so ``masters[0] is master`` keeps holding:
+        # a later MasterCrash(shard=0) must hit the promoted master, not
+        # resurrect the deposed one.
         self.master, self.standby = standby, self.master
+        self.masters[0] = standby
         return proc
 
     def reshard(self, server_id: int, to_shard: int) -> None:

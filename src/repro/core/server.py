@@ -558,7 +558,7 @@ class MemoryServer:
         """
         lock_idx = request["lock_idx"]
         yield from self.node.cpu_work()
-        with (yield self.node.endpoint.atomic_gate.request()):
+        with (yield self.node.endpoint.atomic_gate):
             prior = self.lock_mr.read_u64(lock_idx * 8)
             yield from self.lock_mr.write(lock_idx * 8, (0).to_bytes(8, "little"))
         return prior
@@ -580,7 +580,7 @@ class MemoryServer:
         lock_idx, owner = request["lock_idx"], request["owner"]
         epoch = request.get("epoch")
         yield from self.node.cpu_work()
-        with (yield self.node.endpoint.atomic_gate.request()):
+        with (yield self.node.endpoint.atomic_gate):
             word = self.lock_mr.read_u64(lock_idx * 8)
             if not (lock_is_write_locked(word) and lock_owner(word) == owner):
                 return False
@@ -606,7 +606,7 @@ class MemoryServer:
         lock_idx = request["lock_idx"]
         known = set(request["known"])
         yield from self.node.cpu_work()
-        with (yield self.node.endpoint.atomic_gate.request()):
+        with (yield self.node.endpoint.atomic_gate):
             word = self.lock_mr.read_u64(lock_idx * 8)
             if not lock_is_write_locked(word):
                 return 0

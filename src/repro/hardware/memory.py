@@ -136,8 +136,7 @@ class MemoryDevice:
         start = self.sim.now
         self.queue_depth.adjust(+1)
         try:
-            with (yield self._channels.request()):
-                yield self.read_service_time(nbytes)
+            yield (self._channels, self.read_service_time(nbytes))
         finally:
             self.queue_depth.adjust(-1)
         self.bytes_read.add(nbytes)
@@ -151,8 +150,7 @@ class MemoryDevice:
         start = self.sim.now
         self.queue_depth.adjust(+1)
         try:
-            with (yield self._channels.request()):
-                yield self.write_service_time(nbytes)
+            yield (self._channels, self.write_service_time(nbytes))
         finally:
             self.queue_depth.adjust(-1)
         self._data.write(offset, payload)

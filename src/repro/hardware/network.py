@@ -186,25 +186,21 @@ class Fabric:
             up = self._core_up[self._rack_of[src]]
             down = self._core_down[self._rack_of[dst]]
             core_time = max(1, round(wire_bytes / self._core_bandwidth))
-            with (yield egress.gate.request()):
-                yield self.wire_time(nbytes)
-                egress.bytes_moved += wire_bytes
-            with (yield up.gate.request()):
-                with (yield down.gate.request()):
-                    yield core_time
-                    up.bytes_moved += wire_bytes
-                    down.bytes_moved += wire_bytes
-            with (yield ingress.gate.request()):
-                yield self.wire_time(nbytes)
-                ingress.bytes_moved += wire_bytes
+            yield (egress.gate, self.wire_time(nbytes))
+            egress.bytes_moved += wire_bytes
+            with (yield up.gate):
+                yield (down.gate, core_time)
+            up.bytes_moved += wire_bytes
+            down.bytes_moved += wire_bytes
+            yield (ingress.gate, self.wire_time(nbytes))
+            ingress.bytes_moved += wire_bytes
             yield self.spec.propagation_ns + self._core_hop_ns + extra_ns
             self.inter_rack_messages.add()
         else:
-            with (yield egress.gate.request()):
-                with (yield ingress.gate.request()):
-                    yield self.wire_time(nbytes)
-                    egress.bytes_moved += wire_bytes
-                    ingress.bytes_moved += wire_bytes
+            with (yield egress.gate):
+                yield (ingress.gate, self.wire_time(nbytes))
+            egress.bytes_moved += wire_bytes
+            ingress.bytes_moved += wire_bytes
             yield self.spec.propagation_ns + extra_ns
         self.messages.add()
         self.payload_bytes.add(nbytes)

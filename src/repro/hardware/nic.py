@@ -52,14 +52,12 @@ class Nic:
     def tx_process(self) -> Generator[Any, Any, None]:
         """Pay the initiator-side cost of posting one work element."""
         yield from self._msg_limiter.consume(1.0)
-        with (yield self._tx.request()):
-            yield self.spec.processing_ns
+        yield (self._tx, self.spec.processing_ns)
         self.tx_messages.add()
 
     def rx_process(self) -> Generator[Any, Any, None]:
         """Pay the responder-side cost of handling one inbound packet."""
-        with (yield self._rx.request()):
-            yield self.spec.processing_ns
+        yield (self._rx, self.spec.processing_ns)
         self.rx_messages.add()
 
     def __repr__(self) -> str:  # pragma: no cover

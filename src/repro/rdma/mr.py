@@ -88,15 +88,16 @@ class MemoryRegion:
     # Timed access (device queuing applies) — used for DMA on data paths.
     # ------------------------------------------------------------------
     def read(self, offset: int, nbytes: int, need: AccessFlags = AccessFlags.LOCAL) -> Generator[Any, Any, bytes]:
-        """Timed read of ``nbytes`` at region offset ``offset``."""
+        """Timed read of ``nbytes`` at region offset ``offset``: checked here,
+        then the device's own generator (``yield from mr.read(...)``)."""
         self.check(offset, nbytes, need)
-        data = yield from self.device.read(self.base + offset, nbytes)
-        return data
+        return self.device.read(self.base + offset, nbytes)
 
     def write(self, offset: int, payload: bytes, need: AccessFlags = AccessFlags.LOCAL) -> Generator[Any, Any, None]:
-        """Timed write of ``payload`` at region offset ``offset``."""
+        """Timed write of ``payload`` at region offset ``offset``: checked
+        here, then the device's own generator."""
         self.check(offset, len(payload), need)
-        yield from self.device.write(self.base + offset, payload)
+        return self.device.write(self.base + offset, payload)
 
     # ------------------------------------------------------------------
     # Untimed access — for setup, assertions, and costs accounted elsewhere.

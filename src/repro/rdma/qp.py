@@ -195,7 +195,7 @@ class QueuePair:
         # ---- Initiator phase: gather payload, inject into the fabric -----
         payload: bytes = b""
         request_wire_bytes = 0
-        with (yield self._send_gate.request()):
+        with (yield self._send_gate):
             yield from local.nic.tx_process()
             try:
                 payload = yield from self._gather_payload(wr)
@@ -214,11 +214,9 @@ class QueuePair:
             return
         yield from remote_ep.nic.rx_process()
         try:
-            response_bytes = yield from self._apply_at_target(wr, payload, remote_ep, done)
+            response_bytes = yield from self._apply_at_target(wr, payload, remote_ep)
         except _RemoteFault as fault:
             self._complete(wr, done, fault.status)
-            return
-        if done.triggered:  # _apply_at_target completed with an error
             return
 
         # ---- Response / ack phase ----------------------------------------
@@ -266,7 +264,7 @@ class QueuePair:
         return len(payload)
 
     def _apply_at_target(
-        self, wr: WorkRequest, payload: bytes, remote_ep: "RdmaEndpoint", done: Event
+        self, wr: WorkRequest, payload: bytes, remote_ep: "RdmaEndpoint"
     ) -> Generator[Any, Any, tuple[int, bytes]]:
         """Execute the target-side effect; returns (response_wire_bytes, data)."""
         if wr.opcode is Opcode.SEND:
@@ -338,7 +336,7 @@ class QueuePair:
             except MrError:
                 raise _RemoteFault(WcStatus.REMOTE_ACCESS_ERROR) from None
             # The target NIC serializes atomics; model with a per-endpoint gate.
-            with (yield remote_ep.atomic_gate.request()):
+            with (yield remote_ep.atomic_gate):
                 old_bytes = yield from mr.read(
                     wr.remote_offset, ATOMIC_OPERAND_BYTES, need=AccessFlags.REMOTE_ATOMIC
                 )

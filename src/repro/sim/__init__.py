@@ -8,14 +8,17 @@ small, dependency-free engine in the style of SimPy:
 * :class:`~repro.sim.primitives.Event` / :class:`~repro.sim.primitives.Timeout`
   — waitable primitives yielded by process generators.
 * :class:`~repro.sim.resources.Resource`, :class:`~repro.sim.resources.Store`,
-  :class:`~repro.sim.resources.FifoChannel` — contention primitives.
+  :class:`~repro.sim.resources.TokenBucket` — contention primitives.
 * :mod:`~repro.sim.stats` — streaming metrics (counters, histograms).
 * :mod:`~repro.sim.rng` — named deterministic random streams.
 
-Processes are plain Python generators that ``yield`` waitables — or a bare
-``int``, a delay in nanoseconds — and the kernel resumes them when the
-waitable fires or the delay is over.  All simulated time is kept as integer
-nanoseconds so long runs never accumulate floating-point drift.
+Processes are plain Python generators.  What one may ``yield``: an event;
+a bare ``int``, a delay in nanoseconds; a ``Resource``, a wait for one of its
+slots (``with (yield resource):``); or a ``(resource, ns)`` pair, a slot
+taken, kept ``ns`` nanoseconds and given back.  Only the first creates an
+object; for the rest the kernel queues the process's own wake-up.  All
+simulated time is kept as integer nanoseconds so long runs never accumulate
+floating-point drift.
 """
 
 from repro.sim.kernel import Simulator, Process, SimulationError
@@ -26,10 +29,9 @@ from repro.sim.primitives import (
     Interrupt,
     Timeout,
 )
-from repro.sim.resources import FifoChannel, Resource, Store, TokenBucket
+from repro.sim.resources import Resource, Store, TokenBucket
 from repro.sim.rng import RngRegistry
 from repro.sim.stats import Counter, Histogram, MetricRegistry, TimeWeightedStat
-from repro.sim.sync import Barrier, Mutex, Semaphore
 from repro.sim.trace import TraceEvent, Tracer, trace
 from repro.sim.units import KIB, MIB, GIB, US, MS, SEC, gbps_to_bytes_per_ns
 
@@ -44,12 +46,8 @@ __all__ = [
     "AnyOf",
     "Resource",
     "Store",
-    "FifoChannel",
     "TokenBucket",
     "RngRegistry",
-    "Barrier",
-    "Semaphore",
-    "Mutex",
     "Tracer",
     "TraceEvent",
     "trace",

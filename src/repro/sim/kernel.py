@@ -19,10 +19,12 @@ freshly queued wake-up would take — and is woken through the queue
 otherwise.  Every run with the same seed is bit-for-bit reproducible.
 
 :class:`Process` adapts a Python generator into the event system.  A
-process may yield two things: an :class:`~repro.sim.primitives.Event` (or a
+process may yield four things: an :class:`~repro.sim.primitives.Event` (or a
 ``Process``, which is itself an event that fires when the generator
-returns), or a non-negative ``int`` — a wait of that many virtual
-nanoseconds, for which the kernel queues the process's own wake-up and
+returns); a non-negative ``int`` — a wait of that many virtual nanoseconds;
+a :class:`~repro.sim.resources.Resource` — a wait for one of its slots; or a
+``(resource, ns)`` pair — a slot taken, kept ``ns`` nanoseconds and given
+back.  For the last three the kernel queues the process's own wake-up and
 creates no event at all.  ``sim.timeout(n)`` is the timer *event*, for waits
 that are stored, composed into ``all_of``/``any_of`` or carry a value.
 
@@ -47,6 +49,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional, Sequence, Union
 
 from repro.sim.primitives import _PENDING, Event, Interrupt, Timeout
+from repro.sim.resources import Resource
 
 
 class SimulationError(RuntimeError):
@@ -59,7 +62,7 @@ class SimulationError(RuntimeError):
 _INLINE_RUN_MAX = 64
 
 #: The generator type a process function must return.
-ProcessGenerator = Generator[Union[Event, int], Any, Any]
+ProcessGenerator = Generator[Union[Event, int, Resource, tuple], Any, Any]
 
 
 class Process(Event):
@@ -75,9 +78,17 @@ class Process(Event):
     the kernel appends this process's wake-up entry to the bucket at
     ``now + n`` — so it can be neither stored nor composed nor given a
     value; ``sim.timeout(n)`` is the event for that.
+
+    It may also yield a :class:`Resource` — the resource is sent back once a
+    slot is this process's, to be released by ``with`` — or a
+    ``(resource, ns)`` pair, for which the kernel takes the slot, keeps it
+    ``ns`` nanoseconds and releases it before the generator resumes.  Both
+    queue this process's own entry exactly where a request event would have
+    queued its dispatch (``docs/KERNEL.md``, "What a process may yield").
     """
 
-    __slots__ = ("_generator", "_send", "_waiting_on", "_wake", "_epoch", "_entry")
+    __slots__ = ("_generator", "_send", "_waiting_on", "_wake", "_epoch", "_entry",
+                 "_slot", "_holding")
 
     def __init__(self, sim: "Simulator", generator: ProcessGenerator, name: str = "",
                  _defer: bool = False):
@@ -100,6 +111,12 @@ class Process(Event):
         # recognisably stale.  One entry object serves every wait in between.
         self._epoch = 0
         self._entry = (self._wake, (0,))
+        # A wait for a slot that the kernel owns: the yielded ``Resource`` or
+        # ``(resource, ns)`` pair while this process is parked in the
+        # resource's queue or its grant entry is queued; the resource alone,
+        # with ``_holding`` set, during the delay of a timed hold.
+        self._slot: Any = None
+        self._holding = False
         if not _defer:
             # Kick off the first step from the loop, not inline.  Inlined
             # sim.schedule(0, ...) — spawn is hot.
@@ -132,28 +149,80 @@ class Process(Event):
         if not self.is_alive:
             return
         # Whatever wake-up is outstanding is stale from here on: a queued
-        # delay entry carries the old epoch, an event's callback will find
-        # _waiting_on no longer matches.  A bare delay has nothing to abandon.
+        # delay or grant entry carries the old epoch, an event's callback will
+        # find _waiting_on no longer matches.  A bare delay has nothing to
+        # abandon.
         epoch = self._epoch = self._epoch + 1
         self._entry = (self._wake, (epoch,))
         waited, self._waiting_on = self._waiting_on, None
         if waited is not None:
             waited._abandon()
+        slot = self._slot
+        if slot is not None:
+            # The kernel, not the generator, owns this wait for a slot.
+            self._slot = None
+            if self._holding:
+                # Inside a timed hold: give the slot back first, where
+                # ``__exit__`` ran as the exception left the ``with``.
+                self._holding = False
+                slot.release()
+            else:
+                res = slot if slot.__class__ is Resource else slot[0]
+                try:
+                    res._queue.remove(self)  # parked: no slot to give back
+                except ValueError:
+                    res.release()  # granted, the grant entry not yet run
         self._resume(epoch, Interrupt(cause))
+
+    def _bad_yield(self, problem: str) -> None:
+        self._generator.close()
+        self.fail(SimulationError(problem))
 
     # ------------------------------------------------------------------
     def _resume(self, token: Any, exc: Optional[BaseException] = None) -> None:
-        """The one way a process runs: first step, timer, event, interrupt.
+        """The one way a process runs: first step, timer, slot, event,
+        interrupt.
 
-        ``token`` says which wait is over: the epoch of a queued delay entry,
-        or the event this was registered on.  ``exc`` is thrown into the
+        ``token`` says which wait is over: the epoch of this process's own
+        queued entry (a delay, a granted slot, the end of a timed hold), or
+        the event this was registered on.  ``exc`` is thrown into the
         generator instead of a value being sent.
         """
+        sim = self.sim
         if token.__class__ is int:
             if token != self._epoch:
-                return  # a delay the process was interrupted out of
-            value = None
+                return  # a wait the process was interrupted out of
             inline = _INLINE_RUN_MAX
+            value = self._slot  # None: a plain delay is over
+            if value is not None:
+                if self._holding:
+                    # The end of a timed hold.  The slot goes back before the
+                    # generator runs: to the next parked process, whose grant
+                    # entry takes its place in this instant, or to the pool.
+                    self._holding = False
+                    self._slot = None
+                    parked = value._queue
+                    if parked:
+                        sim._buckets[sim.now].append(parked.popleft()._entry)
+                    else:
+                        value._in_use -= 1
+                    value = None
+                elif value.__class__ is tuple:
+                    # The grant of a timed hold: the hold starts now, and the
+                    # generator sleeps through it.
+                    self._slot, ns = value
+                    self._holding = True
+                    buckets = sim._buckets
+                    t = sim.now + ns
+                    b = buckets.get(t)
+                    if b is None:
+                        buckets[t] = [self._entry]
+                        heappush(sim._instants, t)
+                    else:
+                        b.append(self._entry)
+                    return
+                else:
+                    self._slot = None  # a bare grant: the resource is sent
         else:
             if self._waiting_on is not token:
                 return  # stale wake-up after an interrupt
@@ -165,7 +234,6 @@ class Process(Event):
             inline = _INLINE_RUN_MAX if token._more is None else 0
         if self._value is not _PENDING or self._exception is not None:
             return  # process already finished (completed from outside)
-        sim = self.sim
         send = self._send
         if exc is not None:
             # A throw never continues inline: it registers, as it always did.
@@ -181,53 +249,99 @@ class Process(Event):
                     raise
                 self.fail(step_exc)
                 return
-            if target.__class__ is int:
+            cls = target.__class__
+            if cls is int:
                 if target < 0:
                     send, value, inline = self._generator.throw, ValueError(
                         f"cannot wait a negative delay ({target})"), 0
                     continue
-                # Inlined sim.schedule(target, self._resume, epoch).
-                buckets = sim._buckets
                 t = sim.now + target
-                b = buckets.get(t)
-                if b is None:
-                    buckets[t] = [self._entry]
-                    heappush(sim._instants, t)
-                else:
-                    b.append(self._entry)
-                return
-            try:
-                foreign = target.sim is not sim
-                cb1 = target._cb1
-            except AttributeError:
-                self._generator.close()
-                self.fail(SimulationError(
-                    f"process {self.name!r} yielded {target!r}; processes may "
-                    "only yield Event instances or non-negative int delays"))
-                return
-            if foreign:
-                self._generator.close()
-                self.fail(SimulationError("yielded event belongs to another simulator"))
-                return
-            if cb1 is None:
-                if target._value is _PENDING:
-                    if target._exception is None:
-                        # The common case: sole waiter on a pending event.
-                        self._waiting_on = target
-                        target._cb1 = self._wake
-                        return
-                elif (inline and not target._scheduled
-                        and not sim._entries.__length_hint__()):
-                    # The wait is already over, nobody else waits on it and
-                    # the running dispatch is the last entry of this instant:
-                    # "append a zero-delay dispatch and return to the loop"
-                    # and "keep going" are the same schedule.  Keep going.
+            elif cls is Resource:
+                if target.sim is not sim:
+                    return self._bad_yield("yielded resource belongs to another simulator")
+                if target._in_use >= target.capacity:
+                    target._queue.append(self)
+                    self._slot = target
+                    return
+                target._in_use += 1
+                if inline and not sim._entries.__length_hint__():
+                    # A free slot at the tail of the instant: keep going.
                     inline -= 1
-                    target._processed = True
-                    value = target._value
+                    value = target
                     continue
-            self._waiting_on = target
-            target.add_callback(self._wake)
+                # A free slot elsewhere: the grant entry is this process's
+                # place in line behind what the instant already holds.
+                self._slot = target
+                t = sim.now
+            elif cls is tuple:
+                try:
+                    res, ns = target
+                except ValueError:
+                    res = ns = None
+                if res.__class__ is not Resource or ns.__class__ is not int:
+                    return self._bad_yield(
+                        f"process {self.name!r} yielded {target!r}; a timed hold "
+                        "is a (Resource, int) pair")
+                if res.sim is not sim:
+                    return self._bad_yield("yielded resource belongs to another simulator")
+                if ns < 0:
+                    send, value, inline = self._generator.throw, ValueError(
+                        f"cannot hold a slot for a negative time ({ns})"), 0
+                    continue
+                if res._in_use >= res.capacity:
+                    res._queue.append(self)
+                    self._slot = target
+                    return
+                res._in_use += 1
+                if inline and not sim._entries.__length_hint__():
+                    # A free slot at the tail of the instant: the hold starts
+                    # now, and the next entry is its end.
+                    self._slot = res
+                    self._holding = True
+                    t = sim.now + ns
+                else:
+                    self._slot = target
+                    t = sim.now
+            else:
+                try:
+                    foreign = target.sim is not sim
+                    cb1 = target._cb1
+                except AttributeError:
+                    return self._bad_yield(
+                        f"process {self.name!r} yielded {target!r}; processes may "
+                        "only yield an Event, a non-negative int delay, a Resource "
+                        "or a (Resource, int) timed hold")
+                if foreign:
+                    return self._bad_yield("yielded event belongs to another simulator")
+                if cb1 is None:
+                    if target._value is _PENDING:
+                        if target._exception is None:
+                            # The common case: sole waiter on a pending event.
+                            self._waiting_on = target
+                            target._cb1 = self._wake
+                            return
+                    elif (inline and not target._scheduled
+                            and not sim._entries.__length_hint__()):
+                        # The wait is already over, nobody else waits on it and
+                        # the running dispatch is the last entry of this instant:
+                        # "append a zero-delay dispatch and return to the loop"
+                        # and "keep going" are the same schedule.  Keep going.
+                        inline -= 1
+                        target._processed = True
+                        value = target._value
+                        continue
+                self._waiting_on = target
+                target.add_callback(self._wake)
+                return
+            # Queue this process's own entry at ``t``: the end of a delay or
+            # of a hold that has started, or the grant of a slot taken above.
+            buckets = sim._buckets
+            b = buckets.get(t)
+            if b is None:
+                buckets[t] = [self._entry]
+                heappush(sim._instants, t)
+            else:
+                b.append(self._entry)
             return
 
 

@@ -1,7 +1,8 @@
 """Waitable primitives for simulation processes.
 
 A *process* is a Python generator that yields waitables (or a bare ``int``
-delay, which is the kernel's business and involves nothing from this file).
+delay, a ``Resource`` or a ``(resource, ns)`` hold, which are the kernel's
+business and involve nothing from this file).
 The kernel (:mod:`repro.sim.kernel`) resumes the generator when the yielded
 waitable *triggers*.  The primitives here mirror SimPy's core vocabulary:
 
@@ -57,8 +58,8 @@ class Event:
     *fired*, and the first waiter to arrive schedules the dispatch (or, for a
     process at the tail of the instant, continues inline; see
     ``Process._resume``).  Fast paths that complete an event at
-    birth (``Resource.request``, ``Store.get``/``put``) set ``_value``
-    directly, which is the same state.
+    birth (``Store.get``/``put``) set ``_value`` directly, which is the same
+    state.
     """
 
     __slots__ = ("sim", "_value", "_exception", "_cb1", "_more",
@@ -173,7 +174,7 @@ class Event:
 
     def _abandon(self) -> None:
         """Kernel hook: the process waiting on this event was interrupted
-        away from it.  Queued :mod:`~repro.sim.resources` waits withdraw."""
+        away from it.  A parked ``Store`` ``get``/``put`` withdraws."""
 
     def _dispatch(self) -> None:
         # Mark processed *before* invoking callbacks so late registrations

@@ -1,13 +1,14 @@
-"""Contention primitives: resources, stores, and bandwidth channels.
+"""Contention primitives: resources, stores, and token buckets.
 
 These model the queuing behaviour that makes the hardware models realistic:
 memory channels serve one request at a time, NIC pipelines admit a bounded
-number of in-flight work elements, and links serialize bytes at a fixed rate.
+number of in-flight work elements, and a NIC sustains a finite message rate.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Deque, Generator, Optional
 
 from repro.sim.primitives import _PENDING, Event
@@ -16,75 +17,31 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
 
-class Request(Event):
-    """The event returned by :meth:`Resource.request`.
-
-    Usable as a context manager inside a process so the slot is released even
-    if the process body raises::
-
-        with resource.request() as req:
-            yield req
-            ...critical section...
-    """
-
-    __slots__ = ("resource", "_released")
-
-    def __init__(self, sim: "Simulator", resource: "Resource"):
-        # Event.__init__ inlined: every memory/NIC/channel acquire builds one.
-        self.sim = sim
-        self.name = resource._request_name
-        self._value = _PENDING
-        self._exception = None
-        self._cb1 = None
-        self._more = None
-        self._processed = False
-        self._scheduled = False
-        self.resource = resource
-        self._released = False
-
-    def release(self, *_exc_info: Any) -> None:
-        """Give the slot back (idempotent).  A request that was never
-        granted leaves the queue instead: it has no slot to give."""
-        if self._released:
-            return
-        self._released = True
-        res = self.resource
-        queue = res._queue
-        if self._value is _PENDING:
-            if self in queue:
-                queue.remove(self)
-            return
-        # Hand the slot directly to the next waiter, if any.
-        while queue:
-            nxt = queue.popleft()
-            if nxt._exception is None:  # else failed while queued; skip it
-                nxt.succeed(nxt)
-                return
-        res._in_use -= 1
-        if res._in_use < 0:
-            raise RuntimeError(f"resource {res.name!r} over-released")
-
-    def __enter__(self) -> "Request":
-        return self
-
-    __exit__ = release
-    # The waiting process was interrupted: it will never enter the ``with``.
-    _abandon = release
-
-
 class Resource:
     """A FIFO resource with ``capacity`` identical slots.
 
-    Waiters are granted strictly in request order, which both matches the
+    A process waits for a slot by yielding the resource itself; the kernel
+    sends the resource back once a slot is the process's, and the resource
+    is its own context manager, so the slot is given back even if the body
+    raises::
+
+        with (yield resource):
+            ...critical section...
+
+    Taking a slot, keeping it ``ns`` virtual nanoseconds and giving it back
+    is one yield, ``yield (resource, ns)``: the generator sleeps through the
+    hold and the kernel releases the slot before resuming it.
+
+    Waiters are granted strictly in arrival order, which both matches the
     hardware being modelled (memory channel queues, NIC SQ processing) and
     keeps runs deterministic.
 
-    Invariant: ``in_use + free == capacity`` where ``in_use`` counts exactly
-    the granted, unreleased requests, and every one of those has a live
-    owner.  A request that is released — or whose waiting process is
-    interrupted — before it was granted is dequeued; it never frees or
-    consumes a slot.  (An interrupt thus cancels the request: request again
-    rather than re-yielding it.)
+    Invariant: ``in_use`` counts exactly the slots owned by a live process
+    or by a queued grant entry.  A process interrupted while parked leaves
+    the queue and never frees or consumes a slot; interrupted after the grant
+    but before its entry ran, or inside a timed hold, it gives the slot back
+    before the interrupt is raised in it.  A slot already delivered by a bare
+    ``yield resource`` belongs to the process's own ``with``.
     """
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "resource"):
@@ -93,11 +50,9 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        # Precomputed once: Request construction is on the hot path of every
-        # memory/NIC/channel acquire, so avoid a per-request f-string.
-        self._request_name = f"request({name})"
         self._in_use = 0
-        self._queue: Deque[Request] = deque()
+        #: Parked processes, oldest first (``repro.sim.kernel`` appends).
+        self._queue: Deque[Any] = deque()
 
     @property
     def in_use(self) -> int:
@@ -106,31 +61,32 @@ class Resource:
 
     @property
     def queued(self) -> int:
-        """Requests waiting for a slot."""
+        """Processes waiting for a slot."""
         return len(self._queue)
 
-    def request(self) -> Request:
-        """Ask for a slot; the returned event fires when granted (it is
-        born fired when a slot is free)."""
-        req = Request(self.sim, self)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            req._value = req
-        else:
-            self._queue.append(req)
-        return req
+    def release(self, *_exc_info: Any) -> None:
+        """Give one slot back: straight to the oldest parked process, whose
+        grant entry joins the current instant, or to the pool."""
+        queue = self._queue
+        if queue:
+            sim = self.sim
+            buckets = sim._buckets
+            t = sim.now
+            b = buckets.get(t)
+            if b is None:
+                buckets[t] = [queue.popleft()._entry]
+                heappush(sim._instants, t)
+            else:
+                b.append(queue.popleft()._entry)
+            return
+        if self._in_use < 1:
+            raise RuntimeError(f"resource {self.name!r} over-released")
+        self._in_use -= 1
 
-    def acquire(self) -> Generator[Event, Any, Request]:
-        """Process-style helper: ``req = yield from resource.acquire()``.
+    def __enter__(self) -> "Resource":
+        return self
 
-        Hot paths should prefer the frame-free equivalent
-        ``with (yield resource.request()):`` — the request event succeeds
-        with itself, so yielding it directly delivers the same
-        :class:`Request` without this extra generator.
-        """
-        req = self.request()
-        yield req
-        return req
+    __exit__ = release
 
 
 class _Parked(Event):
@@ -263,42 +219,6 @@ class Store:
                 ev.succeed(None)
 
 
-class FifoChannel:
-    """A byte pipe with finite rate: transfers serialize FIFO.
-
-    Models a link or bus where a transfer of ``n`` bytes occupies the channel
-    for ``n / rate`` ns.  Concurrent transfers queue behind each other, which
-    is exactly the head-of-line behaviour of a physical serial link.
-    """
-
-    def __init__(self, sim: "Simulator", bytes_per_ns: float, name: str = "channel"):
-        if bytes_per_ns <= 0:
-            raise ValueError("rate must be positive")
-        self.sim = sim
-        self.bytes_per_ns = bytes_per_ns
-        self.name = name
-        self._gate = Resource(sim, capacity=1, name=f"{name}.gate")
-        self.bytes_moved = 0
-
-    def busy_time(self, nbytes: int) -> int:
-        """Serialization time for ``nbytes``, at least 1 ns for any payload."""
-        if nbytes <= 0:
-            return 0
-        return max(1, round(nbytes / self.bytes_per_ns))
-
-    def transfer(self, nbytes: int) -> Generator[Event, Any, None]:
-        """Process helper: occupy the channel for the payload's wire time."""
-        with (yield self._gate.request()):
-            if nbytes > 0:
-                yield self.busy_time(nbytes)
-                self.bytes_moved += nbytes
-
-    @property
-    def queued(self) -> int:
-        """Transfers waiting behind the current one."""
-        return self._gate.queued
-
-
 class TokenBucket:
     """Rate limiter with burst capacity, for message-rate caps.
 
@@ -328,7 +248,7 @@ class TokenBucket:
         if tokens > self.burst:
             raise ValueError(f"cannot consume {tokens} > burst {self.burst}")
         # Serialize consumers so arrival order is honoured.
-        with (yield self._gate.request()):
+        with (yield self._gate):
             self._refill()
             if self._tokens < tokens:
                 deficit = tokens - self._tokens

@@ -90,6 +90,21 @@ def test_cpu_work_default_duration():
     assert p.value == 333
 
 
+def test_cpu_work_of_zero_takes_a_turn_at_a_core_and_queues_no_delay():
+    sim = Simulator()
+    cluster = Cluster(sim, ClusterSpec(nodes=(NodeSpec(name="n", nvm=None, cores=1),)))
+    node = cluster.node("n")
+
+    def worker(sim):
+        yield from node.cpu_work(0)
+        return sim.now
+
+    p = sim.spawn(worker(sim))
+    sim.run()
+    assert p.value == 0 and node.cpu_utilized == 0
+    assert sim.total_dispatched == 1  # the first step; the core was free
+
+
 def test_nodes_can_rdma_to_each_other():
     """End-to-end: two cluster nodes move bytes over verbs."""
     from repro.rdma import Opcode, WorkRequest, connect

@@ -167,6 +167,36 @@ def test_promotion_keeps_the_pool_serving():
     assert parts["term_claims"] == 1  # one recovery, one claim
 
 
+def test_a_master_crash_after_promotion_hits_the_promoted_master():
+    """``masters[0] is master`` holds across a promotion.  PR 9 introduced
+    the shard list and left the deposed incumbent in it, so the chaos soak's
+    heal-mid-failover round crashed and *resurrected* the old master, which
+    claimed term 3 and deposed the legitimate one (``master_term`` read 2
+    where ``ci.yml`` asserts >= 3)."""
+    sim, pool = build_pool(num_servers=2, num_clients=2,
+                           config=partition_config(), standby_master=True)
+    old = pool.master
+
+    def drive(sim):
+        yield from wait_promoted(sim, pool)
+        promoted = pool.master
+        assert pool.masters == [promoted] and promoted is not old
+        inj = pool.inject_faults(FaultPlan.of(
+            MasterCrash(at_ns=sim.now + 1_000),
+            MasterRecover(at_ns=sim.now + 2_000, rebuild=True)))
+        for _ in range(64):
+            yield sim.timeout(LEASE // 8)
+            if promoted.failovers.count == 2 and not promoted._recovering:
+                break
+        inj.uninstall()
+        return promoted
+
+    (promoted,) = pool.run(drive(sim))
+    assert promoted.crashes == 1 and old.crashes == 0
+    assert promoted.term == 3 and not promoted._deposed
+    assert pool.describe()["partitions"]["master_term"] == 3
+
+
 # ----------------------------------------------------------------------
 # Degraded mode under an asymmetric partition
 # ----------------------------------------------------------------------

@@ -85,23 +85,50 @@ def callback_name(fn) -> str:
 
 
 class _LoggedGenerator:
-    """Stands in for a process generator and logs every resume."""
+    """Stands in for a process generator and logs every resume.
+
+    A timed hold, ``yield (resource, ns)``, resumes its generator once where
+    acquire-then-delay resumed it twice, so the stand-in spells the hold out:
+    it yields the resource, is resumed (logged) with the slot, yields ``ns``,
+    is resumed (logged) again, releases the slot and only then resumes the
+    generator.  The log is then the one the goldens were captured with, and
+    the expansion is the reference the pair form is compared against.
+    """
 
     def __init__(self, generator, sim, label: str, log: list):
         self._generator = generator
         self._sim = sim
         self._label = label
         self._log = log
+        self._hold = None   # (resource, ns): waiting for the slot
+        self._held = None   # resource: slot delivered, inside the delay
         self.__name__ = getattr(generator, "__name__", "process")
         self.close = generator.close
 
+    def _expand(self, target):
+        if type(target) is tuple:
+            self._hold = target
+            return target[0]
+        return target
+
+    def _end_hold(self):
+        held, self._held = self._held, None
+        if held is not None:
+            held.release()
+
     def send(self, value):
         self._log.append((self._sim.now, self._label))
-        return self._generator.send(value)
+        if self._hold is not None:
+            (self._held, ns), self._hold = self._hold, None
+            return ns
+        self._end_hold()
+        return self._expand(self._generator.send(value))
 
     def throw(self, exc):
         self._log.append((self._sim.now, self._label))
-        return self._generator.throw(exc)
+        self._hold = None  # the kernel withdrew the wait or returned the slot
+        self._end_hold()
+        return self._expand(self._generator.throw(exc))
 
 
 @contextmanager

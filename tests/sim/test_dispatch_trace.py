@@ -34,6 +34,24 @@ Every surviving entry is dispatched at the instant it was before,
 pin is reproduced byte for byte.  Old count, hash and reason are appended to
 the golden's ``recaptured`` list.
 
+RE-CAPTURED A THIRD TIME, IN PR 16 (kernel-native slot waits), NAMES ONLY
+AGAIN: 9,063 dispatches before and after.  A slot granted away from the tail
+of its instant, or handed over by a releasing holder, used to be delivered
+by the ``Request`` event's ``Event._dispatch``; it is now the waiting
+process's own entry, ``Process._resume``, appended at the same position of
+the same bucket.  The argument is per instant, and was checked by capturing
+the full trace on the parent commit and on this one: the two have the same
+length, the same ``final_time_ns`` (287,477) and — compared position by
+position — the same instant at every index, hence the same number of
+dispatches in every instant; the 2,062 positions whose name differs all read
+``Event._dispatch`` before and ``Process._resume`` after (1,075 of them are
+grants of a timed hold, ``yield (resource, ns)``; 987 are bare grants).  The
+resumption pin is reproduced byte for byte from an unedited golden: its
+logging stand-in spells a timed hold out as yield-the-resource, yield-``ns``,
+release (``dispatch_scenario._LoggedGenerator``), because the pair form
+resumes its generator once where acquire-then-delay resumed it twice.  The
+dispatch pin runs without the stand-in and sees the pair form itself.
+
 A mismatch in either is a kernel bug (or a deliberate contract change that
 must be called out as loudly as this one), never something to silence by
 editing the scenario.

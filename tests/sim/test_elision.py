@@ -2,11 +2,11 @@
 
 The kernel rule under test (``docs/KERNEL.md``, "The ordering contract"): a
 process that yields an event which has already fired, has no other waiter
-and has no dispatch queued continues inline when — and only when — the
-running dispatch is the last entry of the current instant's bucket.
-Otherwise it registers and is woken by a scheduled dispatch.  Either way the
-order in which processes resume is the same; only pass-through dispatches
-disappear.
+and has no dispatch queued — or a ``Resource`` with a free slot — continues
+inline when, and only when, the running dispatch is the last entry of the
+current instant's bucket.  Otherwise it registers (or queues its own grant
+entry) and is woken through the queue.  Either way the order in which
+processes resume is the same; only pass-through dispatches disappear.
 """
 
 from math import ceil
@@ -20,11 +20,6 @@ from repro.sim import kernel
 # ---------------------------------------------------------------------------
 # Born-fired sources and lazy completion
 # ---------------------------------------------------------------------------
-def _free_slot(sim):
-    req = Resource(sim, capacity=1).request()
-    return req, req  # a request succeeds with itself
-
-
 def _item_present(sim):
     store = Store(sim)
     store.put("item")
@@ -35,7 +30,7 @@ def _put_accepted(sim):
     return Store(sim).put("item"), None
 
 
-@pytest.mark.parametrize("source", [_free_slot, _item_present, _put_accepted])
+@pytest.mark.parametrize("source", [_item_present, _put_accepted])
 def test_born_fired_sources_schedule_nothing(source):
     sim = Simulator()
     ev, expect = source(sim)
@@ -87,28 +82,43 @@ def test_sole_waiter_at_the_tail_continues_inline():
 
     def body(sim):
         yield sim.timeout(1)
-        with (yield res.request()) as req:
-            got.append(req)
+        with (yield res) as slot:
+            got.append(slot)
             got.append((yield store.put("x")))
             got.append((yield store.get()))
 
     sim.spawn(body(sim))
     sim.run()
-    assert got[1:] == [None, "x"] and got[0].resource is res
+    assert got == [res, None, "x"]
     assert sim.total_dispatched == 2  # first step + the timeout
     assert res.in_use == 0
 
 
+def test_a_timed_hold_of_a_free_slot_at_the_tail_queues_only_its_end():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+
+    def body(sim):
+        yield sim.timeout(1)
+        yield (res, 5)
+
+    sim.spawn(body(sim))
+    sim.run()
+    assert sim.now == 6 and res.in_use == 0
+    assert sim.total_dispatched == 3  # first step, the timeout, end of hold
+
+
 def test_a_wait_that_is_over_is_scheduled_when_not_at_the_tail():
-    """B's bootstrap is queued behind A's, so A's already-granted request is
-    not at the tail: A must let B start first, as it always did."""
+    """B's bootstrap is queued behind A's, so A's free slot is not at the
+    tail: A must let B start first, as it always did.  The grant entry A
+    queues is its place in line."""
     sim = Simulator()
     res = Resource(sim, capacity=2)
     order = []
 
     def body(sim, tag):
         order.append((tag, "start"))
-        with (yield res.request()):
+        with (yield res):
             order.append((tag, "granted"))
 
     sim.spawn(body(sim, "A"))
@@ -116,11 +126,33 @@ def test_a_wait_that_is_over_is_scheduled_when_not_at_the_tail():
     sim.run()
     assert order == [("A", "start"), ("B", "start"),
                      ("A", "granted"), ("B", "granted")]
+    # Two first steps and two grant entries: behind A's, B is not last either.
+    assert sim.total_dispatched == 4
+
+
+def test_a_timed_hold_away_from_the_tail_starts_when_its_grant_entry_runs():
+    """Same instant, pair form: each hold is armed by its grant entry, behind
+    B's first step — where acquire-then-delay resumed the generator to yield
+    the delay — so the dispatch count is that of the two-yield form."""
+    sim = Simulator()
+    res = Resource(sim, capacity=2)
+    order = []
+
+    def body(sim, tag):
+        order.append((tag, "start"))
+        yield (res, 5)
+        order.append((tag, sim.now))
+
+    sim.spawn(body(sim, "A"))
+    sim.spawn(body(sim, "B"))
+    sim.run()
+    assert order == [("A", "start"), ("B", "start"), ("A", 5), ("B", 5)]
+    assert sim.total_dispatched == 6  # per process: first step, grant, end
 
 
 def test_second_waiter_on_a_born_fired_event_goes_through_the_scheduler():
     sim = Simulator()
-    req = Resource(sim, capacity=1).request()
+    req = Store(sim).put("x")
     order = []
 
     def body(sim, tag):
@@ -157,7 +189,7 @@ def test_other_waiters_of_the_waking_event_run_before_an_inline_continuation():
     def p1(sim):
         yield gate
         order.append("p1 woken")
-        with (yield res.request()):
+        with (yield res):
             order.append("p1 granted")
 
     def p2(sim):
@@ -224,6 +256,14 @@ def _spinner(store, n=None):
         i += 1
 
 
+def _slot_spinner(res, n=None):
+    i = 0
+    while n is None or i < n:
+        with (yield res):
+            pass
+        i += 1
+
+
 def test_spinner_over_an_always_full_store_still_trips_max_events():
     sim = Simulator()
     sim.spawn(_spinner(Store(sim)))
@@ -231,11 +271,22 @@ def test_spinner_over_an_always_full_store_still_trips_max_events():
         sim.run(max_events=500)
 
 
+def test_spinner_over_an_always_free_resource_still_trips_max_events():
+    sim = Simulator()
+    sim.spawn(_slot_spinner(Resource(sim, capacity=1)))
+    with pytest.raises(SimulationError, match="max_events"):
+        sim.run(max_events=500)
+
+
+@pytest.mark.parametrize("spinner", [
+    lambda sim, n: _spinner(Store(sim), n),
+    lambda sim, n: _slot_spinner(Resource(sim, capacity=1), n),
+])
 @pytest.mark.parametrize("instrumented", [False, True])
-def test_inline_runs_are_bounded_and_counted_alike_by_both_loops(instrumented):
+def test_inline_runs_are_bounded_and_counted_alike_by_both_loops(instrumented, spinner):
     sim = Simulator()
     n = 200
-    proc = sim.spawn(_spinner(Store(sim), n))
+    proc = sim.spawn(spinner(sim, n))
     sim.run(max_events=10**6 if instrumented else None)
     assert proc.ok
     # n + 1 sends (the last one ends the generator); every dispatch, the

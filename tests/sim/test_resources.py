@@ -1,50 +1,81 @@
-"""Tests for Resource, Store, FifoChannel, TokenBucket."""
+"""Tests for Resource, Store, TokenBucket."""
 
 import pytest
 
-from repro.sim import FifoChannel, Interrupt, Resource, Simulator, Store, TokenBucket
+from repro.sim import Interrupt, Resource, SimulationError, Simulator, Store, TokenBucket
 
 
 # ---------------------------------------------------------------------------
-# Resource
+# Resource: ``with (yield res):`` and ``yield (res, ns)``
 # ---------------------------------------------------------------------------
+def _bare(res, hold):
+    """Take a slot, keep it ``hold`` ns, give it back: the two-yield form."""
+    with (yield res):
+        yield hold
+
+
+def _pair(res, hold):
+    """The same in one yield: the kernel holds and releases the slot."""
+    yield (res, hold)
+
+
+FORMS = [_bare, _pair]
+
+
 def test_resource_capacity_validated():
     sim = Simulator()
     with pytest.raises(ValueError):
         Resource(sim, capacity=0)
 
 
-def test_resource_grants_up_to_capacity_immediately():
+@pytest.mark.parametrize("form", FORMS)
+def test_resource_grants_up_to_capacity_immediately(form):
     sim = Simulator()
     res = Resource(sim, capacity=2)
-    r1, r2, r3 = res.request(), res.request(), res.request()
-    assert r1.triggered and r2.triggered and not r3.triggered
+    for _ in range(3):
+        sim.spawn(form(res, 10))
+    sim.run(until=5)
     assert res.in_use == 2 and res.queued == 1
+    sim.run()
+    assert sim.now == 20 and res.in_use == 0 and res.queued == 0
 
 
-def test_resource_fifo_handoff_on_release():
+def test_a_bare_yield_sends_the_resource_back():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+
+    def body(sim):
+        with (yield res) as got:
+            return got
+
+    assert sim.run_until_complete(sim.spawn(body(sim))) is res
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_resource_fifo_handoff_on_release(form):
     sim = Simulator()
     res = Resource(sim, capacity=1)
     order = []
 
     def worker(sim, i):
-        with (yield from res.acquire()):
-            order.append((sim.now, i))
-            yield sim.timeout(10)
+        yield from form(res, 10)
+        order.append((sim.now, i))
 
     for i in range(4):
         sim.spawn(worker(sim, i))
     sim.run()
-    assert order == [(0, 0), (10, 1), (20, 2), (30, 3)]
+    assert order == [(10, 0), (20, 1), (30, 2), (40, 3)]
 
 
-def test_resource_release_idempotent():
+def test_over_release_raises_before_it_corrupts_in_use():
     sim = Simulator()
     res = Resource(sim, capacity=1)
-    req = res.request()
-    req.release()
-    req.release()  # second call must be a no-op
+    with pytest.raises(RuntimeError, match="over-released"):
+        res.release()
     assert res.in_use == 0
+    p = sim.spawn(_bare(res, 1))
+    sim.run()
+    assert p.ok and res.in_use == 0
 
 
 def test_resource_context_manager_releases_on_exception():
@@ -52,12 +83,12 @@ def test_resource_context_manager_releases_on_exception():
     res = Resource(sim, capacity=1)
 
     def failing(sim):
-        with (yield from res.acquire()):
-            yield sim.timeout(1)
+        with (yield res):
+            yield 1
             raise RuntimeError("inside critical section")
 
     def follower(sim):
-        with (yield from res.acquire()):
+        with (yield res):
             return sim.now
 
     sim.spawn(failing(sim))
@@ -67,15 +98,15 @@ def test_resource_context_manager_releases_on_exception():
     assert res.in_use == 0
 
 
-def test_resource_parallelism_matches_capacity():
+@pytest.mark.parametrize("form", FORMS)
+def test_resource_parallelism_matches_capacity(form):
     sim = Simulator()
     res = Resource(sim, capacity=3)
     done = []
 
     def worker(sim, i):
-        with (yield from res.acquire()):
-            yield sim.timeout(10)
-            done.append((sim.now, i))
+        yield from form(res, 10)
+        done.append((sim.now, i))
 
     for i in range(6):
         sim.spawn(worker(sim, i))
@@ -84,82 +115,240 @@ def test_resource_parallelism_matches_capacity():
     assert [t for t, _ in done] == [10, 10, 10, 20, 20, 20]
 
 
-def test_release_of_an_ungranted_request_frees_no_slot():
-    """``with r.request() as req: yield req`` interrupted while queued behind
-    another waiter used to release() a slot it never held: the waiter ahead
-    was granted while the real holder still held (two holders, capacity 1)."""
+def test_a_timed_hold_resumes_its_generator_once():
+    """The pair form queues the entries of acquire-then-delay — here the
+    first step and the end of the hold — and resumes the generator only for
+    the second."""
     sim = Simulator()
     res = Resource(sim, capacity=1)
-    holding = []
-    peak = [0]
+    resumed = []
 
-    def worker(sim, tag, hold):
-        with res.request() as req:
-            yield req
-            holding.append(tag)
-            peak[0] = max(peak[0], len(holding))
-            yield sim.timeout(hold)
-            holding.remove(tag)
+    def body(sim):
+        resumed.append(sim.now)
+        got = yield (res, 7)
+        resumed.append((sim.now, got, res.in_use))
 
-    sim.spawn(worker(sim, "holder", 100))
-    sim.spawn(worker(sim, "ahead", 10))
-    victim = sim.spawn(worker(sim, "victim", 10))
-    sim.schedule(10, victim.interrupt)
-    sim.run(until=15)
-    assert holding == ["holder"]  # not also "ahead"
-    assert res.in_use == 1 and res.queued == 1
+    sim.spawn(body(sim))
     sim.run()
-    assert peak[0] == 1
-    assert isinstance(victim.exception, Interrupt)
-    assert res.in_use == 0 and res.queued == 0
+    assert resumed == [0, (7, None, 0)]  # released before the resume
+    assert sim.total_dispatched == 2
 
 
-def test_interrupted_waiter_abandons_its_queued_request():
-    """The hot-path idiom ``with (yield r.request()):`` interrupted while
-    queued used to leave the request in the deque; it was later granted to
-    the dead process and never released, starving every later requester."""
+def test_a_zero_hold_is_one_dispatch_like_a_zero_delay():
+    def hold(sim, res):
+        yield (res, 0)
+
+    def delay(sim, res):
+        yield 0
+
+    counts = []
+    for body in (hold, delay):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        sim.spawn(body(sim, res))
+        sim.run()
+        counts.append(sim.total_dispatched)
+        assert res.in_use == 0
+    assert counts == [2, 2]  # the first step, and the turn
+
+
+def test_a_negative_hold_fails_at_the_yield_and_takes_no_slot():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+
+    def body(sim):
+        try:
+            yield (res, -1)
+        except ValueError:
+            return res.in_use
+
+    assert sim.run_until_complete(sim.spawn(body(sim))) == 0
+
+
+@pytest.mark.parametrize("bad", [1.5, True, None, "7"])
+def test_a_hold_that_is_not_an_int_fails_the_process(bad):
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+
+    def body(sim):
+        yield (res, bad)
+
+    p = sim.spawn(body(sim))
+    sim.run()
+    assert isinstance(p.exception, SimulationError)
+    assert res.in_use == 0
+
+
+@pytest.mark.parametrize("bad", [(), (1, 2), ("r", 3), (None, 1, 2)])
+def test_a_tuple_that_is_not_a_hold_fails_the_process(bad):
+    sim = Simulator()
+
+    def body(sim):
+        yield bad
+
+    p = sim.spawn(body(sim))
+    sim.run()
+    assert isinstance(p.exception, SimulationError)
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_a_resource_of_another_simulator_fails_the_process(form):
+    sim = Simulator()
+    foreign = Resource(Simulator(), capacity=1)
+    p = sim.spawn(form(foreign, 5))
+    sim.run()
+    assert isinstance(p.exception, SimulationError)
+    assert foreign.in_use == 0 and foreign.queued == 0
+
+
+# The three states of a slot wait the kernel owns, each interrupted.  Every
+# test here fails if the matching branch of ``Process._deliver_interrupt`` is
+# removed: the slot leaks and the process behind the victim starves.
+@pytest.mark.parametrize("form", FORMS)
+def test_interrupted_while_parked_withdraws_from_the_queue(form):
+    """No slot consumed, none freed: the holder keeps its slot (one holder,
+    capacity 1) and the process behind the victim is served next."""
     sim = Simulator()
     res = Resource(sim, capacity=1)
     served = []
 
-    def worker(sim, tag):
-        with (yield res.request()):
-            yield sim.timeout(10)
-            served.append((sim.now, tag))
+    def worker(sim, tag, hold):
+        yield from form(res, hold)
+        served.append((sim.now, tag))
 
-    sim.spawn(worker(sim, "holder"))
-    victim = sim.spawn(worker(sim, "victim"))
-    sim.spawn(worker(sim, "later"))
-    sim.schedule(5, victim.interrupt)
-    sim.run(until=6)
-    assert res.in_use == 1 and res.queued == 1  # holder, later
-    sim.run()
-    assert served == [(10, "holder"), (20, "later")]
-    assert res.in_use == 0 and res.queued == 0
-
-
-def test_interrupt_between_grant_and_delivery_returns_the_slot():
-    """A request granted in the same instant its waiter is interrupted must
-    not stay held by a process that will never enter the ``with``."""
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    first = res.request()
-
-    def worker(sim):
-        with (yield res.request()):
-            yield sim.timeout(10)
-
-    victim = sim.spawn(worker(sim))
-    sim.run()
-
-    def interrupt_then_grant():
-        victim.interrupt()  # delivered first ...
-        first.release()     # ... so this grant's wake-up finds nobody
-
-    sim.schedule(1, interrupt_then_grant)
+    sim.spawn(worker(sim, "holder", 100))
+    sim.spawn(worker(sim, "ahead", 10))
+    victim = sim.spawn(worker(sim, "victim", 10))
+    sim.spawn(worker(sim, "later", 10))
+    sim.schedule(10, victim.interrupt)
+    sim.run(until=15)
+    assert res.in_use == 1 and res.queued == 2  # ahead, later
     sim.run()
     assert isinstance(victim.exception, Interrupt)
+    assert served == [(100, "holder"), (110, "ahead"), (120, "later")]
     assert res.in_use == 0 and res.queued == 0
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_interrupted_between_handoff_and_delivery_returns_the_slot(form):
+    """The holder interrupts the next in line and then releases: the slot is
+    the victim's, its grant entry is queued behind the interrupt's delivery.
+    The slot must go on to the process behind it, and the stale grant entry
+    must wake nobody."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    served = []
+
+    def holder(sim):
+        with (yield res):
+            yield 5
+            victim.interrupt()  # delivered first ...
+        # ... so the grant queued by this release finds nobody
+
+    def worker(sim, tag):
+        yield from form(res, 10)
+        served.append((sim.now, tag))
+
+    sim.spawn(holder(sim))
+    victim = sim.spawn(worker(sim, "victim"))
+    sim.spawn(worker(sim, "later"))
+    sim.run()
+    assert isinstance(victim.exception, Interrupt)
+    assert served == [(15, "later")]
+    assert res.in_use == 0 and res.queued == 0
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_a_stale_grant_entry_is_not_a_grant_for_the_next_wait_on_the_same_resource(form):
+    """As above, but the victim's handler asks for the same resource again
+    and parks behind the process its slot went to.  The grant entry of the
+    wait it was interrupted out of is still queued; it carries the old epoch
+    and must not be taken for the grant of the new wait."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    served = []
+
+    def holder(sim):
+        with (yield res):
+            yield 5
+            victim.interrupt()
+
+    def worker(sim, tag):
+        try:
+            yield from form(res, 10)
+        except Interrupt:
+            yield from form(res, 10)
+        served.append((sim.now, tag))
+
+    sim.spawn(holder(sim))
+    victim = sim.spawn(worker(sim, "victim"))
+    sim.spawn(worker(sim, "later"))
+    sim.run()
+    assert served == [(15, "later"), (25, "victim")]
+    assert res.in_use == 0 and res.queued == 0
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_interrupted_between_a_pass_through_grant_and_delivery_returns_the_slot(form):
+    """A free slot taken away from the tail of the instant is delivered by a
+    queued entry too; an interrupt that gets in first gives the slot back."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    victim = sim.spawn(form(res, 10))
+    victim.interrupt()  # queued behind the first step, ahead of its grant
+    sim.run()
+    assert isinstance(victim.exception, Interrupt)
+    assert sim.now == 0 and res.in_use == 0
+    follower = sim.spawn(form(res, 10))
+    sim.run()
+    assert follower.ok and sim.now == 10 and res.in_use == 0
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_interrupted_inside_the_hold_releases_before_the_interrupt_is_raised(form):
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    seen = []
+
+    def victim_body(sim):
+        try:
+            yield from form(res, 100)
+        except Interrupt:
+            # Where ``__exit__`` ran: the slot is already the waiter's.
+            seen.append((sim.now, res.in_use, res.queued))
+            raise
+
+    def waiter(sim):
+        yield from form(res, 10)
+        seen.append((sim.now, "waiter"))
+
+    victim = sim.spawn(victim_body(sim))
+    sim.spawn(waiter(sim))
+    sim.schedule(10, victim.interrupt)
+    sim.run()
+    assert isinstance(victim.exception, Interrupt)
+    assert seen == [(10, 1, 0), (20, "waiter")]
+    assert sim.now == 100  # the stale end-of-hold entry ran, and woke nobody
+    assert res.in_use == 0 and res.queued == 0
+
+
+def test_an_interrupted_hold_may_be_retried_by_the_handler():
+    """After an interrupt the queued end-of-hold entry is stale; a new hold
+    by the handler gets its own."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+
+    def body(sim):
+        try:
+            yield (res, 100)
+        except Interrupt:
+            yield (res, 20)
+        return sim.now
+
+    p = sim.spawn(body(sim))
+    sim.schedule(10, p.interrupt)
+    sim.run()
+    assert p.value == 30 and res.in_use == 0
 
 
 # ---------------------------------------------------------------------------
@@ -306,39 +495,6 @@ def test_store_len_tracks_items():
     store.put(1)
     store.put(2)
     assert len(store) == 2
-
-
-# ---------------------------------------------------------------------------
-# FifoChannel
-# ---------------------------------------------------------------------------
-def test_channel_serialization_time():
-    sim = Simulator()
-    chan = FifoChannel(sim, bytes_per_ns=2.0)  # 2 B/ns
-    assert chan.busy_time(100) == 50
-    assert chan.busy_time(0) == 0
-    assert chan.busy_time(1) == 1  # rounds up to at least 1 ns
-
-
-def test_channel_transfers_queue_fifo():
-    sim = Simulator()
-    chan = FifoChannel(sim, bytes_per_ns=1.0)
-    finished = []
-
-    def sender(sim, i, size):
-        yield from chan.transfer(size)
-        finished.append((sim.now, i))
-
-    sim.spawn(sender(sim, 0, 100))
-    sim.spawn(sender(sim, 1, 50))
-    sim.run()
-    assert finished == [(100, 0), (150, 1)]
-    assert chan.bytes_moved == 150
-
-
-def test_channel_rejects_nonpositive_rate():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        FifoChannel(sim, bytes_per_ns=0)
 
 
 # ---------------------------------------------------------------------------

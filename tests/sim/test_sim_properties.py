@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import FifoChannel, Histogram, Resource, Simulator, Store
+from repro.sim import Histogram, Interrupt, Resource, Simulator, Store
 
 
 @given(delays=st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=50))
@@ -48,7 +48,7 @@ def test_resource_never_exceeds_capacity(capacity, hold, n):
     peak = [0]
 
     def worker(sim):
-        with (yield from res.acquire()):
+        with (yield res):
             active[0] += 1
             peak[0] = max(peak[0], active[0])
             yield sim.timeout(hold)
@@ -83,26 +83,6 @@ def test_store_preserves_fifo_order(items):
     sim.spawn(consumer(sim))
     sim.run()
     assert received == items
-
-
-@given(
-    sizes=st.lists(st.integers(min_value=1, max_value=100_000), min_size=1, max_size=20),
-    rate=st.floats(min_value=0.1, max_value=100.0),
-)
-@settings(max_examples=60, deadline=None)
-def test_channel_conserves_bytes_and_time_lower_bound(sizes, rate):
-    sim = Simulator()
-    chan = FifoChannel(sim, bytes_per_ns=rate)
-
-    def sender(sim, size):
-        yield from chan.transfer(size)
-
-    for s in sizes:
-        sim.spawn(sender(sim, s))
-    sim.run()
-    assert chan.bytes_moved == sum(sizes)
-    # Total busy time is at least the ideal serialization time.
-    assert sim.now >= int(sum(sizes) / rate) - len(sizes)
 
 
 @given(values=st.lists(st.floats(min_value=0, max_value=1e9, allow_nan=False), min_size=1, max_size=500))
@@ -217,7 +197,7 @@ def _run_program(program, timer_events=False):
             elif kind == "timeout":
                 yield sim.timeout(op[1], value=kind)
             elif kind == "hold":
-                with (yield resources[op[1]].request()):
+                with (yield resources[op[1]]):
                     if op[2]:
                         yield op[2]
             elif kind == "put":
@@ -234,9 +214,9 @@ def _run_program(program, timer_events=False):
             elif kind == "all_of":
                 parts = [sim.timeout(d) for d in op[2]]
                 parts.append(stores[op[1]].put(len(parts)))
-                parts.append(resources[op[1]].request())
                 yield sim.all_of(parts)
-                parts[-1].release()
+                with (yield resources[op[1]]):
+                    pass
             elif kind == "join":
                 steps.add((yield spawn(child(sim, op[1]), "child")))
             elif kind == "fire_then_wait":
@@ -285,3 +265,101 @@ def test_elision_never_changes_what_a_program_does(program):
     assert shipped[:4] == scheduled[:4]
     assert shipped[4] <= scheduled[4]
     assert shipped == _run_program(program, timer_events=True)
+
+
+# ---------------------------------------------------------------------------
+# A timed hold is acquire, delay, release: a differential test
+# ---------------------------------------------------------------------------
+# Random programs over 1-3 resources of capacity 1-4, with interrupts, run in
+# the pair form (``yield (res, ns)``, the kernel holds and releases) and in
+# the expanded form (the logging stand-in of ``dispatch_scenario`` turns each
+# pair into yield-the-resource, yield-``ns``, release — what the hardware
+# models wrote before the pair existed).  Steps mix pair holds, two-yield
+# holds, a hold nested in a ``with`` (two resources at once; lock-order
+# deadlocks are part of the test and must freeze both runs alike) and bare
+# delays; an interrupted step is logged and the process moves on, so a stale
+# grant or end-of-hold entry meets the next wait of the same process.
+_ns = st.integers(min_value=0, max_value=4)
+_res = st.integers(min_value=0, max_value=2)
+_hold_step = st.one_of(
+    st.tuples(st.just("pair"), _res, _ns),
+    st.tuples(st.just("pair"), _res, _ns),
+    st.tuples(st.just("bare"), _res, _ns),
+    st.tuples(st.just("nested"), _res, _res, _ns),
+    st.tuples(st.just("delay"), _ns),
+)
+_hold_programs = st.tuples(
+    st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
+    st.lists(st.lists(_hold_step, min_size=1, max_size=6), min_size=1, max_size=6),
+    st.lists(st.tuples(st.integers(min_value=0, max_value=12),
+                       st.integers(min_value=0, max_value=5)), max_size=6),
+)
+
+
+def _run_holds(capacities, program, interrupts, expanded=False):
+    from contextlib import nullcontext
+
+    from tests.sim.dispatch_scenario import logged_resumptions
+
+    sim = Simulator(seed=3)
+    resources = [Resource(sim, capacity=c, name=f"r{i}")
+                 for i, c in enumerate(capacities)]
+
+    def pick(i):
+        return resources[i % len(resources)]
+
+    log = []
+
+    def worker(sim, name, ops):
+        for i, op in enumerate(ops):
+            try:
+                if op[0] == "pair":
+                    yield (pick(op[1]), op[2])
+                elif op[0] == "bare":
+                    with (yield pick(op[1])):
+                        yield op[2]
+                elif op[0] == "nested":
+                    with (yield pick(op[1])):
+                        yield (pick(op[2] + 1), op[3])
+                else:
+                    yield op[1]
+                outcome = "done"
+            except Interrupt:
+                outcome = "interrupted"
+            log.append((sim.now, name, i, outcome, [r.in_use for r in resources],
+                        [r.queued for r in resources]))
+
+    with logged_resumptions([]) if expanded else nullcontext():
+        procs = [sim.spawn(worker(sim, f"w{i}", ops), name=f"w{i}")
+                 for i, ops in enumerate(program)]
+        for when, who in interrupts:
+            sim.schedule(when, procs[who % len(procs)].interrupt)
+        sim.run(max_events=100_000)
+    return (log, sim.now, sim.total_dispatched, [p.triggered for p in procs],
+            [(r.in_use, r.queued) for r in resources])
+
+
+@given(case=_hold_programs)
+@settings(max_examples=300, deadline=None)
+def test_a_timed_hold_is_acquire_delay_release(case):
+    """Pair form, pair form with inline continuation switched off (every
+    grant through the queue), and expanded form: identical step logs (time,
+    process, outcome, slots in use and processes parked at every step end),
+    final clocks, outcomes and end states, and no slot owned once every
+    process has finished.  Pair and expanded form queue the same entries, so
+    their dispatch counts are equal too; switching inline continuation off
+    may only add pass-through grants."""
+    from repro.sim import kernel
+
+    pair = _run_holds(*case)
+    assert pair == _run_holds(*case, expanded=True)
+    if all(pair[3]):  # nobody left parked: every slot has come back
+        assert all(state == (0, 0) for state in pair[4])
+    bound = kernel._INLINE_RUN_MAX
+    kernel._INLINE_RUN_MAX = 0
+    try:
+        queued = _run_holds(*case)
+    finally:
+        kernel._INLINE_RUN_MAX = bound
+    assert pair[:2] == queued[:2] and pair[3:] == queued[3:]
+    assert pair[2] <= queued[2]
