@@ -281,7 +281,7 @@ def bench_doorbell(batches: int = 120, batch_size: int = 16,
                     )
                     for i in range(batch_size)
                 ]
-                mux = CompletionMux(sim, name="db.mux")
+                mux = CompletionMux(sim)
                 for i, ev in enumerate(qp_a.post_send_many(wrs)):
                     mux.add(ev, tag=i)
                 for _ in range(batch_size):

@@ -1138,12 +1138,12 @@ class GengarClient:
                                args: tuple) -> Generator[Any, Any, Any]:
         """One attempt raced against the remaining deadline budget.
 
-        A timed-out attempt is *abandoned*, never interrupted: interrupting
-        a process parked in a ``Store.get()`` would leave a zombie getter
-        that silently swallows the next item (a scratch-slot leak).  The
-        orphan runs to completion in the background — its buffers are
-        released and a failure with no waiters is stored silently — while
-        the caller gets the typed deadline error now.
+        A timed-out attempt is *abandoned*, never interrupted: an interrupt
+        would run the attempt's ``finally`` blocks and hand its scratch slot
+        to the next op while its WR is still in flight and about to DMA
+        into it.  The orphan runs to completion in the background — its
+        buffers are released and a failure with no waiters is stored
+        silently — while the caller gets the typed deadline error now.
         """
         remaining = policy.deadline_ns - (self.sim.now - start)
         if remaining <= 0:
@@ -1352,7 +1352,7 @@ class GengarClient:
         if groups:
             # One CPU pass covers building every WQE in the batch.
             yield from self.node.cpu_work()
-        mux = CompletionMux(self.sim, name=f"{self.name}.readmux")
+        mux = CompletionMux(self.sim)
 
         def _consume_one():
             """Process whichever posted read completes next."""
@@ -1421,7 +1421,7 @@ class GengarClient:
                         _post(conn, wrs, tags)
                         wrs, tags = [], []
                     else:
-                        scratch_off = yield self._scratch_free.get()
+                        scratch_off = yield self._scratch_free
                         break
                 cached = self.config.enable_cache and meta.cached
                 if cached:
@@ -1550,7 +1550,7 @@ class GengarClient:
         """Run one async op inside the outstanding-op window."""
         rec = self.sim.spans
         t0 = self.sim.now
-        token = yield self._op_tokens.get()
+        token = yield self._op_tokens
         if rec is not None and self.sim.now > t0:
             rec.record(self.name, "phase.pipeline_wait", t0, waiting="window")
         self._async_inflight += 1
@@ -1853,7 +1853,7 @@ class GengarClient:
         # drain's seq cursor would then reject the earlier frame as torn.
         scratch_off = None
         if not self.node.nic.is_inline(total):
-            scratch_off = yield self._scratch_free.get()
+            scratch_off = yield self._scratch_free
         try:
             seq = conn.written
             conn.written += 1
@@ -2013,7 +2013,7 @@ class GengarClient:
                 parts.append(part)
                 pos += chunk
             return b"".join(parts)
-        scratch_off = yield self._scratch_free.get()
+        scratch_off = yield self._scratch_free
         try:
             wc = yield conn.data_qp.post_send(WorkRequest(
                 opcode=Opcode.RDMA_READ,
@@ -2042,7 +2042,7 @@ class GengarClient:
             wr.inline_data = data
             wc = yield conn.data_qp.post_send(wr)
         else:
-            scratch_off = yield self._scratch_free.get()
+            scratch_off = yield self._scratch_free
             try:
                 self._scratch_mr.poke(scratch_off, data)
                 wr.local_mr = self._scratch_mr

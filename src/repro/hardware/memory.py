@@ -32,7 +32,8 @@ class SparseBuffer:
     written.  Reads of untouched ranges return zeros, matching fresh memory.
     """
 
-    PAGE_SIZE = 64 * 1024
+    #: The grain of RPC slots and most objects: a small write stays small.
+    PAGE_SIZE = 4 * 1024
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -40,6 +41,11 @@ class SparseBuffer:
 
     def read(self, offset: int, nbytes: int) -> bytes:
         """Copy ``nbytes`` out, zero-filling unmaterialized pages."""
+        page_no, page_off = divmod(offset, self.PAGE_SIZE)
+        end = page_off + nbytes
+        if end <= self.PAGE_SIZE:  # inside one page: one slice
+            page = self._pages.get(page_no)
+            return bytes(nbytes) if page is None else bytes(page[page_off:end])
         out = bytearray(nbytes)
         pos = 0
         while pos < nbytes:
@@ -53,8 +59,16 @@ class SparseBuffer:
 
     def write(self, offset: int, payload: bytes) -> None:
         """Copy ``payload`` in, materializing pages as needed."""
-        pos = 0
         nbytes = len(payload)
+        page_no, page_off = divmod(offset, self.PAGE_SIZE)
+        end = page_off + nbytes
+        if page_off < end <= self.PAGE_SIZE:  # not empty, inside one page: one slice
+            page = self._pages.get(page_no)
+            if page is None:
+                page = self._pages[page_no] = bytearray(self.PAGE_SIZE)
+            page[page_off:end] = payload
+            return
+        pos = 0
         while pos < nbytes:
             page_no, page_off = divmod(offset + pos, self.PAGE_SIZE)
             chunk = min(nbytes - pos, self.PAGE_SIZE - page_off)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, List
+from collections import deque
+from typing import TYPE_CHECKING, Any, Deque, Generator, List, Optional
 
+from repro.sim.primitives import Event
 from repro.sim.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,17 +46,18 @@ class CompletionQueue:
 
     def wait(self) -> Generator[Any, Any, WorkCompletion]:
         """Process helper: block until the next completion arrives."""
-        wc = yield self._store.get()
+        wc = yield self._store
         return wc
 
-    def next_event(self):
-        """Direct completion path: the event that fires with the next WC.
+    def next_event(self) -> Store:
+        """Direct completion path: the wait for the next WC, to be yielded.
 
         ``wc = yield cq.next_event()`` is equivalent to
         ``wc = yield from cq.wait()`` without the intermediate generator
-        frame — preferred in dispatch loops (RPC serve/demux).
+        frame.  It is the same object every time, so a dispatch loop (RPC
+        serve/demux) asks once and yields it per completion.
         """
-        return self._store.get()
+        return self._store
 
     def __len__(self) -> int:
         return len(self._store)
@@ -68,43 +71,54 @@ class CompletionMux:
     a completed read parked behind an uncompleted one cannot release its
     scratch buffer or be processed.  The mux funnels completions into a
     FIFO in *completion* order instead: :meth:`add` registers an event with
-    an opaque tag, :meth:`next` blocks for whichever registered event fires
-    first and returns ``(tag, event)``.
+    an opaque tag, :meth:`next_event` is the wait for whichever registered
+    event fires first, ``(tag, event)``.  One process consumes at a time.
 
     Completion order is deterministic (it is the simulator's event order),
     so two identically seeded runs consume in the same sequence.
     """
 
-    __slots__ = ("_store", "_outstanding", "_consumed_cb")
+    __slots__ = ("_sim", "_ready", "_claim", "_outstanding", "_consumed_cb")
 
-    def __init__(self, sim: "Simulator", name: str = "mux"):
-        self._store = Store(sim, name=name)
+    def __init__(self, sim: "Simulator"):
+        self._sim = sim
+        self._ready: Deque[tuple] = deque()
+        # The consumer's pending next_event(), if it is waiting for one.
+        self._claim: Optional[Event] = None
         self._outstanding = 0
         # Bound once; registered on every next_event() result.
         self._consumed_cb = self._consumed
 
     def add(self, event, tag: Any = None) -> None:
         """Register an event; its (tag, event) pair is delivered via
-        :meth:`next` once it triggers (immediately if it already has)."""
+        :meth:`next_event` once it triggers (immediately if it already has)."""
         self._outstanding += 1
-        event.add_callback(lambda ev, _tag=tag: self._store.put((_tag, ev)))
+        event.add_callback(lambda ev, _tag=tag: self._fired((_tag, ev)))
 
-    def next_event(self):
+    def _fired(self, pair: tuple) -> None:
+        claim = self._claim
+        if claim is None:
+            self._ready.append(pair)
+        else:
+            self._claim = None
+            claim.succeed(pair)
+
+    def next_event(self) -> Event:
         """Direct completion path: the event firing with the next
         ``(tag, event)`` pair, for ``tag, ev = yield mux.next_event()`` —
-        no intermediate generator frame per consumed completion."""
-        ev = self._store.get()
+        no intermediate generator frame per consumed completion.  Asking
+        again drops a claim that was never delivered."""
+        ev = Event(self._sim, "mux.next")
         ev.add_callback(self._consumed_cb)
+        if self._ready:
+            ev.succeed(self._ready.popleft())
+        else:
+            self._claim = ev
         return ev
 
     def _consumed(self, _ev) -> None:
         self._outstanding -= 1
 
-    def next(self) -> Generator[Any, Any, tuple]:
-        """Process helper: block until any registered event completes."""
-        pair = yield self.next_event()
-        return pair
-
     def __len__(self) -> int:
-        """Registered events not yet consumed through :meth:`next`."""
+        """Registered events not yet consumed through :meth:`next_event`."""
         return self._outstanding

@@ -76,21 +76,19 @@ class RdmaEndpoint:
 def connect(a: RdmaEndpoint, b: RdmaEndpoint) -> Tuple[QueuePair, QueuePair]:
     """Create a reliable connection between two endpoints.
 
-    Returns ``(qp_at_a, qp_at_b)``.  Each QP gets its own send CQ and recv
-    CQ, so consumers of receive completions (RPC loops, proxy doorbells)
-    never contend with the poster's own send completions.
+    Returns ``(qp_at_a, qp_at_b)``.  Each QP gets its own recv CQ; a send
+    completion goes to the event ``post_send`` returned and nowhere else, so
+    consumers of receive completions (RPC loops, proxy doorbells) never see it.
     """
     if a is b:
         raise QpError("cannot connect an endpoint to itself")
     qp_a = QueuePair(
         a,
-        send_cq=a.create_cq(f"{a.name}->{b.name}.scq"),
         recv_cq=a.create_cq(f"{a.name}->{b.name}.rcq"),
         name=f"{a.name}->{b.name}",
     )
     qp_b = QueuePair(
         b,
-        send_cq=b.create_cq(f"{b.name}->{a.name}.scq"),
         recv_cq=b.create_cq(f"{b.name}->{a.name}.rcq"),
         name=f"{b.name}->{a.name}",
     )

@@ -72,19 +72,17 @@ class QueuePair:
     Created via :func:`repro.rdma.endpoint.connect`; not directly.
     """
 
-    def __init__(self, endpoint: "RdmaEndpoint", send_cq, recv_cq, name: str = ""):
+    def __init__(self, endpoint: "RdmaEndpoint", recv_cq, name: str = ""):
         self.endpoint = endpoint
         self.sim = endpoint.sim
         self.qp_num = next(_qp_ids_for(self.sim))
         self.name = name or f"qp{self.qp_num}"
-        self.send_cq = send_cq
         self.recv_cq = recv_cq
         self.remote: Optional["QueuePair"] = None
         self._recv_queue: Store = Store(self.sim, name=f"{self.name}.rq")
         self._send_gate = Resource(self.sim, capacity=1, name=f"{self.name}.sq")
         # Precomputed once: posting is on the hot path of every verb, so
-        # avoid a per-WR f-string for the completion-event / process names.
-        self._wr_event_name = f"{self.name}.wr"
+        # avoid a per-WR f-string for the verb process's name.
         self._exec_name = f"{self.name}.exec"
 
     # ------------------------------------------------------------------
@@ -138,17 +136,15 @@ class QueuePair:
         """Post a send-queue work request.
 
         Returns an event that fires with the :class:`WorkCompletion` when the
-        verb finishes; the same completion is also pushed to ``send_cq``.
-        Protocol-level failures surface as completions with a non-success
-        status (like real verbs), while local usage errors raise
-        :class:`QpError` immediately.
+        verb finishes — the verb's own process, and the only place a send
+        completion is delivered.  Protocol-level failures surface as
+        completions with a non-success status (like real verbs), while local
+        usage errors raise :class:`QpError` immediately.
         """
         if not self.is_connected:
             raise QpError(f"{self.name} is not connected")
         self._validate_send(wr)
-        done = self.sim.event(name=self._wr_event_name)
-        self.sim.spawn(self._execute(wr, done), name=self._exec_name)
-        return done
+        return self.sim.spawn(self._execute(wr), name=self._exec_name)
 
     def post_send_many(self, wrs) -> list[Event]:
         """Doorbell batching: post a list of WRs with one call.
@@ -167,57 +163,45 @@ class QueuePair:
         wrs = list(wrs)
         for wr in wrs:
             self._validate_send(wr)
-        sim = self.sim
-        ev_name = self._wr_event_name
-        events: list[Event] = [sim.event(name=ev_name) for _ in wrs]
         # One kernel call arms every WR's verb process (batched doorbell);
         # bootstrap order — and thus virtual-time behaviour — is identical
         # to spawning one at a time.
-        sim.spawn_many(
-            [self._execute(wr, done) for wr, done in zip(wrs, events)],
-            name=self._exec_name,
-        )
-        return events
+        return self.sim.spawn_many([self._execute(wr) for wr in wrs],
+                                   name=self._exec_name)
 
     # ------------------------------------------------------------------
     # Verb execution
     # ------------------------------------------------------------------
-    def _complete(self, wr: WorkRequest, done: Event, status: WcStatus, **fields: Any) -> None:
-        wc = WorkCompletion(wr_id=wr.wr_id, opcode=wr.opcode, status=status, **fields)
-        wc.timestamp = self.sim.now
-        self.send_cq.push(wc)
-        done.succeed(wc)
+    def _completion(self, wr: WorkRequest, status: WcStatus, **fields: Any) -> WorkCompletion:
+        return WorkCompletion(wr_id=wr.wr_id, opcode=wr.opcode, status=status,
+                              timestamp=self.sim.now, **fields)
 
-    def _execute(self, wr: WorkRequest, done: Event) -> Generator[Any, Any, None]:
+    def _execute(self, wr: WorkRequest) -> Generator[Any, Any, WorkCompletion]:
+        """One verb, start to finish: its process fires with what it returns."""
         local = self.endpoint
         remote_ep = self.remote.endpoint  # type: ignore[union-attr]
 
         # ---- Initiator phase: gather payload, inject into the fabric -----
-        payload: bytes = b""
-        request_wire_bytes = 0
         with (yield self._send_gate):
             yield from local.nic.tx_process()
             try:
                 payload = yield from self._gather_payload(wr)
             except MrError:
-                self._complete(wr, done, WcStatus.LOCAL_PROTECTION_ERROR)
-                return
-            request_wire_bytes = self._request_wire_bytes(wr, payload)
-            yield from local.fabric.unicast(local.name, remote_ep.name, request_wire_bytes)
+                return self._completion(wr, WcStatus.LOCAL_PROTECTION_ERROR)
+            yield from local.fabric.unicast(local.name, remote_ep.name,
+                                            self._request_wire_bytes(wr, payload))
 
         # ---- Target phase ------------------------------------------------
         if not remote_ep.alive:
             # The request is retransmitted into silence until the QP's
             # retry budget expires.
             yield local.retry_timeout_ns
-            self._complete(wr, done, WcStatus.RETRY_EXCEEDED)
-            return
+            return self._completion(wr, WcStatus.RETRY_EXCEEDED)
         yield from remote_ep.nic.rx_process()
         try:
             response_bytes = yield from self._apply_at_target(wr, payload, remote_ep)
         except _RemoteFault as fault:
-            self._complete(wr, done, fault.status)
-            return
+            return self._completion(wr, fault.status)
 
         # ---- Response / ack phase ----------------------------------------
         yield from local.fabric.unicast(remote_ep.name, local.name, response_bytes[0])
@@ -227,19 +211,17 @@ class QueuePair:
             try:
                 wr.local_mr.check(wr.local_offset, wr.length, AccessFlags.LOCAL)  # type: ignore[union-attr]
             except (MrError, AttributeError):
-                self._complete(wr, done, WcStatus.LOCAL_PROTECTION_ERROR)
-                return
+                return self._completion(wr, WcStatus.LOCAL_PROTECTION_ERROR)
             # Place the fetched bytes into local registered memory (DMA).
             yield from wr.local_mr.write(wr.local_offset, response_bytes[1])  # type: ignore[union-attr]
-            self._complete(wr, done, WcStatus.SUCCESS, byte_len=wr.length)
-        elif wr.is_atomic:
-            self._complete(
-                wr, done, WcStatus.SUCCESS,
+            return self._completion(wr, WcStatus.SUCCESS, byte_len=wr.length)
+        if wr.is_atomic:
+            return self._completion(
+                wr, WcStatus.SUCCESS,
                 byte_len=ATOMIC_OPERAND_BYTES,
                 atomic_value=int.from_bytes(response_bytes[1], "little"),
             )
-        else:
-            self._complete(wr, done, WcStatus.SUCCESS, byte_len=len(payload))
+        return self._completion(wr, WcStatus.SUCCESS, byte_len=len(payload))
 
     def _gather_payload(self, wr: WorkRequest) -> Generator[Any, Any, bytes]:
         """Collect the outbound payload (inline or local DMA read)."""
@@ -268,7 +250,7 @@ class QueuePair:
     ) -> Generator[Any, Any, tuple[int, bytes]]:
         """Execute the target-side effect; returns (response_wire_bytes, data)."""
         if wr.opcode is Opcode.SEND:
-            desc: _RecvDescriptor = yield self.remote._recv_queue.get()  # type: ignore[union-attr]
+            desc: _RecvDescriptor = yield self.remote._recv_queue  # type: ignore[union-attr]
             if len(payload) > desc.length:
                 # Buffer too small: receiver sees a local error, sender a
                 # remote-invalid-request; keep it simple and fail the sender.
@@ -318,7 +300,7 @@ class QueuePair:
             if wr.opcode is Opcode.RDMA_WRITE_IMM:
                 # Consumes a posted RECV at the target and raises a completion
                 # there — after the data is globally visible (RC ordering).
-                desc = yield self.remote._recv_queue.get()  # type: ignore[union-attr]
+                desc = yield self.remote._recv_queue  # type: ignore[union-attr]
                 self.remote.recv_cq.push(  # type: ignore[union-attr]
                     WorkCompletion(
                         wr_id=desc.wr_id,

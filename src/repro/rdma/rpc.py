@@ -138,17 +138,17 @@ class _BufferRing:
         return self.capacity - len(self.free._items)
 
     # -- acquire / release ------------------------------------------------
-    def acquire(self) -> Event:
-        """Event yielding a free slot.
+    def acquire(self) -> Store:
+        """The wait for a free slot, to be yielded.
 
         Under occupancy pressure an elastic ring first doubles its capacity
         so the caller never parks; a ring with free slots (or no grow_cb)
-        does exactly what ``free.get()`` always did.
+        is just its free list.
         """
         if self._grow_cb is not None and not self.free._items \
                 and self.capacity < self._max_slots:
             self._grow()
-        return self.free.get()
+        return self.free
 
     def release(self, slot: int) -> None:
         self.free.put(slot)
@@ -407,6 +407,7 @@ class RpcServer:
         ring = self._recv_ring
         occupancy = self.pool_occupancy
         state = self._qp_state
+        completions = qp.recv_cq.next_event()
         posted = -1
         while True:
             if posted < 0:
@@ -414,7 +415,7 @@ class RpcServer:
                 occupancy.adjust(1.0)
                 qp.post_recv(ring.mr_of(posted), ring.offset(posted),
                              self.buffer_size, wr_id=posted)
-            wc = yield qp.recv_cq.next_event()
+            wc = yield completions
             ctx = wc.context
             if ctx and "rpc_park" in ctx:
                 if state.get(qp) == "parking":
@@ -427,8 +428,6 @@ class RpcServer:
                     # cancel failing means a real message consumed our
                     # posted slot first; its completion is already queued.
                     state[qp] = "live"
-                continue
-            if wc.opcode is not Opcode.RECV:  # our own response completions
                 continue
             raw = wc.recv_mr.peek(wc.recv_offset, wc.byte_len)
             ring.release(wc.wr_id)
@@ -466,8 +465,7 @@ class RpcServer:
             length=len(payload),
             imm_data=self._credit_grant(),
         )
-        done = qp.post_send(wr)
-        yield done
+        yield qp.post_send(wr)
         ring.release(slot)
         if rec is not None:
             rec.record(self.name, "rpc." + method, t0, ok=reply[0] == "ok")
@@ -536,7 +534,7 @@ class RpcClient:
 
         # Post a reply buffer *before* sending, so the response can never
         # find the receive queue empty.
-        recv_slot = yield self._recv_ring.free.get()
+        recv_slot = yield self._recv_ring.free
         self.qp.post_recv(self._recv_ring.mr, self._recv_ring.offset(recv_slot),
                           self.buffer_size, wr_id=recv_slot)
 
@@ -546,7 +544,7 @@ class RpcClient:
             self._demux_running = True
             self.sim.spawn(self._demux_loop(), name=f"{self.name}.demux")
 
-        send_slot = yield self._send_ring.free.get()
+        send_slot = yield self._send_ring.free
         offset = self._send_ring.offset(send_slot)
         self._send_ring.mr.poke(offset, payload)
         wr = WorkRequest(
@@ -555,8 +553,7 @@ class RpcClient:
             local_offset=offset,
             length=len(payload),
         )
-        send_done = self.qp.post_send(wr)
-        send_wc = yield send_done
+        send_wc = yield self.qp.post_send(wr)
         self._send_ring.free.put(send_slot)
         if not send_wc.ok:
             self._pending.pop(req_id, None)
@@ -578,10 +575,9 @@ class RpcClient:
         return result
 
     def _demux_loop(self) -> Generator[Any, Any, None]:
+        completions = self.qp.recv_cq.next_event()
         while True:
-            wc = yield self.qp.recv_cq.next_event()
-            if wc.opcode is not Opcode.RECV:
-                continue
+            wc = yield completions
             raw = self._recv_ring.mr.peek(wc.recv_offset, wc.byte_len)
             self._recv_ring.free.put(wc.wr_id)
             gate = self._credits

@@ -14,11 +14,12 @@ small, dependency-free engine in the style of SimPy:
 
 Processes are plain Python generators.  What one may ``yield``: an event;
 a bare ``int``, a delay in nanoseconds; a ``Resource``, a wait for one of its
-slots (``with (yield resource):``); or a ``(resource, ns)`` pair, a slot
-taken, kept ``ns`` nanoseconds and given back.  Only the first creates an
-object; for the rest the kernel queues the process's own wake-up.  All
-simulated time is kept as integer nanoseconds so long runs never accumulate
-floating-point drift.
+slots (``with (yield resource):``); a ``(resource, ns)`` pair, a slot taken,
+kept ``ns`` nanoseconds and given back; or a ``Store``, a wait for its oldest
+item (``item = yield store``; ``store.put(x)`` never waits).  Only the first
+creates an object; for the rest the kernel queues the process's own wake-up.
+All simulated time is kept as integer nanoseconds so long runs never
+accumulate floating-point drift.
 """
 
 from repro.sim.kernel import Simulator, Process, SimulationError

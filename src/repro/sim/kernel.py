@@ -19,14 +19,15 @@ freshly queued wake-up would take — and is woken through the queue
 otherwise.  Every run with the same seed is bit-for-bit reproducible.
 
 :class:`Process` adapts a Python generator into the event system.  A
-process may yield four things: an :class:`~repro.sim.primitives.Event` (or a
+process may yield five things: an :class:`~repro.sim.primitives.Event` (or a
 ``Process``, which is itself an event that fires when the generator
 returns); a non-negative ``int`` — a wait of that many virtual nanoseconds;
-a :class:`~repro.sim.resources.Resource` — a wait for one of its slots; or a
+a :class:`~repro.sim.resources.Resource` — a wait for one of its slots; a
 ``(resource, ns)`` pair — a slot taken, kept ``ns`` nanoseconds and given
-back.  For the last three the kernel queues the process's own wake-up and
-creates no event at all.  ``sim.timeout(n)`` is the timer *event*, for waits
-that are stored, composed into ``all_of``/``any_of`` or carry a value.
+back; or a :class:`~repro.sim.resources.Store` — a wait for its oldest item.
+For the last four the kernel queues the process's own wake-up and creates no
+event at all.  ``sim.timeout(n)`` is the timer *event*, for waits that are
+stored, composed into ``all_of``/``any_of`` or carry a value.
 
 Fast-path notes: the ``run`` loops bind the bucket machinery to locals and
 dispatch a whole instant per outer iteration (one clock write and one
@@ -49,7 +50,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional, Sequence, Union
 
 from repro.sim.primitives import _PENDING, Event, Interrupt, Timeout
-from repro.sim.resources import Resource
+from repro.sim.resources import Resource, Store
 
 
 class SimulationError(RuntimeError):
@@ -58,11 +59,11 @@ class SimulationError(RuntimeError):
 
 #: Consecutive inline continuations one dispatch may run before the next
 #: already-over wait is scheduled instead (the same order at the tail), so
-#: ``max_events`` still sees a process spinning on born-fired events.
+#: ``max_events`` still sees a process spinning on waits that are always over.
 _INLINE_RUN_MAX = 64
 
 #: The generator type a process function must return.
-ProcessGenerator = Generator[Union[Event, int, Resource, tuple], Any, Any]
+ProcessGenerator = Generator[Union[Event, int, Resource, tuple, Store], Any, Any]
 
 
 class Process(Event):
@@ -85,10 +86,12 @@ class Process(Event):
     ``ns`` nanoseconds and releases it before the generator resumes.  Both
     queue this process's own entry exactly where a request event would have
     queued its dispatch (``docs/KERNEL.md``, "What a process may yield").
+    A yielded :class:`Store` sends its oldest item back the same way: at
+    once, by this process's own entry, or when a ``put`` appends that entry.
     """
 
     __slots__ = ("_generator", "_send", "_waiting_on", "_wake", "_epoch", "_entry",
-                 "_slot", "_holding")
+                 "_slot", "_holding", "_item")
 
     def __init__(self, sim: "Simulator", generator: ProcessGenerator, name: str = "",
                  _defer: bool = False):
@@ -111,12 +114,14 @@ class Process(Event):
         # recognisably stale.  One entry object serves every wait in between.
         self._epoch = 0
         self._entry = (self._wake, (0,))
-        # A wait for a slot that the kernel owns: the yielded ``Resource`` or
-        # ``(resource, ns)`` pair while this process is parked in the
-        # resource's queue or its grant entry is queued; the resource alone,
-        # with ``_holding`` set, during the delay of a timed hold.
+        # A wait that the kernel owns: the yielded ``Resource``,
+        # ``(resource, ns)`` pair or ``Store`` while this process is parked
+        # in its queue or the entry that ends the wait is queued; the
+        # resource alone, with ``_holding`` set, during the delay of a timed
+        # hold.  ``_item`` is what a store's queued entry delivers.
         self._slot: Any = None
         self._holding = False
+        self._item: Any = None
         if not _defer:
             # Kick off the first step from the loop, not inline.  Inlined
             # sim.schedule(0, ...) — spawn is hot.
@@ -149,17 +154,14 @@ class Process(Event):
         if not self.is_alive:
             return
         # Whatever wake-up is outstanding is stale from here on: a queued
-        # delay or grant entry carries the old epoch, an event's callback will
-        # find _waiting_on no longer matches.  A bare delay has nothing to
-        # abandon.
+        # entry (delay, slot, item) carries the old epoch, an event's callback
+        # will find _waiting_on no longer matches.
         epoch = self._epoch = self._epoch + 1
         self._entry = (self._wake, (epoch,))
-        waited, self._waiting_on = self._waiting_on, None
-        if waited is not None:
-            waited._abandon()
+        self._waiting_on = None
         slot = self._slot
         if slot is not None:
-            # The kernel, not the generator, owns this wait for a slot.
+            # The kernel, not the generator, owns this wait: settle it first.
             self._slot = None
             if self._holding:
                 # Inside a timed hold: give the slot back first, where
@@ -167,11 +169,19 @@ class Process(Event):
                 self._holding = False
                 slot.release()
             else:
-                res = slot if slot.__class__ is Resource else slot[0]
+                src = slot[0] if slot.__class__ is tuple else slot
                 try:
-                    res._queue.remove(self)  # parked: no slot to give back
+                    src._queue.remove(self)  # parked: nothing to give back
                 except ValueError:
-                    res.release()  # granted, the grant entry not yet run
+                    # Served, the entry that says so not yet run: the slot or
+                    # the item goes back, to whoever is next in line.
+                    if src.__class__ is Resource:
+                        src.release()
+                    elif src._queue:
+                        src.put(self._item)
+                    else:
+                        src._items.appendleft(self._item)  # ahead of later puts
+                    self._item = None
         self._resume(epoch, Interrupt(cause))
 
     def _bad_yield(self, problem: str) -> None:
@@ -184,9 +194,9 @@ class Process(Event):
         interrupt.
 
         ``token`` says which wait is over: the epoch of this process's own
-        queued entry (a delay, a granted slot, the end of a timed hold), or
-        the event this was registered on.  ``exc`` is thrown into the
-        generator instead of a value being sent.
+        queued entry (a delay, a granted slot, the end of a timed hold, an
+        item handed over), or the event this was registered on.  ``exc`` is
+        thrown into the generator instead of a value being sent.
         """
         sim = self.sim
         if token.__class__ is int:
@@ -222,7 +232,9 @@ class Process(Event):
                         b.append(self._entry)
                     return
                 else:
-                    self._slot = None  # a bare grant: the resource is sent
+                    self._slot = None  # a bare grant: the resource is sent ...
+                    if value.__class__ is Store:  # ... a hand-off: the item
+                        value, self._item = self._item, None
         else:
             if self._waiting_on is not token:
                 return  # stale wake-up after an interrupt
@@ -273,6 +285,24 @@ class Process(Event):
                 # place in line behind what the instant already holds.
                 self._slot = target
                 t = sim.now
+            elif cls is Store:
+                if target.sim is not sim:
+                    return self._bad_yield("yielded store belongs to another simulator")
+                if not target._items:
+                    target._queue.append(self)
+                    self._slot = target
+                    if target._demand_waiters:
+                        target._getter_parked()
+                    return
+                value = target._items.popleft()
+                if inline and not sim._entries.__length_hint__():
+                    # The oldest item at the tail of the instant: keep going.
+                    inline -= 1
+                    continue
+                # An item elsewhere: it rides this process's entry, its place in line.
+                self._slot = target
+                self._item = value
+                t = sim.now
             elif cls is tuple:
                 try:
                     res, ns = target
@@ -309,8 +339,8 @@ class Process(Event):
                 except AttributeError:
                     return self._bad_yield(
                         f"process {self.name!r} yielded {target!r}; processes may "
-                        "only yield an Event, a non-negative int delay, a Resource "
-                        "or a (Resource, int) timed hold")
+                        "only yield an Event, a non-negative int delay, a Resource, "
+                        "a (Resource, int) timed hold or a Store")
                 if foreign:
                     return self._bad_yield("yielded event belongs to another simulator")
                 if cb1 is None:
@@ -334,7 +364,8 @@ class Process(Event):
                 target.add_callback(self._wake)
                 return
             # Queue this process's own entry at ``t``: the end of a delay or
-            # of a hold that has started, or the grant of a slot taken above.
+            # of a hold that has started, or the delivery of a slot or an item
+            # taken above.
             buckets = sim._buckets
             b = buckets.get(t)
             if b is None:

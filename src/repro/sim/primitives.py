@@ -1,8 +1,8 @@
 """Waitable primitives for simulation processes.
 
 A *process* is a Python generator that yields waitables (or a bare ``int``
-delay, a ``Resource`` or a ``(resource, ns)`` hold, which are the kernel's
-business and involve nothing from this file).
+delay, a ``Resource``, a ``(resource, ns)`` hold or a ``Store``, which are
+the kernel's business and involve nothing from this file).
 The kernel (:mod:`repro.sim.kernel`) resumes the generator when the yielded
 waitable *triggers*.  The primitives here mirror SimPy's core vocabulary:
 
@@ -57,9 +57,7 @@ class Event:
     instant.  With none registered it queues nothing — the event is simply
     *fired*, and the first waiter to arrive schedules the dispatch (or, for a
     process at the tail of the instant, continues inline; see
-    ``Process._resume``).  Fast paths that complete an event at
-    birth (``Store.get``/``put``) set ``_value`` directly, which is the same
-    state.
+    ``Process._resume``).
     """
 
     __slots__ = ("sim", "_value", "_exception", "_cb1", "_more",
@@ -171,10 +169,6 @@ class Event:
                 and (self._value is not _PENDING or self._exception is not None)):
             self._scheduled = True
             self.sim.schedule(0, self._dispatch)
-
-    def _abandon(self) -> None:
-        """Kernel hook: the process waiting on this event was interrupted
-        away from it.  A parked ``Store`` ``get``/``put`` withdraws."""
 
     def _dispatch(self) -> None:
         # Mark processed *before* invoking callbacks so late registrations

@@ -11,7 +11,7 @@ from collections import deque
 from heapq import heappush
 from typing import TYPE_CHECKING, Any, Deque, Generator, Optional
 
-from repro.sim.primitives import _PENDING, Event
+from repro.sim.primitives import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -89,84 +89,59 @@ class Resource:
     __exit__ = release
 
 
-class _Parked(Event):
-    """A ``Store.get`` or ``put`` that has to wait, in the store's queue."""
-
-    __slots__ = ("_queue", "item")
-
-    def __init__(self, sim: "Simulator", name: str, queue: Deque["_Parked"],
-                 item: Any = None):
-        Event.__init__(self, sim, name)
-        self._queue = queue
-        self.item = item
-        queue.append(self)
-
-    def _abandon(self) -> None:
-        # The waiting process was interrupted: nobody is left to take the
-        # item (get) or to learn that it was accepted (put).
-        if self._value is _PENDING and self in self._queue:
-            self._queue.remove(self)
-
-
 class Store:
-    """An unbounded-or-bounded FIFO queue of items between processes.
+    """An unbounded FIFO queue of items between processes.
 
-    ``put`` blocks only when a ``capacity`` is set and reached; ``get`` blocks
-    while the store is empty.  Delivery order is FIFO on both sides.
+    ``put`` never waits and returns nothing.  A process takes the oldest
+    item by yielding the store itself (``item = yield store``; ``get()`` is
+    the spelled-out name of the same yieldable) and waits while it is empty,
+    FIFO on both sides.  No event is involved: the kernel queues the taking
+    process's own entry, or parks the process here until a ``put`` does.
 
-    Every queued getter and putter has a live process behind it: interrupting
-    a process parked on ``yield store.get()`` or on a blocked
-    ``yield store.put(x)`` withdraws the request — no later item is handed to
-    the dead getter, and ``x`` is never inserted.  (As with
-    :class:`Resource`, an interrupt cancels the request: ask again rather
-    than re-yielding it.)
+    Invariant: a parked getter is a live process, and an item is owned by
+    the store or by exactly one queued entry.  A process interrupted while
+    parked leaves the queue; interrupted after an item became its own but
+    before the entry delivering it ran, it gives the item back — to the next
+    parked process, or to the head of the store — before the interrupt is
+    raised in it.  (As with :class:`Resource`, an interrupt cancels the
+    request: ask again.)
     """
 
-    def __init__(self, sim: "Simulator", capacity: Optional[int] = None, name: str = "store"):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 or None")
+    def __init__(self, sim: "Simulator", name: str = "store"):
         self.sim = sim
-        self.capacity = capacity
         self.name = name
-        self._put_name = f"put({name})"
-        self._get_name = f"get({name})"
         self._items: Deque[Any] = deque()
-        self._getters: Deque[_Parked] = deque()
-        self._putters: Deque[_Parked] = deque()
-        # Demand watchers (see :meth:`demand`); None until first used so the
-        # hot get() path pays a single falsy check.
+        #: Parked processes, oldest first (``repro.sim.kernel`` appends).
+        self._queue: Deque[Any] = deque()
+        # Demand watchers (see :meth:`demand`); None until first used so a
+        # process parking here pays a single falsy check.
         self._demand_waiters: Optional[list] = None
 
     def __len__(self) -> int:
         return len(self._items)
 
-    def put(self, item: Any) -> Event:
-        """Offer ``item``; the returned event fires once it is accepted."""
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            return _Parked(self.sim, self._put_name, self._putters, item)
-        ev = Event(self.sim, name=self._put_name)
-        self._accept(item)
-        ev._value = None  # born fired
-        return ev
-
-    def get(self) -> Event:
-        """Take the oldest item; the returned event fires with the item."""
-        if self._items:
-            ev = Event(self.sim, name=self._get_name)
-            ev._value = self._items.popleft()  # born fired
-            if self._putters:
-                # The getter's wake-up goes ahead of the putter's it unblocks.
-                ev._scheduled = True
-                self.sim.schedule(0, ev._dispatch)
-                self._admit_blocked_putter()
+    def put(self, item: Any) -> None:
+        """Add ``item``: straight to the oldest parked process, whose entry
+        joins the current instant carrying it, or to the queue."""
+        queue = self._queue
+        if not queue:
+            self._items.append(item)
+            return
+        proc = queue.popleft()
+        proc._item = item
+        sim = self.sim
+        buckets = sim._buckets
+        t = sim.now
+        b = buckets.get(t)
+        if b is None:
+            buckets[t] = [proc._entry]
+            heappush(sim._instants, t)
         else:
-            ev = _Parked(self.sim, self._get_name, self._getters)
-            if self._demand_waiters:
-                waiters, self._demand_waiters = self._demand_waiters, None
-                for w in waiters:
-                    if not w.triggered:
-                        w.succeed(None)
-        return ev
+            b.append(proc._entry)
+
+    def get(self) -> "Store":
+        """The wait for the oldest item, to be yielded: the store itself."""
+        return self
 
     def demand(self) -> Event:
         """Event firing when a getter parks on the empty store — i.e. the
@@ -175,7 +150,7 @@ class Store:
         parked RPC serve loop whose peer crashed) wake only on real demand
         instead of polling or holding resources."""
         ev = Event(self.sim, name=f"demand({self.name})")
-        if self._getters:
+        if self._queue:
             ev.succeed(None)
         else:
             if self._demand_waiters is None:
@@ -183,12 +158,18 @@ class Store:
             self._demand_waiters.append(ev)
         return ev
 
+    def _getter_parked(self) -> None:
+        """Kernel hook: a process has just parked here while :meth:`demand`
+        events were waiting for exactly that."""
+        waiters, self._demand_waiters = self._demand_waiters, None
+        for w in waiters:
+            if not w.triggered:
+                w.succeed(None)
+
     def try_get(self) -> tuple[bool, Any]:
         """Non-blocking take: ``(True, item)`` or ``(False, None)``."""
         if self._items:
-            item = self._items.popleft()
-            self._admit_blocked_putter()
-            return True, item
+            return True, self._items.popleft()
         return False, None
 
     def remove(self, item: Any) -> bool:
@@ -199,24 +180,7 @@ class Store:
             self._items.remove(item)
         except ValueError:
             return False
-        self._admit_blocked_putter()
         return True
-
-    def _accept(self, item: Any) -> None:
-        while self._getters:
-            getter = self._getters.popleft()
-            if getter.triggered:
-                continue
-            getter.succeed(item)
-            return
-        self._items.append(item)
-
-    def _admit_blocked_putter(self) -> None:
-        if self._putters and (self.capacity is None or len(self._items) < self.capacity):
-            ev = self._putters.popleft()
-            self._accept(ev.item)
-            if not ev.triggered:
-                ev.succeed(None)
 
 
 class TokenBucket:

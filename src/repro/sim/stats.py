@@ -84,7 +84,7 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        if len(self._samples) < self._max_samples:
+        if self.count <= self._max_samples:  # every sample so far was kept
             self._samples.append(value)
         else:
             self._rng_state = (self._rng_state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
@@ -172,7 +172,12 @@ class TimeWeightedStat:
 
     def adjust(self, delta: float) -> None:
         """Shift the level by ``delta`` (convenience for counters)."""
-        self.update(self._level + delta)
+        now = self.sim.now
+        self._integral += self._level * (now - self._last_change)
+        self._last_change = now
+        level = self._level = self._level + delta
+        if level > self.peak:
+            self.peak = level
 
     def time_average(self) -> float:
         """Average level from this stat's creation up to now."""

@@ -1,0 +1,65 @@
+"""Object census: steady-state data-path work retains nothing per message.
+
+A work request's completion is delivered by the event ``post_send`` returns
+— the verb's own process — and nowhere else.  While every QP also pushed
+each completion into a send CQ that nothing ever polled, a pool kept one
+``WorkCompletion`` per WR for its whole life (about 0.2 KB each: the ledger's
+``meta_churn`` held 41,000 of them after 8,000 ops).  This pins the fix where
+a leak of that kind shows first: in the number of live kernel and verbs
+objects after twice the work.
+"""
+
+import gc
+from collections import Counter
+
+from repro.rdma.wr import WorkCompletion
+from repro.sim import Event, Process
+
+from tests.core.conftest import build_pool
+
+CENSUS = (WorkCompletion, Event, Process)
+
+
+def _census():
+    gc.collect()
+    return Counter(type(obj) for obj in gc.get_objects() if type(obj) in CENSUS)
+
+
+def test_reads_and_writes_leave_no_objects_behind():
+    """N reads and writes, then 2N more: the live counts of completions,
+    events and processes after a collection do not grow with N."""
+    sim, pool = build_pool()
+    addrs = {}
+
+    def setup(sim, client):
+        addrs[client] = []
+        for i in range(8):
+            gaddr = yield from client.gmalloc(256)
+            yield from client.gwrite(gaddr, bytes([i]) * 256)
+            addrs[client].append(gaddr)
+        yield from client.gsync()
+
+    def work(sim, client, rounds):
+        own = addrs[client]
+        for i in range(rounds):
+            gaddr = own[i % len(own)]
+            yield from client.gwrite(gaddr, bytes([i % 251]) * 256)
+            assert (yield from client.gread(gaddr)) == bytes([i % 251]) * 256
+            if i % 8 == 7:
+                yield from client.gread_many(own)
+        yield from client.gsync()
+
+    pool.run(*(setup(sim, c) for c in pool.clients))
+    n = 40
+    pool.run(*(work(sim, c, n) for c in pool.clients))  # warm: lazy set-up done
+    pool.run(*(work(sim, c, n) for c in pool.clients))
+    after_n = _census()
+    pool.run(*(work(sim, c, 2 * n) for c in pool.clients))
+    after_3n = _census()
+    for kind in CENSUS:
+        # 2N more rounds are hundreds more WRs (+260 completions while the
+        # send CQ kept them); a handful of objects may come and go with cache
+        # promotions and ring growth, never hundreds.
+        assert after_3n[kind] - after_n[kind] <= 8, (
+            f"{kind.__name__}: {after_n[kind]} live after N, "
+            f"{after_3n[kind]} after 3N")

@@ -58,6 +58,31 @@ def test_sparse_buffer_lazy_allocation():
     assert buf.resident_bytes == SparseBuffer.PAGE_SIZE
 
 
+def test_sparse_buffer_access_inside_one_page_and_across_the_boundary():
+    """An access that ends exactly on the page boundary takes the one-slice
+    path, one byte more takes the loop; both see the same bytes, and an RPC
+    slot's worth of data costs an RPC slot's worth of host memory."""
+    page = SparseBuffer.PAGE_SIZE
+    assert page == 4096
+    buf = SparseBuffer(1 << 30)
+    inside = bytes(range(1, 101))
+    buf.write(page - 100, inside)            # ends on the boundary
+    assert buf.resident_bytes == page
+    buf.write(3 * page - 100, inside + b"!")  # one byte into the next page
+    assert buf.resident_bytes == 3 * page
+    for base, data in ((page - 100, inside), (3 * page - 100, inside + b"!")):
+        got = buf.read(base, len(data))
+        assert got == data and type(got) is bytes
+        assert buf.read(base - 1, len(data) + 2) == b"\x00" + data + b"\x00"
+    assert buf.read(7 * page + 5, 16) == bytes(16)  # untouched page, one slice
+
+
+def test_sparse_buffer_empty_write_touches_no_page():
+    buf = SparseBuffer(1 << 30)
+    buf.write(12345, b"")
+    assert buf.resident_bytes == 0 and buf.read(12345, 0) == b""
+
+
 # ---------------------------------------------------------------------------
 # MemoryDevice timing
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.hardware.memory import SparseBuffer
 
-CAPACITY = 512 * 1024  # spans several 64 KiB pages
+CAPACITY = 512 * 1024  # spans many pages
 
 _write_op = st.tuples(
     st.integers(min_value=0, max_value=CAPACITY - 1),

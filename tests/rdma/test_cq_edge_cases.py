@@ -90,21 +90,26 @@ def test_read_after_write_same_qp_sees_new_data(rig):
     assert data == b"ORDERED!"
 
 
-def test_signaled_completions_also_land_in_send_cq(rig):
+def test_a_send_completion_is_delivered_by_the_returned_event_alone(rig):
+    """There is no send CQ: what ``post_send`` returns — the verb's own
+    process — fires with the completion, and no queue keeps a copy."""
     remote = rig.ep_b.register_mr(rig.mem_b, base=0, length=256)
+    done = rig.qp_a.post_send(WorkRequest(
+        opcode=Opcode.RDMA_WRITE, inline_data=b"cq",
+        remote_rkey=remote.rkey, remote_offset=0, wr_id=42,
+    ))
+    assert not done.triggered
 
     def proc(sim):
-        wc = yield rig.qp_a.post_send(WorkRequest(
-            opcode=Opcode.RDMA_WRITE, inline_data=b"cq",
-            remote_rkey=remote.rkey, remote_offset=0, wr_id=42,
-        ))
-        return wc
+        wc = yield done
+        return wc, sim.now
 
-    rig.run(proc(rig.sim))
-    entries = rig.qp_a.send_cq.poll()
-    assert len(entries) == 1
-    assert entries[0].wr_id == 42
-    assert entries[0].ok
+    wc, woken_at = rig.run(proc(rig.sim))
+    assert done.value is wc
+    assert wc.wr_id == 42 and wc.ok and wc.timestamp == woken_at
+    for qp in (rig.qp_a, rig.qp_b):
+        assert not hasattr(qp, "send_cq")
+        assert qp.recv_cq.poll() == [] and qp.recv_cq.completions.count == 0
 
 
 def test_many_outstanding_reads_pipeline(rig):

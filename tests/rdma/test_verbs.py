@@ -327,13 +327,37 @@ def test_send_from_registered_memory(rig):
     assert dst.peek(0, len(payload)) == payload
 
 
+def test_a_bad_local_buffer_completes_in_error_and_frees_the_send_gate(rig):
+    """The gather fails inside the send gate: the verb's process returns the
+    error completion from there, the gate goes to the WR parked behind it,
+    and both posters hear back."""
+    src = rig.ep_a.register_mr(rig.mem_a, base=0, length=2048)
+    src.poke(0, b"x" * 1024)
+    dst = rig.ep_b.register_mr(rig.mem_b, base=0, length=4096)
+
+    def write(local_offset):
+        return WorkRequest(opcode=Opcode.RDMA_WRITE, local_mr=src,
+                           local_offset=local_offset, length=1024,
+                           remote_rkey=dst.rkey, remote_offset=0)
+
+    def poster(sim):
+        bad, good = rig.qp_a.post_send_many([write(1500), write(0)])  # 1500 + 1024 > 2048
+        return (yield bad), (yield good)
+
+    bad_wc, good_wc = rig.run(poster(rig.sim))
+    assert bad_wc.status is WcStatus.LOCAL_PROTECTION_ERROR
+    assert bad_wc.timestamp < good_wc.timestamp
+    assert good_wc.ok and dst.peek(0, 1024) == b"x" * 1024
+    assert rig.qp_a._send_gate.in_use == 0
+
+
 # ---------------------------------------------------------------------------
 # Posting errors
 # ---------------------------------------------------------------------------
 def test_unconnected_qp_rejects_post(rig):
     from repro.rdma.qp import QueuePair
 
-    lone = QueuePair(rig.ep_a, send_cq=rig.ep_a.create_cq(), recv_cq=rig.ep_a.create_cq())
+    lone = QueuePair(rig.ep_a, recv_cq=rig.ep_a.create_cq())
     with pytest.raises(QpError):
         lone.post_send(WorkRequest(opcode=Opcode.SEND, inline_data=b"x"))
 

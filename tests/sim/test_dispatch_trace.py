@@ -52,6 +52,20 @@ release (``dispatch_scenario._LoggedGenerator``), because the pair form
 resumes its generator once where acquire-then-delay resumed it twice.  The
 dispatch pin runs without the stand-in and sees the pair form itself.
 
+RE-CAPTURED A FOURTH TIME, IN PR 19 (event-free store hand-offs), NAMES ONLY
+ONCE MORE: 9,063 dispatches before and after.  An item handed to a parked
+process by ``Store.put``, or taken from a non-empty store away from the tail
+of its instant, used to be delivered by the get event's ``Event._dispatch``;
+it is now the taking process's own entry, ``Process._resume``, appended at
+the same position of the same bucket.  Checked as in PR 16, full trace
+against full trace: same length, same ``final_time_ns`` (287,477), the same
+instant at every index; the 572 positions whose name differs all read
+``Event._dispatch`` before and ``Process._resume`` after.  A work request's
+completion now fires from its verb process instead of a ``done`` event beside
+it — an ``Event._dispatch`` either way, in the same place — and the read
+mux's consumer still waits on a two-callback event, so none of its entries
+moved either.  The resumption pin is reproduced byte for byte, unedited.
+
 A mismatch in either is a kernel bug (or a deliberate contract change that
 must be called out as loudly as this one), never something to silence by
 editing the scenario.

@@ -2,11 +2,12 @@
 
 The kernel rule under test (``docs/KERNEL.md``, "The ordering contract"): a
 process that yields an event which has already fired, has no other waiter
-and has no dispatch queued — or a ``Resource`` with a free slot — continues
-inline when, and only when, the running dispatch is the last entry of the
-current instant's bucket.  Otherwise it registers (or queues its own grant
-entry) and is woken through the queue.  Either way the order in which
-processes resume is the same; only pass-through dispatches disappear.
+and has no dispatch queued — or a ``Resource`` with a free slot, or a
+``Store`` with an item — continues inline when, and only when, the running
+dispatch is the last entry of the current instant's bucket.  Otherwise it
+registers (or queues its own entry) and is woken through the queue.  Either
+way the order in which processes resume is the same; only pass-through
+dispatches disappear.
 """
 
 from math import ceil
@@ -18,30 +19,37 @@ from repro.sim import kernel
 
 
 # ---------------------------------------------------------------------------
-# Born-fired sources and lazy completion
+# Waits that are over before they start, and lazy completion
 # ---------------------------------------------------------------------------
+def _fired(sim):
+    """An event completed with nobody waiting: fired, nothing queued."""
+    ev = sim.event()
+    ev.succeed("x")
+    return ev
+
+
 def _item_present(sim):
     store = Store(sim)
     store.put("item")
     return store.get(), "item"
 
 
-def _put_accepted(sim):
-    return Store(sim).put("item"), None
+def _event_fired(sim):
+    ev = _fired(sim)
+    assert ev.triggered and not ev.processed
+    return ev, "x"
 
 
-@pytest.mark.parametrize("source", [_item_present, _put_accepted])
+@pytest.mark.parametrize("source", [_item_present, _event_fired])
 def test_born_fired_sources_schedule_nothing(source):
     sim = Simulator()
-    ev, expect = source(sim)
-    assert ev.triggered and not ev.processed
-    assert ev.value is expect
-    assert sim.peek() is None  # fired, and nothing queued to say so
+    wait, expect = source(sim)
+    assert sim.peek() is None  # over already, and nothing queued to say so
 
     got = []
 
     def waiter(sim):
-        got.append((yield ev))
+        got.append((yield wait))
 
     sim.spawn(waiter(sim))
     sim.run()
@@ -84,12 +92,13 @@ def test_sole_waiter_at_the_tail_continues_inline():
         yield sim.timeout(1)
         with (yield res) as slot:
             got.append(slot)
-            got.append((yield store.put("x")))
-            got.append((yield store.get()))
+            got.append(store.put("x"))
+            got.append((yield store))
+            got.append((yield _fired(sim)))
 
     sim.spawn(body(sim))
     sim.run()
-    assert got == [res, None, "x"]
+    assert got == [res, None, "x", "x"]
     assert sim.total_dispatched == 2  # first step + the timeout
     assert res.in_use == 0
 
@@ -150,9 +159,54 @@ def test_a_timed_hold_away_from_the_tail_starts_when_its_grant_entry_runs():
     assert sim.total_dispatched == 6  # per process: first step, grant, end
 
 
+def test_an_item_away_from_the_tail_rides_the_takers_own_entry():
+    """The store analogue: B's bootstrap is queued behind A's, so neither
+    take is at the tail.  Each item is popped at the ``yield`` — it is the
+    taker's from then on — and delivered by the taker's own entry."""
+    sim = Simulator()
+    store = Store(sim)
+    store.put("a")
+    store.put("b")
+    order = []
+
+    def body(sim, tag):
+        order.append((tag, "start", len(store)))
+        order.append((tag, (yield store)))
+
+    sim.spawn(body(sim, "A"))
+    sim.spawn(body(sim, "B"))
+    sim.run()
+    assert order == [("A", "start", 2), ("B", "start", 1), ("A", "a"), ("B", "b")]
+    assert sim.total_dispatched == 4  # two first steps, two deliveries
+
+
+def test_a_hand_off_to_a_parked_process_is_its_own_entry_and_nothing_else():
+    """``put`` on a store with a parked process appends that process's entry
+    to the current instant: one dispatch, a ``Process._resume``, no event."""
+    sim = Simulator()
+    store = Store(sim)
+    names, got = [], []
+    sim.dispatch_hook = lambda when, fn: names.append((when, fn.__qualname__))
+
+    def getter(sim):
+        got.append(((yield store), sim.now))
+
+    def producer(sim):
+        yield 5
+        store.put("x")
+        store.put("y")  # nobody parked any more: it stays
+
+    sim.spawn(getter(sim))
+    sim.spawn(producer(sim))
+    sim.run()
+    assert got == [("x", 5)] and list(store._items) == ["y"]
+    assert names == [(0, "Process._resume"), (0, "Process._resume"),
+                     (5, "Process._resume"), (5, "Process._resume")]
+
+
 def test_second_waiter_on_a_born_fired_event_goes_through_the_scheduler():
     sim = Simulator()
-    req = Store(sim).put("x")
+    req = _fired(sim)
     order = []
 
     def body(sim, tag):
@@ -169,7 +223,7 @@ def test_second_waiter_on_a_born_fired_event_goes_through_the_scheduler():
 
 def test_add_callback_on_a_born_fired_event_never_runs_inline():
     sim = Simulator()
-    ev = Store(sim).put("x")
+    ev = _fired(sim)
     seen = []
     ev.add_callback(seen.append)
     assert seen == []

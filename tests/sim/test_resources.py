@@ -409,33 +409,37 @@ def test_store_fifo_across_consumers():
     assert got == [(0, "a"), (1, "b"), (2, "c")]
 
 
-def test_store_capacity_backpressure():
+def test_put_returns_nothing_and_get_is_the_store():
+    """There is no put-accepted event and no get event: ``put`` never waits,
+    and ``get()`` only names what a process yields."""
     sim = Simulator()
-    store = Store(sim, capacity=1)
-    timeline = []
+    store = Store(sim)
+    assert store.put("x") is None
+    assert store.get() is store
+    assert sim.peek() is None  # nothing queued to say so
 
-    def producer(sim):
-        for i in range(3):
-            yield store.put(i)
-            timeline.append(("put", i, sim.now))
 
-    def consumer(sim):
-        for _ in range(3):
-            yield sim.timeout(10)
-            item = yield store.get()
-            timeline.append(("got", item, sim.now))
+def test_a_store_of_another_simulator_fails_the_process():
+    sim = Simulator()
+    foreign = Store(Simulator())
+    foreign.put("x")
 
-    sim.spawn(producer(sim))
-    sim.spawn(consumer(sim))
+    def body(sim):
+        yield foreign
+
+    p = sim.spawn(body(sim))
     sim.run()
-    puts = [t for op, _, t in timeline if op == "put"]
-    assert puts == [0, 10, 20]  # second/third puts wait for drains
+    assert isinstance(p.exception, SimulationError)
+    assert len(foreign) == 1 and not foreign._queue
 
 
+# The two states of a store wait the kernel owns, each interrupted.  Every
+# test here fails if the matching branch of ``Process._deliver_interrupt`` is
+# removed: an item is lost, or handed to a process that is gone.
 def test_interrupted_getter_leaves_the_store_queue():
-    """A process interrupted while parked on ``yield store.get()`` used to
-    leave its getter queued: the next put handed the item to the dead getter,
-    the item was lost and a later ``get()`` starved forever."""
+    """A process interrupted while parked on ``yield store`` used to stay
+    queued: the next put handed the item to the dead getter, the item was
+    lost and a later getter starved forever."""
     sim = Simulator()
     store = Store(sim)
     got = []
@@ -446,38 +450,92 @@ def test_interrupted_getter_leaves_the_store_queue():
 
     def consumer(sim):
         yield sim.timeout(30)
-        got.append((sim.now, (yield store.get())))
+        got.append((sim.now, (yield store)))
 
     v = sim.spawn(victim(sim))
     sim.spawn(consumer(sim))
     sim.schedule(10, v.interrupt)
     sim.schedule(20, store.put, "A")
     sim.run(until=25)
-    assert len(store) == 1  # "A" waits for a live getter
+    assert len(store) == 1 and not store._queue  # "A" waits for a live getter
     sim.run()
     assert isinstance(v.exception, Interrupt)
     assert got == [(30, "A")] and len(store) == 0
 
 
-def test_interrupted_blocked_putter_never_inserts_its_item():
-    """The mirror case on a bounded store: an interrupted blocked
-    ``put("ghost")`` used to be inserted once space freed."""
+def test_interrupted_between_handoff_and_delivery_returns_the_item_to_the_next_getter():
+    """``put`` hands "A" to the parked victim — its entry is queued — but the
+    interrupt queued just before is delivered first.  Events dropped "A" here
+    (it died with the fired get event: a leaked ring slot).  Now it goes on
+    to the getter parked behind the victim, and the stale entry wakes
+    nobody."""
     sim = Simulator()
-    store = Store(sim, capacity=1)
-    store.put("first")
+    store = Store(sim)
+    got = []
 
-    def victim(sim):
-        yield store.put("ghost")
+    def getter(sim, tag):
+        got.append((tag, (yield store.get()), sim.now))
 
-    v = sim.spawn(victim(sim))
-    sim.schedule(10, v.interrupt)
+    def producer(sim):
+        yield 5
+        victim.interrupt()  # delivered first ...
+        store.put("A")      # ... so this hand-off finds nobody
+
+    victim = sim.spawn(getter(sim, "victim"))
+    sim.spawn(getter(sim, "later"))
+    sim.spawn(producer(sim))
     sim.run()
-    assert isinstance(v.exception, Interrupt)
-    assert store.try_get() == (True, "first")
-    assert store.try_get() == (False, None) and len(store) == 0
-    # The store still works for whoever comes next.
-    store.put("second")
-    assert store.try_get() == (True, "second")
+    assert isinstance(victim.exception, Interrupt)
+    assert got == [("later", "A", 5)]
+    assert len(store) == 0 and not store._queue
+
+
+def test_interrupted_between_handoff_and_delivery_returns_the_item_to_the_head():
+    """The same with nobody else parked: the item goes back to the *head* of
+    the store, ahead of what was put after it, and the victim's handler may
+    ask again — the entry of the wait it was interrupted out of carries the
+    old epoch and is not a delivery for the new one."""
+    sim = Simulator()
+    store = Store(sim)
+    seen = []
+
+    def victim_body(sim):
+        try:
+            yield store.get()
+        except Interrupt:
+            seen.append(("interrupted", list(store._items)))
+            seen.append(((yield store.get()), sim.now))
+            seen.append(((yield store.get()), sim.now))
+
+    def producer(sim):
+        yield 5
+        victim.interrupt()
+        store.put("A")
+        store.put("B")
+
+    victim = sim.spawn(victim_body(sim))
+    sim.spawn(producer(sim))
+    sim.run()
+    assert victim.ok
+    assert seen == [("interrupted", ["A", "B"]), ("A", 5), ("B", 5)]
+    assert len(store) == 0 and not store._queue
+
+
+def test_interrupted_between_a_pass_through_take_and_delivery_returns_the_item():
+    """An item taken away from the tail of the instant rides a queued entry
+    too; an interrupt that gets in first puts it back."""
+    sim = Simulator()
+    store = Store(sim)
+    store.put("A")
+
+    def body(sim):
+        yield store.get()
+
+    victim = sim.spawn(body(sim))
+    victim.interrupt()  # queued behind the first step, ahead of its entry
+    sim.run()
+    assert isinstance(victim.exception, Interrupt)
+    assert store.try_get() == (True, "A")
 
 
 def test_store_try_get():

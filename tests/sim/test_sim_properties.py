@@ -1,9 +1,11 @@
 """Property-based tests (hypothesis) for the simulation kernel invariants."""
 
+from collections import deque
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Histogram, Interrupt, Resource, Simulator, Store
+from repro.sim import Event, Histogram, Interrupt, Resource, Simulator, Store
 
 
 @given(delays=st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=50))
@@ -73,11 +75,12 @@ def test_store_preserves_fifo_order(items):
 
     def producer(sim):
         for item in items:
-            yield store.put(item)
+            store.put(item)
+            yield item % 3  # 0 is a turn: the consumer may run in between
 
     def consumer(sim):
         for _ in items:
-            received.append((yield store.get()))
+            received.append((yield store))
 
     sim.spawn(producer(sim))
     sim.spawn(consumer(sim))
@@ -115,8 +118,8 @@ def test_histogram_median_matches_sorted_definition(values):
 # Zero-delay event elision and bare delays are order-exact: a differential test
 # ---------------------------------------------------------------------------
 # A random program is a list of processes, each a list of steps over shared
-# Resources, Stores (one bounded), a TokenBucket, bare delays, timer events,
-# all_of and two broadcast gates (one event, many waiting processes).  Every
+# Resources, Stores, a TokenBucket, bare delays, timer events, all_of and two
+# broadcast gates (one event, many waiting processes).  Every
 # step draws a jitter from ONE shared RNG stream and records into shared
 # metrics, so any change in the order processes resume in shows up as a
 # different draw, a different virtual time and a different metric snapshot.
@@ -127,7 +130,7 @@ _step = st.one_of(
     st.tuples(st.just("timeout"), _delay),
     st.tuples(st.just("hold"), _which, _delay),
     st.tuples(st.just("put"), _which),
-    st.tuples(st.just("put_unawaited"), _which),
+    st.tuples(st.just("put_and_turn"), _which),
     st.tuples(st.just("get"), _which),
     st.tuples(st.just("tokens"), st.integers(min_value=1, max_value=3)),
     st.tuples(st.just("all_of"), _which, st.lists(_delay, max_size=3)),
@@ -169,7 +172,7 @@ def _run_program(program, timer_events=False):
 
     sim = Simulator(seed=7)
     resources = [Resource(sim, capacity=1, name="r0"), Resource(sim, capacity=2, name="r1")]
-    stores = [Store(sim, name="s0"), Store(sim, capacity=1, name="s1")]
+    stores = [Store(sim, name="s0"), Store(sim, name="s1")]
     bucket = TokenBucket(sim, rate_per_ns=0.5, burst=3)
     gates = [sim.event("g0"), sim.event("g1")]
     rng = sim.rng.stream("program")
@@ -201,19 +204,20 @@ def _run_program(program, timer_events=False):
                     if op[2]:
                         yield op[2]
             elif kind == "put":
-                yield stores[op[1]].put(rng.randrange(100))
-            elif kind == "put_unawaited":
                 stores[op[1]].put(rng.randrange(100))
+            elif kind == "put_and_turn":
+                stores[op[1]].put(rng.randrange(100))
+                yield 0
             elif kind == "get":
                 # Park on an empty store only half the time: a parked getter
                 # with no putter left ends its process's part in the run.
                 if len(stores[op[1]]) or rng.random() < 0.5:
-                    yield stores[op[1]].get()
+                    steps.add((yield stores[op[1]]))
             elif kind == "tokens":
                 yield from bucket.consume(op[1])
             elif kind == "all_of":
                 parts = [sim.timeout(d) for d in op[2]]
-                parts.append(stores[op[1]].put(len(parts)))
+                stores[op[1]].put(len(parts))
                 yield sim.all_of(parts)
                 with (yield resources[op[1]]):
                     pass
@@ -363,3 +367,157 @@ def test_a_timed_hold_is_acquire_delay_release(case):
         kernel._INLINE_RUN_MAX = bound
     assert pair[:2] == queued[:2] and pair[3:] == queued[3:]
     assert pair[2] <= queued[2]
+
+
+# ---------------------------------------------------------------------------
+# A store hand-off is the get event's dispatch without the event: a
+# differential test
+# ---------------------------------------------------------------------------
+# Random programs over two stores and a resource, with interrupts, run on the
+# kernel-native ``Store`` and on ``_EventStore`` below — the ``Store`` this
+# repo had while a ``get`` was an event (``put`` handing an item to a parked
+# get event, a get on a non-empty store born fired), unbounded.  It queues the
+# get event's ``Event._dispatch`` wherever the native store queues the taking
+# process's own entry, so the two runs must agree on everything, dispatch
+# counts included.  The one thing events could not do — see that an
+# interrupted process had an item in flight — the reference does by hand, in
+# the worker's ``except Interrupt`` (``settle``), which runs in the dispatch
+# that delivers the interrupt, as the kernel's own settlement does.
+class _EventStore:
+    def __init__(self, sim, name):
+        self.sim = sim
+        self.name = name
+        self._items = deque()
+        self._queue = deque()  # pending get events, oldest first
+        self._demand_waiters = None
+
+    def __len__(self):
+        return len(self._items)
+
+    def put(self, item):
+        if self._queue:
+            self._queue.popleft().succeed(item)
+        else:
+            self._items.append(item)
+
+    def get(self):
+        ev = Event(self.sim, name=f"get({self.name})")
+        if self._items:
+            ev.succeed(self._items.popleft())  # no waiter yet: queues nothing
+        else:
+            self._queue.append(ev)
+            if self._demand_waiters:
+                self._getter_parked()
+        return ev
+
+    demand = Store.demand
+    _getter_parked = Store._getter_parked
+    try_get = Store.try_get
+    remove = Store.remove
+
+    def settle(self, ev):
+        """``ev``'s process was interrupted out of waiting for it."""
+        if not ev.triggered:
+            self._queue.remove(ev)      # parked: withdrawn
+        elif self._queue:
+            self.put(ev.value)            # in flight: on to the next in line
+        else:
+            self._items.appendleft(ev.value)  # ... or back to the head
+
+
+_store_step = st.one_of(
+    st.tuples(st.just("get"), _which),
+    st.tuples(st.just("get"), _which),
+    st.tuples(st.just("put"), _which, st.integers(min_value=0, max_value=3)),
+    st.tuples(st.just("put"), _which, st.integers(min_value=0, max_value=3)),
+    st.tuples(st.just("try_get"), _which),
+    st.tuples(st.just("remove"), _which, st.integers(min_value=0, max_value=3)),
+    st.tuples(st.just("demand"), _which),
+    st.tuples(st.just("delay"), _ns),
+    st.tuples(st.just("hold"), _ns),
+)
+_store_programs = st.tuples(
+    st.lists(st.lists(_store_step, min_size=1, max_size=7), min_size=1, max_size=6),
+    st.lists(st.tuples(st.integers(min_value=0, max_value=12),
+                       st.integers(min_value=0, max_value=5)), max_size=6),
+)
+
+
+def _run_stores(program, interrupts, reference=False):
+    sim = Simulator(seed=5)
+    make = _EventStore if reference else Store
+    stores = [make(sim, name="s0"), make(sim, name="s1")]
+    res = Resource(sim, capacity=1, name="r")
+    log = []
+    put = taken = 0
+
+    def worker(sim, name, ops):
+        nonlocal put, taken
+        for i, op in enumerate(ops):
+            kind = op[0]
+            wait = outcome = None
+            try:
+                if kind == "get":
+                    wait = stores[op[1]].get()
+                    outcome = yield wait
+                    taken += 1
+                elif kind == "put":
+                    stores[op[1]].put(op[2])
+                    put += 1
+                elif kind == "try_get":
+                    outcome = stores[op[1]].try_get()
+                    taken += outcome[0]
+                elif kind == "remove":
+                    outcome = stores[op[1]].remove(op[2])
+                    taken += outcome
+                elif kind == "demand":
+                    yield stores[op[1]].demand()
+                elif kind == "delay":
+                    yield op[1]
+                else:
+                    yield (res, op[1])
+            except Interrupt:
+                outcome = "interrupted"
+                if reference and kind == "get":
+                    stores[op[1]].settle(wait)
+            log.append((sim.now, name, i, outcome, [list(s._items) for s in stores],
+                        [len(s._queue) for s in stores]))
+
+    procs = [sim.spawn(worker(sim, f"w{i}", ops), name=f"w{i}")
+             for i, ops in enumerate(program)]
+    for when, who in interrupts:
+        sim.schedule(when, procs[who % len(procs)].interrupt)
+    sim.run(max_events=100_000)
+    return (log, sim.now, [p.triggered for p in procs],
+            [(list(s._items), len(s._queue)) for s in stores],
+            (put, taken), sim.total_dispatched)
+
+
+@given(case=_store_programs)
+@settings(max_examples=300, deadline=None)
+def test_a_store_hand_off_is_the_get_events_dispatch_without_the_event(case):
+    """Native, native with inline continuation switched off (every item
+    through the queue), and the event-based reference: identical step logs
+    (time, process, outcome, every store's items and parked count at every
+    step end), final clocks, outcomes and end states.  Native and reference
+    queue the same entries, so their dispatch counts are equal too; switching
+    inline continuation off may only add pass-through deliveries.  Once every
+    process has finished nobody is parked in a store, and every item put has
+    been taken or is still there: none was lost to an interrupt, none
+    delivered twice."""
+    from repro.sim import kernel
+
+    native = _run_stores(*case)
+    assert native == _run_stores(*case, reference=True)
+    if all(native[2]):
+        assert all(parked == 0 for _items, parked in native[3])
+        put, taken = native[4]
+        assert put == taken + sum(len(items) for items, _parked in native[3])
+    bound = kernel._INLINE_RUN_MAX
+    kernel._INLINE_RUN_MAX = 0
+    try:
+        queued = _run_stores(*case)
+    finally:
+        kernel._INLINE_RUN_MAX = bound
+    assert native[:5] == queued[:5]
+    assert native[5] <= queued[5]

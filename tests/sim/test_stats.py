@@ -63,6 +63,17 @@ def test_histogram_reservoir_keeps_memory_bounded():
     assert 2000 < h.p50 < 8000
 
 
+def test_histogram_keeps_every_sample_up_to_the_bound_then_a_reservoir():
+    h = Histogram("lat", max_samples=4)
+    for v in range(4):
+        h.record(float(v))
+    assert h._samples == [0.0, 1.0, 2.0, 3.0]
+    for v in range(4, 50):
+        h.record(float(v))
+        assert len(h._samples) == 4
+    assert h.count == 50 and h._samples != [0.0, 1.0, 2.0, 3.0]
+
+
 def test_histogram_snapshot_keys():
     h = Histogram("lat")
     h.record(5)
@@ -101,6 +112,26 @@ def test_time_weighted_adjust():
     level.adjust(+3)
     level.adjust(-1)
     assert level.level == 2
+
+
+def test_time_weighted_adjust_is_update_by_a_delta():
+    """``adjust`` integrates in place; it must stay ``update(level + delta)``
+    to the last bit — average, peak and level."""
+    sim = Simulator()
+    adjusted = TimeWeightedStat("a", sim, initial=1.5)
+    updated = TimeWeightedStat("u", sim, initial=1.5)
+
+    def proc(sim):
+        for dt, delta in [(3, +2.0), (0, -0.5), (7, +4.25), (11, -6.0), (2, +0.125)]:
+            yield dt
+            adjusted.adjust(delta)
+            updated.update(updated.level + delta)
+
+    sim.spawn(proc(sim))
+    sim.run(until=40)
+    for attr in ("level", "peak", "_integral", "_last_change"):
+        assert getattr(adjusted, attr) == getattr(updated, attr)
+    assert adjusted.time_average() == updated.time_average()
 
 
 def test_time_weighted_at_time_zero():
