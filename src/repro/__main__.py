@@ -124,10 +124,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro import obs
 
     system, result, recorder = _instrumented_ycsb(args)
-    if recorder is None:
-        print("observability layer is disabled (repro.obs.ENABLED=False)",
-              file=sys.stderr)
-        return 1
     with open(args.out, "w") as fh:
         json.dump(obs.chrome_trace(recorder), fh)
     print(f"wrote {args.out}: {len(recorder)} spans "

@@ -1,6 +1,5 @@
 """Applications built on the pool: the workloads the paper evaluates with."""
 
-from repro.apps.array import DistributedArray, U64Array
 from repro.apps.graph import PageRankEngine, reference_pagerank
 from repro.apps.kvstore import KvStore
 from repro.apps.mapreduce import MapReduceEngine, distributed_sort, grep_job, wordcount_job
@@ -13,8 +12,6 @@ __all__ = [
     "grep_job",
     "distributed_sort",
     "SharedLog",
-    "DistributedArray",
-    "U64Array",
     "PageRankEngine",
     "reference_pagerank",
 ]

@@ -20,7 +20,8 @@ nodes share the pool.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
+import zlib
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Tuple
 
 #: CPU model: ~2 GB/s of per-byte map/reduce processing.
@@ -33,22 +34,32 @@ class MapReduceError(Exception):
     """Job configuration or execution failure."""
 
 
+def stable_partition(key: Any, r: int) -> int:
+    """Route a key to one of ``r`` reducers by its content.
+
+    Never by ``hash()``: ``str`` hashes follow ``PYTHONHASHSEED``, so shuffle
+    sizes — and with them virtual time — would follow the host process.
+    """
+    if isinstance(key, int):
+        return key % r
+    return zlib.crc32(key.encode() if isinstance(key, str) else key) % r
+
+
 @dataclass
 class JobSpec:
     """One MapReduce job.
 
     ``map_fn(chunk: bytes) -> dict[key, value]`` and
     ``reduce_fn(values: list[value]) -> value`` must be pure.
-    ``partition_fn`` routes keys to reducers (defaults to hash).
+    ``partition_fn`` routes keys to reducers (defaults to
+    :func:`stable_partition`).
     """
 
     name: str
     map_fn: Callable[[bytes], Dict[Any, Any]]
     reduce_fn: Callable[[List[Any]], Any]
     num_reducers: int = 4
-    partition_fn: Callable[[Any, int], int] = field(
-        default=lambda key, r: hash(key) % r
-    )
+    partition_fn: Callable[[Any, int], int] = stable_partition
 
 
 @dataclass

@@ -50,9 +50,9 @@ from repro.faults import (
     ServerCrash,
     ServerRecover,
 )
+from repro import obs
 from repro.hardware.specs import TEST_DRAM, TEST_NVM
 from repro.sim import Simulator
-from repro.sim.trace import Tracer, trace
 from repro.workloads.bank import (
     BankSpec,
     bank_read_balances,
@@ -65,6 +65,11 @@ from repro.workloads.ycsb import WORKLOAD_B, Op, YcsbGenerator
 #: Virtual-time slack allowed past a deadline before we call it a miss
 #: (the watchdog wakes at the next event boundary, never mid-verb).
 _DEADLINE_SLACK_NS = 5_000
+
+#: Event categories ``--dump-trace`` prints as the fault timeline.
+TIMELINE_CATEGORIES = frozenset({
+    "fault", "retry", "failover", "degraded", "lease", "fence", "partition",
+    "term", "check", "txn"})
 
 
 class _MidCommitKill(Exception):
@@ -189,14 +194,11 @@ class ChaosSoak:
         self.sim = Simulator(seed=seed)
         self.recorder = None
         if record_spans:
-            from repro import obs
             self.recorder = obs.install(self.sim)
-        if dump_trace:
-            self.sim.tracer = Tracer(
-                self.sim, capacity=50_000,
-                categories={"fault", "retry", "failover", "degraded",
-                            "lease", "fence", "partition", "term", "check",
-                            "txn"})
+        elif dump_trace:
+            # Events only: the fault timeline does not pay for a span log.
+            self.recorder = self.sim.spans = obs.SpanRecorder(
+                self.sim, keep_spans=False, histograms=False)
         self.pool = GengarPool.build(
             self.sim, num_servers=max(2, self.shards),
             num_clients=3 if (kill_clients or self.kill_mid_commit) else 2,
@@ -850,10 +852,11 @@ class ChaosSoak:
             m = sim.metrics
             m.counter("check.histories").add()
             m.counter("check.history_ops").add(len(recorder.ops))
-            if sim.tracer is not None:
-                trace(sim, "check", "history audited",
-                      ops=len(recorder.ops), ok=result.ok,
-                      violations=len(result.violations))
+            rec = sim.spans
+            if rec is not None:
+                rec.event("chaos", "check", "history audited",
+                          ops=len(recorder.ops), ok=result.ok,
+                          violations=len(result.violations))
             if not result.ok:
                 m.counter("check.violations").add(len(result.violations))
                 for v in result.violations[:5]:
@@ -909,10 +912,11 @@ class ChaosSoak:
             m = sim.metrics
             m.counter("check.histories").add()
             m.counter("check.history_ops").add(len(recorder.ops))
-            if sim.tracer is not None:
-                trace(sim, "check", "shard-kill history audited",
-                      ops=len(recorder.ops), ok=result.ok,
-                      violations=len(result.violations))
+            rec = sim.spans
+            if rec is not None:
+                rec.event("chaos", "check", "shard-kill history audited",
+                          ops=len(recorder.ops), ok=result.ok,
+                          violations=len(result.violations))
             if not result.ok:
                 m.counter("check.violations").add(len(result.violations))
                 for v in result.violations[:5]:
@@ -945,9 +949,10 @@ class ChaosSoak:
             if also_master:
                 self.pool.master.crash()
                 self.sim.metrics.counter("faults.master_crashes").add()
-            if self.sim.tracer is not None:
-                trace(self.sim, "fault", "mid-commit kill", point=p,
-                      txn=txn.id, master=also_master)
+            rec = self.sim.spans
+            if rec is not None:
+                rec.event("chaos", "fault", "mid-commit kill", point=p,
+                          txn=txn.id, master=also_master)
             raise _MidCommitKill(point)
 
         victim.txn.commit_hook = hook
@@ -1137,10 +1142,11 @@ class ChaosSoak:
             m = sim.metrics
             m.counter("check.txn_histories").add()
             m.counter("check.txn_history_ops").add(len(recorder.ops))
-            if sim.tracer is not None:
-                trace(sim, "check", "txn history audited",
-                      ops=len(recorder.ops), ok=result.ok,
-                      violations=len(result.violations))
+            rec = sim.spans
+            if rec is not None:
+                rec.event("chaos", "check", "txn history audited",
+                          ops=len(recorder.ops), ok=result.ok,
+                          violations=len(result.violations))
             if not result.ok:
                 m.counter("check.violations").add(len(result.violations))
                 for v in result.violations[:5]:
@@ -1390,10 +1396,10 @@ def run_soak(seed: int = 7, smoke: bool = False,
         report["counterexample_file"] = counterexample_out
         print(f"wrote {counterexample_out}: minimal counterexample "
               f"({n} ops)", file=sys.stderr)
-    if dump_trace and soak.sim.tracer is not None:
-        report["trace"] = soak.sim.tracer.render(limit=200)
-    if soak.recorder is not None:
-        from repro import obs
+    if dump_trace:
+        report["trace"] = obs.timeline(soak.recorder, limit=200,
+                                       categories=TIMELINE_CATEGORIES)
+    if trace_out or span_log:
         if trace_out:
             with open(trace_out, "w") as fh:
                 json.dump(obs.chrome_trace(soak.recorder), fh)

@@ -25,7 +25,6 @@ wall-clock numbers improve (see ``tests/core/test_determinism.py``).
 Usage::
 
     PYTHONPATH=src python -m repro.bench.perf                 # update "current"
-    PYTHONPATH=src python -m repro.bench.perf --set-baseline  # (re)capture baseline
     PYTHONPATH=src python -m repro.bench.perf --smoke         # tiny CI smoke run
     PYTHONPATH=src python -m repro.bench.perf --guard-against BENCH_perf.json
 
@@ -52,9 +51,7 @@ The JSON layout::
 
     {
       "schema": 1,
-      "baseline": {"kernel": {...}, "ycsb_small": {...}, "ycsb_medium": {...}},
-      "current":  {... same shape ...},
-      "speedup":  {"kernel_events_per_sec": 3.1, ...}
+      "current": {"kernel": {...}, "ycsb_small": {...}, "ycsb_medium": {...}}
     }
 """
 
@@ -513,9 +510,6 @@ def export_trace(trace_out: Optional[Path], span_log: Optional[Path],
     runner = YcsbRunner(system, spec, num_workers=2, ops_per_worker=50)
     runner.load()
     runner.run()
-    if recorder is None:
-        print("observability layer disabled; no trace artifacts written")
-        return
     if trace_out is not None:
         trace_out.write_text(json.dumps(obs.chrome_trace(recorder)))
         print(f"wrote {trace_out}: {len(recorder)} spans")
@@ -529,7 +523,7 @@ def export_trace(trace_out: Optional[Path], span_log: Optional[Path],
 # ----------------------------------------------------------------------
 def measure(smoke: bool = False) -> Dict[str, Any]:
     """Run the full suite (or the tiny smoke variant) and return the shape
-    stored under ``baseline`` / ``current``."""
+    stored under ``current``."""
     if smoke:
         kernel = bench_kernel(num_procs=8, timeouts_per_proc=200, repeats=1)
         rpc = bench_rpc(calls=100, repeats=1)
@@ -571,50 +565,9 @@ def measure(smoke: bool = False) -> Dict[str, Any]:
     return out
 
 
-def _ratio(new: Optional[Dict], old: Optional[Dict], key: str) -> Optional[float]:
-    if not new or not old or not old.get(key):
-        return None
-    return round(new[key] / old[key], 3)
-
-
-def compute_speedup(current: Dict[str, Any], baseline: Dict[str, Any]) -> Dict[str, Any]:
-    return {
-        "kernel_events_per_sec": _ratio(
-            current.get("kernel"), baseline.get("kernel"), "events_per_sec"),
-        "rpc_calls_per_sec": _ratio(
-            current.get("rpc"), baseline.get("rpc"), "calls_per_sec"),
-        "doorbell_wrs_per_sec": _ratio(
-            current.get("doorbell"), baseline.get("doorbell"), "wrs_per_sec"),
-        "txn_commits_per_sec": _ratio(
-            current.get("txn"), baseline.get("txn"),
-            "txns_per_sec_wallclock"),
-        "ycsb_small_ops_per_sec": _ratio(
-            current.get("ycsb_small"), baseline.get("ycsb_small"),
-            "ops_per_sec_wallclock"),
-        "ycsb_medium_ops_per_sec": _ratio(
-            current.get("ycsb_medium"), baseline.get("ycsb_medium"),
-            "ops_per_sec_wallclock"),
-    }
-
-
-def run_harness(out_path: Path, set_baseline: bool = False,
-                smoke: bool = False) -> Dict[str, Any]:
-    """Measure, merge with any existing file, and write ``out_path``."""
-    existing: Dict[str, Any] = {}
-    if out_path.exists():
-        try:
-            existing = json.loads(out_path.read_text())
-        except (OSError, ValueError):
-            existing = {}
-
-    current = measure(smoke=smoke)
-    baseline = current if set_baseline else existing.get("baseline") or current
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "baseline": baseline,
-        "current": current,
-        "speedup": compute_speedup(current, baseline),
-    }
+def run_harness(out_path: Path, smoke: bool = False) -> Dict[str, Any]:
+    """Measure and write ``out_path``."""
+    doc = {"schema": SCHEMA_VERSION, "current": measure(smoke=smoke)}
     out_path.write_text(json.dumps(doc, indent=2) + "\n")
     return doc
 
@@ -750,8 +703,6 @@ def run_guard(guard_path: Path) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--set-baseline", action="store_true",
-                        help="record this run as the comparison baseline")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny run for CI smoke testing")
     parser.add_argument("--out", default=DEFAULT_OUT,
@@ -772,13 +723,10 @@ def main(argv=None) -> int:
     if args.guard_against:
         return run_guard(Path(args.guard_against))
 
-    doc = run_harness(Path(args.out), set_baseline=args.set_baseline,
-                      smoke=args.smoke)
+    cur = run_harness(Path(args.out), smoke=args.smoke)["current"]
     export_trace(Path(args.trace_out) if args.trace_out else None,
                  Path(args.span_log) if args.span_log else None)
-    cur, spd = doc["current"], doc["speedup"]
-    print(f"kernel: {cur['kernel']['events_per_sec']:,.0f} events/s "
-          f"(x{spd['kernel_events_per_sec'] or 1.0} vs baseline)")
+    print(f"kernel: {cur['kernel']['events_per_sec']:,.0f} events/s")
     if cur.get("rpc"):
         print(f"rpc: {cur['rpc']['ns_per_call']:,.0f} ns/call "
               f"({cur['rpc']['events_per_call']} events/call, "
@@ -806,8 +754,7 @@ def main(argv=None) -> int:
     for scale in ("ycsb_small", "ycsb_medium"):
         if cur.get(scale):
             print(f"{scale}: {cur[scale]['ops_per_sec_wallclock']:,.1f} ops/s "
-                  f"wall-clock, virtual {cur[scale]['sim_throughput_ops_s']:,.0f} ops/s "
-                  f"(x{spd[f'{scale}_ops_per_sec'] or 1.0} vs baseline), "
+                  f"wall-clock, virtual {cur[scale]['sim_throughput_ops_s']:,.0f} ops/s, "
                   f"hit ratio {cur[scale]['cache_hit_ratio']:.4f}, "
                   f"pipeline depth {cur[scale]['read_pipeline_depth']}")
     print(f"wrote {args.out}")

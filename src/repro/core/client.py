@@ -75,7 +75,6 @@ from repro.rdma.mr import AccessFlags
 from repro.rdma.rpc import RpcError
 from repro.rdma.wr import Opcode, WcStatus, WorkRequest
 from repro.sim.resources import Store
-from repro.sim.trace import trace
 
 __all__ = [
     "GengarClient",
@@ -388,9 +387,9 @@ class GengarClient:
             return
         if self._fenced:
             self.m_fence_rejections.add()
-            if self.sim.tracer is not None:
-                trace(self.sim, "fence", f"{what} refused: epoch fenced",
-                      client=self.name)
+            rec = self.sim.spans
+            if rec is not None:
+                rec.event(self.name, "fence", f"{what} refused: epoch fenced")
             raise FencedError(
                 f"{what}: master fenced this epoch; "
                 "reattach_master() to rejoin")
@@ -403,9 +402,10 @@ class GengarClient:
             # retries, instead of a zombie-style self-fence.
             self.m_fence_rejections.add()
             self.m_lease_lapses.add()
-            if self.sim.tracer is not None:
-                trace(self.sim, "lease", f"{what} parked: lease lapsed "
-                      "locally", client=self.name)
+            rec = self.sim.spans
+            if rec is not None:
+                rec.event(self.name, "lease",
+                          f"{what} parked: lease lapsed locally")
             raise LeaseExpiredError(
                 f"{what}: lease deadline lapsed locally; re-attach to "
                 "renew before retrying")
@@ -450,9 +450,10 @@ class GengarClient:
         self._shard_active[shard] = rots[(i + 1) % len(rots)]
         if shard == 0:
             self.master_rpc = self._shard_active[0]
-        if self.sim.tracer is not None:
-            trace(self.sim, "failover", "rotated to next master",
-                  client=self.name, shard=shard)
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(self.name, "failover", "rotated to next master",
+                      shard=shard)
 
     def _learn_redirect(self, msg: str) -> tuple:
         """Parse a "not my shard" rejection and fold the ownership it
@@ -497,17 +498,20 @@ class GengarClient:
                 if "not my shard" in msg:
                     owner, epoch = self._learn_redirect(msg)
                     self.m_shard_redirects.add()
-                    if self.sim.tracer is not None:
-                        trace(self.sim, "shard", f"{method} redirected",
-                              client=self.name, shard=shard, owner=owner)
+                    rec = self.sim.spans
+                    if rec is not None:
+                        rec.event(self.name, "shard", f"{method} redirected",
+                                  shard=shard, owner=owner)
                     raise NotMyShard(
                         f"{method}: {msg}", shard_id=shard, owner_shard=owner,
                         map_epoch=epoch) from exc
                 if "master deposed" in msg or "stale master term" in msg:
                     self.m_stale_terms.add()
-                    if self.sim.tracer is not None:
-                        trace(self.sim, "term", f"{method} hit a deposed master",
-                              client=self.name, shard=shard)
+                    rec = self.sim.spans
+                    if rec is not None:
+                        rec.event(self.name, "term",
+                                  f"{method} hit a deposed master",
+                                  shard=shard)
                     raise StaleTermError(
                         f"{method}: {msg}",
                         known_term=self._master_terms.get(shard, 0)) from exc
@@ -516,11 +520,11 @@ class GengarClient:
                     self._master_fail_streaks[shard] = streak
                     if streak >= _SUSPECT_STREAK:
                         self.m_partition_suspected.add()
-                        if self.sim.tracer is not None:
-                            trace(self.sim, "partition",
-                                  "master path suspected partitioned",
-                                  client=self.name, shard=shard,
-                                  failures=streak)
+                        rec = self.sim.spans
+                        if rec is not None:
+                            rec.event(self.name, "partition",
+                                      "master path suspected partitioned",
+                                      shard=shard, failures=streak)
                         raise PartitionSuspected(
                             f"{method}: {streak} consecutive "
                             f"master transport failures ({msg})") from exc
@@ -537,10 +541,11 @@ class GengarClient:
                 known = self._master_terms.get(shard, 0)
                 if term < known:
                     self.m_stale_terms.add()
-                    if self.sim.tracer is not None:
-                        trace(self.sim, "term", f"{method} reply term stale",
-                              client=self.name, shard=shard, reply_term=term,
-                              known_term=known)
+                    rec = self.sim.spans
+                    if rec is not None:
+                        rec.event(self.name, "term",
+                                  f"{method} reply term stale", shard=shard,
+                                  reply_term=term, known_term=known)
                     raise StaleTermError(
                         f"{method}: reply term {term} below observed "
                         f"{known}", reply_term=term, known_term=known)
@@ -782,14 +787,16 @@ class GengarClient:
             if use_proxy:
                 # _proxy_write declined: the ring is presumed stalled.
                 self.m_degraded_writes.add()
-                if self.sim.tracer is not None:
-                    trace(self.sim, "degraded", "stalled ring -> direct write",
-                          client=self.name, gaddr=hex(gaddr))
+                rec = self.sim.spans
+                if rec is not None:
+                    rec.event(self.name, "degraded",
+                              "stalled ring -> direct write", gaddr=hex(gaddr))
             elif degraded:
                 self.m_degraded_writes.add()
-                if self.sim.tracer is not None:
-                    trace(self.sim, "degraded", "no ring -> direct write",
-                          client=self.name, gaddr=hex(gaddr))
+                rec = self.sim.spans
+                if rec is not None:
+                    rec.event(self.name, "degraded", "no ring -> direct write",
+                              gaddr=hex(gaddr))
         self._note_access(gaddr, read=False)
 
     def gsync(self, server_id: Optional[int] = None) -> Generator[Any, Any, None]:
@@ -917,8 +924,9 @@ class GengarClient:
         if self._crashed:
             return
         self._crashed = True
-        if self.sim.tracer is not None:
-            trace(self.sim, "fault", "client crashed", client=self.name)
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(self.name, "fault", "client crashed")
 
     def revive(self) -> None:
         """Bring a crashed client back as a *zombie*: its lease has usually
@@ -927,8 +935,9 @@ class GengarClient:
         if not self._crashed:
             return
         self._crashed = False
-        if self.sim.tracer is not None:
-            trace(self.sim, "fault", "client revived", client=self.name)
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(self.name, "fault", "client revived")
         if (self.lease_ns and not self._fenced
                 and self.sim.now < self.lease_deadline):
             self._start_heartbeat()
@@ -993,9 +1002,10 @@ class GengarClient:
             return
         self._fenced = True
         self.m_fence_rejections.add()
-        if self.sim.tracer is not None:
-            trace(self.sim, "fence", "heartbeat fenced", client=self.name,
-                  shard=shard, reason=reason)
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(self.name, "fence", "heartbeat fenced", shard=shard,
+                      reason=reason)
 
     def _note_renewal(self, lease_ns: int) -> None:
         self._last_renew_ns = self.sim.now
@@ -1104,9 +1114,11 @@ class GengarClient:
                         f"{op} gave up after {self.sim.now - start} ns "
                         f"(deadline {policy.deadline_ns} ns): {exc}") from exc
                 self.m_retries.add()
-                if self.sim.tracer is not None:
-                    trace(self.sim, "retry", f"{op} attempt {tries} failed",
-                          client=self.name, cause=type(exc).__name__)
+                rec = self.sim.spans
+                if rec is not None:
+                    rec.event(self.name, "retry",
+                              f"{op} attempt {tries} failed",
+                              cause=type(exc).__name__)
                 server_id = getattr(exc, "server_id", None)
                 if self.config.auto_reattach and server_id is not None:
                     yield from self._auto_reattach(server_id)
@@ -1157,9 +1169,10 @@ class GengarClient:
         if proc.triggered:
             return proc.value  # raises the attempt's failure, if any
         self.m_deadline_misses.add()
-        if self.sim.tracer is not None:
-            trace(self.sim, "retry", f"{op} abandoned at deadline",
-                  client=self.name, elapsed_ns=self.sim.now - start)
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(self.name, "retry", f"{op} abandoned at deadline",
+                      elapsed_ns=self.sim.now - start)
         raise DeadlineExceededError(
             f"{op} exceeded its {policy.deadline_ns} ns deadline")
 
@@ -1193,10 +1206,10 @@ class GengarClient:
             return
         lost, exc = outcome
         if exc is not None:
-            if self.sim.tracer is not None:
-                trace(self.sim, "failover", "re-attach failed",
-                      client=self.name, server=server_id,
-                      cause=type(exc).__name__)
+            rec = self.sim.spans
+            if rec is not None:
+                rec.event(self.name, "failover", "re-attach failed",
+                          server=server_id, cause=type(exc).__name__)
             return
         self.m_failovers.add()
         if lost:
@@ -1206,9 +1219,10 @@ class GengarClient:
             "server_id": server_id,
             "lost": lost,
         })
-        if self.sim.tracer is not None:
-            trace(self.sim, "failover", "re-attached",
-                  client=self.name, server=server_id, lost=len(lost))
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(self.name, "failover", "re-attached", server=server_id,
+                      lost=len(lost))
 
     def _lease_lapse_probe(self, op: str) -> Generator[Any, Any, None]:
         """Resolve a *locally* lapsed lease before the next attempt.
@@ -1245,9 +1259,10 @@ class GengarClient:
                 yield from self._auto_reattach_master()
             return
         self._fenced = True
-        if self.sim.tracer is not None:
-            trace(self.sim, "fence", f"{op} fenced after lease lapse",
-                  client=self.name, epoch=self.fence_epoch)
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(self.name, "fence", f"{op} fenced after lease lapse",
+                      epoch=self.fence_epoch)
         raise FencedError(
             f"{op}: lease lapsed and the master fenced this epoch; "
             "reattach_master() to rejoin")
@@ -1263,10 +1278,10 @@ class GengarClient:
             return
         _, exc = outcome
         if exc is not None:
-            if self.sim.tracer is not None:
-                trace(self.sim, "failover", "master re-attach failed",
-                      client=self.name, shard=shard,
-                      cause=type(exc).__name__)
+            rec = self.sim.spans
+            if rec is not None:
+                rec.event(self.name, "failover", "master re-attach failed",
+                          shard=shard, cause=type(exc).__name__)
             # Next retry tries the shard's next wired master (no-op
             # without standbys): an unreachable or deposed master
             # should not absorb the whole retry budget when a live one
@@ -1274,9 +1289,10 @@ class GengarClient:
             self._rotate_master(shard)
             return
         self.m_master_failovers.add()
-        if self.sim.tracer is not None:
-            trace(self.sim, "failover", "re-attached to master",
-                  client=self.name, shard=shard, epoch=self.fence_epoch)
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(self.name, "failover", "re-attached to master",
+                      shard=shard, epoch=self.fence_epoch)
 
     def _check_wc(self, wc, what: str, conn: _ServerConn,
                   ring: bool = False) -> None:
@@ -1771,18 +1787,12 @@ class GengarClient:
                     if rec is not None:
                         rec.record(self.name, "phase.cache_read", t0,
                                    op=span_op, hit=True, bytes=length)
-                    if self.sim.tracer is not None:
-                        trace(self.sim, "cache", "read hit", client=self.name,
-                              gaddr=hex(gaddr), bytes=length)
                     return raw[CACHE_TAG_BYTES + offset : CACHE_TAG_BYTES + offset + length]
                 # Stale metadata (object demoted / slot reused): refresh.
                 self.m_tag_misses.add()
                 if rec is not None:
                     rec.record(self.name, "phase.cache_read", t0,
                                op=span_op, hit=False, bytes=length)
-                if self.sim.tracer is not None:
-                    trace(self.sim, "cache", "tag mismatch -> refresh",
-                          client=self.name, gaddr=hex(gaddr))
                 self._invalidate_meta(gaddr)
                 # Demoted since we prefetched it: eligible to nominate again.
                 self._prefetch_requested.discard(gaddr)
@@ -1796,9 +1806,6 @@ class GengarClient:
             if rec is not None:
                 rec.record(self.name, "phase.nvm_read", t0, op=span_op,
                            bytes=length)
-            if self.sim.tracer is not None:
-                trace(self.sim, "read", "nvm read", client=self.name,
-                      gaddr=hex(gaddr), bytes=length)
             return data
         if self.config.degraded_mode:
             # Cache bypass: NVM is the source of truth, so when the DRAM
@@ -1813,9 +1820,6 @@ class GengarClient:
             if rec is not None:
                 rec.record(self.name, "phase.degraded_read", t0, op=span_op,
                            bytes=length)
-            if self.sim.tracer is not None:
-                trace(self.sim, "degraded", "metadata thrash -> nvm read",
-                      client=self.name, gaddr=hex(gaddr), bytes=length)
             return data
         raise FatalError(f"metadata thrash reading {gaddr:#x}")
 
@@ -1884,9 +1888,6 @@ class GengarClient:
         if rec is not None:
             rec.record(self.name, "phase.proxy_stage", t0, op=span_op,
                        server=conn.desc.server_id, bytes=len(data))
-        if self.sim.tracer is not None:
-            trace(self.sim, "proxy", "staged write", client=self.name,
-                  gaddr=hex(gaddr), slot=slot, bytes=len(data))
         # The drained counter is 1-based: write #seq is drained once the
         # counter reaches seq + 1.
         self._overlay[gaddr] = _PendingWrite(
@@ -2136,9 +2137,9 @@ class GengarClient:
                     elif verdict == "fenced":
                         self._fenced = True
                         self.m_fence_rejections.add()
-                        if self.sim.tracer is not None:
-                            trace(self.sim, "fence", "report fenced",
-                                  client=self.name)
+                        rec = self.sim.spans
+                        if rec is not None:
+                            rec.event(self.name, "fence", "report fenced")
                 else:
                     updates = reply
                 for gaddr, cached, cache_offset in updates:
@@ -2253,10 +2254,6 @@ class GengarClient:
                 if rec is not None:
                     rec.record(self.name, "phase.prefetch", t0,
                                requested=len(entries), promoted=promoted)
-                if self.sim.tracer is not None:
-                    trace(self.sim, "prefetch", "batch prefetched",
-                          client=self.name, requested=len(entries),
-                          promoted=promoted)
         finally:
             self._prefetch_inflight = False
 

@@ -45,7 +45,6 @@ from repro.core.protocol import (
     lock_reader_count,
     write_lock_word,
 )
-from repro.sim.trace import trace
 
 #: 64-bit two's complement constant for the shared-lock decrement.
 _MINUS_READER = (1 << 64) - READER_UNIT
@@ -133,9 +132,10 @@ class LockOps:
             return
         if client.fenced:
             client.m_fence_rejections.add()
-            if self.sim.tracer is not None:
-                trace(self.sim, "fence", f"{what} refused: epoch fenced",
-                      client=client.name, gaddr=hex(gaddr))
+            rec = self.sim.spans
+            if rec is not None:
+                rec.event(client.name, "fence",
+                          f"{what} refused: epoch fenced", gaddr=hex(gaddr))
             raise FencedError(
                 f"{what} of {gaddr:#x}: master fenced this epoch; "
                 f"reattach_master() to rejoin under a fresh epoch")
@@ -148,9 +148,11 @@ class LockOps:
             # (renewed at the same epoch, or a genuine FencedError).
             client.m_fence_rejections.add()
             client.m_lease_lapses.add()
-            if self.sim.tracer is not None:
-                trace(self.sim, "lease", f"{what} parked: lease lapsed "
-                      "locally", client=client.name, gaddr=hex(gaddr))
+            rec = self.sim.spans
+            if rec is not None:
+                rec.event(client.name, "lease",
+                          f"{what} parked: lease lapsed locally",
+                          gaddr=hex(gaddr))
             raise LeaseExpiredError(
                 f"{what} of {gaddr:#x}: lease deadline lapsed locally; "
                 f"re-attach to renew before retrying")
@@ -293,10 +295,11 @@ class LockOps:
             if (not word & WRITER_BIT or lock_owner(word) != client.uid
                     or lock_epoch(word) != client.fence_epoch):
                 client.m_fence_rejections.add()
-                if self.sim.tracer is not None:
-                    trace(self.sim, "fence", "release refused: word not ours",
-                          client=client.name, gaddr=hex(gaddr),
-                          word=hex(word))
+                rec = self.sim.spans
+                if rec is not None:
+                    rec.event(client.name, "fence",
+                              "release refused: word not ours",
+                              gaddr=hex(gaddr), word=hex(word))
                 raise FencedError(
                     f"write-unlock of {gaddr:#x}: word {word:#x} does not carry "
                     f"uid {client.uid} at epoch {client.fence_epoch} "

@@ -32,7 +32,6 @@ from repro.core.protocol import (
     proxy_payload_capacity,
 )
 from repro.rdma.rpc import DEFAULT_RING_SLOTS, RpcError, RpcServer
-from repro.sim.trace import trace
 
 #: RPC buffer size; every ring starts at ``DEFAULT_RING_SLOTS`` deep.
 _RPC_BUFFER_SIZE = 4096
@@ -426,9 +425,11 @@ class Master:
             if "stale master term" in str(exc):
                 self._deposed = True
                 self.depositions.add()
-                if self.sim.tracer is not None:
-                    trace(self.sim, "term", "journal append rejected: deposed",
-                          term=self.term)
+                rec = self.sim.spans
+                if rec is not None:
+                    rec.event(self.node.name, "term",
+                              "journal append rejected: deposed",
+                              term=self.term)
                 raise MasterError(
                     f"master deposed: term {self.term} superseded") from exc
             raise
@@ -597,10 +598,11 @@ class Master:
                 # detector exists to prevent.
                 self._note_heartbeat(name)
             self._start_lease_sweeper()
-            if self.sim.tracer is not None:
-                trace(self.sim, "lease", "lease granted", client=name,
-                      uid=uid, epoch=epoch,
-                      lease_ns=self.config.client_lease_ns)
+            rec = self.sim.spans
+            if rec is not None:
+                rec.event(self.node.name, "lease", "lease granted",
+                          client=name, uid=uid, epoch=epoch,
+                          lease_ns=self.config.client_lease_ns)
         return {
             "servers": [h.descriptor for h in self._servers.values()],
             "config": self.config,
@@ -620,9 +622,11 @@ class Master:
             return {"ok": True, "lease_ns": self.config.client_lease_ns}
         if verdict == "fenced":
             self.fence_rejections.add()
-            if self.sim.tracer is not None:
-                trace(self.sim, "fence", "renew rejected: epoch retired",
-                      client=name, epoch=epoch)
+            rec = self.sim.spans
+            if rec is not None:
+                rec.event(self.node.name, "fence",
+                          "renew rejected: epoch retired", client=name,
+                          epoch=epoch)
         return {"ok": False, "reason": verdict}
 
     # ------------------------------------------------------------------
@@ -663,9 +667,10 @@ class Master:
         self._hb_last[name] = now
         if name in self._suspected:
             self._suspected.discard(name)
-            if self.sim.tracer is not None:
-                trace(self.sim, "partition", "suspected client heard again",
-                      client=name)
+            rec = self.sim.spans
+            if rec is not None:
+                rec.event(self.node.name, "partition",
+                          "suspected client heard again", client=name)
 
     def _phi(self, name: str) -> float:
         """Suspicion level for ``name``: how implausibly late is its next
@@ -764,9 +769,11 @@ class Master:
                 if name not in self._suspected:
                     self._suspected.add(name)
                     self.suspected_clients.add()
-                    if self.sim.tracer is not None:
-                        trace(self.sim, "partition", "client suspected",
-                              client=name, phi=round(phi, 2))
+                    rec = self.sim.spans
+                    if rec is not None:
+                        rec.event(self.node.name, "partition",
+                                  "client suspected", client=name,
+                                  phi=round(phi, 2))
                 return
             self._suspected.discard(name)
         if self.config.master_terms and self._servers:
@@ -782,16 +789,19 @@ class Master:
             try:
                 confirmed = yield from self._validate_term()
             except MasterError:
-                if self.sim.tracer is not None:
-                    trace(self.sim, "term", "lease fence aborted: deposed",
-                          client=name, term=self.term)
+                rec = self.sim.spans
+                if rec is not None:
+                    rec.event(self.node.name, "term",
+                              "lease fence aborted: deposed", client=name,
+                              term=self.term)
                 return
             if not confirmed:
                 return  # journal unreachable: no authority to fence now
         del self._leases[name]
         self.lease_expiries.add()
-        if self.sim.tracer is not None:
-            trace(self.sim, "lease", "lease expired", client=name)
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(self.node.name, "lease", "lease expired", client=name)
         yield from self._fence_and_recover(name)
 
     def _fence_and_recover(self, name: str) -> Generator[Any, Any, int]:
@@ -851,9 +861,11 @@ class Master:
         # retire_ring); the serve loop re-arms only on a re-attach.
         self.rpc.reclaim_peer(name)
         self.lock_recoveries.add(recovered)
-        if self.sim.tracer is not None:
-            trace(self.sim, "lease", "client fenced", client=name,
-                  epoch=self._epochs.get(name, 0), locks_recovered=recovered)
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(self.node.name, "lease", "client fenced", client=name,
+                      epoch=self._epochs.get(name, 0),
+                      locks_recovered=recovered)
         return recovered
 
     def _journal_fence(self, uid: int, epoch: int) -> Generator[Any, Any, None]:
@@ -938,10 +950,10 @@ class Master:
                     continue  # re-applying later is harmless (idempotent)
                 completed += 1
                 self.txn_rolled_forward.add()
-                if self.sim.tracer is not None:
-                    trace(self.sim, "txn", "rolled forward",
-                          txn=record["txn"], owner=record["owner"],
-                          writes=len(record["writes"]))
+                if rec is not None:
+                    rec.event(self.node.name, "txn", "rolled forward",
+                              txn=record["txn"], owner=record["owner"],
+                              writes=len(record["writes"]))
         if rec is not None:
             rec.record(self.node.name, "txn.recover", t0,
                        rolled_forward=completed)
@@ -1156,8 +1168,9 @@ class Master:
             return
         self.node.endpoint.alive = False
         self.crashes += 1
-        if self.sim.tracer is not None:
-            trace(self.sim, "fault", "master crashed")
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(self.node.name, "fault", "master crashed")
 
     def recover(self) -> None:
         """Restart the master process with empty volatile state.
@@ -1178,8 +1191,10 @@ class Master:
         self._hb_intervals = {}
         self._suspected = set()
         self._deposed = False
-        if self.sim.tracer is not None:
-            trace(self.sim, "fault", "master restarted; volatile state lost")
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(self.node.name, "fault",
+                      "master restarted; volatile state lost")
 
     def recovery_process(self, rebuild: bool = True) -> Generator[Any, Any, int]:
         """Journal-driven failover: rebuild the directory from the servers'
@@ -1202,10 +1217,11 @@ class Master:
                 recovered = yield from self.rebuild()
                 self.journal_replayed.add(recovered)
             else:
-                if self.sim.tracer is not None:
-                    trace(self.sim, "fault",
-                          "no journal replay: master reopens with an empty "
-                          "directory")
+                rec = self.sim.spans
+                if rec is not None:
+                    rec.event(self.node.name, "fault",
+                              "no journal replay: master reopens with an "
+                              "empty directory")
             if self.config.master_terms:
                 # Claim a term above every journaled one *before* opening
                 # for business: until the claim lands, this master keeps
@@ -1219,9 +1235,10 @@ class Master:
             if claimed:
                 self._recovering = False
         self.failovers.add()
-        if self.sim.tracer is not None:
-            trace(self.sim, "failover", "master recovered", objects=recovered,
-                  journal=self.config.metadata_journal)
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(self.node.name, "failover", "master recovered",
+                      objects=recovered, journal=self.config.metadata_journal)
         if self.config.client_lease_ns:
             self.sim.spawn(self._orphan_lock_sweep(),
                            name=f"{self.node.name}.orphan_sweep")
@@ -1294,14 +1311,16 @@ class Master:
                             self._journal_term_max = max(
                                 self._journal_term_max, rec["gaddr"])
                 continue
-            if pending:
-                if self.sim.tracer is not None:
-                    trace(self.sim, "term", "term claim skipped servers",
-                          term=self.term, unreachable=pending)
+            spans = self.sim.spans
+            if pending and spans is not None:
+                spans.event(self.node.name, "term",
+                            "term claim skipped servers", term=self.term,
+                            unreachable=pending)
             self.term_claims.add()
             self._deposed = False
-            if self.sim.tracer is not None:
-                trace(self.sim, "term", "term claimed", term=self.term)
+            if spans is not None:
+                spans.event(self.node.name, "term", "term claimed",
+                            term=self.term)
             return
 
     def _orphan_lock_sweep(self) -> Generator[Any, Any, None]:
@@ -1320,10 +1339,11 @@ class Master:
             # it with StaleRingError the moment the fabric heals, so the
             # absentees are only *suspected* for one extra grace lease;
             # whoever re-attaches during it keeps its rings and locks.
-            if self.sim.tracer is not None:
-                trace(self.sim, "partition",
-                      "orphan sweep deferred: absent clients suspected",
-                      reattached=sorted(self._client_uids))
+            rec = self.sim.spans
+            if rec is not None:
+                rec.event(self.node.name, "partition",
+                          "orphan sweep deferred: absent clients suspected",
+                          reattached=sorted(self._client_uids))
             yield self.sim.timeout(self.config.client_lease_ns)
             if not self.node.endpoint.alive or self._recovering:
                 return
@@ -1345,9 +1365,10 @@ class Master:
                 continue
             if owner:
                 recovered += 1
-                if self.sim.tracer is not None:
-                    trace(self.sim, "lease", "orphan lock recovered",
-                          gaddr=hex(record.gaddr), owner_uid=owner)
+                rec = self.sim.spans
+                if rec is not None:
+                    rec.event(self.node.name, "lease", "orphan lock recovered",
+                              gaddr=hex(record.gaddr), owner_uid=owner)
         # Retire the orphans' proxy rings too: a zombie that never
         # re-attached must not keep landing staged writes on objects whose
         # locks were just handed back.  Re-attached clients are exactly the
@@ -1366,10 +1387,12 @@ class Master:
         for name in sorted(set(retired)):
             self.rpc.reclaim_peer(name)
         self.lock_recoveries.add(recovered)
-        if self.sim.tracer is not None:
-            trace(self.sim, "lease", "post-failover orphan sweep done",
-                  locks_recovered=recovered,
-                  rings_retired=sorted(set(retired)))
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(self.node.name, "lease",
+                      "post-failover orphan sweep done",
+                      locks_recovered=recovered,
+                      rings_retired=sorted(set(retired)))
 
     def on_server_recovered(self, server_id: int) -> int:
         """Reconcile the directory after a server restart.
@@ -1390,9 +1413,11 @@ class Master:
                 dropped += 1
             record.pinned = False
             record.pinned_by = None
-        if self.sim.tracer is not None:
-            trace(self.sim, "fault", "directory reconciled after restart",
-                  server=server_id, dropped_cache_entries=dropped)
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(self.node.name, "fault",
+                      "directory reconciled after restart", server=server_id,
+                      dropped_cache_entries=dropped)
         return dropped
 
     def force_unlock(self, gaddr: int) -> Generator[Any, Any, int]:

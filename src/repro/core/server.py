@@ -44,7 +44,6 @@ from repro.core.protocol import (
 )
 from repro.rdma.mr import AccessFlags
 from repro.rdma.rpc import DEFAULT_RING_SLOTS, RpcServer
-from repro.sim.trace import trace
 
 
 class ServerError(Exception):
@@ -145,10 +144,6 @@ class ReadCombiner:
         if rec is not None:
             rec.record(self.server.node.name, "srv.read_combine", t0,
                        bytes=group.total_length, members=group.members)
-        if sim.tracer is not None:
-            trace(sim, "read", "combined device read",
-                  server=self.server.node.name,
-                  bytes=group.total_length, members=group.members)
         return group.slice_for(wr)
 
 
@@ -371,10 +366,8 @@ class MemoryServer:
         self.cached[gaddr] = _CacheEntry(cache_offset=slot_offset, size=size)
         self.promotions.add()
         if rec is not None:
-            rec.record(self.node.name, "srv.promote_copy", t0, bytes=size)
-        if self.sim.tracer is not None:
-            trace(self.sim, "cache", "promoted", server=self.node.name,
-                  gaddr=hex(gaddr), bytes=size)
+            rec.record(self.node.name, "srv.promote_copy", t0, bytes=size,
+                       gaddr=hex(gaddr))
         return slot_offset
 
     def _handle_demote(self, request: dict) -> Generator[Any, Any, bool]:
@@ -392,9 +385,9 @@ class MemoryServer:
         yield from self.cache_mr.write(entry.cache_offset, pack_cache_tag(0, flags=0))
         self.cache_alloc.free(entry.cache_offset)
         self.demotions.add()
-        if self.sim.tracer is not None:
-            trace(self.sim, "cache", "demoted", server=self.node.name,
-                  gaddr=hex(gaddr))
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(self.node.name, "cache", "demoted", gaddr=hex(gaddr))
         return True
 
     def _handle_attach(self, request: dict) -> Generator[Any, Any, RingDescriptor]:
@@ -490,10 +483,11 @@ class MemoryServer:
             # cross-module contract — the master maps it to deposition, the
             # client to StaleTermError.
             if term < self._term_max:
-                if self.sim.tracer is not None:
-                    trace(self.sim, "term", "journal append rejected",
-                          server=self.node.name, term=term,
-                          current=self._term_max)
+                rec = self.sim.spans
+                if rec is not None:
+                    rec.event(self.node.name, "term",
+                              "journal append rejected", term=term,
+                              current=self._term_max)
                 raise ServerError(
                     f"stale master term {term} (current {self._term_max})")
             self._term_max = term
@@ -699,9 +693,10 @@ class MemoryServer:
                 self._intent_index.pop(record["txn"], None)
             raise
         self.txn_intents.add()
-        if self.sim.tracer is not None:
-            trace(self.sim, "txn", "intent persisted", server=self.node.name,
-                  txn=record["txn"], writes=len(record["writes"]))
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(self.node.name, "txn", "intent persisted",
+                      txn=record["txn"], writes=len(record["writes"]))
         return slot
 
     def _handle_txn_intent_clear(self, request: dict) -> Generator[Any, Any, bool]:
@@ -716,9 +711,10 @@ class MemoryServer:
             return False
         yield from self.data_device.write(
             self._intent_offset(slot), (0).to_bytes(8, "little"))
-        if self.sim.tracer is not None:
-            trace(self.sim, "txn", "intent cleared", server=self.node.name,
-                  txn=request["txn"])
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(self.node.name, "txn", "intent cleared",
+                      txn=request["txn"])
         return True
 
     def _handle_txn_intent_scan(self, request: dict) -> Generator[Any, Any, list]:
@@ -819,9 +815,10 @@ class MemoryServer:
         # Return the dead client's posted RPC receive slot to the shared
         # pool; its serve loop re-arms only when the client re-attaches.
         self.rpc.reclaim_peer(client_name)
-        if self.sim.tracer is not None:
-            trace(self.sim, "lease", "proxy ring retired",
-                  server=self.node.name, client=client_name)
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(self.node.name, "lease", "proxy ring retired",
+                      client=client_name)
         return True
 
     def _handle_retire_ring(self, request: dict) -> Generator[Any, Any, bool]:
@@ -898,10 +895,9 @@ class MemoryServer:
                     torn = not proxy_commit_ok(commit, ring.drained, frame)
                 if torn:
                     self.torn_skipped.add()
-                    if self.sim.tracer is not None:
-                        trace(self.sim, "fault", "torn slot skipped",
-                              server=self.node.name, slot=slot,
-                              seq=ring.drained)
+                    if rec is not None:
+                        rec.event(self.node.name, "fault", "torn slot skipped",
+                                  slot=slot, seq=ring.drained)
                     ring.drained += 1
                     ring.mr.write_u64(ring.counter_offset, ring.drained)
                     qp.post_recv(ring.mr, offset=ring.counter_offset, length=0)
@@ -927,9 +923,6 @@ class MemoryServer:
                 )
 
             ring.drained += 1
-            if self.sim.tracer is not None:
-                trace(self.sim, "proxy", "drained", server=self.node.name,
-                      gaddr=hex(gaddr), bytes=length, seq=ring.drained)
             ring.mr.write_u64(ring.counter_offset, ring.drained)
             qp.post_recv(ring.mr, offset=ring.counter_offset, length=0)
             self.drained_writes.add()
@@ -937,7 +930,8 @@ class MemoryServer:
             self.ring_occupancy.adjust(-1)
             if rec is not None:
                 rec.record(self.node.name, "srv.drain", t0,
-                           client=ring.client, bytes=length, torn=False)
+                           client=ring.client, bytes=length, torn=False,
+                           gaddr=hex(gaddr), seq=ring.drained)
 
     # ------------------------------------------------------------------
     # Failure injection
@@ -996,8 +990,9 @@ class MemoryServer:
         # The intent *records* are in NVM and survive; only the volatile
         # txn-id -> slot map is lost, so force a rebuild on next use.
         self._intent_index = None
-        if self.sim.tracer is not None:
-            trace(self.sim, "fault", "server crashed", server=self.node.name)
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(self.node.name, "fault", "server crashed")
 
     def recover(self) -> None:
         """Restart the server process (empty DRAM state, NVM intact).
@@ -1008,8 +1003,9 @@ class MemoryServer:
         DRAM copies.
         """
         self.node.endpoint.alive = True
-        if self.sim.tracer is not None:
-            trace(self.sim, "fault", "server recovered", server=self.node.name)
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(self.node.name, "fault", "server recovered")
 
     def stall_drains(self, duration_ns: int) -> None:
         """Freeze every proxy drain loop for ``duration_ns`` (fault
@@ -1028,18 +1024,19 @@ class MemoryServer:
         gate = self.sim.event(name=f"{self.node.name}.drain_stall")
         self._drain_gate = gate
         self.sim.schedule(duration_ns, self._release_drain_gate, gate)
-        if self.sim.tracer is not None:
-            trace(self.sim, "fault", "drain loops stalled",
-                  server=self.node.name, duration_ns=duration_ns)
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(self.node.name, "fault", "drain loops stalled",
+                      duration_ns=duration_ns)
 
     def _release_drain_gate(self, gate) -> None:
         if not gate.triggered:
             gate.succeed()
         if self._drain_gate is gate:
             self._drain_gate = None
-            if self.sim.tracer is not None:
-                trace(self.sim, "fault", "drain loops released",
-                      server=self.node.name)
+            rec = self.sim.spans
+            if rec is not None:
+                rec.event(self.node.name, "fault", "drain loops released")
 
     @property
     def is_alive(self) -> bool:

@@ -47,7 +47,6 @@ from repro.faults.plan import (
     ServerCrash,
     ServerRecover,
 )
-from repro.sim.trace import trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.client import GengarClient
@@ -220,9 +219,10 @@ class FaultInjector:
             self._windows.append(w)
         if self._windows:
             self.fabric.set_fault_hook(self._verdict)
-        if self.sim.tracer is not None:
-            trace(self.sim, "fault", "fault plan installed",
-                  faults=len(self.plan), horizon_ns=self.plan.horizon_ns)
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event("faults", "fault", "fault plan installed",
+                      faults=len(self.plan), horizon_ns=self.plan.horizon_ns)
         return self
 
     def uninstall(self) -> None:
@@ -249,25 +249,27 @@ class FaultInjector:
             dropped = self._rng.random() < drop_prob
         else:
             dropped = False
-        if dropped and self.sim.tracer is not None:
-            trace(self.sim, "fault", "message dropped",
-                  src=src, dst=dst, bytes=nbytes)
+        if dropped and self.sim.spans is not None:
+            self.sim.spans.event("faults", "fault", "message dropped", src=src,
+                                 dst=dst, bytes=nbytes)
         return dropped, extra_ns
 
     # ------------------------------------------------------------------
     # Timed actions
     # ------------------------------------------------------------------
     def _do_crash(self, server_id: int) -> None:
-        if self.sim.tracer is not None:
-            trace(self.sim, "fault", "injecting server crash",
-                  server=server_id)
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event("faults", "fault", "injecting server crash",
+                      server=server_id)
         self.servers[server_id].crash()
         self.crashes_injected.add()
 
     def _do_recover(self, server_id: int, reconcile: bool) -> None:
-        if self.sim.tracer is not None:
-            trace(self.sim, "fault", "injecting server recovery",
-                  server=server_id)
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event("faults", "fault", "injecting server recovery",
+                      server=server_id)
         self.servers[server_id].recover()
         if reconcile:
             # Reconcile through the master that OWNS the server — on a
@@ -279,22 +281,25 @@ class FaultInjector:
         self.recoveries_injected.add()
 
     def _do_stall(self, server_id: int, duration_ns: int) -> None:
-        if self.sim.tracer is not None:
-            trace(self.sim, "fault", "injecting ring stall",
-                  server=server_id, duration_ns=duration_ns)
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event("faults", "fault", "injecting ring stall",
+                      server=server_id, duration_ns=duration_ns)
         self.servers[server_id].stall_drains(duration_ns)
         self.stalls_injected.add()
 
     def _do_master_crash(self, shard: int = 0) -> None:
-        if self.sim.tracer is not None:
-            trace(self.sim, "fault", "injecting master crash", shard=shard)
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event("faults", "fault", "injecting master crash", shard=shard)
         self.masters[shard].crash()
         self.master_crashes_injected.add()
 
     def _do_master_recover(self, rebuild: bool, shard: int = 0) -> None:
-        if self.sim.tracer is not None:
-            trace(self.sim, "fault", "injecting master recovery",
-                  rebuild=rebuild, shard=shard)
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event("faults", "fault", "injecting master recovery",
+                      rebuild=rebuild, shard=shard)
         target = self.masters[shard]
         target.recover()
         # recovery_process must ALWAYS run: it is the only thing that
@@ -305,9 +310,10 @@ class FaultInjector:
         self.master_recoveries_injected.add()
 
     def _do_client_crash(self, client_name: str, tear_inflight: bool) -> None:
-        if self.sim.tracer is not None:
-            trace(self.sim, "fault", "injecting client crash",
-                  client=client_name, tear=tear_inflight)
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event("faults", "fault", "injecting client crash",
+                      client=client_name, tear=tear_inflight)
         client = self.clients[client_name]
         if tear_inflight:
             self._tear_inflight_write(client)
@@ -315,9 +321,10 @@ class FaultInjector:
         self.client_crashes_injected.add()
 
     def _do_client_recover(self, client_name: str) -> None:
-        if self.sim.tracer is not None:
-            trace(self.sim, "fault", "injecting client revival",
-                  client=client_name)
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event("faults", "fault", "injecting client revival",
+                      client=client_name)
         self.clients[client_name].revive()
         self.client_recoveries_injected.add()
 
@@ -333,9 +340,10 @@ class FaultInjector:
             PROXY_HEADER_BYTES, pack_proxy_commit, pack_proxy_slot)
 
         if client._last_staged is None:
-            if self.sim.tracer is not None:
-                trace(self.sim, "fault", "no staged write to tear",
-                      client=client.name)
+            rec = self.sim.spans
+            if rec is not None:
+                rec.event("faults", "fault", "no staged write to tear",
+                          client=client.name)
             return
         sid, gaddr, offset, data = client._last_staged
         server = self.servers.get(sid)
@@ -348,9 +356,10 @@ class FaultInjector:
             return
         slots = conn.ring.slots
         if conn.written - ring_state.drained >= slots:
-            if self.sim.tracer is not None:
-                trace(self.sim, "fault", "ring full; tear skipped",
-                      client=client.name)
+            rec = self.sim.spans
+            if rec is not None:
+                rec.event("faults", "fault", "ring full; tear skipped",
+                          client=client.name)
             return
         seq = conn.written
         conn.written += 1
@@ -367,9 +376,11 @@ class FaultInjector:
         self.sim.spawn(self._deliver_torn_doorbell(client, conn, base, slot),
                        name=f"faults.tear.{client.name}")
         self.torn_injected.add()
-        if self.sim.tracer is not None:
-            trace(self.sim, "fault", "torn slot planted", client=client.name,
-                  server=sid, slot=slot, seq=seq, cut=cut, of=len(full))
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event("faults", "fault", "torn slot planted",
+                      client=client.name, server=sid, slot=slot, seq=seq,
+                      cut=cut, of=len(full))
 
     def _deliver_torn_doorbell(self, client: "GengarClient", conn, base: int,
                                slot: int) -> Any:
@@ -397,6 +408,7 @@ class FaultInjector:
         try:
             yield conn.data_qp.post_send(wr)
         except QpError:
-            if self.sim.tracer is not None:
-                trace(self.sim, "fault", "torn doorbell dropped (QP down)",
-                      client=client.name)
+            rec = self.sim.spans
+            if rec is not None:
+                rec.event("faults", "fault", "torn doorbell dropped (QP down)",
+                          client=client.name)

@@ -112,7 +112,7 @@ class Fabric:
             raise FabricError("core hop latency must be non-negative")
         self._core_bandwidth = bandwidth
         self._core_hop_ns = hop_ns
-        for rack in set(self._rack_of.values()):
+        for rack in sorted(set(self._rack_of.values())):
             self._ensure_rack_ports(rack)
 
     def assign_rack(self, node_name: str, rack: str) -> None:

@@ -1,9 +1,11 @@
 """repro.obs — the pool-wide observability layer.
 
 Spans (:mod:`repro.obs.spans`) attribute every op's virtual nanoseconds to
-typed protocol phases; exporters (:mod:`repro.obs.export`) turn the span log
-and the metric registry into Chrome ``trace_event`` JSON, JSONL, Prometheus
-text, and a versioned snapshot dict.  See ``docs/OBSERVABILITY.md``.
+typed protocol phases and instant events mark the protocol points between
+them; exporters (:mod:`repro.obs.export`) turn the span log, the event ring
+and the metric registry into Chrome ``trace_event`` JSON, JSONL, a text
+timeline, Prometheus text, and a versioned snapshot dict.  See
+``docs/OBSERVABILITY.md``.
 """
 
 from repro.obs.export import (
@@ -13,12 +15,13 @@ from repro.obs.export import (
     prometheus_text,
     registry_snapshot,
     spans_jsonl,
+    timeline,
 )
-from repro.obs.spans import ENABLED, Span, SpanRecorder, install
+from repro.obs.spans import Instant, Span, SpanRecorder, install
 
 __all__ = [
-    "ENABLED",
     "SNAPSHOT_SCHEMA",
+    "Instant",
     "Span",
     "SpanRecorder",
     "chrome_trace",
@@ -27,4 +30,5 @@ __all__ = [
     "prometheus_text",
     "registry_snapshot",
     "spans_jsonl",
+    "timeline",
 ]

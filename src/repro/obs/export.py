@@ -1,13 +1,14 @@
-"""Exporters: span logs and metrics in tool-friendly formats.
-
-Three consumers, three formats:
+"""Exporters: span logs, event timelines and metrics in tool-friendly formats.
 
 * :func:`chrome_trace` — the Chrome ``trace_event`` JSON object format.
   Open the file in `Perfetto <https://ui.perfetto.dev>`_ (or
   ``chrome://tracing``) and every client, server, and master gets its own
   named thread track with the op/phase spans nested by time.  Virtual
   nanoseconds map to trace microseconds (the unit ``trace_event`` expects),
-  so a 2.3 µs read renders as 2.3 units on the timeline.
+  so a 2.3 µs read renders as 2.3 units on the timeline.  Instant events
+  show as markers on the emitting node's track.
+* :func:`timeline` — the recorder's instant events as text, one line per
+  event in time order (the fault timeline ``chaos --dump-trace`` prints).
 * :func:`spans_jsonl` — one JSON object per span, for ad-hoc analysis
   (``jq``, pandas) without a trace viewer.
 * :func:`prometheus_text` — the :class:`~repro.sim.stats.MetricRegistry`
@@ -23,7 +24,7 @@ Three consumers, three formats:
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.spans import Span, SpanRecorder
@@ -32,6 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "SNAPSHOT_SCHEMA",
     "chrome_trace",
+    "timeline",
     "spans_jsonl",
     "prometheus_text",
     "parse_prometheus",
@@ -65,9 +67,10 @@ def chrome_trace(recorder: "SpanRecorder", process_name: str = "gengar-pool",
                  pid: int = 1) -> Dict[str, Any]:
     """Render the recorder's span log as a ``trace_event`` JSON object.
 
-    Every span becomes a complete ("X") event; tracks become named threads
-    of one process.  ``ts``/``dur`` are floats in microseconds (virtual ns /
-    1000), per the trace_event contract.
+    Every span becomes a complete ("X") event and every instant event a
+    thread-scoped instant ("i") whose ``cat`` is the event's category; tracks
+    become named threads of one process.  ``ts``/``dur`` are floats in
+    microseconds (virtual ns / 1000), per the trace_event contract.
     """
     events: List[Dict[str, Any]] = [{
         "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
@@ -100,6 +103,19 @@ def chrome_trace(recorder: "SpanRecorder", process_name: str = "gengar-pool",
         if args:
             event["args"] = args
         events.append(event)
+    for instant in recorder.events:
+        event = {
+            "name": instant.message,
+            "cat": instant.category,
+            "ph": "i",
+            "s": "t",
+            "ts": instant.time_ns / 1000.0,
+            "pid": pid,
+            "tid": tids[instant.track],
+        }
+        if instant.fields:
+            event["args"] = dict(instant.fields)
+        events.append(event)
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -108,8 +124,23 @@ def chrome_trace(recorder: "SpanRecorder", process_name: str = "gengar-pool",
             "clock": "virtual-ns (exported as us)",
             "spans_logged": len(recorder.spans),
             "spans_dropped": recorder.dropped,
+            "events_logged": len(recorder.events),
+            "events_dropped": recorder.events_dropped,
         },
     }
+
+
+def timeline(recorder: "SpanRecorder", limit: int = 100,
+             categories: Optional[Iterable[str]] = None) -> str:
+    """The most recent ``limit`` instant events as text, oldest first,
+    optionally restricted to ``categories``."""
+    wanted = None if categories is None else set(categories)
+    tail = [e for e in recorder.events
+            if wanted is None or e.category in wanted][-limit:]
+    lines = [e.render() for e in tail]
+    if recorder.events_dropped:
+        lines.append(f"... ({recorder.events_dropped} earlier events dropped)")
+    return "\n".join(lines)
 
 
 def spans_jsonl(recorder: "SpanRecorder") -> str:

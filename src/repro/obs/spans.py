@@ -18,12 +18,12 @@ Zero-cost-when-off contract
 ---------------------------
 
 ``sim.spans`` is ``None`` by default, and every instrumented call site
-checks that (plus the module-level :data:`ENABLED` kill switch, consulted at
-attach time) *before* constructing a span, formatting a field, or even
-reading the clock a second time.  The disabled hot path therefore pays one
-attribute load and one ``is None`` test per op — no allocations, no extra
-simulated events — which the overhead guard in ``tests/obs/test_overhead.py``
-enforces against the ``BENCH_perf.json`` baseline.
+checks that *before* constructing a span, formatting a field or an event
+message, or even reading the clock a second time.  The disabled hot path
+therefore pays one attribute load and one ``is None`` test per op — no
+allocations, no extra simulated events — which the overhead guard in
+``tests/obs/test_overhead.py`` enforces against the ``BENCH_perf.json``
+capture.
 
 Span taxonomy (``docs/OBSERVABILITY.md`` has the full contract):
 
@@ -51,21 +51,31 @@ Span taxonomy (``docs/OBSERVABILITY.md`` has the full contract):
     on the serving node's track.
 ``master.*``
     Master housekeeping: ``master.plan_epoch`` (one placement epoch).
+
+Instant events
+--------------
+
+Protocol points that have no duration — an injected fault, a retry, a fenced
+heartbeat, a claimed term — are *events*: :meth:`SpanRecorder.event` appends
+``(time, track, category, message, fields)`` to a bounded ring kept apart
+from the span log (oldest dropped first, counted in
+:attr:`SpanRecorder.events_dropped`).  Events feed neither
+:attr:`SpanRecorder.recorded` nor the ``span.*`` histograms.  Call sites sit
+behind the same ``sim.spans is not None`` guard as spans.
+:func:`repro.obs.timeline` renders them as text and
+:func:`repro.obs.chrome_trace` as instants on the emitting node's track;
+``docs/OBSERVABILITY.md`` lists the categories.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Any, Deque, Dict, Iterable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
-__all__ = ["ENABLED", "Span", "SpanRecorder", "install"]
-
-#: Module-level kill switch: when False, :func:`install` refuses to attach a
-#: recorder, so one flag flip (e.g. from a bench harness or conftest) turns
-#: the whole observability layer off without touching call sites.
-ENABLED = True
+__all__ = ["Instant", "Span", "SpanRecorder", "install"]
 
 
 class Span:
@@ -105,8 +115,29 @@ class Span:
                 f"[{self.start_ns}..{self.end_ns}]ns>")
 
 
+class Instant:
+    """One protocol event: a point in virtual time on a track."""
+
+    __slots__ = ("time_ns", "track", "category", "message", "fields")
+
+    def __init__(self, time_ns: int, track: str, category: str, message: str,
+                 fields: Dict[str, Any]):
+        self.time_ns = time_ns
+        self.track = track
+        self.category = category
+        self.message = message
+        self.fields = fields
+
+    def render(self) -> str:
+        """One timeline line: time, category, track, message, fields."""
+        extras = " ".join(f"{k}={v}" for k, v in self.fields.items())
+        return (f"[{self.time_ns / 1000:10.2f} us] {self.category:9s} "
+                f"{self.track}: {self.message}"
+                + (f" ({extras})" if extras else ""))
+
+
 class SpanRecorder:
-    """Collects spans for one simulator run.
+    """Collects spans and instant events for one simulator run.
 
     Recording is *end-driven*: instrumented code captures ``start = sim.now``
     (guarded by the enabled check), does the work, then calls :meth:`record`
@@ -115,12 +146,15 @@ class SpanRecorder:
 
     The span log is bounded by ``capacity``; beyond it, spans still feed the
     per-phase histograms but the structured log counts them in
-    :attr:`dropped` instead of growing without bound.
+    :attr:`dropped` instead of growing without bound.  Instant events go to
+    their own ring of ``event_capacity`` entries, oldest dropped first; with
+    ``keep_spans=False, histograms=False`` the recorder keeps events only.
     """
 
     def __init__(self, sim: "Simulator", capacity: int = 250_000,
-                 keep_spans: bool = True, histograms: bool = True):
-        if capacity < 1:
+                 keep_spans: bool = True, histograms: bool = True,
+                 event_capacity: int = 50_000):
+        if capacity < 1 or event_capacity < 1:
             raise ValueError("capacity must be positive")
         self.sim = sim
         self.capacity = capacity
@@ -129,6 +163,8 @@ class SpanRecorder:
         self.spans: List[Span] = []
         self.recorded = 0
         self.dropped = 0
+        self.events: Deque[Instant] = deque(maxlen=event_capacity)
+        self.events_dropped = 0
         self._next_op = 0
         self._metrics = sim.metrics
 
@@ -154,6 +190,14 @@ class SpanRecorder:
         self.spans.append(Span(track, name, start_ns, end, op,
                                fields or None))
 
+    def event(self, track: str, category: str, message: str,
+              **fields: Any) -> None:
+        """Note one instant at the current time on ``track``."""
+        if len(self.events) == self.events.maxlen:
+            self.events_dropped += 1
+        self.events.append(
+            Instant(self.sim.now, track, category, message, fields))
+
     # ------------------------------------------------------------------
     def by_name(self, name: str) -> List[Span]:
         """Logged spans with exactly this name."""
@@ -167,15 +211,20 @@ class SpanRecorder:
         return dict(sorted(out.items()))
 
     def tracks(self) -> List[str]:
-        """Every track that logged at least one span, in first-seen order."""
+        """Every track that logged a span or an event, spans' tracks first,
+        each in first-seen order."""
         seen: Dict[str, None] = {}
         for s in self.spans:
             seen.setdefault(s.track, None)
+        for e in self.events:
+            seen.setdefault(e.track, None)
         return list(seen)
 
     def clear(self) -> None:
         self.spans.clear()
         self.dropped = 0
+        self.events.clear()
+        self.events_dropped = 0
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -185,15 +234,8 @@ class SpanRecorder:
 
 
 def install(sim: "Simulator", capacity: int = 250_000,
-            keep_spans: bool = True) -> Optional[SpanRecorder]:
-    """Attach a fresh recorder to ``sim`` and return it.
-
-    Honors the module :data:`ENABLED` kill switch: when it is False this is
-    a no-op returning ``None``, so harnesses can wire ``--trace-out`` style
-    flags unconditionally and still ship an instrumentation-free run.
-    """
-    if not ENABLED:
-        return None
+            keep_spans: bool = True) -> SpanRecorder:
+    """Attach a fresh recorder to ``sim`` and return it."""
     recorder = SpanRecorder(sim, capacity=capacity, keep_spans=keep_spans)
     sim.spans = recorder
     return recorder

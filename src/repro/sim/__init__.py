@@ -33,7 +33,6 @@ from repro.sim.primitives import (
 from repro.sim.resources import Resource, Store, TokenBucket
 from repro.sim.rng import RngRegistry
 from repro.sim.stats import Counter, Histogram, MetricRegistry, TimeWeightedStat
-from repro.sim.trace import TraceEvent, Tracer, trace
 from repro.sim.units import KIB, MIB, GIB, US, MS, SEC, gbps_to_bytes_per_ns
 
 __all__ = [
@@ -49,9 +48,6 @@ __all__ = [
     "Store",
     "TokenBucket",
     "RngRegistry",
-    "Tracer",
-    "TraceEvent",
-    "trace",
     "Counter",
     "Histogram",
     "TimeWeightedStat",

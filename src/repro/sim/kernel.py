@@ -425,10 +425,8 @@ class Simulator:
 
         self.rng = RngRegistry(seed)
         self.metrics = MetricRegistry(self)
-        #: Optional protocol tracer (see repro.sim.trace).
-        self.tracer = None
-        #: Optional span recorder (see repro.obs.spans).  None keeps every
-        #: instrumented hot path on its allocation-free disabled branch.
+        #: Optional span and event recorder (see repro.obs.spans).  None keeps
+        #: every instrumented hot path on its allocation-free disabled branch.
         self.spans = None
         #: Optional operation-history recorder (see repro.check.history):
         #: Jepsen-style invoke/ok/fail/info events for the linearizability

@@ -57,7 +57,6 @@ from repro.core.errors import (
     TxnWaitDieError,
 )
 from repro.rdma.rpc import RpcError
-from repro.sim.trace import trace
 
 __all__ = ["Transaction", "TxnManager", "pack_stamp"]
 
@@ -262,9 +261,9 @@ class TxnManager:
             if rec is not None:
                 rec.record(client.name, "txn.begin", t0, op=rec.next_op(),
                            txn=txn.id, locks=len(lock_set))
-        if self.sim.tracer is not None:
-            trace(self.sim, "txn", "began", client=client.name, txn=txn.id,
-                  locks=len(lock_set))
+        if rec is not None:
+            rec.event(client.name, "txn", "began", txn=txn.id,
+                      locks=len(lock_set))
         return txn
 
     def _acquire_wait_die(self, txn: Transaction,
@@ -296,10 +295,10 @@ class TxnManager:
                     # Younger than the holder: die, don't deadlock.  The
                     # caller retries under the same stamp so it ages.
                     self.m_wait_die.add()
-                    if self.sim.tracer is not None:
-                        trace(self.sim, "txn", "wait-die abort",
-                              client=client.name, txn=txn.id,
-                              gaddr=hex(gaddr))
+                    rec = self.sim.spans
+                    if rec is not None:
+                        rec.event(client.name, "txn", "wait-die abort",
+                                  txn=txn.id, gaddr=hex(gaddr))
                     raise TxnWaitDieError(
                         f"txn {txn.id} (stamp {txn.stamp:#x}) died waiting "
                         f"on {gaddr:#x} held by an older transaction "
@@ -396,9 +395,10 @@ class TxnManager:
                 f"txn {txn.id} aborted: {exc}", reason="unavailable") from exc
         # ---- the commit point: the intent record is durable ------------
         txn.committed = True
-        if self.sim.tracer is not None:
-            trace(self.sim, "txn", "committed (intent durable)",
-                  client=client.name, txn=txn.id, writes=len(writes))
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(client.name, "txn", "committed (intent durable)",
+                      txn=txn.id, writes=len(writes))
         self._hook("post-intent", txn)
         by_server: Dict[int, list] = {}
         for entry in writes:
@@ -441,9 +441,10 @@ class TxnManager:
             # drop local bookkeeping so no double release is attempted.
             self.m_handoffs.add()
             txn.held.clear()
-            if self.sim.tracer is not None:
-                trace(self.sim, "txn", "commit handed off to recovery",
-                      client=client.name, txn=txn.id)
+            rec = self.sim.spans
+            if rec is not None:
+                rec.event(client.name, "txn", "commit handed off to recovery",
+                          txn=txn.id)
         txn.active = False
         self.m_commits.add()
         if hist is not None:
@@ -487,8 +488,7 @@ class TxnManager:
         if rec is not None:
             rec.record(client.name, "txn.abort", t0, op=rec.next_op(),
                        txn=txn.id)
-        if self.sim.tracer is not None:
-            trace(self.sim, "txn", "aborted", client=client.name, txn=txn.id)
+            rec.event(client.name, "txn", "aborted", txn=txn.id)
 
     def _abort_cleanup(self, txn: Transaction, exc: BaseException,
                        write_toks: List[int]) -> None:

@@ -2,12 +2,14 @@
 
 Three properties are pinned here:
 
-1. With instrumentation off (``sim.spans is None``, ``sim.tracer is None``,
-   ``sim.history is None``) the hot paths never construct a Span, call
-   SpanRecorder.record, build a trace message, or touch a HistoryRecorder —
-   proven by making all of them explode and running anyway.
-2. Installing the span recorder does not move virtual time: the simulation
-   schedule is bit-identical with and without instrumentation.
+1. With instrumentation off (``sim.spans is None``, ``sim.history is None``)
+   the hot paths never construct a Span, call SpanRecorder.record or
+   SpanRecorder.event (so no event message is built either), or touch a
+   HistoryRecorder — proven by making all of them explode and running anyway,
+   on the YCSB path and on the chaos path (faults, retries, transactions).
+2. Installing the recorder does not move virtual time: the simulation
+   schedule is bit-identical with and without instrumentation, events
+   included.
 3. The uninstrumented small-YCSB virtual time matches the committed
    BENCH_perf.json "current" capture exactly.
 """
@@ -24,15 +26,6 @@ from repro.sim import Simulator
 from repro.workloads.ycsb import WORKLOAD_B
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-
-TRACE_CONSUMERS = (
-    "repro.core.client",
-    "repro.core.server",
-    "repro.core.master",
-    "repro.core.consistency",
-    "repro.faults.injector",
-)
-
 
 def _run_ycsb(instrument: bool, seed: int = 42, ops: int = 80):
     sim = Simulator(seed=seed)
@@ -54,13 +47,14 @@ def test_disabled_path_never_builds_spans_or_trace_strings(monkeypatch):
     monkeypatch.setattr("repro.obs.spans.Span.__init__", _boom)
     monkeypatch.setattr("repro.obs.spans.SpanRecorder.record", _boom)
     monkeypatch.setattr("repro.obs.spans.SpanRecorder.next_op", _boom)
+    monkeypatch.setattr("repro.obs.spans.SpanRecorder.event", _boom)
+    monkeypatch.setattr("repro.obs.spans.Instant.__init__", _boom)
     for hook in ("invoke", "ok", "fail", "info", "encode"):
         monkeypatch.setattr(f"repro.check.history.HistoryRecorder.{hook}",
                             _boom)
-    for mod in TRACE_CONSUMERS:
-        monkeypatch.setattr(f"{mod}.trace", _boom)
     sim, result = _run_ycsb(instrument=False)
-    assert sim.spans is None and sim.tracer is None and sim.history is None
+    assert sim.spans is None and sim.history is None
+    assert not hasattr(sim, "tracer")
     assert result.total_ops == 160
 
 
@@ -68,12 +62,13 @@ def test_disabled_chaos_path_never_builds_spans(monkeypatch):
     from repro.bench.chaos import ChaosSoak
 
     monkeypatch.setattr("repro.obs.spans.SpanRecorder.record", _boom)
-    for mod in TRACE_CONSUMERS:
-        monkeypatch.setattr(f"{mod}.trace", _boom)
-    soak = ChaosSoak(seed=7, smoke=True)
+    monkeypatch.setattr("repro.obs.spans.SpanRecorder.event", _boom)
+    # The transaction phase too: txn/manager.py and chaos.py emit events.
+    soak = ChaosSoak(seed=7, smoke=True, kill_mid_commit=True)
     report = soak.run()
-    assert soak.recorder is None
+    assert soak.recorder is None and soak.sim.spans is None
     assert report["ops_ok"] > 0
+    assert report["counters"]["txn_commits"] > 0
 
 
 def test_instrumentation_does_not_move_virtual_time():
@@ -83,6 +78,24 @@ def test_instrumentation_does_not_move_virtual_time():
     assert sim_on.now == sim_off.now
     assert res_on.total_ops == res_off.total_ops
     assert res_on.throughput_ops_s == res_off.throughput_ops_s
+
+
+def test_recording_events_does_not_move_a_chaos_run():
+    """Same contract on the paths that emit events: a soak with the
+    events-only recorder (``--dump-trace``) reports what a bare soak does."""
+    from repro.bench.chaos import ChaosSoak
+
+    def soak(**kwargs):
+        s = ChaosSoak(seed=7, smoke=True, kill_mid_commit=True, **kwargs)
+        return s, s.run()
+
+    off, report_off = soak()
+    on, report_on = soak(dump_trace=True)
+    assert len(on.recorder.events) > 0 and len(on.recorder) == 0
+    assert on.sim.now == off.sim.now
+    assert report_on == report_off
+    assert (obs.registry_snapshot(on.sim.metrics)
+            == obs.registry_snapshot(off.sim.metrics))
 
 
 def test_virtual_time_matches_committed_perf_capture():
