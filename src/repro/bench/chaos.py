@@ -1232,11 +1232,16 @@ class ChaosSoak:
             self.violations.append(
                 f"fanout: no pool grew under a {n}-client fanout — the "
                 f"elastic path never engaged")
+        # Extent conservation: whatever the killed clients were in the
+        # middle of, every extent is allocated, quarantined or free.
+        leaks = [str(v) for v in pool.master.check_extents()]
+        self.violations += [f"fanout: extent leak: {v}" for v in leaks]
         self.fanout_report = {
             "clients": n,
             "victims": len(victims),
             "reclaims": reclaims,
             "typed_failures": typed["count"],
+            "extent_leaks": len(leaks),
             "pools": pools,
         }
 

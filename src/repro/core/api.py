@@ -380,6 +380,8 @@ class GengarPool:
                 "promotions": self.master.promote_ops.count,
                 "demotions": self.master.demote_ops.count,
                 "crashes": self.master.crashes,
+                "quarantine_peak": max(
+                    m.quarantine_peak for m in self.masters),
             },
             "servers": servers,
             "clients": clients,

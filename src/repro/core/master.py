@@ -8,15 +8,18 @@ against the home servers.  No data ever moves through the master.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, Generator, List, NamedTuple,
+                    Optional, Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
     from repro.rdma.qp import QueuePair
     from repro.rdma.rpc import RpcClient
+    from repro.sim import Process
 
 from repro.core.addressing import server_of
-from repro.core.allocator import ExtentAllocator, OutOfMemory, PoolAllocationPolicy
+from repro.core.allocator import (AllocatorError, ExtentAllocator, OutOfMemory,
+                                  PoolAllocationPolicy)
 from repro.core.config import GengarConfig
 from repro.core.directory import Directory
 from repro.core.hotness import EpochDecayPolicy, NeverCachePolicy
@@ -35,14 +38,36 @@ from repro.rdma.rpc import DEFAULT_RING_SLOTS, RpcError, RpcServer
 
 #: RPC buffer size; every ring starts at ``DEFAULT_RING_SLOTS`` deep.
 _RPC_BUFFER_SIZE = 4096
+#: Most extents one ``scrub`` carries: an ``(offset, size)`` pair pickles to
+#: at most 24 bytes, so a full batch fits the RPC buffer with room to spare.
+_SCRUB_MAX_EXTENTS = _RPC_BUFFER_SIZE // 32
 
 
 class MasterError(Exception):
     """Invalid master-side operation."""
 
 
+class ExtentViolation(NamedTuple):
+    """One breach of the extent invariant (see :class:`_ServerHandle`)."""
+
+    server_id: int
+    kind: str  # "extent" | "bytes" | "lock" | "allocator"
+    detail: str
+
+    def __str__(self) -> str:
+        return f"server {self.server_id}: {self.kind}: {self.detail}"
+
+
 class _ServerHandle:
-    """Master's view of one memory server."""
+    """Master's view of one memory server.
+
+    The extent invariant: *an extent is allocated (a directory record names
+    it), quarantined, or free (the allocator may hand it out) — never two,
+    never none*; an object's lock index travels with its extent.  ``gfree``
+    moves both from the directory to :attr:`quarantine`; only the scrubber,
+    after the server confirmed the zeroing, moves them on to the allocator
+    and the lock free list.  :meth:`Master.check_extents` audits it.
+    """
 
     def __init__(self, descriptor: ServerDescriptor, rpc: "RpcClient", data_capacity: int,
                  lock_entries: int):
@@ -52,6 +77,18 @@ class _ServerHandle:
         self._lock_free: List[int] = []
         self._lock_next = 0
         self._lock_entries = lock_entries
+        #: Freed, not yet scrubbed, oldest first: ``(nvm_offset, size,
+        #: lock_idx)``; ``lock_idx`` is None where a journal replay already
+        #: accounted the index (:meth:`Master.rebuild`).  The scrubber sends
+        #: a prefix and deletes it once the server replied.  Whoever takes
+        #: the extents over (reset, reshard) installs a *new* list, which is
+        #: how a scrub that straddles the hand-over knows not to settle them
+        #: a second time.
+        self.quarantine: List[Tuple[int, int, Optional[int]]] = []
+        #: The process draining :attr:`quarantine`; None while it is empty.
+        self.scrubber: Optional["Process"] = None
+        #: Someone asked for a scrub while one was in flight.
+        self.rescrub = False
 
     def alloc_lock_idx(self) -> int:
         if self._lock_free:
@@ -163,6 +200,12 @@ class Master:
         #: :meth:`rebuild` restores both across a failover.
         self._alloc_replies: Dict[int, int] = {}
         self._freed_reqs: set = set()
+        #: Deepest any one server's quarantine has been (freed extents
+        #: waiting for their scrub).
+        self.quarantine_peak = 0
+        #: Objects whose FREE record is being journaled right now (journal
+        #: on): a second free of one of them must not journal a second FREE.
+        self._freeing: set = set()
         #: True between recover() and the end of recovery_process(): control
         #: RPCs fail typed ("master recovering") so clients retry instead of
         #: hitting an empty directory.  A *standby* master is born in this
@@ -391,36 +434,64 @@ class Master:
         preferred = None
         if self.config.placement == "rack-local":
             preferred = self._corack_servers(request.get("client", ""))
-        server_id = self._alloc_policy.choose(size, preferred=preferred)
-        handle = self._servers[server_id]
-        nvm_offset = handle.allocator.alloc(size)
-        lock_idx = handle.alloc_lock_idx()
+        while True:
+            try:
+                server_id = self._alloc_policy.choose(size, preferred=preferred)
+                handle = self._servers[server_id]
+                nvm_offset = handle.allocator.alloc(size)
+                try:
+                    lock_idx = handle.alloc_lock_idx()
+                except OutOfMemory:
+                    handle.allocator.free(nvm_offset)
+                    raise
+                break
+            except OutOfMemory:
+                # Freed space still in quarantine is a scrub away from being
+                # allocatable: wait for it rather than fail a pool that is
+                # not full.
+                if not (yield from self.settle_frees()):
+                    raise
         record = self.directory.add(server_id, nvm_offset, size, lock_idx)
         self._policies[server_id].track(record.gaddr, size)
         self.allocations.add(size)
         if self.config.metadata_journal:
             # Durability before visibility: the allocation is journaled in
             # the home server's NVM before the client learns the address.
-            yield from self._journal_append(handle, {
-                "op": JOURNAL_OP_ALLOC, "lock_idx": lock_idx,
-                "gaddr": record.gaddr, "size": size, "req_id": req_id,
-            })
+            try:
+                yield from self._journal_append(handle, {
+                    "op": JOURNAL_OP_ALLOC, "lock_idx": lock_idx,
+                    "gaddr": record.gaddr, "size": size, "req_id": req_id,
+                })
+            except (RpcError, MasterError):
+                # Neither durable nor visible: nobody will ever free it.
+                if self.directory.lookup(record.gaddr) is record:
+                    self.directory.remove(record.gaddr)
+                    self._policies[server_id].on_freed(record.gaddr)
+                    handle.allocator.free(nvm_offset)
+                    handle.free_lock_idx(lock_idx)
+                raise
         if req_id:
             self._alloc_replies[self._dedup_key(req_id)] = record.gaddr
         return record.to_meta()
 
     def _journal_append(self, handle: _ServerHandle,
                         payload: dict) -> Generator[Any, Any, int]:
-        """Journal one record on a server, carrying our term when terms are
-        on.  A server that already saw a higher term rejects the append —
-        the moment a partitioned master learns it has been deposed.  The
-        durability-before-visibility ordering turns that rejection into
+        """Journal one record on a server.  The durability-before-visibility
+        ordering turns a stale-term rejection (:meth:`_fenced_call`) into
         write-path fencing: a stale master cannot ack a single allocation,
         because the ack depends on exactly the append that just failed."""
+        return self._fenced_call(handle, "journal_append", payload)
+
+    def _fenced_call(self, handle: _ServerHandle, method: str,
+                     payload: dict) -> Generator[Any, Any, Any]:
+        """A master→server call that changes NVM (journal append, scrub),
+        carrying our term when terms are on.  A server that already saw a
+        higher term rejects it — the moment a partitioned master learns it
+        has been deposed."""
         if self.config.master_terms:
             payload["term"] = self.term
         try:
-            count = yield from handle.rpc.call("journal_append", payload)
+            result = yield from handle.rpc.call(method, payload)
         except RpcError as exc:
             if "stale master term" in str(exc):
                 self._deposed = True
@@ -428,14 +499,18 @@ class Master:
                 rec = self.sim.spans
                 if rec is not None:
                     rec.event(self.node.name, "term",
-                              "journal append rejected: deposed",
+                              method.replace("_", " ") + " rejected: deposed",
                               term=self.term)
                 raise MasterError(
                     f"master deposed: term {self.term} superseded") from exc
             raise
-        return count
+        return result
 
     def _handle_gfree(self, request: dict) -> Generator[Any, Any, bool]:
+        """One round trip: unreachability is the ack.  The record leaves the
+        directory, the extent and its lock index enter the home server's
+        quarantine, and the scrub that makes them allocatable again runs
+        behind the reply (:meth:`_scrub_loop`)."""
         self._check_serving()
         gaddr = request["gaddr"]
         req_id = request.get("req_id", 0)
@@ -444,26 +519,135 @@ class Master:
             return True  # retry of a free that already executed
         self._check_owner(gaddr)
         yield from self.node.cpu_work()
-        record = self.directory.remove(gaddr)
+        record = self.directory.get(gaddr)
         handle = self._servers[record.server_id]
         if self.config.metadata_journal:
-            yield from self._journal_append(handle, {
-                "op": JOURNAL_OP_FREE, "lock_idx": record.lock_idx,
-                "gaddr": gaddr, "size": record.size, "req_id": req_id,
-            })
-        if record.cached:
-            yield from handle.rpc.call("demote", {"gaddr": gaddr})
-        # Scrub before reuse: a later gmalloc of this extent must read as
-        # zeros (calloc semantics), never as the previous object's bytes.
-        yield from handle.rpc.call(
-            "scrub", {"offset": record.nvm_offset, "size": record.size}
-        )
-        handle.allocator.free(record.nvm_offset)
-        handle.free_lock_idx(record.lock_idx)
+            # Durability before the free takes effect: nothing has changed
+            # yet, so a failed append (home server down) leaves the object
+            # fully live and the client's retry finds it.
+            if gaddr in self._freeing:
+                raise MasterError(f"free of {gaddr:#x} already in progress")
+            self._freeing.add(gaddr)
+            try:
+                yield from self._journal_append(handle, {
+                    "op": JOURNAL_OP_FREE, "lock_idx": record.lock_idx,
+                    "gaddr": gaddr, "size": record.size, "req_id": req_id,
+                })
+            finally:
+                self._freeing.discard(gaddr)
+            if self.directory.lookup(gaddr) is not record:
+                # Resharded away while the append was in flight: the owner
+                # holds the record (still live) and redoes the free.
+                self._check_owner(gaddr)
+        self.directory.remove(gaddr)
         self._policies[record.server_id].on_freed(gaddr)
         if req_id:
             self._freed_reqs.add(self._dedup_key(req_id))
+        handle.quarantine.append(
+            (record.nvm_offset, record.size, record.lock_idx))
+        depth = len(handle.quarantine)
+        if depth > self.quarantine_peak:
+            self.quarantine_peak = depth
+        if self.sim.spans is not None:
+            self._note_quarantine()
+        self._kick_scrubber(handle)
         return True
+
+    # ------------------------------------------------------------------
+    # The free path's second half: quarantine -> scrub -> allocator
+    # ------------------------------------------------------------------
+    def _kick_scrubber(self, handle: _ServerHandle,
+                       after: Optional["Process"] = None,
+                       ) -> Optional["Process"]:
+        """Make sure ``handle``'s quarantine is being drained; returns the
+        scrubber (None when there is nothing to drain)."""
+        if handle.scrubber is not None:
+            # Remembered, so that a scrub sent to a server that has come
+            # back meanwhile does not fail unnoticed.
+            handle.rescrub = True
+        elif handle.quarantine:
+            handle.scrubber = self.sim.spawn(
+                self._scrub_loop(handle, handle.quarantine, after),
+                name=f"{self.node.name}.scrub.{handle.descriptor.server_id}")
+        return handle.scrubber
+
+    def _scrub_loop(self, handle: _ServerHandle, pending: list,
+                    after: Optional["Process"]) -> Generator[Any, Any, None]:
+        """Drain one server's quarantine, one ``scrub`` in flight at a time.
+
+        Group commit: each message carries whatever accumulated while the
+        previous one was in flight.  An extent (with its lock index) becomes
+        allocatable only after the server confirmed zeroing it and killing
+        its cache slot — calloc semantics.  A failed scrub leaves its batch
+        quarantined and, unless someone asked again meanwhile, ends the
+        process; the next free, a starved ``gmalloc`` or
+        :meth:`on_server_recovered` starts another.
+        """
+        try:
+            if after is not None and after.is_alive:
+                # Reshard adoption: the exporter's last scrub may still be
+                # in flight.  Ours must not overtake it, or the late one
+                # could zero an extent we have handed out again by then.
+                yield after
+            while (pending and handle.quarantine is pending
+                   and self.node.endpoint.alive and not self._deposed):
+                batch = pending[:_SCRUB_MAX_EXTENTS]
+                rec = self.sim.spans
+                t0 = self.sim.now if rec is not None else 0
+                handle.rescrub = False
+                try:
+                    yield from self._fenced_call(
+                        handle, "scrub",
+                        {"extents": [(off, size) for off, size, _ in batch]})
+                except MasterError:
+                    break  # deposed: the batch waits for a successor
+                except RpcError:
+                    if handle.rescrub:
+                        continue  # kicked while in flight: worth another try
+                    break  # server down: the batch waits for its restart
+                if handle.quarantine is not pending:
+                    # A reset or reshard took the quarantine over while the
+                    # scrub was in flight; its new holder settles these
+                    # extents.
+                    break
+                del pending[:len(batch)]
+                for offset, _size, lock_idx in batch:
+                    handle.allocator.free(offset)
+                    if lock_idx is not None:
+                        handle.free_lock_idx(lock_idx)
+                if rec is not None:
+                    rec.record(self.node.name, "master.scrub", t0,
+                               server=handle.descriptor.server_id,
+                               extents=len(batch),
+                               bytes=sum(size for _, size, _ in batch))
+                    self._note_quarantine()
+        finally:
+            if handle.quarantine is pending:
+                handle.scrubber = None
+
+    def settle_frees(self) -> Generator[Any, Any, bool]:
+        """Wait until some owned server's quarantine has drained; returns
+        whether any did (False: nothing quarantined, or no server reachable
+        to scrub it)."""
+        for sid in sorted(self._servers):
+            handle = self._servers[sid]
+            scrubber = self._kick_scrubber(handle)
+            if scrubber is not None:
+                yield scrubber
+                if not handle.quarantine:
+                    return True
+        return False
+
+    def _note_quarantine(self) -> None:
+        """Publish the quarantine depth (callers hold the ``sim.spans``
+        guard: the level exists only in instrumented runs)."""
+        self.sim.metrics.level(f"{self.node.name}.quarantine").update(
+            self.quarantined)
+
+    @property
+    def quarantined(self) -> int:
+        """Extents freed but not yet scrubbed, over every owned server."""
+        return sum(len(h.quarantine) for h in self._servers.values())
 
     def _handle_lookup(self, request: dict) -> Generator[Any, Any, ObjectMeta]:
         self._check_serving()
@@ -1016,10 +1200,17 @@ class Master:
         self._alloc_replies = {}
         self._freed_reqs = set()
         self._cache_budget = {}
+        self._freeing = set()
         for sid, handle in self._servers.items():
             handle.allocator = ExtentAllocator(handle.allocator.capacity)
+            self._alloc_policy.allocators[sid] = handle.allocator
             handle._lock_free = []
             handle._lock_next = 0
+            # The quarantine dies with the allocator it was owed to (a
+            # journal replay re-derives it); a scrub still in flight sees
+            # the new list and settles nothing.
+            handle.quarantine = []
+            handle.scrubber = None
             self._policies[sid] = self._policy_factory()
 
     def rebuild(self) -> Generator[Any, Any, int]:
@@ -1039,6 +1230,7 @@ class Master:
             handle = self._servers[sid]
             records = yield from handle.rpc.call("journal_read", {})
             live_locks = set()
+            freed: List[Tuple[int, int]] = []
             for rec in records:
                 if rec["op"] == JOURNAL_OP_TERM:
                     # Term claims interleave with alloc/free records; the
@@ -1065,12 +1257,17 @@ class Master:
                         self._alloc_replies[
                             self._dedup_key(rec["req_id"])] = rec["gaddr"]
                 else:  # free
+                    if rec.get("req_id"):
+                        self._freed_reqs.add(self._dedup_key(rec["req_id"]))
+                    if rec["gaddr"] not in self.directory:
+                        # A free journaled here whose record a reshard had
+                        # just moved away; the owner journaled it again.
+                        continue
                     self.directory.remove(rec["gaddr"])
                     handle.allocator.free(offset_of(rec["gaddr"]))
                     self._policies[sid].on_freed(rec["gaddr"])
                     live_locks.discard(rec["lock_idx"])
-                    if rec.get("req_id"):
-                        self._freed_reqs.add(self._dedup_key(rec["req_id"]))
+                    freed.append((offset_of(rec["gaddr"]), rec["size"]))
             # Lock-index bookkeeping: everything below the high-water mark
             # that is not live goes back on the free list.
             used = [rec["lock_idx"] for rec in records
@@ -1078,6 +1275,21 @@ class Master:
             high = max(used, default=-1) + 1
             handle._lock_next = high
             handle._lock_free = [i for i in range(high) if i not in live_locks]
+            # The journal says which extents were freed, not which of them
+            # the old master got round to scrubbing: every freed range that
+            # nothing reuses goes back into quarantine (a scrub is
+            # idempotent).  Newest first, so that a free the old master
+            # never scrubbed is not shadowed by an older, narrower one of
+            # the same range.  Lock indices need no scrub; the list above
+            # already holds them.
+            for offset, size in reversed(freed):
+                try:
+                    handle.allocator.alloc_at(offset, size)
+                except AllocatorError:
+                    continue  # reused since, so it was scrubbed before that
+                handle.quarantine.append((offset, size, None))
+            if not self._recovering:
+                self._kick_scrubber(handle)
         return len(self.directory)
 
     # ------------------------------------------------------------------
@@ -1102,6 +1314,12 @@ class Master:
         policy = self._policies.pop(sid)
         self._rebuild_alloc_policy()
         self._cache_budget.pop(sid, None)
+        # The quarantine leaves with the allocator it is owed to, the batch
+        # a scrub is carrying right now included: that scrub finds the list
+        # replaced and settles nothing, the adopter scrubs the lot again
+        # (idempotent) once it has returned.
+        quarantine, handle.quarantine = handle.quarantine, []
+        scrubber, handle.scrubber = handle.scrubber, None
         alloc_replies = {key: gaddr for key, gaddr in self._alloc_replies.items()
                          if server_of(gaddr) == sid}
         return {
@@ -1111,6 +1329,8 @@ class Master:
             "allocator": handle.allocator,
             "lock_free": list(handle._lock_free),
             "lock_next": handle._lock_next,
+            "quarantine": quarantine,
+            "scrubber": scrubber,
             "alloc_replies": alloc_replies,
             # Freed objects left no directory trace to attribute a server
             # to, so the whole set rides along (a dup free is just "True").
@@ -1143,6 +1363,8 @@ class Master:
             self.directory.adopt(record)
         self._alloc_replies.update(state["alloc_replies"])
         self._freed_reqs |= state["freed_reqs"]
+        handle.quarantine = list(state["quarantine"])
+        self._kick_scrubber(handle, after=state["scrubber"])
         # Term floor handover: the server's journal rejects appends below
         # the max term it has seen, which includes the exporter's — serve
         # at least there or our first journaled op would depose us.
@@ -1234,6 +1456,8 @@ class Master:
             # must not serve under a possibly-stale term.
             if claimed:
                 self._recovering = False
+                for sid in sorted(self._servers):
+                    self._kick_scrubber(self._servers[sid])
         self.failovers.add()
         rec = self.sim.spans
         if rec is not None:
@@ -1413,12 +1637,74 @@ class Master:
                 dropped += 1
             record.pinned = False
             record.pinned_by = None
+        # Frees acked while the server was down are still owed their scrub.
+        self._kick_scrubber(self._servers[server_id])
         rec = self.sim.spans
         if rec is not None:
             rec.event(self.node.name, "fault",
                       "directory reconciled after restart", server=server_id,
                       dropped_cache_entries=dropped)
         return dropped
+
+    def check_extents(self) -> List[ExtentViolation]:
+        """Audit the extent invariant on every owned server: each directory
+        record and each quarantined entry holds exactly its own allocation,
+        nothing else is allocated, and every lock index handed out is live,
+        quarantined or on the free list — once.  Valid at any instant, not
+        only at quiescence.  Returns the violations (empty = clean)."""
+        found: List[ExtentViolation] = []
+        held: Dict[int, List[Tuple[int, int, Optional[int], str]]] = {
+            sid: [(off, size, lock, "quarantined")
+                  for off, size, lock in handle.quarantine]
+            for sid, handle in self._servers.items()}
+        for record in self.directory.objects():
+            if record.server_id not in held:
+                found.append(ExtentViolation(
+                    record.server_id, "extent",
+                    f"{record.gaddr:#x} is homed on a server this shard "
+                    "does not own"))
+                continue
+            held[record.server_id].append(
+                (record.nvm_offset, record.size, record.lock_idx, "allocated"))
+        for sid in sorted(held):
+            handle = self._servers[sid]
+            alloc = handle.allocator
+            seen: Dict[int, str] = {}
+            locks = list(handle._lock_free)
+            total = 0
+            for offset, size, lock, state in held[sid]:
+                need = alloc._round_up(size)
+                total += need
+                holds = alloc.size_of(offset)
+                if offset in seen:
+                    found.append(ExtentViolation(
+                        sid, "extent",
+                        f"{offset:#x} is {seen[offset]} and {state}"))
+                elif holds != need:
+                    found.append(ExtentViolation(
+                        sid, "extent",
+                        f"{offset:#x} is {state} ({need} B) but the "
+                        f"allocator holds {holds}"))
+                seen[offset] = state
+                if lock is not None:
+                    locks.append(lock)
+            if total != alloc.allocated_bytes:
+                found.append(ExtentViolation(
+                    sid, "bytes",
+                    f"allocator holds {alloc.allocated_bytes} B, directory "
+                    f"+ quarantine account for {total} B"))
+            if sorted(locks) != list(range(handle._lock_next)):
+                dup = sorted({i for i in locks if locks.count(i) > 1})
+                lost = sorted(set(range(handle._lock_next)) - set(locks))
+                found.append(ExtentViolation(
+                    sid, "lock",
+                    f"of {handle._lock_next} lock indices handed out, "
+                    f"{lost} are nowhere and {dup} are held twice"))
+            try:
+                alloc.check_invariants()
+            except AssertionError as exc:
+                found.append(ExtentViolation(sid, "allocator", str(exc)))
+        return found
 
     def force_unlock(self, gaddr: int) -> Generator[Any, Any, int]:
         """Recovery: clear an object's lock word after a client failure.

@@ -438,33 +438,51 @@ class MemoryServer:
         )
 
     def _handle_scrub(self, request: dict) -> Generator[Any, Any, bool]:
-        """Zero a freed data extent so reallocations read as fresh memory.
+        """Zero freed data extents so reallocations read as fresh memory.
 
         Gengar gives gmalloc calloc semantics; the cost is paid off the
-        allocation critical path, at free time.
+        allocation critical path and off the free's too: the master acks a
+        ``gfree`` first and sends one ``scrub`` for every extent freed since
+        the last one.  Object death is authoritative here, so this is also
+        where a dead object's cache slot and drain bookkeeping go — whether
+        the master knew of the slot or a promote raced the free.
         """
-        offset, size = request["offset"], request["size"]
-        gaddr = make_gaddr(self.server_id, offset)
-        self._applied_seq.pop(gaddr, None)
-        # A scrub means the object is dead; a cache slot must not outlive
-        # it.  Normally the master demotes before scrubbing, but a promote
-        # that raced the free can publish a slot after that demote check —
-        # and its gaddr-keyed tag would validate for the next allocation at
-        # this extent.  Kill it here, where object death is authoritative.
-        entry = self.cached.pop(gaddr, None)
-        if entry is not None:
-            yield from self.cache_mr.write(
-                entry.cache_offset, pack_cache_tag(0, flags=0))
-            self.cache_alloc.free(entry.cache_offset)
-            self.demotions.add()
+        self._check_term(request.get("term"), "scrub")
         yield from self.node.cpu_work()
-        zeros = bytes(min(size, 64 * 1024))
-        pos = 0
-        while pos < size:
-            chunk = min(len(zeros), size - pos)
-            yield from self.data_device.write(offset + pos, zeros[:chunk])
-            pos += chunk
+        for offset, size in request["extents"]:
+            gaddr = make_gaddr(self.server_id, offset)
+            self._applied_seq.pop(gaddr, None)
+            # A cache slot must not outlive its object: its gaddr-keyed tag
+            # would validate for the next allocation at this extent.
+            entry = self.cached.pop(gaddr, None)
+            if entry is not None:
+                yield from self.cache_mr.write(
+                    entry.cache_offset, pack_cache_tag(0, flags=0))
+                self.cache_alloc.free(entry.cache_offset)
+                self.demotions.add()
+            zeros = bytes(min(size, 64 * 1024))
+            pos = 0
+            while pos < size:
+                chunk = min(len(zeros), size - pos)
+                yield from self.data_device.write(offset + pos, zeros[:chunk])
+                pos += chunk
         return True
+
+    def _check_term(self, term: Optional[int], what: str) -> None:
+        """Term fencing for every master→server call that changes NVM:
+        adopt monotonically, reject anything below the adopted max.  The
+        exact message is a cross-module contract — the master maps it to
+        deposition, the client to StaleTermError."""
+        if term is None:
+            return
+        if term < self._term_max:
+            rec = self.sim.spans
+            if rec is not None:
+                rec.event(self.node.name, "term", what + " rejected",
+                          term=term, current=self._term_max)
+            raise ServerError(
+                f"stale master term {term} (current {self._term_max})")
+        self._term_max = term
 
     def _handle_journal_append(self, request: dict) -> Generator[Any, Any, int]:
         """Durably journal one allocation/free into NVM.
@@ -475,22 +493,9 @@ class MemoryServer:
         """
         if self.journal_base is None:
             raise ServerError("metadata journal disabled on this server")
-        term = request.get("term")
-        if term is not None:
-            # Term fencing, checked before anything else (a full journal
-            # must not mask a deposed master): adopt monotonically, reject
-            # anything below the adopted max.  The exact message is a
-            # cross-module contract — the master maps it to deposition, the
-            # client to StaleTermError.
-            if term < self._term_max:
-                rec = self.sim.spans
-                if rec is not None:
-                    rec.event(self.node.name, "term",
-                              "journal append rejected", term=term,
-                              current=self._term_max)
-                raise ServerError(
-                    f"stale master term {term} (current {self._term_max})")
-            self._term_max = term
+        # Checked before anything else: a full journal must not mask a
+        # deposed master.
+        self._check_term(request.get("term"), "journal append")
         if self._journal_count >= self.config.journal_entries:
             raise ServerError("metadata journal full")
         record = pack_journal_record(

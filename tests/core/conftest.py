@@ -27,13 +27,13 @@ def fast_config(**overrides):
 
 def build_pool(seed=1, num_servers=2, num_clients=2, config=None, **kw):
     sim = Simulator(seed=seed)
+    kw.setdefault("dram", TEST_DRAM)
+    kw.setdefault("nvm", TEST_NVM)
     pool = GengarPool.build(
         sim,
         num_servers=num_servers,
         num_clients=num_clients,
         config=config or fast_config(),
-        dram=TEST_DRAM,
-        nvm=TEST_NVM,
         **kw,
     )
     return sim, pool

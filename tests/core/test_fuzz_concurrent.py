@@ -67,6 +67,7 @@ def _run_concurrent(seed, schedules, num_objects=3):
         return values
 
     (finals,) = pool.run(final(sim))
+    assert pool.master.check_extents() == []
     return rmw_counts, observed, finals
 
 
@@ -98,7 +99,11 @@ def test_heavy_contention_single_object():
 
 
 def test_fresh_allocations_read_as_zeros_even_after_reuse():
-    """Explicit calloc-semantics check (found originally by the fuzzer)."""
+    """Explicit calloc-semantics check (found originally by the fuzzer).
+
+    A freed extent is quarantined until its background scrub returns, so the
+    address does not come back on the very next allocation: keep allocating
+    until it does."""
     sim, pool = build_pool(num_servers=1, num_clients=1)
     client = pool.clients[0]
 
@@ -107,11 +112,17 @@ def test_fresh_allocations_read_as_zeros_even_after_reuse():
         yield from client.gwrite(first, b"\xff" * 1024)
         yield from client.gsync()
         yield from client.gfree(first)
-        second = yield from client.gmalloc(1024)
-        data = yield from client.gread(second)
-        return first, second, data
+        for _ in range(16):
+            again = yield from client.gmalloc(1024)
+            if again == first:
+                break
+            yield from client.gwrite(again, b"\xff" * 1024)
+            yield from client.gfree(again)
+        data = yield from client.gread(again)
+        return first, again, data
 
     (result,) = pool.run(app(sim))
-    first, second, data = result
-    assert first == second  # the extent was actually reused
+    first, again, data = result
+    assert first == again  # the extent was actually reused
     assert data == bytes(1024)  # ...and reads as fresh zeros
+    assert pool.master.check_extents() == []

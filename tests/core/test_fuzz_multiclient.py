@@ -65,6 +65,7 @@ def test_disjoint_writers_converge(plans, seed):
             server = pool.servers[server_of(gaddr)]
             actual = server.data_device.peek(offset_of(gaddr), size)
             assert actual == bytes(expected), f"object {gaddr:#x} diverged"
+    assert pool.master.check_extents() == []
 
 
 _LEASE = 100_000
@@ -173,6 +174,7 @@ def test_random_client_kills_leave_no_stale_locks_or_torn_data(
             server = pool.servers[server_of(gaddr)]
             actual = server.data_device.peek(offset_of(gaddr), size)
             assert actual == bytes(expected), f"object {gaddr:#x} diverged"
+    assert pool.master.check_extents() == []
 
 
 def test_reattach_edge_cases():

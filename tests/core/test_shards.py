@@ -458,6 +458,7 @@ def _assert_ownership_invariant(pool):
         for record in m.directory.objects():
             assert record.server_id in m._servers, (
                 "object metadata held by a non-owning shard")
+        assert m.check_extents() == []
 
 
 @given(ops=st.lists(_OPS, min_size=4, max_size=24),
