@@ -11,7 +11,7 @@ Commands:
 * ``metrics --format prom`` — one YCSB run, metric registry rendered as
   Prometheus text (or a versioned JSON snapshot).
 * ``check HISTORY.jsonl`` — audit a recorded op history (see
-  ``bench/chaos.py --check-linearizable``) for per-key linearizability
+  ``bench/chaos.py --history-out``) for per-key linearizability
   and lock-model violations; histories containing transactions are
   additionally checked for atomicity + strict serializability.  Exits
   non-zero with a minimal counterexample on failure.
@@ -61,9 +61,22 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.bench.run_all import main as run_all
+    import time
 
-    return run_all(args.ids)
+    from repro.bench.experiments import ALL_EXPERIMENTS
+
+    wanted = [a.upper() for a in args.ids] or list(ALL_EXPERIMENTS)
+    unknown = [w for w in wanted if w not in ALL_EXPERIMENTS]
+    if unknown:
+        print(f"unknown experiment ids: {unknown}; have {list(ALL_EXPERIMENTS)}")
+        return 2
+    for exp_id in wanted:
+        start = time.time()
+        result = ALL_EXPERIMENTS[exp_id]()
+        print(result.render())
+        print(f"[{exp_id} regenerated in {time.time() - start:.1f}s wall]")
+        print()
+    return 0
 
 
 def _cmd_ycsb(args: argparse.Namespace) -> int:
@@ -95,8 +108,7 @@ def _cmd_ycsb(args: argparse.Namespace) -> int:
 def _instrumented_ycsb(args: argparse.Namespace):
     """Boot one system, attach a span recorder, run a YCSB pass.
 
-    Returns ``(system, runner_result, recorder)``; ``recorder`` is None when
-    the obs layer's kill switch is off.
+    Returns ``(system, runner_result, recorder)``.
     """
     from repro import obs
     from repro.bench.experiments import bench_config, boot

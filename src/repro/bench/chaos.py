@@ -18,9 +18,16 @@ Every probabilistic choice draws from the simulator's seeded RNG registry,
 so the same ``--seed`` reproduces a bit-identical soak — counters, fault
 timings, and all (``--check-determinism`` proves it by running twice).
 
+A run is one named row of :data:`SCENARIOS`: the base soak, then at most one
+further phase with the features it needs armed.  A row is green when its
+report's ``violations`` list is empty and two runs are equal;
+``tests/bench/test_chaos_soak.py`` asserts exactly that for every row at
+every seed the table names.
+
 Run it::
 
-    PYTHONPATH=src python -m repro.bench.chaos --seed 7 --check-determinism
+    PYTHONPATH=src python -m repro.bench.chaos --scenario chaos-txn --seed 11 \
+        --smoke --check-determinism
 """
 
 from __future__ import annotations
@@ -28,8 +35,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
+from repro.check import HistoryRecorder, check_history, check_txn_history
 from repro.core import GengarConfig, GengarPool
 from repro.core.errors import (
     ClientError,
@@ -78,43 +87,9 @@ class _MidCommitKill(Exception):
     the commit half-done."""
 
 
-def soak_config(smoke: bool = False, kill_clients: bool = False,
-                crash_master: bool = False,
-                nemesis: bool = False, txn: bool = False,
-                shards: int = 1) -> GengarConfig:
-    """The resilient profile the soak runs under.
-
-    ``kill_clients`` arms the lease/fencing/torn-slot machinery;
-    ``crash_master`` arms the metadata journal so a restarted master can
-    rebuild; ``nemesis`` arms the full partition-tolerant control plane
-    (journal + terms + leases + phi-accrual failure detector) for the
-    Jepsen-style partition phase; ``txn`` arms distributed transactions
-    (intent records + leases + the journal, so both the lease sweep and a
-    rebuilt master's orphan sweep can roll intents forward); ``shards``
-    partitions the control plane across that many master shards and arms
-    the per-shard failover stack (journal + terms + leases) for the
-    shard-kill phase.  All default off, keeping the base soak
-    byte-identical.
-    """
-    extras: Dict[str, Any] = {}
-    if kill_clients:
-        extras.update(client_lease_ns=120_000, proxy_commit=True)
-    if crash_master:
-        extras.update(metadata_journal=True)
-    if nemesis:
-        extras.update(client_lease_ns=120_000, metadata_journal=True,
-                      master_terms=True, failure_detector=True)
-    if txn:
-        extras.update(enable_txn=True, client_lease_ns=120_000,
-                      metadata_journal=True,
-                      lock_acquire_timeout_ns=100_000)
-    if shards > 1:
-        # Same resilient control-plane stack as the nemesis profile (the
-        # phi-accrual detector keeps the base soak's lossy windows from
-        # reading as client death), partitioned across N shards.
-        extras.update(num_master_shards=shards, client_lease_ns=120_000,
-                      metadata_journal=True, master_terms=True,
-                      failure_detector=True)
+def soak_config(scenario: str = "base") -> GengarConfig:
+    """The resilient profile the soak runs under, plus whatever the
+    scenario's phase needs armed (see :data:`SCENARIOS`)."""
     return GengarConfig(
         cache_capacity=256 * 1024,
         epoch_ns=50_000,
@@ -130,7 +105,7 @@ def soak_config(smoke: bool = False, kill_clients: bool = False,
         auto_reattach=True,
         degraded_mode=True,
         degraded_patience_polls=4,
-        **extras,
+        **SCENARIOS[scenario].config,
     )
 
 
@@ -156,41 +131,27 @@ def soak_plan(t0: int, smoke: bool = False) -> FaultPlan:
     )
 
 
-class ChaosSoak:
-    """One soak run: load, fault, verify."""
+#: What :func:`soak_plan` must make happen: both crash/recover cycles land.
+_BASE_FAULTS = {"faults.crashes": 2, "faults.recoveries": 2}
 
-    def __init__(self, seed: int = 7, smoke: bool = False,
-                 dump_trace: bool = False, kill_clients: bool = False,
-                 crash_master: bool = False, record_spans: bool = False,
-                 prefetch: bool = False, nemesis: bool = False,
-                 check_linearizable: bool = False,
-                 kill_mid_commit: bool = False,
-                 check_serializable: bool = False,
-                 shards: int = 1, fanout_clients: int = 0):
+
+class ChaosSoak:
+    """One soak run: load, fault, verify, then the scenario's phase."""
+
+    def __init__(self, scenario: str = "base", seed: int = 7,
+                 smoke: bool = False, dump_trace: bool = False,
+                 record_spans: bool = False):
+        self.name = scenario
+        self.scenario = SCENARIOS[scenario]
         self.seed = seed
         self.smoke = smoke
-        self.kill_clients = kill_clients
-        self.crash_master = crash_master
-        self.prefetch = prefetch
-        self.shards = shards
-        self.fanout_clients = fanout_clients
-        #: High-fanout phase outcome (None unless --clients armed it).
+        #: High-fanout phase outcome (None unless the scenario ran it).
         self.fanout_report: Optional[Dict[str, Any]] = None
-        # Sharded runs route the consistency audit through the shard-kill
-        # phase instead of the (single-master) standby-promotion nemesis.
-        self.nemesis = (nemesis or check_linearizable) and shards == 1
-        self.check_linearizable = check_linearizable
-        self.kill_mid_commit = kill_mid_commit or check_serializable
-        self.check_serializable = check_serializable
         self.records = 24 if smoke else 48
         self.value_size = 512
         self.num_workers = 2 if smoke else 4
         self.ops_per_worker = 80 if smoke else 400
-        self.config = soak_config(smoke, kill_clients=kill_clients,
-                                  crash_master=crash_master,
-                                  nemesis=self.nemesis,
-                                  txn=self.kill_mid_commit,
-                                  shards=shards)
+        self.config = soak_config(scenario)
         self.sim = Simulator(seed=seed)
         self.recorder = None
         if record_spans:
@@ -200,11 +161,11 @@ class ChaosSoak:
             self.recorder = self.sim.spans = obs.SpanRecorder(
                 self.sim, keep_spans=False, histograms=False)
         self.pool = GengarPool.build(
-            self.sim, num_servers=max(2, self.shards),
-            num_clients=3 if (kill_clients or self.kill_mid_commit) else 2,
+            self.sim, num_servers=2,
+            num_clients=self.scenario.clients,
             config=self.config,
             dram=TEST_DRAM, nvm=TEST_NVM,
-            standby_master=self.nemesis,
+            standby_master=self.scenario.standby_master,
         )
         spec = WORKLOAD_B.scaled(record_count=self.records,
                                  value_size=self.value_size)
@@ -222,19 +183,16 @@ class ChaosSoak:
         self.violations: List[str] = []
         self.ops_ok = 0
         self.ops_typed_failures = 0
-        #: Partition-phase state: the op-history recorder (when
-        #: ``check_linearizable``), the checker's verdict, and the version
-        #: counters the nemesis workers hand out under their write locks.
+        #: Partition/shard-phase state: the op-history recorder, the
+        #: checker's verdict, and the version counters the nemesis workers
+        #: hand out under their write locks.
         self.history_recorder = None
         self.check_result = None
-        self.linearizable: Optional[bool] = None
         self._nemesis_versions: Dict[int, int] = {}
-        #: Transaction-phase state: the txn-history recorder (when
-        #: ``check_serializable``), the auditor's verdict, and the bank
-        #: phase's conservation outcome.
+        #: Transaction-phase state: the txn-history recorder, the
+        #: auditor's verdict, and the bank phase's conservation outcome.
         self.txn_history_recorder = None
         self.txn_check_result = None
-        self.serializable: Optional[bool] = None
         self.bank_total_ok: Optional[bool] = None
 
     # ------------------------------------------------------------------
@@ -434,154 +392,114 @@ class ChaosSoak:
     def crash_tolerance_phase(self) -> None:
         """Full-pool crash tolerance: kill a lock-holding client mid-write
         (torn slot), crash and rebuild the master mid-workload, and audit
-        that every recovery path engages — lease expiry frees the lock
-        within a bounded wait, the torn frame never reaches NVM, the zombie
-        is fenced until it re-attaches, and allocations ride out the master
-        outage on retries."""
+        that every recovery path engages — the rebuilt master's orphan
+        sweep frees the lock within a bounded wait, the torn frame never
+        reaches NVM, the zombie is fenced until it re-attaches, and
+        allocations ride out the master outage on retries."""
         sim = self.sim
         lease = self.config.client_lease_ns
         t0 = sim.now
         kill_at = t0 + 40_000
-        faults = []
-        if self.kill_clients:
-            victim = self.pool.clients[2]
-            revive_at = kill_at + (5 * lease) // 2
-            faults += [
+        revive_at = kill_at + (5 * lease) // 2
+        victim = self.pool.clients[2]
+        contender = self.pool.clients[0]
+        allocator = self.pool.clients[1]
+        torn_before = sum(
+            s.torn_skipped.count for s in self.pool.servers.values())
+        injector = self.pool.inject_faults(
+            FaultPlan.of(
                 ClientCrash(at_ns=kill_at, client=victim.name,
                             tear_inflight=True),
                 ClientRecover(at_ns=revive_at, client=victim.name),
-            ]
-        if self.crash_master:
-            faults += [
                 MasterCrash(at_ns=t0 + 20_000),
-                MasterRecover(at_ns=t0 + 80_000, rebuild=True),
-            ]
-        torn_before = sum(
-            s.torn_skipped.count for s in self.pool.servers.values())
-        failovers_before = self.pool.master.failovers.count
-        expiries_before = self.pool.master.lease_expiries.count
-        recoveries_before = int(self.pool.master.lock_recoveries.total)
-        injector = self.pool.inject_faults(
-            FaultPlan.of(*faults), rng_name="faults.tolerance")
+                MasterRecover(at_ns=t0 + 80_000, rebuild=True)),
+            rng_name="faults.tolerance")
 
         outcome: Dict[str, Any] = {}
         payload_old = b"\xa1" * 256
         payload_torn = b"\xb2" * 256
         payload_new = b"\xc3" * 256
-        procs = []
 
-        if self.kill_clients:
-            victim = self.pool.clients[2]
-            contender = self.pool.clients[0]
-
-            def victim_run(sim):
-                g_lock = yield from victim.gmalloc(self.value_size)
-                g_data = yield from victim.gmalloc(self.value_size)
-                outcome["g_lock"], outcome["g_data"] = g_lock, g_data
-                yield from victim.glock(g_lock)
-                yield from victim.gwrite(g_data, payload_old)
-                yield from victim.gsync()
-                # Staged but never synced: the crash re-stages half of this
-                # frame, which the commit word must keep out of NVM.
-                yield from victim.gwrite(g_data, payload_torn)
-                yield sim.timeout((revive_at - sim.now) + 10_000)
-                # Back as a zombie: lock ops must fail typed, not corrupt.
-                try:
-                    yield from victim.gunlock(g_lock)
-                    outcome["zombie_fenced"] = False
-                except FencedError:
-                    outcome["zombie_fenced"] = True
-                yield from victim.reattach_master()
-                # Fully rejoined under the new epoch (the first write heals
-                # the retired proxy ring via the resilience engine).
-                yield from victim.glock(g_lock)
-                yield from victim.gwrite(g_data, payload_new)
-                yield from victim.gsync()
+        def victim_run(sim):
+            g_lock = yield from victim.gmalloc(self.value_size)
+            g_data = yield from victim.gmalloc(self.value_size)
+            outcome["g_lock"], outcome["g_data"] = g_lock, g_data
+            yield from victim.glock(g_lock)
+            yield from victim.gwrite(g_data, payload_old)
+            yield from victim.gsync()
+            # Staged but never synced: the crash re-stages half of this
+            # frame, which the commit word must keep out of NVM.
+            yield from victim.gwrite(g_data, payload_torn)
+            yield sim.timeout((revive_at - sim.now) + 10_000)
+            # Back as a zombie: lock ops must fail typed, not corrupt.
+            try:
                 yield from victim.gunlock(g_lock)
-                data = yield from victim.gread(g_data, length=len(payload_new))
-                outcome["rejoin_data_ok"] = data == payload_new
+                outcome["zombie_fenced"] = False
+            except FencedError:
+                outcome["zombie_fenced"] = True
+            yield from victim.reattach_master()
+            # Fully rejoined under the new epoch (the first write heals
+            # the retired proxy ring via the resilience engine).
+            yield from victim.glock(g_lock)
+            yield from victim.gwrite(g_data, payload_new)
+            yield from victim.gsync()
+            yield from victim.gunlock(g_lock)
+            data = yield from victim.gread(g_data, length=len(payload_new))
+            outcome["rejoin_data_ok"] = data == payload_new
 
-            def contender_run(sim):
-                # Outlive the lease (and any master outage), then the dead
-                # holder's lock must clear within one further lease.
-                yield sim.timeout((kill_at - sim.now) + 2 * lease)
-                while "g_lock" not in outcome:  # pragma: no cover - ordering
-                    yield sim.timeout(1_000)
-                t_acq = sim.now
-                yield from contender.glock(outcome["g_lock"])
-                yield from contender.gunlock(outcome["g_lock"])
-                outcome["lock_wait_ns"] = sim.now - t_acq
-                data = yield from contender.gread(
-                    outcome["g_data"], length=256)
-                outcome["contender_saw"] = bytes(data)
+        def contender_run(sim):
+            # Outlive the lease and the master outage, then the dead
+            # holder's lock must clear within one further lease.
+            yield sim.timeout((kill_at - sim.now) + 2 * lease)
+            while "g_lock" not in outcome:  # pragma: no cover - ordering
+                yield sim.timeout(1_000)
+            t_acq = sim.now
+            yield from contender.glock(outcome["g_lock"])
+            yield from contender.gunlock(outcome["g_lock"])
+            outcome["lock_wait_ns"] = sim.now - t_acq
+            data = yield from contender.gread(outcome["g_data"], length=256)
+            outcome["contender_saw"] = bytes(data)
 
-            procs += [victim_run(sim), contender_run(sim)]
+        def allocator_run(sim):
+            yield sim.timeout(30_000)  # the master is down now
+            gaddr = yield from allocator.gmalloc(self.value_size)
+            yield from allocator.gwrite(gaddr, b"\xd4" * 64)
+            yield from allocator.gsync()
+            data = yield from allocator.gread(gaddr, length=64)
+            outcome["alloc_through_outage_ok"] = (
+                data == b"\xd4" * 64
+                and self.pool.master.directory.get(gaddr) is not None)
 
-        if self.crash_master:
-            allocator = self.pool.clients[1]
-
-            def allocator_run(sim):
-                yield sim.timeout(30_000)  # the master is down now
-                gaddr = yield from allocator.gmalloc(self.value_size)
-                yield from allocator.gwrite(gaddr, b"\xd4" * 64)
-                yield from allocator.gsync()
-                data = yield from allocator.gread(gaddr, length=64)
-                outcome["alloc_through_outage_ok"] = (
-                    data == b"\xd4" * 64
-                    and self.pool.master.directory.get(gaddr) is not None)
-
-            procs.append(allocator_run(sim))
-
-        self.pool.run(*procs)
+        self.pool.run(victim_run(sim), contender_run(sim), allocator_run(sim))
         injector.uninstall()
 
-        if self.kill_clients:
-            if not outcome.get("zombie_fenced"):
-                self.violations.append(
-                    "crash-tolerance: revived zombie released a lock "
-                    "without being fenced")
-            if not outcome.get("rejoin_data_ok"):
-                self.violations.append(
-                    "crash-tolerance: victim's post-reattach write did not "
-                    "read back")
-            if outcome.get("lock_wait_ns", 0) >= lease:
-                self.violations.append(
-                    f"crash-tolerance: contender waited "
-                    f"{outcome.get('lock_wait_ns')} ns on a dead client's "
-                    f"lock (bound {lease} ns)")
-            if outcome.get("contender_saw") not in (payload_old, payload_torn):
-                self.violations.append(
-                    "crash-tolerance: contender read a value that is not "
-                    "any fully-applied write (torn frame reached NVM)")
-            torn_after = sum(
-                s.torn_skipped.count for s in self.pool.servers.values())
-            if torn_after - torn_before < 1:
-                self.violations.append(
-                    "crash-tolerance: the injected mid-write kill produced "
-                    "no skipped torn slot")
-            # With --crash-master the rebuilt master loses the lease table
-            # and reaps the victim via the orphan sweep instead of a lease
-            # expiry; either path must have recovered its lock.
-            reaped = (
-                self.pool.master.lease_expiries.count > expiries_before
-                or int(self.pool.master.lock_recoveries.total)
-                > recoveries_before)
-            if not reaped:
-                self.violations.append(
-                    "crash-tolerance: the dead client was never reaped "
-                    "(no lease expiry, no recovered lock)")
-        if self.crash_master:
-            if self.pool.master.failovers.count - failovers_before < 1:
-                self.violations.append(
-                    "crash-tolerance: the master never completed a failover")
-            if int(self.pool.master.journal_replayed.total) <= 0:
-                self.violations.append(
-                    "crash-tolerance: the rebuilt master replayed no "
-                    "journal records")
-            if not outcome.get("alloc_through_outage_ok"):
-                self.violations.append(
-                    "crash-tolerance: allocation did not survive the "
-                    "master outage")
+        if not outcome.get("zombie_fenced"):
+            self.violations.append(
+                "crash-tolerance: revived zombie released a lock "
+                "without being fenced")
+        if not outcome.get("rejoin_data_ok"):
+            self.violations.append(
+                "crash-tolerance: victim's post-reattach write did not "
+                "read back")
+        if outcome.get("lock_wait_ns", 0) >= lease:
+            self.violations.append(
+                f"crash-tolerance: contender waited "
+                f"{outcome.get('lock_wait_ns')} ns on a dead client's "
+                f"lock (bound {lease} ns)")
+        if outcome.get("contender_saw") not in (payload_old, payload_torn):
+            self.violations.append(
+                "crash-tolerance: contender read a value that is not "
+                "any fully-applied write (torn frame reached NVM)")
+        torn_after = sum(
+            s.torn_skipped.count for s in self.pool.servers.values())
+        if torn_after - torn_before < 1:
+            self.violations.append(
+                "crash-tolerance: the injected mid-write kill produced "
+                "no skipped torn slot")
+        if not outcome.get("alloc_through_outage_ok"):
+            self.violations.append(
+                "crash-tolerance: allocation did not survive the "
+                "master outage")
 
     # ------------------------------------------------------------------
     def prefetch_phase(self) -> None:
@@ -600,7 +518,6 @@ class ChaosSoak:
         client = self.pool.clients[0]
         master = self.pool.master
         payloads: Dict[int, bytes] = {}
-        requests_before = master.prefetch_requests.count
 
         def run_phase(c):
             gaddrs = []
@@ -639,10 +556,6 @@ class ChaosSoak:
         self.pool.run(run_phase(client))
         # Let any straggling pump/promotion processes settle.
         self.sim.run(until=self.sim.now + 200_000)
-        if master.prefetch_requests.count <= requests_before:
-            self.violations.append(
-                "prefetch-phase: no prefetch request ever reached the "
-                "master (the pump never fired)")
         if client._prefetch_inflight:
             self.violations.append(
                 "prefetch-phase: the client's prefetch pump is wedged "
@@ -749,6 +662,34 @@ class ChaosSoak:
         self.sim.run(until=max(self.sim.now, plan.horizon_ns + tail_ns))
         injector.uninstall()
 
+    def _audit_history(self, message: str, txn: bool = False):
+        """Stop recording and audit the history: per-key linearizability
+        and the lock model, or (``txn``) atomicity and strict
+        serializability.  Counterexamples become violations; the checker's
+        result is kept for ``--counterexample-out``."""
+        recorder = self.txn_history_recorder if txn else self.history_recorder
+        prefix, label, check = (
+            ("txn_", "serializability", check_txn_history) if txn
+            else ("", "linearizability", check_history))
+        recorder.uninstall()
+        result = check(recorder.ops)
+        m = self.sim.metrics
+        m.counter(f"check.{prefix}histories").add()
+        m.counter(f"check.{prefix}history_ops").add(len(recorder.ops))
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event("chaos", "check", message,
+                      ops=len(recorder.ops), ok=result.ok,
+                      violations=len(result.violations))
+        if not result.ok:
+            m.counter("check.violations").add(len(result.violations))
+            for v in result.violations[:5]:
+                self.violations.append(f"{label}-check: {v}")
+        if txn:
+            self.txn_check_result = result
+        else:
+            self.check_result = result
+
     def partition_phase(self) -> None:
         """Three nemesis rounds against the term-fenced control plane:
 
@@ -763,18 +704,14 @@ class ChaosSoak:
         3. **Asymmetric control-plane split**: clients lose the master but
            keep the server data plane; ops complete degraded or fail typed.
 
-        With ``check_linearizable`` the whole phase is recorded and the
-        history is audited per key (register linearizability + lock-model
-        mutual exclusion and epoch monotonicity).
+        The whole phase is recorded and the history is audited per key
+        (register linearizability + lock-model mutual exclusion and epoch
+        monotonicity).
         """
         sim = self.sim
         pool = self.pool
         lease = self.config.client_lease_ns
-        recorder = None
-        if self.check_linearizable:
-            from repro.check import HistoryRecorder
-            recorder = HistoryRecorder(sim).install()
-            self.history_recorder = recorder
+        self.history_recorder = HistoryRecorder(sim).install()
 
         keys = list(range(min(8, self.records)))
         # Versions start far above anything the main soak wrote, so the
@@ -790,6 +727,7 @@ class ChaosSoak:
 
         # --- Round 1: split-brain attempt -----------------------------
         old_master = pool.master
+        first_term = old_master.term
         start = sim.now + 10_000
         plan = FaultPlan.of(Partition(
             start_ns=start, end_ns=start + 4 * lease,
@@ -842,25 +780,11 @@ class ChaosSoak:
         self._nemesis_round(plan, [], keys, rounds,
                             tail_ns=lease, tag="ctrlsplit")
 
-        # --- Check ----------------------------------------------------
-        if recorder is not None:
-            recorder.uninstall()
-            from repro.check import check_history
-            result = check_history(recorder.ops)
-            self.check_result = result
-            self.linearizable = result.ok
-            m = sim.metrics
-            m.counter("check.histories").add()
-            m.counter("check.history_ops").add(len(recorder.ops))
-            rec = sim.spans
-            if rec is not None:
-                rec.event("chaos", "check", "history audited",
-                          ops=len(recorder.ops), ok=result.ok,
-                          violations=len(result.violations))
-            if not result.ok:
-                m.counter("check.violations").add(len(result.violations))
-                for v in result.violations[:5]:
-                    self.violations.append(f"linearizability-check: {v}")
+        if pool.master.term < first_term + 2:
+            self.violations.append(
+                f"nemesis: two failovers left the master at term "
+                f"{pool.master.term}, below {first_term + 2}")
+        self._audit_history("history audited")
 
     def shard_phase(self) -> None:
         """Kill one master shard mid-YCSB, one round per shard.
@@ -869,28 +793,21 @@ class ChaosSoak:
         victim shard is down and through its journal rebuild; every other
         shard must keep serving unperturbed (per-shard terms and leases),
         and the per-shard failover must not lose a committed version or
-        admit a stale one.  With ``check_linearizable`` the whole phase is
-        recorded and audited exactly like the partition nemesis.
+        admit a stale one.  The whole phase is recorded and audited exactly
+        like the partition nemesis.
         """
         sim = self.sim
-        pool = self.pool
         lease = self.config.client_lease_ns
-        recorder = None
-        if self.check_linearizable:
-            from repro.check import HistoryRecorder
-            recorder = HistoryRecorder(sim).install()
-            self.history_recorder = recorder
+        self.history_recorder = HistoryRecorder(sim).install()
 
         keys = list(range(min(8, self.records)))
         # Versions start far above anything the main soak wrote, so the
         # durability parse audit stays discriminating across phases.
         self._nemesis_versions = {k: 2_000_000 for k in keys}
         rounds = 10 if self.smoke else 24
-        failovers_before = pool.master.failovers.count
         # Secondaries first, then shard 0 (the hotness aggregator): the
         # audit must hold whichever shard is the one that dies.
-        victims = list(range(1, self.shards)) + [0]
-        for victim in victims:
+        for victim in [*range(1, self.config.num_master_shards), 0]:
             t0 = sim.now + 10_000
             plan = FaultPlan.of(
                 MasterCrash(at_ns=t0, shard=victim),
@@ -898,29 +815,7 @@ class ChaosSoak:
                               shard=victim))
             self._nemesis_round(plan, [], keys, rounds,
                                 tail_ns=3 * lease, tag=f"shardkill{victim}")
-        if pool.master.failovers.count < failovers_before + len(victims):
-            self.violations.append(
-                "shard-kill: not every killed shard completed a journal "
-                "rebuild failover")
-
-        if recorder is not None:
-            recorder.uninstall()
-            from repro.check import check_history
-            result = check_history(recorder.ops)
-            self.check_result = result
-            self.linearizable = result.ok
-            m = sim.metrics
-            m.counter("check.histories").add()
-            m.counter("check.history_ops").add(len(recorder.ops))
-            rec = sim.spans
-            if rec is not None:
-                rec.event("chaos", "check", "shard-kill history audited",
-                          ops=len(recorder.ops), ok=result.ok,
-                          violations=len(result.violations))
-            if not result.ok:
-                m.counter("check.violations").add(len(result.violations))
-                for v in result.violations[:5]:
-                    self.violations.append(f"linearizability-check: {v}")
+        self._audit_history("shard-kill history audited")
 
     # ------------------------------------------------------------------
     # Mid-commit kill nemesis (the transaction phase)
@@ -1051,18 +946,13 @@ class ChaosSoak:
         post-commit-point intent forward before force-unlocking.
         Master-crash rounds kill the client AND the master in the same
         instant: the on-NVM intent must then survive into the rebuilt
-        master's orphan sweep.  With ``check_serializable`` the whole
-        phase is recorded and audited for atomicity + strict
-        serializability.
+        master's orphan sweep.  The whole phase is recorded and audited
+        for atomicity + strict serializability.
         """
         sim = self.sim
         pool = self.pool
         lease = self.config.client_lease_ns
-        recorder = None
-        if self.check_serializable and sim.history is None:
-            from repro.check import HistoryRecorder
-            recorder = HistoryRecorder(sim).install()
-            self.txn_history_recorder = recorder
+        self.txn_history_recorder = HistoryRecorder(sim).install()
 
         spec = BankSpec(accounts=8, initial_balance=1000, max_transfer=50)
         holder: Dict[str, List[int]] = {}
@@ -1133,24 +1023,7 @@ class ChaosSoak:
                 pool.run(self._rejoin(victim))
             self._bank_audit(gaddrs, spec, f"master-crash@{point}")
 
-        if recorder is not None:
-            recorder.uninstall()
-            from repro.check import check_txn_history
-            result = check_txn_history(recorder.ops)
-            self.txn_check_result = result
-            self.serializable = result.ok
-            m = sim.metrics
-            m.counter("check.txn_histories").add()
-            m.counter("check.txn_history_ops").add(len(recorder.ops))
-            rec = sim.spans
-            if rec is not None:
-                rec.event("chaos", "check", "txn history audited",
-                          ops=len(recorder.ops), ok=result.ok,
-                          violations=len(result.violations))
-            if not result.ok:
-                m.counter("check.violations").add(len(result.violations))
-                for v in result.violations[:5]:
-                    self.violations.append(f"serializability-check: {v}")
+        self._audit_history("txn history audited", txn=True)
 
     # ------------------------------------------------------------------
     def fanout_phase(self) -> None:
@@ -1167,14 +1040,15 @@ class ChaosSoak:
         in-flight slot never returned would show up as a leak here, and
         enough leaks wedge the pool for every surviving client.
         """
-        n = self.fanout_clients
-        config = soak_config(self.smoke, kill_clients=True)
+        n = 32
+        config = replace(self.config, client_lease_ns=120_000,
+                         proxy_commit=True)
         sim = Simulator(seed=self.seed + 104729)
         pool = GengarPool.build(sim, num_servers=4, num_clients=n,
                                 config=config, dram=TEST_DRAM, nvm=TEST_NVM)
         lease = config.client_lease_ns
         t0 = sim.now
-        victims = pool.clients[::4][:max(1, n // 4)]  # every 4th client
+        victims = pool.clients[::4]
         injector = pool.inject_faults(
             FaultPlan.of(*[
                 ClientCrash(at_ns=t0 + 20_000 + 3_000 * i, client=v.name)
@@ -1222,16 +1096,19 @@ class ChaosSoak:
                 self.violations.append(
                     f"fanout: {label} leaked receive slots: outstanding "
                     f"{stats['outstanding']} != live loops {live}")
+            if stats["capacity"] <= live:
+                self.violations.append(
+                    f"fanout: {label} has no spare receive slot: capacity "
+                    f"{stats['capacity']} <= live loops {live}")
+            if stats["grows"] < 1:
+                self.violations.append(
+                    f"fanout: {label} never grew under a {n}-client fanout "
+                    f"— the elastic path never engaged")
         reclaims = sum(rpc.reclaims.count for _, rpc in rpcs)
         if reclaims < len(victims):
             self.violations.append(
                 f"fanout: only {reclaims} slot reclaims for "
                 f"{len(victims)} dead clients")
-        grows = sum(p["grows"] for p in pools.values())
-        if grows < 1:
-            self.violations.append(
-                f"fanout: no pool grew under a {n}-client fanout — the "
-                f"elastic path never engaged")
         # Extent conservation: whatever the killed clients were in the
         # middle of, every extent is allocated, quarantined or free.
         leaks = [str(v) for v in pool.master.check_extents()]
@@ -1246,6 +1123,26 @@ class ChaosSoak:
         }
 
     # ------------------------------------------------------------------
+    def _totals(self, names) -> Dict[str, float]:
+        m = self.sim.metrics
+        return {name: m.counter(name).total for name in names}
+
+    def _require_moves(self, tag: str, before: Dict[str, float],
+                       exactly: Dict[str, int],
+                       at_least: Dict[str, int]) -> None:
+        """One violation per counter that did not move since ``before`` the
+        way the faults just injected require — a fault that never landed,
+        or a recovery path that never did any work."""
+        now = self._totals(before)
+        for bounds, wrong, word in ((exactly, int.__ne__, "exactly"),
+                                    (at_least, int.__lt__, "at least")):
+            for name, want in bounds.items():
+                moved = int(now[name] - before[name])
+                if wrong(moved, want):
+                    self.violations.append(
+                        f"{tag}: {name} moved by {moved}, expected {word} "
+                        f"{want}")
+
     def run(self) -> Dict[str, Any]:
         self.load()
         t0 = self.sim.now
@@ -1253,31 +1150,26 @@ class ChaosSoak:
         injector = self.pool.inject_faults(plan)
 
         modes = {0: "burst", 1: "rr" if not self.smoke else "ycsb"}
-        # Workers stay on the first two clients; with --kill-clients the
-        # third is reserved as the crash-tolerance phase's victim.
+        # Workers stay on the first two clients; a third, where the
+        # scenario has one, is reserved as its phase's victim.
         worker_clients = self.pool.clients[:2]
         workers = [
             self.worker(i, worker_clients[i % len(worker_clients)],
                         mode=modes.get(i, "ycsb"))
             for i in range(self.num_workers)
         ]
+        before = self._totals(_BASE_FAULTS)
         self.pool.run(*workers)
         # Let any still-pending plan actions (late recovery) play out.
         self.sim.run(until=max(self.sim.now, plan.horizon_ns + 100_000))
         injector.uninstall()
+        self._require_moves("base", before, _BASE_FAULTS, {})
         self.verify()
-        if self.kill_clients or self.crash_master:
-            self.crash_tolerance_phase()
-        if self.prefetch:
-            self.prefetch_phase()
-        if self.nemesis:
-            self.partition_phase()
-        if self.shards > 1:
-            self.shard_phase()
-        if self.kill_mid_commit:
-            self.txn_phase()
-        if self.fanout_clients:
-            self.fanout_phase()
+        row = self.scenario
+        if row.phase is not None:
+            before = self._totals({**row.exactly, **row.at_least})
+            row.phase(self)
+            self._require_moves(self.name, before, row.exactly, row.at_least)
 
         m = self.sim.metrics
         counters = {
@@ -1312,7 +1204,7 @@ class ChaosSoak:
         counters["prefetch_promotions"] = int(
             master.prefetch_promotions.total)
         counters["prefetches"] = int(m.counter("pool.prefetches").total)
-        # Partition-tolerance counters (all zero unless --nemesis armed
+        # Partition-tolerance counters (all zero unless the scenario armed
         # the term-fenced control plane).  The master.* metrics live in
         # the shared registry, so one read covers both master instances.
         counters["suspected_clients"] = m.counter(
@@ -1325,8 +1217,7 @@ class ChaosSoak:
         counters["partition_suspected"] = m.counter(
             "pool.partition_suspected").count
         counters["lease_lapses"] = m.counter("pool.lease_lapses").count
-        # Transaction counters (all zero unless --kill-mid-commit armed
-        # the txn feature and its bank phase).
+        # Transaction counters (all zero outside chaos-txn).
         counters["txn_begins"] = m.counter("pool.txn_begins").count
         counters["txn_commits"] = m.counter("pool.txn_commits").count
         counters["txn_aborts"] = m.counter("pool.txn_aborts").count
@@ -1339,23 +1230,20 @@ class ChaosSoak:
         counters["txn_cross_shard_commits"] = m.counter(
             "pool.txn_cross_shard_commits").count
         return {
+            "scenario": self.name,
             "seed": self.seed,
             "smoke": self.smoke,
-            "kill_clients": self.kill_clients,
-            "crash_master": self.crash_master,
-            "prefetch": self.prefetch,
-            "nemesis": self.nemesis,
-            "kill_mid_commit": self.kill_mid_commit,
-            "shards": self.shards,
             "virtual_end_ns": self.sim.now,
             "ops_ok": self.ops_ok,
             "ops_typed_failures": self.ops_typed_failures,
             "lost_reports": sum(len(c.fault_log) for c in self.pool.clients),
             "tainted_keys": len(self.tainted),
-            "linearizable": self.linearizable,
+            "linearizable": (self.check_result.ok
+                             if self.check_result is not None else None),
             "history_ops": (len(self.history_recorder.ops)
                             if self.history_recorder is not None else 0),
-            "serializable": self.serializable,
+            "serializable": (self.txn_check_result.ok
+                             if self.txn_check_result is not None else None),
             "bank_total_ok": self.bank_total_ok,
             "txn_history_ops": (len(self.txn_history_recorder.ops)
                                 if self.txn_history_recorder is not None
@@ -1366,25 +1254,97 @@ class ChaosSoak:
         }
 
 
-def run_soak(seed: int = 7, smoke: bool = False,
-             dump_trace: bool = False, kill_clients: bool = False,
-             crash_master: bool = False, prefetch: bool = False,
-             nemesis: bool = False, check_linearizable: bool = False,
-             kill_mid_commit: bool = False,
-             check_serializable: bool = False,
-             shards: int = 1, fanout_clients: int = 0,
+@dataclass(frozen=True)
+class Scenario:
+    """One chaos row: the base soak, then ``phase`` (if any) on a pool of
+    ``clients`` clients with ``config`` armed on top of the resilient
+    profile.  ``exactly`` / ``at_least`` name the counters the phase must
+    move — the faults it injects land exactly once each, the recovery
+    paths it exists to exercise do real work — and ``seeds`` are the seeds
+    the tier-1 test runs the row at."""
+
+    phase: Optional[Callable[[ChaosSoak], None]] = None
+    config: Dict[str, Any] = field(default_factory=dict)
+    clients: int = 2
+    standby_master: bool = False
+    exactly: Dict[str, int] = field(default_factory=dict)
+    at_least: Dict[str, int] = field(default_factory=dict)
+    seeds: Tuple[int, ...] = (7,)
+
+
+#: Journal + per-master terms + leases + the phi-accrual failure detector
+#: (which keeps the base soak's lossy windows from reading as client death).
+_FAILOVER_STACK = dict(client_lease_ns=120_000, metadata_journal=True,
+                       master_terms=True, failure_detector=True)
+
+SCENARIOS: Dict[str, Scenario] = {
+    # YCSB-B through server crashes, a lossy window and ring stalls, with
+    # leases and commit words off (the legacy protocol).
+    "base": Scenario(),
+    # Kill a lock-holding client mid-RDMA_WRITE and crash/rebuild the
+    # master mid-workload: leases, fencing, torn-slot commit words and
+    # journal failover all have to engage.
+    "crash-tolerance": Scenario(
+        ChaosSoak.crash_tolerance_phase, clients=3,
+        config=dict(client_lease_ns=120_000, proxy_commit=True,
+                    metadata_journal=True),
+        exactly={"faults.client_crashes": 1, "faults.torn_injected": 1,
+                 "faults.master_crashes": 1},
+        at_least={"master.lease_renewals": 1, "master.lock_recoveries": 1,
+                  "pool.fence_rejections": 1, "master.failovers": 1,
+                  "master.journal_replayed": 1}),
+    # Crash the home server while a hotness-driven prefetch batch is in
+    # flight; the pump must not wedge and the read-back stays byte-exact.
+    "prefetch": Scenario(
+        ChaosSoak.prefetch_phase,
+        at_least={"master.prefetch_requests": 1,
+                  "master.prefetch_promotions": 1}),
+    # Partition nemesis with standby promotion, audited Jepsen-style.
+    "chaos-partition": Scenario(
+        ChaosSoak.partition_phase, standby_master=True,
+        config=_FAILOVER_STACK,
+        at_least={"check.history_ops": 1, "master.depositions": 1,
+                  "master.term_claims": 2,
+                  "pool.stale_term_rejections": 1}),
+    # 32 clients in a fresh pool, a quarter killed mid-run; the phase has
+    # its own simulator, so all its checks are its own.
+    "chaos-fanout": Scenario(ChaosSoak.fanout_phase),
+    # Bank transfers with the client (and once the master) killed at
+    # seeded points inside the commit window.
+    "chaos-txn": Scenario(
+        ChaosSoak.txn_phase, clients=3, seeds=(11, 12, 13),
+        config=dict(enable_txn=True, client_lease_ns=120_000,
+                    metadata_journal=True, lock_acquire_timeout_ns=100_000),
+        at_least={"check.txn_history_ops": 1, "pool.txn_begins": 1,
+                  "pool.txn_commits": 1, "faults.client_crashes": 3,
+                  "faults.master_crashes": 1,
+                  "master.txn_rolled_forward": 1}),
+    # Two master shards, each killed in turn mid-YCSB and rebuilt from
+    # its journal while the other keeps serving; audited like the
+    # partition row.
+    "chaos-shard": Scenario(
+        ChaosSoak.shard_phase, seeds=(1, 2, 3),
+        config=dict(_FAILOVER_STACK, num_master_shards=2),
+        at_least={"check.history_ops": 1, "master.failovers": 2,
+                  "master.journal_replayed": 1,
+                  "master.lease_renewals": 1}),
+}
+
+#: Report fields two identically seeded runs must agree on.
+COMPARED_FIELDS = ("virtual_end_ns", "ops_ok", "ops_typed_failures",
+                   "lost_reports", "tainted_keys", "linearizable",
+                   "history_ops", "serializable", "bank_total_ok",
+                   "txn_history_ops", "fanout", "counters", "violations")
+
+
+def run_soak(scenario: str = "base", seed: int = 7, smoke: bool = False,
+             dump_trace: bool = False,
              trace_out: Optional[str] = None,
              span_log: Optional[str] = None,
              history_out: Optional[str] = None,
              counterexample_out: Optional[str] = None) -> Dict[str, Any]:
     """One full soak; returns the audit report (see :class:`ChaosSoak`)."""
-    soak = ChaosSoak(seed=seed, smoke=smoke, dump_trace=dump_trace,
-                     kill_clients=kill_clients, crash_master=crash_master,
-                     prefetch=prefetch, nemesis=nemesis,
-                     check_linearizable=check_linearizable,
-                     kill_mid_commit=kill_mid_commit,
-                     check_serializable=check_serializable,
-                     shards=shards, fanout_clients=fanout_clients,
+    soak = ChaosSoak(scenario, seed=seed, smoke=smoke, dump_trace=dump_trace,
                      record_spans=bool(trace_out or span_log))
     report = soak.run()
     if history_out:
@@ -1418,9 +1378,13 @@ def run_soak(seed: int = 7, smoke: bool = False,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Chaos soak: YCSB-B under a deterministic fault plan")
+    parser.add_argument("--scenario", choices=sorted(SCENARIOS),
+                        default="base",
+                        help="the named row to run: the base soak plus the "
+                             "phase that row adds (see SCENARIOS)")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--smoke", action="store_true",
-                        help="small fast variant (CI-friendly)")
+                        help="small fast variant (what the tier-1 test runs)")
     parser.add_argument("--out", type=str, default=None,
                         help="write the JSON report here")
     parser.add_argument("--dump-trace", action="store_true",
@@ -1430,84 +1394,24 @@ def main(argv=None) -> int:
                              "here (load in Perfetto)")
     parser.add_argument("--span-log", type=str, default=None,
                         help="write the raw span log as JSONL here")
-    parser.add_argument("--kill-clients", action="store_true",
-                        help="add the crash-tolerance phase: kill a "
-                             "lock-holding client mid-write (leases, "
-                             "fencing, and torn-slot detection on)")
-    parser.add_argument("--crash-master", action="store_true",
-                        help="add a master crash + journal rebuild to the "
-                             "crash-tolerance phase")
-    parser.add_argument("--prefetch", action="store_true",
-                        help="add the prefetch fault-interaction phase: "
-                             "crash the home server while a hotness-driven "
-                             "prefetch batch is in flight")
-    parser.add_argument("--nemesis", action="store_true",
-                        help="add the partition nemesis phase: split-brain "
-                             "attempt with standby promotion, heal-mid-"
-                             "failover, and an asymmetric control-plane "
-                             "split (terms + failure detector on)")
-    parser.add_argument("--check-linearizable", action="store_true",
-                        help="record the nemesis phase as a Jepsen-style "
-                             "op history and audit it per key (implies "
-                             "--nemesis)")
-    parser.add_argument("--kill-mid-commit", action="store_true",
-                        help="add the transaction phase: bank transfers "
-                             "with clients (and the master) killed at "
-                             "seeded points inside the commit window, "
-                             "audited for conserved totals")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="shard the control plane across N masters and "
-                             "add the shard-kill phase: each shard is "
-                             "crashed mid-YCSB and must journal-rebuild "
-                             "while the others keep serving (combine with "
-                             "--check-linearizable to audit the phase)")
-    parser.add_argument("--clients", type=int, default=0,
-                        help="add the high-fanout phase: N clients hammer "
-                             "the control plane in a fresh pool while a "
-                             "quarter of them are killed mid-run; audits "
-                             "the elastic RPC receive pools for leaked "
-                             "slots after the lease sweep reclaims the "
-                             "victims")
-    parser.add_argument("--check-serializable", action="store_true",
-                        help="record the transaction phase and audit it "
-                             "for atomicity + strict serializability "
-                             "(implies --kill-mid-commit)")
     parser.add_argument("--history-out", type=str, default=None,
                         help="write the recorded op history as JSONL here "
                              "(replayable via `python -m repro check`)")
     parser.add_argument("--counterexample-out", type=str, default=None,
                         help="on a check failure, write the minimal "
-                             "counterexample history here (the CI artifact)")
+                             "counterexample history here")
     parser.add_argument("--check-determinism", action="store_true",
                         help="run twice and require identical results")
     args = parser.parse_args(argv)
 
-    report = run_soak(seed=args.seed, smoke=args.smoke,
+    report = run_soak(args.scenario, seed=args.seed, smoke=args.smoke,
                       dump_trace=args.dump_trace,
-                      kill_clients=args.kill_clients,
-                      crash_master=args.crash_master,
-                      prefetch=args.prefetch, nemesis=args.nemesis,
-                      check_linearizable=args.check_linearizable,
-                      kill_mid_commit=args.kill_mid_commit,
-                      check_serializable=args.check_serializable,
-                      shards=args.shards, fanout_clients=args.clients,
                       trace_out=args.trace_out, span_log=args.span_log,
                       history_out=args.history_out,
                       counterexample_out=args.counterexample_out)
     if args.check_determinism:
-        second = run_soak(seed=args.seed, smoke=args.smoke,
-                          kill_clients=args.kill_clients,
-                          crash_master=args.crash_master,
-                          prefetch=args.prefetch, nemesis=args.nemesis,
-                          check_linearizable=args.check_linearizable,
-                          kill_mid_commit=args.kill_mid_commit,
-                          check_serializable=args.check_serializable,
-                          shards=args.shards, fanout_clients=args.clients)
-        keys = ["virtual_end_ns", "ops_ok", "ops_typed_failures",
-                "lost_reports", "tainted_keys", "linearizable",
-                "history_ops", "serializable", "bank_total_ok",
-                "txn_history_ops", "fanout", "counters", "violations"]
-        mismatched = [k for k in keys if report[k] != second[k]]
+        second = run_soak(args.scenario, seed=args.seed, smoke=args.smoke)
+        mismatched = [k for k in COMPARED_FIELDS if report[k] != second[k]]
         if mismatched:
             report["violations"].append(
                 f"non-deterministic fields across identical runs: {mismatched}")
@@ -1520,7 +1424,7 @@ def main(argv=None) -> int:
             json.dump(payload, fh, indent=2)
 
     ok = not report["violations"]
-    print(f"chaos soak seed={args.seed} smoke={args.smoke}: "
+    print(f"chaos soak {args.scenario} seed={args.seed} smoke={args.smoke}: "
           f"{'PASS' if ok else 'FAIL'}")
     print(f"  virtual time: {report['virtual_end_ns'] / 1e6:.3f} ms, "
           f"ops ok: {report['ops_ok']}, "

@@ -22,8 +22,8 @@ Two halves, wired so the simulator pays nothing unless both are asked for:
   by txn id, with the same minimal-counterexample extraction.
 
 The ``repro check`` CLI verb replays a JSONL history file through the
-checkers; ``bench/chaos.py --check-linearizable`` /
-``--check-serializable`` record and check a history in one run.
+checkers; the ``chaos-partition`` / ``chaos-shard`` / ``chaos-txn``
+scenarios of ``bench/chaos.py`` record and check a history in one run.
 """
 
 from repro.check.history import HistoryRecorder, load_history

@@ -21,9 +21,8 @@ Zero-cost-when-off contract
 checks that *before* constructing a span, formatting a field or an event
 message, or even reading the clock a second time.  The disabled hot path
 therefore pays one attribute load and one ``is None`` test per op — no
-allocations, no extra simulated events — which the overhead guard in
-``tests/obs/test_overhead.py`` enforces against the ``BENCH_perf.json``
-capture.
+allocations, no extra simulated events — which the explode-on-touch and
+virtual-time guards in ``tests/obs/test_overhead.py`` enforce.
 
 Span taxonomy (``docs/OBSERVABILITY.md`` has the full contract):
 

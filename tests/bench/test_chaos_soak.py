@@ -1,25 +1,119 @@
-"""The chaos soak harness: the smoke profile must pass and be bit-identical."""
+"""The chaos soak harness: every scenario row is green and bit-identical.
 
-from repro.bench.chaos import run_soak, soak_config, soak_plan
-from repro.faults import RingStall, ServerCrash
+"Green" is one thing only — the report's ``violations`` list is empty and
+two identically seeded runs agree — so every expectation a row has lives in
+``bench/chaos.py`` as a violation, and the sabotage test below shows that
+each one fires when its precondition is broken.
+"""
 
-_COMPARE = ["virtual_end_ns", "ops_ok", "ops_typed_failures",
-            "lost_reports", "tainted_keys", "counters", "violations"]
+import json
+from dataclasses import replace
+
+import pytest
+
+from repro.bench import chaos
+from repro.bench.chaos import (
+    COMPARED_FIELDS,
+    SCENARIOS,
+    ChaosSoak,
+    run_soak,
+    soak_config,
+    soak_plan,
+)
+from repro.faults import FaultPlan, RingStall, ServerCrash
+
+ROWS = [(name, seed) for name, row in SCENARIOS.items() for seed in row.seeds]
+
+
+@pytest.mark.parametrize("scenario,seed", ROWS)
+def test_scenario_row_is_green_and_repeats(scenario, seed, tmp_path):
+    # The history and any counterexample land under pytest's basetemp,
+    # which CI uploads when the suite fails.
+    first = run_soak(scenario, seed=seed, smoke=True, dump_trace=True,
+                     history_out=str(tmp_path / "history.jsonl"),
+                     counterexample_out=str(tmp_path / "counterexample.jsonl"))
+    assert first["violations"] == [], first["trace"]
+    second = run_soak(scenario, seed=seed, smoke=True)
+    assert ({k: first[k] for k in COMPARED_FIELDS}
+            == {k: second[k] for k in COMPARED_FIELDS})
+
+
+def _skip_phase(monkeypatch, scenario):
+    """The row's phase never runs, so nothing it must move moves."""
+    monkeypatch.setitem(SCENARIOS, scenario,
+                        replace(SCENARIOS[scenario], phase=lambda soak: None))
+
+
+def _idle_rounds(monkeypatch, scenario):
+    """The phase runs but its nemesis rounds inject and drive nothing."""
+    monkeypatch.setattr(ChaosSoak, "_nemesis_round",
+                        lambda self, *args, **kwargs: None)
+
+
+def _empty_plan(monkeypatch, scenario):
+    monkeypatch.setattr(chaos, "soak_plan",
+                        lambda t0, smoke=False: FaultPlan.of())
+
+
+def _full_pools(monkeypatch, scenario):
+    """Every receive pool reports itself exactly full."""
+    from repro.rdma.rpc import RpcServer
+
+    real = RpcServer.pool_stats
+
+    def pool_stats(self):
+        stats = real(self)
+        stats["capacity"] = stats["qps"] - stats["parked"]
+        return stats
+
+    monkeypatch.setattr(RpcServer, "pool_stats", pool_stats)
+
+
+def _moves(scenario):
+    row = SCENARIOS[scenario]
+    return [f"{scenario}: {name} moved by 0"
+            for name in {**row.exactly, **row.at_least}]
+
+
+@pytest.mark.parametrize("scenario,sabotage,expected", [
+    ("base", _empty_plan, ["base: faults.crashes moved by 0",
+                           "base: faults.recoveries moved by 0"]),
+    ("crash-tolerance", _skip_phase, _moves("crash-tolerance")),
+    ("prefetch", _skip_phase, _moves("prefetch")),
+    ("chaos-partition", _idle_rounds,
+     _moves("chaos-partition")
+     + ["nemesis: two failovers left the master at term 1, below 3"]),
+    ("chaos-fanout", _full_pools,
+     ["fanout: master has no spare receive slot"]),
+    ("chaos-txn", _skip_phase, _moves("chaos-txn")),
+    ("chaos-shard", _idle_rounds, _moves("chaos-shard")),
+])
+def test_every_expectation_fires_when_its_precondition_breaks(
+        monkeypatch, scenario, sabotage, expected):
+    sabotage(monkeypatch, scenario)
+    violations = run_soak(scenario, seed=SCENARIOS[scenario].seeds[0],
+                          smoke=True)["violations"]
+    for prefix in expected:
+        assert any(v.startswith(prefix) for v in violations), (
+            prefix, violations)
 
 
 def test_smoke_soak_upholds_the_durability_contract():
     report = run_soak(seed=7, smoke=True)
     assert report["violations"] == []
     assert report["ops_ok"] > 0
-    assert report["counters"]["faults_crashes"] == 2
-    assert report["counters"]["faults_recoveries"] == 2
     assert report["counters"]["fabric_dropped"] > 0  # the lossy window bit
 
 
-def test_smoke_soak_is_bit_identical_across_runs():
-    a = run_soak(seed=7, smoke=True)
-    b = run_soak(seed=7, smoke=True)
-    assert {k: a[k] for k in _COMPARE} == {k: b[k] for k in _COMPARE}
+def test_smoke_soak_is_bit_identical_across_runs(tmp_path, capsys):
+    """The CLI's own double run: ``--check-determinism`` is what a person
+    reproducing a row types, so it has to agree with the test above."""
+    out = tmp_path / "chaos.json"
+    assert chaos.main(["--seed", "7", "--smoke", "--check-determinism",
+                       "--out", str(out)]) == 0
+    assert "determinism: identical across two runs" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["scenario"] == "base" and doc["violations"] == []
 
 
 def test_different_seeds_change_the_traffic_not_the_contract():

@@ -166,40 +166,54 @@ def test_span_fields_carry_what_the_tracer_used_to_report():
 
 
 @pytest.fixture(scope="module")
-def chaos_recorder():
-    soak = ChaosSoak(seed=7, smoke=True, dump_trace=True, nemesis=True,
-                     kill_mid_commit=True)
-    soak.run()
-    return soak.recorder
+def chaos_recorders():
+    """The partition and the transaction rows: between them every control-
+    plane category fires."""
+    recorders = []
+    for scenario in ("chaos-partition", "chaos-txn"):
+        soak = ChaosSoak(scenario, seed=7, smoke=True, dump_trace=True)
+        soak.run()
+        recorders.append(soak.recorder)
+    return recorders
 
 
-def test_chaos_run_emits_the_fault_categories_in_time_order(chaos_recorder):
-    events = list(chaos_recorder.events)
-    assert chaos_recorder.events_dropped == 0
-    categories = {e.category for e in events}
+def test_chaos_run_emits_the_fault_categories_in_time_order(chaos_recorders):
+    categories, tracks = set(), set()
+    for recorder in chaos_recorders:
+        assert recorder.events_dropped == 0
+        times = [e.time_ns for e in recorder.events]
+        assert times == sorted(times)
+        categories |= {e.category for e in recorder.events}
+        tracks |= {e.track for e in recorder.events}
     assert categories >= {"fault", "retry", "failover", "lease", "fence",
                           "term", "txn"}
-    times = [e.time_ns for e in events]
-    assert times == sorted(times)
-    tracks = {e.track for e in events}
     assert {"faults", "master", "server0", "client0"} <= tracks
 
 
-def test_chaos_timeline_is_the_categories_dump_trace_prints(chaos_recorder):
-    lines = obs.timeline(chaos_recorder, limit=200,
-                         categories=TIMELINE_CATEGORIES).splitlines()
-    assert 0 < len(lines) <= 200
-    assert all(line.split("] ", 1)[1].split()[0] in TIMELINE_CATEGORIES
-               for line in lines)
+def test_chaos_timeline_is_the_categories_dump_trace_prints(chaos_recorders):
+    for recorder in chaos_recorders:
+        lines = obs.timeline(recorder, limit=200,
+                             categories=TIMELINE_CATEGORIES).splitlines()
+        assert 0 < len(lines) <= 200
+        assert all(line.split("] ", 1)[1].split()[0] in TIMELINE_CATEGORIES
+                   for line in lines)
 
 
-def test_dump_trace_alone_adds_a_timeline_and_no_span_count():
+def test_dump_trace_alone_adds_a_timeline_and_no_span_count(tmp_path):
     plain = run_soak(seed=7, smoke=True)
     traced = run_soak(seed=7, smoke=True, dump_trace=True)
     assert "spans_recorded" not in traced
     timeline = traced.pop("trace")
     assert "injecting server crash" in timeline
     assert traced == plain
+    # --trace-out is the other observer: a faulted run shows its faults as
+    # instants on the emitting node's track, beside the spans.
+    trace_path = tmp_path / "chaos_trace.json"
+    spanned = run_soak(seed=7, smoke=True, trace_out=str(trace_path))
+    assert spanned.pop("spans_recorded") > 0 and spanned == plain
+    events = json.loads(trace_path.read_text())["traceEvents"]
+    assert any(e["ph"] == "i" and e["cat"] == "fault" for e in events)
+    assert any(e["ph"] == "X" for e in events)
 
 
 def test_forced_violation_prints_the_fault_timeline(monkeypatch, capsys):

@@ -17,8 +17,6 @@ Three properties are pinned here:
 import json
 from pathlib import Path
 
-import pytest
-
 from repro import obs
 from repro.baselines.common import build_system
 from repro.bench.runner import YcsbRunner
@@ -64,7 +62,7 @@ def test_disabled_chaos_path_never_builds_spans(monkeypatch):
     monkeypatch.setattr("repro.obs.spans.SpanRecorder.record", _boom)
     monkeypatch.setattr("repro.obs.spans.SpanRecorder.event", _boom)
     # The transaction phase too: txn/manager.py and chaos.py emit events.
-    soak = ChaosSoak(seed=7, smoke=True, kill_mid_commit=True)
+    soak = ChaosSoak("chaos-txn", seed=7, smoke=True)
     report = soak.run()
     assert soak.recorder is None and soak.sim.spans is None
     assert report["ops_ok"] > 0
@@ -86,7 +84,7 @@ def test_recording_events_does_not_move_a_chaos_run():
     from repro.bench.chaos import ChaosSoak
 
     def soak(**kwargs):
-        s = ChaosSoak(seed=7, smoke=True, kill_mid_commit=True, **kwargs)
+        s = ChaosSoak("chaos-txn", seed=7, smoke=True, **kwargs)
         return s, s.run()
 
     off, report_off = soak()
@@ -100,8 +98,6 @@ def test_recording_events_does_not_move_a_chaos_run():
 
 def test_virtual_time_matches_committed_perf_capture():
     bench = REPO_ROOT / "BENCH_perf.json"
-    if not bench.exists():  # pragma: no cover - fresh checkout without capture
-        pytest.skip("no BENCH_perf.json capture in this checkout")
     current = json.loads(bench.read_text())["current"]["ycsb_small"]
     sim = Simulator(seed=42)
     system = build_system("gengar", sim, num_servers=2, num_clients=2)

@@ -49,16 +49,19 @@ def test_requires_command():
 def test_trace_writes_chrome_json(tmp_path, capsys):
     out_path = tmp_path / "trace.json"
     span_path = tmp_path / "spans.jsonl"
-    assert main(["trace", "--out", str(out_path), "--spans", str(span_path),
-                 "--workload", "B", "--ops", "60", "--records", "64",
-                 "--clients", "2", "--servers", "2"]) == 0
+    # The default shape, as a reader following the README would run it.
+    assert main(["trace", "--out", str(out_path),
+                 "--spans", str(span_path)]) == 0
     doc = json.loads(out_path.read_text())
     assert doc["displayTimeUnit"] == "ms"
     names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
-    # Point reads ride doorbell-batched gread_many in the YCSB driver.
-    assert "op.gread_many" in names and "op.gwrite" in names
-    lines = span_path.read_text().splitlines()
-    assert lines and all(json.loads(line)["name"] for line in lines)
+    # Point reads ride doorbell-batched gread_many in the YCSB driver, and
+    # the pipelining/prefetch machinery must leave its spans.
+    assert names >= {"op.gread_many", "op.gwrite", "phase.cache_read",
+                     "phase.nvm_read", "phase.proxy_stage", "srv.drain",
+                     "phase.pipeline_wait", "phase.prefetch"}
+    rows = [json.loads(line) for line in span_path.read_text().splitlines()]
+    assert rows and all(r["name"] and "start_ns" in r for r in rows)
     out = capsys.readouterr().out
     assert "spans" in out and str(out_path) in out
 
