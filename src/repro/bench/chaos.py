@@ -40,6 +40,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.check import HistoryRecorder, check_history, check_txn_history
 from repro.core import GengarConfig, GengarPool
+from repro.core.client import ADMISSION_THRESHOLD
 from repro.core.errors import (
     ClientError,
     DeadlineExceededError,
@@ -104,7 +105,6 @@ def soak_config(scenario: str = "base") -> GengarConfig:
         op_deadline_ns=400_000,
         auto_reattach=True,
         degraded_mode=True,
-        degraded_patience_polls=4,
         **SCENARIOS[scenario].config,
     )
 
@@ -530,7 +530,7 @@ class ChaosSoak:
             yield from c.gsync()
             # Touch every object up to the admission threshold so the pump
             # spawns with a full nomination queue...
-            for _ in range(self.config.admission_threshold):
+            for _ in range(ADMISSION_THRESHOLD):
                 for g in gaddrs:
                     yield from c.gread(g, length=64)
             # ...then kill server 0 immediately: the pump (a separate

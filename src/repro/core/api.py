@@ -202,7 +202,7 @@ class GengarPool:
         clients: List[GengarClient] = []
         for cid in range(num_clients):
             client_node = cluster.node(f"client{cid}")
-            client = GengarClient(client_node, name=f"client{cid}")
+            client = GengarClient(client_node, config, name=f"client{cid}")
             for m in masters:
                 qp_c, qp_m = connect(client_node.endpoint, m.node.endpoint)
                 m.serve_control(qp_m, peer=client.name)

@@ -121,7 +121,6 @@ class RetryPolicy:
             max_attempts=config.retry_max_attempts,
             base_backoff_ns=config.retry_base_backoff_ns,
             max_backoff_ns=config.retry_max_backoff_ns,
-            jitter=config.retry_jitter,
             deadline_ns=config.op_deadline_ns,
         )
 
@@ -168,6 +167,16 @@ _MAX_META_RETRIES = 4
 #: Consecutive master transport failures before the client's verdict
 #: upgrades from "one lost RPC" to "the path to the master is partitioned".
 _SUSPECT_STREAK = 3
+#: Window of concurrently outstanding async ops per client
+#: (``gread_async``/``gwrite_async`` block for a window slot past this).
+MAX_OUTSTANDING_READS = 16
+#: Reads of an uncached object before the client nominates it for
+#: promotion (the admission filter: one-touch objects are never cached on
+#: the client's initiative).
+ADMISSION_THRESHOLD = 2
+#: Drained-counter polls without progress before a ring is presumed
+#: stalled and a write falls back to the direct path (``degraded_mode``).
+DEGRADED_PATIENCE_POLLS = 4
 
 #: What a shard's "not my shard" rejection looks like on the wire; the
 #: client parses the owning shard and map epoch out of it to correct its
@@ -219,11 +228,11 @@ class GengarClient:
     ``yield from`` inside a simulation process.
     """
 
-    def __init__(self, node: "Node", name: str = ""):
+    def __init__(self, node: "Node", config: GengarConfig, name: str = ""):
         self.node = node
         self.sim = node.sim
         self.name = name or node.name
-        self.config: GengarConfig = GengarConfig()  # replaced at attach
+        self.config = config
         self.master_rpc: Optional["RpcClient"] = None  # shard-0 active conn
         #: Per-shard master connections in rotation order (active +
         #: standbys); shard 0 is the only populated entry on an unsharded
@@ -246,7 +255,7 @@ class GengarClient:
         #: carry a map epoch at least as new as the one cached here.
         self._shard_map: Dict[int, int] = {}
         self._shard_map_epoch = 0
-        self._num_shards = 1
+        self._num_shards = config.num_master_shards
         #: Round-robin cursor spreading gmallocs across shards.
         self._alloc_rr = 0
         #: req_id -> shard memo: every retry of one logical gmalloc must
@@ -276,8 +285,7 @@ class GengarClient:
         #: per *logical* gmalloc/gfree, reused verbatim across retries so
         #: the master can deduplicate an execute-then-crash replay.
         self._req_seq = 0
-        #: Active retry policy (refreshed from the config at attach time).
-        self.retry_policy = RetryPolicy()
+        self.retry_policy = RetryPolicy.from_config(config)
         self._retry_rng = None  # seeded jitter stream, created on first use
         #: In-flight auto-reattach gates, one per server: concurrent failed
         #: ops coalesce onto a single re-attach handshake.
@@ -312,7 +320,7 @@ class GengarClient:
 
         # ---- async op window (gread_async / gwrite_async) ----------------
         #: Token pool bounding concurrently outstanding async ops; created
-        #: at attach from ``config.max_outstanding_reads``.
+        #: at attach, ``MAX_OUTSTANDING_READS`` tokens.
         self._op_tokens: Optional[Store] = None
         self._async_inflight = 0
         #: High-water mark of concurrently outstanding async ops — what the
@@ -322,7 +330,7 @@ class GengarClient:
         # ---- prefetch (hotness-driven background promotion) --------------
         #: Per-object read touches, feeding the admission filter: an object
         #: is nominated for promotion only at its
-        #: ``admission_threshold``-th read (one-touch objects never are).
+        #: ``ADMISSION_THRESHOLD``-th read (one-touch objects never are).
         self._touch_counts: Dict[int, int] = {}
         #: Addresses already nominated (squelches duplicate requests while
         #: a promotion is pending or the object is believed cached).
@@ -533,10 +541,7 @@ class GengarClient:
                     raise MasterUnavailableError(f"{method}: {msg}") from exc
                 raise
             self._master_fail_streaks[shard] = 0
-            if (isinstance(result, dict) and len(result) == 2
-                    and "t" in result and "r" in result):
-                # Term envelope (checked structurally: attach learns the config
-                # *from* this reply, so the flag may not be known yet).
+            if self.config.master_terms:
                 term = result["t"]
                 known = self._master_terms.get(shard, 0)
                 if term < known:
@@ -566,17 +571,15 @@ class GengarClient:
         return self._shard_map.get(sid, sid % self._num_shards)
 
     def attach(self) -> Generator[Any, Any, None]:
-        """Join the pool: fetch config from the master, set up proxy rings."""
+        """Join the pool: learn our uid, lease and servers from the master,
+        set up proxy rings."""
         if self.master_rpc is None:
             raise FatalError("client not wired to a master")
         info = yield from self._master_call("attach", {"client": self.name})
-        self.config = info["config"]
         self.uid = info["client_id"]
-        self.fence_epoch = info.get("epoch", 0)
-        self.lease_ns = info.get("lease_ns", 0)
-        self.retry_policy = RetryPolicy.from_config(self.config)
+        self.fence_epoch = info["epoch"]
+        self.lease_ns = info["lease_ns"]
         servers = list(info["servers"])
-        self._num_shards = max(1, self.config.num_master_shards)
         if self._num_shards > 1:
             # Phase the allocation round-robin by our (master-issued,
             # sequential) uid: with every client starting its cursor at 0,
@@ -596,8 +599,7 @@ class GengarClient:
                     {"client": self.name, "uid": self.uid,
                      "epoch": self.fence_epoch},
                     shard=shard)
-                self.fence_epoch = max(self.fence_epoch,
-                                       extra.get("epoch", 0))
+                self.fence_epoch = max(self.fence_epoch, extra["epoch"])
                 for desc in extra["servers"]:
                     self._shard_map[desc.server_id] = shard
                 servers.extend(extra["servers"])
@@ -617,7 +619,7 @@ class GengarClient:
             self._scratch_free.put(i * _SCRATCH_SLOT_SIZE)
 
         self._op_tokens = Store(self.sim, name=f"{self.name}.op_window")
-        for i in range(self.config.max_outstanding_reads):
+        for i in range(MAX_OUTSTANDING_READS):
             self._op_tokens.put(i)
         if (self.config.enable_cache and self.config.prefetch_depth > 0
                 and self.config.metadata_cache):
@@ -957,7 +959,7 @@ class GengarClient:
         went out recently, so an idle client stays alive too."""
         interval = max(1, self.lease_ns // 3)
         while True:
-            yield self.sim.timeout(interval)
+            yield interval
             if self._crashed or self._fenced or not self.lease_ns:
                 return
             # Secondary shards lease us independently and see piggybacked
@@ -1539,7 +1541,7 @@ class GengarClient:
         """Issue a read without blocking; returns a :class:`GFuture`.
 
         The op runs as its own process inside the client's outstanding-op
-        window (``config.max_outstanding_reads``): issue never blocks the
+        window (``MAX_OUTSTANDING_READS``): issue never blocks the
         caller, but ops past the window queue for a slot before touching
         the wire, bounding scratch/QP pressure.  Harvest with
         ``yield from fut.wait()``.
@@ -1962,11 +1964,10 @@ class GengarClient:
         ``patience`` bounds how many *consecutive no-progress* polls to
         tolerate before giving up and returning False; 0 means poll forever
         (the historical behaviour).  ``None`` resolves from the config:
-        ``degraded_patience_polls`` when degraded mode is on, else 0.
+        ``DEGRADED_PATIENCE_POLLS`` when degraded mode is on, else 0.
         """
         if patience is None:
-            patience = (self.config.degraded_patience_polls
-                        if self.config.degraded_mode else 0)
+            patience = DEGRADED_PATIENCE_POLLS if self.config.degraded_mode else 0
         backoff = 0
         stalled_polls = 0
         while True:
@@ -2154,14 +2155,14 @@ class GengarClient:
     # ------------------------------------------------------------------
     def _note_read_for_prefetch(self, gaddr: int) -> None:
         """Admission filter + nomination: called on every read when prefetch
-        is enabled.  An object crossing ``admission_threshold`` touches is
+        is enabled.  An object crossing ``ADMISSION_THRESHOLD`` touches is
         queued for a background promotion request — exactly once while it
         stays (believed) cached — so one-touch objects never pollute the
         DRAM cache on the client's initiative."""
         touches = self._touch_counts.get(gaddr, 0) + 1
         self._touch_counts[gaddr] = touches
         self._predictor.observe(gaddr)
-        if touches != self.config.admission_threshold:
+        if touches != ADMISSION_THRESHOLD:
             return
         if not self._nominate(gaddr):
             return

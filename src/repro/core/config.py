@@ -8,11 +8,23 @@ NVM-direct baseline are expressed:
 * cache-only ablation: ``enable_proxy=False``
 * proxy-only ablation: ``enable_cache=False``
 * NVM-direct baseline (Octopus-class DSHM): both off.
+
+One config object is built per deployment and handed to the master, every
+memory server and every client at construction (``GengarPool.build``); it
+never travels on the wire, so a field costs no protocol bytes.  A field
+exists only where two callers outside the tests want different values: a
+value nobody sets to a second one is a constant at its one reader (the
+lock backoff in ``consistency``, the journal and intent-slot sizes in
+``server``, the op window, admission and degraded-mode patience in
+``client``, the phi detector's threshold and window in ``master``) or is
+derived from a field that stays (the lease sweep runs every
+``client_lease_ns // 4``, the cross-shard aggregation every ``epoch_ns``).
+``tests/core/test_config_surface.py`` pins the count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.sim.units import KIB, MIB
 
@@ -30,8 +42,6 @@ class GengarConfig:
     # ---- DRAM cache ------------------------------------------------------
     #: DRAM bytes per server dedicated to the hot-object cache.
     cache_capacity: int = 4 * MIB
-    #: Bytes prepended to each cache slot for the self-verifying tag.
-    cache_tag_bytes: int = 16
 
     # ---- write proxy -----------------------------------------------------
     #: Ring slots per attached client.
@@ -44,8 +54,6 @@ class GengarConfig:
     report_every_ops: int = 128
     #: Master re-plans promotions/demotions every epoch (simulated ns).
     epoch_ns: int = 200_000
-    #: Exponential decay applied to scores at each epoch boundary.
-    hotness_decay: float = 0.5
     #: Minimum decayed score for promotion into DRAM.
     promote_threshold: float = 4.0
     #: Cached objects falling below this score are demoted (hysteresis).
@@ -57,7 +65,7 @@ class GengarConfig:
     #: Home-server selection for new objects: "round-robin" spreads evenly;
     #: "rack-local" prefers servers in the allocating client's rack (falling
     #: back to round robin when none fit) — pairs with two-tier fabrics.
-    placement: str = "round-robin" 
+    placement: str = "round-robin"
 
     # ---- consistency --------------------------------------------------------
     #: Sync outstanding proxy writes before releasing a write lock (release
@@ -67,33 +75,22 @@ class GengarConfig:
     sync_on_release: bool = True
     #: Lock words per server (one per live object at most).
     lock_table_entries: int = 65536
-    #: Client backoff between lock retries.
-    lock_retry_ns: int = 2_000
 
     # ---- metadata durability ---------------------------------------------
     #: Journal every allocation/free into a reserved NVM region on the home
     #: server, so the master's directory can be rebuilt after a full restart
     #: (at the price of one extra RPC + NVM write per gmalloc/gfree).
     metadata_journal: bool = False
-    #: Capacity of the journal, in records (32 B each).
-    journal_entries: int = 65536
 
     # ---- client ---------------------------------------------------------------
     #: Client-side metadata cache (gaddr -> location); disable to force a
     #: lookup RPC per access (for overhead experiments).
     metadata_cache: bool = True
 
-    # ---- read pipelining + prefetch ---------------------------------------
-    #: Window of concurrently outstanding async ops per client
-    #: (``gread_async``/``gwrite_async`` block for a window slot past this).
-    max_outstanding_reads: int = 16
+    # ---- prefetch ------------------------------------------------------------
     #: Max objects per client-driven prefetch request to the master; 0
     #: disables prefetch entirely (no predictor, no background promotions).
     prefetch_depth: int = 8
-    #: Reads of an uncached object before the client nominates it for
-    #: promotion (the admission filter: one-touch objects are never cached
-    #: on the client's initiative).
-    admission_threshold: int = 2
 
     # ---- resilience ------------------------------------------------------
     #: Modelled RC retransmission budget: how long a verb retransmits into
@@ -106,9 +103,6 @@ class GengarConfig:
     #: First retry backoff; doubles per attempt up to the cap below.
     retry_base_backoff_ns: int = 4_000
     retry_max_backoff_ns: int = 1_000_000
-    #: Randomize each backoff in [base, current] with the client's seeded
-    #: jitter stream, breaking retry convoys deterministically.
-    retry_jitter: bool = True
     #: Per-op wall (virtual) time budget; 0 disables the deadline watchdog.
     #: With a deadline, an op either completes in time or raises a typed
     #: DeadlineExceededError — it never blocks unboundedly.
@@ -120,9 +114,6 @@ class GengarConfig:
     #: server DRAM state is unavailable: writes fall back to direct NVM
     #: (ring gone or stalled), reads bypass a thrashing cache.
     degraded_mode: bool = False
-    #: Drained-counter polls without progress before a ring is presumed
-    #: stalled and a write falls back to the direct path (degraded mode).
-    degraded_patience_polls: int = 8
     #: Client lease duration (failure detection, FaRM-style).  0 disables
     #: leases entirely — no heartbeats, no lease sweeper, lock words carry
     #: epoch 0 — keeping the fault-free path bit-identical to the pre-lease
@@ -130,8 +121,6 @@ class GengarConfig:
     #: or a standalone ``renew``) and the master recovers the locks, pins,
     #: and proxy rings of any client whose lease lapses, fencing its epoch.
     client_lease_ns: int = 0
-    #: Master lease-sweep period; 0 derives ``client_lease_ns // 4``.
-    lease_check_ns: int = 0
     #: Trailing per-slot commit word (seq ^ crc32) on proxy writes, letting
     #: the drain loop detect and skip torn slots from a client that died
     #: mid-RDMA_WRITE.  Costs 8 bytes of slot capacity per write.
@@ -147,15 +136,9 @@ class GengarConfig:
     #: Phi-accrual-style failure detection over heartbeat history instead
     #: of the raw lease deadline: a lapsed lease is first only *suspected*
     #: (renewals were flowing irregularly — a flapping or partitioned link)
-    #: and fenced when the suspicion level crosses ``phi_threshold``.
-    #: Off: a lapsed deadline fences immediately (the PR 3 behaviour).
+    #: and fenced when the suspicion level crosses the master's
+    #: ``PHI_THRESHOLD``.  Off: a lapsed deadline fences immediately.
     failure_detector: bool = False
-    #: Suspicion level (phi, base-10) at which a suspected client is
-    #: declared dead and fenced.  phi == k means "assuming heartbeats keep
-    #: their observed cadence, the chance they're merely late is 10^-k".
-    phi_threshold: float = 8.0
-    #: Heartbeat inter-arrival samples per client kept for the estimator.
-    phi_window: int = 16
 
     # ---- transactions -----------------------------------------------------
     #: Multi-object crash-atomic transactions (``repro.txn``): lock-ordered
@@ -165,12 +148,6 @@ class GengarConfig:
     #: registered, and the protocol + virtual time stay byte-identical to
     #: the txn-free build.
     enable_txn: bool = False
-    #: Intent-record slots per server (one per in-flight committing txn
-    #: whose coordinator is that server).
-    txn_intent_entries: int = 64
-    #: Bytes per intent slot; a txn whose pickled intent record exceeds
-    #: this aborts cleanly at commit rather than truncating.
-    txn_intent_slot_bytes: int = 4096
     #: Bound on how long a lock acquire spins on a *held* word before
     #: raising a typed ``LockTimeoutError`` (backoff between attempts rides
     #: ``RetryPolicy``'s seeded jitter).  0 keeps the legacy spin-until-
@@ -183,13 +160,10 @@ class GengarConfig:
     #: shard owns the directory entries, allocator spans, journals, term,
     #: lease sweep, txn-intent recovery scan, and epoch/hotness planner for
     #: its server subset, and a cross-shard aggregation step keeps the DRAM
-    #: cache budget globally coherent.  1 (the default) builds exactly the
-    #: single-master control plane: no shard map in the attach reply, no
+    #: cache budget globally coherent once per ``epoch_ns``.  1 (the
+    #: default) builds exactly the single-master control plane: no
     #: aggregation loop, protocol bytes and virtual time identical.
     num_master_shards: int = 1
-    #: Cross-shard hotness aggregation period; 0 derives ``epoch_ns``.
-    #: Only meaningful with more than one shard.
-    shard_aggregation_ns: int = 0
 
     def __post_init__(self) -> None:
         if self.cache_capacity < 0:
@@ -198,14 +172,10 @@ class GengarConfig:
             raise ValueError("need at least one proxy ring slot")
         if self.proxy_slot_size < 64:
             raise ValueError("proxy slots must hold at least a header + small payload")
-        if not 0.0 <= self.hotness_decay <= 1.0:
-            raise ValueError("decay must be in [0, 1]")
         if self.demote_threshold > self.promote_threshold:
             raise ValueError("demote threshold must not exceed promote threshold")
         if self.report_every_ops < 1 or self.epoch_ns < 1:
             raise ValueError("reporting cadence must be positive")
-        if self.journal_entries < 1:
-            raise ValueError("journal needs at least one entry")
         if self.placement not in ("round-robin", "rack-local"):
             raise ValueError(f"unknown placement policy {self.placement!r}")
         if self.retry_timeout_ns < 1:
@@ -216,80 +186,21 @@ class GengarConfig:
             raise ValueError("retry backoff range must satisfy 1 <= base <= max")
         if self.op_deadline_ns < 0:
             raise ValueError("op_deadline_ns must be non-negative (0 disables)")
-        if self.degraded_patience_polls < 1:
-            raise ValueError("degraded_patience_polls must be positive")
-        if self.client_lease_ns < 0 or self.lease_check_ns < 0:
-            raise ValueError("lease intervals must be non-negative (0 disables)")
-        if self.max_outstanding_reads < 1:
-            raise ValueError("max_outstanding_reads must be at least 1")
+        if self.client_lease_ns < 0:
+            raise ValueError("client_lease_ns must be non-negative (0 disables)")
         if self.prefetch_depth < 0:
             raise ValueError("prefetch_depth must be non-negative (0 disables)")
-        if self.admission_threshold < 1:
-            raise ValueError("admission_threshold must be at least 1")
         if self.master_terms and not self.metadata_journal:
             raise ValueError("master_terms requires metadata_journal "
                              "(terms are persisted in the journal)")
-        if self.phi_threshold <= 0:
-            raise ValueError("phi_threshold must be positive")
-        if self.phi_window < 2:
-            raise ValueError("phi_window needs at least two samples")
         if self.failure_detector and not self.client_lease_ns:
             raise ValueError("failure_detector requires client_lease_ns "
                              "(it observes lease heartbeats)")
-        if self.txn_intent_entries < 1:
-            raise ValueError("txn_intent_entries must be at least 1")
-        if self.txn_intent_slot_bytes < 128:
-            raise ValueError("txn intent slots must hold at least a small "
-                             "record (128 bytes)")
         if self.lock_acquire_timeout_ns < 0:
             raise ValueError("lock_acquire_timeout_ns must be non-negative "
                              "(0 disables)")
         if self.num_master_shards < 1:
             raise ValueError("num_master_shards must be at least 1")
-        if self.shard_aggregation_ns < 0:
-            raise ValueError("shard_aggregation_ns must be non-negative "
-                             "(0 derives epoch_ns)")
-
-    # Wire compatibility ---------------------------------------------------
-    # The attach reply ships this object whole, so its pickled size is
-    # protocol bytes: a field added after a capture was taken would inflate
-    # every attach even with the feature off, drifting virtual time.  Fields
-    # listed here are dropped from the pickled state while at their default
-    # and restored on load, keeping the wire image byte-identical to builds
-    # that predate them unless the feature is actually enabled.
-    _WIRE_OPTIONAL = {
-        "master_terms": False,
-        "failure_detector": False,
-        "phi_threshold": 8.0,
-        "phi_window": 16,
-        "enable_txn": False,
-        "txn_intent_entries": 64,
-        "txn_intent_slot_bytes": 4096,
-        "lock_acquire_timeout_ns": 0,
-        "num_master_shards": 1,
-        "shard_aggregation_ns": 0,
-    }
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        for name, default in self._WIRE_OPTIONAL.items():
-            if state.get(name) == default:
-                del state[name]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for name, default in self._WIRE_OPTIONAL.items():
-            state.setdefault(name, default)
-        self.__dict__.update(state)
-
-    # Convenience ablation constructors -----------------------------------
-    def ablate(self, *, cache: bool | None = None, proxy: bool | None = None) -> "GengarConfig":
-        """A copy with mechanisms toggled (None keeps the current value)."""
-        return replace(
-            self,
-            enable_cache=self.enable_cache if cache is None else cache,
-            enable_proxy=self.enable_proxy if proxy is None else proxy,
-        )
 
 
 #: The paper's system.

@@ -49,6 +49,10 @@ from repro.core.protocol import (
 #: 64-bit two's complement constant for the shared-lock decrement.
 _MINUS_READER = (1 << 64) - READER_UNIT
 
+#: First backoff between lock retries; the legacy schedule doubles it per
+#: attempt up to 64x.
+LOCK_RETRY_NS = 2_000
+
 
 class LockError(Exception):
     """Invalid lock usage (double release, unlock of unheld lock)."""
@@ -72,10 +76,10 @@ class LockOps:
 
     # ------------------------------------------------------------------
     def _backoff(self, attempt: int) -> Generator[Any, Any, None]:
-        base = self.client.config.lock_retry_ns
+        base = LOCK_RETRY_NS
         # Capped exponential backoff with jitter to break convoys.
         delay = min(base * (1 << min(attempt, 6)), 64 * base)
-        yield self.sim.timeout(self._rng.randrange(base, delay + 1))
+        yield self._rng.randrange(base, delay + 1)
 
     def _contention_wait(self, attempt: int, timeout_ns: int) -> Generator[Any, Any, None]:
         """Backoff between acquire attempts.
@@ -87,8 +91,7 @@ class LockOps:
         """
         if timeout_ns:
             policy = self.client.retry_policy
-            yield self.sim.timeout(
-                policy.backoff_ns(attempt + 1, self.client._jitter_rng()))
+            yield policy.backoff_ns(attempt + 1, self.client._jitter_rng())
         else:
             yield from self._backoff(attempt)
 
@@ -182,8 +185,7 @@ class LockOps:
                 if self.sim.now < self.client.lease_deadline:
                     continue  # renewed (or re-attached) in place
                 attempt += 1
-                yield self.sim.timeout(
-                    policy.backoff_ns(attempt, self.client._jitter_rng()))
+                yield policy.backoff_ns(attempt, self.client._jitter_rng())
 
     def _check_deadline(self, start_ns: int, gaddr: int, what: str) -> None:
         """Bound a contended acquire loop by the client's op deadline.

@@ -41,6 +41,13 @@ _RPC_BUFFER_SIZE = 4096
 #: Most extents one ``scrub`` carries: an ``(offset, size)`` pair pickles to
 #: at most 24 bytes, so a full batch fits the RPC buffer with room to spare.
 _SCRUB_MAX_EXTENTS = _RPC_BUFFER_SIZE // 32
+#: Phi-accrual failure detection (``failure_detector``): the suspicion level
+#: (base 10) at which a suspected client is declared dead and fenced — phi
+#: == k means "if heartbeats kept their observed cadence, the chance they
+#: are merely late is 10^-k" — and the heartbeat inter-arrival samples kept
+#: per client for the estimate.
+PHI_THRESHOLD = 8.0
+PHI_WINDOW = 16
 
 
 class MasterError(Exception):
@@ -141,7 +148,6 @@ class Master:
         if policy_factory is None:
             if config.enable_cache:
                 policy_factory = lambda: EpochDecayPolicy(  # noqa: E731
-                    decay=config.hotness_decay,
                     promote_threshold=config.promote_threshold,
                     demote_threshold=config.demote_threshold,
                 )
@@ -789,7 +795,6 @@ class Master:
                           lease_ns=self.config.client_lease_ns)
         return {
             "servers": [h.descriptor for h in self._servers.values()],
-            "config": self.config,
             "client_id": uid,
             "epoch": epoch,
             "lease_ns": self.config.client_lease_ns,
@@ -846,7 +851,7 @@ class Master:
         if last is not None and now > last:
             window = self._hb_intervals.setdefault(name, [])
             window.append(now - last)
-            if len(window) > self.config.phi_window:
+            if len(window) > PHI_WINDOW:
                 del window[0]
         self._hb_last[name] = now
         if name in self._suspected:
@@ -884,10 +889,10 @@ class Master:
                            name=f"{self.node.name}.leases")
 
     def _lease_sweeper_loop(self) -> Generator[Any, Any, None]:
-        check = self.config.lease_check_ns or max(1, self.config.client_lease_ns // 4)
+        check = max(1, self.config.client_lease_ns // 4)
         validated_ns = self.sim.now
         while True:
-            yield self.sim.timeout(check)
+            yield check
             # A dead master detects nothing (its own clock is "stopped");
             # outbound RPCs from a crashed node would otherwise still work
             # in the model, so self-check aliveness explicitly.
@@ -949,7 +954,7 @@ class Master:
             # lease entry stays so every sweep re-evaluates, and fencing
             # happens only once phi crosses the threshold.
             phi = self._phi(name)
-            if phi < self.config.phi_threshold:
+            if phi < PHI_THRESHOLD:
                 if name not in self._suspected:
                     self._suspected.add(name)
                     self.suspected_clients.add()
@@ -1519,7 +1524,7 @@ class Master:
                 if superseded or not still:
                     break
                 pending = still
-                yield self.sim.timeout(retry_wait)
+                yield retry_wait
             if superseded:
                 # A rival claimed concurrently; its TERM record is in the
                 # journal now — re-read and go strictly above it.
@@ -1553,7 +1558,7 @@ class Master:
         interval belongs to a client that died with the old master — recover
         it.  Live clients re-attach within a heartbeat (lease/3), so their
         locks are never touched."""
-        yield self.sim.timeout(self.config.client_lease_ns)
+        yield self.config.client_lease_ns
         if not self.node.endpoint.alive or self._recovering:
             return
         if self.config.failure_detector:
@@ -1568,7 +1573,7 @@ class Master:
                 rec.event(self.node.name, "partition",
                           "orphan sweep deferred: absent clients suspected",
                           reattached=sorted(self._client_uids))
-            yield self.sim.timeout(self.config.client_lease_ns)
+            yield self.config.client_lease_ns
             if not self.node.endpoint.alive or self._recovering:
                 return
         known = sorted(set(self._client_uids.values()))
@@ -1724,7 +1729,7 @@ class Master:
     # ------------------------------------------------------------------
     def _planner_loop(self) -> Generator[Any, Any, None]:
         while True:
-            yield self.sim.timeout(self.config.epoch_ns)
+            yield self.config.epoch_ns
             # A crashed master plans nothing (the model checks aliveness on
             # the *remote* end, so outbound RPCs from a dead node would
             # otherwise still go through).
@@ -1736,17 +1741,16 @@ class Master:
     def _aggregation_loop(self) -> Generator[Any, Any, None]:
         """Shard 0's cross-shard hotness aggregation.
 
-        Each round pulls every shard's per-server cache demand (what is
-        cached plus what its policy wants promoted), splits the pool-wide
+        Once per epoch it pulls every shard's per-server cache demand (what
+        is cached plus what its policy wants promoted), splits the pool-wide
         DRAM budget across *all* servers, and pushes each shard the slice
         covering the servers it owns.  Shards plan independently against
         their budgets, so the global cache budget stays coherent without
         any shard seeing another's directory.  A shard that is down or
         mid-failover keeps its last budgets — advisory end to end.
         """
-        period = self.config.shard_aggregation_ns or self.config.epoch_ns
         while True:
-            yield self.sim.timeout(period)
+            yield self.config.epoch_ns
             if not self.node.endpoint.alive or self._recovering or self._deposed:
                 continue
             demand: Dict[int, int] = {sid: self._server_demand(sid)

@@ -69,6 +69,15 @@ class _ClientRing:
 #: starts at ``DEFAULT_RING_SLOTS`` deep.
 _RPC_BUFFER_SIZE = 4096
 
+#: Metadata journal capacity (``metadata_journal``), in records.
+JOURNAL_ENTRIES = 65536
+#: Txn-intent region (``enable_txn``): slots per server, one per in-flight
+#: committing txn this server coordinates, and bytes per slot — a txn whose
+#: pickled intent record does not fit aborts cleanly at commit rather than
+#: truncating.
+TXN_INTENT_ENTRIES = 64
+TXN_INTENT_SLOT_BYTES = 4096
+
 
 class ReadCombineGroup:
     """Shared token for adjacent reads rung with one doorbell.
@@ -221,7 +230,7 @@ class MemoryServer:
         # Optional persistent metadata journal at the tail of NVM.
         if config.metadata_journal:
             journal_span = (JOURNAL_HEADER_BYTES
-                            + config.journal_entries * JOURNAL_RECORD_BYTES)
+                            + JOURNAL_ENTRIES * JOURNAL_RECORD_BYTES)
             self.journal_base = data_device.capacity - journal_span
             self.data_capacity = self.journal_base
             self._journal_count = 0
@@ -246,7 +255,7 @@ class MemoryServer:
         # fixed-size slot holds one pickled intent record behind an 8-byte
         # length header; length 0 marks the slot free.
         if config.enable_txn:
-            intent_span = config.txn_intent_entries * config.txn_intent_slot_bytes
+            intent_span = TXN_INTENT_ENTRIES * TXN_INTENT_SLOT_BYTES
             self.intent_base = self.data_capacity - intent_span
             self.data_capacity = self.intent_base
             #: Volatile txn-id -> slot map; ``None`` forces a rebuild from
@@ -496,7 +505,7 @@ class MemoryServer:
         # Checked before anything else: a full journal must not mask a
         # deposed master.
         self._check_term(request.get("term"), "journal append")
-        if self._journal_count >= self.config.journal_entries:
+        if self._journal_count >= JOURNAL_ENTRIES:
             raise ServerError("metadata journal full")
         record = pack_journal_record(
             request["op"], request["lock_idx"], request["gaddr"],
@@ -620,7 +629,7 @@ class MemoryServer:
     # Transaction intents + deterministic apply (``enable_txn``)
     # ------------------------------------------------------------------
     def _intent_offset(self, slot: int) -> int:
-        return self.intent_base + slot * self.config.txn_intent_slot_bytes
+        return self.intent_base + slot * TXN_INTENT_SLOT_BYTES
 
     def _require_intents(self) -> None:
         if self.intent_base is None:
@@ -634,7 +643,7 @@ class MemoryServer:
         is a cache of what NVM says, never the other way around.
         """
         index: Dict[str, int] = {}
-        for slot in range(self.config.txn_intent_entries):
+        for slot in range(TXN_INTENT_ENTRIES):
             base = self._intent_offset(slot)
             raw = yield from self.data_device.read(base, 8)
             length = int.from_bytes(raw, "little")
@@ -668,10 +677,10 @@ class MemoryServer:
             "writes": request["writes"],
         }
         blob = pickle.dumps(record)
-        if len(blob) > self.config.txn_intent_slot_bytes - 8:
+        if len(blob) > TXN_INTENT_SLOT_BYTES - 8:
             raise ServerError(
                 f"txn intent record too large ({len(blob)} bytes > slot "
-                f"capacity {self.config.txn_intent_slot_bytes - 8})")
+                f"capacity {TXN_INTENT_SLOT_BYTES - 8})")
         yield from self.node.cpu_work()
         if self._intent_index is None:
             yield from self._intent_load_index()
@@ -679,7 +688,7 @@ class MemoryServer:
         reserved = slot is None
         if reserved:
             used = set(self._intent_index.values())
-            slot = next((s for s in range(self.config.txn_intent_entries)
+            slot = next((s for s in range(TXN_INTENT_ENTRIES)
                          if s not in used), None)
             if slot is None:
                 raise ServerError("txn intent region full")

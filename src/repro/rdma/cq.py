@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Generator, List
 
-from repro.sim.primitives import Event
 from repro.sim.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,55 +68,35 @@ class CompletionMux:
     that waits on them in posting order serializes on the *slowest prefix* —
     a completed read parked behind an uncompleted one cannot release its
     scratch buffer or be processed.  The mux funnels completions into a
-    FIFO in *completion* order instead: :meth:`add` registers an event with
-    an opaque tag, :meth:`next_event` is the wait for whichever registered
-    event fires first, ``(tag, event)``.  One process consumes at a time.
+    :class:`Store` in *completion* order instead: :meth:`add` registers an
+    event with an opaque tag, whose firing puts ``(tag, event)`` into the
+    store, and :meth:`next_event` is the store, to be yielded.  One process
+    consumes at a time.
 
     Completion order is deterministic (it is the simulator's event order),
     so two identically seeded runs consume in the same sequence.
     """
 
-    __slots__ = ("_sim", "_ready", "_claim", "_outstanding", "_consumed_cb")
+    __slots__ = ("_completed", "_outstanding")
 
     def __init__(self, sim: "Simulator"):
-        self._sim = sim
-        self._ready: Deque[tuple] = deque()
-        # The consumer's pending next_event(), if it is waiting for one.
-        self._claim: Optional[Event] = None
+        self._completed = Store(sim, name="mux")
         self._outstanding = 0
-        # Bound once; registered on every next_event() result.
-        self._consumed_cb = self._consumed
 
     def add(self, event, tag: Any = None) -> None:
         """Register an event; its (tag, event) pair is delivered via
         :meth:`next_event` once it triggers (immediately if it already has)."""
         self._outstanding += 1
-        event.add_callback(lambda ev, _tag=tag: self._fired((_tag, ev)))
+        put = self._completed.put
+        event.add_callback(lambda ev, _tag=tag: put((_tag, ev)))
 
-    def _fired(self, pair: tuple) -> None:
-        claim = self._claim
-        if claim is None:
-            self._ready.append(pair)
-        else:
-            self._claim = None
-            claim.succeed(pair)
-
-    def next_event(self) -> Event:
-        """Direct completion path: the event firing with the next
-        ``(tag, event)`` pair, for ``tag, ev = yield mux.next_event()`` —
-        no intermediate generator frame per consumed completion.  Asking
-        again drops a claim that was never delivered."""
-        ev = Event(self._sim, "mux.next")
-        ev.add_callback(self._consumed_cb)
-        if self._ready:
-            ev.succeed(self._ready.popleft())
-        else:
-            self._claim = ev
-        return ev
-
-    def _consumed(self, _ev) -> None:
+    def next_event(self) -> Store:
+        """The wait for the next ``(tag, event)`` pair, for
+        ``tag, ev = yield mux.next_event()``; asking takes the pair off the
+        outstanding count."""
         self._outstanding -= 1
+        return self._completed
 
     def __len__(self) -> int:
-        """Registered events not yet consumed through :meth:`next_event`."""
+        """Registered events not yet asked for through :meth:`next_event`."""
         return self._outstanding

@@ -48,6 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.client import GengarClient
 
 from repro.core.addressing import server_of
+from repro.core.consistency import LOCK_RETRY_NS
 from repro.core.errors import (
     FencedError,
     LockTimeoutError,
@@ -218,7 +219,7 @@ class TxnManager:
         # back to a generous multiple of the lock retry quantum when the
         # knob is unset.
         return (self.client.config.lock_acquire_timeout_ns
-                or 64 * self.client.config.lock_retry_ns)
+                or 64 * LOCK_RETRY_NS)
 
     # ------------------------------------------------------------------
     # begin / acquire
@@ -547,8 +548,8 @@ class TxnManager:
             except TxnWaitDieError:
                 if attempt >= max_attempts:
                     raise
-                yield self.sim.timeout(self.client.retry_policy.backoff_ns(
-                    attempt, self.client._jitter_rng()))
+                yield self.client.retry_policy.backoff_ns(
+                    attempt, self.client._jitter_rng())
                 continue
             try:
                 result = yield from body(txn)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import GengarConfig, GengarPool
+from repro.core import server as server_module
 from repro.hardware.specs import TEST_DRAM, TEST_NVM
 from repro.sim import Simulator
 from repro.sim.units import KIB, MIB
@@ -16,13 +17,23 @@ def fast_config(**overrides):
         report_every_ops=8,
         promote_threshold=4.0,
         demote_threshold=1.0,
-        hotness_decay=0.5,
         proxy_ring_slots=8,
         proxy_slot_size=4 * KIB,
         lock_table_entries=1024,
     )
     defaults.update(overrides)
     return GengarConfig(**defaults)
+
+
+def journal_entries(entries):
+    """A module-scoped autouse fixture: every pool the module builds gets an
+    ``entries``-record metadata journal.  Assign it to a module global."""
+    @pytest.fixture(autouse=True, scope="module")
+    def _journal():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(server_module, "JOURNAL_ENTRIES", entries)
+            yield
+    return _journal
 
 
 def build_pool(seed=1, num_servers=2, num_clients=2, config=None, **kw):

@@ -1,6 +1,7 @@
 """Integration tests for hot-data identification and DRAM caching."""
 
 from repro.core import server_of
+from repro.core.hotness import EpochDecayPolicy
 
 from tests.core.conftest import build_pool, fast_config
 
@@ -98,7 +99,9 @@ def test_cold_objects_stay_in_nvm():
 def test_cooled_object_demoted_and_slot_reusable():
     sim, pool = build_pool(
         num_servers=1, num_clients=1,
-        config=fast_config(hotness_decay=0.25, epoch_ns=30_000),
+        config=fast_config(epoch_ns=30_000),
+        policy_factory=lambda: EpochDecayPolicy(
+            decay=0.25, promote_threshold=4.0, demote_threshold=1.0),
     )
     client = pool.clients[0]
 

@@ -157,19 +157,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GengarConfig(proxy_slot_size=10)
     with pytest.raises(ValueError):
-        GengarConfig(hotness_decay=2.0)
-    with pytest.raises(ValueError):
         GengarConfig(promote_threshold=1.0, demote_threshold=2.0)
     with pytest.raises(ValueError):
         GengarConfig(report_every_ops=0)
-
-
-def test_config_ablate_helper():
-    cfg = FULL.ablate(proxy=False)
-    assert cfg.enable_cache and not cfg.enable_proxy
-    cfg = cfg.ablate(cache=False)
-    assert not cfg.enable_cache and not cfg.enable_proxy
-    assert cfg.ablate() == cfg
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,17 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import ClientError, RetryableError
+from repro.core import server as server_module
 from repro.core.addressing import offset_of
 from repro.core.protocol import CACHE_TAG_BYTES, pack_cache_tag
 from repro.hardware.specs import TEST_NVM
 from repro.rdma.rpc import RpcError
 from repro.sim.units import KIB
 
-from tests.core.conftest import build_pool, fast_config
+from tests.core.conftest import build_pool, fast_config, journal_entries
 
 FF = b"\xff"
+small_journal = journal_entries(64)
 
 
 def spy(server, method=None, delay_ns=0, times=None):
@@ -255,7 +257,7 @@ def test_gfree_while_home_server_is_down_journal_off():
 def test_gfree_while_home_server_is_down_journal_on():
     """A failed FREE append leaves the object fully live; the retry after
     recovery succeeds."""
-    cfg = fast_config(metadata_journal=True, journal_entries=64)
+    cfg = fast_config(metadata_journal=True)
     sim, pool = build_pool(num_servers=1, num_clients=1, config=cfg)
     client, master = pool.clients[0], pool.master
     (gaddr,) = pool.run(alloc_dirty(client, 1024))
@@ -272,7 +274,7 @@ def test_gfree_while_home_server_is_down_journal_on():
 
 
 def test_scrub_straddling_a_reset_frees_nothing_into_the_new_allocator():
-    cfg = fast_config(metadata_journal=True, journal_entries=64)
+    cfg = fast_config(metadata_journal=True)
     sim, pool = build_pool(num_servers=1, num_clients=1, config=cfg)
     client, master = pool.clients[0], pool.master
     handle = master._servers[0]
@@ -306,7 +308,7 @@ def test_rebuild_requarantines_journaled_frees_the_old_master_never_scrubbed():
     """A master that died between the FREE append and the scrub used to
     leave a dirty extent allocatable; replay now sends one coalesced scrub
     per server."""
-    cfg = fast_config(metadata_journal=True, journal_entries=64)
+    cfg = fast_config(metadata_journal=True)
     sim, pool = build_pool(num_servers=2, num_clients=1, config=cfg)
     client, master = pool.clients[0], pool.master
     scrubs = {sid: spy(s, "scrub") for sid, s in pool.servers.items()}
@@ -388,8 +390,7 @@ def test_reshard_carries_the_quarantine_in_flight_batch_included():
 def test_stale_term_scrub_is_rejected_like_a_stale_journal_append():
     """A deposed master's late scrub can never zero an extent its successor
     re-allocated: the scrub carries the term."""
-    cfg = fast_config(metadata_journal=True, journal_entries=64,
-                      master_terms=True)
+    cfg = fast_config(metadata_journal=True, master_terms=True)
     sim, pool = build_pool(num_servers=1, num_clients=1, config=cfg)
     client, master, server = pool.clients[0], pool.master, pool.servers[0]
     scrubs = spy(server, "scrub")
@@ -467,12 +468,14 @@ def test_fuzz_every_fresh_allocation_reads_zeros_and_no_extent_is_lost(
     reshards mid-stream: every fresh allocation reads zeros, the extent
     invariant holds after every step, and at the end every extent is
     allocatable."""
-    churn(steps, num_clients, num_servers, seed, journal)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(server_module, "JOURNAL_ENTRIES", 1024)
+        churn(steps, num_clients, num_servers, seed, journal)
 
 
 def churn(steps, num_clients, num_servers, seed, journal):
     size = 192
-    cfg = fast_config(metadata_journal=journal, journal_entries=1024,
+    cfg = fast_config(metadata_journal=journal,
                       num_master_shards=num_servers,
                       retry_max_attempts=3, retry_timeout_ns=10_000)
     sim, pool = build_pool(seed=seed, num_servers=num_servers,

@@ -10,11 +10,13 @@ surfacing an unknown-gaddr error to the application.  The dedup tables
 ride in the journal records, so they survive a master rebuild too.
 """
 
-from tests.core.conftest import build_pool, fast_config
+from tests.core.conftest import build_pool, fast_config, journal_entries
+
+small_journal = journal_entries(64)
 
 
 def idem_pool():
-    cfg = fast_config(metadata_journal=True, journal_entries=64)
+    cfg = fast_config(metadata_journal=True)
     return build_pool(num_servers=1, num_clients=1, config=cfg)
 
 

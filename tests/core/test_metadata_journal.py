@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import server as server_module
 from repro.core.master import MasterError
 from repro.core.protocol import (
     JOURNAL_OP_ALLOC,
@@ -10,11 +11,13 @@ from repro.core.protocol import (
     unpack_journal_record,
 )
 
-from tests.core.conftest import build_pool, fast_config
+from tests.core.conftest import build_pool, fast_config, journal_entries
+
+small_journal = journal_entries(256)
 
 
 def journal_pool(**overrides):
-    cfg = fast_config(metadata_journal=True, journal_entries=256, **overrides)
+    cfg = fast_config(metadata_journal=True, **overrides)
     return build_pool(num_servers=2, num_clients=1, config=cfg)
 
 
@@ -182,7 +185,7 @@ def test_rebuild_reuses_freed_lock_indices():
     # One server: lock indices are a per-server namespace.
     sim, pool = build_pool(
         num_servers=1, num_clients=1,
-        config=fast_config(metadata_journal=True, journal_entries=256),
+        config=fast_config(metadata_journal=True),
     )
     client = pool.clients[0]
 
@@ -209,10 +212,11 @@ def test_rebuild_reuses_freed_lock_indices():
     assert pool.master.directory.get(c).lock_idx != b_lock
 
 
-def test_journal_full_rejects_allocation():
+def test_journal_full_rejects_allocation(monkeypatch):
+    monkeypatch.setattr(server_module, "JOURNAL_ENTRIES", 3)
     sim, pool = build_pool(
         num_servers=1, num_clients=1,
-        config=fast_config(metadata_journal=True, journal_entries=3),
+        config=fast_config(metadata_journal=True),
     )
     client = pool.clients[0]
     from repro.rdma.rpc import RpcError

@@ -11,6 +11,8 @@ phi-accrual detector turns "unreachable" into *suspected*, not fenced,
 until the suspicion crosses the threshold.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import (
@@ -18,6 +20,7 @@ from repro.core import (
     FencedError,
     MasterUnavailableError,
     PartitionSuspected,
+    RetryPolicy,
     StaleTermError,
 )
 from repro.core.master import MasterError
@@ -32,9 +35,17 @@ def partition_config(**overrides):
     defaults = dict(client_lease_ns=LEASE, metadata_journal=True,
                     master_terms=True, failure_detector=True,
                     auto_reattach=True, retry_max_attempts=8,
-                    retry_timeout_ns=2_000_000, retry_jitter=False)
+                    retry_timeout_ns=2_000_000)
     defaults.update(overrides)
     return fast_config(**defaults)
+
+
+@pytest.fixture(autouse=True)
+def unjittered_retries(monkeypatch):
+    """Every client here backs off on the plain doubling schedule."""
+    from_config = RetryPolicy.from_config
+    monkeypatch.setattr(RetryPolicy, "from_config", staticmethod(
+        lambda config: replace(from_config(config), jitter=False)))
 
 
 def wait_promoted(sim, pool):

@@ -182,9 +182,18 @@ def test_unattached_client_rejected():
     sim, pool = build_pool()
     from repro.core.client import GengarClient
 
-    lone = GengarClient(pool.cluster.node("client0"), name="lone")
+    lone = GengarClient(pool.cluster.node("client0"), pool.config, name="lone")
     with pytest.raises(ClientError):
         next(lone.gread(0))
+
+
+def test_attach_reply_carries_only_the_session():
+    """Clients are built with the pool's config; the master's attach reply
+    carries the session (servers, uid, epoch, lease) and nothing else."""
+    sim, pool = build_pool()
+    assert all(c.config is pool.config for c in pool.clients)
+    (reply,) = pool.run(pool.master._handle_attach({"client": "probe"}))
+    assert set(reply) == {"servers", "client_id", "epoch", "lease_ns"}
 
 
 def test_deterministic_across_runs():

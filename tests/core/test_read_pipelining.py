@@ -5,6 +5,7 @@ read combining, and the consistency contract under out-of-order completion.
 import pytest
 
 from repro.core import BatchError, FatalError
+from repro.core import client as client_module
 from repro.core.hotness import AccessPredictor
 
 from tests.core.conftest import build_pool, fast_config
@@ -145,10 +146,9 @@ def test_gwrite_many_collects_failures_with_indices():
 # ----------------------------------------------------------------------
 # Async ops + the outstanding-op window
 # ----------------------------------------------------------------------
-def test_async_window_bounds_concurrency():
-    sim, pool = build_pool(
-        num_servers=1, num_clients=1,
-        config=fast_config(max_outstanding_reads=2))
+def test_async_window_bounds_concurrency(monkeypatch):
+    monkeypatch.setattr(client_module, "MAX_OUTSTANDING_READS", 2)
+    sim, pool = build_pool(num_servers=1, num_clients=1)
     client = pool.clients[0]
 
     def app(sim):
@@ -228,7 +228,7 @@ def _prefetch_config(**overrides):
     """Prefetch-focused config: the epoch planner is pushed far out so any
     promotion we observe came from the prefetch fast path."""
     defaults = dict(epoch_ns=10_000_000_000, report_every_ops=10_000,
-                    admission_threshold=2, prefetch_depth=4)
+                    prefetch_depth=4)
     defaults.update(overrides)
     return fast_config(**defaults)
 

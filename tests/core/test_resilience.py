@@ -16,6 +16,7 @@ from repro.core import (
     RetryPolicy,
     ServerUnavailableError,
 )
+from repro.core import client as client_module
 from repro.faults import FaultPlan, ServerCrash, ServerRecover
 
 from tests.core.conftest import build_pool, fast_config
@@ -135,8 +136,9 @@ def test_deadline_converts_a_stall_into_a_typed_error():
     assert took < 50_000
 
 
-def test_degraded_mode_writes_through_a_stalled_ring():
-    config = fast_config(degraded_mode=True, degraded_patience_polls=2)
+def test_degraded_mode_writes_through_a_stalled_ring(monkeypatch):
+    monkeypatch.setattr(client_module, "DEGRADED_PATIENCE_POLLS", 2)
+    config = fast_config(degraded_mode=True)
     sim, pool = build_pool(num_servers=1, num_clients=1, config=config)
     client = pool.clients[0]
     server = pool.servers[0]

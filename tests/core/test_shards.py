@@ -17,14 +17,15 @@ from hypothesis import strategies as st
 from repro.core import NotMyShard, RetryableError, server_of
 from repro.faults import ClientCrash, FaultPlan, MasterCrash, MasterRecover
 
-from tests.core.conftest import build_pool, fast_config
+from tests.core.conftest import build_pool, fast_config, journal_entries
 
 LEASE = 100_000
+small_journal = journal_entries(64)
 
 
 def shard_config(**overrides):
     defaults = dict(num_master_shards=2, metadata_journal=True,
-                    journal_entries=64, auto_reattach=True,
+                    auto_reattach=True,
                     retry_max_attempts=12, retry_timeout_ns=10_000)
     defaults.update(overrides)
     return fast_config(**defaults)

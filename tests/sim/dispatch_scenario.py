@@ -9,14 +9,25 @@ the event queue is implemented internally.
 
 ``tests/sim/test_dispatch_trace.py`` replays this scenario against two
 committed fingerprints: the resumption order (``logged_resumptions`` below;
-captured under the always-dispatch kernel and never to move) and the
-per-dispatch (time, callback) trace seen by ``sim.dispatch_hook``.
+captured under the always-dispatch kernel, moved only by a deliberate
+change to the modelled protocol) and the per-dispatch (time, callback) trace
+seen by ``sim.dispatch_hook``.
+
+A change that moves either on purpose re-captures both with::
+
+    PYTHONPATH=src python -m tests.sim.dispatch_scenario --recapture "REASON"
+
+which rewrites each golden that moved and appends its old count, hash and
+``final_time_ns`` and the reason to that golden's ``recaptured`` list.
 """
 
 from __future__ import annotations
 
+import argparse
+import json
 from contextlib import contextmanager
 from hashlib import sha256
+from pathlib import Path
 from typing import Callable, Iterator, List, Optional, Tuple
 
 SCENARIO_SEED = 1234
@@ -24,6 +35,10 @@ SCENARIO_SEED = 1234
 #: Bump only when the *scenario itself* changes (workload shape, fault plan),
 #: never to paper over a kernel ordering change.
 SCENARIO_VERSION = 1
+
+DATA = Path(__file__).resolve().parents[1] / "data"
+DISPATCH_GOLDEN = DATA / "dispatch_trace_golden.json"
+RESUMPTION_GOLDEN = DATA / "resumption_order_golden.json"
 
 
 def run_scenario(install_hook: Optional[Callable] = None):
@@ -161,3 +176,62 @@ def logged_resumptions(log: List[Tuple[int, str]]) -> Iterator[None]:
         yield
     finally:
         Process.__init__ = original
+
+
+def capture_dispatches() -> List[Tuple[int, str]]:
+    """The scenario's ``(time, callback)`` dispatch trace."""
+    trace: List[Tuple[int, str]] = []
+
+    def install(sim):
+        sim.dispatch_hook = lambda when, fn: trace.append((when, callback_name(fn)))
+
+    run_scenario(install_hook=install)
+    return trace
+
+
+def capture_resumptions() -> Tuple[List[Tuple[int, str]], int]:
+    """The scenario's ``(time, process)`` resumption log and its end time."""
+    log: List[Tuple[int, str]] = []
+    with logged_resumptions(log):
+        sim = run_scenario()
+    return log, sim.now
+
+
+def recapture(reason: str) -> None:
+    """Rewrite both goldens from this tree.  A golden whose fingerprint
+    moved keeps a record of what it was, and why it moved."""
+    log, end = capture_resumptions()
+    resumed = fingerprint(log)
+    resumed["final_time_ns"] = end
+    for path, count, new in ((DISPATCH_GOLDEN, "dispatches",
+                              fingerprint(capture_dispatches())),
+                             (RESUMPTION_GOLDEN, "resumptions", resumed)):
+        golden = json.loads(path.read_text())
+        new[count] = new.pop("dispatches")  # fingerprint()'s name for length
+        if all(golden[k] == new[k] for k in (count, "sha256", "final_time_ns")):
+            print(f"{path.name}: unchanged")
+            continue
+        history = golden.pop("recaptured", []) + [{
+            f"{count}_before": golden[count],
+            f"{count}_after": new[count],
+            "sha256_before": golden["sha256"],
+            "final_time_ns_before": golden["final_time_ns"],
+            "reason": reason,
+        }]
+        # Key order as committed: identity, provenance, history, fingerprint.
+        rewritten = {k: v for k, v in golden.items() if k not in new}
+        rewritten = {"version": new["version"], "seed": new["seed"],
+                     **rewritten, "recaptured": history,
+                     **{k: new[k] for k in (count, "sha256", "final_time_ns",
+                                            "checkpoints")}}
+        path.write_text(json.dumps(rewritten, indent=1) + "\n")
+        print(f"{path.name}: {count} {golden[count]} -> {new[count]}, "
+              f"final_time_ns {golden['final_time_ns']} -> {new['final_time_ns']}")
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(
+        description="Re-capture the dispatch and resumption goldens")
+    parser.add_argument("--recapture", metavar="REASON", required=True,
+                        help="why the pinned order moved, kept in the golden")
+    recapture(parser.parse_args().recapture)

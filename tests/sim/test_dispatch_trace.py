@@ -10,6 +10,16 @@ golden was captured on PR 11's commit, under the kernel that dispatched
 every wake-up, and PR 12 (zero-delay event elision) had to reproduce it
 byte for byte.
 
+RE-CAPTURED ONCE, WHEN THE CONFIG LEFT THE ATTACH REPLY — a protocol change,
+not a kernel one.  The master's attach reply stopped pickling the whole
+``GengarConfig`` (clients are built with the pool's config), so each reply
+is 777 bytes shorter, the bootstrap ends earlier, and the fault plan's
+absolute windows land on other operations: 13,291 resumptions became 13,255
+and ``final_time_ns`` 287,477 became 289,206.  Proven before re-pinning:
+with the reply padded back to its old pickled length, both goldens,
+``BENCH_perf.json`` and all eleven chaos rows reproduced the previous capture
+byte for byte; only the padding was then dropped.
+
 **Dispatch trace** (``tests/data/dispatch_trace_golden.json``): the
 ``(time, callback)`` sequence seen by ``sim.dispatch_hook``.  It pins how
 the kernel *delivers* those resumptions and catches a queue that no longer
@@ -66,36 +76,63 @@ it — an ``Event._dispatch`` either way, in the same place — and the read
 mux's consumer still waits on a two-callback event, so none of its entries
 moved either.  The resumption pin is reproduced byte for byte, unedited.
 
+RE-CAPTURED A FIFTH TIME together with the resumption pin, when the config
+left the attach reply (above): 9,063 dispatches became 9,104 and
+``final_time_ns`` 289,206.
+
+RE-CAPTURED A SIXTH TIME, WHEN THE READ MUX BECAME A ``Store``: 9,104
+dispatches became 9,074.  A completed read puts ``(tag, event)`` into the
+mux's store, and the batch's consumer yields the store instead of a fresh
+two-callback ``mux.next`` event per read.  Of the 199 ``Event._dispatch``
+entries that delivered such an event, 169 are the parked consumer's own
+``Process._resume``, appended at the same position, and 30 are gone — a
+pair already waiting is taken inline at the tail of its instant.  30
+instants hold one dispatch fewer, every other instant as many as before,
+``final_time_ns`` is 289,206 and the resumption pin is reproduced byte for
+byte, unedited.
+
+RE-CAPTURED A SEVENTH TIME, WHEN THE LAST CONTROL-PLANE TIMERS IN ``core/``
+AND ``txn/`` BECAME BARE DELAYS, NAMES ONLY: 9,074 dispatches before and
+after.  Eleven waits (planner, aggregation, lease sweep, recovery grace,
+fencing, heartbeat, lock and txn backoffs) yield their delay where they
+yielded ``sim.timeout(n)``; the wake-up is the sleeping process's own
+``Process._resume`` at the bucket position of the ``Timeout._fire`` it
+replaces.  In this scenario one of them fires, the master's planner epoch.
+Full trace against full trace: the same length, ``final_time_ns`` and
+instant at every index; the one differing position reads ``Timeout._fire``
+before and ``Process._resume`` after.  The resumption pin is reproduced
+byte for byte, unedited.
+
+Each re-capture since the attach reply was written by
+``python -m tests.sim.dispatch_scenario --recapture "REASON"``, which
+appends the old count, hash, ``final_time_ns`` and the reason to the
+``recaptured`` list of every golden that moved.
+
 A mismatch in either is a kernel bug (or a deliberate contract change that
 must be called out as loudly as this one), never something to silence by
 editing the scenario.
 """
 
 import json
-from pathlib import Path
 
 from tests.sim.dispatch_scenario import (
+    DISPATCH_GOLDEN,
+    RESUMPTION_GOLDEN,
     SCENARIO_SEED,
     SCENARIO_VERSION,
-    callback_name,
+    capture_dispatches,
+    capture_resumptions,
     fingerprint,
-    logged_resumptions,
     run_scenario,
 )
 
-DATA = Path(__file__).resolve().parents[1] / "data"
-GOLDEN_PATH = DATA / "dispatch_trace_golden.json"
-RESUMPTION_GOLDEN_PATH = DATA / "resumption_order_golden.json"
-
 
 def test_resumption_order_matches_the_always_dispatch_kernel():
-    golden = json.loads(RESUMPTION_GOLDEN_PATH.read_text())
+    golden = json.loads(RESUMPTION_GOLDEN.read_text())
     assert golden["version"] == SCENARIO_VERSION
     assert golden["seed"] == SCENARIO_SEED
 
-    log = []
-    with logged_resumptions(log):
-        sim = run_scenario()
+    log, end = capture_resumptions()
 
     for idx, when, label in golden["checkpoints"]:
         assert idx < len(log), f"log too short: {len(log)} <= {idx}"
@@ -104,21 +141,16 @@ def test_resumption_order_matches_the_always_dispatch_kernel():
         )
     got = fingerprint(log)
     assert got["dispatches"] == golden["resumptions"]
-    assert sim.now == golden["final_time_ns"]
+    assert end == golden["final_time_ns"]
     assert got["sha256"] == golden["sha256"]
 
 
 def test_dispatch_order_matches_golden():
-    golden = json.loads(GOLDEN_PATH.read_text())
+    golden = json.loads(DISPATCH_GOLDEN.read_text())
     assert golden["version"] == SCENARIO_VERSION
     assert golden["seed"] == SCENARIO_SEED
 
-    trace = []
-
-    def install(sim):
-        sim.dispatch_hook = lambda when, fn: trace.append((when, callback_name(fn)))
-
-    run_scenario(install_hook=install)
+    trace = capture_dispatches()
     got = fingerprint(trace)
 
     # Checkpoints first: on mismatch they localize the first divergence far

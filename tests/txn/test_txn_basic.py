@@ -11,6 +11,7 @@ refuses to construct and no server carves an intent region.
 
 import pytest
 
+from repro.core import server as server_module
 from repro.core.errors import TxnAbortedError, TxnError, TxnWaitDieError
 from tests.core.conftest import build_pool, fast_config
 
@@ -193,10 +194,10 @@ def test_read_only_txn_commits_without_intent():
     assert pool.describe()["txn"]["intents_journaled"] == 0
 
 
-def test_oversized_write_set_aborts_cleanly():
+def test_oversized_write_set_aborts_cleanly(monkeypatch):
+    monkeypatch.setattr(server_module, "TXN_INTENT_SLOT_BYTES", 512)
     sim, pool = build_pool(
-        seed=8, num_servers=2, num_clients=1,
-        config=txn_config(txn_intent_slot_bytes=512))
+        seed=8, num_servers=2, num_clients=1, config=txn_config())
     client = pool.clients[0]
     g = _alloc(pool, client, 2, size=1024)
 
