@@ -4,7 +4,8 @@ Commands:
 
 * ``info`` — version, systems, experiment ids.
 * ``demo`` — the quickstart walkthrough (same as examples/quickstart.py).
-* ``experiments [IDS...]`` — regenerate reconstructed tables/figures.
+* ``experiments [IDS...]`` — regenerate reconstructed tables/figures
+  (``python -m repro experiments > docs/RESULTS.txt`` with no ids).
 * ``ycsb --workload A --system gengar`` — one YCSB run with knobs.
 * ``trace --out trace.json`` — instrumented YCSB run, exported as Chrome
   ``trace_event`` JSON (load in Perfetto / ``chrome://tracing``).
@@ -70,12 +71,16 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     if unknown:
         print(f"unknown experiment ids: {unknown}; have {list(ALL_EXPERIMENTS)}")
         return 2
+    # stdout is a function of the code alone (docs/RESULTS.txt is this
+    # command's stdout, pinned by tests/bench/test_results_pin.py); the
+    # wall-clock note goes to stderr.
     for exp_id in wanted:
         start = time.time()
         result = ALL_EXPERIMENTS[exp_id]()
         print(result.render())
-        print(f"[{exp_id} regenerated in {time.time() - start:.1f}s wall]")
         print()
+        print(f"[{exp_id} regenerated in {time.time() - start:.1f}s wall]",
+              file=sys.stderr)
     return 0
 
 

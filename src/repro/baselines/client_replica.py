@@ -104,6 +104,14 @@ class ReplicaClient:
             return data[offset:]
         return data[offset : offset + length]
 
+    def gread_many(self, gaddrs) -> Generator[Any, Any, list]:
+        """Whole-object reads in argument order, each through the
+        lease-bounded :meth:`gread` (no doorbell batching)."""
+        results = []
+        for gaddr in gaddrs:
+            results.append((yield from self.gread(gaddr)))
+        return results
+
     def gwrite(self, gaddr: int, data: bytes, offset: int = 0) -> Generator[Any, Any, None]:
         yield from self.inner.gwrite(gaddr, data, offset=offset)
         rep = self._replicas.get(gaddr)

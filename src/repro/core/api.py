@@ -26,6 +26,7 @@ Typical usage::
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,6 +39,7 @@ from repro.core.config import GengarConfig
 from repro.core.master import Master, MasterError
 from repro.core.protocol import default_shard_map
 from repro.core.server import MemoryServer
+from repro.hardware.nic import PIPELINE_WIDTH
 from repro.hardware.specs import (
     CONNECTX5_NIC,
     DDR4_DRAM,
@@ -198,7 +200,11 @@ class GengarPool:
                                    data_capacity=server.data_capacity,
                                    owned=shard_map[sid] == 0)
 
-        # Clients: control to master, control + data to each server.
+        # Clients: control to master, control + data to each server.  Each
+        # (client, server) pair gets enough data QPs ("read lanes") that a
+        # client's QPs fill its NIC's TX pipeline: a QP's send gate holds one
+        # WQE at a time, so one QP per server would leave slots idle.
+        read_lanes = max(1, math.ceil(PIPELINE_WIDTH / num_servers))
         clients: List[GengarClient] = []
         for cid in range(num_clients):
             client_node = cluster.node(f"client{cid}")
@@ -225,8 +231,9 @@ class GengarPool:
                     client_node, ctrl_c,
                     client.carve_dram(_RPC_SPAN, f"rpc.server{sid}"),
                     f"{client.name}->server{sid}")
-                data_c, _data_s = connect(client_node.endpoint, server.node.endpoint)
-                client.add_server_conn(server.descriptor(), data_c, server_rpc)
+                lanes = tuple(connect(client_node.endpoint, server.node.endpoint)[0]
+                              for _ in range(read_lanes))
+                client.add_server_conn(server.descriptor(), lanes, server_rpc)
             clients.append(client)
 
         # Bootstrap handshake: attach every client, then start the planners

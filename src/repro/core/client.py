@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from itertools import repeat
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, NamedTuple,
-                    Optional)
+                    Optional, Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
@@ -152,11 +152,26 @@ class _ServerConn:
     """Client-side state for one memory server."""
 
     desc: ServerDescriptor
-    data_qp: "QueuePair"
+    #: Data QPs to the server ("read lanes").  Lane 0 is the ordered lane:
+    #: writes, proxy WRITE_IMMs and atomics stay on it, so their per-QP
+    #: order holds; only RDMA READs spread across the lanes.
+    lanes: Tuple["QueuePair", ...]
     rpc: "RpcClient"
     ring: Optional[RingDescriptor] = None
     written: int = 0  # proxy writes issued
     drained_known: int = 0  # last drained-counter value observed
+    reads_posted: int = 0  # round-robin cursor over the lanes
+
+    @property
+    def data_qp(self) -> "QueuePair":
+        """The ordered lane."""
+        return self.lanes[0]
+
+    def read_lane(self) -> "QueuePair":
+        """The lane the next RDMA READ goes out on (round-robin)."""
+        qp = self.lanes[self.reads_posted % len(self.lanes)]
+        self.reads_posted += 1
+        return qp
 
 
 #: Scratch bounce buffers for RDMA payloads.
@@ -425,9 +440,10 @@ class GengarClient:
         """Reserve client DRAM for connection buffers (bootstrap helper)."""
         return self._carver.carve(nbytes, label)
 
-    def add_server_conn(self, desc: ServerDescriptor, data_qp: "QueuePair",
+    def add_server_conn(self, desc: ServerDescriptor,
+                        lanes: Tuple["QueuePair", ...],
                         rpc: "RpcClient") -> None:
-        self._conns[desc.server_id] = _ServerConn(desc=desc, data_qp=data_qp, rpc=rpc)
+        self._conns[desc.server_id] = _ServerConn(desc=desc, lanes=lanes, rpc=rpc)
 
     def add_master_conn(self, rpc: "RpcClient", shard: int = 0) -> None:
         """Register a master control connection (active or standby) for one
@@ -1319,8 +1335,9 @@ class GengarClient:
         argument order.
 
         Reads are grouped by home server; each group's RDMA READs (DRAM
-        cache or NVM, per object) are posted with a single
-        :meth:`~repro.rdma.qp.QueuePair.post_send_many` doorbell, and
+        cache or NVM, per object) are dealt round-robin across the server's
+        read lanes and posted with one
+        :meth:`~repro.rdma.qp.QueuePair.post_send_many` doorbell per lane, and
         completions are consumed *out of order* as they arrive — a finished
         read is processed (and its scratch slot recycled) while
         earlier-posted reads are still in flight.  Adjacent NVM reads in a
@@ -1413,11 +1430,17 @@ class GengarClient:
             self.h_read.record(self.sim.now - start)
 
         def _post(conn, wrs, tags):
-            """Ring one doorbell for a server's accumulated READs."""
+            """Deal a server's accumulated READs round-robin across its read
+            lanes and ring one doorbell per lane used."""
             self._attach_combine_groups(wrs)
             self.h_read_batch.record(len(wrs))
-            for ev, tag in zip(conn.data_qp.post_send_many(wrs), tags):
-                mux.add(ev, tag)
+            lanes, n = conn.lanes, len(conn.lanes)
+            first = conn.reads_posted
+            conn.reads_posted += len(wrs)
+            for k in range(min(n, len(wrs))):
+                qp = lanes[(first + k) % n]
+                for ev, tag in zip(qp.post_send_many(wrs[k::n]), tags[k::n]):
+                    mux.add(ev, tag)
 
         for sid in sorted(groups):
             conn = self._conns[sid]
@@ -2017,7 +2040,7 @@ class GengarClient:
             return b"".join(parts)
         scratch_off = yield self._scratch_free
         try:
-            wc = yield conn.data_qp.post_send(WorkRequest(
+            wc = yield conn.read_lane().post_send(WorkRequest(
                 opcode=Opcode.RDMA_READ,
                 local_mr=self._scratch_mr, local_offset=scratch_off, length=nbytes,
                 remote_rkey=rkey, remote_offset=remote_offset,

@@ -23,8 +23,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 from repro.hardware.specs import NicSpec
 
-#: Concurrent WQEs in flight inside one pipeline direction.
-_PIPELINE_WIDTH = 4
+#: Concurrent WQEs in flight inside one pipeline direction.  A QP's send
+#: gate admits one WQE at a time, so an initiator needs this many QPs in
+#: flight to fill its TX pipeline (see GengarPool.build's read lanes).
+PIPELINE_WIDTH = 4
 
 
 class Nic:
@@ -34,8 +36,8 @@ class Nic:
         self.sim = sim
         self.spec = spec
         self.name = name
-        self._tx = Resource(sim, capacity=_PIPELINE_WIDTH, name=f"{name}.tx")
-        self._rx = Resource(sim, capacity=_PIPELINE_WIDTH, name=f"{name}.rx")
+        self._tx = Resource(sim, capacity=PIPELINE_WIDTH, name=f"{name}.tx")
+        self._rx = Resource(sim, capacity=PIPELINE_WIDTH, name=f"{name}.rx")
         self._msg_limiter = TokenBucket(
             sim,
             rate_per_ns=spec.message_rate_per_ns,

@@ -33,10 +33,9 @@ Fast-path notes: the ``run`` loops bind the bucket machinery to locals and
 dispatch a whole instant per outer iteration (one clock write and one
 ``until`` comparison per *instant*); completion fast paths in
 :mod:`repro.sim.primitives` append to the calendar inline, and
-:meth:`Simulator.schedule_many` / :meth:`Simulator.timeout_many` /
-:meth:`Simulator.spawn_many` arm N timers or processes with one kernel
-call.  All of this is wall-clock only — virtual-time results are bit-for-bit
-identical to the straightforward loop.
+:meth:`Simulator.schedule_many` / :meth:`Simulator.spawn_many` arm N
+timers or processes with one kernel call.  All of this is wall-clock only —
+virtual-time results are bit-for-bit identical to the straightforward loop.
 
 Profiling/debug: assign ``sim.dispatch_hook = lambda when, fn: ...`` to
 observe every dispatch; the hot loops are swapped for an instrumented
@@ -478,19 +477,6 @@ class Simulator:
     def timeout(self, delay: int, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` ns from now."""
         return Timeout(self, int(delay), value)
-
-    def timeout_many(self, delays: Sequence[int], value: Any = None) -> list:
-        """Arm N independent timers with one kernel call.
-
-        Returns a list of fresh :class:`Timeout` events, one per delay,
-        armed in list order — virtual semantics identical to calling
-        :meth:`timeout` per delay, with the construction and calendar
-        bindings batched.  Use for retry fan-outs and fault plans.
-        """
-        out = []
-        for d in delays:
-            out.append(Timeout(self, int(d), value))
-        return out
 
     def spawn(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a new process from a generator; returns the joinable handle."""

@@ -26,33 +26,36 @@ def _load_objects(client, count, size=128):
 # ----------------------------------------------------------------------
 # Doorbell batching (the gread_many docstring is now the truth)
 # ----------------------------------------------------------------------
-def test_gread_many_one_doorbell_per_server():
-    """A batch of reads rings exactly one post_send_many doorbell per home
-    server — the regression guard for the old one-spawn-per-read shape."""
+def test_gread_many_one_doorbell_per_lane():
+    """A batch of reads rings at most one post_send_many doorbell per read
+    lane, and the doorbells together cover the whole batch — the
+    regression guard for the old one-spawn-per-read shape."""
     sim, pool = build_pool(num_servers=2, num_clients=1)
     client = pool.clients[0]
-    calls = []  # (server_id, batch_size)
+    calls = []  # (server_id, lane, batch_size)
 
     def app(sim):
         addrs = yield from _load_objects(client, 8)
         for sid, conn in client._conns.items():
-            orig = conn.data_qp.post_send_many
+            for lane, qp in enumerate(conn.lanes):
+                orig = qp.post_send_many
 
-            def counted(wrs, _orig=orig, _sid=sid):
-                calls.append((_sid, len(wrs)))
-                return _orig(wrs)
+                def counted(wrs, _orig=orig, _key=(sid, lane)):
+                    calls.append((*_key, len(wrs)))
+                    return _orig(wrs)
 
-            conn.data_qp.post_send_many = counted
+                qp.post_send_many = counted
         values = yield from client.gread_many(addrs)
         return values
 
     (values,) = pool.run(app(sim))
     assert values == [bytes([i % 251]) * 128 for i in range(8)]
-    # Every involved server got exactly one doorbell covering its whole
-    # share of the batch.
-    servers_hit = {sid for sid, _n in calls}
-    assert len(calls) == len(servers_hit)
-    assert sum(n for _sid, n in calls) == 8
+    lanes_hit = {(sid, lane) for sid, lane, _n in calls}
+    assert len(calls) == len(lanes_hit)
+    assert sum(n for *_key, n in calls) == 8
+    # Two servers give two lanes each, and the reads spread over them.
+    assert {len(conn.lanes) for conn in client._conns.values()} == {2}
+    assert len(lanes_hit) > len({sid for sid, _lane in lanes_hit})
 
 
 def test_gread_many_larger_than_scratch_pool_completes():

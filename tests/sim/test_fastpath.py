@@ -107,28 +107,6 @@ def test_schedule_many_rejects_negative_delay():
         sim.schedule_many([(1, lambda: None, ()), (-2, lambda: None, ())])
 
 
-def test_timeout_many_matches_sequential_timeouts():
-    def drive(batched):
-        sim = Simulator()
-        trace = []
-
-        def waiter(sim, ev, tag):
-            got = yield ev
-            trace.append((sim.now, tag, got))
-
-        delays = [30, 10, 20, 10]
-        if batched:
-            events = sim.timeout_many(delays, value="v")
-        else:
-            events = [sim.timeout(d, value="v") for d in delays]
-        for i, ev in enumerate(events):
-            sim.spawn(waiter(sim, ev, i))
-        sim.run()
-        return trace, sim.now
-
-    assert drive(True) == drive(False)
-
-
 def test_spawn_many_matches_sequential_spawns():
     def drive(batched):
         sim = Simulator()
