@@ -111,7 +111,7 @@ class MapReduceEngine:
         # ---- Map phase -------------------------------------------------
         def mapper(m: int, gaddr: int, size: int):
             client = self.clients[m % len(self.clients)]
-            yield client.sim.timeout(TASK_OVERHEAD_NS)
+            yield TASK_OVERHEAD_NS
             chunk = yield from client.gread(gaddr)
             yield from client.node.cpu_work(int(len(chunk) * CPU_NS_PER_BYTE))
             output = job.map_fn(chunk)
@@ -139,7 +139,7 @@ class MapReduceEngine:
 
         def reducer(r: int):
             client = self.clients[r % len(self.clients)]
-            yield client.sim.timeout(TASK_OVERHEAD_NS)
+            yield TASK_OVERHEAD_NS
             merged: Dict[Any, List[Any]] = {}
             for m in range(len(input_addrs)):
                 addr, size = shuffle[(m, r)]

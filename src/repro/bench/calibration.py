@@ -12,7 +12,9 @@ checks the simulator against them, which serves three purposes:
 3. **Documentation** — the formulas *are* the cost model, in one place.
 
 Formulas model the uncontended single-op path; queueing effects are what the
-simulator adds on top.
+simulator adds on top — except the send queue's own, which has a closed form
+too: N WRs posted back to back on one idle QP complete one send-gate period
+apart (:func:`expected_back_to_back_ns`).
 """
 
 from __future__ import annotations
@@ -126,6 +128,31 @@ def expected_proxy_write_ns(model: PathModel, nbytes: int, cpu_op_ns: int = 150)
 def expected_direct_write_ns(model: PathModel, nbytes: int, cpu_op_ns: int = 150) -> float:
     """An NVM-direct write: the full Optane write path, inline with the op."""
     return cpu_op_ns + expected_rdma_write_ns(model, nbytes, to_nvm=True)
+
+
+def _wire_serialization_ns(link: LinkSpec, payload: int) -> int:
+    """Serialization of payload+headers, rounded as the fabric rounds it."""
+    return max(1, round((payload + link.header_bytes) / link.bandwidth))
+
+
+def expected_back_to_back_ns(model: PathModel, first_ns: int, k: int,
+                             request_bytes: int, lane: int = 0) -> int:
+    """When the ``k``-th (1-based) of N WRs posted back to back on one idle
+    QP completes, given the first one's completion ``first_ns``:
+    ``T1 + (k-1)·(processing_ns + wire_time(request))``.
+
+    The period is how long one WQE holds its QP's send gate: NIC processing
+    plus the request's wire serialization (payload inline or none, so no
+    local DMA); the flight is paid outside the gate.  With up to
+    ``PIPELINE_WIDTH`` lanes (QPs) posting at once, lane ``i`` runs ``i``
+    request serializations behind lane 0 — their requests leave through one
+    egress port — and otherwise keeps the same period, so the lanes together
+    complete ``PIPELINE_WIDTH`` WRs per period.  (Valid while nothing
+    downstream is slower than that: here, responses that serialize no longer
+    than the request.)
+    """
+    wire = _wire_serialization_ns(model.link, request_bytes)
+    return first_ns + lane * wire + (k - 1) * (model.nic.processing_ns + wire)
 
 
 def calibration_report(model: PathModel,

@@ -430,7 +430,7 @@ class ChaosSoak:
             # Staged but never synced: the crash re-stages half of this
             # frame, which the commit word must keep out of NVM.
             yield from victim.gwrite(g_data, payload_torn)
-            yield sim.timeout((revive_at - sim.now) + 10_000)
+            yield (revive_at - sim.now) + 10_000
             # Back as a zombie: lock ops must fail typed, not corrupt.
             try:
                 yield from victim.gunlock(g_lock)
@@ -450,9 +450,9 @@ class ChaosSoak:
         def contender_run(sim):
             # Outlive the lease and the master outage, then the dead
             # holder's lock must clear within one further lease.
-            yield sim.timeout((kill_at - sim.now) + 2 * lease)
+            yield (kill_at - sim.now) + 2 * lease
             while "g_lock" not in outcome:  # pragma: no cover - ordering
-                yield sim.timeout(1_000)
+                yield 1_000
             t_acq = sim.now
             yield from contender.glock(outcome["g_lock"])
             yield from contender.gunlock(outcome["g_lock"])
@@ -461,7 +461,7 @@ class ChaosSoak:
             outcome["contender_saw"] = bytes(data)
 
         def allocator_run(sim):
-            yield sim.timeout(30_000)  # the master is down now
+            yield 30_000  # the master is down now
             gaddr = yield from allocator.gmalloc(self.value_size)
             yield from allocator.gwrite(gaddr, b"\xd4" * 64)
             yield from allocator.gsync()
@@ -536,10 +536,10 @@ class ChaosSoak:
             # ...then kill server 0 immediately: the pump (a separate
             # process) is now racing a dead home server.
             self.pool.servers[0].crash()
-            yield sim.timeout(120_000)
+            yield 120_000
             self.pool.servers[0].recover()
             master.on_server_recovered(0)
-            yield sim.timeout(60_000)
+            yield 60_000
             # Full read-back: every byte must still be a value we wrote.
             for g in gaddrs:
                 try:
@@ -642,12 +642,12 @@ class ChaosSoak:
                     for s in range(max(1, client._num_shards)):
                         yield from client.reattach_master(s)
                 except ClientError:
-                    yield sim.timeout(lease // 2)
+                    yield lease // 2
             except ClientError:
                 self.ops_typed_failures += 1
                 if write:
                     self._demote_section_writes(client.name, key, t_section)
-            yield sim.timeout(2_000 + int(rng.randrange(4_000)))
+            yield 2_000 + int(rng.randrange(4_000))
 
     def _nemesis_round(self, plan: FaultPlan, extra_procs: List,
                        keys: List[int], rounds: int, tail_ns: int,
@@ -735,13 +735,13 @@ class ChaosSoak:
             group_b=others(old_master.node.name)))
 
         def promoter():
-            yield sim.timeout(start + lease - sim.now)
+            yield start + lease - sim.now
             pool.promote_standby(rebuild=True)
             # Bounded deterministic wait for the term claim to land.
             for _ in range(64):
                 if not pool.master._recovering:
                     return
-                yield sim.timeout(lease // 8)
+                yield lease // 8
 
         # Tail: the old master's phi crosses threshold ~6 leases after
         # heartbeats stop; its next sweep then attempts a fence, hits the
@@ -878,13 +878,13 @@ class ChaosSoak:
                     try:
                         yield from client.reattach_master()
                     except ClientError:
-                        yield sim.timeout(lease // 2)
+                        yield lease // 2
                 except ClientError:
                     # Wait-die deaths past the retry budget, lock
                     # timeouts, aborts on an unreachable server — all
                     # typed, none fatal to the worker.
                     self.ops_typed_failures += 1
-                yield sim.timeout(1_000 + int(rng.randrange(3_000)))
+                yield 1_000 + int(rng.randrange(3_000))
 
         return proc(sim)
 
@@ -898,7 +898,7 @@ class ChaosSoak:
                     yield from client.reattach_master()
                     return
                 except ClientError:
-                    yield sim.timeout(lease // 2)
+                    yield lease // 2
 
         return proc(sim)
 
@@ -921,9 +921,9 @@ class ChaosSoak:
                     try:
                         yield from client.reattach_master()
                     except ClientError:
-                        yield sim.timeout(lease)
+                        yield lease
                 except ClientError:
-                    yield sim.timeout(lease)
+                    yield lease
 
         self.pool.run(audit(sim))
         if out.get("total") != spec.expected_total:

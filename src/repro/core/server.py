@@ -372,6 +372,15 @@ class MemoryServer:
             yield from self.cache_mr.write(slot_offset, pack_cache_tag(gaddr) + data)
             if self._applied_seq.get(gaddr, 0) == seq_before:
                 break
+        existing = self.cached.get(gaddr)
+        if existing is not None:
+            # A concurrent promote (planner vs prefetch) published first;
+            # the drain keeps only that slot fresh, so ours must not replace
+            # it.  Kill our tag and free the slot in the same instant as the
+            # lookup, so the winner cannot be demoted in between.
+            self.cache_mr.poke(slot_offset, pack_cache_tag(0, flags=0))
+            self.cache_alloc.free(slot_offset)
+            return existing.cache_offset
         self.cached[gaddr] = _CacheEntry(cache_offset=slot_offset, size=size)
         self.promotions.add()
         if rec is not None:

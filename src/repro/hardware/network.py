@@ -3,7 +3,9 @@
 Each attached node owns an egress and an ingress port of ``LinkSpec.bandwidth``.
 A unicast reserves the sender's egress and the receiver's ingress for the
 message's serialization time (cut-through, so large transfers are not
-double-serialized), then pays one propagation delay.  Contention therefore
+double-serialized), then pays one propagation delay; :meth:`Fabric.inject`
+is the first half alone, for a sender that flies the message outside a
+lock it holds while injecting.  Contention therefore
 appears exactly where it does physically: many-to-one traffic queues at the
 receiver's ingress port (incast), and a single sender cannot exceed its
 uplink.
@@ -151,11 +153,21 @@ class Fabric:
         return self.wire_time(nbytes) + self.spec.propagation_ns
 
     def unicast(self, src: str, dst: str, nbytes: int) -> Generator[Any, Any, None]:
-        """Move ``nbytes`` from ``src`` to ``dst``; returns at delivery time.
+        """Move ``nbytes`` from ``src`` to ``dst``; returns at delivery time:
+        :meth:`inject`, then the flight it returns."""
+        flight_ns = yield from self.inject(src, dst, nbytes)
+        yield flight_ns
+
+    def inject(self, src: str, dst: str, nbytes: int) -> Generator[Any, Any, int]:
+        """Put ``nbytes`` on the wire from ``src`` to ``dst``; returns when
+        the last byte has left the ports, with the flight still to fly (ns).
 
         Reserves both the sender's egress and the receiver's ingress for the
         serialization window; the egress is always acquired first so flows
         cannot deadlock (each flow's first lock is private to its sender).
+        The caller pays the returned propagation delay (plus any injected
+        latency) itself — a queue pair does so after releasing its send
+        gate, so back-to-back WQEs fly concurrently.
         """
         if src == dst:
             raise FabricError(f"loopback unicast on {src!r}; handle locally instead")
@@ -194,16 +206,16 @@ class Fabric:
             down.bytes_moved += wire_bytes
             yield (ingress.gate, self.wire_time(nbytes))
             ingress.bytes_moved += wire_bytes
-            yield self.spec.propagation_ns + self._core_hop_ns + extra_ns
             self.inter_rack_messages.add()
+            extra_ns += self._core_hop_ns
         else:
             with (yield egress.gate):
                 yield (ingress.gate, self.wire_time(nbytes))
             egress.bytes_moved += wire_bytes
             ingress.bytes_moved += wire_bytes
-            yield self.spec.propagation_ns + extra_ns
         self.messages.add()
         self.payload_bytes.add(nbytes)
+        return self.spec.propagation_ns + extra_ns
 
     def egress_bytes(self, node_name: str) -> int:
         """Wire bytes sent by ``node_name`` so far."""

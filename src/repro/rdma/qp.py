@@ -6,9 +6,18 @@ response — copying real bytes at the placement step.  One-sided verbs touch
 only the target's NIC and memory device; no target-side process is scheduled,
 preserving the CPU-bypass property Gengar builds on.
 
-Ordering: a per-QP send gate serializes WQEs through local DMA and fabric
-injection, so two writes posted back-to-back are placed in order at the
-target (RC ordering).  Response phases overlap, so reads still pipeline.
+Ordering: a per-QP send gate serializes WQEs through NIC processing, payload
+gather and wire serialization — the injection order — and nothing else: the
+500 ns flight is paid after the gate is released, so back-to-back WQEs on one
+QP fly concurrently, ~256 ns apart, the way an RC send queue pipelines.  RC
+order at the responder is then carried by sequence number: every non-READ
+WQE (SEND, WRITE, WRITE_IMM, atomics) takes the QP's next one inside the
+gate, and the responder applies it only after every earlier one of that QP
+has been applied — a WQE that arrives out of turn (a fault-hook latency
+spike on its predecessor) waits for its turn; one that is next in line waits
+for nothing.  Every way out — applied, remote fault, dead peer, interrupt —
+advances the responder's cursor.  READs take no number and stay unordered,
+so reads still pipeline.
 """
 
 from __future__ import annotations
@@ -81,6 +90,13 @@ class QueuePair:
         self.remote: Optional["QueuePair"] = None
         self._recv_queue: Store = Store(self.sim, name=f"{self.name}.rq")
         self._send_gate = Resource(self.sim, capacity=1, name=f"{self.name}.sq")
+        #: Initiator: the sequence number the next ordered WQE posted here takes.
+        self._next_seq = 0
+        #: Responder, for the peer's ordered WQEs: whose turn it is to be
+        #: applied, and those past it that are done already (``None``) or
+        #: waiting for their turn (the event that wakes them).
+        self._apply_seq = 0
+        self._turns: dict[int, Optional[Event]] = {}
         # Precomputed once: posting is on the hot path of every verb, so
         # avoid a per-WR f-string for the verb process's name.
         self._exec_name = f"{self.name}.exec"
@@ -152,9 +168,9 @@ class QueuePair:
         Virtual-time semantics are *identical* to calling :meth:`post_send`
         per WR in order — each WR is still one WQE walking the full verb
         state machine, serialized through the send gate in posting order
-        with response phases overlapping (RC pipelining).  What batching
-        buys is host-side (wall-clock) cost: validation, connectivity
-        checks, and the doorbell are paid once for the list.  The whole
+        with flights and response phases overlapping (RC pipelining).  What
+        batching buys is host-side (wall-clock) cost: validation,
+        connectivity checks, and the doorbell are paid once for the list.  The whole
         list is validated before any WR is posted, so a usage error leaves
         the send queue untouched.
         """
@@ -176,32 +192,72 @@ class QueuePair:
         return WorkCompletion(wr_id=wr.wr_id, opcode=wr.opcode, status=status,
                               timestamp=self.sim.now, **fields)
 
+    def _retire(self, seq: int) -> None:
+        """Responder: the peer's ordered WQE ``seq`` is done with — applied,
+        faulted, interrupted or lost to a dead peer — so the turn passes on,
+        over any later ones already done, to the first one waiting."""
+        turns = self._turns
+        if seq != self._apply_seq:
+            turns[seq] = None  # done before its turn: skipped when it comes
+            return
+        seq += 1
+        while seq in turns:
+            turn = turns.pop(seq)
+            if turn is not None:
+                turn.succeed()
+                break
+            seq += 1
+        self._apply_seq = seq
+
     def _execute(self, wr: WorkRequest) -> Generator[Any, Any, WorkCompletion]:
         """One verb, start to finish: its process fires with what it returns."""
         local = self.endpoint
-        remote_ep = self.remote.endpoint  # type: ignore[union-attr]
+        peer: QueuePair = self.remote  # type: ignore[assignment]
+        remote_ep = peer.endpoint
+        ordered = wr.opcode is not Opcode.RDMA_READ
 
-        # ---- Initiator phase: gather payload, inject into the fabric -----
+        # ---- Initiator phase: NIC processing, payload gather, injection --
         with (yield self._send_gate):
             yield from local.nic.tx_process()
             try:
                 payload = yield from self._gather_payload(wr)
             except MrError:
                 return self._completion(wr, WcStatus.LOCAL_PROTECTION_ERROR)
-            yield from local.fabric.unicast(local.name, remote_ep.name,
-                                            self._request_wire_bytes(wr, payload))
+            flight_ns = yield from local.fabric.inject(
+                local.name, remote_ep.name, self._request_wire_bytes(wr, payload))
+            if ordered:
+                seq = self._next_seq
+                self._next_seq = seq + 1
 
-        # ---- Target phase ------------------------------------------------
-        if not remote_ep.alive:
+        # ---- Flight and target phase: outside the gate -------------------
+        try:
+            yield flight_ns
+            delivered = remote_ep.alive
+            if delivered:
+                yield from remote_ep.nic.rx_process()
+                if ordered and peer._apply_seq != seq:
+                    # An earlier ordered WQE of this QP is not applied yet.
+                    peer._turns[seq] = turn = Event(self.sim)
+                    yield turn
+                response_bytes = yield from self._apply_at_target(wr, payload, remote_ep)
+        except _RemoteFault as fault:
+            if ordered:
+                peer._retire(seq)
+            return self._completion(wr, fault.status)
+        except Exception:  # interrupted or failed: it will never be applied
+            if ordered:
+                peer._retire(seq)
+            raise
+        if ordered:
+            if delivered and not peer._turns:
+                peer._apply_seq = seq + 1  # the common case: nobody waits
+            else:
+                peer._retire(seq)
+        if not delivered:
             # The request is retransmitted into silence until the QP's
             # retry budget expires.
             yield local.retry_timeout_ns
             return self._completion(wr, WcStatus.RETRY_EXCEEDED)
-        yield from remote_ep.nic.rx_process()
-        try:
-            response_bytes = yield from self._apply_at_target(wr, payload, remote_ep)
-        except _RemoteFault as fault:
-            return self._completion(wr, fault.status)
 
         # ---- Response / ack phase ----------------------------------------
         yield from local.fabric.unicast(remote_ep.name, local.name, response_bytes[0])

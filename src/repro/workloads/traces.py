@@ -169,7 +169,7 @@ class TraceReplayer:
             for i, op in enumerate(ops):
                 due = start + op.at_ns
                 if due > sim.now:
-                    yield sim.timeout(due - sim.now)
+                    yield due - sim.now
                 procs.append(sim.spawn(one_op(op, self.clients[i % len(self.clients)]),
                                        name="trace.op"))
             if procs:

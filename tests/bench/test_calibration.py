@@ -12,13 +12,20 @@ from repro.bench.calibration import (
     PathModel,
     calibration_report,
     expected_atomic_ns,
+    expected_back_to_back_ns,
     expected_cold_read_ns,
     expected_direct_write_ns,
     expected_hot_read_ns,
     expected_proxy_write_ns,
     expected_rdma_read_ns,
+    expected_rdma_write_ns,
 )
+from repro.hardware.memory import MemoryDevice
+from repro.hardware.network import Fabric
+from repro.hardware.nic import PIPELINE_WIDTH, Nic
 from repro.hardware.specs import CONNECTX5_NIC, DEFAULT_LINK, TEST_DRAM, TEST_NVM
+from repro.rdma import Opcode, RdmaEndpoint, WorkRequest, connect
+from repro.rdma.qp import READ_REQUEST_BYTES
 from repro.sim import Simulator
 
 from tests.core.conftest import build_pool, fast_config
@@ -163,3 +170,71 @@ def test_model_monotone_in_size():
         value = expected_rdma_read_ns(MODEL, size)
         assert value > prev
         prev = value
+
+
+# ---------------------------------------------------------------------------
+# Contended: back-to-back WRs on one QP, and lanes filling the TX pipeline
+# ---------------------------------------------------------------------------
+#: Payload of every back-to-back WR (inline for a WRITE).
+B2B_BYTES = 64
+
+
+def _back_to_back(opcode, n, lanes=1):
+    """Post ``n`` WRs back to back on each of ``lanes`` idle QPs between two
+    nodes built from MODEL's specs, at one instant; each lane's completion
+    times in ns after posting."""
+    sim = Simulator(seed=0)
+    fabric = Fabric(sim, MODEL.link)
+    ends = []
+    for name in ("a", "b"):
+        mem = MemoryDevice(sim, MODEL.server_dram, name=f"{name}.mem")
+        ep = RdmaEndpoint(sim, name, Nic(sim, MODEL.nic, f"{name}.nic"), fabric)
+        ends.append((ep, ep.register_mr(mem, 0, 1 << 20)))
+    (ep_a, local), (ep_b, remote) = ends
+    qps = [connect(ep_a, ep_b)[0] for _ in range(lanes)]
+
+    def wr(i):
+        if opcode is Opcode.RDMA_READ:
+            return WorkRequest(opcode=opcode, local_mr=local, local_offset=i * B2B_BYTES,
+                               length=B2B_BYTES, remote_rkey=remote.rkey,
+                               remote_offset=i * B2B_BYTES)
+        return WorkRequest(opcode=opcode, inline_data=bytes(B2B_BYTES),
+                           remote_rkey=remote.rkey, remote_offset=i * B2B_BYTES)
+
+    t0 = sim.now
+    posted = [qp.post_send_many([wr(lane * n + i) for i in range(n)])
+              for lane, qp in enumerate(qps)]
+    sim.run()
+    assert all(ev.value.ok for evs in posted for ev in evs)
+    return [[ev.value.timestamp - t0 for ev in evs] for evs in posted]
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+@pytest.mark.parametrize("opcode, request_bytes, uncontended", [
+    (Opcode.RDMA_READ, READ_REQUEST_BYTES,
+     lambda: expected_rdma_read_ns(MODEL, B2B_BYTES, from_nvm=False)),
+    (Opcode.RDMA_WRITE, B2B_BYTES,
+     lambda: expected_rdma_write_ns(MODEL, B2B_BYTES, to_nvm=False)),
+], ids=["read", "write"])
+def test_back_to_back_wrs_on_one_qp_match_the_closed_form(
+        opcode, request_bytes, uncontended, n):
+    """The k-th of N completes at T1 + (k-1)·(processing_ns + wire_time),
+    exactly: one QP's send gate holds a WQE through NIC processing and
+    injection only, never through the 500 ns flight."""
+    ((first,),) = _back_to_back(opcode, 1)
+    assert first == pytest.approx(uncontended(), rel=TOL)
+    (times,) = _back_to_back(opcode, n)
+    assert times == [expected_back_to_back_ns(MODEL, first, k, request_bytes)
+                     for k in range(1, n + 1)]
+
+
+def test_lanes_fill_the_tx_pipeline_at_the_closed_form():
+    """PIPELINE_WIDTH QPs posting at once keep every TX slot busy: each lane
+    runs at the one-QP period, lane i one request serialization behind lane
+    i-1, so the NIC completes PIPELINE_WIDTH WRs per period."""
+    ((first,),) = _back_to_back(Opcode.RDMA_WRITE, 1)
+    lanes = _back_to_back(Opcode.RDMA_WRITE, 4, lanes=PIPELINE_WIDTH)
+    assert lanes == [
+        [expected_back_to_back_ns(MODEL, first, k, B2B_BYTES, lane=lane)
+         for k in range(1, 5)]
+        for lane in range(PIPELINE_WIDTH)]

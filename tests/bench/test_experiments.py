@@ -1,7 +1,8 @@
-"""Smoke tests for the experiment drivers (downscaled for test speed).
+"""Tests of the experiment harness (registry, config hook, boot) and the
+one paper-claim assert kept at small scale, E3's monotone scale-out.
 
-The full-scale shape assertions live in ``benchmarks/``; here we check that
-every driver runs end-to-end at small scale and emits well-formed tables.
+Every table's cells are pinned by ``test_results_pin.py``; the full-scale
+shape asserts live in ``benchmarks/``.
 """
 
 import pytest
@@ -11,11 +12,7 @@ from repro.bench.experiments import (
     ExperimentResult,
     bench_config,
     boot,
-    e01_read_latency,
-    e02_write_latency,
     e03_scalability,
-    e09_proxy_drain,
-    e11_sharing,
 )
 from repro.bench.report import Table
 
@@ -48,35 +45,10 @@ def test_boot_builds_named_system():
     assert len(system.clients) == 1
 
 
-def test_e01_small_scale():
-    result = e01_read_latency(sizes=(64, 4096), reps=3, seed=1)
-    table = result.table("E1")
-    assert len(table.rows) == 4
-    assert all(len(row) == 3 for row in table.rows)
-    rows = {row[0]: row[1:] for row in table.rows}
-    assert rows["gengar-hot"][1] < rows["gengar-cold"][1]
-
-
-def test_e02_small_scale():
-    result = e02_write_latency(sizes=(256, 8192), reps=3, seed=2)
-    rows = {row[0]: row[1:] for row in result.table("E2").rows}
-    assert rows["gengar"][1] < rows["nvm-direct"][1]
-
-
 def test_e03_small_scale():
+    """The paper's scale-out claim at its smallest: a second client adds
+    throughput.  Every other experiment's cells are pinned byte for byte by
+    ``test_results_pin.py``."""
     result = e03_scalability(client_counts=(1, 2), ops_per_worker=30, seed=3)
     rows = {row[0]: row[1:] for row in result.table("E3").rows}
     assert rows["gengar"][1] > rows["gengar"][0]
-
-
-def test_e09_small_scale():
-    result = e09_proxy_drain(burst=16, write_size=1024, seed=4)
-    rows = {row[0]: row[1:] for row in result.table("E9 ").rows}
-    assert all(g < n for g, n in zip(rows["gengar"], rows["nvm-direct"]))
-
-
-def test_e11_small_scale():
-    result = e11_sharing(share_ratios=(0.0, 1.0), num_clients=2,
-                         ops_per_worker=20, seed=5)
-    kops = result.table("E11").column("kops/s")
-    assert kops[0] > kops[1]

@@ -214,6 +214,38 @@ def test_promotion_preserves_latest_synced_data():
     assert data == b"NEW"
 
 
+def test_concurrent_promotes_share_one_slot():
+    """Two promotes of one object in flight at once (planner vs prefetch)
+    publish one slot: the one the directory hands out is the one the drain
+    keeps fresh, and the loser's slot goes back to the allocator."""
+    sim, pool = build_pool(num_servers=1, num_clients=1)
+    client = pool.clients[0]
+    master, server = pool.master, pool.servers[0]
+
+    def setup(sim):
+        gaddr = yield from client.gmalloc(128)
+        yield from client.gwrite(gaddr, b"AAA" + bytes(125))
+        yield from client.gsync()
+        return gaddr
+
+    (gaddr,) = pool.run(setup(sim))
+    handle, policy = master._servers[0], master._policies[0]
+    pool.run(master._promote(handle, policy, gaddr),
+             master._promote(handle, policy, gaddr))
+    record = master.directory.get(gaddr)
+    assert record.cached
+    assert server.cached[gaddr].cache_offset == record.cache_offset
+    assert (server.cache_alloc.allocated_bytes
+            == server.cache_alloc.size_of(record.cache_offset))
+
+    def update(sim):
+        yield from client.gwrite(gaddr, b"BBB" + bytes(125))
+        yield from client.gsync()
+
+    pool.run(update(sim))
+    assert server.cache_mr.peek(record.cache_offset + 16, 3) == b"BBB"
+
+
 def test_writes_to_cached_object_update_cache_via_drain():
     """Proxy drains freshen the DRAM copy: later cached reads see new data."""
     sim, pool = build_pool(num_servers=1, num_clients=2)
