@@ -1,18 +1,16 @@
 #!/usr/bin/env python3
-"""Multi-user sharing with consistency: locked counters and a shared log.
+"""Multi-user sharing with consistency: a locked counter.
 
 Run with::
 
     python examples/shared_counter.py
 
 Four clients hammer one counter object under Gengar's one-sided
-reader/writer locks — every increment survives — then append to a shared
-log concurrently.  This demonstrates the abstract's claim that Gengar
-"supports memory sharing among multiple users with data consistency
-guarantee".
+reader/writer locks, and every increment survives.  This demonstrates the
+abstract's claim that Gengar "supports memory sharing among multiple users
+with data consistency guarantee".
 """
 
-from repro.apps.sharedlog import SharedLog
 from repro.bench.experiments import boot
 from repro.sim.units import ns_to_us
 
@@ -27,21 +25,18 @@ def main() -> None:
         counter = yield from clients[0].gmalloc(64)
         yield from clients[0].gwrite(counter, bytes(64))
         yield from clients[0].gsync()
-        log = yield from SharedLog.create(clients[0], capacity=64, record_size=32)
-        return counter, log
+        return counter
 
-    ((counter, log),) = system.run(setup(sim))
+    (counter,) = system.run(setup(sim))
 
     def incrementer(sim, idx):
         client = clients[idx]
-        for i in range(increments_each):
+        for _ in range(increments_each):
             yield from client.glock(counter, write=True)
             raw = yield from client.gread(counter, length=8)
             value = int.from_bytes(raw, "little")
             yield from client.gwrite(counter, (value + 1).to_bytes(8, "little"))
             yield from client.gunlock(counter, write=True)
-            record = f"c{idx}:inc{i}->{value + 1}".encode().ljust(32)
-            yield from log.append(client, record)
 
     t0 = sim.now
     system.run(*[incrementer(sim, i) for i in range(len(clients))])
@@ -49,19 +44,14 @@ def main() -> None:
 
     def check(sim):
         raw = yield from clients[0].gread(counter, length=8)
-        total = int.from_bytes(raw, "little")
-        records = yield from log.read_all(clients[0])
-        return total, records
+        return int.from_bytes(raw, "little")
 
-    ((total, records),) = system.run(check(sim))
+    (total,) = system.run(check(sim))
     expected = len(clients) * increments_each
     print(f"{len(clients)} clients x {increments_each} locked increments "
           f"in {ns_to_us(elapsed):.1f} us (virtual)")
     print(f"final counter value: {total} (expected {expected}) "
           f"{'OK' if total == expected else 'LOST UPDATES!'}")
-    print(f"shared log holds {len(records)} records; first three:")
-    for rec in records[:3]:
-        print(f"  {rec.rstrip().decode()}")
     retries = sim.metrics.counter("pool.lock_retries").count
     acquires = sim.metrics.counter("pool.lock_acquires").count
     print(f"lock acquires: {acquires}, contended retries: {retries}")

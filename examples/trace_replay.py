@@ -67,7 +67,7 @@ def main() -> None:
     print("\nthe proxy wins on mean write latency (bursts land in DRAM); "
           "tails are comparable here because at this offered load both "
           "systems queue on shared client-side resources, not on NVM - "
-          "see benchmarks/bench_x01_saturation.py for the systematic sweep.")
+          "see `python -m repro experiments X1` for the systematic sweep.")
 
 
 if __name__ == "__main__":

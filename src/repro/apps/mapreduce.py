@@ -188,20 +188,6 @@ def wordcount_job(num_reducers: int = 4) -> JobSpec:
                    num_reducers=num_reducers)
 
 
-def grep_job(needle: str, num_reducers: int = 2) -> JobSpec:
-    """Count occurrences of words containing ``needle``."""
-
-    def map_fn(chunk: bytes) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for word in chunk.decode().split():
-            if needle in word:
-                counts[word] = counts.get(word, 0) + 1
-        return counts
-
-    return JobSpec(name=f"grep:{needle}", map_fn=map_fn, reduce_fn=sum,
-                   num_reducers=num_reducers)
-
-
 def distributed_sort(clients: List, records: List[int],
                      num_partitions: int = 4) -> Generator[Any, Any, Tuple[List[int], int]]:
     """Sample-sort integer records through the pool.

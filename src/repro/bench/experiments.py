@@ -1,10 +1,11 @@
 """Experiment drivers E1-E12: one function per reconstructed table/figure.
 
 Each function builds fresh deployments, runs the experiment, and returns an
-:class:`ExperimentResult` holding paper-style tables.  The benchmark files
-under ``benchmarks/`` are thin wrappers that execute these drivers under
-pytest-benchmark and print the tables; ``EXPERIMENTS.md`` records the claim
-each experiment validates and the measured shape.
+:class:`ExperimentResult` holding paper-style tables.  ``python -m repro
+experiments`` prints them (``docs/RESULTS.txt`` is that output, pinned),
+``tests/bench/test_paper_claims.py`` asserts each table's claims on the
+pinned file, and ``EXPERIMENTS.md`` records the claim each experiment
+validates and the measured shape.
 
 Scale disclaimer: op counts are sized so the full suite finishes in minutes
 of host time while still spanning several hotness epochs of virtual time.

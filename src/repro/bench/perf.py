@@ -126,6 +126,25 @@ def _two_node_rig(seed: int = 7):
     return sim, (ep_a, mem_a, qp_a), (ep_b, mem_b, qp_b)
 
 
+def _echo_rpc_rig():
+    """The two-node rig with an echo server on ``b`` and its client on
+    ``a``; the server carves its rings (and their growth) from a
+    :class:`~repro.core.layout.DramCarver`, as every pool server does."""
+    from repro.core.layout import DramCarver
+    from repro.rdma import RpcClient, RpcServer
+    from repro.rdma.rpc import DEFAULT_BUFFER_SIZE, DEFAULT_RING_SLOTS
+
+    sim, (ep_a, mem_a, qp_a), (ep_b, mem_b, qp_b) = _two_node_rig()
+    carver = DramCarver(mem_b)
+    server = RpcServer(
+        ep_b, mem_b, base=carver.carve(2 * DEFAULT_RING_SLOTS * DEFAULT_BUFFER_SIZE),
+        grow_cb=carver.carve, name="srv.rpc")
+    server.register("echo", lambda req: req)
+    server.serve(qp_b)
+    client = RpcClient(ep_a, qp_a, mem_a, base=0, name="cli.rpc")
+    return sim, client
+
+
 def bench_rpc(calls: int = 1000) -> Dict[str, Any]:
     """Events per RPC round trip (control-plane hot path).
 
@@ -133,13 +152,7 @@ def bench_rpc(calls: int = 1000) -> Dict[str, Any]:
     event count exposes the full stack — framing, SEND/RECV verb state
     machines, CQ delivery, demux — in kernel dispatches.
     """
-    from repro.rdma import RpcClient, RpcServer
-
-    sim, (ep_a, mem_a, qp_a), (ep_b, mem_b, qp_b) = _two_node_rig()
-    server = RpcServer(ep_b, mem_b, base=0, name="srv.rpc")
-    server.register("echo", lambda req: req)
-    server.serve(qp_b)
-    client = RpcClient(ep_a, qp_a, mem_a, base=0, name="cli.rpc")
+    sim, client = _echo_rpc_rig()
 
     def caller(sim, n):
         for i in range(n):

@@ -18,9 +18,8 @@ from repro.core.addressing import (
     shard_of,
 )
 from repro.core.api import GengarPool
-from repro.core.client import GengarClient, GFuture, RetryPolicy
+from repro.core.client import GengarClient, RetryPolicy
 from repro.core.errors import (
-    BatchError,
     ClientError,
     DeadlineExceededError,
     FatalError,
@@ -53,8 +52,6 @@ __all__ = [
     "Master",
     "MemoryServer",
     "ClientError",
-    "BatchError",
-    "GFuture",
     "FatalError",
     "RetryableError",
     "ServerUnavailableError",

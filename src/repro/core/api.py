@@ -57,10 +57,9 @@ _RPC_SPAN = 2 * DEFAULT_RING_SLOTS * DEFAULT_BUFFER_SIZE
 
 
 def _control_client(node, qp, base: int, name: str) -> RpcClient:
-    """The calling side of one control connection (credit-gated, like
-    every control connection of a pool)."""
-    return RpcClient(node.endpoint, qp, node.dram, base=base, name=name,
-                     credits=True)
+    """The calling side of one control connection, its buffers in the
+    node's DRAM at ``base``."""
+    return RpcClient(node.endpoint, qp, node.dram, base=base, name=name)
 
 
 class GengarPool:

@@ -38,7 +38,6 @@ from repro.core.addressing import server_of
 from repro.core.config import GengarConfig
 from repro.core.consistency import LockOps
 from repro.core.errors import (
-    BatchError,
     ClientError,
     DeadlineExceededError,
     FatalError,
@@ -78,10 +77,8 @@ from repro.sim.resources import Store
 
 __all__ = [
     "GengarClient",
-    "GFuture",
     "RetryPolicy",
     "ClientError",
-    "BatchError",
     "FatalError",
     "RetryableError",
     "ServerUnavailableError",
@@ -182,9 +179,6 @@ _MAX_META_RETRIES = 4
 #: Consecutive master transport failures before the client's verdict
 #: upgrades from "one lost RPC" to "the path to the master is partitioned".
 _SUSPECT_STREAK = 3
-#: Window of concurrently outstanding async ops per client
-#: (``gread_async``/``gwrite_async`` block for a window slot past this).
-MAX_OUTSTANDING_READS = 16
 #: Reads of an uncached object before the client nominates it for
 #: promotion (the admission filter: one-touch objects are never cached on
 #: the client's initiative).
@@ -199,41 +193,6 @@ DEGRADED_PATIENCE_POLLS = 4
 _NOT_MY_SHARD_RE = re.compile(
     r"not my shard: server (\d+) is owned by shard (\d+), "
     r"not shard (\d+) \(map epoch (\d+)\)")
-
-
-class GFuture:
-    """Handle on an asynchronous pool operation.
-
-    Returned by :meth:`GengarClient.gread_async` / ``gwrite_async``.  The
-    op runs as its own simulation process inside the client's outstanding-op
-    window; the future is how the issuing process harvests the result:
-
-    * ``yield from fut.wait()`` — block until done, return the op's value
-      (re-raising its typed error, if any),
-    * ``fut.done`` / ``fut.result()`` — non-blocking poll for pipelined
-      loops that overlap issue with completion.
-    """
-
-    __slots__ = ("_proc",)
-
-    def __init__(self, proc):
-        self._proc = proc
-
-    @property
-    def done(self) -> bool:
-        return self._proc.triggered
-
-    def result(self):
-        """The op's value (or its raised error).  Only valid once done."""
-        if not self._proc.triggered:
-            raise FatalError("GFuture.result() before completion; "
-                             "use `yield from fut.wait()` to block")
-        return self._proc.value
-
-    def wait(self) -> Generator[Any, Any, Any]:
-        """Process helper: block until the op completes."""
-        yield self._proc
-        return self._proc.value
 
 
 class GengarClient:
@@ -333,15 +292,6 @@ class GengarClient:
         self._scratch_mr = None
         self._scratch_free: Optional[Store] = None
 
-        # ---- async op window (gread_async / gwrite_async) ----------------
-        #: Token pool bounding concurrently outstanding async ops; created
-        #: at attach, ``MAX_OUTSTANDING_READS`` tokens.
-        self._op_tokens: Optional[Store] = None
-        self._async_inflight = 0
-        #: High-water mark of concurrently outstanding async ops — what the
-        #: window tests and the perf harness report as pipelining pressure.
-        self._async_peak = 0
-
         # ---- prefetch (hotness-driven background promotion) --------------
         #: Per-object read touches, feeding the admission filter: an object
         #: is nominated for promotion only at its
@@ -397,25 +347,30 @@ class GengarClient:
     def crashed(self) -> bool:
         return self._crashed
 
-    def _check_lease_fence(self, what: str) -> None:
-        """Data-plane lease fencing (the FaRM rule, extended past locks):
-        a client whose lease has lapsed — or that the master already
-        fenced — must not land one-sided reads or writes either.  Its
+    def _check_lease_fence(self, what: str,
+                           gaddr: Optional[int] = None) -> None:
+        """Lease fencing (the FaRM rule): a client whose lease has lapsed —
+        or that the master already fenced — must not touch the pool.  Its
         locks may have been recovered and handed to a new holder; letting
-        a zombie's RDMA WRITE race the new owner's critical section would
-        corrupt exactly the data the lock protects.  Inert with leases
+        a zombie's RDMA WRITE (or its ``CAS(0 -> word)`` on a free lock
+        word) race the new owner's critical section would corrupt exactly
+        the data the lock protects.  Data verbs check per attempt, lock
+        ops per acquire/release (naming the ``gaddr``).  Inert with leases
         off (``lease_ns == 0``), so the fault-free path pays nothing.
         """
         if not self.lease_ns:
             return
+        fields = {} if gaddr is None else {"gaddr": hex(gaddr)}
+        where = what if gaddr is None else f"{what} of {gaddr:#x}"
         if self._fenced:
             self.m_fence_rejections.add()
             rec = self.sim.spans
             if rec is not None:
-                rec.event(self.name, "fence", f"{what} refused: epoch fenced")
+                rec.event(self.name, "fence", f"{what} refused: epoch fenced",
+                          **fields)
             raise FencedError(
-                f"{what}: master fenced this epoch; "
-                "reattach_master() to rejoin")
+                f"{where}: master fenced this epoch; "
+                "reattach_master() to rejoin under a fresh epoch")
         if self.sim.now >= self.lease_deadline:
             # The deadline lapsed *locally* but the master never said
             # "fenced" — typically the master was unreachable longer than
@@ -428,9 +383,9 @@ class GengarClient:
             rec = self.sim.spans
             if rec is not None:
                 rec.event(self.name, "lease",
-                          f"{what} parked: lease lapsed locally")
+                          f"{what} parked: lease lapsed locally", **fields)
             raise LeaseExpiredError(
-                f"{what}: lease deadline lapsed locally; re-attach to "
+                f"{where}: lease deadline lapsed locally; re-attach to "
                 "renew before retrying")
 
     # ------------------------------------------------------------------
@@ -634,9 +589,6 @@ class GengarClient:
         for i in range(_SCRATCH_SLOTS):
             self._scratch_free.put(i * _SCRATCH_SLOT_SIZE)
 
-        self._op_tokens = Store(self.sim, name=f"{self.name}.op_window")
-        for i in range(MAX_OUTSTANDING_READS):
-            self._op_tokens.put(i)
         if (self.config.enable_cache and self.config.prefetch_depth > 0
                 and self.config.metadata_cache):
             self._predictor = AccessPredictor(depth=self.config.prefetch_depth)
@@ -1537,79 +1489,11 @@ class GengarClient:
         for wr in run:
             wr.combine = grp
 
-    def gwrite_many(self, writes) -> Generator[Any, Any, None]:
-        """Issue many ``(gaddr, data)`` writes concurrently.
-
-        Every item is attempted even when siblings fail; failures are
-        collected and raised together as :class:`BatchError`, whose
-        ``failures`` attribute lists ``(index, error)`` pairs in argument
-        order — callers know exactly which writes landed and which did not.
-        """
-        self._require_attached()
-        writes = list(writes)
-        procs = [self.sim.spawn(self.gwrite(g, data), name=f"{self.name}.batchw")
-                 for g, data in writes]
-        failures: list = []
-        for i, p in enumerate(procs):
-            try:
-                yield p
-            except ClientError as exc:
-                failures.append((i, exc))
-        if failures:
-            raise BatchError("gwrite_many", failures)
-
-    # Async operations ----------------------------------------------------
-    def gread_async(self, gaddr: int, offset: int = 0,
-                    length: Optional[int] = None) -> "GFuture":
-        """Issue a read without blocking; returns a :class:`GFuture`.
-
-        The op runs as its own process inside the client's outstanding-op
-        window (``MAX_OUTSTANDING_READS``): issue never blocks the
-        caller, but ops past the window queue for a slot before touching
-        the wire, bounding scratch/QP pressure.  Harvest with
-        ``yield from fut.wait()``.
-        """
-        self._require_attached()
-        proc = self.sim.spawn(self._windowed(self.gread(gaddr, offset, length)),
-                              name=f"{self.name}.aread")
-        return GFuture(proc)
-
-    def gwrite_async(self, gaddr: int, data: bytes,
-                     offset: int = 0) -> "GFuture":
-        """Issue a write without blocking; returns a :class:`GFuture`.
-
-        Same windowing as :meth:`gread_async`.  Note ``gsync`` only covers
-        proxy writes already *staged*: to guarantee durability ordering,
-        ``yield from fut.wait()`` before syncing.
-        """
-        self._require_attached()
-        proc = self.sim.spawn(self._windowed(self.gwrite(gaddr, data, offset)),
-                              name=f"{self.name}.awrite")
-        return GFuture(proc)
-
-    def _windowed(self, op_gen) -> Generator[Any, Any, Any]:
-        """Run one async op inside the outstanding-op window."""
-        rec = self.sim.spans
-        t0 = self.sim.now
-        token = yield self._op_tokens
-        if rec is not None and self.sim.now > t0:
-            rec.record(self.name, "phase.pipeline_wait", t0, waiting="window")
-        self._async_inflight += 1
-        if self._async_inflight > self._async_peak:
-            self._async_peak = self._async_inflight
-        try:
-            result = yield from op_gen
-            return result
-        finally:
-            self._async_inflight -= 1
-            self._op_tokens.put(token)
-
     def gwrite_batch(self, writes) -> Generator[Any, Any, None]:
         """Doorbell-batched proxy writes for many small ``(gaddr, data)``
         pairs.
 
-        Unlike :meth:`gwrite_many` (which spawns one full gwrite per item),
-        this stages every inline-eligible proxy write per server and posts
+        Stages every inline-eligible proxy write per server and posts
         each server's work requests with a single
         :meth:`~repro.rdma.qp.QueuePair.post_send_many` doorbell, paying the
         client CPU pass once for the whole batch.  Writes that cannot take

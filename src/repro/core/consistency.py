@@ -119,47 +119,6 @@ class LockOps:
     def _word_offset(self, lock_idx: int) -> int:
         return lock_idx * 8
 
-    def _check_fence(self, gaddr: int, what: str) -> None:
-        """Local lease fencing (the FaRM rule): a client whose lease has
-        lapsed — or that the master already fenced — must not touch shared
-        lock state, because the master may have recovered its locks and
-        handed them to someone else.
-
-        This is necessarily a *local* check for acquires: a zombie's
-        ``CAS(0 -> word)`` against a free word would succeed no matter what
-        epoch it carries.  Releases additionally get word-level fencing in
-        :meth:`_release_write_fenced`.
-        """
-        client = self.client
-        if not client.lease_ns:
-            return
-        if client.fenced:
-            client.m_fence_rejections.add()
-            rec = self.sim.spans
-            if rec is not None:
-                rec.event(client.name, "fence",
-                          f"{what} refused: epoch fenced", gaddr=hex(gaddr))
-            raise FencedError(
-                f"{what} of {gaddr:#x}: master fenced this epoch; "
-                f"reattach_master() to rejoin under a fresh epoch")
-        if self.sim.now >= client.lease_deadline:
-            # The deadline lapsed *locally* but the master never said
-            # "fenced" — e.g. an op's retry backoff outlasted the lease
-            # while the master was unreachable.  That is ambiguous, not
-            # terminal: raise the retryable lapse so the resilience
-            # engine's renew probe asks the master for the real verdict
-            # (renewed at the same epoch, or a genuine FencedError).
-            client.m_fence_rejections.add()
-            client.m_lease_lapses.add()
-            rec = self.sim.spans
-            if rec is not None:
-                rec.event(client.name, "lease",
-                          f"{what} parked: lease lapsed locally",
-                          gaddr=hex(gaddr))
-            raise LeaseExpiredError(
-                f"{what} of {gaddr:#x}: lease deadline lapsed locally; "
-                f"re-attach to renew before retrying")
-
     def _resolve_fence(self, gaddr: int, what: str) -> Generator[Any, Any, None]:
         """Fence gate that resolves a local lease lapse *in place*.
 
@@ -170,12 +129,16 @@ class LockOps:
         instead of self-fencing on a deadline the master never enforced.
         Bounded by the retry budget; if the master stays unreachable the
         retryable lapse propagates to the caller.
+
+        The check itself is the client's (local: a zombie's ``CAS(0 ->
+        word)`` on a free word would succeed whatever epoch it carries);
+        releases add word-level fencing in :meth:`_release_write_fenced`.
         """
         policy = self.client.retry_policy
         attempt = 0
         while True:
             try:
-                self._check_fence(gaddr, what)
+                self.client._check_lease_fence(what, gaddr)
                 return
             except LeaseExpiredError:
                 if attempt >= policy.max_attempts:

@@ -23,35 +23,11 @@ name for backward compatibility.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 
 class ClientError(Exception):
     """Invalid client operation or unrecoverable protocol failure."""
-
-
-class BatchError(ClientError):
-    """One or more items of a batched operation failed.
-
-    Raised by ``gwrite_many`` (and friends) only after *every* item has
-    completed, so the caller knows exactly which items landed.  Carries
-    ``failures``: a list of ``(index, exception)`` pairs in argument order,
-    where each exception is the item's original typed error.  Deliberately
-    not a :class:`RetryableError` even when every member failure is — the
-    per-item retry budget was already spent inside the batch; callers
-    decide per index whether to reissue.
-    """
-
-    def __init__(self, what: str, failures: List[Tuple[int, Exception]]):
-        self.failures = failures
-        summary = ", ".join(
-            f"[{idx}] {type(exc).__name__}: {exc}" for idx, exc in failures[:4]
-        )
-        if len(failures) > 4:
-            summary += f", ... ({len(failures) - 4} more)"
-        super().__init__(
-            f"{what}: {len(failures)} of the batch's items failed: {summary}"
-        )
 
 
 class FatalError(ClientError):

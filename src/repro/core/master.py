@@ -164,7 +164,6 @@ class Master:
             node.endpoint, node.dram, base=rpc_base,
             buffer_size=_RPC_BUFFER_SIZE, name=f"{node.name}.rpc",
             grow_cb=lambda nbytes: carver.carve(nbytes, "rpc-grow"),
-            credits=True,
         )
         self._client_uids: Dict[str, int] = {}
         self._next_uid = 1

@@ -184,7 +184,6 @@ class MemoryServer:
             node.endpoint, node.dram, base=rpc_base,
             buffer_size=_RPC_BUFFER_SIZE, name=f"{node.name}.rpc",
             grow_cb=lambda nbytes: carver.carve(nbytes, "rpc-grow"),
-            credits=True,
         )
         self.rpc.register("promote", self._handle_promote)
         self.rpc.register("demote", self._handle_demote)

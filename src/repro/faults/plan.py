@@ -40,9 +40,6 @@ class ServerCrash:
     at_ns: int
     server_id: int
 
-    def shifted(self, delta: int) -> "ServerCrash":
-        return dataclasses.replace(self, at_ns=self.at_ns + delta)
-
 
 @dataclass(frozen=True)
 class ServerRecover:
@@ -55,9 +52,6 @@ class ServerRecover:
     server_id: int
     reconcile: bool = True
 
-    def shifted(self, delta: int) -> "ServerRecover":
-        return dataclasses.replace(self, at_ns=self.at_ns + delta)
-
 
 @dataclass(frozen=True)
 class MasterCrash:
@@ -69,9 +63,6 @@ class MasterCrash:
 
     at_ns: int
     shard: int = 0
-
-    def shifted(self, delta: int) -> "MasterCrash":
-        return dataclasses.replace(self, at_ns=self.at_ns + delta)
 
 
 @dataclass(frozen=True)
@@ -86,9 +77,6 @@ class MasterRecover:
     rebuild: bool = True
     shard: int = 0
 
-    def shifted(self, delta: int) -> "MasterRecover":
-        return dataclasses.replace(self, at_ns=self.at_ns + delta)
-
 
 @dataclass(frozen=True)
 class ClientCrash:
@@ -102,9 +90,6 @@ class ClientCrash:
     client: str
     tear_inflight: bool = False
 
-    def shifted(self, delta: int) -> "ClientCrash":
-        return dataclasses.replace(self, at_ns=self.at_ns + delta)
-
 
 @dataclass(frozen=True)
 class ClientRecover:
@@ -113,9 +98,6 @@ class ClientRecover:
 
     at_ns: int
     client: str
-
-    def shifted(self, delta: int) -> "ClientRecover":
-        return dataclasses.replace(self, at_ns=self.at_ns + delta)
 
 
 @dataclass(frozen=True)
@@ -127,9 +109,6 @@ class RingStall:
     at_ns: int
     duration_ns: int
     server_id: int
-
-    def shifted(self, delta: int) -> "RingStall":
-        return dataclasses.replace(self, at_ns=self.at_ns + delta)
 
 
 # ----------------------------------------------------------------------
@@ -149,10 +128,6 @@ class LossyLink:
     src: Optional[str] = None
     dst: Optional[str] = None
 
-    def shifted(self, delta: int) -> "LossyLink":
-        return dataclasses.replace(
-            self, start_ns=self.start_ns + delta, end_ns=self.end_ns + delta)
-
 
 @dataclass(frozen=True)
 class LatencySpike:
@@ -165,10 +140,6 @@ class LatencySpike:
     src: Optional[str] = None
     dst: Optional[str] = None
 
-    def shifted(self, delta: int) -> "LatencySpike":
-        return dataclasses.replace(
-            self, start_ns=self.start_ns + delta, end_ns=self.end_ns + delta)
-
 
 @dataclass(frozen=True)
 class LinkFlap:
@@ -179,10 +150,6 @@ class LinkFlap:
     start_ns: int
     end_ns: int
     node: str
-
-    def shifted(self, delta: int) -> "LinkFlap":
-        return dataclasses.replace(
-            self, start_ns=self.start_ns + delta, end_ns=self.end_ns + delta)
 
 
 @dataclass(frozen=True)
@@ -197,10 +164,6 @@ class Partition:
     group_a: Tuple[str, ...]
     group_b: Tuple[str, ...]
 
-    def shifted(self, delta: int) -> "Partition":
-        return dataclasses.replace(
-            self, start_ns=self.start_ns + delta, end_ns=self.end_ns + delta)
-
 
 Fault = Union[ServerCrash, ServerRecover, RingStall,
               MasterCrash, MasterRecover, ClientCrash, ClientRecover,
@@ -209,6 +172,16 @@ Fault = Union[ServerCrash, ServerRecover, RingStall,
 _TIMED_TYPES = (ServerCrash, ServerRecover, RingStall,
                 MasterCrash, MasterRecover, ClientCrash, ClientRecover)
 _WINDOW_TYPES = (LossyLink, LatencySpike, LinkFlap, Partition)
+
+#: The absolute times a fault can carry (``duration_ns`` is relative).
+_TIME_FIELDS = ("at_ns", "start_ns", "end_ns")
+
+
+def _shifted(fault: Fault, delta: int) -> Fault:
+    """``fault`` with each of its absolute times moved by ``delta`` ns."""
+    return dataclasses.replace(fault, **{
+        name: getattr(fault, name) + delta
+        for name in _TIME_FIELDS if hasattr(fault, name)})
 
 
 @dataclass(frozen=True)
@@ -252,34 +225,6 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # Composed nemesis schedules (the Jepsen-style chaos building blocks)
     # ------------------------------------------------------------------
-    @classmethod
-    def partition_then_crash_master(cls, at_ns: int, *,
-                                    others: Tuple[str, ...],
-                                    master: str = "master",
-                                    partition_ns: int = 200_000,
-                                    crash_after_ns: int = 50_000,
-                                    recover_after_heal_ns: int = 50_000,
-                                    rebuild: bool = True) -> "FaultPlan":
-        """Partition the master away from ``others``, crash it while it is
-        still unreachable, heal, then restart it.
-
-        The nastiest control-plane sequence: clients first see a *partition*
-        (RPCs stall, the path is gone), which silently becomes a *crash*
-        (volatile state gone too) before the fabric heals — any client that
-        treated the partition verdict as "master dead, state intact" is
-        wrong, and any master restart that trusts pre-partition volatile
-        state is wrong.  Recovery lands after the heal so the journal is
-        reachable for the term claim.
-        """
-        heal = at_ns + partition_ns
-        return cls.of(
-            Partition(start_ns=at_ns, end_ns=heal,
-                      group_a=(master,), group_b=tuple(others)),
-            MasterCrash(at_ns=at_ns + crash_after_ns),
-            MasterRecover(at_ns=heal + recover_after_heal_ns,
-                          rebuild=rebuild),
-        )
-
     @classmethod
     def control_plane_split(cls, at_ns: int, *, clients: Tuple[str, ...],
                             master: str = "master",
@@ -350,7 +295,7 @@ class FaultPlan:
     def shifted(self, delta: int) -> "FaultPlan":
         """The same plan, every time moved by ``delta`` ns (e.g. to anchor a
         plan authored relative to zero at the end of a load phase)."""
-        return FaultPlan(faults=tuple(f.shifted(delta) for f in self.faults))
+        return FaultPlan(faults=tuple(_shifted(f, delta) for f in self.faults))
 
     def __len__(self) -> int:
         return len(self.faults)

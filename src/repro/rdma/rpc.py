@@ -16,8 +16,8 @@ occupancy pressure on the response side), and shrinks again after idle
 epochs.  Credit-based flow control rides the reply envelope's immediate
 data: the server piggybacks a receive-credit grant on every response, and
 clients block new sends at zero credits instead of silently overrunning the
-ring.  Both are constructor opt-ins (``grow_cb``, ``credits``): a pool
-always wires them, a bare server without a DRAM carver runs fixed rings.
+ring.  A server's owner hands it a ``grow_cb`` that carves further DRAM
+(a :class:`~repro.core.layout.DramCarver` in every deployment and rig).
 """
 
 from __future__ import annotations
@@ -78,20 +78,20 @@ def _encode(obj: Any, limit: int) -> bytes:
 
 
 class _BufferRing:
-    """A pool of fixed-size slots across one or more registered regions.
+    """An elastic pool of fixed-size slots across one or more registered
+    regions (the server side of every control connection).
 
-    Chunk 0 occupies the caller-provided window at ``base`` (the legacy
-    layout).  When a ``grow_cb`` is supplied the ring is *elastic*: growth
-    carves a new power-of-two chunk through the callback and registers it as
-    an additional MR; shrink retires the newest chunk once it has sat fully
+    Chunk 0 occupies the caller-provided window at ``base``.  Growth carves
+    a new power-of-two chunk through ``grow_cb`` and registers it as an
+    additional MR; shrink retires the newest chunk once it has sat fully
     idle past the idle epoch, deregistering its MR and parking the span for
-    reuse.  Without a ``grow_cb`` every elastic branch collapses to a pure
-    comparison and the ring behaves exactly like the historical fixed ring.
+    reuse.  ``max_slots`` bounds the growth (``max_slots == slots`` is a
+    fixed-depth ring).
     """
 
     def __init__(self, endpoint: RdmaEndpoint, device: "MemoryDevice", base: int,
                  slots: int, slot_size: int, name: str,
-                 grow_cb: Optional[Callable[[int], int]] = None,
+                 grow_cb: Callable[[int], int],
                  max_slots: int = DEFAULT_MAX_RING_SLOTS,
                  shrink_idle_ns: int = DEFAULT_SHRINK_IDLE_NS):
         self.sim = endpoint.sim
@@ -123,10 +123,6 @@ class _BufferRing:
         #: Optional TimeWeightedStat tracking capacity (set by the owner).
         self.capacity_stat = None
 
-    @property
-    def elastic(self) -> bool:
-        return self._grow_cb is not None
-
     def offset(self, slot: int) -> int:
         return self._slot_off[slot]
 
@@ -141,12 +137,11 @@ class _BufferRing:
     def acquire(self) -> Store:
         """The wait for a free slot, to be yielded.
 
-        Under occupancy pressure an elastic ring first doubles its capacity
-        so the caller never parks; a ring with free slots (or no grow_cb)
-        is just its free list.
+        Under occupancy pressure the ring first doubles its capacity so the
+        caller never parks; a ring with free slots (or at ``max_slots``) is
+        just its free list.
         """
-        if self._grow_cb is not None and not self.free._items \
-                and self.capacity < self._max_slots:
+        if not self.free._items and self.capacity < self._max_slots:
             self._grow()
         return self.free
 
@@ -164,8 +159,7 @@ class _BufferRing:
         """
         if needed > self._floor:
             self._floor = needed
-        while self.capacity < needed and self._grow_cb is not None \
-                and self.capacity < self._max_slots:
+        while self.capacity < needed and self.capacity < self._max_slots:
             self._grow()
 
     # -- internals --------------------------------------------------------
@@ -262,10 +256,10 @@ class _CreditGate:
         if self._waiters:
             self._wake()
 
-    def on_reply(self, grant: Optional[int]) -> None:
+    def on_reply(self, grant: int) -> None:
         """Account one completed call; adopt a changed server grant."""
         credit = 1
-        if grant is not None and grant != self.window:
+        if grant != self.window:
             credit += grant - self.window  # window moved; may be negative
             self.window = grant
         self.available += credit
@@ -289,10 +283,10 @@ class RpcServer:
     generator functions ``handler(request) -> (yield ...)`` when the handler
     itself needs simulated time (e.g. touching a memory device).
 
-    With a ``grow_cb`` the receive/response rings form an elastic shared
-    pool sized by the attached-QP count (see :class:`_BufferRing`); with
-    ``credits=True`` every reply's immediate data carries a receive-credit
-    grant for the calling client.
+    The receive/response rings form an elastic shared pool sized by the
+    attached-QP count, growing through ``grow_cb`` (see
+    :class:`_BufferRing`), and every reply's immediate data carries a
+    receive-credit grant for the calling client.
     """
 
     def __init__(
@@ -300,11 +294,10 @@ class RpcServer:
         endpoint: RdmaEndpoint,
         device: "MemoryDevice",
         base: int,
+        grow_cb: Callable[[int], int],
         num_buffers: int = DEFAULT_RING_SLOTS,
         buffer_size: int = DEFAULT_BUFFER_SIZE,
         name: str = "",
-        grow_cb: Optional[Callable[[int], int]] = None,
-        credits: bool = False,
         max_slots: int = DEFAULT_MAX_RING_SLOTS,
         shrink_idle_ns: int = DEFAULT_SHRINK_IDLE_NS,
     ):
@@ -321,7 +314,6 @@ class RpcServer:
                                       f"{self.name}.tx", grow_cb=grow_cb,
                                       max_slots=max_slots, shrink_idle_ns=shrink_idle_ns)
         self.buffer_size = buffer_size
-        self.credits = credits
         self._qps: List[QueuePair] = []
         self._peer_qps: Dict[str, QueuePair] = {}
         self._qp_state: Dict[QueuePair, str] = {}  # "live" | "parking" | "parked"
@@ -345,19 +337,18 @@ class RpcServer:
         """Start serving requests arriving on ``qp`` (one loop per client).
 
         ``peer`` names the remote for later :meth:`reclaim_peer` calls (the
-        lease/crash reclamation sweeps key on client names).  On an elastic
-        pool, attaching keeps capacity ahead of the QP count: each serve
-        loop holds at most one posted slot, so ``qps + 1`` slots guarantee
-        the slot-exhaustion wedge cannot occur by construction.
+        lease/crash reclamation sweeps key on client names).  Attaching
+        keeps capacity ahead of the QP count: each serve loop holds at most
+        one posted slot, so ``qps + 1`` slots guarantee the slot-exhaustion
+        wedge cannot occur by construction.
         """
         self._qps.append(qp)
         self._qp_state[qp] = "live"
         if peer is not None:
             self._peer_qps[peer] = qp
-        if self._recv_ring.elastic:
-            needed = len(self._qps) + 1
-            self._recv_ring.ensure_capacity(needed)
-            self._resp_ring.ensure_capacity(needed)
+        needed = len(self._qps) + 1
+        self._recv_ring.ensure_capacity(needed)
+        self._resp_ring.ensure_capacity(needed)
         self.sim.spawn(self._serve_loop(qp), name=f"{self.name}.loop")
 
     def reclaim_peer(self, peer: str) -> bool:
@@ -394,10 +385,8 @@ class RpcServer:
             "tx_outstanding": self._resp_ring.outstanding(),
         }
 
-    def _credit_grant(self) -> Optional[int]:
-        """Per-reply receive-credit grant (None keeps imm_data empty)."""
-        if not self.credits:
-            return None
+    def _credit_grant(self) -> int:
+        """Per-reply receive-credit grant."""
         grant = self._recv_ring.capacity // (len(self._qps) or 1)
         initial = self._recv_ring.initial_slots
         return grant if grant > initial else initial
@@ -475,10 +464,11 @@ class RpcClient:
     """Issues calls to one :class:`RpcServer` over a connected QP.
 
     Supports multiple outstanding calls; responses are demultiplexed by
-    request id so concurrent client processes can share one instance.  With
-    ``credits=True`` a call first takes a receive credit (granted back by
-    the server on every reply) and parks at zero instead of overrunning the
-    server's pool.
+    request id so concurrent client processes can share one instance.  A
+    call first takes a receive credit (granted back by the server on every
+    reply) and parks at zero instead of overrunning the server's pool.  The
+    client's own buffers are two fixed windows of ``num_buffers`` slots at
+    ``base``: the credit window bounds what it ever has in flight.
     """
 
     def __init__(
@@ -490,7 +480,6 @@ class RpcClient:
         num_buffers: int = DEFAULT_RING_SLOTS,
         buffer_size: int = DEFAULT_BUFFER_SIZE,
         name: str = "",
-        credits: bool = False,
     ):
         self.sim = endpoint.sim
         self.endpoint = endpoint
@@ -498,20 +487,29 @@ class RpcClient:
         self.name = name or f"{endpoint.name}.rpcc"
         self.buffer_size = buffer_size
         span = num_buffers * buffer_size
-        self._recv_ring = _BufferRing(endpoint, device, base, num_buffers, buffer_size, f"{self.name}.rx")
-        self._send_ring = _BufferRing(endpoint, device, base + span, num_buffers, buffer_size, f"{self.name}.tx")
-        self._credits = _CreditGate(self.sim, num_buffers, f"{self.name}.credit") \
-            if credits else None
+        self._recv_mr, self._recv_free = self._window(
+            device, base, num_buffers, f"{self.name}.rx")
+        self._send_mr, self._send_free = self._window(
+            device, base + span, num_buffers, f"{self.name}.tx")
+        self._credits = _CreditGate(self.sim, num_buffers, f"{self.name}.credit")
         self._pending: Dict[int, Event] = {}
         self._demux_running = False
         # Precomputed: every call creates one reply event.
         self._reply_event_name = f"{self.name}.req"
 
-    def credit_stats(self) -> Optional[dict]:
-        """Flow-control snapshot, or None when credits are off."""
+    def _window(self, device: "MemoryDevice", base: int, slots: int,
+                name: str) -> tuple:
+        """Register ``slots`` buffers at ``base``; (MR, free-slot store)."""
+        mr = self.endpoint.register_mr(device, base, slots * self.buffer_size,
+                                       access=AccessFlags.ALL, name=name)
+        free = Store(self.sim, name=f"{name}.free")
+        for i in range(slots):
+            free.put(i)
+        return mr, free
+
+    def credit_stats(self) -> dict:
+        """Flow-control snapshot."""
         gate = self._credits
-        if gate is None:
-            return None
         return {"window": gate.window, "available": gate.available,
                 "stalls": gate.stalls, "waiters": len(gate._waiters)}
 
@@ -527,15 +525,14 @@ class RpcClient:
         # Admission: take a receive credit first, parking at zero (pure
         # decrement while credits are available).
         gate = self._credits
-        if gate is not None:
-            stall = gate.take()
-            if stall is not None:
-                yield stall
+        stall = gate.take()
+        if stall is not None:
+            yield stall
 
         # Post a reply buffer *before* sending, so the response can never
         # find the receive queue empty.
-        recv_slot = yield self._recv_ring.free
-        self.qp.post_recv(self._recv_ring.mr, self._recv_ring.offset(recv_slot),
+        recv_slot = yield self._recv_free
+        self.qp.post_recv(self._recv_mr, recv_slot * self.buffer_size,
                           self.buffer_size, wr_id=recv_slot)
 
         reply_event = self.sim.event(name=self._reply_event_name)
@@ -544,29 +541,28 @@ class RpcClient:
             self._demux_running = True
             self.sim.spawn(self._demux_loop(), name=f"{self.name}.demux")
 
-        send_slot = yield self._send_ring.free
-        offset = self._send_ring.offset(send_slot)
-        self._send_ring.mr.poke(offset, payload)
+        send_slot = yield self._send_free
+        offset = send_slot * self.buffer_size
+        self._send_mr.poke(offset, payload)
         wr = WorkRequest(
             opcode=Opcode.SEND,
-            local_mr=self._send_ring.mr,
+            local_mr=self._send_mr,
             local_offset=offset,
             length=len(payload),
         )
         send_wc = yield self.qp.post_send(wr)
-        self._send_ring.free.put(send_slot)
+        self._send_free.put(send_slot)
         if not send_wc.ok:
             self._pending.pop(req_id, None)
             # Flush the reply buffer posted for this call (QP error-state
             # recv flush): the dead peer can never consume it, and leaking
             # one slot per failed call would wedge every later call on
             # this client once the ring runs dry.
-            if self.qp.cancel_recv(recv_slot, self._recv_ring.mr):
-                self._recv_ring.free.put(recv_slot)
+            if self.qp.cancel_recv(recv_slot, self._recv_mr):
+                self._recv_free.put(recv_slot)
             # Likewise hand the credit back: the server never saw the send,
             # so no reply will ever return it.
-            if gate is not None:
-                gate.refund()
+            gate.refund()
             raise RpcError(f"rpc transport failed: {send_wc.status.value}")
 
         status, result = yield reply_event
@@ -578,11 +574,9 @@ class RpcClient:
         completions = self.qp.recv_cq.next_event()
         while True:
             wc = yield completions
-            raw = self._recv_ring.mr.peek(wc.recv_offset, wc.byte_len)
-            self._recv_ring.free.put(wc.wr_id)
-            gate = self._credits
-            if gate is not None:
-                gate.on_reply(wc.imm_data)
+            raw = self._recv_mr.peek(wc.recv_offset, wc.byte_len)
+            self._recv_free.put(wc.wr_id)
+            self._credits.on_reply(wc.imm_data)
             req_id, reply = pickle.loads(raw)
             waiter = self._pending.pop(req_id, None)
             if waiter is not None and not waiter.triggered:

@@ -83,17 +83,6 @@ class WorkRequest:
             self.length = len(self.inline_data)
 
     @property
-    def is_one_sided(self) -> bool:
-        """True for verbs that bypass the target CPU entirely."""
-        return self.opcode in (
-            Opcode.RDMA_READ,
-            Opcode.RDMA_WRITE,
-            Opcode.RDMA_WRITE_IMM,
-            Opcode.ATOMIC_CAS,
-            Opcode.ATOMIC_FAA,
-        )
-
-    @property
     def is_atomic(self) -> bool:
         return self.opcode in (Opcode.ATOMIC_CAS, Opcode.ATOMIC_FAA)
 

@@ -6,10 +6,10 @@ from collections import Counter
 import pytest
 
 from repro.apps.mapreduce import (
+    JobSpec,
     MapReduceEngine,
     MapReduceError,
     distributed_sort,
-    grep_job,
     wordcount_job,
 )
 from repro.workloads.corpus import CorpusGenerator
@@ -64,13 +64,23 @@ def test_wordcount_matches_across_systems():
 
 
 def test_grep_counts_only_matches():
+    """A caller-defined job: a filtering map over two reducers."""
     sim, system = boot(num_servers=1, num_clients=1)
     chunks = [b"aba bab zzz aba", b"zzz aba qqq"]
     engine = MapReduceEngine(system.clients)
 
+    def grep_ab(chunk):
+        counts = {}
+        for word in chunk.decode().split():
+            if "ab" in word:
+                counts[word] = counts.get(word, 0) + 1
+        return counts
+
+    grep = JobSpec(name="grep:ab", map_fn=grep_ab, reduce_fn=sum, num_reducers=2)
+
     def job(sim):
         addrs = yield from engine.ingest(system.clients[0], chunks)
-        result = yield from engine.run(grep_job("ab"), addrs, [len(c) for c in chunks])
+        result = yield from engine.run(grep, addrs, [len(c) for c in chunks])
         return result
 
     (result,) = system.run(job(sim))

@@ -52,7 +52,14 @@ def test_batched_reads_overlap_in_time():
     assert batched < sequential * 0.7
 
 
-def test_gwrite_many_all_writes_land():
+def _concurrent_writes(client, writes):
+    """Process helper: one gwrite process per ``(gaddr, data)``, all in
+    flight at once; returns when every one has completed."""
+    sim = client.sim
+    yield sim.all_of([sim.spawn(client.gwrite(g, data)) for g, data in writes])
+
+
+def test_concurrent_writes_past_ring_depth_all_land():
     sim, pool = build_pool(num_servers=1, num_clients=1,
                            config=fast_config(proxy_ring_slots=4))
     client = pool.clients[0]
@@ -62,8 +69,8 @@ def test_gwrite_many_all_writes_land():
         addrs = []
         for _ in range(n):
             addrs.append((yield from client.gmalloc(512)))
-        yield from client.gwrite_many(
-            [(g, bytes([i]) * 512) for i, g in enumerate(addrs)]
+        yield from _concurrent_writes(
+            client, [(g, bytes([i]) * 512) for i, g in enumerate(addrs)]
         )
         yield from client.gsync()
         values = yield from client.gread_many(addrs)
@@ -83,8 +90,8 @@ def test_concurrent_proxy_writes_use_distinct_ring_slots():
         addrs = []
         for _ in range(8):
             addrs.append((yield from client.gmalloc(256)))
-        yield from client.gwrite_many(
-            [(g, bytes([i + 1]) * 256) for i, g in enumerate(addrs)]
+        yield from _concurrent_writes(
+            client, [(g, bytes([i + 1]) * 256) for i, g in enumerate(addrs)]
         )
         yield from client.gsync()
         out = yield from client.gread_many(addrs)

@@ -1,11 +1,9 @@
-"""Hot-path read pipelining: doorbell batching, async ops, prefetch,
-read combining, and the consistency contract under out-of-order completion.
+"""Hot-path read pipelining: doorbell batching, prefetch, read combining,
+and the consistency contract under out-of-order completion.
 """
 
 import pytest
 
-from repro.core import BatchError, FatalError
-from repro.core import client as client_module
 from repro.core.hotness import AccessPredictor
 
 from tests.core.conftest import build_pool, fast_config
@@ -95,112 +93,20 @@ def test_gread_many_observes_overlay_and_partial_overlap():
 
 
 # ----------------------------------------------------------------------
-# gwrite_many aggregate error contract
+# Out-of-order write completions
 # ----------------------------------------------------------------------
-def test_gwrite_many_success_path():
-    sim, pool = build_pool(num_servers=2, num_clients=1)
-    client = pool.clients[0]
-
-    def app(sim):
-        addrs = yield from _load_objects(client, 4)
-        yield from client.gwrite_many(
-            [(g, bytes([0x40 + i]) * 128) for i, g in enumerate(addrs)])
-        yield from client.gsync()
-        values = yield from client.gread_many(addrs)
-        return values
-
-    (values,) = pool.run(app(sim))
-    assert values == [bytes([0x40 + i]) * 128 for i in range(4)]
-
-
-def test_gwrite_many_collects_failures_with_indices():
-    """Failures no longer mask siblings: every item is attempted, and the
-    BatchError names exactly the failed indices (argument order)."""
-    sim, pool = build_pool(num_servers=1, num_clients=1)
-    client = pool.clients[0]
-
-    def app(sim):
-        addrs = yield from _load_objects(client, 4, size=128)
-        writes = [
-            (addrs[0], b"\x01" * 128),
-            (addrs[1], b"\x02" * 256),   # out of bounds -> FatalError
-            (addrs[2], b"\x03" * 128),
-            (addrs[3], b"\x04" * 999),   # out of bounds -> FatalError
-        ]
-        try:
-            yield from client.gwrite_many(writes)
-        except BatchError as exc:
-            err = exc
-        else:
-            err = None
-        yield from client.gsync()
-        good = yield from client.gread_many([addrs[0], addrs[2]])
-        return err, good
-
-    ((err, good),) = pool.run(app(sim))
-    assert err is not None
-    assert [idx for idx, _e in err.failures] == [1, 3]
-    assert all(isinstance(e, FatalError) for _i, e in err.failures)
-    assert "2 of the batch's items failed" in str(err)
-    # The non-failing writes landed despite their failed siblings.
-    assert good == [b"\x01" * 128, b"\x03" * 128]
-
-
-# ----------------------------------------------------------------------
-# Async ops + the outstanding-op window
-# ----------------------------------------------------------------------
-def test_async_window_bounds_concurrency(monkeypatch):
-    monkeypatch.setattr(client_module, "MAX_OUTSTANDING_READS", 2)
-    sim, pool = build_pool(num_servers=1, num_clients=1)
-    client = pool.clients[0]
-
-    def app(sim):
-        addrs = yield from _load_objects(client, 8)
-        futs = [client.gread_async(g) for g in addrs]
-        values = []
-        for fut in futs:
-            v = yield from fut.wait()
-            values.append(v)
-        return values
-
-    (values,) = pool.run(app(sim))
-    assert values == [bytes([i % 251]) * 128 for i in range(8)]
-    assert 1 <= client._async_peak <= 2
-
-
-def test_async_futures_poll_and_result():
-    sim, pool = build_pool(num_servers=1, num_clients=1)
-    client = pool.clients[0]
-
-    def app(sim):
-        (g,) = yield from _load_objects(client, 1)
-        fut = client.gwrite_async(g, b"\x77" * 128)
-        with pytest.raises(FatalError):
-            fut.result()  # not done yet
-        yield from fut.wait()
-        assert fut.done and fut.result() is None
-        rfut = client.gread_async(g)
-        data = yield from rfut.wait()
-        assert rfut.done
-        return data
-
-    (data,) = pool.run(app(sim))
-    assert data == b"\x77" * 128
-
-
 def test_async_completions_respect_gsync_consistency():
-    """The ordering contract under out-of-order completion: once async
-    writes are acknowledged (futures done) and gsync'd, a lock-protected
-    read — from a *different* client — observes every one of them."""
+    """The ordering contract under out-of-order completion: once writes
+    issued as concurrent processes are acknowledged (every process done)
+    and gsync'd, a lock-protected read — from a *different* client —
+    observes every one of them."""
     sim, pool = build_pool(num_servers=2, num_clients=2)
     writer, reader = pool.clients
 
     def wapp(sim, addrs):
-        futs = [client_fut for client_fut in
-                (writer.gwrite_async(g, bytes([0x90 + i]) * 128)
-                 for i, g in enumerate(addrs))]
-        for fut in futs:
-            yield from fut.wait()  # acknowledged
+        procs = [sim.spawn(writer.gwrite(g, bytes([0x90 + i]) * 128))
+                 for i, g in enumerate(addrs)]
+        yield sim.all_of(procs)  # acknowledged
         yield from writer.gsync()  # drained to the servers
 
     def rapp(sim, addrs):

@@ -67,6 +67,33 @@ def test_shifted_moves_every_fault_and_preserves_the_original():
     assert plan.timed[0].at_ns == 10  # plans are immutable
 
 
+def test_shifted_moves_the_times_of_all_eleven_fault_types():
+    """Every absolute time moves by the delta; every other field — a
+    stall's relative ``duration_ns`` included — is carried over as is."""
+    faults = (
+        ServerCrash(at_ns=1, server_id=2),
+        ServerRecover(at_ns=2, server_id=2, reconcile=False),
+        MasterCrash(at_ns=3, shard=1),
+        MasterRecover(at_ns=4, rebuild=False, shard=1),
+        ClientCrash(at_ns=5, client="client0", tear_inflight=True),
+        ClientRecover(at_ns=6, client="client0"),
+        RingStall(at_ns=7, duration_ns=70, server_id=1),
+        LossyLink(start_ns=8, end_ns=80, drop_prob=0.5, src="a", dst="b"),
+        LatencySpike(start_ns=9, end_ns=90, extra_ns=900, src="a"),
+        LinkFlap(start_ns=10, end_ns=100, node="server0"),
+        Partition(start_ns=11, end_ns=110, group_a=("a",), group_b=("b",)),
+    )
+    assert len({type(f) for f in faults}) == 11
+    moved = FaultPlan.of(*faults).shifted(1_000)
+    for before, after in zip(faults, moved.faults):
+        assert type(after) is type(before)
+        for name, value in vars(before).items():
+            if name in ("at_ns", "start_ns", "end_ns"):
+                assert getattr(after, name) == value + 1_000, (before, name)
+            else:
+                assert getattr(after, name) == value, (before, name)
+
+
 def test_plans_compare_by_value():
     a = FaultPlan.of(ServerCrash(at_ns=1, server_id=0))
     b = FaultPlan.of(ServerCrash(at_ns=1, server_id=0))

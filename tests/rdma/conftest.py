@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.core.layout import DramCarver
 from repro.hardware.memory import MemoryDevice
 from repro.hardware.network import Fabric
 from repro.hardware.nic import Nic
 from repro.hardware.specs import CONNECTX5_NIC, LinkSpec, MemorySpec
-from repro.rdma import RdmaEndpoint, connect
+from repro.rdma import RdmaEndpoint, RpcServer, connect
 from repro.sim import Simulator
 
 
@@ -34,6 +35,15 @@ class Rig:
         self.ep_a = RdmaEndpoint(self.sim, "a", Nic(self.sim, CONNECTX5_NIC, "a.nic"), self.fabric)
         self.ep_b = RdmaEndpoint(self.sim, "b", Nic(self.sim, CONNECTX5_NIC, "b.nic"), self.fabric)
         self.qp_a, self.qp_b = connect(self.ep_a, self.ep_b)
+
+    def rpc_server(self, num_buffers, buffer_size, **kwargs):
+        """An RPC server on ``b`` whose rings, and their growth, are carved
+        from b's DRAM, as a pool server's are."""
+        carver = DramCarver(self.mem_b)
+        return RpcServer(self.ep_b, self.mem_b,
+                         base=carver.carve(2 * num_buffers * buffer_size),
+                         grow_cb=carver.carve, num_buffers=num_buffers,
+                         buffer_size=buffer_size, **kwargs)
 
     def run(self, gen):
         """Spawn a process, run to completion, return its value."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.rdma import Opcode, QpError, RpcClient, RpcError, RpcServer, WcStatus, WorkRequest, connect
+from repro.rdma import Opcode, QpError, RpcClient, RpcError, WcStatus, WorkRequest, connect
 from repro.rdma.mr import AccessFlags
 
 
@@ -108,7 +108,7 @@ def test_atomic_wrong_length_rejected(rig):
 # RPC
 # ---------------------------------------------------------------------------
 def build_rpc(rig):
-    server = RpcServer(rig.ep_b, rig.mem_b, base=0, num_buffers=8, buffer_size=2048)
+    server = rig.rpc_server(num_buffers=8, buffer_size=2048)
     server.serve(rig.qp_b)
     client = RpcClient(rig.ep_a, rig.qp_a, rig.mem_a, base=0, num_buffers=8, buffer_size=2048)
     return server, client

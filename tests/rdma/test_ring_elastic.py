@@ -117,7 +117,7 @@ def test_credit_gate_blocks_at_zero_and_wakes_fifo(rig):
     assert gate.stalls == 2
     gate.refund()  # a failed send hands its credit back: FIFO waiter wakes
     assert first.triggered and not second.triggered
-    gate.on_reply(None)  # a reply returns one credit
+    gate.on_reply(2)  # a reply returns one credit (window unchanged)
     assert second.triggered
     assert gate.available == 0 and not gate._waiters
 
@@ -163,8 +163,8 @@ def test_server_pool_grows_with_attached_qps(rig):
 
 
 def test_zero_credit_backpressure_bounds_outstanding(rig):
-    server = RpcServer(rig.ep_b, rig.mem_b, base=0, num_buffers=4,
-                       buffer_size=512, credits=True)
+    # A fixed-depth pool: the window under test is exactly four slots.
+    server = rig.rpc_server(num_buffers=4, buffer_size=512, max_slots=4)
     inflight = {"now": 0, "max": 0}
 
     def slow(req):
@@ -177,7 +177,7 @@ def test_zero_credit_backpressure_bounds_outstanding(rig):
     server.register("slow", slow)
     server.serve(rig.qp_b, peer="c0")
     client = RpcClient(rig.ep_a, rig.qp_a, rig.mem_a, base=0, num_buffers=4,
-                       buffer_size=512, credits=True)
+                       buffer_size=512)
     results = []
 
     def caller(i):
@@ -197,12 +197,11 @@ def test_zero_credit_backpressure_bounds_outstanding(rig):
 
 
 def test_reclaim_parks_loop_and_reattach_resumes(rig):
-    server = RpcServer(rig.ep_b, rig.mem_b, base=0, num_buffers=4,
-                       buffer_size=512, credits=True)
+    server = rig.rpc_server(num_buffers=4, buffer_size=512)
     server.register("echo", lambda req: req)
     server.serve(rig.qp_b, peer="c0")
     client = RpcClient(rig.ep_a, rig.qp_a, rig.mem_a, base=0, num_buffers=4,
-                       buffer_size=512, credits=True)
+                       buffer_size=512)
 
     def proc(sim):
         assert (yield from client.call("echo", 1)) == 1
