@@ -286,7 +286,7 @@ def bench_scaleout_clients(client_counts=(16, 32, 64, 128),
     Every client attaches a control QP to every master shard and every
     server, so the binding resource is the servers' RPC receive pools.
     Each elastic shared receive pool grows in powers of two as clients
-    attach and credit-based flow control bounds each client's outstanding
+    attach and each client's receive window bounds its outstanding
     requests, so the sweep completes at every point (a fixed 16-slot ring
     wedged at >=16 clients; ``tests/rdma/test_ring_elastic.py`` pins the
     fix).

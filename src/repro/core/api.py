@@ -163,7 +163,7 @@ class GengarPool:
             m.shard_map = dict(shard_map)
             for sid, server in servers.items():
                 qp_m, qp_s = connect(m.node.endpoint, server.node.endpoint)
-                server.serve_control(qp_s, peer=m.node.name)
+                server.serve_control(qp_s)
                 rpc = _control_client(m.node, qp_m, m.carve_rpc_span(),
                                       f"{m.node.name}->server{sid}")
                 m.add_server(server.descriptor(), rpc,
@@ -174,7 +174,7 @@ class GengarPool:
         # aggregation: demand stats out, budgets back).
         for m in masters[1:]:
             qp_0, qp_k = connect(master_node.endpoint, m.node.endpoint)
-            m.serve_control(qp_k, peer=master_node.name)
+            m.serve_control(qp_k)
             rpc = _control_client(master_node, qp_0, master.carve_rpc_span(),
                                   f"master->{m.node.name}")
             master.add_peer_shard(m.shard_id, rpc)
@@ -191,7 +191,7 @@ class GengarPool:
             standby.shard_map = dict(shard_map)
             for sid, server in servers.items():
                 qp_m, qp_s = connect(standby_node.endpoint, server.node.endpoint)
-                server.serve_control(qp_s, peer=standby_node.name)
+                server.serve_control(qp_s)
                 rpc = _control_client(standby_node, qp_m,
                                       standby.carve_rpc_span(),
                                       f"master1->server{sid}")
@@ -210,7 +210,7 @@ class GengarPool:
             client = GengarClient(client_node, config, name=f"client{cid}")
             for m in masters:
                 qp_c, qp_m = connect(client_node.endpoint, m.node.endpoint)
-                m.serve_control(qp_m, peer=client.name)
+                m.serve_control(qp_m)
                 client.add_master_conn(_control_client(
                     client_node, qp_c,
                     client.carve_dram(_RPC_SPAN, f"rpc.{m.node.name}"),
@@ -218,14 +218,14 @@ class GengarPool:
             if standby is not None:
                 qp_c2, qp_m2 = connect(client_node.endpoint,
                                        standby.node.endpoint)
-                standby.serve_control(qp_m2, peer=client.name)
+                standby.serve_control(qp_m2)
                 client.add_master_conn(_control_client(
                     client_node, qp_c2,
                     client.carve_dram(_RPC_SPAN, "rpc.master1"),
                     f"{client.name}->master1"))
             for sid, server in servers.items():
                 ctrl_c, ctrl_s = connect(client_node.endpoint, server.node.endpoint)
-                server.serve_control(ctrl_s, peer=client.name)
+                server.serve_control(ctrl_s)
                 server_rpc = _control_client(
                     client_node, ctrl_c,
                     client.carve_dram(_RPC_SPAN, f"rpc.server{sid}"),

@@ -30,6 +30,7 @@ from repro.core.protocol import (
     JOURNAL_OP_FENCE,
     JOURNAL_OP_FREE,
     JOURNAL_OP_TERM,
+    JOURNAL_PAGE_RECORDS,
     ObjectMeta,
     ServerDescriptor,
     proxy_payload_capacity,
@@ -289,13 +290,9 @@ class Master:
         """Wire shard 0's control connection to a peer shard (aggregation)."""
         self._peer_shards[shard_id] = rpc_client
 
-    def serve_control(self, qp: "QueuePair", peer: Optional[str] = None) -> None:
-        """Start serving a client's control connection.
-
-        ``peer`` (the client's node name) enables slot reclamation when the
-        lease sweep later fences that client.
-        """
-        self.rpc.serve(qp, peer=peer)
+    def serve_control(self, qp: "QueuePair") -> None:
+        """Start serving a client's control connection."""
+        self.rpc.serve(qp)
 
     def _corack_servers(self, client_name: str) -> list:
         """Server ids sharing the client's rack ([] on a flat fabric)."""
@@ -1044,10 +1041,6 @@ class Master:
                     "retire_ring", {"client": name})
             except RpcError:
                 pass  # dead server: its DRAM (and the ring) are gone anyway
-        # The fenced client's posted control-RPC slot goes back to this
-        # master's shared receive pool (servers reclaim theirs inside
-        # retire_ring); the serve loop re-arms only on a re-attach.
-        self.rpc.reclaim_peer(name)
         self.lock_recoveries.add(recovered)
         rec = self.sim.spans
         if rec is not None:
@@ -1232,7 +1225,7 @@ class Master:
         self._journal_term_max = 0
         for sid in sorted(self._servers):
             handle = self._servers[sid]
-            records = yield from handle.rpc.call("journal_read", {})
+            records = yield from self._journal_records(handle)
             live_locks = set()
             freed: List[Tuple[int, int]] = []
             for rec in records:
@@ -1295,6 +1288,32 @@ class Master:
             if not self._recovering:
                 self._kick_scrubber(handle)
         return len(self.directory)
+
+    @staticmethod
+    def _journal_records(handle: "_ServerHandle") -> Generator[Any, Any, list]:
+        """Every record of one server's journal, a ``journal_read`` page at
+        a time; a short page is the last.  The first page's request is
+        ``{}``, so a journal that fits one page costs one plain call."""
+        records: list = []
+        while True:
+            page = yield from handle.rpc.call(
+                "journal_read", {"start": len(records)} if records else {})
+            records += page
+            if len(page) < JOURNAL_PAGE_RECORDS:
+                return records
+
+    def _scan_journal_terms(self) -> Generator[Any, Any, None]:
+        """Raise ``_journal_term_max`` to every TERM record a reachable
+        server has journaled."""
+        for sid in sorted(self._servers):
+            try:
+                records = yield from self._journal_records(self._servers[sid])
+            except RpcError:
+                continue
+            for rec in records:
+                if rec["op"] == JOURNAL_OP_TERM:
+                    self._journal_term_max = max(self._journal_term_max,
+                                                 rec["gaddr"])
 
     # ------------------------------------------------------------------
     # Resharding (admin handover, driven by GengarPool.reshard)
@@ -1487,16 +1506,7 @@ class Master:
         """
         if scan:
             # No rebuild ran: still honour journaled terms before claiming.
-            for sid in sorted(self._servers):
-                try:
-                    records = yield from self._servers[sid].rpc.call(
-                        "journal_read", {})
-                except RpcError:
-                    continue
-                for rec in records:
-                    if rec["op"] == JOURNAL_OP_TERM:
-                        self._journal_term_max = max(self._journal_term_max,
-                                                     rec["gaddr"])
+            yield from self._scan_journal_terms()
         retry_wait = max(1, self.config.client_lease_ns // 4) \
             if self.config.client_lease_ns else 25_000
         while True:
@@ -1528,16 +1538,7 @@ class Master:
                 # A rival claimed concurrently; its TERM record is in the
                 # journal now — re-read and go strictly above it.
                 self._journal_term_max = self.term
-                for sid in sorted(self._servers):
-                    try:
-                        records = yield from self._servers[sid].rpc.call(
-                            "journal_read", {})
-                    except RpcError:
-                        continue
-                    for rec in records:
-                        if rec["op"] == JOURNAL_OP_TERM:
-                            self._journal_term_max = max(
-                                self._journal_term_max, rec["gaddr"])
+                yield from self._scan_journal_terms()
                 continue
             spans = self.sim.spans
             if pending and spans is not None:
@@ -1609,11 +1610,6 @@ class Master:
                     "retire_rings_except", {"known": survivors})
             except RpcError:
                 continue  # dead server: its DRAM (and the rings) are gone
-        # Orphans' posted RPC slots return to this master's shared pool
-        # too — on a restarted master _peer_qps is empty, so this is a
-        # no-op there (the old QPs died with the process).
-        for name in sorted(set(retired)):
-            self.rpc.reclaim_peer(name)
         self.lock_recoveries.add(recovered)
         rec = self.sim.spans
         if rec is not None:

@@ -110,6 +110,10 @@ JOURNAL_OP_TERM = 3
 JOURNAL_OP_FENCE = 4
 #: Bytes reserved at the journal base for the record-count header word.
 JOURNAL_HEADER_BYTES = 64
+#: Records per ``journal_read`` reply: a page of records with every field at
+#: its widest still pickles under the 4 KiB RPC buffer.  A shorter page is
+#: the journal's last.
+JOURNAL_PAGE_RECORDS = 64
 
 
 def pack_journal_record(op: int, lock_idx: int, gaddr: int, size: int,

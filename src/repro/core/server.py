@@ -31,6 +31,7 @@ from repro.core.protocol import (
     CACHE_TAG_BYTES,
     JOURNAL_HEADER_BYTES,
     JOURNAL_OP_TERM,
+    JOURNAL_PAGE_RECORDS,
     JOURNAL_RECORD_BYTES,
     PROXY_COMMIT_BYTES,
     PROXY_HEADER_BYTES,
@@ -331,13 +332,9 @@ class MemoryServer:
             lock_rkey=self.lock_mr.rkey,
         )
 
-    def serve_control(self, qp: "QueuePair", peer: Optional[str] = None) -> None:
-        """Start serving RPC on a control connection (master or client).
-
-        ``peer`` (the remote's node name) enables slot reclamation for that
-        connection when the peer is later fenced or crashes.
-        """
-        self.rpc.serve(qp, peer=peer)
+    def serve_control(self, qp: "QueuePair") -> None:
+        """Start serving RPC on a control connection (master or client)."""
+        self.rpc.serve(qp)
 
     # ------------------------------------------------------------------
     # RPC handlers (invoked by the master / clients)
@@ -530,7 +527,8 @@ class MemoryServer:
         return self._journal_count
 
     def _handle_journal_read(self, request: dict) -> Generator[Any, Any, list]:
-        """Read the whole journal back (recovery).  Returns decoded records.
+        """Read one page of the journal back (recovery): the decoded records
+        from index ``start`` (default 0) on, at most ``JOURNAL_PAGE_RECORDS``.
 
         Reads the persisted count header rather than trusting volatile
         state, so it works on a freshly restarted server process.
@@ -540,14 +538,17 @@ class MemoryServer:
         raw_count = yield from self.data_device.read(self.journal_base, 8)
         count = int.from_bytes(raw_count, "little")
         self._journal_count = count
-        if count == 0:
+        start = request.get("start", 0)
+        n = min(count - start, JOURNAL_PAGE_RECORDS)
+        if n <= 0:
             return []
         raw = yield from self.data_device.read(
-            self.journal_base + JOURNAL_HEADER_BYTES,
-            count * JOURNAL_RECORD_BYTES,
+            self.journal_base + JOURNAL_HEADER_BYTES
+            + start * JOURNAL_RECORD_BYTES,
+            n * JOURNAL_RECORD_BYTES,
         )
         records = []
-        for i in range(count):
+        for i in range(n):
             op, lock_idx, gaddr, size, req_id = unpack_journal_record(
                 raw[i * JOURNAL_RECORD_BYTES:(i + 1) * JOURNAL_RECORD_BYTES]
             )
@@ -834,9 +835,6 @@ class MemoryServer:
             qp.recv_cq.push(WorkCompletion(
                 wr_id=0, opcode=Opcode.RECV, context={"poison": True},
             ))
-        # Return the dead client's posted RPC receive slot to the shared
-        # pool; its serve loop re-arms only when the client re-attaches.
-        self.rpc.reclaim_peer(client_name)
         rec = self.sim.spans
         if rec is not None:
             rec.event(self.node.name, "lease", "proxy ring retired",

@@ -127,16 +127,6 @@ class QueuePair:
                 return self._recv_queue.remove(desc)
         return False
 
-    def recv_demand(self):
-        """Event firing when a sender is (or becomes) parked waiting for
-        this QP to post a receive buffer.
-
-        The elastic RPC layer uses this to re-arm a reclaimed QP lazily: a
-        serve loop parked by :meth:`RpcServer.reclaim_peer` holds no pool
-        slot until actual demand — a re-attach over the same QP — arrives.
-        """
-        return self._recv_queue.demand()
-
     def _validate_send(self, wr: WorkRequest) -> None:
         if wr.opcode is Opcode.RECV:
             raise QpError("post RECV via post_recv()")

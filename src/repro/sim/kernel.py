@@ -290,8 +290,6 @@ class Process(Event):
                 if not target._items:
                     target._queue.append(self)
                     self._slot = target
-                    if target._demand_waiters:
-                        target._getter_parked()
                     return
                 value = target._items.popleft()
                 if inline and not sim._entries.__length_hint__():

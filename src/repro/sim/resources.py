@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Deque, Generator, Optional
+from typing import TYPE_CHECKING, Any, Deque, Generator
 
 from repro.sim.primitives import Event
 
@@ -113,9 +113,6 @@ class Store:
         self._items: Deque[Any] = deque()
         #: Parked processes, oldest first (``repro.sim.kernel`` appends).
         self._queue: Deque[Any] = deque()
-        # Demand watchers (see :meth:`demand`); None until first used so a
-        # process parking here pays a single falsy check.
-        self._demand_waiters: Optional[list] = None
 
     def __len__(self) -> int:
         return len(self._items)
@@ -142,29 +139,6 @@ class Store:
     def get(self) -> "Store":
         """The wait for the oldest item, to be yielded: the store itself."""
         return self
-
-    def demand(self) -> Event:
-        """Event firing when a getter parks on the empty store — i.e. the
-        moment someone is actually *waiting* for an item (immediately, if
-        one already is).  Lets a producer that deliberately idles (e.g. a
-        parked RPC serve loop whose peer crashed) wake only on real demand
-        instead of polling or holding resources."""
-        ev = Event(self.sim, name=f"demand({self.name})")
-        if self._queue:
-            ev.succeed(None)
-        else:
-            if self._demand_waiters is None:
-                self._demand_waiters = []
-            self._demand_waiters.append(ev)
-        return ev
-
-    def _getter_parked(self) -> None:
-        """Kernel hook: a process has just parked here while :meth:`demand`
-        events were waiting for exactly that."""
-        waiters, self._demand_waiters = self._demand_waiters, None
-        for w in waiters:
-            if not w.triggered:
-                w.succeed(None)
 
     def try_get(self) -> tuple[bool, Any]:
         """Non-blocking take: ``(True, item)`` or ``(False, None)``."""

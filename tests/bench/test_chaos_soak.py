@@ -63,7 +63,7 @@ def _full_pools(monkeypatch, scenario):
 
     def pool_stats(self):
         stats = real(self)
-        stats["capacity"] = stats["qps"] - stats["parked"]
+        stats["capacity"] = stats["qps"]
         return stats
 
     monkeypatch.setattr(RpcServer, "pool_stats", pool_stats)
@@ -96,6 +96,21 @@ def test_every_expectation_fires_when_its_precondition_breaks(
     for prefix in expected:
         assert any(v.startswith(prefix) for v in violations), (
             prefix, violations)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "features do not compose yet (ROADMAP 2(d)): with the phi detector "
+    "armed, chaos-txn@13 conserves 8019 != 8000 after client-kill@mid-apply "
+    "and crash-tolerance@7's contender waits 224,216 ns on a dead client's "
+    "lock (bound 120,000) and reads a torn frame"))
+@pytest.mark.parametrize("scenario,seed", [("chaos-txn", 13),
+                                           ("crash-tolerance", 7)])
+def test_row_stays_green_with_the_failure_detector_armed(
+        monkeypatch, scenario, seed):
+    row = SCENARIOS[scenario]
+    monkeypatch.setitem(SCENARIOS, scenario, replace(
+        row, config=dict(row.config, failure_detector=True)))
+    assert run_soak(scenario, seed=seed, smoke=True)["violations"] == []
 
 
 def test_smoke_soak_upholds_the_durability_contract():

@@ -212,6 +212,29 @@ def test_rebuild_reuses_freed_lock_indices():
     assert pool.master.directory.get(c).lock_idx != b_lock
 
 
+def test_rebuild_reads_a_journal_longer_than_one_reply(monkeypatch):
+    """400 records do not fit one 4 KiB RPC reply: rebuild reads the
+    journal a page at a time and recovers every object."""
+    monkeypatch.setattr(server_module, "JOURNAL_ENTRIES", 512)
+    sim, pool = build_pool(
+        num_servers=1, num_clients=1,
+        config=fast_config(metadata_journal=True),
+    )
+    client = pool.clients[0]
+
+    def fill(sim):
+        for _ in range(400):
+            yield from client.gmalloc(64)
+
+    pool.run(fill(sim))
+    pool.master.reset_volatile_state()
+    rebuild = sim.spawn(pool.master.rebuild())
+    # Bounded: a reply lost on the server side would wait forever.
+    sim.run(until=sim.now + 10_000_000)
+    assert rebuild.triggered, "rebuild is still waiting for a journal page"
+    assert rebuild.value == 400
+
+
 def test_journal_full_rejects_allocation(monkeypatch):
     monkeypatch.setattr(server_module, "JOURNAL_ENTRIES", 3)
     sim, pool = build_pool(

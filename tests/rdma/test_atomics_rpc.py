@@ -206,6 +206,24 @@ def test_rpc_oversized_payload_rejected(rig):
     assert isinstance(p.exception, RpcError)
 
 
+def test_rpc_oversized_reply_raises_at_the_caller(rig):
+    """A reply too large for its buffer comes back as an error reply, so
+    the caller raises instead of waiting forever for a reply never sent."""
+    server, client = build_rpc(rig)
+    server.register("big", lambda req: b"x" * 5 * 1024)
+
+    def proc(sim):
+        try:
+            yield from client.call("big")
+        except RpcError as exc:
+            return str(exc)
+
+    p = rig.sim.spawn(proc(rig.sim))
+    rig.sim.run()
+    assert p.triggered, "the caller is still waiting for its reply"
+    assert "exceeds buffer size" in p.value
+
+
 def test_rpc_many_sequential_calls_reuse_buffers(rig):
     server, client = build_rpc(rig)
     server.register("inc", lambda req: req + 1)

@@ -1,18 +1,17 @@
-"""Elastic RPC data plane: shared receive pool, credits, reclamation.
+"""RPC admission and the shared receive pool (PROTOCOLS.md §12).
 
-Covers the PROTOCOLS.md §12 mechanisms at three levels:
+Covers the mechanisms at three levels:
 
-* ``_BufferRing`` unit behaviour — pressure growth, idle-epoch shrink,
-  retired-span reuse, and the structural floor;
+* ``_BufferRing`` unit behaviour — pressure growth;
 * ``RpcServer``/``RpcClient`` protocol behaviour — structural growth as
-  QPs attach, zero-credit backpressure, crash-mid-credit reclamation and
-  re-attach over the same QP;
+  QPs attach, and the client's receive window bounding what it has in
+  flight;
 * the pinned scale regression — the historical >=16-client wedge must
   stay fixed (structurally, capacity always exceeds the QP count).
 """
 
 from repro.rdma import connect
-from repro.rdma.rpc import RpcClient, RpcServer, _BufferRing, _CreditGate
+from repro.rdma.rpc import RpcClient, RpcServer, _BufferRing
 from repro.sim import Simulator
 
 
@@ -30,12 +29,11 @@ def bump_allocator(start=1 << 20):
 
 
 # ---------------------------------------------------------------------------
-# _BufferRing: pressure growth, shrink, span reuse
+# _BufferRing: pressure growth
 # ---------------------------------------------------------------------------
 def test_ring_pressure_growth_doubles_capacity(rig):
     grow, state = bump_allocator()
-    ring = _BufferRing(rig.ep_b, rig.mem_b, 0, 4, 256, "t.ring",
-                       grow_cb=grow, shrink_idle_ns=10_000)
+    ring = _BufferRing(rig.ep_b, rig.mem_b, 0, 4, 256, "t.ring", grow_cb=grow)
 
     def proc(sim):
         held = []
@@ -56,83 +54,8 @@ def test_ring_pressure_growth_doubles_capacity(rig):
     rig.run(proc(rig.sim))
 
 
-def test_ring_shrink_after_idle_and_spare_reuse(rig):
-    grow, state = bump_allocator()
-    ring = _BufferRing(rig.ep_b, rig.mem_b, 0, 4, 256, "t.ring",
-                       grow_cb=grow, shrink_idle_ns=10_000)
-
-    def proc(sim):
-        held = []
-        for _ in range(5):  # fifth acquire forces one grow
-            held.append((yield ring.acquire()))
-        assert ring.capacity == 8
-        for s in held:
-            ring.release(s)
-        # Releases inside the idle epoch must not shrink.
-        assert ring.shrink_count == 0
-        yield sim.timeout(20_000)
-        slot = yield ring.acquire()
-        ring.release(slot)  # first release past the epoch retires the chunk
-        assert ring.capacity == 4 and ring.shrink_count == 1
-        assert len(ring._spare_spans) == 1
-        # Re-growth reuses the parked span: no new carve, no new memory.
-        held = []
-        for _ in range(5):
-            held.append((yield ring.acquire()))
-        assert ring.capacity == 8 and ring.grow_count == 2
-        assert state["calls"] == 1  # the carve from the first grow only
-        assert not ring._spare_spans
-        for s in held:
-            ring.release(s)
-
-    rig.run(proc(rig.sim))
-
-
-def test_ring_structural_floor_blocks_shrink(rig):
-    grow, _ = bump_allocator()
-    ring = _BufferRing(rig.ep_b, rig.mem_b, 0, 4, 256, "t.ring",
-                       grow_cb=grow, shrink_idle_ns=10_000)
-    ring.ensure_capacity(6)  # attach-time sizing: capacity doubles to 8
-    assert ring.capacity == 8
-
-    def proc(sim):
-        yield sim.timeout(20_000)
-        slot = yield ring.acquire()
-        ring.release(slot)
-        # Fully idle past the epoch, but the floor holds the chunk: slots
-        # 4..7 backing attached QPs must never be retired under them.
-        assert ring.capacity == 8 and ring.shrink_count == 0
-
-    rig.run(proc(rig.sim))
-
-
 # ---------------------------------------------------------------------------
-# Credit gate unit behaviour
-# ---------------------------------------------------------------------------
-def test_credit_gate_blocks_at_zero_and_wakes_fifo(rig):
-    gate = _CreditGate(rig.sim, 2, "t.credit")
-    assert gate.take() is None and gate.take() is None  # window consumed
-    first, second = gate.take(), gate.take()
-    assert first is not None and not first.triggered
-    assert gate.stalls == 2
-    gate.refund()  # a failed send hands its credit back: FIFO waiter wakes
-    assert first.triggered and not second.triggered
-    gate.on_reply(2)  # a reply returns one credit (window unchanged)
-    assert second.triggered
-    assert gate.available == 0 and not gate._waiters
-
-
-def test_credit_gate_adopts_moved_window(rig):
-    gate = _CreditGate(rig.sim, 4, "t.credit")
-    for _ in range(3):
-        gate.take()
-    gate.on_reply(8)  # server regrew: grant jumps 4 -> 8
-    assert gate.window == 8
-    assert gate.available == 1 + 1 + (8 - 4)  # left + replied + delta
-
-
-# ---------------------------------------------------------------------------
-# RpcServer: structural growth, backpressure, reclamation
+# RpcServer: structural growth; RpcClient: the receive window
 # ---------------------------------------------------------------------------
 def test_server_pool_grows_with_attached_qps(rig):
     grow, _ = bump_allocator()
@@ -143,7 +66,7 @@ def test_server_pool_grows_with_attached_qps(rig):
     pairs += [connect(rig.ep_a, rig.ep_b) for _ in range(3)]
     clients = []
     for i, (qa, qb) in enumerate(pairs):
-        server.serve(qb, peer=f"c{i}")
+        server.serve(qb)
         clients.append(RpcClient(rig.ep_a, qa, rig.mem_a, base=i * 4096,
                                  num_buffers=2, buffer_size=512,
                                  name=f"c{i}.rpcc"))
@@ -163,8 +86,8 @@ def test_server_pool_grows_with_attached_qps(rig):
 
 
 def test_zero_credit_backpressure_bounds_outstanding(rig):
-    # A fixed-depth pool: the window under test is exactly four slots.
-    server = rig.rpc_server(num_buffers=4, buffer_size=512, max_slots=4)
+    # The client's receive window under test is exactly four slots.
+    server = rig.rpc_server(num_buffers=4, buffer_size=512)
     inflight = {"now": 0, "max": 0}
 
     def slow(req):
@@ -175,7 +98,7 @@ def test_zero_credit_backpressure_bounds_outstanding(rig):
         return req
 
     server.register("slow", slow)
-    server.serve(rig.qp_b, peer="c0")
+    server.serve(rig.qp_b)
     client = RpcClient(rig.ep_a, rig.qp_a, rig.mem_a, base=0, num_buffers=4,
                        buffer_size=512)
     results = []
@@ -187,41 +110,13 @@ def test_zero_credit_backpressure_bounds_outstanding(rig):
     for i in range(12):
         rig.sim.spawn(caller(i))
     rig.sim.run()
-    # Every call completed, but never more than the credit window at once.
+    # Every call completed, but never more than the receive window at once.
     assert sorted(results) == list(range(12))
     assert inflight["max"] <= 4
     stats = client.credit_stats()
     assert stats["stalls"] >= 8  # 12 calls through a window of 4
-    assert stats["available"] == stats["window"]  # all credits returned
+    assert stats["available"] == stats["window"]  # every slot came back
     assert stats["waiters"] == 0
-
-
-def test_reclaim_parks_loop_and_reattach_resumes(rig):
-    server = rig.rpc_server(num_buffers=4, buffer_size=512)
-    server.register("echo", lambda req: req)
-    server.serve(rig.qp_b, peer="c0")
-    client = RpcClient(rig.ep_a, rig.qp_a, rig.mem_a, base=0, num_buffers=4,
-                       buffer_size=512)
-
-    def proc(sim):
-        assert (yield from client.call("echo", 1)) == 1
-        # The lease sweep declares c0 dead mid-credit: its posted receive
-        # slot must come back to the shared pool.
-        assert server.reclaim_peer("c0") is True
-        assert server.reclaim_peer("c0") is False  # idempotent while parked
-        yield sim.timeout(1_000)  # let the serve loop process the park WC
-        stats = server.pool_stats()
-        assert stats["parked"] == 1
-        assert stats["outstanding"] == 0  # the posted slot was withdrawn
-        assert server.reclaims.count == 1
-        # Re-attach over the same QP: the very next send is real demand,
-        # the loop re-arms and serves as if nothing happened.
-        assert (yield from client.call("echo", 2)) == 2
-        stats = server.pool_stats()
-        assert stats["parked"] == 0
-        assert stats["outstanding"] == 1  # one freshly posted receive
-
-    rig.run(proc(rig.sim))
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +155,6 @@ def test_concurrent_32_client_ycsb_completes():
     stats = system.pool.master.rpc.pool_stats()
     assert stats["grows"] >= 1
     assert stats["capacity"] > stats["qps"]
-    # No slot leak: after quiesce each live serve loop holds exactly its
-    # one posted receive.
-    assert stats["outstanding"] == stats["qps"] - stats["parked"]
+    # No slot leak: after quiesce each serve loop holds exactly its one
+    # posted receive.
+    assert stats["outstanding"] == stats["qps"]

@@ -389,7 +389,6 @@ class _EventStore:
         self.name = name
         self._items = deque()
         self._queue = deque()  # pending get events, oldest first
-        self._demand_waiters = None
 
     def __len__(self):
         return len(self._items)
@@ -406,12 +405,8 @@ class _EventStore:
             ev.succeed(self._items.popleft())  # no waiter yet: queues nothing
         else:
             self._queue.append(ev)
-            if self._demand_waiters:
-                self._getter_parked()
         return ev
 
-    demand = Store.demand
-    _getter_parked = Store._getter_parked
     try_get = Store.try_get
     remove = Store.remove
 
@@ -432,7 +427,6 @@ _store_step = st.one_of(
     st.tuples(st.just("put"), _which, st.integers(min_value=0, max_value=3)),
     st.tuples(st.just("try_get"), _which),
     st.tuples(st.just("remove"), _which, st.integers(min_value=0, max_value=3)),
-    st.tuples(st.just("demand"), _which),
     st.tuples(st.just("delay"), _ns),
     st.tuples(st.just("hold"), _ns),
 )
@@ -470,8 +464,6 @@ def _run_stores(program, interrupts, reference=False):
                 elif kind == "remove":
                     outcome = stores[op[1]].remove(op[2])
                     taken += outcome
-                elif kind == "demand":
-                    yield stores[op[1]].demand()
                 elif kind == "delay":
                     yield op[1]
                 else:
