@@ -91,11 +91,8 @@ def _cmd_ycsb(args: argparse.Namespace) -> int:
 
     spec = WORKLOADS[args.workload.upper()].scaled(
         record_count=args.records, value_size=args.value_size)
-    # The interactive demo runs the full system — including prefetch, which
-    # bench_config() switches off for the paper-reproduction experiments.
     system = boot(args.system, seed=args.seed, num_servers=args.servers,
-                  num_clients=args.clients,
-                  config_overrides=bench_config(prefetch_depth=8))
+                  num_clients=args.clients, config_overrides=bench_config())
     runner = YcsbRunner(system, spec, num_workers=args.clients,
                         ops_per_worker=args.ops)
     runner.load()
@@ -122,11 +119,8 @@ def _instrumented_ycsb(args: argparse.Namespace):
 
     spec = WORKLOADS[args.workload.upper()].scaled(
         record_count=args.records, value_size=args.value_size)
-    # Instrumented demo: full system, prefetch included (bench_config()
-    # switches it off for the paper-reproduction experiments only).
     system = boot(args.system, seed=args.seed, num_servers=args.servers,
-                  num_clients=args.clients,
-                  config_overrides=bench_config(prefetch_depth=8))
+                  num_clients=args.clients, config_overrides=bench_config())
     recorder = obs.install(system.sim)
     runner = YcsbRunner(system, spec, num_workers=args.clients,
                         ops_per_worker=args.ops)

@@ -40,7 +40,6 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.check import HistoryRecorder, check_history, check_txn_history
 from repro.core import GengarConfig, GengarPool
-from repro.core.client import ADMISSION_THRESHOLD
 from repro.core.errors import (
     ClientError,
     DeadlineExceededError,
@@ -500,66 +499,6 @@ class ChaosSoak:
             self.violations.append(
                 "crash-tolerance: allocation did not survive the "
                 "master outage")
-
-    # ------------------------------------------------------------------
-    def prefetch_phase(self) -> None:
-        """Prefetch/fault interaction: crash the home server while the
-        hotness-driven prefetch pump has a batch in flight.
-
-        The prefetch path is advisory-or-nothing: a crash may drop the
-        in-flight batch on the floor, but it must never wedge the client's
-        pump, poison the metadata cache, or surface corrupt bytes.  The
-        phase hammers a fresh working set to the admission threshold,
-        kills server 0 synchronously (so the spawned pump's RPC or the
-        master's promotion copy is mid-flight), rides out the outage on
-        the resilient profile, then audits a full read-back.
-        """
-        sim = self.sim
-        client = self.pool.clients[0]
-        master = self.pool.master
-        payloads: Dict[int, bytes] = {}
-
-        def run_phase(c):
-            gaddrs = []
-            for i in range(16):
-                g = yield from c.gmalloc(self.value_size)
-                data = self.encode(10_000 + i, i)
-                yield from c.gwrite(g, data)
-                payloads[g] = data
-                gaddrs.append(g)
-            yield from c.gsync()
-            # Touch every object up to the admission threshold so the pump
-            # spawns with a full nomination queue...
-            for _ in range(ADMISSION_THRESHOLD):
-                for g in gaddrs:
-                    yield from c.gread(g, length=64)
-            # ...then kill server 0 immediately: the pump (a separate
-            # process) is now racing a dead home server.
-            self.pool.servers[0].crash()
-            yield 120_000
-            self.pool.servers[0].recover()
-            master.on_server_recovered(0)
-            yield 60_000
-            # Full read-back: every byte must still be a value we wrote.
-            for g in gaddrs:
-                try:
-                    data = yield from c.gread(g)
-                except (RetryableError, DeadlineExceededError):
-                    self.ops_typed_failures += 1
-                    continue
-                if bytes(data) != payloads[g]:
-                    self.violations.append(
-                        f"prefetch-phase: gaddr {g:#x} read back corrupt "
-                        f"bytes after crash (head={bytes(data[:16])!r})")
-                self.ops_ok += 1
-
-        self.pool.run(run_phase(client))
-        # Let any straggling pump/promotion processes settle.
-        self.sim.run(until=self.sim.now + 200_000)
-        if client._prefetch_inflight:
-            self.violations.append(
-                "prefetch-phase: the client's prefetch pump is wedged "
-                "(still marked in flight after quiesce)")
 
     # ------------------------------------------------------------------
     # Partition nemesis (the Jepsen loop)
@@ -1194,10 +1133,6 @@ class ChaosSoak:
             s.torn_skipped.count for s in self.pool.servers.values())
         counters["master_failovers"] = master.failovers.count
         counters["journal_replayed"] = int(master.journal_replayed.total)
-        counters["prefetch_requests"] = master.prefetch_requests.count
-        counters["prefetch_promotions"] = int(
-            master.prefetch_promotions.total)
-        counters["prefetches"] = int(m.counter("pool.prefetches").total)
         # Partition-tolerance counters (all zero unless the scenario armed
         # the term-fenced control plane).  The master.* metrics live in
         # the shared registry, so one read covers both master instances.
@@ -1287,12 +1222,6 @@ SCENARIOS: Dict[str, Scenario] = {
         at_least={"master.lease_renewals": 1, "master.lock_recoveries": 1,
                   "pool.fence_rejections": 1, "master.failovers": 1,
                   "master.journal_replayed": 1}),
-    # Crash the home server while a hotness-driven prefetch batch is in
-    # flight; the pump must not wedge and the read-back stays byte-exact.
-    "prefetch": Scenario(
-        ChaosSoak.prefetch_phase,
-        at_least={"master.prefetch_requests": 1,
-                  "master.prefetch_promotions": 1}),
     # Partition nemesis with standby promotion, audited Jepsen-style.
     "chaos-partition": Scenario(
         ChaosSoak.partition_phase, standby_master=True,

@@ -61,14 +61,7 @@ class ExperimentResult:
 # Shared construction helpers
 # ---------------------------------------------------------------------------
 def bench_config(**overrides) -> Callable[[GengarConfig], GengarConfig]:
-    """Config-override hook preserving each system's mechanism switches.
-
-    Client-driven prefetch is *off* here: the paper experiments measure
-    the paper's epoch-based hot-data identification, and prefetch would
-    promote hot objects for every placement policy alike (contaminating
-    E8's comparison and the E6/E7 hit-ratio sweeps).  The prefetch path
-    is an extension, measured by ``bench/perf.py`` / ``BENCH_perf.json``.
-    """
+    """Config-override hook preserving each system's mechanism switches."""
 
     def apply(base: GengarConfig) -> GengarConfig:
         tuned = replace(
@@ -80,7 +73,6 @@ def bench_config(**overrides) -> Callable[[GengarConfig], GengarConfig]:
             demote_threshold=0.5,
             proxy_ring_slots=32,
             proxy_slot_size=4 * KIB,
-            prefetch_depth=0,
         )
         return replace(tuned, **overrides)
 
@@ -448,7 +440,7 @@ def e08_hotness_policy(seed: int = 708) -> ExperimentResult:
     spec = WORKLOADS["B"].scaled(record_count=300, value_size=4096)
     # 8 KiB proxy slots: a whole-object write (header + 4 KiB) must fit one
     # slot, or the object could be written straight to NVM and the
-    # drain-coherence gate would never cache it (docs/PIPELINING.md §3).
+    # drain-coherence gate would never cache it (docs/PROTOCOLS.md §3.5).
     config = bench_config(cache_capacity=256 * KIB, epoch_ns=50_000,
                           report_every_ops=16, proxy_slot_size=8 * KIB)
     policies: Dict[str, Callable] = {

@@ -55,7 +55,6 @@ from repro.core.errors import (
     TxnError,
     TxnWaitDieError,
 )
-from repro.core.hotness import AccessPredictor
 from repro.core.layout import DramCarver
 from repro.core.protocol import (
     CACHE_TAG_BYTES,
@@ -179,10 +178,6 @@ _MAX_META_RETRIES = 4
 #: Consecutive master transport failures before the client's verdict
 #: upgrades from "one lost RPC" to "the path to the master is partitioned".
 _SUSPECT_STREAK = 3
-#: Reads of an uncached object before the client nominates it for
-#: promotion (the admission filter: one-touch objects are never cached on
-#: the client's initiative).
-ADMISSION_THRESHOLD = 2
 #: Drained-counter polls without progress before a ring is presumed
 #: stalled and a write falls back to the direct path (``degraded_mode``).
 DEGRADED_PATIENCE_POLLS = 4
@@ -292,19 +287,6 @@ class GengarClient:
         self._scratch_mr = None
         self._scratch_free: Optional[Store] = None
 
-        # ---- prefetch (hotness-driven background promotion) --------------
-        #: Per-object read touches, feeding the admission filter: an object
-        #: is nominated for promotion only at its
-        #: ``ADMISSION_THRESHOLD``-th read (one-touch objects never are).
-        self._touch_counts: Dict[int, int] = {}
-        #: Addresses already nominated (squelches duplicate requests while
-        #: a promotion is pending or the object is believed cached).
-        self._prefetch_requested: set = set()
-        self._prefetch_queue: list = []
-        self._prefetch_inflight = False
-        #: Stride/frequency predictor; None while prefetch is disabled.
-        self._predictor: Optional[AccessPredictor] = None
-
         m = self.sim.metrics
         self.m_reads = m.counter("pool.reads")
         self.m_writes = m.counter("pool.writes")
@@ -328,7 +310,6 @@ class GengarClient:
         self.m_stale_terms = m.counter("pool.stale_term_rejections")
         self.m_partition_suspected = m.counter("pool.partition_suspected")
         self.m_shard_redirects = m.counter("pool.shard_redirects")
-        self.m_prefetches = m.counter("pool.prefetches")
         self.h_read = m.histogram("pool.read_latency")
         self.h_write = m.histogram("pool.write_latency")
         #: Per-doorbell batch sizes from gread_many — mean = effective
@@ -589,10 +570,6 @@ class GengarClient:
         for i in range(_SCRATCH_SLOTS):
             self._scratch_free.put(i * _SCRATCH_SLOT_SIZE)
 
-        if (self.config.enable_cache and self.config.prefetch_depth > 0
-                and self.config.metadata_cache):
-            self._predictor = AccessPredictor(depth=self.config.prefetch_depth)
-
         for desc in servers:
             conn = self._conns.get(desc.server_id)
             if conn is None:
@@ -668,8 +645,6 @@ class GengarClient:
             "gfree", self._gfree_once, gaddr, self._next_req_id())
         self._invalidate_meta(gaddr)
         self._access_counts.pop(gaddr, None)
-        self._touch_counts.pop(gaddr, None)
-        self._prefetch_requested.discard(gaddr)
 
     def _gfree_once(self, gaddr: int,
                     req_id: int) -> Generator[Any, Any, None]:
@@ -1363,7 +1338,6 @@ class GengarClient:
                         rec.record(self.name, "phase.cache_read", t_post,
                                    op=span_op, hit=False, bytes=length)
                     self._invalidate_meta(gaddr)
-                    self._prefetch_requested.discard(gaddr)
                     fallback.append(idx)
                     return
                 self.m_cache_hits.add()
@@ -1703,8 +1677,6 @@ class GengarClient:
                     rec.record(self.name, "phase.cache_read", t0,
                                op=span_op, hit=False, bytes=length)
                 self._invalidate_meta(gaddr)
-                # Demoted since we prefetched it: eligible to nominate again.
-                self._prefetch_requested.discard(gaddr)
                 meta = yield from self._meta(gaddr, span_op=span_op)
                 continue
             t0 = self.sim.now if rec is not None else 0
@@ -1992,8 +1964,6 @@ class GengarClient:
             counts = [0, 0]
             self._access_counts[gaddr] = counts
         counts[0 if read else 1] += 1
-        if read and self._predictor is not None:
-            self._note_read_for_prefetch(gaddr)
         self._ops_since_report += 1
         if (self._ops_since_report >= self.config.report_every_ops
                 and not self._report_inflight):
@@ -2001,7 +1971,7 @@ class GengarClient:
             self.sim.spawn(self._send_report(), name=f"{self.name}.report")
 
     def _by_shard(self, entries: list) -> Dict[int, list]:
-        """Split report / prefetch entries (gaddr first) along the shard
+        """Split report entries (gaddr first) along the shard
         map: each shard scores only the objects it owns, so the batch
         becomes one RPC per shard with entries."""
         if self._num_shards <= 1:
@@ -2056,114 +2026,6 @@ class GengarClient:
                         self._store_meta(meta.with_cache(cached, cache_offset))
         finally:
             self._report_inflight = False
-
-    # ------------------------------------------------------------------
-    # Prefetch (hotness-driven background promotion)
-    # ------------------------------------------------------------------
-    def _note_read_for_prefetch(self, gaddr: int) -> None:
-        """Admission filter + nomination: called on every read when prefetch
-        is enabled.  An object crossing ``ADMISSION_THRESHOLD`` touches is
-        queued for a background promotion request — exactly once while it
-        stays (believed) cached — so one-touch objects never pollute the
-        DRAM cache on the client's initiative."""
-        touches = self._touch_counts.get(gaddr, 0) + 1
-        self._touch_counts[gaddr] = touches
-        self._predictor.observe(gaddr)
-        if touches != ADMISSION_THRESHOLD:
-            return
-        if not self._nominate(gaddr):
-            return
-        self._prefetch_queue.append(gaddr)
-        if not self._prefetch_inflight:
-            self._prefetch_inflight = True
-            self.sim.spawn(self._send_prefetch(),
-                           name=f"{self.name}.prefetch")
-
-    def _nominate(self, gaddr: int) -> bool:
-        """Mark ``gaddr`` requested if a promotion request is worth
-        sending: not already pending, believed uncached, and safe."""
-        if gaddr in self._prefetch_requested:
-            return False
-        meta = self._cached_meta(gaddr)
-        if meta is None or meta.cached or not self._prefetch_safe(meta):
-            return False
-        self._prefetch_requested.add(gaddr)
-        return True
-
-    def _prefetch_safe(self, meta: ObjectMeta) -> bool:
-        """Whether promoting this object behind our back stays coherent.
-
-        A prefetch promotion races this client's own writes: until the
-        reply lands, the client believes the object uncached, so a write
-        that bypasses the proxy ring (too large for a slot, or proxy off)
-        goes straight to NVM and never freshens the just-filled cache
-        slot — a validly-tagged slot holding stale bytes.  Writes that
-        ride the ring are safe: the server's drain takes a fresh cache
-        lookup after every NVM apply, and promotion copies redo on
-        concurrent drains.  So: nominate only objects whose every
-        possible write is guaranteed to flow through the drain.
-        """
-        if not self.config.enable_proxy:
-            return False
-        return meta.size <= proxy_payload_capacity(
-            self.config.proxy_slot_size, commit=self.config.proxy_commit)
-
-    def _send_prefetch(self) -> Generator[Any, Any, None]:
-        """Background promotion pump: drains the nomination queue in
-        batches of ``prefetch_depth``, topping each batch up with the
-        stride/frequency predictor's guesses.  Entirely advisory — a dead
-        master or home server drops the batch on the floor; a later read
-        simply re-nominates.  Runs off the critical path: no gread ever
-        waits on it."""
-        rec = self.sim.spans
-        try:
-            while self._prefetch_queue:
-                t0 = self.sim.now
-                depth = self.config.prefetch_depth
-                batch = self._prefetch_queue[:depth]
-                del self._prefetch_queue[:len(batch)]
-                entries = [(g, self._touch_counts.get(g, 1)) for g in batch]
-                if len(entries) < depth:
-                    # Speculative top-up: predicted-next addresses ride along
-                    # in the same request for free.
-                    for g in self._predictor.predict():
-                        if len(entries) >= depth:
-                            break
-                        if self._nominate(g):
-                            entries.append((g, self._touch_counts.get(g, 1)))
-                updates = []
-                sent = 0
-                for shard, group in self._by_shard(entries).items():
-                    try:
-                        part = yield from self._master_call(
-                            "prefetch",
-                            {"entries": group, "client": self.name},
-                            shard=shard)
-                    except (MasterUnavailableError, NotMyShard, RpcError):
-                        for g, _reads in group:
-                            self._prefetch_requested.discard(g)
-                        continue
-                    updates.extend(part)
-                    sent += len(group)
-                if not sent:
-                    return
-                self.m_prefetches.add(sent)
-                promoted = 0
-                for gaddr, cached, cache_offset in updates:
-                    meta = self._cached_meta(gaddr)
-                    if meta is not None:
-                        self._store_meta(meta.with_cache(cached, cache_offset))
-                    if cached:
-                        promoted += 1
-                    else:
-                        # Promotion declined (cache full / server down):
-                        # eligible to nominate again later.
-                        self._prefetch_requested.discard(gaddr)
-                if rec is not None:
-                    rec.record(self.name, "phase.prefetch", t0,
-                               requested=len(entries), promoted=promoted)
-        finally:
-            self._prefetch_inflight = False
 
 
 class _Verb(NamedTuple):

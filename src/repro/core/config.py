@@ -87,11 +87,6 @@ class GengarConfig:
     #: lookup RPC per access (for overhead experiments).
     metadata_cache: bool = True
 
-    # ---- prefetch ------------------------------------------------------------
-    #: Max objects per client-driven prefetch request to the master; 0
-    #: disables prefetch entirely (no predictor, no background promotions).
-    prefetch_depth: int = 8
-
     # ---- resilience ------------------------------------------------------
     #: Modelled RC retransmission budget: how long a verb retransmits into
     #: silence before completing with RETRY_EXCEEDED (dead-peer detection).
@@ -188,8 +183,6 @@ class GengarConfig:
             raise ValueError("op_deadline_ns must be non-negative (0 disables)")
         if self.client_lease_ns < 0:
             raise ValueError("client_lease_ns must be non-negative (0 disables)")
-        if self.prefetch_depth < 0:
-            raise ValueError("prefetch_depth must be non-negative (0 disables)")
         if self.master_terms and not self.metadata_journal:
             raise ValueError("master_terms requires metadata_journal "
                              "(terms are persisted in the journal)")

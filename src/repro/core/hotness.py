@@ -389,91 +389,6 @@ class RandomPolicy:
         return PlacementPlan(promotions=tuple(promotions), demotions=tuple(demotions))
 
 
-class AccessPredictor:
-    """Client-side prefetch predictor: sequential/stride + Zipf frequency.
-
-    Two complementary signals feed :meth:`predict`:
-
-    * **stride** — two consecutive equal non-zero deltas between successive
-      read addresses confirm a stream (sequential scans, strided walks);
-      the next ``depth`` continuations are predicted first.  A predicted
-      address may not name a live object — the master validates against
-      its directory, so wrong guesses cost one skipped entry, never a
-      fault.
-    * **frequency** — a decayed per-address touch count ranks the Zipf
-      head, so hot point-read objects are nominated even without spatial
-      locality.  Decay keeps the ranking fresh and the prune keeps the
-      table bounded under adversarial (uniform) traffic.
-
-    Pure policy — no simulation dependencies — so it is exhaustively
-    testable and deterministic: equal observation sequences yield equal
-    predictions.
-    """
-
-    def __init__(self, depth: int = 8, table_size: int = 256,
-                 decay: float = 0.5):
-        if depth < 1:
-            raise ValueError("depth must be at least 1")
-        if table_size < 1:
-            raise ValueError("table_size must be at least 1")
-        if not 0.0 <= decay <= 1.0:
-            raise ValueError("decay must be in [0, 1]")
-        self.depth = depth
-        self.table_size = table_size
-        self.decay = decay
-        self._last: Optional[int] = None
-        self._delta: Optional[int] = None
-        self._confirmed = False
-        self._counts: Dict[int, float] = {}
-        self._since_decay = 0
-
-    def observe(self, gaddr: int) -> None:
-        """Record one read access (call in program order)."""
-        if self._last is not None:
-            delta = gaddr - self._last
-            if delta != 0:
-                if delta == self._delta:
-                    self._confirmed = True
-                else:
-                    self._confirmed = False
-                    self._delta = delta
-        self._last = gaddr
-        self._counts[gaddr] = self._counts.get(gaddr, 0.0) + 1.0
-        self._since_decay += 1
-        if (self._since_decay >= 4 * self.table_size
-                and len(self._counts) > self.table_size):
-            # Decay, then drop the cold tail so the table stays bounded.
-            self._since_decay = 0
-            decay = self.decay
-            self._counts = {
-                g: v * decay for g, v in self._counts.items() if v * decay >= 0.5
-            }
-
-    def predict(self, limit: Optional[int] = None) -> List[int]:
-        """Up to ``limit`` candidate addresses, most promising first."""
-        limit = self.depth if limit is None else min(limit, self.depth)
-        if limit <= 0:
-            return []
-        out: List[int] = []
-        if self._confirmed and self._delta and self._last is not None:
-            addr = self._last
-            for _ in range(limit):
-                addr += self._delta
-                if addr < 0:
-                    break
-                out.append(addr)
-        if len(out) < limit:
-            hot = sorted(self._counts.items(), key=lambda kv: (-kv[1], kv[0]))
-            seen = set(out)
-            for gaddr, _count in hot:
-                if len(out) >= limit:
-                    break
-                if gaddr != self._last and gaddr not in seen:
-                    seen.add(gaddr)
-                    out.append(gaddr)
-        return out
-
-
 class NeverCachePolicy:
     """Comparator for E8 and the cache-off ablation: caches nothing."""
 

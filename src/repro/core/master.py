@@ -173,7 +173,6 @@ class Master:
             "gfree": self._handle_gfree,
             "lookup": self._handle_lookup,
             "report": self._handle_report,
-            "prefetch": self._handle_prefetch,
             "attach": self._handle_attach,
             "renew": self._handle_renew,
         }
@@ -182,11 +181,9 @@ class Master:
                 handler = self._with_term(handler)
             self.rpc.register(method, handler)
         # Shard-to-shard plumbing (advisory, so deliberately outside the
-        # term envelope): demand stats out, budgets in, and the map fetch
-        # clients use to heal a stale shard map without a full re-attach.
+        # term envelope): demand stats out, budgets in.
         self.rpc.register("shard_stats", self._handle_shard_stats)
         self.rpc.register("set_budget", self._handle_set_budget)
-        self.rpc.register("shard_map", self._handle_shard_map)
 
         #: Lease bookkeeping (empty unless ``config.client_lease_ns``):
         #: client name -> absolute expiry time / current fencing epoch.
@@ -237,8 +234,6 @@ class Master:
         m = self.sim.metrics
         self.allocations = m.counter("master.allocations")
         self.reports = m.counter("master.reports")
-        self.prefetch_requests = m.counter("master.prefetch_requests")
-        self.prefetch_promotions = m.counter("master.prefetch_promotions")
         self.promote_ops = m.counter("master.promotions")
         self.demote_ops = m.counter("master.demotions")
         self.lease_renewals = m.counter("master.lease_renewals")
@@ -365,11 +360,6 @@ class Master:
             if sid in self._servers:
                 self._cache_budget[sid] = budget
         return True
-
-    def _handle_shard_map(self, request: dict) -> dict:
-        """Current server->shard map; clients heal a stale map from any
-        live shard without a full re-attach."""
-        return {"map": dict(self.shard_map), "epoch": self.map_epoch}
 
     def _server_demand(self, sid: int) -> int:
         """Bytes this server's working set wants in DRAM: what is cached
@@ -697,52 +687,6 @@ class Master:
         elif verdict == "fenced":
             self.fence_rejections.add()
         return {"updates": updates, "lease": verdict}
-
-    def _handle_prefetch(self, request: dict) -> Generator[Any, Any, List[Tuple[int, bool, int]]]:
-        """Client-driven promotion hints — the prefetch fast path.
-
-        Clients nominate objects that crossed their admission threshold (or
-        that their stride/frequency predictor expects next), each with the
-        read count observed so far.  The master validates every entry
-        against the directory, folds the counts into the home server's
-        placement policy (so a freshly prefetched object carries enough
-        score to survive the next epoch's demotion sweep instead of
-        thrashing), and promotes uncached entries immediately — no
-        epoch-boundary wait.  The reply carries each live entry's current
-        location, so the requesting client can hit the DRAM cache on its
-        very next read; already-cached entries resolve to their existing
-        slot, which is how a client learns locations other clients' traffic
-        earned.
-
-        Advisory end to end: unknown addresses (freed, or wrong stride
-        guesses) are skipped, and a failed promotion (cache full, server
-        down) is reported as uncached rather than raised.
-        """
-        self._check_serving()
-        yield from self.node.cpu_work()
-        updates: List[Tuple[int, bool, int]] = []
-        self.prefetch_requests.add()
-        if not self.config.enable_cache:
-            return updates
-        before = self.promote_ops.count
-        for gaddr, reads in request["entries"]:
-            record = self.directory.lookup(gaddr)
-            if record is None:
-                continue  # freed concurrently, or a wrong stride guess
-            policy = self._policies[record.server_id]
-            if reads > 0:
-                policy.record(gaddr, reads, 0)
-            if not record.cached:
-                yield from self._promote(
-                    self._servers[record.server_id], policy, gaddr)
-                record = self.directory.lookup(gaddr)
-                if record is None:
-                    continue
-            updates.append((gaddr, record.cached, record.cache_offset))
-        promoted = self.promote_ops.count - before
-        if promoted:
-            self.prefetch_promotions.add(promoted)
-        return updates
 
     def _handle_attach(self, request: dict) -> Generator[Any, Any, dict]:
         if self._deposed:
@@ -1141,12 +1085,13 @@ class Master:
         return completed
 
     # ------------------------------------------------------------------
-    # Admin API: pin/unpin an object in DRAM (used by microbenchmarks and
+    # Admin API: pin an object in DRAM (used by microbenchmarks and
     # operators who know an object is hot regardless of observed traffic).
     # ------------------------------------------------------------------
     def pin(self, gaddr: int, client: Optional[str] = None) -> Generator[Any, Any, None]:
         """Force-promote an object into its home server's DRAM cache and
-        keep it there regardless of observed hotness (until unpinned).
+        keep it there regardless of observed hotness (until a home-server
+        crash wipes the cache or the pinning client's lease lapses).
 
         ``client`` attributes the pin, so lease expiry releases exactly the
         pins the dead client asked for (operator pins outlive any client).
@@ -1160,14 +1105,6 @@ class Master:
                                  gaddr, force=True)
         record.pinned = True
         record.pinned_by = client
-
-    def unpin(self, gaddr: int) -> Generator[Any, Any, None]:
-        """Release a pin and demote the object out of DRAM."""
-        record = self.directory.get(gaddr)
-        record.pinned = False
-        record.pinned_by = None
-        handle = self._servers[record.server_id]
-        yield from self._demote(handle, self._policies[record.server_id], gaddr)
 
     def evict_client(self, client_name: str) -> Generator[Any, Any, int]:
         """Recovery: clear every write lock a (dead) client still holds,
@@ -1706,19 +1643,6 @@ class Master:
                 found.append(ExtentViolation(sid, "allocator", str(exc)))
         return found
 
-    def force_unlock(self, gaddr: int) -> Generator[Any, Any, int]:
-        """Recovery: clear an object's lock word after a client failure.
-
-        Returns the abandoned lock word (0 means it was already free).
-        Only safe once the failed client is known to be gone - a live
-        holder's critical section would lose its exclusion.
-        """
-        record = self.directory.get(gaddr)
-        handle = self._servers[record.server_id]
-        prior = yield from handle.rpc.call("clear_lock",
-                                           {"lock_idx": record.lock_idx})
-        return prior
-
     # ------------------------------------------------------------------
     # Hotness planner
     # ------------------------------------------------------------------
@@ -1878,7 +1802,7 @@ class Master:
                 pass  # server down; its cache dies with it
             return
         if record.cached:
-            # A concurrent promote (planner vs prefetch) won the race; the
+            # A concurrent promote (planner vs pin) won the race; the
             # server idempotently returned its slot.  Nothing to account.
             return
         self.directory.mark_cached(gaddr, cache_offset)

@@ -189,7 +189,6 @@ class MemoryServer:
         self.rpc.register("promote", self._handle_promote)
         self.rpc.register("demote", self._handle_demote)
         self.rpc.register("attach", self._handle_attach)
-        self.rpc.register("clear_lock", self._handle_clear_lock)
         self.rpc.register("scrub", self._handle_scrub)
         self.rpc.register("clear_lock_if_owner", self._handle_clear_lock_if_owner)
         self.rpc.register("journal_append", self._handle_journal_append)
@@ -352,6 +351,10 @@ class MemoryServer:
         if existing is not None:
             return existing.cache_offset
         slot_offset = self.cache_alloc.alloc(CACHE_TAG_BYTES + size)  # may raise OutOfMemory
+        # A crash from here on wipes the cache and its allocator under us:
+        # the copy dies with the server, and a write that lands after the
+        # crash must not leave a valid tag in the wiped DRAM.
+        crashes = self.crashes
         nvm_offset = offset_of(gaddr)
         rec = self.sim.spans
         t0 = self.sim.now if rec is not None else 0
@@ -365,12 +368,17 @@ class MemoryServer:
         while True:
             seq_before = self._applied_seq.get(gaddr, 0)
             data = yield from self.data_device.read(nvm_offset, size)
+            if self.crashes != crashes:
+                raise ServerError("server crashed during the promotion copy")
             yield from self.cache_mr.write(slot_offset, pack_cache_tag(gaddr) + data)
+            if self.crashes != crashes:
+                self.cache_mr.poke(slot_offset, pack_cache_tag(0, flags=0))
+                raise ServerError("server crashed during the promotion copy")
             if self._applied_seq.get(gaddr, 0) == seq_before:
                 break
         existing = self.cached.get(gaddr)
         if existing is not None:
-            # A concurrent promote (planner vs prefetch) published first;
+            # A concurrent promote (planner vs pin) published first;
             # the drain keeps only that slot fresh, so ours must not replace
             # it.  Kill our tag and free the slot in the same instant as the
             # lookup, so the winner cannot be demoted in between.
@@ -560,25 +568,6 @@ class MemoryServer:
             records.append({"op": op, "lock_idx": lock_idx,
                             "gaddr": gaddr, "size": size, "req_id": req_id})
         return records
-
-    def _handle_clear_lock(self, request: dict) -> Generator[Any, Any, int]:
-        """Admin path: forcibly zero a lock word (recovery after a client
-        failure).  Returns the prior word so operators can audit what was
-        abandoned.
-
-        The read and the clear are one critical section under the
-        endpoint's atomic gate — the same gate inbound NIC atomics take —
-        so the zero is conditional on the observed word (CAS semantics).
-        Without the gate, a release + fresh acquire landing between the
-        read and the timed write would be wiped by a clear that was aimed
-        at the *previous* holder's word.
-        """
-        lock_idx = request["lock_idx"]
-        yield from self.node.cpu_work()
-        with (yield self.node.endpoint.atomic_gate):
-            prior = self.lock_mr.read_u64(lock_idx * 8)
-            yield from self.lock_mr.write(lock_idx * 8, (0).to_bytes(8, "little"))
-        return prior
 
     def _handle_clear_lock_if_owner(self, request: dict) -> Generator[Any, Any, bool]:
         """Recovery: clear the writer bits of a lock word iff the embedded

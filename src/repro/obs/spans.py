@@ -37,8 +37,7 @@ Span taxonomy (``docs/OBSERVABILITY.md`` has the full contract):
     ``phase.degraded_read``, ``phase.proxy_stage``, ``phase.batch_stage``,
     ``phase.direct_write``, ``phase.degraded_fallback``,
     ``phase.drain_wait``, ``phase.retry_wait``, ``phase.pipeline_wait``
-    (a batched/async op draining its outstanding reads or queuing for a
-    window slot), ``phase.prefetch`` (one background promotion request).
+    (a batched op draining its outstanding reads).
 ``srv.*``
     Server background work: ``srv.drain`` (one staged frame applied to
     NVM/cache), ``srv.promote_copy`` (NVM→DRAM promotion copy),

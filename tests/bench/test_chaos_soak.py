@@ -79,7 +79,6 @@ def _moves(scenario):
     ("base", _empty_plan, ["base: faults.crashes moved by 0",
                            "base: faults.recoveries moved by 0"]),
     ("crash-tolerance", _skip_phase, _moves("crash-tolerance")),
-    ("prefetch", _skip_phase, _moves("prefetch")),
     ("chaos-partition", _idle_rounds,
      _moves("chaos-partition")
      + ["nemesis: two failovers left the master at term 1, below 3"]),

@@ -12,7 +12,9 @@ outside the code that defines it:
   golden, so a pinned scenario runs it.
 
 Tests do not count as callers: a path only its own tests run is a path
-nothing needs.
+nothing needs.  The same holds one layer down, for RPC methods: every
+method a master, server or bench rig registers on an ``RpcServer`` must be
+named by a call somewhere in ``src/``.
 """
 
 import inspect
@@ -63,4 +65,26 @@ def test_every_app_export_has_a_caller():
         sources = _callers(excluding=[home, repro.apps.__file__])
         if not re.search(rf"\b{name}\b", sources):
             uncalled.add(name)
+    assert uncalled == set()
+
+
+#: An RPC method's registration: ``rpc.register("name", ...)`` or an entry
+#: of a handler table (``"name": self._handle_name``).
+_REGISTRATION = re.compile(
+    r'\.register\(\s*"(\w+)"|^\s*"(\w+)":\s*self\._handle_\w+', re.M)
+
+
+def test_every_registered_rpc_method_is_called():
+    text = "\n".join(p.read_text() for p in sorted(SRC.rglob("*.py")))
+    registered = {a or b for a, b in _REGISTRATION.findall(text)}
+    assert {"gmalloc", "promote", "scrub"} <= registered
+    # A caller names the method among a call's arguments, directly
+    # (``rpc.call("demote", ...)``) or through a wrapper
+    # (``_fenced_call(handle, "scrub", ...)``); the registration itself
+    # does not count.
+    rest = _REGISTRATION.sub("", text)
+    uncalled = {
+        name for name in registered
+        if not re.search(rf'\w\([^()]*"{name}"', rest)
+    }
     assert uncalled == set()

@@ -215,7 +215,7 @@ def test_promotion_preserves_latest_synced_data():
 
 
 def test_concurrent_promotes_share_one_slot():
-    """Two promotes of one object in flight at once (planner vs prefetch)
+    """Two promotes of one object in flight at once (planner vs pin)
     publish one slot: the one the directory hands out is the one the drain
     keeps fresh, and the loser's slot goes back to the allocator."""
     sim, pool = build_pool(num_servers=1, num_clients=1)
@@ -230,8 +230,7 @@ def test_concurrent_promotes_share_one_slot():
 
     (gaddr,) = pool.run(setup(sim))
     handle, policy = master._servers[0], master._policies[0]
-    pool.run(master._promote(handle, policy, gaddr),
-             master._promote(handle, policy, gaddr))
+    pool.run(master._promote(handle, policy, gaddr), master.pin(gaddr))
     record = master.directory.get(gaddr)
     assert record.cached
     assert server.cached[gaddr].cache_offset == record.cache_offset
@@ -268,3 +267,56 @@ def test_writes_to_cached_object_update_cache_via_drain():
 
     (data,) = pool.run(app(sim))
     assert data == b"BBB"
+
+
+def test_home_server_crash_mid_promotion_copy():
+    """Crash the home server while a pin's NVM-to-DRAM copy is in flight.
+
+    The crash wipes the DRAM cache under the copy.  After recovery and
+    ``on_server_recovered`` the object reads back byte-exact, no directory
+    record is cached on a slot the crash wiped, and every extent is
+    accounted for."""
+    sim, pool = build_pool(
+        num_servers=1, num_clients=1,
+        config=fast_config(retry_max_attempts=8, auto_reattach=True,
+                           degraded_mode=True))
+    client = pool.clients[0]
+    master, server = pool.master, pool.servers[0]
+    payload = b"pinned" + bytes(122)
+
+    def setup(sim):
+        gaddr = yield from client.gmalloc(128)
+        yield from client.gwrite(gaddr, payload)
+        yield from client.gsync()
+        return gaddr
+
+    (gaddr,) = pool.run(setup(sim))
+
+    def crash_mid_copy(sim):
+        sim.spawn(master.pin(gaddr))
+        # The server carves the slot before the copy and publishes it after.
+        while not server.cache_alloc.allocated_bytes:
+            yield 100
+        assert gaddr not in server.cached
+        server.crash()
+        yield 200_000
+        server.recover()
+        master.on_server_recovered(0)
+        yield 100_000
+        data = yield from client.gread(gaddr)
+        return data
+
+    (data,) = pool.run(crash_mid_copy(sim))
+    assert data == payload
+    for record in master.directory.objects():
+        if record.cached:
+            entry = server.cached.get(record.gaddr)
+            assert entry is not None
+            assert entry.cache_offset == record.cache_offset
+    # The server agrees: every slot it serves is one its post-crash
+    # allocator holds, and it holds nothing else.
+    held = [server.cache_alloc.size_of(e.cache_offset)
+            for e in server.cached.values()]
+    assert None not in held
+    assert server.cache_alloc.allocated_bytes == sum(held)
+    assert master.check_extents() == []

@@ -121,54 +121,6 @@ def test_huge_object_read_write_chunked():
     assert data == payload
 
 
-def test_force_unlock_recovers_abandoned_lock():
-    sim, pool = build_pool(num_servers=1, num_clients=2)
-    dead, survivor = pool.clients
-
-    def setup(sim):
-        gaddr = yield from dead.gmalloc(64)
-        yield from dead.gwrite(gaddr, bytes(64))
-        yield from dead.gsync()
-        yield from dead.glock(gaddr, write=True)
-        # ... the client "crashes" here, never releasing.
-        return gaddr
-
-    (gaddr,) = pool.run(setup(sim))
-    acquired = []
-
-    def contender(sim):
-        yield from survivor.glock(gaddr, write=True)
-        acquired.append(sim.now)
-        yield from survivor.gunlock(gaddr, write=True)
-
-    def admin(sim):
-        yield sim.timeout(50_000)  # operator notices the stuck lock
-        prior = yield from pool.master.force_unlock(gaddr)
-        return prior
-
-    contender_proc = sim.spawn(contender(sim))
-    admin_proc = sim.spawn(admin(sim))
-    sim.run_until_complete(sim.all_of([contender_proc, admin_proc]))
-    from repro.core.protocol import lock_is_write_locked, lock_owner
-
-    assert lock_is_write_locked(admin_proc.value)  # abandoned writer seen
-    assert lock_owner(admin_proc.value) == dead.uid  # ...attributed to it
-    assert acquired and acquired[0] >= 50_000  # only after recovery
-
-
-def test_force_unlock_on_free_lock_returns_zero():
-    sim, pool = build_pool(num_servers=1, num_clients=1)
-    client = pool.clients[0]
-
-    def app(sim):
-        gaddr = yield from client.gmalloc(64)
-        prior = yield from pool.master.force_unlock(gaddr)
-        return prior
-
-    (prior,) = pool.run(app(sim))
-    assert prior == 0
-
-
 def test_pin_survives_planner_epochs():
     """Pinned objects stay cached even with zero traffic (E1's guarantee)."""
     sim, pool = build_pool(num_servers=1, num_clients=1)
@@ -184,12 +136,6 @@ def test_pin_survives_planner_epochs():
 
     (gaddr,) = pool.run(app(sim))
     assert pool.master.directory.get(gaddr).cached
-
-    def unpin(sim):
-        yield from pool.master.unpin(gaddr)
-
-    pool.run(unpin(sim))
-    assert not pool.master.directory.get(gaddr).cached
 
 
 def test_batch_read_failure_propagates():

@@ -305,66 +305,6 @@ def test_repeated_crash_recover_cycles_do_not_leak():
     assert server.crashes == 5
 
 
-def test_force_unlock_does_not_wipe_a_concurrently_reacquired_lock():
-    """Regression: the admin clear's read→zero used to be two separate
-    steps, so a release + fresh acquire landing in between (during the
-    zero's DRAM write latency) was silently wiped — the new holder kept
-    running convinced it held the lock.  Gated under the endpoint's atomic
-    serializer, the release and re-acquire are forced *after* the clear:
-    the stale release fails typed and the fresh acquire survives."""
-    from repro.core import FencedError
-    from repro.core.protocol import lock_owner
-
-    sim, pool = build_pool(
-        num_servers=1, num_clients=2,
-        config=fast_config(client_lease_ns=100_000, auto_reattach=True,
-                           retry_max_attempts=3))
-    a, b = pool.clients
-    server = pool.servers[0]
-
-    def setup(sim):
-        gaddr = yield from a.gmalloc(64)
-        yield from a.glock(gaddr)
-        return gaddr
-
-    (gaddr,) = pool.run(setup(sim))
-    lock_idx = pool.master.directory.get(gaddr).lock_idx
-
-    # Stretch the clear's critical section: every lock-table write now takes
-    # an extra 50 us, holding the atomic gate open across the race window.
-    orig_write = server.lock_mr.write
-
-    def slow_write(offset, data, **kw):
-        yield sim.timeout(50_000)
-        yield from orig_write(offset, data, **kw)
-
-    server.lock_mr.write = slow_write
-
-    def admin(sim):
-        yield from pool.master.force_unlock(gaddr)
-
-    def stale_release(sim):
-        # Lands while the clear holds the gate; must fail typed, never
-        # blind-subtract from whatever word is there afterwards.
-        yield sim.timeout(5_000)
-        try:
-            yield from a.gunlock(gaddr)
-        except FencedError as exc:
-            return exc
-
-    def fresh_acquire(sim):
-        yield sim.timeout(6_000)
-        yield from b.glock(gaddr)
-        return "acquired"
-
-    _, release_exc, outcome = pool.run(
-        admin(sim), stale_release(sim), fresh_acquire(sim))
-    assert isinstance(release_exc, FencedError)
-    assert outcome == "acquired"
-    word = server.lock_mr.read_u64(lock_idx * 8)
-    assert lock_owner(word) == b.uid  # the fresh lock survived the clear
-
-
 def test_client_death_frees_ring_resources():
     """Three kill → lease-expiry → revive → rejoin cycles must not leak
     server-side ring MRs, DRAM carves, or drain loops: lease expiry retires

@@ -10,7 +10,9 @@ the pool through one private driver.  Three contracts are pinned here:
   the driver has to reproduce it: the same history events (kind, outcome,
   fields) and the same spans (name, track, fields, which op span each phase
   belongs to).  Raw op ids are deliberately not pinned — the driver mints
-  them at op start, the old lock verbs minted them at op end.
+  them at op start, the old lock verbs minted them at op end.  The golden
+  moves only through ``PYTHONPATH=src python -m tests.core.test_op_driver
+  --recapture "REASON"``, which records why in its ``recaptured`` list.
 * **The no-history entry** (``history=False``) used by txn reads, the bank
   audit and the library's own nested ops: spans and retries as usual, no
   history event.
@@ -18,6 +20,7 @@ the pool through one private driver.  Three contracts are pinned here:
   one latency sample per op, however many attempts it took.
 """
 
+import argparse
 import json
 from pathlib import Path
 
@@ -278,12 +281,37 @@ def test_a_failed_op_is_not_counted_as_served():
     assert client.m_writes.count == client.h_write.count == 1
 
 
-if __name__ == "__main__":  # capture: python -m tests.core.test_op_driver
+def recapture(reason: str) -> None:
+    """Rewrite the golden from this tree.  A move appends the reason and
+    each session's old and new span-row counts to its ``recaptured`` list."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    new = {name: json.loads(json.dumps(_observables(*SESSIONS[name]())))
+           for name in sorted(SESSIONS)}
+    if all(golden[name] == new[name] for name in new):
+        print(f"{GOLDEN_PATH.name}: unchanged")
+        return
+    history = golden.get("recaptured", []) + [{
+        "reason": reason,
+        "span_rows_before": {n: len(golden[n]["spans"]) for n in new},
+        "span_rows_after": {n: len(new[n]["spans"]) for n in new},
+    }]
+
     def _rows(rows):
         return "[\n" + ",\n".join("   " + json.dumps(r) for r in rows) + "\n  ]"
 
     GOLDEN_PATH.write_text("{\n" + ",\n".join(
-        f' "{name}": {{\n  "history": {_rows(doc["history"])},\n'
-        f'  "spans": {_rows(doc["spans"])}\n }}'
-        for name, doc in ((n, _observables(*SESSIONS[n]()))
-                          for n in sorted(SESSIONS))) + "\n}\n")
+        [f' "{name}": {{\n  "history": {_rows(doc["history"])},\n'
+         f'  "spans": {_rows(doc["spans"])}\n }}' for name, doc in new.items()]
+        + [f' "recaptured": {_rows(history)}']) + "\n}\n")
+    for name in new:
+        print(f"{GOLDEN_PATH.name}: {name} span rows "
+              f"{len(golden[name]['spans'])} -> {len(new[name]['spans'])}")
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(
+        description="Re-capture the op-observables golden")
+    parser.add_argument("--recapture", metavar="REASON", required=True,
+                        help="why the recorded observables moved, kept in "
+                             "the golden")
+    recapture(parser.parse_args().recapture)

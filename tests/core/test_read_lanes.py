@@ -8,7 +8,7 @@ from repro.core import ClientError
 from repro.hardware.nic import PIPELINE_WIDTH
 from repro.rdma.wr import Opcode, WcStatus
 
-from tests.core.conftest import build_pool, fast_config
+from tests.core.conftest import build_pool
 
 
 def _load_objects(client, count, size=128):
@@ -92,8 +92,7 @@ def test_only_reads_leave_the_ordered_lane():
 
 
 def test_combine_run_across_lanes_is_one_device_transfer():
-    sim, pool = build_pool(num_servers=1, num_clients=1,
-                           config=fast_config(prefetch_depth=0))
+    sim, pool = build_pool(num_servers=1, num_clients=1)
     client = pool.clients[0]
     (conn,) = client._conns.values()
     node_name = pool.servers[0].node.name

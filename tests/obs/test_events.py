@@ -162,7 +162,7 @@ def test_span_fields_carry_what_the_tracer_used_to_report():
     assert drain.fields["gaddr"] == hex(got["gaddr"])
     assert drain.fields["seq"] == 1 and drain.fields["torn"] is False
     assert len(rec.by_name("phase.nvm_read")) == 1
-    assert not {e.category for e in rec.events} & {"read", "proxy", "prefetch"}
+    assert not {e.category for e in rec.events} & {"read", "proxy"}
 
 
 @pytest.fixture(scope="module")

@@ -56,10 +56,10 @@ def test_trace_writes_chrome_json(tmp_path, capsys):
     assert doc["displayTimeUnit"] == "ms"
     names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
     # Point reads ride doorbell-batched gread_many in the YCSB driver, and
-    # the pipelining/prefetch machinery must leave its spans.
+    # the pipelining machinery must leave its spans.
     assert names >= {"op.gread_many", "op.gwrite", "phase.cache_read",
                      "phase.nvm_read", "phase.proxy_stage", "srv.drain",
-                     "phase.pipeline_wait", "phase.prefetch"}
+                     "phase.pipeline_wait"}
     rows = [json.loads(line) for line in span_path.read_text().splitlines()]
     assert rows and all(r["name"] and "start_ns" in r for r in rows)
     out = capsys.readouterr().out
