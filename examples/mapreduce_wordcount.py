@@ -23,7 +23,7 @@ def main() -> None:
         "gengar", seed=7, num_servers=2, num_clients=2,
         config_overrides=bench_config(
             proxy_slot_size=128 * KIB, epoch_ns=50_000,
-            report_every_ops=8, promote_threshold=0.5, demote_threshold=0.1,
+            report_every_ops=8, promote_threshold=0.5,
         ),
     )
     sim = system.sim

@@ -70,7 +70,6 @@ def bench_config(**overrides) -> Callable[[GengarConfig], GengarConfig]:
             epoch_ns=100_000,
             report_every_ops=32,
             promote_threshold=2.0,
-            demote_threshold=0.5,
             proxy_ring_slots=32,
             proxy_slot_size=4 * KIB,
         )
@@ -387,8 +386,7 @@ def e06_cache_size(cache_sizes: Sequence[int] = (64 * KIB, 128 * KIB, 256 * KIB,
                       config_overrides=bench_config(cache_capacity=size,
                                                     epoch_ns=50_000,
                                                     report_every_ops=16,
-                                                    promote_threshold=0.5,
-                                                    demote_threshold=0.1))
+                                                    promote_threshold=0.5))
         runner = YcsbRunner(system, spec, num_workers=4, ops_per_worker=500,
                             seed_tag=f"e6.{size}")
         runner.load()
@@ -445,7 +443,7 @@ def e08_hotness_policy(seed: int = 708) -> ExperimentResult:
                           report_every_ops=16, proxy_slot_size=8 * KIB)
     policies: Dict[str, Callable] = {
         "gengar-epoch-decay": lambda: EpochDecayPolicy(
-            decay=0.5, promote_threshold=0.5, demote_threshold=0.1),
+            decay=0.5, promote_threshold=0.5),
         "lru": LruPolicy,
         "lfu": lambda: LfuPolicy(promote_threshold=2.0),
         "random": lambda: RandomPolicy(random.Random(seed), churn=8),
@@ -595,8 +593,7 @@ def e10_mapreduce(systems: Sequence[str] = ("gengar", "cache-only", "proxy-only"
                                                     proxy_ring_slots=16,
                                                     epoch_ns=50_000,
                                                     report_every_ops=8,
-                                                    promote_threshold=0.5,
-                                                    demote_threshold=0.1))
+                                                    promote_threshold=0.5))
         corpus = CorpusGenerator(vocab_size=200, rng=random.Random(seed))
         chunks = corpus.chunks(num_chunks, chunk_bytes)
         engine = MapReduceEngine(system.clients)

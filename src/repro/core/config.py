@@ -15,9 +15,9 @@ never travels on the wire, so a field costs no protocol bytes.  A field
 exists only where two callers outside the tests want different values: a
 value nobody sets to a second one is a constant at its one reader (the
 lock backoff in ``consistency``, the journal and intent-slot sizes in
-``server``, the op window, admission and degraded-mode patience in
-``client``, the phi detector's threshold and window in ``master``) or is
-derived from a field that stays (the lease sweep runs every
+``server``, the degraded-mode patience in ``client``, the phi detector's
+threshold and window in ``master``) or is derived from a field that
+stays (the lease sweep runs every
 ``client_lease_ns // 4``, the cross-shard aggregation every ``epoch_ns``).
 ``tests/core/test_config_surface.py`` pins the count.
 """
@@ -52,12 +52,10 @@ class GengarConfig:
     # ---- hotness tracking -------------------------------------------------
     #: Client reports its access counts to the master every this many ops.
     report_every_ops: int = 128
-    #: Master re-plans promotions/demotions every epoch (simulated ns).
+    #: Master re-plans the cache every epoch (simulated ns).
     epoch_ns: int = 200_000
     #: Minimum decayed score for promotion into DRAM.
     promote_threshold: float = 4.0
-    #: Cached objects falling below this score are demoted (hysteresis).
-    demote_threshold: float = 1.0
 
     # ---- placement ---------------------------------------------------------
     #: Store primary data in DRAM instead of NVM (the DRAM-only upper bound).
@@ -167,8 +165,6 @@ class GengarConfig:
             raise ValueError("need at least one proxy ring slot")
         if self.proxy_slot_size < 64:
             raise ValueError("proxy slots must hold at least a header + small payload")
-        if self.demote_threshold > self.promote_threshold:
-            raise ValueError("demote threshold must not exceed promote threshold")
         if self.report_every_ops < 1 or self.epoch_ns < 1:
             raise ValueError("reporting cadence must be positive")
         if self.placement not in ("round-robin", "rack-local"):

@@ -6,7 +6,8 @@ accesses for free — each one-sided READ/WRITE it posts is also a perfect
 access record, with no server-side instrumentation.  Clients batch these
 counts and piggyback them to the master; the master keeps an exponentially
 decayed score per object and periodically plans promotions into the home
-server's DRAM buffer and demotions out of it.
+server's DRAM buffer, evicting a colder cached object only when a hotter
+one needs its room.
 
 This module is pure policy (no simulation dependencies) so it can be tested
 exhaustively and swapped in benchmarks (E8 compares it against LRU/LFU/random
@@ -25,20 +26,14 @@ class ObjectStats:
 
     Slotted: the master holds one of these per live object and the planner
     walks all of them every epoch, so the per-instance dict is pure
-    overhead (80 bytes/object against 176 with ``__dict__`` on CPython
-    3.11; attribute access is at parity).
+    overhead (64 bytes/object on CPython 3.11, against 56 plus a 280-byte
+    ``__dict__``; attribute access is at parity).
     """
 
     gaddr: int
     size: int
     score: float = 0.0
-    reads: int = 0
-    writes: int = 0
     cached: bool = False
-
-    @property
-    def accesses(self) -> int:
-        return self.reads + self.writes
 
 
 @dataclass(frozen=True)
@@ -70,31 +65,24 @@ class PlacementPolicy(Protocol):
 
 
 class EpochDecayPolicy:
-    """Gengar's policy: decayed access frequency with hysteresis.
+    """Gengar's policy: decayed access frequency, evicting only for room.
 
     At each :meth:`plan`, every score is multiplied by ``decay`` and the
-    epoch's counts are folded in.  Objects above ``promote_threshold`` are
-    promoted hottest-first while DRAM capacity lasts; cached objects that
-    fell below ``demote_threshold`` are demoted.  If the cache is full, a
-    promotion may evict the *coldest* cached object, but only when the
-    candidate is strictly hotter — so the cache never churns on ties.
+    epoch's accesses are added.  Objects at or above ``promote_threshold``
+    are promoted hottest-first while DRAM capacity lasts.  A cached object
+    leaves DRAM only when a candidate that needs its room is strictly
+    hotter; the coldest goes first, and ties never churn.  A cooled object
+    in a cache with room stays cached.
     """
 
-    def __init__(
-        self,
-        decay: float = 0.5,
-        promote_threshold: float = 4.0,
-        demote_threshold: float = 1.0,
-    ):
+    def __init__(self, decay: float = 0.5, promote_threshold: float = 4.0):
         if not 0.0 <= decay <= 1.0:
             raise ValueError("decay must be in [0, 1]")
-        if demote_threshold > promote_threshold:
-            raise ValueError("demote threshold must not exceed promote threshold")
         self.decay = decay
         self.promote_threshold = promote_threshold
-        self.demote_threshold = demote_threshold
         self._stats: Dict[int, ObjectStats] = {}
-        self._epoch_counts: Dict[int, Tuple[int, int]] = {}
+        #: Accesses reported since the last plan, per object.
+        self._epoch_counts: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def track(self, gaddr: int, size: int) -> None:
@@ -105,8 +93,7 @@ class EpochDecayPolicy:
         """Fold a client's epoch report for one object."""
         if gaddr not in self._stats:
             return  # freed (or never tracked): stale report, drop it
-        r, w = self._epoch_counts.get(gaddr, (0, 0))
-        self._epoch_counts[gaddr] = (r + reads, w + writes)
+        self._epoch_counts[gaddr] = self._epoch_counts.get(gaddr, 0) + reads + writes
 
     def record_batch(self, entries: List[Tuple[int, int, int]]) -> None:
         """Fold many ``(gaddr, reads, writes)`` entries in one flush.
@@ -118,10 +105,8 @@ class EpochDecayPolicy:
         counts = self._epoch_counts
         get = counts.get
         for gaddr, reads, writes in entries:
-            if gaddr not in stats:
-                continue
-            r, w = get(gaddr, (0, 0))
-            counts[gaddr] = (r + reads, w + writes)
+            if gaddr in stats:
+                counts[gaddr] = get(gaddr, 0) + reads + writes
 
     def on_freed(self, gaddr: int) -> None:
         self._stats.pop(gaddr, None)
@@ -150,26 +135,17 @@ class EpochDecayPolicy:
 
     # ------------------------------------------------------------------
     def plan(self, capacity: int, used: int) -> PlacementPlan:
-        """Advance one epoch and emit promotion/demotion decisions.
+        """Advance one epoch: promote hot objects, evicting for room.
 
         Args:
             capacity: DRAM cache bytes available (per the planner's scope).
             used: bytes currently occupied by cached objects.
         """
         # Fold the epoch's counts into decayed scores.
+        counts = self._epoch_counts
         for stats in self._stats.values():
-            reads, writes = self._epoch_counts.get(stats.gaddr, (0, 0))
-            stats.score = stats.score * self.decay + reads + writes
-            stats.reads += reads
-            stats.writes += writes
-        self._epoch_counts.clear()
-
-        demotions: List[int] = []
-        cached = [s for s in self._stats.values() if s.cached]
-        for stats in cached:
-            if stats.score < self.demote_threshold:
-                demotions.append(stats.gaddr)
-                used -= stats.size
+            stats.score = stats.score * self.decay + counts.get(stats.gaddr, 0)
+        counts.clear()
 
         # Hot uncached candidates, hottest first.
         candidates = sorted(
@@ -180,20 +156,21 @@ class EpochDecayPolicy:
             ),
             key=lambda s: (-s.score, s.gaddr),
         )
-        surviving = sorted(
-            (s for s in cached if s.gaddr not in set(demotions)),
+        cached = sorted(
+            (s for s in self._stats.values() if s.cached),
             key=lambda s: (s.score, s.gaddr),
         )
 
         promotions: List[int] = []
+        demotions: List[int] = []
         for cand in candidates:
             if cand.size > capacity:
                 continue  # can never fit
-            while used + cand.size > capacity and surviving:
-                coldest = surviving[0]
+            while used + cand.size > capacity and cached:
+                coldest = cached[0]
                 if coldest.score >= cand.score:
                     break  # nothing colder to evict; stop churn
-                surviving.pop(0)
+                cached.pop(0)
                 demotions.append(coldest.gaddr)
                 used -= coldest.size
             if used + cand.size <= capacity:
@@ -257,7 +234,7 @@ class LruPolicy:
             (g for g in self._cached), key=lambda g: (self._last_touch.get(g, 0), g)
         )
         for gaddr, _touch in recency:
-            if gaddr in self._cached or gaddr in set(promotions):
+            if gaddr in self._cached:
                 continue
             size = self._sizes[gaddr]
             if size > capacity:

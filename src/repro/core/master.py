@@ -149,9 +149,7 @@ class Master:
         if policy_factory is None:
             if config.enable_cache:
                 policy_factory = lambda: EpochDecayPolicy(  # noqa: E731
-                    promote_threshold=config.promote_threshold,
-                    demote_threshold=config.demote_threshold,
-                )
+                    promote_threshold=config.promote_threshold)
             else:
                 policy_factory = NeverCachePolicy
         self._policy_factory = policy_factory

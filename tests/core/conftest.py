@@ -16,7 +16,6 @@ def fast_config(**overrides):
         epoch_ns=50_000,
         report_every_ops=8,
         promote_threshold=4.0,
-        demote_threshold=1.0,
         proxy_ring_slots=8,
         proxy_slot_size=4 * KIB,
         lock_table_entries=1024,

@@ -96,31 +96,49 @@ def test_cold_objects_stay_in_nvm():
         assert not pool.master.directory.get(g).cached
 
 
-def test_cooled_object_demoted_and_slot_reusable():
+def test_hotter_object_evicts_cooled_one_and_reuses_its_slot():
+    """A cooled object stays cached while the cache has room; a hotter one
+    that cannot fit beside it takes its slot."""
     sim, pool = build_pool(
         num_servers=1, num_clients=1,
-        config=fast_config(epoch_ns=30_000),
-        policy_factory=lambda: EpochDecayPolicy(
-            decay=0.25, promote_threshold=4.0, demote_threshold=1.0),
+        # Room for one 2 KiB object once the planner's tag headroom is
+        # reserved, not two.
+        config=fast_config(epoch_ns=30_000, cache_capacity=4096),
+        policy_factory=lambda: EpochDecayPolicy(decay=0.25, promote_threshold=4.0),
     )
     client = pool.clients[0]
+    server = pool.servers[0]
 
-    def app(sim):
-        gaddr = yield from client.gmalloc(1024)
-        yield from client.gwrite(gaddr, b"c" * 1024)
+    def warm(gaddr, fill):
+        yield from client.gwrite(gaddr, fill * 2048)
+        yield from client.gsync()
         for _ in range(8):
             yield from hammer(client, gaddr, 15)
             yield sim.timeout(15_000)
-        assert pool.master.directory.get(gaddr).cached
-        # Go silent: the score decays below the demote threshold.
-        yield sim.timeout(400_000)
-        return gaddr
 
-    (gaddr,) = pool.run(app(sim))
-    assert not pool.master.directory.get(gaddr).cached
-    server = pool.servers[0]
-    assert gaddr not in server.cached
-    assert server.cache_alloc.allocated_bytes == 0  # slot returned
+    def app(sim):
+        cool = yield from client.gmalloc(2048)
+        yield from warm(cool, b"c")
+        assert pool.master.directory.get(cool).cached
+        slot = server.cached[cool].cache_offset
+        held = server.cache_alloc.allocated_bytes
+        # Go silent for many epochs: the score decays towards zero, and
+        # with nothing asking for its room the object stays cached.
+        yield sim.timeout(400_000)
+        assert pool.master.directory.get(cool).cached
+        assert cool in server.cached
+        hot = yield from client.gmalloc(2048)
+        yield from warm(hot, b"h")
+        return cool, hot, slot, held
+
+    ((cool, hot, slot, held),) = pool.run(app(sim))
+    assert not pool.master.directory.get(cool).cached
+    assert cool not in server.cached
+    assert pool.master.directory.get(hot).cached
+    assert server.cached[hot].cache_offset == slot  # the evicted slot, reused
+    assert server.cache_alloc.allocated_bytes == held
+    entry = server.cached[hot]
+    assert server.cache_mr.peek(entry.cache_offset + 16, 16) == b"h" * 16
 
 
 def test_stale_client_metadata_self_heals_after_demotion():
@@ -169,8 +187,7 @@ def test_cache_respects_capacity():
     """More hot bytes than cache capacity: the cache never overcommits."""
     sim, pool = build_pool(
         num_servers=1, num_clients=1,
-        config=fast_config(cache_capacity=8 * 1024,
-                           promote_threshold=3.0, demote_threshold=0.5),
+        config=fast_config(cache_capacity=8 * 1024, promote_threshold=3.0),
     )
     client = pool.clients[0]
 

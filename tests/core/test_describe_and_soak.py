@@ -52,8 +52,7 @@ def test_soak_mixed_workload_stays_consistent():
     sim, pool = build_pool(
         seed=2024, num_servers=2, num_clients=3,
         config=fast_config(cache_capacity=128 * 1024, epoch_ns=40_000,
-                           report_every_ops=8, promote_threshold=1.0,
-                           demote_threshold=0.2),
+                           report_every_ops=8, promote_threshold=1.0),
     )
     clients = pool.clients
     rounds = 12

@@ -157,8 +157,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GengarConfig(proxy_slot_size=10)
     with pytest.raises(ValueError):
-        GengarConfig(promote_threshold=1.0, demote_threshold=2.0)
-    with pytest.raises(ValueError):
         GengarConfig(report_every_ops=0)
 
 

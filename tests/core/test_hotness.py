@@ -17,7 +17,7 @@ KIB = 1024
 
 
 def make_policy(**kw):
-    defaults = dict(decay=0.5, promote_threshold=4.0, demote_threshold=1.0)
+    defaults = dict(decay=0.5, promote_threshold=4.0)
     defaults.update(kw)
     return EpochDecayPolicy(**defaults)
 
@@ -61,22 +61,35 @@ def test_promotions_ranked_hottest_first_within_capacity():
 
 
 def test_score_decays_and_triggers_demotion():
-    policy = make_policy(decay=0.25, promote_threshold=4.0, demote_threshold=1.0)
+    """The planner takes an object out of DRAM only to make room: a cooled
+    object in a cache with room stays cached, and the first strictly hotter
+    candidate that cannot fit beside it evicts it."""
+    policy = make_policy(decay=0.25, promote_threshold=4.0)
     policy.track(1, 256)
     policy.record(1, reads=16, writes=0)
-    plan = policy.plan(capacity=1024, used=0)
-    assert plan.promotions == (1,)
+    assert policy.plan(capacity=1024, used=0).promotions == (1,)
     policy.on_promoted(1)
-    # Epochs with no accesses: 16 -> 4 -> 1 -> 0.25 (below demote threshold).
-    assert policy.plan(capacity=1024, used=256).is_noop  # score 4
-    assert policy.plan(capacity=1024, used=256).is_noop  # score 1
-    plan = policy.plan(capacity=1024, used=256)  # score 0.25
-    assert plan.demotions == (1,)
+    # Silent epochs: 16 -> 4 -> 1 -> 0.25 -> ... with 768 B free throughout.
+    for _ in range(5):
+        assert policy.plan(capacity=1024, used=256).is_noop
+    assert policy.stats_for(1).cached
+    # A hot candidate that fits beside it takes free space, not its slot.
+    policy.track(2, 512)
+    policy.record(2, reads=5, writes=0)
+    plan = policy.plan(capacity=1024, used=256)
+    assert (plan.promotions, plan.demotions) == ((2,), ())
+    policy.on_promoted(2)
+    # One that needs its room evicts it (object 2, warmer, stays).
+    policy.track(3, 512)
+    policy.record(3, reads=5, writes=0)
+    plan = policy.plan(capacity=1024, used=768)
+    assert (plan.promotions, plan.demotions) == ((3,), (1,))
 
 
 def test_hysteresis_keeps_warm_objects_cached():
-    """Objects between the demote and promote thresholds stay where they are."""
-    policy = make_policy(decay=1.0, promote_threshold=10.0, demote_threshold=2.0)
+    """Below the promote threshold nothing moves: a cached object that cools
+    under it stays cached, and a warm uncached one stays out."""
+    policy = make_policy(decay=0.5, promote_threshold=10.0)
     policy.track(1, 256)
     policy.track(2, 256)
     policy.record(1, reads=12, writes=0)
@@ -84,9 +97,10 @@ def test_hysteresis_keeps_warm_objects_cached():
     plan = policy.plan(capacity=1024, used=0)
     assert plan.promotions == (1,)  # object 2's score 5 is below promote
     policy.on_promoted(1)
-    # Next epoch (decay 1.0 keeps scores): 1 stays cached, 2 stays out.
+    # Next epoch: scores 6 and 2.5, both below promote, 768 B free.
     plan = policy.plan(capacity=1024, used=256)
     assert plan.is_noop
+    assert policy.stats_for(1).cached and not policy.stats_for(2).cached
 
 
 def test_eviction_replaces_colder_cached_object():
@@ -136,8 +150,6 @@ def test_freed_object_dropped():
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         EpochDecayPolicy(decay=1.5)
-    with pytest.raises(ValueError):
-        EpochDecayPolicy(promote_threshold=1.0, demote_threshold=2.0)
 
 
 def test_stats_accumulate_reads_writes():
@@ -145,8 +157,11 @@ def test_stats_accumulate_reads_writes():
     policy.track(1, 64)
     policy.record(1, reads=3, writes=2)
     policy.plan(capacity=0, used=0)
-    stats = policy.stats_for(1)
-    assert stats.reads == 3 and stats.writes == 2 and stats.accesses == 5
+    assert policy.stats_for(1).score == 5.0
+    policy.record(1, reads=1, writes=0)
+    policy.record(1, reads=0, writes=1)
+    policy.plan(capacity=0, used=0)
+    assert policy.stats_for(1).score == 5.0 * 0.5 + 2
 
 
 # ---------------------------------------------------------------------------

@@ -64,20 +64,21 @@ def _assert_equivalent(factory):
 
 
 def test_epoch_decay_batch_matches_sequential():
-    _assert_equivalent(
-        lambda: EpochDecayPolicy(decay=0.5, promote_threshold=4.0,
-                                 demote_threshold=1.0)
-    )
+    _assert_equivalent(lambda: EpochDecayPolicy(decay=0.5, promote_threshold=4.0))
 
 
 def test_epoch_decay_batch_accumulates_stats():
-    policy = EpochDecayPolicy(decay=0.5, promote_threshold=4.0,
-                              demote_threshold=1.0)
-    _seed_tracked(policy)
-    policy.record_batch(ENTRIES)
-    policy.plan(capacity=0, used=0)  # folds epoch counts into stats
-    stats = policy.stats_for(1)
-    assert stats.reads == 9 and stats.writes == 1  # 5+4 reads, 0+1 writes
+    seq, batched = _pair(lambda: EpochDecayPolicy(decay=0.5, promote_threshold=4.0))
+    for entry in ENTRIES:
+        seq.record(*entry)
+    batched.record_batch(ENTRIES)
+    for policy in (seq, batched):
+        policy.plan(capacity=0, used=0)  # folds epoch counts into scores
+        policy.record(1, reads=1, writes=0)
+        policy.plan(capacity=0, used=0)
+    for g in (1, 2, 3, 4):
+        assert seq.stats_for(g).score == batched.stats_for(g).score
+    assert batched.stats_for(1).score == (5 + 4 + 1) * 0.5 + 1
 
 
 def test_lru_batch_matches_sequential():
@@ -111,8 +112,7 @@ def test_never_cache_batch_is_inert():
 
 def test_batch_ignores_untracked_entries():
     for factory in (
-        lambda: EpochDecayPolicy(decay=0.5, promote_threshold=4.0,
-                                 demote_threshold=1.0),
+        lambda: EpochDecayPolicy(decay=0.5, promote_threshold=4.0),
         LruPolicy,
         lambda: LfuPolicy(promote_threshold=2),
         lambda: RandomPolicy(random.Random(3), churn=2),
@@ -124,8 +124,7 @@ def test_batch_ignores_untracked_entries():
 
 
 def test_empty_batch_is_noop():
-    policy = EpochDecayPolicy(decay=0.5, promote_threshold=4.0,
-                              demote_threshold=1.0)
+    policy = EpochDecayPolicy(decay=0.5, promote_threshold=4.0)
     _seed_tracked(policy)
     policy.record_batch([])
     assert policy.plan(capacity=4096, used=0).is_noop

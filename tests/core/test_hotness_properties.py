@@ -23,8 +23,9 @@ _event = st.one_of(
 )
 
 
-def _drive(policy, events, capacity):
-    """Apply an event stream, executing plans faithfully; check invariants."""
+def _drive(policy, events, capacity, check=None):
+    """Apply an event stream, executing plans faithfully; check invariants
+    (and ``check(plan)`` on every plan, when given)."""
     tracked = {}
     cached = {}
     for ev in events:
@@ -55,6 +56,8 @@ def _drive(policy, events, capacity):
                 assert gaddr not in cached, "promoted an already-cached object"
             for gaddr in plan.demotions:
                 assert gaddr in cached, "demoted a non-cached object"
+            if check is not None:
+                check(plan)
             # Execute the plan as the master would.
             for gaddr in plan.demotions:
                 policy.on_demoted(gaddr)
@@ -70,9 +73,27 @@ def _drive(policy, events, capacity):
        capacity=st.sampled_from((512, 2048, 8192)))
 @settings(max_examples=80, deadline=None)
 def test_epoch_decay_plans_are_executable(events, capacity):
-    policy = EpochDecayPolicy(decay=0.5, promote_threshold=1.0,
-                              demote_threshold=0.25)
+    policy = EpochDecayPolicy(decay=0.5, promote_threshold=1.0)
     _drive(policy, events + [("plan", 0)], capacity)
+
+
+@given(events=st.lists(_event, min_size=1, max_size=60),
+       capacity=st.sampled_from((512, 2048, 8192)))
+@settings(max_examples=80, deadline=None)
+def test_epoch_decay_demotes_only_for_a_hotter_promotion(events, capacity):
+    """A plan with no promotions has no demotions, and every demoted object
+    is colder than some object promoted in the same plan."""
+    policy = EpochDecayPolicy(decay=0.5, promote_threshold=1.0)
+
+    def check(plan):
+        if not plan.promotions:
+            assert plan.demotions == (), "demoted with nothing to promote"
+        hottest = max((policy.stats_for(g).score for g in plan.promotions),
+                      default=0.0)
+        for gaddr in plan.demotions:
+            assert policy.stats_for(gaddr).score < hottest, "evicted for a colder one"
+
+    _drive(policy, events + [("plan", 0)] * 8, capacity, check)
 
 
 @given(events=st.lists(_event, min_size=1, max_size=60),
@@ -102,8 +123,7 @@ def test_random_plans_are_executable(events, capacity, seed):
 @settings(max_examples=60, deadline=None)
 def test_epoch_decay_promotes_hottest_first_under_pressure(hits):
     """With room for exactly one object, the single hottest one wins."""
-    policy = EpochDecayPolicy(decay=1.0, promote_threshold=0.5,
-                              demote_threshold=0.1)
+    policy = EpochDecayPolicy(decay=1.0, promote_threshold=0.5)
     for gaddr, count in enumerate(hits):
         policy.track(gaddr, 256)
         policy.record(gaddr, reads=count, writes=0)
