@@ -361,6 +361,8 @@ class GengarPool:
                 "torn_slots_skipped": server.torn_skipped.count,
                 "journal_records": getattr(server, "_journal_count", 0)
                 if server.journal_base is not None else None,
+                "host_bytes": {"dram": server.node.dram.resident_bytes,
+                               "nvm": server.node.nvm.resident_bytes},
             }
         clients = {}
         for client in self.clients:
@@ -391,6 +393,11 @@ class GengarPool:
             },
             "servers": servers,
             "clients": clients,
+            "host_bytes": {
+                "clients": sum(c.node.dram.resident_bytes for c in self.clients),
+                "masters": sum(n.dram.resident_bytes for n in self.cluster.nodes
+                               if n.name.startswith("master")),
+            },
             "locks": {
                 "acquires": m.counter("pool.lock_acquires").count,
                 "retries": m.counter("pool.lock_retries").count,

@@ -2,9 +2,9 @@
 
 A :class:`MemoryDevice` is both a *cost model* (requests contend for a fixed
 number of channels, each serving ``latency + bytes/channel_bw``) and a
-*functional store* (a ``bytearray`` that RDMA operations actually copy in and
-out of).  Keeping both in one object lets tests assert data integrity and
-performance shape on the same run.
+*functional store* (sparse ``bytearray`` pages that RDMA operations actually
+copy in and out of).  Keeping both in one object lets tests assert data
+integrity and performance shape on the same run.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.sim.resources import Resource
-from repro.sim.stats import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -25,14 +24,16 @@ class MemoryAccessError(Exception):
 
 
 class SparseBuffer:
-    """A page-granular sparse byte store.
+    """A page-granular sparse byte store that holds only what was written.
 
-    Device specs describe capacities far beyond what a host bytearray should
-    eagerly allocate (an Optane DIMM is 128 GiB); pages materialize only when
-    written.  Reads of untouched ranges return zeros, matching fresh memory.
+    Device capacities are far beyond what a host should allocate (an Optane
+    DIMM is 128 GiB), and a pool touches most of what it carves (ring slots,
+    RPC buffers) only at its head.  A page is a ``bytearray`` as long as the
+    furthest byte written into it: it grows on demand, zero-filling any gap,
+    and bytes past its end read as zeros, like fresh memory.
     """
 
-    #: The grain of RPC slots and most objects: a small write stays small.
+    #: The grain of RPC slots and most objects.
     PAGE_SIZE = 4 * 1024
 
     def __init__(self, capacity: int):
@@ -40,49 +41,50 @@ class SparseBuffer:
         self._pages: dict[int, bytearray] = {}
 
     def read(self, offset: int, nbytes: int) -> bytes:
-        """Copy ``nbytes`` out, zero-filling unmaterialized pages."""
+        """Copy ``nbytes`` out, zero-filling whatever was never written."""
         page_no, page_off = divmod(offset, self.PAGE_SIZE)
         end = page_off + nbytes
-        if end <= self.PAGE_SIZE:  # inside one page: one slice
-            page = self._pages.get(page_no)
-            return bytes(nbytes) if page is None else bytes(page[page_off:end])
-        out = bytearray(nbytes)
-        pos = 0
-        while pos < nbytes:
-            page_no, page_off = divmod(offset + pos, self.PAGE_SIZE)
-            chunk = min(nbytes - pos, self.PAGE_SIZE - page_off)
-            page = self._pages.get(page_no)
-            if page is not None:
-                out[pos : pos + chunk] = page[page_off : page_off + chunk]
-            pos += chunk
-        return bytes(out)
+        if end > self.PAGE_SIZE:  # one piece per page it spans
+            cut = self.PAGE_SIZE - page_off
+            pieces = [self.read(offset, cut)]
+            while cut < nbytes:
+                pieces.append(self.read(offset + cut, min(self.PAGE_SIZE, nbytes - cut)))
+                cut += self.PAGE_SIZE
+            return b"".join(pieces)
+        page = self._pages.get(page_no)
+        if page is None:
+            return bytes(nbytes)
+        held = page[page_off:end]
+        short = nbytes - len(held)
+        return bytes(held) + bytes(short) if short else bytes(held)
 
     def write(self, offset: int, payload: bytes) -> None:
-        """Copy ``payload`` in, materializing pages as needed."""
+        """Copy ``payload`` in, creating or growing pages as needed."""
         nbytes = len(payload)
+        if not nbytes:
+            return
         page_no, page_off = divmod(offset, self.PAGE_SIZE)
         end = page_off + nbytes
-        if page_off < end <= self.PAGE_SIZE:  # not empty, inside one page: one slice
-            page = self._pages.get(page_no)
-            if page is None:
-                page = self._pages[page_no] = bytearray(self.PAGE_SIZE)
-            page[page_off:end] = payload
+        if end > self.PAGE_SIZE:  # one piece per page it spans
+            cut = self.PAGE_SIZE - page_off
+            self.write(offset, payload[:cut])
+            while cut < nbytes:
+                self.write(offset + cut, payload[cut : cut + self.PAGE_SIZE])
+                cut += self.PAGE_SIZE
             return
-        pos = 0
-        while pos < nbytes:
-            page_no, page_off = divmod(offset + pos, self.PAGE_SIZE)
-            chunk = min(nbytes - pos, self.PAGE_SIZE - page_off)
-            page = self._pages.get(page_no)
-            if page is None:
-                page = bytearray(self.PAGE_SIZE)
-                self._pages[page_no] = page
-            page[page_off : page_off + chunk] = payload[pos : pos + chunk]
-            pos += chunk
+        page = self._pages.get(page_no)
+        if page is None:
+            self._pages[page_no] = bytearray(page_off) + payload
+            return
+        gap = page_off - len(page)
+        if gap > 0:
+            page += bytes(gap)
+        page[page_off:end] = payload
 
     @property
     def resident_bytes(self) -> int:
-        """Host memory actually materialized (for introspection/tests)."""
-        return len(self._pages) * self.PAGE_SIZE
+        """Host bytes held: per page, up to the furthest byte written."""
+        return sum(map(len, self._pages.values()))
 
 
 class MemoryDevice:
@@ -111,9 +113,6 @@ class MemoryDevice:
         m = sim.metrics
         self.bytes_read = m.counter(f"{self.name}.bytes_read")
         self.bytes_written = m.counter(f"{self.name}.bytes_written")
-        self.read_latency: Histogram = m.histogram(f"{self.name}.read_latency")
-        self.write_latency: Histogram = m.histogram(f"{self.name}.write_latency")
-        self.queue_depth = m.level(f"{self.name}.queue_depth")
 
     # ------------------------------------------------------------------
     @property
@@ -125,6 +124,11 @@ class MemoryDevice:
     def is_persistent(self) -> bool:
         """True for NVM devices (contents survive 'power loss')."""
         return self.spec.kind == "nvm"
+
+    @property
+    def resident_bytes(self) -> int:
+        """Host bytes the simulated contents hold (see :class:`SparseBuffer`)."""
+        return self._data.resident_bytes
 
     def _check_range(self, offset: int, nbytes: int) -> None:
         if offset < 0 or nbytes < 0 or offset + nbytes > self._capacity:
@@ -147,29 +151,17 @@ class MemoryDevice:
     def read(self, offset: int, nbytes: int) -> Generator[Any, Any, bytes]:
         """Read ``nbytes`` at ``offset``; returns the bytes."""
         self._check_range(offset, nbytes)
-        start = self.sim.now
-        self.queue_depth.adjust(+1)
-        try:
-            yield (self._channels, self.read_service_time(nbytes))
-        finally:
-            self.queue_depth.adjust(-1)
+        yield (self._channels, self.read_service_time(nbytes))
         self.bytes_read.add(nbytes)
-        self.read_latency.record(self.sim.now - start)
         return self._data.read(offset, nbytes)
 
     def write(self, offset: int, payload: bytes) -> Generator[Any, Any, None]:
         """Write ``payload`` at ``offset``."""
         nbytes = len(payload)
         self._check_range(offset, nbytes)
-        start = self.sim.now
-        self.queue_depth.adjust(+1)
-        try:
-            yield (self._channels, self.write_service_time(nbytes))
-        finally:
-            self.queue_depth.adjust(-1)
+        yield (self._channels, self.write_service_time(nbytes))
         self._data.write(offset, payload)
         self.bytes_written.add(nbytes)
-        self.write_latency.record(self.sim.now - start)
 
     # ------------------------------------------------------------------
     # Instant access (zero simulated cost)

@@ -1,5 +1,7 @@
 """Tests for the operator snapshot plus a mixed-workload soak run."""
 
+from repro.core.addressing import server_of
+
 from tests.core.conftest import build_pool, fast_config
 
 
@@ -28,6 +30,34 @@ def test_describe_reflects_activity():
     assert snap["locks"]["acquires"] == 1
     # No journal configured: the field reports None.
     assert all(s["journal_records"] is None for s in snap["servers"].values())
+
+
+def test_describe_reports_host_bytes_per_node():
+    """Each server's DRAM and NVM, and the clients' and masters' totals: the
+    host bytes the simulated memory holds, growing with what a run writes."""
+    sim, pool = build_pool(num_servers=2, num_clients=2)
+    client = pool.clients[0]
+    before = pool.describe()
+
+    def app(sim):
+        g = yield from client.gmalloc(4096)
+        yield from client.gwrite(g, b"d" * 4096)
+        yield from client.gsync()
+        return g
+
+    (g,) = pool.run(app(sim))
+    snap = pool.describe()
+    home = f"server{server_of(g)}"
+    grown = (snap["servers"][home]["host_bytes"]["nvm"]
+             - before["servers"][home]["host_bytes"]["nvm"])
+    assert grown >= 4096
+    for name, server in pool.servers.items():
+        assert snap["servers"][f"server{name}"]["host_bytes"] == {
+            "dram": server.node.dram.resident_bytes,
+            "nvm": server.node.nvm.resident_bytes}
+    assert snap["host_bytes"]["clients"] == sum(
+        c.node.dram.resident_bytes for c in pool.clients) > 0
+    assert snap["host_bytes"]["masters"] == pool.master.node.dram.resident_bytes > 0
 
 
 def test_describe_counts_journal_when_enabled():

@@ -55,13 +55,13 @@ def test_sparse_buffer_lazy_allocation():
     buf = SparseBuffer(128 << 30)  # 128 GiB logical
     assert buf.resident_bytes == 0
     buf.write(0, b"x")
-    assert buf.resident_bytes == SparseBuffer.PAGE_SIZE
+    assert buf.resident_bytes == 1
 
 
 def test_sparse_buffer_access_inside_one_page_and_across_the_boundary():
-    """An access that ends exactly on the page boundary takes the one-slice
-    path, one byte more takes the loop; both see the same bytes, and an RPC
-    slot's worth of data costs an RPC slot's worth of host memory."""
+    """An access that ends exactly on the page boundary stays in one page,
+    one byte more spans two; both see the same bytes, and a page holds no
+    more than its furthest written byte."""
     page = SparseBuffer.PAGE_SIZE
     assert page == 4096
     buf = SparseBuffer(1 << 30)
@@ -69,18 +69,41 @@ def test_sparse_buffer_access_inside_one_page_and_across_the_boundary():
     buf.write(page - 100, inside)            # ends on the boundary
     assert buf.resident_bytes == page
     buf.write(3 * page - 100, inside + b"!")  # one byte into the next page
-    assert buf.resident_bytes == 3 * page
+    assert buf.resident_bytes == 2 * page + 1
     for base, data in ((page - 100, inside), (3 * page - 100, inside + b"!")):
         got = buf.read(base, len(data))
         assert got == data and type(got) is bytes
         assert buf.read(base - 1, len(data) + 2) == b"\x00" + data + b"\x00"
-    assert buf.read(7 * page + 5, 16) == bytes(16)  # untouched page, one slice
+    assert buf.read(7 * page + 5, 16) == bytes(16)  # untouched page
+
+
+def test_sparse_buffer_holds_only_up_to_the_furthest_byte_written():
+    """A 150-byte frame at the head of a 4 KiB slot costs 150 host bytes; a
+    write past a page's end grows it and zero-fills the gap, a write below
+    its end does not grow it, and bytes past the end read as zeros."""
+    page = SparseBuffer.PAGE_SIZE
+    buf = SparseBuffer(1 << 30)
+    frame = bytes(range(150))
+    buf.write(5 * page, frame)
+    assert buf.resident_bytes == 150
+    assert buf.read(5 * page, 200) == frame + bytes(50)  # straddles the end
+    assert buf.read(5 * page + 300, 10) == bytes(10)      # wholly past it
+    buf.write(5 * page + 1000, b"tail")                   # past the end: a gap
+    assert buf.resident_bytes == 1004
+    assert buf.read(5 * page + 148, 858) == frame[148:] + bytes(850) + b"tail" + bytes(2)
+    buf.write(5 * page + 10, b"mid")                      # below the end
+    assert buf.resident_bytes == 1004
+    assert buf.read(5 * page + 9, 5) == frame[9:10] + b"mid" + frame[13:14]
+    assert buf.read(5 * page + 1000, page - 1000) == b"tail" + bytes(page - 1004)
 
 
 def test_sparse_buffer_empty_write_touches_no_page():
     buf = SparseBuffer(1 << 30)
     buf.write(12345, b"")
     assert buf.resident_bytes == 0 and buf.read(12345, 0) == b""
+    buf.write(12345, b"x")
+    buf.write(12999, b"")  # past the held end: holds no more
+    assert buf.resident_bytes == 12345 % SparseBuffer.PAGE_SIZE + 1
 
 
 # ---------------------------------------------------------------------------
@@ -191,18 +214,8 @@ def test_metrics_recorded():
     run_proc(sim, proc(sim))
     assert dev.bytes_read.total == 8
     assert dev.bytes_written.total == 8
-    assert dev.read_latency.count == 1
-    assert dev.write_latency.count == 1
-
-
-def test_queue_depth_returns_to_zero():
-    sim = Simulator()
-    dev = MemoryDevice(sim, tiny_spec(channels=1))
-    for _ in range(5):
-        sim.spawn(dev.read(0, 100))
-    sim.run()
-    assert dev.queue_depth.level == 0
-    assert dev.queue_depth.peak == 5
+    assert dev.bytes_read.count == dev.bytes_written.count == 1
+    assert dev.resident_bytes == 8
 
 
 def test_nvm_vs_dram_latency_gap_under_same_load():
