@@ -12,9 +12,10 @@ checks the simulator against them, which serves three purposes:
 3. **Documentation** — the formulas *are* the cost model, in one place.
 
 Formulas model the uncontended single-op path; queueing effects are what the
-simulator adds on top — except the send queue's own, which has a closed form
-too: N WRs posted back to back on one idle QP complete one send-gate period
-apart (:func:`expected_back_to_back_ns`).
+simulator adds on top — except two queues that have a closed form too: N
+WRs posted back to back on one idle QP complete one send-gate period apart
+(:func:`expected_back_to_back_ns`), and a backed-up proxy ring drains
+across the NVM channels (:func:`expected_backlogged_drain_ns`).
 """
 
 from __future__ import annotations
@@ -153,6 +154,34 @@ def expected_back_to_back_ns(model: PathModel, first_ns: int, k: int,
     """
     wire = _wire_serialization_ns(model.link, request_bytes)
     return first_ns + lane * wire + (k - 1) * (model.nic.processing_ns + wire)
+
+
+def expected_backlogged_drain_ns(model: PathModel, frames: int,
+                                 payload_bytes: int, cpu_op_ns: int = 150) -> int:
+    """How long after a drain stall lifts one backed-up ring of ``frames``
+    equal frames is fully drained (its drained counter reaches ``frames``).
+
+    Valid for frames to distinct, uncached objects, at least half the
+    ring's slots of them, on an otherwise idle server, when one frame's NVM
+    write outlasts a header parse (``W > c``; on Optane any payload over 31
+    bytes): each frame then finds the one before it still in flight, so the
+    whole burst takes the overlapped drain.  (With ``W <= c`` the last
+    frames, parsed once fewer than half the slots are backed up, drain
+    serially at ``c + W`` each.)  The drain loop hands frame ``k`` (0-based)
+    off after ``k + 1`` header parses of ``c = cpu_op_ns`` each, and the
+    server applies at most one frame per NVM channel at a time (``C``
+    channels, ``W`` one frame's write), FIFO, so frame ``k`` starts at
+    ``S_k = max(S_{k-C} + W, (k+1)·c)``, which unrolls to
+    ``max((k+1)·c, (k mod C + 1)·c + ⌊k/C⌋·W)``; the last one ends ``W``
+    after it starts.
+    """
+    nvm = model.server_nvm
+    channels = nvm.channels
+    write = nvm.write_latency_ns + round(payload_bytes / (nvm.write_bw / channels))
+    last = frames - 1
+    start = max((last + 1) * cpu_op_ns,
+                (last % channels + 1) * cpu_op_ns + (last // channels) * write)
+    return start + write
 
 
 def calibration_report(model: PathModel,

@@ -853,8 +853,10 @@ def x01_open_loop_saturation(
     table.notes.append("extension experiment (not a paper figure): open-loop "
                        "replay exposes the write path's queueing behaviour; "
                        "each connection applies its 1 KiB NVM writes one at a "
-                       "time (~570 kops/s), which NVM-direct hits first and "
-                       "Gengar's proxy rings absorb")
+                       "time (~570 kops/s), which NVM-direct hits first; "
+                       "Gengar's proxy rings absorb the excess, and a ring "
+                       "backed up past half full drains across the NVM "
+                       "channels")
     return ExperimentResult("X1", "open-loop saturation (extension)", [table])
 
 

@@ -16,8 +16,9 @@ loop and the (rare) promote/demote RPC handlers driven by the master.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
+from collections import defaultdict, deque
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Deque, Dict, Generator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
@@ -45,6 +46,7 @@ from repro.core.protocol import (
 )
 from repro.rdma.mr import AccessFlags
 from repro.rdma.rpc import DEFAULT_RING_SLOTS, RpcServer
+from repro.sim import Store
 
 
 class ServerError(Exception):
@@ -62,8 +64,15 @@ class _ClientRing:
     ring_base: int  # DRAM offset of the ring window
     mr: object  # ring MemoryRegion
     counter_offset: int  # region-relative offset of the drained counter
-    drained: int = 0
+    qp: "QueuePair"  # the data QP whose doorbells name this ring's slots
+    drained: int = 0  # frames applied or skipped, as a prefix of seq order
     client: str = ""  # owning client's name (span/trace attribution)
+    seq: int = 0  # frames taken off the doorbell queue: the next frame's seq
+    #: Frames finished ahead of the drained prefix (only while overlapped).
+    done: set = field(default_factory=set)
+    handed: int = 0  # frames handed to the drain writers, not yet finished
+    lost: bool = False  # the server crashed under it: handed frames drop
+    idle: Any = None  # the poisoned drain loop's wait for ``handed == 0``
 
 
 #: RPC buffer size for control traffic (attach/promote/demote); every ring
@@ -294,16 +303,28 @@ class MemoryServer:
         self._ring_spans: Dict[str, int] = {}
         self._drain_loops: list = []  # (process, qp) pairs
         self._drain_proc_by_client: Dict[str, object] = {}
-        self._drain_qps: Dict[str, "QueuePair"] = {}
-        #: Fault injection: when set, drain loops park on this event.
+        #: Fault injection: when set, drain loops and writers park on it.
         self._drain_gate = None
+        #: Overlapped drain: frames that backed-up rings hand off wait in
+        #: ``_drain_ready`` until fewer frame applies (NVM write plus cache
+        #: refresh; serial ones counted, though they never wait) are in
+        #: flight on this server than its data device has channels, then
+        #: go through ``_drain_work`` to one of that many writers, spawned
+        #: at the first hand-off.
+        self._drain_ready: Deque[tuple] = deque()
+        self._drain_work = Store(self.sim, name=f"{node.name}.drain_work")
+        self._drain_writes = 0  # frame applies in flight or admitted
+        self._drain_writers = 0  # writers spawned: 0 or the channel count
+        #: gaddr -> the frames waiting behind that object's handed-off apply
+        #: in flight; the entry goes when its chain runs dry.
+        self._applying: Dict[int, Deque[tuple]] = {}
         self.crashes = 0
         #: Per-object applied-write sequence, bumped by every drained frame.
         #: Promotion copies race drains: a frame applied while the copy is
         #: in flight (entry not yet published) reaches NVM but not the slot,
         #: so _handle_promote redoes the copy until a full pass sees no
         #: concurrent apply.  Entries are pruned at scrub (free) time.
-        self._applied_seq: Dict[int, int] = {}
+        self._applied_seq: Dict[int, int] = defaultdict(int)
 
         #: Adjacent reads in one doorbell batch collapse into single device
         #: transfers; the QP machinery finds the combiner via the endpoint.
@@ -442,17 +463,17 @@ class MemoryServer:
         counter_offset = slots * slot_size
         mr.write_u64(counter_offset, 0)
         ring = _ClientRing(ring_base=ring_base, mr=mr,
-                           counter_offset=counter_offset, client=client_name)
+                           counter_offset=counter_offset, qp=qp,
+                           client=client_name)
         self._rings[client_name] = ring
         # Pre-post one doorbell recv per slot; the drain loop reposts.
         for _ in range(slots):
             qp.post_recv(mr, offset=counter_offset, length=0)
         proc = self.sim.spawn(
-            self._drain_loop(qp, ring), name=f"{self.node.name}.drain.{client_name}"
+            self._drain_loop(ring), name=f"{self.node.name}.drain.{client_name}"
         )
         self._drain_loops.append((proc, qp))
         self._drain_proc_by_client[client_name] = proc
-        self._drain_qps[client_name] = qp
         yield from self.node.cpu_work()
         return RingDescriptor(
             ring_rkey=mr.rkey, slots=slots, slot_size=slot_size,
@@ -779,7 +800,7 @@ class MemoryServer:
             payload = bytes(payload)
             yield from self.data_device.write(
                 offset_of(gaddr) + obj_offset, payload)
-            self._applied_seq[gaddr] = self._applied_seq.get(gaddr, 0) + 1
+            self._applied_seq[gaddr] += 1
             entry = self.cached.get(gaddr)
             if entry is not None and obj_offset + len(payload) <= entry.size:
                 yield from self.cache_mr.write(
@@ -816,14 +837,13 @@ class MemoryServer:
         if ring is None:
             return False  # never attached, or already retired (idempotent)
         self.node.endpoint.deregister_mr(ring.mr)
-        qp = self._drain_qps.pop(client_name, None)
-        if qp is not None:
-            self._drain_loops = [
-                (proc, q) for (proc, q) in self._drain_loops if q is not qp
-            ]
-            qp.recv_cq.push(WorkCompletion(
-                wr_id=0, opcode=Opcode.RECV, context={"poison": True},
-            ))
+        qp = ring.qp
+        self._drain_loops = [
+            (proc, q) for (proc, q) in self._drain_loops if q is not qp
+        ]
+        qp.recv_cq.push(WorkCompletion(
+            wr_id=0, opcode=Opcode.RECV, context={"poison": True},
+        ))
         rec = self.sim.spans
         if rec is not None:
             rec.event(self.node.name, "lease", "proxy ring retired",
@@ -863,18 +883,35 @@ class MemoryServer:
     # ------------------------------------------------------------------
     # The proxy drain loop — the heart of the write-latency redesign
     # ------------------------------------------------------------------
-    def _drain_loop(self, qp: "QueuePair", ring: _ClientRing) -> Generator[Any, Any, None]:
+    def _drain_loop(self, ring: _ClientRing) -> Generator[Any, Any, None]:
         """Apply staged writes to NVM (and the DRAM cache) in arrival order.
 
         The client already got its completion when the payload landed in the
         ring (DRAM latency); this loop pays the NVM cost off the critical
-        path.  Per-client FIFO draining preserves program order.
+        path.  It parses one frame at a time.  While nothing of the ring is
+        in flight and fewer than half its slots hold frames that arrived
+        but are not drained, it applies the frame itself before taking the
+        next.  Otherwise the ring has backed up and the frame goes to the
+        server's drain writers (:meth:`_drain_writer`), so several NVM
+        writes overlap; the loop stays in that mode until its handed-off
+        frames have all been applied.  Either way frames for one object
+        apply in program order, and the drained counter covers only the
+        prefix of frames applied or skipped (:meth:`_drain_frame`).
         """
         slot_size = self.config.proxy_slot_size
+        half = self.config.proxy_ring_slots // 2
+        doorbells = ring.qp.recv_cq.next_event()
+        queued = doorbells._items  # doorbells arrived, not yet taken
         while True:
-            wc = yield from qp.recv_cq.wait()
-            if wc.context.get("poison"):
-                return  # server crashed: staged-but-undrained writes are lost
+            wc = yield doorbells
+            if "poison" in wc.context:
+                # Retired or crashed.  Frames already handed off finish (or,
+                # after a crash, drop) before the loop exits: a re-attach
+                # waits for this process before reusing the ring's span.
+                if ring.handed:
+                    ring.idle = self.sim.event(name=f"{self.node.name}.drain_idle")
+                    yield ring.idle
+                return
             gate = self._drain_gate
             if gate is not None and not gate.triggered:
                 # Injected stall: hold the doorbell until the gate opens.
@@ -886,6 +923,9 @@ class MemoryServer:
             rec = self.sim.spans
             t0 = self.sim.now if rec is not None else 0
             yield from self.node.cpu_work()  # parse the doorbell + header
+            seq = ring.seq
+            ring.seq = seq + 1
+            overlap = seq != ring.drained or len(queued) + 1 >= half
             base = slot * slot_size
             header = ring.mr.peek(base, PROXY_HEADER_BYTES)
             gaddr, obj_offset, length = unpack_proxy_header(header)
@@ -893,54 +933,138 @@ class MemoryServer:
                 # Torn-slot detection: this doorbell's payload must carry a
                 # commit word binding (seq, header+payload).  A client that
                 # died mid-WRITE leaves a frame the commit word no longer
-                # covers — skip it (advancing the drained cursor to keep
-                # slot/seq alignment) rather than applying garbage to NVM.
+                # covers — skip it (retiring its seq to keep slot/seq
+                # alignment) rather than applying garbage to NVM.
                 limit = slot_size - PROXY_HEADER_BYTES - PROXY_COMMIT_BYTES
                 torn = not 0 <= length <= limit
                 if not torn:
                     frame = header + ring.mr.peek(base + PROXY_HEADER_BYTES, length)
                     commit = ring.mr.peek(
                         base + PROXY_HEADER_BYTES + length, PROXY_COMMIT_BYTES)
-                    torn = not proxy_commit_ok(commit, ring.drained, frame)
+                    torn = not proxy_commit_ok(commit, seq, frame)
                 if torn:
                     self.torn_skipped.add()
                     if rec is not None:
                         rec.event(self.node.name, "fault", "torn slot skipped",
-                                  slot=slot, seq=ring.drained)
-                    ring.drained += 1
-                    ring.mr.write_u64(ring.counter_offset, ring.drained)
-                    qp.post_recv(ring.mr, offset=ring.counter_offset, length=0)
-                    self.ring_occupancy.adjust(-1)
-                    if rec is not None:
-                        rec.record(self.node.name, "srv.drain", t0,
-                                   client=ring.client, torn=True)
+                                  slot=slot, seq=seq)
+                    yield from self._drain_frame(ring, seq, t0, overlap,
+                                                 gaddr, obj_offset, length, None)
                     continue
             payload = ring.mr.peek(base + PROXY_HEADER_BYTES, length)
+            if not overlap:
+                self._drain_writes += 1
+                yield from self._drain_frame(ring, seq, t0, False,
+                                             gaddr, obj_offset, length, payload)
+                continue
+            ring.handed += 1
+            frame = (ring, seq, t0, gaddr, obj_offset, length, payload)
+            chain = self._applying.get(gaddr)
+            if chain is not None:
+                chain.append(frame)  # behind the object's apply in flight
+                continue
+            self._applying[gaddr] = deque()
+            if not self._drain_writers:
+                self._drain_writers = self.data_device.spec.channels
+                for i in range(self._drain_writers):
+                    self.sim.spawn(self._drain_writer(),
+                                   name=f"{self.node.name}.drain_writer{i}")
+            self._drain_ready.append(frame)
+            self._admit_drain_writes()
 
-            # Persist to the NVM home first, then — atomically with the
-            # write's completion — bump the applied sequence and take a
-            # *fresh* cache lookup.  The ordering closes the promotion race
-            # both ways: a promote copy that missed this frame's bytes either
-            # sees the bump (and redoes its copy) or published its entry
-            # before this lookup (and the frame lands in the slot here).
+    def _admit_drain_writes(self) -> None:
+        """Hand ready frames to the writers while the server has fewer
+        frame applies in flight than its data device has channels."""
+        ready = self._drain_ready
+        channels = self._drain_writers
+        while ready and self._drain_writes < channels:
+            self._drain_writes += 1
+            self._drain_work.put(ready.popleft())
+
+    def _drain_writer(self) -> Generator[Any, Any, None]:
+        """Apply admitted frames, one at a time.
+
+        A frame whose object already has an apply in flight waits in that
+        object's chain (``_applying``); finishing the object's frame makes
+        the next one ready, ahead of the rest, which keeps one object's
+        frames in program order.  A frame of a ring the server crashed
+        under is dropped unwritten: its bytes died with the DRAM.
+        """
+        work = self._drain_work
+        while True:
+            ring, seq, t0, gaddr, obj_offset, length, payload = yield work
+            gate = self._drain_gate
+            if gate is not None and not gate.triggered:
+                yield gate
+            if ring.lost:
+                self._drain_writes -= 1
+            else:
+                yield from self._drain_frame(ring, seq, t0, True,
+                                             gaddr, obj_offset, length, payload)
+            ring.handed -= 1
+            if not ring.handed and ring.idle is not None:
+                ring.idle.succeed()
+            chain = self._applying[gaddr]
+            if chain:
+                self._drain_ready.appendleft(chain.popleft())
+            else:
+                del self._applying[gaddr]
+            self._admit_drain_writes()
+
+    def _drain_frame(self, ring: _ClientRing, seq: int, t0: int,
+                     overlapped: bool, gaddr: int, obj_offset: int,
+                     length: int,
+                     payload: Optional[bytes]) -> Generator[Any, Any, None]:
+        """Apply frame ``seq`` of ``ring`` (``payload`` None: skip it as
+        torn), then retire it.
+
+        The apply persists to the NVM home first, then — atomically with
+        the write's completion — bumps the object's applied sequence and
+        takes a *fresh* cache lookup.  The ordering closes the promotion
+        race both ways: a promote copy that missed this frame's bytes either
+        sees the bump (and redoes its copy) or published its entry before
+        this lookup (and the frame lands in the slot here).
+
+        Retiring moves the drained counter only when ``seq`` is the next in
+        order, and then over every frame already finished behind it, so the
+        counter always covers exactly a prefix of the ring: what ``gsync``,
+        ring flow control and overlay pruning read it as.
+        """
+        if payload is not None:
             yield from self.data_device.write(offset_of(gaddr) + obj_offset, payload)
-            self._applied_seq[gaddr] = self._applied_seq.get(gaddr, 0) + 1
+            self._applied_seq[gaddr] += 1
             entry = self.cached.get(gaddr)
             if entry is not None and obj_offset + length <= entry.size:
                 yield from self.cache_mr.write(
-                    entry.cache_offset + CACHE_TAG_BYTES + obj_offset, payload
-                )
-
-            ring.drained += 1
-            ring.mr.write_u64(ring.counter_offset, ring.drained)
-            qp.post_recv(ring.mr, offset=ring.counter_offset, length=0)
-            self.drained_writes.add()
-            self.drained_bytes.add(length)
-            self.ring_occupancy.adjust(-1)
+                    entry.cache_offset + CACHE_TAG_BYTES + obj_offset, payload)
+            self._drain_writes -= 1
+            if self._drain_ready:
+                self._admit_drain_writes()
+        if seq == ring.drained:
+            done = ring.done
+            drained = seq + 1
+            while True:
+                ring.qp.post_recv(ring.mr, offset=ring.counter_offset, length=0)
+                self.ring_occupancy.adjust(-1)
+                if drained not in done:
+                    break
+                done.remove(drained)
+                drained += 1
+            ring.drained = drained
+            ring.mr.write_u64(ring.counter_offset, drained)
+        else:
+            ring.done.add(seq)
+        rec = self.sim.spans
+        if payload is None:
             if rec is not None:
-                rec.record(self.node.name, "srv.drain", t0,
-                           client=ring.client, bytes=length, torn=False,
-                           gaddr=hex(gaddr), seq=ring.drained)
+                rec.record(self.node.name, "srv.drain", t0, client=ring.client,
+                           torn=True, overlapped=overlapped)
+            return
+        self.drained_writes.add()
+        self.drained_bytes.add(length)
+        if rec is not None:
+            rec.record(self.node.name, "srv.drain", t0, client=ring.client,
+                       bytes=length, torn=False, gaddr=hex(gaddr),
+                       seq=seq + 1, overlapped=overlapped)
 
     # ------------------------------------------------------------------
     # Failure injection
@@ -966,6 +1090,7 @@ class MemoryServer:
         if self.cache_alloc is not None:
             self.cache_alloc = ExtentAllocator(self.config.cache_capacity)
         for ring in self._rings.values():
+            ring.lost = True  # handed-off frames not yet written drop
             ring.mr.poke(0, bytes(ring.mr.length))
             # Tear down the ring's RDMA window: a client unaware of the
             # crash faults loudly (REMOTE_ACCESS_ERROR -> StaleRingError)
@@ -989,7 +1114,6 @@ class MemoryServer:
                 wr_id=0, opcode=Opcode.RECV, context={"poison": True},
             ))
         self._drain_loops.clear()
-        self._drain_qps.clear()
         # The lock table lived in DRAM: every lock is implicitly released.
         self.lock_mr.poke(0, bytes(self.lock_mr.length))
         if self.stamp_mr is not None:

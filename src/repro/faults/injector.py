@@ -351,8 +351,7 @@ class FaultInjector:
         if server is None or conn is None or conn.ring is None:
             return
         ring_state = server._rings.get(client.name)
-        qp = server._drain_qps.get(client.name)
-        if ring_state is None or qp is None:
+        if ring_state is None:
             return
         slots = conn.ring.slots
         if conn.written - ring_state.drained >= slots:

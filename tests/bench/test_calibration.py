@@ -8,11 +8,13 @@ path double-charges or drops a cost component.
 
 import pytest
 
+from repro import obs
 from repro.bench.calibration import (
     PathModel,
     calibration_report,
     expected_atomic_ns,
     expected_back_to_back_ns,
+    expected_backlogged_drain_ns,
     expected_cold_read_ns,
     expected_direct_write_ns,
     expected_hot_read_ns,
@@ -238,3 +240,48 @@ def test_lanes_fill_the_tx_pipeline_at_the_closed_form():
         [expected_back_to_back_ns(MODEL, first, k, B2B_BYTES, lane=lane)
          for k in range(1, 5)]
         for lane in range(PIPELINE_WIDTH)]
+
+
+# ---------------------------------------------------------------------------
+# Contended: a backed-up proxy ring draining across the NVM channels
+# ---------------------------------------------------------------------------
+#: Ring depth of the drain burst (half of it backs the ring up).
+DRAIN_SLOTS = 16
+#: How long the drain stays stalled while the burst is staged.
+DRAIN_STALL_NS = 200_000
+
+
+@pytest.mark.parametrize("frames, payload", [
+    (8, 1024), (16, 1024), (13, 4000), (16, 64)])
+def test_backed_up_ring_drains_at_the_closed_form(frames, payload):
+    """Exact: a drain stall lets N equal frames (distinct objects, N at
+    least half the ring) pile into one ring; from the moment it lifts, the
+    last frame is applied and retired exactly expected_backlogged_drain_ns
+    later.  The frames overlap across the NVM channels, one per channel,
+    behind a drain loop that parses one header per cpu_op_ns — the 64-byte
+    case is parse-bound.  A serial drain would take N·(parse + write)."""
+    sim, pool = build_pool(num_servers=1, num_clients=1,
+                           config=fast_config(enable_cache=False,
+                                              proxy_ring_slots=DRAIN_SLOTS))
+    rec = obs.install(sim)
+    client, server = pool.clients[0], pool.servers[0]
+    holder = {}
+
+    def burst(sim):
+        addrs = []
+        for _ in range(frames):
+            addrs.append((yield from client.gmalloc(payload)))
+        server.stall_drains(DRAIN_STALL_NS)
+        holder["release"] = sim.now + DRAIN_STALL_NS
+        for i, gaddr in enumerate(addrs):
+            yield from client.gwrite(gaddr, bytes([i + 1]) * payload)
+        assert sim.now < holder["release"]  # all staged behind the stall
+        yield from client.gsync()
+
+    pool.run(burst(sim))
+    drains = rec.by_name("srv.drain")
+    assert len(drains) == frames
+    assert all(s.fields["overlapped"] for s in drains)
+    drained_at = max(s.end_ns for s in drains) - holder["release"]
+    assert drained_at == expected_backlogged_drain_ns(
+        MODEL, frames, payload, cpu_op_ns=server.node.spec.cpu_op_ns)

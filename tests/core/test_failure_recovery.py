@@ -9,6 +9,7 @@ the directory is reconciled.
 import pytest
 
 from repro.core import ClientError
+from repro.core.addressing import offset_of
 from repro.rdma.wr import WcStatus
 
 from tests.core.conftest import build_pool, fast_config
@@ -53,15 +54,16 @@ def test_synced_data_survives_a_crash():
 def test_unsynced_staged_writes_are_lost_and_reported():
     """Crash with a drain backlog: the ring's staged writes never reach NVM.
 
-    A single small write drains within a microsecond, so to strand data we
-    burst writes faster than the Optane drain and crash from *inside* the
-    simulation right after the last ack.
+    A drain stall holds the whole burst in the ring (clients still get
+    DRAM-latency acks), and the crash comes from *inside* the simulation
+    right after the last ack, while the stall still holds — so the backlog
+    does not depend on how fast the drain is.
     """
     sim, pool = build_pool(num_servers=1, num_clients=1,
                            config=fast_config(proxy_ring_slots=64))
     client = pool.clients[0]
     burst = 24
-    size = 4000  # fits a 4 KiB ring slot; drain (NVM) is slower than acks
+    size = 4000  # fits a 4 KiB ring slot
     payloads = {i: bytes([0xA0 + (i % 16)]) * size for i in range(burst)}
 
     def before(sim):
@@ -71,9 +73,10 @@ def test_unsynced_staged_writes_are_lost_and_reported():
         staged = []
         for _ in range(burst):  # allocate first: the burst must be pure writes
             staged.append((yield from client.gmalloc(size)))
+        pool.servers[0].stall_drains(1_000_000)
         for i, g in enumerate(staged):
             yield from client.gwrite(g, payloads[i])
-        # Crash at this very instant: the drain is still working the ring.
+        # Crash at this very instant: the stalled drain holds the ring.
         pool.servers[0].crash()
         return synced, staged
 
@@ -109,6 +112,64 @@ def test_unsynced_staged_writes_are_lost_and_reported():
     for i, survived in enumerate(contents):
         if not survived:
             assert staged[i] in lost
+
+
+def test_crash_during_overlapped_drain_reports_every_frame_not_in_nvm():
+    """A server crash while a backed-up ring is drained overlapped: some
+    frames reached NVM, some were mid-write, some still waited for a
+    writer.  The lost set reported at re-attach covers every staged write
+    whose bytes are not in NVM, and a write after re-attach is not
+    overtaken by anything left over from before the crash."""
+    sim, pool = build_pool(num_servers=1, num_clients=1,
+                           config=fast_config(proxy_ring_slots=16,
+                                              enable_cache=False))
+    client, server = pool.clients[0], pool.servers[0]
+    burst, size, stall = 12, 4000, 100_000
+    payloads = [bytes([0xB0 + i]) * size for i in range(burst)]
+
+    def before(sim):
+        staged = []
+        for _ in range(burst):
+            staged.append((yield from client.gmalloc(size)))
+        server.stall_drains(stall)
+        # Crash a few writes' worth after the stall lifts: mid-overlap.
+        crash_at = sim.now + stall + 10_000
+        sim.schedule(crash_at - sim.now, server.crash)
+        for i, g in enumerate(staged):
+            yield from client.gwrite(g, payloads[i])
+        yield crash_at + 20_000 - sim.now  # the writes in flight finish
+        return staged
+
+    (staged,) = pool.run(before(sim))
+    assert not server.is_alive
+    landed = [server.data_device.peek(offset_of(g), size) == payloads[i]
+              for i, g in enumerate(staged)]
+    assert any(landed) and not all(landed)
+    assert landed.index(False) >= server.data_device.spec.channels
+    server.recover()
+    pool.master.on_server_recovered(0)
+    holder = {}
+
+    def reattach(sim):
+        holder["lost"] = yield from client.reattach_server(0)
+
+    pool.run(reattach(sim))
+    for i, g in enumerate(staged):
+        if not landed[i]:
+            assert g in holder["lost"], i
+    assert not server._applying and not server._drain_ready
+
+    victim = staged[-1]
+
+    def after(sim):
+        yield from client.gwrite(victim, b"NEW!" * (size // 4))
+        yield from client.gsync()
+        yield sim.timeout(50_000)
+        return (yield from client.gread(victim, length=4))
+
+    (data,) = pool.run(after(sim))
+    assert data == b"NEW!"
+    assert server.data_device.peek(offset_of(victim), 4) == b"NEW!"
 
 
 def test_ops_fail_while_server_is_down():

@@ -15,7 +15,7 @@ from collections import Counter
 from repro.rdma.wr import WorkCompletion
 from repro.sim import Event, Process
 
-from tests.core.conftest import build_pool
+from tests.core.conftest import build_pool, fast_config
 
 CENSUS = (WorkCompletion, Event, Process)
 
@@ -60,6 +60,53 @@ def test_reads_and_writes_leave_no_objects_behind():
         # 2N more rounds are hundreds more WRs (+260 completions while the
         # send CQ kept them); a handful of objects may come and go with cache
         # promotions and ring growth, never hundreds.
+        assert after_3n[kind] - after_n[kind] <= 8, (
+            f"{kind.__name__}: {after_n[kind]} live after N, "
+            f"{after_3n[kind]} after 3N")
+
+
+def test_backed_up_bursts_leave_no_drain_state_behind():
+    """Bursts that back the rings up past half full are drained overlapped;
+    at quiescence the drain holds no per-object chain, no ready frame, no
+    admitted write and no out-of-order retirement, and after 2N more
+    bursts no more live events or processes than after N."""
+    sim, pool = build_pool(config=fast_config(enable_cache=False))
+    addrs = {}
+
+    def setup(sim, client):
+        addrs[client] = []
+        for _ in range(6):
+            addrs[client].append((yield from client.gmalloc(1024)))
+
+    def bursts(sim, client, rounds):
+        own = addrs[client]
+        for r in range(rounds):
+            for server in pool.servers.values():
+                server.stall_drains(20_000)
+            for i in range(12):  # one object twice per burst: a chain
+                gaddr = own[i % len(own)]
+                yield from client.gwrite(gaddr, bytes([(r + i) % 251]) * 1024)
+            yield from client.gsync()
+
+    def quiescent():
+        for server in pool.servers.values():
+            assert not server._applying
+            assert not server._drain_ready
+            assert server._drain_writes == 0
+            for ring in server._rings.values():
+                assert not ring.done and not ring.handed
+                assert ring.drained == ring.seq
+
+    pool.run(*(setup(sim, c) for c in pool.clients))
+    n = 4
+    pool.run(*(bursts(sim, c, n) for c in pool.clients))  # warm: writers spawned
+    assert all(s._drain_writers for s in pool.servers.values())
+    quiescent()
+    after_n = _census()
+    pool.run(*(bursts(sim, c, 2 * n) for c in pool.clients))
+    quiescent()
+    after_3n = _census()
+    for kind in CENSUS:
         assert after_3n[kind] - after_n[kind] <= 8, (
             f"{kind.__name__}: {after_n[kind]} live after N, "
             f"{after_3n[kind]} after 3N")

@@ -1,5 +1,8 @@
 """Integration tests for the proxy write path."""
 
+from repro import obs
+from repro.core.addressing import offset_of
+
 from tests.core.conftest import build_pool, fast_config
 
 
@@ -43,8 +46,6 @@ def test_proxy_drain_reaches_nvm():
 
     (gaddr,) = pool.run(app(sim))
     server = pool.servers[0]
-    from repro.core.addressing import offset_of
-
     assert server.data_device.peek(offset_of(gaddr), 8) == b"drained!"
     assert server.drained_writes.count == 1
 
@@ -66,7 +67,11 @@ def test_read_your_writes_before_drain():
 
 
 def test_writes_drain_in_order():
-    """Back-to-back proxy writes to one object apply in program order."""
+    """Back-to-back proxy writes to one object apply in program order —
+    also once the ring backs up past half full and the drain overlaps its
+    NVM writes: repeated writes to one object at different offsets and
+    lengths, mixed with writes to other objects, land in program order,
+    and every read in between sees the client's own writes."""
     sim, pool = build_pool(num_servers=1, num_clients=1)
     client = pool.clients[0]
 
@@ -80,6 +85,103 @@ def test_writes_drain_in_order():
 
     (data,) = pool.run(app(sim))
     assert data == bytes([9]) * 64  # the last write wins
+
+    # Backed up: each round starts behind a drain stall that fills the
+    # 8-slot ring, so the round's first frames drain overlapped.  A full
+    # write of the hot object and the short write right behind it are in
+    # flight together unless the second waits for the first.
+    sim, pool = build_pool(num_servers=1, num_clients=1,
+                           config=fast_config(enable_cache=False))
+    rec = obs.install(sim)
+    client, server = pool.clients[0], pool.servers[0]
+    size = 1024
+    shadow = {}
+    # (object, offset, length) per write of a round; 0 is the hot object.
+    plan = [(0, 0, 16), (1, 0, size), (0, 0, size), (0, 200, 16),
+            (2, 0, size), (0, 800, 200), (0, 400, 16), (3, 0, size),
+            (0, 600, 16), (1, 0, size)]
+
+    def backed_up(sim):
+        objs = []
+        for _ in range(4):
+            objs.append((yield from client.gmalloc(size)))
+        for g in objs:
+            shadow[g] = bytearray(size)
+        for r in range(4):
+            server.stall_drains(15_000)
+            for j, (k, offset, length) in enumerate(plan):
+                g = objs[k]
+                data = bytes([(r * len(plan) + j + 1) % 256]) * length
+                yield from client.gwrite(g, data, offset=offset)
+                shadow[g][offset:offset + length] = data
+                # Read-your-writes on the range just written (overlay).
+                got = yield from client.gread(g, offset=offset, length=length)
+                assert got == data, (r, j)
+            # The whole hot object: a gsync, then a remote read.
+            got = yield from client.gread(objs[0])
+            assert got == bytes(shadow[objs[0]]), r
+        yield from client.gsync()
+
+    pool.run(backed_up(sim))
+    for g, want in shadow.items():
+        assert server.data_device.peek(offset_of(g), size) == bytes(want)
+    overlapped = [s for s in rec.by_name("srv.drain") if s.fields["overlapped"]]
+    assert len(overlapped) >= 16
+
+
+def test_overlapped_drain_shares_the_channels_with_serial_rings():
+    """One ring backed up and drained overlapped beside another draining
+    serially: an overlapped frame starts only while fewer frame applies
+    than the device has channels are in flight, the serial ring's
+    included, so the overlap takes only channels the serial drain leaves
+    idle."""
+    sim, pool = build_pool(num_servers=1, num_clients=2,
+                           config=fast_config(enable_cache=False,
+                                              proxy_ring_slots=16))
+    rec = obs.install(sim)
+    (busy, steady), server = pool.clients, pool.servers[0]
+    device = server.data_device
+    inflight = {"now": 0, "overlapped_starts": []}
+    write = device.write
+
+    def counted_write(offset, payload):
+        if len(payload) == 4000:  # a frame of the backed-up ring
+            inflight["overlapped_starts"].append(inflight["now"])
+        inflight["now"] += 1
+        yield from write(offset, payload)
+        inflight["now"] -= 1
+
+    release = {}
+
+    def burst(sim):
+        addrs = []
+        for _ in range(16):
+            addrs.append((yield from busy.gmalloc(4000)))
+        server.stall_drains(40_000)
+        release["at"] = sim.now + 40_000
+        for i, g in enumerate(addrs):
+            yield from busy.gwrite(g, bytes([i + 1]) * 4000)
+        yield from busy.gsync()
+
+    def trickle(sim):
+        g = yield from steady.gmalloc(1024)
+        while "at" not in release:
+            yield 1_000
+        yield release["at"] - sim.now  # busy's backlog is draining now
+        for i in range(12):
+            yield from steady.gwrite(g, bytes([i + 1]) * 1024)
+            yield 1_000
+        yield from steady.gsync()
+
+    device.write = counted_write
+    pool.run(burst(sim), trickle(sim))
+    spans = rec.by_name("srv.drain")
+    assert any(s.fields["overlapped"] for s in spans)
+    assert any(not s.fields["overlapped"] and s.fields["client"] == steady.name
+               for s in spans)
+    starts = inflight["overlapped_starts"]
+    assert len(starts) == 16
+    assert max(starts) == device.spec.channels - 1
 
 
 def test_ring_backpressure_throttles_but_never_loses_writes():
@@ -104,8 +206,6 @@ def test_ring_backpressure_throttles_but_never_loses_writes():
     (addrs,) = pool.run(app(sim))
     server = pool.servers[0]
     assert server.drained_writes.count == n
-    from repro.core.addressing import offset_of
-
     for i, g in enumerate(addrs):
         assert server.data_device.peek(offset_of(g), 4) == bytes([i % 256]) * 4
 
@@ -154,6 +254,37 @@ def test_gsync_waits_for_all_pending_writes():
     for g in addrs:
         server = pool.servers[server_of(g)]
         assert server.data_device.peek(offset_of(g), 8) == b"sync-me!"
+
+
+def test_gsync_covers_earlier_frames_a_later_one_overtook():
+    """In a backed-up ring a small frame to one object finishes before the
+    large frame staged ahead of it to another; the drained counter still
+    waits for the large one, so when gsync returns every earlier frame is
+    in NVM."""
+    sim, pool = build_pool(num_servers=1, num_clients=1,
+                           config=fast_config(enable_cache=False))
+    rec = obs.install(sim)
+    client, server = pool.clients[0], pool.servers[0]
+
+    def app(sim):
+        big = yield from client.gmalloc(4000)
+        small = []
+        for _ in range(5):
+            small.append((yield from client.gmalloc(16)))
+        server.stall_drains(20_000)
+        yield from client.gwrite(big, b"B" * 4000)
+        for i, g in enumerate(small):
+            yield from client.gwrite(g, bytes([i + 1]) * 16)
+        yield from client.gsync()
+        # The instant gsync returns: everything it covers is durable.
+        assert server.data_device.peek(offset_of(big), 4000) == b"B" * 4000
+        for i, g in enumerate(small):
+            assert server.data_device.peek(offset_of(g), 16) == bytes([i + 1]) * 16
+
+    pool.run(app(sim))
+    ends = {s.fields["seq"]: s.end_ns for s in rec.by_name("srv.drain")}
+    assert ends[2] < ends[1]  # the later small frame was applied first
+    assert all(s.fields["overlapped"] for s in rec.by_name("srv.drain"))
 
 
 def test_proxy_ack_latency_independent_of_nvm_speed():

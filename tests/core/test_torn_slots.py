@@ -9,6 +9,8 @@ except for 8 bytes of slot capacity.
 
 import pytest
 
+from repro import obs
+from repro.core.addressing import offset_of
 from repro.core.protocol import (
     PROXY_COMMIT_BYTES,
     PROXY_HEADER_BYTES,
@@ -151,3 +153,43 @@ def test_torn_writes_without_commit_word_go_undetected():
     assert data != payload  # the half-written frame landed in NVM
     assert data[: len(payload) // 2] == payload[: len(payload) // 2]
     assert pool.servers[0].torn_skipped.count == 0
+
+
+def test_torn_slot_in_a_backed_up_ring_is_stepped_over():
+    """Backed up past half full, the drain overlaps its NVM writes; a torn
+    frame in the middle of the backlog is judged against its own sequence
+    number, skipped, the frames after it still apply, and the drained
+    counter steps over it once the frames ahead of it are in."""
+    sim, pool = build_pool(num_servers=1, num_clients=1,
+                           config=commit_config(enable_cache=False))
+    rec = obs.install(sim)
+    client, server = pool.clients[0], pool.servers[0]
+    burst, torn_at, size = 6, 2, 1024
+
+    def app(sim):
+        addrs = []
+        for _ in range(burst):
+            addrs.append((yield from client.gmalloc(size)))
+        server.stall_drains(30_000)
+        first = client._conns[0].written
+        for i, g in enumerate(addrs):
+            yield from client.gwrite(g, bytes([i + 1]) * size)
+        # Tear one staged frame while the drain is stalled: its commit word
+        # no longer covers the payload.
+        ring = server._rings[client.name]
+        slot = (first + torn_at) % client._conns[0].ring.slots
+        ring.mr.poke(slot * client._conns[0].ring.slot_size
+                     + PROXY_HEADER_BYTES, b"\xff")
+        yield from client.gsync()
+        return addrs, first
+
+    ((addrs, first),) = pool.run(app(sim))
+    assert server.torn_skipped.count == 1
+    for i, g in enumerate(addrs):
+        want = bytes(size) if i == torn_at else bytes([i + 1]) * size
+        assert server.data_device.peek(offset_of(g), size) == want, i
+    ring = server._rings[client.name]
+    assert ring.drained == first + burst == client._conns[0].written
+    assert not ring.done
+    (torn,) = [s for s in rec.by_name("srv.drain") if s.fields["torn"]]
+    assert torn.fields["overlapped"]
