@@ -18,9 +18,9 @@ Three deliberate soundness choices, all of which *admit* more histories
   *binds* the initial value rather than being checked against one: the
   pool hands out uninitialized memory, so whatever the first read saw is
   taken as ground truth and later reads must stay consistent with it.
-* **Batched ops share one conservative window.**  ``gread_many`` /
-  ``gwrite_batch`` record each member over the whole batch's window; a
-  wider window only adds legal linearization points.
+* **Batched reads share one conservative window.**  ``gread_many``
+  records each member over the whole batch's window; a wider window only
+  adds legal linearization points.
 
 Lock model (``lock``/``unlock`` per gaddr): two audits that need no
 search.  *Mutual exclusion*: a client definitely holds the lock from its

@@ -270,7 +270,6 @@ class GengarClient:
         #: Fencing epoch carried in every lock word this client installs.
         self.fence_epoch = 0
         self._fenced = False
-        self._crashed = False
         self._heartbeat_proc = None
         self._last_renew_ns = 0
         #: Last successfully staged proxy write (server_id, gaddr, offset,
@@ -326,7 +325,7 @@ class GengarClient:
 
     @property
     def crashed(self) -> bool:
-        return self._crashed
+        return not self.node.endpoint.alive
 
     def _check_lease_fence(self, what: str,
                            gaddr: Optional[int] = None) -> None:
@@ -475,6 +474,8 @@ class GengarClient:
                     raise StaleTermError(
                         f"{method}: {msg}",
                         known_term=self._master_terms.get(shard, 0)) from exc
+                if WcStatus.WR_FLUSH_ERROR.value in msg:
+                    raise FatalError(f"{method}: {msg}") from exc  # we died
                 if "transport failed" in msg:
                     streak = self._master_fail_streaks.get(shard, 0) + 1
                     self._master_fail_streaks[shard] = streak
@@ -863,12 +864,15 @@ class GengarClient:
     # Crash / revive (driven by the fault injector)
     # ------------------------------------------------------------------
     def crash(self) -> None:
-        """Stop this client cold: heartbeats cease, so its lease lapses and
-        the master recovers its locks/pins/rings.  Application processes
-        built on this client are the caller's to park."""
-        if self._crashed:
+        """Stop this client cold: its endpoint dies, so every WR it posts
+        from now on flushes unsent (a request already on the wire still
+        lands).  Heartbeats cease, so its lease lapses and the master
+        recovers its locks/pins/rings; application processes built on this
+        client fail at their next verb, which flushes."""
+        endpoint = self.node.endpoint
+        if not endpoint.alive:
             return
-        self._crashed = True
+        endpoint.alive = False
         rec = self.sim.spans
         if rec is not None:
             rec.event(self.name, "fault", "client crashed")
@@ -877,9 +881,10 @@ class GengarClient:
         """Bring a crashed client back as a *zombie*: its lease has usually
         lapsed by now, so lock ops fence locally until
         :meth:`reattach_master` rejoins under a fresh epoch."""
-        if not self._crashed:
+        endpoint = self.node.endpoint
+        if endpoint.alive:
             return
-        self._crashed = False
+        endpoint.alive = True
         rec = self.sim.spans
         if rec is not None:
             rec.event(self.name, "fault", "client revived")
@@ -899,11 +904,12 @@ class GengarClient:
     def _heartbeat_loop(self) -> Generator[Any, Any, None]:
         """Renew the lease at lease/3.  Reports piggyback renewals for
         free; this loop only issues a standalone ``renew`` when no report
-        went out recently, so an idle client stays alive too."""
+        went out recently, so an idle client stays alive too.  A crash ends
+        the loop: its next renewal flushes (``FatalError``)."""
         interval = max(1, self.lease_ns // 3)
         while True:
             yield interval
-            if self._crashed or self._fenced or not self.lease_ns:
+            if self._fenced or not self.lease_ns:
                 return
             # Secondary shards lease us independently and see piggybacked
             # renewals only for objects they own, so renew them on every
@@ -1463,110 +1469,6 @@ class GengarClient:
         for wr in run:
             wr.combine = grp
 
-    def gwrite_batch(self, writes) -> Generator[Any, Any, None]:
-        """Doorbell-batched proxy writes for many small ``(gaddr, data)``
-        pairs.
-
-        Stages every inline-eligible proxy write per server and posts
-        each server's work requests with a single
-        :meth:`~repro.rdma.qp.QueuePair.post_send_many` doorbell, paying the
-        client CPU pass once for the whole batch.  Writes that cannot take
-        the inline proxy path (proxy disabled, payload too large for a ring
-        slot or for NIC inlining) fall back to the regular gwrite path.
-        """
-        return self._op("gwrite_batch", list(writes))
-
-    def _gwrite_batch_attempt(self, span_op: int,
-                              writes: list) -> Generator[Any, Any, None]:
-        start = self.sim.now
-        staged: Dict[int, list] = {}  # server_id -> [(gaddr, data, payload)]
-        fallback = []
-        for gaddr, data in writes:
-            if not data:
-                raise FatalError("empty write")
-            meta = self._cached_meta(gaddr)
-            if meta is None:
-                meta = yield from self._meta(gaddr, span_op=span_op)
-            self._check_bounds(meta, 0, len(data))
-            conn = self._conns[meta.server_id]
-            commit = self.config.proxy_commit
-            eligible = (
-                self.config.enable_proxy
-                and conn.ring is not None
-                and len(data) <= proxy_payload_capacity(
-                    conn.ring.slot_size, commit=commit)
-            )
-            if eligible:
-                payload = pack_proxy_slot(gaddr, 0, data)
-                # The commit word (appended at seq-assignment time below)
-                # rides in the same inline WQE.
-                extra = PROXY_COMMIT_BYTES if commit else 0
-                if self.node.nic.is_inline(len(payload) + extra):
-                    staged.setdefault(meta.server_id, []).append(
-                        (gaddr, data, payload))
-                    continue
-            fallback.append((gaddr, data))
-
-        rec = self.sim.spans
-        t_stage = self.sim.now if rec is not None else 0
-        if staged:
-            # One CPU pass covers building every WQE in the batch.
-            yield from self.node.cpu_work()
-        pending = []  # (done_event, conn, gaddr, data, seq)
-        for sid in sorted(staged):
-            conn = self._conns[sid]
-            ring = conn.ring
-            batch = staged[sid]
-            # Chunk to the ring size: a doorbell can never outrun the ring.
-            for lo in range(0, len(batch), ring.slots):
-                chunk = batch[lo : lo + ring.slots]
-                if conn.written - conn.drained_known + len(chunk) > ring.slots:
-                    ok = yield from self._await_ring_space(conn, need=len(chunk))
-                    if not ok:
-                        # Stalled ring: route the chunk through the regular
-                        # gwrite path, which applies the degraded fallback
-                        # (and its ordering guard) per write.
-                        fallback.extend((g, d) for g, d, _p in chunk)
-                        continue
-                wrs = []
-                seqs = []
-                for gaddr, data, payload in chunk:
-                    seq = conn.written
-                    conn.written += 1
-                    seqs.append(seq)
-                    if self.config.proxy_commit:
-                        payload = payload + pack_proxy_commit(seq, payload)
-                    wrs.append(WorkRequest(
-                        opcode=Opcode.RDMA_WRITE_IMM,
-                        remote_rkey=ring.ring_rkey,
-                        remote_offset=(seq % ring.slots) * ring.slot_size,
-                        imm_data=seq % ring.slots,
-                        inline_data=payload,
-                        length=len(payload),
-                    ))
-                events = conn.data_qp.post_send_many(wrs)
-                for ev, (gaddr, data, _payload), seq in zip(events, chunk, seqs):
-                    pending.append((ev, conn, gaddr, data, seq))
-        if pending:
-            yield self.sim.all_of([ev for ev, *_ in pending])
-            for ev, conn, gaddr, data, seq in pending:
-                wc = ev.value
-                self._check_wc(wc, "proxy write", conn, ring=True)
-                self.m_writes.add()
-                self.m_proxy_writes.add(len(data))
-                self._overlay[gaddr] = _PendingWrite(
-                    offset=0, data=data,
-                    server_id=conn.desc.server_id, seq=seq + 1,
-                )
-                self._last_staged = (conn.desc.server_id, gaddr, 0, data)
-                self._note_access(gaddr, read=False)
-                self.h_write.record(self.sim.now - start)
-        if rec is not None and staged:
-            rec.record(self.name, "phase.batch_stage", t_stage, op=span_op,
-                       servers=len(staged), staged=len(pending))
-        for gaddr, data in fallback:
-            yield from self._op("gwrite", gaddr, data, 0, history=False)
-
     # Lock API (delegates to the consistency layer) ----------------------
     def glock(self, gaddr: int, write: bool = True) -> Generator[Any, Any, None]:
         """Acquire the object's lock (exclusive by default, shared if not)."""
@@ -1990,7 +1892,7 @@ class GengarClient:
             entries.append((gaddr, reads, writes, bool(believed and believed.cached)))
         self._access_counts.clear()
         self._ops_since_report = 0
-        piggyback = bool(self.lease_ns and not self._fenced and not self._crashed)
+        piggyback = bool(self.lease_ns and not self._fenced)
         try:
             for shard, group in self._by_shard(entries).items():
                 request: Dict[str, Any] = {"entries": group}
@@ -2091,12 +1993,6 @@ _VERBS = {
         lambda c, enc, gaddrs: [(g, {}) for g in gaddrs],
         lambda gaddrs: {"reads": len(gaddrs)},
         ok_values=lambda c, enc, results: map(enc, results)),
-    "gwrite_batch": _Verb(
-        GengarClient._gwrite_batch_attempt, "write",
-        lambda c, enc, writes:
-            [(g, {"value": enc(d), "length": len(d)}) for g, d in writes],
-        lambda writes: {"writes": len(writes)},
-        may_land=True),  # some items may have landed
     "glock": _Verb(  # a failed acquire holds nothing
         GengarClient._glock_attempt, "lock", _lock_event, _lock_span,
         ok_values=lambda c, enc, result: (c.fence_epoch,), data=False),

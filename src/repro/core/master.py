@@ -580,7 +580,7 @@ class Master:
                 # could zero an extent we have handed out again by then.
                 yield after
             while (pending and handle.quarantine is pending
-                   and self.node.endpoint.alive and not self._deposed):
+                   and not self._deposed):
                 batch = pending[:_SCRUB_MAX_EXTENTS]
                 rec = self.sim.spans
                 t0 = self.sim.now if rec is not None else 0
@@ -831,9 +831,10 @@ class Master:
         validated_ns = self.sim.now
         while True:
             yield check
-            # A dead master detects nothing (its own clock is "stopped");
-            # outbound RPCs from a crashed node would otherwise still work
-            # in the model, so self-check aliveness explicitly.
+            # A dead master detects nothing: its clock is "stopped".  Its
+            # sends would flush, but expiring a lease or suspecting a client
+            # first bumps ``lease_expiries`` / ``suspected_clients``, which
+            # recover() does not reset.
             if not self.node.endpoint.alive or self._recovering or self._deposed:
                 continue
             now = self.sim.now
@@ -1494,7 +1495,7 @@ class Master:
         it.  Live clients re-attach within a heartbeat (lease/3), so their
         locks are never touched."""
         yield self.config.client_lease_ns
-        if not self.node.endpoint.alive or self._recovering:
+        if self._recovering:
             return
         if self.config.failure_detector:
             # Partition-aware failover: a client absent after one lease may
@@ -1509,7 +1510,7 @@ class Master:
                           "orphan sweep deferred: absent clients suspected",
                           reattached=sorted(self._client_uids))
             yield self.config.client_lease_ns
-            if not self.node.endpoint.alive or self._recovering:
+            if self._recovering:
                 return
         known = sorted(set(self._client_uids.values()))
         # Roll forward any intent whose owner did not re-attach, BEFORE the
@@ -1647,10 +1648,7 @@ class Master:
     def _planner_loop(self) -> Generator[Any, Any, None]:
         while True:
             yield self.config.epoch_ns
-            # A crashed master plans nothing (the model checks aliveness on
-            # the *remote* end, so outbound RPCs from a dead node would
-            # otherwise still go through).
-            if not self.node.endpoint.alive or self._recovering:
+            if self._recovering:
                 continue
             for sid in sorted(self._servers):
                 yield from self._plan_server(sid)
@@ -1668,7 +1666,7 @@ class Master:
         """
         while True:
             yield self.config.epoch_ns
-            if not self.node.endpoint.alive or self._recovering or self._deposed:
+            if self._recovering or self._deposed:
                 continue
             demand: Dict[int, int] = {sid: self._server_demand(sid)
                                       for sid in self._servers}

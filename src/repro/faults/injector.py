@@ -315,8 +315,11 @@ class FaultInjector:
             rec.event("faults", "fault", "injecting client crash",
                       client=client_name, tear=tear_inflight)
         client = self.clients[client_name]
-        if tear_inflight:
-            self._tear_inflight_write(client)
+        if tear_inflight and self._tear_inflight_write(client):
+            return  # the torn doorbell's process crashes the client
+        self._crash_client(client)
+
+    def _crash_client(self, client: "GengarClient") -> None:
         client.crash()
         self.client_crashes_injected.add()
 
@@ -329,13 +332,14 @@ class FaultInjector:
         self.client_recoveries_injected.add()
 
     # ------------------------------------------------------------------
-    def _tear_inflight_write(self, client: "GengarClient") -> None:
+    def _tear_inflight_write(self, client: "GengarClient") -> bool:
         """Plant a half-written proxy slot: re-stage the victim's last
         staged write, but cut the RDMA_WRITE short partway through the
         payload — the frame lands, the commit word does not.  The drain
         loop still gets the doorbell (write-after-write ordering only
         covers *completed* writes), which is exactly the case the per-slot
-        commit word exists to catch."""
+        commit word exists to catch.  Returns whether a doorbell is on its
+        way; its process then crashes the client."""
         from repro.core.protocol import (
             PROXY_HEADER_BYTES, pack_proxy_commit, pack_proxy_slot)
 
@@ -344,22 +348,22 @@ class FaultInjector:
             if rec is not None:
                 rec.event("faults", "fault", "no staged write to tear",
                           client=client.name)
-            return
+            return False
         sid, gaddr, offset, data = client._last_staged
         server = self.servers.get(sid)
         conn = client._conns.get(sid)
         if server is None or conn is None or conn.ring is None:
-            return
+            return False
         ring_state = server._rings.get(client.name)
         if ring_state is None:
-            return
+            return False
         slots = conn.ring.slots
         if conn.written - ring_state.drained >= slots:
             rec = self.sim.spans
             if rec is not None:
                 rec.event("faults", "fault", "ring full; tear skipped",
                           client=client.name)
-            return
+            return False
         seq = conn.written
         conn.written += 1
         slot = seq % slots
@@ -380,6 +384,7 @@ class FaultInjector:
             rec.event("faults", "fault", "torn slot planted",
                       client=client.name, server=sid, slot=slot, seq=seq,
                       cut=cut, of=len(full))
+        return True
 
     def _deliver_torn_doorbell(self, client: "GengarClient", conn, base: int,
                                slot: int) -> Any:
@@ -392,6 +397,10 @@ class FaultInjector:
         Bypassing the QP would deliver doorbells out of seq order, and the
         drain's seq cursor would then reject a *good* in-flight frame as
         torn — losing a write the client was told had synced.
+
+        The doorbell is the last WR the dying NIC puts on the wire: the
+        client crashes as soon as it has left the send gate, so every WR
+        still queued behind it flushes.
         """
         from repro.rdma.qp import QpError
         from repro.rdma.wr import Opcode, WorkRequest
@@ -404,10 +413,16 @@ class FaultInjector:
             inline_data=b"",
             length=0,
         )
+        qp = conn.data_qp
         try:
-            yield conn.data_qp.post_send(wr)
+            qp.post_send(wr)
         except QpError:
             rec = self.sim.spans
             if rec is not None:
                 rec.event("faults", "fault", "torn doorbell dropped (QP down)",
                           client=client.name)
+        else:
+            yield 0  # the doorbell's process queues on the send gate first
+            with (yield qp._send_gate):
+                pass  # so once this holds it, the doorbell is on the wire
+        self._crash_client(client)

@@ -28,13 +28,12 @@ Span taxonomy (``docs/OBSERVABILITY.md`` has the full contract):
 
 ``op.*``
     Client-visible operations: ``op.gread``, ``op.gread_many``,
-    ``op.gwrite``, ``op.gwrite_batch``, ``op.gsync``, ``op.glock``,
-    ``op.gunlock``.  Each carries a per-client ``op`` id that its child
-    phases repeat.
+    ``op.gwrite``, ``op.gsync``, ``op.glock``, ``op.gunlock``.  Each
+    carries a per-client ``op`` id that its child phases repeat.
 ``phase.*``
     Protocol phases inside an op: ``phase.meta_lookup``,
     ``phase.cache_read`` (hit or tag-miss probe), ``phase.nvm_read``,
-    ``phase.degraded_read``, ``phase.proxy_stage``, ``phase.batch_stage``,
+    ``phase.degraded_read``, ``phase.proxy_stage``,
     ``phase.direct_write``, ``phase.degraded_fallback``,
     ``phase.drain_wait``, ``phase.retry_wait``, ``phase.pipeline_wait``
     (a batched op draining its outstanding reads).

@@ -31,7 +31,9 @@ class RdmaEndpoint:
         self.fabric = fabric
         fabric.attach(name)
         self._mrs: Dict[int, MemoryRegion] = {}
-        #: Cleared when the node "crashes"; verbs targeting a dead endpoint
+        #: Cleared when the node "crashes".  A dead node sends nothing: a WR
+        #: that reaches injection from it completes with WR_FLUSH_ERROR
+        #: (one already on the wire still lands).  Verbs targeting it
         #: complete with RETRY_EXCEEDED after the timeout the NIC would take.
         self.alive = True
         #: Retransmission budget this endpoint's verbs spend against a dead

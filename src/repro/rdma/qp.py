@@ -18,6 +18,11 @@ spike on its predecessor) waits for its turn; one that is next in line waits
 for nothing.  Every way out — applied, remote fault, dead peer, interrupt —
 advances the responder's cursor.  READs take no number and stay unordered,
 so reads still pipeline.
+
+A dead node sends nothing: a WQE that reaches injection after its own
+endpoint died flushes (``WR_FLUSH_ERROR``) without touching the wire or
+taking a number, so the responder never waits for it; one already on the
+wire still lands.
 """
 
 from __future__ import annotations
@@ -213,6 +218,10 @@ class QueuePair:
                 payload = yield from self._gather_payload(wr)
             except MrError:
                 return self._completion(wr, WcStatus.LOCAL_PROTECTION_ERROR)
+            if not local.alive:
+                # The sender died while this WR was posted or queued: its
+                # QP is in the error state, so the WR flushes unsent.
+                return self._completion(wr, WcStatus.WR_FLUSH_ERROR)
             flight_ns = yield from local.fabric.inject(
                 local.name, remote_ep.name, self._request_wire_bytes(wr, payload))
             if ordered:

@@ -19,6 +19,12 @@ capacity always exceeds the QP count.  The response ring grows the same way
 under occupancy pressure.  A server's owner hands it a ``grow_cb`` that
 carves further DRAM (a :class:`~repro.core.layout.DramCarver` in every
 deployment and rig).
+
+A node that dies sends nothing (its WRs flush), so a call can fail in
+transport three ways, each an ``rpc transport failed`` error: its request
+finds the server dead or the server dies holding it (the caller hears
+silence and gives up after its retry budget), or the caller itself died
+meanwhile (its send, or its receive of the reply, flushes).
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover
 from repro.rdma.endpoint import RdmaEndpoint
 from repro.rdma.mr import AccessFlags
 from repro.rdma.qp import QueuePair
-from repro.rdma.wr import Opcode, WorkRequest
+from repro.rdma.wr import Opcode, WcStatus, WorkCompletion, WorkRequest
 
 def _req_ids_for(sim):
     """Per-simulator request-id source; request ids are pickled into every
@@ -286,8 +292,23 @@ class RpcServer:
             local_offset=offset,
             length=len(payload),
         )
-        yield qp.post_send(wr)
+        wc = yield qp.post_send(wr)
         ring.release(slot)
+        if wc.status is not WcStatus.SUCCESS:
+            # The reply never reached the caller, whose receive queue
+            # reports the call lost instead.  A dead caller's QP flushes it
+            # (its next verb would flush anyway); if this node died holding
+            # the call, the caller gives up after its retry budget, as for
+            # a request sent into a dead node.
+            caller = qp.remote
+            if wc.status is WcStatus.WR_FLUSH_ERROR:
+                delay, status = (caller.endpoint.retry_timeout_ns,
+                                 WcStatus.RETRY_EXCEEDED)
+            else:
+                delay, status = 0, WcStatus.WR_FLUSH_ERROR
+            self.sim.schedule(delay, caller.recv_cq.push, WorkCompletion(
+                wr_id=0, opcode=Opcode.RECV, status=status,
+                context={"req_id": req_id}))
         if rec is not None:
             rec.record(self.name, "rpc." + method, t0, ok=reply[0] == "ok")
 
@@ -383,17 +404,19 @@ class RpcClient:
         )
         send_wc = yield self.qp.post_send(wr)
         self._send_free.put(send_slot)
-        if not send_wc.ok:
+        if send_wc.ok:
+            status, result = yield reply_event
+        else:
             self._pending.pop(req_id, None)
+            status, result = "lost", send_wc.status.value
+        if status == "lost":
             # Flush the reply buffer posted for this call (QP error-state
-            # recv flush): the dead peer can never consume it, and leaking
-            # one slot per failed call would wedge every later call on
-            # this client once the ring runs dry.
+            # recv flush): no reply will ever consume it, and leaking one
+            # slot per failed call would wedge every later call on this
+            # client once the ring runs dry.
             if self.qp.cancel_recv(recv_slot, self._recv_mr):
                 recv_free.put(recv_slot)
-            raise RpcError(f"rpc transport failed: {send_wc.status.value}")
-
-        status, result = yield reply_event
+            raise RpcError(f"rpc transport failed: {result}")
         if status == "err":
             raise RpcError(result)
         return result
@@ -402,9 +425,12 @@ class RpcClient:
         completions = self.qp.recv_cq.next_event()
         while True:
             wc = yield completions
-            raw = self._recv_mr.peek(wc.recv_offset, wc.byte_len)
-            self._recv_free.put(wc.wr_id)
-            req_id, reply = pickle.loads(raw)
+            if wc.status is WcStatus.SUCCESS:
+                raw = self._recv_mr.peek(wc.recv_offset, wc.byte_len)
+                self._recv_free.put(wc.wr_id)
+                req_id, reply = pickle.loads(raw)
+            else:  # the call's reply was lost (see RpcServer._handle)
+                req_id, reply = wc.context["req_id"], ("lost", wc.status.value)
             waiter = self._pending.pop(req_id, None)
             if waiter is not None and not waiter.triggered:
                 waiter.succeed(reply)

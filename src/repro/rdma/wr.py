@@ -28,6 +28,9 @@ class WcStatus(enum.Enum):
     REMOTE_INVALID_REQUEST = "remote_invalid_request"
     #: The peer stopped responding (crashed node); maps to IBV_WC_RETRY_EXC_ERR.
     RETRY_EXCEEDED = "retry_exceeded"
+    #: The sender itself is dead (its QP is in the error state): the WR was
+    #: never put on the wire; maps to IBV_WC_WR_FLUSH_ERR.
+    WR_FLUSH_ERROR = "wr_flush_error"
 
 
 #: Wire size of an atomic request (address + compare/swap operands).

@@ -50,6 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover
 from repro.core.addressing import server_of
 from repro.core.consistency import LOCK_RETRY_NS
 from repro.core.errors import (
+    FatalError,
     FencedError,
     LockTimeoutError,
     RetryableError,
@@ -58,6 +59,7 @@ from repro.core.errors import (
     TxnWaitDieError,
 )
 from repro.rdma.rpc import RpcError
+from repro.rdma.wr import WcStatus
 
 __all__ = ["Transaction", "TxnManager", "pack_stamp"]
 
@@ -186,6 +188,8 @@ class TxnManager:
             result = yield from conn.rpc.call(method, payload)
         except RpcError as exc:
             msg = str(exc)
+            if WcStatus.WR_FLUSH_ERROR.value in msg:
+                raise FatalError(f"{method}: {msg}") from exc  # we died
             if "transport failed" in msg:
                 raise ServerUnavailableError(
                     f"{method}: server {server_id} unreachable",

@@ -100,8 +100,11 @@ def test_every_expectation_fires_when_its_precondition_breaks(
 @pytest.mark.xfail(strict=True, reason=(
     "features do not compose yet (ROADMAP 2(d)): with the phi detector "
     "armed, chaos-txn@13 conserves 8019 != 8000 after client-kill@mid-apply "
-    "and crash-tolerance@7's contender waits 224,216 ns on a dead client's "
-    "lock (bound 120,000) and reads a torn frame"))
+    "(the victim is only suspected, revives and re-attaches at its old "
+    "epoch, and nothing rolls its half-applied intent forward), and "
+    "crash-tolerance@7's contender waits 224,216 ns (bound 120,000) behind "
+    "the revived victim's new section, whose write it then reads, because "
+    "the detector defers the orphan sweep past the victim's revive"))
 @pytest.mark.parametrize("scenario,seed", [("chaos-txn", 13),
                                            ("crash-tolerance", 7)])
 def test_row_stays_green_with_the_failure_detector_armed(
@@ -151,3 +154,41 @@ def test_soak_plan_schedules_a_stall_before_the_first_crash():
     # ring — the lost-write reporting path the soak exists to exercise.
     assert first_stall.at_ns < first_crash.at_ns
     assert first_stall.server_id == first_crash.server_id
+
+
+def test_fanout_victims_inject_nothing_after_their_crash(monkeypatch):
+    """A dead client sends nothing: across the chaos-fanout row, no victim
+    puts a request on the wire after its crash instant.  Requests go
+    through ``Fabric.inject``; responses through ``unicast``, which is
+    rerouted here so that only requests are counted."""
+    from repro.core.client import GengarClient
+    from repro.hardware.network import Fabric
+
+    order = []  # ("crash" | "inject", sim, node), in execution order
+    inject, crash = Fabric.inject, GengarClient.crash
+
+    def counting_inject(self, src, dst, nbytes):
+        order.append(("inject", self.sim, src))
+        return (yield from inject(self, src, dst, nbytes))
+
+    def uncounted_unicast(self, src, dst, nbytes):
+        yield (yield from inject(self, src, dst, nbytes))
+
+    def noting_crash(self):
+        order.append(("crash", self.sim, self.name))
+        crash(self)
+
+    monkeypatch.setattr(Fabric, "inject", counting_inject)
+    monkeypatch.setattr(Fabric, "unicast", uncounted_unicast)
+    monkeypatch.setattr(GengarClient, "crash", noting_crash)
+    assert run_soak("chaos-fanout", seed=7, smoke=True)["violations"] == []
+
+    dead = set()
+    after_crash = 0
+    for kind, sim, node in order:
+        if kind == "crash":
+            dead.add((sim, node))
+        elif (sim, node) in dead:
+            after_crash += 1
+    assert len(dead) == 8  # a quarter of the 32-client fanout
+    assert after_crash == 0

@@ -45,7 +45,7 @@ def _public_client_names() -> set:
 def test_public_client_name_count_is_pinned():
     # Raising this needs a caller that exists today (not a test); lowering
     # it is always welcome.
-    assert len(_public_client_names()) == 20
+    assert len(_public_client_names()) == 19
 
 
 def test_every_public_client_name_has_a_caller():

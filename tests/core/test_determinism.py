@@ -57,7 +57,7 @@ def test_ycsb_b_different_seeds_diverge():
 
 
 def test_mixed_batch_workload_same_seed_is_bit_identical():
-    """Determinism holds through the doorbell-batched write path too."""
+    """Determinism holds through a mixed write / read / sync workload too."""
 
     def drive():
         sim, pool = build_pool(seed=11, num_servers=2, num_clients=2)
@@ -67,9 +67,8 @@ def test_mixed_batch_workload_same_seed_is_bit_identical():
             gaddrs = []
             for _ in range(12):
                 gaddrs.append((yield from client.gmalloc(128)))
-            yield from client.gwrite_batch(
-                [(g, bytes([i + 1]) * 128) for i, g in enumerate(gaddrs)]
-            )
+            for i, g in enumerate(gaddrs):
+                yield from client.gwrite(g, bytes([i + 1]) * 128)
             out = []
             for g in gaddrs:
                 out.append((yield from client.gread(g)))

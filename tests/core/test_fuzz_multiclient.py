@@ -14,6 +14,7 @@ reached NVM.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import FatalError
 from repro.faults import ClientCrash, FaultPlan
 from tests.core.conftest import build_pool, fast_config
 
@@ -131,19 +132,23 @@ def test_random_client_kills_leave_no_stale_locks_or_torn_data(
         yield from client.gsync()
 
     def victim_worker(sim):
-        # Sync after every write so the oracle is exact: the only unsynced
-        # frame left behind is the injected torn re-stage, which the commit
-        # word must keep out of NVM.
-        yield from victim.glock(locked_gaddr)
-        for obj_idx, byte, offset, length in victim_plan:
-            if victim.crashed:
-                break
-            gaddr = owned[2][obj_idx % 5]
-            length = min(length, size - offset)
-            data = bytes([byte]) * length
-            yield from victim.gwrite(gaddr, data, offset=offset)
-            yield from victim.gsync()
-            oracles[2][gaddr][offset : offset + length] = data
+        # A gwrite that returned has its frame in the ring, which drains
+        # whether or not a gsync follows, so the oracle takes it then.  The
+        # crash flushes the victim's next verb (FatalError): nothing more
+        # of it lands, and the only other frame it leaves behind is the
+        # injected torn re-stage, which the commit word must keep out of
+        # NVM.
+        try:
+            yield from victim.glock(locked_gaddr)
+            for obj_idx, byte, offset, length in victim_plan:
+                gaddr = owned[2][obj_idx % 5]
+                length = min(length, size - offset)
+                data = bytes([byte]) * length
+                yield from victim.gwrite(gaddr, data, offset=offset)
+                oracles[2][gaddr][offset : offset + length] = data
+                yield from victim.gsync()
+        except FatalError:
+            assert victim.crashed
         # Park dead (or idle) until well past lease expiry + recovery.
         yield sim.timeout(kill_delay + 4 * _LEASE)
 

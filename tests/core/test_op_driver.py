@@ -85,9 +85,10 @@ def _default_policy_session():
         yield from client.gwrite(small[1], b"c" * 256)
         yield from client.gwrite(victim, b"d" * 64, offset=64)
         yield from client.gread_many([small[1], victim, small[3], hot])
-        # Batched writes: two inline proxy writes and one serial fallback.
-        yield from client.gwrite_batch(
-            [(small[1], b"e" * 64), (small[3], b"f" * 64), (big, b"g" * 8192)])
+        # Two proxy writes and one direct write (too large for the ring).
+        for gaddr, data in ((small[1], b"e" * 64), (small[3], b"f" * 64),
+                            (big, b"g" * 8192)):
+            yield from client.gwrite(gaddr, data)
         yield from client.gsync(server_id=server_of(small[1]))
 
         yield from client.glock(hot)
@@ -102,7 +103,7 @@ def _default_policy_session():
         yield from _swallow(client.gwrite(victim, b"i" * 256))
         yield from _swallow(client.gsync())
         yield from _swallow(client.gread_many([small[1], victim]))
-        yield from _swallow(client.gwrite_batch([(victim, b"j" * 64)]))
+        yield from _swallow(client.gwrite(victim, b"j" * 64))
         yield from _swallow(client.glock(victim))
         yield from _swallow(client.gunlock(victim, write=False))
 

@@ -68,7 +68,8 @@ def test_only_reads_leave_the_ordered_lane():
         for conn in client._conns.values():
             _record_posts(conn, log)
         addrs = yield from _load_objects(client, 8)
-        yield from client.gwrite_batch([(g, b"w" * 128) for g in addrs[:4]])
+        for g in addrs[:4]:
+            yield from client.gwrite(g, b"w" * 128)
         yield from client.gsync()
         # Lock rounds between single reads, so the read cursor sits at a
         # different lane each time an atomic goes out.
