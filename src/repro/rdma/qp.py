@@ -15,9 +15,9 @@ WQE (SEND, WRITE, WRITE_IMM, atomics) takes the QP's next one inside the
 gate, and the responder applies it only after every earlier one of that QP
 has been applied — a WQE that arrives out of turn (a fault-hook latency
 spike on its predecessor) waits for its turn; one that is next in line waits
-for nothing.  Every way out — applied, remote fault, dead peer, interrupt —
-advances the responder's cursor.  READs take no number and stay unordered,
-so reads still pipeline.
+for nothing.  Every way out — applied, remote fault, dead peer, a step that
+raises — advances the responder's cursor.  READs take no number and stay
+unordered, so reads still pipeline.
 
 A dead node sends nothing: a WQE that reaches injection after its own
 endpoint died flushes (``WR_FLUSH_ERROR``) without touching the wire or
@@ -189,7 +189,7 @@ class QueuePair:
 
     def _retire(self, seq: int) -> None:
         """Responder: the peer's ordered WQE ``seq`` is done with — applied,
-        faulted, interrupted or lost to a dead peer — so the turn passes on,
+        faulted, failed or lost to a dead peer — so the turn passes on,
         over any later ones already done, to the first one waiting."""
         turns = self._turns
         if seq != self._apply_seq:
@@ -243,7 +243,7 @@ class QueuePair:
             if ordered:
                 peer._retire(seq)
             return self._completion(wr, fault.status)
-        except Exception:  # interrupted or failed: it will never be applied
+        except Exception:  # a step raised: it will never be applied
             if ordered:
                 peer._retire(seq)
             raise

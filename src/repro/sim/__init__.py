@@ -27,7 +27,6 @@ from repro.sim.primitives import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     Timeout,
 )
 from repro.sim.resources import Resource, Store, TokenBucket
@@ -41,7 +40,6 @@ __all__ = [
     "SimulationError",
     "Event",
     "Timeout",
-    "Interrupt",
     "AllOf",
     "AnyOf",
     "Resource",

@@ -48,7 +48,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional, Sequence, Union
 
-from repro.sim.primitives import _PENDING, Event, Interrupt, Timeout
+from repro.sim.primitives import _PENDING, Event, Timeout
 from repro.sim.resources import Resource, Store
 
 
@@ -89,8 +89,8 @@ class Process(Event):
     once, by this process's own entry, or when a ``put`` appends that entry.
     """
 
-    __slots__ = ("_generator", "_send", "_waiting_on", "_wake", "_epoch", "_entry",
-                 "_slot", "_holding", "_item")
+    __slots__ = ("_generator", "_send", "_wake", "_entry", "_slot", "_holding",
+                 "_item")
 
     def __init__(self, sim: "Simulator", generator: ProcessGenerator, name: str = "",
                  _defer: bool = False):
@@ -104,14 +104,11 @@ class Process(Event):
         # Bound once: resuming the generator is the hottest call in the
         # simulator, so skip the attribute lookup on every wake-up.
         self._send = generator.send
-        self._waiting_on: Optional[Event] = None
         # Bound once: every wake-up, by event or by timer, is this callable.
         self._wake = self._resume
-        # Interrupts delivered so far.  The queued entry of a bare delay (and
-        # of the first step) carries the count current when it was queued; an
-        # interrupt makes a new entry, so the one left in the calendar is
-        # recognisably stale.  One entry object serves every wait in between.
-        self._epoch = 0
+        # The calendar entry of every wait the kernel ends: the first step, a
+        # delay, a granted slot, the end of a timed hold, an item handed over.
+        # Its token, 0, tells it apart from an event's wake-up.
         self._entry = (self._wake, (0,))
         # A wait that the kernel owns: the yielded ``Resource``,
         # ``(resource, ns)`` pair or ``Store`` while this process is parked
@@ -139,68 +136,23 @@ class Process(Event):
         """True while the underlying generator has not finished."""
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current instant.
-
-        Interrupting a finished process is a silent no-op, matching the
-        common pattern of cancelling a worker that may have already exited.
-        """
-        if not self.is_alive:
-            return
-        self.sim.schedule(0, self._deliver_interrupt, cause)
-
-    def _deliver_interrupt(self, cause: Any) -> None:
-        if not self.is_alive:
-            return
-        # Whatever wake-up is outstanding is stale from here on: a queued
-        # entry (delay, slot, item) carries the old epoch, an event's callback
-        # will find _waiting_on no longer matches.
-        epoch = self._epoch = self._epoch + 1
-        self._entry = (self._wake, (epoch,))
-        self._waiting_on = None
-        slot = self._slot
-        if slot is not None:
-            # The kernel, not the generator, owns this wait: settle it first.
-            self._slot = None
-            if self._holding:
-                # Inside a timed hold: give the slot back first, where
-                # ``__exit__`` ran as the exception left the ``with``.
-                self._holding = False
-                slot.release()
-            else:
-                src = slot[0] if slot.__class__ is tuple else slot
-                try:
-                    src._queue.remove(self)  # parked: nothing to give back
-                except ValueError:
-                    # Served, the entry that says so not yet run: the slot or
-                    # the item goes back, to whoever is next in line.
-                    if src.__class__ is Resource:
-                        src.release()
-                    elif src._queue:
-                        src.put(self._item)
-                    else:
-                        src._items.appendleft(self._item)  # ahead of later puts
-                    self._item = None
-        self._resume(epoch, Interrupt(cause))
-
     def _bad_yield(self, problem: str) -> None:
         self._generator.close()
         self.fail(SimulationError(problem))
 
     # ------------------------------------------------------------------
-    def _resume(self, token: Any, exc: Optional[BaseException] = None) -> None:
-        """The one way a process runs: first step, timer, slot, event,
-        interrupt.
+    def _resume(self, token: Any) -> None:
+        """The one way a process runs: first step, timer, slot, item, event.
 
-        ``token`` says which wait is over: the epoch of this process's own
-        queued entry (a delay, a granted slot, the end of a timed hold, an
-        item handed over), or the event this was registered on.  ``exc`` is
-        thrown into the generator instead of a value being sent.
+        ``token`` says which wait is over: ``0``, this process's own queued
+        entry (a delay, a granted slot, the end of a timed hold, an item
+        handed over), or the event this was registered on.  A process waits
+        on one thing at a time and nothing else ends the wait, so every
+        wake-up is the one it waits for.
         """
         sim = self.sim
         if token.__class__ is int:
-            if token != self._epoch:
-                return  # a wait the process was interrupted out of
+            exc = None
             inline = _INLINE_RUN_MAX
             value = self._slot  # None: a plain delay is over
             if value is not None:
@@ -235,9 +187,6 @@ class Process(Event):
                     if value.__class__ is Store:  # ... a hand-off: the item
                         value, self._item = self._item, None
         else:
-            if self._waiting_on is not token:
-                return  # stale wake-up after an interrupt
-            self._waiting_on = None
             exc = token._exception
             value = token._value
             # Inline continuations left.  None while ``token`` has callbacks
@@ -344,7 +293,6 @@ class Process(Event):
                     if target._value is _PENDING:
                         if target._exception is None:
                             # The common case: sole waiter on a pending event.
-                            self._waiting_on = target
                             target._cb1 = self._wake
                             return
                     elif (inline and not target._scheduled
@@ -357,7 +305,6 @@ class Process(Event):
                         target._processed = True
                         value = target._value
                         continue
-                self._waiting_on = target
                 target.add_callback(self._wake)
                 return
             # Queue this process's own entry at ``t``: the end of a delay or

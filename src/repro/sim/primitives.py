@@ -11,8 +11,6 @@ waitable *triggers*.  The primitives here mirror SimPy's core vocabulary:
 * :class:`Timeout` — an event that triggers after a fixed delay: the timer
   to store, compose into a condition or give a value.
 * :class:`AllOf` / :class:`AnyOf` — composite conditions.
-* :class:`Interrupt` — the exception thrown into a process by
-  :meth:`repro.sim.kernel.Process.interrupt`.
 
 Fast-path notes: events are the single hottest allocation in the simulator
 (every verb phase, memory access, and RPC creates several), so the class is
@@ -31,18 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 
 # Sentinel distinguishing "not yet triggered" from a legitimate None value.
 _PENDING = object()
-
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it.
-
-    The interrupting party supplies ``cause``, available via
-    ``exc.cause`` in the interrupted process.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:

@@ -37,10 +37,7 @@ class Resource:
     keeps runs deterministic.
 
     Invariant: ``in_use`` counts exactly the slots owned by a live process
-    or by a queued grant entry.  A process interrupted while parked leaves
-    the queue and never frees or consumes a slot; interrupted after the grant
-    but before its entry ran, or inside a timed hold, it gives the slot back
-    before the interrupt is raised in it.  A slot already delivered by a bare
+    or by a queued grant entry.  A slot already delivered by a bare
     ``yield resource`` belongs to the process's own ``with``.
     """
 
@@ -99,12 +96,7 @@ class Store:
     process's own entry, or parks the process here until a ``put`` does.
 
     Invariant: a parked getter is a live process, and an item is owned by
-    the store or by exactly one queued entry.  A process interrupted while
-    parked leaves the queue; interrupted after an item became its own but
-    before the entry delivering it ran, it gives the item back — to the next
-    parked process, or to the head of the store — before the interrupt is
-    raised in it.  (As with :class:`Resource`, an interrupt cancels the
-    request: ask again.)
+    the store or by exactly one queued entry.
     """
 
     def __init__(self, sim: "Simulator", name: str = "store"):

@@ -37,10 +37,3 @@ class RngRegistry:
         """Stable 64-bit sub-seed for ``name`` under this registry's seed."""
         digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
         return int.from_bytes(digest[:8], "little")
-
-    def fork(self, name: str) -> "RngRegistry":
-        """A child registry whose streams are independent of the parent's."""
-        return RngRegistry(self.derive_seed(f"fork:{name}"))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._streams

@@ -29,11 +29,6 @@ def gib_per_s_to_bytes_per_ns(gib_per_s: float) -> float:
     return gib_per_s * GIB / SEC
 
 
-def bytes_per_ns_to_gib_per_s(bytes_per_ns: float) -> float:
-    """Convert bytes/ns back to GiB/s (for reports)."""
-    return bytes_per_ns * SEC / GIB
-
-
 def ns_to_us(ns: float) -> float:
     """Convert nanoseconds to microseconds (for reports)."""
     return ns / US

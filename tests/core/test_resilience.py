@@ -17,6 +17,7 @@ from repro.core import (
     ServerUnavailableError,
 )
 from repro.core import client as client_module
+from repro.core.protocol import CACHE_TAG_BYTES
 from repro.faults import FaultPlan, ServerCrash, ServerRecover
 
 from tests.core.conftest import build_pool, fast_config
@@ -134,6 +135,58 @@ def test_deadline_converts_a_stall_into_a_typed_error():
     assert client.m_deadline_misses.count >= 1
     # The watchdog fired at the deadline, not at the retry horizon.
     assert took < 50_000
+
+
+def test_a_deadline_abandons_a_direct_write_that_then_finishes():
+    """Why a deadline abandons its attempt rather than stopping it.
+
+    Proxy off, the object pinned in DRAM: a write looks its metadata up,
+    updates NVM, then the DRAM copy (a tag READ, then a WRITE).  The deadline
+    fires during the tag READ.  The caller gets the typed error at once; the
+    abandoned attempt runs on and refreshes the DRAM copy, so the cache never
+    serves bytes NVM does not hold.  An attempt stopped at the deadline would
+    never post the WRITE and leave the copy stale.
+    """
+    config = fast_config(enable_proxy=False, enable_cache=True,
+                         metadata_cache=False, op_deadline_ns=5_500)
+    sim, pool = build_pool(num_servers=1, num_clients=1, config=config)
+    client, master, server = pool.clients[0], pool.master, pool.servers[0]
+    old, new = b"A" * 128, b"B" * 128
+
+    def setup(sim):
+        gaddr = yield from client.gmalloc(128)
+        yield from client.gwrite(gaddr, old)
+        yield from master.pin(gaddr)
+        hits = client.m_cache_hits.count
+        data = yield from client.gread(gaddr)
+        return gaddr, data, client.m_cache_hits.count - hits
+
+    ((gaddr, data, hits),) = pool.run(setup(sim))
+    record = master.directory.get(gaddr)
+    assert (data, hits) == (old, 1)
+
+    def copies():
+        return (server.data_mr.peek(record.nvm_offset, 128),
+                server.cache_mr.peek(record.cache_offset + CACHE_TAG_BYTES, 128))
+
+    def write(sim):
+        with pytest.raises(DeadlineExceededError):
+            yield from client.gwrite(gaddr, new)
+        return copies()
+
+    (at_deadline,) = pool.run(write(sim))
+    assert at_deadline == (new, old)  # NVM written, the DRAM copy not yet
+    assert client.m_deadline_misses.count == 1
+
+    def later(sim):
+        yield 20_000  # the abandoned attempt finishes meanwhile
+        hits = client.m_cache_hits.count
+        data = yield from client.gread(gaddr)
+        return data, client.m_cache_hits.count - hits
+
+    (result,) = pool.run(later(sim))
+    assert result == (new, 1)  # served from the cache
+    assert copies() == (new, new)
 
 
 def test_degraded_mode_writes_through_a_stalled_ring(monkeypatch):

@@ -4,12 +4,10 @@ opcode but RDMA_READ) by sequence number.
 
 Each test posts back-to-back WQEs whose arrival or target work overlaps, so
 order holds only because of the responder's cursor, and checks that every
-way out of a turn — applied, remote fault, dead peer, interrupt — passes it
-on.
+way out of a turn — applied, remote fault, dead peer — passes it on.
 """
 
 from repro.rdma import Opcode, WcStatus, WorkRequest
-from repro.sim.primitives import Interrupt
 
 from tests.core.conftest import build_pool
 
@@ -99,27 +97,6 @@ def test_a_remote_fault_passes_the_turn_on(rig):
     bad, good = rig.run(proc(rig.sim))
     assert bad.status is WcStatus.REMOTE_ACCESS_ERROR
     assert good.ok and remote.peek(0, 4) == b"GOOD"
-
-
-def test_an_interrupted_wqe_passes_the_turn_on(rig):
-    """WQE k is interrupted in flight; k+1, which arrived first and waits for
-    k's turn, is applied anyway."""
-    remote = rig.ep_b.register_mr(rig.mem_b, base=0, length=64)
-    _spike_first(rig, 5_000)
-
-    def proc(sim):
-        first, second = rig.qp_a.post_send_many(
-            [_write(remote, b"AAAA"), _write(remote, b"BBBB")])
-        yield 2_000  # both injected, k+1 parked for its turn, k in flight
-        assert len(rig.qp_b._turns) == 1
-        first.interrupt("cancelled")
-        wc = yield second
-        return first, wc
-
-    first, wc = rig.run(proc(rig.sim))
-    assert isinstance(first.exception, Interrupt)
-    assert wc.ok and remote.peek(0, 4) == b"BBBB"
-    assert rig.qp_b._turns == {}
 
 
 def test_back_to_back_reads_are_not_serialized_at_the_responder(rig):

@@ -8,7 +8,7 @@ creates no event (``docs/KERNEL.md``, "What a process may yield").
 
 import pytest
 
-from repro.sim import Interrupt, Simulator
+from repro.sim import Simulator
 
 
 def test_bare_delay_behaves_like_timeout():
@@ -74,70 +74,6 @@ def test_negative_delay_raises_inside_the_process():
     sim.run()
     assert p.value == 5
     assert isinstance(q.exception, ValueError) and "-7" in str(q.exception)
-
-
-def test_interrupted_sleeper_ignores_its_stale_wake_up():
-    """Interrupted at t=10 out of ``yield 100``, the handler's waits run
-    60 and 260; the entry still queued at t=100 resumes nobody."""
-    sim = Simulator()
-    woke = []
-
-    def sleeper(sim):
-        try:
-            yield 100
-            woke.append(("uninterrupted", sim.now))
-        except Interrupt as exc:
-            woke.append((exc.cause, sim.now))
-            yield 50
-            woke.append(("first", sim.now))
-            yield 200
-            woke.append(("second", sim.now))
-
-    p = sim.spawn(sleeper(sim))
-    sim.schedule(10, p.interrupt, "stop")
-    sim.run()
-    assert woke == [("stop", 10), ("first", 60), ("second", 260)]
-    assert p.ok and sim.now == 260
-
-
-def test_interrupt_out_of_a_delay_into_an_event_wait():
-    """The stale delay entry must not pass for the event's wake-up either."""
-    sim = Simulator()
-    gate = sim.event()
-    woke = []
-
-    def sleeper(sim):
-        try:
-            yield 100
-        except Interrupt:
-            value = yield gate
-            woke.append((sim.now, value))
-
-    p = sim.spawn(sleeper(sim))
-    sim.schedule(10, p.interrupt)
-    sim.schedule(150, gate.succeed, "opened")
-    sim.run()
-    assert woke == [(150, "opened")]
-
-
-def test_interrupt_before_the_first_step_fails_the_process_once():
-    """The public API cannot deliver an interrupt ahead of the first step
-    (``spawn`` queues that step before it returns the handle), so deliver it
-    by hand: the generator never starts, and the queued first step — stale
-    now — does not touch the failed process."""
-    sim = Simulator()
-    started = []
-
-    def body(sim):
-        started.append(sim.now)
-        yield 5
-
-    p = sim.spawn(body(sim))
-    p._deliver_interrupt("early")
-    assert isinstance(p.exception, Interrupt)
-    sim.run()
-    assert started == [] and sim.total_dispatched == 1
-    assert isinstance(p.exception, Interrupt) and p.exception.cause == "early"
 
 
 @pytest.mark.parametrize("instrumented", [False, True])

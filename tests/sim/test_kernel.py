@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, SimulationError, Simulator
+from repro.sim import SimulationError, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -146,64 +146,6 @@ def test_yielding_event_of_other_simulator_fails_process():
     sim_a.run()
     assert not p.ok
     assert isinstance(p.exception, SimulationError)
-
-
-def test_interrupt_wakes_blocked_process():
-    sim = Simulator()
-    seen = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(1_000_000)
-        except Interrupt as exc:
-            seen.append((sim.now, exc.cause))
-
-    p = sim.spawn(sleeper(sim))
-
-    def killer(sim):
-        yield sim.timeout(10)
-        p.interrupt("stop now")
-
-    sim.spawn(killer(sim))
-    sim.run()
-    assert seen == [(10, "stop now")]
-
-
-def test_interrupting_finished_process_is_noop():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(1)
-
-    p = sim.spawn(quick(sim))
-    sim.run()
-    assert p.ok
-    p.interrupt("too late")  # must not raise
-    sim.run()
-    assert p.ok
-
-
-def test_stale_timeout_does_not_resume_interrupted_process():
-    """After an interrupt, the original timeout firing must not double-step."""
-    sim = Simulator()
-    resumed = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(100)
-        except Interrupt:
-            yield sim.timeout(500)
-        resumed.append(sim.now)
-
-    p = sim.spawn(sleeper(sim))
-
-    def killer(sim):
-        yield sim.timeout(10)
-        p.interrupt()
-
-    sim.spawn(killer(sim))
-    sim.run()
-    assert resumed == [510]
 
 
 def test_run_until_complete_returns_process_value():

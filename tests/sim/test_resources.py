@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, Resource, SimulationError, Simulator, Store, TokenBucket
+from repro.sim import Resource, SimulationError, Simulator, Store, TokenBucket
 
 
 # ---------------------------------------------------------------------------
@@ -201,156 +201,6 @@ def test_a_resource_of_another_simulator_fails_the_process(form):
     assert foreign.in_use == 0 and foreign.queued == 0
 
 
-# The three states of a slot wait the kernel owns, each interrupted.  Every
-# test here fails if the matching branch of ``Process._deliver_interrupt`` is
-# removed: the slot leaks and the process behind the victim starves.
-@pytest.mark.parametrize("form", FORMS)
-def test_interrupted_while_parked_withdraws_from_the_queue(form):
-    """No slot consumed, none freed: the holder keeps its slot (one holder,
-    capacity 1) and the process behind the victim is served next."""
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    served = []
-
-    def worker(sim, tag, hold):
-        yield from form(res, hold)
-        served.append((sim.now, tag))
-
-    sim.spawn(worker(sim, "holder", 100))
-    sim.spawn(worker(sim, "ahead", 10))
-    victim = sim.spawn(worker(sim, "victim", 10))
-    sim.spawn(worker(sim, "later", 10))
-    sim.schedule(10, victim.interrupt)
-    sim.run(until=15)
-    assert res.in_use == 1 and res.queued == 2  # ahead, later
-    sim.run()
-    assert isinstance(victim.exception, Interrupt)
-    assert served == [(100, "holder"), (110, "ahead"), (120, "later")]
-    assert res.in_use == 0 and res.queued == 0
-
-
-@pytest.mark.parametrize("form", FORMS)
-def test_interrupted_between_handoff_and_delivery_returns_the_slot(form):
-    """The holder interrupts the next in line and then releases: the slot is
-    the victim's, its grant entry is queued behind the interrupt's delivery.
-    The slot must go on to the process behind it, and the stale grant entry
-    must wake nobody."""
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    served = []
-
-    def holder(sim):
-        with (yield res):
-            yield 5
-            victim.interrupt()  # delivered first ...
-        # ... so the grant queued by this release finds nobody
-
-    def worker(sim, tag):
-        yield from form(res, 10)
-        served.append((sim.now, tag))
-
-    sim.spawn(holder(sim))
-    victim = sim.spawn(worker(sim, "victim"))
-    sim.spawn(worker(sim, "later"))
-    sim.run()
-    assert isinstance(victim.exception, Interrupt)
-    assert served == [(15, "later")]
-    assert res.in_use == 0 and res.queued == 0
-
-
-@pytest.mark.parametrize("form", FORMS)
-def test_a_stale_grant_entry_is_not_a_grant_for_the_next_wait_on_the_same_resource(form):
-    """As above, but the victim's handler asks for the same resource again
-    and parks behind the process its slot went to.  The grant entry of the
-    wait it was interrupted out of is still queued; it carries the old epoch
-    and must not be taken for the grant of the new wait."""
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    served = []
-
-    def holder(sim):
-        with (yield res):
-            yield 5
-            victim.interrupt()
-
-    def worker(sim, tag):
-        try:
-            yield from form(res, 10)
-        except Interrupt:
-            yield from form(res, 10)
-        served.append((sim.now, tag))
-
-    sim.spawn(holder(sim))
-    victim = sim.spawn(worker(sim, "victim"))
-    sim.spawn(worker(sim, "later"))
-    sim.run()
-    assert served == [(15, "later"), (25, "victim")]
-    assert res.in_use == 0 and res.queued == 0
-
-
-@pytest.mark.parametrize("form", FORMS)
-def test_interrupted_between_a_pass_through_grant_and_delivery_returns_the_slot(form):
-    """A free slot taken away from the tail of the instant is delivered by a
-    queued entry too; an interrupt that gets in first gives the slot back."""
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    victim = sim.spawn(form(res, 10))
-    victim.interrupt()  # queued behind the first step, ahead of its grant
-    sim.run()
-    assert isinstance(victim.exception, Interrupt)
-    assert sim.now == 0 and res.in_use == 0
-    follower = sim.spawn(form(res, 10))
-    sim.run()
-    assert follower.ok and sim.now == 10 and res.in_use == 0
-
-
-@pytest.mark.parametrize("form", FORMS)
-def test_interrupted_inside_the_hold_releases_before_the_interrupt_is_raised(form):
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    seen = []
-
-    def victim_body(sim):
-        try:
-            yield from form(res, 100)
-        except Interrupt:
-            # Where ``__exit__`` ran: the slot is already the waiter's.
-            seen.append((sim.now, res.in_use, res.queued))
-            raise
-
-    def waiter(sim):
-        yield from form(res, 10)
-        seen.append((sim.now, "waiter"))
-
-    victim = sim.spawn(victim_body(sim))
-    sim.spawn(waiter(sim))
-    sim.schedule(10, victim.interrupt)
-    sim.run()
-    assert isinstance(victim.exception, Interrupt)
-    assert seen == [(10, 1, 0), (20, "waiter")]
-    assert sim.now == 100  # the stale end-of-hold entry ran, and woke nobody
-    assert res.in_use == 0 and res.queued == 0
-
-
-def test_an_interrupted_hold_may_be_retried_by_the_handler():
-    """After an interrupt the queued end-of-hold entry is stale; a new hold
-    by the handler gets its own."""
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def body(sim):
-        try:
-            yield (res, 100)
-        except Interrupt:
-            yield (res, 20)
-        return sim.now
-
-    p = sim.spawn(body(sim))
-    sim.schedule(10, p.interrupt)
-    sim.run()
-    assert p.value == 30 and res.in_use == 0
-
-
 # ---------------------------------------------------------------------------
 # Store
 # ---------------------------------------------------------------------------
@@ -431,111 +281,6 @@ def test_a_store_of_another_simulator_fails_the_process():
     sim.run()
     assert isinstance(p.exception, SimulationError)
     assert len(foreign) == 1 and not foreign._queue
-
-
-# The two states of a store wait the kernel owns, each interrupted.  Every
-# test here fails if the matching branch of ``Process._deliver_interrupt`` is
-# removed: an item is lost, or handed to a process that is gone.
-def test_interrupted_getter_leaves_the_store_queue():
-    """A process interrupted while parked on ``yield store`` used to stay
-    queued: the next put handed the item to the dead getter, the item was
-    lost and a later getter starved forever."""
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def victim(sim):
-        yield store.get()
-        got.append("victim")
-
-    def consumer(sim):
-        yield sim.timeout(30)
-        got.append((sim.now, (yield store)))
-
-    v = sim.spawn(victim(sim))
-    sim.spawn(consumer(sim))
-    sim.schedule(10, v.interrupt)
-    sim.schedule(20, store.put, "A")
-    sim.run(until=25)
-    assert len(store) == 1 and not store._queue  # "A" waits for a live getter
-    sim.run()
-    assert isinstance(v.exception, Interrupt)
-    assert got == [(30, "A")] and len(store) == 0
-
-
-def test_interrupted_between_handoff_and_delivery_returns_the_item_to_the_next_getter():
-    """``put`` hands "A" to the parked victim — its entry is queued — but the
-    interrupt queued just before is delivered first.  Events dropped "A" here
-    (it died with the fired get event: a leaked ring slot).  Now it goes on
-    to the getter parked behind the victim, and the stale entry wakes
-    nobody."""
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def getter(sim, tag):
-        got.append((tag, (yield store.get()), sim.now))
-
-    def producer(sim):
-        yield 5
-        victim.interrupt()  # delivered first ...
-        store.put("A")      # ... so this hand-off finds nobody
-
-    victim = sim.spawn(getter(sim, "victim"))
-    sim.spawn(getter(sim, "later"))
-    sim.spawn(producer(sim))
-    sim.run()
-    assert isinstance(victim.exception, Interrupt)
-    assert got == [("later", "A", 5)]
-    assert len(store) == 0 and not store._queue
-
-
-def test_interrupted_between_handoff_and_delivery_returns_the_item_to_the_head():
-    """The same with nobody else parked: the item goes back to the *head* of
-    the store, ahead of what was put after it, and the victim's handler may
-    ask again — the entry of the wait it was interrupted out of carries the
-    old epoch and is not a delivery for the new one."""
-    sim = Simulator()
-    store = Store(sim)
-    seen = []
-
-    def victim_body(sim):
-        try:
-            yield store.get()
-        except Interrupt:
-            seen.append(("interrupted", list(store._items)))
-            seen.append(((yield store.get()), sim.now))
-            seen.append(((yield store.get()), sim.now))
-
-    def producer(sim):
-        yield 5
-        victim.interrupt()
-        store.put("A")
-        store.put("B")
-
-    victim = sim.spawn(victim_body(sim))
-    sim.spawn(producer(sim))
-    sim.run()
-    assert victim.ok
-    assert seen == [("interrupted", ["A", "B"]), ("A", 5), ("B", 5)]
-    assert len(store) == 0 and not store._queue
-
-
-def test_interrupted_between_a_pass_through_take_and_delivery_returns_the_item():
-    """An item taken away from the tail of the instant rides a queued entry
-    too; an interrupt that gets in first puts it back."""
-    sim = Simulator()
-    store = Store(sim)
-    store.put("A")
-
-    def body(sim):
-        yield store.get()
-
-    victim = sim.spawn(body(sim))
-    victim.interrupt()  # queued behind the first step, ahead of its entry
-    sim.run()
-    assert isinstance(victim.exception, Interrupt)
-    assert store.try_get() == (True, "A")
 
 
 def test_store_try_get():

@@ -5,7 +5,7 @@ from collections import deque
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Event, Histogram, Interrupt, Resource, Simulator, Store
+from repro.sim import Event, Histogram, Resource, Simulator, Store
 
 
 @given(delays=st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=50))
@@ -274,15 +274,13 @@ def test_elision_never_changes_what_a_program_does(program):
 # ---------------------------------------------------------------------------
 # A timed hold is acquire, delay, release: a differential test
 # ---------------------------------------------------------------------------
-# Random programs over 1-3 resources of capacity 1-4, with interrupts, run in
-# the pair form (``yield (res, ns)``, the kernel holds and releases) and in
-# the expanded form (the logging stand-in of ``dispatch_scenario`` turns each
-# pair into yield-the-resource, yield-``ns``, release — what the hardware
-# models wrote before the pair existed).  Steps mix pair holds, two-yield
-# holds, a hold nested in a ``with`` (two resources at once; lock-order
-# deadlocks are part of the test and must freeze both runs alike) and bare
-# delays; an interrupted step is logged and the process moves on, so a stale
-# grant or end-of-hold entry meets the next wait of the same process.
+# Random programs over 1-3 resources of capacity 1-4 run in the pair form
+# (``yield (res, ns)``, the kernel holds and releases) and in the expanded
+# form (the logging stand-in of ``dispatch_scenario`` turns each pair into
+# yield-the-resource, yield-``ns``, release — what the hardware models wrote
+# before the pair existed).  Steps mix pair holds, two-yield holds, a hold
+# nested in a ``with`` (two resources at once; lock-order deadlocks are part
+# of the test and must freeze both runs alike) and bare delays.
 _ns = st.integers(min_value=0, max_value=4)
 _res = st.integers(min_value=0, max_value=2)
 _hold_step = st.one_of(
@@ -295,12 +293,10 @@ _hold_step = st.one_of(
 _hold_programs = st.tuples(
     st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
     st.lists(st.lists(_hold_step, min_size=1, max_size=6), min_size=1, max_size=6),
-    st.lists(st.tuples(st.integers(min_value=0, max_value=12),
-                       st.integers(min_value=0, max_value=5)), max_size=6),
 )
 
 
-def _run_holds(capacities, program, interrupts, expanded=False):
+def _run_holds(capacities, program, expanded=False):
     from contextlib import nullcontext
 
     from tests.sim.dispatch_scenario import logged_resumptions
@@ -316,28 +312,22 @@ def _run_holds(capacities, program, interrupts, expanded=False):
 
     def worker(sim, name, ops):
         for i, op in enumerate(ops):
-            try:
-                if op[0] == "pair":
-                    yield (pick(op[1]), op[2])
-                elif op[0] == "bare":
-                    with (yield pick(op[1])):
-                        yield op[2]
-                elif op[0] == "nested":
-                    with (yield pick(op[1])):
-                        yield (pick(op[2] + 1), op[3])
-                else:
-                    yield op[1]
-                outcome = "done"
-            except Interrupt:
-                outcome = "interrupted"
-            log.append((sim.now, name, i, outcome, [r.in_use for r in resources],
+            if op[0] == "pair":
+                yield (pick(op[1]), op[2])
+            elif op[0] == "bare":
+                with (yield pick(op[1])):
+                    yield op[2]
+            elif op[0] == "nested":
+                with (yield pick(op[1])):
+                    yield (pick(op[2] + 1), op[3])
+            else:
+                yield op[1]
+            log.append((sim.now, name, i, [r.in_use for r in resources],
                         [r.queued for r in resources]))
 
     with logged_resumptions([]) if expanded else nullcontext():
         procs = [sim.spawn(worker(sim, f"w{i}", ops), name=f"w{i}")
                  for i, ops in enumerate(program)]
-        for when, who in interrupts:
-            sim.schedule(when, procs[who % len(procs)].interrupt)
         sim.run(max_events=100_000)
     return (log, sim.now, sim.total_dispatched, [p.triggered for p in procs],
             [(r.in_use, r.queued) for r in resources])
@@ -348,7 +338,7 @@ def _run_holds(capacities, program, interrupts, expanded=False):
 def test_a_timed_hold_is_acquire_delay_release(case):
     """Pair form, pair form with inline continuation switched off (every
     grant through the queue), and expanded form: identical step logs (time,
-    process, outcome, slots in use and processes parked at every step end),
+    process, slots in use and processes parked at every step end),
     final clocks, outcomes and end states, and no slot owned once every
     process has finished.  Pair and expanded form queue the same entries, so
     their dispatch counts are equal too; switching inline continuation off
@@ -373,16 +363,13 @@ def test_a_timed_hold_is_acquire_delay_release(case):
 # A store hand-off is the get event's dispatch without the event: a
 # differential test
 # ---------------------------------------------------------------------------
-# Random programs over two stores and a resource, with interrupts, run on the
-# kernel-native ``Store`` and on ``_EventStore`` below — the ``Store`` this
-# repo had while a ``get`` was an event (``put`` handing an item to a parked
-# get event, a get on a non-empty store born fired), unbounded.  It queues the
+# Random programs over two stores and a resource run on the kernel-native
+# ``Store`` and on ``_EventStore`` below — the ``Store`` this repo had while
+# a ``get`` was an event (``put`` handing an item to a parked get event, a get
+# on a non-empty store born fired), unbounded.  It queues the
 # get event's ``Event._dispatch`` wherever the native store queues the taking
 # process's own entry, so the two runs must agree on everything, dispatch
-# counts included.  The one thing events could not do — see that an
-# interrupted process had an item in flight — the reference does by hand, in
-# the worker's ``except Interrupt`` (``settle``), which runs in the dispatch
-# that delivers the interrupt, as the kernel's own settlement does.
+# counts included.
 class _EventStore:
     def __init__(self, sim, name):
         self.sim = sim
@@ -410,15 +397,6 @@ class _EventStore:
     try_get = Store.try_get
     remove = Store.remove
 
-    def settle(self, ev):
-        """``ev``'s process was interrupted out of waiting for it."""
-        if not ev.triggered:
-            self._queue.remove(ev)      # parked: withdrawn
-        elif self._queue:
-            self.put(ev.value)            # in flight: on to the next in line
-        else:
-            self._items.appendleft(ev.value)  # ... or back to the head
-
 
 _store_step = st.one_of(
     st.tuples(st.just("get"), _which),
@@ -430,14 +408,11 @@ _store_step = st.one_of(
     st.tuples(st.just("delay"), _ns),
     st.tuples(st.just("hold"), _ns),
 )
-_store_programs = st.tuples(
-    st.lists(st.lists(_store_step, min_size=1, max_size=7), min_size=1, max_size=6),
-    st.lists(st.tuples(st.integers(min_value=0, max_value=12),
-                       st.integers(min_value=0, max_value=5)), max_size=6),
-)
+_store_programs = st.lists(
+    st.lists(_store_step, min_size=1, max_size=7), min_size=1, max_size=6)
 
 
-def _run_stores(program, interrupts, reference=False):
+def _run_stores(program, reference=False):
     sim = Simulator(seed=5)
     make = _EventStore if reference else Store
     stores = [make(sim, name="s0"), make(sim, name="s1")]
@@ -449,36 +424,28 @@ def _run_stores(program, interrupts, reference=False):
         nonlocal put, taken
         for i, op in enumerate(ops):
             kind = op[0]
-            wait = outcome = None
-            try:
-                if kind == "get":
-                    wait = stores[op[1]].get()
-                    outcome = yield wait
-                    taken += 1
-                elif kind == "put":
-                    stores[op[1]].put(op[2])
-                    put += 1
-                elif kind == "try_get":
-                    outcome = stores[op[1]].try_get()
-                    taken += outcome[0]
-                elif kind == "remove":
-                    outcome = stores[op[1]].remove(op[2])
-                    taken += outcome
-                elif kind == "delay":
-                    yield op[1]
-                else:
-                    yield (res, op[1])
-            except Interrupt:
-                outcome = "interrupted"
-                if reference and kind == "get":
-                    stores[op[1]].settle(wait)
+            outcome = None
+            if kind == "get":
+                outcome = yield stores[op[1]].get()
+                taken += 1
+            elif kind == "put":
+                stores[op[1]].put(op[2])
+                put += 1
+            elif kind == "try_get":
+                outcome = stores[op[1]].try_get()
+                taken += outcome[0]
+            elif kind == "remove":
+                outcome = stores[op[1]].remove(op[2])
+                taken += outcome
+            elif kind == "delay":
+                yield op[1]
+            else:
+                yield (res, op[1])
             log.append((sim.now, name, i, outcome, [list(s._items) for s in stores],
                         [len(s._queue) for s in stores]))
 
     procs = [sim.spawn(worker(sim, f"w{i}", ops), name=f"w{i}")
              for i, ops in enumerate(program)]
-    for when, who in interrupts:
-        sim.schedule(when, procs[who % len(procs)].interrupt)
     sim.run(max_events=100_000)
     return (log, sim.now, [p.triggered for p in procs],
             [(list(s._items), len(s._queue)) for s in stores],
@@ -495,12 +462,11 @@ def test_a_store_hand_off_is_the_get_events_dispatch_without_the_event(case):
     queue the same entries, so their dispatch counts are equal too; switching
     inline continuation off may only add pass-through deliveries.  Once every
     process has finished nobody is parked in a store, and every item put has
-    been taken or is still there: none was lost to an interrupt, none
-    delivered twice."""
+    been taken or is still there: none was lost, none delivered twice."""
     from repro.sim import kernel
 
-    native = _run_stores(*case)
-    assert native == _run_stores(*case, reference=True)
+    native = _run_stores(case)
+    assert native == _run_stores(case, reference=True)
     if all(native[2]):
         assert all(parked == 0 for _items, parked in native[3])
         put, taken = native[4]
@@ -508,7 +474,7 @@ def test_a_store_hand_off_is_the_get_events_dispatch_without_the_event(case):
     bound = kernel._INLINE_RUN_MAX
     kernel._INLINE_RUN_MAX = 0
     try:
-        queued = _run_stores(*case)
+        queued = _run_stores(case)
     finally:
         kernel._INLINE_RUN_MAX = bound
     assert native[:5] == queued[:5]
