@@ -1105,8 +1105,7 @@ class ChaosSoak:
         m = self.sim.metrics
         counters = {
             name: m.counter(f"pool.{name}").count
-            for name in ("retries", "failovers",
-                         "degraded_reads", "degraded_writes",
+            for name in ("retries", "failovers", "degraded_writes",
                          "deadline_misses", "proxy_writes", "direct_writes")
         }
         counters["lost_staged_writes"] = int(

@@ -8,8 +8,9 @@ master (see :mod:`repro.core.hotness`).
 Data-plane routing per operation:
 
 * **read, object cached** → one RDMA READ of the home server's DRAM cache
-  slot (self-verifying tag; a mismatch means stale metadata, triggering a
-  lookup and retry),
+  slot (self-verifying tag; a mismatch means stale metadata: the client
+  re-reads the NVM home while a lookup runs, and keeps those bytes once
+  the lookup returns),
 * **read, uncached** → one RDMA READ of the NVM home,
 * **write, proxy on** → one RDMA WRITE_WITH_IMM into the client's private
   ring in server DRAM; completion at DRAM latency, NVM updated by the
@@ -24,15 +25,18 @@ client's local overlay, so every client observes its own writes.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, NamedTuple,
-                    Optional, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, Generator,
+                    NamedTuple, Optional, Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
     from repro.rdma.qp import QueuePair
     from repro.rdma.rpc import RpcClient
+    from repro.sim.kernel import Process
 
 from repro.core.addressing import server_of
 from repro.core.config import GengarConfig
@@ -72,7 +76,6 @@ from repro.rdma.cq import CompletionMux
 from repro.rdma.mr import AccessFlags
 from repro.rdma.rpc import RpcError
 from repro.rdma.wr import Opcode, WcStatus, WorkRequest
-from repro.sim.resources import Store
 
 __all__ = [
     "GengarClient",
@@ -170,11 +173,94 @@ class _ServerConn:
         return qp
 
 
-#: Scratch bounce buffers for RDMA payloads.
-_SCRATCH_SLOTS = 16
-_SCRATCH_SLOT_SIZE = 256 * 1024
-#: Retries after self-verification failures before declaring thrash.
-_MAX_META_RETRIES = 4
+#: The registered bounce region for RDMA payloads, and the largest single
+#: transfer through it (bigger reads and writes are chunked).
+_SCRATCH_BYTES = 4 * 1024 * 1024
+_MAX_TRANSFER = 256 * 1024
+#: Scratch is lent in whole lines.
+_SCRATCH_LINE = 64
+
+
+class _Scratch:
+    """The client's bounce region, lent by the byte.
+
+    A transfer holds only its own span, rounded up to a whole line (at
+    least one, so an empty transfer still owns its offset): first fit over
+    the free runs in offset order, given back with :meth:`free`, which
+    coalesces it with its free neighbours.  A taker that does not fit waits
+    on :meth:`wait`'s event; waiters are served strictly in arrival order,
+    so :meth:`try_alloc` fails while anyone waits and a large transfer is
+    never starved by a stream of small ones.
+    """
+
+    __slots__ = ("sim", "size", "_runs", "_waiters")
+
+    def __init__(self, sim, size: int):
+        self.sim = sim
+        self.size = size
+        #: Free ``[lo, hi)`` runs, in offset order, never adjacent.
+        self._runs: list = [[0, size]]
+        #: ``(nbytes, event)`` of each waiting taker, oldest first.
+        self._waiters: Deque[tuple] = deque()
+
+    def _fit(self, nbytes: int) -> Optional[int]:
+        need = (nbytes + _SCRATCH_LINE - 1) & -_SCRATCH_LINE or _SCRATCH_LINE
+        runs = self._runs
+        for i, run in enumerate(runs):
+            lo = run[0]
+            left = run[1] - lo - need
+            if left >= 0:
+                if left:
+                    run[0] = lo + need
+                else:
+                    del runs[i]
+                return lo
+        return None
+
+    def try_alloc(self, nbytes: int) -> Optional[int]:
+        """Lend ``nbytes`` now: the offset, or None when no free run fits
+        or an earlier taker is waiting."""
+        return None if self._waiters else self._fit(nbytes)
+
+    def wait(self, nbytes: int):
+        """The event, to be yielded, that fires with the offset of
+        ``nbytes`` once every earlier waiter is served and they fit."""
+        event = self.sim.event()
+        self._waiters.append((nbytes, event))
+        return event
+
+    def free(self, offset: int, nbytes: int) -> None:
+        """Take back the ``nbytes`` lent at ``offset``, then serve waiters
+        in order while the oldest fits."""
+        hi = offset + ((nbytes + _SCRATCH_LINE - 1) & -_SCRATCH_LINE
+                       or _SCRATCH_LINE)
+        runs = self._runs
+        i = bisect_left(runs, [offset])
+        after = runs[i] if i < len(runs) and runs[i][0] == hi else None
+        if i and runs[i - 1][1] == offset:
+            before = runs[i - 1]
+            if after is None:
+                before[1] = hi
+            else:
+                before[1] = after[1]
+                del runs[i]
+        elif after is not None:
+            after[0] = offset
+        else:
+            runs.insert(i, [offset, hi])
+        waiters = self._waiters
+        while waiters:
+            got = self._fit(waiters[0][0])
+            if got is None:
+                return
+            waiters.popleft()[1].succeed(got)
+
+    @property
+    def idle(self) -> bool:
+        """True when the whole region is free and nobody waits."""
+        return self._runs == [[0, self.size]] and not self._waiters
+
+
 #: Consecutive master transport failures before the client's verdict
 #: upgrades from "one lost RPC" to "the path to the master is partitioned".
 _SUSPECT_STREAK = 3
@@ -284,7 +370,7 @@ class GengarClient:
         self._carver = DramCarver(node.dram)
         self._scratch_base: Optional[int] = None
         self._scratch_mr = None
-        self._scratch_free: Optional[Store] = None
+        self._scratch: Optional[_Scratch] = None
 
         m = self.sim.metrics
         self.m_reads = m.counter("pool.reads")
@@ -299,7 +385,6 @@ class GengarClient:
         self.m_retries = m.counter("pool.retries")
         self.m_failovers = m.counter("pool.failovers")
         self.m_lost_writes = m.counter("pool.lost_staged_writes")
-        self.m_degraded_reads = m.counter("pool.degraded_reads")
         self.m_degraded_writes = m.counter("pool.degraded_writes")
         self.m_deadline_misses = m.counter("pool.deadline_misses")
         self.m_lease_renewals = m.counter("pool.lease_renewals")
@@ -561,15 +646,12 @@ class GengarClient:
             self._last_renew_ns = self.sim.now
             self._start_heartbeat()
 
-        scratch_span = _SCRATCH_SLOTS * _SCRATCH_SLOT_SIZE
-        self._scratch_base = self._carver.carve(scratch_span, "scratch")
+        self._scratch_base = self._carver.carve(_SCRATCH_BYTES, "scratch")
         self._scratch_mr = self.node.endpoint.register_mr(
-            self.node.dram, self._scratch_base, scratch_span,
+            self.node.dram, self._scratch_base, _SCRATCH_BYTES,
             access=AccessFlags.ALL, name=f"{self.name}.scratch",
         )
-        self._scratch_free = Store(self.sim, name=f"{self.name}.scratch_free")
-        for i in range(_SCRATCH_SLOTS):
-            self._scratch_free.put(i * _SCRATCH_SLOT_SIZE)
+        self._scratch = _Scratch(self.sim, _SCRATCH_BYTES)
 
         for desc in servers:
             conn = self._conns.get(desc.server_id)
@@ -1102,7 +1184,7 @@ class GengarClient:
         """One attempt raced against the remaining deadline budget.
 
         A timed-out attempt is *abandoned*, never interrupted: an interrupt
-        would run the attempt's ``finally`` blocks and hand its scratch slot
+        would run the attempt's ``finally`` blocks and hand its scratch span
         to the next op while its WR is still in flight and about to DMA
         into it.  The orphan runs to completion in the background — its
         buffers are released and a failure with no waiters is stored
@@ -1272,12 +1354,14 @@ class GengarClient:
         read lanes and posted with one
         :meth:`~repro.rdma.qp.QueuePair.post_send_many` doorbell per lane, and
         completions are consumed *out of order* as they arrive — a finished
-        read is processed (and its scratch slot recycled) while
+        read is processed (and its scratch span recycled) while
         earlier-posted reads are still in flight.  Adjacent NVM reads in a
         doorbell are additionally tagged for server-side read combining.
+        A stale cache tag is repaired inside the batch: the item re-reads
+        its NVM home while its ``lookup`` runs, and stands once that returns.
 
         Items the batched path cannot serve — overlay partial overlaps,
-        objects larger than a scratch slot, stale cache tags, failed
+        objects larger than one transfer, failed lookups, failed
         completions — fall back to serial :meth:`gread` (which retries per
         the :class:`RetryPolicy`); the first failure, in argument order,
         propagates.
@@ -1288,9 +1372,10 @@ class GengarClient:
                             gaddrs: list) -> Generator[Any, Any, list]:
         start = self.sim.now
         rec = self.sim.spans
+        scratch = self._scratch
         results: list = [None] * len(gaddrs)
         fallback: list = []  # indices routed through serial gread
-        groups: Dict[int, list] = {}  # server_id -> [(idx, gaddr, meta, len)]
+        groups: Dict[int, list] = {}  # server_id -> [(idx, gaddr, meta)]
         for idx, gaddr in enumerate(gaddrs):
             meta = self._cached_meta(gaddr)
             if meta is None:
@@ -1311,11 +1396,10 @@ class GengarClient:
                 else:
                     fallback.append(idx)  # partial overlap: gread syncs first
                 continue
-            if length > _SCRATCH_SLOT_SIZE - CACHE_TAG_BYTES:
+            if length > _MAX_TRANSFER - CACHE_TAG_BYTES:
                 fallback.append(idx)  # chunked path stays serial
                 continue
-            groups.setdefault(meta.server_id, []).append(
-                (idx, gaddr, meta, length))
+            groups.setdefault(meta.server_id, []).append((idx, gaddr, meta))
 
         if groups:
             # One CPU pass covers building every WQE in the batch.
@@ -1323,40 +1407,62 @@ class GengarClient:
         mux = CompletionMux(self.sim)
 
         def _consume_one():
-            """Process whichever posted read completes next."""
+            """Process whichever posted read, or repair lookup, completes
+            next.  A tag is ``(idx, gaddr, meta, span, conn, scratch_off,
+            lookup, t_post)``: ``lookup`` is set on a repair, and
+            ``scratch_off`` is None once only its lookup is left."""
             tag, ev = yield mux.next_event()
-            idx, gaddr, length, span, conn, scratch_off, cached, t_post = tag
-            try:
-                wc = ev.value
-                self._check_wc(wc, "RDMA read", conn)
-            except ClientError:
-                self._scratch_free.put(scratch_off)
-                fallback.append(idx)  # serial gread applies the RetryPolicy
-                return
-            raw = self._scratch_mr.peek(scratch_off, span)
-            self._scratch_free.put(scratch_off)
-            if cached:
-                if not tag_matches(raw, gaddr):
-                    # Stale metadata (demoted / slot reused): refresh via the
-                    # serial path, which re-looks-up and retries.
-                    self.m_tag_misses.add()
-                    if rec is not None:
-                        rec.record(self.name, "phase.cache_read", t_post,
-                                   op=span_op, hit=False, bytes=length)
-                    self._invalidate_meta(gaddr)
-                    fallback.append(idx)
+            idx, gaddr, meta, span, conn, scratch_off, lookup, t_post = tag
+            length = meta.size
+            if scratch_off is None:
+                # A repair's lookup is back; its home bytes wait in results.
+                if not ev.ok or ev.value.size != length:
+                    fallback.append(idx)  # serial gread raises what it raised
                     return
-                self.m_cache_hits.add()
-                results[idx] = raw[CACHE_TAG_BYTES : CACHE_TAG_BYTES + length]
-                if rec is not None:
-                    rec.record(self.name, "phase.cache_read", t_post,
-                               op=span_op, hit=True, bytes=length)
-            else:
                 self.m_nvm_reads.add()
-                results[idx] = raw
                 if rec is not None:
                     rec.record(self.name, "phase.nvm_read", t_post,
                                op=span_op, bytes=length)
+            else:
+                try:
+                    self._check_wc(ev.value, "RDMA read", conn)
+                except ClientError:
+                    scratch.free(scratch_off, span)
+                    fallback.append(idx)  # serial gread applies the RetryPolicy
+                    return
+                if lookup is not None or span == length:  # the NVM home
+                    results[idx] = self._scratch_mr.peek(scratch_off, length)
+                    scratch.free(scratch_off, span)
+                    if lookup is not None:
+                        # A repair READ: its bytes stand once the lookup
+                        # returns.
+                        mux.add(lookup, (idx, gaddr, meta, span, conn, None,
+                                         lookup, t_post))
+                        return
+                    self.m_nvm_reads.add()
+                    if rec is not None:
+                        rec.record(self.name, "phase.nvm_read", t_post,
+                                   op=span_op, bytes=length)
+                else:  # a cache slot: tag + payload
+                    raw = self._scratch_mr.peek(scratch_off, span)
+                    if not tag_matches(raw, gaddr):
+                        # Repair in the batch: re-read the NVM home into the
+                        # same scratch bytes while the lookup runs.
+                        lookup = self._stale_tag(gaddr, t_post, length, span_op)
+                        mux.add(conn.read_lane().post_send(WorkRequest(
+                            opcode=Opcode.RDMA_READ,
+                            local_mr=self._scratch_mr, local_offset=scratch_off,
+                            length=length, remote_rkey=conn.desc.data_rkey,
+                            remote_offset=meta.nvm_offset,
+                        )), (idx, gaddr, meta, span, conn, scratch_off, lookup,
+                             self.sim.now))
+                        return
+                    scratch.free(scratch_off, span)
+                    self.m_cache_hits.add()
+                    results[idx] = raw[CACHE_TAG_BYTES:]
+                    if rec is not None:
+                        rec.record(self.name, "phase.cache_read", t_post,
+                                   op=span_op, hit=True, bytes=length)
             self.m_reads.add()
             self._note_access(gaddr, read=True)
             self.h_read.record(self.sim.now - start)
@@ -1378,15 +1484,21 @@ class GengarClient:
             conn = self._conns[sid]
             wrs: list = []
             tags: list = []
-            for idx, gaddr, meta, length in groups[sid]:
+            for idx, gaddr, meta in groups[sid]:
+                if self.config.enable_cache and meta.cached:
+                    span = CACHE_TAG_BYTES + meta.size
+                    rkey, roff = conn.desc.cache_rkey, meta.cache_offset
+                else:
+                    span = meta.size
+                    rkey, roff = conn.desc.data_rkey, meta.nvm_offset
                 # Scratch acquisition can never deadlock on our own batch:
                 # recycle completed reads first, and if none are in flight
                 # while WRs are pending here, ring the doorbell early (a
-                # batch larger than the scratch pool degrades to several
+                # batch larger than the scratch region degrades to several
                 # doorbells instead of wedging).
                 while True:
-                    ok, scratch_off = self._scratch_free.try_get()
-                    if ok:
+                    scratch_off = scratch.try_alloc(span)
+                    if scratch_off is not None:
                         break
                     if len(mux):
                         yield from _consume_one()
@@ -1394,22 +1506,15 @@ class GengarClient:
                         _post(conn, wrs, tags)
                         wrs, tags = [], []
                     else:
-                        scratch_off = yield self._scratch_free
+                        scratch_off = yield scratch.wait(span)
                         break
-                cached = self.config.enable_cache and meta.cached
-                if cached:
-                    span = CACHE_TAG_BYTES + length
-                    rkey, roff = conn.desc.cache_rkey, meta.cache_offset
-                else:
-                    span = length
-                    rkey, roff = conn.desc.data_rkey, meta.nvm_offset
                 wrs.append(WorkRequest(
                     opcode=Opcode.RDMA_READ,
                     local_mr=self._scratch_mr, local_offset=scratch_off,
                     length=span, remote_rkey=rkey, remote_offset=roff,
                 ))
-                tags.append((idx, gaddr, length, span, conn, scratch_off,
-                             cached, self.sim.now))
+                tags.append((idx, gaddr, meta, span, conn, scratch_off, None,
+                             self.sim.now))
             if wrs:
                 _post(conn, wrs, tags)
 
@@ -1558,53 +1663,53 @@ class GengarClient:
                      length: int,
                      span_op: int = 0) -> Generator[Any, Any, bytes]:
         rec = self.sim.spans
-        for _attempt in range(_MAX_META_RETRIES):
-            conn = self._conns[meta.server_id]
-            if self.config.enable_cache and meta.cached:
-                # One READ covering the tag and the requested range.
-                span = CACHE_TAG_BYTES + offset + length
-                t0 = self.sim.now if rec is not None else 0
-                raw = yield from self._rdma_read(
-                    conn, conn.desc.cache_rkey, meta.cache_offset, span
-                )
-                if tag_matches(raw, gaddr):
-                    self.m_cache_hits.add()
-                    if rec is not None:
-                        rec.record(self.name, "phase.cache_read", t0,
-                                   op=span_op, hit=True, bytes=length)
-                    return raw[CACHE_TAG_BYTES + offset : CACHE_TAG_BYTES + offset + length]
-                # Stale metadata (object demoted / slot reused): refresh.
-                self.m_tag_misses.add()
+        conn = self._conns[meta.server_id]
+        t0 = self.sim.now if rec is not None else 0
+        if self.config.enable_cache and meta.cached:
+            # One READ covering the tag and the requested range.
+            raw = yield from self._rdma_read(
+                conn, conn.desc.cache_rkey, meta.cache_offset,
+                CACHE_TAG_BYTES + offset + length)
+            if tag_matches(raw, gaddr):
+                self.m_cache_hits.add()
                 if rec is not None:
                     rec.record(self.name, "phase.cache_read", t0,
-                               op=span_op, hit=False, bytes=length)
-                self._invalidate_meta(gaddr)
-                meta = yield from self._meta(gaddr, span_op=span_op)
-                continue
+                               op=span_op, hit=True, bytes=length)
+                return raw[CACHE_TAG_BYTES + offset : CACHE_TAG_BYTES + offset + length]
+            lookup = self._stale_tag(gaddr, t0, length, span_op)
             t0 = self.sim.now if rec is not None else 0
-            data = yield from self._rdma_read(
-                conn, conn.desc.data_rkey, meta.nvm_offset + offset, length
-            )
-            self.m_nvm_reads.add()
-            if rec is not None:
-                rec.record(self.name, "phase.nvm_read", t0, op=span_op,
-                           bytes=length)
-            return data
-        if self.config.degraded_mode:
-            # Cache bypass: NVM is the source of truth, so when the DRAM
-            # cache keeps thrashing (e.g. a server replaying promotions
-            # after a restart) a degraded client reads the home copy.
-            conn = self._conns[meta.server_id]
-            t0 = self.sim.now if rec is not None else 0
-            data = yield from self._rdma_read(
-                conn, conn.desc.data_rkey, meta.nvm_offset + offset, length
-            )
-            self.m_degraded_reads.add()
-            if rec is not None:
-                rec.record(self.name, "phase.degraded_read", t0, op=span_op,
-                           bytes=length)
-            return data
-        raise FatalError(f"metadata thrash reading {gaddr:#x}")
+        else:
+            lookup = None
+        data = yield from self._rdma_read(
+            conn, conn.desc.data_rkey, meta.nvm_offset + offset, length)
+        if lookup is not None:
+            fresh = yield lookup
+            self._check_bounds(fresh, offset, length)
+        self.m_nvm_reads.add()
+        if rec is not None:
+            rec.record(self.name, "phase.nvm_read", t0, op=span_op,
+                       bytes=length)
+        return data
+
+    def _stale_tag(self, gaddr: int, t0: int, length: int,
+                   span_op: int) -> "Process":
+        """A cache READ found another object's tag (``gaddr`` was demoted
+        or its slot reused): drop the cached location and start its
+        ``lookup`` as a process of its own.
+
+        The caller READs the NVM home in the same instant: NVM is never
+        staler than the cache, because the drain, promotes and direct
+        writes all write NVM first or only.  Those bytes stand once the
+        returned process does; it fails with the error the lookup raised
+        (the object was freed), the one a serial :meth:`gread` gives.
+        """
+        self.m_tag_misses.add()
+        rec = self.sim.spans
+        if rec is not None:
+            rec.record(self.name, "phase.cache_read", t0, op=span_op,
+                       hit=False, bytes=length)
+        self._invalidate_meta(gaddr)
+        return self.sim.spawn(self._meta(gaddr, span_op=span_op))
 
     # ------------------------------------------------------------------
     # Write paths
@@ -1632,15 +1737,18 @@ class GengarClient:
                 yield from self._await_ring_space(conn, patience=0)
         frame = pack_proxy_slot(gaddr, offset, data)
         total = len(frame) + (PROXY_COMMIT_BYTES if self.config.proxy_commit else 0)
-        # Acquire the scratch slot (the only potential yield) BEFORE
+        # Acquire the scratch span (the only potential yield) BEFORE
         # reserving the sequence number: reserve -> post must be atomic in
         # virtual time, so doorbells always reach the server in seq order.
         # A writer parked between the two would let a concurrent (or
         # injected mid-crash) write with a later seq overtake it, and the
         # drain's seq cursor would then reject the earlier frame as torn.
+        scratch = self._scratch
         scratch_off = None
         if not self.node.nic.is_inline(total):
-            scratch_off = yield self._scratch_free
+            scratch_off = scratch.try_alloc(total)
+            if scratch_off is None:
+                scratch_off = yield scratch.wait(total)
         try:
             seq = conn.written
             conn.written += 1
@@ -1666,7 +1774,7 @@ class GengarClient:
             wc = yield conn.data_qp.post_send(wr)
         finally:
             if scratch_off is not None:
-                self._scratch_free.put(scratch_off)
+                scratch.free(scratch_off, total)
         self._check_wc(wc, "proxy write", conn, ring=True)
         if rec is not None:
             rec.record(self.name, "phase.proxy_stage", t0, op=span_op,
@@ -1783,20 +1891,23 @@ class GengarClient:
     # ------------------------------------------------------------------
     def _rdma_read(self, conn: _ServerConn, rkey: int, remote_offset: int,
                    nbytes: int, ring: bool = False) -> Generator[Any, Any, bytes]:
-        if nbytes > _SCRATCH_SLOT_SIZE:
-            # Transparent chunking: huge reads issue sequential scratch-sized
+        if nbytes > _MAX_TRANSFER:
+            # Transparent chunking: huge reads issue sequential transfer-sized
             # verbs (one WQE each), like a real library's segmented SGE path.
             parts: list[bytes] = []
             pos = 0
             while pos < nbytes:
-                chunk = min(_SCRATCH_SLOT_SIZE, nbytes - pos)
+                chunk = min(_MAX_TRANSFER, nbytes - pos)
                 part = yield from self._rdma_read(conn, rkey,
                                                   remote_offset + pos, chunk,
                                                   ring=ring)
                 parts.append(part)
                 pos += chunk
             return b"".join(parts)
-        scratch_off = yield self._scratch_free
+        scratch = self._scratch
+        scratch_off = scratch.try_alloc(nbytes)
+        if scratch_off is None:
+            scratch_off = yield scratch.wait(nbytes)
         try:
             wc = yield conn.read_lane().post_send(WorkRequest(
                 opcode=Opcode.RDMA_READ,
@@ -1806,14 +1917,14 @@ class GengarClient:
             self._check_wc(wc, "RDMA read", conn, ring=ring)
             return self._scratch_mr.peek(scratch_off, nbytes)
         finally:
-            self._scratch_free.put(scratch_off)
+            scratch.free(scratch_off, nbytes)
 
     def _rdma_write(self, conn: _ServerConn, rkey: int, remote_offset: int,
                     data: bytes) -> Generator[Any, Any, None]:
-        if len(data) > _SCRATCH_SLOT_SIZE:
+        if len(data) > _MAX_TRANSFER:
             pos = 0
             while pos < len(data):
-                chunk = data[pos : pos + _SCRATCH_SLOT_SIZE]
+                chunk = data[pos : pos + _MAX_TRANSFER]
                 yield from self._rdma_write(conn, rkey, remote_offset + pos, chunk)
                 pos += len(chunk)
             return
@@ -1825,14 +1936,17 @@ class GengarClient:
             wr.inline_data = data
             wc = yield conn.data_qp.post_send(wr)
         else:
-            scratch_off = yield self._scratch_free
+            scratch = self._scratch
+            scratch_off = scratch.try_alloc(len(data))
+            if scratch_off is None:
+                scratch_off = yield scratch.wait(len(data))
             try:
                 self._scratch_mr.poke(scratch_off, data)
                 wr.local_mr = self._scratch_mr
                 wr.local_offset = scratch_off
                 wc = yield conn.data_qp.post_send(wr)
             finally:
-                self._scratch_free.put(scratch_off)
+                scratch.free(scratch_off, len(data))
         self._check_wc(wc, "RDMA write", conn)
 
     def _atomic_cas(self, server_id: int, lock_offset: int, compare: int,

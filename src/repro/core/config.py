@@ -103,9 +103,9 @@ class GengarConfig:
     #: Re-establish rings/epochs automatically when a retry loop sees a
     #: server-unavailable or stale-ring failure.
     auto_reattach: bool = False
-    #: Serve ops through fallback paths instead of blocking or failing when
-    #: server DRAM state is unavailable: writes fall back to direct NVM
-    #: (ring gone or stalled), reads bypass a thrashing cache.
+    #: Serve writes through a fallback path instead of blocking when the
+    #: server's proxy ring is unavailable: they go direct to NVM (ring gone
+    #: or stalled).
     degraded_mode: bool = False
     #: Client lease duration (failure detection, FaRM-style).  0 disables
     #: leases entirely — no heartbeats, no lease sweeper, lock words carry

@@ -4,8 +4,8 @@ Every failure a :class:`~repro.core.client.GengarClient` verb can surface is
 a :class:`ClientError`, split into two actionable branches:
 
 * :class:`FatalError` — usage errors and protocol states a retry cannot
-  fix (out-of-bounds access, protection faults, metadata thrash with
-  degradation disabled).  Callers should propagate these.
+  fix (out-of-bounds access, protection faults).  Callers should propagate
+  these.
 * :class:`RetryableError` — transient conditions where retrying (possibly
   after re-attaching to a restarted server) may succeed.  The client's
   built-in retry loop (see :class:`~repro.core.client.RetryPolicy`) handles

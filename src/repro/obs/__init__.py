@@ -11,7 +11,6 @@ timeline, Prometheus text, and a versioned snapshot dict.  See
 from repro.obs.export import (
     SNAPSHOT_SCHEMA,
     chrome_trace,
-    parse_prometheus,
     prometheus_text,
     registry_snapshot,
     spans_jsonl,
@@ -26,7 +25,6 @@ __all__ = [
     "SpanRecorder",
     "chrome_trace",
     "install",
-    "parse_prometheus",
     "prometheus_text",
     "registry_snapshot",
     "spans_jsonl",

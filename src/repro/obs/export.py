@@ -14,8 +14,7 @@
 * :func:`prometheus_text` — the :class:`~repro.sim.stats.MetricRegistry`
   rendered in the Prometheus text exposition format (counters →
   ``_total``/``_sum``, histograms → quantile summaries, time-weighted
-  levels → gauges).  :func:`parse_prometheus` is the matching tiny parser
-  used by the golden round-trip tests.
+  levels → gauges).
 * :func:`registry_snapshot` — the whole registry as one versioned plain
   dict (``schema`` pinned by tests), the machine-readable sibling of
   ``GengarPool.metrics_snapshot()``.
@@ -36,7 +35,6 @@ __all__ = [
     "timeline",
     "spans_jsonl",
     "prometheus_text",
-    "parse_prometheus",
     "registry_snapshot",
 ]
 
@@ -206,25 +204,6 @@ def prometheus_text(metrics: "MetricRegistry", prefix: str = "gengar") -> str:
         lines.append(f"{pname}_avg {_fmt(float(s.time_average()))}")
         lines.append(f"{pname}_peak {_fmt(float(s.peak))}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_prometheus(text: str) -> Dict[str, float]:
-    """Parse exposition text back into ``{sample_name: value}``.
-
-    Quantile samples keep their label (``name{quantile="0.5"}``).  Used by
-    the golden tests to prove :func:`prometheus_text` round-trips, and small
-    enough to double as a reference for the format we emit.
-    """
-    samples: Dict[str, float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, _, value = line.rpartition(" ")
-        if not name:
-            raise ValueError(f"unparseable sample line: {line!r}")
-        samples[name] = float(value)
-    return samples
 
 
 # ----------------------------------------------------------------------

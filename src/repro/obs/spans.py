@@ -32,8 +32,8 @@ Span taxonomy (``docs/OBSERVABILITY.md`` has the full contract):
     carries a per-client ``op`` id that its child phases repeat.
 ``phase.*``
     Protocol phases inside an op: ``phase.meta_lookup``,
-    ``phase.cache_read`` (hit or tag-miss probe), ``phase.nvm_read``,
-    ``phase.degraded_read``, ``phase.proxy_stage``,
+    ``phase.cache_read`` (hit or tag-miss probe), ``phase.nvm_read``
+    (also the repair of a tag miss), ``phase.proxy_stage``,
     ``phase.direct_write``, ``phase.degraded_fallback``,
     ``phase.drain_wait``, ``phase.retry_wait``, ``phase.pipeline_wait``
     (a batched op draining its outstanding reads).

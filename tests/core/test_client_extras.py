@@ -103,10 +103,10 @@ def test_concurrent_proxy_writes_use_distinct_ring_slots():
 
 
 def test_huge_object_read_write_chunked():
-    """Objects larger than a scratch slot (256 KiB) work transparently."""
+    """Objects larger than one transfer (256 KiB) work transparently."""
     sim, pool = build_pool(num_servers=1, num_clients=1)
     client = pool.clients[0]
-    size = 600 * 1024  # 2.3 scratch slots
+    size = 600 * 1024  # 2.3 transfers
     payload = bytes(range(256)) * (size // 256)
 
     def app(sim):

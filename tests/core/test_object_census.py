@@ -6,7 +6,8 @@ each completion into a send CQ that nothing ever polled, a pool kept one
 ``WorkCompletion`` per WR for its whole life (about 0.2 KB each: the ledger's
 ``meta_churn`` held 41,000 of them after 8,000 ops).  This pins the fix where
 a leak of that kind shows first: in the number of live kernel and verbs
-objects after twice the work.
+objects after twice the work.  At quiescence the drain holds no state and
+every client's scratch region is wholly free.
 """
 
 import gc
@@ -23,6 +24,14 @@ CENSUS = (WorkCompletion, Event, Process)
 def _census():
     gc.collect()
     return Counter(type(obj) for obj in gc.get_objects() if type(obj) in CENSUS)
+
+
+def _scratch_idle(pool):
+    """At quiescence every client's scratch region is wholly free and has
+    no waiters: a span lent is a span given back."""
+    for client in pool.clients:
+        assert client._scratch.idle, (client.name, client._scratch._runs,
+                                      len(client._scratch._waiters))
 
 
 def test_reads_and_writes_leave_no_objects_behind():
@@ -55,6 +64,7 @@ def test_reads_and_writes_leave_no_objects_behind():
     pool.run(*(work(sim, c, n) for c in pool.clients))
     after_n = _census()
     pool.run(*(work(sim, c, 2 * n) for c in pool.clients))
+    _scratch_idle(pool)
     after_3n = _census()
     for kind in CENSUS:
         # 2N more rounds are hundreds more WRs (+260 completions while the
@@ -96,6 +106,7 @@ def test_backed_up_bursts_leave_no_drain_state_behind():
             for ring in server._rings.values():
                 assert not ring.done and not ring.handed
                 assert ring.drained == ring.seq
+        _scratch_idle(pool)
 
     pool.run(*(setup(sim, c) for c in pool.clients))
     n = 4

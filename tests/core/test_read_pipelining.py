@@ -2,7 +2,10 @@
 consistency contract under out-of-order completion.
 """
 
-from tests.core.conftest import build_pool
+from repro.core.errors import ClientError
+from repro.rdma.rpc import RpcError
+
+from tests.core.conftest import build_pool, fast_config
 
 
 def _load_objects(client, count, size=128):
@@ -52,19 +55,92 @@ def test_gread_many_one_doorbell_per_lane():
     assert len(lanes_hit) > len({sid for sid, _lane in lanes_hit})
 
 
-def test_gread_many_larger_than_scratch_pool_completes():
-    """More reads than scratch slots must pipeline (recycling completed
-    reads' slots), not wedge."""
+def _in_flight_at_first_completion(client):
+    """Wrap every lane of every server: returns a list that ends up holding,
+    per completed READ, how many READs had been posted when the batch's
+    first completion fired."""
+    posted = []
+    seen = []
+    for conn in client._conns.values():
+        for qp in conn.lanes:
+            orig = qp.post_send_many
+
+            def counted(wrs, _orig=orig):
+                events = _orig(wrs)
+                for ev in events:
+                    posted.append(ev)
+                    ev.add_callback(lambda _ev: seen.append(len(posted)))
+                return events
+
+            qp.post_send_many = counted
+    return seen
+
+
+def test_gread_many_keeps_a_whole_batch_of_small_reads_in_flight():
+    """Scratch is lent by the byte: 32 reads of 1 KiB take 32 KiB of the
+    4 MiB region, so all 32 READs are posted before the first completes."""
     sim, pool = build_pool(num_servers=1, num_clients=1)
     client = pool.clients[0]
 
     def app(sim):
-        addrs = yield from _load_objects(client, 24)  # > 16 scratch slots
+        addrs = yield from _load_objects(client, 32, size=1024)
+        seen = _in_flight_at_first_completion(client)
+        values = yield from client.gread_many(addrs)
+        return values, seen
+
+    ((values, seen),) = pool.run(app(sim))
+    assert values == [bytes([i % 251]) * 1024 for i in range(32)]
+    assert len(seen) == 32
+    assert seen[0] == 32
+
+
+def test_gread_many_larger_than_scratch_pool_completes():
+    """A batch whose bytes exceed the 4 MiB region pipelines (recycling
+    completed reads' spans, ringing the doorbell early), not wedges."""
+    sim, pool = build_pool(num_servers=1, num_clients=1)
+    client = pool.clients[0]
+    size = 250 * 1024
+
+    def app(sim):
+        addrs = yield from _load_objects(client, 20, size=size)  # 5 MiB
         values = yield from client.gread_many(addrs)
         return values
 
     (values,) = pool.run(app(sim))
-    assert values == [bytes([i % 251]) * 128 for i in range(24)]
+    assert values == [bytes([i % 251]) * size for i in range(20)]
+    assert client._scratch.idle
+
+
+def test_proxy_write_and_a_large_read_share_a_full_region():
+    """A 4 KiB proxy write and a 256 KiB read started while a batch holds
+    nearly all of the region both finish: waiters are served as spans come
+    back, in arrival order."""
+    sim, pool = build_pool(num_servers=1, num_clients=1,
+                           config=fast_config(proxy_slot_size=8 * 1024))
+    client = pool.clients[0]
+    size = 250 * 1024
+
+    def setup(sim):
+        batch = yield from _load_objects(client, 16, size=size)  # 4000 KiB
+        (big,) = yield from _load_objects(client, 1, size=256 * 1024)
+        (small,) = yield from _load_objects(client, 1, size=4096)
+        return batch, big, small
+
+    ((batch, big, small),) = pool.run(setup(sim))
+    staged = client.m_proxy_writes.count
+    procs = [sim.spawn(client.gread_many(batch)),
+             sim.spawn(client.gread(big)),
+             sim.spawn(client.gwrite(small, b"\x5a" * 4096))]
+    sim.run(until=sim.now + 1_000)
+    # The read waits for room, and the write queues behind it.
+    assert [n for n, _ev in client._scratch._waiters][0] == 256 * 1024
+    assert len(client._scratch._waiters) == 2
+    sim.run(until=sim.now + 10_000_000)
+    assert all(p.triggered and p.ok for p in procs)
+    assert procs[0].value == [bytes([i % 251]) * size for i in range(16)]
+    assert procs[1].value == bytes([0]) * (256 * 1024)
+    assert client.m_proxy_writes.count == staged + 1
+    assert client._scratch.idle
 
 
 def test_gread_many_observes_overlay_and_partial_overlap():
@@ -170,3 +246,95 @@ def test_combining_beats_uncombined_adjacent_reads():
     ((serial, batched),) = pool.run(app(sim))
     assert batched < serial * 0.6
 
+
+
+# ----------------------------------------------------------------------
+# A stale cache tag is repaired inside its batch
+# ----------------------------------------------------------------------
+def _stale_batch(num_clients=1):
+    """Eight 128 B objects; the fourth is pinned into the cache, client 0
+    learns its cached location, and then the master demotes it."""
+    sim, pool = build_pool(num_servers=1, num_clients=num_clients)
+    client = pool.clients[0]
+    master = pool.master
+
+    def setup(sim):
+        addrs = yield from _load_objects(client, 8)
+        yield from master.pin(addrs[3])
+        client._invalidate_meta(addrs[3])
+        yield from client.gread(addrs[3])  # looks up the cached location
+        return addrs
+
+    (addrs,) = pool.run(setup(sim))
+    assert client._meta_cache[addrs[3]].cached
+    return sim, pool, addrs
+
+
+def _elapsed(sim, pool, gen):
+    def timed(sim):
+        t0 = sim.now
+        value = yield from gen
+        return sim.now - t0, value
+
+    (result,) = pool.run(timed(sim))
+    return result
+
+
+def test_stale_tag_is_repaired_in_one_round_trip_plus_the_slower_of_two():
+    sim, pool, addrs = _stale_batch()
+    client, master = pool.clients[0], pool.master
+    stale = addrs[3]
+    t_hit, _ = _elapsed(sim, pool, client.gread_many(addrs))
+    pool.run(master._demote(master._servers[0], master._policies[0], stale))
+
+    verbs = []
+    op = client._op
+
+    def counted(name, *args, **kwargs):
+        verbs.append(name)
+        return op(name, *args, **kwargs)
+
+    client._op = counted
+    lookups = client.m_lookups.count
+    t_batch, values = _elapsed(sim, pool, client.gread_many(addrs))
+    client._op = op
+
+    assert values == [bytes([i % 251]) * 128 for i in range(8)]
+    assert [len(v) for v in values] == [128] * 8
+    assert client.m_lookups.count - lookups == 1
+    assert verbs == ["gread_many"]  # no serial gread
+    assert client.m_tag_misses.count == 1
+    assert not client._meta_cache[stale].cached  # the lookup's answer
+    # One round trip (the batch as it runs clean) plus the slower of the
+    # lookup and a READ of the home, not their sum after the batch.
+    t_clean, _ = _elapsed(sim, pool, client.gread_many(addrs))
+    client._invalidate_meta(stale)
+    t_lookup, _ = _elapsed(sim, pool, client._meta(stale))
+    t_read, _ = _elapsed(sim, pool, client.gread(stale))
+    assert t_batch <= max(t_hit, t_clean) + max(t_lookup, t_read)
+    assert client._scratch.idle
+
+
+def test_stale_tag_of_a_freed_object_raises_what_serial_gread_raises():
+    sim, pool, addrs = _stale_batch(num_clients=2)
+    client, other = pool.clients
+    stale = addrs[3]
+    pool.run(other.gfree(stale))
+
+    def outcome(gen):
+        def run(sim):
+            try:
+                yield from gen
+            except (ClientError, RpcError) as exc:
+                return exc
+            return None
+
+        (exc,) = pool.run(run(sim))
+        return exc
+
+    batched = outcome(client.gread_many(addrs))
+    assert client.m_tag_misses.count == 1
+    serial = outcome(client.gread(stale))
+    assert batched is not None and serial is not None
+    assert (type(batched), str(batched)) == (type(serial), str(serial))
+    assert client._scratch.idle

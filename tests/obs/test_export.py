@@ -9,13 +9,30 @@ from repro.core import GengarPool
 from repro.obs import (
     SNAPSHOT_SCHEMA,
     chrome_trace,
-    parse_prometheus,
     prometheus_text,
     registry_snapshot,
     spans_jsonl,
 )
 from repro.obs.spans import SpanRecorder
 from repro.sim import Simulator
+
+
+def parse_prometheus(text: str) -> dict:
+    """Parse exposition text back into ``{sample_name: value}``: the
+    round-trip check on :func:`prometheus_text`.
+
+    Quantile samples keep their label (``name{quantile="0.5"}``).
+    """
+    samples = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        name, _, value = line.rpartition(" ")
+        if not name:
+            raise ValueError(f"unparseable sample line: {line!r}")
+        samples[name] = float(value)
+    return samples
 
 
 @pytest.fixture()
