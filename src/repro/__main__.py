@@ -12,10 +12,10 @@ Commands:
 * ``metrics --format prom`` — one YCSB run, metric registry rendered as
   Prometheus text (or a versioned JSON snapshot).
 * ``check HISTORY.jsonl`` — audit a recorded op history (see
-  ``bench/chaos.py --history-out``) for per-key linearizability
-  and lock-model violations; histories containing transactions are
-  additionally checked for atomicity + strict serializability.  Exits
-  non-zero with a minimal counterexample on failure.
+  ``bench/chaos.py --history-out``) for atomicity, strict
+  serializability (per-key linearizability where no transaction is
+  involved) and lock-model violations.  Exits non-zero with a minimal
+  counterexample on failure.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import argparse
 import sys
 
 from repro import __version__
+from repro.check.linearize import DEFAULT_MAX_STATES
 
 
 def _cmd_info(_args: argparse.Namespace) -> int:
@@ -163,42 +164,27 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.check import check_history, check_txn_history, load_history
+    from repro.check import check_history, load_history
 
-    ops = load_history(args.history)
-    result = check_history(ops, max_states=args.max_states)
+    result = check_history(load_history(args.history),
+                           max_states=args.max_states)
     stats = result.stats
     print(f"{args.history}: {stats['ops']} ops, "
-          f"{stats['register_keys']} register keys, "
-          f"{stats['lock_keys']} lock keys")
-    if stats["undecided_keys"]:
+          f"{stats['components']} key components, "
+          f"{stats['lock_keys']} lock keys, {stats['txns']} transactions "
+          f"({stats['committed']} committed, {stats['aborted']} aborted, "
+          f"{stats['indeterminate']} indeterminate)")
+    if stats["undecided"]:
         print(f"undecided (state cap): "
-              f"{[hex(k) for k in stats['undecided_keys']]}", file=sys.stderr)
-    results = [result]
-    if any("txn" in rec for rec in ops):
-        txn_result = check_txn_history(ops, max_states=args.max_states)
-        ts = txn_result.stats
-        print(f"transactions: {ts['txns']} "
-              f"({ts['committed']} committed, {ts['aborted']} aborted, "
-              f"{ts['indeterminate']} indeterminate) "
-              f"over {ts['components']} key components")
-        if ts["undecided_components"]:
-            print(f"undecided txn components (state cap): "
-                  f"{ts['undecided_components']}", file=sys.stderr)
-        results.append(txn_result)
-    if all(r.ok for r in results):
-        if len(results) > 1:
-            print("history is linearizable and strictly serializable "
-                  "(atomicity + lock audits pass)")
-        else:
-            print("history is linearizable (and lock audits pass)")
+              f"{[hex(k) for k in stats['undecided']]}", file=sys.stderr)
+    if result.ok:
+        print("history is linearizable and strictly serializable "
+              "(atomicity + lock audits pass)")
         return 0
-    for r in results:
-        for v in r.violations:
-            print(f"FAIL: {v}", file=sys.stderr)
+    for v in result.violations:
+        print(f"FAIL: {v}", file=sys.stderr)
     if args.counterexample:
-        failing = next(r for r in results if not r.ok)
-        n = failing.dump_counterexample(args.counterexample)
+        n = result.dump_counterexample(args.counterexample)
         print(f"wrote minimal counterexample ({n} ops) to "
               f"{args.counterexample}", file=sys.stderr)
     return 1
@@ -244,13 +230,14 @@ def main(argv: list[str] | None = None) -> int:
 
     p_check = sub.add_parser(
         "check", help="audit a recorded op history for linearizability "
-                      "(+ txn serializability)")
+                      "and txn serializability")
     p_check.add_argument("history", help="JSONL history file "
                          "(bench/chaos.py --history-out, or any recorder dump)")
     p_check.add_argument("--counterexample", default=None,
                          help="write the minimal failing op set here (JSONL)")
-    p_check.add_argument("--max-states", type=int, default=200_000,
-                         help="per-key search state cap before 'undecided'")
+    p_check.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES,
+                         help="per-component search state cap before "
+                              "'undecided'")
 
     args = parser.parse_args(argv)
     handler = {

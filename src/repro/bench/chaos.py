@@ -38,7 +38,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from repro.check import HistoryRecorder, check_history, check_txn_history
+from repro.check import HistoryRecorder, check_history
 from repro.core import GengarConfig, GengarPool
 from repro.core.errors import (
     ClientError,
@@ -602,16 +602,14 @@ class ChaosSoak:
         injector.uninstall()
 
     def _audit_history(self, message: str, txn: bool = False):
-        """Stop recording and audit the history: per-key linearizability
-        and the lock model, or (``txn``) atomicity and strict
-        serializability.  Counterexamples become violations; the checker's
-        result is kept for ``--counterexample-out``."""
+        """Stop recording and audit the history; ``txn`` picks the recorder
+        and the report labels.  Counterexamples become violations; the
+        checker's result is kept for ``--counterexample-out``."""
         recorder = self.txn_history_recorder if txn else self.history_recorder
-        prefix, label, check = (
-            ("txn_", "serializability", check_txn_history) if txn
-            else ("", "linearizability", check_history))
+        prefix, label = ("txn_", "serializability") if txn else (
+            "", "linearizability")
         recorder.uninstall()
-        result = check(recorder.ops)
+        result = check_history(recorder.ops)
         m = self.sim.metrics
         m.counter(f"check.{prefix}histories").add()
         m.counter(f"check.{prefix}history_ops").add(len(recorder.ops))

@@ -1,26 +1,49 @@
-"""Offline linearizability checking over a recorded op history.
+"""Offline consistency checking over a recorded op history.
 
-Register model (``read``/``write`` per gaddr): the classic Wing & Gong
-search.  A history is linearizable iff every completed op can be assigned
-a single *linearization point* inside its ``[t0, t1]`` real-time window
-such that each read returns the latest preceding write.  The search walks
-prefixes of such assignments, memoizing on (set of linearized ops,
-register value) so equivalent interleavings are explored once.
+One model covers every data op.  The history is grouped into *nodes*:
+each transaction id is one node (its spanning ``"txn"`` record —
+``ok`` = committed, ``fail`` = aborted, ``info``/``pending`` =
+indeterminate — plus its ``"txn_read"`` / ``"txn_write"`` records, see
+``repro.txn``), and each plain ``read``/``write`` is a singleton node.
+Every access is keyed by ``(gaddr, offset)``.
 
-Three deliberate soundness choices, all of which *admit* more histories
-(a reported violation is always real; some real violations may pass):
+**Atomicity audit** (no search): a read must never observe a value that
+only an *aborted* transaction wrote — an aborted or incomplete
+transaction leaking even one write is exactly the partial-visibility bug
+the intent protocol exists to prevent.
 
-* **Indeterminate writes are optional.**  An ``info``/``pending`` write
-  (abandoned attempt, run ended mid-op) may have landed at any point from
-  its invocation onward — its window is ``[t0, ∞)`` and the search may
-  include or omit it.
-* **The initial value is unknown.**  A register's first linearized read
-  *binds* the initial value rather than being checked against one: the
-  pool hands out uninitialized memory, so whatever the first read saw is
-  taken as ground truth and later reads must stay consistent with it.
+**Strict serializability** (Wing & Gong over whole nodes): the committed
+nodes must admit a total order in which every read sees the latest
+preceding write to its key, and that order must respect real time — node
+*b* after *a* whenever *a* completed before *b* began.  For singleton
+nodes on one key this is exactly register linearizability, and
+linearizability is local (Herlihy & Wing), so the search runs once per
+key-connected component: a key no transaction touches is a one-key
+component of singletons.  The search walks prefixes of such orders,
+memoizing on (set of placed nodes, store image) so equivalent
+interleavings are explored once.
+
+Deliberate soundness choices, all of which *admit* more histories (a
+reported violation is always real; some real violations may pass):
+
+* **Indeterminate effects are optional.**  An ``info``/``pending`` write
+  or transaction (abandoned attempt, run ended mid-op, commit handed to
+  recovery) may have landed at any point from its invocation onward — its
+  window is ``[t0, ∞)`` and the search may include or omit it.
+* **The initial value is unknown.**  A key's first placed read *binds*
+  the initial value rather than being checked against one: the pool hands
+  out uninitialized memory, so whatever the first read saw is taken as
+  ground truth and later reads must stay consistent with it.
 * **Batched reads share one conservative window.**  ``gread_many``
   records each member over the whole batch's window; a wider window only
-  adds legal linearization points.
+  adds legal orders.
+* A component whose search exhausts the state cap is reported
+  "undecided", never silently passed or failed.
+
+What this does NOT prove: a committed write to a key nobody reads again
+is unobservable in the history (the chaos soak's byte-level read-back
+audit covers that), and reads served from a transaction's own write
+buffer are internal and unrecorded.
 
 Lock model (``lock``/``unlock`` per gaddr): two audits that need no
 search.  *Mutual exclusion*: a client definitely holds the lock from its
@@ -31,23 +54,28 @@ decreases — a zombie re-locking under a retired epoch is exactly the
 split-brain the fence exists to stop.
 
 On failure the checker reports the shortest prefix (in completion order)
-of the key's required ops that is itself non-linearizable — the minimal
-counterexample a human (or CI artifact reader) has to stare at.
+of the component's committed nodes that already fails — the minimal
+counterexample a human (or CI artifact reader) has to stare at.  A
+component with no transaction reports ``linearizability`` on its gaddr,
+any other ``txn-serializability``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["CheckResult", "Violation", "check_history"]
 
-#: Register value before any write or read-binding has been linearized.
+#: Value of a key before any write or read-binding has been placed.
 _UNBOUND = object()
 
-#: Per-key cap on memoized search states; a key that exhausts it is
-#: reported "undecided" rather than silently passed or failed.
+#: Per-component cap on memoized search states; a component that exhausts
+#: it is reported "undecided" rather than silently passed or failed.
 DEFAULT_MAX_STATES = 200_000
+
+_Key = Tuple[int, int]  # (gaddr, offset)
 
 
 @dataclass
@@ -55,7 +83,8 @@ class Violation:
     """One confirmed consistency violation on one key."""
 
     key: Optional[int]
-    kind: str           # "linearizability" | "mutual-exclusion" | "epoch-regression"
+    kind: str  # "linearizability" | "txn-serializability" | "txn-atomicity"
+               # | "mutual-exclusion" | "epoch-regression"
     detail: str
     ops: List[Dict[str, Any]] = field(default_factory=list)
 
@@ -92,120 +121,199 @@ class CheckResult:
         return len(ops)
 
 
-# ----------------------------------------------------------------------
-# Register model: per-key Wing & Gong search
-# ----------------------------------------------------------------------
-def _window(rec: Dict[str, Any]) -> Tuple[int, float]:
-    """Real-time window an op's linearization point must fall in."""
-    t1 = rec.get("t1")
-    if rec["status"] in ("info", "pending") or t1 is None:
-        return rec["t0"], float("inf")
-    return rec["t0"], t1
+@dataclass
+class _Node:
+    """One transaction, or one plain read/write as a singleton."""
+
+    client: str = ""
+    tid: Optional[str] = None  # None for a singleton
+    status: str = "indeterminate"  # committed | aborted | indeterminate
+    t0: int = 0
+    t1: float = float("inf")
+    #: (key, value) pairs in read order.
+    reads: List[Tuple[_Key, Any]] = field(default_factory=list)
+    writes: Dict[_Key, Any] = field(default_factory=dict)
+    recs: List[Dict[str, Any]] = field(default_factory=list)
+
+    def keys(self) -> List[_Key]:
+        return list(self.writes) + [key for key, _v in self.reads]
 
 
-def _linearizable(required: List[Dict[str, Any]],
-                  optional: List[Dict[str, Any]],
+def _key_of(rec: Dict[str, Any]) -> _Key:
+    return (rec["key"], rec.get("offset") or 0)
+
+
+def _collect(ops: List[Dict[str, Any]]
+             ) -> Tuple[List[_Node], Dict[int, List[Dict[str, Any]]]]:
+    """Group the history into nodes (txn ids + singletons) and lock ops."""
+    txns: Dict[str, _Node] = {}
+    plain: List[_Node] = []
+    locks: Dict[int, List[Dict[str, Any]]] = {}
+    for rec in ops:
+        op, status = rec["op"], rec["status"]
+        if op in ("lock", "unlock") and rec.get("key") is not None:
+            locks.setdefault(rec["key"], []).append(rec)
+        elif op == "txn":
+            node = txns.setdefault(rec["txn"], _Node(tid=rec["txn"]))
+            node.client = rec["client"]
+            node.t0 = rec["t0"]
+            if status == "ok":
+                node.status = "committed"
+                node.t1 = rec["t1"]
+            elif status == "fail":
+                node.status = "aborted"
+            node.recs.insert(0, rec)
+        elif op in ("txn_read", "txn_write"):
+            node = txns.setdefault(rec["txn"], _Node(tid=rec["txn"]))
+            if op == "txn_write":
+                node.writes[_key_of(rec)] = rec.get("value")
+            elif status == "ok":
+                node.reads.append((_key_of(rec), rec.get("result")))
+            node.recs.append(rec)
+        elif op in ("read", "write"):
+            # A failed/pending read returned nothing and a failed write is
+            # a definite no-op: neither constrains anything.
+            if status == "fail" or (op == "read" and status != "ok"):
+                continue
+            node = _Node(client=rec["client"], t0=rec["t0"], recs=[rec])
+            if status == "ok":
+                node.status = "committed"
+                node.t1 = rec["t1"]
+            if op == "read":
+                node.reads.append((_key_of(rec), rec.get("result")))
+            else:
+                node.writes[_key_of(rec)] = rec.get("value")
+            plain.append(node)
+    return list(txns.values()) + plain, locks
+
+
+# ----------------------------------------------------------------------
+# Atomicity: no read may observe an aborted transaction's write
+# ----------------------------------------------------------------------
+def _check_atomicity(nodes: List[_Node],
+                     violations: List[Violation]) -> None:
+    aborted_writes: Dict[_Key, Dict[Any, _Node]] = {}
+    live_values: Dict[_Key, set] = {}
+    for node in nodes:
+        for key, value in node.writes.items():
+            if node.status == "aborted":
+                aborted_writes.setdefault(key, {})[value] = node
+            else:
+                live_values.setdefault(key, set()).add(value)
+    for node in nodes:
+        if node.status == "aborted":
+            continue
+        for key, value in node.reads:
+            writer = aborted_writes.get(key, {}).get(value)
+            if writer is None or value in live_values.get(key, ()):
+                continue
+            violations.append(Violation(
+                key=key[0], kind="txn-atomicity",
+                detail=f"{node.client} read a value of {key[0]:#x} that "
+                       f"only aborted transaction {writer.tid} ever wrote "
+                       "(a rolled-back write became visible)",
+                ops=node.recs + writer.recs))
+
+
+# ----------------------------------------------------------------------
+# Strict serializability: Wing & Gong per key-connected component
+# ----------------------------------------------------------------------
+def _serializable(required: List[_Node], optional: List[_Node],
                   max_states: int) -> Optional[bool]:
     """True/False, or None when the state cap was exhausted (undecided).
 
-    ``required`` ops must all be linearized; ``optional`` (indeterminate
-    writes) may be woven in wherever they help.  Precedence: op *b* must
-    come after op *a* iff ``a`` is required and ``a.t1 < b.t0`` — only
-    completed ops constrain real time.
+    ``required`` nodes (in completion order) must all be placed;
+    ``optional`` (indeterminate) ones may be woven in wherever they help.
+    Precedence: node *b* must come after node *a* iff ``a`` is required
+    and ``a.t1 < b.t0`` — only completed nodes constrain real time.
     """
-    ops = required + optional
-    n_req = len(required)
     if not required:
         return True
-    windows = [_window(rec) for rec in ops]
-    values = [
-        rec.get("result") if rec["op"] == "read" else rec.get("value")
-        for rec in ops
-    ]
-    # preds[i]: required ops whose window closed before i's opened.
-    preds: List[int] = []
-    for i, rec in enumerate(ops):
-        mask = 0
-        for j in range(n_req):
-            if i != j and windows[j][1] < windows[i][0]:
-                mask |= 1 << j
-        preds.append(mask)
+    nodes = required + optional
+    n_req = len(required)
+    slot: Dict[_Key, int] = {}
+    for node in nodes:
+        for key in node.keys():
+            slot.setdefault(key, len(slot))
+    reads = [[(slot[k], v) for k, v in node.reads] for node in nodes]
+    writes = [[(slot[k], v) for k, v in node.writes.items()]
+              for node in nodes]
+    # preds[i]: required nodes whose window closed before i's opened —
+    # a prefix of ``required``, which is in completion order.
+    ends = [node.t1 for node in required]
+    preds = [(1 << bisect_left(ends, node.t0)) - 1 for node in nodes]
 
     full_req = (1 << n_req) - 1
     seen = set()
-    # Depth-first over (done-bitmask over all ops, register value).
-    # done's low n_req bits are the required ops; goal: all of them set.
-    stack = [(0, 0, _UNBOUND)]
+    # Depth-first over (done-bitmask over all nodes, store image).  done's
+    # low n_req bits are the required nodes; goal: all of them set.
+    stack = [(0, 0, (_UNBOUND,) * len(slot))]
     while stack:
         if len(seen) > max_states:
             return None
-        done_req, done_all, val = stack.pop()
+        done_req, done_all, state = stack.pop()
         if done_req == full_req:
             return True
-        key = (done_all, val if val is not _UNBOUND else _UNBOUND)
-        if key in seen:
+        if (done_all, state) in seen:
             continue
-        seen.add(key)
-        for i, rec in enumerate(ops):
+        seen.add((done_all, state))
+        for i in range(len(nodes)):
             bit = 1 << i
-            if done_all & bit:
-                continue
-            if (preds[i] & ~done_req) & full_req:
-                continue  # a completed predecessor is not linearized yet
-            if rec["op"] == "read":
-                if val is _UNBOUND:
-                    # First linearized access is a read: it *binds* the
-                    # (unknown) initial value.
-                    stack.append((done_req | bit, done_all | bit, values[i]))
-                elif values[i] == val:
-                    stack.append((done_req | bit, done_all | bit, val))
-            else:  # write
-                new_req = done_req | bit if i < n_req else done_req
-                stack.append((new_req, done_all | bit, values[i]))
+            if done_all & bit or preds[i] & ~done_req:
+                continue  # placed, or a completed predecessor is unplaced
+            # Reads see the store before the node's own writes (a txn's
+            # write buffer is local; recorded reads all hit the store).
+            new = list(state)
+            for s, value in reads[i]:
+                if new[s] is _UNBOUND:
+                    new[s] = value  # first access is a read: it binds
+                elif new[s] != value:
+                    break
+            else:
+                for s, value in writes[i]:
+                    new[s] = value
+                stack.append((done_req | bit if i < n_req else done_req,
+                              done_all | bit, tuple(new)))
     return False
 
 
-def _minimal_prefix(required: List[Dict[str, Any]],
-                    optional: List[Dict[str, Any]],
+def _minimal_prefix(required: List[_Node], optional: List[_Node],
                     max_states: int) -> List[Dict[str, Any]]:
     """Shortest completion-order prefix of ``required`` that already fails."""
     for k in range(1, len(required) + 1):
         prefix = required[:k]
-        horizon = max(_window(rec)[1] for rec in prefix)
-        opt = [rec for rec in optional if rec["t0"] <= horizon]
-        if _linearizable(prefix, opt, max_states) is False:
-            return prefix + opt
-    return required + optional  # cap interference; fall back to everything
+        horizon = max(node.t1 for node in prefix)
+        opt = [node for node in optional if node.t0 <= horizon]
+        if _serializable(prefix, opt, max_states) is False:
+            return [rec for node in prefix + opt for rec in node.recs]
+    # Cap interference; fall back to everything.
+    return [rec for node in required + optional for rec in node.recs]
 
 
-def _check_register_key(key: int, ops: List[Dict[str, Any]],
-                        max_states: int,
-                        violations: List[Violation]) -> Optional[str]:
-    required: List[Dict[str, Any]] = []
-    optional: List[Dict[str, Any]] = []
-    for rec in ops:
-        if rec["op"] == "read":
-            if rec["status"] == "ok":
-                required.append(rec)
-            # failed/pending reads returned nothing: no constraint
-        elif rec["op"] == "write":
-            if rec["status"] == "ok":
-                required.append(rec)
-            elif rec["status"] in ("info", "pending"):
-                optional.append(rec)
-            # failed writes are definite no-ops
-    required.sort(key=lambda rec: (_window(rec)[1], rec["t0"]))
-    verdict = _linearizable(required, optional, max_states)
-    if verdict is None:
-        return "undecided"
-    if verdict is False:
-        witness = _minimal_prefix(required, optional, max_states)
-        violations.append(Violation(
-            key=key, kind="linearizability",
-            detail="no valid linearization of the completed reads/writes "
-                   "exists within their real-time windows",
-            ops=witness))
-    return None
+def _components(nodes: List[_Node]) -> List[Tuple[int, List[_Node]]]:
+    """Partition nodes into key-connected components, each named by its
+    lowest gaddr and in that order; disjoint components serialize
+    independently (locality), which keeps each search small."""
+    parent: Dict[_Key, _Key] = {}
+
+    def find(x: _Key) -> _Key:
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for node in nodes:
+        first, *rest = node.keys()
+        for key in rest:
+            parent[find(key)] = find(first)
+    comps: Dict[_Key, List[_Node]] = {}
+    for node in nodes:
+        comps.setdefault(find(node.keys()[0]), []).append(node)
+    lowest: Dict[_Key, _Key] = {}
+    for key in sorted(parent):
+        lowest.setdefault(find(key), key)
+    return [(lowest[root][0], comps[root])
+            for root in sorted(comps, key=lowest.__getitem__)]
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +362,7 @@ def _check_lock_key(key: int, ops: List[Dict[str, Any]],
             holds.append((pending["t1"], pending["t1"],
                           bool(pending.get("write", True)), pending))
 
-    holds.sort()
+    holds.sort(key=lambda hold: hold[:3])  # tied holds must not compare dicts
     for i in range(len(holds)):
         s_i, e_i, w_i, a_i = holds[i]
         for j in range(i + 1, len(holds)):
@@ -277,31 +385,46 @@ def _check_lock_key(key: int, ops: List[Dict[str, Any]],
 def check_history(ops: List[Dict[str, Any]],
                   max_states: int = DEFAULT_MAX_STATES) -> CheckResult:
     """Audit one recorded history; see the module docstring for models."""
-    registers: Dict[int, List[Dict[str, Any]]] = {}
-    locks: Dict[int, List[Dict[str, Any]]] = {}
-    for rec in ops:
-        key = rec.get("key")
-        if key is None:
-            continue  # sync and other keyless ops don't bind to a model
-        if rec["op"] in ("read", "write"):
-            registers.setdefault(key, []).append(rec)
-        elif rec["op"] in ("lock", "unlock"):
-            locks.setdefault(key, []).append(rec)
-
+    nodes, locks = _collect(ops)
     violations: List[Violation] = []
+    _check_atomicity(nodes, violations)
+
+    components = _components([n for n in nodes if n.status != "aborted"
+                              and (n.reads or n.writes)])
     undecided: List[int] = []
-    for key in sorted(registers):
-        if _check_register_key(key, registers[key], max_states,
-                               violations) == "undecided":
-            undecided.append(key)
+    for gaddr, comp in components:
+        required = sorted((n for n in comp if n.status == "committed"),
+                          key=lambda node: (node.t1, node.t0))
+        optional = [n for n in comp if n.status == "indeterminate"]
+        verdict = _serializable(required, optional, max_states)
+        if verdict is None:
+            undecided.append(gaddr)
+        elif verdict is False:
+            witness = _minimal_prefix(required, optional, max_states)
+            if any(n.tid is not None for n in comp):
+                violations.append(Violation(
+                    key=None, kind="txn-serializability",
+                    detail="no strict-serializable order of the committed "
+                           "transactions exists within their real-time "
+                           "windows", ops=witness))
+            else:
+                violations.append(Violation(
+                    key=gaddr, kind="linearizability",
+                    detail="no valid linearization of the completed "
+                           "reads/writes exists within their real-time "
+                           "windows", ops=witness))
     for key in sorted(locks):
         _check_lock_key(key, locks[key], violations)
 
+    txns = [n for n in nodes if n.tid is not None]
     stats = {
         "ops": len(ops),
-        "register_keys": len(registers),
+        "components": len(components),
+        "undecided": undecided,
         "lock_keys": len(locks),
-        "undecided_keys": undecided,
+        "txns": len(txns),
+        **{status: sum(n.status == status for n in txns)
+           for status in ("committed", "aborted", "indeterminate")},
         "violations": len(violations),
     }
     return CheckResult(ok=not violations, violations=violations, stats=stats)

@@ -15,8 +15,8 @@ makes this the sharpest end-to-end probe of the intent-record
 roll-forward/roll-back machinery.  Balances may legitimately go negative
 (we don't read-check-skip); only the total is invariant.
 
-The transfer driver also feeds :mod:`repro.check.serialize` through the
-ordinary history hooks: every transfer is a txn with a 2-key read-set and
+The transfer driver also feeds :func:`repro.check.check_history` through
+the ordinary history hooks: every transfer is a txn with a 2-key read-set and
 2-key write-set, so serializability violations (e.g. two transfers both
 reading the same pre-balance) surface in the audit as well.
 """

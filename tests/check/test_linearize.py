@@ -31,8 +31,8 @@ def test_clean_register_history_passes():
         op("c1", "read", 0x10, 60, 70, result="b"),
     ])
     assert res.ok
-    assert res.stats["register_keys"] == 1
-    assert res.stats["undecided_keys"] == []
+    assert res.stats["components"] == 1
+    assert res.stats["undecided"] == []
 
 
 def test_stale_read_is_rejected():
@@ -114,7 +114,7 @@ def test_state_cap_reports_undecided_not_pass():
     ops.append(op("c1", "read", 0x10, 0, 1000, result="v3"))
     res = check_history(ops, max_states=1)
     assert res.ok and not res.violations
-    assert res.stats["undecided_keys"] == [0x10]
+    assert res.stats["undecided"] == [0x10]
 
 
 # ----------------------------------------------------------------------
@@ -153,6 +153,31 @@ def test_two_shared_holds_may_overlap():
         op("c0", "unlock", 0x10, 100, 110, write=False, epoch=0),
     ])
     assert res.ok
+
+
+def test_tied_shared_holds_pass():
+    # Two shared holds with the same start, end and mode: the audit must
+    # order them without comparing their records.
+    res = check_history([
+        op("c0", "lock", 0x10, 0, 10, write=False, epoch=0),
+        op("c1", "lock", 0x10, 0, 10, write=False, epoch=0),
+        op("c0", "unlock", 0x10, 20, 30, write=False, epoch=0),
+        op("c1", "unlock", 0x10, 20, 30, write=False, epoch=0),
+    ])
+    assert res.ok
+
+
+def test_tied_exclusive_holds_are_rejected():
+    res = check_history([
+        op("c0", "lock", 0x10, 0, 10, write=True, epoch=0),
+        op("c1", "lock", 0x10, 0, 10, write=True, epoch=0),
+        op("c0", "unlock", 0x10, 20, 30, write=True, epoch=0),
+        op("c1", "unlock", 0x10, 20, 30, write=True, epoch=0),
+    ])
+    assert not res.ok
+    (v,) = res.violations
+    assert v.kind == "mutual-exclusion"
+    assert {rec["client"] for rec in v.ops} == {"c0", "c1"}
 
 
 def test_failed_unlock_collapses_the_hold_to_a_point():

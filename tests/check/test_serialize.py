@@ -1,4 +1,4 @@
-"""Falsifiability of the transactional checker on toy histories.
+"""Falsifiability of the history checker on toy transactional histories.
 
 Mirrors ``test_linearize``: every verdict here is known by inspection.
 The checker must *accept* clean serializable chains (including ones that
@@ -9,7 +9,7 @@ transaction's write, and a half-visible multi-key write-set.
 
 import itertools
 
-from repro.check import check_txn_history
+from repro.check import check_history
 
 _ids = itertools.count()
 
@@ -53,7 +53,7 @@ K1, K2, K3 = 0x100, 0x200, 0x300
 
 
 def test_serializable_chain_passes():
-    res = check_txn_history(
+    res = check_history(
         committed("c0", "t1", [K1], 0, 10, writes=[(K1, "a")])
         + committed("c1", "t2", [K1], 20, 30,
                     reads=[(K1, "a")], writes=[(K1, "b")])
@@ -62,7 +62,7 @@ def test_serializable_chain_passes():
     assert res.stats["txns"] == 3
     assert res.stats["committed"] == 3
     assert res.stats["components"] == 1
-    assert res.stats["undecided_components"] == 0
+    assert res.stats["undecided"] == []
 
 
 def test_stale_txn_read_is_rejected_with_minimal_prefix():
@@ -73,7 +73,7 @@ def test_stale_txn_read_is_rejected_with_minimal_prefix():
            + committed("c0", "t2", [K1], 20, 30, writes=[(K1, "b")])
            + committed("c1", "t3", [K1], 40, 50, reads=[(K1, "a")])
            + committed("c1", "t4", [K3], 60, 70, writes=[(K3, "z")]))
-    res = check_txn_history(ops)
+    res = check_history(ops)
     assert not res.ok
     (v,) = res.violations
     assert v.kind == "txn-serializability"
@@ -86,7 +86,7 @@ def test_dirty_read_of_aborted_write_is_atomicity_violation():
     recs = [txn("c0", "t1", [K1], 0, 30, status="fail"),
             txn_write("c0", "t1", K1, "dirty", 0, 30, status="fail")]
     recs += committed("c1", "t2", [K1], 10, 20, reads=[(K1, "dirty")])
-    res = check_txn_history(recs)
+    res = check_history(recs)
     assert not res.ok
     kinds = {v.kind for v in res.violations}
     assert "txn-atomicity" in kinds
@@ -100,21 +100,25 @@ def test_indeterminate_txn_may_fill_the_gap():
             + [txn("c1", "t2", [K1], 20, 30, status="info"),
                txn_write("c1", "t2", K1, "b", 20, 30, status="info")]
             + committed("c0", "t3", [K1], 40, 50, reads=[(K1, "b")]))
-    res = check_txn_history(recs)
+    res = check_history(recs)
     assert res.ok
     assert res.stats["indeterminate"] == 1
 
 
-def test_plain_ops_join_on_txn_touched_keys_only():
-    # The plain write on K1 seeds the value a txn later reads (legal);
-    # the plain traffic on K2 never meets a transaction and is ignored
-    # here (the register checker owns it).
+def test_plain_ops_are_singleton_transactions():
+    # The plain write on K1 seeds the value a txn later reads (legal).
+    # The plain traffic on K2 never meets a transaction: it is a one-key
+    # component of singletons, and reading "whatever" after "noise"
+    # completed is a stale read on that register.
     recs = ([plain("c0", "write", K1, 0, 10, value="seed"),
              plain("c0", "write", K2, 0, 10, value="noise"),
              plain("c1", "read", K2, 20, 30, result="whatever")]
             + committed("c1", "t1", [K1], 20, 30, reads=[(K1, "seed")]))
-    res = check_txn_history(recs)
-    assert res.ok
+    res = check_history(recs)
+    assert not res.ok
+    (v,) = res.violations  # K1 passes
+    assert v.kind == "linearizability"
+    assert v.key == K2
     assert res.stats["txns"] == 1  # singletons aren't counted as txns
 
 
@@ -128,7 +132,7 @@ def test_half_visible_write_set_is_rejected():
                         writes=[(K1, "a1"), (K2, "b1")])
             + committed("c1", "t2", [K1, K2], 30, 40,
                         reads=[(K1, "a1"), (K2, "b0")]))
-    res = check_txn_history(recs)
+    res = check_history(recs)
     assert not res.ok
     assert res.violations[0].kind == "txn-serializability"
 
@@ -136,6 +140,6 @@ def test_half_visible_write_set_is_rejected():
 def test_state_cap_exhaustion_is_undecided_not_guessed():
     recs = committed("c0", "t1", [K1], 0, 10,
                      reads=[(K1, "x")], writes=[(K1, "y")])
-    res = check_txn_history(recs, max_states=0)
+    res = check_history(recs, max_states=0)
     assert res.ok  # undecided is reported, never inflated to a violation
-    assert res.stats["undecided_components"] == 1
+    assert res.stats["undecided"] == [K1]

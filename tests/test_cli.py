@@ -81,3 +81,48 @@ def test_metrics_json_snapshot(capsys):
     snap = json.loads(capsys.readouterr().out)
     assert snap["schema"] == 1
     assert "counters" in snap and "histograms" in snap
+
+
+def _history_file(tmp_path, recs):
+    path = tmp_path / "history.jsonl"
+    path.write_text("".join(json.dumps(dict(rec, id=i)) + "\n"
+                            for i, rec in enumerate(recs)))
+    return str(path)
+
+
+def _op(client, kind, key, t0, t1, **kw):
+    return dict({"client": client, "op": kind, "key": key, "t0": t0,
+                 "t1": t1, "status": "ok"}, **kw)
+
+
+def test_check_clean_history_passes(tmp_path, capsys):
+    # A plain write seeds 0x10, one transaction reads it and overwrites
+    # it, and a plain read on 0x20 binds that key's initial value.
+    path = _history_file(tmp_path, [
+        _op("c0", "write", 0x10, 0, 10, value="a"),
+        _op("c1", "txn", None, 20, 30, txn="t1", keys=[0x10]),
+        _op("c1", "txn_read", 0x10, 20, 30, txn="t1", offset=0, result="a"),
+        _op("c1", "txn_write", 0x10, 20, 30, txn="t1", offset=0, value="b"),
+        _op("c0", "read", 0x10, 40, 50, result="b"),
+        _op("c0", "read", 0x20, 40, 50, result="x"),
+    ])
+    assert main(["check", path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == (f"{path}: 6 ops, 2 key components, 0 lock keys, "
+                      "1 transactions (1 committed, 0 aborted, "
+                      "0 indeterminate)")
+    assert "linearizable and strictly serializable" in out[1]
+
+
+def test_check_stale_read_fails_with_counterexample(tmp_path, capsys):
+    path = _history_file(tmp_path, [
+        _op("c0", "write", 0x10, 0, 10, value="a"),
+        _op("c0", "write", 0x10, 20, 30, value="b"),
+        _op("c1", "read", 0x10, 40, 50, result="a"),
+    ])
+    cex = tmp_path / "cex.jsonl"
+    assert main(["check", path, "--counterexample", str(cex)]) == 1
+    assert "FAIL: linearizability" in capsys.readouterr().err
+    header = json.loads(cex.read_text().splitlines()[0])
+    assert header["violation"] == "linearizability"
+    assert header["key"] == 0x10
