@@ -1,9 +1,9 @@
 """Chaos soak: YCSB traffic under a deterministic fault plan.
 
-The harness boots a resilient pool (retries + deadline + auto-reattach +
-degraded mode), bulk-loads a key space, arms a :class:`FaultPlan` with
-server crashes, a lossy window, a latency spike, and a ring stall, and runs
-closed-loop YCSB-B workers straight through the faults.  Afterwards it
+The harness boots a resilient pool (retries + deadline + auto-reattach),
+bulk-loads a key space, arms a :class:`FaultPlan` with server crashes, a
+lossy window, a latency spike, and a ring stall, and runs closed-loop YCSB-B
+workers straight through the faults.  Afterwards it
 audits the durability contract:
 
 * every value read parses back to a version this harness actually wrote
@@ -77,7 +77,7 @@ _DEADLINE_SLACK_NS = 5_000
 
 #: Event categories ``--dump-trace`` prints as the fault timeline.
 TIMELINE_CATEGORIES = frozenset({
-    "fault", "retry", "failover", "degraded", "lease", "fence", "partition",
+    "fault", "retry", "failover", "lease", "fence", "partition",
     "term", "check", "txn"})
 
 
@@ -103,7 +103,6 @@ def soak_config(scenario: str = "base") -> GengarConfig:
         retry_max_backoff_ns=50_000,
         op_deadline_ns=400_000,
         auto_reattach=True,
-        degraded_mode=True,
         **SCENARIOS[scenario].config,
     )
 
@@ -273,8 +272,8 @@ class ChaosSoak:
         Modes: ``burst`` hammers zipfian updates and never syncs mid-run
         (staged writes are always in flight when a crash lands); ``rr``
         sweeps its shard round-robin with updates (distinct keys, so a full
-        stalled ring is hit on keys with no overlay entry — the degraded
-        direct-write path); ``ycsb`` runs plain YCSB-B.
+        stalled ring is hit on keys with no overlay entry, and the writer
+        waits the stall out); ``ycsb`` runs plain YCSB-B.
         """
         sim = self.sim
         shard = [k for k in range(self.records)
@@ -386,6 +385,10 @@ class ChaosSoak:
         if counted != reported:
             self.violations.append(
                 f"lost-write counter ({counted}) != fault-log total ({reported})")
+        # With the proxy on every write rides the ring (PROTOCOLS §3.2).
+        direct = self.sim.metrics.counter("pool.direct_writes").count
+        if self.config.enable_proxy and direct:
+            self.violations.append(f"proxy: {direct} writes bypassed the ring")
 
     # ------------------------------------------------------------------
     def crash_tolerance_phase(self) -> None:
@@ -639,7 +642,7 @@ class ChaosSoak:
            partition and start its recovery before the heal; recovery must
            ride out the unreachable journal and complete with a higher term.
         3. **Asymmetric control-plane split**: clients lose the master but
-           keep the server data plane; ops complete degraded or fail typed.
+           keep the server data plane; ops complete or fail typed.
 
         The whole phase is recorded and the history is audited per key
         (register linearizability + lock-model mutual exclusion and epoch
@@ -1103,8 +1106,8 @@ class ChaosSoak:
         m = self.sim.metrics
         counters = {
             name: m.counter(f"pool.{name}").count
-            for name in ("retries", "failovers", "degraded_writes",
-                         "deadline_misses", "proxy_writes", "direct_writes")
+            for name in ("retries", "failovers", "deadline_misses",
+                         "proxy_writes", "direct_writes")
         }
         counters["lost_staged_writes"] = int(
             m.counter("pool.lost_staged_writes").total)

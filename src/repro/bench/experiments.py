@@ -216,11 +216,7 @@ def e03_scalability(client_counts: Sequence[int] = (1, 2, 4, 8),
     for name in ("gengar", "nvm-direct"):
         row = []
         for count in server_counts:
-            # 4 KiB payloads need >4 KiB slots or every write bypasses
-            # the proxy (header + payload must fit).
-            system = boot(name, seed + 100 + count, num_servers=count,
-                          num_clients=4,
-                          config_overrides=bench_config(proxy_slot_size=8 * KIB))
+            system = boot(name, seed + 100 + count, num_servers=count, num_clients=4)
             runner = YcsbRunner(system, heavy, num_workers=8,
                                 ops_per_worker=ops_per_worker,
                                 seed_tag=f"e3b.{name}.{count}")
@@ -436,11 +432,7 @@ def e08_hotness_policy(seed: int = 708) -> ExperimentResult:
     # Large values make the DRAM/NVM read gap dominate, so placement quality
     # shows directly in throughput, not just hit ratio.
     spec = WORKLOADS["B"].scaled(record_count=300, value_size=4096)
-    # 8 KiB proxy slots: a whole-object write (header + 4 KiB) must fit one
-    # slot, or the object could be written straight to NVM and the
-    # drain-coherence gate would never cache it (docs/PROTOCOLS.md §3.5).
-    config = bench_config(cache_capacity=256 * KIB, epoch_ns=50_000,
-                          report_every_ops=16, proxy_slot_size=8 * KIB)
+    config = bench_config(cache_capacity=256 * KIB, epoch_ns=50_000, report_every_ops=16)
     policies: Dict[str, Callable] = {
         "gengar-epoch-decay": lambda: EpochDecayPolicy(
             decay=0.5, promote_threshold=0.5),
@@ -466,7 +458,6 @@ def e08_hotness_policy(seed: int = 708) -> ExperimentResult:
         result = runner.run()
         table.add_row(pname, result.cache_hit_ratio,
                       result.throughput_ops_s / 1000.0)
-    table.notes.append("8 KiB proxy slots, so every 4 KiB object is cacheable")
 
     # Second table: the hot set *shifts* halfway through.  Decay adapts;
     # undecayed lifetime counts (LFU) keep caching yesterday's hot keys.
@@ -929,8 +920,7 @@ def x02_rack_locality(value_size: int = 4096, seed: int = 802,
                       rack_plan={"server0": "r0", "server1": "r1",
                                  "client0": "r0", "client1": "r1",
                                  "master": "r0"},
-                      config_overrides=bench_config(placement=policy_name,
-                                                    proxy_slot_size=8 * KIB))
+                      config_overrides=bench_config(placement=policy_name))
         sim = system.sim
         per_worker = 120
         value = 4096

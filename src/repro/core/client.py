@@ -264,9 +264,6 @@ class _Scratch:
 #: Consecutive master transport failures before the client's verdict
 #: upgrades from "one lost RPC" to "the path to the master is partitioned".
 _SUSPECT_STREAK = 3
-#: Drained-counter polls without progress before a ring is presumed
-#: stalled and a write falls back to the direct path (``degraded_mode``).
-DEGRADED_PATIENCE_POLLS = 4
 
 #: What a shard's "not my shard" rejection looks like on the wire; the
 #: client parses the owning shard and map epoch out of it to correct its
@@ -385,7 +382,6 @@ class GengarClient:
         self.m_retries = m.counter("pool.retries")
         self.m_failovers = m.counter("pool.failovers")
         self.m_lost_writes = m.counter("pool.lost_staged_writes")
-        self.m_degraded_writes = m.counter("pool.degraded_writes")
         self.m_deadline_misses = m.counter("pool.deadline_misses")
         self.m_lease_renewals = m.counter("pool.lease_renewals")
         self.m_fence_rejections = m.counter("pool.fence_rejections")
@@ -776,9 +772,8 @@ class GengarClient:
     def gwrite(self, gaddr: int, data: bytes, offset: int = 0) -> Generator[Any, Any, None]:
         """Write ``data`` into an object at ``offset``.
 
-        Retries per the client's :class:`RetryPolicy`; in degraded mode a
-        write whose proxy ring is unavailable or stalled falls back to the
-        direct-to-NVM path instead of blocking.
+        Retries per the client's :class:`RetryPolicy`.  With the proxy on,
+        every write is staged in the home server's ring (:meth:`_proxy_write`).
         """
         return self._op("gwrite", gaddr, data, offset)
 
@@ -793,38 +788,14 @@ class GengarClient:
         yield from self.node.cpu_work()
 
         conn = self._conns[meta.server_id]
-        use_proxy = (
-            self.config.enable_proxy
-            and conn.ring is not None
-            and len(data) <= proxy_payload_capacity(
-                conn.ring.slot_size, commit=self.config.proxy_commit)
-        )
-        staged = False
-        if use_proxy:
-            staged = yield from self._proxy_write(conn, gaddr, offset, data,
-                                                  span_op=span_op)
-        if staged:
+        if self.config.enable_proxy:
+            yield from self._proxy_write(conn, gaddr, offset, data,
+                                         span_op=span_op)
             self.m_proxy_writes.add(len(data))
         else:
-            degraded = use_proxy or (self.config.enable_proxy
-                                     and self.config.degraded_mode
-                                     and conn.ring is None)
             yield from self._direct_write(conn, gaddr, meta, offset, data,
-                                          span_op=span_op, degraded=degraded)
+                                          span_op=span_op)
             self.m_direct_writes.add(len(data))
-            if use_proxy:
-                # _proxy_write declined: the ring is presumed stalled.
-                self.m_degraded_writes.add()
-                rec = self.sim.spans
-                if rec is not None:
-                    rec.event(self.name, "degraded",
-                              "stalled ring -> direct write", gaddr=hex(gaddr))
-            elif degraded:
-                self.m_degraded_writes.add()
-                rec = self.sim.spans
-                if rec is not None:
-                    rec.event(self.name, "degraded", "no ring -> direct write",
-                              gaddr=hex(gaddr))
         self._note_access(gaddr, read=False)
 
     def gsync(self, server_id: Optional[int] = None) -> Generator[Any, Any, None]:
@@ -892,14 +863,21 @@ class GengarClient:
         if self.config.enable_proxy:
             prev_ring = conn.ring
             # Writers must not stage into the old (torn-down) ring while the
-            # handshake is in flight; they either fail typed or, in degraded
-            # mode, take the direct path.
+            # handshake is in flight: they fail typed and, with auto_reattach,
+            # wait on its gate (which _auto_reattach may already hold).
             conn.ring = None
+            gates, gate = self._reattach_gates, None
+            if server_id not in gates:
+                gate = gates[server_id] = self.sim.event(name=f"{self.name}.reattach{server_id}")
             try:
                 new_ring = yield from self._ring_handshake(conn)
             except BaseException:
                 conn.ring = prev_ring
                 raise
+            finally:
+                if gate is not None:
+                    del gates[server_id]
+                    gate.succeed()
         lost = sorted(
             g for g, p in self._overlay.items() if p.server_id == server_id
         )
@@ -1716,66 +1694,64 @@ class GengarClient:
     # ------------------------------------------------------------------
     def _proxy_write(self, conn: _ServerConn, gaddr: int, offset: int,
                      data: bytes,
-                     span_op: int = 0) -> Generator[Any, Any, bool]:
-        """Stage one write into the proxy ring.
-
-        Returns True once staged.  Returns False — *declining* the proxy
-        path — only when the ring is full and stalled past the degraded-mode
-        patience AND the object has no still-staged write of ours, so a
-        direct NVM write cannot be overtaken by an older staged one when the
-        ring eventually drains.
-        """
+                     span_op: int = 0) -> Generator[Any, Any, None]:
+        """Stage one write into the proxy ring: one frame, or frame groups
+        when longer than a slot.  A full ring is waited out; a missing one (a
+        re-attach is in flight) fails the attempt with StaleRingError."""
         rec = self.sim.spans
         t0 = self.sim.now if rec is not None else 0
         ring = conn.ring
-        if conn.written - conn.drained_known >= ring.slots:
-            ok = yield from self._await_ring_space(conn)
-            if not ok:
-                if gaddr not in self._overlay:
-                    return False
-                # Ordering hazard: wait the stall out (infinite patience).
-                yield from self._await_ring_space(conn, patience=0)
-        frame = pack_proxy_slot(gaddr, offset, data)
-        total = len(frame) + (PROXY_COMMIT_BYTES if self.config.proxy_commit else 0)
-        # Acquire the scratch span (the only potential yield) BEFORE
-        # reserving the sequence number: reserve -> post must be atomic in
-        # virtual time, so doorbells always reach the server in seq order.
-        # A writer parked between the two would let a concurrent (or
-        # injected mid-crash) write with a later seq overtake it, and the
-        # drain's seq cursor would then reject the earlier frame as torn.
-        scratch = self._scratch
-        scratch_off = None
-        if not self.node.nic.is_inline(total):
-            scratch_off = scratch.try_alloc(total)
-            if scratch_off is None:
-                scratch_off = yield scratch.wait(total)
-        try:
-            seq = conn.written
-            conn.written += 1
-            slot = seq % ring.slots
-            payload = frame
-            if self.config.proxy_commit:
-                # Trailing commit word: the drain loop validates seq ^ crc32
-                # before applying, so a write torn mid-flight is skipped,
-                # never applied as garbage.
-                payload += pack_proxy_commit(seq, frame)
-            wr = WorkRequest(
-                opcode=Opcode.RDMA_WRITE_IMM,
-                remote_rkey=ring.ring_rkey,
-                remote_offset=slot * ring.slot_size,
-                imm_data=slot, length=len(payload),
-            )
-            if scratch_off is None:
-                wr.inline_data = payload
-            else:
-                self._scratch_mr.poke(scratch_off, payload)
-                wr.local_mr = self._scratch_mr
-                wr.local_offset = scratch_off
-            wc = yield conn.data_qp.post_send(wr)
-        finally:
-            if scratch_off is not None:
-                scratch.free(scratch_off, total)
-        self._check_wc(wc, "proxy write", conn, ring=True)
+        if ring is None:
+            raise StaleRingError(f"ring to server {conn.desc.server_id} is being "
+                                 "re-attached", server_id=conn.desc.server_id)
+        capacity = proxy_payload_capacity(ring.slot_size, commit=self.config.proxy_commit)
+        if len(data) > capacity:
+            seq = yield from self._stage_groups(conn, ring, gaddr, offset,
+                                                data, capacity)
+        else:
+            if conn.written - conn.drained_known >= ring.slots:
+                yield from self._await_ring_space(conn)
+            frame = pack_proxy_slot(gaddr, offset, data)
+            total = len(frame) + (PROXY_COMMIT_BYTES if self.config.proxy_commit else 0)
+            # Acquire the scratch span (the only potential yield) BEFORE
+            # reserving the sequence number: reserve -> post must be atomic in
+            # virtual time, so doorbells always reach the server in seq order.
+            # A writer parked between the two would let a concurrent (or
+            # injected mid-crash) write with a later seq overtake it, and the
+            # drain's seq cursor would then reject the earlier frame as torn.
+            scratch = self._scratch
+            scratch_off = None
+            if not self.node.nic.is_inline(total):
+                scratch_off = scratch.try_alloc(total)
+                if scratch_off is None:
+                    scratch_off = yield scratch.wait(total)
+            try:
+                seq = conn.written
+                conn.written += 1
+                slot = seq % ring.slots
+                payload = frame
+                if self.config.proxy_commit:
+                    # Trailing commit word: the drain loop validates seq ^ crc32
+                    # before applying, so a write torn mid-flight is skipped,
+                    # never applied as garbage.
+                    payload += pack_proxy_commit(seq, frame)
+                wr = WorkRequest(
+                    opcode=Opcode.RDMA_WRITE_IMM,
+                    remote_rkey=ring.ring_rkey,
+                    remote_offset=slot * ring.slot_size,
+                    imm_data=slot, length=len(payload),
+                )
+                if scratch_off is None:
+                    wr.inline_data = payload
+                else:
+                    self._scratch_mr.poke(scratch_off, payload)
+                    wr.local_mr = self._scratch_mr
+                    wr.local_offset = scratch_off
+                wc = yield conn.data_qp.post_send(wr)
+            finally:
+                if scratch_off is not None:
+                    scratch.free(scratch_off, total)
+            self._check_wc(wc, "proxy write", conn, ring=True)
         if rec is not None:
             rec.record(self.name, "phase.proxy_stage", t0, op=span_op,
                        server=conn.desc.server_id, bytes=len(data))
@@ -1785,18 +1761,58 @@ class GengarClient:
             offset=offset, data=data, server_id=conn.desc.server_id, seq=seq + 1
         )
         self._last_staged = (conn.desc.server_id, gaddr, offset, data)
-        return True
+
+    def _stage_groups(self, conn: _ServerConn, ring: RingDescriptor,
+                      gaddr: int, offset: int, data: bytes,
+                      capacity: int) -> Generator[Any, Any, int]:
+        """Stage a write longer than one slot as frame groups, in order, and
+        return its last frame's seq (docs/PROTOCOLS.md §3.2).  A ring
+        re-attached meanwhile fails the attempt; the retry restages it all."""
+        commit, slot_size = self.config.proxy_commit, ring.slot_size
+        step = capacity * max(1, min(ring.slots, _MAX_TRANSFER // slot_size))
+        scratch, mr = self._scratch, self._scratch_mr
+        for lo in range(0, len(data), step):
+            hi = min(lo + step, len(data))
+            frames = [pack_proxy_slot(gaddr, offset + pos, data[pos:pos + capacity],
+                                      more=pos + capacity < hi)
+                      for pos in range(lo, hi, capacity)]
+            if conn.written - conn.drained_known + len(frames) > ring.slots:
+                yield from self._await_ring_space(conn, need=len(frames))
+            total = len(frames) * slot_size
+            base = scratch.try_alloc(total)
+            if base is None:
+                base = yield scratch.wait(total)
+            try:
+                if conn.ring is not ring:
+                    raise StaleRingError(f"ring to server {conn.desc.server_id} "
+                                         "re-attached mid-write",
+                                         server_id=conn.desc.server_id)
+                wrs = []
+                for at, frame in zip(range(base, base + total, slot_size), frames):
+                    seq = conn.written
+                    conn.written = seq + 1
+                    if commit:
+                        frame += pack_proxy_commit(seq, frame)
+                    mr.poke(at, frame)
+                    wrs.append(WorkRequest(
+                        opcode=Opcode.RDMA_WRITE_IMM, remote_rkey=ring.ring_rkey,
+                        remote_offset=seq % ring.slots * slot_size,
+                        imm_data=seq % ring.slots, length=len(frame),
+                        local_mr=mr, local_offset=at))
+                wcs = []
+                for proc in conn.data_qp.post_send_many(wrs):
+                    wcs.append((yield proc))
+            finally:
+                scratch.free(base, total)
+            for wc in wcs:
+                self._check_wc(wc, "proxy write", conn, ring=True)
+        return seq
 
     def _direct_write(self, conn: _ServerConn, gaddr: int, meta: ObjectMeta,
-                      offset: int, data: bytes, span_op: int = 0,
-                      degraded: bool = False) -> Generator[Any, Any, None]:
+                      offset: int, data: bytes,
+                      span_op: int = 0) -> Generator[Any, Any, None]:
         rec = self.sim.spans
         t0 = self.sim.now if rec is not None else 0
-        if rec is not None and degraded:
-            # Instant marker: the proxy path was declined and this write is
-            # falling back to a direct NVM write.
-            rec.record(self.name, "phase.degraded_fallback", t0, end_ns=t0,
-                       op=span_op)
         yield from self._rdma_write(
             conn, conn.desc.data_rkey, meta.nvm_offset + offset, data
         )
@@ -1806,7 +1822,7 @@ class GengarClient:
                 self._invalidate_meta(gaddr)
         if rec is not None:
             rec.record(self.name, "phase.direct_write", t0, op=span_op,
-                       bytes=len(data), degraded=degraded)
+                       bytes=len(data))
 
     def _verified_cache_write(self, conn: _ServerConn, gaddr: int, meta: ObjectMeta,
                               offset: int, data: bytes) -> Generator[Any, Any, bool]:
@@ -1831,11 +1847,8 @@ class GengarClient:
     # ------------------------------------------------------------------
     # Proxy flow control
     # ------------------------------------------------------------------
-    def _poll_drained(self, conn: _ServerConn) -> Generator[Any, Any, bool]:
-        """Fetch the server-side drained counter with one 8-byte READ.
-
-        Returns True when the counter advanced since the last observation.
-        """
+    def _poll_drained(self, conn: _ServerConn) -> Generator[Any, Any, None]:
+        """Fetch the server-side drained counter with one 8-byte READ."""
         raw = yield from self._rdma_read(
             conn, conn.ring.ring_rkey, conn.ring.counter_offset, 8, ring=True
         )
@@ -1843,22 +1856,12 @@ class GengarClient:
         if value > conn.drained_known:
             conn.drained_known = value
             self._prune_overlay(conn.desc.server_id)
-            return True
-        return False
 
-    def _await_ring_space(self, conn: _ServerConn, need: int = 1,
-                          patience: Optional[int] = None) -> Generator[Any, Any, bool]:
-        """Poll the drained counter until ``need`` ring slots are free.
-
-        ``patience`` bounds how many *consecutive no-progress* polls to
-        tolerate before giving up and returning False; 0 means poll forever
-        (the historical behaviour).  ``None`` resolves from the config:
-        ``DEGRADED_PATIENCE_POLLS`` when degraded mode is on, else 0.
-        """
-        if patience is None:
-            patience = DEGRADED_PATIENCE_POLLS if self.config.degraded_mode else 0
+    def _await_ring_space(self, conn: _ServerConn,
+                          need: int = 1) -> Generator[Any, Any, None]:
+        """Poll the drained counter until ``need`` ring slots are free; only
+        the op's deadline (``op_deadline_ns``) bounds the wait."""
         backoff = 0
-        stalled_polls = 0
         while True:
             if conn.ring is None:
                 # Torn down mid-wait; staging is impossible until reattach.
@@ -1866,14 +1869,11 @@ class GengarClient:
                     f"ring to server {conn.desc.server_id} torn down while "
                     "waiting for slot space", server_id=conn.desc.server_id)
             if conn.written - conn.drained_known + need <= conn.ring.slots:
-                return True
-            advanced = yield from self._poll_drained(conn)
+                return
+            yield from self._poll_drained(conn)
             if conn.ring is not None and (
                     conn.written - conn.drained_known + need <= conn.ring.slots):
-                return True
-            stalled_polls = 0 if advanced else stalled_polls + 1
-            if patience and stalled_polls >= patience:
-                return False
+                return
             backoff = min(backoff + 1, 5)
             yield 500 * (1 << backoff)
 

@@ -15,9 +15,8 @@ never travels on the wire, so a field costs no protocol bytes.  A field
 exists only where two callers outside the tests want different values: a
 value nobody sets to a second one is a constant at its one reader (the
 lock backoff in ``consistency``, the journal and intent-slot sizes in
-``server``, the degraded-mode patience in ``client``, the phi detector's
-threshold and window in ``master``) or is derived from a field that
-stays (the lease sweep runs every
+``server``, the phi detector's threshold and window in ``master``) or is
+derived from a field that stays (the lease sweep runs every
 ``client_lease_ns // 4``, the cross-shard aggregation every ``epoch_ns``).
 ``tests/core/test_config_surface.py`` pins the count.
 """
@@ -46,7 +45,7 @@ class GengarConfig:
     # ---- write proxy -----------------------------------------------------
     #: Ring slots per attached client.
     proxy_ring_slots: int = 32
-    #: Payload capacity of one ring slot (larger writes bypass the proxy).
+    #: Bytes per ring slot; a longer write is staged as a frame group.
     proxy_slot_size: int = 4 * KIB
 
     # ---- hotness tracking -------------------------------------------------
@@ -103,10 +102,6 @@ class GengarConfig:
     #: Re-establish rings/epochs automatically when a retry loop sees a
     #: server-unavailable or stale-ring failure.
     auto_reattach: bool = False
-    #: Serve writes through a fallback path instead of blocking when the
-    #: server's proxy ring is unavailable: they go direct to NVM (ring gone
-    #: or stalled).
-    degraded_mode: bool = False
     #: Client lease duration (failure detection, FaRM-style).  0 disables
     #: leases entirely — no heartbeats, no lease sweeper, lock words carry
     #: epoch 0 — keeping the fault-free path bit-identical to the pre-lease

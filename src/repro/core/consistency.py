@@ -208,19 +208,18 @@ class LockOps:
         # next holder's freshness guarantee.)
         if self.client.config.sync_on_release:
             yield from self.client.gsync(server_id=meta.server_id)
-        if self.client.config.degraded_mode and not self.client.lease_ns:
+        if self.client.config.auto_reattach and not self.client.lease_ns:
             # A restart zeroes the lock table; a blind subtract against the
             # reset word would wrap it into a garbage state that poisons
             # every later acquire.  Verify ownership first (one extra READ,
-            # paid only in degraded mode).  With leases on the fenced
-            # release below performs the same verification word-level and
-            # fails *typed* — a recovered lock is a fence event there, not
-            # a usage bug, so this untyped pre-check must not preempt it.
+            # paid only by a client that re-attaches to restarted servers).
+            # With leases on the fenced release below performs the same
+            # verification word-level and fails *typed* — a recovered lock
+            # is a fence event there, not a usage bug, so this untyped
+            # pre-check must not preempt it.
+            conn = self.client._conns[meta.server_id]
             raw = yield from self.client._rdma_read(
-                self.client._conns[meta.server_id],
-                self.client._conns[meta.server_id].desc.lock_rkey,
-                self._word_offset(meta.lock_idx), 8,
-            )
+                conn, conn.desc.lock_rkey, self._word_offset(meta.lock_idx), 8)
             current = int.from_bytes(raw, "little")
             if not current & WRITER_BIT or lock_owner(current) != self.client.uid:
                 raise LockError(

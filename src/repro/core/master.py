@@ -33,7 +33,6 @@ from repro.core.protocol import (
     JOURNAL_PAGE_RECORDS,
     ObjectMeta,
     ServerDescriptor,
-    proxy_payload_capacity,
 )
 from repro.rdma.rpc import DEFAULT_RING_SLOTS, RpcError, RpcServer
 
@@ -1097,11 +1096,8 @@ class Master:
         """
         record = self.directory.get(gaddr)
         handle = self._servers[record.server_id]
-        # Pins are an explicit operator decision, so they bypass the
-        # drain-coherence promotion gate; the pinning caller knows the
-        # object's writes may need the verified-cache-write round trip.
         yield from self._promote(handle, self._policies[record.server_id],
-                                 gaddr, force=True)
+                                 gaddr)
         record.pinned = True
         record.pinned_by = client
 
@@ -1755,30 +1751,10 @@ class Master:
         # small margin for this epoch's promotions.
         return (cached_count + 16) * CACHE_TAG_BYTES * 4
 
-    def _drain_coherent(self, size: int) -> bool:
-        """Whether a cached copy of a ``size``-byte object stays coherent.
-
-        With the proxy enabled, a write rides the ring (and the server's
-        drain refreshes the cache slot) only if it fits a slot; a larger
-        write goes one-sided straight to NVM.  A client that has not yet
-        heard about a promotion updates nothing else — so promoting an
-        object whose writes can bypass the drain leaves a window where a
-        validly-tagged slot holds stale bytes.  Such objects are simply
-        not cacheable.  With the proxy off every write is direct and
-        clients pay the verified-cache-write round trip instead, so size
-        does not matter.
-        """
-        if not self.config.enable_proxy:
-            return True
-        return size <= proxy_payload_capacity(
-            self.config.proxy_slot_size, commit=self.config.proxy_commit)
-
-    def _promote(self, handle: _ServerHandle, policy, gaddr: int,
-                 force: bool = False) -> Generator[Any, Any, None]:
+    def _promote(self, handle: _ServerHandle, policy,
+                 gaddr: int) -> Generator[Any, Any, None]:
         record = self.directory.lookup(gaddr)
         if record is None or record.cached:
-            return
-        if not force and not self._drain_coherent(record.size):
             return
         try:
             cache_offset = yield from handle.rpc.call(

@@ -5,7 +5,8 @@ must be bit-exact on both ends:
 
 * **Proxy ring slot**: ``[gaddr u64][obj_offset u32][length u32][payload]``.
   A client stages a write here with one RDMA WRITE_WITH_IMM; the immediate
-  carries the slot index.
+  carries the slot index.  A write longer than a slot is a *frame group*
+  of consecutive slots, all but the last with :data:`PROXY_MORE` set.
 * **Cache slot tag**: ``[gaddr u64][flags u64]`` prepended to every cached
   object.  Reads are self-verifying: a client that reads a slot whose tag
   does not match the gaddr it expected knows its metadata is stale.
@@ -27,16 +28,19 @@ PROXY_HEADER_BYTES = _SLOT_HEADER.size  # 16
 #: Trailing commit word (optional, ``proxy_commit``): 8 bytes after the
 #: payload that let the drain loop detect a torn (half-written) slot.
 PROXY_COMMIT_BYTES = 8
+#: The more-bit, in ``length``: the next frame continues this write.
+PROXY_MORE = 1 << 31
 _SEQ_MASK = (1 << 32) - 1
 
 
-def pack_proxy_slot(gaddr: int, obj_offset: int, payload: bytes) -> bytes:
-    """Serialize one staged write."""
-    return _SLOT_HEADER.pack(gaddr, obj_offset, len(payload)) + payload
+def pack_proxy_slot(gaddr: int, obj_offset: int, payload: bytes, more: bool = False) -> bytes:
+    """Serialize one frame of a staged write (``more``: not its last)."""
+    length = len(payload) | PROXY_MORE if more else len(payload)
+    return _SLOT_HEADER.pack(gaddr, obj_offset, length) + payload
 
 
 def unpack_proxy_header(raw: bytes) -> tuple[int, int, int]:
-    """Parse ``(gaddr, obj_offset, length)`` from a slot's first 16 bytes."""
+    """Parse ``(gaddr, obj_offset, length | more-bit)`` from a slot's first 16 bytes."""
     return _SLOT_HEADER.unpack_from(raw)
 
 
@@ -60,7 +64,7 @@ def proxy_commit_ok(raw: bytes, seq: int, frame: bytes) -> bool:
 
 
 def proxy_payload_capacity(slot_size: int, commit: bool = False) -> int:
-    """Largest write a slot of ``slot_size`` bytes can stage."""
+    """Largest payload one frame in a slot of ``slot_size`` bytes carries."""
     return slot_size - PROXY_HEADER_BYTES - (PROXY_COMMIT_BYTES if commit else 0)
 
 

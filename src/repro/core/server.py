@@ -36,6 +36,7 @@ from repro.core.protocol import (
     JOURNAL_RECORD_BYTES,
     PROXY_COMMIT_BYTES,
     PROXY_HEADER_BYTES,
+    PROXY_MORE,
     RingDescriptor,
     ServerDescriptor,
     pack_cache_tag,
@@ -73,6 +74,8 @@ class _ClientRing:
     handed: int = 0  # frames handed to the drain writers, not yet finished
     lost: bool = False  # the server crashed under it: handed frames drop
     idle: Any = None  # the poisoned drain loop's wait for ``handed == 0``
+    #: A frame group's payloads parsed so far (a torn one's as None).
+    parked: list = field(default_factory=list)
 
 
 #: RPC buffer size for control traffic (attach/promote/demote); every ring
@@ -897,6 +900,9 @@ class MemoryServer:
         frames have all been applied.  Either way frames for one object
         apply in program order, and the drained counter covers only the
         prefix of frames applied or skipped (:meth:`_drain_frame`).
+        A frame with the more-bit set is parked until its group's last
+        frame arrives; the group then applies as one frame, or retires
+        unapplied if any of its frames is torn.
         """
         slot_size = self.config.proxy_slot_size
         half = self.config.proxy_ring_slots // 2
@@ -925,10 +931,12 @@ class MemoryServer:
             yield from self.node.cpu_work()  # parse the doorbell + header
             seq = ring.seq
             ring.seq = seq + 1
-            overlap = seq != ring.drained or len(queued) + 1 >= half
             base = slot * slot_size
             header = ring.mr.peek(base, PROXY_HEADER_BYTES)
             gaddr, obj_offset, length = unpack_proxy_header(header)
+            more = length & PROXY_MORE
+            length ^= more
+            torn = False
             if self.config.proxy_commit:
                 # Torn-slot detection: this doorbell's payload must carry a
                 # commit word binding (seq, header+payload).  A client that
@@ -937,7 +945,9 @@ class MemoryServer:
                 # alignment) rather than applying garbage to NVM.
                 limit = slot_size - PROXY_HEADER_BYTES - PROXY_COMMIT_BYTES
                 torn = not 0 <= length <= limit
-                if not torn:
+                if torn:
+                    more = 0  # a garbage header ends any group
+                else:
                     frame = header + ring.mr.peek(base + PROXY_HEADER_BYTES, length)
                     commit = ring.mr.peek(
                         base + PROXY_HEADER_BYTES + length, PROXY_COMMIT_BYTES)
@@ -947,10 +957,27 @@ class MemoryServer:
                     if rec is not None:
                         rec.event(self.node.name, "fault", "torn slot skipped",
                                   slot=slot, seq=seq)
-                    yield from self._drain_frame(ring, seq, t0, overlap,
-                                                 gaddr, obj_offset, length, None)
+            payload = None if torn else ring.mr.peek(base + PROXY_HEADER_BYTES, length)
+            parked = ring.parked
+            if parked or more:
+                if parked:
+                    ring.done.add(seq)  # retires along with the group's first
+                parked.append(payload)
+                if more:
                     continue
-            payload = ring.mr.peek(base + PROXY_HEADER_BYTES, length)
+                # The group's last frame: the group applies as one frame.
+                seq -= len(parked) - 1
+                payload = None if None in parked else b"".join(parked)
+                parked.clear()
+                if payload is not None:  # from the group's first byte on
+                    obj_offset -= len(payload) - length
+                    length = len(payload)
+            overlap = seq != ring.drained or len(queued) + 1 >= half
+            if payload is None:
+                # Torn: the frame, or its whole group, retires unapplied.
+                yield from self._drain_frame(ring, seq, t0, overlap,
+                                             gaddr, obj_offset, length, None)
+                continue
             if not overlap:
                 self._drain_writes += 1
                 yield from self._drain_frame(ring, seq, t0, False,
@@ -1014,8 +1041,8 @@ class MemoryServer:
                      overlapped: bool, gaddr: int, obj_offset: int,
                      length: int,
                      payload: Optional[bytes]) -> Generator[Any, Any, None]:
-        """Apply frame ``seq`` of ``ring`` (``payload`` None: skip it as
-        torn), then retire it.
+        """Apply frame ``seq`` of ``ring``, or the group it heads as one write
+        (``payload`` None: skip it as torn), then retire it.
 
         The apply persists to the NVM home first, then — atomically with
         the write's completion — bumps the object's applied sequence and

@@ -333,15 +333,15 @@ class FaultInjector:
 
     # ------------------------------------------------------------------
     def _tear_inflight_write(self, client: "GengarClient") -> bool:
-        """Plant a half-written proxy slot: re-stage the victim's last
-        staged write, but cut the RDMA_WRITE short partway through the
-        payload — the frame lands, the commit word does not.  The drain
-        loop still gets the doorbell (write-after-write ordering only
-        covers *completed* writes), which is exactly the case the per-slot
-        commit word exists to catch.  Returns whether a doorbell is on its
-        way; its process then crashes the client."""
+        """Plant a half-written proxy slot: re-stage the first frame of the
+        victim's last staged write (more-bit set if it had more), but cut the
+        RDMA_WRITE short partway through the payload — the frame lands, the
+        commit word does not.  The drain loop still gets the doorbell
+        (write-after-write ordering only covers *completed* writes), which is
+        exactly the case the per-slot commit word exists to catch.  Returns
+        whether a doorbell is on its way; its process then crashes the client."""
         from repro.core.protocol import (
-            PROXY_HEADER_BYTES, pack_proxy_commit, pack_proxy_slot)
+            PROXY_HEADER_BYTES, pack_proxy_commit, pack_proxy_slot, proxy_payload_capacity)
 
         if client._last_staged is None:
             rec = self.sim.spans
@@ -367,7 +367,9 @@ class FaultInjector:
         seq = conn.written
         conn.written += 1
         slot = seq % slots
-        frame = pack_proxy_slot(gaddr, offset, data)
+        capacity = proxy_payload_capacity(conn.ring.slot_size, commit=True)
+        frame = pack_proxy_slot(gaddr, offset, data[:capacity], more=len(data) > capacity)
+        data = data[:capacity]
         full = frame + pack_proxy_commit(seq, frame)
         cut = PROXY_HEADER_BYTES + max(1, len(data) // 2)
         base = slot * conn.ring.slot_size

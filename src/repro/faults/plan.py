@@ -233,8 +233,7 @@ class FaultPlan:
         lose the master control plane (both directions) for the window.
 
         Data ops that need no metadata keep working; control ops (renew,
-        gmalloc, lookup misses) must fail *typed* within their deadline —
-        this is the schedule the degraded-mode tests run under.
+        gmalloc, lookup misses) must fail *typed* within their deadline.
         """
         end = at_ns + duration_ns
         faults: list = []

@@ -94,11 +94,11 @@ class Fabric:
 
         ``hook(src, dst, nbytes) -> (dropped, extra_latency_ns)`` is consulted
         once per transmission attempt.  A drop models the message vanishing in
-        flight: the sender waits :attr:`retransmit_ns` (loss detection) and
-        retransmits, re-consulting the hook — so a permanently-partitioned
-        path stalls the verb until the partition heals (callers bound this
-        with their own deadlines).  ``extra_latency_ns`` is added to the
-        delivery's propagation delay.  With no hook installed the data path
+        flight: :meth:`inject` returns ``None`` after :attr:`retransmit_ns` (loss
+        detection) and the sender retransmits (a QP only while its node lives),
+        so a partitioned path stalls the verb until the partition heals (callers
+        bound this with their own deadlines).  ``extra_latency_ns`` is added to
+        the delivery's propagation delay.  With no hook installed the data path
         is byte-for-byte identical to an un-instrumented fabric.
         """
         self._fault_hook = hook
@@ -154,13 +154,16 @@ class Fabric:
 
     def unicast(self, src: str, dst: str, nbytes: int) -> Generator[Any, Any, None]:
         """Move ``nbytes`` from ``src`` to ``dst``; returns at delivery time:
-        :meth:`inject`, then the flight it returns."""
+        :meth:`inject` until it is not dropped, then the flight it returns."""
         flight_ns = yield from self.inject(src, dst, nbytes)
+        while flight_ns is None:
+            flight_ns = yield from self.inject(src, dst, nbytes)
         yield flight_ns
 
-    def inject(self, src: str, dst: str, nbytes: int) -> Generator[Any, Any, int]:
+    def inject(self, src: str, dst: str, nbytes: int) -> Generator[Any, Any, Optional[int]]:
         """Put ``nbytes`` on the wire from ``src`` to ``dst``; returns when
-        the last byte has left the ports, with the flight still to fly (ns).
+        the last byte has left the ports, with the flight still to fly (ns),
+        or ``None`` once the sender noticed a drop (see :meth:`set_fault_hook`).
 
         Reserves both the sender's egress and the receiver's ingress for the
         serialization window; the egress is always acquired first so flows
@@ -182,14 +185,13 @@ class Fabric:
         extra_ns = 0
         hook = self._fault_hook
         if hook is not None:
-            while True:
-                dropped, extra_ns = hook(src, dst, nbytes)
-                if not dropped:
-                    break
+            dropped, extra_ns = hook(src, dst, nbytes)
+            if dropped:
                 # The message died in flight; the sender notices only by
-                # timeout and retransmits.  The ports stay free meanwhile.
+                # timeout.  The ports stay free meanwhile.
                 self.dropped_messages.add()
                 yield self.retransmit_ns
+                return None
 
         wire_bytes = nbytes + self.spec.header_bytes
         if self._crosses_core(src, dst):

@@ -4,9 +4,9 @@ The data path is instrumented with *spans* — ``(track, name, start_ns,
 end_ns)`` intervals recorded at the end of each protocol phase.  A span
 recorder attached to a simulator (``sim.spans = SpanRecorder(sim)``) turns
 every client op into a parent span with typed child phases (meta-cache
-lookup, RDMA verb post→completion, proxy staging, degraded fallback, retry
-waits), and the server/master sides join in with drain, promotion-copy, and
-RPC-service spans.  The recorder feeds two sinks at once:
+lookup, RDMA verb post→completion, proxy staging, retry waits), and the
+server/master sides join in with drain, promotion-copy, and RPC-service
+spans.  The recorder feeds two sinks at once:
 
 * **per-phase histograms** in ``sim.metrics`` (``span.<name>``), so phase
   latency distributions ride the normal metrics/exporter path, and
@@ -34,8 +34,7 @@ Span taxonomy (``docs/OBSERVABILITY.md`` has the full contract):
     Protocol phases inside an op: ``phase.meta_lookup``,
     ``phase.cache_read`` (hit or tag-miss probe), ``phase.nvm_read``
     (also the repair of a tag miss), ``phase.proxy_stage``,
-    ``phase.direct_write``, ``phase.degraded_fallback``,
-    ``phase.drain_wait``, ``phase.retry_wait``, ``phase.pipeline_wait``
+    ``phase.direct_write``, ``phase.drain_wait``, ``phase.retry_wait``, ``phase.pipeline_wait``
     (a batched op draining its outstanding reads).
 ``srv.*``
     Server background work: ``srv.drain`` (one staged frame applied to

@@ -218,12 +218,15 @@ class QueuePair:
                 payload = yield from self._gather_payload(wr)
             except MrError:
                 return self._completion(wr, WcStatus.LOCAL_PROTECTION_ERROR)
-            if not local.alive:
-                # The sender died while this WR was posted or queued: its
-                # QP is in the error state, so the WR flushes unsent.
-                return self._completion(wr, WcStatus.WR_FLUSH_ERROR)
-            flight_ns = yield from local.fabric.inject(
-                local.name, remote_ep.name, self._request_wire_bytes(wr, payload))
+            while True:
+                if not local.alive:
+                    # The sender died while this WR was posted, queued or
+                    # retransmitting: its QP is in error, so it flushes unsent.
+                    return self._completion(wr, WcStatus.WR_FLUSH_ERROR)
+                flight_ns = yield from local.fabric.inject(
+                    local.name, remote_ep.name, self._request_wire_bytes(wr, payload))
+                if flight_ns is not None:
+                    break
             if ordered:
                 seq = self._next_seq
                 self._next_seq = seq + 1

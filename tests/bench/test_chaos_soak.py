@@ -69,6 +69,21 @@ def _full_pools(monkeypatch, scenario):
     monkeypatch.setattr(RpcServer, "pool_stats", pool_stats)
 
 
+def _forced_direct_writes(monkeypatch, scenario):
+    """Every write goes one-sided to NVM, as a proxy-off client's would."""
+    from repro.core.client import GengarClient
+
+    def direct(self, conn, gaddr, offset, data, span_op=0):
+        meta = self._cached_meta(gaddr)
+        if meta is None:
+            meta = yield from self._meta(gaddr, span_op=span_op)
+        yield from self._direct_write(conn, gaddr, meta, offset, data,
+                                      span_op=span_op)
+        self.m_direct_writes.add(len(data))
+
+    monkeypatch.setattr(GengarClient, "_proxy_write", direct)
+
+
 def _moves(scenario):
     row = SCENARIOS[scenario]
     return [f"{scenario}: {name} moved by 0"
@@ -86,6 +101,7 @@ def _moves(scenario):
      ["fanout: master has no spare receive slot"]),
     ("chaos-txn", _skip_phase, _moves("chaos-txn")),
     ("chaos-shard", _idle_rounds, _moves("chaos-shard")),
+    ("base", _forced_direct_writes, ["proxy: "]),
 ])
 def test_every_expectation_fires_when_its_precondition_breaks(
         monkeypatch, scenario, sabotage, expected):
@@ -142,7 +158,7 @@ def test_soak_profile_is_resilient():
     config = soak_config()
     assert config.retry_max_attempts > 1
     assert config.op_deadline_ns > 0
-    assert config.auto_reattach and config.degraded_mode
+    assert config.auto_reattach
 
 
 def test_soak_plan_schedules_a_stall_before_the_first_crash():
@@ -172,7 +188,10 @@ def test_fanout_victims_inject_nothing_after_their_crash(monkeypatch):
         return (yield from inject(self, src, dst, nbytes))
 
     def uncounted_unicast(self, src, dst, nbytes):
-        yield (yield from inject(self, src, dst, nbytes))
+        flight_ns = None
+        while flight_ns is None:  # None: dropped, so retransmit
+            flight_ns = yield from inject(self, src, dst, nbytes)
+        yield flight_ns
 
     def noting_crash(self):
         order.append(("crash", self.sim, self.name))

@@ -42,9 +42,7 @@ def test_promoted_reads_hit_cache_and_get_faster():
     client = pool.clients[0]
 
     def app(sim):
-        # 2 KiB: large enough that the DRAM/NVM latency gap is measurable,
-        # small enough to fit a proxy slot — objects whose writes could
-        # bypass the proxy ring are not promotable (drain coherence).
+        # 2 KiB: large enough that the DRAM/NVM latency gap is measurable.
         gaddr = yield from client.gmalloc(2048)
         yield from client.gwrite(gaddr, b"x" * 2048)
         yield from client.gsync()
@@ -295,8 +293,7 @@ def test_home_server_crash_mid_promotion_copy():
     accounted for."""
     sim, pool = build_pool(
         num_servers=1, num_clients=1,
-        config=fast_config(retry_max_attempts=8, auto_reattach=True,
-                           degraded_mode=True))
+        config=fast_config(retry_max_attempts=8, auto_reattach=True))
     client = pool.clients[0]
     master, server = pool.master, pool.servers[0]
     payload = b"pinned" + bytes(122)

@@ -9,6 +9,7 @@ the directory is reconciled.
 import pytest
 
 from repro.core import ClientError
+from repro.core.consistency import LockError
 from repro.core.addressing import offset_of
 from repro.rdma.wr import WcStatus
 
@@ -252,6 +253,34 @@ def test_locks_are_released_by_a_crash():
 
     (outcome,) = pool.run(contender(sim))
     assert outcome == "acquired"
+
+
+def test_an_unlock_after_a_restart_zeroed_the_lock_table_fails_unwrapped():
+    """Without leases, a re-attaching client checks its lock word before a
+    write-unlock: the restart zeroed it, so the unlock raises LockError and
+    the word stays 0 instead of wrapping below zero."""
+    sim, pool = build_pool(num_servers=1, num_clients=1,
+                           config=fast_config(auto_reattach=True))
+    client, server = pool.clients[0], pool.servers[0]
+
+    def before(sim):
+        gaddr = yield from client.gmalloc(64)
+        yield from client.glock(gaddr, write=True)
+        return gaddr
+
+    (gaddr,) = pool.run(before(sim))
+    crash_and_recover(pool, sim, client)
+
+    def unlock(sim):
+        try:
+            yield from client.gunlock(gaddr, write=True)
+        except LockError as exc:
+            return str(exc)
+
+    (message,) = pool.run(unlock(sim))
+    assert "not held by this client" in message
+    lock_idx = pool.master.directory.get(gaddr).lock_idx
+    assert server.lock_mr.peek(lock_idx * 8, 8) == bytes(8)
 
 
 def test_proxy_works_again_after_reattach():

@@ -20,6 +20,10 @@ from tests.core.conftest import build_pool, fast_config
 
 _write = st.tuples(st.integers(0, 4), st.integers(0, 255),
                    st.integers(0, 1023), st.integers(1, 96))
+#: Writes past one 4 KiB slot's payload: frame groups of two or three frames.
+_group_write = st.tuples(st.integers(0, 4), st.integers(0, 255),
+                         st.integers(0, 1023), st.integers(4_096, 11_000))
+_any_write = st.one_of(_write, _group_write)
 
 
 @given(
@@ -73,9 +77,9 @@ _LEASE = 100_000
 
 
 @given(
-    plans=st.lists(st.lists(_write, min_size=1, max_size=10),
+    plans=st.lists(st.lists(_any_write, min_size=1, max_size=10),
                    min_size=2, max_size=2),
-    victim_plan=st.lists(_write, min_size=1, max_size=6),
+    victim_plan=st.lists(_any_write, min_size=1, max_size=6),
     seed=st.integers(0, 40),
     kill_delay=st.integers(1_000, 60_000),
     tear=st.booleans(),
@@ -88,6 +92,12 @@ _LEASE = 100_000
     victim_plan=[(0, 0, 0, 1), (0, 1, 0, 1)],
     seed=0, kill_delay=6000, tear=True,
 )
+@example(  # the victim dies with two of a 3-frame group's frames landed:
+    # the drain parks them, and they are discarded with the retired ring.
+    plans=[[(0, 0, 0, 1)], [(0, 0, 0, 1)]],
+    victim_plan=[(0, 1, 0, 11_000), (1, 2, 0, 11_000)],
+    seed=0, kill_delay=5_500, tear=False,
+)
 @settings(max_examples=15, deadline=None)
 def test_random_client_kills_leave_no_stale_locks_or_torn_data(
         plans, victim_plan, seed, kill_delay, tear):
@@ -95,13 +105,15 @@ def test_random_client_kills_leave_no_stale_locks_or_torn_data(
     survivors keep fuzzing.  Afterwards the victim's lock must be free
     within one lease interval, every synced byte must match its oracle
     (a torn re-stage that slipped past the commit word would corrupt the
-    victim's last object), and the ring must be retired."""
+    victim's last object), and the ring must be retired.  Objects span three
+    slots, so a write may be a frame group the victim dies in the middle
+    of: the oracle still holds it to all or nothing."""
     sim, pool = build_pool(
         seed=seed, num_servers=2, num_clients=3,
         config=fast_config(client_lease_ns=_LEASE, proxy_commit=True,
                            auto_reattach=True, retry_max_attempts=3))
     survivors, victim = pool.clients[:2], pool.clients[2]
-    size = 1024
+    size = 3 * 4096  # three slots: a write may stage as a frame group
 
     def setup(sim):
         owned = []

@@ -78,8 +78,9 @@ def test_reads_and_writes_leave_no_objects_behind():
 def test_backed_up_bursts_leave_no_drain_state_behind():
     """Bursts that back the rings up past half full are drained overlapped;
     at quiescence the drain holds no per-object chain, no ready frame, no
-    admitted write and no out-of-order retirement, and after 2N more
-    bursts no more live events or processes than after N."""
+    admitted write, no out-of-order retirement and no parked frame group,
+    and after 2N more bursts no more live events or processes than after
+    N."""
     sim, pool = build_pool(config=fast_config(enable_cache=False))
     addrs = {}
 
@@ -87,15 +88,18 @@ def test_backed_up_bursts_leave_no_drain_state_behind():
         addrs[client] = []
         for _ in range(6):
             addrs[client].append((yield from client.gmalloc(1024)))
+        # Larger than a 4 KiB slot: its writes are 3-frame groups.
+        addrs[client].append((yield from client.gmalloc(10 * 1024)))
 
     def bursts(sim, client, rounds):
-        own = addrs[client]
+        own, group = addrs[client][:-1], addrs[client][-1]
         for r in range(rounds):
             for server in pool.servers.values():
                 server.stall_drains(20_000)
             for i in range(12):  # one object twice per burst: a chain
                 gaddr = own[i % len(own)]
                 yield from client.gwrite(gaddr, bytes([(r + i) % 251]) * 1024)
+            yield from client.gwrite(group, bytes([r % 251]) * (10 * 1024))
             yield from client.gsync()
 
     def quiescent():
@@ -104,7 +108,7 @@ def test_backed_up_bursts_leave_no_drain_state_behind():
             assert not server._drain_ready
             assert server._drain_writes == 0
             for ring in server._rings.values():
-                assert not ring.done and not ring.handed
+                assert not ring.done and not ring.handed and not ring.parked
                 assert ring.drained == ring.seq
         _scratch_idle(pool)
 

@@ -68,7 +68,7 @@ def _default_policy_session():
         yield from client.gread(hot)
         yield from client.gsync()
         yield from client.gread(hot, offset=16, length=32)
-        # Direct write (too large for the ring).
+        # A frame group (larger than one slot, still through the ring).
         yield from client.gwrite(big, b"b" * 8192)
         # A client that did not allocate the object looks its metadata up.
         yield from other.gread(hot)
@@ -85,7 +85,7 @@ def _default_policy_session():
         yield from client.gwrite(small[1], b"c" * 256)
         yield from client.gwrite(victim, b"d" * 64, offset=64)
         yield from client.gread_many([small[1], victim, small[3], hot])
-        # Two proxy writes and one direct write (too large for the ring).
+        # Three proxy writes, the last a frame group.
         for gaddr, data in ((small[1], b"e" * 64), (small[3], b"f" * 64),
                             (big, b"g" * 8192)):
             yield from client.gwrite(gaddr, data)

@@ -1,4 +1,4 @@
-"""Partition tolerance: master terms, deposition, and degraded mode.
+"""Partition tolerance: master terms, deposition, typed partition errors.
 
 The contract under test, per ``docs/PROTOCOLS.md`` §9: the journal
 adjudicates master terms, so a master on the losing side of a partition
@@ -209,7 +209,7 @@ def test_a_master_crash_after_promotion_hits_the_promoted_master():
 
 
 # ----------------------------------------------------------------------
-# Degraded mode under an asymmetric partition
+# An asymmetric partition: the data plane stays up
 # ----------------------------------------------------------------------
 def test_asymmetric_split_fails_typed_and_bounded():
     """Clients lose the master but keep the data plane: reads and staged

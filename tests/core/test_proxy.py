@@ -210,24 +210,27 @@ def test_ring_backpressure_throttles_but_never_loses_writes():
         assert server.data_device.peek(offset_of(g), 4) == bytes([i % 256]) * 4
 
 
-def test_large_writes_bypass_proxy():
-    """Writes bigger than a ring slot go straight to NVM."""
-    sim, pool = build_pool(
-        num_servers=1, num_clients=1,
-        config=fast_config(proxy_slot_size=1024),
-    )
+def test_a_write_larger_than_a_slot_stages_as_frame_groups():
+    """A 100 KiB write over an 8-slot ring of 4 KiB slots is 26 frames:
+    three full groups of 8 and one of 2, staged in order, each applied as
+    one NVM write — and nothing goes one-sided to NVM."""
+    sim, pool = build_pool(num_servers=1, num_clients=1)
     client = pool.clients[0]
+    data = bytes(i % 251 for i in range(100 * 1024))
 
     def app(sim):
-        gaddr = yield from client.gmalloc(8192)
-        yield from client.gwrite(gaddr, b"L" * 8192)  # 8 KiB > 1 KiB slots
-        data = yield from client.gread(gaddr, length=4)
-        return data
+        gaddr = yield from client.gmalloc(len(data))
+        yield from client.gwrite(gaddr, data)
+        yield from client.gsync()
+        return gaddr, (yield from client.gread(gaddr))
 
-    (data,) = pool.run(app(sim))
-    assert data == b"LLLL"
-    assert pool.clients[0].m_direct_writes.count == 1
-    assert pool.clients[0].m_proxy_writes.count == 0
+    ((gaddr, back),) = pool.run(app(sim))
+    server = pool.servers[0]
+    assert back == data
+    assert server.data_device.peek(offset_of(gaddr), len(data)) == data
+    assert server.drained_writes.count == 4
+    assert client.m_direct_writes.count == 0
+    assert client.m_proxy_writes.count == 1
 
 
 def test_gsync_waits_for_all_pending_writes():

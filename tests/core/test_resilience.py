@@ -1,10 +1,10 @@
-"""Client-side resilience: typed errors, retries, deadlines, degraded mode.
+"""Client-side resilience: typed errors, retries, deadlines, ring stalls.
 
 The contract under test: with the default policy (one attempt, no deadline)
 failures surface immediately as *typed* errors; raising the retry knobs buys
 transparent recovery from transient outages; the deadline watchdog converts
-open-ended stalls into :class:`DeadlineExceededError`; and degraded mode
-trades the proxy/cache fast paths for availability.
+open-ended stalls into :class:`DeadlineExceededError`; and a stalled proxy
+ring is waited out, never bypassed.
 """
 
 import pytest
@@ -16,7 +16,6 @@ from repro.core import (
     RetryPolicy,
     ServerUnavailableError,
 )
-from repro.core import client as client_module
 from repro.core.protocol import CACHE_TAG_BYTES
 from repro.faults import FaultPlan, ServerCrash, ServerRecover
 
@@ -189,33 +188,8 @@ def test_a_deadline_abandons_a_direct_write_that_then_finishes():
     assert copies() == (new, new)
 
 
-def test_degraded_mode_writes_through_a_stalled_ring(monkeypatch):
-    monkeypatch.setattr(client_module, "DEGRADED_PATIENCE_POLLS", 2)
-    config = fast_config(degraded_mode=True)
-    sim, pool = build_pool(num_servers=1, num_clients=1, config=config)
-    client = pool.clients[0]
-    server = pool.servers[0]
-    slots = config.proxy_ring_slots
-
-    def app(sim):
-        gaddrs = []
-        for _ in range(slots + 1):
-            gaddrs.append((yield from client.gmalloc(256)))
-        server.stall_drains(2_000_000)
-        # Fill the ring, then one more: it must fall back, not block.
-        for i, g in enumerate(gaddrs):
-            yield from client.gwrite(g, bytes([i + 1]) * 256)
-        data = yield from client.gread(gaddrs[-1], length=4)
-        return data
-
-    (data,) = pool.run(app(sim))
-    assert data == bytes([slots + 1]) * 4
-    assert client.m_degraded_writes.count >= 1
-    assert client.m_direct_writes.count >= 1
-
-
-def test_without_degraded_mode_the_writer_waits_out_the_stall():
-    config = fast_config()  # degraded_mode off: patience is unbounded
+def test_a_writer_waits_out_a_stalled_ring():
+    config = fast_config()
     sim, pool = build_pool(num_servers=1, num_clients=1, config=config)
     client = pool.clients[0]
     server = pool.servers[0]
@@ -234,7 +208,7 @@ def test_without_degraded_mode_the_writer_waits_out_the_stall():
 
     (took,) = pool.run(app(sim))
     assert took >= stall_ns  # the overflow write waited for the drain
-    assert client.m_degraded_writes.count == 0
+    assert client.m_direct_writes.count == 0
 
 
 def test_fault_free_virtual_time_is_unchanged_by_arming_resilience():
@@ -261,7 +235,7 @@ def test_fault_free_virtual_time_is_unchanged_by_arming_resilience():
 
     t_plain, r_plain = run(fast_config())
     t_armed, r_armed = run(fast_config(
-        retry_max_attempts=8, auto_reattach=True, degraded_mode=True))
+        retry_max_attempts=8, auto_reattach=True))
     assert r_plain == r_armed
     assert t_plain == t_armed
 

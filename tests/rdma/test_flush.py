@@ -120,3 +120,27 @@ def test_a_caller_that_dies_while_its_call_is_handled_fails_it(rig):
     message, _ = _call(rig, client)
     assert "transport failed: wr_flush_error" in message
     assert client.credit_stats()["available"] == 8
+
+
+def test_a_dropped_wr_stops_retransmitting_once_its_sender_dies(rig):
+    """A partition drops ``a``'s WRITE, ``a`` dies inside the window, and the
+    partition heals after: the WR flushes at its next retransmission
+    instead of reaching ``b``, and the fabric never counts it."""
+    remote = rig.ep_b.register_mr(rig.mem_b, base=0, length=64)
+    fabric = rig.fabric
+    heal_ns = 20 * fabric.retransmit_ns
+    fabric.set_fault_hook(lambda src, dst, nbytes: (rig.sim.now < heal_ns, 0))
+    rig.sim.schedule(3 * fabric.retransmit_ns + 1, setattr, rig.ep_a,
+                     "alive", False)
+    healed = []
+    rig.sim.schedule(heal_ns, healed.append, True)
+
+    def proc(sim):
+        return (yield rig.qp_a.post_send(_write(remote, b"LOST")))
+
+    wc = rig.run(proc(rig.sim))
+    assert healed and rig.sim.now >= heal_ns
+    assert wc.status is WcStatus.WR_FLUSH_ERROR
+    assert fabric.dropped_messages.count == 3  # the rest were never sent
+    assert fabric.messages.count == 0
+    assert remote.peek(0, 4) == bytes(4)
