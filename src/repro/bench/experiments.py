@@ -625,7 +625,7 @@ def e10_mapreduce(systems: Sequence[str] = ("gengar", "cache-only", "proxy-only"
         summary.add_row(name, totals[name],
                         speedup(totals[name], totals["nvm-direct"]))
     per_iter.notes.append(
-        "iterations 2+ re-read input that Gengar has promoted into DRAM"
+        "every iteration re-reads input Gengar promoted into DRAM during ingest"
     )
     return ExperimentResult("E10", "MapReduce job completion time",
                             [per_iter, summary])

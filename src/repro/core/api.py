@@ -381,6 +381,8 @@ class GengarPool:
                 "map_epoch": self.master.map_epoch,
                 "owners": {m.node.name: sorted(m._servers)
                            for m in self.masters},
+                "location_log": {m.node.name: len(m._loc_log)
+                                 for m in self.masters},
             },
             "master": {
                 "allocations": self.master.allocations.count,

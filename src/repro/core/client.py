@@ -321,6 +321,9 @@ class GengarClient:
         # every entry for that server in O(1) instead of scanning the cache.
         self._meta_epoch: Dict[int, int] = {}
         self._srv_epoch: Dict[int, int] = {}
+        #: Per-shard cursor into the master's location log: the next report
+        #: to a shard brings every cache-location change it made since.
+        self._loc_cursors: Dict[int, int] = {}
         self._overlay: Dict[int, _PendingWrite] = {}
         self._access_counts: Dict[int, list] = {}  # gaddr -> [reads, writes]
         self._ops_since_report = 0
@@ -390,6 +393,8 @@ class GengarClient:
         self.m_stale_terms = m.counter("pool.stale_term_rejections")
         self.m_partition_suspected = m.counter("pool.partition_suspected")
         self.m_shard_redirects = m.counter("pool.shard_redirects")
+        self.m_location_updates = m.counter("pool.location_updates")
+        self.m_location_resyncs = m.counter("pool.location_resyncs")
         self.h_read = m.histogram("pool.read_latency")
         self.h_write = m.histogram("pool.write_latency")
         #: Per-doorbell batch sizes from gread_many — mean = effective
@@ -504,7 +509,12 @@ class GengarClient:
             return None, self._shard_map_epoch
         sid, owner, _asked, epoch = (int(g) for g in m.groups())
         if epoch >= self._shard_map_epoch:
-            self._shard_map[sid] = owner
+            if self._server_shard(sid) != owner:
+                # The new owner's log names the records it adopted, but
+                # only to a cursor that predates the adoption: forget
+                # their locations rather than rely on that.
+                self._shard_map[sid] = owner
+                self._resync_locations([sid])
             self._shard_map_epoch = epoch
         return owner, epoch
 
@@ -599,9 +609,12 @@ class GengarClient:
         """Which shard owns ``gaddr``'s home server, per the client-side
         shard map (default: server id mod shard count, the bootstrap
         layout, until a redirect teaches us better)."""
+        return self._server_shard(server_of(gaddr))
+
+    def _server_shard(self, sid: int) -> int:
+        """Which shard owns server ``sid``, per the client-side shard map."""
         if self._num_shards <= 1:
             return 0
-        sid = server_of(gaddr)
         return self._shard_map.get(sid, sid % self._num_shards)
 
     def attach(self) -> Generator[Any, Any, None]:
@@ -613,6 +626,7 @@ class GengarClient:
         self.uid = info["client_id"]
         self.fence_epoch = info["epoch"]
         self.lease_ns = info["lease_ns"]
+        self._loc_cursors[0] = info["log"]
         servers = list(info["servers"])
         if self._num_shards > 1:
             # Phase the allocation round-robin by our (master-issued,
@@ -634,6 +648,7 @@ class GengarClient:
                      "epoch": self.fence_epoch},
                     shard=shard)
                 self.fence_epoch = max(self.fence_epoch, extra["epoch"])
+                self._loc_cursors[shard] = extra["log"]
                 for desc in extra["servers"]:
                     self._shard_map[desc.server_id] = shard
                 servers.extend(extra["servers"])
@@ -911,6 +926,8 @@ class GengarClient:
             {"client": self.name, "uid": self.uid, "epoch": self.fence_epoch},
             shard=shard,
         )
+        # The location cursor stays: a restarted master's log is a new
+        # incarnation, so the next report to it resyncs.
         self.uid = info["client_id"]
         self.fence_epoch = info.get("epoch", self.fence_epoch)
         self.lease_ns = info.get("lease_ns", self.lease_ns)
@@ -1998,18 +2015,17 @@ class GengarClient:
         return groups
 
     def _send_report(self) -> Generator[Any, Any, None]:
-        entries = []
-        for gaddr, (reads, writes) in self._access_counts.items():
-            # Epoch-stale entries count as absent, so the report payload is
-            # byte-identical to one built from an explicitly pruned cache.
-            believed = self._cached_meta(gaddr)
-            entries.append((gaddr, reads, writes, bool(believed and believed.cached)))
+        """Send the access counts, one ``report`` per shard, and apply the
+        location changes each reply brings (PROTOCOLS §3.5)."""
+        entries = [(gaddr, reads, writes)
+                   for gaddr, (reads, writes) in self._access_counts.items()]
         self._access_counts.clear()
         self._ops_since_report = 0
         piggyback = bool(self.lease_ns and not self._fenced)
         try:
             for shard, group in self._by_shard(entries).items():
-                request: Dict[str, Any] = {"entries": group}
+                request: Dict[str, Any] = {"entries": group,
+                                           "cursor": self._loc_cursors[shard]}
                 if piggyback:
                     # Every report doubles as a lease heartbeat for free.
                     request["client"] = self.name
@@ -2020,7 +2036,6 @@ class GengarClient:
                 except (MasterUnavailableError, NotMyShard, RpcError):
                     continue  # hotness reports are advisory; drop on the floor
                 if piggyback:
-                    updates = reply["updates"]
                     verdict = reply["lease"]
                     if verdict == "ok" and shard == 0:
                         # _last_renew_ns gates only the shard-0 standalone
@@ -2034,14 +2049,34 @@ class GengarClient:
                         rec = self.sim.spans
                         if rec is not None:
                             rec.event(self.name, "fence", "report fenced")
-                else:
-                    updates = reply
-                for gaddr, cached, cache_offset in updates:
-                    meta = self._cached_meta(gaddr)
-                    if meta is not None:
-                        self._store_meta(meta.with_cache(cached, cache_offset))
+                self._apply_locations(shard, reply)
         finally:
             self._report_inflight = False
+
+    def _apply_locations(self, shard: int, reply: dict) -> None:
+        """Fold one report reply's location changes into the metadata
+        cache (only entries we hold) and move the shard's cursor."""
+        updates = reply["updates"]
+        if updates is None:
+            # The cursor fell off the log or names another incarnation of
+            # the shard's master: what it missed is unknowable.
+            self._resync_locations(
+                [sid for sid in self._conns if self._server_shard(sid) == shard])
+        else:
+            for gaddr, cached, cache_offset in updates:
+                meta = self._cached_meta(gaddr)
+                if meta is not None and (meta.cached != cached
+                                         or meta.cache_offset != cache_offset):
+                    self._store_meta(meta.with_cache(cached, cache_offset))
+                    self.m_location_updates.add()
+        self._loc_cursors[shard] = reply["cursor"]
+
+    def _resync_locations(self, server_ids) -> None:
+        """Devalue every cached location on ``server_ids`` (the epoch bump
+        :meth:`reattach_server` uses); each is re-learned at its next use."""
+        self.m_location_resyncs.add()
+        for sid in server_ids:
+            self._srv_epoch[sid] = self._srv_epoch.get(sid, 0) + 1
 
 
 class _Verb(NamedTuple):

@@ -8,8 +8,9 @@ against the home servers.  No data ever moves through the master.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Any, Dict, Generator, List, NamedTuple,
-                    Optional, Tuple)
+from collections import deque
+from typing import (TYPE_CHECKING, Any, Deque, Dict, Generator, List,
+                    NamedTuple, Optional, Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
@@ -31,6 +32,7 @@ from repro.core.protocol import (
     JOURNAL_OP_FREE,
     JOURNAL_OP_TERM,
     JOURNAL_PAGE_RECORDS,
+    LOCATION_REPLY_UPDATES,
     ObjectMeta,
     ServerDescriptor,
 )
@@ -48,6 +50,9 @@ _SCRUB_MAX_EXTENTS = _RPC_BUFFER_SIZE // 32
 #: per client for the estimate.
 PHI_THRESHOLD = 8.0
 PHI_WINDOW = 16
+#: Cache-location changes a shard keeps for its clients' ``report`` cursors
+#: (PROTOCOLS §3.5); a cursor older than the oldest one kept resyncs.
+LOCATION_LOG_ENTRIES = 4096
 
 
 class MasterError(Exception):
@@ -247,6 +252,12 @@ class Master:
         self._planner_started = False
         #: Highest term seen in any journal during the last rebuild().
         self._journal_term_max = 0
+        #: The location log: the gaddr of every cache-location change this
+        #: shard made, oldest first; entry ``i`` has sequence number
+        #: ``_loc_head - len(_loc_log) + i``.  A client's ``report`` carries
+        #: its cursor (the next sequence number it has not seen).
+        self._loc_log: Deque[int] = deque(maxlen=LOCATION_LOG_ENTRIES)
+        self._restart_location_log()
 
     # ------------------------------------------------------------------
     # Wiring (called by the deployment bootstrap)
@@ -644,46 +655,85 @@ class Master:
         yield from self.node.cpu_work()
         return self.directory.get(request["gaddr"]).to_meta()
 
-    def _handle_report(self, request: dict) -> Generator[Any, Any, List[Tuple[int, bool, int]]]:
-        """Fold a client's access report; reply with location updates.
+    def _handle_report(self, request: dict) -> Generator[Any, Any, dict]:
+        """Fold a client's access report; reply with the location changes
+        since its cursor.
 
-        The reply piggybacks, for every reported object, its current cache
-        location *if* it differs from what the client believes — this is how
-        clients learn about promotions without polling.
+        The reply carries the current directory location of every object
+        whose location this shard changed since the request's ``cursor``
+        (deduplicated, at most :data:`LOCATION_REPLY_UPDATES`) and the
+        cursor past them: a client learns every promotion and demotion on
+        its next report, not only those of objects it reported.  A cursor
+        outside the log (older than its oldest entry, or from another
+        incarnation) gets ``updates: None`` — resync — and the log's head.
 
         With leases enabled the request additionally carries the client's
-        name and fencing epoch, and a successful report doubles as a lease
-        renewal (the reply then wraps the updates with the lease verdict).
-        With leases off, request and reply are byte-identical to the
-        pre-lease protocol.
+        name and fencing epoch, a successful report doubles as a lease
+        renewal, and the reply adds the lease verdict.
         """
         self._check_serving()
         yield from self.node.cpu_work()
-        updates: List[Tuple[int, bool, int]] = []
         # Group entries per home server and flush each group in one
         # record_batch call.  Policies are independent per-server objects and
         # in-server order is preserved, so decisions match per-entry record().
         per_server: Dict[int, List[Tuple[int, int, int]]] = {}
-        for gaddr, reads, writes, believed_cached in request["entries"]:
-            record = self.directory.lookup(gaddr)
+        for entry in request["entries"]:
+            record = self.directory.lookup(entry[0])
             if record is None:
                 continue  # freed concurrently
-            per_server.setdefault(record.server_id, []).append(
-                (gaddr, reads, writes))
-            if record.cached != believed_cached:
-                updates.append((gaddr, record.cached, record.cache_offset))
+            per_server.setdefault(record.server_id, []).append(entry)
         for sid, batch in per_server.items():
             self._policies[sid].record_batch(batch)
         self.reports.add()
+        reply = self._location_changes(request["cursor"])
         name = request.get("client")
-        if name is None:
-            return updates
-        verdict = self._lease_verdict(name, request.get("epoch", 0))
-        if verdict == "ok":
-            self._renew_lease(name)
-        elif verdict == "fenced":
-            self.fence_rejections.add()
-        return {"updates": updates, "lease": verdict}
+        if name is not None:
+            verdict = self._lease_verdict(name, request.get("epoch", 0))
+            if verdict == "ok":
+                self._renew_lease(name)
+            elif verdict == "fenced":
+                self.fence_rejections.add()
+            reply["lease"] = verdict
+        return reply
+
+    def _location_changes(self, cursor: int) -> dict:
+        """``{"updates", "cursor"}`` for a report presenting ``cursor``."""
+        log = self._loc_log
+        kept = len(log)
+        unseen = self._loc_head - cursor
+        if not 0 <= unseen <= kept:
+            return {"updates": None, "cursor": self._loc_head}
+        updates: List[Tuple[int, bool, int]] = []
+        seen: set = set()
+        for i in range(kept - unseen, kept):
+            gaddr = log[i]
+            if gaddr not in seen:
+                if len(seen) == LOCATION_REPLY_UPDATES:
+                    break  # the rest rides the next report
+                seen.add(gaddr)
+                record = self.directory.lookup(gaddr)
+                if record is not None:
+                    updates.append((gaddr, record.cached, record.cache_offset))
+            cursor += 1
+        return {"updates": updates, "cursor": cursor}
+
+    def _log_location(self, gaddr: int) -> None:
+        """Record that ``gaddr``'s cache location changed."""
+        self._loc_log.append(gaddr)
+        self._loc_head += 1
+
+    def _restart_location_log(self) -> None:
+        """Start an empty location log under a fresh incarnation.
+
+        A sequence number carries its log's incarnation in the high bits (a
+        pool-wide count of logs started), so every cursor into another log
+        — a restarted master's old one, the incumbent a standby replaced —
+        lies outside this one and resyncs.
+        """
+        started = self.sim.metrics.counter("master.location_logs")
+        started.add()
+        self._loc_log.clear()
+        self._loc_head = started.count << 32
 
     def _handle_attach(self, request: dict) -> Generator[Any, Any, dict]:
         if self._deposed:
@@ -735,6 +785,7 @@ class Master:
             "client_id": uid,
             "epoch": epoch,
             "lease_ns": self.config.client_lease_ns,
+            "log": self._loc_head,
         }
 
     def _handle_renew(self, request: dict) -> Generator[Any, Any, dict]:
@@ -1141,6 +1192,8 @@ class Master:
             handle.quarantine = []
             handle.scrubber = None
             self._policies[sid] = self._policy_factory()
+        # Every location the old log described is gone with the directory.
+        self._restart_location_log()
 
     def rebuild(self) -> Generator[Any, Any, int]:
         """Restore the directory from the NVM metadata journals.
@@ -1316,6 +1369,7 @@ class Master:
         self._rebuild_alloc_policy()
         for record in state["records"]:
             self.directory.adopt(record)
+            self._log_location(record.gaddr)
         self._alloc_replies.update(state["alloc_replies"])
         self._freed_reqs |= state["freed_reqs"]
         handle.quarantine = list(state["quarantine"])
@@ -1566,6 +1620,7 @@ class Master:
             if record.cached:
                 self.directory.mark_uncached(record.gaddr)
                 policy.on_demoted(record.gaddr)
+                self._log_location(record.gaddr)
                 dropped += 1
             record.pinned = False
             record.pinned_by = None
@@ -1779,6 +1834,7 @@ class Master:
             return
         self.directory.mark_cached(gaddr, cache_offset)
         policy.on_promoted(gaddr)
+        self._log_location(gaddr)
         self.promote_ops.add()
 
     def _demote(self, handle: _ServerHandle, policy, gaddr: int) -> Generator[Any, Any, None]:
@@ -1791,4 +1847,5 @@ class Master:
             return
         self.directory.mark_uncached(gaddr)
         policy.on_demoted(gaddr)
+        self._log_location(gaddr)
         self.demote_ops.add()

@@ -213,6 +213,21 @@ def default_shard_map(server_ids, num_shards: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# The ``report`` RPC (docs/PROTOCOLS.md §2, §3.5).  Request:
+#   {"entries": [(gaddr, reads, writes), ...], "cursor": int}
+# plus "client" and "epoch" with leases on.  Reply:
+#   {"updates": [(gaddr, cached, cache_offset), ...] | None, "cursor": int}
+# plus "lease" with leases on.  ``updates`` is the current location of every
+# object whose cache location the shard changed since the request's cursor;
+# None means the cursor was unusable and the client resyncs.
+# ---------------------------------------------------------------------------
+#: Most location updates one ``report`` reply carries: a ``(gaddr, cached,
+#: cache_offset)`` triple pickles to at most 25 bytes, so a full reply fits
+#: the 4 KiB RPC buffer with room to spare.
+LOCATION_REPLY_UPDATES = 128
+
+
+# ---------------------------------------------------------------------------
 # Object metadata exchanged over RPC (plain dataclass; pickled by the RPC
 # layer with realistic size accounting).
 # ---------------------------------------------------------------------------

@@ -125,3 +125,31 @@ def test_backed_up_bursts_leave_no_drain_state_behind():
         assert after_3n[kind] - after_n[kind] <= 8, (
             f"{kind.__name__}: {after_n[kind]} live after N, "
             f"{after_3n[kind]} after 3N")
+
+
+def test_the_location_log_stays_within_its_bound(monkeypatch):
+    """Each lifecycle (allocate, pin, read, free) logs one location change;
+    N and then 2N more leave the master's log at its bound and every client
+    with one cursor per shard."""
+    from repro.core import master as master_module
+
+    monkeypatch.setattr(master_module, "LOCATION_LOG_ENTRIES", 16)
+    sim, pool = build_pool()
+
+    def lifecycles(sim, client, rounds):
+        for i in range(rounds):
+            gaddr = yield from client.gmalloc(256)
+            yield from client.gwrite(gaddr, bytes([i % 251]) * 256)
+            yield from client.gsync()
+            yield from pool.master.pin(gaddr)
+            for _ in range(8):
+                assert (yield from client.gread(gaddr)) == bytes([i % 251]) * 256
+            yield from client.gfree(gaddr)
+
+    n = 12
+    pool.run(*(lifecycles(sim, c, n) for c in pool.clients))
+    log = pool.master._loc_log
+    after_n = len(log)
+    pool.run(*(lifecycles(sim, c, 2 * n) for c in pool.clients))
+    assert after_n == len(log) == 16
+    assert all(len(c._loc_cursors) == len(pool.masters) for c in pool.clients)

@@ -189,11 +189,12 @@ def test_unattached_client_rejected():
 
 def test_attach_reply_carries_only_the_session():
     """Clients are built with the pool's config; the master's attach reply
-    carries the session (servers, uid, epoch, lease) and nothing else."""
+    carries the session (servers, uid, epoch, lease, location-log cursor)
+    and nothing else."""
     sim, pool = build_pool()
     assert all(c.config is pool.config for c in pool.clients)
     (reply,) = pool.run(pool.master._handle_attach({"client": "probe"}))
-    assert set(reply) == {"servers", "client_id", "epoch", "lease_ns"}
+    assert set(reply) == {"servers", "client_id", "epoch", "lease_ns", "log"}
 
 
 def test_deterministic_across_runs():
