@@ -1,9 +1,9 @@
 """Chaos soak: YCSB traffic under a deterministic fault plan.
 
-The harness boots a resilient pool (retries + deadline + auto-reattach),
-bulk-loads a key space, arms a :class:`FaultPlan` with server crashes, a
-lossy window, a latency spike, and a ring stall, and runs closed-loop YCSB-B
-workers straight through the faults.  Afterwards it
+The harness boots a pool with an op deadline (every client retries and
+re-attaches), bulk-loads a key space, arms a :class:`FaultPlan` with server
+crashes, a lossy window, a latency spike, and a ring stall, and runs
+closed-loop YCSB-B workers straight through the faults.  Afterwards it
 audits the durability contract:
 
 * every value read parses back to a version this harness actually wrote
@@ -88,7 +88,7 @@ class _MidCommitKill(Exception):
 
 
 def soak_config(scenario: str = "base") -> GengarConfig:
-    """The resilient profile the soak runs under, plus whatever the
+    """The small, fast-epoch pool the soak runs under, plus whatever the
     scenario's phase needs armed (see :data:`SCENARIOS`)."""
     return GengarConfig(
         cache_capacity=256 * 1024,
@@ -97,12 +97,7 @@ def soak_config(scenario: str = "base") -> GengarConfig:
         proxy_ring_slots=8,
         proxy_slot_size=4 * 1024,
         lock_table_entries=1024,
-        retry_timeout_ns=20_000,
-        retry_max_attempts=8,
-        retry_base_backoff_ns=2_000,
-        retry_max_backoff_ns=50_000,
         op_deadline_ns=400_000,
-        auto_reattach=True,
         **SCENARIOS[scenario].config,
     )
 
@@ -1235,7 +1230,7 @@ SCENARIOS: Dict[str, Scenario] = {
     "chaos-txn": Scenario(
         ChaosSoak.txn_phase, clients=3, seeds=(11, 12, 13),
         config=dict(enable_txn=True, client_lease_ns=120_000,
-                    metadata_journal=True, lock_acquire_timeout_ns=100_000),
+                    metadata_journal=True),
         at_least={"check.txn_history_ops": 1, "pool.txn_begins": 1,
                   "pool.txn_commits": 1, "faults.client_crashes": 3,
                   "faults.master_crashes": 1,

@@ -134,10 +134,6 @@ class GengarPool:
                          cores=client_cores, rack=rack_plan.get(f"client{i}"))
             )
         cluster = Cluster(sim, ClusterSpec(nodes=tuple(node_specs), link=link))
-        # Dead-peer detection horizon: how long a verb retransmits against a
-        # silent peer before completing with RETRY_EXCEEDED.
-        for spec in node_specs:
-            cluster.node(spec.name).endpoint.retry_timeout_ns = config.retry_timeout_ns
 
         # Shard k owns servers with sid % num_shards == k; shard 0 lives on
         # the "master" node, so the one-shard pool is byte-identical to the

@@ -99,16 +99,16 @@ __all__ = [
 class RetryPolicy:
     """How a client reacts to retryable failures.
 
-    The default (one attempt, no deadline) is exactly the historical
-    fail-fast behaviour; the resilient profile comes from
-    :meth:`from_config` when the config raises ``retry_max_attempts``.
+    Every client retries: up to eight attempts per op, backing off between
+    them, and re-attaching to a restarted server or master before the next
+    attempt.  Only the deadline comes from the config.
     """
 
     #: Attempts per op before the RetryableError propagates.
-    max_attempts: int = 1
+    max_attempts: int = 8
     #: First backoff; doubles per attempt, capped at ``max_backoff_ns``.
-    base_backoff_ns: int = 4_000
-    max_backoff_ns: int = 1_000_000
+    base_backoff_ns: int = 2_000
+    max_backoff_ns: int = 50_000
     #: Randomize each backoff in [base, current] (seeded stream).
     jitter: bool = True
     #: Per-op virtual-time budget; 0 disables the deadline watchdog.
@@ -116,12 +116,7 @@ class RetryPolicy:
 
     @classmethod
     def from_config(cls, config: GengarConfig) -> "RetryPolicy":
-        return cls(
-            max_attempts=config.retry_max_attempts,
-            base_backoff_ns=config.retry_base_backoff_ns,
-            max_backoff_ns=config.retry_max_backoff_ns,
-            deadline_ns=config.op_deadline_ns,
-        )
+        return cls(deadline_ns=config.op_deadline_ns)
 
     def backoff_ns(self, attempt: int, rng) -> int:
         """Delay before retry number ``attempt`` (1-based)."""
@@ -133,7 +128,7 @@ class RetryPolicy:
 
 
 #: The policy of verbs that do not retry as a whole (batch and lock verbs).
-_ONE_ATTEMPT = RetryPolicy()
+_ONE_ATTEMPT = RetryPolicy(max_attempts=1)
 
 
 @dataclass
@@ -878,8 +873,8 @@ class GengarClient:
         if self.config.enable_proxy:
             prev_ring = conn.ring
             # Writers must not stage into the old (torn-down) ring while the
-            # handshake is in flight: they fail typed and, with auto_reattach,
-            # wait on its gate (which _auto_reattach may already hold).
+            # handshake is in flight: they fail typed and wait on its gate
+            # (which _auto_reattach may already hold).
             conn.ring = None
             gates, gate = self._reattach_gates, None
             if server_id not in gates:
@@ -1014,8 +1009,7 @@ class GengarClient:
         except StaleTermError:
             # Our master was deposed: rotate / re-attach so renewals
             # reach the incumbent before the lease deadline does.
-            if self.config.auto_reattach:
-                yield from self._auto_reattach_master(shard)
+            yield from self._auto_reattach_master(shard)
             return
         except (RetryableError, RpcError):
             return  # master down/recovering: keep trying until fenced
@@ -1024,7 +1018,7 @@ class GengarClient:
                 self._note_renewal(reply.get("lease_ns", self.lease_ns))
             return
         reason = reply.get("reason")
-        if reason == "unknown" and self.config.auto_reattach:
+        if reason == "unknown":
             # A restarted master forgot us: re-adopt our identity there.
             yield from self._auto_reattach_master(shard)
             return
@@ -1113,10 +1107,9 @@ class GengarClient:
         through their serial fallbacks, the lock verbs in their CAS loop).
         ``fenced`` starts every attempt with the data-plane precheck.
 
-        Pay-as-you-go: with the default policy (one attempt, no deadline)
-        this is a plain ``yield from`` of the attempt — no extra simulated
-        events, so virtual-time results are bit-identical to the
-        pre-resilience client.
+        Pay-as-you-go: without a deadline an attempt that succeeds is a
+        plain ``yield from`` — retries, backoff and re-attach cost simulated
+        events only once something has failed.
         """
         policy = self.retry_policy if retries else _ONE_ATTEMPT
         start = self.sim.now
@@ -1141,37 +1134,40 @@ class GengarClient:
                     raise DeadlineExceededError(
                         f"{op} gave up after {self.sim.now - start} ns "
                         f"(deadline {policy.deadline_ns} ns): {exc}") from exc
-                self.m_retries.add()
-                rec = self.sim.spans
-                if rec is not None:
-                    rec.event(self.name, "retry",
-                              f"{op} attempt {tries} failed",
-                              cause=type(exc).__name__)
-                server_id = getattr(exc, "server_id", None)
-                if self.config.auto_reattach and server_id is not None:
-                    yield from self._auto_reattach(server_id)
-                elif isinstance(exc, LeaseExpiredError):
-                    # May raise FencedError: a lapse the master resolved by
-                    # retiring our epoch is terminal, not retryable.
-                    yield from self._lease_lapse_probe(op)
-                elif (self.config.auto_reattach
-                        and isinstance(exc, (MasterUnavailableError,
-                                             PartitionSuspected,
-                                             StaleTermError))):
-                    # All three mean "the control plane, not this op, is the
-                    # problem": re-attach the shard that failed (rotating to
-                    # a standby master if wired) before burning the next
-                    # attempt.
-                    yield from self._auto_reattach_master(
-                        getattr(exc, "shard", 0))
-                rec = self.sim.spans
-                t_wait = self.sim.now if rec is not None else 0
-                yield policy.backoff_ns(tries, self._jitter_rng())
-                if rec is not None:
-                    rec.record(self.name, "phase.retry_wait", t_wait,
-                               op=span_op, attempt=tries,
-                               cause=type(exc).__name__)
+                yield from self._between_attempts(op, exc, tries, policy,
+                                                  span_op)
                 tries += 1
+
+    def _between_attempts(self, op: str, exc: RetryableError, tries: int,
+                          policy: RetryPolicy,
+                          span_op: int = 0) -> Generator[Any, Any, None]:
+        """After failed attempt ``tries``: count the retry, repair what the
+        error names (a server or master re-attach, a lease probe), then
+        back off."""
+        self.m_retries.add()
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(self.name, "retry", f"{op} attempt {tries} failed",
+                      cause=type(exc).__name__)
+        server_id = getattr(exc, "server_id", None)
+        if server_id is not None:
+            yield from self._auto_reattach(server_id)
+        elif isinstance(exc, LeaseExpiredError):
+            # May raise FencedError: a lapse the master resolved by
+            # retiring our epoch is terminal, not retryable.
+            yield from self._lease_lapse_probe(op)
+        elif isinstance(exc, (MasterUnavailableError,
+                              PartitionSuspected, StaleTermError)):
+            # All three mean "the control plane, not this op, is the
+            # problem": re-attach the shard that failed (rotating to a
+            # standby master if wired) before burning the next attempt.
+            yield from self._auto_reattach_master(getattr(exc, "shard", 0))
+        rec = self.sim.spans
+        t_wait = self.sim.now if rec is not None else 0
+        yield policy.backoff_ns(tries, self._jitter_rng())
+        if rec is not None:
+            rec.record(self.name, "phase.retry_wait", t_wait, op=span_op,
+                       attempt=tries, cause=type(exc).__name__)
 
     def _attempt_with_deadline(self, op: str, start: int, policy: RetryPolicy,
                                attempt: Callable[..., Generator],
@@ -1274,8 +1270,7 @@ class GengarClient:
             reply = yield from self._master_call(
                 "renew", {"client": self.name, "epoch": self.fence_epoch})
         except StaleTermError:
-            if self.config.auto_reattach:
-                yield from self._auto_reattach_master()
+            yield from self._auto_reattach_master()
             return
         except RetryableError:
             return  # master still unreachable: keep heartbeating + retrying
@@ -1283,8 +1278,7 @@ class GengarClient:
             self._note_renewal(reply.get("lease_ns", self.lease_ns))
             return
         if reply.get("reason") == "unknown":
-            if self.config.auto_reattach:
-                yield from self._auto_reattach_master()
+            yield from self._auto_reattach_master()
             return
         self._fenced = True
         rec = self.sim.spans

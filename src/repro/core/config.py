@@ -15,7 +15,9 @@ never travels on the wire, so a field costs no protocol bytes.  A field
 exists only where two callers outside the tests want different values: a
 value nobody sets to a second one is a constant at its one reader (the
 lock backoff in ``consistency``, the journal and intent-slot sizes in
-``server``, the phi detector's threshold and window in ``master``) or is
+``server``, the phi detector's threshold and window in ``master``, the
+retry budget and backoff in ``client.RetryPolicy``, the RC retransmission
+timeout in ``rdma.qp``, the wait-die bound in ``txn.manager``) or is
 derived from a field that stays (the lease sweep runs every
 ``client_lease_ns // 4``, the cross-shard aggregation every ``epoch_ns``).
 ``tests/core/test_config_surface.py`` pins the count.
@@ -85,23 +87,10 @@ class GengarConfig:
     metadata_cache: bool = True
 
     # ---- resilience ------------------------------------------------------
-    #: Modelled RC retransmission budget: how long a verb retransmits into
-    #: silence before completing with RETRY_EXCEEDED (dead-peer detection).
-    retry_timeout_ns: int = 50_000
-    #: Attempts per client op before a RetryableError propagates.  The
-    #: default of 1 keeps today's fail-fast behaviour (and virtual-time
-    #: results) exactly; resilient deployments raise it.
-    retry_max_attempts: int = 1
-    #: First retry backoff; doubles per attempt up to the cap below.
-    retry_base_backoff_ns: int = 4_000
-    retry_max_backoff_ns: int = 1_000_000
     #: Per-op wall (virtual) time budget; 0 disables the deadline watchdog.
     #: With a deadline, an op either completes in time or raises a typed
     #: DeadlineExceededError — it never blocks unboundedly.
     op_deadline_ns: int = 0
-    #: Re-establish rings/epochs automatically when a retry loop sees a
-    #: server-unavailable or stale-ring failure.
-    auto_reattach: bool = False
     #: Client lease duration (failure detection, FaRM-style).  0 disables
     #: leases entirely — no heartbeats, no lease sweeper, lock words carry
     #: epoch 0 — keeping the fault-free path bit-identical to the pre-lease
@@ -136,11 +125,6 @@ class GengarConfig:
     #: registered, and the protocol + virtual time stay byte-identical to
     #: the txn-free build.
     enable_txn: bool = False
-    #: Bound on how long a lock acquire spins on a *held* word before
-    #: raising a typed ``LockTimeoutError`` (backoff between attempts rides
-    #: ``RetryPolicy``'s seeded jitter).  0 keeps the legacy spin-until-
-    #: op-deadline behaviour byte-identical.
-    lock_acquire_timeout_ns: int = 0
 
     # ---- control-plane sharding ------------------------------------------
     #: Master shards.  Object metadata is partitioned by home server
@@ -164,12 +148,6 @@ class GengarConfig:
             raise ValueError("reporting cadence must be positive")
         if self.placement not in ("round-robin", "rack-local"):
             raise ValueError(f"unknown placement policy {self.placement!r}")
-        if self.retry_timeout_ns < 1:
-            raise ValueError("retry_timeout_ns must be positive")
-        if self.retry_max_attempts < 1:
-            raise ValueError("need at least one attempt per op")
-        if self.retry_base_backoff_ns < 1 or self.retry_max_backoff_ns < self.retry_base_backoff_ns:
-            raise ValueError("retry backoff range must satisfy 1 <= base <= max")
         if self.op_deadline_ns < 0:
             raise ValueError("op_deadline_ns must be non-negative (0 disables)")
         if self.client_lease_ns < 0:
@@ -180,9 +158,6 @@ class GengarConfig:
         if self.failure_detector and not self.client_lease_ns:
             raise ValueError("failure_detector requires client_lease_ns "
                              "(it observes lease heartbeats)")
-        if self.lock_acquire_timeout_ns < 0:
-            raise ValueError("lock_acquire_timeout_ns must be non-negative "
-                             "(0 disables)")
         if self.num_master_shards < 1:
             raise ValueError("num_master_shards must be at least 1")
 

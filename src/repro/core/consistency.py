@@ -13,7 +13,8 @@ Lock word protocol (see :mod:`repro.core.protocol`):
 * a reader acquires with ``FAA(+2)``; if the prior value had the writer bit
   set, it undoes itself with ``FAA(-2)`` and backs off;
 * releases subtract exactly what acquire added, which is correct even when
-  other parties' increments are in flight.
+  other parties' increments are in flight; a write release does it by CAS,
+  so a word that is no longer ours is left alone.
 
 **Release consistency.** Unlocking a write lock first syncs the client's
 outstanding proxy writes (``gsync``), so any reader that subsequently
@@ -26,7 +27,7 @@ observe data older than an unsynced write, bounded by the proxy drain lag.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Dict, Generator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.client import GengarClient
@@ -36,6 +37,7 @@ from repro.core.errors import (
     FencedError,
     LeaseExpiredError,
     LockTimeoutError,
+    RetryableError,
 )
 from repro.core.protocol import (
     READER_UNIT,
@@ -48,6 +50,9 @@ from repro.core.protocol import (
 
 #: 64-bit two's complement constant for the shared-lock decrement.
 _MINUS_READER = (1 << 64) - READER_UNIT
+
+#: The reader half of a lock word (the count sits above the writer bit).
+_READER_BITS = (1 << 32) - READER_UNIT
 
 #: First backoff between lock retries; the legacy schedule doubles it per
 #: attempt up to 64x.
@@ -73,6 +78,9 @@ class LockOps:
         self.acquires = m.counter("pool.lock_acquires")
         self.retries = m.counter("pool.lock_retries")
         self.timeouts = m.counter("pool.lock_timeouts")
+        #: gaddr -> the process that last took its write lock here.  Only
+        #: read when a word turns out to be this client's own.
+        self._holders: Dict[int, Any] = {}
 
     # ------------------------------------------------------------------
     def _backoff(self, attempt: int) -> Generator[Any, Any, None]:
@@ -84,8 +92,8 @@ class LockOps:
     def _contention_wait(self, attempt: int, timeout_ns: int) -> Generator[Any, Any, None]:
         """Backoff between acquire attempts.
 
-        The legacy path (no acquisition timeout) keeps its own capped
-        exponential; with a timeout configured the wait rides
+        An unbounded acquire keeps its own capped exponential; a bounded
+        one (the txn's wait-die acquire) rides
         :class:`~repro.core.client.RetryPolicy`'s seeded-jitter schedule so
         contenders and op retries share one tuning surface.
         """
@@ -95,10 +103,16 @@ class LockOps:
         else:
             yield from self._backoff(attempt)
 
-    def _effective_timeout(self, timeout_ns) -> int:
-        if timeout_ns is None:
-            return self.client.config.lock_acquire_timeout_ns
-        return timeout_ns
+    def _refuse_reentry(self, old: int, gaddr: int, what: str) -> None:
+        """A word whose writer half carries this client's uid and epoch,
+        taken by the very process now asking again, would never free: the
+        wait would spin forever.  (Another process of this client that
+        holds it releases it in time, so that wait stays a plain spin.)"""
+        client = self.client
+        if (old & WRITER_BIT and lock_owner(old) == client.uid
+                and lock_epoch(old) == client.fence_epoch
+                and self._holders.get(gaddr) is self.sim.active):
+            raise LockError(f"{what} of {gaddr:#x}: already held by this client")
 
     def _check_acquire_timeout(self, start_ns: int, timeout_ns: int,
                                gaddr: int, what: str) -> None:
@@ -106,9 +120,8 @@ class LockOps:
 
         Unlike :meth:`_check_deadline` (the whole-op budget) this is a lock
         -layer verdict: the word is owned by someone else and has stayed so
-        for ``timeout_ns``.  The typed error lets callers apply policy —
-        the txn layer consults the holder's wait-die stamp, plain callers
-        give up instead of convoying.
+        for ``timeout_ns``.  The typed error lets the caller apply policy:
+        the txn layer consults the holder's wait-die stamp.
         """
         if timeout_ns and self.sim.now - start_ns >= timeout_ns:
             self.timeouts.add()
@@ -165,16 +178,14 @@ class LockOps:
                 f"{self.sim.now - start_ns} ns (deadline {deadline} ns)")
 
     # ------------------------------------------------------------------
-    def acquire_write(self, gaddr: int, timeout_ns=None,
+    def acquire_write(self, gaddr: int, timeout_ns: int = 0,
                       span_op: int = 0) -> Generator[Any, Any, None]:
         """Take the exclusive lock on ``gaddr`` (blocks until acquired, or
         until the client's op deadline — if one is configured — expires).
 
-        ``timeout_ns`` overrides ``config.lock_acquire_timeout_ns`` for
-        this acquire (``None`` = use the config; 0 = spin legacy-style);
-        a positive value bounds the spin on a held word with a typed
-        :class:`LockTimeoutError`."""
-        timeout_ns = self._effective_timeout(timeout_ns)
+        A positive ``timeout_ns`` bounds the spin on a word held by someone
+        else with a typed :class:`LockTimeoutError`; a word the calling
+        process already holds raises :class:`LockError` at once."""
         yield from self._resolve_fence(gaddr, "write-lock")
         meta = yield from self.client._meta(gaddr, span_op=span_op)
         offset = self._word_offset(meta.lock_idx)
@@ -187,7 +198,9 @@ class LockOps:
             )
             if old == 0:
                 self.acquires.add()
+                self._holders[gaddr] = self.sim.active
                 return
+            self._refuse_reentry(old, gaddr, "write-lock")
             self.retries.add()
             self._check_deadline(start, gaddr, "write-lock")
             self._check_acquire_timeout(start, timeout_ns, gaddr, "write-lock")
@@ -201,86 +214,96 @@ class LockOps:
         # Fence before gsync: a zombie past its lease must not touch the
         # pool at all, not even to flush stale staged writes.
         yield from self._resolve_fence(gaddr, "write-unlock")
-        meta = yield from self.client._meta(gaddr, span_op=span_op)
+        meta = yield from self._release_lookup(gaddr, span_op)
         # Release consistency: all writes issued under the lock must be
         # durable (and cache-visible) before anyone else can acquire it.
         # (Disabled by config.sync_on_release=False at the cost of the
         # next holder's freshness guarantee.)
         if self.client.config.sync_on_release:
             yield from self.client.gsync(server_id=meta.server_id)
-        if self.client.config.auto_reattach and not self.client.lease_ns:
-            # A restart zeroes the lock table; a blind subtract against the
-            # reset word would wrap it into a garbage state that poisons
-            # every later acquire.  Verify ownership first (one extra READ,
-            # paid only by a client that re-attaches to restarted servers).
-            # With leases on the fenced release below performs the same
-            # verification word-level and fails *typed* — a recovered lock
-            # is a fence event there, not a usage bug, so this untyped
-            # pre-check must not preempt it.
-            conn = self.client._conns[meta.server_id]
-            raw = yield from self.client._rdma_read(
-                conn, conn.desc.lock_rkey, self._word_offset(meta.lock_idx), 8)
-            current = int.from_bytes(raw, "little")
-            if not current & WRITER_BIT or lock_owner(current) != self.client.uid:
-                raise LockError(
-                    f"write-unlock of {gaddr:#x} not held by this client "
-                    f"(word={current:#x}; lock table reset by a restart?)")
-        if self.client.lease_ns:
-            yield from self._release_write_fenced(gaddr, meta)
-            return
-        # Subtract exactly what acquire installed (owner id + writer bit);
-        # correct even while readers' +2 increments are in flight.
-        word = write_lock_word(self.client.uid)
-        old = yield from self.client._atomic_faa(
-            meta.server_id, self._word_offset(meta.lock_idx),
-            add=(1 << 64) - word,
-        )
-        if not old & WRITER_BIT:
-            raise LockError(f"write-unlock of {gaddr:#x} which was not write-locked")
+        yield from self._release_word(gaddr, meta)
+        self._holders.pop(gaddr, None)
 
-    def _release_write_fenced(self, gaddr, meta) -> Generator[Any, Any, None]:
-        """Word-level fenced release: clear the writer part only if the word
-        still carries *this* client's uid and epoch.
+    def _release_lookup(self, gaddr: int,
+                        span_op: int) -> Generator[Any, Any, Any]:
+        """The release's metadata lookup, retried under the client's
+        :class:`~repro.core.client.RetryPolicy`.
 
-        A blind FAA would subtract our old word from whatever is there now —
-        if the master recovered the lock after our lease lapsed (and a new
-        holder re-acquired it), that subtraction silently corrupts the new
-        holder's word.  The CAS loop tolerates concurrent reader FAAs (the
-        reader half changes under us) but fails typed the moment the writer
-        half is no longer ours.
+        Lock verbs skip the op retry engine, and a failed acquire holds
+        nothing.  A release that failed here would leave the word held by
+        a caller who tried to drop it, so it retries: the word is not
+        touched yet, so another attempt is always safe."""
+        client = self.client
+        policy = client.retry_policy
+        tries = 1
+        while True:
+            try:
+                return (yield from client._meta(gaddr, span_op=span_op))
+            except RetryableError as exc:
+                if tries >= policy.max_attempts:
+                    raise
+                yield from client._between_attempts(
+                    "write-unlock", exc, tries, policy, span_op)
+                tries += 1
+
+    def _release_word(self, gaddr, meta) -> Generator[Any, Any, None]:
+        """Clear the writer half of the word, only while it is still ours.
+
+        ``CAS(word -> word - mine)`` subtracts exactly what acquire
+        installed; a CAS that loses to a reader's in-flight ``+2`` retries
+        against the value it returned.  A word whose writer half is not
+        ours (this client's uid and epoch) is left untouched.  A blind
+        subtract would corrupt it: after a restart zeroed the lock table
+        it would wrap the word, and after another client locked it, it
+        would clear that holder's writer bit under it.
+
+        Without leases the first CAS guesses an uncontended word, so the
+        release costs one atomic.  With leases each round reads the word
+        first, and a word that is not ours is a fence event
+        (:class:`FencedError`: the master recovered the lock after a lease
+        expiry), not a usage bug.
         """
         client = self.client
         offset = self._word_offset(meta.lock_idx)
         conn = client._conns[meta.server_id]
         mine = write_lock_word(client.uid, client.fence_epoch)
+        word = mine
         for _ in range(64):
-            raw = yield from client._rdma_read(conn, conn.desc.lock_rkey, offset, 8)
-            word = int.from_bytes(raw, "little")
-            if (not word & WRITER_BIT or lock_owner(word) != client.uid
-                    or lock_epoch(word) != client.fence_epoch):
-                client.m_fence_rejections.add()
-                rec = self.sim.spans
-                if rec is not None:
-                    rec.event(client.name, "fence",
-                              "release refused: word not ours",
-                              gaddr=hex(gaddr), word=hex(word))
-                raise FencedError(
-                    f"write-unlock of {gaddr:#x}: word {word:#x} does not carry "
-                    f"uid {client.uid} at epoch {client.fence_epoch} "
-                    f"(lock recovered after a lease expiry?)")
+            if client.lease_ns:
+                raw = yield from client._rdma_read(
+                    conn, conn.desc.lock_rkey, offset, 8)
+                word = int.from_bytes(raw, "little")
+            if word & ~_READER_BITS != mine:
+                self._refuse_release(gaddr, word)
             old = yield from client._atomic_cas(
                 meta.server_id, offset, compare=word, swap=word - mine)
             if old == word:
                 return
+            word = old
         raise LockError(f"write-unlock of {gaddr:#x}: lock word thrashing")
 
-    def acquire_read(self, gaddr: int, timeout_ns=None,
+    def _refuse_release(self, gaddr: int, word: int) -> None:
+        client = self.client
+        if not client.lease_ns:
+            raise LockError(
+                f"write-unlock of {gaddr:#x} not held by this client "
+                f"(word={word:#x}; lock table reset by a restart?)")
+        client.m_fence_rejections.add()
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(client.name, "fence", "release refused: word not ours",
+                      gaddr=hex(gaddr), word=hex(word))
+        raise FencedError(
+            f"write-unlock of {gaddr:#x}: word {word:#x} does not carry "
+            f"uid {client.uid} at epoch {client.fence_epoch} "
+            f"(lock recovered after a lease expiry?)")
+
+    def acquire_read(self, gaddr: int,
                      span_op: int = 0) -> Generator[Any, Any, None]:
         """Take a shared lock on ``gaddr`` (blocks until acquired, or until
-        the client's op deadline — if one is configured — expires).
-
-        ``timeout_ns`` as in :meth:`acquire_write`."""
-        timeout_ns = self._effective_timeout(timeout_ns)
+        the client's op deadline — if one is configured — expires).  A word
+        the calling process holds for writing raises :class:`LockError` at
+        once."""
         yield from self._resolve_fence(gaddr, "read-lock")
         meta = yield from self.client._meta(gaddr, span_op=span_op)
         offset = self._word_offset(meta.lock_idx)
@@ -295,11 +318,11 @@ class LockOps:
                 return
             # A writer holds it: undo our increment and back off.
             yield from self.client._atomic_faa(meta.server_id, offset, add=_MINUS_READER)
+            self._refuse_reentry(old, gaddr, "read-lock")
             self.retries.add()
             self._check_deadline(start, gaddr, "read-lock")
-            self._check_acquire_timeout(start, timeout_ns, gaddr, "read-lock")
             yield from self._resolve_fence(gaddr, "read-lock")
-            yield from self._contention_wait(attempt, timeout_ns)
+            yield from self._backoff(attempt)
             attempt += 1
 
     def release_read(self, gaddr: int,

@@ -9,7 +9,8 @@ a :class:`ClientError`, split into two actionable branches:
 * :class:`RetryableError` — transient conditions where retrying (possibly
   after re-attaching to a restarted server) may succeed.  The client's
   built-in retry loop (see :class:`~repro.core.client.RetryPolicy`) handles
-  these automatically when ``retry_max_attempts > 1``.
+  these automatically, re-attaching first where the error names a server
+  or master shard; one propagates only once the retry budget is spent.
 
 :class:`DeadlineExceededError` sits outside both branches: it is the typed
 signal that the per-op deadline elapsed, raised *instead of* blocking
@@ -69,9 +70,9 @@ class StaleRingError(RetryableError):
 class MasterUnavailableError(RetryableError):
     """A control RPC failed because the master is down or restarting.
 
-    Retryable: the retry loop backs off and, with ``auto_reattach``
-    enabled, re-attaches to the recovered master keeping the client's uid
-    and fencing epoch, so leases and lock ownership survive the failover.
+    Retryable: the retry loop backs off and re-attaches to the recovered
+    master keeping the client's uid and fencing epoch, so leases and lock
+    ownership survive the failover.
     """
 
 
@@ -81,8 +82,8 @@ class StaleTermError(RetryableError):
     (split-brain fencing at the control-plane level).
 
     Retryable: the result was *discarded*, never applied, so the op can
-    safely be reissued; with ``auto_reattach`` the retry loop re-attaches
-    first, which finds the current-term master.  Carries both terms for
+    safely be reissued; the retry loop re-attaches first, which finds the
+    current-term master.  Carries both terms for
     diagnostics.
     """
 
@@ -114,14 +115,17 @@ class NotMyShard(RetryableError):
 
 
 class PartitionSuspected(RetryableError):
-    """Control-plane traffic is failing in a pattern that looks like a
-    network partition (repeated heartbeat failures), not a crashed master.
+    """Control-plane traffic to one master shard has failed in transport
+    three times in a row (ops, re-attach handshakes and renewals alike).
 
-    Retryable: partitions heal; the retry loop backs off and reissues.
-    Distinct from :class:`MasterUnavailableError` so callers (and the
-    chaos harness) can tell "the master process is gone" apart from "the
-    path to the master is gone" — the failure detector's verdict, not a
-    single RPC's.
+    Retryable: partitions heal and masters restart; the retry loop backs
+    off, re-attaches and reissues.  Distinct from
+    :class:`MasterUnavailableError` — one lost RPC, or a master that
+    answers "recovering" — so callers (and the chaos harness) can tell a
+    blip from a path that has stayed dead.  A client cannot tell a crashed
+    master from a cut path: both stop answering, so a master that stays
+    down past the streak reads as this error too, and an op that spends
+    its whole retry budget against one raises it.
     """
 
 
@@ -163,15 +167,14 @@ class DeadlineExceededError(ClientError):
 
 
 class LockTimeoutError(ClientError):
-    """A lock acquire found the word held past the configured acquisition
-    timeout (``lock_acquire_timeout_ns``).
+    """A bounded lock acquire found the word held past its timeout (the
+    transaction layer's wait-die bound).
 
     Like :class:`DeadlineExceededError`, this sits outside both branches:
     it is a typed, clean outcome — no lock state was changed — but the
     right reaction is policy, not a blind retry (the transaction layer
-    consults the holder's wait-die stamp; plain callers back off or give
-    up).  Only raised when the timeout knob is set; at the default the
-    acquire spins exactly as before.
+    consults the holder's wait-die stamp).  Only raised by an acquire that
+    was given a timeout; a plain ``glock`` spins until it gets the word.
     """
 
 

@@ -14,7 +14,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 from repro.rdma.cq import CompletionQueue
 from repro.rdma.mr import AccessFlags, MemoryRegion
-from repro.rdma.qp import RETRY_TIMEOUT_NS, QpError, QueuePair
+from repro.rdma.qp import QpError, QueuePair
 
 
 class RdmaEndpoint:
@@ -36,9 +36,6 @@ class RdmaEndpoint:
         #: (one already on the wire still lands).  Verbs targeting it
         #: complete with RETRY_EXCEEDED after the timeout the NIC would take.
         self.alive = True
-        #: Retransmission budget this endpoint's verbs spend against a dead
-        #: peer before RETRY_EXCEEDED (see repro.rdma.qp.RETRY_TIMEOUT_NS).
-        self.retry_timeout_ns = RETRY_TIMEOUT_NS
         #: Target-side serialization point for inbound atomics.
         self.atomic_gate = Resource(sim, capacity=1, name=f"{name}.atomics")
         self.qps: list[QueuePair] = []

@@ -49,11 +49,9 @@ from repro.rdma.wr import (
 
 #: Wire payload of a READ request (remote address + length + rkey).
 READ_REQUEST_BYTES = 16
-#: Default modelled RC retransmission timeout before a dead peer surfaces as
+#: Modelled RC retransmission timeout before a dead peer surfaces as
 #: RETRY_EXCEEDED (real defaults are much larger; this keeps tests fast).
-#: Per-endpoint override: ``endpoint.retry_timeout_ns``, wired from
-#: ``GengarConfig.retry_timeout_ns`` by the pool bootstrap.
-RETRY_TIMEOUT_NS = 50_000
+RETRY_TIMEOUT_NS = 20_000
 
 def _qp_ids_for(sim):
     """Per-simulator QP numbering (see mr._key_counter_for for why)."""
@@ -258,7 +256,7 @@ class QueuePair:
         if not delivered:
             # The request is retransmitted into silence until the QP's
             # retry budget expires.
-            yield local.retry_timeout_ns
+            yield RETRY_TIMEOUT_NS
             return self._completion(wr, WcStatus.RETRY_EXCEEDED)
 
         # ---- Response / ack phase ----------------------------------------

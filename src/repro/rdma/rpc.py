@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 from repro.rdma.endpoint import RdmaEndpoint
 from repro.rdma.mr import AccessFlags
-from repro.rdma.qp import QueuePair
+from repro.rdma.qp import RETRY_TIMEOUT_NS, QueuePair
 from repro.rdma.wr import Opcode, WcStatus, WorkCompletion, WorkRequest
 
 def _req_ids_for(sim):
@@ -302,8 +302,7 @@ class RpcServer:
             # a request sent into a dead node.
             caller = qp.remote
             if wc.status is WcStatus.WR_FLUSH_ERROR:
-                delay, status = (caller.endpoint.retry_timeout_ns,
-                                 WcStatus.RETRY_EXCEEDED)
+                delay, status = RETRY_TIMEOUT_NS, WcStatus.RETRY_EXCEEDED
             else:
                 delay, status = 0, WcStatus.WR_FLUSH_ERROR
             self.sim.schedule(delay, caller.recv_cq.push, WorkCompletion(

@@ -194,6 +194,7 @@ class Process(Event):
             inline = _INLINE_RUN_MAX if token._more is None else 0
         if self._value is not _PENDING or self._exception is not None:
             return  # process already finished (completed from outside)
+        sim.active = self
         send = self._send
         if exc is not None:
             # A throw never continues inline: it registers, as it always did.
@@ -376,6 +377,9 @@ class Simulator:
         #: Jepsen-style invoke/ok/fail/info events for the linearizability
         #: checker.  Same contract as ``spans``: None costs nothing.
         self.history = None
+        #: The process whose step is running.  Every continuation runs from
+        #: the loop, never inline, so no other step can start inside one.
+        self.active: Optional[Process] = None
 
     # ------------------------------------------------------------------
     def schedule(self, delay: int, fn: Callable, *args: Any) -> None:

@@ -48,7 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.client import GengarClient
 
 from repro.core.addressing import server_of
-from repro.core.consistency import LOCK_RETRY_NS
 from repro.core.errors import (
     FatalError,
     FencedError,
@@ -67,6 +66,9 @@ __all__ = ["Transaction", "TxnManager", "pack_stamp"]
 #: = older transaction.  48 bits of virtual time, 16 bits of uid as the
 #: tiebreaker; 0 is reserved for "free / holder unknown".
 _STAMP_TIME_BITS = 48
+#: How long an acquire spins on a held word before consulting the
+#: holder's wait-die stamp.
+WAIT_DIE_TIMEOUT_NS = 100_000
 
 
 def pack_stamp(begin_ns: int, uid: int) -> int:
@@ -218,13 +220,6 @@ class TxnManager:
         raw = yield from self.client._rdma_read(conn, rkey, meta.lock_idx * 8, 8)
         return int.from_bytes(raw, "little")
 
-    def _acquire_timeout_ns(self) -> int:
-        # Wait-die needs a bounded spin to consult the holder's stamp; fall
-        # back to a generous multiple of the lock retry quantum when the
-        # knob is unset.
-        return (self.client.config.lock_acquire_timeout_ns
-                or 64 * LOCK_RETRY_NS)
-
     # ------------------------------------------------------------------
     # begin / acquire
     # ------------------------------------------------------------------
@@ -274,13 +269,12 @@ class TxnManager:
     def _acquire_wait_die(self, txn: Transaction,
                           gaddr: int) -> Generator[Any, Any, None]:
         client = self.client
-        timeout_ns = self._acquire_timeout_ns()
         meta = yield from client._meta(gaddr)
         start = self.sim.now
         while True:
             try:
-                yield from client.locks.acquire_write(gaddr,
-                                                      timeout_ns=timeout_ns)
+                yield from client.locks.acquire_write(
+                    gaddr, timeout_ns=WAIT_DIE_TIMEOUT_NS)
             except LockTimeoutError:
                 # Elder waits are only live while *something* can free the
                 # word — the holder releasing, or the lease sweep clearing

@@ -1,5 +1,7 @@
 """Shared fixtures: small, fast Gengar deployments."""
 
+import functools
+
 import pytest
 
 from repro.core import GengarConfig, GengarPool
@@ -7,6 +9,14 @@ from repro.core import server as server_module
 from repro.hardware.specs import TEST_DRAM, TEST_NVM
 from repro.sim import Simulator
 from repro.sim.units import KIB, MIB
+
+
+#: Event cap for one ``pool.run`` of a Hypothesis fuzz example (a fuzz test
+#: builds its pool with ``build_pool(..., max_events=FUZZ_MAX_EVENTS)``).
+#: Passing examples dispatch under 3,000 events per run, so one that hits
+#: the cap has livelocked: it raises ``SimulationError`` and gets shrunk
+#: instead of hanging the suite.
+FUZZ_MAX_EVENTS = 50_000
 
 
 def fast_config(**overrides):
@@ -35,7 +45,9 @@ def journal_entries(entries):
     return _journal
 
 
-def build_pool(seed=1, num_servers=2, num_clients=2, config=None, **kw):
+def build_pool(seed=1, num_servers=2, num_clients=2, config=None,
+               max_events=None, **kw):
+    """``max_events`` becomes the default cap of every ``pool.run``."""
     sim = Simulator(seed=seed)
     kw.setdefault("dram", TEST_DRAM)
     kw.setdefault("nvm", TEST_NVM)
@@ -46,6 +58,8 @@ def build_pool(seed=1, num_servers=2, num_clients=2, config=None, **kw):
         config=config or fast_config(),
         **kw,
     )
+    if max_events is not None:
+        pool.run = functools.partial(pool.run, max_events=max_events)
     return sim, pool
 
 

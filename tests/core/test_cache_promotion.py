@@ -293,7 +293,7 @@ def test_home_server_crash_mid_promotion_copy():
     accounted for."""
     sim, pool = build_pool(
         num_servers=1, num_clients=1,
-        config=fast_config(retry_max_attempts=8, auto_reattach=True))
+        config=fast_config())
     client = pool.clients[0]
     master, server = pool.master, pool.servers[0]
     payload = b"pinned" + bytes(122)

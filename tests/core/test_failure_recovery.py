@@ -11,6 +11,7 @@ import pytest
 from repro.core import ClientError
 from repro.core.consistency import LockError
 from repro.core.addressing import offset_of
+from repro.faults import FaultPlan, ServerCrash, ServerRecover
 from repro.rdma.wr import WcStatus
 
 from tests.core.conftest import build_pool, fast_config
@@ -256,11 +257,11 @@ def test_locks_are_released_by_a_crash():
 
 
 def test_an_unlock_after_a_restart_zeroed_the_lock_table_fails_unwrapped():
-    """Without leases, a re-attaching client checks its lock word before a
-    write-unlock: the restart zeroed it, so the unlock raises LockError and
+    """Without leases, a write-unlock releases by CAS against the word it
+    installed: the restart zeroed it, so the unlock raises LockError and
     the word stays 0 instead of wrapping below zero."""
     sim, pool = build_pool(num_servers=1, num_clients=1,
-                           config=fast_config(auto_reattach=True))
+                           config=fast_config())
     client, server = pool.clients[0], pool.servers[0]
 
     def before(sim):
@@ -281,6 +282,56 @@ def test_an_unlock_after_a_restart_zeroed_the_lock_table_fails_unwrapped():
     assert "not held by this client" in message
     lock_idx = pool.master.directory.get(gaddr).lock_idx
     assert server.lock_mr.peek(lock_idx * 8, 8) == bytes(8)
+
+
+@pytest.mark.parametrize("relocked", [False, True], ids=["zeroed", "relocked"])
+def test_an_unlock_after_an_outage_ridden_out_leaves_the_word(relocked):
+    """A read can ride out a server restart and finish on the recovered
+    server with no re-attach in between.  The holder's unlock then meets a
+    word the restart zeroed, or one another client has locked since: it
+    raises LockError and leaves the word exactly as it found it."""
+    sim, pool = build_pool(num_servers=1, num_clients=2,
+                           config=fast_config())
+    holder, other = pool.clients
+    server = pool.servers[0]
+
+    def before(sim):
+        gaddr = yield from holder.gmalloc(64)
+        yield from holder.gwrite(gaddr, b"L" * 64)
+        yield from holder.gsync()
+        yield from holder.glock(gaddr, write=True)
+        return gaddr
+
+    (gaddr,) = pool.run(before(sim))
+    t0 = sim.now
+    pool.inject_faults(FaultPlan.of(
+        ServerCrash(at_ns=t0 + 5_000, server_id=0),
+        ServerRecover(at_ns=t0 + 200_000, server_id=0),
+    ))
+
+    def ride_out(sim):
+        yield sim.timeout(10_000)  # inside the outage
+        return (yield from holder.gread(gaddr))
+
+    (data,) = pool.run(ride_out(sim))
+    assert data == b"L" * 64
+    assert holder.m_retries.count > 0
+    assert holder.m_failovers.count == 0  # no re-attach landed
+    if relocked:
+        pool.run(other.glock(gaddr, write=True))
+    lock_idx = pool.master.directory.get(gaddr).lock_idx
+    word = server.lock_mr.peek(lock_idx * 8, 8)
+    assert (word != bytes(8)) == relocked
+
+    def unlock(sim):
+        try:
+            yield from holder.gunlock(gaddr, write=True)
+        except LockError as exc:
+            return str(exc)
+
+    (message,) = pool.run(unlock(sim))
+    assert "not held by this client" in message
+    assert server.lock_mr.peek(lock_idx * 8, 8) == word
 
 
 def test_proxy_works_again_after_reattach():
@@ -402,8 +453,7 @@ def test_client_death_frees_ring_resources():
     LEASE = 100_000
     sim, pool = build_pool(
         num_servers=1, num_clients=2,
-        config=fast_config(client_lease_ns=LEASE, auto_reattach=True,
-                           retry_max_attempts=3))
+        config=fast_config(client_lease_ns=LEASE))
     server = pool.servers[0]
     endpoint = server.node.endpoint
     a, b = pool.clients

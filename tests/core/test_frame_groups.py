@@ -68,8 +68,7 @@ def test_an_object_larger_than_a_slot_is_cached_and_stays_coherent():
 def test_a_write_during_a_reattach_handshake_lands_through_the_new_ring():
     """A write that finds the ring down mid-handshake fails typed, waits on
     that handshake and retries through the new ring — never one-sided."""
-    sim, pool = build_pool(num_servers=1, num_clients=1, config=fast_config(
-        retry_max_attempts=4, auto_reattach=True))
+    sim, pool = build_pool(num_servers=1, num_clients=1, config=fast_config())
     client, server = pool.clients[0], pool.servers[0]
 
     def setup(sim):

@@ -20,7 +20,7 @@ from repro.hardware.specs import TEST_NVM
 from repro.rdma.rpc import RpcError
 from repro.sim.units import KIB
 
-from tests.core.conftest import build_pool, fast_config, journal_entries
+from tests.core.conftest import FUZZ_MAX_EVENTS, build_pool, fast_config, journal_entries
 
 FF = b"\xff"
 small_journal = journal_entries(64)
@@ -476,10 +476,10 @@ def test_fuzz_every_fresh_allocation_reads_zeros_and_no_extent_is_lost(
 def churn(steps, num_clients, num_servers, seed, journal):
     size = 192
     cfg = fast_config(metadata_journal=journal,
-                      num_master_shards=num_servers,
-                      retry_max_attempts=3, retry_timeout_ns=10_000)
+                      num_master_shards=num_servers)
     sim, pool = build_pool(seed=seed, num_servers=num_servers,
-                           num_clients=num_clients, config=cfg)
+                           num_clients=num_clients, config=cfg,
+                           max_events=FUZZ_MAX_EVENTS)
     live = {c.name: [] for c in pool.clients}
     down = set()
 

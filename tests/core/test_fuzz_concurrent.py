@@ -14,13 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.core.conftest import build_pool
+from tests.core.conftest import FUZZ_MAX_EVENTS, build_pool
 
 
 def _run_concurrent(seed, schedules, num_objects=3):
     """schedules: per-client list of (op, obj) with op in {rmw, read}."""
     sim, pool = build_pool(seed=seed, num_servers=1,
-                           num_clients=max(2, len(schedules)))
+                           num_clients=max(2, len(schedules)),
+                           max_events=FUZZ_MAX_EVENTS)
     clients = pool.clients
     rmw_counts = {i: 0 for i in range(num_objects)}
     for schedule in schedules:

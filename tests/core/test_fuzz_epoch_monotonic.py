@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.check import check_history
 from repro.check.history import HistoryRecorder
 from repro.core.errors import ClientError
-from tests.core.conftest import build_pool, fast_config
+from tests.core.conftest import FUZZ_MAX_EVENTS, build_pool, fast_config
 
 _LEASE = 100_000
 
@@ -40,8 +40,8 @@ def test_fence_epochs_never_regress(seed, kill_delay, master_down,
                                     contenders):
     sim, pool = build_pool(
         seed=seed, num_servers=2, num_clients=3,
-        config=fast_config(client_lease_ns=_LEASE, auto_reattach=True,
-                           retry_max_attempts=4, metadata_journal=True))
+        config=fast_config(client_lease_ns=_LEASE, metadata_journal=True),
+        max_events=FUZZ_MAX_EVENTS)
     recorder = HistoryRecorder(sim)
     recorder.install()
     c0, c1, victim = pool.clients

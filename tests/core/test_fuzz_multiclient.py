@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import FatalError
 from repro.faults import ClientCrash, FaultPlan
-from tests.core.conftest import build_pool, fast_config
+from tests.core.conftest import FUZZ_MAX_EVENTS, build_pool, fast_config
 
 _write = st.tuples(st.integers(0, 4), st.integers(0, 255),
                    st.integers(0, 1023), st.integers(1, 96))
@@ -34,7 +34,8 @@ _any_write = st.one_of(_write, _group_write)
 @settings(max_examples=20, deadline=None)
 def test_disjoint_writers_converge(plans, seed):
     sim, pool = build_pool(seed=seed, num_servers=2,
-                           num_clients=max(2, len(plans)))
+                           num_clients=max(2, len(plans)),
+                           max_events=FUZZ_MAX_EVENTS)
     clients = pool.clients[: len(plans)]
     size = 1024
 
@@ -110,8 +111,8 @@ def test_random_client_kills_leave_no_stale_locks_or_torn_data(
     of: the oracle still holds it to all or nothing."""
     sim, pool = build_pool(
         seed=seed, num_servers=2, num_clients=3,
-        config=fast_config(client_lease_ns=_LEASE, proxy_commit=True,
-                           auto_reattach=True, retry_max_attempts=3))
+        config=fast_config(client_lease_ns=_LEASE, proxy_commit=True),
+        max_events=FUZZ_MAX_EVENTS)
     survivors, victim = pool.clients[:2], pool.clients[2]
     size = 3 * 4096  # three slots: a write may stage as a frame group
 

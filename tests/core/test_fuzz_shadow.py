@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.core.conftest import build_pool, fast_config
+from tests.core.conftest import FUZZ_MAX_EVENTS, build_pool, fast_config
 
 _SIZES = (64, 256, 1024, 4096)
 
@@ -117,7 +117,8 @@ _op = st.one_of(
 @given(ops=st.lists(_op, min_size=1, max_size=40), seed=st.integers(0, 50))
 @settings(max_examples=25, deadline=None)
 def test_pool_matches_shadow_model(ops, seed):
-    sim, pool = build_pool(seed=seed, num_servers=2, num_clients=1)
+    sim, pool = build_pool(seed=seed, num_servers=2, num_clients=1,
+                           max_events=FUZZ_MAX_EVENTS)
     _apply_ops(pool, sim, pool.clients[0], [("alloc", 0)] + ops)
 
 
@@ -128,6 +129,7 @@ def test_pool_matches_shadow_model_nvm_direct(ops, seed):
     sim, pool = build_pool(
         seed=seed, num_servers=2, num_clients=1,
         config=fast_config(enable_cache=False, enable_proxy=False),
+        max_events=FUZZ_MAX_EVENTS,
     )
     _apply_ops(pool, sim, pool.clients[0], [("alloc", 0)] + ops)
 
@@ -139,6 +141,7 @@ def test_pool_matches_shadow_model_tiny_ring(ops, seed):
     sim, pool = build_pool(
         seed=seed, num_servers=1, num_clients=1,
         config=fast_config(proxy_ring_slots=2),
+        max_events=FUZZ_MAX_EVENTS,
     )
     _apply_ops(pool, sim, pool.clients[0], [("alloc", 0)] + ops)
 

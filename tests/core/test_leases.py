@@ -26,8 +26,7 @@ LEASE = 100_000
 
 
 def lease_config(**overrides):
-    defaults = dict(client_lease_ns=LEASE, auto_reattach=True,
-                    retry_max_attempts=3)
+    defaults = dict(client_lease_ns=LEASE)
     defaults.update(overrides)
     return fast_config(**defaults)
 

@@ -185,8 +185,7 @@ def unjittered_retries(monkeypatch):
 
 def test_a_promoted_standby_resyncs(unjittered_retries):
     config = quiet_config(client_lease_ns=100_000, metadata_journal=True,
-                          master_terms=True, auto_reattach=True,
-                          retry_max_attempts=8, retry_timeout_ns=2_000_000)
+                          master_terms=True)
     sim, pool = build_pool(num_servers=2, num_clients=1, config=config,
                            standby_master=True)
     (a,) = pool.clients

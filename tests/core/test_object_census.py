@@ -153,3 +153,26 @@ def test_the_location_log_stays_within_its_bound(monkeypatch):
     pool.run(*(lifecycles(sim, c, 2 * n) for c in pool.clients))
     assert after_n == len(log) == 16
     assert all(len(c._loc_cursors) == len(pool.masters) for c in pool.clients)
+
+
+def test_lock_lifecycles_leave_no_holder_behind():
+    """Allocate, write-lock, write, unlock, free, N and then 2N more times:
+    a released lock leaves no holder entry behind, so the per-client lock
+    state stays empty however many objects came and went."""
+    sim, pool = build_pool()
+
+    def lifecycles(sim, client, rounds):
+        for i in range(rounds):
+            gaddr = yield from client.gmalloc(256)
+            yield from client.glock(gaddr)
+            yield from client.gwrite(gaddr, bytes([i % 251]) * 256)
+            yield from client.gunlock(gaddr)
+            yield from client.gfree(gaddr)
+
+    n = 8
+    pool.run(*(lifecycles(sim, c, n) for c in pool.clients))
+    assert all(not c.locks._holders for c in pool.clients)
+    after_n = _census()
+    pool.run(*(lifecycles(sim, c, 2 * n) for c in pool.clients))
+    assert all(not c.locks._holders for c in pool.clients)
+    assert _census()[Process] - after_n[Process] <= 8

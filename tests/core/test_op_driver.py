@@ -31,7 +31,7 @@ from repro.check.history import HistoryRecorder
 from repro.core import ClientError, server_of
 from repro.faults import FaultPlan, ServerCrash, ServerRecover
 
-from tests.core.conftest import build_pool, fast_config
+from tests.core.conftest import build_pool
 
 GOLDEN_PATH = (Path(__file__).resolve().parents[1] / "data"
                / "op_observables_golden.json")
@@ -49,8 +49,8 @@ def _swallow(gen):
 
 
 def _default_policy_session():
-    """Every verb and routing branch under the default (one-attempt)
-    policy; returns ``(history_recorder, span_recorder)``."""
+    """Every verb and routing branch under the default policy (retries,
+    no deadline); returns ``(history_recorder, span_recorder)``."""
     sim, pool = build_pool(seed=7, num_servers=2, num_clients=2)
     client, other = pool.clients
     recorders = _record(sim)
@@ -97,7 +97,8 @@ def _default_policy_session():
         yield from client.glock(small[1], write=False)
         yield from client.gunlock(small[1], write=False)
 
-        # A dead home server: every verb fails typed.
+        # A dead home server: every verb fails typed once its retries,
+        # each after a failed re-attach, are spent.
         pool.servers[server_of(victim)].crash()
         yield from _swallow(client.gread(victim))
         yield from _swallow(client.gwrite(victim, b"i" * 256))
@@ -112,12 +113,9 @@ def _default_policy_session():
 
 
 def _retrying_session():
-    """A write and a read that each ride out a server outage under a
-    retrying policy, and a read that exhausts its attempts."""
-    config = fast_config(retry_timeout_ns=20_000, retry_max_attempts=6,
-                         retry_base_backoff_ns=10_000,
-                         retry_max_backoff_ns=40_000, auto_reattach=True)
-    sim, pool = build_pool(seed=7, num_servers=1, num_clients=1, config=config)
+    """A write and a read that each ride out a server outage, and a read
+    that exhausts its attempts."""
+    sim, pool = build_pool(seed=7, num_servers=1, num_clients=1)
     client = pool.clients[0]
     recorders = _record(sim)
 
@@ -235,10 +233,7 @@ def test_a_retried_op_is_one_count_and_one_sample(verb):
     """On PR 13's commit one gread that rode out this outage added 4 to
     ``pool.reads`` and sampled only its last attempt (2,405 ns)."""
     outage_ns = 150_000
-    config = fast_config(retry_timeout_ns=20_000, retry_max_attempts=6,
-                         retry_base_backoff_ns=10_000,
-                         retry_max_backoff_ns=40_000, auto_reattach=True)
-    sim, pool = build_pool(num_servers=1, num_clients=1, config=config)
+    sim, pool = build_pool(num_servers=1, num_clients=1)
     client = pool.clients[0]
     counter, latency = {"gread": (client.m_reads, client.h_read),
                         "gwrite": (client.m_writes, client.h_write)}[verb]

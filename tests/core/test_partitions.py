@@ -33,9 +33,7 @@ LEASE = 100_000
 
 def partition_config(**overrides):
     defaults = dict(client_lease_ns=LEASE, metadata_journal=True,
-                    master_terms=True, failure_detector=True,
-                    auto_reattach=True, retry_max_attempts=8,
-                    retry_timeout_ns=2_000_000)
+                    master_terms=True, failure_detector=True)
     defaults.update(overrides)
     return fast_config(**defaults)
 
@@ -217,8 +215,7 @@ def test_asymmetric_split_fails_typed_and_bounded():
     (never a hang), and the master only *suspects* the silent clients —
     after the heal everything resumes under the same epoch."""
     sim, pool = build_pool(num_servers=2, num_clients=2,
-                           config=partition_config(retry_max_attempts=4,
-                                                   op_deadline_ns=60_000))
+                           config=partition_config(op_deadline_ns=60_000))
     client = pool.clients[0]
 
     def drive(sim):
@@ -299,10 +296,11 @@ def test_backoff_outlasting_the_lease_probes_instead_of_self_fencing():
     """Regression: an op whose retry backoff outlasts the lease deadline
     must resolve the lapse with a renew probe (recoverable) rather than
     terminally self-fencing — the master never said "fenced"."""
-    cfg = partition_config(retry_base_backoff_ns=150_000,
-                           retry_max_backoff_ns=300_000)
-    sim, pool = build_pool(num_servers=1, num_clients=1, config=cfg)
+    sim, pool = build_pool(num_servers=1, num_clients=1,
+                           config=partition_config())
     client = pool.clients[0]
+    client.retry_policy = replace(client.retry_policy, base_backoff_ns=150_000,
+                                  max_backoff_ns=300_000)
 
     def drive(sim):
         gaddr = yield from client.gmalloc(64)

@@ -11,22 +11,22 @@ failover must not stale another shard's replies or strand a dead client's
 locks on it.
 """
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import NotMyShard, RetryableError, server_of
 from repro.faults import ClientCrash, FaultPlan, MasterCrash, MasterRecover
 
-from tests.core.conftest import build_pool, fast_config, journal_entries
+from tests.core.conftest import FUZZ_MAX_EVENTS, build_pool, fast_config, journal_entries
 
 LEASE = 100_000
 small_journal = journal_entries(64)
 
 
 def shard_config(**overrides):
-    defaults = dict(num_master_shards=2, metadata_journal=True,
-                    auto_reattach=True,
-                    retry_max_attempts=12, retry_timeout_ns=10_000)
+    defaults = dict(num_master_shards=2, metadata_journal=True)
     defaults.update(overrides)
     return fast_config(**defaults)
 
@@ -120,8 +120,9 @@ def test_misrouted_op_gets_typed_redirect_and_heals_the_map():
 
 def test_misrouted_op_without_retry_budget_raises_not_my_shard():
     sim, pool = build_pool(num_servers=2, num_clients=1,
-                           config=shard_config(retry_max_attempts=1))
+                           config=shard_config())
     client = pool.clients[0]
+    client.retry_policy = replace(client.retry_policy, max_attempts=1)
 
     def alloc(sim):
         while True:
@@ -468,7 +469,7 @@ def _assert_ownership_invariant(pool):
 def test_fuzz_reshard_failover_ownership(ops, seed):
     cfg = shard_config()
     sim, pool = build_pool(seed=seed, num_servers=2, num_clients=1,
-                           config=cfg)
+                           config=cfg, max_events=FUZZ_MAX_EVENTS)
     client = pool.clients[0]
     live = []
     state = {"crashed": False, "flip": 0}

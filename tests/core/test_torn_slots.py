@@ -27,8 +27,7 @@ LEASE = 100_000
 
 
 def commit_config(**overrides):
-    defaults = dict(proxy_commit=True, client_lease_ns=LEASE,
-                    auto_reattach=True, retry_max_attempts=3)
+    defaults = dict(proxy_commit=True, client_lease_ns=LEASE)
     defaults.update(overrides)
     return fast_config(**defaults)
 

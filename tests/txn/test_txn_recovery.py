@@ -29,9 +29,7 @@ class _Kill(Exception):
 
 
 def crash_config(**overrides):
-    defaults = dict(enable_txn=True, lock_acquire_timeout_ns=150_000,
-                    client_lease_ns=LEASE, auto_reattach=True,
-                    retry_max_attempts=3, metadata_journal=True)
+    defaults = dict(enable_txn=True, client_lease_ns=LEASE, metadata_journal=True)
     defaults.update(overrides)
     return fast_config(**defaults)
 

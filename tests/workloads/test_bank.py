@@ -25,7 +25,7 @@ from tests.core.conftest import build_pool, fast_config
 
 
 def txn_config(**overrides):
-    defaults = dict(enable_txn=True, lock_acquire_timeout_ns=120_000)
+    defaults = dict(enable_txn=True)
     defaults.update(overrides)
     return fast_config(**defaults)
 
