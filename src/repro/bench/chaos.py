@@ -391,13 +391,14 @@ class ChaosSoak:
         (torn slot), crash and rebuild the master mid-workload, and audit
         that every recovery path engages — the rebuilt master's orphan
         sweep frees the lock within a bounded wait, the torn frame never
-        reaches NVM, the zombie is fenced until it re-attaches, and
-        allocations ride out the master outage on retries."""
+        reaches NVM, the restarted client cannot release its old
+        incarnation's lock, and allocations ride out the master outage on
+        retries."""
         sim = self.sim
         lease = self.config.client_lease_ns
         t0 = sim.now
         kill_at = t0 + 40_000
-        revive_at = kill_at + (5 * lease) // 2
+        restart_at = kill_at + (5 * lease) // 2
         victim = self.pool.clients[2]
         contender = self.pool.clients[0]
         allocator = self.pool.clients[1]
@@ -407,7 +408,7 @@ class ChaosSoak:
             FaultPlan.of(
                 ClientCrash(at_ns=kill_at, client=victim.name,
                             tear_inflight=True),
-                ClientRecover(at_ns=revive_at, client=victim.name),
+                ClientRecover(at_ns=restart_at, client=victim.name),
                 MasterCrash(at_ns=t0 + 20_000),
                 MasterRecover(at_ns=t0 + 80_000, rebuild=True)),
             rng_name="faults.tolerance")
@@ -427,16 +428,16 @@ class ChaosSoak:
             # Staged but never synced: the crash re-stages half of this
             # frame, which the commit word must keep out of NVM.
             yield from victim.gwrite(g_data, payload_torn)
-            yield (revive_at - sim.now) + 10_000
-            # Back as a zombie: lock ops must fail typed, not corrupt.
+            yield (restart_at - sim.now) + 10_000
+            while not victim._attached:  # the restart's attach is in flight
+                yield 1_000
+            # The new incarnation holds nothing: releasing the old one's
+            # lock must fail typed, not corrupt.
             try:
                 yield from victim.gunlock(g_lock)
-                outcome["zombie_fenced"] = False
+                outcome["old_lock_fenced"] = False
             except FencedError:
-                outcome["zombie_fenced"] = True
-            yield from victim.reattach_master()
-            # Fully rejoined under the new epoch (the first write heals
-            # the retired proxy ring via the resilience engine).
+                outcome["old_lock_fenced"] = True
             yield from victim.glock(g_lock)
             yield from victim.gwrite(g_data, payload_new)
             yield from victim.gsync()
@@ -470,13 +471,13 @@ class ChaosSoak:
         self.pool.run(victim_run(sim), contender_run(sim), allocator_run(sim))
         injector.uninstall()
 
-        if not outcome.get("zombie_fenced"):
+        if not outcome.get("old_lock_fenced"):
             self.violations.append(
-                "crash-tolerance: revived zombie released a lock "
-                "without being fenced")
+                "crash-tolerance: restarted client released its old "
+                "incarnation's lock without being fenced")
         if not outcome.get("rejoin_data_ok"):
             self.violations.append(
-                "crash-tolerance: victim's post-reattach write did not "
+                "crash-tolerance: victim's post-restart write did not "
                 "read back")
         if outcome.get("lock_wait_ns", 0) >= lease:
             self.violations.append(
@@ -823,20 +824,6 @@ class ChaosSoak:
 
         return proc(sim)
 
-    def _rejoin(self, client) -> Generator[Any, Any, None]:
-        sim = self.sim
-        lease = self.config.client_lease_ns
-
-        def proc(sim):
-            for _ in range(8):
-                try:
-                    yield from client.reattach_master()
-                    return
-                except ClientError:
-                    yield lease // 2
-
-        return proc(sim)
-
     def _bank_audit(self, gaddrs: List[int], spec: BankSpec,
                     tag: str) -> None:
         """Byte-level conservation read-back: a torn transfer (one leg
@@ -926,8 +913,7 @@ class ChaosSoak:
                 # Let the lease lapse; the sweep consults the intent and
                 # rolls forward past the commit point, back otherwise.
                 sim.run(until=sim.now + 5 * lease)
-                victim.revive()
-                pool.run(self._rejoin(victim))
+                pool.run(victim.restart())
             self._bank_audit(gaddrs, spec, f"client-kill@{point}")
 
         # Master-crash rounds: the lease table dies with the master, so
@@ -954,8 +940,7 @@ class ChaosSoak:
                 # Term claim + journal replay + orphan sweep (which rolls
                 # the surviving intent forward before force-unlocking).
                 sim.run(until=sim.now + 6 * lease)
-                victim.revive()
-                pool.run(self._rejoin(victim))
+                pool.run(victim.restart())
             self._bank_audit(gaddrs, spec, f"master-crash@{point}")
 
         self._audit_history("txn history audited", txn=True)

@@ -29,11 +29,6 @@ class YcsbResult:
     cache_hit_ratio: float = 0.0
     extras: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def avg_latency_ns(self) -> float:
-        overall = self.latency_ns.get("overall")
-        return overall["mean"] if overall else 0.0
-
 
 class YcsbRunner:
     """Runs one workload against one built system."""

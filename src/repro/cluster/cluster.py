@@ -58,16 +58,6 @@ class Cluster:
         """All nodes in spec order."""
         return [self._nodes[s.name] for s in self.spec.nodes]
 
-    @property
-    def memory_servers(self) -> List[Node]:
-        """Nodes contributing NVM to the pool."""
-        return [n for n in self.nodes if n.has_nvm]
-
-    @property
-    def compute_nodes(self) -> List[Node]:
-        """Client-only nodes (no NVM)."""
-        return [n for n in self.nodes if not n.has_nvm]
-
     def __len__(self) -> int:
         return len(self._nodes)
 

@@ -70,11 +70,6 @@ class Node:
             with (yield self._cpu):
                 pass  # a turn at a core, and no delay queued
 
-    @property
-    def cpu_utilized(self) -> int:
-        """Cores currently busy (for load metrics)."""
-        return self._cpu.in_use
-
     def __repr__(self) -> str:  # pragma: no cover
         kind = "hybrid" if self.has_nvm else "compute"
         return f"<Node {self.name} ({kind})>"

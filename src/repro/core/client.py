@@ -287,75 +287,27 @@ class GengarClient:
         self._shard_rpcs: Dict[int, list] = {}
         #: Per-shard active connection — what :meth:`_master_call` dials.
         self._shard_active: Dict[int, "RpcClient"] = {}
-        #: Highest master term observed in any reply, tracked PER SHARD
-        #: (``master_terms``): every shard runs its own term sequence, so
-        #: a failover on one shard must not make another shard's perfectly
-        #: healthy replies look stale.  Replies below a shard's floor are
-        #: deposed-master echoes and are rejected.
-        self._master_terms: Dict[int, int] = {}
-        #: Consecutive master transport failures, per shard; at the
-        #: suspicion streak the failure is reported as PartitionSuspected,
-        #: not just one more MasterUnavailableError.
-        self._master_fail_streaks: Dict[int, int] = {}
-        #: Client-side shard map (home server id -> owning shard), learned
-        #: at attach and corrected lazily by "not my shard" redirects that
-        #: carry a map epoch at least as new as the one cached here.
-        self._shard_map: Dict[int, int] = {}
-        self._shard_map_epoch = 0
         self._num_shards = config.num_master_shards
-        #: Round-robin cursor spreading gmallocs across shards.
-        self._alloc_rr = 0
-        #: req_id -> shard memo: every retry of one logical gmalloc must
-        #: re-present its idempotency token to the SAME shard (or, after a
-        #: redirect, to the shard that inherited the dedup entry).
-        self._req_shards: Dict[int, int] = {}
         self._conns: Dict[int, _ServerConn] = {}
-        self._meta_cache: Dict[int, ObjectMeta] = {}
-        # Epoch-based invalidation: each entry remembers the per-server epoch
-        # it was learned under; bumping a server's epoch (reattach) devalues
-        # every entry for that server in O(1) instead of scanning the cache.
-        self._meta_epoch: Dict[int, int] = {}
-        self._srv_epoch: Dict[int, int] = {}
-        #: Per-shard cursor into the master's location log: the next report
-        #: to a shard brings every cache-location change it made since.
-        self._loc_cursors: Dict[int, int] = {}
-        self._overlay: Dict[int, _PendingWrite] = {}
-        self._access_counts: Dict[int, list] = {}  # gaddr -> [reads, writes]
-        self._ops_since_report = 0
-        self._report_inflight = False
-        self.locks = LockOps(self)
         #: Lazily constructed transaction engine (see the ``txn`` property);
         #: stays None — zero cost — unless transactions are actually used.
         self._txn_manager = None
-        self._attached = False
         #: Unique id assigned by the master at attach; tags write locks so
-        #: abandoned ones are attributable and recoverable.
+        #: abandoned ones are attributable and recoverable.  A restart
+        #: presents it, so the master recovers the old incarnation.
         self.uid = 0
+        #: Fencing epoch carried in every lock word this client installs.
+        self.fence_epoch = 0
+        #: Bumped by :meth:`restart`; an op begun under an older value is
+        #: stale and fails with FencedError at its next attempt boundary.
+        self._incarnation = 0
         #: Monotone per-client sequence for idempotency tokens: one req_id
         #: per *logical* gmalloc/gfree, reused verbatim across retries so
-        #: the master can deduplicate an execute-then-crash replay.
+        #: the master can deduplicate an execute-then-crash replay.  It
+        #: survives a restart: the master may still map an old token.
         self._req_seq = 0
         self.retry_policy = RetryPolicy.from_config(config)
         self._retry_rng = None  # seeded jitter stream, created on first use
-        #: In-flight auto-reattach gates, one per server: concurrent failed
-        #: ops coalesce onto a single re-attach handshake.
-        self._reattach_gates: Dict[int, Any] = {}
-        #: Coalescing gates for master re-attach, one per shard (same
-        #: pattern as the per-server gates above).
-        self._reattach_master_gates: Dict[int, Any] = {}
-        # ---- lease / fencing state (all inert while lease_ns == 0) ------
-        #: Lease duration granted by the master at attach; 0 = leases off.
-        self.lease_ns = 0
-        #: Virtual time at which the current lease lapses.
-        self.lease_deadline = 0
-        #: Fencing epoch carried in every lock word this client installs.
-        self.fence_epoch = 0
-        self._fenced = False
-        self._heartbeat_proc = None
-        self._last_renew_ns = 0
-        #: Last successfully staged proxy write (server_id, gaddr, offset,
-        #: data) — what a torn-write fault injection would re-stage halfway.
-        self._last_staged: Optional[tuple] = None
         #: One record per completed re-attach: {"time_ns", "server_id",
         #: "lost"} — the durability audit trail (each lost staged write is
         #: reported in exactly one record).
@@ -363,9 +315,7 @@ class GengarClient:
 
         # Local scratch buffers for DMA sources/destinations.
         self._carver = DramCarver(node.dram)
-        self._scratch_base: Optional[int] = None
         self._scratch_mr = None
-        self._scratch: Optional[_Scratch] = None
 
         m = self.sim.metrics
         self.m_reads = m.counter("pool.reads")
@@ -395,6 +345,69 @@ class GengarClient:
         #: Per-doorbell batch sizes from gread_many — mean = effective
         #: read-pipelining depth, reported by the perf harness.
         self.h_read_batch = m.histogram("pool.read_batch")
+        self._init_volatile()
+
+    def _init_volatile(self) -> None:
+        """Set every field a kill loses to its state before attach: the one
+        list of what :meth:`restart` forgets."""
+        self._attached = False
+        self.locks = LockOps(self)
+        #: Highest master term observed in any reply, tracked PER SHARD
+        #: (``master_terms``): every shard runs its own term sequence, so
+        #: a failover on one shard must not make another shard's perfectly
+        #: healthy replies look stale.  Replies below a shard's floor are
+        #: deposed-master echoes and are rejected.
+        self._master_terms: Dict[int, int] = {}
+        #: Consecutive master transport failures, per shard; at the
+        #: suspicion streak the failure is reported as PartitionSuspected,
+        #: not just one more MasterUnavailableError.
+        self._master_fail_streaks: Dict[int, int] = {}
+        #: Client-side shard map (home server id -> owning shard), learned
+        #: at attach and corrected lazily by "not my shard" redirects that
+        #: carry a map epoch at least as new as the one cached here.
+        self._shard_map: Dict[int, int] = {}
+        self._shard_map_epoch = 0
+        #: Round-robin cursor spreading gmallocs across shards.
+        self._alloc_rr = 0
+        #: req_id -> shard memo: every retry of one logical gmalloc must
+        #: re-present its idempotency token to the SAME shard (or, after a
+        #: redirect, to the shard that inherited the dedup entry).
+        self._req_shards: Dict[int, int] = {}
+        self._meta_cache: Dict[int, ObjectMeta] = {}
+        # Epoch-based invalidation: each entry remembers the per-server epoch
+        # it was learned under; bumping a server's epoch (reattach) devalues
+        # every entry for that server in O(1) instead of scanning the cache.
+        self._meta_epoch: Dict[int, int] = {}
+        self._srv_epoch: Dict[int, int] = {}
+        #: Per-shard cursor into the master's location log: the next report
+        #: to a shard brings every cache-location change it made since.
+        self._loc_cursors: Dict[int, int] = {}
+        self._overlay: Dict[int, _PendingWrite] = {}
+        self._access_counts: Dict[int, list] = {}  # gaddr -> [reads, writes]
+        self._ops_since_report = 0
+        self._report_inflight = False
+        #: In-flight auto-reattach gates, one per server: concurrent failed
+        #: ops coalesce onto a single re-attach handshake.
+        self._reattach_gates: Dict[int, Any] = {}
+        #: Coalescing gates for master re-attach, one per shard (same
+        #: pattern as the per-server gates above).
+        self._reattach_master_gates: Dict[int, Any] = {}
+        # ---- lease / fencing state (all inert while lease_ns == 0) ------
+        #: Lease duration granted by the master at attach; 0 = leases off.
+        self.lease_ns = 0
+        #: Virtual time at which the current lease lapses.
+        self.lease_deadline = 0
+        self._fenced = False
+        self._heartbeat_proc = None
+        self._last_renew_ns = 0
+        #: Last successfully staged proxy write (server_id, gaddr, offset,
+        #: data) — what a torn-write fault injection would re-stage halfway.
+        self._last_staged: Optional[tuple] = None
+        self._scratch = _Scratch(self.sim, _SCRATCH_BYTES)
+        # Fresh per-server state on the same wiring: an op begun before a
+        # restart keeps the old objects and cannot skew the new rings.
+        self._conns = {sid: _ServerConn(c.desc, c.lanes, c.rpc)
+                       for sid, c in self._conns.items()}
 
     # ------------------------------------------------------------------
     @property
@@ -614,50 +627,43 @@ class GengarClient:
 
     def attach(self) -> Generator[Any, Any, None]:
         """Join the pool: learn our uid, lease and servers from the master,
-        set up proxy rings."""
+        set up proxy rings.  A client that already has a uid is restarting
+        (:meth:`restart`): every shard is shown its old uid and epoch."""
         if self.master_rpc is None:
             raise FatalError("client not wired to a master")
-        info = yield from self._master_call("attach", {"client": self.name})
-        self.uid = info["client_id"]
-        self.fence_epoch = info["epoch"]
-        self.lease_ns = info["lease_ns"]
-        self._loc_cursors[0] = info["log"]
-        servers = list(info["servers"])
-        if self._num_shards > 1:
-            # Phase the allocation round-robin by our (master-issued,
-            # sequential) uid: with every client starting its cursor at 0,
-            # the fleet sweeps the shards in lockstep — each instant all
-            # allocs converge on ONE shard and the others idle, which is
-            # single-master queueing with extra steps.
-            self._alloc_rr = self.uid
-            # Multi-shard attach: shard 0 minted our uid; present it to the
-            # other shards so they adopt the same identity (and lease us).
-            # Each shard's reply lists only the servers it owns — the union
+        restart = ({"epoch": self.fence_epoch, "restart": True}
+                   if self.uid else {})
+        servers: list = []
+        for shard in range(self._num_shards):
+            # Shard 0 mints our uid; the other shards adopt the same
+            # identity (and lease us).
+            request = ({"client": self.name, "uid": self.uid,
+                        "epoch": self.fence_epoch, **restart}
+                       if shard or restart else {"client": self.name})
+            info = yield from self._master_call("attach", request,
+                                                shard=shard)
+            self.uid = info["client_id"]
+            self.fence_epoch = max(self.fence_epoch, info["epoch"])
+            self.lease_ns = info["lease_ns"]
+            self._loc_cursors[shard] = info["log"]
+            # Each shard's reply lists only the servers it owns: the union
             # is the pool, and which shard answered IS the shard map.
             for desc in info["servers"]:
-                self._shard_map[desc.server_id] = 0
-            for shard in range(1, self._num_shards):
-                extra = yield from self._master_call(
-                    "attach",
-                    {"client": self.name, "uid": self.uid,
-                     "epoch": self.fence_epoch},
-                    shard=shard)
-                self.fence_epoch = max(self.fence_epoch, extra["epoch"])
-                self._loc_cursors[shard] = extra["log"]
-                for desc in extra["servers"]:
-                    self._shard_map[desc.server_id] = shard
-                servers.extend(extra["servers"])
-        if self.lease_ns:
-            self.lease_deadline = self.sim.now + self.lease_ns
-            self._last_renew_ns = self.sim.now
-            self._start_heartbeat()
+                self._shard_map[desc.server_id] = shard
+            servers.extend(info["servers"])
+        # Phase the allocation round-robin by our (master-issued,
+        # sequential) uid: with every client starting its cursor at 0, the
+        # fleet sweeps the shards in lockstep — each instant all allocs
+        # converge on ONE shard and the others idle, which is
+        # single-master queueing with extra steps.
+        self._alloc_rr = self.uid
+        self._start_heartbeat()
 
-        self._scratch_base = self._carver.carve(_SCRATCH_BYTES, "scratch")
-        self._scratch_mr = self.node.endpoint.register_mr(
-            self.node.dram, self._scratch_base, _SCRATCH_BYTES,
-            access=AccessFlags.ALL, name=f"{self.name}.scratch",
-        )
-        self._scratch = _Scratch(self.sim, _SCRATCH_BYTES)
+        if self._scratch_mr is None:
+            self._scratch_mr = self.node.endpoint.register_mr(
+                self.node.dram, self._carver.carve(_SCRATCH_BYTES, "scratch"),
+                _SCRATCH_BYTES, access=AccessFlags.ALL,
+                name=f"{self.name}.scratch")
 
         for desc in servers:
             conn = self._conns.get(desc.server_id)
@@ -927,20 +933,18 @@ class GengarClient:
         self.fence_epoch = info.get("epoch", self.fence_epoch)
         self.lease_ns = info.get("lease_ns", self.lease_ns)
         self._fenced = False
-        if self.lease_ns:
-            self.lease_deadline = self.sim.now + self.lease_ns
-            self._last_renew_ns = self.sim.now
-            self._start_heartbeat()
+        self._start_heartbeat()
 
     # ------------------------------------------------------------------
-    # Crash / revive (driven by the fault injector)
+    # Kill / restart (driven by the fault injector)
     # ------------------------------------------------------------------
     def crash(self) -> None:
-        """Stop this client cold: its endpoint dies, so every WR it posts
-        from now on flushes unsent (a request already on the wire still
-        lands).  Heartbeats cease, so its lease lapses and the master
-        recovers its locks/pins/rings; application processes built on this
-        client fail at their next verb, which flushes."""
+        """Kill this client: its endpoint dies, so every WR it posts from
+        now on flushes unsent (a request already on the wire still lands).
+        Heartbeats cease, so its lease lapses and the master recovers its
+        locks/pins/rings; application processes built on this client fail
+        at their next verb, which flushes.  Only :meth:`restart` brings it
+        back, as a new incarnation."""
         endpoint = self.node.endpoint
         if not endpoint.alive:
             return
@@ -949,25 +953,34 @@ class GengarClient:
         if rec is not None:
             rec.event(self.name, "fault", "client crashed")
 
-    def revive(self) -> None:
-        """Bring a crashed client back as a *zombie*: its lease has usually
-        lapsed by now, so lock ops fence locally until
-        :meth:`reattach_master` rejoins under a fresh epoch."""
-        endpoint = self.node.endpoint
-        if endpoint.alive:
-            return
-        endpoint.alive = True
+    def restart(self) -> Generator[Any, Any, None]:
+        """Bring a killed client back as a new incarnation: nothing
+        volatile survives (:meth:`_init_volatile`), and each master shard
+        recovers the old incarnation (intents, locks, pins, rings) before
+        it grants the new one an epoch.  An op begun before the restart
+        fails with :class:`FencedError` at its next attempt boundary."""
+        self.node.endpoint.alive = True
+        self._incarnation += 1
+        self._init_volatile()
         rec = self.sim.spans
         if rec is not None:
-            rec.event(self.name, "fault", "client revived")
-        if (self.lease_ns and not self._fenced
-                and self.sim.now < self.lease_deadline):
-            self._start_heartbeat()
+            rec.event(self.name, "fault", "client restarted",
+                      incarnation=self._incarnation)
+        yield from self.attach()
+
+    def _stale(self, what: str) -> FencedError:
+        """The error of an op begun before the last :meth:`restart`."""
+        return FencedError(f"{what}: begun before this client restarted")
 
     # ------------------------------------------------------------------
     # Lease heartbeats
     # ------------------------------------------------------------------
     def _start_heartbeat(self) -> None:
+        """Start a fresh lease (no-op with leases off) and its renewals."""
+        if not self.lease_ns:
+            return
+        self.lease_deadline = self.sim.now + self.lease_ns
+        self._last_renew_ns = self.sim.now
         if self._heartbeat_proc is not None and self._heartbeat_proc.is_alive:
             return
         self._heartbeat_proc = self.sim.spawn(
@@ -979,9 +992,11 @@ class GengarClient:
         went out recently, so an idle client stays alive too.  A crash ends
         the loop: its next renewal flushes (``FatalError``)."""
         interval = max(1, self.lease_ns // 3)
+        incarnation = self._incarnation
         while True:
             yield interval
-            if self._fenced or not self.lease_ns:
+            if (self._fenced or not self.lease_ns
+                    or self._incarnation != incarnation):
                 return
             # Secondary shards lease us independently and see piggybacked
             # renewals only for objects they own, so renew them on every
@@ -1113,6 +1128,7 @@ class GengarClient:
         """
         policy = self.retry_policy if retries else _ONE_ATTEMPT
         start = self.sim.now
+        incarnation = self._incarnation
         tries = 1
         while True:
             try:
@@ -1135,15 +1151,18 @@ class GengarClient:
                         f"{op} gave up after {self.sim.now - start} ns "
                         f"(deadline {policy.deadline_ns} ns): {exc}") from exc
                 yield from self._between_attempts(op, exc, tries, policy,
-                                                  span_op)
+                                                  incarnation, span_op)
                 tries += 1
 
     def _between_attempts(self, op: str, exc: RetryableError, tries: int,
-                          policy: RetryPolicy,
+                          policy: RetryPolicy, incarnation: int,
                           span_op: int = 0) -> Generator[Any, Any, None]:
         """After failed attempt ``tries``: count the retry, repair what the
         error names (a server or master re-attach, a lease probe), then
-        back off."""
+        back off.  An op begun before a restart (``incarnation`` is stale)
+        fails instead, before the repair and after the backoff."""
+        if self._incarnation != incarnation:
+            raise self._stale(op)
         self.m_retries.add()
         rec = self.sim.spans
         if rec is not None:
@@ -1168,6 +1187,8 @@ class GengarClient:
         if rec is not None:
             rec.record(self.name, "phase.retry_wait", t_wait, op=span_op,
                        attempt=tries, cause=type(exc).__name__)
+        if self._incarnation != incarnation:
+            raise self._stale(op)
 
     def _attempt_with_deadline(self, op: str, start: int, policy: RetryPolicy,
                                attempt: Callable[..., Generator],
@@ -1253,41 +1274,17 @@ class GengarClient:
 
         The lapse is ambiguous: either the master was merely unreachable
         longer than one lease (an op parked in retry backoff outlasted the
-        deadline — recoverable), or the master actually expired us and
-        retired our epoch (our locks are gone — terminal).  A zombie must
-        not be silently re-attached under a fresh epoch mid-op, so probe
-        with a ``renew`` carrying our current epoch and let the master's
-        verdict pick the branch:
-
-        * ``ok`` — lease re-established at the same epoch; retry proceeds.
-        * ``fenced`` — the epoch was retired: mark fenced and raise the
-          terminal :class:`FencedError` the zombie contract promises.
-        * ``unknown`` — a restarted master forgot us; a full re-attach
-          re-adopts our identity (same epoch via the max rule).
-        * probe unreachable — back off and probe again next attempt.
+        deadline — recoverable), or it expired us and retired our epoch
+        (our locks are gone — terminal).  A zombie must not be silently
+        re-attached under a fresh epoch mid-op, so one shard-0 renewal
+        (:meth:`_renew_shard`) lets the master's verdict pick the branch;
+        only ``fenced`` raises the terminal :class:`FencedError`.
         """
-        try:
-            reply = yield from self._master_call(
-                "renew", {"client": self.name, "epoch": self.fence_epoch})
-        except StaleTermError:
-            yield from self._auto_reattach_master()
-            return
-        except RetryableError:
-            return  # master still unreachable: keep heartbeating + retrying
-        if reply.get("ok"):
-            self._note_renewal(reply.get("lease_ns", self.lease_ns))
-            return
-        if reply.get("reason") == "unknown":
-            yield from self._auto_reattach_master()
-            return
-        self._fenced = True
-        rec = self.sim.spans
-        if rec is not None:
-            rec.event(self.name, "fence", f"{op} fenced after lease lapse",
-                      epoch=self.fence_epoch)
-        raise FencedError(
-            f"{op}: lease lapsed and the master fenced this epoch; "
-            "reattach_master() to rejoin")
+        yield from self._renew_shard(0)
+        if self._fenced:
+            raise FencedError(
+                f"{op}: lease lapsed and the master fenced this epoch; "
+                "reattach_master() to rejoin")
 
     def _auto_reattach_master(self, shard: int = 0) -> Generator[Any, Any, None]:
         """Coalesced master re-attach (see :meth:`_coalesced`), one gate

@@ -765,6 +765,11 @@ class Master:
         epoch = max(self._epochs.get(name, 0), request.get("epoch", 0),
                     self._retired_epochs.get(uid, 0))
         self._epochs[name] = epoch
+        if request.get("restart"):
+            # A restarted client lost its old incarnation whole: recover
+            # it (the fence bumps the epoch) before granting the new one.
+            yield from self.evict_client(name)
+            epoch = self._epochs[name]
         if self.config.client_lease_ns:
             self._leases[name] = self.sim.now + self.config.client_lease_ns
             if self.config.failure_detector:
@@ -1153,16 +1158,18 @@ class Master:
         record.pinned_by = client
 
     def evict_client(self, client_name: str) -> Generator[Any, Any, int]:
-        """Recovery: clear every write lock a (dead) client still holds,
-        release its pins, and retire its proxy rings.
+        """Recovery: roll a (dead) client's intents forward, clear every
+        write lock it still holds, release its pins, and retire its proxy
+        rings.  A restart's attach runs it for the old incarnation.
 
         Uses the owner id embedded in the lock word, so only that client's
         locks are touched; readers and other writers are unaffected.  With
         leases enabled this also retires the client's fencing epoch (it is
-        the same path a lease expiry takes).  Returns the number of locks
-        recovered.
+        the same path a lease expiry takes, minus the wait: the lease and
+        any suspicion go).  Returns the number of locks recovered.
         """
         self._leases.pop(client_name, None)
+        self._suspected.discard(client_name)
         recovered = yield from self._fence_and_recover(client_name)
         return recovered
 

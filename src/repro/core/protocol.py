@@ -147,15 +147,15 @@ def unpack_journal_record(raw: bytes) -> tuple[int, int, int, int, int]:
 #   bits 48-63   fencing epoch of the holder at acquire time
 #
 # A writer acquires with CAS(0 -> (epoch << 48) | (uid << 32) | 1) and
-# releases with FAA(-word), which is correct even while reader increments
-# are in flight.  The owner field is what makes abandoned locks
-# *recoverable*: the master can identify and clear exactly the locks a dead
-# client held.  The epoch field is what makes that recovery *fenced*: the
-# master bumps a client's epoch when its lease expires, so a revived zombie
-# whose lock was recovered (and possibly re-acquired by someone else) can
-# never mistake the new word for its own — its conditional release fails
-# loudly instead of clobbering the new holder.  Epoch 0 words are bit-
-# identical to the pre-lease layout.
+# releases with CAS(w -> w - word) against the word it installed, retrying
+# while only reader increments moved.  The owner field is what makes
+# abandoned locks *recoverable*: the master can identify and clear exactly
+# the locks a dead client held.  The epoch field is what makes that
+# recovery *fenced*: the master bumps a client's epoch when its lease
+# expires or it restarts, so a zombie whose lock was recovered (and
+# possibly re-acquired by someone else) can never mistake the new word for
+# its own — its conditional release fails loudly instead of clobbering the
+# new holder.  Epoch 0 words are bit-identical to the pre-lease layout.
 # ---------------------------------------------------------------------------
 WRITER_BIT = 1
 READER_UNIT = 2

@@ -326,9 +326,10 @@ class FaultInjector:
     def _do_client_recover(self, client_name: str) -> None:
         rec = self.sim.spans
         if rec is not None:
-            rec.event("faults", "fault", "injecting client revival",
+            rec.event("faults", "fault", "injecting client restart",
                       client=client_name)
-        self.clients[client_name].revive()
+        self.sim.spawn(self.clients[client_name].restart(),
+                       name=f"{client_name}.restart")
         self.client_recoveries_injected.add()
 
     # ------------------------------------------------------------------

@@ -93,8 +93,10 @@ class ClientCrash:
 
 @dataclass(frozen=True)
 class ClientRecover:
-    """Revive a crashed client at ``at_ns`` — as a zombie: until it calls
-    ``reattach_master()`` its lapsed lease fences every lock op."""
+    """Restart a killed client at ``at_ns`` as a new incarnation
+    (``GengarClient.restart``): the master recovers the old one's intents,
+    locks, pins and rings before the new one is granted an epoch.  A client
+    that froze and resumed is a :class:`LinkFlap` on its node instead."""
 
     at_ns: int
     client: str

@@ -114,14 +114,6 @@ def test_every_expectation_fires_when_its_precondition_breaks(
             prefix, violations)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "features do not compose yet (ROADMAP 2(d)): with the phi detector "
-    "armed, chaos-txn@13 conserves 8019 != 8000 after client-kill@mid-apply "
-    "(the victim is only suspected, revives and re-attaches at its old "
-    "epoch, and nothing rolls its half-applied intent forward), and "
-    "crash-tolerance@7's contender waits 224,216 ns (bound 120,000) behind "
-    "the revived victim's new section, whose write it then reads, because "
-    "the detector defers the orphan sweep past the victim's revive"))
 @pytest.mark.parametrize("scenario,seed", [("chaos-txn", 13),
                                            ("crash-tolerance", 7)])
 def test_row_stays_green_with_the_failure_detector_armed(

@@ -42,7 +42,7 @@ def test_latency_split_by_op_type():
     result = runner.run()
     assert "read" in result.latency_ns
     assert "update" in result.latency_ns
-    assert result.avg_latency_ns > 0
+    assert result.latency_ns["overall"]["mean"] > 0
 
 
 def test_workload_f_runs_rmw_through_locks():

@@ -23,13 +23,6 @@ def test_cluster_builds_all_nodes():
     assert {n.name for n in cluster} == {"server0", "server1", "client0", "client1"}
 
 
-def test_memory_servers_vs_compute_nodes():
-    sim = Simulator()
-    cluster = Cluster(sim, spec(n_servers=2, n_clients=3))
-    assert [n.name for n in cluster.memory_servers] == ["server0", "server1"]
-    assert [n.name for n in cluster.compute_nodes] == ["client0", "client1", "client2"]
-
-
 def test_server_nodes_have_nvm_clients_do_not():
     sim = Simulator()
     cluster = Cluster(sim, spec())
@@ -101,7 +94,7 @@ def test_cpu_work_of_zero_takes_a_turn_at_a_core_and_queues_no_delay():
 
     p = sim.spawn(worker(sim))
     sim.run()
-    assert p.value == 0 and node.cpu_utilized == 0
+    assert p.value == 0 and node._cpu.in_use == 0
     assert sim.total_dispatched == 1  # the first step; the core was free
 
 

@@ -447,9 +447,9 @@ def test_repeated_crash_recover_cycles_do_not_leak():
 
 
 def test_client_death_frees_ring_resources():
-    """Three kill → lease-expiry → revive → rejoin cycles must not leak
+    """Three kill → lease-expiry → restart cycles must not leak
     server-side ring MRs, DRAM carves, or drain loops: lease expiry retires
-    the dead client's ring, and the rejoin reuses the parked span."""
+    the dead client's ring, and the restart reuses the parked span."""
     LEASE = 100_000
     sim, pool = build_pool(
         num_servers=1, num_clients=2,
@@ -467,13 +467,7 @@ def test_client_death_frees_ring_resources():
         pool.run(wait(sim))
         assert "client0" not in server._rings
         assert len(server._drain_loops) == 1
-        a.revive()
-
-        def rejoin(sim):
-            yield from a.reattach_master()
-            yield from a.reattach_server(0)
-
-        pool.run(rejoin(sim))
+        pool.run(a.restart())
 
     cycle()  # first cycle settles any lazily-carved state
     mrs = len(endpoint._mrs)

@@ -10,7 +10,7 @@ These tests generate random interleavings of: a victim dying while holding
 a contended lock, the lease sweep force-unlocking it, survivors hammering
 the same lock throughout, and (sometimes) the master crashing and
 journal-rebuilding in the middle of all that.  Whatever the weave, no
-observed epoch sequence may ever regress, the revived zombie must come
+observed epoch sequence may ever regress, the restarted victim must come
 back above its old epoch, and the recorded lock history must pass the
 checker's epoch audit.
 """
@@ -105,27 +105,20 @@ def test_fence_epochs_never_regress(seed, kill_delay, master_down,
     assert all(count == 3 for count in results[2:])
 
     old_epoch = max(observed[victim.name])
-    victim.revive()
 
     def rejoin(sim):
-        yield from victim.reattach_master()
+        yield from victim.restart()
         yield from victim.glock(g)
         note(victim)
         yield from victim.gunlock(g)
 
     pool.run(rejoin(sim))
 
-    # 1. If the victim was ever FENCED (its lease expired under a live
-    #    master), it must re-attach STRICTLY above the retired epoch —
-    #    even when the master crashed afterwards and lost its epoch map,
-    #    the journaled retirement floor carries the bump across the
-    #    rebuild.  If the master died before the lease could expire, no
-    #    epoch was retired (the orphan sweep recovers the lock by uid)
-    #    and staying level is correct.
-    if sim.metrics.counter("master.lease_expiries").count > 0:
-        assert victim.fence_epoch > old_epoch
-    else:
-        assert victim.fence_epoch >= old_epoch
+    # 1. The restart retires the old incarnation's epoch, so the victim
+    #    comes back STRICTLY above it — also when the master crashed and
+    #    lost its epoch map: the victim presents its old epoch, and the
+    #    journaled retirement floor carries any fence across the rebuild.
+    assert victim.fence_epoch > old_epoch
     # 2. Nobody's observed epoch sequence ever regressed.
     for name, seq in observed.items():
         assert seq == sorted(seq), f"{name} epoch regressed: {seq}"

@@ -4,8 +4,9 @@ The contract under test: with ``client_lease_ns`` set, live clients renew
 transparently (piggybacked on reports or standalone heartbeats) and notice
 nothing; a client that stops heartbeating has its write locks recovered,
 its pins released, and its proxy rings retired within one lease interval;
-and the revived zombie is *fenced* — every lock op fails typed until it
-re-attaches under a fresh epoch.  With leases off nothing changes at all.
+and a client that froze past its lease (a link flap: its state survives)
+is a *fenced* zombie — every lock op fails typed until it re-attaches
+under a fresh epoch.  With leases off nothing changes at all.
 """
 
 import pytest
@@ -18,7 +19,7 @@ from repro.core.protocol import (
     lock_owner,
     write_lock_word,
 )
-from repro.faults import ClientCrash, ClientRecover, FaultPlan
+from repro.faults import ClientCrash, FaultPlan, LinkFlap
 
 from tests.core.conftest import build_pool, fast_config
 
@@ -145,22 +146,42 @@ def test_dead_clients_ring_is_retired():
     assert len(server._drain_loops) == 1
 
 
-def test_zombie_is_fenced_until_reattach():
-    sim, pool, gaddr = _locked_victim_pool()
+def _frozen_victim_pool():
+    """client0 takes a lock, then its links flap for three leases: the
+    master expires and fences it, while its own state survives."""
+    sim, pool = build_pool(num_servers=1, num_clients=2, config=lease_config())
     c0 = pool.clients[0]
-    pool.inject_faults(
-        FaultPlan.of(ClientRecover(at_ns=sim.now + 1, client="client0")),
-        rng_name="faults2")
+
+    def setup(sim):
+        gaddr = yield from c0.gmalloc(256)
+        yield from c0.gwrite(gaddr, b"A" * 256)
+        yield from c0.glock(gaddr)
+        return gaddr
+
+    (gaddr,) = pool.run(setup(sim))
+    pool.inject_faults(FaultPlan.of(LinkFlap(
+        start_ns=sim.now + 1, end_ns=sim.now + 3 * LEASE, node="client0")))
+
+    def wait(sim):
+        yield sim.timeout(3 * LEASE + 10)
+
+    pool.run(wait(sim))
+    assert pool.master.lease_expiries.count == 1
+    return sim, pool, gaddr
+
+
+def test_zombie_is_fenced_until_reattach():
+    sim, pool, gaddr = _frozen_victim_pool()
+    c0 = pool.clients[0]
 
     def zombie(sim):
-        yield sim.timeout(10)
         with pytest.raises(FencedError):
             yield from c0.gunlock(gaddr)
         with pytest.raises(FencedError):
             yield from c0.glock(gaddr)
-        old_epoch = c0.fence_epoch
+        assert c0.fence_epoch == 0
         yield from c0.reattach_master()
-        assert c0.fence_epoch == old_epoch + 1
+        assert c0.fence_epoch == 1
         # Fully rejoined: lock/write/unlock all work under the new epoch.
         yield from c0.glock(gaddr)
         yield from c0.gwrite(gaddr, b"B" * 256)
@@ -227,14 +248,10 @@ def test_zombie_data_plane_ops_are_fenced():
     """Regression: fencing must cover the data plane, not just lock ops —
     a zombie whose locks were recovered must not land one-sided RDMA
     reads/writes (or staged proxy writes) on objects a new holder owns."""
-    sim, pool, gaddr = _locked_victim_pool()
+    sim, pool, gaddr = _frozen_victim_pool()
     c0 = pool.clients[0]
-    pool.inject_faults(
-        FaultPlan.of(ClientRecover(at_ns=sim.now + 1, client="client0")),
-        rng_name="faults2")
 
     def zombie(sim):
-        yield sim.timeout(10)
         with pytest.raises(FencedError):
             yield from c0.gwrite(gaddr, b"Z" * 256)
         with pytest.raises(FencedError):
