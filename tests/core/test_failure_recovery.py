@@ -11,7 +11,7 @@ import pytest
 from repro.core import ClientError
 from repro.core.consistency import LockError
 from repro.core.addressing import offset_of
-from repro.faults import FaultPlan, ServerCrash, ServerRecover
+from repro.faults import FaultPlan, RingStall, ServerCrash, ServerRecover
 from repro.rdma.wr import WcStatus
 
 from tests.core.conftest import build_pool, fast_config
@@ -172,6 +172,46 @@ def test_crash_during_overlapped_drain_reports_every_frame_not_in_nvm():
     (data,) = pool.run(after(sim))
     assert data == b"NEW!"
     assert server.data_device.peek(offset_of(victim), 4) == b"NEW!"
+
+
+def test_doorbells_queued_behind_a_ring_stall_die_with_the_crash():
+    """A crash zeroes the rings and queues each drain loop's poison behind
+    the doorbells already received.  The loop still takes those doorbells,
+    but their slots died with the DRAM: none is applied (as a zero-length
+    write at gaddr 0) or judged torn, and each gives its occupancy back.
+    The ring is deep enough that the loop would take them serially."""
+    sim, pool = build_pool(num_servers=1, num_clients=1,
+                           config=fast_config(proxy_ring_slots=32))
+    client, server = pool.clients[0], pool.servers[0]
+
+    def setup(sim):
+        addrs = []
+        for _ in range(4):
+            addrs.append((yield from client.gmalloc(256)))
+        yield from client.gsync()
+        return addrs
+
+    (addrs,) = pool.run(setup(sim))
+    drained, torn = server.drained_writes.count, server.torn_skipped.count
+    t0 = sim.now
+    pool.inject_faults(FaultPlan.of(
+        RingStall(at_ns=t0 + 1_000, duration_ns=1_000_000, server_id=0),
+        ServerCrash(at_ns=t0 + 50_000, server_id=0),
+    ))
+
+    def burst(sim):
+        yield 2_000
+        for g in addrs:
+            yield from client.gwrite(g, b"\xaa" * 256)
+        assert server.is_alive and len(server._rings[client.name].qp.recv_cq) > 0
+        yield t0 + 100_000 - sim.now
+
+    pool.run(burst(sim))
+    assert not server.is_alive
+    assert server.drained_writes.count == drained
+    assert server.torn_skipped.count == torn
+    assert server.ring_occupancy.level == 0
+    assert not any(proc.is_alive for proc in server._drain_proc_by_client.values())
 
 
 def test_ops_fail_while_server_is_down():
