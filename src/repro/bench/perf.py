@@ -343,12 +343,11 @@ def bench_txn(txns: int = 400, accounts: int = 16,
     contention, so the figure isolates protocol overhead rather than
     wait-die backoff.
     """
-    from repro.core import GengarConfig, GengarPool
+    from repro.core import GengarPool
     from repro.workloads.bank import BankSpec, bank_setup, bank_transfer
 
     sim = Simulator(seed=seed)
-    pool = GengarPool.build(sim, num_servers=2, num_clients=1,
-                            config=GengarConfig(enable_txn=True))
+    pool = GengarPool.build(sim, num_servers=2, num_clients=1)
     client = pool.clients[0]
     spec = BankSpec(accounts=accounts, initial_balance=1000, max_transfer=10)
     holder: Dict[str, Any] = {}

@@ -430,7 +430,6 @@ class GengarPool:
                 "lease_lapses": m.counter("pool.lease_lapses").count,
             },
             "txn": {
-                "enabled": self.config.enable_txn,
                 "begins": m.counter("pool.txn_begins").count,
                 "commits": m.counter("pool.txn_commits").count,
                 "aborts": m.counter("pool.txn_aborts").count,

@@ -1014,8 +1014,7 @@ class Master:
         # roll-forward would then clobber.  Transactions that never reached
         # their intent append roll *back* implicitly: the buffered write-set
         # died with the client, so force-unlock alone erases them.
-        if self.config.enable_txn:
-            yield from self._txn_recover(owners=[uid], scan_all=True)
+        yield from self._txn_recover(owners=[uid], scan_all=True)
         recovered = 0
         for record in list(self.directory.objects()):
             handle = self._servers[record.server_id]
@@ -1574,8 +1573,7 @@ class Master:
         # orphan locks are cleared (same ordering argument as the lease
         # sweep): a committed transaction must become fully visible before
         # its write-set's locks can be handed to anyone else.
-        if self.config.enable_txn:
-            yield from self._txn_recover(exclude=known)
+        yield from self._txn_recover(exclude=known)
         recovered = 0
         for record in list(self.directory.objects()):
             handle = self._servers[record.server_id]

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.core import GengarPool
+from repro.core import server as server_module
+from repro.core.server import ServerError
 from repro.hardware.specs import TEST_DRAM, TEST_NVM
 from repro.sim import Simulator
+from repro.sim.units import KIB
 
 from tests.core.conftest import build_pool, fast_config
 
@@ -17,6 +20,21 @@ def test_build_rejects_empty_deployments():
     with pytest.raises(ValueError):
         GengarPool.build(sim, num_servers=1, num_clients=0,
                          dram=TEST_DRAM, nvm=TEST_NVM)
+
+
+def test_build_rejects_a_device_smaller_than_its_reserved_spans():
+    """An NVM that cannot hold the txn-intent region (and, with the journal
+    on, the journal) plus some data fails at the server, naming both."""
+    sim = Simulator()
+    tiny = TEST_NVM.with_capacity(server_module.intent_span())
+    with pytest.raises(ServerError, match="txn intent region"):
+        GengarPool.build(sim, num_servers=1, num_clients=1,
+                         dram=TEST_DRAM, nvm=tiny)
+    small = TEST_NVM.with_capacity(server_module.intent_span() + 64 * KIB)
+    with pytest.raises(ServerError, match="intent region .* metadata journal"):
+        GengarPool.build(Simulator(), num_servers=1, num_clients=1,
+                         config=fast_config(metadata_journal=True),
+                         dram=TEST_DRAM, nvm=small)
 
 
 def test_build_larger_deployment():

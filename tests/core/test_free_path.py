@@ -154,7 +154,8 @@ def test_full_pool_freed_and_reallocated_back_to_back():
     """The wait-for-scrubber rule: freed space still in quarantine is not
     OutOfMemory, for extents and for the lock table alike."""
     size = 4 * KIB
-    for nvm, locks in ((TEST_NVM.with_capacity(64 * KIB), 1024),
+    small = TEST_NVM.with_capacity(64 * KIB + server_module.intent_span())
+    for nvm, locks in ((small, 1024),
                        (TEST_NVM, 16)):
         sim, pool = build_pool(num_servers=2, num_clients=1, nvm=nvm,
                                config=fast_config(lock_table_entries=locks))

@@ -66,7 +66,7 @@ def test_a_restart_frees_the_old_incarnations_locks_on_every_shard():
 
 def test_a_restarted_client_mints_fresh_ids():
     sim, pool = build_pool(num_servers=1, num_clients=1,
-                           config=lease_config(enable_txn=True))
+                           config=lease_config())
     client = pool.clients[0]
 
     def before(sim):

@@ -289,7 +289,7 @@ def test_fencing_shard_rolls_forward_intent_held_by_another_shard():
     intent and roll it forward BEFORE clearing its lock — a per-shard-only
     scan would free the lock with the committed bytes still unapplied,
     letting a new writer in under a pending roll-forward."""
-    cfg = shard_config(enable_txn=True, client_lease_ns=LEASE)
+    cfg = shard_config(client_lease_ns=LEASE)
     sim, pool = build_pool(num_servers=2, num_clients=2, config=cfg)
     c0, c1 = pool.clients
 

@@ -1,12 +1,11 @@
-"""Transaction fundamentals: commit, abort, buffering, wait-die, gating.
+"""Transaction fundamentals: commit, abort, buffering, wait-die.
 
 The contract under test: ``client.txn`` runs multi-object transactions
 over the existing lock/write/sync primitives — locks acquired in global
 address order, writes buffered until a single durable intent append marks
 the commit point, per-server applies after it, everything released (and
 the intent cleared) on the way out.  Abort before the commit point is a
-pure no-op.  With ``enable_txn`` off the feature is inert: the manager
-refuses to construct and no server carves an intent region.
+pure no-op.
 """
 
 import pytest
@@ -14,12 +13,6 @@ import pytest
 from repro.core import server as server_module
 from repro.core.errors import TxnAbortedError, TxnError, TxnWaitDieError
 from tests.core.conftest import build_pool, fast_config
-
-
-def txn_config(**overrides):
-    defaults = dict(enable_txn=True)
-    defaults.update(overrides)
-    return fast_config(**defaults)
 
 
 def _alloc(pool, client, n, size=256):
@@ -37,7 +30,7 @@ def _alloc(pool, client, n, size=256):
 
 def test_commit_applies_all_writes_atomically():
     sim, pool = build_pool(seed=1, num_servers=2, num_clients=2,
-                           config=txn_config())
+                           config=fast_config())
     c0, c1 = pool.clients
     g = _alloc(pool, c0, 2)
 
@@ -65,7 +58,7 @@ def test_commit_applies_all_writes_atomically():
 
 def test_read_your_buffered_writes_and_abort_rolls_back():
     sim, pool = build_pool(seed=2, num_servers=2, num_clients=1,
-                           config=txn_config())
+                           config=fast_config())
     client = pool.clients[0]
     g = _alloc(pool, client, 2)
 
@@ -88,7 +81,7 @@ def test_read_your_buffered_writes_and_abort_rolls_back():
 
 def test_undeclared_object_is_rejected():
     sim, pool = build_pool(seed=3, num_servers=2, num_clients=1,
-                           config=txn_config())
+                           config=fast_config())
     client = pool.clients[0]
     g = _alloc(pool, client, 2)
 
@@ -103,7 +96,7 @@ def test_undeclared_object_is_rejected():
 
 def test_wait_die_younger_contender_dies():
     sim, pool = build_pool(seed=4, num_servers=2, num_clients=2,
-                           config=txn_config())
+                           config=fast_config())
     c0, c1 = pool.clients
     g = _alloc(pool, c0, 1)
     outcome = {}
@@ -130,7 +123,7 @@ def test_wait_die_younger_contender_dies():
 
 def test_run_retries_wait_die_until_commit():
     sim, pool = build_pool(seed=5, num_servers=2, num_clients=2,
-                           config=txn_config())
+                           config=fast_config())
     c0, c1 = pool.clients
     g = _alloc(pool, c0, 1)
 
@@ -162,21 +155,9 @@ def test_run_retries_wait_die_until_commit():
     assert data == b"2222"  # the retried younger txn applied last
 
 
-def test_feature_off_is_inert():
-    sim, pool = build_pool(seed=6, num_servers=2, num_clients=1,
-                           config=fast_config())
-    client = pool.clients[0]
-    with pytest.raises(TxnError, match="enable_txn"):
-        client.txn
-    # No intent region was carved, no stamp table registered.
-    for server in pool.servers.values():
-        assert server.intent_base is None
-        assert server.stamp_mr is None
-
-
 def test_read_only_txn_commits_without_intent():
     sim, pool = build_pool(seed=7, num_servers=2, num_clients=1,
-                           config=txn_config())
+                           config=fast_config())
     client = pool.clients[0]
     g = _alloc(pool, client, 2)
 
@@ -197,7 +178,7 @@ def test_read_only_txn_commits_without_intent():
 def test_oversized_write_set_aborts_cleanly(monkeypatch):
     monkeypatch.setattr(server_module, "TXN_INTENT_SLOT_BYTES", 512)
     sim, pool = build_pool(
-        seed=8, num_servers=2, num_clients=1, config=txn_config())
+        seed=8, num_servers=2, num_clients=1, config=fast_config())
     client = pool.clients[0]
     g = _alloc(pool, client, 2, size=1024)
 

@@ -15,6 +15,7 @@ servers (it has no volatile state left) and still roll it forward.
 
 import pytest
 
+from repro.core import server as server_module
 from repro.core.addressing import server_of
 from tests.core.conftest import build_pool, fast_config
 
@@ -29,7 +30,7 @@ class _Kill(Exception):
 
 
 def crash_config(**overrides):
-    defaults = dict(enable_txn=True, client_lease_ns=LEASE, metadata_journal=True)
+    defaults = dict(client_lease_ns=LEASE, metadata_journal=True)
     defaults.update(overrides)
     return fast_config(**defaults)
 
@@ -201,3 +202,48 @@ def test_concurrent_intent_puts_never_share_a_slot():
 
     (records,) = pool.run(clear_then_scan(sim))
     assert [r["txn"] for r in records] == ["c.t1"]
+
+
+def test_first_scan_after_a_restart_reads_the_length_table_once():
+    """Every fence scans intents, so the first scan after a server restart
+    must not pay a device read per slot: it reads the length table in one
+    device read, then one read per live record, and the rebuilt index is
+    what the next clear finds."""
+    sim, pool = build_pool(seed=5, config=crash_config())
+    server = next(iter(pool.servers.values()))
+
+    def put(sim, txn_id, gaddr):
+        return (yield from server._handle_txn_intent_put({
+            "txn": txn_id, "owner": 9, "epoch": 1,
+            "writes": [(gaddr, 0, b"x" * 16)],
+        }))
+
+    pool.run(put(sim, "c.t1", 0x100))
+    pool.run(put(sim, "c.t2", 0x200))
+    pool.run(put(sim, "c.t3", 0x300))
+    server.crash()
+    server.recover()
+    reads = []
+    real_read = server.data_device.read
+
+    def counting_read(offset, length):
+        reads.append((offset, length))
+        return real_read(offset, length)
+
+    server.data_device.read = counting_read
+
+    def scan(sim):
+        return (yield from server._handle_txn_intent_scan({"owners": [9]}))
+
+    (records,) = pool.run(scan(sim))
+    assert [r["txn"] for r in records] == ["c.t1", "c.t2", "c.t3"]
+    assert len(reads) == 1 + 3
+    assert reads[0] == (server.intent_base, server_module.TXN_INTENT_ENTRIES * 8)
+
+    def clear(sim):
+        return (yield from server._handle_txn_intent_clear({"txn": "c.t2"}))
+
+    (cleared,) = pool.run(clear(sim))
+    assert cleared and len(reads) == 1 + 3
+    (records,) = pool.run(scan(sim))
+    assert [r["txn"] for r in records] == ["c.t1", "c.t3"]

@@ -24,12 +24,6 @@ from repro.workloads import (
 from tests.core.conftest import build_pool, fast_config
 
 
-def txn_config(**overrides):
-    defaults = dict(enable_txn=True)
-    defaults.update(overrides)
-    return fast_config(**defaults)
-
-
 def test_spec_validation_and_encoding():
     spec = BankSpec(accounts=4, initial_balance=250)
     assert spec.expected_total == 1000
@@ -43,7 +37,7 @@ def test_spec_validation_and_encoding():
 
 def test_single_transfer_moves_exactly_amount():
     sim, pool = build_pool(seed=1, num_servers=2, num_clients=1,
-                           config=txn_config())
+                           config=fast_config())
     client = pool.clients[0]
     spec = BankSpec(accounts=2, initial_balance=100)
 
@@ -61,7 +55,7 @@ def test_single_transfer_moves_exactly_amount():
 
 def test_contending_transfers_conserve_total_and_serialize():
     sim, pool = build_pool(seed=9, num_servers=2, num_clients=3,
-                           config=txn_config())
+                           config=fast_config())
     recorder = HistoryRecorder(sim)
     recorder.install()
     spec = BankSpec(accounts=8, initial_balance=1000)
