@@ -3,10 +3,11 @@
 Three little-endian binary layouts travel over one-sided verbs and therefore
 must be bit-exact on both ends:
 
-* **Proxy ring slot**: ``[gaddr u64][obj_offset u32][length u32][payload]``.
-  A client stages a write here with one RDMA WRITE_WITH_IMM; the immediate
-  carries the slot index.  A write longer than a slot is a *frame group*
-  of consecutive slots, all but the last with :data:`PROXY_MORE` set.
+* **Proxy ring slot**: ``[gaddr u64][obj_offset u32][length u32][payload]
+  [commit u64]``.  A client stages a write here with one RDMA
+  WRITE_WITH_IMM; the immediate carries the slot index.  A write longer
+  than a slot is a *frame group* of consecutive slots, all but the last
+  with :data:`PROXY_MORE` set.
 * **Cache slot tag**: ``[gaddr u64][flags u64]`` prepended to every cached
   object.  Reads are self-verifying: a client that reads a slot whose tag
   does not match the gaddr it expected knows its metadata is stale.
@@ -25,9 +26,9 @@ from dataclasses import dataclass
 # ---------------------------------------------------------------------------
 _SLOT_HEADER = struct.Struct("<QII")
 PROXY_HEADER_BYTES = _SLOT_HEADER.size  # 16
-#: Trailing commit word (optional, ``proxy_commit``): 8 bytes after the
-#: payload that let the drain loop detect a torn (half-written) slot.
-PROXY_COMMIT_BYTES = 8
+#: Trailing commit word: 8 bytes after the payload that let the drain loop
+#: detect a torn (half-written) slot.
+COMMIT_WORD_BYTES = 8
 #: The more-bit, in ``length``: the next frame continues this write.
 PROXY_MORE = 1 << 31
 _SEQ_MASK = (1 << 32) - 1
@@ -44,28 +45,22 @@ def unpack_proxy_header(raw: bytes) -> tuple[int, int, int]:
     return _SLOT_HEADER.unpack_from(raw)
 
 
-def pack_proxy_commit(seq: int, frame: bytes) -> bytes:
+def pack_commit_word(seq: int, frame: bytes) -> bytes:
     """The commit word trailing a slot: ``[seq_lo32 | crc32(frame) ^ seq]``.
 
     ``frame`` is the full ``header+payload`` bytes of the slot.  A client
     that dies mid-WRITE leaves either stale commit bytes (wrong seq half)
-    or a checksum that no longer covers the torn frame — both fail
-    :func:`proxy_commit_ok`, so the drain loop never applies the garbage.
+    or a checksum that no longer covers the torn frame — neither equals
+    the word the drain loop recomputes, so it never applies the garbage.
     """
     s = seq & _SEQ_MASK
-    return ((s << 32) | (zlib.crc32(frame) ^ s)).to_bytes(8, "little")
+    return ((s << 32) | (zlib.crc32(frame) ^ s)).to_bytes(COMMIT_WORD_BYTES, "little")
 
 
-def proxy_commit_ok(raw: bytes, seq: int, frame: bytes) -> bool:
-    """True iff ``raw`` is the commit word for exactly (``seq``, ``frame``)."""
-    if len(raw) != PROXY_COMMIT_BYTES:
-        return False
-    return raw == pack_proxy_commit(seq, frame)
-
-
-def proxy_payload_capacity(slot_size: int, commit: bool = False) -> int:
-    """Largest payload one frame in a slot of ``slot_size`` bytes carries."""
-    return slot_size - PROXY_HEADER_BYTES - (PROXY_COMMIT_BYTES if commit else 0)
+def proxy_payload_capacity(slot_size: int) -> int:
+    """Largest payload one frame in a slot of ``slot_size`` bytes carries:
+    the slot less its header and its commit word."""
+    return slot_size - PROXY_HEADER_BYTES - COMMIT_WORD_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +255,8 @@ class ServerDescriptor:
     """Everything a client needs to talk to one memory server.
 
     Returned by the master at attach time: rkeys for the data region, the
-    DRAM cache, and the lock table, so the client's data plane never touches
-    the master again.
+    DRAM cache, the lock table and the wait-die stamp table, so the
+    client's data plane never touches the master again.
     """
 
     server_id: int
@@ -269,6 +264,7 @@ class ServerDescriptor:
     data_rkey: int
     cache_rkey: int
     lock_rkey: int
+    stamp_rkey: int
 
 
 @dataclass(frozen=True)

@@ -338,11 +338,12 @@ class FaultInjector:
         victim's last staged write (more-bit set if it had more), but cut the
         RDMA_WRITE short partway through the payload — the frame lands, the
         commit word does not.  The drain loop still gets the doorbell
-        (write-after-write ordering only covers *completed* writes), which is
-        exactly the case the per-slot commit word exists to catch.  Returns
-        whether a doorbell is on its way; its process then crashes the client."""
+        (write-after-write ordering only covers *completed* writes) and,
+        since every frame carries a commit word, skips the slot as torn
+        instead of applying it.  Returns whether a doorbell is on its way;
+        its process then crashes the client."""
         from repro.core.protocol import (
-            PROXY_HEADER_BYTES, pack_proxy_commit, pack_proxy_slot, proxy_payload_capacity)
+            PROXY_HEADER_BYTES, pack_commit_word, pack_proxy_slot, proxy_payload_capacity)
 
         if client._last_staged is None:
             rec = self.sim.spans
@@ -368,10 +369,10 @@ class FaultInjector:
         seq = conn.written
         conn.written += 1
         slot = seq % slots
-        capacity = proxy_payload_capacity(conn.ring.slot_size, commit=True)
+        capacity = proxy_payload_capacity(conn.ring.slot_size)
         frame = pack_proxy_slot(gaddr, offset, data[:capacity], more=len(data) > capacity)
         data = data[:capacity]
-        full = frame + pack_proxy_commit(seq, frame)
+        full = frame + pack_commit_word(seq, frame)
         cut = PROXY_HEADER_BYTES + max(1, len(data) // 2)
         base = slot * conn.ring.slot_size
         # The partial payload lands now (the bytes the NIC pushed out before

@@ -111,7 +111,8 @@ def test_proxy_slot_roundtrip():
 
 
 def test_proxy_payload_capacity():
-    assert proxy_payload_capacity(4096) == 4096 - PROXY_HEADER_BYTES
+    # The 16-byte header and the 8-byte commit word.
+    assert proxy_payload_capacity(4096) == 4096 - 24 == 4096 - PROXY_HEADER_BYTES - 8
 
 
 def test_cache_tag_roundtrip():

@@ -147,7 +147,7 @@ def test_a_torn_frame_drops_its_whole_group():
     """A frame group staged into a stalled ring gets its middle frame torn:
     the drain retires all three seqs and applies none of them."""
     sim, pool = build_pool(num_servers=1, num_clients=1,
-                           config=fast_config(proxy_commit=True))
+                           config=fast_config())
     client, server = pool.clients[0], pool.servers[0]
     old = b"\x07" * SIZE
 
@@ -177,8 +177,8 @@ def test_a_torn_restage_of_a_multi_frame_write_is_skipped():
     """The injector re-stages only the first frame of the victim's last
     write, more-bit set, cut short: it is skipped and the write it copied
     stands whole."""
-    sim, pool = build_pool(num_servers=1, num_clients=2, config=fast_config(
-        proxy_commit=True, client_lease_ns=LEASE))
+    sim, pool = build_pool(num_servers=1, num_clients=2,
+                           config=fast_config(client_lease_ns=LEASE))
     victim, other = pool.clients
     server = pool.servers[0]
     data = bytes(i % 253 for i in range(SIZE))

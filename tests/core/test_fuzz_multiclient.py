@@ -111,7 +111,7 @@ def test_random_client_kills_leave_no_stale_locks_or_torn_data(
     of: the oracle still holds it to all or nothing."""
     sim, pool = build_pool(
         seed=seed, num_servers=2, num_clients=3,
-        config=fast_config(client_lease_ns=_LEASE, proxy_commit=True),
+        config=fast_config(client_lease_ns=_LEASE),
         max_events=FUZZ_MAX_EVENTS)
     survivors, victim = pool.clients[:2], pool.clients[2]
     size = 3 * 4096  # three slots: a write may stage as a frame group

@@ -1,22 +1,22 @@
 """Torn-slot detection: the per-slot commit word.
 
-The contract under test: with ``proxy_commit=True`` each staged write
-carries a trailing commit word binding (seq, frame); the drain loop applies
-a slot only when the word checks out, so a client that died mid-RDMA_WRITE
-can never smear half a payload into NVM.  The fault-free path is unchanged
-except for 8 bytes of slot capacity.
+The contract under test: each staged write carries a trailing commit word
+binding (seq, frame); the drain loop applies a slot only when the word
+checks out, so a client that died mid-RDMA_WRITE can never smear half a
+payload into NVM.  The word costs 8 bytes of slot capacity.
 """
+
+import zlib
 
 import pytest
 
 from repro import obs
 from repro.core.addressing import offset_of
 from repro.core.protocol import (
-    PROXY_COMMIT_BYTES,
+    COMMIT_WORD_BYTES,
     PROXY_HEADER_BYTES,
-    pack_proxy_commit,
+    pack_commit_word,
     pack_proxy_slot,
-    proxy_commit_ok,
     proxy_payload_capacity,
 )
 from repro.faults import ClientCrash, FaultPlan
@@ -27,7 +27,7 @@ LEASE = 100_000
 
 
 def commit_config(**overrides):
-    defaults = dict(proxy_commit=True, client_lease_ns=LEASE)
+    defaults = dict(client_lease_ns=LEASE)
     defaults.update(overrides)
     return fast_config(**defaults)
 
@@ -37,28 +37,30 @@ def commit_config(**overrides):
 # ----------------------------------------------------------------------
 def test_commit_word_round_trip():
     frame = pack_proxy_slot(0x1000, 4, b"hello world")
-    word = pack_proxy_commit(7, frame)
-    assert len(word) == PROXY_COMMIT_BYTES
-    assert proxy_commit_ok(word, 7, frame)
+    word = pack_commit_word(7, frame)
+    assert len(word) == COMMIT_WORD_BYTES
+    value = int.from_bytes(word, "little")  # [seq_lo32 | crc32(frame) ^ seq]
+    assert value >> 32 == 7
+    assert value & 0xFFFFFFFF == zlib.crc32(frame) ^ 7
 
 
 def test_commit_word_binds_the_sequence_number():
     frame = pack_proxy_slot(0x1000, 0, b"payload")
-    word = pack_proxy_commit(3, frame)
-    assert not proxy_commit_ok(word, 4, frame)  # a stale slot from last lap
+    word = pack_commit_word(3, frame)
+    assert word != pack_commit_word(4, frame)  # a stale slot from last lap
 
 
 def test_commit_word_binds_the_frame_bytes():
     frame = pack_proxy_slot(0x1000, 0, b"payload")
-    word = pack_proxy_commit(3, frame)
+    word = pack_commit_word(3, frame)
     torn = frame[:-2] + b"\x00\x00"
-    assert not proxy_commit_ok(word, 3, torn)
-    assert not proxy_commit_ok(word[:4], 3, frame)  # truncated word
+    assert word != pack_commit_word(3, torn)
+    assert word[:4] != pack_commit_word(3, frame)  # truncated word
 
 
 def test_commit_word_costs_eight_bytes_of_capacity():
-    assert (proxy_payload_capacity(4096, commit=True)
-            == proxy_payload_capacity(4096) - PROXY_COMMIT_BYTES)
+    assert (proxy_payload_capacity(4096)
+            == 4096 - PROXY_HEADER_BYTES - COMMIT_WORD_BYTES)
 
 
 # ----------------------------------------------------------------------
@@ -121,37 +123,6 @@ def test_torn_slot_is_skipped_never_applied():
     assert server.torn_skipped.count == 1
     m = sim.metrics
     assert m.counter("faults.torn_injected").count == 1
-
-
-def test_torn_writes_without_commit_word_go_undetected():
-    """The negative control: with ``proxy_commit=False`` the same tear is
-    applied as-is — exactly the corruption the commit word prevents."""
-    sim, pool = build_pool(num_servers=1, num_clients=2,
-                           config=commit_config(proxy_commit=False))
-    c0, c1 = pool.clients
-    payload = bytes(range(1, 129))
-
-    def setup(sim):
-        g = yield from c0.gmalloc(128)
-        yield from c0.gwrite(g, payload)
-        yield from c0.gsync()
-        return g
-
-    (gaddr,) = pool.run(setup(sim))
-    pool.inject_faults(FaultPlan.of(
-        ClientCrash(at_ns=sim.now + 1_000, client="client0",
-                    tear_inflight=True),
-    ))
-
-    def observe(sim):
-        yield sim.timeout(3 * LEASE)
-        data = yield from c1.gread(gaddr)
-        return data
-
-    (data,) = pool.run(observe(sim))
-    assert data != payload  # the half-written frame landed in NVM
-    assert data[: len(payload) // 2] == payload[: len(payload) // 2]
-    assert pool.servers[0].torn_skipped.count == 0
 
 
 def test_torn_slot_in_a_backed_up_ring_is_stepped_over():
