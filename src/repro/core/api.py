@@ -364,7 +364,8 @@ class GengarPool:
         for client in self.clients:
             clients[client.name] = {
                 "uid": client.uid,
-                "pending_overlay_writes": len(client._overlay),
+                "pending_overlay_writes": sum(
+                    len(c.ring.overlay) for c in client._conns.values()),
                 "cached_metadata_entries": len(client._meta_cache),
                 "fence_epoch": client.fence_epoch,
                 "fenced": client.fenced,

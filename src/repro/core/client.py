@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from itertools import repeat
 from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, Generator,
                     NamedTuple, Optional, Tuple)
@@ -63,15 +63,12 @@ from repro.core.errors import (
 from repro.core.layout import DramCarver
 from repro.core.protocol import (
     CACHE_TAG_BYTES,
-    COMMIT_WORD_BYTES,
+    MAX_TRANSFER,
     ObjectMeta,
-    RingDescriptor,
     ServerDescriptor,
-    pack_commit_word,
-    pack_proxy_slot,
-    proxy_payload_capacity,
     tag_matches,
 )
+from repro.core.ring import ClientRing
 from repro.core.server import ReadCombineGroup
 from repro.rdma.cq import CompletionMux
 from repro.rdma.mr import AccessFlags
@@ -133,16 +130,6 @@ _ONE_ATTEMPT = RetryPolicy(max_attempts=1)
 
 
 @dataclass
-class _PendingWrite:
-    """Read-your-writes overlay entry for one object."""
-
-    offset: int
-    data: bytes
-    server_id: int
-    seq: int  # its last frame's ring seq + 1: the counter value that drains it
-
-
-@dataclass
 class _ServerConn:
     """Client-side state for one memory server."""
 
@@ -152,15 +139,12 @@ class _ServerConn:
     #: order holds; only RDMA READs spread across the lanes.
     lanes: Tuple["QueuePair", ...]
     rpc: "RpcClient"
-    ring: Optional[RingDescriptor] = None
-    written: int = 0  # proxy writes issued
-    drained_known: int = 0  # last drained-counter value observed
-    pruned: int = 0  # drained_known at the overlay's last prune
-    #: The last counter READ found frames staged before it undrained.
-    lagging: bool = False
-    refreshing: bool = False  # a background counter READ is out
-    refreshed_at: int = 0  # written when the last one was posted
+    client: InitVar["GengarClient"]
     reads_posted: int = 0  # round-robin cursor over the lanes
+    ring: ClientRing = field(init=False, repr=False)  # the proxy ring
+
+    def __post_init__(self, client: "GengarClient") -> None:
+        self.ring = ClientRing(client, self)
 
     @property
     def data_qp(self) -> "QueuePair":
@@ -174,10 +158,9 @@ class _ServerConn:
         return qp
 
 
-#: The registered bounce region for RDMA payloads, and the largest single
-#: transfer through it (bigger reads and writes are chunked).
+#: The registered bounce region for RDMA payloads; no transfer through it
+#: is larger than ``MAX_TRANSFER`` (bigger reads and writes are chunked).
 _SCRATCH_BYTES = 4 * 1024 * 1024
-_MAX_TRANSFER = 256 * 1024
 #: Scratch is lent in whole lines.
 _SCRATCH_LINE = 64
 
@@ -390,7 +373,6 @@ class GengarClient:
         #: Per-shard cursor into the master's location log: the next report
         #: to a shard brings every cache-location change it made since.
         self._loc_cursors: Dict[int, int] = {}
-        self._overlay: Dict[int, _PendingWrite] = {}
         self._access_counts: Dict[int, list] = {}  # gaddr -> [reads, writes]
         self._ops_since_report = 0
         self._report_inflight = False
@@ -414,7 +396,7 @@ class GengarClient:
         self._scratch = _Scratch(self.sim, _SCRATCH_BYTES)
         # Fresh per-server state on the same wiring: an op begun before a
         # restart keeps the old objects and cannot skew the new rings.
-        self._conns = {sid: _ServerConn(c.desc, c.lanes, c.rpc)
+        self._conns = {sid: _ServerConn(c.desc, c.lanes, c.rpc, self)
                        for sid, c in self._conns.items()}
 
     # ------------------------------------------------------------------
@@ -480,7 +462,7 @@ class GengarClient:
     def add_server_conn(self, desc: ServerDescriptor,
                         lanes: Tuple["QueuePair", ...],
                         rpc: "RpcClient") -> None:
-        self._conns[desc.server_id] = _ServerConn(desc=desc, lanes=lanes, rpc=rpc)
+        self._conns[desc.server_id] = _ServerConn(desc, lanes, rpc, self)
 
     def add_master_conn(self, rpc: "RpcClient", shard: int = 0) -> None:
         """Register a master control connection (active or standby) for one
@@ -680,7 +662,7 @@ class GengarClient:
                     f"master lists server {desc.server_id} but no QP was wired"
                 )
             if self.config.enable_proxy:
-                conn.ring = yield from self._ring_handshake(conn)
+                conn.ring.install((yield from self._ring_handshake(conn)))
         self._attached = True
 
     def _ring_handshake(self, conn: _ServerConn) -> Generator[Any, Any, Any]:
@@ -741,9 +723,9 @@ class GengarClient:
     def gfree(self, gaddr: int) -> Generator[Any, Any, None]:
         """Free a pool object.  Outstanding writes are synced first."""
         self._require_attached()
-        if gaddr in self._overlay:
-            yield from self._op("gsync", self._overlay[gaddr].server_id,
-                                history=False)
+        sid = server_of(gaddr)
+        if sid in self._conns and gaddr in self._conns[sid].ring.overlay:
+            yield from self._op("gsync", sid, history=False)
         yield from self._resilient(
             "gfree", self._gfree_once, gaddr, self._next_req_id())
         self._invalidate_meta(gaddr)
@@ -777,16 +759,15 @@ class GengarClient:
         yield from self.node.cpu_work()
 
         # Read-your-writes: serve from the overlay when it covers the range.
-        pending = self._overlay.get(gaddr)
-        if pending is not None:
-            if (pending.offset <= offset
-                    and offset + length <= pending.offset + len(pending.data)):
+        ring = self._conns[meta.server_id].ring
+        if gaddr in ring.overlay:
+            data = ring.covered(gaddr, offset, length)
+            if data is not None:
                 self.m_overlay_hits.add()
                 self._note_access(gaddr, read=True)
-                lo = offset - pending.offset
-                return pending.data[lo : lo + length]
+                return data
             # Partial overlap: force the write down before reading remotely.
-            yield from self._op("gsync", pending.server_id, history=False)
+            yield from self._op("gsync", meta.server_id, history=False)
 
         data = yield from self._remote_read(gaddr, meta, offset, length,
                                             span_op=span_op)
@@ -797,7 +778,8 @@ class GengarClient:
         """Write ``data`` into an object at ``offset``.
 
         Retries per the client's :class:`RetryPolicy`.  With the proxy on,
-        every write is staged in the home server's ring (:meth:`_proxy_write`).
+        every write is staged in the home server's ring
+        (:meth:`ClientRing.stage`).
         """
         return self._op("gwrite", gaddr, data, offset)
 
@@ -813,8 +795,7 @@ class GengarClient:
 
         conn = self._conns[meta.server_id]
         if self.config.enable_proxy:
-            yield from self._proxy_write(conn, gaddr, offset, data,
-                                         span_op=span_op)
+            yield from conn.ring.stage(gaddr, offset, data, span_op)
             self.m_proxy_writes.add(len(data))
         else:
             yield from self._direct_write(conn, gaddr, meta, offset, data,
@@ -837,36 +818,20 @@ class GengarClient:
                        server_id: Optional[int]) -> Generator[Any, Any, None]:
         targets = [server_id] if server_id is not None else sorted(self._conns)
         for sid in targets:
-            conn = self._conns[sid]
-            if conn.ring is None:
+            ring = self._conns[sid].ring
+            if ring.desc is None:
                 # Mid-reattach (or ring torn down): sync cannot vouch for
-                # writes still staged toward this server — fail typed rather
-                # than return a hollow success.
-                if any(p.server_id == sid and p.seq > conn.drained_known
-                       for p in self._overlay.values()):
-                    raise StaleRingError(
-                        f"gsync: ring to server {sid} is down with writes "
-                        "still staged", server_id=sid)
-                continue
-            if conn.written <= conn.drained_known:
-                if conn.pruned < conn.drained_known:
-                    self._prune_overlay(conn)
+                # writes still staged toward this server — the wait fails
+                # typed rather than return a hollow success.
+                if not ring.undrained():
+                    continue
+            elif ring.written <= ring.drained_known:
+                if ring.pruned < ring.drained_known:
+                    ring.prune()
                 continue
             rec = self.sim.spans
             t0 = self.sim.now if rec is not None else 0
-            backoff = 0
-            while conn.drained_known < conn.written:
-                if conn.ring is None:
-                    # Ring torn down mid-wait (crash / reattach handshake):
-                    # same verdict as finding it down up front.
-                    raise StaleRingError(
-                        f"gsync: ring to server {sid} is down with writes "
-                        "still staged", server_id=sid)
-                yield from self._poll_drained(conn)
-                if conn.drained_known < conn.written:
-                    backoff = min(backoff + 1, 5)
-                    yield 500 * (1 << backoff)
-            self._prune_overlay(conn)
+            yield from ring.await_drained(0)
             if rec is not None:
                 rec.record(self.name, "phase.drain_wait", t0, op=span_op,
                            server=sid)
@@ -887,39 +852,32 @@ class GengarClient:
         """
         self._require_attached()
         conn = self._conns[server_id]
-        new_ring = None
+        ring = conn.ring
+        desc = None
         if self.config.enable_proxy:
-            prev_ring = conn.ring
+            prev = ring.desc
             # Writers must not stage into the old (torn-down) ring while the
             # handshake is in flight: they fail typed and wait on its gate
             # (which _auto_reattach may already hold).
-            conn.ring = None
+            ring.desc = None
             gates, gate = self._reattach_gates, None
             if server_id not in gates:
                 gate = gates[server_id] = self.sim.event(name=f"{self.name}.reattach{server_id}")
             try:
-                new_ring = yield from self._ring_handshake(conn)
+                desc = yield from self._ring_handshake(conn)
             except BaseException:
-                conn.ring = prev_ring
+                ring.desc = prev
                 raise
             finally:
                 if gate is not None:
                     del gates[server_id]
                     gate.succeed()
-        mine = [(g, p.seq) for g, p in self._overlay.items()
-                if p.server_id == server_id]
-        lost = sorted(g for g, seq in mine if seq > conn.drained_known)
-        for g, _ in mine:
-            del self._overlay[g]
-        conn.written = conn.drained_known = conn.pruned = conn.refreshed_at = 0
-        conn.lagging = False
+        lost = ring.install(desc)
         # Location metadata for that server's objects is stale (the DRAM
         # cache is empty now); bump the server epoch so every cached entry
         # for it reads as a miss and is re-learned lazily — O(1) instead of
         # scanning the whole metadata cache.
         self._srv_epoch[server_id] = self._srv_epoch.get(server_id, 0) + 1
-        if self.config.enable_proxy:
-            conn.ring = new_ring
         return lost
 
     def reattach_master(self, shard: int = 0) -> Generator[Any, Any, None]:
@@ -1383,18 +1341,19 @@ class GengarClient:
                     fallback.append(idx)  # serial gread retries the lookup
                     continue
             length = meta.size
-            pending = self._overlay.get(gaddr)
-            if pending is not None:
-                if pending.offset == 0 and len(pending.data) >= length:
+            ring = self._conns[meta.server_id].ring
+            if gaddr in ring.overlay:
+                data = ring.covered(gaddr, 0, length)
+                if data is not None:
                     self.m_reads.add()
                     self.m_overlay_hits.add()
                     self._note_access(gaddr, read=True)
                     self.h_read.record(self.sim.now - start)
-                    results[idx] = pending.data[:length]
+                    results[idx] = data
                 else:
                     fallback.append(idx)  # partial overlap: gread syncs first
                 continue
-            if length > _MAX_TRANSFER - CACHE_TAG_BYTES:
+            if length > MAX_TRANSFER - CACHE_TAG_BYTES:
                 fallback.append(idx)  # chunked path stays serial
                 continue
             groups.setdefault(meta.server_id, []).append((idx, gaddr, meta))
@@ -1712,127 +1671,6 @@ class GengarClient:
     # ------------------------------------------------------------------
     # Write paths
     # ------------------------------------------------------------------
-    def _proxy_write(self, conn: _ServerConn, gaddr: int, offset: int,
-                     data: bytes,
-                     span_op: int = 0) -> Generator[Any, Any, None]:
-        """Stage one write into the proxy ring: one frame, or frame groups
-        when longer than a slot.  A full ring is waited out; a missing one (a
-        re-attach is in flight) fails the attempt with StaleRingError.  Once
-        staged, the write may post a background counter refresh
-        (docs/PROTOCOLS.md §3.2 step 1), which it does not wait for."""
-        rec = self.sim.spans
-        t0 = self.sim.now if rec is not None else 0
-        ring = conn.ring
-        if ring is None:
-            raise StaleRingError(f"ring to server {conn.desc.server_id} is being "
-                                 "re-attached", server_id=conn.desc.server_id)
-        capacity = proxy_payload_capacity(ring.slot_size)
-        if len(data) > capacity:
-            seq = yield from self._stage_groups(conn, ring, gaddr, offset,
-                                                data, capacity)
-        else:
-            if conn.written - conn.pruned >= ring.slots:
-                yield from self._await_ring_space(conn)
-            frame = pack_proxy_slot(gaddr, offset, data)
-            total = len(frame) + COMMIT_WORD_BYTES
-            # Acquire the scratch span (the only potential yield) BEFORE
-            # reserving the sequence number: reserve -> post must be atomic in
-            # virtual time, so doorbells always reach the server in seq order.
-            # A writer parked between the two would let a concurrent (or
-            # injected mid-crash) write with a later seq overtake it, and the
-            # drain's seq cursor would then reject the earlier frame as torn.
-            scratch = self._scratch
-            scratch_off = None
-            if not self.node.nic.is_inline(total):
-                scratch_off = scratch.try_alloc(total)
-                if scratch_off is None:
-                    scratch_off = yield scratch.wait(total)
-            try:
-                seq = conn.written
-                conn.written += 1
-                slot = seq % ring.slots
-                # Trailing commit word: the drain loop validates seq ^ crc32
-                # before applying, so a write torn mid-flight is skipped,
-                # never applied as garbage.
-                payload = frame + pack_commit_word(seq, frame)
-                wr = WorkRequest(
-                    opcode=Opcode.RDMA_WRITE_IMM,
-                    remote_rkey=ring.ring_rkey,
-                    remote_offset=slot * ring.slot_size,
-                    imm_data=slot, length=len(payload),
-                )
-                if scratch_off is None:
-                    wr.inline_data = payload
-                else:
-                    self._scratch_mr.poke(scratch_off, payload)
-                    wr.local_mr = self._scratch_mr
-                    wr.local_offset = scratch_off
-                wc = yield conn.data_qp.post_send(wr)
-            finally:
-                if scratch_off is not None:
-                    scratch.free(scratch_off, total)
-            self._check_wc(wc, "proxy write", conn, ring=True)
-        if rec is not None:
-            rec.record(self.name, "phase.proxy_stage", t0, op=span_op,
-                       server=conn.desc.server_id, bytes=len(data))
-        # The drained counter is 1-based: write #seq is drained once the
-        # counter reaches seq + 1.
-        self._overlay[gaddr] = _PendingWrite(
-            offset=offset, data=data, server_id=conn.desc.server_id, seq=seq + 1
-        )
-        self._last_staged = (conn.desc.server_id, gaddr, offset, data)
-        if (conn.lagging and not conn.refreshing and conn.ring is ring
-                and conn.written - max(conn.drained_known, conn.refreshed_at)
-                >= ring.slots // 2):
-            conn.refreshing, conn.refreshed_at = True, conn.written
-            self.m_ring_refreshes.add()
-            self.sim.spawn(self._refresh_drained(conn))
-
-    def _stage_groups(self, conn: _ServerConn, ring: RingDescriptor,
-                      gaddr: int, offset: int, data: bytes,
-                      capacity: int) -> Generator[Any, Any, int]:
-        """Stage a write longer than one slot as frame groups, in order, and
-        return its last frame's seq (docs/PROTOCOLS.md §3.2).  A ring
-        re-attached meanwhile fails the attempt; the retry restages it all."""
-        slot_size = ring.slot_size
-        step = capacity * max(1, min(ring.slots, _MAX_TRANSFER // slot_size))
-        scratch, mr = self._scratch, self._scratch_mr
-        for lo in range(0, len(data), step):
-            hi = min(lo + step, len(data))
-            frames = [pack_proxy_slot(gaddr, offset + pos, data[pos:pos + capacity],
-                                      more=pos + capacity < hi)
-                      for pos in range(lo, hi, capacity)]
-            if conn.written - conn.pruned + len(frames) > ring.slots:
-                yield from self._await_ring_space(conn, need=len(frames))
-            total = len(frames) * slot_size
-            base = scratch.try_alloc(total)
-            if base is None:
-                base = yield scratch.wait(total)
-            try:
-                if conn.ring is not ring:
-                    raise StaleRingError(f"ring to server {conn.desc.server_id} "
-                                         "re-attached mid-write",
-                                         server_id=conn.desc.server_id)
-                wrs = []
-                for at, frame in zip(range(base, base + total, slot_size), frames):
-                    seq = conn.written
-                    conn.written = seq + 1
-                    frame += pack_commit_word(seq, frame)
-                    mr.poke(at, frame)
-                    wrs.append(WorkRequest(
-                        opcode=Opcode.RDMA_WRITE_IMM, remote_rkey=ring.ring_rkey,
-                        remote_offset=seq % ring.slots * slot_size,
-                        imm_data=seq % ring.slots, length=len(frame),
-                        local_mr=mr, local_offset=at))
-                wcs = []
-                for proc in conn.data_qp.post_send_many(wrs):
-                    wcs.append((yield proc))
-            finally:
-                scratch.free(base, total)
-            for wc in wcs:
-                self._check_wc(wc, "proxy write", conn, ring=True)
-        return seq
-
     def _direct_write(self, conn: _ServerConn, gaddr: int, meta: ObjectMeta,
                       offset: int, data: bytes,
                       span_op: int = 0) -> Generator[Any, Any, None]:
@@ -1870,83 +1708,17 @@ class GengarClient:
         return True
 
     # ------------------------------------------------------------------
-    # Proxy flow control
-    # ------------------------------------------------------------------
-    def _poll_drained(self, conn: _ServerConn) -> Generator[Any, Any, None]:
-        """Fetch the server-side drained counter with one 8-byte READ.  A
-        value that returns after its ring was replaced counts the old ring's
-        frames, so it is dropped.  It never prunes the overlay."""
-        ring, written = conn.ring, conn.written
-        raw = yield from self._rdma_read(
-            conn, ring.ring_rkey, ring.counter_offset, 8, ring=True
-        )
-        if conn.ring is not ring:
-            return
-        value = int.from_bytes(raw, "little")
-        conn.lagging = value < written
-        if value > conn.drained_known:
-            conn.drained_known = value
-
-    def _refresh_drained(self, conn: _ServerConn) -> Generator[Any, Any, None]:
-        """A background counter READ.  A failed one is dropped: the next
-        poll or gsync surfaces the failure (a FatalError, this client's own
-        death, fails the process instead)."""
-        try:
-            if conn.ring is not None:  # a re-attach began before it ran
-                yield from self._poll_drained(conn)
-        except RetryableError:
-            pass
-        finally:
-            conn.refreshing = False
-
-    def _await_ring_space(self, conn: _ServerConn,
-                          need: int = 1) -> Generator[Any, Any, None]:
-        """The writes staged since the overlay's last prune fill the ring:
-        prune it, then poll the drained counter until ``need`` ring slots
-        are free; only the op's deadline (``op_deadline_ns``) bounds the
-        wait."""
-        backoff = 0
-        while True:
-            if conn.ring is None:
-                # Torn down mid-wait; staging is impossible until reattach.
-                raise StaleRingError(
-                    f"ring to server {conn.desc.server_id} torn down while "
-                    "waiting for slot space", server_id=conn.desc.server_id)
-            self._prune_overlay(conn)
-            if conn.written - conn.drained_known + need <= conn.ring.slots:
-                return
-            if not backoff:
-                self.m_ring_waits.add()
-            yield from self._poll_drained(conn)
-            if conn.ring is not None and (
-                    conn.written - conn.drained_known + need <= conn.ring.slots):
-                self._prune_overlay(conn)
-                return
-            backoff = min(backoff + 1, 5)
-            yield 500 * (1 << backoff)
-
-    def _prune_overlay(self, conn: _ServerConn) -> None:
-        """Drop the overlay entries of ``conn``'s server that are known
-        drained, and remember how far that knowledge went."""
-        sid, known = conn.desc.server_id, conn.drained_known
-        conn.pruned = known
-        stale = [g for g, p in self._overlay.items()
-                 if p.server_id == sid and p.seq <= known]
-        for g in stale:
-            del self._overlay[g]
-
-    # ------------------------------------------------------------------
     # Raw verb helpers
     # ------------------------------------------------------------------
     def _rdma_read(self, conn: _ServerConn, rkey: int, remote_offset: int,
                    nbytes: int, ring: bool = False) -> Generator[Any, Any, bytes]:
-        if nbytes > _MAX_TRANSFER:
+        if nbytes > MAX_TRANSFER:
             # Transparent chunking: huge reads issue sequential transfer-sized
             # verbs (one WQE each), like a real library's segmented SGE path.
             parts: list[bytes] = []
             pos = 0
             while pos < nbytes:
-                chunk = min(_MAX_TRANSFER, nbytes - pos)
+                chunk = min(MAX_TRANSFER, nbytes - pos)
                 part = yield from self._rdma_read(conn, rkey,
                                                   remote_offset + pos, chunk,
                                                   ring=ring)
@@ -1970,10 +1742,10 @@ class GengarClient:
 
     def _rdma_write(self, conn: _ServerConn, rkey: int, remote_offset: int,
                     data: bytes) -> Generator[Any, Any, None]:
-        if len(data) > _MAX_TRANSFER:
+        if len(data) > MAX_TRANSFER:
             pos = 0
             while pos < len(data):
-                chunk = data[pos : pos + _MAX_TRANSFER]
+                chunk = data[pos : pos + MAX_TRANSFER]
                 yield from self._rdma_write(conn, rkey, remote_offset + pos, chunk)
                 pos += len(chunk)
             return

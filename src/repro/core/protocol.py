@@ -57,6 +57,10 @@ def pack_commit_word(seq: int, frame: bytes) -> bytes:
     return ((s << 32) | (zlib.crc32(frame) ^ s)).to_bytes(COMMIT_WORD_BYTES, "little")
 
 
+#: The largest RDMA transfer a client posts (and stages in one frame group).
+MAX_TRANSFER = 256 * 1024
+
+
 def proxy_payload_capacity(slot_size: int) -> int:
     """Largest payload one frame in a slot of ``slot_size`` bytes carries:
     the slot less its header and its commit word."""

@@ -342,8 +342,7 @@ class FaultInjector:
         since every frame carries a commit word, skips the slot as torn
         instead of applying it.  Returns whether a doorbell is on its way;
         its process then crashes the client."""
-        from repro.core.protocol import (
-            PROXY_HEADER_BYTES, pack_commit_word, pack_proxy_slot, proxy_payload_capacity)
+        from repro.core.protocol import PROXY_HEADER_BYTES, pack_commit_word, pack_proxy_slot
 
         if client._last_staged is None:
             rec = self.sim.spans
@@ -354,33 +353,34 @@ class FaultInjector:
         sid, gaddr, offset, data = client._last_staged
         server = self.servers.get(sid)
         conn = client._conns.get(sid)
-        if server is None or conn is None or conn.ring is None:
+        if server is None or conn is None or conn.ring.desc is None:
             return False
         ring_state = server._rings.get(client.name)
         if ring_state is None:
             return False
-        slots = conn.ring.slots
-        if conn.written - ring_state.drained >= slots:
+        ring = conn.ring
+        desc = ring.desc
+        if ring.written - ring_state.drained >= desc.slots:
             rec = self.sim.spans
             if rec is not None:
                 rec.event("faults", "fault", "ring full; tear skipped",
                           client=client.name)
             return False
-        seq = conn.written
-        conn.written += 1
-        slot = seq % slots
-        capacity = proxy_payload_capacity(conn.ring.slot_size)
+        seq = ring.reserve(desc, 1)
+        slot = seq % desc.slots
+        capacity = ring.capacity
         frame = pack_proxy_slot(gaddr, offset, data[:capacity], more=len(data) > capacity)
         data = data[:capacity]
         full = frame + pack_commit_word(seq, frame)
         cut = PROXY_HEADER_BYTES + max(1, len(data) // 2)
-        base = slot * conn.ring.slot_size
+        base = slot * desc.slot_size
         # The partial payload lands now (the bytes the NIC pushed out before
         # the host died); the zero-fill keeps the judgement deterministic
         # even when the slot is reused after a ring wrap.
-        ring_state.mr.poke(base, bytes(conn.ring.slot_size))
+        ring_state.mr.poke(base, bytes(desc.slot_size))
         ring_state.mr.poke(base, full[:cut])
-        self.sim.spawn(self._deliver_torn_doorbell(client, conn, base, slot),
+        self.sim.spawn(self._deliver_torn_doorbell(client, conn, desc.ring_rkey,
+                                                   base, slot),
                        name=f"faults.tear.{client.name}")
         self.torn_injected.add()
         rec = self.sim.spans
@@ -390,8 +390,8 @@ class FaultInjector:
                       cut=cut, of=len(full))
         return True
 
-    def _deliver_torn_doorbell(self, client: "GengarClient", conn, base: int,
-                               slot: int) -> Any:
+    def _deliver_torn_doorbell(self, client: "GengarClient", conn, rkey: int,
+                               base: int, slot: int) -> Any:
         """Ship the torn slot's doorbell through the victim's own data QP
         (as a zero-length RDMA_WRITE_WITH_IMM) instead of pushing straight
         into the server's completion queue.
@@ -411,7 +411,7 @@ class FaultInjector:
 
         wr = WorkRequest(
             opcode=Opcode.RDMA_WRITE_IMM,
-            remote_rkey=conn.ring.ring_rkey,
+            remote_rkey=rkey,
             remote_offset=base,
             imm_data=slot,
             inline_data=b"",

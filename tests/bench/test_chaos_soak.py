@@ -72,17 +72,18 @@ def _full_pools(monkeypatch, scenario):
 
 def _forced_direct_writes(monkeypatch, scenario):
     """Every write goes one-sided to NVM, as a proxy-off client's would."""
-    from repro.core.client import GengarClient
+    from repro.core.ring import ClientRing
 
-    def direct(self, conn, gaddr, offset, data, span_op=0):
-        meta = self._cached_meta(gaddr)
+    def direct(self, gaddr, offset, data, span_op=0):
+        client = self.client
+        meta = client._cached_meta(gaddr)
         if meta is None:
-            meta = yield from self._meta(gaddr, span_op=span_op)
-        yield from self._direct_write(conn, gaddr, meta, offset, data,
-                                      span_op=span_op)
-        self.m_direct_writes.add(len(data))
+            meta = yield from client._meta(gaddr, span_op=span_op)
+        yield from client._direct_write(self.conn, gaddr, meta, offset, data,
+                                        span_op=span_op)
+        client.m_direct_writes.add(len(data))
 
-    monkeypatch.setattr(GengarClient, "_proxy_write", direct)
+    monkeypatch.setattr(ClientRing, "stage", direct)
 
 
 def _moves(scenario):

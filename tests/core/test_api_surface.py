@@ -14,9 +14,11 @@ outside the code that defines it:
 Tests do not count as callers: a path only its own tests run is a path
 nothing needs.  The same holds one layer down, for RPC methods: every
 method a master, server or bench rig registers on an ``RpcServer`` must be
-named by a call somewhere in ``src/``.
+named by a call somewhere in ``src/``.  And one layer into the client: only
+the ring module moves a proxy ring's cursor.
 """
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -88,3 +90,33 @@ def test_every_registered_rpc_method_is_called():
         if not re.search(rf'\w\([^()]*"{name}"', rest)
     }
     assert uncalled == set()
+
+
+#: A ring's cursor and what the client knows of its drained counter.
+_RING_CURSOR = {"written", "drained_known", "pruned"}
+
+
+def test_only_the_ring_module_moves_a_ring_cursor():
+    """Nothing under ``src/`` but ``core/ring.py`` assigns a ring's
+    ``written``, ``drained_known`` or ``pruned``: a second place that
+    reserves seqs (as the torn-slot injector once did) or learns the
+    counter would have to repeat the ring's waits and identity check."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path == SRC / "core" / "ring.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if (isinstance(leaf, ast.Attribute)
+                            and leaf.attr in _RING_CURSOR):
+                        offenders.append(
+                            f"{path.relative_to(SRC)}:{leaf.lineno} "
+                            f".{leaf.attr}")
+    assert offenders == []

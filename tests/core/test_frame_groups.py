@@ -86,7 +86,7 @@ def test_a_write_during_a_reattach_handshake_lands_through_the_new_ring():
     def app(sim):
         handshake = sim.spawn(client.reattach_server(0))
         yield 1
-        assert conn.ring is None  # the handshake is in flight
+        assert conn.ring.desc is None  # the handshake is in flight
         yield from client.gwrite(gaddr, b"new" + bytes(125))
         yield handshake
         yield from client.gsync()
@@ -155,13 +155,13 @@ def test_a_torn_frame_drops_its_whole_group():
         gaddr = yield from client.gmalloc(SIZE)
         yield from client.gwrite(gaddr, old)
         yield from client.gsync()
-        conn = client._conns[0]
-        first = conn.written
+        ring = client._conns[0].ring
+        first = ring.written
         server.stall_drains(30_000)
         yield from client.gwrite(gaddr, b"\x08" * SIZE)
-        middle = (first + 1) % conn.ring.slots
+        middle = (first + 1) % ring.desc.slots
         server._rings[client.name].mr.poke(
-            middle * conn.ring.slot_size + PROXY_HEADER_BYTES, b"\xff")
+            middle * ring.desc.slot_size + PROXY_HEADER_BYTES, b"\xff")
         yield from client.gsync()
         return gaddr
 
@@ -169,7 +169,7 @@ def test_a_torn_frame_drops_its_whole_group():
     ring = server._rings[client.name]
     assert server.torn_skipped.count == 1
     assert _nvm(server, gaddr) == old
-    assert ring.drained == ring.seq == client._conns[0].written
+    assert ring.drained == ring.seq == client._conns[0].ring.written
     assert not ring.parked and not ring.done
 
 

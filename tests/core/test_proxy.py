@@ -247,8 +247,8 @@ def test_gsync_waits_for_all_pending_writes():
         yield from client.gsync()
         # After gsync, nothing is pending anywhere.
         for conn in client._conns.values():
-            assert conn.drained_known >= conn.written
-        assert not client._overlay
+            assert conn.ring.drained_known >= conn.ring.written
+            assert not conn.ring.overlay
         return addrs
 
     (addrs,) = pool.run(app(sim))

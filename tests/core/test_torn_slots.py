@@ -141,15 +141,15 @@ def test_torn_slot_in_a_backed_up_ring_is_stepped_over():
         for _ in range(burst):
             addrs.append((yield from client.gmalloc(size)))
         server.stall_drains(30_000)
-        first = client._conns[0].written
+        first = client._conns[0].ring.written
         for i, g in enumerate(addrs):
             yield from client.gwrite(g, bytes([i + 1]) * size)
         # Tear one staged frame while the drain is stalled: its commit word
         # no longer covers the payload.
         ring = server._rings[client.name]
-        slot = (first + torn_at) % client._conns[0].ring.slots
-        ring.mr.poke(slot * client._conns[0].ring.slot_size
-                     + PROXY_HEADER_BYTES, b"\xff")
+        desc = client._conns[0].ring.desc
+        slot = (first + torn_at) % desc.slots
+        ring.mr.poke(slot * desc.slot_size + PROXY_HEADER_BYTES, b"\xff")
         yield from client.gsync()
         return addrs, first
 
@@ -159,7 +159,7 @@ def test_torn_slot_in_a_backed_up_ring_is_stepped_over():
         want = bytes(size) if i == torn_at else bytes([i + 1]) * size
         assert server.data_device.peek(offset_of(g), size) == want, i
     ring = server._rings[client.name]
-    assert ring.drained == first + burst == client._conns[0].written
+    assert ring.drained == first + burst == client._conns[0].ring.written
     assert not ring.done
     (torn,) = [s for s in rec.by_name("srv.drain") if s.fields["torn"]]
     assert torn.fields["overlapped"]
