@@ -254,7 +254,7 @@ class ChaosSoak:
         # A sync only counts as a durability promise if no failover happened
         # while it ran (a re-attach turns staged writes into reported losses
         # and lets the sync complete trivially).
-        if len(client.fault_log) != fault_log_len or client._reattach_gates:
+        if len(client.fault_log) != fault_log_len or client._driver.server_gates:
             return
         for key in keys:
             acked = acked_at_sync[key]

@@ -130,7 +130,7 @@ def e01_read_latency(sizes: Sequence[int] = (64, 256, 1024, 4096, 16384, 65536),
                 if variant == "gengar-hot":
                     yield from system.pool.master.pin(gaddr)
                     # Refresh the client's location metadata post-pin.
-                    client._invalidate_meta(gaddr)
+                    client._metas.drop(gaddr)
                 # Warmup read so one-time metadata lookups stay out of the
                 # measurement window.
                 yield from client.gread(gaddr, length=1)

@@ -366,7 +366,7 @@ class GengarPool:
                 "uid": client.uid,
                 "pending_overlay_writes": sum(
                     len(c.ring.overlay) for c in client._conns.values()),
-                "cached_metadata_entries": len(client._meta_cache),
+                "cached_metadata_entries": len(client._metas),
                 "fence_epoch": client.fence_epoch,
                 "fenced": client.fenced,
             }

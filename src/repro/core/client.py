@@ -10,7 +10,7 @@ Data-plane routing per operation:
 * **read, object cached** → one RDMA READ of the home server's DRAM cache
   slot (self-verifying tag; a mismatch means stale metadata: the client
   re-reads the NVM home while a lookup runs, and keeps those bytes once
-  the lookup returns),
+  the lookup confirms the object's size; :mod:`repro.core.reads`),
 * **read, uncached** → one RDMA READ of the NVM home,
 * **write, proxy on** → one RDMA WRITE_WITH_IMM into the client's private
   ring in server DRAM; completion at DRAM latency, NVM updated by the
@@ -26,41 +26,30 @@ client observes its own writes.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
-from collections import deque
 from dataclasses import InitVar, dataclass, field
-from itertools import repeat
-from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, Generator,
-                    NamedTuple, Optional, Tuple)
+from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
     from repro.rdma.qp import QueuePair
     from repro.rdma.rpc import RpcClient
-    from repro.sim.kernel import Process
 
 from repro.core.addressing import server_of
 from repro.core.config import GengarConfig
 from repro.core.consistency import LockOps
 from repro.core.errors import (
-    ClientError,
-    DeadlineExceededError,
     FatalError,
     FencedError,
     LeaseExpiredError,
-    LockTimeoutError,
     MasterUnavailableError,
     NotMyShard,
     PartitionSuspected,
     RetryableError,
-    ServerUnavailableError,
-    StaleRingError,
     StaleTermError,
-    TxnAbortedError,
-    TxnError,
-    TxnWaitDieError,
 )
+from repro.core.driver import OpDriver, RetryPolicy, wc_error
 from repro.core.layout import DramCarver
+from repro.core.metacache import MetaCache, check_bounds
 from repro.core.protocol import (
     CACHE_TAG_BYTES,
     MAX_TRANSFER,
@@ -68,65 +57,13 @@ from repro.core.protocol import (
     ServerDescriptor,
     tag_matches,
 )
+from repro.core.reads import SCRATCH_BYTES, ClientReads, Scratch
 from repro.core.ring import ClientRing
-from repro.core.server import ReadCombineGroup
-from repro.rdma.cq import CompletionMux
 from repro.rdma.mr import AccessFlags
 from repro.rdma.rpc import RpcError
 from repro.rdma.wr import Opcode, WcStatus, WorkRequest
 
-__all__ = [
-    "GengarClient",
-    "RetryPolicy",
-    "ClientError",
-    "FatalError",
-    "RetryableError",
-    "ServerUnavailableError",
-    "MasterUnavailableError",
-    "StaleRingError",
-    "FencedError",
-    "DeadlineExceededError",
-    "LockTimeoutError",
-    "TxnError",
-    "TxnAbortedError",
-    "TxnWaitDieError",
-]
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How a client reacts to retryable failures.
-
-    Every client retries: up to eight attempts per op, backing off between
-    them, and re-attaching to a restarted server or master before the next
-    attempt.  Only the deadline comes from the config.
-    """
-
-    #: Attempts per op before the RetryableError propagates.
-    max_attempts: int = 8
-    #: First backoff; doubles per attempt, capped at ``max_backoff_ns``.
-    base_backoff_ns: int = 2_000
-    max_backoff_ns: int = 50_000
-    #: Randomize each backoff in [base, current] (seeded stream).
-    jitter: bool = True
-    #: Per-op virtual-time budget; 0 disables the deadline watchdog.
-    deadline_ns: int = 0
-
-    @classmethod
-    def from_config(cls, config: GengarConfig) -> "RetryPolicy":
-        return cls(deadline_ns=config.op_deadline_ns)
-
-    def backoff_ns(self, attempt: int, rng) -> int:
-        """Delay before retry number ``attempt`` (1-based)."""
-        delay = min(self.base_backoff_ns << min(attempt - 1, 20),
-                    self.max_backoff_ns)
-        if self.jitter and delay > self.base_backoff_ns:
-            return rng.randrange(self.base_backoff_ns, delay + 1)
-        return delay
-
-
-#: The policy of verbs that do not retry as a whole (batch and lock verbs).
-_ONE_ATTEMPT = RetryPolicy(max_attempts=1)
+__all__ = ["GengarClient", "RetryPolicy"]
 
 
 @dataclass
@@ -140,7 +77,7 @@ class _ServerConn:
     lanes: Tuple["QueuePair", ...]
     rpc: "RpcClient"
     client: InitVar["GengarClient"]
-    reads_posted: int = 0  # round-robin cursor over the lanes
+    reads_posted: int = 0  # READ cursor over the lanes (ClientReads.deal)
     ring: ClientRing = field(init=False, repr=False)  # the proxy ring
 
     def __post_init__(self, client: "GengarClient") -> None:
@@ -150,99 +87,6 @@ class _ServerConn:
     def data_qp(self) -> "QueuePair":
         """The ordered lane."""
         return self.lanes[0]
-
-    def read_lane(self) -> "QueuePair":
-        """The lane the next RDMA READ goes out on (round-robin)."""
-        qp = self.lanes[self.reads_posted % len(self.lanes)]
-        self.reads_posted += 1
-        return qp
-
-
-#: The registered bounce region for RDMA payloads; no transfer through it
-#: is larger than ``MAX_TRANSFER`` (bigger reads and writes are chunked).
-_SCRATCH_BYTES = 4 * 1024 * 1024
-#: Scratch is lent in whole lines.
-_SCRATCH_LINE = 64
-
-
-class _Scratch:
-    """The client's bounce region, lent by the byte.
-
-    A transfer holds only its own span, rounded up to a whole line (at
-    least one, so an empty transfer still owns its offset): first fit over
-    the free runs in offset order, given back with :meth:`free`, which
-    coalesces it with its free neighbours.  A taker that does not fit waits
-    on :meth:`wait`'s event; waiters are served strictly in arrival order,
-    so :meth:`try_alloc` fails while anyone waits and a large transfer is
-    never starved by a stream of small ones.
-    """
-
-    __slots__ = ("sim", "size", "_runs", "_waiters")
-
-    def __init__(self, sim, size: int):
-        self.sim = sim
-        self.size = size
-        #: Free ``[lo, hi)`` runs, in offset order, never adjacent.
-        self._runs: list = [[0, size]]
-        #: ``(nbytes, event)`` of each waiting taker, oldest first.
-        self._waiters: Deque[tuple] = deque()
-
-    def _fit(self, nbytes: int) -> Optional[int]:
-        need = (nbytes + _SCRATCH_LINE - 1) & -_SCRATCH_LINE or _SCRATCH_LINE
-        runs = self._runs
-        for i, run in enumerate(runs):
-            lo = run[0]
-            left = run[1] - lo - need
-            if left >= 0:
-                if left:
-                    run[0] = lo + need
-                else:
-                    del runs[i]
-                return lo
-        return None
-
-    def try_alloc(self, nbytes: int) -> Optional[int]:
-        """Lend ``nbytes`` now: the offset, or None when no free run fits
-        or an earlier taker is waiting."""
-        return None if self._waiters else self._fit(nbytes)
-
-    def wait(self, nbytes: int):
-        """The event, to be yielded, that fires with the offset of
-        ``nbytes`` once every earlier waiter is served and they fit."""
-        event = self.sim.event()
-        self._waiters.append((nbytes, event))
-        return event
-
-    def free(self, offset: int, nbytes: int) -> None:
-        """Take back the ``nbytes`` lent at ``offset``, then serve waiters
-        in order while the oldest fits."""
-        hi = offset + ((nbytes + _SCRATCH_LINE - 1) & -_SCRATCH_LINE
-                       or _SCRATCH_LINE)
-        runs = self._runs
-        i = bisect_left(runs, [offset])
-        after = runs[i] if i < len(runs) and runs[i][0] == hi else None
-        if i and runs[i - 1][1] == offset:
-            before = runs[i - 1]
-            if after is None:
-                before[1] = hi
-            else:
-                before[1] = after[1]
-                del runs[i]
-        elif after is not None:
-            after[0] = offset
-        else:
-            runs.insert(i, [offset, hi])
-        waiters = self._waiters
-        while waiters:
-            got = self._fit(waiters[0][0])
-            if got is None:
-                return
-            waiters.popleft()[1].succeed(got)
-
-    @property
-    def idle(self) -> bool:
-        """True when the whole region is free and nobody waits."""
-        return self._runs == [[0, self.size]] and not self._waiters
 
 
 #: Consecutive master transport failures before the client's verdict
@@ -296,7 +140,6 @@ class GengarClient:
         #: survives a restart: the master may still map an old token.
         self._req_seq = 0
         self.retry_policy = RetryPolicy.from_config(config)
-        self._retry_rng = None  # seeded jitter stream, created on first use
         #: One record per completed re-attach: {"time_ns", "server_id",
         #: "lost"} — the durability audit trail (each lost staged write is
         #: reported in exactly one record).
@@ -304,7 +147,6 @@ class GengarClient:
 
         # Local scratch buffers for DMA sources/destinations.
         self._carver = DramCarver(node.dram)
-        self._scratch_mr = None
 
         m = self.sim.metrics
         self.m_reads = m.counter("pool.reads")
@@ -336,6 +178,8 @@ class GengarClient:
         #: Per-doorbell batch sizes from gread_many — mean = effective
         #: read-pipelining depth, reported by the perf harness.
         self.h_read_batch = m.histogram("pool.read_batch")
+        self._reads = ClientReads(self)
+        self._driver = OpDriver(self)
         self._init_volatile()
 
     def _init_volatile(self) -> None:
@@ -364,24 +208,13 @@ class GengarClient:
         #: re-present its idempotency token to the SAME shard (or, after a
         #: redirect, to the shard that inherited the dedup entry).
         self._req_shards: Dict[int, int] = {}
-        self._meta_cache: Dict[int, ObjectMeta] = {}
-        # Epoch-based invalidation: each entry remembers the per-server epoch
-        # it was learned under; bumping a server's epoch (reattach) devalues
-        # every entry for that server in O(1) instead of scanning the cache.
-        self._meta_epoch: Dict[int, int] = {}
-        self._srv_epoch: Dict[int, int] = {}
-        #: Per-shard cursor into the master's location log: the next report
-        #: to a shard brings every cache-location change it made since.
-        self._loc_cursors: Dict[int, int] = {}
+        self._metas = MetaCache(self)
         self._access_counts: Dict[int, list] = {}  # gaddr -> [reads, writes]
         self._ops_since_report = 0
         self._report_inflight = False
-        #: In-flight auto-reattach gates, one per server: concurrent failed
-        #: ops coalesce onto a single re-attach handshake.
-        self._reattach_gates: Dict[int, Any] = {}
-        #: Coalescing gates for master re-attach, one per shard (same
-        #: pattern as the per-server gates above).
-        self._reattach_master_gates: Dict[int, Any] = {}
+        #: In-flight re-attach gates: concurrent failed ops coalesce onto a
+        #: single handshake per server and per master shard.
+        self._driver.server_gates, self._driver.master_gates = {}, {}
         # ---- lease / fencing state (all inert while lease_ns == 0) ------
         #: Lease duration granted by the master at attach; 0 = leases off.
         self.lease_ns = 0
@@ -393,7 +226,7 @@ class GengarClient:
         #: Last successfully staged proxy write (server_id, gaddr, offset,
         #: data) — what a torn-write fault injection would re-stage halfway.
         self._last_staged: Optional[tuple] = None
-        self._scratch = _Scratch(self.sim, _SCRATCH_BYTES)
+        self._reads.scratch = Scratch(self.sim, SCRATCH_BYTES)
         # Fresh per-server state on the same wiring: an op begun before a
         # restart keeps the old objects and cannot skew the new rings.
         self._conns = {sid: _ServerConn(c.desc, c.lanes, c.rpc, self)
@@ -512,7 +345,7 @@ class GengarClient:
                 # only to a cursor that predates the adoption: forget
                 # their locations rather than rely on that.
                 self._shard_map[sid] = owner
-                self._resync_locations([sid])
+                self._metas.resync([sid])
             self._shard_map_epoch = epoch
         return owner, epoch
 
@@ -635,7 +468,7 @@ class GengarClient:
             self.uid = info["client_id"]
             self.fence_epoch = max(self.fence_epoch, info["epoch"])
             self.lease_ns = info["lease_ns"]
-            self._loc_cursors[shard] = info["log"]
+            self._metas.cursors[shard] = info["log"]
             # Each shard's reply lists only the servers it owns: the union
             # is the pool, and which shard answered IS the shard map.
             for desc in info["servers"]:
@@ -649,10 +482,10 @@ class GengarClient:
         self._alloc_rr = self.uid
         self._start_heartbeat()
 
-        if self._scratch_mr is None:
-            self._scratch_mr = self.node.endpoint.register_mr(
-                self.node.dram, self._carver.carve(_SCRATCH_BYTES, "scratch"),
-                _SCRATCH_BYTES, access=AccessFlags.ALL,
+        if self._reads.mr is None:
+            self._reads.mr = self.node.endpoint.register_mr(
+                self.node.dram, self._carver.carve(SCRATCH_BYTES, "scratch"),
+                SCRATCH_BYTES, access=AccessFlags.ALL,
                 name=f"{self.name}.scratch")
 
         for desc in servers:
@@ -690,7 +523,7 @@ class GengarClient:
             self._req_shards[req_id] = self._alloc_rr % self._num_shards
             self._alloc_rr += 1
         try:
-            meta = yield from self._resilient(
+            meta = yield from self._driver.resilient(
                 "gmalloc", self._gmalloc_once, size, req_id)
         finally:
             self._req_shards.pop(req_id, None)
@@ -716,8 +549,7 @@ class GengarClient:
             if exc.owner_shard is not None:
                 self._req_shards[req_id] = exc.owner_shard
             raise
-        if self.config.metadata_cache:
-            self._store_meta(meta)
+        self._metas.store(meta)
         return meta
 
     def gfree(self, gaddr: int) -> Generator[Any, Any, None]:
@@ -725,10 +557,10 @@ class GengarClient:
         self._require_attached()
         sid = server_of(gaddr)
         if sid in self._conns and gaddr in self._conns[sid].ring.overlay:
-            yield from self._op("gsync", sid, history=False)
-        yield from self._resilient(
+            yield from self._driver.op("gsync", sid, history=False)
+        yield from self._driver.resilient(
             "gfree", self._gfree_once, gaddr, self._next_req_id())
-        self._invalidate_meta(gaddr)
+        self._metas.drop(gaddr)
         self._access_counts.pop(gaddr, None)
 
     def _gfree_once(self, gaddr: int,
@@ -746,33 +578,7 @@ class GengarClient:
         ``max_attempts``, re-attaching first where the failure needs it; a
         deadline turns an unbounded stall into :class:`DeadlineExceededError`.
         """
-        return self._op("gread", gaddr, offset, length)
-
-    def _gread_attempt(self, span_op: int, gaddr: int, offset: int,
-                       length: Optional[int]) -> Generator[Any, Any, bytes]:
-        meta = self._cached_meta(gaddr)
-        if meta is None:
-            meta = yield from self._meta(gaddr, span_op=span_op)
-        if length is None:
-            length = meta.size - offset
-        self._check_bounds(meta, offset, length)
-        yield from self.node.cpu_work()
-
-        # Read-your-writes: serve from the overlay when it covers the range.
-        ring = self._conns[meta.server_id].ring
-        if gaddr in ring.overlay:
-            data = ring.covered(gaddr, offset, length)
-            if data is not None:
-                self.m_overlay_hits.add()
-                self._note_access(gaddr, read=True)
-                return data
-            # Partial overlap: force the write down before reading remotely.
-            yield from self._op("gsync", meta.server_id, history=False)
-
-        data = yield from self._remote_read(gaddr, meta, offset, length,
-                                            span_op=span_op)
-        self._note_access(gaddr, read=True)
-        return data
+        return self._driver.op("gread", gaddr, offset, length)
 
     def gwrite(self, gaddr: int, data: bytes, offset: int = 0) -> Generator[Any, Any, None]:
         """Write ``data`` into an object at ``offset``.
@@ -781,16 +587,17 @@ class GengarClient:
         every write is staged in the home server's ring
         (:meth:`ClientRing.stage`).
         """
-        return self._op("gwrite", gaddr, data, offset)
+        return self._driver.op("gwrite", gaddr, data, offset)
 
     def _gwrite_attempt(self, span_op: int, gaddr: int, data: bytes,
                         offset: int) -> Generator[Any, Any, None]:
         if not data:
             raise FatalError("empty write")
-        meta = self._cached_meta(gaddr)
+        metas = self._metas
+        meta = metas.get(gaddr)
         if meta is None:
-            meta = yield from self._meta(gaddr, span_op=span_op)
-        self._check_bounds(meta, offset, len(data))
+            meta = yield from metas.lookup(gaddr, span_op=span_op)
+        check_bounds(meta, offset, len(data))
         yield from self.node.cpu_work()
 
         conn = self._conns[meta.server_id]
@@ -812,7 +619,7 @@ class GengarClient:
         staged writes are recorded in :attr:`fault_log` and the sync
         trivially completes).
         """
-        return self._op("gsync", server_id)
+        return self._driver.op("gsync", server_id)
 
     def _gsync_attempt(self, span_op: int,
                        server_id: Optional[int]) -> Generator[Any, Any, None]:
@@ -848,8 +655,15 @@ class GengarClient:
         happens only *after* the ring handshake succeeds, in one atomic
         (yield-free) step — a failed re-attach against a still-dead server
         leaves the session state untouched, so the eventual successful
-        re-attach reports each lost write exactly once.
+        re-attach reports each lost write exactly once.  Ops that fail while
+        it runs wait on its gate rather than start their own.
         """
+        return (yield from self._driver.gated(
+            self._driver.server_gates, server_id,
+            f"{self.name}.reattach{server_id}", self._reattach_server))
+
+    def _reattach_server(self, server_id: int) -> Generator[Any, Any, list]:
+        """:meth:`reattach_server`'s body, run by whoever holds the gate."""
         self._require_attached()
         conn = self._conns[server_id]
         ring = conn.ring
@@ -857,27 +671,19 @@ class GengarClient:
         if self.config.enable_proxy:
             prev = ring.desc
             # Writers must not stage into the old (torn-down) ring while the
-            # handshake is in flight: they fail typed and wait on its gate
-            # (which _auto_reattach may already hold).
+            # handshake is in flight: they fail typed and wait on its gate.
             ring.desc = None
-            gates, gate = self._reattach_gates, None
-            if server_id not in gates:
-                gate = gates[server_id] = self.sim.event(name=f"{self.name}.reattach{server_id}")
             try:
                 desc = yield from self._ring_handshake(conn)
             except BaseException:
                 ring.desc = prev
                 raise
-            finally:
-                if gate is not None:
-                    del gates[server_id]
-                    gate.succeed()
         lost = ring.install(desc)
         # Location metadata for that server's objects is stale (the DRAM
         # cache is empty now); bump the server epoch so every cached entry
         # for it reads as a miss and is re-learned lazily — O(1) instead of
         # scanning the whole metadata cache.
-        self._srv_epoch[server_id] = self._srv_epoch.get(server_id, 0) + 1
+        self._metas.devalue([server_id])
         return lost
 
     def reattach_master(self, shard: int = 0) -> Generator[Any, Any, None]:
@@ -938,10 +744,6 @@ class GengarClient:
                       incarnation=self._incarnation)
         yield from self.attach()
 
-    def _stale(self, what: str) -> FencedError:
-        """The error of an op begun before the last :meth:`restart`."""
-        return FencedError(f"{what}: begun before this client restarted")
-
     # ------------------------------------------------------------------
     # Lease heartbeats
     # ------------------------------------------------------------------
@@ -994,7 +796,7 @@ class GengarClient:
         except StaleTermError:
             # Our master was deposed: rotate / re-attach so renewals
             # reach the incumbent before the lease deadline does.
-            yield from self._auto_reattach_master(shard)
+            yield from self._driver.auto_reattach_master(shard)
             return
         except (RetryableError, RpcError):
             return  # master down/recovering: keep trying until fenced
@@ -1005,7 +807,7 @@ class GengarClient:
         reason = reply.get("reason")
         if reason == "unknown":
             # A restarted master forgot us: re-adopt our identity there.
-            yield from self._auto_reattach_master(shard)
+            yield from self._driver.auto_reattach_master(shard)
             return
         self._fenced = True
         self.m_fence_rejections.add()
@@ -1018,226 +820,6 @@ class GengarClient:
         self._last_renew_ns = self.sim.now
         self.lease_deadline = self.sim.now + (lease_ns or self.lease_ns)
         self.m_lease_renewals.add()
-
-    # ------------------------------------------------------------------
-    # Resilience engine: retries, deadlines, auto-reattach
-    # ------------------------------------------------------------------
-    def _jitter_rng(self):
-        if self._retry_rng is None:
-            self._retry_rng = self.sim.rng.stream(f"{self.name}.retry")
-        return self._retry_rng
-
-    def _op(self, name: str, *args: Any,
-            history: bool = True) -> Generator[Any, Any, Any]:
-        """The op driver: every data and lock verb is one call into here.
-
-        One ladder, in this order: history invoke → ``op.<name>`` span (its
-        op id minted up front, so every phase of the op can repeat it) →
-        retry policy → per-attempt attach + lease-fence precheck → the
-        verb's attempt body → logical-op accounting → history completion.
-        What differs per verb is data: its :class:`_Verb` row.
-
-        ``history=False`` is the no-history entry for ops the library (or a
-        layer above it: txn reads, audits) issues on its own behalf — same
-        span, retries and accounting, no history event.
-
-        With no recorder installed nothing is built per op: the attempt
-        travels as function + args, and history / span fields are computed
-        only under their ``is not None`` checks.
-        """
-        verb = _VERBS[name]
-        sim = self.sim
-        hist = sim.history if history else None
-        rec = sim.spans
-        start = sim.now
-        toks: Any = ()
-        if hist is not None:
-            toks = [hist.invoke(self.name, verb.kind, key, **fields)
-                    for key, fields in verb.events(self, hist.encode, *args)]
-        span_op = rec.next_op() if rec is not None else 0
-        try:
-            result = yield from self._resilient(
-                name, verb.attempt, self, span_op, *args,
-                retries=verb.retries, fenced=verb.data, span_op=span_op)
-        except BaseException as exc:
-            if hist is not None:
-                complete = hist.info if verb.may_land else hist.fail
-                for tok in toks:
-                    complete(tok, exc)
-            raise
-        finally:
-            if rec is not None:
-                rec.record(self.name, "op." + name, start, op=span_op,
-                           **verb.span_fields(*args))
-        if verb.tally:
-            # Logical-op accounting: one count and one first-attempt-to-
-            # completion sample per op, however many attempts it took.
-            if verb.kind == "read":
-                self.m_reads.add()
-                self.h_read.record(sim.now - start)
-            else:
-                self.m_writes.add()
-                self.h_write.record(sim.now - start)
-        if hist is not None:
-            for tok, value in zip(toks, verb.ok_values(self, hist.encode,
-                                                       result)):
-                hist.ok(tok, value=value)
-        return result
-
-    def _resilient(self, op: str, attempt: Callable[..., Generator], *args: Any,
-                   retries: bool = True, fenced: bool = False,
-                   span_op: int = 0) -> Generator[Any, Any, Any]:
-        """Run ``attempt(*args)`` under the active :class:`RetryPolicy`
-        (``retries=False``: exactly once — the batch verbs retry per item
-        through their serial fallbacks, the lock verbs in their CAS loop).
-        ``fenced`` starts every attempt with the data-plane precheck.
-
-        Pay-as-you-go: without a deadline an attempt that succeeds is a
-        plain ``yield from`` — retries, backoff and re-attach cost simulated
-        events only once something has failed.
-        """
-        policy = self.retry_policy if retries else _ONE_ATTEMPT
-        start = self.sim.now
-        incarnation = self._incarnation
-        tries = 1
-        while True:
-            try:
-                if fenced:
-                    self._require_attached()
-                    self._check_lease_fence(op)
-                if policy.deadline_ns:
-                    result = yield from self._attempt_with_deadline(
-                        op, start, policy, attempt, args)
-                else:
-                    result = yield from attempt(*args)
-                return result
-            except RetryableError as exc:
-                if tries >= policy.max_attempts:
-                    raise
-                if (policy.deadline_ns
-                        and self.sim.now - start >= policy.deadline_ns):
-                    self.m_deadline_misses.add()
-                    raise DeadlineExceededError(
-                        f"{op} gave up after {self.sim.now - start} ns "
-                        f"(deadline {policy.deadline_ns} ns): {exc}") from exc
-                yield from self._between_attempts(op, exc, tries, policy,
-                                                  incarnation, span_op)
-                tries += 1
-
-    def _between_attempts(self, op: str, exc: RetryableError, tries: int,
-                          policy: RetryPolicy, incarnation: int,
-                          span_op: int = 0) -> Generator[Any, Any, None]:
-        """After failed attempt ``tries``: count the retry, repair what the
-        error names (a server or master re-attach, a lease probe), then
-        back off.  An op begun before a restart (``incarnation`` is stale)
-        fails instead, before the repair and after the backoff."""
-        if self._incarnation != incarnation:
-            raise self._stale(op)
-        self.m_retries.add()
-        rec = self.sim.spans
-        if rec is not None:
-            rec.event(self.name, "retry", f"{op} attempt {tries} failed",
-                      cause=type(exc).__name__)
-        server_id = getattr(exc, "server_id", None)
-        if server_id is not None:
-            yield from self._auto_reattach(server_id)
-        elif isinstance(exc, LeaseExpiredError):
-            # May raise FencedError: a lapse the master resolved by
-            # retiring our epoch is terminal, not retryable.
-            yield from self._lease_lapse_probe(op)
-        elif isinstance(exc, (MasterUnavailableError,
-                              PartitionSuspected, StaleTermError)):
-            # All three mean "the control plane, not this op, is the
-            # problem": re-attach the shard that failed (rotating to a
-            # standby master if wired) before burning the next attempt.
-            yield from self._auto_reattach_master(getattr(exc, "shard", 0))
-        rec = self.sim.spans
-        t_wait = self.sim.now if rec is not None else 0
-        yield policy.backoff_ns(tries, self._jitter_rng())
-        if rec is not None:
-            rec.record(self.name, "phase.retry_wait", t_wait, op=span_op,
-                       attempt=tries, cause=type(exc).__name__)
-        if self._incarnation != incarnation:
-            raise self._stale(op)
-
-    def _attempt_with_deadline(self, op: str, start: int, policy: RetryPolicy,
-                               attempt: Callable[..., Generator],
-                               args: tuple) -> Generator[Any, Any, Any]:
-        """One attempt raced against the remaining deadline budget.
-
-        A timed-out attempt is *abandoned*, never interrupted: an interrupt
-        would run the attempt's ``finally`` blocks and hand its scratch span
-        to the next op while its WR is still in flight and about to DMA
-        into it.  The orphan runs to completion in the background — its
-        buffers are released and a failure with no waiters is stored
-        silently — while the caller gets the typed deadline error now.
-        """
-        remaining = policy.deadline_ns - (self.sim.now - start)
-        if remaining <= 0:
-            self.m_deadline_misses.add()
-            raise DeadlineExceededError(
-                f"{op} deadline of {policy.deadline_ns} ns exhausted")
-        proc = self.sim.spawn(attempt(*args), name=f"{self.name}.{op}")
-        timer = self.sim.timeout(remaining)
-        # A failed attempt fails the any_of, re-raising its typed error here.
-        yield self.sim.any_of([proc, timer])
-        if proc.triggered:
-            return proc.value  # raises the attempt's failure, if any
-        self.m_deadline_misses.add()
-        rec = self.sim.spans
-        if rec is not None:
-            rec.event(self.name, "retry", f"{op} abandoned at deadline",
-                      elapsed_ns=self.sim.now - start)
-        raise DeadlineExceededError(
-            f"{op} exceeded its {policy.deadline_ns} ns deadline")
-
-    def _coalesced(self, gates: Dict[int, Any], key: int, gate_name: str,
-                   handshake) -> Generator[Any, Any, Optional[tuple]]:
-        """Run ``handshake(key)`` unless one is already in flight for
-        ``key``: the first failed op runs it, concurrent failures wait on
-        its gate.  Returns ``(result, None)`` or — the failure swallowed,
-        the caller backs off and retries, re-entering here — ``(None,
-        exc)``; a waiter gets ``None``.
-        """
-        gate = gates.get(key)
-        if gate is not None:
-            yield gate
-            return None
-        gate = gates[key] = self.sim.event(name=gate_name)
-        try:
-            return (yield from handshake(key)), None
-        except (RetryableError, RpcError) as exc:
-            return None, exc
-        finally:
-            gates.pop(key, None)
-            gate.succeed()
-
-    def _auto_reattach(self, server_id: int) -> Generator[Any, Any, None]:
-        """Coalesced server re-attach (see :meth:`_coalesced`)."""
-        outcome = yield from self._coalesced(
-            self._reattach_gates, server_id,
-            f"{self.name}.reattach{server_id}", self.reattach_server)
-        if outcome is None:
-            return
-        lost, exc = outcome
-        if exc is not None:
-            rec = self.sim.spans
-            if rec is not None:
-                rec.event(self.name, "failover", "re-attach failed",
-                          server=server_id, cause=type(exc).__name__)
-            return
-        self.m_failovers.add()
-        if lost:
-            self.m_lost_writes.add(len(lost))
-        self.fault_log.append({
-            "time_ns": self.sim.now,
-            "server_id": server_id,
-            "lost": lost,
-        })
-        rec = self.sim.spans
-        if rec is not None:
-            rec.event(self.name, "failover", "re-attached", server=server_id,
-                      lost=len(lost))
 
     def _lease_lapse_probe(self, op: str) -> Generator[Any, Any, None]:
         """Resolve a *locally* lapsed lease before the next attempt.
@@ -1256,50 +838,6 @@ class GengarClient:
                 f"{op}: lease lapsed and the master fenced this epoch; "
                 "reattach_master() to rejoin")
 
-    def _auto_reattach_master(self, shard: int = 0) -> Generator[Any, Any, None]:
-        """Coalesced master re-attach (see :meth:`_coalesced`), one gate
-        per shard: other shards re-attach independently."""
-        outcome = yield from self._coalesced(
-            self._reattach_master_gates, shard,
-            f"{self.name}.reattach_master" + (f"_s{shard}" if shard else ""),
-            self.reattach_master)
-        if outcome is None:
-            return
-        _, exc = outcome
-        if exc is not None:
-            rec = self.sim.spans
-            if rec is not None:
-                rec.event(self.name, "failover", "master re-attach failed",
-                          shard=shard, cause=type(exc).__name__)
-            # Next retry tries the shard's next wired master (no-op
-            # without standbys): an unreachable or deposed master
-            # should not absorb the whole retry budget when a live one
-            # exists.
-            self._rotate_master(shard)
-            return
-        self.m_master_failovers.add()
-        rec = self.sim.spans
-        if rec is not None:
-            rec.event(self.name, "failover", "re-attached to master",
-                      shard=shard, epoch=self.fence_epoch)
-
-    def _check_wc(self, wc, what: str, conn: _ServerConn,
-                  ring: bool = False) -> None:
-        """Classify a failed completion into the typed error taxonomy."""
-        if wc.ok:
-            return
-        status = wc.status
-        if status is WcStatus.RETRY_EXCEEDED:
-            raise ServerUnavailableError(
-                f"{what} failed: {status}", server_id=conn.desc.server_id)
-        if ring and status is WcStatus.REMOTE_ACCESS_ERROR:
-            # The ring MR was deregistered by a server restart; the data /
-            # cache / lock MRs survive, so only ring traffic maps here.
-            raise StaleRingError(
-                f"{what} failed: {status} (ring torn down by a restart)",
-                server_id=conn.desc.server_id)
-        raise FatalError(f"{what} failed: {status}")
-
     # Batched operations --------------------------------------------------
     def gread_many(self, gaddrs) -> Generator[Any, Any, list]:
         """Read many whole objects with true doorbell batching; results in
@@ -1317,224 +855,18 @@ class GengarClient:
         its NVM home while its ``lookup`` runs, and stands once that returns.
 
         Items the batched path cannot serve — overlay partial overlaps,
-        objects larger than one transfer, failed lookups, failed
-        completions — fall back to serial :meth:`gread` (which retries per
-        the :class:`RetryPolicy`); the first failure, in argument order,
-        propagates.
+        objects larger than one transfer, failed lookups, repairs whose
+        lookup names another size, failed completions — fall back to serial
+        :meth:`gread` (which retries per the :class:`RetryPolicy`); the
+        first failure, in argument order, propagates.  Both verbs read by
+        one rule (:class:`~repro.core.reads.ClientReads`).
         """
-        return self._op("gread_many", list(gaddrs))
-
-    def _gread_many_attempt(self, span_op: int,
-                            gaddrs: list) -> Generator[Any, Any, list]:
-        start = self.sim.now
-        rec = self.sim.spans
-        scratch = self._scratch
-        results: list = [None] * len(gaddrs)
-        fallback: list = []  # indices routed through serial gread
-        groups: Dict[int, list] = {}  # server_id -> [(idx, gaddr, meta)]
-        for idx, gaddr in enumerate(gaddrs):
-            meta = self._cached_meta(gaddr)
-            if meta is None:
-                try:
-                    meta = yield from self._meta(gaddr, span_op=span_op)
-                except ClientError:
-                    fallback.append(idx)  # serial gread retries the lookup
-                    continue
-            length = meta.size
-            ring = self._conns[meta.server_id].ring
-            if gaddr in ring.overlay:
-                data = ring.covered(gaddr, 0, length)
-                if data is not None:
-                    self.m_reads.add()
-                    self.m_overlay_hits.add()
-                    self._note_access(gaddr, read=True)
-                    self.h_read.record(self.sim.now - start)
-                    results[idx] = data
-                else:
-                    fallback.append(idx)  # partial overlap: gread syncs first
-                continue
-            if length > MAX_TRANSFER - CACHE_TAG_BYTES:
-                fallback.append(idx)  # chunked path stays serial
-                continue
-            groups.setdefault(meta.server_id, []).append((idx, gaddr, meta))
-
-        if groups:
-            # One CPU pass covers building every WQE in the batch.
-            yield from self.node.cpu_work()
-        mux = CompletionMux(self.sim)
-
-        def _consume_one():
-            """Process whichever posted read, or repair lookup, completes
-            next.  A tag is ``(idx, gaddr, meta, span, conn, scratch_off,
-            lookup, t_post)``: ``lookup`` is set on a repair, and
-            ``scratch_off`` is None once only its lookup is left."""
-            tag, ev = yield mux.next_event()
-            idx, gaddr, meta, span, conn, scratch_off, lookup, t_post = tag
-            length = meta.size
-            if scratch_off is None:
-                # A repair's lookup is back; its home bytes wait in results.
-                if not ev.ok or ev.value.size != length:
-                    fallback.append(idx)  # serial gread raises what it raised
-                    return
-                self.m_nvm_reads.add()
-                if rec is not None:
-                    rec.record(self.name, "phase.nvm_read", t_post,
-                               op=span_op, bytes=length)
-            else:
-                try:
-                    self._check_wc(ev.value, "RDMA read", conn)
-                except ClientError:
-                    scratch.free(scratch_off, span)
-                    fallback.append(idx)  # serial gread applies the RetryPolicy
-                    return
-                if lookup is not None or span == length:  # the NVM home
-                    results[idx] = self._scratch_mr.peek(scratch_off, length)
-                    scratch.free(scratch_off, span)
-                    if lookup is not None:
-                        # A repair READ: its bytes stand once the lookup
-                        # returns.
-                        mux.add(lookup, (idx, gaddr, meta, span, conn, None,
-                                         lookup, t_post))
-                        return
-                    self.m_nvm_reads.add()
-                    if rec is not None:
-                        rec.record(self.name, "phase.nvm_read", t_post,
-                                   op=span_op, bytes=length)
-                else:  # a cache slot: tag + payload
-                    raw = self._scratch_mr.peek(scratch_off, span)
-                    if not tag_matches(raw, gaddr):
-                        # Repair in the batch: re-read the NVM home into the
-                        # same scratch bytes while the lookup runs.
-                        lookup = self._stale_tag(gaddr, t_post, length, span_op)
-                        mux.add(conn.read_lane().post_send(WorkRequest(
-                            opcode=Opcode.RDMA_READ,
-                            local_mr=self._scratch_mr, local_offset=scratch_off,
-                            length=length, remote_rkey=conn.desc.data_rkey,
-                            remote_offset=meta.nvm_offset,
-                        )), (idx, gaddr, meta, span, conn, scratch_off, lookup,
-                             self.sim.now))
-                        return
-                    scratch.free(scratch_off, span)
-                    self.m_cache_hits.add()
-                    results[idx] = raw[CACHE_TAG_BYTES:]
-                    if rec is not None:
-                        rec.record(self.name, "phase.cache_read", t_post,
-                                   op=span_op, hit=True, bytes=length)
-            self.m_reads.add()
-            self._note_access(gaddr, read=True)
-            self.h_read.record(self.sim.now - start)
-
-        def _post(conn, wrs, tags):
-            """Deal a server's accumulated READs round-robin across its read
-            lanes and ring one doorbell per lane used."""
-            self._attach_combine_groups(wrs)
-            self.h_read_batch.record(len(wrs))
-            lanes, n = conn.lanes, len(conn.lanes)
-            first = conn.reads_posted
-            conn.reads_posted += len(wrs)
-            for k in range(min(n, len(wrs))):
-                qp = lanes[(first + k) % n]
-                for ev, tag in zip(qp.post_send_many(wrs[k::n]), tags[k::n]):
-                    mux.add(ev, tag)
-
-        for sid in sorted(groups):
-            conn = self._conns[sid]
-            wrs: list = []
-            tags: list = []
-            for idx, gaddr, meta in groups[sid]:
-                if self.config.enable_cache and meta.cached:
-                    span = CACHE_TAG_BYTES + meta.size
-                    rkey, roff = conn.desc.cache_rkey, meta.cache_offset
-                else:
-                    span = meta.size
-                    rkey, roff = conn.desc.data_rkey, meta.nvm_offset
-                # Scratch acquisition can never deadlock on our own batch:
-                # recycle completed reads first, and if none are in flight
-                # while WRs are pending here, ring the doorbell early (a
-                # batch larger than the scratch region degrades to several
-                # doorbells instead of wedging).
-                while True:
-                    scratch_off = scratch.try_alloc(span)
-                    if scratch_off is not None:
-                        break
-                    if len(mux):
-                        yield from _consume_one()
-                    elif wrs:
-                        _post(conn, wrs, tags)
-                        wrs, tags = [], []
-                    else:
-                        scratch_off = yield scratch.wait(span)
-                        break
-                wrs.append(WorkRequest(
-                    opcode=Opcode.RDMA_READ,
-                    local_mr=self._scratch_mr, local_offset=scratch_off,
-                    length=span, remote_rkey=rkey, remote_offset=roff,
-                ))
-                tags.append((idx, gaddr, meta, span, conn, scratch_off, None,
-                             self.sim.now))
-            if wrs:
-                _post(conn, wrs, tags)
-
-        inflight = len(mux)
-        t_wait = self.sim.now
-        while len(mux):
-            yield from _consume_one()
-        if rec is not None and inflight:
-            rec.record(self.name, "phase.pipeline_wait", t_wait, op=span_op,
-                       inflight=inflight)
-
-        failures: list = []
-        for idx in sorted(fallback):
-            try:
-                results[idx] = yield from self._op(
-                    "gread", gaddrs[idx], 0, None, history=False)
-            except ClientError as exc:
-                failures.append((idx, exc))
-        if failures:
-            raise failures[0][1]
-        return results
-
-    @staticmethod
-    def _attach_combine_groups(wrs) -> None:
-        """Tag contiguous READs in one doorbell for server-side combining.
-
-        Runs of RDMA_READ WRs whose remote ranges are adjacent within the
-        same remote region share a
-        :class:`~repro.core.server.ReadCombineGroup`; the target services
-        the whole run as a single device transfer (one per-transfer setup
-        charge — the Optane win) and slices each member's bytes out of it.
-        """
-        by_rkey: Dict[int, list] = {}
-        for wr in wrs:
-            if wr.opcode is Opcode.RDMA_READ:
-                by_rkey.setdefault(wr.remote_rkey, []).append(wr)
-        for rkey, group in by_rkey.items():
-            group.sort(key=lambda w: w.remote_offset)
-            run = [group[0]]
-            for wr in group[1:]:
-                prev = run[-1]
-                if wr.remote_offset == prev.remote_offset + prev.length:
-                    run.append(wr)
-                else:
-                    GengarClient._seal_combine_run(rkey, run)
-                    run = [wr]
-            GengarClient._seal_combine_run(rkey, run)
-
-    @staticmethod
-    def _seal_combine_run(rkey: int, run: list) -> None:
-        if len(run) < 2:
-            return
-        base = run[0].remote_offset
-        total = run[-1].remote_offset + run[-1].length - base
-        grp = ReadCombineGroup(rkey=rkey, base_offset=base,
-                               total_length=total, members=len(run))
-        for wr in run:
-            wr.combine = grp
+        return self._driver.op("gread_many", list(gaddrs))
 
     # Lock API (delegates to the consistency layer) ----------------------
     def glock(self, gaddr: int, write: bool = True) -> Generator[Any, Any, None]:
         """Acquire the object's lock (exclusive by default, shared if not)."""
-        return self._op("glock", gaddr, write)
+        return self._driver.op("glock", gaddr, write)
 
     def _glock_attempt(self, span_op: int, gaddr: int,
                        write: bool) -> Generator[Any, Any, None]:
@@ -1544,7 +876,7 @@ class GengarClient:
 
     def gunlock(self, gaddr: int, write: bool = True) -> Generator[Any, Any, None]:
         """Release the object's lock.  Write unlocks sync first."""
-        return self._op("gunlock", gaddr, write)
+        return self._driver.op("gunlock", gaddr, write)
 
     def _gunlock_attempt(self, span_op: int, gaddr: int,
                          write: bool) -> Generator[Any, Any, None]:
@@ -1571,103 +903,6 @@ class GengarClient:
         if not self._attached:
             raise FatalError(f"client {self.name} is not attached; run attach() first")
 
-    def _cached_meta(self, gaddr: int) -> Optional[ObjectMeta]:
-        """Hot-key fast path: a valid cache hit costs two dict probes and no
-        generator machinery.  Returns None on miss or stale epoch."""
-        meta = self._meta_cache.get(gaddr)
-        if meta is not None and (self._meta_epoch.get(gaddr)
-                                 == self._srv_epoch.get(meta.server_id, 0)):
-            return meta
-        return None
-
-    def _store_meta(self, meta: ObjectMeta) -> None:
-        self._meta_cache[meta.gaddr] = meta
-        self._meta_epoch[meta.gaddr] = self._srv_epoch.get(meta.server_id, 0)
-
-    def _meta(self, gaddr: int,
-              span_op: int = 0) -> Generator[Any, Any, ObjectMeta]:
-        meta = self._cached_meta(gaddr)
-        if meta is not None:
-            return meta
-        rec = self.sim.spans
-        t0 = self.sim.now if rec is not None else 0
-        meta = yield from self._master_call(
-            "lookup", {"gaddr": gaddr}, shard=self._resolve_shard(gaddr))
-        self.m_lookups.add()
-        if rec is not None:
-            rec.record(self.name, "phase.meta_lookup", t0, op=span_op,
-                       gaddr=hex(gaddr))
-        if self.config.metadata_cache:
-            self._store_meta(meta)
-        return meta
-
-    def _invalidate_meta(self, gaddr: int) -> None:
-        self._meta_cache.pop(gaddr, None)
-        self._meta_epoch.pop(gaddr, None)
-
-    @staticmethod
-    def _check_bounds(meta: ObjectMeta, offset: int, length: int) -> None:
-        if offset < 0 or length < 0 or offset + length > meta.size:
-            raise FatalError(
-                f"access [{offset}, {offset + length}) outside object "
-                f"{meta.gaddr:#x} of size {meta.size}"
-            )
-
-    # ------------------------------------------------------------------
-    # Read path
-    # ------------------------------------------------------------------
-    def _remote_read(self, gaddr: int, meta: ObjectMeta, offset: int,
-                     length: int,
-                     span_op: int = 0) -> Generator[Any, Any, bytes]:
-        rec = self.sim.spans
-        conn = self._conns[meta.server_id]
-        t0 = self.sim.now if rec is not None else 0
-        if self.config.enable_cache and meta.cached:
-            # One READ covering the tag and the requested range.
-            raw = yield from self._rdma_read(
-                conn, conn.desc.cache_rkey, meta.cache_offset,
-                CACHE_TAG_BYTES + offset + length)
-            if tag_matches(raw, gaddr):
-                self.m_cache_hits.add()
-                if rec is not None:
-                    rec.record(self.name, "phase.cache_read", t0,
-                               op=span_op, hit=True, bytes=length)
-                return raw[CACHE_TAG_BYTES + offset : CACHE_TAG_BYTES + offset + length]
-            lookup = self._stale_tag(gaddr, t0, length, span_op)
-            t0 = self.sim.now if rec is not None else 0
-        else:
-            lookup = None
-        data = yield from self._rdma_read(
-            conn, conn.desc.data_rkey, meta.nvm_offset + offset, length)
-        if lookup is not None:
-            fresh = yield lookup
-            self._check_bounds(fresh, offset, length)
-        self.m_nvm_reads.add()
-        if rec is not None:
-            rec.record(self.name, "phase.nvm_read", t0, op=span_op,
-                       bytes=length)
-        return data
-
-    def _stale_tag(self, gaddr: int, t0: int, length: int,
-                   span_op: int) -> "Process":
-        """A cache READ found another object's tag (``gaddr`` was demoted
-        or its slot reused): drop the cached location and start its
-        ``lookup`` as a process of its own.
-
-        The caller READs the NVM home in the same instant: NVM is never
-        staler than the cache, because the drain, promotes and direct
-        writes all write NVM first or only.  Those bytes stand once the
-        returned process does; it fails with the error the lookup raised
-        (the object was freed), the one a serial :meth:`gread` gives.
-        """
-        self.m_tag_misses.add()
-        rec = self.sim.spans
-        if rec is not None:
-            rec.record(self.name, "phase.cache_read", t0, op=span_op,
-                       hit=False, bytes=length)
-        self._invalidate_meta(gaddr)
-        return self.sim.spawn(self._meta(gaddr, span_op=span_op))
-
     # ------------------------------------------------------------------
     # Write paths
     # ------------------------------------------------------------------
@@ -1682,7 +917,7 @@ class GengarClient:
         if self.config.enable_cache and meta.cached:
             fresh = yield from self._verified_cache_write(conn, gaddr, meta, offset, data)
             if not fresh:
-                self._invalidate_meta(gaddr)
+                self._metas.drop(gaddr)
         if rec is not None:
             rec.record(self.name, "phase.direct_write", t0, op=span_op,
                        bytes=len(data))
@@ -1695,7 +930,7 @@ class GengarClient:
         coherence tax the proxy design eliminates (drains update the cache
         server-side for free).
         """
-        raw = yield from self._rdma_read(
+        raw = yield from self._reads.read(
             conn, conn.desc.cache_rkey, meta.cache_offset, CACHE_TAG_BYTES
         )
         if not tag_matches(raw, gaddr):
@@ -1710,36 +945,6 @@ class GengarClient:
     # ------------------------------------------------------------------
     # Raw verb helpers
     # ------------------------------------------------------------------
-    def _rdma_read(self, conn: _ServerConn, rkey: int, remote_offset: int,
-                   nbytes: int, ring: bool = False) -> Generator[Any, Any, bytes]:
-        if nbytes > MAX_TRANSFER:
-            # Transparent chunking: huge reads issue sequential transfer-sized
-            # verbs (one WQE each), like a real library's segmented SGE path.
-            parts: list[bytes] = []
-            pos = 0
-            while pos < nbytes:
-                chunk = min(MAX_TRANSFER, nbytes - pos)
-                part = yield from self._rdma_read(conn, rkey,
-                                                  remote_offset + pos, chunk,
-                                                  ring=ring)
-                parts.append(part)
-                pos += chunk
-            return b"".join(parts)
-        scratch = self._scratch
-        scratch_off = scratch.try_alloc(nbytes)
-        if scratch_off is None:
-            scratch_off = yield scratch.wait(nbytes)
-        try:
-            wc = yield conn.read_lane().post_send(WorkRequest(
-                opcode=Opcode.RDMA_READ,
-                local_mr=self._scratch_mr, local_offset=scratch_off, length=nbytes,
-                remote_rkey=rkey, remote_offset=remote_offset,
-            ))
-            self._check_wc(wc, "RDMA read", conn, ring=ring)
-            return self._scratch_mr.peek(scratch_off, nbytes)
-        finally:
-            scratch.free(scratch_off, nbytes)
-
     def _rdma_write(self, conn: _ServerConn, rkey: int, remote_offset: int,
                     data: bytes) -> Generator[Any, Any, None]:
         if len(data) > MAX_TRANSFER:
@@ -1757,18 +962,19 @@ class GengarClient:
             wr.inline_data = data
             wc = yield conn.data_qp.post_send(wr)
         else:
-            scratch = self._scratch
+            scratch, mr = self._reads.scratch, self._reads.mr
             scratch_off = scratch.try_alloc(len(data))
             if scratch_off is None:
                 scratch_off = yield scratch.wait(len(data))
             try:
-                self._scratch_mr.poke(scratch_off, data)
-                wr.local_mr = self._scratch_mr
+                mr.poke(scratch_off, data)
+                wr.local_mr = mr
                 wr.local_offset = scratch_off
                 wc = yield conn.data_qp.post_send(wr)
             finally:
                 scratch.free(scratch_off, len(data))
-        self._check_wc(wc, "RDMA write", conn)
+        if not wc.ok:
+            raise wc_error(wc, "RDMA write", conn)
 
     def _atomic_cas(self, server_id: int, lock_offset: int, compare: int,
                     swap: int) -> Generator[Any, Any, int]:
@@ -1778,7 +984,8 @@ class GengarClient:
             remote_rkey=conn.desc.lock_rkey, remote_offset=lock_offset,
             compare=compare, swap=swap,
         ))
-        self._check_wc(wc, "atomic CAS", conn)
+        if not wc.ok:
+            raise wc_error(wc, "atomic CAS", conn)
         return wc.atomic_value
 
     def _atomic_faa(self, server_id: int, lock_offset: int,
@@ -1789,7 +996,8 @@ class GengarClient:
             remote_rkey=conn.desc.lock_rkey, remote_offset=lock_offset,
             add=add,
         ))
-        self._check_wc(wc, "atomic FAA", conn)
+        if not wc.ok:
+            raise wc_error(wc, "atomic FAA", conn)
         return wc.atomic_value
 
     # ------------------------------------------------------------------
@@ -1829,7 +1037,7 @@ class GengarClient:
         try:
             for shard, group in self._by_shard(entries).items():
                 request: Dict[str, Any] = {"entries": group,
-                                           "cursor": self._loc_cursors[shard]}
+                                           "cursor": self._metas.cursors[shard]}
                 if piggyback:
                     # Every report doubles as a lease heartbeat for free.
                     request["client"] = self.name
@@ -1853,103 +1061,6 @@ class GengarClient:
                         rec = self.sim.spans
                         if rec is not None:
                             rec.event(self.name, "fence", "report fenced")
-                self._apply_locations(shard, reply)
+                self._metas.apply(shard, reply)
         finally:
             self._report_inflight = False
-
-    def _apply_locations(self, shard: int, reply: dict) -> None:
-        """Fold one report reply's location changes into the metadata
-        cache (only entries we hold) and move the shard's cursor."""
-        updates = reply["updates"]
-        if updates is None:
-            # The cursor fell off the log or names another incarnation of
-            # the shard's master: what it missed is unknowable.
-            self._resync_locations(
-                [sid for sid in self._conns if self._server_shard(sid) == shard])
-        else:
-            for gaddr, cached, cache_offset in updates:
-                meta = self._cached_meta(gaddr)
-                if meta is not None and (meta.cached != cached
-                                         or meta.cache_offset != cache_offset):
-                    self._store_meta(meta.with_cache(cached, cache_offset))
-                    self.m_location_updates.add()
-        self._loc_cursors[shard] = reply["cursor"]
-
-    def _resync_locations(self, server_ids) -> None:
-        """Devalue every cached location on ``server_ids`` (the epoch bump
-        :meth:`reattach_server` uses); each is re-learned at its next use."""
-        self.m_location_resyncs.add()
-        for sid in server_ids:
-            self._srv_epoch[sid] = self._srv_epoch.get(sid, 0) + 1
-
-
-class _Verb(NamedTuple):
-    """What the op driver (:meth:`GengarClient._op`) knows about one verb."""
-
-    #: One attempt: ``attempt(client, span_op, *args)``.
-    attempt: Callable[..., Generator]
-    #: History op kind; a failed op records ``fail`` (it took no effect) or,
-    #: with ``may_land``, ``info`` (an abandoned attempt may still land).
-    kind: str
-    #: ``(client, encode, *args)`` → one ``(key, invoke fields)`` per
-    #: history event (the batch verbs record one event per item, all
-    #: sharing the batch's time window — conservative but sound).
-    events: Callable[..., list]
-    #: ``(*args)`` → fields of the ``op.<name>`` span.
-    span_fields: Callable[..., dict]
-    #: ``(client, encode, result)`` → the ``ok`` value of each event.
-    ok_values: Callable[..., Any] = lambda c, enc, result: repeat(None)
-    may_land: bool = False
-    #: The whole op retries under the client's :class:`RetryPolicy`.
-    retries: bool = False
-    #: Data verb: each attempt starts with the attach + lease-fence
-    #: precheck (the lock verbs resolve their fence in the lock layer).
-    data: bool = True
-    #: Counted and latency-sampled per logical op, under its kind (the
-    #: batch verbs account per item in their attempt bodies).
-    tally: bool = False
-
-
-def _lock_event(c, enc, gaddr, write):
-    # The epoch rides the event: the checker's monotonic-epoch model asserts
-    # no lock is ever acquired under an epoch below one a later holder
-    # already presented (a fenced zombie re-locking).
-    return [(gaddr, {"write": write, "epoch": c.fence_epoch})]
-
-
-def _lock_span(gaddr, write):
-    return {"gaddr": hex(gaddr), "write": write}
-
-
-_VERBS = {
-    "gread": _Verb(
-        GengarClient._gread_attempt, "read",
-        lambda c, enc, gaddr, offset, length:
-            [(gaddr, {"offset": offset, "length": length})],
-        lambda gaddr, offset, length: {"gaddr": hex(gaddr)},
-        ok_values=lambda c, enc, data: (enc(data),),
-        retries=True, tally=True),
-    "gwrite": _Verb(
-        GengarClient._gwrite_attempt, "write",
-        lambda c, enc, gaddr, data, offset:
-            [(gaddr, {"value": enc(data), "offset": offset,
-                      "length": len(data)})],
-        lambda gaddr, data, offset: {"gaddr": hex(gaddr), "bytes": len(data)},
-        may_land=True, retries=True, tally=True),
-    "gsync": _Verb(
-        GengarClient._gsync_attempt, "sync",
-        lambda c, enc, server_id: [(None, {"server": server_id})],
-        lambda server_id: {},
-        may_land=True, retries=True),  # staged writes may drain anyway
-    "gread_many": _Verb(
-        GengarClient._gread_many_attempt, "read",
-        lambda c, enc, gaddrs: [(g, {}) for g in gaddrs],
-        lambda gaddrs: {"reads": len(gaddrs)},
-        ok_values=lambda c, enc, results: map(enc, results)),
-    "glock": _Verb(  # a failed acquire holds nothing
-        GengarClient._glock_attempt, "lock", _lock_event, _lock_span,
-        ok_values=lambda c, enc, result: (c.fence_epoch,), data=False),
-    "gunlock": _Verb(
-        GengarClient._gunlock_attempt, "unlock", _lock_event, _lock_span,
-        ok_values=lambda c, enc, result: (c.fence_epoch,), data=False),
-}

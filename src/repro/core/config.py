@@ -16,7 +16,7 @@ exists only where two callers outside the tests want different values: a
 value nobody sets to a second one is a constant at its one reader (the
 lock backoff in ``consistency``, the journal and intent-slot sizes in
 ``server``, the phi detector's threshold and window in ``master``, the
-retry budget and backoff in ``client.RetryPolicy``, the RC retransmission
+retry budget and backoff in ``driver.RetryPolicy``, the RC retransmission
 timeout in ``rdma.qp``, the wait-die bound in ``txn.manager``) or is
 derived from a field that stays (the lease sweep runs every
 ``client_lease_ns // 4``, the cross-shard aggregation every ``epoch_ns``).

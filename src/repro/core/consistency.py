@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Any, Dict, Generator
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.client import GengarClient
 
+from repro.core.driver import stale_error
 from repro.core.errors import (
     DeadlineExceededError,
     FencedError,
@@ -94,12 +95,12 @@ class LockOps:
 
         An unbounded acquire keeps its own capped exponential; a bounded
         one (the txn's wait-die acquire) rides
-        :class:`~repro.core.client.RetryPolicy`'s seeded-jitter schedule so
+        :class:`~repro.core.driver.RetryPolicy`'s seeded-jitter schedule so
         contenders and op retries share one tuning surface.
         """
         if timeout_ns:
             policy = self.client.retry_policy
-            yield policy.backoff_ns(attempt + 1, self.client._jitter_rng())
+            yield policy.backoff_ns(attempt + 1, self.client._driver.jitter_rng())
         else:
             yield from self._backoff(attempt)
 
@@ -155,7 +156,7 @@ class LockOps:
         attempt = 0
         while True:
             if client._incarnation != incarnation:
-                raise client._stale(what)
+                raise stale_error(what)
             try:
                 client._check_lease_fence(what, gaddr)
                 return
@@ -167,7 +168,7 @@ class LockOps:
                 if self.sim.now < client.lease_deadline:
                     continue  # renewed (or re-attached) in place
                 attempt += 1
-                yield policy.backoff_ns(attempt, client._jitter_rng())
+                yield policy.backoff_ns(attempt, client._driver.jitter_rng())
 
     def _check_deadline(self, start_ns: int, gaddr: int, what: str) -> None:
         """Bound a contended acquire loop by the client's op deadline.
@@ -194,7 +195,7 @@ class LockOps:
         process already holds raises :class:`LockError` at once."""
         incarnation = self.client._incarnation
         yield from self._resolve_fence(gaddr, "write-lock", incarnation)
-        meta = yield from self.client._meta(gaddr, span_op=span_op)
+        meta = yield from self.client._metas.lookup(gaddr, span_op=span_op)
         offset = self._word_offset(meta.lock_idx)
         word = write_lock_word(self.client.uid, self.client.fence_epoch)
         start = self.sim.now
@@ -230,14 +231,14 @@ class LockOps:
         if self.client.config.sync_on_release:
             yield from self.client.gsync(server_id=meta.server_id)
         if self.client._incarnation != incarnation:
-            raise self.client._stale("write-unlock")
+            raise stale_error("write-unlock")
         yield from self._release_word(gaddr, meta)
         self._holders.pop(gaddr, None)
 
     def _release_lookup(self, gaddr: int, span_op: int,
                         incarnation: int) -> Generator[Any, Any, Any]:
         """The release's metadata lookup, retried under the client's
-        :class:`~repro.core.client.RetryPolicy`.
+        :class:`~repro.core.driver.RetryPolicy`.
 
         Lock verbs skip the op retry engine, and a failed acquire holds
         nothing.  A release that failed here would leave the word held by
@@ -248,11 +249,11 @@ class LockOps:
         tries = 1
         while True:
             try:
-                return (yield from client._meta(gaddr, span_op=span_op))
+                return (yield from client._metas.lookup(gaddr, span_op=span_op))
             except RetryableError as exc:
                 if tries >= policy.max_attempts:
                     raise
-                yield from client._between_attempts(
+                yield from client._driver.between_attempts(
                     "write-unlock", exc, tries, policy, incarnation, span_op)
                 tries += 1
 
@@ -310,7 +311,7 @@ class LockOps:
         once."""
         incarnation = self.client._incarnation
         yield from self._resolve_fence(gaddr, "read-lock", incarnation)
-        meta = yield from self.client._meta(gaddr, span_op=span_op)
+        meta = yield from self.client._metas.lookup(gaddr, span_op=span_op)
         offset = self._word_offset(meta.lock_idx)
         start = self.sim.now
         attempt = 0
@@ -333,7 +334,7 @@ class LockOps:
     def release_read(self, gaddr: int,
                      span_op: int = 0) -> Generator[Any, Any, None]:
         """Drop a shared lock."""
-        meta = yield from self.client._meta(gaddr, span_op=span_op)
+        meta = yield from self.client._metas.lookup(gaddr, span_op=span_op)
         old = yield from self.client._atomic_faa(
             meta.server_id, self._word_offset(meta.lock_idx), add=_MINUS_READER
         )

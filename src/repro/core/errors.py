@@ -8,7 +8,7 @@ a :class:`ClientError`, split into two actionable branches:
   these.
 * :class:`RetryableError` — transient conditions where retrying (possibly
   after re-attaching to a restarted server) may succeed.  The client's
-  built-in retry loop (see :class:`~repro.core.client.RetryPolicy`) handles
+  built-in retry loop (see :class:`~repro.core.driver.RetryPolicy`) handles
   these automatically, re-attaching first where the error names a server
   or master shard; one propagates only once the retry budget is spent.
 
@@ -17,9 +17,9 @@ signal that the per-op deadline elapsed, raised *instead of* blocking
 forever.  It is deliberately not retryable — the caller's time budget is
 already spent.
 
-These live in their own module (rather than ``client.py``) because both the
-client and the consistency layer raise them; ``client.py`` re-exports every
-name for backward compatibility.
+These live in their own module (rather than ``client.py``) because the
+client, its seam modules (reads, driver, ring) and the consistency layer
+all raise them.
 """
 
 from __future__ import annotations

@@ -1,0 +1,472 @@
+"""A client's reads: the bounce region every transfer borrows, the deal of
+RDMA READs over a server's read lanes, and the one read rule serial
+``gread`` and batched ``gread_many`` share — one cache-or-home choice, one
+verdict on the bytes a READ returns, one repair of a stale cache tag."""
+
+from __future__ import annotations
+
+from bisect import bisect_left
+from collections import deque
+from typing import TYPE_CHECKING, Any, Deque, Dict, Generator, Optional, Tuple
+
+from repro.core.driver import wc_error
+from repro.core.errors import ClientError
+from repro.core.metacache import check_bounds
+from repro.core.protocol import CACHE_TAG_BYTES, MAX_TRANSFER, ObjectMeta, tag_matches
+from repro.core.server import ReadCombineGroup
+from repro.rdma.cq import CompletionMux
+from repro.rdma.wr import Opcode, WorkRequest
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.client import GengarClient, _ServerConn
+    from repro.sim.kernel import Process
+
+#: The registered bounce region for RDMA payloads; no transfer through it
+#: is larger than ``MAX_TRANSFER`` (bigger reads and writes are chunked).
+SCRATCH_BYTES = 4 * 1024 * 1024
+#: Scratch is lent in whole lines.
+SCRATCH_LINE = 64
+
+
+class Scratch:
+    """The client's bounce region, lent by the byte.
+
+    A transfer holds only its own span, rounded up to a whole line (at
+    least one, so an empty transfer still owns its offset): first fit over
+    the free runs in offset order, given back with :meth:`free`, which
+    coalesces it with its free neighbours.  A taker that does not fit waits
+    on :meth:`wait`'s event; waiters are served strictly in arrival order,
+    so :meth:`try_alloc` fails while anyone waits and a large transfer is
+    never starved by a stream of small ones.
+    """
+
+    __slots__ = ("sim", "size", "_runs", "_waiters")
+
+    def __init__(self, sim, size: int):
+        self.sim = sim
+        self.size = size
+        #: Free ``[lo, hi)`` runs, in offset order, never adjacent.
+        self._runs: list = [[0, size]]
+        #: ``(nbytes, event)`` of each waiting taker, oldest first.
+        self._waiters: Deque[tuple] = deque()
+
+    def _fit(self, nbytes: int) -> Optional[int]:
+        need = (nbytes + SCRATCH_LINE - 1) & -SCRATCH_LINE or SCRATCH_LINE
+        runs = self._runs
+        for i, run in enumerate(runs):
+            lo = run[0]
+            left = run[1] - lo - need
+            if left >= 0:
+                if left:
+                    run[0] = lo + need
+                else:
+                    del runs[i]
+                return lo
+        return None
+
+    def try_alloc(self, nbytes: int) -> Optional[int]:
+        """Lend ``nbytes`` now: the offset, or None when no free run fits
+        or an earlier taker is waiting."""
+        return None if self._waiters else self._fit(nbytes)
+
+    def wait(self, nbytes: int):
+        """The event, to be yielded, that fires with the offset of
+        ``nbytes`` once every earlier waiter is served and they fit."""
+        event = self.sim.event()
+        self._waiters.append((nbytes, event))
+        return event
+
+    def free(self, offset: int, nbytes: int) -> None:
+        """Take back the ``nbytes`` lent at ``offset``, then serve waiters
+        in order while the oldest fits."""
+        hi = offset + ((nbytes + SCRATCH_LINE - 1) & -SCRATCH_LINE
+                       or SCRATCH_LINE)
+        runs = self._runs
+        i = bisect_left(runs, [offset])
+        after = runs[i] if i < len(runs) and runs[i][0] == hi else None
+        if i and runs[i - 1][1] == offset:
+            before = runs[i - 1]
+            if after is None:
+                before[1] = hi
+            else:
+                before[1] = after[1]
+                del runs[i]
+        elif after is not None:
+            after[0] = offset
+        else:
+            runs.insert(i, [offset, hi])
+        waiters = self._waiters
+        while waiters:
+            got = self._fit(waiters[0][0])
+            if got is None:
+                return
+            waiters.popleft()[1].succeed(got)
+
+    @property
+    def idle(self) -> bool:
+        """True when the whole region is free and nobody waits."""
+        return self._runs == [[0, self.size]] and not self._waiters
+
+
+class ClientReads:
+    """One client's reads; the only code that builds an RDMA READ or moves
+    a lane's READ cursor."""
+
+    __slots__ = ("client", "sim", "cache", "mr", "scratch")
+
+    def __init__(self, client: "GengarClient"):
+        self.client = client
+        self.sim = client.sim
+        self.cache = client.config.enable_cache
+        #: The bounce region's MR, registered at the first attach.
+        self.mr = None
+        #: Who holds which bytes of the region (a kill forgets).
+        self.scratch: Optional[Scratch] = None
+
+    @staticmethod
+    def deal(conn: "_ServerConn", count: int) -> int:
+        """Deal ``count`` READs round-robin over ``conn``'s read lanes: the
+        one place the cursor moves.  Returns where it stood; the k-th READ
+        goes out on ``conn.lanes[(first + k) % len(conn.lanes)]``."""
+        first = conn.reads_posted
+        conn.reads_posted = first + count
+        return first
+
+    def source(self, conn: "_ServerConn", meta: ObjectMeta, offset: int,
+               length: int) -> Tuple[int, int, int]:
+        """The cache-or-home choice for ``length`` bytes at ``offset`` of
+        ``meta``'s object: ``(rkey, remote offset, span)``.  A cached object
+        is read from its DRAM slot, tag first (``span`` covers the tag and
+        the prefix too), any other from its NVM home (``span == length``)."""
+        if self.cache and meta.cached:
+            return (conn.desc.cache_rkey, meta.cache_offset,
+                    CACHE_TAG_BYTES + offset + length)
+        return conn.desc.data_rkey, meta.nvm_offset + offset, length
+
+    def verdict(self, raw: bytes, gaddr: int, span: int, offset: int,
+                length: int, t0: int, span_op: int) -> Tuple[Optional[bytes], Any]:
+        """The one verdict on the bytes a READ of :meth:`source` returned:
+        ``(data, lookup)``.  A cache slot (``span != length``) holding
+        ``gaddr``'s tag is a hit; another object's tag is a miss, whose
+        repair starts here (``lookup``; the caller READs the NVM home and
+        hands those bytes to :meth:`repaired`).  Home bytes are an NVM
+        read."""
+        client = self.client
+        rec = self.sim.spans
+        if span != length:
+            if not tag_matches(raw, gaddr):
+                return None, self._stale_tag(gaddr, t0, length, span_op)
+            client.m_cache_hits.add()
+            if rec is not None:
+                rec.record(client.name, "phase.cache_read", t0,
+                           op=span_op, hit=True, bytes=length)
+            lo = CACHE_TAG_BYTES + offset
+            return raw[lo:lo + length], None
+        client.m_nvm_reads.add()
+        if rec is not None:
+            rec.record(client.name, "phase.nvm_read", t0, op=span_op,
+                       bytes=length)
+        return raw, None
+
+    def _stale_tag(self, gaddr: int, t0: int, length: int,
+                   span_op: int) -> "Process":
+        """A cache READ found another object's tag (``gaddr`` was demoted
+        or its slot reused): drop the cached location and start its
+        ``lookup`` as a process of its own.
+
+        The caller READs the NVM home in the same instant: NVM is never
+        staler than the cache, because the drain, promotes and direct
+        writes all write NVM first or only.  The process fails with the
+        error the lookup raised (the object was freed), the one a serial
+        :meth:`gread` gives.
+        """
+        client = self.client
+        client.m_tag_misses.add()
+        rec = self.sim.spans
+        if rec is not None:
+            rec.record(client.name, "phase.cache_read", t0, op=span_op,
+                       hit=False, bytes=length)
+        metas = client._metas
+        metas.drop(gaddr)
+        return self.sim.spawn(metas.lookup(gaddr, span_op=span_op))
+
+    def repaired(self, fresh: ObjectMeta, meta: ObjectMeta, raw: bytes,
+                 gaddr: int, t0: int, span_op: int) -> Optional[bytes]:
+        """The repair's size rule: a stale tag's home bytes ``raw`` stand,
+        judged as an NVM read, once its lookup returns ``fresh`` metadata of
+        the size the READ was sized by.  Otherwise the address was freed
+        and reused at another size: None, and the read runs again on the
+        fresh metadata."""
+        if fresh.size != meta.size:
+            return None
+        return self.verdict(raw, gaddr, len(raw), 0, len(raw), t0, span_op)[0]
+
+    def read(self, conn: "_ServerConn", rkey: int, remote_offset: int,
+             nbytes: int, ring: bool = False) -> Generator[Any, Any, bytes]:
+        """READ ``nbytes`` at ``remote_offset`` of ``rkey`` through scratch,
+        on the server's next read lane."""
+        if nbytes > MAX_TRANSFER:
+            # Transparent chunking: huge reads issue sequential transfer-sized
+            # verbs (one WQE each), like a real library's segmented SGE path.
+            parts: list[bytes] = []
+            pos = 0
+            while pos < nbytes:
+                chunk = min(MAX_TRANSFER, nbytes - pos)
+                part = yield from self.read(conn, rkey, remote_offset + pos,
+                                            chunk, ring=ring)
+                parts.append(part)
+                pos += chunk
+            return b"".join(parts)
+        scratch = self.scratch
+        scratch_off = scratch.try_alloc(nbytes)
+        if scratch_off is None:
+            scratch_off = yield scratch.wait(nbytes)
+        try:
+            lanes = conn.lanes
+            wc = yield lanes[self.deal(conn, 1) % len(lanes)].post_send(
+                WorkRequest(opcode=Opcode.RDMA_READ,
+                            local_mr=self.mr, local_offset=scratch_off,
+                            length=nbytes, remote_rkey=rkey,
+                            remote_offset=remote_offset))
+            if not wc.ok:
+                raise wc_error(wc, "RDMA read", conn, ring=ring)
+            return self.mr.peek(scratch_off, nbytes)
+        finally:
+            scratch.free(scratch_off, nbytes)
+
+    # ------------------------------------------------------------------
+    # The read verbs' attempts
+    # ------------------------------------------------------------------
+    def gread(self, span_op: int, gaddr: int, offset: int,
+              length: Optional[int]) -> Generator[Any, Any, bytes]:
+        """One attempt of :meth:`~repro.core.client.GengarClient.gread`."""
+        client, sim = self.client, self.sim
+        metas = client._metas
+        meta = metas.get(gaddr)
+        if meta is None:
+            meta = yield from metas.lookup(gaddr, span_op=span_op)
+        size = meta.size - offset if length is None else length
+        check_bounds(meta, offset, size)
+        yield from client.node.cpu_work()
+
+        # Read-your-writes: serve from the overlay when it covers the range.
+        conn = client._conns[meta.server_id]
+        ring = conn.ring
+        if gaddr in ring.overlay:
+            data = ring.covered(gaddr, offset, size)
+            if data is not None:
+                client.m_overlay_hits.add()
+                client._note_access(gaddr, read=True)
+                return data
+            # Partial overlap: force the write down before reading remotely.
+            yield from client._driver.op("gsync", meta.server_id,
+                                         history=False)
+
+        rec = sim.spans
+        t0 = sim.now if rec is not None else 0
+        rkey, roff, span = self.source(conn, meta, offset, size)
+        raw = yield from self.read(conn, rkey, roff, span)
+        data, lookup = self.verdict(raw, gaddr, span, offset, size, t0,
+                                    span_op)
+        if lookup is not None:
+            t0 = sim.now if rec is not None else 0
+            raw = yield from self.read(conn, conn.desc.data_rkey,
+                                       meta.nvm_offset + offset, size)
+            data = self.repaired((yield lookup), meta, raw, gaddr, t0,
+                                 span_op)
+            if data is None:
+                return (yield from self.gread(span_op, gaddr, offset, length))
+        client._note_access(gaddr, read=True)
+        return data
+
+    def gread_many(self, span_op: int,
+                   gaddrs: list) -> Generator[Any, Any, list]:
+        """The one attempt of
+        :meth:`~repro.core.client.GengarClient.gread_many`."""
+        client, sim = self.client, self.sim
+        start = sim.now
+        rec = sim.spans
+        scratch, mr, metas = self.scratch, self.mr, client._metas
+        results: list = [None] * len(gaddrs)
+        fallback: list = []  # indices routed through serial gread
+        groups: Dict[int, list] = {}  # server_id -> [(idx, gaddr, meta)]
+
+        def stand(idx, gaddr, data):
+            """Item ``idx``'s bytes stand: the per-item read tally."""
+            results[idx] = data
+            client.m_reads.add()
+            client._note_access(gaddr, read=True)
+            client.h_read.record(sim.now - start)
+
+        for idx, gaddr in enumerate(gaddrs):
+            meta = metas.get(gaddr)
+            if meta is None:
+                try:
+                    meta = yield from metas.lookup(gaddr, span_op=span_op)
+                except ClientError:
+                    fallback.append(idx)  # serial gread retries the lookup
+                    continue
+            ring = client._conns[meta.server_id].ring
+            if gaddr in ring.overlay:
+                data = ring.covered(gaddr, 0, meta.size)
+                if data is None:
+                    fallback.append(idx)  # partial overlap: gread syncs first
+                else:
+                    client.m_overlay_hits.add()
+                    stand(idx, gaddr, data)
+                continue
+            if meta.size > MAX_TRANSFER - CACHE_TAG_BYTES:
+                fallback.append(idx)  # chunked path stays serial
+                continue
+            groups.setdefault(meta.server_id, []).append((idx, gaddr, meta))
+
+        if groups:
+            # One CPU pass covers building every WQE in the batch.
+            yield from client.node.cpu_work()
+        mux = CompletionMux(sim)
+
+        def consume(tag, ev):
+            """Process a posted read, or a repair lookup, that completed.  A
+            tag is ``(idx, gaddr, meta, span, conn, scratch_off, lookup,
+            t_post)``: ``lookup`` is set on a repair, and ``scratch_off`` is
+            None once only its lookup is left."""
+            idx, gaddr, meta, span, conn, scratch_off, lookup, t_post = tag
+            if scratch_off is None:
+                # A repair's lookup is back; its home bytes wait in results.
+                data = (self.repaired(ev.value, meta, results[idx], gaddr,
+                                      t_post, span_op) if ev.ok else None)
+                if data is None:
+                    fallback.append(idx)  # serial gread raises or reads afresh
+                else:
+                    stand(idx, gaddr, data)
+                return
+            if not ev.value.ok:
+                scratch.free(scratch_off, span)
+                fallback.append(idx)  # serial gread applies the RetryPolicy
+                return
+            length = meta.size
+            if lookup is not None:
+                # A repair READ of the home: its bytes stand once the lookup
+                # returns.
+                results[idx] = mr.peek(scratch_off, length)
+                scratch.free(scratch_off, span)
+                mux.add(lookup, (idx, gaddr, meta, span, conn, None, lookup,
+                                 t_post))
+                return
+            data, lookup = self.verdict(mr.peek(scratch_off, span), gaddr,
+                                        span, 0, length, t_post, span_op)
+            if lookup is not None:
+                # Repair in the batch: re-read the NVM home into the same
+                # scratch bytes while the lookup runs.
+                lanes = conn.lanes
+                mux.add(lanes[self.deal(conn, 1) % len(lanes)].post_send(
+                    WorkRequest(opcode=Opcode.RDMA_READ, local_mr=mr,
+                                local_offset=scratch_off, length=length,
+                                remote_rkey=conn.desc.data_rkey,
+                                remote_offset=meta.nvm_offset)),
+                    (idx, gaddr, meta, span, conn, scratch_off, lookup,
+                     sim.now))
+                return
+            scratch.free(scratch_off, span)
+            stand(idx, gaddr, data)
+
+        def post(conn, wrs, tags):
+            """Deal a server's accumulated READs round-robin across its read
+            lanes and ring one doorbell per lane used."""
+            _attach_combine_groups(wrs)
+            client.h_read_batch.record(len(wrs))
+            lanes, n = conn.lanes, len(conn.lanes)
+            first = self.deal(conn, len(wrs))
+            for k in range(min(n, len(wrs))):
+                qp = lanes[(first + k) % n]
+                for ev, tag in zip(qp.post_send_many(wrs[k::n]), tags[k::n]):
+                    mux.add(ev, tag)
+
+        for sid in sorted(groups):
+            conn = client._conns[sid]
+            wrs: list = []
+            tags: list = []
+            for idx, gaddr, meta in groups[sid]:
+                rkey, roff, span = self.source(conn, meta, 0, meta.size)
+                # Scratch acquisition can never deadlock on our own batch:
+                # recycle completed reads first, and if none are in flight
+                # while WRs are pending here, ring the doorbell early (a
+                # batch larger than the scratch region degrades to several
+                # doorbells instead of wedging).
+                while True:
+                    scratch_off = scratch.try_alloc(span)
+                    if scratch_off is not None:
+                        break
+                    if len(mux):
+                        consume(*(yield mux.next_event()))
+                    elif wrs:
+                        post(conn, wrs, tags)
+                        wrs, tags = [], []
+                    else:
+                        scratch_off = yield scratch.wait(span)
+                        break
+                wrs.append(WorkRequest(
+                    opcode=Opcode.RDMA_READ,
+                    local_mr=mr, local_offset=scratch_off,
+                    length=span, remote_rkey=rkey, remote_offset=roff,
+                ))
+                tags.append((idx, gaddr, meta, span, conn, scratch_off, None,
+                             sim.now))
+            if wrs:
+                post(conn, wrs, tags)
+
+        inflight = len(mux)
+        t_wait = sim.now
+        while len(mux):
+            consume(*(yield mux.next_event()))
+        if rec is not None and inflight:
+            rec.record(client.name, "phase.pipeline_wait", t_wait, op=span_op,
+                       inflight=inflight)
+
+        failures: list = []
+        for idx in sorted(fallback):
+            try:
+                results[idx] = yield from client._driver.op(
+                    "gread", gaddrs[idx], 0, None, history=False)
+            except ClientError as exc:
+                failures.append((idx, exc))
+        if failures:
+            raise failures[0][1]
+        return results
+
+
+def _attach_combine_groups(wrs) -> None:
+    """Tag contiguous READs in one doorbell for server-side combining.
+
+    Runs of RDMA_READ WRs whose remote ranges are adjacent within the
+    same remote region share a
+    :class:`~repro.core.server.ReadCombineGroup`; the target services
+    the whole run as a single device transfer (one per-transfer setup
+    charge — the Optane win) and slices each member's bytes out of it.
+    """
+    by_rkey: Dict[int, list] = {}
+    for wr in wrs:
+        if wr.opcode is Opcode.RDMA_READ:
+            by_rkey.setdefault(wr.remote_rkey, []).append(wr)
+    for rkey, group in by_rkey.items():
+        group.sort(key=lambda w: w.remote_offset)
+        run = [group[0]]
+        for wr in group[1:]:
+            prev = run[-1]
+            if wr.remote_offset == prev.remote_offset + prev.length:
+                run.append(wr)
+            else:
+                _seal_combine_run(rkey, run)
+                run = [wr]
+        _seal_combine_run(rkey, run)
+
+
+def _seal_combine_run(rkey: int, run: list) -> None:
+    if len(run) < 2:
+        return
+    base = run[0].remote_offset
+    total = run[-1].remote_offset + run[-1].length - base
+    grp = ReadCombineGroup(rkey=rkey, base_offset=base,
+                           total_length=total, members=len(run))
+    for wr in run:
+        wr.combine = grp

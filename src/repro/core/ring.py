@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
 
+from repro.core.driver import wc_error
 from repro.core.errors import RetryableError, StaleRingError
 from repro.core.protocol import (
     MAX_TRANSFER, RingDescriptor, pack_commit_word, pack_proxy_slot, proxy_payload_capacity)
@@ -73,7 +74,7 @@ class ClientRing:
             raise StaleRingError(f"ring to server {self.server_id} is being "
                                  "re-attached", server_id=self.server_id)
         slots, slot_size, capacity = desc.slots, desc.slot_size, self.capacity
-        scratch, mr, qp = client._scratch, client._scratch_mr, self.conn.lanes[0]
+        scratch, mr, qp = client._reads.scratch, client._reads.mr, self.conn.lanes[0]
         size, pos = len(data), 0
         while pos < size:  # one group per pass
             end = pos + self.group_bytes
@@ -129,7 +130,7 @@ class ClientRing:
                 if base is not None:
                     scratch.free(base, total)
             if failed is not None:
-                client._check_wc(failed, "proxy write", self.conn, ring=True)
+                raise wc_error(failed, "proxy write", self.conn, ring=True)
         if rec is not None:
             rec.record(client.name, "phase.proxy_stage", t0, op=span_op,
                        server=self.server_id, bytes=size)
@@ -200,7 +201,7 @@ class ClientRing:
         returns after its ring was replaced counts the old ring's frames,
         so it is dropped.  It never prunes the overlay."""
         desc, written = self.desc, self.written
-        raw = yield from self.client._rdma_read(
+        raw = yield from self.client._reads.read(
             self.conn, desc.ring_rkey, desc.counter_offset, 8, ring=True)
         if self.desc is not desc:
             return

@@ -97,8 +97,8 @@ def bank_read_balances(client,
     """
     balances: Dict[int, int] = {}
     for gaddr in gaddrs:
-        raw = yield from client._op("gread", gaddr, 0, BALANCE_BYTES,
-                                    history=False)
+        raw = yield from client._driver.op("gread", gaddr, 0, BALANCE_BYTES,
+                                           history=False)
         balances[gaddr] = decode_balance(raw)
     return balances
 

@@ -90,7 +90,7 @@ def test_hot_read_matches_model(size):
         yield from client.gwrite(g, b"h" * size)
         yield from client.gsync()
         yield from pool.master.pin(g)
-        client._invalidate_meta(g)
+        client._metas.drop(g)
         yield from client.gread(g, length=1)  # warm metadata
         holder["g"] = g
 
@@ -141,7 +141,7 @@ def test_atomic_matches_model():
 
     def setup(sim):
         holder["g"] = yield from client.gmalloc(64)
-        meta = yield from client._meta(holder["g"])
+        meta = yield from client._metas.lookup(holder["g"])
         holder["meta"] = meta
 
     pool.run(setup(sim))

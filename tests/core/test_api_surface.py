@@ -15,7 +15,8 @@ Tests do not count as callers: a path only its own tests run is a path
 nothing needs.  The same holds one layer down, for RPC methods: every
 method a master, server or bench rig registers on an ``RpcServer`` must be
 named by a call somewhere in ``src/``.  And one layer into the client: only
-the ring module moves a proxy ring's cursor.
+the ring module moves a proxy ring's cursor, only the metadata module writes
+the metadata map, and only the read module builds an RDMA READ.
 """
 
 import ast
@@ -96,6 +97,33 @@ def test_every_registered_rpc_method_is_called():
 _RING_CURSOR = {"written", "drained_known", "pruned"}
 
 
+def _assigned(path, attrs):
+    """``file:line .attr`` of every assignment in ``path`` whose target
+    names one of ``attrs`` (``x.attr = ...``, ``x.attr[k] += ...``), and of
+    every call that empties or mutates one in place (``x.attr.pop(k)``)."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr in _MUTATORS):
+            targets = [node.func.value]
+        else:
+            continue
+        for target in targets:
+            for leaf in ast.walk(target):
+                if isinstance(leaf, ast.Attribute) and leaf.attr in attrs:
+                    hits.append(f"{path.relative_to(SRC)}:{leaf.lineno} "
+                                f".{leaf.attr}")
+    return hits
+
+
+_MUTATORS = {"pop", "clear", "update", "setdefault", "popitem"}
+
+
 def test_only_the_ring_module_moves_a_ring_cursor():
     """Nothing under ``src/`` but ``core/ring.py`` assigns a ring's
     ``written``, ``drained_known`` or ``pruned``: a second place that
@@ -105,18 +133,49 @@ def test_only_the_ring_module_moves_a_ring_cursor():
     for path in sorted(SRC.rglob("*.py")):
         if path == SRC / "core" / "ring.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            else:
-                continue
-            for target in targets:
-                for leaf in ast.walk(target):
-                    if (isinstance(leaf, ast.Attribute)
-                            and leaf.attr in _RING_CURSOR):
-                        offenders.append(
-                            f"{path.relative_to(SRC)}:{leaf.lineno} "
-                            f".{leaf.attr}")
+        offenders += _assigned(path, _RING_CURSOR)
+    assert offenders == []
+
+
+#: The client's metadata map and per-server epochs, by every name they
+#: have had.
+_META_STATE = {"_meta_cache", "_meta_epoch", "_srv_epoch", "_by_gaddr",
+               "_srv_epochs"}
+
+
+def test_only_the_metadata_module_writes_the_metadata_map():
+    """Nothing under ``src/`` but ``core/metacache.py`` writes the
+    client's metadata map or bumps a server's epoch: a second writer would
+    have to repeat the map's pairing of entry and epoch."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path != SRC / "core" / "metacache.py":
+            offenders += _assigned(path, _META_STATE)
+    assert offenders == []
+
+
+def _builds_a_read(path):
+    """``file:line`` of every ``WorkRequest(opcode=Opcode.RDMA_READ, ...)``
+    in ``path``."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "WorkRequest"):
+            continue
+        opcodes = node.args[:1] + [k.value for k in node.keywords
+                                   if k.arg == "opcode"]
+        if any(getattr(op, "attr", None) == "RDMA_READ" for op in opcodes):
+            hits.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    return hits
+
+
+def test_only_the_read_module_builds_an_rdma_read():
+    """Nothing under ``core/`` or ``txn/`` but ``core/reads.py`` builds an
+    RDMA READ: every READ goes out through the one lane deal, and every
+    object read through the one cache-or-home choice and verdict."""
+    offenders = []
+    for package in ("core", "txn"):
+        for path in sorted((SRC / package).rglob("*.py")):
+            if path != SRC / "core" / "reads.py":
+                offenders += _builds_a_read(path)
     assert offenders == []

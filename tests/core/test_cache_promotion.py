@@ -160,7 +160,7 @@ def test_stale_client_metadata_self_heals_after_demotion():
 
     (gaddr,) = pool.run(phase1(sim))
     assert pool.master.directory.get(gaddr).cached
-    stale_meta = stale_client._meta_cache.get(gaddr)
+    stale_meta = stale_client._metas.get(gaddr)
     assert stale_meta is not None and stale_meta.cached
 
     # Force the demotion server-side (simulating cooling elsewhere).

@@ -9,7 +9,6 @@ the client devalues every location it holds for that shard's servers.
 """
 
 import pickle
-from dataclasses import replace
 
 import pytest
 
@@ -44,7 +43,7 @@ def demote(pool, gaddr):
 
 
 def held(client, gaddr):
-    return client._cached_meta(gaddr)
+    return client._metas.get(gaddr)
 
 
 def test_an_allocating_client_learns_a_promotion_without_reading_it():
@@ -134,10 +133,10 @@ def test_the_reply_reads_the_directory_and_deduplicates():
 # Resync
 # ----------------------------------------------------------------------
 def _check_resync(pool, client, gaddrs, before):
-    epochs = {sid: client._srv_epoch.get(sid, 0) for sid in pool.servers}
+    epochs = {sid: client._metas._srv_epochs[sid] for sid in pool.servers}
     pool.run(client._send_report())
     assert client.m_location_resyncs.count == before + 1
-    assert all(client._srv_epoch.get(sid, 0) == epochs[sid] + 1
+    assert all(client._metas._srv_epochs[sid] == epochs[sid] + 1
                for sid in pool.servers)
     assert all(held(client, g) is None for g in gaddrs)
     for i, gaddr in enumerate(gaddrs):
@@ -178,9 +177,8 @@ def test_a_master_reset_and_rebuild_resyncs():
 
 @pytest.fixture
 def unjittered_retries(monkeypatch):
-    from_config = RetryPolicy.from_config
-    monkeypatch.setattr(RetryPolicy, "from_config", staticmethod(
-        lambda config: replace(from_config(config), jitter=False)))
+    monkeypatch.setattr(RetryPolicy, "backoff_ns", lambda self, attempt, rng: min(
+        self.base_backoff_ns << min(attempt - 1, 20), self.max_backoff_ns))
 
 
 def test_a_promoted_standby_resyncs(unjittered_retries):

@@ -132,7 +132,7 @@ def test_master_rebuild_restores_directory_and_data():
     def after(sim):
         out = []
         for g in live:
-            client._invalidate_meta(g)
+            client._metas.drop(g)
             out.append((yield from client.gread(g, length=4)))
         return out
 
@@ -173,7 +173,7 @@ def test_rebuild_allocator_prevents_overlap():
     def check(sim):
         out = []
         for g in old_addrs:
-            client._invalidate_meta(g)
+            client._metas.drop(g)
             out.append((yield from client.gread(g, length=4)))
         return out
 
@@ -271,7 +271,7 @@ def test_locks_work_after_rebuild():
 
     def after(sim):
         yield from pool.master.rebuild()
-        client._invalidate_meta(gaddr)
+        client._metas.drop(gaddr)
         yield from client.glock(gaddr, write=True)
         yield from client.gwrite(gaddr, b"post-rebuild" + bytes(52))
         yield from client.gunlock(gaddr, write=True)

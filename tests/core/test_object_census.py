@@ -30,8 +30,9 @@ def _scratch_idle(pool):
     """At quiescence every client's scratch region is wholly free and has
     no waiters: a span lent is a span given back."""
     for client in pool.clients:
-        assert client._scratch.idle, (client.name, client._scratch._runs,
-                                      len(client._scratch._waiters))
+        scratch = client._reads.scratch
+        assert scratch.idle, (client.name, scratch._runs,
+                              len(scratch._waiters))
 
 
 def test_reads_and_writes_leave_no_objects_behind():
@@ -152,7 +153,7 @@ def test_the_location_log_stays_within_its_bound(monkeypatch):
     after_n = len(log)
     pool.run(*(lifecycles(sim, c, 2 * n) for c in pool.clients))
     assert after_n == len(log) == 16
-    assert all(len(c._loc_cursors) == len(pool.masters) for c in pool.clients)
+    assert all(len(c._metas.cursors) == len(pool.masters) for c in pool.clients)
 
 
 def test_lock_lifecycles_leave_no_holder_behind():

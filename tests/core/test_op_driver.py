@@ -196,7 +196,7 @@ def test_no_history_entry_emits_the_span_and_no_history_event():
         yield from client.gwrite(gaddr, encode_balance(7).ljust(64, b"\0"))
         before = len(hist.ops), len(spans.by_name("op.gread"))
         balances = yield from bank_read_balances(client, [gaddr])
-        raw = yield from client._op("gread", gaddr, 0, 8, history=False)
+        raw = yield from client._driver.op("gread", gaddr, 0, 8, history=False)
         return gaddr, before, balances, raw
 
     ((gaddr, before, balances, raw),) = pool.run(app(sim))

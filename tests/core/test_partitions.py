@@ -41,9 +41,8 @@ def partition_config(**overrides):
 @pytest.fixture(autouse=True)
 def unjittered_retries(monkeypatch):
     """Every client here backs off on the plain doubling schedule."""
-    from_config = RetryPolicy.from_config
-    monkeypatch.setattr(RetryPolicy, "from_config", staticmethod(
-        lambda config: replace(from_config(config), jitter=False)))
+    monkeypatch.setattr(RetryPolicy, "backoff_ns", lambda self, attempt, rng: min(
+        self.base_backoff_ns << min(attempt - 1, 20), self.max_backoff_ns))
 
 
 def wait_promoted(sim, pool):

@@ -2,6 +2,7 @@
 consistency contract under out-of-order completion.
 """
 
+from repro.core.driver import OpDriver
 from repro.core.errors import ClientError
 from repro.rdma.rpc import RpcError
 
@@ -108,7 +109,7 @@ def test_gread_many_larger_than_scratch_pool_completes():
 
     (values,) = pool.run(app(sim))
     assert values == [bytes([i % 251]) * size for i in range(20)]
-    assert client._scratch.idle
+    assert client._reads.scratch.idle
 
 
 def test_proxy_write_and_a_large_read_share_a_full_region():
@@ -133,14 +134,14 @@ def test_proxy_write_and_a_large_read_share_a_full_region():
              sim.spawn(client.gwrite(small, b"\x5a" * 4096))]
     sim.run(until=sim.now + 1_000)
     # The read waits for room, and the write queues behind it.
-    assert [n for n, _ev in client._scratch._waiters][0] == 256 * 1024
-    assert len(client._scratch._waiters) == 2
+    assert [n for n, _ev in client._reads.scratch._waiters][0] == 256 * 1024
+    assert len(client._reads.scratch._waiters) == 2
     sim.run(until=sim.now + 10_000_000)
     assert all(p.triggered and p.ok for p in procs)
     assert procs[0].value == [bytes([i % 251]) * size for i in range(16)]
     assert procs[1].value == bytes([0]) * (256 * 1024)
     assert client.m_proxy_writes.count == staged + 1
-    assert client._scratch.idle
+    assert client._reads.scratch.idle
 
 
 def test_gread_many_observes_overlay_and_partial_overlap():
@@ -261,12 +262,12 @@ def _stale_batch(num_clients=1):
     def setup(sim):
         addrs = yield from _load_objects(client, 8)
         yield from master.pin(addrs[3])
-        client._invalidate_meta(addrs[3])
+        client._metas.drop(addrs[3])
         yield from client.gread(addrs[3])  # looks up the cached location
         return addrs
 
     (addrs,) = pool.run(setup(sim))
-    assert client._meta_cache[addrs[3]].cached
+    assert client._metas.get(addrs[3]).cached
     return sim, pool, addrs
 
 
@@ -288,31 +289,33 @@ def test_stale_tag_is_repaired_in_one_round_trip_plus_the_slower_of_two():
     pool.run(master._demote(master._servers[0], master._policies[0], stale))
 
     verbs = []
-    op = client._op
+    op = OpDriver.op
 
-    def counted(name, *args, **kwargs):
+    def counted(driver, name, *args, **kwargs):
         verbs.append(name)
-        return op(name, *args, **kwargs)
+        return op(driver, name, *args, **kwargs)
 
-    client._op = counted
+    OpDriver.op = counted
     lookups = client.m_lookups.count
-    t_batch, values = _elapsed(sim, pool, client.gread_many(addrs))
-    client._op = op
+    try:
+        t_batch, values = _elapsed(sim, pool, client.gread_many(addrs))
+    finally:
+        OpDriver.op = op
 
     assert values == [bytes([i % 251]) * 128 for i in range(8)]
     assert [len(v) for v in values] == [128] * 8
     assert client.m_lookups.count - lookups == 1
     assert verbs == ["gread_many"]  # no serial gread
     assert client.m_tag_misses.count == 1
-    assert not client._meta_cache[stale].cached  # the lookup's answer
+    assert not client._metas.get(stale).cached  # the lookup's answer
     # One round trip (the batch as it runs clean) plus the slower of the
     # lookup and a READ of the home, not their sum after the batch.
     t_clean, _ = _elapsed(sim, pool, client.gread_many(addrs))
-    client._invalidate_meta(stale)
-    t_lookup, _ = _elapsed(sim, pool, client._meta(stale))
+    client._metas.drop(stale)
+    t_lookup, _ = _elapsed(sim, pool, client._metas.lookup(stale))
     t_read, _ = _elapsed(sim, pool, client.gread(stale))
     assert t_batch <= max(t_hit, t_clean) + max(t_lookup, t_read)
-    assert client._scratch.idle
+    assert client._reads.scratch.idle
 
 
 def test_stale_tag_of_a_freed_object_raises_what_serial_gread_raises():
@@ -337,4 +340,4 @@ def test_stale_tag_of_a_freed_object_raises_what_serial_gread_raises():
     serial = outcome(client.gread(stale))
     assert batched is not None and serial is not None
     assert (type(batched), str(batched)) == (type(serial), str(serial))
-    assert client._scratch.idle
+    assert client._reads.scratch.idle

@@ -237,13 +237,12 @@ def test_retry_policy_backoff_is_bounded_and_reproducible():
     import random
 
     policy = RetryPolicy(max_attempts=6, base_backoff_ns=1_000,
-                         max_backoff_ns=8_000, jitter=True)
+                         max_backoff_ns=8_000)
     a = [policy.backoff_ns(i, random.Random(3)) for i in range(1, 7)]
     b = [policy.backoff_ns(i, random.Random(3)) for i in range(1, 7)]
     assert a == b  # same stream state, same jitter
-    for delay in a:
-        assert 1_000 <= delay <= 8_000
-    flat = RetryPolicy(jitter=False, base_backoff_ns=1_000, max_backoff_ns=8_000)
-    assert [flat.backoff_ns(i, random.Random(0)) for i in range(1, 6)] == \
-        [1_000, 2_000, 4_000, 8_000, 8_000]
+    for i, delay in enumerate(a, start=1):
+        # The step doubles per attempt and stops at the cap.
+        assert 1_000 <= delay <= min(1_000 << (i - 1), 8_000)
+    assert a[0] == 1_000  # no room to jitter below the first step
 

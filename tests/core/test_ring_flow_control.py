@@ -233,7 +233,7 @@ def test_a_write_waiting_through_a_reattach_takes_no_seq_of_the_new_ring(wait):
     old one: that frame is lost and its retry, one seq late, is skipped as
     torn, so gsync would poll forever.  It fails typed instead, and its
     retry restages it on the new ring."""
-    from repro.core.client import _SCRATCH_BYTES
+    from repro.core.reads import SCRATCH_BYTES
 
     sim, pool = build_pool(num_servers=1, num_clients=1, max_events=200_000,
                            config=fast_config(proxy_ring_slots=8,
@@ -277,7 +277,7 @@ def test_a_write_waiting_through_a_reattach_takes_no_seq_of_the_new_ring(wait):
 
         ring.poll = spy
     else:
-        held = client._scratch.try_alloc(_SCRATCH_BYTES)
+        held = client._reads.scratch.try_alloc(SCRATCH_BYTES)
 
     def writer(sim):
         yield from client.gwrite(victim, b"\x02" * size)
@@ -288,7 +288,7 @@ def test_a_write_waiting_through_a_reattach_takes_no_seq_of_the_new_ring(wait):
             yield 1_000
             assert ring.written == 0  # the write waits for scratch
             yield from crash_and_reattach()
-            client._scratch.free(held, _SCRATCH_BYTES)
+            client._reads.scratch.free(held, SCRATCH_BYTES)
 
     torn = server.torn_skipped.count
     pool.run(writer(sim), driver(sim))
@@ -304,7 +304,7 @@ def test_a_write_parked_on_scratch_does_not_lap_the_ring():
     Once the scratch comes back, the first must wait for the drain again,
     not reserve the ninth seq of an 8-slot ring over an undrained frame
     (which the drain would skip as torn, losing it silently)."""
-    from repro.core.client import _SCRATCH_BYTES
+    from repro.core.reads import SCRATCH_BYTES
 
     sim, pool = build_pool(num_servers=1, num_clients=1, max_events=200_000,
                            config=fast_config(proxy_ring_slots=8,
@@ -321,7 +321,7 @@ def test_a_write_parked_on_scratch_does_not_lap_the_ring():
         return addrs
 
     (addrs,) = pool.run(setup(sim))
-    held = client._scratch.try_alloc(_SCRATCH_BYTES)
+    held = client._reads.scratch.try_alloc(SCRATCH_BYTES)
 
     def parked(sim):
         yield from client.gwrite(addrs[7], b"\xaa" * 1024)
@@ -330,7 +330,7 @@ def test_a_write_parked_on_scratch_does_not_lap_the_ring():
         yield 500
         yield from client.gwrite(addrs[8], b"\xbb" * 64)
         yield 500
-        client._scratch.free(held, _SCRATCH_BYTES)
+        client._reads.scratch.free(held, SCRATCH_BYTES)
 
     torn = server.torn_skipped.count
     pool.run(parked(sim), inline(sim))

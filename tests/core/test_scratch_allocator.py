@@ -5,7 +5,7 @@ serve waiters in arrival order."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.client import _SCRATCH_LINE, _Scratch
+from repro.core.reads import SCRATCH_LINE, Scratch
 from repro.sim import Simulator
 
 SIZE = 8 * 1024  # small enough that takers wait
@@ -20,8 +20,8 @@ ops = st.lists(
 
 
 def _line_span(offset, nbytes):
-    lines = max(1, -(-nbytes // _SCRATCH_LINE))
-    return offset, offset + lines * _SCRATCH_LINE
+    lines = max(1, -(-nbytes // SCRATCH_LINE))
+    return offset, offset + lines * SCRATCH_LINE
 
 
 def _check(scratch, live):
@@ -40,7 +40,7 @@ def _check(scratch, live):
 @settings(max_examples=200, deadline=None)
 @given(ops)
 def test_lends_never_overlap_and_waiters_are_served_in_order(script):
-    scratch = _Scratch(Simulator(seed=1), SIZE)
+    scratch = Scratch(Simulator(seed=1), SIZE)
     live = []  # (offset, nbytes) of every lent span
     waiting = []  # (nbytes, event), oldest first
     for op, arg in script:

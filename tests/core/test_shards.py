@@ -76,8 +76,7 @@ def test_cross_shard_free_and_lookup_route_to_the_owner():
             addrs.append((yield from client.gmalloc(128)))
         for g in addrs:
             yield from client.gwrite(g, b"S" * 128)
-        client._meta_cache.clear()
-        client._meta_epoch.clear()
+        client._metas._by_gaddr.clear()
         reads = []
         for g in addrs:  # forces a lookup at the owning shard
             reads.append((yield from client.gread(g)))
@@ -104,8 +103,7 @@ def test_misrouted_op_gets_typed_redirect_and_heals_the_map():
 
     (target,) = pool.run(alloc(sim))
     pool.reshard(1, 0)  # server 1 moves shard1 -> shard0 behind the client
-    client._meta_cache.clear()
-    client._meta_epoch.clear()
+    client._metas._by_gaddr.clear()
 
     def use(sim):
         data = yield from client.gread(target)  # lookup redirects + retries
@@ -132,8 +130,7 @@ def test_misrouted_op_without_retry_budget_raises_not_my_shard():
 
     (target,) = pool.run(alloc(sim))
     pool.reshard(1, 0)
-    client._meta_cache.clear()
-    client._meta_epoch.clear()
+    client._metas._by_gaddr.clear()
 
     def use(sim):
         try:
