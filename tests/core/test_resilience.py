@@ -129,6 +129,37 @@ def test_deadline_converts_a_stall_into_a_typed_error():
     assert took < RETRY_TIMEOUT_NS
 
 
+def test_a_write_unlock_lookup_honours_the_deadline():
+    """The write-unlock's metadata lookup runs under the op deadline: with
+    the master down and the metadata dropped after the acquire, ``gunlock``
+    fails typed at the deadline instead of spending its retry budget."""
+    deadline = 15_000
+    config = fast_config(op_deadline_ns=deadline)
+    sim, pool = build_pool(num_servers=1, num_clients=1, config=config)
+    client = pool.clients[0]
+
+    def lock(sim):
+        gaddr = yield from client.gmalloc(64)
+        yield from client.glock(gaddr, write=True)
+        return gaddr
+
+    (gaddr,) = pool.run(lock(sim))
+    client._metas.drop(gaddr)
+    pool.master.crash()
+    t0 = sim.now
+
+    def unlock(sim):
+        try:
+            yield from client.gunlock(gaddr, write=True)
+        except ClientError as exc:
+            return exc, sim.now - t0
+
+    ((exc, took),) = pool.run(unlock(sim))
+    assert isinstance(exc, DeadlineExceededError)
+    assert took <= deadline
+    assert client.m_deadline_misses.count == 1
+
+
 def test_a_deadline_abandons_a_direct_write_that_then_finishes():
     """Why a deadline abandons its attempt rather than stopping it.
 
