@@ -10,6 +10,7 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
 
 from repro.core.errors import FatalError
 from repro.core.protocol import ObjectMeta
+from repro.rdma.rpc import RpcError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.client import GengarClient
@@ -64,15 +65,22 @@ class MetaCache:
     def lookup(self, gaddr: int,
                span_op: int = 0) -> Generator[Any, Any, ObjectMeta]:
         """``gaddr``'s metadata: the cached entry, else the owning master
-        shard's answer, which is kept."""
+        shard's answer, which is kept.  An address the directory does not
+        hold is a :class:`FatalError` that keeps the master's message."""
         meta = self.get(gaddr)
         if meta is not None:
             return meta
         client = self.client
         rec = client.sim.spans
         t0 = client.sim.now if rec is not None else 0
-        meta = yield from client._master_call(
-            "lookup", {"gaddr": gaddr}, shard=client._resolve_shard(gaddr))
+        try:
+            meta = yield from client._master_call(
+                "lookup", {"gaddr": gaddr}, shard=client._resolve_shard(gaddr))
+        except RpcError as exc:
+            if "unknown object" in str(exc):
+                # Freed, or never allocated: no retry can make it exist.
+                raise FatalError(str(exc)) from exc
+            raise
         client.m_lookups.add()
         if rec is not None:
             rec.record(client.name, "phase.meta_lookup", t0, op=span_op,

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core import ClientError, GengarPool, server_of
+from repro.core import ClientError, FatalError, GengarPool, server_of
 from repro.core.config import NVM_DIRECT
-from repro.rdma.rpc import RpcError
 
 from tests.core.conftest import build_pool, fast_config
 
@@ -134,7 +133,8 @@ def test_read_of_freed_object_fails(pool2x2):
         yield from client.gfree(gaddr)
         try:
             yield from client.gread(gaddr)
-        except RpcError:
+        except FatalError as exc:
+            assert "unknown object" in str(exc)
             return "lookup-failed"
 
     (outcome,) = pool.run(app(sim))

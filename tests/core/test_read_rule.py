@@ -134,3 +134,11 @@ def test_a_recycled_cached_address_reads_at_its_new_size():
     assert got == bytes(i % 251 for i in range(256))
     assert dict(zip(COUNTERS, moved)) == {
         "cache_hits": 0, "nvm_reads": 1, "tag_misses": 1, "overlay_hits": 0}
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["gread", "gread_many"])
+def test_a_freed_object_fails_typed(batched):
+    """The master's "unknown object" reply reaches the caller as a
+    :class:`ClientError`, as every verb failure does."""
+    outcome, _ = _read(freed, batched)
+    assert isinstance(outcome, type) and issubclass(outcome, ClientError)
