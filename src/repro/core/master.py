@@ -43,6 +43,10 @@ _RPC_BUFFER_SIZE = 4096
 #: Most extents one ``scrub`` carries: an ``(offset, size)`` pair pickles to
 #: at most 24 bytes, so a full batch fits the RPC buffer with room to spare.
 _SCRUB_MAX_EXTENTS = _RPC_BUFFER_SIZE // 32
+#: Most lock indices one ``recover_dead`` carries: an index pickles to at
+#: most 5 bytes and a cleared ``(lock_idx, owner)`` reply pair to at most 13,
+#: so a full batch and its reply leave half the RPC buffer to the filter.
+_RECOVER_MAX_LOCKS = _RPC_BUFFER_SIZE // 32
 #: Phi-accrual failure detection (``failure_detector``): the suspicion level
 #: (base 10) at which a suspected client is declared dead and fenced — phi
 #: == k means "if heartbeats kept their observed cadence, the chance they
@@ -1008,43 +1012,65 @@ class Master:
                 # sweep (and rebuilds with a blank epoch map) still refuses
                 # to re-grant the epoch whose locks it was recovering.
                 yield from self._journal_fence(uid, old_epoch + 1)
-        # Crash-atomic transactions: before force-unlocking anything, roll
-        # the dead client's durable intents forward.  Ordering matters — a
-        # lock cleared first could admit a new writer whose bytes a late
-        # roll-forward would then clobber.  Transactions that never reached
-        # their intent append roll *back* implicitly: the buffered write-set
-        # died with the client, so force-unlock alone erases them.
-        yield from self._txn_recover(owners=[uid], scan_all=True)
-        recovered = 0
+        cleared, _ = yield from self._recover_dead({
+            "owners": {uid: old_epoch if fencing else None},
+            "clients": [name]})
         for record in list(self.directory.objects()):
-            handle = self._servers[record.server_id]
-            try:
-                cleared = yield from handle.rpc.call("clear_lock_if_owner", {
-                    "lock_idx": record.lock_idx, "owner": uid,
-                    "epoch": old_epoch if fencing else None,
-                })
-            except RpcError:
-                continue  # home server down: its lock table died with it
-            if cleared:
-                recovered += 1
             if record.pinned and record.pinned_by == name:
                 record.pinned = False
                 record.pinned_by = None
                 yield from self._demote(
-                    handle, self._policies[record.server_id], record.gaddr)
-        for sid in sorted(self._servers):
-            try:
-                yield from self._servers[sid].rpc.call(
-                    "retire_ring", {"client": name})
-            except RpcError:
-                pass  # dead server: its DRAM (and the ring) are gone anyway
-        self.lock_recoveries.add(recovered)
+                    self._servers[record.server_id],
+                    self._policies[record.server_id], record.gaddr)
         rec = self.sim.spans
         if rec is not None:
             rec.event(self.node.name, "lease", "client fenced", client=name,
                       epoch=self._epochs.get(name, 0),
-                      locks_recovered=recovered)
-        return recovered
+                      locks_recovered=len(cleared))
+        return len(cleared)
+
+    def _recover_dead(self, dead: dict) -> Generator[Any, Any, tuple]:
+        """The one recovery pass for dead clients, shared by a lease
+        expiry, a restart's eviction and the post-failover orphan sweep.
+
+        ``dead`` is the filter ``txn_intent_scan`` and the servers'
+        ``recover_dead`` take: ``owners`` (dead uid -> the epoch it is
+        fenced at, None with leases off) or ``exclude`` (the surviving
+        uids), plus ``clients``, the client names on the same side.
+
+        Crash-atomic transactions: the dead clients' durable intents roll
+        forward *before* any lock is force-unlocked.  A lock cleared first
+        could admit a new writer whose bytes a late roll-forward would then
+        clobber.  Transactions that never reached their intent append roll
+        back implicitly: the buffered write-set died with the client, so
+        the force-unlock alone erases them.  Then one ``recover_dead`` per
+        owned server (chunked at ``_RECOVER_MAX_LOCKS`` lock indices)
+        retires the dead clients' rings and clears their write locks among
+        this shard's objects on it.  Returns the cleared ``(record,
+        owner)`` pairs and the retired rings' client names.
+        """
+        yield from self._txn_recover(dead)
+        records: Dict[int, dict] = {sid: {} for sid in self._servers}
+        for record in self.directory.objects():
+            records[record.server_id][record.lock_idx] = record
+        cleared: list = []
+        retired: list = []
+        for sid in sorted(self._servers):
+            by_idx = records[sid]
+            lock_idxs = sorted(by_idx)
+            for at in range(0, max(len(lock_idxs), 1), _RECOVER_MAX_LOCKS):
+                try:
+                    reply = yield from self._servers[sid].rpc.call(
+                        "recover_dead", dict(
+                            dead,
+                            lock_idxs=lock_idxs[at:at + _RECOVER_MAX_LOCKS]))
+                except RpcError:
+                    break  # dead server: its lock table and rings died too
+                cleared += [(by_idx[idx], owner)
+                            for idx, owner in reply["cleared"]]
+                retired += reply["retired"]
+        self.lock_recoveries.add(len(cleared))
+        return cleared, retired
 
     def _journal_fence(self, uid: int, epoch: int) -> Generator[Any, Any, None]:
         """Journal an epoch retirement on the first reachable server.
@@ -1065,16 +1091,13 @@ class Master:
             except RpcError:
                 continue  # server (or its journal) down: try the next one
 
-    def _txn_recover(self, owners: Optional[list] = None,
-                     exclude: Optional[list] = None,
-                     scan_all: bool = False) -> Generator[Any, Any, int]:
+    def _txn_recover(self, dead: dict) -> Generator[Any, Any, int]:
         """Roll committed-but-unapplied transactions forward from their
         durable intent records (see ``repro.txn``).
 
-        Scans every reachable server's intent region for records owned by
-        ``owners`` (a named dead client) or NOT owned by ``exclude`` (the
-        post-failover survivors), applies each write-set to its home
-        servers, and clears the intent.  Applies are idempotent absolute
+        Scans every reachable server's intent region for the records of
+        the dead set (:meth:`_recover_dead`), applies each write-set to its
+        home servers, and clears the intent.  Applies are idempotent absolute
         byte writes, so racing a half-dead zombie that is still applying
         the same intent converges on the same final state.  An intent
         whose target server is unreachable is left in place for the next
@@ -1084,19 +1107,20 @@ class Master:
         rec = self.sim.spans
         t0 = self.sim.now if rec is not None else 0
         completed = 0
-        # ``scan_all`` widens the scan past this shard's owned servers: a
-        # dead client's intent lives on its *coordinator* server, which may
+        # A fence widens the scan past this shard's owned servers: a dead
+        # client's intent lives on its *coordinator* server, which may
         # belong to another shard even when the write-set targets ours.
         # Fencing must find it before force-unlocking, or the cleared lock
         # admits a new writer whose bytes the owning shard's later
         # roll-forward would clobber.  (Post-failover exclude-scans stay
         # per-shard: every shard runs its own.)
-        scan = self._all_servers if scan_all and self._all_servers \
+        fence = dead.get("owners") is not None
+        scan = self._all_servers if fence and self._all_servers \
             else self._servers
         for sid in sorted(scan):
             try:
-                records = yield from scan[sid].rpc.call(
-                    "txn_intent_scan", {"owners": owners, "exclude": exclude})
+                records = yield from scan[sid].rpc.call("txn_intent_scan",
+                                                        dead)
             except RpcError:
                 continue  # coordinator down: its intents wait for it
             for record in records:
@@ -1568,45 +1592,22 @@ class Master:
             yield self.config.client_lease_ns
             if self._recovering:
                 return
-        known = sorted(set(self._client_uids.values()))
-        # Roll forward any intent whose owner did not re-attach, BEFORE the
-        # orphan locks are cleared (same ordering argument as the lease
-        # sweep): a committed transaction must become fully visible before
-        # its write-set's locks can be handed to anyone else.
-        yield from self._txn_recover(exclude=known)
-        recovered = 0
-        for record in list(self.directory.objects()):
-            handle = self._servers[record.server_id]
-            try:
-                owner = yield from handle.rpc.call("clear_lock_if_orphan", {
-                    "lock_idx": record.lock_idx, "known": known,
-                })
-            except RpcError:
-                continue
-            if owner:
-                recovered += 1
-                rec = self.sim.spans
-                if rec is not None:
-                    rec.event(self.node.name, "lease", "orphan lock recovered",
-                              gaddr=hex(record.gaddr), owner_uid=owner)
-        # Retire the orphans' proxy rings too: a zombie that never
-        # re-attached must not keep landing staged writes on objects whose
-        # locks were just handed back.  Re-attached clients are exactly the
-        # keys of _client_uids, so every other ring belongs to an orphan.
-        survivors = sorted(self._client_uids)
-        retired: list = []
-        for sid in sorted(self._servers):
-            try:
-                retired += yield from self._servers[sid].rpc.call(
-                    "retire_rings_except", {"known": survivors})
-            except RpcError:
-                continue  # dead server: its DRAM (and the rings) are gone
-        self.lock_recoveries.add(recovered)
+        # Every uid and ring not re-attached belongs to a client that died
+        # with the old master: its intents roll forward, its locks are
+        # recovered and its rings retired, so a zombie that never
+        # re-attached cannot keep landing staged writes on objects whose
+        # locks were just handed back.
+        cleared, retired = yield from self._recover_dead({
+            "exclude": sorted(set(self._client_uids.values())),
+            "clients": sorted(self._client_uids)})
         rec = self.sim.spans
         if rec is not None:
+            for record, owner in cleared:
+                rec.event(self.node.name, "lease", "orphan lock recovered",
+                          gaddr=hex(record.gaddr), owner_uid=owner)
             rec.event(self.node.name, "lease",
                       "post-failover orphan sweep done",
-                      locks_recovered=recovered,
+                      locks_recovered=len(cleared),
                       rings_retired=sorted(set(retired)))
 
     def on_server_recovered(self, server_id: int) -> int:

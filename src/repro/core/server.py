@@ -39,12 +39,16 @@ from repro.core.protocol import (
     PROXY_MORE,
     RingDescriptor,
     ServerDescriptor,
+    lock_epoch,
+    lock_is_write_locked,
+    lock_owner,
     pack_cache_tag,
     pack_commit_word,
     pack_journal_record,
     proxy_payload_capacity,
     unpack_journal_record,
     unpack_proxy_header,
+    write_lock_word,
 )
 from repro.rdma.mr import AccessFlags
 from repro.rdma.rpc import DEFAULT_RING_SLOTS, RpcServer
@@ -213,12 +217,9 @@ class MemoryServer:
         self.rpc.register("demote", self._handle_demote)
         self.rpc.register("attach", self._handle_attach)
         self.rpc.register("scrub", self._handle_scrub)
-        self.rpc.register("clear_lock_if_owner", self._handle_clear_lock_if_owner)
+        self.rpc.register("recover_dead", self._handle_recover_dead)
         self.rpc.register("journal_append", self._handle_journal_append)
         self.rpc.register("journal_read", self._handle_journal_read)
-        self.rpc.register("retire_ring", self._handle_retire_ring)
-        self.rpc.register("retire_rings_except", self._handle_retire_rings_except)
-        self.rpc.register("clear_lock_if_orphan", self._handle_clear_lock_if_orphan)
         self.rpc.register("txn_intent_put", self._handle_txn_intent_put)
         self.rpc.register("txn_intent_clear", self._handle_txn_intent_clear)
         self.rpc.register("txn_intent_scan", self._handle_txn_intent_scan)
@@ -600,59 +601,53 @@ class MemoryServer:
                             "gaddr": gaddr, "size": size, "req_id": req_id})
         return records
 
-    def _handle_clear_lock_if_owner(self, request: dict) -> Generator[Any, Any, bool]:
-        """Recovery: clear the writer bits of a lock word iff the embedded
-        owner id (and, when given, the fencing epoch) matches.  Serialized
-        against inbound NIC atomics through the endpoint's atomic gate, so a
-        concurrent CAS/FAA never interleaves with the read-modify-write.
+    def _handle_recover_dead(self, request: dict) -> Generator[Any, Any, dict]:
+        """Recovery of dead clients on this server, in one call per
+        recovery pass (the master chunks ``lock_idxs``): retire their proxy
+        rings, then clear the writer half of every listed lock word one of
+        them holds.
 
-        The epoch condition is what makes lease recovery safe to race with
-        a re-attach: a client that rejoined under a fresh epoch (and
-        re-acquired the lock) is never hit by a clear aimed at its dead
-        incarnation.
+        The dead set is the filter ``txn_intent_scan`` takes.  ``owners``
+        maps each dead uid to the epoch it was fenced at (None: any epoch),
+        so a client that re-attached under a fresh epoch keeps the locks it
+        re-took; ``exclude`` lists the surviving uids after a master
+        failover, and every other owner is dead.  ``clients`` names the
+        dead clients' rings with ``owners`` and the survivors' with
+        ``exclude``.
+
+        Each word is read and rewritten under the endpoint's atomic gate,
+        so a concurrent CAS/FAA never interleaves with the read-modify-
+        write, and in-flight reader increments are kept.  Returns the
+        cleared words as ``(lock_idx, owner)`` pairs and the retired rings'
+        client names (sorted, for determinism).
         """
-        from repro.core.protocol import (
-            lock_epoch, lock_is_write_locked, lock_owner, write_lock_word)
-
-        lock_idx, owner = request["lock_idx"], request["owner"]
-        epoch = request.get("epoch")
+        owners, exclude = request.get("owners"), request.get("exclude")
+        clients = set(request["clients"])
         yield from self.node.cpu_work()
-        with (yield self.node.endpoint.atomic_gate):
-            word = self.lock_mr.read_u64(lock_idx * 8)
-            if not (lock_is_write_locked(word) and lock_owner(word) == owner):
-                return False
-            if epoch is not None and lock_epoch(word) != epoch:
-                return False
-            # Preserve in-flight reader increments; drop only the writer part.
-            new = word - write_lock_word(owner, lock_epoch(word))
-            yield from self.lock_mr.write(lock_idx * 8, new.to_bytes(8, "little"))
-        return True
-
-    def _handle_clear_lock_if_orphan(self, request: dict) -> Generator[Any, Any, int]:
-        """Post-failover recovery: clear a write lock iff its embedded owner
-        uid is *not* in the given set of known (re-attached) client uids.
-
-        A restarted master lost its lease table; after the re-attach grace
-        period, any lock whose owner never re-registered belongs to a client
-        that died with the old master.  Returns the orphan's uid (0 if the
-        word was free or owned by a known client).
-        """
-        from repro.core.protocol import (
-            lock_epoch, lock_is_write_locked, lock_owner, write_lock_word)
-
-        lock_idx = request["lock_idx"]
-        known = set(request["known"])
-        yield from self.node.cpu_work()
-        with (yield self.node.endpoint.atomic_gate):
-            word = self.lock_mr.read_u64(lock_idx * 8)
-            if not lock_is_write_locked(word):
-                return 0
-            owner = lock_owner(word)
-            if owner in known:
-                return 0
-            new = word - write_lock_word(owner, lock_epoch(word))
-            yield from self.lock_mr.write(lock_idx * 8, new.to_bytes(8, "little"))
-        return owner
+        if owners is not None:
+            retired = sorted(name for name in self._rings if name in clients)
+        else:
+            retired = sorted(name for name in self._rings
+                             if name not in clients)
+        for name in retired:
+            self._retire_ring(name)
+        cleared = []
+        for lock_idx in request["lock_idxs"]:
+            with (yield self.node.endpoint.atomic_gate):
+                word = self.lock_mr.read_u64(lock_idx * 8)
+                if not lock_is_write_locked(word):
+                    continue
+                owner, epoch = lock_owner(word), lock_epoch(word)
+                if owners is not None:
+                    if owner not in owners or owners[owner] not in (None, epoch):
+                        continue
+                elif owner in exclude:
+                    continue
+                new = word - write_lock_word(owner, epoch)
+                yield from self.lock_mr.write(lock_idx * 8,
+                                              new.to_bytes(8, "little"))
+            cleared.append((lock_idx, owner))
+        return {"cleared": cleared, "retired": retired}
 
     # ------------------------------------------------------------------
     # Transaction intents + deterministic apply
@@ -769,9 +764,10 @@ class MemoryServer:
         Reads through NVM (rebuilding the volatile index if a restart wiped
         it), so it works on a freshly recovered server process; a record
         whose clear is in flight is no longer listed.  Filters: ``owners``
-        keeps only those uids (a lease expiry names the dead client);
-        ``exclude`` keeps every uid NOT listed (the post-failover orphan
-        sweep names the survivors).
+        keeps only those uids (a fence names the dead client; a map from
+        uid keeps its keys); ``exclude`` keeps every uid NOT listed (the
+        post-failover orphan sweep names the survivors).  Other keys of the
+        dead set (:meth:`_handle_recover_dead`) are ignored.
         """
         yield from self.node.cpu_work()
         durable = yield from self._intent_load_index()
@@ -816,8 +812,8 @@ class MemoryServer:
             self.txn_applied.add()
         return applied
 
-    def _retire_ring(self, client_name: str) -> bool:
-        """Free one client's ring resources (shared by the retire RPCs).
+    def _retire_ring(self, client_name: str) -> None:
+        """Free a dead client's ring resources.
 
         Deregisters the ring MR (a zombie's one-sided write faults with
         ``REMOTE_ACCESS_ERROR`` instead of landing in an orphaned region)
@@ -828,9 +824,7 @@ class MemoryServer:
         """
         from repro.rdma.wr import Opcode, WorkCompletion
 
-        ring = self._rings.pop(client_name, None)
-        if ring is None:
-            return False  # never attached, or already retired (idempotent)
+        ring = self._rings.pop(client_name)
         self.node.endpoint.deregister_mr(ring.mr)
         qp = ring.qp
         self._drain_loops = [
@@ -843,28 +837,6 @@ class MemoryServer:
         if rec is not None:
             rec.event(self.node.name, "lease", "proxy ring retired",
                       client=client_name)
-        return True
-
-    def _handle_retire_ring(self, request: dict) -> Generator[Any, Any, bool]:
-        """Free a dead/evicted client's ring resources (idempotent)."""
-        yield from self.node.cpu_work()
-        return self._retire_ring(request["client"])
-
-    def _handle_retire_rings_except(self, request: dict) -> Generator[Any, Any, list]:
-        """Post-failover: retire every ring whose owner is *not* in the
-        given list of known (re-attached) client names.
-
-        The restarted master lost its lease table, so it cannot name the
-        orphans — but it knows exactly who re-attached; everyone else's
-        staged-write path must be cut along with their orphaned locks.
-        Returns the retired client names (sorted, for determinism).
-        """
-        known = set(request["known"])
-        yield from self.node.cpu_work()
-        orphans = sorted(name for name in self._rings if name not in known)
-        for name in orphans:
-            self._retire_ring(name)
-        return orphans
 
     def _find_qp(self, qp_num: int) -> "QueuePair":
         # The client names the *server-side* QP of its data connection by

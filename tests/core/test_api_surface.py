@@ -14,7 +14,8 @@ outside the code that defines it:
 Tests do not count as callers: a path only its own tests run is a path
 nothing needs.  The same holds one layer down, for RPC methods: every
 method a master, server or bench rig registers on an ``RpcServer`` must be
-named by a call somewhere in ``src/``.  And one layer into the client: only
+named by a call somewhere in ``src/``, and only the master's one recovery
+pass sends the servers' recovery method.  And one layer into the client: only
 the ring module moves a proxy ring's cursor, only the metadata module writes
 the metadata map, and only the read module builds an RDMA READ.
 """
@@ -91,6 +92,37 @@ def test_every_registered_rpc_method_is_called():
         if not re.search(rf'\w\([^()]*"{name}"', rest)
     }
     assert uncalled == set()
+
+
+def _senders(path, method):
+    """``file:function`` of every call in ``path`` that names RPC
+    ``method`` among its arguments (its registration aside)."""
+    hits = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "attr", None) != "register"
+              and any(isinstance(arg, ast.Constant) and arg.value == method
+                      for arg in node.args)):
+            hits.append(f"{path.relative_to(SRC)}:{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return hits
+
+
+def test_only_the_recovery_pass_sends_the_recovery_method():
+    """Lease expiry, restart eviction and the post-failover orphan sweep
+    share one recovery pass, which sends each server one ``recover_dead``
+    per chunk of lock indices.  A second sender would be a second sweep,
+    and with it the per-object recovery loop this replaced."""
+    senders = []
+    for path in sorted(SRC.rglob("*.py")):
+        senders += _senders(path, "recover_dead")
+    assert senders == ["core/master.py:_recover_dead"]
 
 
 #: A ring's cursor and what the client knows of its drained counter.

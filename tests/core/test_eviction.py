@@ -1,9 +1,13 @@
 """Tests for owner-tagged locks and dead-client eviction."""
 
+from collections import Counter
+
 import pytest
 
+from repro.core import server_of
 from repro.core.master import MasterError
 from repro.core.protocol import (
+    READER_UNIT,
     lock_is_free,
     lock_is_write_locked,
     lock_owner,
@@ -11,7 +15,11 @@ from repro.core.protocol import (
     write_lock_word,
 )
 
-from tests.core.conftest import build_pool
+from repro.faults import ClientCrash, FaultPlan, MasterCrash, MasterRecover
+
+from tests.core.conftest import build_pool, fast_config
+
+LEASE = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -173,3 +181,108 @@ def test_evict_client_holding_nothing_is_noop():
     record = pool.master.directory.get(gaddr)
     word = pool.servers[record.server_id].lock_mr.read_u64(record.lock_idx * 8)
     assert lock_owner(word) == worker.uid  # untouched
+
+
+# ---------------------------------------------------------------------------
+# One recovery pass for every trigger
+# ---------------------------------------------------------------------------
+def _wait(pool, ns):
+    def wait(sim):
+        yield ns
+
+    pool.run(wait(pool.sim))
+
+
+def _lease_expiry(pool, dead):
+    pool.inject_faults(FaultPlan.of(
+        ClientCrash(at_ns=pool.sim.now + 1, client=dead.name)))
+    _wait(pool, 3 * LEASE)
+
+
+def _restart(pool, dead):
+    dead.crash()
+    pool.run(dead.restart())
+
+
+def _orphan_sweep(pool, dead):
+    t0 = pool.sim.now
+    pool.inject_faults(FaultPlan.of(
+        ClientCrash(at_ns=t0 + 1_000, client=dead.name),
+        MasterCrash(at_ns=t0 + 2_000),
+        MasterRecover(at_ns=t0 + 40_000, rebuild=True),
+    ))
+    _wait(pool, 40_000 + 3 * LEASE)
+    assert dead.name not in pool.master._client_uids
+
+
+TRIGGERS = [_lease_expiry, _restart, _orphan_sweep]
+
+
+@pytest.mark.parametrize("trigger", TRIGGERS,
+                         ids=[t.__name__.lstrip("_") for t in TRIGGERS])
+def test_every_trigger_clears_only_the_dead_incarnations_writer_half(trigger):
+    """The dead client's word loses its writer half and keeps its reader.
+    A word re-taken under a fresh epoch is kept: by the dead client's next
+    incarnation after a fence, or by a client that re-attached to the
+    restarted master.  A live client's word and its reader count are kept."""
+    sim, pool = build_pool(
+        num_servers=1, num_clients=3,
+        config=fast_config(client_lease_ns=LEASE, metadata_journal=True))
+    dead, rejoined, live = pool.clients
+
+    def alloc(sim):
+        gaddrs = []
+        for _ in range(3):
+            gaddrs.append((yield from live.gmalloc(64)))
+        return gaddrs
+
+    (gaddrs,) = pool.run(alloc(sim))
+    server = pool.servers[0]
+    offsets = [pool.master.directory.get(g).lock_idx * 8 for g in gaddrs]
+    if trigger is _orphan_sweep:
+        retaken = write_lock_word(rejoined.uid, rejoined.fence_epoch)
+    else:
+        retaken = write_lock_word(dead.uid, dead.fence_epoch + 1)
+    words = [write_lock_word(dead.uid, dead.fence_epoch) + READER_UNIT,
+             retaken,
+             write_lock_word(live.uid, live.fence_epoch) + READER_UNIT]
+    for offset, word in zip(offsets, words):
+        server.lock_mr.write_u64(offset, word)
+
+    trigger(pool, dead)
+
+    assert [server.lock_mr.read_u64(o) for o in offsets] == \
+        [READER_UNIT] + words[1:]
+    assert pool.master.lock_recoveries.total == 1
+
+
+def test_recovery_sends_one_call_per_server():
+    """64 live objects on 2 servers: the eviction scans each server's
+    intents and then sends each server one recovery call, not one per
+    object."""
+    sim, pool = build_pool(num_servers=2, num_clients=2)
+    dead, alive = pool.clients
+
+    def setup(sim):
+        gaddrs = []
+        for _ in range(64):
+            gaddrs.append((yield from alive.gmalloc(64)))
+        yield from dead.glock(gaddrs[0], write=True)
+        return gaddrs
+
+    (gaddrs,) = pool.run(setup(sim))
+    assert {server_of(g) for g in gaddrs} == {0, 1}
+    calls = Counter()
+    for sid, handle in pool.master._servers.items():
+        def counted(method, request=None, sid=sid, call=handle.rpc.call):
+            calls[sid, method] += 1
+            return call(method, request)
+        handle.rpc.call = counted
+
+    (recovered,) = pool.run(pool.master.evict_client(dead.name))
+    assert recovered == 1
+    recovery = Counter()
+    for (sid, method), n in calls.items():
+        if method != "txn_intent_scan":
+            recovery[sid] += n
+    assert recovery == {0: 1, 1: 1}
