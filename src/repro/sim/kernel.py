@@ -16,7 +16,9 @@ finished wait through is not part of it.  A process whose next wait is
 already over (fired, no other waiter, no dispatch queued) continues inline
 when the running dispatch is the last entry of the instant — the position a
 freshly queued wake-up would take — and is woken through the queue
-otherwise.  Every run with the same seed is bit-for-bit reproducible.
+otherwise; a process that finishes there with one waiter wakes it in place
+by the same rule.  A timed hold's end is queued when its slot is taken.
+Every run with the same seed is bit-for-bit reproducible.
 
 :class:`Process` adapts a Python generator into the event system.  A
 process may yield five things: an :class:`~repro.sim.primitives.Event` (or a
@@ -59,6 +61,7 @@ class SimulationError(RuntimeError):
 #: Consecutive inline continuations one dispatch may run before the next
 #: already-over wait is scheduled instead (the same order at the tail), so
 #: ``max_events`` still sees a process spinning on waits that are always over.
+#: It also bounds how deep finished processes may wake their waiters in place.
 _INLINE_RUN_MAX = 64
 
 #: The generator type a process function must return.
@@ -80,11 +83,12 @@ class Process(Event):
     value; ``sim.timeout(n)`` is the event for that.
 
     It may also yield a :class:`Resource` — the resource is sent back once a
-    slot is this process's, to be released by ``with`` — or a
-    ``(resource, ns)`` pair, for which the kernel takes the slot, keeps it
-    ``ns`` nanoseconds and releases it before the generator resumes.  Both
-    queue this process's own entry exactly where a request event would have
-    queued its dispatch (``docs/KERNEL.md``, "What a process may yield").
+    slot is this process's, to be released by ``with``; this process's own
+    entry is queued exactly where a request event would have queued its
+    dispatch — or a ``(resource, ns)`` pair, for which the kernel takes the
+    slot, keeps it ``ns`` nanoseconds and releases it before the generator
+    resumes; the entry that ends the hold is queued when the slot is taken
+    (``docs/KERNEL.md``, "What a process may yield").
     A yielded :class:`Store` sends its oldest item back the same way: at
     once, by this process's own entry, or when a ``put`` appends that entry.
     """
@@ -110,11 +114,11 @@ class Process(Event):
         # delay, a granted slot, the end of a timed hold, an item handed over.
         # Its token, 0, tells it apart from an event's wake-up.
         self._entry = (self._wake, (0,))
-        # A wait that the kernel owns: the yielded ``Resource``,
-        # ``(resource, ns)`` pair or ``Store`` while this process is parked
-        # in its queue or the entry that ends the wait is queued; the
-        # resource alone, with ``_holding`` set, during the delay of a timed
-        # hold.  ``_item`` is what a store's queued entry delivers.
+        # A wait that the kernel owns: the yielded ``Resource`` or ``Store``
+        # while this process is parked in its queue or the entry that ends
+        # the wait is queued; the yielded ``(resource, ns)`` pair while
+        # parked; the resource alone, with ``_holding`` set, once the hold
+        # has started.  ``_item`` is what a store's queued entry delivers.
         self._slot: Any = None
         self._holding = False
         self._item: Any = None
@@ -156,36 +160,19 @@ class Process(Event):
             inline = _INLINE_RUN_MAX
             value = self._slot  # None: a plain delay is over
             if value is not None:
+                self._slot = None
                 if self._holding:
                     # The end of a timed hold.  The slot goes back before the
-                    # generator runs: to the next parked process, whose grant
-                    # entry takes its place in this instant, or to the pool.
+                    # generator runs: to the next parked process or to the pool.
                     self._holding = False
-                    self._slot = None
-                    parked = value._queue
-                    if parked:
-                        sim._buckets[sim.now].append(parked.popleft()._entry)
+                    if value._queue:
+                        value.release()
                     else:
                         value._in_use -= 1
                     value = None
-                elif value.__class__ is tuple:
-                    # The grant of a timed hold: the hold starts now, and the
-                    # generator sleeps through it.
-                    self._slot, ns = value
-                    self._holding = True
-                    buckets = sim._buckets
-                    t = sim.now + ns
-                    b = buckets.get(t)
-                    if b is None:
-                        buckets[t] = [self._entry]
-                        heappush(sim._instants, t)
-                    else:
-                        b.append(self._entry)
-                    return
-                else:
-                    self._slot = None  # a bare grant: the resource is sent ...
-                    if value.__class__ is Store:  # ... a hand-off: the item
-                        value, self._item = self._item, None
+                elif value.__class__ is Store:  # a hand-off: the item
+                    value, self._item = self._item, None
+                # else a bare grant: the resource is sent
         else:
             exc = token._exception
             value = token._value
@@ -203,6 +190,23 @@ class Process(Event):
             try:
                 target = send(value)
             except StopIteration as stop:
+                cb = self._cb1
+                depth = sim._join_depth
+                if (cb is not None and self._more is None and inline
+                        and depth < _INLINE_RUN_MAX and self is not sim._awaited
+                        and not sim._entries.__length_hint__()):
+                    # Finished at the tail with one waiter: the dispatch
+                    # ``succeed`` would queue is the next entry to run and
+                    # does nothing but call it, so call it here.
+                    self._value = stop.value
+                    self._cb1 = None
+                    self._processed = True
+                    sim._join_depth = depth + 1
+                    try:
+                        cb(self)
+                    finally:
+                        sim._join_depth = depth
+                    return
                 self.succeed(stop.value)
                 return
             except BaseException as step_exc:  # noqa: BLE001 - propagate to joiners
@@ -269,16 +273,12 @@ class Process(Event):
                     res._queue.append(self)
                     self._slot = target
                     return
+                # A free slot, at the tail of the instant or not: the hold
+                # starts now, and the next entry is its end.
                 res._in_use += 1
-                if inline and not sim._entries.__length_hint__():
-                    # A free slot at the tail of the instant: the hold starts
-                    # now, and the next entry is its end.
-                    self._slot = res
-                    self._holding = True
-                    t = sim.now + ns
-                else:
-                    self._slot = target
-                    t = sim.now
+                self._slot = res
+                self._holding = True
+                t = sim.now + ns
             else:
                 try:
                     foreign = target.sim is not sim
@@ -377,9 +377,16 @@ class Simulator:
         #: Jepsen-style invoke/ok/fail/info events for the linearizability
         #: checker.  Same contract as ``spans``: None costs nothing.
         self.history = None
-        #: The process whose step is running.  Every continuation runs from
-        #: the loop, never inline, so no other step can start inside one.
+        #: The process whose step is running.  A step starts inside another
+        #: process's resume only once that process's generator has finished,
+        #: so no step ever runs inside another step.
         self.active: Optional[Process] = None
+        #: How many finished processes are waking their waiters in place,
+        #: one inside the other (bounded by ``_INLINE_RUN_MAX``).
+        self._join_depth = 0
+        #: The event ``run_until_complete`` waits for: a process that is
+        #: awaited never wakes its waiter in place, so the loop stops first.
+        self._awaited: Optional[Event] = None
 
     # ------------------------------------------------------------------
     def schedule(self, delay: int, fn: Callable, *args: Any) -> None:
@@ -566,6 +573,7 @@ class Simulator:
         instants = self._instants
         pop = heappop
         dispatched = 0
+        awaited, self._awaited = self._awaited, process
         try:
             while process._value is _PENDING and process._exception is None:
                 if not instants:
@@ -594,6 +602,7 @@ class Simulator:
                 dispatched += self._requeue_rest(when, bucket, entries)
         finally:
             self.total_dispatched += dispatched
+            self._awaited = awaited
         return process.value
 
     def _ruc_instrumented(self, process: Event,
@@ -604,6 +613,7 @@ class Simulator:
         pop = heappop
         hook = self.dispatch_hook
         dispatched = 0
+        awaited, self._awaited = self._awaited, process
         try:
             while not process.triggered:
                 if not instants:
@@ -628,6 +638,7 @@ class Simulator:
                     self._requeue_rest(when, bucket, entries)
         finally:
             self.total_dispatched += dispatched
+            self._awaited = awaited
         return process.value
 
     def _requeue_rest(self, when: int, bucket: list, entries) -> int:

@@ -36,9 +36,10 @@ class Resource:
     hardware being modelled (memory channel queues, NIC SQ processing) and
     keeps runs deterministic.
 
-    Invariant: ``in_use`` counts exactly the slots owned by a live process
-    or by a queued grant entry.  A slot already delivered by a bare
-    ``yield resource`` belongs to the process's own ``with``.
+    Invariant: ``in_use`` counts exactly the slots owned by a live process:
+    one inside a timed hold, or one whose grant entry is queued.  A slot
+    already delivered by a bare ``yield resource`` belongs to the process's
+    own ``with``.
     """
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "resource"):
@@ -62,19 +63,26 @@ class Resource:
         return len(self._queue)
 
     def release(self, *_exc_info: Any) -> None:
-        """Give one slot back: straight to the oldest parked process, whose
-        grant entry joins the current instant, or to the pool."""
+        """Give one slot back: straight to the oldest parked process, or to
+        the pool.  A parked bare wait's grant entry joins the current
+        instant; a parked timed hold starts now, and its end is queued."""
         queue = self._queue
         if queue:
+            proc = queue.popleft()
             sim = self.sim
-            buckets = sim._buckets
             t = sim.now
+            wait = proc._slot
+            if wait.__class__ is tuple:
+                proc._slot = self
+                proc._holding = True
+                t += wait[1]
+            buckets = sim._buckets
             b = buckets.get(t)
             if b is None:
-                buckets[t] = [queue.popleft()._entry]
+                buckets[t] = [proc._entry]
                 heappush(sim._instants, t)
             else:
-                b.append(queue.popleft()._entry)
+                b.append(proc._entry)
             return
         if self._in_use < 1:
             raise RuntimeError(f"resource {self.name!r} over-released")

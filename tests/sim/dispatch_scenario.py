@@ -7,13 +7,15 @@ function of the seed: processes resume in one well-defined order, and every
 dispatch happens at a well-defined (time, seq) position, regardless of how
 the event queue is implemented internally.
 
-``tests/sim/test_dispatch_trace.py`` replays this scenario against two
-committed fingerprints: the resumption order (``logged_resumptions`` below;
-captured under the always-dispatch kernel, moved only by a deliberate
-change to the modelled protocol) and the per-dispatch (time, callback) trace
+``tests/sim/test_dispatch_trace.py`` replays this scenario against three
+committed fingerprints: the resumption order with every timed hold spelled
+out (``logged_resumptions`` below; captured under the always-dispatch
+kernel, moved only by a deliberate change to the modelled protocol), the
+resumption order of the pair form as the kernel runs it
+(``capture_pair_resumptions``), and the per-dispatch (time, callback) trace
 seen by ``sim.dispatch_hook``.
 
-A change that moves either on purpose re-captures both with::
+A change that moves any of them on purpose re-captures all three with::
 
     PYTHONPATH=src python -m tests.sim.dispatch_scenario --recapture "REASON"
 
@@ -39,6 +41,7 @@ SCENARIO_VERSION = 1
 DATA = Path(__file__).resolve().parents[1] / "data"
 DISPATCH_GOLDEN = DATA / "dispatch_trace_golden.json"
 RESUMPTION_GOLDEN = DATA / "resumption_order_golden.json"
+PAIR_GOLDEN = DATA / "pair_resumption_golden.json"
 
 
 def run_scenario(install_hook: Optional[Callable] = None):
@@ -106,8 +109,8 @@ class _LoggedGenerator:
     acquire-then-delay resumed it twice, so the stand-in spells the hold out:
     it yields the resource, is resumed (logged) with the slot, yields ``ns``,
     is resumed (logged) again, releases the slot and only then resumes the
-    generator.  The log is then the one the goldens were captured with, and
-    the expansion is the reference the pair form is compared against.
+    generator.  The log is then the one ``resumption_order_golden.json`` was
+    captured with.
     """
 
     def __init__(self, generator, sim, label: str, log: list):
@@ -146,11 +149,21 @@ class _LoggedGenerator:
         return self._expand(self._generator.throw(exc))
 
 
+class _PairLoggedGenerator(_LoggedGenerator):
+    """Logs every resume and hands every yield to the kernel as it is, so a
+    timed hold is the one resume the pair form makes."""
+
+    def _expand(self, target):
+        return target
+
+
 @contextmanager
-def logged_resumptions(log: List[Tuple[int, str]]) -> Iterator[None]:
+def logged_resumptions(log: List[Tuple[int, str]],
+                       stand_in=_LoggedGenerator) -> Iterator[None]:
     """Append ``(sim.now, "<process name>#<spawn index>")`` to ``log`` at
     every generator resume (``send`` or ``throw``) of every process spawned
-    inside the block.
+    inside the block.  The default stand-in spells each timed hold out;
+    ``_PairLoggedGenerator`` leaves it a pair.
 
     Entirely test-side: ``Process.__init__`` is wrapped so the generator it
     receives is a logging stand-in; the kernel has no hook for this.  The
@@ -166,7 +179,7 @@ def logged_resumptions(log: List[Tuple[int, str]]) -> Iterator[None]:
     def init(self, sim, generator, name: str = "", _defer: bool = False):
         if hasattr(generator, "send"):
             name = name or getattr(generator, "__name__", "process")
-            generator = _LoggedGenerator(
+            generator = stand_in(
                 generator, sim, "%s#%d" % (name, spawned[0]), log)
             spawned[0] += 1
         original(self, sim, generator, name=name, _defer=_defer)
@@ -189,23 +202,37 @@ def capture_dispatches() -> List[Tuple[int, str]]:
     return trace
 
 
-def capture_resumptions() -> Tuple[List[Tuple[int, str]], int]:
-    """The scenario's ``(time, process)`` resumption log and its end time."""
+def capture_resumptions(stand_in=_LoggedGenerator) -> Tuple[List[Tuple[int, str]], int]:
+    """The scenario's ``(time, process)`` resumption log, as ``stand_in``
+    logs it (every timed hold spelled out by default), and its end time."""
     log: List[Tuple[int, str]] = []
-    with logged_resumptions(log):
+    with logged_resumptions(log, stand_in):
         sim = run_scenario()
     return log, sim.now
 
 
-def recapture(reason: str) -> None:
-    """Rewrite both goldens from this tree.  A golden whose fingerprint
-    moved keeps a record of what it was, and why it moved."""
-    log, end = capture_resumptions()
+def capture_pair_resumptions() -> Tuple[List[Tuple[int, str]], int]:
+    """The scenario's resumption log with no yield rewritten: a timed hold
+    is one resume, at the end of the hold, as the kernel runs it."""
+    return capture_resumptions(_PairLoggedGenerator)
+
+
+def _resumption_fingerprint(capture) -> dict:
+    log, end = capture()
     resumed = fingerprint(log)
     resumed["final_time_ns"] = end
-    for path, count, new in ((DISPATCH_GOLDEN, "dispatches",
-                              fingerprint(capture_dispatches())),
-                             (RESUMPTION_GOLDEN, "resumptions", resumed)):
+    return resumed
+
+
+def recapture(reason: str) -> None:
+    """Rewrite all three goldens from this tree.  A golden whose fingerprint
+    moved keeps a record of what it was, and why it moved."""
+    for path, count, new in (
+            (DISPATCH_GOLDEN, "dispatches", fingerprint(capture_dispatches())),
+            (RESUMPTION_GOLDEN, "resumptions",
+             _resumption_fingerprint(capture_resumptions)),
+            (PAIR_GOLDEN, "resumptions",
+             _resumption_fingerprint(capture_pair_resumptions))):
         golden = json.loads(path.read_text())
         new[count] = new.pop("dispatches")  # fingerprint()'s name for length
         if all(golden[k] == new[k] for k in (count, "sha256", "final_time_ns")):
@@ -231,7 +258,7 @@ def recapture(reason: str) -> None:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(
-        description="Re-capture the dispatch and resumption goldens")
+        description="Re-capture the dispatch and both resumption goldens")
     parser.add_argument("--recapture", metavar="REASON", required=True,
                         help="why the pinned order moved, kept in the golden")
     recapture(parser.parse_args().recapture)

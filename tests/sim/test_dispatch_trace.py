@@ -1,6 +1,7 @@
 """Permanent same-seed determinism pins for the kernel.
 
-Both replay the seeded YCSB-B + chaos scenario from ``dispatch_scenario.py``.
+All three replay the seeded YCSB-B + chaos scenario from
+``dispatch_scenario.py``.
 
 **Resumption order** (``tests/data/resumption_order_golden.json``): the
 ``(time, process)`` sequence of every generator resume, logged by a
@@ -19,6 +20,16 @@ and ``final_time_ns`` 287,477 became 289,206.  Proven before re-pinning:
 with the reply padded back to its old pickled length, both goldens,
 ``BENCH_perf.json`` and all eleven chaos rows reproduced the previous capture
 byte for byte; only the padding was then dropped.
+
+**Pair-form resumption order** (``tests/data/pair_resumption_golden.json``):
+the same log with no yield rewritten, so a timed hold, ``yield (resource,
+ns)``, is the one resume the kernel makes at the end of the hold.  The pin
+above cannot see how the kernel orders a hold — its stand-in hands the
+kernel a bare slot wait and a bare delay instead — and this one can.  It
+was captured on a1dde4b, the last kernel that granted a timed hold by a
+grant entry and woke a joined process by ``Event._dispatch``, before the
+kernel change that dropped both: 7,533 resumptions, ``final_time_ns``
+259,443, reproduced byte for byte after it.
 
 **Dispatch trace** (``tests/data/dispatch_trace_golden.json``): the
 ``(time, callback)`` sequence seen by ``sim.dispatch_hook``.  It pins how
@@ -103,12 +114,22 @@ instant at every index; the one differing position reads ``Timeout._fire``
 before and ``Process._resume`` after.  The resumption pin is reproduced
 byte for byte, unedited.
 
+RE-CAPTURED AN EIGHTH TIME, WHEN THE KERNEL STOPPED QUEUING ENTRIES THAT
+RESUME NOTHING: 7,267 dispatches became 5,914.  A timed hold's end is queued
+when its slot is taken — free, at the tail of its instant or not, or handed
+over by a releasing holder — where a grant entry used to run first only to
+queue it.  A process that finishes while its dispatch is the last entry of
+its instant, with one waiter, wakes that waiter in place instead of queuing
+the ``Event._dispatch`` that would have run next.  Same-instant ties among
+hold ends may order differently; in this scenario neither resumption pin
+moved, and ``final_time_ns`` is 259,443.
+
 Each re-capture since the attach reply was written by
 ``python -m tests.sim.dispatch_scenario --recapture "REASON"``, which
 appends the old count, hash, ``final_time_ns`` and the reason to the
 ``recaptured`` list of every golden that moved.
 
-A mismatch in either is a kernel bug (or a deliberate contract change that
+A mismatch in any of them is a kernel bug (or a deliberate contract change that
 must be called out as loudly as this one), never something to silence by
 editing the scenario.
 """
@@ -117,10 +138,12 @@ import json
 
 from tests.sim.dispatch_scenario import (
     DISPATCH_GOLDEN,
+    PAIR_GOLDEN,
     RESUMPTION_GOLDEN,
     SCENARIO_SEED,
     SCENARIO_VERSION,
     capture_dispatches,
+    capture_pair_resumptions,
     capture_resumptions,
     fingerprint,
     run_scenario,
@@ -128,11 +151,19 @@ from tests.sim.dispatch_scenario import (
 
 
 def test_resumption_order_matches_the_always_dispatch_kernel():
-    golden = json.loads(RESUMPTION_GOLDEN.read_text())
+    _check_resumptions(RESUMPTION_GOLDEN, capture_resumptions)
+
+
+def test_pair_form_resumption_order_matches_golden():
+    _check_resumptions(PAIR_GOLDEN, capture_pair_resumptions)
+
+
+def _check_resumptions(path, capture):
+    golden = json.loads(path.read_text())
     assert golden["version"] == SCENARIO_VERSION
     assert golden["seed"] == SCENARIO_SEED
 
-    log, end = capture_resumptions()
+    log, end = capture()
 
     for idx, when, label in golden["checkpoints"]:
         assert idx < len(log), f"log too short: {len(log)} <= {idx}"

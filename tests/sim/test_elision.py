@@ -7,7 +7,9 @@ and has no dispatch queued — or a ``Resource`` with a free slot, or a
 dispatch is the last entry of the current instant's bucket.  Otherwise it
 registers (or queues its own entry) and is woken through the queue.  Either
 way the order in which processes resume is the same; only pass-through
-dispatches disappear.
+dispatches disappear.  The same rule lets a process that finishes at the
+tail with one waiter wake it in place.  A timed hold, ``yield (res, ns)``,
+queues its end when its slot is taken and no grant entry at all.
 """
 
 from math import ceil
@@ -139,10 +141,11 @@ def test_a_wait_that_is_over_is_scheduled_when_not_at_the_tail():
     assert sim.total_dispatched == 4
 
 
-def test_a_timed_hold_away_from_the_tail_starts_when_its_grant_entry_runs():
-    """Same instant, pair form: each hold is armed by its grant entry, behind
-    B's first step — where acquire-then-delay resumed the generator to yield
-    the delay — so the dispatch count is that of the two-yield form."""
+def test_a_timed_hold_away_from_the_tail_queues_only_its_end():
+    """Same instant, pair form: B's first step is queued behind A's, so A's
+    free slot is not at the tail.  The hold starts at the ``yield`` all the
+    same and only its end is queued: the order is the one a grant entry
+    gave, at 4 dispatches instead of 6."""
     sim = Simulator()
     res = Resource(sim, capacity=2)
     order = []
@@ -156,7 +159,44 @@ def test_a_timed_hold_away_from_the_tail_starts_when_its_grant_entry_runs():
     sim.spawn(body(sim, "B"))
     sim.run()
     assert order == [("A", "start"), ("B", "start"), ("A", 5), ("B", 5)]
-    assert sim.total_dispatched == 6  # per process: first step, grant, end
+    assert sim.total_dispatched == 4  # per process: first step, end of hold
+    assert res.in_use == 0
+
+
+def _with_holder(sim, res):
+    with (yield res):
+        yield 3
+
+
+def _pair_holder(sim, res):
+    yield (res, 3)
+
+
+@pytest.mark.parametrize("holder, names", [
+    # The bare holder's slot is free but not at the tail: one grant entry.
+    (_with_holder, [(0, "_with_holder"), (0, "waiter"), (0, "_with_holder"),
+                    (3, "_with_holder"), (8, "waiter")]),
+    (_pair_holder, [(0, "_pair_holder"), (0, "waiter"), (3, "_pair_holder"),
+                    (8, "waiter")]),
+])
+def test_a_released_slot_starts_a_parked_timed_hold_with_no_grant_entry(holder, names):
+    """A holder gives its slot back at 3, by ``with`` or at the end of its own
+    hold, to a timed hold parked behind it: that hold starts at 3 and ends
+    at 3 + 5, and nothing of the waiter's runs at 3."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    seen, ends = [], []
+    sim.dispatch_hook = lambda when, fn: seen.append((when, fn.__self__.name))
+
+    def waiter(sim):
+        yield (res, 5)
+        ends.append(sim.now)
+
+    sim.spawn(holder(sim, res))
+    sim.spawn(waiter(sim))
+    sim.run()
+    assert ends == [8] and seen == names
+    assert res.in_use == 0 and res.queued == 0
 
 
 def test_an_item_away_from_the_tail_rides_the_takers_own_entry():
@@ -202,6 +242,102 @@ def test_a_hand_off_to_a_parked_process_is_its_own_entry_and_nothing_else():
     assert got == [("x", 5)] and list(store._items) == ["y"]
     assert names == [(0, "Process._resume"), (0, "Process._resume"),
                      (5, "Process._resume"), (5, "Process._resume")]
+
+
+def test_a_process_that_finishes_at_the_tail_wakes_its_sole_waiter_in_place():
+    """The child's last step is the last entry of its instant, and the parent
+    is its only waiter: the ``Event._dispatch`` that ``succeed`` would queue
+    would run next and only resume the parent, so the child resumes it."""
+    sim = Simulator()
+    names, got = [], []
+    sim.dispatch_hook = lambda when, fn: names.append((when, fn.__qualname__))
+
+    def child(sim):
+        yield 5
+        return "x"
+
+    def parent(sim):
+        got.append(((yield sim.spawn(child(sim))), sim.now))
+
+    sim.spawn(parent(sim))
+    sim.run()
+    assert got == [("x", 5)]
+    assert names == [(0, "Process._resume"), (0, "Process._resume"),
+                     (5, "Process._resume")]
+
+
+def test_a_process_that_finishes_off_the_tail_queues_its_waiters_dispatch():
+    """The child's last step queues another process's first step, so the
+    child is no longer at the tail: the parent is woken through the queue,
+    behind that first step."""
+    sim = Simulator()
+    names, order = [], []
+    sim.dispatch_hook = lambda when, fn: names.append((when, fn.__qualname__))
+
+    def other(sim):
+        order.append("other")
+        yield 0
+
+    def child(sim):
+        yield 5
+        sim.spawn(other(sim))
+
+    def parent(sim):
+        yield sim.spawn(child(sim))
+        order.append("parent")
+
+    sim.spawn(parent(sim))
+    sim.run()
+    assert order == ["other", "parent"]
+    assert names[2:5] == [(5, "Process._resume"), (5, "Process._resume"),
+                          (5, "Event._dispatch")]
+
+
+def _link(sim, depth):
+    """One process of a chain: it joins the next one, and the last sleeps."""
+    if depth:
+        return (yield sim.spawn(_link(sim, depth - 1))) + 1
+    yield 1
+    return 0
+
+
+@pytest.mark.parametrize("instrumented", [False, True])
+def test_a_long_chain_of_joined_processes_wakes_within_the_depth_bound(instrumented):
+    """10,000 processes, each joining the next: when the last one wakes, every
+    one finishes at the tail with one waiter.  They wake each other in place
+    at most ``_INLINE_RUN_MAX`` deep, then one ``Event._dispatch`` starts the
+    next run of them, so the chain never nests past the bound."""
+    sim = Simulator()
+    n = 10_000
+    root = sim.spawn(_link(sim, n - 1))
+    sim.run(max_events=10**6 if instrumented else None)
+    assert root.value == n - 1 and sim.now == 1
+    # n first steps, then one dispatch per ``_INLINE_RUN_MAX + 1`` finishes.
+    assert sim.total_dispatched == n + ceil(n / (kernel._INLINE_RUN_MAX + 1))
+
+
+@pytest.mark.parametrize("max_events", [None, 10**6])
+def test_run_until_complete_stops_before_the_awaited_process_wakes_its_waiter(max_events):
+    """The child finishes at the tail with one waiter, but it is the process
+    ``run_until_complete`` awaits: the run stops with the parent not yet
+    woken, and the parent's wake-up is still queued."""
+    sim = Simulator()
+    order = []
+
+    def child(sim):
+        yield 5
+        order.append("child")
+
+    def parent(sim, proc):
+        yield proc
+        order.append("parent")
+
+    proc = sim.spawn(child(sim))
+    sim.spawn(parent(sim, proc))
+    sim.run_until_complete(proc, max_events=max_events)
+    assert order == ["child"] and sim.now == 5 and sim.peek() == 5
+    sim.run()
+    assert order == ["child", "parent"]
 
 
 def test_second_waiter_on_a_born_fired_event_goes_through_the_scheduler():
@@ -328,6 +464,24 @@ def test_spinner_over_an_always_full_store_still_trips_max_events():
 def test_spinner_over_an_always_free_resource_still_trips_max_events():
     sim = Simulator()
     sim.spawn(_slot_spinner(Resource(sim, capacity=1)))
+    with pytest.raises(SimulationError, match="max_events"):
+        sim.run(max_events=500)
+
+
+def test_spinner_over_children_that_finish_at_once_still_trips_max_events():
+    """Each child wakes the spinner in place, but its first step is a
+    dispatch: every round still costs one."""
+
+    def done(sim):
+        return
+        yield
+
+    def spinner(sim):
+        while True:
+            yield sim.spawn(done(sim))
+
+    sim = Simulator()
+    sim.spawn(spinner(sim))
     with pytest.raises(SimulationError, match="max_events"):
         sim.run(max_events=500)
 

@@ -1,6 +1,8 @@
 """Property-based tests (hypothesis) for the simulation kernel invariants."""
 
 from collections import deque
+from heapq import heappop, heappush
+from itertools import count
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -274,13 +276,13 @@ def test_elision_never_changes_what_a_program_does(program):
 # ---------------------------------------------------------------------------
 # A timed hold is acquire, delay, release: a differential test
 # ---------------------------------------------------------------------------
-# Random programs over 1-3 resources of capacity 1-4 run in the pair form
-# (``yield (res, ns)``, the kernel holds and releases) and in the expanded
-# form (the logging stand-in of ``dispatch_scenario`` turns each pair into
-# yield-the-resource, yield-``ns``, release — what the hardware models wrote
-# before the pair existed).  Steps mix pair holds, two-yield holds, a hold
-# nested in a ``with`` (two resources at once; lock-order deadlocks are part
-# of the test and must freeze both runs alike) and bare delays.
+# Random programs over 1-3 resources of capacity 1-4 run on the kernel and on
+# ``_HeapScheduler`` below: one ``(time, seq)`` heap that every wake-up goes
+# through (no tail rule, no elision), FIFO parking, and a timed hold's end
+# pushed when its slot is taken.  Steps mix pair holds (``yield (res, ns)``),
+# two-yield holds (``with (yield res): yield ns``), a pair nested in a
+# ``with`` (two resources at once; lock-order deadlocks are part of the test
+# and must freeze both runs alike) and bare delays.
 _ns = st.integers(min_value=0, max_value=4)
 _res = st.integers(min_value=0, max_value=2)
 _hold_step = st.one_of(
@@ -296,14 +298,87 @@ _hold_programs = st.tuples(
 )
 
 
-def _run_holds(capacities, program, expanded=False):
-    from contextlib import nullcontext
+class _HeapResource:
+    def __init__(self, sched, capacity):
+        self.sched = sched
+        self.capacity = capacity
+        self.in_use = 0
+        self.parked = deque()  # (generator, hold ns or None), oldest first
 
-    from tests.sim.dispatch_scenario import logged_resumptions
+    @property
+    def queued(self):
+        return len(self.parked)
 
-    sim = Simulator(seed=3)
-    resources = [Resource(sim, capacity=c, name=f"r{i}")
-                 for i, c in enumerate(capacities)]
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc_info):
+        self.sched.release(self)
+
+
+class _HeapScheduler:
+    """The reference: every wake-up is pushed on one ``(time, seq)`` heap and
+    popped in that order.  A slot is taken at the ``yield`` if one is free,
+    else the process parks until a release hands it over; a bare wait is
+    then woken at that instant with the resource, and a timed hold's end is
+    pushed at that instant plus its ``ns`` and gives the slot back before
+    the generator resumes."""
+
+    def __init__(self):
+        self.now = 0
+        self.finished = set()
+        self._heap = []
+        self._seq = count()
+
+    def _push(self, t, gen, value=None, ends=None):
+        heappush(self._heap, (t, next(self._seq), gen, value, ends))
+
+    def spawn(self, gen):
+        self._push(self.now, gen)
+        return gen
+
+    def _grant(self, res, gen, ns):
+        if ns is None:
+            self._push(self.now, gen, value=res)
+        else:
+            self._push(self.now + ns, gen, ends=res)
+
+    def release(self, res):
+        if res.parked:
+            self._grant(res, *res.parked.popleft())
+        else:
+            res.in_use -= 1
+
+    def _wait(self, gen, target):
+        if type(target) is int:
+            self._push(self.now + target, gen)
+            return
+        res, ns = target if type(target) is tuple else (target, None)
+        if res.in_use == res.capacity:
+            res.parked.append((gen, ns))
+        else:
+            res.in_use += 1
+            self._grant(res, gen, ns)
+
+    def run(self):
+        while self._heap:
+            self.now, _seq, gen, value, ends = heappop(self._heap)
+            if ends is not None:
+                self.release(ends)
+            try:
+                self._wait(gen, gen.send(value))
+            except StopIteration:
+                self.finished.add(gen)
+
+
+def _run_holds(capacities, program, reference=False):
+    if reference:
+        sim = _HeapScheduler()
+        resources = [_HeapResource(sim, c) for c in capacities]
+    else:
+        sim = Simulator(seed=3)
+        resources = [Resource(sim, capacity=c, name=f"r{i}")
+                     for i, c in enumerate(capacities)]
 
     def pick(i):
         return resources[i % len(resources)]
@@ -325,38 +400,38 @@ def _run_holds(capacities, program, expanded=False):
             log.append((sim.now, name, i, [r.in_use for r in resources],
                         [r.queued for r in resources]))
 
-    with logged_resumptions([]) if expanded else nullcontext():
+    if reference:
+        procs = [sim.spawn(worker(sim, f"w{i}", ops)) for i, ops in enumerate(program)]
+        sim.run()
+        finished = [p in sim.finished for p in procs]
+    else:
         procs = [sim.spawn(worker(sim, f"w{i}", ops), name=f"w{i}")
                  for i, ops in enumerate(program)]
         sim.run(max_events=100_000)
-    return (log, sim.now, sim.total_dispatched, [p.triggered for p in procs],
-            [(r.in_use, r.queued) for r in resources])
+        finished = [p.triggered for p in procs]
+    return log, sim.now, finished, [(r.in_use, r.queued) for r in resources]
 
 
 @given(case=_hold_programs)
 @settings(max_examples=300, deadline=None)
 def test_a_timed_hold_is_acquire_delay_release(case):
-    """Pair form, pair form with inline continuation switched off (every
-    grant through the queue), and expanded form: identical step logs (time,
-    process, slots in use and processes parked at every step end),
-    final clocks, outcomes and end states, and no slot owned once every
-    process has finished.  Pair and expanded form queue the same entries, so
-    their dispatch counts are equal too; switching inline continuation off
-    may only add pass-through grants."""
+    """The kernel, the kernel with inline continuation switched off (every
+    bare grant through the queue), and the heap reference: identical step
+    logs (time, process, slots in use and processes parked at every step
+    end), final clocks, outcomes and end states, and no slot owned once
+    every process has finished."""
     from repro.sim import kernel
 
-    pair = _run_holds(*case)
-    assert pair == _run_holds(*case, expanded=True)
-    if all(pair[3]):  # nobody left parked: every slot has come back
-        assert all(state == (0, 0) for state in pair[4])
+    shipped = _run_holds(*case)
+    assert shipped == _run_holds(*case, reference=True)
+    if all(shipped[2]):  # nobody left parked: every slot has come back
+        assert all(state == (0, 0) for state in shipped[3])
     bound = kernel._INLINE_RUN_MAX
     kernel._INLINE_RUN_MAX = 0
     try:
-        queued = _run_holds(*case)
+        assert shipped == _run_holds(*case)
     finally:
         kernel._INLINE_RUN_MAX = bound
-    assert pair[:2] == queued[:2] and pair[3:] == queued[3:]
-    assert pair[2] <= queued[2]
 
 
 # ---------------------------------------------------------------------------
