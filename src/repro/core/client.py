@@ -364,7 +364,11 @@ class GengarClient:
         to :class:`PartitionSuspected`: not one lost RPC, a dead path.
         A shard that no longer owns the addressed server answers "not my
         shard"; that surfaces as :class:`NotMyShard` after correcting the
-        cached shard map, so the retry dials the owner.
+        cached shard map, so the retry dials the owner.  Any other refusal —
+        a handler error (``gmalloc(0)``, ``OutOfMemory``, an address the
+        directory does not hold) or a call too large to frame — is a
+        :class:`FatalError` carrying the error's message: no retry can fix
+        it, so no :class:`RpcError` leaves this method.
 
         Every raised error is tagged with the shard it came from
         (``exc.shard``) so the resilience engine re-attaches the right
@@ -414,7 +418,7 @@ class GengarClient:
                     raise MasterUnavailableError(f"{method}: {msg}") from exc
                 if "master recovering" in msg:
                     raise MasterUnavailableError(f"{method}: {msg}") from exc
-                raise
+                raise FatalError(msg) from exc
             self._master_fail_streaks[shard] = 0
             if self.config.master_terms:
                 term = result["t"]
@@ -798,7 +802,7 @@ class GengarClient:
             # reach the incumbent before the lease deadline does.
             yield from self._driver.auto_reattach_master(shard)
             return
-        except (RetryableError, RpcError):
+        except RetryableError:
             return  # master down/recovering: keep trying until fenced
         if reply.get("ok"):
             if shard == 0:  # the local deadline tracks shard 0's lease
@@ -1045,7 +1049,7 @@ class GengarClient:
                 try:
                     reply = yield from self._master_call("report", request,
                                                          shard=shard)
-                except (MasterUnavailableError, NotMyShard, RpcError):
+                except (MasterUnavailableError, NotMyShard, FatalError):
                     continue  # hotness reports are advisory; drop on the floor
                 if piggyback:
                     verdict = reply["lease"]

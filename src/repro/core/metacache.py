@@ -10,7 +10,6 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
 
 from repro.core.errors import FatalError
 from repro.core.protocol import ObjectMeta
-from repro.rdma.rpc import RpcError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.client import GengarClient
@@ -66,21 +65,16 @@ class MetaCache:
                span_op: int = 0) -> Generator[Any, Any, ObjectMeta]:
         """``gaddr``'s metadata: the cached entry, else the owning master
         shard's answer, which is kept.  An address the directory does not
-        hold is a :class:`FatalError` that keeps the master's message."""
+        hold is a :class:`FatalError` that keeps the master's message, as
+        every refusal of the master is (``GengarClient._master_call``)."""
         meta = self.get(gaddr)
         if meta is not None:
             return meta
         client = self.client
         rec = client.sim.spans
         t0 = client.sim.now if rec is not None else 0
-        try:
-            meta = yield from client._master_call(
-                "lookup", {"gaddr": gaddr}, shard=client._resolve_shard(gaddr))
-        except RpcError as exc:
-            if "unknown object" in str(exc):
-                # Freed, or never allocated: no retry can make it exist.
-                raise FatalError(str(exc)) from exc
-            raise
+        meta = yield from client._master_call(
+            "lookup", {"gaddr": gaddr}, shard=client._resolve_shard(gaddr))
         client.m_lookups.add()
         if rec is not None:
             rec.record(client.name, "phase.meta_lookup", t0, op=span_op,

@@ -12,12 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.core import ClientError, RetryableError
+from repro.core import ClientError, FatalError, RetryableError
 from repro.core import server as server_module
 from repro.core.addressing import offset_of
 from repro.core.protocol import CACHE_TAG_BYTES, pack_cache_tag
 from repro.hardware.specs import TEST_NVM
-from repro.rdma.rpc import RpcError
 from repro.sim.units import KIB
 
 from tests.core.conftest import FUZZ_MAX_EVENTS, build_pool, fast_config, journal_entries
@@ -166,7 +165,7 @@ def test_full_pool_freed_and_reallocated_back_to_back():
             while True:
                 try:
                     gaddr = yield from client.gmalloc(size)
-                except RpcError as exc:
+                except FatalError as exc:
                     assert "OutOfMemory" in str(exc)
                     return addrs
                 data = yield from client.gread(gaddr)

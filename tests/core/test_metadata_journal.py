@@ -242,14 +242,14 @@ def test_journal_full_rejects_allocation(monkeypatch):
         config=fast_config(metadata_journal=True),
     )
     client = pool.clients[0]
-    from repro.rdma.rpc import RpcError
+    from repro.core import FatalError
 
     def app(sim):
         for _ in range(3):
             yield from client.gmalloc(64)
         try:
             yield from client.gmalloc(64)
-        except RpcError as exc:
+        except FatalError as exc:
             return str(exc)
 
     (msg,) = pool.run(app(sim))

@@ -141,6 +141,43 @@ def test_read_of_freed_object_fails(pool2x2):
     assert outcome == "lookup-failed"
 
 
+@pytest.mark.parametrize("size, message", [
+    (0, "gmalloc size must be positive"),
+    (1 << 40, "OutOfMemory"),
+], ids=["zero", "oversize"])
+def test_a_refused_gmalloc_is_a_fatal_error(pool2x2, size, message):
+    """The master's refusal reaches the caller as the :class:`FatalError`
+    that ``core/errors.py`` promises, with the master's message."""
+    sim, pool = pool2x2
+    client = pool.clients[0]
+
+    def app(sim):
+        try:
+            yield from client.gmalloc(size)
+        except FatalError as exc:
+            return str(exc)
+
+    (msg,) = pool.run(app(sim))
+    assert message in msg
+
+
+@pytest.mark.parametrize("second", [0, 1], ids=["by-owner", "by-another-client"])
+def test_freeing_a_freed_object_is_a_fatal_error(pool2x2, second):
+    sim, pool = pool2x2
+    owner = pool.clients[0]
+
+    def app(sim):
+        gaddr = yield from owner.gmalloc(128)
+        yield from owner.gfree(gaddr)
+        try:
+            yield from pool.clients[second].gfree(gaddr)
+        except FatalError as exc:
+            return str(exc)
+
+    (msg,) = pool.run(app(sim))
+    assert "unknown object" in msg
+
+
 def test_out_of_bounds_access_rejected(pool2x2):
     sim, pool = pool2x2
     client = pool.clients[0]
