@@ -410,7 +410,7 @@ class ChaosSoak:
                             tear_inflight=True),
                 ClientRecover(at_ns=restart_at, client=victim.name),
                 MasterCrash(at_ns=t0 + 20_000),
-                MasterRecover(at_ns=t0 + 80_000, rebuild=True)),
+                MasterRecover(at_ns=t0 + 80_000)),
             rng_name="faults.tolerance")
 
         outcome: Dict[str, Any] = {}
@@ -672,7 +672,7 @@ class ChaosSoak:
 
         def promoter():
             yield start + lease - sim.now
-            pool.promote_standby(rebuild=True)
+            pool.promote_standby()
             # Bounded deterministic wait for the term claim to land.
             for _ in range(64):
                 if not pool.master._recovering:
@@ -699,7 +699,7 @@ class ChaosSoak:
         plan = FaultPlan.heal_mid_failover(
             at_ns=sim.now + 10_000, others=others(cur.node.name),
             master=cur.node.name, partition_ns=3 * lease,
-            crash_after_ns=lease // 2, recover_after_ns=lease, rebuild=True)
+            crash_after_ns=lease // 2, recover_after_ns=lease)
         self._nemesis_round(plan, [], keys, rounds,
                             tail_ns=2 * lease, tag="healmid")
         if cur.failovers.count <= failovers_before:
@@ -747,8 +747,7 @@ class ChaosSoak:
             t0 = sim.now + 10_000
             plan = FaultPlan.of(
                 MasterCrash(at_ns=t0, shard=victim),
-                MasterRecover(at_ns=t0 + 3 * lease, rebuild=True,
-                              shard=victim))
+                MasterRecover(at_ns=t0 + 3 * lease, shard=victim))
             self._nemesis_round(plan, [], keys, rounds,
                                 tail_ns=3 * lease, tag=f"shardkill{victim}")
         self._audit_history("shard-kill history audited")
@@ -935,7 +934,7 @@ class ChaosSoak:
                 sim.run(until=sim.now + 2 * lease)
                 master = pool.master
                 master.recover()
-                sim.spawn(master.recovery_process(rebuild=True),
+                sim.spawn(master.recovery_process(),
                           name="master.recovery")
                 # Term claim + journal replay + orphan sweep (which rolls
                 # the surviving intent forward before force-unlocking).

@@ -256,7 +256,7 @@ class GengarPool:
         self.sim.run_until_complete(self.sim.all_of(procs), max_events=max_events)
         return [p.value for p in procs]
 
-    def promote_standby(self, rebuild: bool = True):
+    def promote_standby(self):
         """Promote the warm standby: spawn its recovery process (journal
         replay + term claim) and return the process.
 
@@ -274,7 +274,7 @@ class GengarPool:
         if self.standby is None:
             raise ValueError("pool was built without standby_master=True")
         standby = self.standby
-        proc = self.sim.spawn(standby.recovery_process(rebuild=rebuild),
+        proc = self.sim.spawn(standby.recovery_process(),
                               name="master1.promote")
         # The promoted standby is the pool's master from here on (the old
         # incumbent object stays alive — and fenced — for inspection).  It

@@ -191,7 +191,7 @@ class FaultInjector:
                               (f.shard,)))
             elif isinstance(f, MasterRecover):
                 timed.append((f.at_ns - now, self._do_master_recover,
-                              (f.rebuild, f.shard)))
+                              (f.shard,)))
             elif isinstance(f, ClientCrash):
                 timed.append((f.at_ns - now, self._do_client_crash,
                               (f.client, f.tear_inflight)))
@@ -295,17 +295,17 @@ class FaultInjector:
         self.masters[shard].crash()
         self.master_crashes_injected.add()
 
-    def _do_master_recover(self, rebuild: bool, shard: int = 0) -> None:
+    def _do_master_recover(self, shard: int = 0) -> None:
         rec = self.sim.spans
         if rec is not None:
             rec.event("faults", "fault", "injecting master recovery",
-                      rebuild=rebuild, shard=shard)
+                      shard=shard)
         target = self.masters[shard]
         target.recover()
         # recovery_process must ALWAYS run: it is the only thing that
-        # clears the "recovering" gate.  rebuild=False just means it
-        # reopens with an empty directory instead of replaying journals.
-        self.sim.spawn(target.recovery_process(rebuild=rebuild),
+        # clears the "recovering" gate (without a journal it reopens with
+        # an empty directory).
+        self.sim.spawn(target.recovery_process(),
                        name=f"{target.node.name}.recovery")
         self.master_recoveries_injected.add()
 

@@ -67,14 +67,11 @@ class MasterCrash:
 
 @dataclass(frozen=True)
 class MasterRecover:
-    """Restart a crashed master at ``at_ns``.  With ``rebuild=True`` the
-    directory is rebuilt from the NVM metadata journal (the production
-    failover sequence); disable it to test clients against a master that
-    forgot everything.  ``shard`` picks which master on a sharded control
-    plane."""
+    """Restart a crashed master at ``at_ns``: it rebuilds the directory
+    from the NVM metadata journal, or reopens empty on a pool without one.
+    ``shard`` picks which master on a sharded control plane."""
 
     at_ns: int
-    rebuild: bool = True
     shard: int = 0
 
 
@@ -251,8 +248,7 @@ class FaultPlan:
                           master: str = "master",
                           partition_ns: int = 300_000,
                           crash_after_ns: int = 50_000,
-                          recover_after_ns: int = 100_000,
-                          rebuild: bool = True) -> "FaultPlan":
+                          recover_after_ns: int = 100_000) -> "FaultPlan":
         """Crash the partitioned master and *restart it mid-partition*, so
         its recovery (journal scan, term claim) begins against an
         unreachable fabric and the heal arrives in the middle of it.
@@ -265,7 +261,7 @@ class FaultPlan:
             Partition(start_ns=at_ns, end_ns=at_ns + partition_ns,
                       group_a=(master,), group_b=tuple(others)),
             MasterCrash(at_ns=at_ns + crash_after_ns),
-            MasterRecover(at_ns=at_ns + recover_after_ns, rebuild=rebuild),
+            MasterRecover(at_ns=at_ns + recover_after_ns),
         )
 
     # ------------------------------------------------------------------

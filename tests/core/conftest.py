@@ -45,6 +45,12 @@ def journal_entries(entries):
     return _journal
 
 
+def live_drain_loops(server):
+    """How many proxy drain loops are running on ``server``: one per
+    attached ring once retired loops have exited."""
+    return sum(proc.is_alive for proc in server._drain_proc_by_client.values())
+
+
 def build_pool(seed=1, num_servers=2, num_clients=2, config=None,
                max_events=None, **kw):
     """``max_events`` becomes the default cap of every ``pool.run``."""

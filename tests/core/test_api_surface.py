@@ -14,8 +14,9 @@ outside the code that defines it:
 Tests do not count as callers: a path only its own tests run is a path
 nothing needs.  The same holds one layer down, for RPC methods: every
 method a master, server or bench rig registers on an ``RpcServer`` must be
-named by a call somewhere in ``src/``, and only the master's one recovery
-pass sends the servers' recovery method.  And one layer into the client: only
+named by a call somewhere in ``src/``, only the master's one recovery
+pass sends the servers' recovery method, and only a live commit sends
+``txn_apply``.  And one layer into the client: only
 the ring module moves a proxy ring's cursor, only the metadata module writes
 the metadata map, and only the read module builds an RDMA READ.
 """
@@ -123,6 +124,17 @@ def test_only_the_recovery_pass_sends_the_recovery_method():
     for path in sorted(SRC.rglob("*.py")):
         senders += _senders(path, "recover_dead")
     assert senders == ["core/master.py:_recover_dead"]
+
+
+def test_only_a_live_commit_sends_the_apply_method():
+    """A live client's commit is the one sender of ``txn_apply``: the
+    master rolls a dead client's intents forward inside ``recover_dead``,
+    behind the retired rings' drains, so a second sender would be the
+    roll-forward path a staged frame could overwrite."""
+    senders = []
+    for path in sorted(SRC.rglob("*.py")):
+        senders += _senders(path, "txn_apply")
+    assert senders == ["txn/manager.py:_commit_inner"]
 
 
 #: A ring's cursor and what the client knows of its drained counter.

@@ -14,7 +14,7 @@ from repro.core.addressing import offset_of
 from repro.faults import FaultPlan, RingStall, ServerCrash, ServerRecover
 from repro.rdma.wr import WcStatus
 
-from tests.core.conftest import build_pool, fast_config
+from tests.core.conftest import build_pool, fast_config, live_drain_loops
 
 
 def crash_and_recover(pool, sim, client, server_id=0):
@@ -464,14 +464,14 @@ def test_repeated_crash_recover_cycles_do_not_leak():
     cycle()  # first cycle settles any lazily-carved state
     mrs = len(endpoint._mrs)
     carved = server._carver._next
-    assert len(server._drain_loops) == 2  # one live drain loop per client
+    assert live_drain_loops(server) == 2  # one live drain loop per client
 
     for _ in range(4):
         cycle()
 
     assert len(endpoint._mrs) == mrs
     assert server._carver._next == carved  # ring spans are reused, not re-carved
-    assert len(server._drain_loops) == 2
+    assert live_drain_loops(server) == 2
     assert server.cache_alloc.allocated_bytes == 0  # cache allocator reset
 
     def app(sim):
@@ -506,20 +506,20 @@ def test_client_death_frees_ring_resources():
 
         pool.run(wait(sim))
         assert "client0" not in server._rings
-        assert len(server._drain_loops) == 1
+        assert live_drain_loops(server) == 1
         pool.run(a.restart())
 
     cycle()  # first cycle settles any lazily-carved state
     mrs = len(endpoint._mrs)
     carved = server._carver._next
-    assert len(server._drain_loops) == 2
+    assert live_drain_loops(server) == 2
 
     for _ in range(2):
         cycle()
 
     assert len(endpoint._mrs) == mrs
     assert server._carver._next == carved  # spans reused, never re-carved
-    assert len(server._drain_loops) == 2
+    assert live_drain_loops(server) == 2
     assert pool.master.lease_expiries.count == 3
 
     def app(sim):

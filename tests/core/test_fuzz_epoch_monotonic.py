@@ -96,7 +96,7 @@ def test_fence_epochs_never_regress(seed, kill_delay, master_down,
         pool.master.crash()
         yield sim.timeout(2 * _LEASE)
         pool.master.recover()
-        yield from pool.master.recovery_process(rebuild=True)
+        yield from pool.master.recovery_process()
 
     results = pool.run(
         victim_proc(sim), master_chaos(sim),

@@ -21,7 +21,7 @@ from repro.core.protocol import (
 )
 from repro.faults import ClientCrash, FaultPlan, LinkFlap
 
-from tests.core.conftest import build_pool, fast_config
+from tests.core.conftest import build_pool, fast_config, live_drain_loops
 
 LEASE = 100_000
 
@@ -143,7 +143,7 @@ def test_dead_clients_ring_is_retired():
     server = pool.servers[0]
     assert "client0" not in server._rings
     assert "client1" in server._rings
-    assert len(server._drain_loops) == 1
+    assert live_drain_loops(server) == 1
 
 
 def _frozen_victim_pool():

@@ -191,7 +191,7 @@ def test_a_promoted_standby_resyncs(unjittered_retries):
     old = pool.master
 
     def promote(sim):
-        pool.promote_standby(rebuild=True)
+        pool.promote_standby()
         while pool.master._recovering:
             yield sim.timeout(10_000)
         yield from a.gmalloc(64)  # the stale-term reply rotates a over

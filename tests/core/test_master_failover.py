@@ -109,7 +109,7 @@ def test_journal_rebuild_end_to_end_via_fault_plan():
     t0 = sim.now
     pool.inject_faults(FaultPlan.of(
         MasterCrash(at_ns=t0 + 10_000),
-        MasterRecover(at_ns=t0 + 60_000, rebuild=True),
+        MasterRecover(at_ns=t0 + 60_000),
     ))
 
     def through_the_outage(sim):
@@ -147,7 +147,7 @@ def test_client_reattach_keeps_uid_and_epoch():
     t0 = sim.now
     pool.inject_faults(FaultPlan.of(
         MasterCrash(at_ns=t0 + 5_000),
-        MasterRecover(at_ns=t0 + 45_000, rebuild=True),
+        MasterRecover(at_ns=t0 + 45_000),
     ))
 
     def work(sim):
@@ -185,7 +185,7 @@ def test_orphan_lock_sweep_recovers_locks_lost_with_the_old_master():
     pool.inject_faults(FaultPlan.of(
         ClientCrash(at_ns=t0 + 1_000, client="client0"),
         MasterCrash(at_ns=t0 + 2_000),
-        MasterRecover(at_ns=t0 + 40_000, rebuild=True),
+        MasterRecover(at_ns=t0 + 40_000),
     ))
 
     def contender(sim):
@@ -226,7 +226,7 @@ def test_orphan_sweep_retires_rings_of_clients_that_never_reattached():
     pool.inject_faults(FaultPlan.of(
         ClientCrash(at_ns=t0 + 1_000, client="client0"),
         MasterCrash(at_ns=t0 + 2_000),
-        MasterRecover(at_ns=t0 + 40_000, rebuild=True),
+        MasterRecover(at_ns=t0 + 40_000),
     ))
 
     def outlive_the_sweep(sim):

@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import obs
 from repro.core import (
     DeadlineExceededError,
     FencedError,
@@ -47,7 +48,7 @@ def unjittered_retries(monkeypatch):
 
 def wait_promoted(sim, pool):
     """Promote the standby and park until its term claim lands."""
-    pool.promote_standby(rebuild=True)
+    pool.promote_standby()
     for _ in range(64):
         if not pool.master._recovering:
             return
@@ -122,6 +123,22 @@ def test_validate_term_deposes_a_superseded_master():
     assert pool.master.term == old.term + 1
 
 
+@pytest.mark.parametrize("crashed", [[], [1]], ids=["all-up", "one-down"])
+def test_term_claim_reports_only_the_servers_it_missed(crashed):
+    """A claim that reached every server reports nothing skipped; one that
+    kept missing a crashed server names exactly that server."""
+    sim, pool = build_pool(num_servers=2, num_clients=1,
+                           config=partition_config())
+    rec = obs.install(sim)
+    for sid in crashed:
+        pool.servers[sid].crash()
+    pool.run(pool.master._claim_term())
+    skipped = [e.fields["unreachable"] for e in rec.events
+               if e.message == "term claim skipped servers"]
+    assert skipped == ([crashed] if crashed else [])
+    assert [e.message for e in rec.events].count("term claimed") == 1
+
+
 def test_deposed_master_refuses_every_rpc_including_attach():
     """An attach served by a deposed master would park the client on a
     dead control plane forever; all three RPC classes must bounce."""
@@ -191,7 +208,7 @@ def test_a_master_crash_after_promotion_hits_the_promoted_master():
         assert pool.masters == [promoted] and promoted is not old
         inj = pool.inject_faults(FaultPlan.of(
             MasterCrash(at_ns=sim.now + 1_000),
-            MasterRecover(at_ns=sim.now + 2_000, rebuild=True)))
+            MasterRecover(at_ns=sim.now + 2_000)))
         for _ in range(64):
             yield sim.timeout(LEASE // 8)
             if promoted.failovers.count == 2 and not promoted._recovering:
@@ -275,7 +292,7 @@ def test_master_recovery_mid_partition_spares_absent_clients():
             Partition(start_ns=start, end_ns=start + 2 * LEASE,
                       group_a=("client0",), group_b=("master",)),
             MasterCrash(at_ns=start + LEASE // 2),
-            MasterRecover(at_ns=start + LEASE, rebuild=True)))
+            MasterRecover(at_ns=start + LEASE)))
         yield sim.timeout(1_000 + 5 * LEASE)   # heal + sweep + slack
         inj.uninstall()
         yield from c0.gwrite(gaddr, b"F" * 64)  # old ring must still work
@@ -308,7 +325,7 @@ def test_backoff_outlasting_the_lease_probes_instead_of_self_fencing():
         def revive(sim):
             yield sim.timeout(3 * LEASE)
             pool.master.recover()
-            yield from pool.master.recovery_process(rebuild=True)
+            yield from pool.master.recovery_process()
 
         sim.spawn(revive(sim))
         yield sim.timeout(LEASE + LEASE // 2)  # lease lapses locally

@@ -171,7 +171,7 @@ def test_alloc_retry_is_deduped_across_a_shard_failover():
     shard1.recover()
 
     def after(sim):
-        yield from shard1.recovery_process(rebuild=True)
+        yield from shard1.recovery_process()
         replay = yield from client._gmalloc_once(64, req_id)
         return replay.gaddr
 
@@ -199,7 +199,7 @@ def test_shard_failover_does_not_stale_the_other_shards_replies():
     t0 = sim.now
     pool.inject_faults(FaultPlan.of(
         MasterCrash(at_ns=t0 + 5_000, shard=1),
-        MasterRecover(at_ns=t0 + 45_000, rebuild=True, shard=1),
+        MasterRecover(at_ns=t0 + 45_000, shard=1),
     ))
 
     def work(sim):
@@ -252,7 +252,7 @@ def test_dead_clients_locks_reclaimed_on_both_shards_despite_failover():
     pool.inject_faults(FaultPlan.of(
         ClientCrash(at_ns=t0 + 1_000, client="client0"),
         MasterCrash(at_ns=t0 + 2_000, shard=1),
-        MasterRecover(at_ns=t0 + 40_000, rebuild=True, shard=1),
+        MasterRecover(at_ns=t0 + 40_000, shard=1),
     ))
 
     def contender(sim):
@@ -415,7 +415,7 @@ def test_reshard_across_diverged_terms_does_not_depose_the_adopter():
         for _ in range(2):
             shard1.crash()
             shard1.recover()
-            yield from shard1.recovery_process(rebuild=True)
+            yield from shard1.recovery_process()
 
     pool.run(diverge(sim))
     assert shard1.term > shard0.term
@@ -498,7 +498,7 @@ def test_fuzz_reshard_failover_ownership(ops, seed):
         elif op == "recover":
             if state["crashed"]:
                 pool.masters[1].recover()
-                pool.run(pool.masters[1].recovery_process(rebuild=True))
+                pool.run(pool.masters[1].recovery_process())
                 state["crashed"] = False
         else:
             run_op(op)
@@ -507,7 +507,7 @@ def test_fuzz_reshard_failover_ownership(ops, seed):
 
     if state["crashed"]:
         pool.masters[1].recover()
-        pool.run(pool.masters[1].recovery_process(rebuild=True))
+        pool.run(pool.masters[1].recovery_process())
     _assert_ownership_invariant(pool)
     # Every surviving object is findable at exactly one shard.
     for g in live:

@@ -49,7 +49,7 @@ def test_client_crash_recover_plan_executes_on_schedule():
         ClientCrash(at_ns=t0 + 10_000, client="client0"),
         ClientRecover(at_ns=t0 + 30_000, client="client0"),
         MasterCrash(at_ns=t0 + 10_000),
-        MasterRecover(at_ns=t0 + 30_000, rebuild=False),
+        MasterRecover(at_ns=t0 + 30_000),
     ))
 
     def wait(sim):
@@ -71,11 +71,11 @@ def test_client_crash_recover_plan_executes_on_schedule():
 
 
 def test_master_recover_without_rebuild_reopens_for_business():
-    """Regression: rebuild=False must still run recovery_process — it is
-    the only thing that clears the *recovering* gate.  A master stuck
-    recovering forever would hang every client; the documented semantics
-    of a no-rebuild recovery are 'forgot everything': serve again with an
-    empty directory."""
+    """Regression: a master without a journal to replay must still run
+    recovery_process — it is the only thing that clears the *recovering*
+    gate.  A master stuck recovering forever would hang every client; the
+    documented semantics of a journal-less recovery are 'forgot
+    everything': serve again with an empty directory."""
     sim, pool = build_pool(
         num_servers=1, num_clients=1,
         config=fast_config())
@@ -83,7 +83,7 @@ def test_master_recover_without_rebuild_reopens_for_business():
     t0 = sim.now
     pool.inject_faults(FaultPlan.of(
         MasterCrash(at_ns=t0 + 5_000),
-        MasterRecover(at_ns=t0 + 20_000, rebuild=False),
+        MasterRecover(at_ns=t0 + 20_000),
     ))
 
     def alloc_through_outage(sim):

@@ -74,7 +74,7 @@ def test_shifted_moves_the_times_of_all_eleven_fault_types():
         ServerCrash(at_ns=1, server_id=2),
         ServerRecover(at_ns=2, server_id=2, reconcile=False),
         MasterCrash(at_ns=3, shard=1),
-        MasterRecover(at_ns=4, rebuild=False, shard=1),
+        MasterRecover(at_ns=4, shard=1),
         ClientCrash(at_ns=5, client="client0", tear_inflight=True),
         ClientRecover(at_ns=6, client="client0"),
         RingStall(at_ns=7, duration_ns=70, server_id=1),
@@ -112,7 +112,7 @@ def test_master_and_client_faults_sort_with_the_rest():
     assert [f.at_ns for f in moved.timed] == [150, 250, 350, 450]
     assert moved.timed[0].client == "client0"  # non-time fields ride along
     assert moved.timed[0].tear_inflight is True
-    assert moved.timed[2].rebuild is True  # the default
+    assert moved.timed[2].shard == 0  # the default
 
 
 @pytest.mark.parametrize("bad", [
