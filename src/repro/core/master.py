@@ -1528,7 +1528,9 @@ class Master:
             self.term = max(self.term, self._journal_term_max) + 1
             pending = sorted(self._servers)
             superseded = False
-            for _ in range(3):
+            for attempt in range(3):
+                if attempt:
+                    yield retry_wait
                 still = []
                 for sid in pending:
                     try:
@@ -1548,7 +1550,6 @@ class Master:
                 if superseded or not still:
                     break
                 pending = still
-                yield retry_wait
             if superseded:
                 # A rival claimed concurrently; its TERM record is in the
                 # journal now — re-read and go strictly above it.

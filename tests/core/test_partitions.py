@@ -139,6 +139,19 @@ def test_term_claim_reports_only_the_servers_it_missed(crashed):
     assert [e.message for e in rec.events].count("term claimed") == 1
 
 
+def test_term_claim_waits_only_between_its_rounds():
+    """A claim that keeps missing a crashed server retries it after each of
+    its first two rounds, not after the last: three rounds, two waits of
+    a quarter lease."""
+    sim, pool = build_pool(num_servers=2, num_clients=1,
+                           config=partition_config())
+    assert pool.master.config.client_lease_ns == 100_000
+    pool.servers[1].crash()
+    start = sim.now
+    pool.run(pool.master._claim_term())
+    assert sim.now - start == 114_910
+
+
 def test_deposed_master_refuses_every_rpc_including_attach():
     """An attach served by a deposed master would park the client on a
     dead control plane forever; all three RPC classes must bounce."""
