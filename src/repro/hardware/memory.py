@@ -146,22 +146,28 @@ class MemoryDevice:
         return self.spec.write_latency_ns + round(nbytes / self._per_channel_write_bw)
 
     # ------------------------------------------------------------------
-    # Timed, functional access (process helpers)
+    # Timed, functional access (process helpers).  Every access, here and
+    # below, tests the in-range condition itself and calls ``_check_range``
+    # only to raise: one frame less per access.
     # ------------------------------------------------------------------
     def read(self, offset: int, nbytes: int) -> Generator[Any, Any, bytes]:
         """Read ``nbytes`` at ``offset``; returns the bytes."""
-        self._check_range(offset, nbytes)
+        if offset < 0 or nbytes < 0 or offset + nbytes > self._capacity:
+            self._check_range(offset, nbytes)
         yield (self._channels, self.read_service_time(nbytes))
-        self.bytes_read.add(nbytes)
+        self.bytes_read.count += 1
+        self.bytes_read.total += nbytes
         return self._data.read(offset, nbytes)
 
     def write(self, offset: int, payload: bytes) -> Generator[Any, Any, None]:
         """Write ``payload`` at ``offset``."""
         nbytes = len(payload)
-        self._check_range(offset, nbytes)
+        if offset < 0 or offset + nbytes > self._capacity:
+            self._check_range(offset, nbytes)
         yield (self._channels, self.write_service_time(nbytes))
         self._data.write(offset, payload)
-        self.bytes_written.add(nbytes)
+        self.bytes_written.count += 1
+        self.bytes_written.total += nbytes
 
     # ------------------------------------------------------------------
     # Instant access (zero simulated cost)
@@ -170,12 +176,14 @@ class MemoryDevice:
     # and by tests that need to inspect or seed contents.
     def peek(self, offset: int, nbytes: int) -> bytes:
         """Untimed read of device contents."""
-        self._check_range(offset, nbytes)
+        if offset < 0 or nbytes < 0 or offset + nbytes > self._capacity:
+            self._check_range(offset, nbytes)
         return self._data.read(offset, nbytes)
 
     def poke(self, offset: int, payload: bytes) -> None:
         """Untimed write of device contents."""
-        self._check_range(offset, len(payload))
+        if offset < 0 or offset + len(payload) > self._capacity:
+            self._check_range(offset, len(payload))
         self._data.write(offset, payload)
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -137,8 +137,8 @@ class Fabric:
         return self._rack_of.get(node_name, "")
 
     def _crosses_core(self, src: str, dst: str) -> bool:
-        if not self._core_bandwidth:
-            return False
+        """Whether ``src`` and ``dst`` sit in different racks (asked only
+        once a core exists)."""
         src_rack = self._rack_of.get(src)
         dst_rack = self._rack_of.get(dst)
         return src_rack is not None and dst_rack is not None and src_rack != dst_rack
@@ -194,29 +194,36 @@ class Fabric:
                 return None
 
         wire_bytes = nbytes + self.spec.header_bytes
-        if self._crosses_core(src, dst):
+        wire_ns = self.wire_time(nbytes)
+        if self._core_bandwidth and self._crosses_core(src, dst):
             # Inter-rack: edge serialization, then the (possibly slower)
             # shared core path, then an extra hop of latency.
             up = self._core_up[self._rack_of[src]]
             down = self._core_down[self._rack_of[dst]]
             core_time = max(1, round(wire_bytes / self._core_bandwidth))
-            yield (egress.gate, self.wire_time(nbytes))
+            yield (egress.gate, wire_ns)
             egress.bytes_moved += wire_bytes
             with (yield up.gate):
                 yield (down.gate, core_time)
             up.bytes_moved += wire_bytes
             down.bytes_moved += wire_bytes
-            yield (ingress.gate, self.wire_time(nbytes))
+            yield (ingress.gate, wire_ns)
             ingress.bytes_moved += wire_bytes
             self.inter_rack_messages.add()
             extra_ns += self._core_hop_ns
         else:
-            with (yield egress.gate):
-                yield (ingress.gate, self.wire_time(nbytes))
+            gate = egress.gate  # released by hand: no ``__enter__`` call
+            yield gate
+            try:
+                yield (ingress.gate, wire_ns)
+            finally:
+                gate.release()
             egress.bytes_moved += wire_bytes
             ingress.bytes_moved += wire_bytes
-        self.messages.add()
-        self.payload_bytes.add(nbytes)
+        self.messages.count += 1
+        self.messages.total += 1
+        self.payload_bytes.count += 1
+        self.payload_bytes.total += nbytes
         return self.spec.propagation_ns + extra_ns
 
     def egress_bytes(self, node_name: str) -> int:

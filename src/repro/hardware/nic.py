@@ -55,12 +55,14 @@ class Nic:
         """Pay the initiator-side cost of posting one work element."""
         yield from self._msg_limiter.consume(1.0)
         yield (self._tx, self.spec.processing_ns)
-        self.tx_messages.add()
+        self.tx_messages.count += 1
+        self.tx_messages.total += 1
 
     def rx_process(self) -> Generator[Any, Any, None]:
         """Pay the responder-side cost of handling one inbound packet."""
         yield (self._rx, self.spec.processing_ns)
-        self.rx_messages.add()
+        self.rx_messages.count += 1
+        self.rx_messages.total += 1
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Nic {self.name} ({self.spec.name})>"

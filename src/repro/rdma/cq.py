@@ -29,7 +29,8 @@ class CompletionQueue:
     def push(self, wc: WorkCompletion) -> None:
         """Deliver a completion (called by the QP machinery)."""
         wc.timestamp = self.sim.now
-        self.completions.add()
+        self.completions.count += 1
+        self.completions.total += 1
         self._store.put(wc)
 
     def poll(self, max_entries: int = 16) -> List[WorkCompletion]:

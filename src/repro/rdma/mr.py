@@ -45,6 +45,9 @@ class AccessFlags(enum.Flag):
     ALL = LOCAL | REMOTE_READ | REMOTE_WRITE | REMOTE_ATOMIC
 
 
+_LOCAL = AccessFlags.LOCAL._value_
+
+
 class MemoryRegion:
     """A registered window of one memory device."""
 
@@ -86,28 +89,34 @@ class MemoryRegion:
 
     # ------------------------------------------------------------------
     # Timed access (device queuing applies) — used for DMA on data paths.
+    # Every access, here and below, tests the pass condition itself and
+    # calls ``check`` only to raise: one frame less per access.
     # ------------------------------------------------------------------
     def read(self, offset: int, nbytes: int, need: AccessFlags = AccessFlags.LOCAL) -> Generator[Any, Any, bytes]:
         """Timed read of ``nbytes`` at region offset ``offset``: checked here,
         then the device's own generator (``yield from mr.read(...)``)."""
-        self.check(offset, nbytes, need)
+        if offset < 0 or nbytes < 0 or offset + nbytes > self.length or need._value_ & self._denied:
+            self.check(offset, nbytes, need)
         return self.device.read(self.base + offset, nbytes)
 
     def write(self, offset: int, payload: bytes, need: AccessFlags = AccessFlags.LOCAL) -> Generator[Any, Any, None]:
         """Timed write of ``payload`` at region offset ``offset``: checked
         here, then the device's own generator."""
-        self.check(offset, len(payload), need)
+        if offset < 0 or offset + len(payload) > self.length or need._value_ & self._denied:
+            self.check(offset, len(payload), need)
         return self.device.write(self.base + offset, payload)
 
     # ------------------------------------------------------------------
     # Untimed access — for setup, assertions, and costs accounted elsewhere.
     # ------------------------------------------------------------------
     def peek(self, offset: int, nbytes: int) -> bytes:
-        self.check(offset, nbytes, AccessFlags.LOCAL)
+        if offset < 0 or nbytes < 0 or offset + nbytes > self.length or self._denied & _LOCAL:
+            self.check(offset, nbytes, AccessFlags.LOCAL)
         return self.device.peek(self.base + offset, nbytes)
 
     def poke(self, offset: int, payload: bytes) -> None:
-        self.check(offset, len(payload), AccessFlags.LOCAL)
+        if offset < 0 or offset + len(payload) > self.length or self._denied & _LOCAL:
+            self.check(offset, len(payload), AccessFlags.LOCAL)
         self.device.poke(self.base + offset, payload)
 
     # ------------------------------------------------------------------

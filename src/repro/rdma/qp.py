@@ -36,8 +36,9 @@ from repro.sim.resources import Resource, Store
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rdma.endpoint import RdmaEndpoint
 
-from repro.rdma.mr import AccessFlags, MemoryRegion, MrError
+from repro.rdma.mr import _LOCAL, AccessFlags, MemoryRegion, MrError
 from repro.rdma.wr import (
+    ATOMIC_OPCODES,
     ATOMIC_OPERAND_BYTES,
     ATOMIC_REQUEST_BYTES,
     ATOMIC_RESPONSE_BYTES,
@@ -105,15 +106,12 @@ class QueuePair:
         self._exec_name = f"{self.name}.exec"
 
     # ------------------------------------------------------------------
-    @property
-    def is_connected(self) -> bool:
-        return self.remote is not None
-
     def post_recv(self, mr: MemoryRegion, offset: int = 0, length: Optional[int] = None, wr_id: int = 0) -> None:
         """Post a receive buffer for an incoming SEND (or WRITE_IMM notice)."""
         if length is None:
             length = mr.length - offset
-        mr.check(offset, length, AccessFlags.LOCAL)
+        if offset < 0 or length < 0 or offset + length > mr.length or mr._denied & _LOCAL:
+            mr.check(offset, length, AccessFlags.LOCAL)
         self._recv_queue.put(_RecvDescriptor(wr_id, mr, offset, length))
 
     def cancel_recv(self, wr_id: int, mr: MemoryRegion) -> bool:
@@ -133,12 +131,11 @@ class QueuePair:
     def _validate_send(self, wr: WorkRequest) -> None:
         if wr.opcode is Opcode.RECV:
             raise QpError("post RECV via post_recv()")
-        if wr.inline_data is not None and not self.endpoint.nic.is_inline(len(wr.inline_data)):
-            raise QpError(
-                f"inline payload of {len(wr.inline_data)} bytes exceeds the "
-                f"NIC inline limit {self.endpoint.nic.spec.max_inline_bytes}"
-            )
-        if wr.is_atomic and wr.length not in (0, ATOMIC_OPERAND_BYTES):
+        inline, limit = wr.inline_data, self.endpoint.nic.spec.max_inline_bytes
+        if inline is not None and len(inline) > limit:
+            raise QpError(f"inline payload of {len(inline)} bytes exceeds the "
+                          f"NIC inline limit {limit}")
+        if wr.opcode in ATOMIC_OPCODES and wr.length not in (0, ATOMIC_OPERAND_BYTES):
             raise QpError("atomics operate on exactly 8 bytes")
 
     def post_send(self, wr: WorkRequest) -> Event:
@@ -150,7 +147,7 @@ class QueuePair:
         completions with a non-success status (like real verbs), while local
         usage errors raise :class:`QpError` immediately.
         """
-        if not self.is_connected:
+        if self.remote is None:
             raise QpError(f"{self.name} is not connected")
         self._validate_send(wr)
         return self.sim.spawn(self._execute(wr), name=self._exec_name)
@@ -167,7 +164,7 @@ class QueuePair:
         list is validated before any WR is posted, so a usage error leaves
         the send queue untouched.
         """
-        if not self.is_connected:
+        if self.remote is None:
             raise QpError(f"{self.name} is not connected")
         wrs = list(wrs)
         for wr in wrs:
@@ -203,31 +200,56 @@ class QueuePair:
         self._apply_seq = seq
 
     def _execute(self, wr: WorkRequest) -> Generator[Any, Any, WorkCompletion]:
-        """One verb, start to finish: its process fires with what it returns."""
+        """One verb, start to finish: its process fires with what it returns.
+        Steps that are no layer's entry point (the payload gather, a SEND's
+        receive) run in this frame, so their yields resume no extra frame."""
         local = self.endpoint
         peer: QueuePair = self.remote  # type: ignore[assignment]
         remote_ep = peer.endpoint
-        ordered = wr.opcode is not Opcode.RDMA_READ
+        opcode = wr.opcode
+        ordered = opcode is not Opcode.RDMA_READ
+        atomic = opcode in ATOMIC_OPCODES
 
         # ---- Initiator phase: NIC processing, payload gather, injection --
-        with (yield self._send_gate):
+        gate = self._send_gate  # released by hand: no ``__enter__`` call
+        yield gate
+        try:
             yield from local.nic.tx_process()
-            try:
-                payload = yield from self._gather_payload(wr)
-            except MrError:
-                return self._completion(wr, WcStatus.LOCAL_PROTECTION_ERROR)
+            payload = b""
+            if not ordered:
+                request_bytes = READ_REQUEST_BYTES
+            elif atomic:
+                request_bytes = ATOMIC_REQUEST_BYTES
+            else:
+                # The outbound payload: inline, or out of registered memory.
+                mr = wr.local_mr
+                try:
+                    if wr.inline_data is not None:
+                        payload = wr.inline_data
+                    elif mr is None:
+                        pass
+                    elif wr.length <= local.nic.spec.max_inline_bytes:
+                        # Small payloads are copied into the WQE by the CPU.
+                        payload = mr.peek(wr.local_offset, wr.length)
+                    else:
+                        payload = yield from mr.read(wr.local_offset, wr.length)
+                except MrError:
+                    return self._completion(wr, WcStatus.LOCAL_PROTECTION_ERROR)
+                request_bytes = len(payload)
             while True:
                 if not local.alive:
                     # The sender died while this WR was posted, queued or
                     # retransmitting: its QP is in error, so it flushes unsent.
                     return self._completion(wr, WcStatus.WR_FLUSH_ERROR)
                 flight_ns = yield from local.fabric.inject(
-                    local.name, remote_ep.name, self._request_wire_bytes(wr, payload))
+                    local.name, remote_ep.name, request_bytes)
                 if flight_ns is not None:
                     break
             if ordered:
                 seq = self._next_seq
                 self._next_seq = seq + 1
+        finally:
+            gate.release()
 
         # ---- Flight and target phase: outside the gate -------------------
         try:
@@ -239,7 +261,21 @@ class QueuePair:
                     # An earlier ordered WQE of this QP is not applied yet.
                     peer._turns[seq] = turn = Event(self.sim)
                     yield turn
-                response_bytes = yield from self._apply_at_target(wr, payload, remote_ep)
+                if opcode is Opcode.SEND:
+                    # The payload lands in the peer's oldest posted receive.
+                    desc: _RecvDescriptor = yield peer._recv_queue
+                    if len(payload) > desc.length:
+                        # Buffer too small: receiver sees a local error, sender a
+                        # remote-invalid-request; keep it simple, fail the sender.
+                        raise _RemoteFault(WcStatus.REMOTE_INVALID_REQUEST)
+                    yield from desc.mr.write(desc.offset, payload)
+                    peer.recv_cq.push(WorkCompletion(
+                        wr_id=desc.wr_id, opcode=Opcode.RECV, byte_len=len(payload),
+                        imm_data=wr.imm_data, recv_mr=desc.mr, recv_offset=desc.offset,
+                        context={"src_qp": self.qp_num}))
+                    response_bytes = (0, b"")
+                else:
+                    response_bytes = yield from self._apply_at_target(wr, payload, remote_ep)
         except _RemoteFault as fault:
             if ordered:
                 peer._retire(seq)
@@ -263,15 +299,15 @@ class QueuePair:
         yield from local.fabric.unicast(remote_ep.name, local.name, response_bytes[0])
         yield from local.nic.rx_process()
 
-        if wr.opcode is Opcode.RDMA_READ:
+        if not ordered:
             try:
-                wr.local_mr.check(wr.local_offset, wr.length, AccessFlags.LOCAL)  # type: ignore[union-attr]
+                placement = wr.local_mr.write(wr.local_offset, response_bytes[1])  # type: ignore[union-attr]
             except (MrError, AttributeError):
                 return self._completion(wr, WcStatus.LOCAL_PROTECTION_ERROR)
             # Place the fetched bytes into local registered memory (DMA).
-            yield from wr.local_mr.write(wr.local_offset, response_bytes[1])  # type: ignore[union-attr]
+            yield from placement
             return self._completion(wr, WcStatus.SUCCESS, byte_len=wr.length)
-        if wr.is_atomic:
+        if atomic:
             return self._completion(
                 wr, WcStatus.SUCCESS,
                 byte_len=ATOMIC_OPERAND_BYTES,
@@ -279,80 +315,43 @@ class QueuePair:
             )
         return self._completion(wr, WcStatus.SUCCESS, byte_len=len(payload))
 
-    def _gather_payload(self, wr: WorkRequest) -> Generator[Any, Any, bytes]:
-        """Collect the outbound payload (inline or local DMA read)."""
-        if wr.opcode in (Opcode.RDMA_READ, Opcode.ATOMIC_CAS, Opcode.ATOMIC_FAA):
-            return b""
-        if wr.inline_data is not None:
-            return wr.inline_data
-        if wr.local_mr is None:
-            return b""
-        if self.endpoint.nic.is_inline(wr.length):
-            # Small payloads are copied into the WQE by the CPU; no DMA read.
-            return wr.local_mr.peek(wr.local_offset, wr.length)
-        data = yield from wr.local_mr.read(wr.local_offset, wr.length)
-        return data
-
-    @staticmethod
-    def _request_wire_bytes(wr: WorkRequest, payload: bytes) -> int:
-        if wr.opcode is Opcode.RDMA_READ:
-            return READ_REQUEST_BYTES
-        if wr.is_atomic:
-            return ATOMIC_REQUEST_BYTES
-        return len(payload)
-
     def _apply_at_target(
         self, wr: WorkRequest, payload: bytes, remote_ep: "RdmaEndpoint"
     ) -> Generator[Any, Any, tuple[int, bytes]]:
-        """Execute the target-side effect; returns (response_wire_bytes, data)."""
-        if wr.opcode is Opcode.SEND:
-            desc: _RecvDescriptor = yield self.remote._recv_queue  # type: ignore[union-attr]
-            if len(payload) > desc.length:
-                # Buffer too small: receiver sees a local error, sender a
-                # remote-invalid-request; keep it simple and fail the sender.
-                raise _RemoteFault(WcStatus.REMOTE_INVALID_REQUEST)
-            yield from desc.mr.write(desc.offset, payload)
-            self.remote.recv_cq.push(  # type: ignore[union-attr]
-                WorkCompletion(
-                    wr_id=desc.wr_id,
-                    opcode=Opcode.RECV,
-                    byte_len=len(payload),
-                    imm_data=wr.imm_data,
-                    recv_mr=desc.mr,
-                    recv_offset=desc.offset,
-                    context={"src_qp": self.qp_num},
-                )
-            )
-            return (0, b"")
-
+        """Execute a one-sided verb's target-side effect; returns
+        (response_wire_bytes, data)."""
         # One-sided verbs: resolve the remote region through the target MPT.
         mr = remote_ep.resolve_rkey(wr.remote_rkey)
         if mr is None:
             raise _RemoteFault(WcStatus.REMOTE_ACCESS_ERROR)
 
+        # A region access checks itself when it is made, so the access is
+        # made inside the ``try`` and run outside it.
         if wr.opcode is Opcode.RDMA_READ:
-            try:
-                mr.check(wr.remote_offset, wr.length, AccessFlags.REMOTE_READ)
-            except MrError:
-                raise _RemoteFault(WcStatus.REMOTE_ACCESS_ERROR) from None
             combiner = (getattr(remote_ep, "read_combiner", None)
                         if wr.combine is not None else None)
-            if combiner is not None:
-                # Adjacent reads rung with one doorbell: the target services
-                # the whole group as a single device transfer and each WR
-                # slices its range from it.  Wire cost is unchanged — every
-                # member still returns its own response bytes.
-                data = yield from combiner.fetch(mr, wr)
-            else:
-                data = yield from mr.read(wr.remote_offset, wr.length, need=AccessFlags.REMOTE_READ)
+            try:
+                if combiner is None:
+                    fetch = mr.read(wr.remote_offset, wr.length, need=AccessFlags.REMOTE_READ)
+                else:
+                    # Adjacent reads rung with one doorbell: the target
+                    # services the whole group as a single device transfer
+                    # and each WR slices its range from it.  Wire cost is
+                    # unchanged — every member still returns its own
+                    # response bytes.
+                    mr.check(wr.remote_offset, wr.length, AccessFlags.REMOTE_READ)
+                    fetch = combiner.fetch(mr, wr)
+            except MrError:
+                raise _RemoteFault(WcStatus.REMOTE_ACCESS_ERROR) from None
+            data = yield from fetch
             return (wr.length, data)
 
         if wr.opcode in (Opcode.RDMA_WRITE, Opcode.RDMA_WRITE_IMM):
             try:
-                mr.check(wr.remote_offset, len(payload), AccessFlags.REMOTE_WRITE)
+                placement = mr.write(wr.remote_offset, payload, need=AccessFlags.REMOTE_WRITE)
             except MrError:
                 raise _RemoteFault(WcStatus.REMOTE_ACCESS_ERROR) from None
-            yield from mr.write(wr.remote_offset, payload, need=AccessFlags.REMOTE_WRITE)
+            yield from placement
             if wr.opcode is Opcode.RDMA_WRITE_IMM:
                 # Consumes a posted RECV at the target and raises a completion
                 # there — after the data is globally visible (RC ordering).
@@ -368,7 +367,7 @@ class QueuePair:
                 )
             return (0, b"")
 
-        if wr.is_atomic:
+        if wr.opcode in ATOMIC_OPCODES:
             try:
                 mr.check(wr.remote_offset, ATOMIC_OPERAND_BYTES, AccessFlags.REMOTE_ATOMIC)
             except MrError:

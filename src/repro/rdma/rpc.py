@@ -109,12 +109,6 @@ class _BufferRing:
         #: Optional TimeWeightedStat tracking capacity (set by the owner).
         self.capacity_stat = None
 
-    def offset(self, slot: int) -> int:
-        return self._slot_off[slot]
-
-    def mr_of(self, slot: int):
-        return self._slot_mr[slot]
-
     def outstanding(self) -> int:
         """Slots currently acquired (posted or holding an in-flight reply)."""
         return self.capacity - len(self.free._items)
@@ -249,7 +243,7 @@ class RpcServer:
         while True:
             posted = yield ring.acquire()
             occupancy.adjust(1.0)
-            qp.post_recv(ring.mr_of(posted), ring.offset(posted),
+            qp.post_recv(ring._slot_mr[posted], ring._slot_off[posted],
                          self.buffer_size, wr_id=posted)
             wc = yield completions
             raw = wc.recv_mr.peek(wc.recv_offset, wc.byte_len)
@@ -260,7 +254,8 @@ class RpcServer:
 
     def _handle(self, qp: QueuePair, raw: bytes) -> Generator[Any, Any, None]:
         req_id, method, request = pickle.loads(raw)
-        self.requests.add()
+        self.requests.count += 1
+        self.requests.total += 1
         rec = self.sim.spans
         t0 = self.sim.now if rec is not None else 0
         handler = self._handlers.get(method)
@@ -283,8 +278,8 @@ class RpcServer:
             payload = _encode((req_id, reply), self.buffer_size)
         ring = self._resp_ring
         slot = yield ring.acquire()
-        offset = ring.offset(slot)
-        mr = ring.mr_of(slot)
+        offset = ring._slot_off[slot]
+        mr = ring._slot_mr[slot]
         mr.poke(offset, payload)
         wr = WorkRequest(
             opcode=Opcode.SEND,
@@ -347,8 +342,9 @@ class RpcClient:
         self._stalls = 0
         self._pending: Dict[int, Event] = {}
         self._demux_running = False
-        # Precomputed: every call creates one reply event.
+        # Precomputed: every call creates one reply event and takes one id.
         self._reply_event_name = f"{self.name}.req"
+        self._req_ids = _req_ids_for(self.sim)
 
     def _window(self, device: "MemoryDevice", base: int, slots: int,
                 name: str) -> tuple:
@@ -373,7 +369,7 @@ class RpcClient:
 
         Raises :class:`RpcError` if the remote handler failed.
         """
-        req_id = next(_req_ids_for(self.sim))
+        req_id = next(self._req_ids)
         payload = _encode((req_id, method, request), self.buffer_size)
 
         # Admission: post a reply buffer from the receive window *before*
@@ -403,7 +399,7 @@ class RpcClient:
         )
         send_wc = yield self.qp.post_send(wr)
         self._send_free.put(send_slot)
-        if send_wc.ok:
+        if send_wc.status is WcStatus.SUCCESS:
             status, result = yield reply_event
         else:
             self._pending.pop(req_id, None)

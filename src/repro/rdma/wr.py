@@ -39,6 +39,8 @@ ATOMIC_REQUEST_BYTES = 24
 ATOMIC_RESPONSE_BYTES = 8
 #: All atomics operate on exactly 8 bytes, like ibverbs.
 ATOMIC_OPERAND_BYTES = 8
+#: The atomic opcodes (``opcode in ATOMIC_OPCODES`` costs no call).
+ATOMIC_OPCODES = (Opcode.ATOMIC_CAS, Opcode.ATOMIC_FAA)
 
 
 @dataclass
@@ -84,10 +86,6 @@ class WorkRequest:
     def __post_init__(self) -> None:
         if self.inline_data is not None:
             self.length = len(self.inline_data)
-
-    @property
-    def is_atomic(self) -> bool:
-        return self.opcode in (Opcode.ATOMIC_CAS, Opcode.ATOMIC_FAA)
 
 
 @dataclass

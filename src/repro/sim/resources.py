@@ -186,10 +186,14 @@ class TokenBucket:
         if tokens > self.burst:
             raise ValueError(f"cannot consume {tokens} > burst {self.burst}")
         # Serialize consumers so arrival order is honoured.
-        with (yield self._gate):
+        gate = self._gate  # released by hand: no ``__enter__`` call
+        yield gate
+        try:
             self._refill()
             if self._tokens < tokens:
                 deficit = tokens - self._tokens
                 yield max(1, round(deficit / self.rate))
                 self._refill()
             self._tokens -= tokens
+        finally:
+            gate.release()

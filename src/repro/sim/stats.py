@@ -23,7 +23,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Counter:
-    """A monotonically increasing event counter with an optional value sum."""
+    """A monotonically increasing event counter with an optional value sum.
+
+    The per-message stages of the hardware and verbs layers bump ``count``
+    and ``total`` in place instead of calling :meth:`add`: same values, one
+    Python frame less per message and counter.
+    """
 
     __slots__ = ("name", "count", "total")
 

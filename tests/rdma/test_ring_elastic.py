@@ -45,7 +45,7 @@ def test_ring_pressure_growth_doubles_capacity(rig):
         assert ring.capacity == 8
         assert ring.grow_count == 1 and state["calls"] == 1
         # The new slot lives in its own chunk with its own MR.
-        assert ring.mr_of(held[4]) is not ring.mr_of(held[0])
+        assert ring._slot_mr[held[4]] is not ring._slot_mr[held[0]]
         assert ring.outstanding() == 5
         for s in held:
             ring.release(s)
