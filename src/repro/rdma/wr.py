@@ -83,10 +83,6 @@ class WorkRequest:
     # default) means the WR is serviced individually.
     combine: Optional[object] = None
 
-    def __post_init__(self) -> None:
-        if self.inline_data is not None:
-            self.length = len(self.inline_data)
-
 
 @dataclass
 class WorkCompletion:
