@@ -228,12 +228,12 @@ def test_sweep_honors_a_lease_refreshed_mid_sweep():
     def scenario(sim):
         gaddr = yield from c1.gmalloc(128)
         yield from c1.glock(gaddr)
-        epoch = master._epochs["client1"]
+        epoch = master._epochs[c1.uid]
         # The sweeper decided client1 was expired, but before _expire_lease
         # got to it, client1 re-attached / renewed: fresh lease, same epoch.
         master._leases["client1"] = sim.now + LEASE
         yield from master._expire_lease("client1")
-        assert master._epochs["client1"] == epoch  # not fenced
+        assert master._epochs[c1.uid] == epoch  # not fenced
         assert "client1" in master._leases  # lease intact
         # The lock is still client1's: write + release work, no FencedError.
         yield from c1.gwrite(gaddr, b"y" * 128)

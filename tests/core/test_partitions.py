@@ -368,7 +368,7 @@ def test_lease_lapse_probe_verdicts():
         client.lease_deadline = sim.now        # force a local lapse
         yield from client._lease_lapse_probe("glock")
         renewed = client.lease_deadline > sim.now
-        yield from master._fence_and_recover("client0")
+        yield from master.evict_client("client0")
         try:
             yield from client._lease_lapse_probe("glock")
         except FencedError as exc:

@@ -328,7 +328,7 @@ def test_fencing_shard_rolls_forward_intent_held_by_another_shard():
     def fence_shard0(sim):
         # Shard 0 fences the dead client FIRST — it does not own the
         # coordinator, so only a cross-shard intent scan can see the record.
-        yield from pool.masters[0]._fence_and_recover("client0")
+        yield from pool.masters[0].evict_client("client0")
         return (yield from c1.gread(g1))
 
     (data,) = pool.run(fence_shard0(sim))
@@ -338,7 +338,7 @@ def test_fencing_shard_rolls_forward_intent_held_by_another_shard():
     assert data == b"C" * 64
 
     def fence_shard1(sim):
-        yield from pool.masters[1]._fence_and_recover("client0")
+        yield from pool.masters[1].evict_client("client0")
         # Both locks must be reclaimable immediately (no dead holder left).
         yield from c1.glock(g0)
         yield from c1.gunlock(g0)
