@@ -792,11 +792,13 @@ class GengarClient:
         swallowed (the next tick tries again, and so does a failed
         re-attach: it must cost a tick, not the loop keeping the other
         shards' leases alive), a ``fenced`` verdict sets the global fenced
-        flag — the epoch is retired everywhere."""
+        flag — the epoch is retired everywhere.  A verdict about an epoch
+        that a re-attach replaced while the renewal was out is dropped: it
+        speaks for an incarnation this client no longer is."""
+        epoch = self.fence_epoch
         try:
             reply = yield from self._master_call(
-                "renew", {"client": self.name, "epoch": self.fence_epoch},
-                shard=shard)
+                "renew", {"client": self.name, "epoch": epoch}, shard=shard)
         except StaleTermError:
             # Our master was deposed: rotate / re-attach so renewals
             # reach the incumbent before the lease deadline does.
@@ -804,6 +806,8 @@ class GengarClient:
             return
         except RetryableError:
             return  # master down/recovering: keep trying until fenced
+        if epoch != self.fence_epoch:
+            return
         if reply.get("ok"):
             if shard == 0:  # the local deadline tracks shard 0's lease
                 self._note_renewal(reply.get("lease_ns", self.lease_ns))

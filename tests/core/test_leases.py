@@ -244,6 +244,44 @@ def test_sweep_honors_a_lease_refreshed_mid_sweep():
     assert pool.master.lock_recoveries.total == 0
 
 
+def test_a_renew_verdict_about_a_replaced_epoch_is_dropped():
+    """A renewal carries the epoch the client held when it was sent.  If a
+    re-attach grants a fresh epoch while the renewal is out, the master's
+    ``fenced`` verdict speaks for the retired incarnation: it must not fence
+    the re-attached client, fail its next op or make it re-attach again."""
+    sim, pool, gaddr = _frozen_victim_pool()
+    c0 = pool.clients[0]
+    master_call = c0._master_call
+    renewals = []
+
+    def reattach_while_the_renew_is_out(method, payload, shard=0):
+        if method == "renew":
+            yield from c0.reattach_master()
+            assert c0.fence_epoch > payload["epoch"]
+        reply = yield from master_call(method, payload, shard=shard)
+        if method == "renew":
+            renewals.append(reply)
+        return reply
+
+    def scenario(sim):
+        c0._master_call = reattach_while_the_renew_is_out
+        try:
+            yield from c0._renew_shard(0)
+        finally:
+            del c0._master_call
+        assert renewals == [{"ok": False, "reason": "fenced"}]
+        assert not c0._fenced
+        # The re-attached incarnation holds the lock word under its epoch.
+        yield from c0.glock(gaddr)
+        yield from c0.gwrite(gaddr, b"R" * 256)
+        yield from c0.gunlock(gaddr)
+        return c0.fence_epoch
+
+    (epoch,) = pool.run(scenario(sim))
+    assert epoch == 1
+    assert c0.m_master_failovers.count == 0  # re-attached by hand, once
+
+
 def test_zombie_data_plane_ops_are_fenced():
     """Regression: fencing must cover the data plane, not just lock ops —
     a zombie whose locks were recovered must not land one-sided RDMA
