@@ -110,6 +110,9 @@ class MemoryDevice:
         self._channels = Resource(sim, capacity=spec.channels, name=f"{self.name}.channels")
         self._per_channel_read_bw = spec.read_bw / spec.channels
         self._per_channel_write_bw = spec.write_bw / spec.channels
+        # Read on every access, which computes its service time inline.
+        self._read_latency_ns = spec.read_latency_ns
+        self._write_latency_ns = spec.write_latency_ns
         m = sim.metrics
         self.bytes_read = m.counter(f"{self.name}.bytes_read")
         self.bytes_written = m.counter(f"{self.name}.bytes_written")
@@ -138,12 +141,14 @@ class MemoryDevice:
             )
 
     def read_service_time(self, nbytes: int) -> int:
-        """Channel hold time for a read of ``nbytes``."""
-        return self.spec.read_latency_ns + round(nbytes / self._per_channel_read_bw)
+        """Channel hold time for a read of ``nbytes`` (what :meth:`read`
+        holds a channel for, computed there inline)."""
+        return self._read_latency_ns + round(nbytes / self._per_channel_read_bw)
 
     def write_service_time(self, nbytes: int) -> int:
-        """Channel hold time for a write of ``nbytes``."""
-        return self.spec.write_latency_ns + round(nbytes / self._per_channel_write_bw)
+        """Channel hold time for a write of ``nbytes`` (what :meth:`write`
+        holds a channel for, computed there inline)."""
+        return self._write_latency_ns + round(nbytes / self._per_channel_write_bw)
 
     # ------------------------------------------------------------------
     # Timed, functional access (process helpers).  Every access, here and
@@ -154,7 +159,8 @@ class MemoryDevice:
         """Read ``nbytes`` at ``offset``; returns the bytes."""
         if offset < 0 or nbytes < 0 or offset + nbytes > self._capacity:
             self._check_range(offset, nbytes)
-        yield (self._channels, self.read_service_time(nbytes))
+        yield (self._channels,
+               self._read_latency_ns + round(nbytes / self._per_channel_read_bw))
         self.bytes_read.count += 1
         self.bytes_read.total += nbytes
         return self._data.read(offset, nbytes)
@@ -164,7 +170,8 @@ class MemoryDevice:
         nbytes = len(payload)
         if offset < 0 or offset + nbytes > self._capacity:
             self._check_range(offset, nbytes)
-        yield (self._channels, self.write_service_time(nbytes))
+        yield (self._channels,
+               self._write_latency_ns + round(nbytes / self._per_channel_write_bw))
         self._data.write(offset, payload)
         self.bytes_written.count += 1
         self.bytes_written.total += nbytes

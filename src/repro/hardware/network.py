@@ -77,6 +77,10 @@ class Fabric:
         #: re-injected (RC retransmission model).
         self.retransmit_ns = max(1_000, 4 * spec.propagation_ns)
         self.dropped_messages = sim.metrics.counter("fabric.dropped")
+        # Read on every message, which computes its wire time inline.
+        self._header_bytes = spec.header_bytes
+        self._bandwidth = spec.bandwidth
+        self._propagation_ns = spec.propagation_ns
 
     def attach(self, node_name: str) -> None:
         """Register a node; idempotent."""
@@ -144,9 +148,9 @@ class Fabric:
         return src_rack is not None and dst_rack is not None and src_rack != dst_rack
 
     def wire_time(self, nbytes: int) -> int:
-        """Serialization time for a payload of ``nbytes`` plus headers."""
-        wire_bytes = nbytes + self.spec.header_bytes
-        return max(1, round(wire_bytes / self.spec.bandwidth))
+        """Serialization time for a payload of ``nbytes`` plus headers (what
+        a message holds its ports for, computed inline on the wire path)."""
+        return round((nbytes + self._header_bytes) / self._bandwidth) or 1
 
     def min_latency(self, nbytes: int) -> int:
         """Uncontended one-way latency (for analytical test baselines)."""
@@ -154,11 +158,40 @@ class Fabric:
 
     def unicast(self, src: str, dst: str, nbytes: int) -> Generator[Any, Any, None]:
         """Move ``nbytes`` from ``src`` to ``dst``; returns at delivery time:
-        :meth:`inject` until it is not dropped, then the flight it returns."""
-        flight_ns = yield from self.inject(src, dst, nbytes)
-        while flight_ns is None:
+        :meth:`inject` until it is not dropped, then the flight it returns.
+
+        With no fault hook and no core, inject's flat path runs in this
+        frame: the same yields, one generator frame fewer per resume.
+        """
+        if self._fault_hook is not None or self._core_bandwidth:
             flight_ns = yield from self.inject(src, dst, nbytes)
-        yield flight_ns
+            while flight_ns is None:
+                flight_ns = yield from self.inject(src, dst, nbytes)
+            yield flight_ns
+            return
+        if src == dst:
+            raise FabricError(f"loopback unicast on {src!r}; handle locally instead")
+        try:
+            egress = self._egress[src]
+            ingress = self._ingress[dst]
+        except KeyError as exc:
+            raise FabricError(f"unknown fabric port: {exc}") from None
+        if nbytes < 0:
+            raise FabricError("negative transfer size")
+        wire_bytes = nbytes + self._header_bytes
+        gate = egress.gate  # released by hand: no ``__enter__`` call
+        yield gate
+        try:
+            yield (ingress.gate, round(wire_bytes / self._bandwidth) or 1)
+        finally:
+            gate.release()
+        egress.bytes_moved += wire_bytes
+        ingress.bytes_moved += wire_bytes
+        self.messages.count += 1
+        self.messages.total += 1
+        self.payload_bytes.count += 1
+        self.payload_bytes.total += nbytes
+        yield self._propagation_ns
 
     def inject(self, src: str, dst: str, nbytes: int) -> Generator[Any, Any, Optional[int]]:
         """Put ``nbytes`` on the wire from ``src`` to ``dst``; returns when
@@ -193,8 +226,8 @@ class Fabric:
                 yield self.retransmit_ns
                 return None
 
-        wire_bytes = nbytes + self.spec.header_bytes
-        wire_ns = self.wire_time(nbytes)
+        wire_bytes = nbytes + self._header_bytes
+        wire_ns = round(wire_bytes / self._bandwidth) or 1  # at least 1 ns
         if self._core_bandwidth and self._crosses_core(src, dst):
             # Inter-rack: edge serialization, then the (possibly slower)
             # shared core path, then an extra hop of latency.
@@ -224,7 +257,7 @@ class Fabric:
         self.messages.total += 1
         self.payload_bytes.count += 1
         self.payload_bytes.total += nbytes
-        return self.spec.propagation_ns + extra_ns
+        return self._propagation_ns + extra_ns
 
     def egress_bytes(self, node_name: str) -> int:
         """Wire bytes sent by ``node_name`` so far."""
