@@ -954,7 +954,7 @@ class ChaosSoak:
         express a 32-client fanout, and fresh node names avoid clashing
         with the shared sim.  The audit is the shared-receive-pool
         accounting: after the lease sweep fences every victim, each pool's
-        outstanding slots must equal its serve loops exactly (one posted
+        outstanding slots must equal its attached QPs exactly (one posted
         receive per QP, a dead client's included) — a victim whose
         in-flight slot never returned would show up as a leak here, and
         enough leaks wedge the pool for every surviving client.
@@ -1011,11 +1011,11 @@ class ChaosSoak:
             if stats["outstanding"] != qps:
                 self.violations.append(
                     f"fanout: {label} leaked receive slots: outstanding "
-                    f"{stats['outstanding']} != serve loops {qps}")
+                    f"{stats['outstanding']} != QPs {qps}")
             if stats["capacity"] <= qps:
                 self.violations.append(
                     f"fanout: {label} has no spare receive slot: capacity "
-                    f"{stats['capacity']} <= serve loops {qps}")
+                    f"{stats['capacity']} <= QPs {qps}")
             if stats["grows"] < 1:
                 self.violations.append(
                     f"fanout: {label} never grew under a {n}-client fanout "

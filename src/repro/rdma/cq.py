@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, List
+from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional
 
 from repro.sim.resources import Store
 
@@ -17,7 +17,9 @@ class CompletionQueue:
 
     Supports both polling (``poll``) and process-blocking consumption
     (``yield from cq.wait()``), mirroring busy-poll vs event-mode usage of a
-    real CQ.
+    real CQ.  A CQ with a :attr:`consumer` queues nothing: each completion
+    is handed to it in the step that delivers it, the way a completion
+    channel's handler runs where the interrupt lands.
     """
 
     def __init__(self, sim: "Simulator", name: str = "cq"):
@@ -25,13 +27,20 @@ class CompletionQueue:
         self.name = name
         self._store = Store(sim, name=name)
         self.completions = sim.metrics.counter(f"{name}.completions")
+        #: ``consumer(wc)``, called with every completion instead of queuing
+        #: it (an RPC server's receive CQ), or None.
+        self.consumer: Optional[Callable[[WorkCompletion], None]] = None
 
     def push(self, wc: WorkCompletion) -> None:
         """Deliver a completion (called by the QP machinery)."""
         wc.timestamp = self.sim.now
         self.completions.count += 1
         self.completions.total += 1
-        self._store.put(wc)
+        consumer = self.consumer
+        if consumer is None:
+            self._store.put(wc)
+        else:
+            consumer(wc)
 
     def poll(self, max_entries: int = 16) -> List[WorkCompletion]:
         """Drain up to ``max_entries`` completions without blocking."""
@@ -53,8 +62,8 @@ class CompletionQueue:
 
         ``wc = yield cq.next_event()`` is equivalent to
         ``wc = yield from cq.wait()`` without the intermediate generator
-        frame.  It is the same object every time, so a dispatch loop (RPC
-        serve/demux) asks once and yields it per completion.
+        frame.  It is the same object every time, so a dispatch loop (the
+        RPC client's demux) asks once and yields it per completion.
         """
         return self._store
 

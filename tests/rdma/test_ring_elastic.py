@@ -10,7 +10,9 @@ Covers the mechanisms at three levels:
   stay fixed (structurally, capacity always exceeds the QP count).
 """
 
-from repro.rdma import connect
+import pytest
+
+from repro.rdma import connect, rpc
 from repro.rdma.rpc import RpcClient, RpcServer, _BufferRing
 from repro.sim import Simulator
 
@@ -119,6 +121,48 @@ def test_zero_credit_backpressure_bounds_outstanding(rig):
     assert stats["waiters"] == 0
 
 
+@pytest.mark.parametrize("ceiling", [None, 6])
+def test_a_burst_past_the_pool_depth_leaves_one_receive_per_qp(rig, monkeypatch, ceiling):
+    """Three clients put 24 calls in flight against a pool four slots deep.
+    Each request is consumed where its completion lands, and the QP's one
+    receive re-posted there; at quiescence every QP holds exactly one
+    posted receive and no reply slot is out.  At a ring ceiling of 6 the
+    replies outnumber the response ring, so handlers park for a reply
+    slot, and every call still completes."""
+    if ceiling is not None:
+        monkeypatch.setattr(rpc, "DEFAULT_MAX_RING_SLOTS", ceiling)
+    server = rig.rpc_server(num_buffers=4, buffer_size=512)
+
+    def slow_echo(req):
+        yield 2_000
+        return req
+
+    server.register("echo", slow_echo)
+    pairs = [(rig.qp_a, rig.qp_b)] + [connect(rig.ep_a, rig.ep_b) for _ in range(2)]
+    clients = []
+    for i, (qa, qb) in enumerate(pairs):
+        server.serve(qb)
+        clients.append(RpcClient(rig.ep_a, qa, rig.mem_a, base=i * 8 * 1024,
+                                 num_buffers=8, buffer_size=512, name=f"c{i}.rpcc"))
+    results = []
+
+    def caller(client, i):
+        results.append((yield from client.call("echo", i)))
+
+    for n, client in enumerate(clients):
+        for i in range(8):
+            rig.sim.spawn(caller(client, 8 * n + i))
+    rig.sim.run()
+    assert sorted(results) == list(range(24))
+    assert [len(qb._recv_queue) for _, qb in pairs] == [1, 1, 1]
+    stats = server.pool_stats()
+    assert stats["qps"] == 3
+    assert stats["outstanding"] == stats["qps"]
+    assert stats["tx_outstanding"] == 0
+    assert stats["tx_capacity"] == (ceiling or 32)  # grown under the burst
+    assert server.requests.count == 24
+
+
 # ---------------------------------------------------------------------------
 # Pinned scale regressions (the historical >=16-client wedge)
 # ---------------------------------------------------------------------------
@@ -134,7 +178,7 @@ def test_concurrent_32_client_ycsb_completes():
     """The true wedge: concurrent load from 32 clients over 8 servers.
 
     Before the elastic pool this deadlocked (every receive slot claimed,
-    all serve loops parked); now the pool grows ahead of the QP count and
+    every serve loop of that time parked); now the pool grows ahead of the QP count and
     the sweep completes with no slot leak.
     """
     from dataclasses import replace
@@ -155,6 +199,6 @@ def test_concurrent_32_client_ycsb_completes():
     stats = system.pool.master.rpc.pool_stats()
     assert stats["grows"] >= 1
     assert stats["capacity"] > stats["qps"]
-    # No slot leak: after quiesce each serve loop holds exactly its one
+    # No slot leak: after quiesce each served QP holds exactly its one
     # posted receive.
     assert stats["outstanding"] == stats["qps"]

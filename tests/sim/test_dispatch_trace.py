@@ -124,6 +124,17 @@ the ``Event._dispatch`` that would have run next.  Same-instant ties among
 hold ends may order differently; in this scenario neither resumption pin
 moved, and ``final_time_ns`` is 259,443.
 
+RE-CAPTURED A NINTH TIME, ALL THREE AT ONCE, WHEN THE RPC SERVE LOOP WENT:
+5,914 dispatches became 5,731, 10,610 resumptions 10,345 and 7,533 pair
+resumptions 7,268.  A request is consumed in the step that delivers its
+receive completion (the CQ's consumer copies it out, re-posts the QP's one
+receive and spawns the handler there), and a handler takes a free reply
+slot without a yield.  So every ``<node>.rpc.loop`` resume is gone, each
+handler's first step is queued at the delivering step instead of behind
+the loop's wake-up, and the reply slot's store entry is gone.  This is a
+change to the modelled control plane's process structure, not to the
+kernel; no hardware stage moved, and ``final_time_ns`` stays 259,443.
+
 Each re-capture since the attach reply was written by
 ``python -m tests.sim.dispatch_scenario --recapture "REASON"``, which
 appends the old count, hash, ``final_time_ns`` and the reason to the
