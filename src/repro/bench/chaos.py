@@ -663,7 +663,7 @@ class ChaosSoak:
 
         # --- Round 1: split-brain attempt -----------------------------
         old_master = pool.master
-        first_term = old_master.term
+        first_term = old_master.journal.term
         start = sim.now + 10_000
         plan = FaultPlan.of(Partition(
             start_ns=start, end_ns=start + 4 * lease,
@@ -684,11 +684,11 @@ class ChaosSoak:
         # journal's term fence, and deposes itself.
         self._nemesis_round(plan, [promoter()], keys, rounds,
                             tail_ns=5 * lease, tag="splitbrain")
-        if pool.master is old_master or pool.master.term <= old_master.term:
+        if pool.master is old_master or pool.master.journal.term <= old_master.journal.term:
             self.violations.append(
                 "nemesis: standby promotion did not supersede the old "
                 "master's term")
-        if not old_master._deposed:
+        if not old_master.journal.deposed:
             self.violations.append(
                 "nemesis: the partitioned old master was never deposed "
                 "after the heal (split-brain window left open)")
@@ -716,10 +716,10 @@ class ChaosSoak:
         self._nemesis_round(plan, [], keys, rounds,
                             tail_ns=lease, tag="ctrlsplit")
 
-        if pool.master.term < first_term + 2:
+        if pool.master.journal.term < first_term + 2:
             self.violations.append(
                 f"nemesis: two failovers left the master at term "
-                f"{pool.master.term}, below {first_term + 2}")
+                f"{pool.master.journal.term}, below {first_term + 2}")
         self._audit_history("history audited")
 
     def shard_phase(self) -> None:
@@ -1116,7 +1116,7 @@ class ChaosSoak:
             "master.suspected_clients").count
         counters["term_claims"] = m.counter("master.term_claims").count
         counters["depositions"] = m.counter("master.depositions").count
-        counters["master_term"] = master.term
+        counters["master_term"] = master.journal.term
         counters["stale_term_rejections"] = m.counter(
             "pool.stale_term_rejections").count
         counters["partition_suspected"] = m.counter(

@@ -237,7 +237,7 @@ class GengarPool:
             for client in clients:
                 yield from client.attach()
             for m in masters:
-                m.start_planner()
+                m.planner.start()
 
         sim.run_until_complete(sim.spawn(bootstrap(sim), name="bootstrap"))
         return cls(sim, cluster, master, servers, clients, config,
@@ -305,7 +305,7 @@ class GengarPool:
             return
         for role, m in (("exporting", self.masters[current]),
                         ("adopting", self.masters[to_shard])):
-            if (not m.node.endpoint.alive or m._recovering or m._deposed):
+            if (not m.node.endpoint.alive or m._recovering or m.journal.deposed):
                 raise MasterError(
                     f"reshard needs the {role} shard serving (shard "
                     f"{m.shard_id} is down, recovering, or deposed)")
@@ -378,7 +378,7 @@ class GengarPool:
                 "map_epoch": self.master.map_epoch,
                 "owners": {m.node.name: sorted(m._servers)
                            for m in self.masters},
-                "location_log": {m.node.name: len(m._loc_log)
+                "location_log": {m.node.name: len(m.directory._loc_log)
                                  for m in self.masters},
             },
             "master": {
@@ -416,8 +416,8 @@ class GengarPool:
                     m.counter("pool.master_failovers").count,
             },
             "partitions": {
-                "master_term": self.master.term,
-                "master_deposed": self.master._deposed,
+                "master_term": self.master.journal.term,
+                "master_deposed": self.master.journal.deposed,
                 "standby": (self.standby.node.name
                             if self.standby is not None else None),
                 "suspected_clients":

@@ -221,7 +221,7 @@ class GengarClient:
         #: Virtual time at which the current lease lapses.
         self.lease_deadline = 0
         self._fenced = False
-        self._heartbeat_proc = None
+        self._heartbeat_procs: Dict[int, Any] = {}  # shard -> renewal loop
         self._last_renew_ns = 0
         #: Last successfully staged proxy write (server_id, gaddr, offset,
         #: data) — what a torn-write fault injection would re-stage halfway.
@@ -752,21 +752,26 @@ class GengarClient:
     # Lease heartbeats
     # ------------------------------------------------------------------
     def _start_heartbeat(self) -> None:
-        """Start a fresh lease (no-op with leases off) and its renewals."""
+        """Start a fresh lease (no-op with leases off) and a renewal loop for
+        each master shard without one: a stuck shard delays no other."""
         if not self.lease_ns:
             return
         self.lease_deadline = self.sim.now + self.lease_ns
         self._last_renew_ns = self.sim.now
-        if self._heartbeat_proc is not None and self._heartbeat_proc.is_alive:
-            return
-        self._heartbeat_proc = self.sim.spawn(
-            self._heartbeat_loop(), name=f"{self.name}.heartbeat")
+        for shard in range(self._num_shards):
+            proc = self._heartbeat_procs.get(shard)
+            if proc is None or not proc.is_alive:
+                self._heartbeat_procs[shard] = self.sim.spawn(
+                    self._heartbeat_loop(shard), name=f"{self.name}.heartbeat"
+                    + (f".s{shard}" if shard else ""))
 
-    def _heartbeat_loop(self) -> Generator[Any, Any, None]:
-        """Renew the lease at lease/3.  Reports piggyback renewals for
-        free; this loop only issues a standalone ``renew`` when no report
-        went out recently, so an idle client stays alive too.  A crash ends
-        the loop: its next renewal flushes (``FatalError``)."""
+    def _heartbeat_loop(self, shard: int) -> Generator[Any, Any, None]:
+        """Renew ``shard``'s lease at lease/3.  Reports piggyback shard 0's
+        renewals for free, so its loop only issues a standalone ``renew``
+        when no report went out recently (an idle client stays alive too);
+        secondary shards lease us independently and see piggybacked
+        renewals only for objects they own, so theirs renew on every tick.
+        A crash ends the loop: its next renewal flushes (``FatalError``)."""
         interval = max(1, self.lease_ns // 3)
         incarnation = self._incarnation
         while True:
@@ -774,16 +779,9 @@ class GengarClient:
             if (self._fenced or not self.lease_ns
                     or self._incarnation != incarnation):
                 return
-            # Secondary shards lease us independently and see piggybacked
-            # renewals only for objects they own, so renew them on every
-            # tick regardless of report recency.
-            for shard in range(1, self._num_shards):
-                yield from self._renew_shard(shard)
-                if self._fenced:
-                    return
-            if self.sim.now - self._last_renew_ns < interval:
+            if shard == 0 and self.sim.now - self._last_renew_ns < interval:
                 continue  # a piggybacked report renewed shard 0 recently
-            yield from self._renew_shard(0)
+            yield from self._renew_shard(shard)
             if self._fenced:
                 return
 

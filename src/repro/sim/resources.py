@@ -176,11 +176,6 @@ class TokenBucket:
         self._last_refill = sim.now
         self._gate = Resource(sim, capacity=1, name=f"{name}.gate")
 
-    def _refill(self) -> None:
-        now = self.sim.now
-        self._tokens = min(self.burst, self._tokens + (now - self._last_refill) * self.rate)
-        self._last_refill = now
-
     def consume(self, tokens: float = 1.0) -> Generator[Event, Any, None]:
         """Process helper: wait until ``tokens`` are available, then take them."""
         if tokens > self.burst:
@@ -189,11 +184,18 @@ class TokenBucket:
         gate = self._gate  # released by hand: no ``__enter__`` call
         yield gate
         try:
-            self._refill()
-            if self._tokens < tokens:
-                deficit = tokens - self._tokens
-                yield max(1, round(deficit / self.rate))
-                self._refill()
-            self._tokens -= tokens
+            # The refill, inline: a pass makes no call.
+            now = self.sim.now
+            have = self._tokens + (now - self._last_refill) * self.rate
+            if have >= self.burst:
+                have = self.burst
+            self._last_refill = now
+            if have < tokens:
+                self._tokens = have
+                yield max(1, round((tokens - have) / self.rate))
+                now = self.sim.now
+                have = min(self.burst, have + (now - self._last_refill) * self.rate)
+                self._last_refill = now
+            self._tokens = have - tokens
         finally:
             gate.release()

@@ -19,7 +19,10 @@ pass sends the servers' recovery method, only a fence runs that pass, no
 recovery filter lists survivors, and only a live commit sends
 ``txn_apply``.  And one layer into the client: only
 the ring module moves a proxy ring's cursor, only the metadata module writes
-the metadata map, and only the read module builds an RDMA READ.  One layer
+the metadata map, and only the read module builds an RDMA READ.  And one
+layer into the master: only a server handle writes its lock indices,
+quarantine and scrubber, only the directory appends to the location log,
+and only the leases write lease and phi state.  One layer
 below the RPC methods, an RPC server waits for nothing: only
 ``RpcServer.serve`` sets a completion queue's consumer, and the server
 spawns no loop, only one handler per request.
@@ -129,7 +132,7 @@ def test_only_the_recovery_pass_sends_the_recovery_method():
     senders = []
     for path in sorted(SRC.rglob("*.py")):
         senders += _senders(path, "recover_dead")
-    assert senders == ["core/master.py:_send_loads"]
+    assert senders == ["core/recovery.py:_send_loads"]
     # The sender's callers: the pass (its fragment loads, then its lock
     # loads) and the sweep's holders call, which names nobody dead.
     callers = []
@@ -138,7 +141,7 @@ def test_only_the_recovery_pass_sends_the_recovery_method():
     assert sorted(callers) == ["_orphan_lock_sweep", "_recover_dead",
                                "_recover_dead"]
     sweep = next(node for node in ast.walk(ast.parse(
-        (SRC / "core" / "master.py").read_text()))
+        (SRC / "core" / "recovery.py").read_text()))
         if isinstance(node, ast.FunctionDef)
         and node.name == "_orphan_lock_sweep")
     loads = [ast.unparse(call.args[0]) for call in ast.walk(sweep)
@@ -340,3 +343,67 @@ def test_the_rpc_server_spawns_no_loop():
     loops = [scope for scope, _ in _scoped(path, lambda node: isinstance(
         node, ast.While)) if scope.startswith("RpcServer.")]
     assert loops == []
+
+
+#: Calls that change a container in place.
+_IN_PLACE = _MUTATORS | {"append", "extend", "insert", "remove", "add",
+                         "discard"}
+
+
+def _writes(node, attrs):
+    """Whether ``node`` writes an attribute named in ``attrs``: assigns it
+    (``x.attr = ...``, ``x.attr[k] += ...``), deletes from it, or changes
+    it in place (``x.attr.append(...)``)."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+          and node.func.attr in _IN_PLACE):
+        targets = [node.func.value]
+    else:
+        return False
+    return any(isinstance(leaf, ast.Attribute) and leaf.attr in attrs
+               for target in targets for leaf in ast.walk(target))
+
+
+def _writers(attrs):
+    """``file:scope`` of every write under ``src/`` to one of ``attrs``."""
+    writers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        writers |= {f"{path.relative_to(SRC)}:{scope}" for scope, _ in
+                    _scoped(path, lambda node: _writes(node, attrs))}
+    return writers
+
+
+def test_only_the_server_handle_writes_its_extents():
+    """Nothing under ``src/`` but ``ServerHandle`` writes a server's lock
+    free list, lock high-water mark, quarantine or scrubber: a second
+    writer would have to repeat the extent invariant's hand-overs (reset,
+    reshard, replay, scrub) that ``ServerHandle.check`` audits."""
+    writers = _writers({"_lock_free", "_lock_next", "quarantine", "scrubber"})
+    assert writers and {w for w in writers
+                        if not w.startswith("core/allocator.py:ServerHandle.")
+                        } == set()
+
+
+def test_only_the_directory_appends_to_the_location_log():
+    """Nothing under ``src/`` but ``core/directory.py`` appends to a
+    shard's location log or moves its head: a cache-location change the
+    directory makes logs itself, so none can go unlogged."""
+    writers = _writers({"_loc_log", "_loc_head", "head"})
+    assert writers and {w for w in writers
+                        if not w.startswith("core/directory.py:Directory.")
+                        } == set()
+
+
+def test_only_the_leases_write_lease_and_phi_state():
+    """Nothing under ``src/`` but ``Leases`` writes a client's lease expiry,
+    heartbeat history or suspicion, by any name they have had: a restart
+    replaces the leases whole, and a fence forgets its clients through
+    them."""
+    writers = _writers({"_leases", "_hb_last", "_hb_intervals", "_suspected",
+                        "expiry", "hb_last", "hb_intervals", "suspected"})
+    assert writers and {w for w in writers
+                        if not w.startswith("core/recovery.py:Leases.")
+                        } == set()

@@ -165,8 +165,7 @@ def test_stale_client_metadata_self_heals_after_demotion():
 
     # Force the demotion server-side (simulating cooling elsewhere).
     def force_demote(sim):
-        handle = pool.master._servers[0]
-        yield from pool.master._demote(handle, pool.master._policies[0], gaddr)
+        yield from pool.master.planner.demote(gaddr)
 
     pool.run(force_demote(sim))
     assert not pool.master.directory.get(gaddr).cached
@@ -244,8 +243,7 @@ def test_concurrent_promotes_share_one_slot():
         return gaddr
 
     (gaddr,) = pool.run(setup(sim))
-    handle, policy = master._servers[0], master._policies[0]
-    pool.run(master._promote(handle, policy, gaddr), master.pin(gaddr))
+    pool.run(master.planner.promote(gaddr), master.pin(gaddr))
     record = master.directory.get(gaddr)
     assert record.cached
     assert server.cached[gaddr].cache_offset == record.cache_offset

@@ -26,13 +26,14 @@ from repro.core.protocol import (
     unpack_cache_tag,
     unpack_proxy_header,
 )
+from repro.sim.stats import Counter
 
 
 # ---------------------------------------------------------------------------
 # Directory
 # ---------------------------------------------------------------------------
 def test_directory_add_get_remove():
-    d = Directory()
+    d = Directory(Counter("master.location_logs"))
     rec = d.add(server_id=1, nvm_offset=4096, size=256, lock_idx=7)
     assert rec.gaddr == make_gaddr(1, 4096)
     assert d.get(rec.gaddr).size == 256
@@ -44,14 +45,14 @@ def test_directory_add_get_remove():
 
 
 def test_directory_duplicate_add_rejected():
-    d = Directory()
+    d = Directory(Counter("master.location_logs"))
     d.add(0, 0, 64, 0)
     with pytest.raises(DirectoryError):
         d.add(0, 0, 64, 1)
 
 
 def test_directory_unknown_lookups():
-    d = Directory()
+    d = Directory(Counter("master.location_logs"))
     with pytest.raises(DirectoryError):
         d.get(123)
     with pytest.raises(DirectoryError):
@@ -60,7 +61,7 @@ def test_directory_unknown_lookups():
 
 
 def test_directory_cache_state_machine():
-    d = Directory()
+    d = Directory(Counter("master.location_logs"))
     rec = d.add(0, 0, 512, 0)
     assert d.cached_bytes(0) == 0
     d.mark_cached(rec.gaddr, cache_offset=2048)
@@ -76,7 +77,7 @@ def test_directory_cache_state_machine():
 
 
 def test_directory_remove_cached_object_releases_accounting():
-    d = Directory()
+    d = Directory(Counter("master.location_logs"))
     rec = d.add(2, 64, 1024, 3)
     d.mark_cached(rec.gaddr, 0)
     d.remove(rec.gaddr)
@@ -84,7 +85,7 @@ def test_directory_remove_cached_object_releases_accounting():
 
 
 def test_record_to_meta_roundtrip():
-    d = Directory()
+    d = Directory(Counter("master.location_logs"))
     rec = d.add(1, 128, 99, 5)
     meta = rec.to_meta()
     assert meta.gaddr == rec.gaddr

@@ -6,12 +6,7 @@ import pytest
 
 from repro.core import FencedError, server_of
 from repro.core.addressing import make_gaddr, offset_of
-from repro.core.master import (
-    _RECOVER_MAX_LOCKS,
-    _RPC_BUFFER_SIZE,
-    MasterError,
-    _fragments,
-)
+from repro.core.master import MasterError
 from repro.core.protocol import (
     MAX_FENCE_EPOCH,
     READER_UNIT,
@@ -22,6 +17,7 @@ from repro.core.protocol import (
     write_lock_word,
 )
 
+from repro.core.recovery import _RECOVER_MAX_LOCKS, _fragments
 from repro.faults import (
     ClientCrash,
     FaultPlan,
@@ -29,7 +25,7 @@ from repro.faults import (
     MasterRecover,
     Partition,
 )
-from repro.rdma.rpc import RpcError, _encode
+from repro.rdma.rpc import DEFAULT_BUFFER_SIZE, RpcError, _encode
 
 from tests.core.conftest import build_pool, fast_config
 
@@ -370,12 +366,12 @@ def _largest_fit(method, request_for):
     buffer beside any request id below 2**31."""
     def fits(n):
         try:
-            _encode(((1 << 31) - 1, method, request_for(n)), _RPC_BUFFER_SIZE)
+            _encode(((1 << 31) - 1, method, request_for(n)), DEFAULT_BUFFER_SIZE)
         except RpcError:
             return False
         return True
 
-    return next(n for n in range(_RPC_BUFFER_SIZE, 0, -1) if fits(n))
+    return next(n for n in range(DEFAULT_BUFFER_SIZE, 0, -1) if fits(n))
 
 
 def _die_after_the_commit_point(point, txn):
@@ -613,7 +609,7 @@ def test_recovery_loads_fit_the_rpc_buffer():
 
     def fits(method, request):
         try:
-            _encode((req_id, method, request), _RPC_BUFFER_SIZE)
+            _encode((req_id, method, request), DEFAULT_BUFFER_SIZE)
         except RpcError:
             return False
         return True
@@ -622,7 +618,7 @@ def test_recovery_loads_fit_the_rpc_buffer():
         return {"txn": txn, "owner": uid, "epoch": epoch,
                 "writes": [(g, 8, bytes(size)) for g in homes]}
 
-    size = next(n for n in range(_RPC_BUFFER_SIZE, 0, -1)
+    size = next(n for n in range(DEFAULT_BUFFER_SIZE, 0, -1)
                 if fits("txn_intent_put", intent(f"{name}.t1", n)))
     small = intent(f"{name}.t2", 16)
     fragments = _fragments([(0, intent(f"{name}.t1", size)), (1, small)])
@@ -637,7 +633,7 @@ def test_recovery_loads_fit_the_rpc_buffer():
     idxs = list(range(top - _RECOVER_MAX_LOCKS, top))
     assert fits("recover_dead", dict(fence, lock_idxs=idxs))
     reply = {"cleared": [(idx, uid) for idx in idxs], "retired": [name]}
-    _encode((req_id, reply), _RPC_BUFFER_SIZE)
+    _encode((req_id, reply), DEFAULT_BUFFER_SIZE)
 
 
 def test_recovery_waits_only_for_the_drain_loops_it_retired():

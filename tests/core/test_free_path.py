@@ -15,6 +15,7 @@ from repro import obs
 from repro.core import ClientError, FatalError, RetryableError
 from repro.core import server as server_module
 from repro.core.addressing import offset_of
+from repro.core.allocator import ServerHandle
 from repro.core.protocol import CACHE_TAG_BYTES, pack_cache_tag
 from repro.hardware.specs import TEST_NVM
 from repro.sim.units import KIB
@@ -304,7 +305,8 @@ def test_scrub_straddling_a_reset_frees_nothing_into_the_new_allocator():
     assert_all_free(pool)
 
 
-def test_rebuild_requarantines_journaled_frees_the_old_master_never_scrubbed():
+def test_rebuild_requarantines_journaled_frees_the_old_master_never_scrubbed(
+        monkeypatch):
     """A master that died between the FREE append and the scrub used to
     leave a dirty extent allocatable; replay now sends one coalesced scrub
     per server."""
@@ -312,7 +314,8 @@ def test_rebuild_requarantines_journaled_frees_the_old_master_never_scrubbed():
     sim, pool = build_pool(num_servers=2, num_clients=1, config=cfg)
     client, master = pool.clients[0], pool.master
     scrubs = {sid: spy(s, "scrub") for sid, s in pool.servers.items()}
-    master._kick_scrubber = lambda *a, **kw: None  # dies before any scrub
+    # The master dies before any scrub.
+    monkeypatch.setattr(ServerHandle, "kick", lambda *a, **kw: None)
 
     def before(sim):
         addrs = []
@@ -323,7 +326,7 @@ def test_rebuild_requarantines_journaled_frees_the_old_master_never_scrubbed():
         return addrs
 
     (addrs,) = pool.run(before(sim))
-    del master._kick_scrubber
+    monkeypatch.undo()
     assert all(nvm_bytes(pool, g, 512) == FF * 512 for g in addrs)
     master.reset_volatile_state()
     (live,) = pool.run(master.rebuild())
@@ -387,7 +390,7 @@ def test_reshard_carries_the_quarantine_in_flight_batch_included():
     assert_all_free(pool)
 
 
-def test_stale_term_scrub_is_rejected_like_a_stale_journal_append():
+def test_stale_term_scrub_is_rejected_like_a_stale_journal_append(monkeypatch):
     """A deposed master's late scrub can never zero an extent its successor
     re-allocated: the scrub carries the term."""
     cfg = fast_config(metadata_journal=True, master_terms=True)
@@ -395,15 +398,15 @@ def test_stale_term_scrub_is_rejected_like_a_stale_journal_append():
     client, master, server = pool.clients[0], pool.master, pool.servers[0]
     scrubs = spy(server, "scrub")
     (gaddr,) = pool.run(alloc_dirty(client, 512))
-    master._kick_scrubber = lambda *a, **kw: None
+    monkeypatch.setattr(ServerHandle, "kick", lambda *a, **kw: None)
     pool.run(client.gfree(gaddr))
-    del master._kick_scrubber
-    server._term_max = master.term + 1  # a successor claimed meanwhile
-    scrubber = master._kick_scrubber(master._servers[0])
+    monkeypatch.undo()
+    server._term_max = master.journal.term + 1  # a successor claimed meanwhile
+    scrubber = master._servers[0].kick()
     sim.run_until_complete(scrubber)
     assert scrubs == [{"extents": [(offset_of(gaddr), 512)],
-                       "term": master.term}]
-    assert master._deposed and master.depositions.count == 1
+                       "term": master.journal.term}]
+    assert master.journal.deposed and master.depositions.count == 1
     assert nvm_bytes(pool, gaddr, 512) == FF * 512  # nothing was zeroed
     assert master.quarantined == 1 and master._servers[0].scrubber is None
     assert_clean(pool)
@@ -411,7 +414,7 @@ def test_stale_term_scrub_is_rejected_like_a_stale_journal_append():
     errors = []
     for what in (server._handle_scrub, server._handle_journal_append):
         with pytest.raises(Exception) as info:
-            next(what({"term": master.term, "extents": []}))
+            next(what({"term": master.journal.term, "extents": []}))
         errors.append(str(info.value))
     assert errors[0] == errors[1] and "stale master term" in errors[0]
 

@@ -93,7 +93,7 @@ def test_leases_off_means_no_heartbeat_machinery():
     sim, pool = build_pool(num_servers=1, num_clients=1)
     client = pool.clients[0]
     assert client.lease_ns == 0
-    assert client._heartbeat_proc is None
+    assert client._heartbeat_procs == {}
     assert pool.master.lease_renewals.count == 0
 
 
@@ -231,10 +231,10 @@ def test_sweep_honors_a_lease_refreshed_mid_sweep():
         epoch = master._epochs[c1.uid]
         # The sweeper decided client1 was expired, but before _expire_lease
         # got to it, client1 re-attached / renewed: fresh lease, same epoch.
-        master._leases["client1"] = sim.now + LEASE
-        yield from master._expire_lease("client1")
+        master.leases.expiry["client1"] = sim.now + LEASE
+        yield from master.recovery._expire_lease("client1")
         assert master._epochs[c1.uid] == epoch  # not fenced
-        assert "client1" in master._leases  # lease intact
+        assert "client1" in master.leases.expiry  # lease intact
         # The lock is still client1's: write + release work, no FencedError.
         yield from c1.gwrite(gaddr, b"y" * 128)
         yield from c1.gunlock(gaddr)

@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from repro.core import master as master_module
+from repro.core import directory as directory_module
 from repro.core.client import RetryPolicy
 from repro.core.protocol import LOCATION_REPLY_UPDATES
 from repro.rdma.rpc import DEFAULT_BUFFER_SIZE
@@ -37,9 +37,7 @@ def alloc(client, n, size=64):
 
 
 def demote(pool, gaddr):
-    master = pool.master
-    sid = master.directory.get(gaddr).server_id
-    return master._demote(master._servers[sid], master._policies[sid], gaddr)
+    return pool.master.planner.demote(gaddr)
 
 
 def held(client, gaddr):
@@ -119,12 +117,12 @@ def test_the_reply_reads_the_directory_and_deduplicates():
     (a,) = pool.clients
     master = pool.master
     ((x,),) = pool.run(alloc(a, 1))
-    cursor = master._loc_head
+    cursor = master.directory.head
     pool.run(master.pin(x))
     pool.run(demote(pool, x))
     pool.run(master.pin(x))
     record = master.directory.get(x)
-    reply = master._location_changes(cursor)
+    reply = master.directory.changes(cursor)
     assert reply == {"updates": [(x, True, record.cache_offset)],
                      "cursor": cursor + 3}
 
@@ -145,7 +143,7 @@ def _check_resync(pool, client, gaddrs, before):
 
 
 def test_a_cursor_behind_the_logs_tail_resyncs(monkeypatch):
-    monkeypatch.setattr(master_module, "LOCATION_LOG_ENTRIES", 4)
+    monkeypatch.setattr(directory_module, "LOCATION_LOG_ENTRIES", 4)
     sim, pool = build_pool(num_servers=2, config=quiet_config())
     a, b = pool.clients
     (gaddrs,) = pool.run(alloc(b, 6))
@@ -208,6 +206,6 @@ def test_a_free_is_not_logged():
                            config=quiet_config())
     (a,) = pool.clients
     ((x,),) = pool.run(alloc(a, 1))
-    head = pool.master._loc_head
+    head = pool.master.directory.head
     pool.run(a.gfree(x))
-    assert pool.master._loc_head == head
+    assert pool.master.directory.head == head

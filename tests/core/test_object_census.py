@@ -132,9 +132,9 @@ def test_the_location_log_stays_within_its_bound(monkeypatch):
     """Each lifecycle (allocate, pin, read, free) logs one location change;
     N and then 2N more leave the master's log at its bound and every client
     with one cursor per shard."""
-    from repro.core import master as master_module
+    from repro.core import directory as directory_module
 
-    monkeypatch.setattr(master_module, "LOCATION_LOG_ENTRIES", 16)
+    monkeypatch.setattr(directory_module, "LOCATION_LOG_ENTRIES", 16)
     sim, pool = build_pool()
 
     def lifecycles(sim, client, rounds):
@@ -149,7 +149,7 @@ def test_the_location_log_stays_within_its_bound(monkeypatch):
 
     n = 12
     pool.run(*(lifecycles(sim, c, n) for c in pool.clients))
-    log = pool.master._loc_log
+    log = pool.master.directory._loc_log
     after_n = len(log)
     pool.run(*(lifecycles(sim, c, 2 * n) for c in pool.clients))
     assert after_n == len(log) == 16

@@ -93,9 +93,9 @@ def test_split_brain_old_master_cannot_ack_after_heal():
 
     ((caught, data),) = pool.run(drive(sim))
     assert caught is not None and "deposed" in str(caught)
-    assert old._deposed
+    assert old.journal.deposed
     assert pool.master is not old
-    assert pool.master.term > old.term
+    assert pool.master.journal.term > old.journal.term
     assert data == b"A" * 64
     assert sim.metrics.counter("master.depositions").count >= 1
 
@@ -112,15 +112,15 @@ def test_validate_term_deposes_a_superseded_master():
         yield from pool.clients[0].gmalloc(64)
         yield from wait_promoted(sim, pool)
         try:
-            yield from old._validate_term()
+            yield from old.journal.validate()
         except MasterError as exc:
             return str(exc)
         return None
 
     (msg,) = pool.run(drive(sim))
     assert msg is not None and "deposed" in msg
-    assert old._deposed
-    assert pool.master.term == old.term + 1
+    assert old.journal.deposed
+    assert pool.master.journal.term == old.journal.term + 1
 
 
 @pytest.mark.parametrize("crashed", [[], [1]], ids=["all-up", "one-down"])
@@ -132,7 +132,7 @@ def test_term_claim_reports_only_the_servers_it_missed(crashed):
     rec = obs.install(sim)
     for sid in crashed:
         pool.servers[sid].crash()
-    pool.run(pool.master._claim_term())
+    pool.run(pool.master.journal.claim())
     skipped = [e.fields["unreachable"] for e in rec.events
                if e.message == "term claim skipped servers"]
     assert skipped == ([crashed] if crashed else [])
@@ -148,7 +148,7 @@ def test_term_claim_waits_only_between_its_rounds():
     assert pool.master.config.client_lease_ns == 100_000
     pool.servers[1].crash()
     start = sim.now
-    pool.run(pool.master._claim_term())
+    pool.run(pool.master.journal.claim())
     assert sim.now - start == 114_910
 
 
@@ -158,7 +158,7 @@ def test_deposed_master_refuses_every_rpc_including_attach():
     sim, pool = build_pool(num_servers=1, num_clients=1,
                            config=partition_config())
     master = pool.master
-    master._deposed = True
+    master.journal.deposed = True
 
     def drive(sim):
         msgs = []
@@ -231,7 +231,7 @@ def test_a_master_crash_after_promotion_hits_the_promoted_master():
 
     (promoted,) = pool.run(drive(sim))
     assert promoted.crashes == 1 and old.crashes == 0
-    assert promoted.term == 3 and not promoted._deposed
+    assert promoted.journal.term == 3 and not promoted.journal.deposed
     assert pool.describe()["partitions"]["master_term"] == 3
 
 

@@ -286,7 +286,7 @@ def test_stale_tag_is_repaired_in_one_round_trip_plus_the_slower_of_two():
     client, master = pool.clients[0], pool.master
     stale = addrs[3]
     t_hit, _ = _elapsed(sim, pool, client.gread_many(addrs))
-    pool.run(master._demote(master._servers[0], master._policies[0], stale))
+    pool.run(master.planner.demote(stale))
 
     verbs = []
     op = OpDriver.op

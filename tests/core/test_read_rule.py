@@ -58,7 +58,7 @@ def uncached(pool, a, b, c):
 def demoted(pool, a, b, c):
     gaddr = cache_hit(pool, a, b, c)
     master = pool.master
-    pool.run(master._demote(master._servers[0], master._policies[0], gaddr))
+    pool.run(master.planner.demote(gaddr))
     return gaddr
 
 

@@ -16,8 +16,10 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core import NotMyShard, RetryableError, server_of
-from repro.faults import ClientCrash, FaultPlan, MasterCrash, MasterRecover
+from repro.faults import (ClientCrash, FaultPlan, MasterCrash, MasterRecover,
+                          Partition)
 
 from tests.core.conftest import FUZZ_MAX_EVENTS, build_pool, fast_config, journal_entries
 
@@ -271,8 +273,34 @@ def test_dead_clients_locks_reclaimed_on_both_shards_despite_failover():
     # client1 still holds a lease on both shards; client0's lease is gone
     # everywhere (uids stay behind — they anchor the fencing epochs).
     for m in pool.masters:
-        assert "client1" in m._leases
-        assert "client0" not in m._leases
+        assert "client1" in m.leases.expiry
+        assert "client0" not in m.leases.expiry
+
+
+def test_a_shard_cut_off_from_a_client_delays_no_other_shards_lease():
+    """client0 loses shard 0's master only.  Its shard-0 renewals sit in
+    retries, and shard 1, which it still reaches, must keep its lease:
+    one renewal loop per shard, not one loop renewing them in turn."""
+    sim, pool = build_pool(num_servers=2, num_clients=2,
+                           config=fast_config(client_lease_ns=LEASE,
+                                              num_master_shards=2))
+    rec = obs.install(sim)
+    shard0, shard1 = pool.masters
+    uid = shard1._client_uids["client0"]
+    epoch = shard1._epochs[uid]
+    t0 = sim.now
+    pool.inject_faults(FaultPlan.of(Partition(
+        start_ns=t0 + 1_000, end_ns=t0 + 6 * LEASE,
+        group_a=("master",), group_b=("client0",))))
+
+    def idle(sim):
+        yield 5 * LEASE
+
+    pool.run(idle(sim))
+    assert shard0._epochs[uid] > epoch  # the cut-off shard fenced it
+    assert [e for e in rec.events if e.track == "master_s1"
+            and e.message == "lease expired"] == []
+    assert shard1._epochs[uid] == epoch
 
 
 # ----------------------------------------------------------------------
@@ -418,11 +446,11 @@ def test_reshard_across_diverged_terms_does_not_depose_the_adopter():
             yield from shard1.recovery_process()
 
     pool.run(diverge(sim))
-    assert shard1.term > shard0.term
-    assert pool.servers[1]._term_max == shard1.term
+    assert shard1.journal.term > shard0.journal.term
+    assert pool.servers[1]._term_max == shard1.journal.term
 
     pool.reshard(1, 0)
-    assert shard0.term >= shard1.term  # the term travelled with the export
+    assert shard0.journal.term >= shard1.journal.term  # the term travelled with the export
 
     def work(sim):
         addrs = []
@@ -434,7 +462,7 @@ def test_reshard_across_diverged_terms_does_not_depose_the_adopter():
     # Allocations on the adopted server journal at shard 0's term and are
     # accepted — no self-deposition, no stale-term rejection.
     assert 1 in {server_of(g) for g in addrs}
-    assert not shard0._deposed
+    assert not shard0.journal.deposed
     assert client.m_stale_terms.count == 0
 
 
