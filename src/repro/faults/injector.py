@@ -179,30 +179,23 @@ class FaultInjector:
                     "use plan.shifted(...) to anchor it")
         self._installed = True
 
-        timed = []
+        schedule = self.sim.schedule
         for f in self.plan.timed:
+            delay = f.at_ns - now
             if isinstance(f, ServerCrash):
-                timed.append((f.at_ns - now, self._do_crash, (f.server_id,)))
+                schedule(delay, self._do_crash, f.server_id)
             elif isinstance(f, ServerRecover):
-                timed.append((f.at_ns - now, self._do_recover,
-                              (f.server_id, f.reconcile)))
+                schedule(delay, self._do_recover, f.server_id, f.reconcile)
             elif isinstance(f, MasterCrash):
-                timed.append((f.at_ns - now, self._do_master_crash,
-                              (f.shard,)))
+                schedule(delay, self._do_master_crash, f.shard)
             elif isinstance(f, MasterRecover):
-                timed.append((f.at_ns - now, self._do_master_recover,
-                              (f.shard,)))
+                schedule(delay, self._do_master_recover, f.shard)
             elif isinstance(f, ClientCrash):
-                timed.append((f.at_ns - now, self._do_client_crash,
-                              (f.client, f.tear_inflight)))
+                schedule(delay, self._do_client_crash, f.client, f.tear_inflight)
             elif isinstance(f, ClientRecover):
-                timed.append((f.at_ns - now, self._do_client_recover,
-                              (f.client,)))
+                schedule(delay, self._do_client_recover, f.client)
             else:  # RingStall
-                timed.append((f.at_ns - now, self._do_stall,
-                              (f.server_id, f.duration_ns)))
-        # Arm the whole plan with one kernel call (same order as one-by-one).
-        self.sim.schedule_many(timed)
+                schedule(delay, self._do_stall, f.server_id, f.duration_ns)
 
         for f in self.plan.windows:
             if isinstance(f, LossyLink):

@@ -1,16 +1,18 @@
 """The discrete-event loop and process scheduler.
 
-:class:`Simulator` owns a *calendar queue*: a dict of per-instant buckets
-(``{time: [(fn, args), ...]}``) plus a small min-heap of the occupied
-instants.  Scheduling appends to the target instant's bucket; the heap is
-touched only when an instant becomes occupied, so the per-event cost is a
-dict probe and a list append instead of an O(log n) heap push.  Dispatch
-drains one bucket at a time in append order.
+:class:`Simulator` keeps two queues: a FIFO (``deque``) of the ``(fn, args)``
+entries for the running instant, and a min-heap of ``(time, seq, fn, args)``
+entries for later instants, ``seq`` counting heap entries only.  Every
+scheduling site sends an entry due at ``now`` to the FIFO and anything later
+to the heap.  Instants are rarely shared (1.3–1.9 entries each on the ledger
+workloads), so a per-instant structure buys nothing; a zero-delay entry —
+the bulk of all traffic — is one append and one ``popleft``.
 
 Ordering contract (pinned by ``tests/sim/test_dispatch_trace.py``): queued
 entries run in ``(time, seq)`` order where ``seq`` is the global scheduling
-order — entries for one instant are appended strictly in the order they were
-scheduled, and instants are consumed in time order.  What the contract pins
+order.  Heap entries due at ``now`` were scheduled before the instant began,
+so the loop runs them before the FIFO, and the FIFO holds the rest of the
+instant in scheduling order.  What the contract pins
 is the order in which *processes resume*; a dispatch that would only pass a
 finished wait through is not part of it.  A process whose next wait is
 already over (fired, no other waiter, no dispatch queued) continues inline
@@ -31,13 +33,13 @@ For the last four the kernel queues the process's own wake-up and creates no
 event at all.  ``sim.timeout(n)`` is the timer *event*, for waits that are
 stored, composed into ``all_of``/``any_of`` or carry a value.
 
-Fast-path notes: the ``run`` loops bind the bucket machinery to locals and
-dispatch a whole instant per outer iteration (one clock write and one
-``until`` comparison per *instant*); completion fast paths in
-:mod:`repro.sim.primitives` append to the calendar inline, and
-:meth:`Simulator.schedule_many` / :meth:`Simulator.spawn_many` arm N
-timers or processes with one kernel call.  All of this is wall-clock only —
-virtual-time results are bit-for-bit identical to the straightforward loop.
+Fast-path notes: the ``run`` loop binds both queues to locals and writes the
+clock and tests ``until`` once per *instant*; the scheduling sites in
+:mod:`repro.sim.primitives` and :mod:`repro.sim.resources` append to the
+queues inline, and "is the running dispatch the last entry of its instant"
+is ``not fifo and (not heap or heap[0][0] != now)``, with no call.  All of
+this is wall-clock only — virtual-time results are bit-for-bit identical to
+the straightforward loop.
 
 Profiling/debug: assign ``sim.dispatch_hook = lambda when, fn: ...`` to
 observe every dispatch; the hot loops are swapped for an instrumented
@@ -47,8 +49,9 @@ See ``docs/KERNEL.md`` for the design rationale.
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Generator, Optional, Sequence, Union
 
 from repro.sim.primitives import _PENDING, Event, Timeout
 from repro.sim.resources import Resource, Store
@@ -78,9 +81,9 @@ class Process(Event):
 
     The generator may yield an :class:`Event`, or a non-negative ``int``: a
     wait of that many virtual nanoseconds.  A bare delay creates nothing —
-    the kernel appends this process's wake-up entry to the bucket at
-    ``now + n`` — so it can be neither stored nor composed nor given a
-    value; ``sim.timeout(n)`` is the event for that.
+    the kernel queues this process's wake-up entry at ``now + n`` — so it
+    can be neither stored nor composed nor given a value;
+    ``sim.timeout(n)`` is the event for that.
 
     It may also yield a :class:`Resource` — the resource is sent back once a
     slot is this process's, to be released by ``with``; this process's own
@@ -96,24 +99,32 @@ class Process(Event):
     __slots__ = ("_generator", "_send", "_wake", "_entry", "_slot", "_holding",
                  "_item")
 
-    def __init__(self, sim: "Simulator", generator: ProcessGenerator, name: str = "",
-                 _defer: bool = False):
-        super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
-        if not hasattr(generator, "send"):
+    def __init__(self, sim: "Simulator", generator: ProcessGenerator, name: str = ""):
+        try:
+            # Bound once: resuming the generator is the hottest call in the
+            # simulator, so skip the attribute lookup on every wake-up.
+            self._send = generator.send
+        except AttributeError:
             raise TypeError(
                 f"spawn() needs a generator, got {type(generator).__name__}; "
                 "did you call a plain function instead of a generator function?"
-            )
+            ) from None
+        # Event's fields, set here: spawn is hot.
+        self.sim = sim
+        self.name = name or getattr(generator, "__name__", "process")
+        self._value = _PENDING
+        self._exception = None
+        self._cb1 = None
+        self._more = None
+        self._processed = False
+        self._scheduled = False
         self._generator = generator
-        # Bound once: resuming the generator is the hottest call in the
-        # simulator, so skip the attribute lookup on every wake-up.
-        self._send = generator.send
         # Bound once: every wake-up, by event or by timer, is this callable.
-        self._wake = self._resume
-        # The calendar entry of every wait the kernel ends: the first step, a
-        # delay, a granted slot, the end of a timed hold, an item handed over.
-        # Its token, 0, tells it apart from an event's wake-up.
-        self._entry = (self._wake, (0,))
+        self._wake = wake = self._resume
+        # The FIFO entry of every wait the kernel ends at ``now``: the first
+        # step, a zero delay, a granted slot, an item handed over.  Its
+        # token, 0, tells it apart from an event's wake-up.
+        self._entry = entry = (wake, (0,))
         # A wait that the kernel owns: the yielded ``Resource`` or ``Store``
         # while this process is parked in its queue or the entry that ends
         # the wait is queued; the yielded ``(resource, ns)`` pair while
@@ -122,17 +133,8 @@ class Process(Event):
         self._slot: Any = None
         self._holding = False
         self._item: Any = None
-        if not _defer:
-            # Kick off the first step from the loop, not inline.  Inlined
-            # sim.schedule(0, ...) — spawn is hot.
-            buckets = sim._buckets
-            t = sim.now
-            b = buckets.get(t)
-            if b is None:
-                buckets[t] = [self._entry]
-                heappush(sim._instants, t)
-            else:
-                b.append(self._entry)
+        # Kick off the first step from the loop, not inline.
+        sim._fifo.append(entry)
 
     # ------------------------------------------------------------------
     @property
@@ -194,7 +196,8 @@ class Process(Event):
                 depth = sim._join_depth
                 if (cb is not None and self._more is None and inline
                         and depth < _INLINE_RUN_MAX and self is not sim._awaited
-                        and not sim._entries.__length_hint__()):
+                        and not sim._fifo
+                        and (not sim._heap or sim._heap[0][0] != sim.now)):
                     # Finished at the tail with one waiter: the dispatch
                     # ``succeed`` would queue is the next entry to run and
                     # does nothing but call it, so call it here.
@@ -229,7 +232,8 @@ class Process(Event):
                     self._slot = target
                     return
                 target._in_use += 1
-                if inline and not sim._entries.__length_hint__():
+                if inline and not sim._fifo and (
+                        not sim._heap or sim._heap[0][0] != sim.now):
                     # A free slot at the tail of the instant: keep going.
                     inline -= 1
                     value = target
@@ -237,7 +241,8 @@ class Process(Event):
                 # A free slot elsewhere: the grant entry is this process's
                 # place in line behind what the instant already holds.
                 self._slot = target
-                t = sim.now
+                sim._fifo.append(self._entry)
+                return
             elif cls is Store:
                 if target.sim is not sim:
                     return self._bad_yield("yielded store belongs to another simulator")
@@ -246,14 +251,16 @@ class Process(Event):
                     self._slot = target
                     return
                 value = target._items.popleft()
-                if inline and not sim._entries.__length_hint__():
+                if inline and not sim._fifo and (
+                        not sim._heap or sim._heap[0][0] != sim.now):
                     # The oldest item at the tail of the instant: keep going.
                     inline -= 1
                     continue
                 # An item elsewhere: it rides this process's entry, its place in line.
                 self._slot = target
                 self._item = value
-                t = sim.now
+                sim._fifo.append(self._entry)
+                return
             elif cls is tuple:
                 try:
                     res, ns = target
@@ -296,8 +303,8 @@ class Process(Event):
                             # The common case: sole waiter on a pending event.
                             target._cb1 = self._wake
                             return
-                    elif (inline and not target._scheduled
-                            and not sim._entries.__length_hint__()):
+                    elif (inline and not target._scheduled and not sim._fifo
+                            and (not sim._heap or sim._heap[0][0] != sim.now)):
                         # The wait is already over, nobody else waits on it and
                         # the running dispatch is the last entry of this instant:
                         # "append a zero-delay dispatch and return to the loop"
@@ -309,20 +316,17 @@ class Process(Event):
                 target.add_callback(self._wake)
                 return
             # Queue this process's own entry at ``t``: the end of a delay or
-            # of a hold that has started, or the delivery of a slot or an item
-            # taken above.
-            buckets = sim._buckets
-            b = buckets.get(t)
-            if b is None:
-                buckets[t] = [self._entry]
-                heappush(sim._instants, t)
+            # of a hold that has started.
+            if t == sim.now:
+                sim._fifo.append(self._entry)
             else:
-                b.append(self._entry)
+                sim._seq = seq = sim._seq + 1
+                heappush(sim._heap, (t, seq, self._wake, (0,)))
             return
 
 
 class Simulator:
-    """The event loop: a virtual clock plus a calendar queue of callbacks.
+    """The event loop: a virtual clock plus two queues of callbacks.
 
     Typical usage::
 
@@ -341,21 +345,18 @@ class Simulator:
         #: Current virtual time in nanoseconds.  A plain attribute because it
         #: is read on every hot path; only the run loops write it.
         self.now = 0
-        #: Calendar queue: per-instant buckets of ``(fn, args)`` entries in
-        #: scheduling order.  A bucket exists exactly while its instant has
-        #: pending entries (it stays in the dict during its own dispatch so
-        #: zero-delay scheduling lands in the live batch).
-        self._buckets: dict[int, list] = {}
-        #: Min-heap of occupied instants (each pushed once, when its bucket
-        #: is created).  The heap sees one entry per *instant*, not per
-        #: event — that amortization is the core of the calendar design.
-        self._instants: list[int] = []
-        #: Iterator over the bucket being dispatched.  A list iterator's
-        #: ``__length_hint__()`` is exactly the number of entries not yet
-        #: started, appends included, so 0 means "the running dispatch is
-        #: the last entry of this instant" — the test a process applies
-        #: before continuing inline past a wait that is already over.
-        self._entries = iter(())
+        #: The ``(fn, args)`` entries due at ``now``, in scheduling order.
+        self._fifo: deque = deque()
+        #: Min-heap of ``(time, seq, fn, args)`` entries due after the
+        #: instant that scheduled them; ``seq`` (the count of heap entries so
+        #: far) keeps one instant's entries in scheduling order.  Those due
+        #: at ``now`` were all scheduled before the FIFO's, so they run
+        #: first.  The running dispatch is the last entry of its instant
+        #: exactly when ``not _fifo and (not _heap or _heap[0][0] != now)``
+        #: — the test a process applies before continuing inline past a
+        #: wait that is already over.
+        self._heap: list = []
+        self._seq = 0
         self.seed = seed
         #: Total events dispatched over this simulator's lifetime (the
         #: denominator of the perf harness's events/sec figure).
@@ -394,34 +395,11 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         t = self.now + int(delay)
-        b = self._buckets.get(t)
-        if b is None:
-            self._buckets[t] = [(fn, args)]
-            heappush(self._instants, t)
+        if t == self.now:
+            self._fifo.append((fn, args))
         else:
-            b.append((fn, args))
-
-    def schedule_many(self, items: Iterable[tuple]) -> None:
-        """Batched arming: schedule ``(delay, fn, args)`` entries in order.
-
-        Virtual-time semantics are identical to calling :meth:`schedule`
-        once per item in list order; the batch exists so callers arming many
-        callbacks at once (fault plans, doorbell batches) pay the kernel
-        entry and local binding once.
-        """
-        buckets = self._buckets
-        instants = self._instants
-        now = self.now
-        for delay, fn, args in items:
-            if delay < 0:
-                raise ValueError(f"cannot schedule into the past (delay={delay})")
-            t = now + int(delay)
-            b = buckets.get(t)
-            if b is None:
-                buckets[t] = [(fn, args)]
-                heappush(instants, t)
-            else:
-                b.append((fn, args))
+            self._seq = seq = self._seq + 1
+            heappush(self._heap, (t, seq, fn, args))
 
     # ------------------------------------------------------------------
     # Factories
@@ -440,24 +418,11 @@ class Simulator:
 
     def spawn_many(self, generators: Sequence[ProcessGenerator],
                    name: str = "") -> list:
-        """Start N processes with one kernel call (batched first-step arming).
-
-        Identical to calling :meth:`spawn` per generator in order — each
-        process's first step is appended to the current instant in list
-        order — but the calendar bindings are paid once.  This is the
-        doorbell-batch fast path: ``post_send_many`` arms one process per WR
-        through here.
+        """Start N processes, as :meth:`spawn` per generator in order: each
+        process's first step joins the running instant in list order.
+        ``post_send_many`` arms one process per WR through here.
         """
-        procs = [Process(self, g, name=name, _defer=True) for g in generators]
-        buckets = self._buckets
-        t = self.now
-        b = buckets.get(t)
-        if b is None:
-            b = buckets[t] = []
-            heappush(self._instants, t)
-        for p in procs:
-            b.append(p._entry)
-        return procs
+        return [Process(self, g, name=name) for g in generators]
 
     def all_of(self, events) -> Event:
         """Event that fires when every event in ``events`` has succeeded."""
@@ -489,71 +454,78 @@ class Simulator:
         """
         if max_events is not None or self.dispatch_hook is not None:
             return self._run_instrumented(until, max_events)
-        buckets = self._buckets
-        instants = self._instants
+        fifo = self._fifo
+        popleft = fifo.popleft
+        heap = self._heap
         pop = heappop
+        now = self.now
         dispatched = 0
         try:
-            while instants:
-                when = instants[0]
-                if until is not None and when > until:
-                    break
-                pop(instants)
-                self.now = when
-                bucket = buckets[when]
-                entries = self._entries = iter(bucket)
-                try:
-                    # The list iterator sees entries appended mid-batch, so
-                    # zero-delay scheduling lands in this same instant.
-                    for fn, args in entries:
+            if until is None or now <= until:
+                while True:
+                    # An entry that raises is dropped, not counted; the rest
+                    # stay queued.
+                    while heap and heap[0][0] == now:
+                        _, _, fn, args = pop(heap)
                         fn(*args)
-                except BaseException:
-                    # The entry that raised is dropped, not counted.
-                    dispatched += self._requeue_rest(when, bucket, entries) - 1
-                    raise
-                dispatched += len(bucket)
-                del buckets[when]
+                        dispatched += 1
+                    while fifo:
+                        fn, args = popleft()
+                        fn(*args)
+                        dispatched += 1
+                    if not heap:
+                        break
+                    now = heap[0][0]
+                    if until is not None and now > until:
+                        break
+                    self.now = now
             if until is not None and until > self.now:
                 self.now = until
             return self.now
         finally:
             self.total_dispatched += dispatched
 
-    def _run_instrumented(self, until: Optional[int],
-                          max_events: Optional[int]) -> int:
-        """The ``run`` slow path: max_events accounting and/or dispatch_hook.
+    def _run_instrumented(self, until: Optional[int], max_events: Optional[int],
+                          process: Optional[Event] = None) -> int:
+        """The slow path of ``run`` and ``run_until_complete`` (until
+        ``process`` triggers): max_events accounting and/or dispatch_hook.
 
-        Kept separate so the unobserved hot loop stays branch-free; the
+        Kept separate so the unobserved hot loops stay branch-free; the
         semantics (dispatch order, exact max_events behaviour, ``until``
         clock handling) are identical.
         """
-        buckets = self._buckets
-        instants = self._instants
-        pop = heappop
         hook = self.dispatch_hook
+        fifo = self._fifo
+        heap = self._heap
+        now = self.now
         dispatched = 0
         try:
-            while instants:
-                when = instants[0]
-                if until is not None and when > until:
-                    break
-                pop(instants)
-                self.now = when
-                bucket = buckets[when]
-                entries = self._entries = iter(bucket)
-                try:
-                    while entries.__length_hint__():
-                        if max_events is not None and dispatched >= max_events:
-                            raise SimulationError(
-                                f"exceeded max_events={max_events}; likely a livelock"
-                            )
-                        fn, args = next(entries)
-                        if hook is not None:
-                            hook(when, fn)
-                        fn(*args)
-                        dispatched += 1
-                finally:
-                    self._requeue_rest(when, bucket, entries)
+            if until is None or now <= until:
+                while process is None or not process.triggered:
+                    if heap and heap[0][0] == now:
+                        due = heap
+                    elif fifo:
+                        due = fifo
+                    elif heap:
+                        now = heap[0][0]
+                        if until is not None and now > until:
+                            break
+                        self.now = now
+                        continue
+                    elif process is not None:
+                        raise SimulationError(
+                            f"deadlock: process {process.name!r} is waiting but "
+                            "the event queue is empty")
+                    else:
+                        break
+                    if max_events is not None and dispatched >= max_events:
+                        raise SimulationError(
+                            f"exceeded max_events={max_events}; likely a livelock")
+                    fn, args = heappop(heap)[2:] if due is heap else fifo.popleft()
+                    if hook is not None:
+                        hook(now, fn)
+                    fn(*args)
+                    dispatched += 1
             if until is not None and until > self.now:
                 self.now = until
             return self.now
@@ -565,98 +537,49 @@ class Simulator:
         triggers; return its value (or raise its failure).
 
         Like :meth:`run`, ``max_events`` allows exactly that many dispatches
-        and raises on the first dispatch beyond the limit.
+        and raises on the first dispatch beyond the limit.  Stopping
+        mid-instant leaves the rest of the instant queued where it was.
         """
-        if max_events is not None or self.dispatch_hook is not None:
-            return self._ruc_instrumented(process, max_events)
-        buckets = self._buckets
-        instants = self._instants
-        pop = heappop
-        dispatched = 0
         awaited, self._awaited = self._awaited, process
+        if max_events is not None or self.dispatch_hook is not None:
+            try:
+                self._run_instrumented(None, max_events, process)
+            finally:
+                self._awaited = awaited
+            return process.value
+        fifo = self._fifo
+        popleft = fifo.popleft
+        heap = self._heap
+        pop = heappop
+        now = self.now
+        dispatched = 0
         try:
             while process._value is _PENDING and process._exception is None:
-                if not instants:
+                if heap and heap[0][0] == now:
+                    _, _, fn, args = pop(heap)
+                elif fifo:
+                    fn, args = popleft()
+                elif heap:
+                    self.now = now = heap[0][0]
+                    continue
+                else:
                     raise SimulationError(
                         f"deadlock: process {process.name!r} is waiting but the "
                         "event queue is empty"
                     )
-                when = pop(instants)
-                self.now = when
-                bucket = buckets[when]
-                entries = self._entries = iter(bucket)
-                try:
-                    for fn, args in entries:
-                        fn(*args)
-                        if (process._value is not _PENDING
-                                or process._exception is not None):
-                            break
-                    else:
-                        dispatched += len(bucket)
-                        del buckets[when]
-                        continue
-                except BaseException:
-                    dispatched += self._requeue_rest(when, bucket, entries) - 1
-                    raise
-                # Completion mid-instant.
-                dispatched += self._requeue_rest(when, bucket, entries)
+                fn(*args)
+                dispatched += 1
         finally:
             self.total_dispatched += dispatched
             self._awaited = awaited
         return process.value
-
-    def _ruc_instrumented(self, process: Event,
-                          max_events: Optional[int]) -> Any:
-        """``run_until_complete`` slow path (max_events and/or hook)."""
-        buckets = self._buckets
-        instants = self._instants
-        pop = heappop
-        hook = self.dispatch_hook
-        dispatched = 0
-        awaited, self._awaited = self._awaited, process
-        try:
-            while not process.triggered:
-                if not instants:
-                    raise SimulationError(
-                        f"deadlock: process {process.name!r} is waiting but the "
-                        "event queue is empty"
-                    )
-                when = pop(instants)
-                self.now = when
-                bucket = buckets[when]
-                entries = self._entries = iter(bucket)
-                try:
-                    while entries.__length_hint__() and not process.triggered:
-                        if max_events is not None and dispatched >= max_events:
-                            raise SimulationError(f"exceeded max_events={max_events}")
-                        fn, args = next(entries)
-                        if hook is not None:
-                            hook(when, fn)
-                        fn(*args)
-                        dispatched += 1
-                finally:
-                    self._requeue_rest(when, bucket, entries)
-        finally:
-            self.total_dispatched += dispatched
-            self._awaited = awaited
-        return process.value
-
-    def _requeue_rest(self, when: int, bucket: list, entries) -> int:
-        """Leave the entries of ``bucket`` that were not started queued for a
-        resumed run (an exception, completion mid-instant, ``max_events``);
-        returns how many were started."""
-        started = len(bucket) - entries.__length_hint__()
-        del bucket[:started]
-        if bucket:
-            heappush(self._instants, when)
-        else:
-            del self._buckets[when]
-        return started
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled entry, or None if the queue is empty."""
-        return self._instants[0] if self._instants else None
+        if self._fifo:
+            return self.now
+        return self._heap[0][0] if self._heap else None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        queued = sum(len(b) for b in self._buckets.values())
+        queued = len(self._fifo) + len(self._heap)
         return f"<Simulator t={self.now}ns queued={queued}>"

@@ -21,7 +21,6 @@ allocated for the rare multi-waiter event.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -104,15 +103,7 @@ class Event:
         if self._cb1 is not None and not self._scheduled:
             self._scheduled = True
             # Inlined sim.schedule(0, self._dispatch) — completion is hot.
-            sim = self.sim
-            buckets = sim._buckets
-            t = sim.now
-            b = buckets.get(t)
-            if b is None:
-                buckets[t] = [(self._dispatch, ())]
-                heappush(sim._instants, t)
-            else:
-                b.append((self._dispatch, ()))
+            self.sim._fifo.append((self._dispatch, ()))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -124,15 +115,7 @@ class Event:
         self._exception = exception
         if self._cb1 is not None and not self._scheduled:
             self._scheduled = True
-            sim = self.sim
-            buckets = sim._buckets
-            t = sim.now
-            b = buckets.get(t)
-            if b is None:
-                buckets[t] = [(self._dispatch, ())]
-                heappush(sim._instants, t)
-            else:
-                b.append((self._dispatch, ()))
+            self.sim._fifo.append((self._dispatch, ()))
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:

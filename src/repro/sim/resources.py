@@ -64,25 +64,23 @@ class Resource:
 
     def release(self, *_exc_info: Any) -> None:
         """Give one slot back: straight to the oldest parked process, or to
-        the pool.  A parked bare wait's grant entry joins the current
-        instant; a parked timed hold starts now, and its end is queued."""
+        the pool.  A parked bare wait's grant entry joins the running
+        instant's FIFO; a parked timed hold starts now, and its end is
+        queued: on the FIFO too for a zero-length hold, else on the heap."""
         queue = self._queue
         if queue:
             proc = queue.popleft()
-            sim = self.sim
-            t = sim.now
             wait = proc._slot
             if wait.__class__ is tuple:
                 proc._slot = self
                 proc._holding = True
-                t += wait[1]
-            buckets = sim._buckets
-            b = buckets.get(t)
-            if b is None:
-                buckets[t] = [proc._entry]
-                heappush(sim._instants, t)
-            else:
-                b.append(proc._entry)
+                ns = wait[1]
+                if ns:
+                    sim = self.sim
+                    sim._seq = seq = sim._seq + 1
+                    heappush(sim._heap, (sim.now + ns, seq, proc._wake, (0,)))
+                    return
+            self.sim._fifo.append(proc._entry)
             return
         if self._in_use < 1:
             raise RuntimeError(f"resource {self.name!r} over-released")
@@ -126,15 +124,7 @@ class Store:
             return
         proc = queue.popleft()
         proc._item = item
-        sim = self.sim
-        buckets = sim._buckets
-        t = sim.now
-        b = buckets.get(t)
-        if b is None:
-            buckets[t] = [proc._entry]
-            heappush(sim._instants, t)
-        else:
-            b.append(proc._entry)
+        self.sim._fifo.append(proc._entry)
 
     def get(self) -> "Store":
         """The wait for the oldest item, to be yielded: the store itself."""

@@ -176,13 +176,13 @@ def logged_resumptions(log: List[Tuple[int, str]],
     original = Process.__init__
     spawned = [0]
 
-    def init(self, sim, generator, name: str = "", _defer: bool = False):
+    def init(self, sim, generator, name: str = ""):
         if hasattr(generator, "send"):
             name = name or getattr(generator, "__name__", "process")
             generator = stand_in(
                 generator, sim, "%s#%d" % (name, spawned[0]), log)
             spawned[0] += 1
-        original(self, sim, generator, name=name, _defer=_defer)
+        original(self, sim, generator, name=name)
 
     Process.__init__ = init
     try:

@@ -82,29 +82,25 @@ def test_total_dispatched_counts_run_until_complete():
 
 
 # ----------------------------------------------------------------------
-# Batched arming APIs must be order-identical to their one-at-a-time forms
+# Arming many entries: (time, seq) order, the batch call as one-at-a-time
 # ----------------------------------------------------------------------
-def test_schedule_many_matches_sequential_schedule():
-    def drive(batched):
-        sim = Simulator()
-        fired = []
-        items = [(5, fired.append, ("a",)), (3, fired.append, ("b",)),
-                 (5, fired.append, ("c",)), (0, fired.append, ("d",))]
-        if batched:
-            sim.schedule_many(items)
-        else:
-            for delay, fn, args in items:
-                sim.schedule(delay, fn, *args)
-        sim.run()
-        return fired, sim.now
-
-    assert drive(True) == drive(False) == (["d", "b", "a", "c"], 5)
-
-
-def test_schedule_many_rejects_negative_delay():
+def test_schedule_runs_a_mixed_batch_in_time_then_scheduling_order():
     sim = Simulator()
+    fired = []
+    for delay, tag in ((5, "a"), (3, "b"), (5, "c"), (0, "d")):
+        sim.schedule(delay, fired.append, tag)
+    sim.run()
+    assert (fired, sim.now) == (["d", "b", "a", "c"], 5)
+
+
+def test_schedule_rejects_negative_delay_after_earlier_entries():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1, fired.append, "a")
     with pytest.raises(ValueError):
-        sim.schedule_many([(1, lambda: None, ()), (-2, lambda: None, ())])
+        sim.schedule(-2, fired.append, "b")
+    sim.run()
+    assert fired == ["a"]
 
 
 def test_spawn_many_matches_sequential_spawns():

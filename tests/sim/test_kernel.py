@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import SimulationError, Simulator
+from repro.sim import Resource, SimulationError, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -207,3 +207,83 @@ def test_determinism_same_seed_same_trace():
 
     assert build_and_run(42) == build_and_run(42)
     assert build_and_run(42) != build_and_run(43)
+
+
+# ----------------------------------------------------------------------
+# Two queues, one (time, seq) order: heap entries due now run before the
+# running instant's FIFO
+# ----------------------------------------------------------------------
+def test_entries_due_earlier_run_before_a_zero_delay_entry_the_first_queues():
+    sim = Simulator()
+    order = []
+
+    def first():
+        order.append("a")
+        sim.schedule(0, order.append, "zero")
+
+    sim.schedule(5, first)
+    sim.schedule(5, order.append, "b")
+    sim.schedule(5, order.append, "c")
+    sim.schedule(6, order.append, "later")
+    sim.run()
+    assert order == ["a", "b", "c", "zero", "later"]
+
+
+@pytest.mark.parametrize("max_events", [None, 100], ids=["fast", "instrumented"])
+def test_run_until_complete_stopping_mid_instant_keeps_time_seq_order(max_events):
+    sim = Simulator()
+    order = []
+    done = sim.event()
+
+    def first():
+        order.append("a")
+        sim.schedule(0, order.append, "zero")
+        done.succeed()
+
+    sim.schedule(5, first)
+    sim.schedule(5, order.append, "b")
+    sim.schedule(6, order.append, "later")
+    sim.run_until_complete(done, max_events=max_events)
+    assert order == ["a"] and sim.now == 5
+    sim.schedule(0, order.append, "outside")
+    sim.run(max_events=max_events)
+    assert order == ["a", "b", "zero", "outside", "later"]
+    assert sim.total_dispatched == 5
+
+
+def test_a_handed_over_zero_hold_and_a_zero_delay_join_the_running_instant():
+    sim = Simulator()
+    r = Resource(sim, capacity=1)
+    order = []
+
+    def holder():
+        with (yield r):
+            yield 5
+        # The release handed the slot to the parked (r, 0) hold.
+        order.append(("released", sim.now, len(sim._fifo),
+                      [t for t, *_ in sim._heap]))
+        yield 0
+        order.append(("holder resumed", sim.now))
+
+    def waiter():
+        yield 1
+        yield (r, 0)
+        order.append(("hold over", sim.now))
+
+    sim.spawn(holder())
+    sim.spawn(waiter())
+    sim.schedule(5, order.append, ("due at 5", 5))
+    sim.run()
+    assert order == [("due at 5", 5), ("released", 5, 1, []),
+                     ("hold over", 5), ("holder resumed", 5)]
+
+
+def test_peek_is_now_while_only_the_fifo_holds_entries():
+    sim = Simulator()
+    sim.run(until=40)
+    sim.schedule(0, lambda: None)
+    assert sim.peek() == 40
+    sim.schedule(7, lambda: None)
+    assert sim.peek() == 40
+    sim.run()
+    assert sim.peek() is None and sim.now == 47
