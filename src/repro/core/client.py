@@ -218,8 +218,9 @@ class GengarClient:
         # ---- lease / fencing state (all inert while lease_ns == 0) ------
         #: Lease duration granted by the master at attach; 0 = leases off.
         self.lease_ns = 0
-        #: Virtual time at which the current lease lapses.
-        self.lease_deadline = 0
+        #: Virtual time at which each shard's lease lapses, by shard: only
+        #: that shard's renewals move it.
+        self.lease_deadlines = [0] * self._num_shards
         self._fenced = False
         self._heartbeat_procs: Dict[int, Any] = {}  # shard -> renewal loop
         self._last_renew_ns = 0
@@ -244,16 +245,20 @@ class GengarClient:
     def crashed(self) -> bool:
         return not self.node.endpoint.alive
 
-    def _check_lease_fence(self, what: str,
-                           gaddr: Optional[int] = None) -> None:
+    def _check_lease_fence(self, what: str, gaddr: Optional[int] = None,
+                           shard: int = 0) -> None:
         """Lease fencing (the FaRM rule): a client whose lease has lapsed —
         or that the master already fenced — must not touch the pool.  Its
         locks may have been recovered and handed to a new holder; letting
         a zombie's RDMA WRITE (or its ``CAS(0 -> word)`` on a free lock
         word) race the new owner's critical section would corrupt exactly
         the data the lock protects.  Data verbs check per attempt, lock
-        ops per acquire/release (naming the ``gaddr``).  Inert with leases
-        off (``lease_ns == 0``), so the fault-free path pays nothing.
+        ops per acquire/release.  Each master shard leases the client on
+        its own and recovers only its own objects' locks, so the lease
+        tested is that of the shard owning ``gaddr`` (lock ops), else of
+        ``shard`` (data verbs: the shard of the object or server they
+        touch); a lapse carries it as ``shard``.  Inert with leases off
+        (``lease_ns == 0``), so the fault-free path pays nothing.
         """
         if not self.lease_ns:
             return
@@ -268,7 +273,9 @@ class GengarClient:
             raise FencedError(
                 f"{where}: master fenced this epoch; "
                 "reattach_master() to rejoin under a fresh epoch")
-        if self.sim.now >= self.lease_deadline:
+        if gaddr is not None:
+            shard = self._resolve_shard(gaddr)
+        if self.sim.now >= self.lease_deadlines[shard]:
             # The deadline lapsed *locally* but the master never said
             # "fenced" — typically the master was unreachable longer than
             # one lease (its own retry backoff can outlast the lease).
@@ -281,9 +288,11 @@ class GengarClient:
             if rec is not None:
                 rec.event(self.name, "lease",
                           f"{what} parked: lease lapsed locally", **fields)
-            raise LeaseExpiredError(
+            err = LeaseExpiredError(
                 f"{where}: lease deadline lapsed locally; re-attach to "
                 "renew before retrying")
+            err.shard = shard
+            raise err
 
     # ------------------------------------------------------------------
     # Wiring + attach (called by the deployment bootstrap)
@@ -713,7 +722,7 @@ class GengarClient:
         self.fence_epoch = info.get("epoch", self.fence_epoch)
         self.lease_ns = info.get("lease_ns", self.lease_ns)
         self._fenced = False
-        self._start_heartbeat()
+        self._start_heartbeat(shard)
 
     # ------------------------------------------------------------------
     # Kill / restart (driven by the fault injector)
@@ -751,13 +760,19 @@ class GengarClient:
     # ------------------------------------------------------------------
     # Lease heartbeats
     # ------------------------------------------------------------------
-    def _start_heartbeat(self) -> None:
-        """Start a fresh lease (no-op with leases off) and a renewal loop for
-        each master shard without one: a stuck shard delays no other."""
+    def _start_heartbeat(self, shard: Optional[int] = None) -> None:
+        """Start a fresh lease (no-op with leases off) on ``shard``, or on
+        every shard, and a renewal loop for each master shard without one:
+        a stuck shard delays no other."""
         if not self.lease_ns:
             return
-        self.lease_deadline = self.sim.now + self.lease_ns
-        self._last_renew_ns = self.sim.now
+        now = self.sim.now
+        if shard is None:
+            self.lease_deadlines = [now + self.lease_ns] * self._num_shards
+        else:
+            self.lease_deadlines[shard] = now + self.lease_ns
+        if shard is None or shard == 0:
+            self._last_renew_ns = now
         for shard in range(self._num_shards):
             proc = self._heartbeat_procs.get(shard)
             if proc is None or not proc.is_alive:
@@ -807,8 +822,7 @@ class GengarClient:
         if epoch != self.fence_epoch:
             return
         if reply.get("ok"):
-            if shard == 0:  # the local deadline tracks shard 0's lease
-                self._note_renewal(reply.get("lease_ns", self.lease_ns))
+            self._note_renewal(shard, reply.get("lease_ns", self.lease_ns))
             return
         reason = reply.get("reason")
         if reason == "unknown":
@@ -822,23 +836,28 @@ class GengarClient:
             rec.event(self.name, "fence", "heartbeat fenced", shard=shard,
                       reason=reason)
 
-    def _note_renewal(self, lease_ns: int) -> None:
-        self._last_renew_ns = self.sim.now
-        self.lease_deadline = self.sim.now + (lease_ns or self.lease_ns)
+    def _note_renewal(self, shard: int, lease_ns: int) -> None:
+        if shard == 0:
+            # Gates only the shard-0 standalone renew; a renewal of a
+            # secondary shard must not silence it, or an access pattern
+            # that never touches shard 0's objects starves its lease.
+            self._last_renew_ns = self.sim.now
+        self.lease_deadlines[shard] = self.sim.now + (lease_ns or self.lease_ns)
         self.m_lease_renewals.add()
 
-    def _lease_lapse_probe(self, op: str) -> Generator[Any, Any, None]:
+    def _lease_lapse_probe(self, op: str, shard: int = 0) -> Generator[Any, Any, None]:
         """Resolve a *locally* lapsed lease before the next attempt.
 
         The lapse is ambiguous: either the master was merely unreachable
         longer than one lease (an op parked in retry backoff outlasted the
         deadline — recoverable), or it expired us and retired our epoch
         (our locks are gone — terminal).  A zombie must not be silently
-        re-attached under a fresh epoch mid-op, so one shard-0 renewal
-        (:meth:`_renew_shard`) lets the master's verdict pick the branch;
-        only ``fenced`` raises the terminal :class:`FencedError`.
+        re-attached under a fresh epoch mid-op, so one renewal of the
+        lapsed lease's ``shard`` (:meth:`_renew_shard`) lets the master's
+        verdict pick the branch; only ``fenced`` raises the terminal
+        :class:`FencedError`.
         """
-        yield from self._renew_shard(0)
+        yield from self._renew_shard(shard)
         if self._fenced:
             raise FencedError(
                 f"{op}: lease lapsed and the master fenced this epoch; "
@@ -1055,12 +1074,8 @@ class GengarClient:
                     continue  # hotness reports are advisory; drop on the floor
                 if piggyback:
                     verdict = reply["lease"]
-                    if verdict == "ok" and shard == 0:
-                        # _last_renew_ns gates only the shard-0 standalone
-                        # renew; a report that renewed a secondary shard
-                        # must not silence it, or an access pattern that
-                        # never touches shard 0's objects starves its lease.
-                        self._note_renewal(self.lease_ns)
+                    if verdict == "ok":
+                        self._note_renewal(shard, self.lease_ns)
                     elif verdict == "fenced":
                         self._fenced = True
                         self.m_fence_rejections.add()

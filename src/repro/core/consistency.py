@@ -159,12 +159,12 @@ class LockOps:
             try:
                 client._check_lease_fence(what, gaddr)
                 return
-            except LeaseExpiredError:
+            except LeaseExpiredError as exc:
                 if attempt >= policy.max_attempts:
                     raise
                 # May raise FencedError: that verdict is terminal.
-                yield from client._lease_lapse_probe(what)
-                if self.sim.now < client.lease_deadline:
+                yield from client._lease_lapse_probe(what, exc.shard)
+                if self.sim.now < client.lease_deadlines[exc.shard]:
                     continue  # renewed (or re-attached) in place
                 attempt += 1
                 yield policy.backoff_ns(attempt, client._driver.jitter_rng())

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, NamedTuple, Optional
 
 from repro.core.config import GengarConfig
 from repro.core.errors import (ClientError, DeadlineExceededError, FatalError, FencedError,
@@ -132,7 +132,8 @@ class OpDriver:
         try:
             result = yield from self.resilient(
                 name, attempt, span_op, *args,
-                retries=verb.retries, fenced=verb.data, span_op=span_op)
+                retries=verb.retries, span_op=span_op,
+                fenced=(verb.lease_shard, args) if verb.data else None)
         except BaseException as exc:
             if hist is not None:
                 complete = hist.info if verb.may_land else hist.fail
@@ -159,12 +160,14 @@ class OpDriver:
         return result
 
     def resilient(self, op: str, attempt: Callable[..., Generator], *args: Any,
-                  retries: bool = True, fenced: bool = False,
+                  retries: bool = True, fenced: Optional[tuple] = None,
                   span_op: int = 0) -> Generator[Any, Any, Any]:
         """Run ``attempt(*args)`` under the client's :class:`RetryPolicy`
         (``retries=False``: exactly once — the batch verbs retry per item
         through their serial fallbacks, the lock verbs in their CAS loop).
-        ``fenced`` starts every attempt with the data-plane precheck.
+        ``fenced``, a data verb's ``(lease_shard, args)``, starts every
+        attempt with the data-plane precheck against the lease of the shard
+        ``lease_shard(client, *args)``.
 
         Pay-as-you-go: without a deadline an attempt that succeeds is a
         plain ``yield from`` — retries, backoff and re-attach cost simulated
@@ -177,9 +180,12 @@ class OpDriver:
         tries = 1
         while True:
             try:
-                if fenced:
+                if fenced is not None:
                     client._require_attached()
-                    client._check_lease_fence(op)
+                    if client.lease_ns:
+                        lease_shard, verb_args = fenced
+                        client._check_lease_fence(
+                            op, shard=lease_shard(client, *verb_args))
                 if policy.deadline_ns:
                     result = yield from self._attempt_with_deadline(
                         op, start, policy, attempt, args)
@@ -220,7 +226,7 @@ class OpDriver:
         elif isinstance(exc, LeaseExpiredError):
             # May raise FencedError: a lapse the master resolved by
             # retiring our epoch is terminal, not retryable.
-            yield from client._lease_lapse_probe(op)
+            yield from client._lease_lapse_probe(op, exc.shard)
         elif isinstance(exc, (MasterUnavailableError,
                               PartitionSuspected, StaleTermError)):
             # All three mean "the control plane, not this op, is the
@@ -375,6 +381,9 @@ class _Verb(NamedTuple):
     #: Data verb: each attempt starts with the attach + lease-fence
     #: precheck (the lock verbs resolve their fence in the lock layer).
     data: bool = True
+    #: ``(client, *args)`` → the master shard whose lease the precheck
+    #: tests: the owner of the object or server the verb touches.
+    lease_shard: Callable[..., int] = lambda c, *args: 0
     #: Counted and latency-sampled per logical op, under its kind (the
     #: batch verbs account per item in their attempt bodies).
     tally: bool = False
@@ -398,19 +407,23 @@ _VERBS = {
             [(gaddr, {"offset": offset, "length": length})],
         lambda gaddr, offset, length: {"gaddr": hex(gaddr)},
         ok_values=lambda c, enc, data: (enc(data),),
-        retries=True, tally=True),
+        retries=True, tally=True,
+        lease_shard=lambda c, gaddr, offset, length: c._resolve_shard(gaddr)),
     "gwrite": _Verb(
         attrgetter("_gwrite_attempt"), "write",
         lambda c, enc, gaddr, data, offset:
             [(gaddr, {"value": enc(data), "offset": offset,
                       "length": len(data)})],
         lambda gaddr, data, offset: {"gaddr": hex(gaddr), "bytes": len(data)},
-        may_land=True, retries=True, tally=True),
+        may_land=True, retries=True, tally=True,
+        lease_shard=lambda c, gaddr, data, offset: c._resolve_shard(gaddr)),
     "gsync": _Verb(
         attrgetter("_gsync_attempt"), "sync",
         lambda c, enc, server_id: [(None, {"server": server_id})],
         lambda server_id: {},
-        may_land=True, retries=True),  # staged writes may drain anyway
+        may_land=True, retries=True,  # staged writes may drain anyway
+        lease_shard=lambda c, server_id:
+            0 if server_id is None else c._server_shard(server_id)),
     "gread_many": _Verb(
         attrgetter("_reads.gread_many"), "read",
         lambda c, enc, gaddrs: [(g, {}) for g in gaddrs],

@@ -365,9 +365,9 @@ def test_lease_lapse_probe_verdicts():
 
     def drive(sim):
         yield from client.gmalloc(64)
-        client.lease_deadline = sim.now        # force a local lapse
+        client.lease_deadlines[0] = sim.now    # force a local lapse
         yield from client._lease_lapse_probe("glock")
-        renewed = client.lease_deadline > sim.now
+        renewed = client.lease_deadlines[0] > sim.now
         yield from master.evict_client("client0")
         try:
             yield from client._lease_lapse_probe("glock")

@@ -303,6 +303,43 @@ def test_a_shard_cut_off_from_a_client_delays_no_other_shards_lease():
     assert shard1._epochs[uid] == epoch
 
 
+def test_a_shard_0_outage_parks_no_lock_op_on_another_shards_object():
+    """Shard 0's master is down for three leases while client0 holds a
+    write lock on an object shard 1 owns.  Shard 1 keeps renewing the
+    lease, so the unlock goes through at once: the fence tests the lease
+    of the object's shard, not shard 0's."""
+    cfg = shard_config(client_lease_ns=LEASE)
+    sim, pool = build_pool(num_servers=2, num_clients=1, config=cfg)
+    client = pool.clients[0]
+
+    def lock_one_on_shard_1(sim):
+        g = None
+        while g is None or client._resolve_shard(g) != 1:
+            g = yield from client.gmalloc(64)
+        yield from client.glock(g)
+        return g
+
+    (g,) = pool.run(lock_one_on_shard_1(sim))
+    t0 = sim.now
+    pool.inject_faults(FaultPlan.of(
+        MasterCrash(at_ns=t0 + 1_000, shard=0),
+        MasterRecover(at_ns=t0 + 4 * LEASE, shard=0),
+    ))
+    lapses = client.m_lease_lapses.count
+
+    def unlock_mid_outage(sim):
+        yield sim.timeout(2 * LEASE)
+        t_unlock = sim.now
+        yield from client.gunlock(g)
+        return t_unlock, sim.now
+
+    ((t_unlock, t_done),) = pool.run(unlock_mid_outage(sim))
+    assert t_done < t0 + 4 * LEASE, "the unlock waited out shard 0's outage"
+    assert t_done - t_unlock < LEASE // 10
+    assert client.m_lease_lapses.count == lapses
+    assert client.lease_deadlines[1] > t_unlock >= client.lease_deadlines[0]
+
+
 # ----------------------------------------------------------------------
 # Cross-shard txn fencing: the fencing shard rolls forward intents that
 # live on ANOTHER shard's coordinator server before force-unlocking
