@@ -163,8 +163,9 @@ class LockOps:
                 if attempt >= policy.max_attempts:
                     raise
                 # May raise FencedError: that verdict is terminal.
-                yield from client._lease_lapse_probe(what, exc.shard)
-                if self.sim.now < client.lease_deadlines[exc.shard]:
+                shard = client._shards[exc.shard]
+                yield from shard.lapse_probe(what)
+                if self.sim.now < shard.lease_deadline:
                     continue  # renewed (or re-attached) in place
                 attempt += 1
                 yield policy.backoff_ns(attempt, client._driver.jitter_rng())

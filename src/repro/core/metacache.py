@@ -66,15 +66,15 @@ class MetaCache:
         """``gaddr``'s metadata: the cached entry, else the owning master
         shard's answer, which is kept.  An address the directory does not
         hold is a :class:`FatalError` that keeps the master's message, as
-        every refusal of the master is (``GengarClient._master_call``)."""
+        every refusal of the master is (``_MasterShard.call``)."""
         meta = self.get(gaddr)
         if meta is not None:
             return meta
         client = self.client
         rec = client.sim.spans
         t0 = client.sim.now if rec is not None else 0
-        meta = yield from client._master_call(
-            "lookup", {"gaddr": gaddr}, shard=client._resolve_shard(gaddr))
+        meta = yield from client._shards[client._resolve_shard(gaddr)].call(
+            "lookup", {"gaddr": gaddr})
         client.m_lookups.add()
         if rec is not None:
             rec.record(client.name, "phase.meta_lookup", t0, op=span_op,

@@ -60,9 +60,10 @@ def test_gfree_retry_with_same_req_id_is_idempotent():
     def scenario(sim):
         gaddr = yield from client.gmalloc(64)
         req_id = client._next_req_id()
-        yield from client._master_call("gfree", {"gaddr": gaddr, "req_id": req_id})
+        shard = client._shards[0]
+        yield from shard.call("gfree", {"gaddr": gaddr, "req_id": req_id})
         # The replay must NOT raise unknown-gaddr: the free already executed.
-        ok = yield from client._master_call(
+        ok = yield from shard.call(
             "gfree", {"gaddr": gaddr, "req_id": req_id})
         return ok
 

@@ -93,7 +93,7 @@ def test_leases_off_means_no_heartbeat_machinery():
     sim, pool = build_pool(num_servers=1, num_clients=1)
     client = pool.clients[0]
     assert client.lease_ns == 0
-    assert client._heartbeat_procs == {}
+    assert [ms.heartbeat for ms in client._shards] == [None]
     assert pool.master.lease_renewals.count == 0
 
 
@@ -244,31 +244,30 @@ def test_sweep_honors_a_lease_refreshed_mid_sweep():
     assert pool.master.lock_recoveries.total == 0
 
 
-def test_a_renew_verdict_about_a_replaced_epoch_is_dropped():
+def test_a_renew_verdict_about_a_replaced_epoch_is_dropped(monkeypatch):
     """A renewal carries the epoch the client held when it was sent.  If a
     re-attach grants a fresh epoch while the renewal is out, the master's
     ``fenced`` verdict speaks for the retired incarnation: it must not fence
     the re-attached client, fail its next op or make it re-attach again."""
     sim, pool, gaddr = _frozen_victim_pool()
     c0 = pool.clients[0]
-    master_call = c0._master_call
+    (shard,) = c0._shards
+    master_call = type(shard).call
     renewals = []
 
-    def reattach_while_the_renew_is_out(method, payload, shard=0):
-        if method == "renew":
-            yield from c0.reattach_master()
-            assert c0.fence_epoch > payload["epoch"]
-        reply = yield from master_call(method, payload, shard=shard)
-        if method == "renew":
-            renewals.append(reply)
+    def reattach_while_the_renew_is_out(self, method, payload):
+        if self is not shard or method != "renew":
+            return (yield from master_call(self, method, payload))
+        yield from c0.reattach_master()
+        assert c0.fence_epoch > payload["epoch"]
+        reply = yield from master_call(self, method, payload)
+        renewals.append(reply)
         return reply
 
     def scenario(sim):
-        c0._master_call = reattach_while_the_renew_is_out
-        try:
-            yield from c0._renew_shard(0)
-        finally:
-            del c0._master_call
+        with monkeypatch.context() as patch:
+            patch.setattr(type(shard), "call", reattach_while_the_renew_is_out)
+            yield from shard.renew()
         assert renewals == [{"ok": False, "reason": "fenced"}]
         assert not c0._fenced
         # The re-attached incarnation holds the lock word under its epoch.

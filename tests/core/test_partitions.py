@@ -365,12 +365,13 @@ def test_lease_lapse_probe_verdicts():
 
     def drive(sim):
         yield from client.gmalloc(64)
-        client.lease_deadlines[0] = sim.now    # force a local lapse
-        yield from client._lease_lapse_probe("glock")
-        renewed = client.lease_deadlines[0] > sim.now
+        shard = client._shards[0]
+        shard.lease_deadline = sim.now    # force a local lapse
+        yield from shard.lapse_probe("glock")
+        renewed = shard.lease_deadline > sim.now
         yield from master.evict_client("client0")
         try:
-            yield from client._lease_lapse_probe("glock")
+            yield from shard.lapse_probe("glock")
         except FencedError as exc:
             return renewed, exc
         return renewed, None

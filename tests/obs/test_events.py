@@ -13,7 +13,7 @@ from repro import obs
 from repro.bench.chaos import TIMELINE_CATEGORIES, ChaosSoak, run_soak
 from repro.obs.spans import SpanRecorder
 from repro.sim import Simulator
-from tests.core.conftest import build_pool
+from tests.core.conftest import build_pool, fast_config
 
 
 # ----------------------------------------------------------------------
@@ -163,6 +163,30 @@ def test_span_fields_carry_what_the_tracer_used_to_report():
     assert drain.fields["seq"] == 1 and drain.fields["torn"] is False
     assert len(rec.by_name("phase.nvm_read")) == 1
     assert not {e.category for e in rec.events} & {"read", "proxy"}
+
+
+def test_a_fenced_verdict_names_the_shard_that_gave_it():
+    """Shard 1 retires client0's epoch; the piggybacked ``report`` that
+    brings the verdict back is a ``fence`` event naming shard 1, as a
+    fenced heartbeat's is."""
+    sim, pool = build_pool(num_servers=2, num_clients=1, config=fast_config(
+        client_lease_ns=1_000_000, num_master_shards=2))
+    rec = obs.install(sim)
+    client = pool.clients[0]
+
+    def app(sim):
+        g = None
+        while g is None or client._resolve_shard(g) != 1:
+            g = yield from client.gmalloc(64)
+        yield from pool.masters[1].evict_client(client.name)
+        while not client.fenced:
+            yield from client.gwrite(g, b"f" * 64)
+
+    pool.run(app(sim))
+    fences = [e for e in rec.events
+              if e.category == "fence" and e.track == client.name]
+    assert [(e.message, e.fields) for e in fences] == [
+        ("report fenced", {"shard": 1})]
 
 
 @pytest.fixture(scope="module")
