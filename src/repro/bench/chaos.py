@@ -403,7 +403,7 @@ class ChaosSoak:
         contender = self.pool.clients[0]
         allocator = self.pool.clients[1]
         torn_before = sum(
-            s.torn_skipped.count for s in self.pool.servers.values())
+            s.drain.torn_skipped.count for s in self.pool.servers.values())
         injector = self.pool.inject_faults(
             FaultPlan.of(
                 ClientCrash(at_ns=kill_at, client=victim.name,
@@ -489,7 +489,7 @@ class ChaosSoak:
                 "crash-tolerance: contender read a value that is not "
                 "any fully-applied write (torn frame reached NVM)")
         torn_after = sum(
-            s.torn_skipped.count for s in self.pool.servers.values())
+            s.drain.torn_skipped.count for s in self.pool.servers.values())
         if torn_after - torn_before < 1:
             self.violations.append(
                 "crash-tolerance: the injected mid-write kill produced "
@@ -1106,7 +1106,7 @@ class ChaosSoak:
         counters["fence_rejections"] = m.counter(
             "pool.fence_rejections").count
         counters["torn_slot_skips"] = sum(
-            s.torn_skipped.count for s in self.pool.servers.values())
+            s.drain.torn_skipped.count for s in self.pool.servers.values())
         counters["master_failovers"] = master.failovers.count
         counters["journal_replayed"] = int(master.journal_replayed.total)
         # Partition-tolerance counters (all zero unless the scenario armed

@@ -349,12 +349,12 @@ class GengarPool:
                 "alive": server.is_alive,
                 "cached_objects": len(server.cached),
                 "cache_used_bytes": server.cache_used_bytes,
-                "drained_writes": server.drained_writes.count,
-                "peak_ring_occupancy": server.ring_occupancy.peak,
+                "drained_writes": server.drain.drained_writes.count,
+                "peak_ring_occupancy": server.drain.ring_occupancy.peak,
                 "promotions": server.promotions.count,
                 "demotions": server.demotions.count,
                 "crashes": server.crashes,
-                "torn_slots_skipped": server.torn_skipped.count,
+                "torn_slots_skipped": server.drain.torn_skipped.count,
                 "journal_records": getattr(server, "_journal_count", 0)
                 if server.journal_base is not None else None,
                 "host_bytes": {"dram": server.node.dram.resident_bytes,
@@ -409,7 +409,7 @@ class GengarPool:
                     m.counter("pool.fence_rejections").count,
                 "lock_recoveries": int(self.master.lock_recoveries.total),
                 "torn_slot_skips": sum(
-                    s.torn_skipped.count for s in self.servers.values()),
+                    s.drain.torn_skipped.count for s in self.servers.values()),
                 "master_failovers": self.master.failovers.count,
                 "journal_records_replayed": int(self.master.journal_replayed.total),
                 "client_master_reattaches":

@@ -168,7 +168,9 @@ class OpDriver:
         through their serial fallbacks, the lock verbs in their CAS loop).
         ``fenced``, a data verb's ``(lease_shards, args)``, starts every
         attempt with the data-plane precheck against the lease of each
-        shard in ``lease_shards(client, *args)``.
+        shard in ``lease_shards(client, *args)``.  A lapse the precheck
+        finds is probed before the next attempt (:meth:`between_attempts`);
+        under a one-attempt policy, before the one attempt, here.
 
         Pay-as-you-go: without a deadline an attempt that succeeds is a
         plain ``yield from`` — retries, backoff and re-attach cost simulated
@@ -179,14 +181,25 @@ class OpDriver:
         start = self.sim.now
         incarnation = client._incarnation
         tries = 1
+        probed = False
         while True:
             try:
                 if fenced is not None:
                     client._require_attached()
                     if client.lease_ns:
                         lease_shards, verb_args = fenced
-                        client._check_lease_fence(
-                            op, shards=lease_shards(client, *verb_args))
+                        try:
+                            client._check_lease_fence(
+                                op, shards=lease_shards(client, *verb_args))
+                        except LeaseExpiredError as exc:
+                            if policy.max_attempts > 1 or probed:
+                                raise
+                            # One attempt only: probe here, as a retry would.
+                            probed = True
+                            yield from client._shards[exc.shard].lapse_probe(op)
+                            if client._incarnation != incarnation:
+                                raise stale_error(op)
+                            continue
                 if policy.deadline_ns:
                     result = yield from self._attempt_with_deadline(
                         op, start, policy, attempt, args)

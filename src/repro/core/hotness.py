@@ -17,8 +17,7 @@ LRU/LFU/random placement); :class:`Planner` runs them for a master.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Any, Dict, Generator, List, Optional,
-                    Protocol, Tuple)
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 
 from repro.core.protocol import CACHE_TAG_BYTES
 from repro.rdma.rpc import RpcError
@@ -53,22 +52,6 @@ class PlacementPlan:
     @property
     def is_noop(self) -> bool:
         return not self.promotions and not self.demotions
-
-
-class PlacementPolicy(Protocol):
-    """Interface all cache-placement policies implement (for E8)."""
-
-    def record(self, gaddr: int, reads: int, writes: int) -> None: ...
-
-    def record_batch(self, entries: List[Tuple[int, int, int]]) -> None: ...
-
-    def plan(self, capacity: int, used: int) -> PlacementPlan: ...
-
-    def on_promoted(self, gaddr: int) -> None: ...
-
-    def on_demoted(self, gaddr: int) -> None: ...
-
-    def on_freed(self, gaddr: int) -> None: ...
 
 
 class EpochDecayPolicy:

@@ -1,6 +1,6 @@
 """The writer's side of a client's proxy ring on one server (PROTOCOLS §3.2):
 the seq cursor, what the client knows of the drained counter, and the
-read-your-writes overlay.  The drain side is ``MemoryServer._rings``."""
+read-your-writes overlay.  The drain side is ``server.ProxyDrain``."""
 
 from __future__ import annotations
 

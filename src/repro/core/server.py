@@ -18,7 +18,7 @@ from __future__ import annotations
 import pickle
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Deque, Dict, Generator, Optional
+from typing import TYPE_CHECKING, Any, Deque, Dict, Generator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import Node
@@ -51,7 +51,7 @@ from repro.core.protocol import (
     write_lock_word,
 )
 from repro.rdma.mr import AccessFlags
-from repro.rdma.rpc import DEFAULT_RING_SLOTS, RpcServer
+from repro.rdma.rpc import DEFAULT_BUFFER_SIZE, DEFAULT_RING_SLOTS, RpcServer
 from repro.rdma.wr import Opcode, WorkCompletion
 from repro.sim import Store
 
@@ -65,28 +65,6 @@ class _CacheEntry:
     cache_offset: int  # slot base (tag included) within the cache region
     size: int
 
-
-@dataclass
-class _ClientRing:
-    ring_base: int  # DRAM offset of the ring window
-    mr: object  # ring MemoryRegion
-    counter_offset: int  # region-relative offset of the drained counter
-    qp: "QueuePair"  # the data QP whose doorbells name this ring's slots
-    drained: int = 0  # frames applied or skipped, as a prefix of seq order
-    client: str = ""  # owning client's name (span/trace attribution)
-    seq: int = 0  # frames taken off the doorbell queue: the next frame's seq
-    #: Frames finished ahead of the drained prefix (only while overlapped).
-    done: set = field(default_factory=set)
-    handed: int = 0  # frames handed to the drain writers, not yet finished
-    lost: bool = False  # the server crashed under it: handed frames drop
-    idle: Any = None  # the poisoned drain loop's wait for ``handed == 0``
-    #: A frame group's payloads parsed so far (a torn one's as None).
-    parked: list = field(default_factory=list)
-
-
-#: RPC buffer size for control traffic (attach/promote/demote); every ring
-#: starts at ``DEFAULT_RING_SLOTS`` deep.
-_RPC_BUFFER_SIZE = 4096
 
 #: Metadata journal capacity (``metadata_journal``), in records.
 JOURNAL_ENTRIES = 65536
@@ -185,6 +163,521 @@ class ReadCombiner:
         return group.slice_for(wr)
 
 
+class IntentStore:
+    """The server's txn-intent region in NVM, durable so that committed
+    transactions roll forward after any crash (a length table of one u64
+    per slot, 0 when free, then one slot per pickled record), and the one
+    writer of the volatile txn-id -> slot index that caches it.  Its
+    :meth:`put`, :meth:`clear` and :meth:`scan` are the ``txn_intent_*``
+    RPC handlers."""
+
+    __slots__ = ("server", "intent_base", "_slot_of", "txn_intents")
+
+    def __init__(self, server: "MemoryServer", base: int):
+        self.server = server
+        self.intent_base = base
+        #: Volatile txn-id -> slot map; ``None`` forces a rebuild from the
+        #: NVM length table (first use after construction or a restart).
+        self._slot_of: Optional[Dict[str, int]] = None
+        self.txn_intents = server.sim.metrics.counter(
+            f"{server.node.name}.txn.intents")
+
+    def reset(self) -> None:
+        """A crash: the records survive in NVM, the index is rebuilt."""
+        self._slot_of = None
+
+    def _length_offset(self, slot: int) -> int:
+        return self.intent_base + slot * 8
+
+    def _slot_offset(self, slot: int) -> int:
+        return self.intent_base + TXN_INTENT_ENTRIES * 8 + slot * TXN_INTENT_SLOT_BYTES
+
+    def _load(self) -> Generator[Any, Any, Dict[str, dict]]:
+        """Read every durable intent record, txn id -> record (the length
+        table in one device read, then one read per live slot), and rebuild
+        the index from them if a restart wiped it: the index caches what
+        NVM says, never the other way around."""
+        device = self.server.data_device
+        table = yield from device.read(self.intent_base, TXN_INTENT_ENTRIES * 8)
+        records: Dict[str, dict] = {}
+        index: Dict[str, int] = {}
+        for slot in range(TXN_INTENT_ENTRIES):
+            length = int.from_bytes(table[slot * 8:slot * 8 + 8], "little")
+            if not length:
+                continue
+            blob = yield from device.read(self._slot_offset(slot), length)
+            record = pickle.loads(blob)
+            records[record["txn"]] = record
+            index[record["txn"]] = slot
+        if self._slot_of is None:
+            self._slot_of = {}
+        # A live index (or one built meanwhile) may hold reservations made
+        # since: NVM truth only for txns it does not know.
+        for txn_id, slot in index.items():
+            self._slot_of.setdefault(txn_id, slot)
+        return records
+
+    def put(self, request: dict) -> Generator[Any, Any, int]:
+        """Durably persist one transaction's intent record — the commit
+        point of the whole protocol.
+
+        Write-ahead ordering like the journal: the pickled record lands
+        before its length-table entry, so a crash between the two leaves
+        the slot free rather than half-valid.  Idempotent per txn id (a
+        retried commit overwrites its own slot).  Returns the slot index.
+        """
+        server = self.server
+        record = {key: request[key] for key in ("txn", "owner", "epoch", "writes")}
+        blob = pickle.dumps(record)
+        if len(blob) > TXN_INTENT_SLOT_BYTES:
+            raise ServerError(
+                f"txn intent record too large ({len(blob)} bytes > slot "
+                f"capacity {TXN_INTENT_SLOT_BYTES})")
+        yield from server.node.cpu_work()
+        if self._slot_of is None:
+            yield from self._load()
+        slot = self._slot_of.get(record["txn"])
+        reserved = slot is None
+        if reserved:
+            used = set(self._slot_of.values())
+            slot = next((s for s in range(TXN_INTENT_ENTRIES)
+                         if s not in used), None)
+            if slot is None:
+                raise ServerError("txn intent region full")
+            # Reserve in the volatile index BEFORE yielding to NVM: two
+            # commits landing concurrently would otherwise both see the
+            # slot as free and the second would overwrite the first's
+            # durable record — whose later clear then destroys it.
+            self._slot_of[record["txn"]] = slot
+        try:
+            yield from server.data_device.write(self._slot_offset(slot), blob)
+            yield from server.data_device.write(
+                self._length_offset(slot), len(blob).to_bytes(8, "little"))
+        except BaseException:
+            if reserved:  # nothing durable yet: return the slot
+                self._slot_of.pop(record["txn"], None)
+            raise
+        self.txn_intents.add()
+        rec = server.sim.spans
+        if rec is not None:
+            rec.event(server.node.name, "txn", "intent persisted",
+                      txn=record["txn"], writes=len(record["writes"]))
+        return slot
+
+    def clear(self, request: dict) -> Generator[Any, Any, bool]:
+        """Retire a transaction's intent record (post-apply, or rollback of
+        a record that lost its race with recovery).  Idempotent."""
+        server = self.server
+        yield from server.node.cpu_work()
+        if self._slot_of is None:
+            yield from self._load()
+        slot = self._slot_of.pop(request["txn"], None)
+        if slot is None:
+            return False
+        yield from server.data_device.write(
+            self._length_offset(slot), (0).to_bytes(8, "little"))
+        rec = server.sim.spans
+        if rec is not None:
+            rec.event(server.node.name, "txn", "intent cleared",
+                      txn=request["txn"])
+        return True
+
+    def scan(self, request: dict) -> Generator[Any, Any, list]:
+        """Recovery: the decoded intent records on this server, read
+        through NVM so a restarted server has them; a record whose clear is
+        in flight is not listed.  ``owners``, when given, keeps only the
+        uids it lists (a fence names the dead clients); other keys of the
+        dead set (:meth:`MemoryServer._handle_recover_dead`) are ignored.
+        """
+        yield from self.server.node.cpu_work()
+        durable = yield from self._load()
+        owners = request.get("owners")
+        return [durable[txn_id] for txn_id in sorted(durable)
+                if txn_id in self._slot_of
+                and (owners is None or durable[txn_id]["owner"] in owners)]
+
+
+@dataclass(slots=True)
+class _Ring:
+    """One incarnation of a client's proxy ring.  Torn down, it stays in
+    :attr:`ProxyDrain.rings` until the next incarnation reuses its span."""
+
+    client: str  # owning client's name (span/trace attribution)
+    base: int  # DRAM offset of the carved span
+    mr: Any  # ring MemoryRegion
+    counter_offset: int  # region-relative offset of the drained counter
+    qp: "QueuePair"  # the data QP whose doorbells name this ring's slots
+    proc: Any = None  # the drain loop
+    retired: bool = False  # torn down: retired, or lost in a crash
+    seq: int = 0  # frames taken off the doorbell queue: the next frame's seq
+    drained: int = 0  # frames applied or skipped, as a prefix of seq order
+    #: Frames finished ahead of the drained prefix (only while overlapped).
+    done: set = field(default_factory=set)
+    handed: int = 0  # frames handed to the drain writers, not yet finished
+    lost: bool = False  # the server crashed under it: handed frames drop
+    idle: Any = None  # the poisoned drain loop's wait for ``handed == 0``
+    #: A frame group's payloads parsed so far (a torn one's as None).
+    parked: list = field(default_factory=list)
+
+
+class ProxyDrain:
+    """The server half of the proxy write protocol, and the one writer of
+    its state: a ring record per client, the loops that drain them, the
+    overlapped writers they share, the stall gate and the ``proxy.*``
+    counters.  Frames reach NVM through :meth:`MemoryServer._apply`.
+    """
+
+    __slots__ = ("server", "sim", "node", "rings", "_gate", "_ready", "_work",
+                 "_applies", "_writers", "_applying", "drained_writes",
+                 "drained_bytes", "ring_occupancy", "torn_skipped")
+
+    def __init__(self, server: "MemoryServer"):
+        self.server = server
+        self.sim = sim = server.sim
+        self.node = node = server.node
+        #: Client name -> its ring's latest incarnation, attached or torn
+        #: down, in the order of their latest attach.
+        self.rings: Dict[str, _Ring] = {}
+        #: The stall gate (fault injection): drain loops and writers park on
+        #: it while set.  Set means not yet triggered: whatever triggers it
+        #: (its release, a crash) clears it in the same step.
+        self._gate: Any = None
+        #: Overlapped drain: handed-off frames wait in ``_ready`` for
+        #: admission (:meth:`_admit`), then go through ``_work`` to one of
+        #: the writers, one per data-device channel, spawned at the first.
+        self._ready: Deque[tuple] = deque()
+        self._work = Store(sim, name=f"{node.name}.drain_work")
+        self._applies = 0  # frame applies in flight or admitted
+        self._writers = 0  # writers spawned: 0 or the channel count
+        #: gaddr -> the frames waiting behind that object's handed-off apply
+        #: in flight; the entry goes when its chain runs dry.
+        self._applying: Dict[int, Deque[tuple]] = {}
+        m = sim.metrics
+        self.drained_writes = m.counter(f"{node.name}.proxy.drained")
+        self.drained_bytes = m.counter(f"{node.name}.proxy.drained_bytes")
+        self.ring_occupancy = m.level(f"{node.name}.proxy.occupancy")
+        self.torn_skipped = m.counter(f"{node.name}.proxy.torn_skipped")
+
+    def attached(self, client: str) -> Optional[_Ring]:
+        """``client``'s ring while it is attached, else None."""
+        ring = self.rings.get(client)
+        return None if ring is None or ring.retired else ring
+
+    def attach(self, request: dict) -> Generator[Any, Any, RingDescriptor]:
+        """The ``attach`` handler: set up a client's private proxy ring and
+        start its drain loop."""
+        client = request["client"]
+        node = self.node
+        old = self.rings.get(client)
+        if old is not None:
+            if not old.retired:
+                raise ServerError(f"client {client!r} already attached")
+            # Its loop must have exited before a new one shares the QP's
+            # completion stream, or the two would steal doorbells.
+            if old.proc.is_alive:
+                yield old.proc
+        # The client names the *server-side* QP of its data connection by
+        # number, so its control and data connections are never confused.
+        qp = next((qp for qp in node.endpoint.qps
+                   if qp.qp_num == request["qp_num"]), None)
+        if qp is None:
+            raise ServerError(f"no local QP numbered {request['qp_num']}")
+        config = self.server.config
+        slots = config.proxy_ring_slots
+        slot_size = config.proxy_slot_size
+        span = slots * slot_size + 64  # slots + drained counter word
+        # Reuse the previous incarnation's span: repeated teardown and
+        # re-attach cycles must not consume fresh DRAM.
+        base = (old.base if old is not None
+                else self.server._carver.carve(span, f"ring:{client}"))
+        mr = node.endpoint.register_mr(
+            node.dram, base, span,
+            access=AccessFlags.LOCAL | AccessFlags.REMOTE_READ | AccessFlags.REMOTE_WRITE,
+            name=f"{node.name}.ring.{client}",
+        )
+        counter_offset = slots * slot_size
+        mr.write_u64(counter_offset, 0)
+        ring = _Ring(client, base, mr, counter_offset, qp)
+        self.rings.pop(client, None)  # to the end: attach order
+        self.rings[client] = ring
+        # Pre-post one doorbell recv per slot; the drain loop reposts.
+        for _ in range(slots):
+            qp.post_recv(mr, offset=counter_offset, length=0)
+        ring.proc = self.sim.spawn(
+            self._loop(ring), name=f"{node.name}.drain.{client}")
+        yield from node.cpu_work()
+        return RingDescriptor(
+            ring_rkey=mr.rkey, slots=slots, slot_size=slot_size,
+            counter_offset=counter_offset,
+        )
+
+    def retire(self, clients: set) -> Tuple[List[Any], List[str]]:
+        """Retire the attached rings of dead ``clients``; returns, in name
+        order, the loops of all their rings, attached or not, to wait for
+        (taken before the caller yields: a dead name that re-attaches
+        meanwhile gets a live loop nothing will poison), and the names."""
+        rings = self.rings
+        names = sorted(clients.intersection(rings))
+        procs = [rings[name].proc for name in names]
+        retired = [name for name in names if not rings[name].retired]
+        for name in retired:
+            self._teardown(rings[name], lost=False)
+        return procs, retired
+
+    def crash(self) -> None:
+        """Open the stall gate at once, so a stalled loop sees its poison,
+        and tear down every attached ring as lost with the DRAM."""
+        if self._gate is not None:
+            self._gate.succeed()
+            self._gate = None
+        for ring in self.rings.values():
+            if not ring.retired:
+                self._teardown(ring, lost=True)
+
+    def _teardown(self, ring: _Ring, lost: bool) -> None:
+        """Tear down an attached ring, retired or ``lost`` (zeroed: its
+        frames drop).  Deregistering the MR makes a client unaware of it
+        fault loudly (``StaleRingError``) instead of writing an orphaned
+        region; the poison queues *behind* the doorbells already received,
+        so a retired ring's staged frames still drain first."""
+        ring.retired = True
+        mr = ring.mr
+        if lost:
+            ring.lost = True
+            mr.poke(0, bytes(mr.length))
+        self.node.endpoint.deregister_mr(mr)
+        ring.qp.recv_cq.push(WorkCompletion(
+            wr_id=0, opcode=Opcode.RECV, context={"poison": True},
+        ))
+        rec = self.sim.spans
+        if rec is not None and not lost:
+            rec.event(self.node.name, "lease", "proxy ring retired",
+                      client=ring.client)
+
+    def stall(self, duration_ns: int) -> None:
+        """Freeze every drain loop and writer for ``duration_ns`` (a wedged
+        drain thread or an NVM write stall): staged writes still land and
+        are acked, but none reaches NVM until the gate reopens.  A stall
+        during a stall is a no-op (the first release time stands)."""
+        if duration_ns < 1:
+            raise ServerError("stall duration must be positive")
+        if self._gate is not None:
+            return
+        gate = self._gate = self.sim.event(name=f"{self.node.name}.drain_stall")
+        self.sim.schedule(duration_ns, self.server._release_drain_gate, gate)
+        rec = self.sim.spans
+        if rec is not None:
+            rec.event(self.node.name, "fault", "drain loops stalled",
+                      duration_ns=duration_ns)
+
+    def release(self, gate) -> None:
+        """End the stall that armed ``gate``, unless a crash already has."""
+        if self._gate is gate:
+            gate.succeed()
+            self._gate = None
+            rec = self.sim.spans
+            if rec is not None:
+                rec.event(self.node.name, "fault", "drain loops released")
+
+    # The drain loop and its writers: the heart of the write-latency design.
+    def _loop(self, ring: _Ring) -> Generator[Any, Any, None]:
+        """Apply staged writes to NVM (and the DRAM cache) in arrival order.
+
+        The client already got its completion when the payload landed in the
+        ring (DRAM latency); this loop pays the NVM cost off the critical
+        path.  It parses one frame at a time.  While nothing of the ring is
+        in flight and fewer than half its slots hold frames that arrived
+        but are not drained, it applies the frame itself before taking the
+        next.  Otherwise the ring has backed up and the frame goes to the
+        server's drain writers (:meth:`_writer`), so several NVM writes
+        overlap; the loop stays in that mode until its handed-off
+        frames have all been applied.  Either way frames for one object
+        apply in program order, and the drained counter covers only the
+        prefix of frames applied or skipped (:meth:`_finish`).
+        A frame with the more-bit set is parked until its group's last
+        frame arrives; the group then applies as one frame, or retires
+        unapplied if any of its frames is torn.
+        """
+        config = self.server.config
+        slot_size = config.proxy_slot_size
+        capacity = proxy_payload_capacity(slot_size)
+        half = config.proxy_ring_slots // 2
+        doorbells = ring.qp.recv_cq.next_event()
+        queued = doorbells._items  # doorbells arrived, not yet taken
+        while True:
+            wc = yield doorbells
+            if "poison" in wc.context:
+                # Retired or crashed.  Frames already handed off finish (or,
+                # after a crash, drop) before the loop exits: a re-attach
+                # waits for this process before reusing the ring's span.
+                if ring.handed:
+                    ring.idle = self.sim.event(name=f"{self.node.name}.drain_idle")
+                    yield ring.idle
+                return
+            gate = self._gate
+            if gate is not None:
+                # Injected stall: hold the doorbell until the gate opens.
+                # A crash during the stall opens the gate too, so the loop
+                # always reaches its poison completion and exits.
+                yield gate
+            slot = wc.imm_data
+            self.ring_occupancy.adjust(+1)
+            rec = self.sim.spans
+            t0 = self.sim.now if rec is not None else 0
+            yield from self.node.cpu_work()  # parse the doorbell + header
+            if ring.lost:
+                # The server crashed under this doorbell and zeroed its
+                # slot: nothing to apply or judge.  Keep consuming until
+                # the poison, which the crash queued behind it.
+                self.ring_occupancy.adjust(-1)
+                continue
+            seq = ring.seq
+            ring.seq = seq + 1
+            base = slot * slot_size
+            header = ring.mr.peek(base, PROXY_HEADER_BYTES)
+            gaddr, obj_offset, length = unpack_proxy_header(header)
+            more = length & PROXY_MORE
+            length ^= more
+            # Torn-slot detection: this doorbell's frame must carry a commit
+            # word binding (seq, header+payload).  A client that died
+            # mid-WRITE leaves a frame the commit word no longer covers —
+            # skip it (retiring its seq to keep slot/seq alignment) rather
+            # than applying garbage to NVM.
+            payload = None
+            if length <= capacity:
+                body = ring.mr.peek(base + PROXY_HEADER_BYTES,
+                                    length + COMMIT_WORD_BYTES)
+                payload = body[:length]
+                if body[length:] != pack_commit_word(seq, header + payload):
+                    payload = None
+            else:
+                more = 0  # a garbage header ends any group
+            if payload is None:
+                self.torn_skipped.add()
+                if rec is not None:
+                    rec.event(self.node.name, "fault", "torn slot skipped",
+                              slot=slot, seq=seq)
+            parked = ring.parked
+            if parked or more:
+                if parked:
+                    ring.done.add(seq)  # retires along with the group's first
+                parked.append(payload)
+                if more:
+                    continue
+                # The group's last frame: the group applies as one frame.
+                seq -= len(parked) - 1
+                payload = None if None in parked else b"".join(parked)
+                parked.clear()
+                if payload is not None:  # from the group's first byte on
+                    obj_offset -= len(payload) - length
+                    length = len(payload)
+            overlap = seq != ring.drained or len(queued) + 1 >= half
+            if payload is None:
+                # Torn: the frame, or its whole group, retires unapplied.
+                yield from self._finish(ring, seq, t0, overlap,
+                                        gaddr, obj_offset, length, None)
+                continue
+            if not overlap:
+                self._applies += 1
+                yield from self._finish(ring, seq, t0, False,
+                                        gaddr, obj_offset, length, payload)
+                continue
+            ring.handed += 1
+            frame = (ring, seq, t0, gaddr, obj_offset, length, payload)
+            chain = self._applying.get(gaddr)
+            if chain is not None:
+                chain.append(frame)  # behind the object's apply in flight
+                continue
+            self._applying[gaddr] = deque()
+            if not self._writers:
+                self._writers = self.server.data_device.spec.channels
+                for i in range(self._writers):
+                    self.sim.spawn(self._writer(),
+                                   name=f"{self.node.name}.drain_writer{i}")
+            self._ready.append(frame)
+            self._admit()
+
+    def _admit(self) -> None:
+        """Hand ready frames to the writers while fewer frame applies (NVM
+        write plus cache refresh, serial ones counted though they never
+        wait) are in flight than the data device has channels."""
+        ready = self._ready
+        channels = self._writers
+        while ready and self._applies < channels:
+            self._applies += 1
+            self._work.put(ready.popleft())
+
+    def _writer(self) -> Generator[Any, Any, None]:
+        """Apply admitted frames, one at a time.  Finishing an object's
+        frame makes the next in its chain (``_applying``) ready ahead of the
+        rest: one object's frames apply in program order.  A frame of a
+        lost ring is dropped unwritten: its bytes died with the DRAM."""
+        work = self._work
+        while True:
+            ring, seq, t0, gaddr, obj_offset, length, payload = yield work
+            gate = self._gate
+            if gate is not None:
+                yield gate
+            if ring.lost:
+                self._applies -= 1
+            else:
+                yield from self._finish(ring, seq, t0, True,
+                                        gaddr, obj_offset, length, payload)
+            ring.handed -= 1
+            if not ring.handed and ring.idle is not None:
+                ring.idle.succeed()
+            chain = self._applying[gaddr]
+            if chain:
+                self._ready.appendleft(chain.popleft())
+            else:
+                del self._applying[gaddr]
+            self._admit()
+
+    def _finish(self, ring: _Ring, seq: int, t0: int, overlapped: bool,
+                gaddr: int, obj_offset: int, length: int,
+                payload: Optional[bytes]) -> Generator[Any, Any, None]:
+        """Apply frame ``seq`` of ``ring``, or the group it heads as one write
+        (``payload`` None: skip it as torn) through
+        :meth:`MemoryServer._apply`, then retire it.
+
+        Retiring moves the drained counter only when ``seq`` is the next in
+        order, and then over every frame already finished behind it, so the
+        counter always covers exactly a prefix of the ring: what ``gsync``,
+        ring flow control and overlay pruning read it as.
+        """
+        if payload is not None:
+            yield from self.server._apply(gaddr, obj_offset, payload)
+            self._applies -= 1
+            if self._ready:
+                self._admit()
+        if seq == ring.drained:
+            done = ring.done
+            drained = seq + 1
+            while True:
+                ring.qp.post_recv(ring.mr, offset=ring.counter_offset, length=0)
+                self.ring_occupancy.adjust(-1)
+                if drained not in done:
+                    break
+                done.remove(drained)
+                drained += 1
+            ring.drained = drained
+            ring.mr.write_u64(ring.counter_offset, drained)
+        else:
+            ring.done.add(seq)
+        rec = self.sim.spans
+        if payload is None:
+            if rec is not None:
+                rec.record(self.node.name, "srv.drain", t0, client=ring.client,
+                           torn=True, overlapped=overlapped)
+            return
+        self.drained_writes.add()
+        self.drained_bytes.add(length)
+        if rec is not None:
+            rec.record(self.node.name, "srv.drain", t0, client=ring.client,
+                       bytes=length, torn=False, gaddr=hex(gaddr),
+                       seq=seq + 1, overlapped=overlapped)
+
+
 class MemoryServer:
     """Runtime state of one memory server."""
 
@@ -208,23 +701,11 @@ class MemoryServer:
         # pool that grows with attached QPs, carving further DRAM chunks on
         # demand.
         rpc_base = carver.carve(
-            2 * DEFAULT_RING_SLOTS * _RPC_BUFFER_SIZE, "rpc")
+            2 * DEFAULT_RING_SLOTS * DEFAULT_BUFFER_SIZE, "rpc")
         self.rpc = RpcServer(
-            node.endpoint, node.dram, base=rpc_base,
-            buffer_size=_RPC_BUFFER_SIZE, name=f"{node.name}.rpc",
+            node.endpoint, node.dram, base=rpc_base, name=f"{node.name}.rpc",
             grow_cb=lambda nbytes: carver.carve(nbytes, "rpc-grow"),
         )
-        self.rpc.register("promote", self._handle_promote)
-        self.rpc.register("demote", self._handle_demote)
-        self.rpc.register("attach", self._handle_attach)
-        self.rpc.register("scrub", self._handle_scrub)
-        self.rpc.register("recover_dead", self._handle_recover_dead)
-        self.rpc.register("journal_append", self._handle_journal_append)
-        self.rpc.register("journal_read", self._handle_journal_read)
-        self.rpc.register("txn_intent_put", self._handle_txn_intent_put)
-        self.rpc.register("txn_intent_clear", self._handle_txn_intent_clear)
-        self.rpc.register("txn_intent_scan", self._handle_txn_intent_scan)
-        self.rpc.register("txn_apply", self._handle_txn_apply)
 
         # Lock table.
         lock_bytes = config.lock_table_entries * 8
@@ -277,15 +758,9 @@ class MemoryServer:
             self.journal_base = None
             self.data_capacity = data_device.capacity
 
-        # Durable txn-intent region, carved below the journal tail (intents
-        # must survive a server power cycle so the master can roll committed
-        # transactions forward after any crash combination): the length
-        # table, then one fixed-size slot per pickled intent record.
-        self.intent_base = self.data_capacity - intent_span()
-        self.data_capacity = self.intent_base
-        #: Volatile txn-id -> slot map; ``None`` forces a rebuild from the
-        #: NVM length table (first use after construction or a restart).
-        self._intent_index: Dict[str, int] | None = None
+        # The txn-intent region, below the journal tail.
+        self.data_capacity -= intent_span()
+        self.intents = IntentStore(self, self.data_capacity)
 
         # Advisory wait-die stamp table: one 8-byte stamp per lock-table
         # entry, written one-sided by lock holders and read one-sided by
@@ -308,32 +783,10 @@ class MemoryServer:
 
         #: Locally cached objects: gaddr -> entry (the drain loop consults it).
         self.cached: Dict[int, _CacheEntry] = {}
-        self._rings: Dict[str, _ClientRing] = {}
-        #: DRAM spans carved for each client's ring, reused across
-        #: crash/re-attach cycles so repeated recoveries don't leak DRAM.
-        self._ring_spans: Dict[str, int] = {}
-        self._drain_proc_by_client: Dict[str, object] = {}
-        #: Fault injection: when set, drain loops and writers park on it.
-        self._drain_gate = None
-        #: Overlapped drain: frames that backed-up rings hand off wait in
-        #: ``_drain_ready`` until fewer frame applies (NVM write plus cache
-        #: refresh; serial ones counted, though they never wait) are in
-        #: flight on this server than its data device has channels, then
-        #: go through ``_drain_work`` to one of that many writers, spawned
-        #: at the first hand-off.
-        self._drain_ready: Deque[tuple] = deque()
-        self._drain_work = Store(self.sim, name=f"{node.name}.drain_work")
-        self._drain_writes = 0  # frame applies in flight or admitted
-        self._drain_writers = 0  # writers spawned: 0 or the channel count
-        #: gaddr -> the frames waiting behind that object's handed-off apply
-        #: in flight; the entry goes when its chain runs dry.
-        self._applying: Dict[int, Deque[tuple]] = {}
+        self.drain = ProxyDrain(self)
         self.crashes = 0
-        #: Per-object applied-write sequence, bumped by every drained frame.
-        #: Promotion copies race drains: a frame applied while the copy is
-        #: in flight (entry not yet published) reaches NVM but not the slot,
-        #: so _handle_promote redoes the copy until a full pass sees no
-        #: concurrent apply.  Entries are pruned at scrub (free) time.
+        #: Per-object applied-write sequence, bumped by every apply (the
+        #: promotion race, :meth:`_apply`); pruned at scrub (free) time.
         self._applied_seq: Dict[int, int] = defaultdict(int)
 
         #: Adjacent reads in one doorbell batch collapse into single device
@@ -342,14 +795,22 @@ class MemoryServer:
         node.endpoint.read_combiner = self.read_combiner
 
         m = self.sim.metrics
-        self.drained_writes = m.counter(f"{node.name}.proxy.drained")
-        self.drained_bytes = m.counter(f"{node.name}.proxy.drained_bytes")
-        self.ring_occupancy = m.level(f"{node.name}.proxy.occupancy")
         self.promotions = m.counter(f"{node.name}.cache.promotions")
         self.demotions = m.counter(f"{node.name}.cache.demotions")
-        self.torn_skipped = m.counter(f"{node.name}.proxy.torn_skipped")
-        self.txn_intents = m.counter(f"{node.name}.txn.intents")
         self.txn_applied = m.counter(f"{node.name}.txn.applied")
+
+        rpc = self.rpc
+        rpc.register("promote", self._handle_promote)
+        rpc.register("demote", self._handle_demote)
+        rpc.register("attach", self.drain.attach)
+        rpc.register("scrub", self._handle_scrub)
+        rpc.register("recover_dead", self._handle_recover_dead)
+        rpc.register("journal_append", self._handle_journal_append)
+        rpc.register("journal_read", self._handle_journal_read)
+        rpc.register("txn_intent_put", self.intents.put)
+        rpc.register("txn_intent_clear", self.intents.clear)
+        rpc.register("txn_intent_scan", self.intents.scan)
+        rpc.register("txn_apply", self._handle_txn_apply)
 
     # ------------------------------------------------------------------
     def descriptor(self) -> ServerDescriptor:
@@ -443,52 +904,6 @@ class MemoryServer:
         if rec is not None:
             rec.event(self.node.name, "cache", "demoted", gaddr=hex(gaddr))
         return True
-
-    def _handle_attach(self, request: dict) -> Generator[Any, Any, RingDescriptor]:
-        """Set up a client's private proxy ring and start its drain loop."""
-        client_name = request["client"]
-        if client_name in self._rings:
-            raise ServerError(f"client {client_name!r} already attached")
-        # A previous incarnation's drain loop (pre-crash) must have fully
-        # exited before a new one shares the QP's completion stream, or the
-        # two would steal each other's doorbells.
-        old_proc = self._drain_proc_by_client.get(client_name)
-        if old_proc is not None and old_proc.is_alive:
-            yield old_proc
-        qp = self._find_qp(request["qp_num"])
-        slots = self.config.proxy_ring_slots
-        slot_size = self.config.proxy_slot_size
-        span = slots * slot_size + 64  # slots + drained counter word
-        # Reuse the span carved for this client's previous incarnation (its
-        # MR was deregistered at crash time); repeated crash/recover cycles
-        # must not consume fresh DRAM.
-        ring_base = self._ring_spans.get(client_name)
-        if ring_base is None:
-            ring_base = self._carver.carve(span, f"ring:{client_name}")
-            self._ring_spans[client_name] = ring_base
-        mr = self.node.endpoint.register_mr(
-            self.node.dram, ring_base, span,
-            access=AccessFlags.LOCAL | AccessFlags.REMOTE_READ | AccessFlags.REMOTE_WRITE,
-            name=f"{self.node.name}.ring.{client_name}",
-        )
-        counter_offset = slots * slot_size
-        mr.write_u64(counter_offset, 0)
-        ring = _ClientRing(ring_base=ring_base, mr=mr,
-                           counter_offset=counter_offset, qp=qp,
-                           client=client_name)
-        self._rings[client_name] = ring
-        # Pre-post one doorbell recv per slot; the drain loop reposts.
-        for _ in range(slots):
-            qp.post_recv(mr, offset=counter_offset, length=0)
-        proc = self.sim.spawn(
-            self._drain_loop(ring), name=f"{self.node.name}.drain.{client_name}"
-        )
-        self._drain_proc_by_client[client_name] = proc
-        yield from self.node.cpu_work()
-        return RingDescriptor(
-            ring_rkey=mr.rkey, slots=slots, slot_size=slot_size,
-            counter_offset=counter_offset,
-        )
 
     def _handle_scrub(self, request: dict) -> Generator[Any, Any, bool]:
         """Zero freed data extents so reallocations read as fresh memory.
@@ -601,38 +1016,28 @@ class MemoryServer:
         return records
 
     def _handle_recover_dead(self, request: dict) -> Generator[Any, Any, dict]:
-        """Recovery of dead clients on this server: retire their proxy
-        rings and wait for their drain loops to exit, so a frame one
-        staged drains before a roll-forward lands over it; then apply the
-        committed fragment ``writes``, or clear the writer half of every
-        listed lock word (``lock_idxs``) one of them holds (a pass sends
-        its fragments first, PROTOCOLS §8.2).
+        """Recovery of dead clients on this server (PROTOCOLS §8.2): retire
+        their proxy rings and wait for their drain loops to exit, so a
+        frame one staged drains before a roll-forward lands over it; then
+        apply the committed fragment ``writes``, or clear the writer half
+        of every listed lock word (``lock_idxs``) one of them holds.
 
         The dead set is the filter ``txn_intent_scan`` takes: ``owners``
         maps each dead uid to the epoch it was fenced at (None: any epoch);
         a word of that epoch or an older one is dead, so a client that
         re-attached under a fresh epoch keeps the locks it re-took.
-        ``clients`` names the dead clients' rings.
-
-        Each word is read and rewritten under the endpoint's atomic gate,
-        so a concurrent CAS/FAA never interleaves with the read-modify-
-        write, and in-flight reader increments are kept.  Returns the
-        cleared words as ``(lock_idx, owner)`` pairs and the retired rings'
-        client names (sorted).  A call naming nobody dead, neither owner
-        nor client (the orphan sweep's), clears nothing and returns
-        ``holders`` too: the listed write-locked words' distinct ``(uid,
-        epoch)`` pairs, and the running drain loops' names.
+        ``clients`` names the dead clients' rings.  Each word is rewritten
+        under the endpoint's atomic gate, keeping in-flight reader
+        increments.  Returns the cleared words as ``(lock_idx, owner)``
+        pairs and the retired rings' names.  A call naming nobody dead (the
+        orphan sweep's) clears nothing and returns ``holders`` too: the
+        listed write-locked words' distinct ``(uid, epoch)`` pairs, and the
+        running drain loops' names.
         """
         owners, clients = request["owners"], set(request["clients"])
         holders = None if owners or clients else set()
         yield from self.node.cpu_work()
-        loops = self._drain_proc_by_client
-        # The loops to wait for, taken before any yield: a dead name that
-        # re-attaches meanwhile gets a live loop nothing will poison.
-        procs = [loops[name] for name in sorted(loops) if name in clients]
-        retired = sorted(clients.intersection(self._rings))
-        for name in retired:
-            self._retire_ring(name)
+        procs, retired = self.drain.retire(clients)
         for proc in procs:
             if proc.is_alive:
                 yield proc
@@ -658,135 +1063,13 @@ class MemoryServer:
         reply = {"cleared": cleared, "retired": retired}
         if holders is not None:
             reply["holders"] = sorted(holders), sorted(
-                name for name, proc in loops.items() if proc.is_alive)
+                name for name, ring in self.drain.rings.items()
+                if ring.proc.is_alive)
         return reply
 
     # ------------------------------------------------------------------
-    # Transaction intents + deterministic apply
+    # Deterministic apply: committed transactions and drained frames
     # ------------------------------------------------------------------
-    def _intent_length_offset(self, slot: int) -> int:
-        return self.intent_base + slot * 8
-
-    def _intent_offset(self, slot: int) -> int:
-        return self.intent_base + TXN_INTENT_ENTRIES * 8 + slot * TXN_INTENT_SLOT_BYTES
-
-    def _intent_load_index(self) -> Generator[Any, Any, Dict[str, dict]]:
-        """Read every durable intent record, txn id -> record: the length
-        table in one device read, then one read per live slot.
-
-        Rebuilds the volatile txn-id -> slot map from them when a restart
-        wiped it (or on first use), which is what makes the intent region
-        authoritative across crashes: the map is a cache of what NVM says,
-        never the other way around.
-        """
-        table = yield from self.data_device.read(
-            self.intent_base, TXN_INTENT_ENTRIES * 8)
-        records: Dict[str, dict] = {}
-        index: Dict[str, int] = {}
-        for slot in range(TXN_INTENT_ENTRIES):
-            length = int.from_bytes(table[slot * 8:slot * 8 + 8], "little")
-            if not length:
-                continue
-            blob = yield from self.data_device.read(self._intent_offset(slot), length)
-            record = pickle.loads(blob)
-            records[record["txn"]] = record
-            index[record["txn"]] = slot
-        if self._intent_index is None:
-            self._intent_index = index
-        else:
-            # Built meanwhile, or live (and may have taken reservations
-            # since): NVM truth for txns it did not know, but never clobber
-            # the live map with this snapshot.
-            for txn_id, slot in index.items():
-                self._intent_index.setdefault(txn_id, slot)
-        return records
-
-    def _handle_txn_intent_put(self, request: dict) -> Generator[Any, Any, int]:
-        """Durably persist one transaction's intent record — the commit
-        point of the whole protocol.
-
-        Write-ahead ordering like the journal: the pickled record lands
-        before its length-table entry, so a crash between the two leaves
-        the slot free rather than half-valid.  Idempotent per txn id (a
-        retried commit overwrites its own slot).  Returns the slot index.
-        """
-        record = {
-            "txn": request["txn"],
-            "owner": request["owner"],
-            "epoch": request["epoch"],
-            "writes": request["writes"],
-        }
-        blob = pickle.dumps(record)
-        if len(blob) > TXN_INTENT_SLOT_BYTES:
-            raise ServerError(
-                f"txn intent record too large ({len(blob)} bytes > slot "
-                f"capacity {TXN_INTENT_SLOT_BYTES})")
-        yield from self.node.cpu_work()
-        if self._intent_index is None:
-            yield from self._intent_load_index()
-        slot = self._intent_index.get(record["txn"])
-        reserved = slot is None
-        if reserved:
-            used = set(self._intent_index.values())
-            slot = next((s for s in range(TXN_INTENT_ENTRIES)
-                         if s not in used), None)
-            if slot is None:
-                raise ServerError("txn intent region full")
-            # Reserve in the volatile index BEFORE yielding to NVM: two
-            # commits landing concurrently would otherwise both see the
-            # slot as free and the second would overwrite the first's
-            # durable record — whose later clear then destroys it.
-            self._intent_index[record["txn"]] = slot
-        try:
-            yield from self.data_device.write(self._intent_offset(slot), blob)
-            yield from self.data_device.write(
-                self._intent_length_offset(slot), len(blob).to_bytes(8, "little"))
-        except BaseException:
-            if reserved:  # nothing durable yet: return the slot
-                self._intent_index.pop(record["txn"], None)
-            raise
-        self.txn_intents.add()
-        rec = self.sim.spans
-        if rec is not None:
-            rec.event(self.node.name, "txn", "intent persisted",
-                      txn=record["txn"], writes=len(record["writes"]))
-        return slot
-
-    def _handle_txn_intent_clear(self, request: dict) -> Generator[Any, Any, bool]:
-        """Retire a transaction's intent record (post-apply, or rollback of
-        a record that lost its race with recovery).  Idempotent."""
-        yield from self.node.cpu_work()
-        if self._intent_index is None:
-            yield from self._intent_load_index()
-        slot = self._intent_index.pop(request["txn"], None)
-        if slot is None:
-            return False
-        yield from self.data_device.write(
-            self._intent_length_offset(slot), (0).to_bytes(8, "little"))
-        rec = self.sim.spans
-        if rec is not None:
-            rec.event(self.node.name, "txn", "intent cleared",
-                      txn=request["txn"])
-        return True
-
-    def _handle_txn_intent_scan(self, request: dict) -> Generator[Any, Any, list]:
-        """Recovery: return the decoded intent records on this server,
-        optionally filtered to a set of owner uids.
-
-        Reads through NVM (rebuilding the volatile index if a restart wiped
-        it), so it works on a freshly recovered server process; a record
-        whose clear is in flight is no longer listed.  ``owners``, when
-        given, keeps only the uids it lists (a fence names the dead
-        clients); other keys of the dead set
-        (:meth:`_handle_recover_dead`) are ignored.
-        """
-        yield from self.node.cpu_work()
-        durable = yield from self._intent_load_index()
-        owners = request.get("owners")
-        return [durable[txn_id] for txn_id in sorted(durable)
-                if txn_id in self._intent_index
-                and (owners is None or durable[txn_id]["owner"] in owners)]
-
     def _handle_txn_apply(self, request: dict) -> Generator[Any, Any, int]:
         """Apply a committed write-set fragment through the drain's own
         :meth:`_apply`: a live commit's, or a roll-forward's.
@@ -824,291 +1107,34 @@ class MemoryServer:
             yield from self.cache_mr.write(
                 entry.cache_offset + CACHE_TAG_BYTES + obj_offset, payload)
 
-    def _retire_ring(self, client_name: str) -> None:
-        """Free a dead client's ring resources.
-
-        Deregisters the ring MR (a zombie's one-sided write faults with
-        ``REMOTE_ACCESS_ERROR`` instead of landing in an orphaned region)
-        and poisons the drain loop *behind* any doorbells already received,
-        so staged writes still drain before the loop exits.  The carved
-        DRAM span stays parked in ``_ring_spans`` for reuse at re-attach —
-        evicting a client must not leak (or re-carve) server DRAM.
-        """
-        ring = self._rings.pop(client_name)
-        self.node.endpoint.deregister_mr(ring.mr)
-        ring.qp.recv_cq.push(WorkCompletion(
-            wr_id=0, opcode=Opcode.RECV, context={"poison": True},
-        ))
-        rec = self.sim.spans
-        if rec is not None:
-            rec.event(self.node.name, "lease", "proxy ring retired",
-                      client=client_name)
-
-    def _find_qp(self, qp_num: int) -> "QueuePair":
-        # The client names the *server-side* QP of its data connection by
-        # number (it learned it from qp.remote at connect time), so control
-        # and data connections to the same client are never confused.
-        for qp in self.node.endpoint.qps:
-            if qp.qp_num == qp_num:
-                return qp
-        raise ServerError(f"no local QP numbered {qp_num}")
-
-    # ------------------------------------------------------------------
-    # The proxy drain loop — the heart of the write-latency redesign
-    # ------------------------------------------------------------------
-    def _drain_loop(self, ring: _ClientRing) -> Generator[Any, Any, None]:
-        """Apply staged writes to NVM (and the DRAM cache) in arrival order.
-
-        The client already got its completion when the payload landed in the
-        ring (DRAM latency); this loop pays the NVM cost off the critical
-        path.  It parses one frame at a time.  While nothing of the ring is
-        in flight and fewer than half its slots hold frames that arrived
-        but are not drained, it applies the frame itself before taking the
-        next.  Otherwise the ring has backed up and the frame goes to the
-        server's drain writers (:meth:`_drain_writer`), so several NVM
-        writes overlap; the loop stays in that mode until its handed-off
-        frames have all been applied.  Either way frames for one object
-        apply in program order, and the drained counter covers only the
-        prefix of frames applied or skipped (:meth:`_drain_frame`).
-        A frame with the more-bit set is parked until its group's last
-        frame arrives; the group then applies as one frame, or retires
-        unapplied if any of its frames is torn.
-        """
-        slot_size = self.config.proxy_slot_size
-        capacity = proxy_payload_capacity(slot_size)
-        half = self.config.proxy_ring_slots // 2
-        doorbells = ring.qp.recv_cq.next_event()
-        queued = doorbells._items  # doorbells arrived, not yet taken
-        while True:
-            wc = yield doorbells
-            if "poison" in wc.context:
-                # Retired or crashed.  Frames already handed off finish (or,
-                # after a crash, drop) before the loop exits: a re-attach
-                # waits for this process before reusing the ring's span.
-                if ring.handed:
-                    ring.idle = self.sim.event(name=f"{self.node.name}.drain_idle")
-                    yield ring.idle
-                return
-            gate = self._drain_gate
-            if gate is not None and not gate.triggered:
-                # Injected stall: hold the doorbell until the gate opens.
-                # A crash during the stall opens the gate too, so the loop
-                # always reaches its poison completion and exits.
-                yield gate
-            slot = wc.imm_data
-            self.ring_occupancy.adjust(+1)
-            rec = self.sim.spans
-            t0 = self.sim.now if rec is not None else 0
-            yield from self.node.cpu_work()  # parse the doorbell + header
-            if ring.lost:
-                # The server crashed under this doorbell and zeroed its
-                # slot: nothing to apply or judge.  Keep consuming until
-                # the poison, which the crash queued behind it.
-                self.ring_occupancy.adjust(-1)
-                continue
-            seq = ring.seq
-            ring.seq = seq + 1
-            base = slot * slot_size
-            header = ring.mr.peek(base, PROXY_HEADER_BYTES)
-            gaddr, obj_offset, length = unpack_proxy_header(header)
-            more = length & PROXY_MORE
-            length ^= more
-            # Torn-slot detection: this doorbell's frame must carry a commit
-            # word binding (seq, header+payload).  A client that died
-            # mid-WRITE leaves a frame the commit word no longer covers —
-            # skip it (retiring its seq to keep slot/seq alignment) rather
-            # than applying garbage to NVM.
-            payload = None
-            if length <= capacity:
-                body = ring.mr.peek(base + PROXY_HEADER_BYTES,
-                                    length + COMMIT_WORD_BYTES)
-                payload = body[:length]
-                if body[length:] != pack_commit_word(seq, header + payload):
-                    payload = None
-            else:
-                more = 0  # a garbage header ends any group
-            if payload is None:
-                self.torn_skipped.add()
-                if rec is not None:
-                    rec.event(self.node.name, "fault", "torn slot skipped",
-                              slot=slot, seq=seq)
-            parked = ring.parked
-            if parked or more:
-                if parked:
-                    ring.done.add(seq)  # retires along with the group's first
-                parked.append(payload)
-                if more:
-                    continue
-                # The group's last frame: the group applies as one frame.
-                seq -= len(parked) - 1
-                payload = None if None in parked else b"".join(parked)
-                parked.clear()
-                if payload is not None:  # from the group's first byte on
-                    obj_offset -= len(payload) - length
-                    length = len(payload)
-            overlap = seq != ring.drained or len(queued) + 1 >= half
-            if payload is None:
-                # Torn: the frame, or its whole group, retires unapplied.
-                yield from self._drain_frame(ring, seq, t0, overlap,
-                                             gaddr, obj_offset, length, None)
-                continue
-            if not overlap:
-                self._drain_writes += 1
-                yield from self._drain_frame(ring, seq, t0, False,
-                                             gaddr, obj_offset, length, payload)
-                continue
-            ring.handed += 1
-            frame = (ring, seq, t0, gaddr, obj_offset, length, payload)
-            chain = self._applying.get(gaddr)
-            if chain is not None:
-                chain.append(frame)  # behind the object's apply in flight
-                continue
-            self._applying[gaddr] = deque()
-            if not self._drain_writers:
-                self._drain_writers = self.data_device.spec.channels
-                for i in range(self._drain_writers):
-                    self.sim.spawn(self._drain_writer(),
-                                   name=f"{self.node.name}.drain_writer{i}")
-            self._drain_ready.append(frame)
-            self._admit_drain_writes()
-
-    def _admit_drain_writes(self) -> None:
-        """Hand ready frames to the writers while the server has fewer
-        frame applies in flight than its data device has channels."""
-        ready = self._drain_ready
-        channels = self._drain_writers
-        while ready and self._drain_writes < channels:
-            self._drain_writes += 1
-            self._drain_work.put(ready.popleft())
-
-    def _drain_writer(self) -> Generator[Any, Any, None]:
-        """Apply admitted frames, one at a time.
-
-        A frame whose object already has an apply in flight waits in that
-        object's chain (``_applying``); finishing the object's frame makes
-        the next one ready, ahead of the rest, which keeps one object's
-        frames in program order.  A frame of a ring the server crashed
-        under is dropped unwritten: its bytes died with the DRAM.
-        """
-        work = self._drain_work
-        while True:
-            ring, seq, t0, gaddr, obj_offset, length, payload = yield work
-            gate = self._drain_gate
-            if gate is not None and not gate.triggered:
-                yield gate
-            if ring.lost:
-                self._drain_writes -= 1
-            else:
-                yield from self._drain_frame(ring, seq, t0, True,
-                                             gaddr, obj_offset, length, payload)
-            ring.handed -= 1
-            if not ring.handed and ring.idle is not None:
-                ring.idle.succeed()
-            chain = self._applying[gaddr]
-            if chain:
-                self._drain_ready.appendleft(chain.popleft())
-            else:
-                del self._applying[gaddr]
-            self._admit_drain_writes()
-
-    def _drain_frame(self, ring: _ClientRing, seq: int, t0: int,
-                     overlapped: bool, gaddr: int, obj_offset: int,
-                     length: int,
-                     payload: Optional[bytes]) -> Generator[Any, Any, None]:
-        """Apply frame ``seq`` of ``ring``, or the group it heads as one write
-        (``payload`` None: skip it as torn) through :meth:`_apply`, then
-        retire it.
-
-        Retiring moves the drained counter only when ``seq`` is the next in
-        order, and then over every frame already finished behind it, so the
-        counter always covers exactly a prefix of the ring: what ``gsync``,
-        ring flow control and overlay pruning read it as.
-        """
-        if payload is not None:
-            yield from self._apply(gaddr, obj_offset, payload)
-            self._drain_writes -= 1
-            if self._drain_ready:
-                self._admit_drain_writes()
-        if seq == ring.drained:
-            done = ring.done
-            drained = seq + 1
-            while True:
-                ring.qp.post_recv(ring.mr, offset=ring.counter_offset, length=0)
-                self.ring_occupancy.adjust(-1)
-                if drained not in done:
-                    break
-                done.remove(drained)
-                drained += 1
-            ring.drained = drained
-            ring.mr.write_u64(ring.counter_offset, drained)
-        else:
-            ring.done.add(seq)
-        rec = self.sim.spans
-        if payload is None:
-            if rec is not None:
-                rec.record(self.node.name, "srv.drain", t0, client=ring.client,
-                           torn=True, overlapped=overlapped)
-            return
-        self.drained_writes.add()
-        self.drained_bytes.add(length)
-        if rec is not None:
-            rec.record(self.node.name, "srv.drain", t0, client=ring.client,
-                       bytes=length, torn=False, gaddr=hex(gaddr),
-                       seq=seq + 1, overlapped=overlapped)
-
     # ------------------------------------------------------------------
     # Failure injection
     # ------------------------------------------------------------------
     def crash(self) -> None:
-        """Fail the server process: DRAM contents are lost, NVM survives.
-
-        Models a machine power cycle: the DRAM cache, the proxy rings
-        (including any staged-but-undrained writes!), and the lock table all
-        vanish; data that reached NVM (everything a client ``gsync``'ed) is
-        durable.  In-flight and subsequent verbs targeting this node
-        complete with ``RETRY_EXCEEDED``.
+        """Fail the server process, as a machine power cycle: the DRAM
+        cache, the proxy rings (staged-but-undrained writes too) and the
+        lock table vanish; what reached NVM (all a client ``gsync``'ed)
+        survives.  Verbs targeting this node complete ``RETRY_EXCEEDED``.
         """
         if not self.node.endpoint.alive:
             return
         self.node.endpoint.alive = False
         self.crashes += 1
-        # DRAM is gone: invalidate every cached slot's tag and the rings.
+        # DRAM is gone: invalidate every cached slot's tag.
         for entry in self.cached.values():
             self.cache_mr.poke(entry.cache_offset,
                                bytes(CACHE_TAG_BYTES + entry.size))
         self.cached.clear()
         if self.cache_alloc is not None:
             self.cache_alloc = ExtentAllocator(self.config.cache_capacity)
-        for ring in self._rings.values():
-            ring.lost = True  # handed-off frames not yet written drop
-            ring.mr.poke(0, bytes(ring.mr.length))
-            # Tear down the ring's RDMA window: a client unaware of the
-            # crash faults loudly (REMOTE_ACCESS_ERROR -> StaleRingError)
-            # instead of silently writing into an orphaned region.  The
-            # carved span itself is reused at re-attach (_ring_spans).
-            self.node.endpoint.deregister_mr(ring.mr)
-        # A stalled drain loop must still see its poison completion.
-        gate = self._drain_gate
-        if gate is not None:
-            if not gate.triggered:
-                gate.succeed()
-            self._drain_gate = None
-        # Stop the drain loops with poison completions (a poisoned wait is
-        # consumed by the dying loop, so no live completion is ever lost to
-        # a stale queue entry).
-        for ring in self._rings.values():
-            ring.qp.recv_cq.push(WorkCompletion(
-                wr_id=0, opcode=Opcode.RECV, context={"poison": True},
-            ))
-        self._rings.clear()
+        # The rings lived in DRAM too, with any staged-but-undrained writes.
+        self.drain.crash()
         # The lock table lived in DRAM: every lock is implicitly released.
         self.lock_mr.poke(0, bytes(self.lock_mr.length))
         # Wait-die stamps lived in DRAM too; zero = "holder unknown", which
         # contenders resolve to the safe verdict (wait).
         self.stamp_mr.poke(0, bytes(self.stamp_mr.length))
-        # The intent *records* are in NVM and survive; only the volatile
-        # txn-id -> slot map is lost, so force a rebuild on next use.
-        self._intent_index = None
+        self.intents.reset()
         rec = self.sim.spans
         if rec is not None:
             rec.event(self.node.name, "fault", "server crashed")
@@ -1126,36 +1152,10 @@ class MemoryServer:
         if rec is not None:
             rec.event(self.node.name, "fault", "server recovered")
 
-    def stall_drains(self, duration_ns: int) -> None:
-        """Freeze every proxy drain loop for ``duration_ns`` (fault
-        injection: a wedged drain thread or an NVM write stall).
-
-        Staged writes keep landing in the rings (clients still get DRAM-
-        latency acks) but nothing reaches NVM and the drained counter stops
-        advancing until the gate reopens.  A stall during a stall is a
-        no-op (the first release time stands); a crash releases the gate
-        immediately.
-        """
-        if duration_ns < 1:
-            raise ServerError("stall duration must be positive")
-        if self._drain_gate is not None and not self._drain_gate.triggered:
-            return
-        gate = self.sim.event(name=f"{self.node.name}.drain_stall")
-        self._drain_gate = gate
-        self.sim.schedule(duration_ns, self._release_drain_gate, gate)
-        rec = self.sim.spans
-        if rec is not None:
-            rec.event(self.node.name, "fault", "drain loops stalled",
-                      duration_ns=duration_ns)
-
     def _release_drain_gate(self, gate) -> None:
-        if not gate.triggered:
-            gate.succeed()
-        if self._drain_gate is gate:
-            self._drain_gate = None
-            rec = self.sim.spans
-            if rec is not None:
-                rec.event(self.node.name, "fault", "drain loops released")
+        # The stall timer's callback, here for its name: the dispatch-trace
+        # golden hashes scheduled callbacks by qualified name.
+        self.drain.release(gate)
 
     @property
     def is_alive(self) -> bool:

@@ -278,7 +278,7 @@ class FaultInjector:
         if rec is not None:
             rec.event("faults", "fault", "injecting ring stall",
                       server=server_id, duration_ns=duration_ns)
-        self.servers[server_id].stall_drains(duration_ns)
+        self.servers[server_id].drain.stall(duration_ns)
         self.stalls_injected.add()
 
     def _do_master_crash(self, shard: int = 0) -> None:
@@ -348,7 +348,7 @@ class FaultInjector:
         conn = client._conns.get(sid)
         if server is None or conn is None or conn.ring.desc is None:
             return False
-        ring_state = server._rings.get(client.name)
+        ring_state = server.drain.attached(client.name)
         if ring_state is None:
             return False
         ring = conn.ring

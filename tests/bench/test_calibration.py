@@ -271,7 +271,7 @@ def test_backed_up_ring_drains_at_the_closed_form(frames, payload):
         addrs = []
         for _ in range(frames):
             addrs.append((yield from client.gmalloc(payload)))
-        server.stall_drains(DRAIN_STALL_NS)
+        server.drain.stall(DRAIN_STALL_NS)
         holder["release"] = sim.now + DRAIN_STALL_NS
         for i, gaddr in enumerate(addrs):
             yield from client.gwrite(gaddr, bytes([i + 1]) * payload)

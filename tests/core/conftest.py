@@ -48,7 +48,7 @@ def journal_entries(entries):
 def live_drain_loops(server):
     """How many proxy drain loops are running on ``server``: one per
     attached ring once retired loops have exited."""
-    return sum(proc.is_alive for proc in server._drain_proc_by_client.values())
+    return sum(ring.proc.is_alive for ring in server.drain.rings.values())
 
 
 def build_pool(seed=1, num_servers=2, num_clients=2, config=None,

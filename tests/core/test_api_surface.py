@@ -21,7 +21,10 @@ recovery filter lists survivors, and only a live commit sends
 the ring module moves a proxy ring's cursor, only the metadata module writes
 the metadata map, only the read module builds an RDMA READ, and only a
 master shard's own object writes its lease deadline, term floor, fail
-streak and active connection.  And one
+streak and active connection.  And one layer into the server: only the
+proxy drain writes a ring's drain state and its writers' state, and only
+the intent store writes its index or computes an offset in the intent
+region.  And one
 layer into the master: only a server handle writes its lock indices,
 quarantine and scrubber, only the directory appends to the location log,
 and only the leases write lease and phi state.  One layer
@@ -433,3 +436,48 @@ def test_only_the_master_shard_writes_its_lease_term_and_connection():
     assert writers and {w for w in writers
                         if not w.startswith("core/client.py:_MasterShard.")
                         } == set()
+
+
+#: A server ring's drain state and the drain writers' state, by every name
+#: they have had.
+_DRAIN_STATE = {"seq", "drained", "done", "handed", "lost", "idle", "parked",
+                "_ready", "_work", "_applies", "_writers", "_applying",
+                "_rings", "_drain_ready", "_drain_work", "_drain_writes",
+                "_drain_writers", "_drain_proc_by_client", "_ring_spans",
+                "_drain_gate"}
+
+
+def test_only_the_proxy_drain_writes_ring_and_writer_state():
+    """Nothing under ``src/`` but ``ProxyDrain`` writes a server ring's
+    seq, drained prefix, finished set,
+    hand-off count, lost flag, idle wait or parked group, or the overlapped
+    writers' queues and counts: a second writer would have to repeat the
+    prefix rule of the drained counter and the per-object apply order."""
+    writers = _writers(_DRAIN_STATE)
+    assert writers and {w for w in writers
+                        if not w.startswith("core/server.py:ProxyDrain.")
+                        } == set()
+
+
+#: The intent store's index, and what computes an offset in the region,
+#: by every name they have had.
+_INTENT_INDEX = {"_slot_of", "_intent_index"}
+_INTENT_OFFSET = {"intent_base", "_slot_offset", "_length_offset",
+                  "_intent_offset", "_intent_length_offset"}
+
+
+def test_only_the_intent_store_writes_its_index_or_computes_an_offset():
+    """Nothing under ``src/`` but ``IntentStore`` writes the txn-id -> slot
+    index or names the region's base or offset helpers: the index is a
+    cache of the NVM length table, and a second reader of the region
+    would bypass the rebuild that makes it one."""
+    writers = _writers(_INTENT_INDEX)
+    users = set()
+    for path in sorted(SRC.rglob("*.py")):
+        users |= {f"{path.relative_to(SRC)}:{scope}" for scope, _ in _scoped(
+            path, lambda node: isinstance(node, ast.Attribute)
+            and node.attr in _INTENT_OFFSET)}
+    for found in (writers, users):
+        assert found and {w for w in found
+                          if not w.startswith("core/server.py:IntentStore.")
+                          } == set()

@@ -99,7 +99,7 @@ def test_concurrent_proxy_writes_use_distinct_ring_slots():
 
     (values,) = pool.run(app(sim))
     assert values == [bytes([i + 1]) * 256 for i in range(8)]
-    assert pool.servers[0].drained_writes.count == 8
+    assert pool.servers[0].drain.drained_writes.count == 8
 
 
 def test_huge_object_read_write_chunked():

@@ -317,7 +317,7 @@ def test_a_client_re_attaching_inside_the_orphan_sweep_loses_nothing_it_holds(
         return g
 
     (gaddr,) = pool.run(hold(sim))
-    epoch, ring = client.fence_epoch, server._rings[client.name]
+    epoch, ring = client.fence_epoch, server.drain.rings[client.name]
     offset = pool.master.directory.get(gaddr).lock_idx * 8
     t0 = sim.now
     injector = pool.inject_faults(FaultPlan.of(
@@ -343,12 +343,12 @@ def test_a_client_re_attaching_inside_the_orphan_sweep_loses_nothing_it_holds(
     if moment is _before_the_recheck:
         assert client.fence_epoch == epoch
         assert word == write_lock_word(client.uid, epoch)
-        assert server._rings.get(client.name) is ring
+        assert server.drain.attached(client.name) is ring
         pool.run(client.gunlock(gaddr))
     else:
         assert client.fence_epoch > epoch
         assert lock_is_free(word)
-        assert client.name not in server._rings
+        assert server.drain.attached(client.name) is None
         with pytest.raises(FencedError):
             pool.run(client.gunlock(gaddr))
 
@@ -432,7 +432,7 @@ def test_the_sweep_applies_on_another_shards_server_behind_its_drain():
         while len(gaddrs) < 2:
             g = yield from dead.gmalloc(64)
             gaddrs.setdefault(server_of(g), g)
-        home.stall_drains(3 * LEASE)
+        home.drain.stall(3 * LEASE)
         yield from dead.gwrite(gaddrs[1], b"S" * 64)
         txn = yield from dead.txn.begin([gaddrs[0], gaddrs[1]])
         txn.write(gaddrs[0], b"c" * 64)
@@ -516,7 +516,7 @@ def test_roll_forward_applies_and_clears_before_any_word_is_freed():
             g = yield from alive.gmalloc(64)
             homes.setdefault(server_of(g), g)
         for sid, g in homes.items():
-            yield from pool.servers[sid]._handle_txn_intent_put({
+            yield from pool.servers[sid].intents.put({
                 "txn": f"{dead.name}.t{sid}", "owner": dead.uid,
                 "epoch": dead.fence_epoch,
                 "writes": [(g, 0, bytes([sid + 1]) * 64)]})
@@ -564,7 +564,7 @@ def test_a_fence_scans_while_its_journal_append_flies_and_loads_after():
 
     def setup(sim):
         g = yield from alive.gmalloc(64)
-        yield from pool.servers[server_of(g)]._handle_txn_intent_put({
+        yield from pool.servers[server_of(g)].intents.put({
             "txn": f"{dead.name}.t0", "owner": dead.uid,
             "epoch": dead.fence_epoch, "writes": [(g, 0, b"\x07" * 64)]})
         yield from dead.glock(g, write=True)
@@ -647,7 +647,7 @@ def test_recovery_waits_only_for_the_drain_loops_it_retired():
 
     def stage(sim):
         g = yield from x.gmalloc(64)
-        server.stall_drains(50_000)
+        server.drain.stall(50_000)
         yield from x.gwrite(g, b"x" * 64)
 
     pool.run(stage(sim))
@@ -664,7 +664,7 @@ def test_recovery_waits_only_for_the_drain_loops_it_retired():
 
     def reattach(sim):
         yield 1_000
-        server._drain_proc_by_client[y.name] = sim.spawn(live_loop(sim))
+        server.drain.rings[y.name].proc = sim.spawn(live_loop(sim))
 
     pool.run(recover(sim), reattach(sim))
     assert done and done[0] < 100_000

@@ -75,7 +75,7 @@ def test_unsynced_staged_writes_are_lost_and_reported():
         staged = []
         for _ in range(burst):  # allocate first: the burst must be pure writes
             staged.append((yield from client.gmalloc(size)))
-        pool.servers[0].stall_drains(1_000_000)
+        pool.servers[0].drain.stall(1_000_000)
         for i, g in enumerate(staged):
             yield from client.gwrite(g, payloads[i])
         # Crash at this very instant: the stalled drain holds the ring.
@@ -133,7 +133,7 @@ def test_crash_during_overlapped_drain_reports_every_frame_not_in_nvm():
         staged = []
         for _ in range(burst):
             staged.append((yield from client.gmalloc(size)))
-        server.stall_drains(stall)
+        server.drain.stall(stall)
         # Crash a few writes' worth after the stall lifts: mid-overlap.
         crash_at = sim.now + stall + 10_000
         sim.schedule(crash_at - sim.now, server.crash)
@@ -159,7 +159,7 @@ def test_crash_during_overlapped_drain_reports_every_frame_not_in_nvm():
     for i, g in enumerate(staged):
         if not landed[i]:
             assert g in holder["lost"], i
-    assert not server._applying and not server._drain_ready
+    assert not server.drain._applying and not server.drain._ready
 
     victim = staged[-1]
 
@@ -192,7 +192,7 @@ def test_doorbells_queued_behind_a_ring_stall_die_with_the_crash():
         return addrs
 
     (addrs,) = pool.run(setup(sim))
-    drained, torn = server.drained_writes.count, server.torn_skipped.count
+    drained, torn = server.drain.drained_writes.count, server.drain.torn_skipped.count
     t0 = sim.now
     pool.inject_faults(FaultPlan.of(
         RingStall(at_ns=t0 + 1_000, duration_ns=1_000_000, server_id=0),
@@ -203,15 +203,15 @@ def test_doorbells_queued_behind_a_ring_stall_die_with_the_crash():
         yield 2_000
         for g in addrs:
             yield from client.gwrite(g, b"\xaa" * 256)
-        assert server.is_alive and len(server._rings[client.name].qp.recv_cq) > 0
+        assert server.is_alive and len(server.drain.rings[client.name].qp.recv_cq) > 0
         yield t0 + 100_000 - sim.now
 
     pool.run(burst(sim))
     assert not server.is_alive
-    assert server.drained_writes.count == drained
-    assert server.torn_skipped.count == torn
-    assert server.ring_occupancy.level == 0
-    assert not any(proc.is_alive for proc in server._drain_proc_by_client.values())
+    assert server.drain.drained_writes.count == drained
+    assert server.drain.torn_skipped.count == torn
+    assert server.drain.ring_occupancy.level == 0
+    assert not any(ring.proc.is_alive for ring in server.drain.rings.values())
 
 
 def test_ops_fail_while_server_is_down():
@@ -505,7 +505,7 @@ def test_client_death_frees_ring_resources():
             yield sim.timeout(3 * LEASE)  # lease lapses; ring retired
 
         pool.run(wait(sim))
-        assert "client0" not in server._rings
+        assert server.drain.attached("client0") is None
         assert live_drain_loops(server) == 1
         pool.run(a.restart())
 

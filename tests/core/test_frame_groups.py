@@ -61,7 +61,7 @@ def test_an_object_larger_than_a_slot_is_cached_and_stays_coherent():
     entry = server.cached[gaddr]
     dram = server.cache_mr.peek(entry.cache_offset + CACHE_TAG_BYTES, SIZE)
     assert dram == _nvm(server, gaddr) == new
-    assert server.drained_writes.count == 2  # one apply per write
+    assert server.drain.drained_writes.count == 2  # one apply per write
     assert writer.m_direct_writes.count == 0
 
 
@@ -94,7 +94,7 @@ def test_a_write_during_a_reattach_handshake_lands_through_the_new_ring():
     pool.run(app(sim))
     assert _nvm(server, gaddr, 3) == b"new"
     assert client.m_direct_writes.count == 0
-    assert server._rings[client.name].drained == 1  # the new ring's frame
+    assert server.drain.rings[client.name].drained == 1  # the new ring's frame
 
 
 def test_a_client_killed_between_frames_leaves_no_partial_object():
@@ -112,7 +112,7 @@ def test_a_client_killed_between_frames_leaves_no_partial_object():
         return gaddr
 
     (gaddr,) = pool.run(setup(sim))
-    ring = server._rings[client.name]
+    ring = server.drain.rings[client.name]
     drained = ring.drained
     fabric = client.node.endpoint.fabric
     inject = fabric.inject
@@ -139,7 +139,7 @@ def test_a_client_killed_between_frames_leaves_no_partial_object():
     assert _nvm(server, gaddr) == old
 
     pool.run(pool.master.evict_client(client.name))
-    assert client.name not in server._rings
+    assert server.drain.attached(client.name) is None
     assert _nvm(server, gaddr) == old
 
 
@@ -157,17 +157,17 @@ def test_a_torn_frame_drops_its_whole_group():
         yield from client.gsync()
         ring = client._conns[0].ring
         first = ring.written
-        server.stall_drains(30_000)
+        server.drain.stall(30_000)
         yield from client.gwrite(gaddr, b"\x08" * SIZE)
         middle = (first + 1) % ring.desc.slots
-        server._rings[client.name].mr.poke(
+        server.drain.rings[client.name].mr.poke(
             middle * ring.desc.slot_size + PROXY_HEADER_BYTES, b"\xff")
         yield from client.gsync()
         return gaddr
 
     (gaddr,) = pool.run(app(sim))
-    ring = server._rings[client.name]
-    assert server.torn_skipped.count == 1
+    ring = server.drain.rings[client.name]
+    assert server.drain.torn_skipped.count == 1
     assert _nvm(server, gaddr) == old
     assert ring.drained == ring.seq == client._conns[0].ring.written
     assert not ring.parked and not ring.done
@@ -201,5 +201,5 @@ def test_a_torn_restage_of_a_multi_frame_write_is_skipped():
 
     (back,) = pool.run(observe(sim))
     assert back == data == _nvm(server, gaddr)
-    assert server.torn_skipped.count == 1
+    assert server.drain.torn_skipped.count == 1
     assert sim.metrics.counter("faults.torn_injected").count == 1

@@ -182,7 +182,7 @@ def test_random_client_kills_leave_no_stale_locks_or_torn_data(
 
     # 2. The victim's proxy ring was retired on every server.
     for server in pool.servers.values():
-        assert victim.name not in server._rings
+        assert server.drain.attached(victim.name) is None
 
     # 3. No torn data: every synced byte matches its oracle.
     from repro.core.addressing import offset_of, server_of

@@ -141,8 +141,8 @@ def test_dead_clients_locks_are_recovered_within_a_lease():
 def test_dead_clients_ring_is_retired():
     sim, pool, _ = _locked_victim_pool()
     server = pool.servers[0]
-    assert "client0" not in server._rings
-    assert "client1" in server._rings
+    assert server.drain.attached("client0") is None
+    assert server.drain.attached("client1")
     assert live_drain_loops(server) == 1
 
 

@@ -221,7 +221,7 @@ def test_orphan_sweep_retires_rings_of_clients_that_never_reattached():
         return gaddr
 
     pool.run(setup(sim))
-    assert "client0" in server._rings and "client1" in server._rings
+    assert server.drain.attached("client0") and server.drain.attached("client1")
     t0 = sim.now
     pool.inject_faults(FaultPlan.of(
         ClientCrash(at_ns=t0 + 1_000, client="client0"),
@@ -237,6 +237,6 @@ def test_orphan_sweep_retires_rings_of_clients_that_never_reattached():
     pool.run(outlive_the_sweep(sim))
     assert "client1" in pool.master._client_uids
     # client0 never re-attached: lock recovered AND ring retired ...
-    assert "client0" not in server._rings
+    assert server.drain.attached("client0") is None
     # ... while the re-attached survivor's ring is untouched.
-    assert "client1" in server._rings
+    assert server.drain.attached("client1")

@@ -96,7 +96,7 @@ def test_backed_up_bursts_leave_no_drain_state_behind():
         own, group = addrs[client][:-1], addrs[client][-1]
         for r in range(rounds):
             for server in pool.servers.values():
-                server.stall_drains(20_000)
+                server.drain.stall(20_000)
             for i in range(12):  # one object twice per burst: a chain
                 gaddr = own[i % len(own)]
                 yield from client.gwrite(gaddr, bytes([(r + i) % 251]) * 1024)
@@ -105,10 +105,10 @@ def test_backed_up_bursts_leave_no_drain_state_behind():
 
     def quiescent():
         for server in pool.servers.values():
-            assert not server._applying
-            assert not server._drain_ready
-            assert server._drain_writes == 0
-            for ring in server._rings.values():
+            assert not server.drain._applying
+            assert not server.drain._ready
+            assert server.drain._applies == 0
+            for ring in server.drain.rings.values():
                 assert not ring.done and not ring.handed and not ring.parked
                 assert ring.drained == ring.seq
         _scratch_idle(pool)
@@ -116,7 +116,7 @@ def test_backed_up_bursts_leave_no_drain_state_behind():
     pool.run(*(setup(sim, c) for c in pool.clients))
     n = 4
     pool.run(*(bursts(sim, c, n) for c in pool.clients))  # warm: writers spawned
-    assert all(s._drain_writers for s in pool.servers.values())
+    assert all(s.drain._writers for s in pool.servers.values())
     quiescent()
     after_n = _census()
     pool.run(*(bursts(sim, c, 2 * n) for c in pool.clients))

@@ -1,9 +1,12 @@
 """Integration tests for the proxy write path."""
 
+import pytest
+
 from repro import obs
 from repro.core.addressing import offset_of
+from repro.core.server import ServerError
 
-from tests.core.conftest import build_pool, fast_config
+from tests.core.conftest import build_pool, fast_config, live_drain_loops
 
 
 def test_proxy_write_faster_than_direct_nvm_write():
@@ -47,7 +50,7 @@ def test_proxy_drain_reaches_nvm():
     (gaddr,) = pool.run(app(sim))
     server = pool.servers[0]
     assert server.data_device.peek(offset_of(gaddr), 8) == b"drained!"
-    assert server.drained_writes.count == 1
+    assert server.drain.drained_writes.count == 1
 
 
 def test_read_your_writes_before_drain():
@@ -108,7 +111,7 @@ def test_writes_drain_in_order():
         for g in objs:
             shadow[g] = bytearray(size)
         for r in range(4):
-            server.stall_drains(15_000)
+            server.drain.stall(15_000)
             for j, (k, offset, length) in enumerate(plan):
                 g = objs[k]
                 data = bytes([(r * len(plan) + j + 1) % 256]) * length
@@ -157,7 +160,7 @@ def test_overlapped_drain_shares_the_channels_with_serial_rings():
         addrs = []
         for _ in range(16):
             addrs.append((yield from busy.gmalloc(4000)))
-        server.stall_drains(40_000)
+        server.drain.stall(40_000)
         release["at"] = sim.now + 40_000
         for i, g in enumerate(addrs):
             yield from busy.gwrite(g, bytes([i + 1]) * 4000)
@@ -205,7 +208,7 @@ def test_ring_backpressure_throttles_but_never_loses_writes():
 
     (addrs,) = pool.run(app(sim))
     server = pool.servers[0]
-    assert server.drained_writes.count == n
+    assert server.drain.drained_writes.count == n
     for i, g in enumerate(addrs):
         assert server.data_device.peek(offset_of(g), 4) == bytes([i % 256]) * 4
 
@@ -228,7 +231,7 @@ def test_a_write_larger_than_a_slot_stages_as_frame_groups():
     server = pool.servers[0]
     assert back == data
     assert server.data_device.peek(offset_of(gaddr), len(data)) == data
-    assert server.drained_writes.count == 4
+    assert server.drain.drained_writes.count == 4
     assert client.m_direct_writes.count == 0
     assert client.m_proxy_writes.count == 1
 
@@ -274,7 +277,7 @@ def test_gsync_covers_earlier_frames_a_later_one_overtook():
         small = []
         for _ in range(5):
             small.append((yield from client.gmalloc(16)))
-        server.stall_drains(20_000)
+        server.drain.stall(20_000)
         yield from client.gwrite(big, b"B" * 4000)
         for i, g in enumerate(small):
             yield from client.gwrite(g, bytes([i + 1]) * 16)
@@ -334,3 +337,84 @@ def test_proxy_ack_latency_independent_of_nvm_speed():
     # critical path (at least ~3x the proxy's degradation).
     assert direct_delta > 300
     assert direct_delta > 3 * max(proxy_delta, 1)
+
+
+# ----------------------------------------------------------------------
+# The drain's stall gate (fault injection)
+# ----------------------------------------------------------------------
+def _stage_and_sync(client, gaddr):
+    """Stage one write and wait for it to drain; returns the wait."""
+    def run(sim):
+        yield from client.gwrite(gaddr, b"s" * 64)
+        t0 = sim.now
+        yield from client.gsync()
+        return sim.now - t0
+    return run
+
+
+def test_a_stall_inside_a_stall_keeps_the_first_release_time():
+    """A second stall while the first holds is a no-op: the frame staged
+    after it drains when the first stall releases, not the second."""
+    sim, pool = build_pool(num_servers=1, num_clients=1)
+    client, drain = pool.clients[0], pool.servers[0].drain
+    rec = obs.install(sim)
+
+    def scenario(sim):
+        g = yield from client.gmalloc(64)
+        t0 = sim.now
+        drain.stall(20_000)
+        yield 10_000
+        drain.stall(100_000)  # inside the first: a no-op
+        yield from _stage_and_sync(client, g)(sim)
+        return t0, sim.now
+
+    ((t0, t_synced),) = pool.run(scenario(sim))
+    assert t_synced >= t0 + 20_000
+    assert [e.fields for e in rec.events
+            if e.message == "drain loops stalled"] == [{"duration_ns": 20_000}]
+    assert [e.time_ns for e in rec.events
+            if e.message == "drain loops released"] == [t0 + 20_000]
+
+
+def test_a_crash_opens_the_stall_gate_and_a_later_stall_arms_a_fresh_one():
+    """A crash opens the gate at once, so a stalled loop reaches its
+    poison and exits; after the restart a stall arms a new gate that
+    holds the next frame for its own duration."""
+    sim, pool = build_pool(num_servers=1, num_clients=1)
+    client, server = pool.clients[0], pool.servers[0]
+    drain = server.drain
+    rec = obs.install(sim)
+
+    def stalled_crash(sim):
+        g = yield from client.gmalloc(64)
+        drain.stall(10_000_000)
+        yield from client.gwrite(g, b"x" * 64)  # held by the stalled loop
+        server.crash()
+        yield 1_000
+        return g
+
+    (g,) = pool.run(stalled_crash(sim))
+    # The gate opened at the crash: the stalled loop took its poison and
+    # exited long before the stall's own release time.
+    assert sim.now < 10_000_000 and live_drain_loops(server) == 0
+    server.recover()
+    pool.master.on_server_recovered(0)
+    pool.run(client.reattach_server(0))
+
+    def second_stall(sim):
+        t0 = sim.now
+        drain.stall(30_000)  # the crash left no gate armed
+        yield from _stage_and_sync(client, g)(sim)
+        return t0, sim.now
+
+    ((t0, t_synced),) = pool.run(second_stall(sim))
+    assert t_synced >= t0 + 30_000
+    assert [e.time_ns for e in rec.events
+            if e.message == "drain loops released"] == [t0 + 30_000]
+
+
+@pytest.mark.parametrize("duration_ns", [0, -5])
+def test_a_stall_shorter_than_one_ns_is_refused(duration_ns):
+    sim, pool = build_pool(num_servers=1, num_clients=1)
+    with pytest.raises(ServerError, match="stall duration must be positive"):
+        pool.servers[0].drain.stall(duration_ns)

@@ -224,7 +224,7 @@ def test_a_writer_waits_out_a_stalled_ring():
         gaddrs = []
         for _ in range(slots + 1):
             gaddrs.append((yield from client.gmalloc(256)))
-        server.stall_drains(stall_ns)
+        server.drain.stall(stall_ns)
         t0 = sim.now
         for i, g in enumerate(gaddrs):
             yield from client.gwrite(g, bytes([i + 1]) * 256)

@@ -70,9 +70,9 @@ def test_a_counter_read_that_returns_after_a_reattach_is_dropped():
             yield from client.gwrite(g, b"\x02" * 64)
         yield from client.gsync()
 
-    torn = server.torn_skipped.count
+    torn = server.drain.torn_skipped.count
     pool.run(burst(sim))
-    assert server.torn_skipped.count == torn
+    assert server.drain.torn_skipped.count == torn
     for g in addrs:
         assert server.data_device.peek(offset_of(g), 64) == b"\x02" * 64
 
@@ -106,7 +106,7 @@ def test_a_steady_writer_stops_blocking_once_it_refreshes_ahead():
         addrs = []
         for _ in range(8):
             addrs.append((yield from client.gmalloc(1024)))
-        server.stall_drains(20_000)
+        server.drain.stall(20_000)
         for i in range(40):
             yield from client.gwrite(addrs[i % 8], bytes([i]) * 1024)
         phase[0] = "sync"
@@ -194,7 +194,7 @@ def test_writes_known_drained_are_not_reported_lost(undrained):
         yield 50_000
         yield from ring._refresh_drained()
         if undrained:
-            server.stall_drains(1_000_000)
+            server.drain.stall(1_000_000)
             yield from client.gwrite(addrs[2], b"\x02" * 64)
         return addrs
 
@@ -249,7 +249,7 @@ def test_a_write_waiting_through_a_reattach_takes_no_seq_of_the_new_ring(wait):
         for _ in range(9):
             addrs.append((yield from client.gmalloc(size)))
         if wait == "ring-space":
-            server.stall_drains(10_000_000)
+            server.drain.stall(10_000_000)
             for g in addrs[:8]:
                 yield from client.gwrite(g, b"\x01" * size)
         return addrs
@@ -290,11 +290,11 @@ def test_a_write_waiting_through_a_reattach_takes_no_seq_of_the_new_ring(wait):
             yield from crash_and_reattach()
             client._reads.scratch.free(held, SCRATCH_BYTES)
 
-    torn = server.torn_skipped.count
+    torn = server.drain.torn_skipped.count
     pool.run(writer(sim), driver(sim))
     if wait == "ring-space":
         assert reattached and reattached[0].ok
-    assert server.torn_skipped.count == torn
+    assert server.drain.torn_skipped.count == torn
     assert server.data_device.peek(offset_of(victim), size) == b"\x02" * size
 
 
@@ -315,7 +315,7 @@ def test_a_write_parked_on_scratch_does_not_lap_the_ring():
         addrs = []
         for _ in range(9):
             addrs.append((yield from client.gmalloc(1024)))
-        server.stall_drains(200_000)
+        server.drain.stall(200_000)
         for i, g in enumerate(addrs[:7]):
             yield from client.gwrite(g, bytes([i + 1]) * 64)
         return addrs
@@ -332,10 +332,10 @@ def test_a_write_parked_on_scratch_does_not_lap_the_ring():
         yield 500
         client._reads.scratch.free(held, SCRATCH_BYTES)
 
-    torn = server.torn_skipped.count
+    torn = server.drain.torn_skipped.count
     pool.run(parked(sim), inline(sim))
     pool.run(client.gsync())
-    assert server.torn_skipped.count == torn
+    assert server.drain.torn_skipped.count == torn
     for i, g in enumerate(addrs[:7]):
         assert server.data_device.peek(offset_of(g), 64) == bytes([i + 1]) * 64
     assert server.data_device.peek(offset_of(addrs[7]), 1024) == b"\xaa" * 1024

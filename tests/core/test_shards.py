@@ -426,6 +426,58 @@ def test_gsync_and_gread_many_test_the_lease_of_every_shard_they_touch():
     assert client._shards[0].lease_deadline > t_done
 
 
+def _read_with_shard_1_lapsed(verb, cut):
+    """The verdict of ``verb`` reading one shard-1 object while shard 1's
+    lease has lapsed locally: the value, or the type of its error.  With
+    ``cut`` the client is cut off from shard 1 for four leases and reads
+    mid-cut; without, the deadline lapses while the master still leases
+    it."""
+    sim, pool = build_pool(num_servers=2, num_clients=1,
+                           config=shard_config(client_lease_ns=LEASE))
+    client = pool.clients[0]
+    (g,) = _objects_on_shard_1(pool, client, 1)
+
+    def write(sim):
+        yield from client.gwrite(g, b"v" * 64)
+        yield from client.gsync()
+
+    pool.run(write(sim))
+    t0 = sim.now
+    if cut:
+        pool.inject_faults(FaultPlan.of(Partition(
+            start_ns=t0 + 1_000, end_ns=t0 + 4 * LEASE,
+            group_a=("master_s1",), group_b=("client0",))))
+
+    def read(sim):
+        if cut:
+            yield sim.timeout(2 * LEASE)
+        else:
+            client._shards[1].lease_deadline = sim.now
+        try:
+            if verb == "gread":
+                return (yield from client.gread(g))
+            (value,) = yield from client.gread_many([g])
+            return value
+        except FencedError as exc:
+            return type(exc)
+
+    (verdict,) = pool.run(read(sim))
+    return verdict
+
+
+@pytest.mark.parametrize("cut, verdict", [(False, b"v" * 64),
+                                          (True, FencedError)],
+                         ids=["renewed", "fenced"])
+def test_gread_and_gread_many_probe_a_locally_lapsed_lease_alike(cut, verdict):
+    """A data verb whose precheck finds a lease lapsed locally probes the
+    lapse before its attempt, whatever its retry policy: ``gread`` and
+    the one-attempt ``gread_many`` of one shard-1 object reach the same
+    verdict, the value once a renewal goes through, or ``FencedError``
+    once shard 1 has retired the epoch."""
+    assert _read_with_shard_1_lapsed("gread", cut) == verdict
+    assert _read_with_shard_1_lapsed("gread_many", cut) == verdict
+
+
 # ----------------------------------------------------------------------
 # Cross-shard txn fencing: the fencing shard rolls forward intents that
 # live on ANOTHER shard's coordinator server before force-unlocking

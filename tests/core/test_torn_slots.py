@@ -86,7 +86,7 @@ def test_fault_free_commit_path_drains_correctly():
 
     (checks,) = pool.run(app(sim))
     assert all(checks)
-    assert sum(s.torn_skipped.count for s in pool.servers.values()) == 0
+    assert sum(s.drain.torn_skipped.count for s in pool.servers.values()) == 0
 
 
 def test_torn_slot_is_skipped_never_applied():
@@ -120,7 +120,7 @@ def test_torn_slot_is_skipped_never_applied():
     # applied, NVM would now hold half the payload followed by zeros.
     assert data == payload
     server = pool.servers[0]
-    assert server.torn_skipped.count == 1
+    assert server.drain.torn_skipped.count == 1
     m = sim.metrics
     assert m.counter("faults.torn_injected").count == 1
 
@@ -140,13 +140,13 @@ def test_torn_slot_in_a_backed_up_ring_is_stepped_over():
         addrs = []
         for _ in range(burst):
             addrs.append((yield from client.gmalloc(size)))
-        server.stall_drains(30_000)
+        server.drain.stall(30_000)
         first = client._conns[0].ring.written
         for i, g in enumerate(addrs):
             yield from client.gwrite(g, bytes([i + 1]) * size)
         # Tear one staged frame while the drain is stalled: its commit word
         # no longer covers the payload.
-        ring = server._rings[client.name]
+        ring = server.drain.rings[client.name]
         desc = client._conns[0].ring.desc
         slot = (first + torn_at) % desc.slots
         ring.mr.poke(slot * desc.slot_size + PROXY_HEADER_BYTES, b"\xff")
@@ -154,11 +154,11 @@ def test_torn_slot_in_a_backed_up_ring_is_stepped_over():
         return addrs, first
 
     ((addrs, first),) = pool.run(app(sim))
-    assert server.torn_skipped.count == 1
+    assert server.drain.torn_skipped.count == 1
     for i, g in enumerate(addrs):
         want = bytes(size) if i == torn_at else bytes([i + 1]) * size
         assert server.data_device.peek(offset_of(g), size) == want, i
-    ring = server._rings[client.name]
+    ring = server.drain.rings[client.name]
     assert ring.drained == first + burst == client._conns[0].ring.written
     assert not ring.done
     (torn,) = [s for s in rec.by_name("srv.drain") if s.fields["torn"]]

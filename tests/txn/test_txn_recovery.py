@@ -192,7 +192,7 @@ def test_concurrent_intent_puts_never_share_a_slot():
 
     def put(txn_id, gaddr):
         def proc(sim):
-            return (yield from server._handle_txn_intent_put({
+            return (yield from server.intents.put({
                 "txn": txn_id, "owner": 9, "epoch": 1,
                 "writes": [(gaddr, 0, b"x" * 16)],
             }))
@@ -203,9 +203,9 @@ def test_concurrent_intent_puts_never_share_a_slot():
 
     # Clearing one must leave the other durable and scannable.
     def clear_then_scan(sim):
-        yield from server._handle_txn_intent_clear({"txn": "c.t2"})
-        server._intent_index = None  # force the NVM-truth rebuild path
-        return (yield from server._handle_txn_intent_scan({"owners": [9]}))
+        yield from server.intents.clear({"txn": "c.t2"})
+        server.intents.reset()  # force the NVM-truth rebuild path
+        return (yield from server.intents.scan({"owners": [9]}))
 
     (records,) = pool.run(clear_then_scan(sim))
     assert [r["txn"] for r in records] == ["c.t1"]
@@ -220,7 +220,7 @@ def test_first_scan_after_a_restart_reads_the_length_table_once():
     server = next(iter(pool.servers.values()))
 
     def put(sim, txn_id, gaddr):
-        return (yield from server._handle_txn_intent_put({
+        return (yield from server.intents.put({
             "txn": txn_id, "owner": 9, "epoch": 1,
             "writes": [(gaddr, 0, b"x" * 16)],
         }))
@@ -240,15 +240,15 @@ def test_first_scan_after_a_restart_reads_the_length_table_once():
     server.data_device.read = counting_read
 
     def scan(sim):
-        return (yield from server._handle_txn_intent_scan({"owners": [9]}))
+        return (yield from server.intents.scan({"owners": [9]}))
 
     (records,) = pool.run(scan(sim))
     assert [r["txn"] for r in records] == ["c.t1", "c.t2", "c.t3"]
     assert len(reads) == 1 + 3
-    assert reads[0] == (server.intent_base, server_module.TXN_INTENT_ENTRIES * 8)
+    assert reads[0] == (server.intents.intent_base, server_module.TXN_INTENT_ENTRIES * 8)
 
     def clear(sim):
-        return (yield from server._handle_txn_intent_clear({"txn": "c.t2"}))
+        return (yield from server.intents.clear({"txn": "c.t2"}))
 
     (cleared,) = pool.run(clear(sim))
     assert cleared and len(reads) == 1 + 3
@@ -259,7 +259,7 @@ def test_first_scan_after_a_restart_reads_the_length_table_once():
 def _stage_stalled(pool, writer, gaddr, data):
     """Stage ``data`` on ``gaddr`` behind a drain stalled for ``STALL`` ns:
     the frame sits in the ring, undrained, while what follows runs."""
-    pool.servers[server_of(gaddr)].stall_drains(STALL)
+    pool.servers[server_of(gaddr)].drain.stall(STALL)
 
     def stage(sim):
         yield from writer.gwrite(gaddr, data)
