@@ -170,7 +170,8 @@ class OpDriver:
         attempt with the data-plane precheck against the lease of each
         shard in ``lease_shards(client, *args)``.  A lapse the precheck
         finds is probed before the next attempt (:meth:`between_attempts`);
-        under a one-attempt policy, before the one attempt, here.
+        on the last attempt (the one attempt of a one-attempt policy),
+        before that attempt, here.
 
         Pay-as-you-go: without a deadline an attempt that succeeds is a
         plain ``yield from`` — retries, backoff and re-attach cost simulated
@@ -192,9 +193,9 @@ class OpDriver:
                             client._check_lease_fence(
                                 op, shards=lease_shards(client, *verb_args))
                         except LeaseExpiredError as exc:
-                            if policy.max_attempts > 1 or probed:
+                            if tries < policy.max_attempts or probed:
                                 raise
-                            # One attempt only: probe here, as a retry would.
+                            # No attempt left: probe here, as a retry would.
                             probed = True
                             yield from client._shards[exc.shard].lapse_probe(op)
                             if client._incarnation != incarnation:

@@ -478,6 +478,41 @@ def test_gread_and_gread_many_probe_a_locally_lapsed_lease_alike(cut, verdict):
     assert _read_with_shard_1_lapsed("gread_many", cut) == verdict
 
 
+def test_a_lapse_found_by_the_last_attempt_is_probed(monkeypatch):
+    """A retrying verb whose *last* attempt's precheck finds a lapsed lease
+    probes it there, as between attempts: here the first probe's renewal
+    is lapsed again at once, so the second of two attempts finds the
+    lapse, probes, renews and reads."""
+    sim, pool = build_pool(num_servers=2, num_clients=1,
+                           config=shard_config(client_lease_ns=LEASE))
+    client = pool.clients[0]
+    (g,) = _objects_on_shard_1(pool, client, 1)
+
+    def write(sim):
+        yield from client.gwrite(g, b"v" * 64)
+        yield from client.gsync()
+
+    pool.run(write(sim))
+    shard = client._shards[1]
+    probe, probes = type(shard).lapse_probe, []
+
+    def probe_then_lapse(self, op):
+        yield from probe(self, op)
+        probes.append(sim.now)
+        if len(probes) == 1:
+            self.lease_deadline = sim.now
+
+    monkeypatch.setattr(type(shard), "lapse_probe", probe_then_lapse)
+    client.retry_policy = replace(client.retry_policy, max_attempts=2)
+
+    def read(sim):
+        shard.lease_deadline = sim.now
+        return (yield from client.gread(g))
+
+    assert pool.run(read(sim)) == [b"v" * 64]
+    assert len(probes) == 2
+
+
 # ----------------------------------------------------------------------
 # Cross-shard txn fencing: the fencing shard rolls forward intents that
 # live on ANOTHER shard's coordinator server before force-unlocking
