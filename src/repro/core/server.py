@@ -464,7 +464,7 @@ class ProxyDrain:
         if self._gate is not None:
             return
         gate = self._gate = self.sim.event(name=f"{self.node.name}.drain_stall")
-        self.sim.schedule(duration_ns, self.server._release_drain_gate, gate)
+        self.sim.schedule(duration_ns, self.release, gate)
         rec = self.sim.spans
         if rec is not None:
             rec.event(self.node.name, "fault", "drain loops stalled",
@@ -1151,11 +1151,6 @@ class MemoryServer:
         rec = self.sim.spans
         if rec is not None:
             rec.event(self.node.name, "fault", "server recovered")
-
-    def _release_drain_gate(self, gate) -> None:
-        # The stall timer's callback, here for its name: the dispatch-trace
-        # golden hashes scheduled callbacks by qualified name.
-        self.drain.release(gate)
 
     @property
     def is_alive(self) -> bool:
