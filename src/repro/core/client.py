@@ -387,6 +387,8 @@ class GengarClient:
         self.m_proxy_writes = m.counter("pool.proxy_writes")
         self.m_direct_writes = m.counter("pool.direct_writes")
         self.m_lookups = m.counter("pool.lookups")
+        self.m_read_aheads = m.counter("pool.read_aheads")
+        self.m_read_ahead_drops = m.counter("pool.read_ahead_drops")
         self.m_retries = m.counter("pool.retries")
         self.m_failovers = m.counter("pool.failovers")
         self.m_lost_writes = m.counter("pool.lost_staged_writes")

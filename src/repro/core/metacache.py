@@ -27,7 +27,8 @@ class MetaCache:
     """One client's metadata cache; the only code that writes its map or a
     server's epoch.  A kill forgets it whole."""
 
-    __slots__ = ("client", "enabled", "_by_gaddr", "_srv_epochs", "cursors")
+    __slots__ = ("client", "enabled", "_by_gaddr", "_srv_epochs", "cursors",
+                 "_sizes")
 
     def __init__(self, client: "GengarClient"):
         self.client = client
@@ -41,6 +42,8 @@ class MetaCache:
         #: Per-shard cursor into the master's location log: the next report
         #: to a shard brings every cache-location change it made since.
         self.cursors: Dict[int, int] = {}
+        #: The object sizes the last two lookups returned, older first.
+        self._sizes = (None, None)
 
     def __len__(self) -> int:
         return len(self._by_gaddr)
@@ -52,6 +55,14 @@ class MetaCache:
         if entry is not None and entry[1] == self._srv_epochs[entry[0].server_id]:
             return entry[0]
         return None
+
+    @property
+    def agreed_size(self) -> Optional[int]:
+        """The object size the last two lookups agreed on, else None: the
+        span a metadata miss's READ-ahead reads when its caller names none.
+        One lookup is not enough to go on where sizes are mixed."""
+        older, last = self._sizes
+        return last if older == last else None
 
     def store(self, meta: ObjectMeta) -> None:
         if self.enabled:
@@ -76,6 +87,7 @@ class MetaCache:
         meta = yield from client._shards[client._resolve_shard(gaddr)].call(
             "lookup", {"gaddr": gaddr})
         client.m_lookups.add()
+        self._sizes = (self._sizes[1], meta.size)
         if rec is not None:
             rec.record(client.name, "phase.meta_lookup", t0, op=span_op,
                        gaddr=hex(gaddr))

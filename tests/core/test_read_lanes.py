@@ -23,14 +23,16 @@ def _load_objects(client, count, size=128):
 
 def _record_posts(conn, log):
     """Wrap every lane's ``post_send``/``post_send_many``; each posted WR
-    appends ``(lane, opcode)`` to ``log`` and each doorbell's completion
-    processes go to ``log.procs``."""
+    appends ``(lane, opcode)`` to ``log`` and its completion process goes
+    to ``log.procs``."""
     for lane, qp in enumerate(conn.lanes):
         one, many = qp.post_send, qp.post_send_many
 
         def post_send(wr, _one=one, _lane=lane):
             log.append((_lane, wr.opcode))
-            return _one(wr)
+            proc = _one(wr)
+            log.procs.append((_lane, proc))
+            return proc
 
         def post_send_many(wrs, _many=many, _lane=lane):
             log.extend((_lane, wr.opcode) for wr in wrs)
