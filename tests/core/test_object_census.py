@@ -13,6 +13,8 @@ every client's scratch region is wholly free.
 import gc
 from collections import Counter
 
+import pytest
+
 from repro.rdma.wr import WorkCompletion
 from repro.sim import Event, Process
 
@@ -177,3 +179,30 @@ def test_lock_lifecycles_leave_no_holder_behind():
     pool.run(*(lifecycles(sim, c, 2 * n) for c in pool.clients))
     assert all(not c.locks._holders for c in pool.clients)
     assert _census()[Process] - after_n[Process] <= 8
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "Master._alloc_replies and _freed_reqs keep one idempotency entry per "
+    "gmalloc and gfree for the master's whole life (a reshard exports them "
+    "whole): pruning needs each client's low-water req_seq on the wire "
+    "(ROADMAP item 33)"))
+def test_alloc_and_free_lifecycles_leave_no_dedup_entries_behind():
+    """Allocate, write, free, N and then 2N more times: the master's replay
+    memo for gmalloc and gfree stays flat once every reply has been seen."""
+    sim, pool = build_pool()
+
+    def lifecycles(sim, client, rounds):
+        for i in range(rounds):
+            gaddr = yield from client.gmalloc(256)
+            yield from client.gwrite(gaddr, bytes([i % 251]) * 256)
+            yield from client.gfree(gaddr)
+
+    def memo():
+        return sum(len(m._alloc_replies) + len(m._freed_reqs)
+                   for m in pool.masters)
+
+    n = 8
+    pool.run(*(lifecycles(sim, c, n) for c in pool.clients))
+    after_n = memo()
+    pool.run(*(lifecycles(sim, c, 2 * n) for c in pool.clients))
+    assert memo() - after_n <= 8, (after_n, memo())
