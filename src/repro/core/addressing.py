@@ -9,14 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.errors import FatalError
+
 #: Bits reserved for the per-server offset (256 TiB per server).
 OFFSET_BITS = 48
 OFFSET_MASK = (1 << OFFSET_BITS) - 1
 MAX_SERVERS = 1 << (64 - OFFSET_BITS)
 
 
-class AddressError(Exception):
-    """Malformed or out-of-range global address."""
+class AddressError(FatalError):
+    """Malformed or out-of-range global address: a usage error, so a verb
+    given one fails typed, as every verb failure does."""
 
 
 def make_gaddr(server_id: int, offset: int) -> int:

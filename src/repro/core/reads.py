@@ -1,8 +1,9 @@
 """A client's reads: the bounce region every transfer borrows, the deal of
 RDMA READs over a server's read lanes, and the one read rule serial
 ``gread`` and batched ``gread_many`` share — one cache-or-home choice, one
-verdict on the bytes a READ returns, one repair of a stale cache tag, and
-one metadata miss, whose READ of the home flies beside its lookup."""
+verdict on the bytes a READ returns, and one metadata miss, whose READ of
+the home flies beside its lookup.  A stale cache tag is such a miss, of the
+size its stale metadata gives."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from collections import deque
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Deque, Dict, Generator, Optional, Tuple
 
-from repro.core.addressing import offset_of, server_of
+from repro.core.addressing import OFFSET_BITS, offset_of
 from repro.core.driver import wc_error
 from repro.core.errors import ClientError, RetryableError
 from repro.core.metacache import check_bounds
@@ -22,7 +23,6 @@ from repro.rdma.wr import Opcode, WorkRequest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.client import GengarClient, _ServerConn
-    from repro.sim.kernel import Process
 
 #: The registered bounce region for RDMA payloads; no transfer through it
 #: is larger than ``MAX_TRANSFER`` (bigger reads and writes are chunked).
@@ -158,97 +158,73 @@ class ClientReads:
         return conn.desc.data_rkey, meta.nvm_offset + offset, length
 
     def verdict(self, raw: bytes, gaddr: int, span: int, offset: int,
-                length: int, t0: int, span_op: int) -> Tuple[Optional[bytes], Any]:
-        """The one verdict on the bytes a READ of :meth:`source` returned:
-        ``(data, lookup)``.  A cache slot (``span != length``) holding
-        ``gaddr``'s tag is a hit; another object's tag is a miss, whose
-        repair starts here (``lookup``; the caller READs the NVM home and
-        hands those bytes to :meth:`repaired`).  Home bytes are an NVM
-        read."""
+                length: int, t0: int, span_op: int) -> Optional[bytes]:
+        """The one verdict on the bytes a READ of :meth:`source` returned.
+        A cache slot (``span != length``) holding ``gaddr``'s tag is a hit.
+        Another object's tag (``gaddr`` was demoted or its slot reused) is
+        a miss: it is counted, the cached location dropped, and None
+        returned; the caller plans the home READ sized by the stale
+        metadata (:meth:`plan_ahead`'s ``size``) and resolves it as any
+        miss.  Home bytes are an NVM read."""
         client = self.client
         rec = self.sim.spans
         if span != length:
-            if not tag_matches(raw, gaddr):
-                return None, self._stale_tag(gaddr, t0, length, span_op)
-            client.m_cache_hits.add()
+            hit = tag_matches(raw, gaddr)
             if rec is not None:
                 rec.record(client.name, "phase.cache_read", t0,
-                           op=span_op, hit=True, bytes=length)
+                           op=span_op, hit=hit, bytes=length)
+            if not hit:
+                client.m_tag_misses.add()
+                client._metas.drop(gaddr)
+                return None
+            client.m_cache_hits.add()
             lo = CACHE_TAG_BYTES + offset
-            return raw[lo:lo + length], None
+            return raw[lo:lo + length]
         client.m_nvm_reads.add()
         if rec is not None:
             rec.record(client.name, "phase.nvm_read", t0, op=span_op,
                        bytes=length)
-        return raw, None
+        return raw
 
-    def _stale_tag(self, gaddr: int, t0: int, length: int,
-                   span_op: int) -> "Process":
-        """A cache READ found another object's tag (``gaddr`` was demoted
-        or its slot reused): drop the cached location and start its
-        ``lookup`` as a process of its own.
-
-        The caller READs the NVM home in the same instant: NVM is never
-        staler than the cache, because the drain, promotes and direct
-        writes all write NVM first or only.  The process fails with the
-        error the lookup raised (the object was freed), the one a serial
-        :meth:`gread` gives.
-        """
-        client = self.client
-        client.m_tag_misses.add()
-        rec = self.sim.spans
-        if rec is not None:
-            rec.record(client.name, "phase.cache_read", t0, op=span_op,
-                       hit=False, bytes=length)
-        metas = client._metas
-        metas.drop(gaddr)
-        return self.sim.spawn(metas.lookup(gaddr, span_op=span_op))
-
-    def repaired(self, fresh: ObjectMeta, meta: ObjectMeta, raw: bytes,
-                 gaddr: int, t0: int, span_op: int) -> Optional[bytes]:
-        """The repair's size rule: a stale tag's home bytes ``raw`` stand,
-        judged as an NVM read, once its lookup returns ``fresh`` metadata of
-        the size the READ was sized by.  Otherwise the address was freed
-        and reused at another size: None, and the read runs again on the
-        fresh metadata."""
-        if fresh.size != meta.size:
-            return None
-        return self.verdict(raw, gaddr, len(raw), 0, len(raw), t0, span_op)[0]
-
-    def plan_ahead(self, gaddr: int, offset: int,
-                   length: Optional[int]) -> Optional[tuple]:
-        """The READ-ahead of a metadata miss, planned: ``(conn, remote
-        offset, scratch offset, span)`` for ``span`` bytes from ``offset`` of
-        ``gaddr``'s NVM home, which the address names, with its scratch
-        lent; post it with :meth:`post_ahead`.  The span is the caller's
-        ``length``, else the size the client's last two lookups agreed on,
-        less ``offset``.  None — the miss waits for its lookup — with the
-        metadata cache off, with no span, a span over ``MAX_TRANSFER``,
-        scratch taken, or a write of the object staged in the ring overlay:
-        a ``gsync`` of another process may prune that entry during the
-        flight, once the drain has applied the write to NVM but perhaps
-        after this READ read the bytes it replaced."""
+    def plan_ahead(self, gaddr: int, offset: int, length: Optional[int],
+                   size: Optional[int] = None) -> Optional[tuple]:
+        """The READ of a metadata miss's NVM home, planned: ``(conn, remote
+        offset, scratch offset, span, size)`` for ``span`` bytes from
+        ``offset`` of the home ``gaddr`` names, with its scratch lent; post
+        it with :meth:`post_ahead`.  The span is the caller's ``length``,
+        else the size the client's last two lookups agreed on, less
+        ``offset``.  A stale cache tag plans with ``size``, the object size
+        its stale metadata gives, and the bytes stand only if the lookup
+        returns that size (:meth:`landed`).  None — the miss waits for its
+        lookup — with the metadata cache off (but for a stale tag), with
+        no span, a span over ``MAX_TRANSFER``, an address no server owns,
+        scratch taken, or a write of the object staged in the ring
+        overlay: a ``gsync`` of another process may prune that entry
+        during the flight, once the drain has applied the write to NVM but
+        perhaps after this READ read the bytes it replaced."""
         metas = self.client._metas
-        if not metas.enabled or offset < 0:
+        if offset < 0 or size is None and not metas.enabled:
             return None
         if length is None:
-            size = metas.agreed_size
-            if size is None:
+            agreed = metas.agreed_size
+            if agreed is None:
                 return None
-            length = size - offset
+            length = agreed - offset
         if not 0 < length <= MAX_TRANSFER:
             return None
-        conn = self.client._conns.get(server_of(gaddr))
+        # The home server, decoded without raising: a negative address or
+        # one past 64 bits names no server the client is wired to.
+        conn = self.client._conns.get(gaddr >> OFFSET_BITS)
         if conn is None or gaddr in conn.ring.overlay:
             return None
         scratch_off = self.scratch.try_alloc(length)
         if scratch_off is None:
             return None
-        return conn, offset_of(gaddr) + offset, scratch_off, length
+        return conn, offset_of(gaddr) + offset, scratch_off, length, size
 
     def post_ahead(self, plan: tuple):
         """Post :meth:`plan_ahead`'s READ; its completion event."""
-        conn, remote_offset, scratch_off, span = plan
+        conn, remote_offset, scratch_off, span, _ = plan
         self.client.m_read_aheads.add()
         return self.post_read(conn, conn.desc.data_rkey, remote_offset,
                               scratch_off, span)
@@ -258,20 +234,22 @@ class ClientReads:
                span_op: int) -> Optional[bytes]:
         """The verdict on a READ-ahead once its lookup is back (``meta``,
         None if it failed): its scratch goes back, and its bytes stand, as
-        an NVM read, when they cover the range asked of ``meta`` and the
-        ring overlay holds nothing of the object (a write staged during
-        the flight may not have reached NVM).  That holds for a
-        DRAM-cached object too: NVM is never staler than the cache (see
-        :meth:`_stale_tag`).  Otherwise they are dropped: None."""
-        conn, _, scratch_off, span = plan
+        an NVM read, when ``meta`` is of the size a stale tag's plan was
+        sized by, they cover the range asked of ``meta`` and the ring
+        overlay holds nothing of the object (a write staged during the
+        flight may not have reached NVM).  That holds for a DRAM-cached
+        object too: NVM is never staler than the cache, because the drain,
+        promotes and direct writes all write NVM first or only.  Otherwise
+        they are dropped: None."""
+        conn, _, scratch_off, span, sized = plan
         raw = self.mr.peek(scratch_off, span) if meta is not None and wc.ok else None
         self.scratch.free(scratch_off, span)
-        if raw is not None:
+        if raw is not None and (sized is None or sized == meta.size):
             size = meta.size - offset if length is None else length
             if (0 <= size <= span and offset + size <= meta.size
                     and gaddr not in conn.ring.overlay):
                 return self.verdict(raw[:size], gaddr, size, 0, size, t0,
-                                    span_op)[0]
+                                    span_op)
         self.client.m_read_ahead_drops.add()
         return None
 
@@ -332,54 +310,49 @@ class ClientReads:
               length: Optional[int]) -> Generator[Any, Any, bytes]:
         """One attempt of :meth:`~repro.core.client.GengarClient.gread`."""
         client, sim = self.client, self.sim
-        metas = client._metas
-        meta = metas.get(gaddr)
+        meta = client._metas.get(gaddr)
+        plan = None
         if meta is None:
             # The READ-ahead goes out after the CPU pass that builds its WQE
             # and before the lookup: the miss costs the longer of the two.
             plan = self.plan_ahead(gaddr, offset, length)
-            if plan is None:
-                meta = yield from metas.lookup(gaddr, span_op=span_op)
-            else:
+            if plan is not None:
                 yield from client.node.cpu_work()
-                t0 = sim.now
+        while True:
+            if meta is None:
                 meta, data = yield from self.resolve(
                     span_op, gaddr, offset, length, plan,
-                    self.post_ahead(plan), t0)
+                    plan and self.post_ahead(plan), sim.now)
                 if data is not None:
-                    client._note_access(gaddr, read=True)
-                    return data
-        size = meta.size - offset if length is None else length
-        check_bounds(meta, offset, size)
-        yield from client.node.cpu_work()
+                    break
+            size = meta.size - offset if length is None else length
+            check_bounds(meta, offset, size)
+            yield from client.node.cpu_work()
 
-        # Read-your-writes: serve from the overlay when it covers the range.
-        conn = client._conns[meta.server_id]
-        ring = conn.ring
-        if gaddr in ring.overlay:
-            data = ring.covered(gaddr, offset, size)
+            # Read-your-writes: serve from the overlay when it covers the
+            # range.
+            conn = client._conns[meta.server_id]
+            ring = conn.ring
+            if gaddr in ring.overlay:
+                data = ring.covered(gaddr, offset, size)
+                if data is not None:
+                    client.m_overlay_hits.add()
+                    break
+                # Partial overlap: force the write down before reading
+                # remotely.
+                yield from client._driver.op("gsync", meta.server_id,
+                                             history=False)
+
+            t0 = sim.now if sim.spans is not None else 0
+            rkey, roff, span = self.source(conn, meta, offset, size)
+            raw = yield from self.read(conn, rkey, roff, span)
+            data = self.verdict(raw, gaddr, span, offset, size, t0, span_op)
             if data is not None:
-                client.m_overlay_hits.add()
-                client._note_access(gaddr, read=True)
-                return data
-            # Partial overlap: force the write down before reading remotely.
-            yield from client._driver.op("gsync", meta.server_id,
-                                         history=False)
-
-        rec = sim.spans
-        t0 = sim.now if rec is not None else 0
-        rkey, roff, span = self.source(conn, meta, offset, size)
-        raw = yield from self.read(conn, rkey, roff, span)
-        data, lookup = self.verdict(raw, gaddr, span, offset, size, t0,
-                                    span_op)
-        if lookup is not None:
-            t0 = sim.now if rec is not None else 0
-            raw = yield from self.read(conn, conn.desc.data_rkey,
-                                       meta.nvm_offset + offset, size)
-            data = self.repaired((yield lookup), meta, raw, gaddr, t0,
-                                 span_op)
-            if data is None:
-                return (yield from self.gread(span_op, gaddr, offset, length))
+                break
+            # A stale tag is a miss whose size the stale metadata gives: its
+            # home READ goes out beside the lookup, with no CPU pass.
+            plan = self.plan_ahead(gaddr, offset, size, meta.size)
+            meta = None
         client._note_access(gaddr, read=True)
         return data
 
@@ -420,59 +393,53 @@ class ClientReads:
                 return False
             return True
 
-        misses: list = []  # (gaddr, READ-ahead plan or None)
-        missed: Dict[int, list] = {}  # gaddr -> its indices: one lookup
+        # gaddr -> (its indices, READ-ahead plan or None): one lookup each
+        missed: Dict[int, tuple] = {}
         for idx, gaddr in enumerate(gaddrs):
             meta = metas.get(gaddr)
             if meta is None:
-                if metas.enabled:
-                    if gaddr in missed:
-                        missed[gaddr].append(idx)
-                    else:
-                        missed[gaddr] = [idx]
-                        misses.append((gaddr, self.plan_ahead(gaddr, 0, None)))
-                    continue
-                # With the metadata cache off (E12d's ablation) a batch
-                # looks its misses up one after another, as it always has.
-                try:
-                    meta = yield from metas.lookup(gaddr, span_op=span_op)
-                except ClientError:
-                    fallback.append(idx)  # serial gread retries the lookup
-                    continue
-            if route(idx, gaddr, meta):
+                if gaddr in missed:
+                    missed[gaddr][0].append(idx)
+                else:
+                    missed[gaddr] = ([idx], self.plan_ahead(gaddr, 0, None))
+            elif route(idx, gaddr, meta):
                 groups.setdefault(meta.server_id, []).append((idx, gaddr,
                                                               meta))
 
-        charged = bool(groups) or any(plan is not None for _, plan in misses)
+        charged = bool(groups) or any(plan is not None
+                                      for _, plan in missed.values())
         if charged:
             # One CPU pass covers building every WQE in the batch.
             yield from client.node.cpu_work()
         mux = CompletionMux(sim)
-        for gaddr, plan in misses:
-            # gread's miss, for every miss at once: each resolves in a
-            # process of its own, its READ-ahead beside its lookup.
+        resolving = 0
+
+        def miss(gaddr, indices, plan):
+            """gread's miss, in a process of its own: its READ-ahead (if
+            ``plan``) beside its lookup.  It serves ``indices``."""
+            nonlocal resolving
+            resolving += 1
             done = plan and self.post_ahead(plan)
             mux.add(sim.spawn(self.resolve(span_op, gaddr, 0, None, plan,
                                            done, sim.now)),
-                    (None, gaddr, None, 0, None, None, None, 0))
-        resolving = len(misses)
+                    (indices, gaddr, None))
+
+        for gaddr in missed:
+            miss(gaddr, *missed[gaddr])
         later: Dict[int, list] = {}  # groups of resolved misses left to READ
 
         def consume(tag, ev):
-            """Process a posted read, a repair lookup or a resolved miss
-            that completed.  A tag is ``(idx, gaddr, meta, span, conn,
-            scratch_off, lookup, t_post)``: ``meta`` (and ``idx``) is None
-            on a miss, which serves every index of its gaddr in the batch;
-            ``lookup`` is set on a repair, and ``scratch_off`` is None once
-            only its lookup is left."""
+            """Process a posted READ or a resolved miss that completed.  A
+            READ's tag is ``(idx, gaddr, meta, span, scratch_off,
+            t_post)``; a miss's is ``(indices, gaddr, None)``."""
             nonlocal resolving
-            idx, gaddr, meta, span, conn, scratch_off, lookup, t_post = tag
-            if meta is None:
+            if tag[2] is None:
+                indices, gaddr, _ = tag
                 resolving -= 1
                 exc = ev.exception
                 if exc is None:
                     meta, data = ev.value
-                for idx in missed[gaddr]:
+                for idx in indices:
                     if exc is None:
                         if data is not None:
                             stand(idx, gaddr, data)
@@ -485,40 +452,20 @@ class ClientReads:
                     else:
                         fallback.append(idx)  # serial gread retries it
                 return
-            if scratch_off is None:
-                # A repair's lookup is back; its home bytes wait in results.
-                data = (self.repaired(ev.value, meta, results[idx], gaddr,
-                                      t_post, span_op) if ev.ok else None)
-                if data is None:
-                    fallback.append(idx)  # serial gread raises or reads afresh
-                else:
-                    stand(idx, gaddr, data)
-                return
+            idx, gaddr, meta, span, scratch_off, t_post = tag
             if not ev.value.ok:
                 scratch.free(scratch_off, span)
                 fallback.append(idx)  # serial gread applies the RetryPolicy
                 return
-            length = meta.size
-            if lookup is not None:
-                # A repair READ of the home: its bytes stand once the lookup
-                # returns.
-                results[idx] = mr.peek(scratch_off, length)
-                scratch.free(scratch_off, span)
-                mux.add(lookup, (idx, gaddr, meta, span, conn, None, lookup,
-                                 t_post))
-                return
-            data, lookup = self.verdict(mr.peek(scratch_off, span), gaddr,
-                                        span, 0, length, t_post, span_op)
-            if lookup is not None:
-                # Repair in the batch: re-read the NVM home into the same
-                # scratch bytes while the lookup runs.
-                mux.add(self.post_read(conn, conn.desc.data_rkey,
-                                       meta.nvm_offset, scratch_off, length),
-                        (idx, gaddr, meta, span, conn, scratch_off, lookup,
-                         sim.now))
-                return
+            data = self.verdict(mr.peek(scratch_off, span), gaddr, span, 0,
+                                meta.size, t_post, span_op)
             scratch.free(scratch_off, span)
-            stand(idx, gaddr, data)
+            if data is None:
+                # A stale tag: a miss sized by the stale metadata.
+                miss(gaddr, [idx],
+                     self.plan_ahead(gaddr, 0, meta.size, meta.size))
+            else:
+                stand(idx, gaddr, data)
 
         def post(conn, wrs, tags):
             """Deal a server's accumulated READs round-robin across its read
@@ -562,8 +509,8 @@ class ClientReads:
                         local_mr=mr, local_offset=scratch_off,
                         length=span, remote_rkey=rkey, remote_offset=roff,
                     ))
-                    tags.append((idx, gaddr, meta, span, conn, scratch_off,
-                                 None, sim.now))
+                    tags.append((idx, gaddr, meta, span, scratch_off,
+                                 sim.now))
                 if wrs:
                     post(conn, wrs, tags)
 

@@ -178,6 +178,39 @@ def test_freeing_a_freed_object_is_a_fatal_error(pool2x2, second):
     assert "unknown object" in msg
 
 
+#: Every verb that takes an address, run on one.
+ADDRESS_VERBS = {
+    "gread": lambda client, gaddr: client.gread(gaddr),
+    "gread_many": lambda client, gaddr: client.gread_many([gaddr]),
+    "gwrite": lambda client, gaddr: client.gwrite(gaddr, b"x"),
+    "glock": lambda client, gaddr: client.glock(gaddr),
+    "gunlock": lambda client, gaddr: client.gunlock(gaddr),
+    "gfree": lambda client, gaddr: client.gfree(gaddr),
+}
+
+
+@pytest.mark.parametrize("lease_ns", [0, 100_000],
+                         ids=["leases-off", "leases-on"])
+@pytest.mark.parametrize("gaddr", [-1, 1 << 64], ids=["negative", "past-64-bits"])
+@pytest.mark.parametrize("verb", list(ADDRESS_VERBS))
+def test_a_malformed_address_is_a_fatal_error(verb, gaddr, lease_ns):
+    """An address that is no 64-bit address fails the verb with the
+    :class:`FatalError` that ``core/errors.py`` promises."""
+    sim, pool = build_pool(num_servers=1, num_clients=1,
+                           config=fast_config(client_lease_ns=lease_ns))
+    client = pool.clients[0]
+
+    def app(sim):
+        try:
+            yield from ADDRESS_VERBS[verb](client, gaddr)
+        except ClientError as exc:
+            return exc
+
+    (exc,) = pool.run(app(sim))
+    assert isinstance(exc, FatalError)
+    assert "is not a 64-bit address" in str(exc)
+
+
 def test_out_of_bounds_access_rejected(pool2x2):
     sim, pool = pool2x2
     client = pool.clients[0]

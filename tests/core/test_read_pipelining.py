@@ -318,6 +318,52 @@ def test_stale_tag_is_repaired_in_one_round_trip_plus_the_slower_of_two():
     assert client._reads.scratch.idle
 
 
+def test_a_serial_stale_tag_costs_a_cache_read_plus_the_slower_of_two():
+    """gread's stale tag is a miss whose size the stale metadata gives: one
+    cache READ, then the home READ beside the lookup, not after it."""
+    sim, pool, addrs = _stale_batch()
+    client, master = pool.clients[0], pool.master
+    stale = addrs[3]
+    t_hit, _ = _elapsed(sim, pool, client.gread(stale))
+    pool.run(master.planner.demote(stale))
+    lookups, aheads = client.m_lookups.count, client.m_read_aheads.count
+    t_stale, value = _elapsed(sim, pool, client.gread(stale))
+
+    assert value == bytes([3]) * 128
+    assert client.m_tag_misses.count == 1
+    assert client.m_lookups.count - lookups == 1
+    assert client.m_read_aheads.count - aheads == 1
+    assert client.m_read_ahead_drops.count == 0
+    assert not client._metas.get(stale).cached  # the lookup's answer
+    # The hit is a CPU pass and the cache READ; ``t_read`` a CPU pass and
+    # the home READ, whose CPU pass the stale tag does not pay again.
+    client._metas.drop(stale)
+    t_lookup, _ = _elapsed(sim, pool, client._metas.lookup(stale))
+    t_read, _ = _elapsed(sim, pool, client.gread(stale))
+    assert t_hit + t_lookup <= t_stale <= t_hit + max(t_lookup, t_read)
+    assert client._reads.scratch.idle
+
+
+def test_a_batch_with_a_stale_tag_and_a_dropped_read_ahead_returns_every_item():
+    """A stale tag and a miss whose READ-ahead falls short of its object
+    resolve in one batch: both READ-aheads go out, the stale tag's bytes
+    stand, the short ones are dropped and the item READ once its lookup is
+    back, and no scratch stays lent."""
+    sim, pool, addrs = _stale_batch()
+    client, master = pool.clients[0], pool.master
+    pool.run(master.planner.demote(addrs[3]))
+    client._metas.drop(addrs[5])
+    client._metas._sizes = (64, 64)  # the miss's READ-ahead spans 64 B
+    aheads, drops = client.m_read_aheads.count, client.m_read_ahead_drops.count
+
+    values = pool.run(client.gread_many(addrs))[0]
+    assert values == [bytes([i % 251]) * 128 for i in range(8)]
+    assert client.m_tag_misses.count == 1
+    assert client.m_read_aheads.count - aheads == 2
+    assert client.m_read_ahead_drops.count - drops == 1
+    assert client._reads.scratch.idle
+
+
 def test_stale_tag_of_a_freed_object_raises_what_serial_gread_raises():
     sim, pool, addrs = _stale_batch(num_clients=2)
     client, other = pool.clients

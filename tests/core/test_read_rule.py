@@ -4,9 +4,10 @@ Each case below builds a pool state twice, identically seeded, and reads
 one object in it: once through ``gread``, once through ``gread_many``.  The
 two must return the same bytes (or fail with the same error type) and move
 the read counters by the same amounts.  A cache slot found holding another
-object's tag is repaired from the NVM home; the repair stands only when the
-lookup returns the size the READ was sized by, otherwise the read runs again
-on the fresh metadata (the recycled case).
+object's tag is a metadata miss whose size the stale metadata gives: the NVM
+home is READ beside the lookup (a READ-ahead, with the metadata cache on or
+off), and those bytes stand only when the lookup returns that size,
+otherwise the read runs again on the fresh metadata (the recycled case).
 
 The ``miss_*`` cases read an object whose metadata the reader does not hold
 but whose size its last two lookups agreed on: its NVM home is READ beside
@@ -188,13 +189,14 @@ def test_gread_and_gread_many_read_alike(case):
 
 
 def test_a_recycled_cached_address_reads_at_its_new_size():
-    """The cached path of ROADMAP item 11: the repair's lookup names a
-    256 B object, so the 128 bytes read from the home do not stand."""
+    """The cached path of ROADMAP item 11: the stale tag's home READ is a
+    READ-ahead sized 128 B by the stale metadata; its lookup names a 256 B
+    object, so those bytes are dropped and the read runs again."""
     got, moved = _read(recycled, batched=False)
     assert got == bytes(i % 251 for i in range(256))
     assert dict(zip(COUNTERS, moved)) == {
         "cache_hits": 0, "nvm_reads": 1, "tag_misses": 1, "overlay_hits": 0,
-        "read_aheads": 0, "read_ahead_drops": 0}
+        "read_aheads": 1, "read_ahead_drops": 1}
 
 
 @pytest.mark.parametrize("batched", [False, True], ids=["gread", "gread_many"])
@@ -394,3 +396,121 @@ def test_a_batch_looks_a_missed_address_up_once(case):
         assert got is FatalError
     else:
         assert got == [bytes(i % 251 for i in range(128))] * 2
+
+
+def _stale_without_the_metadata_cache(monkeypatch, turn, batched):
+    """With ``metadata_cache`` off, ``a`` reads a 128 B object pinned into
+    DRAM, and ``turn(pool, gaddr, b, c)`` makes its slot stale as ``a``'s
+    first lookup returns, before the cache READ: the ``demoted`` and
+    ``recycled`` cases as a reader that keeps no metadata meets them.
+    Returns the outcome, ``a``'s counter deltas and the lookups it sent."""
+    sim, pool = build_pool(num_servers=1, num_clients=3,
+                           config=fast_config(metadata_cache=False))
+    a, b, c = pool.clients
+    gaddr = _object(pool, a, 128)
+    pool.run(pool.master.pin(gaddr))
+    lookup, sent = MetaCache.lookup, []
+
+    def then_stale(self, looked_up, span_op=0):
+        meta = yield from lookup(self, looked_up, span_op=span_op)
+        if self is a._metas:
+            sent.append(looked_up)
+            if len(sent) == 1:
+                assert meta.cached
+                yield from turn(pool, gaddr, b, c)
+        return meta
+
+    monkeypatch.setattr(MetaCache, "lookup", then_stale)
+    before = [getattr(a, "m_" + name).count for name in COUNTERS]
+
+    def read(sim):
+        if batched:
+            return (yield from a.gread_many([gaddr]))[0]
+        return (yield from a.gread(gaddr))
+
+    (got,) = pool.run(read(sim))
+    assert a._reads.scratch.idle
+    moved = {name: getattr(a, "m_" + name).count - was
+             for name, was in zip(COUNTERS, before)}
+    return got, moved, len(sent)
+
+
+def _demote(pool, gaddr, b, c):
+    yield from pool.master.planner.demote(gaddr)
+
+
+def _recycle(pool, gaddr, b, c):
+    yield from b.gfree(gaddr)
+    while pool.master.quarantined:
+        yield from pool.master.settle_frees()
+    assert (yield from c.gmalloc(256)) == gaddr
+    yield from _write(c, gaddr, bytes(i % 251 for i in range(256)))
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["gread", "gread_many"])
+@pytest.mark.parametrize("turn", [_demote, _recycle],
+                         ids=["demoted", "recycled"])
+def test_a_stale_tag_reads_ahead_without_the_metadata_cache(monkeypatch, turn,
+                                                            batched):
+    """A stale tag's home READ is a READ-ahead even with ``metadata_cache``
+    off, where a plain miss posts none: it flies beside the second lookup,
+    and stands unless that lookup names another size."""
+    got, moved, lookups = _stale_without_the_metadata_cache(
+        monkeypatch, turn, batched)
+    recycled = turn is _recycle
+    assert got == bytes(i % 251 for i in range(256 if recycled else 128))
+    assert lookups == 2
+    assert moved == {"cache_hits": 0, "nvm_reads": 1, "tag_misses": 1,
+                     "overlay_hits": 0, "read_aheads": 1,
+                     "read_ahead_drops": int(recycled)}
+
+
+def test_a_malformed_address_in_a_batch_leaves_no_scratch_lent():
+    """A batch's miss lends its READ-ahead scratch before a malformed
+    address later in the batch is decoded: that address gets no READ-ahead,
+    its lookup fails in its miss's process, and the batch raises the
+    :class:`FatalError` once the READ-ahead has landed."""
+    sim, pool = build_pool(num_servers=1, num_clients=3)
+    a, b, c = pool.clients
+    gaddr = miss_uncached(pool, a, b, c)
+    aheads = a.m_read_aheads.count
+
+    def read(sim):
+        try:
+            yield from a.gread_many([gaddr, -1])
+        except ClientError as exc:
+            return exc
+
+    (exc,) = pool.run(read(sim))
+    assert isinstance(exc, FatalError)
+    assert a.m_read_aheads.count - aheads == 1
+    assert a._reads.scratch.idle
+
+
+def test_a_batch_without_the_metadata_cache_resolves_its_misses_at_once():
+    """With ``metadata_cache`` off every address of a batch is a miss, and
+    the misses are looked up together, each in a process of its own, not
+    one after another: eight cost under two lookups plus one READ."""
+    sim, pool = build_pool(num_servers=1, num_clients=1,
+                           config=fast_config(metadata_cache=False))
+    (a,) = pool.clients
+    gaddrs = [_object(pool, a, 128) for _ in range(8)]
+    conn = a._conns[0]
+
+    def timed(step):
+        def run(sim):
+            t0 = sim.now
+            value = yield from step()
+            return sim.now - t0, value
+        (took,) = pool.run(run(sim))
+        return took
+
+    lookups = a.m_lookups.count
+    t_batch, got = timed(lambda: a.gread_many(gaddrs))
+    assert got == [bytes(i % 251 for i in range(128))] * 8
+    assert a.m_lookups.count - lookups == 8
+    t_lookup, _ = timed(lambda: a._metas.lookup(gaddrs[0]))
+    t_read, _ = timed(lambda: a._reads.read(conn, conn.desc.data_rkey,
+                                            gaddrs[0], 128))
+    assert t_batch < 2 * t_lookup + t_read
+    assert a._reads.scratch.idle
