@@ -427,6 +427,8 @@ class ClientReads:
         for gaddr in missed:
             miss(gaddr, *missed[gaddr])
         later: Dict[int, list] = {}  # groups of resolved misses left to READ
+        joining: Dict[int, list] = {}  # gaddr -> its stale tag miss's indices
+        returned: Dict[int, ObjectMeta] = {}  # gaddr -> what that miss found
 
         def consume(tag, ev):
             """Process a posted READ or a resolved miss that completed.  A
@@ -439,6 +441,10 @@ class ClientReads:
                 exc = ev.exception
                 if exc is None:
                     meta, data = ev.value
+                if gaddr in joining and joining[gaddr] is indices:
+                    del joining[gaddr]
+                    if exc is None:
+                        returned[gaddr] = meta
                 for idx in indices:
                     if exc is None:
                         if data is not None:
@@ -460,12 +466,22 @@ class ClientReads:
             data = self.verdict(mr.peek(scratch_off, span), gaddr, span, 0,
                                 meta.size, t_post, span_op)
             scratch.free(scratch_off, span)
-            if data is None:
-                # A stale tag: a miss sized by the stale metadata.
-                miss(gaddr, [idx],
-                     self.plan_ahead(gaddr, 0, meta.size, meta.size))
-            else:
+            # A stale tag: one miss per address, sized by the stale metadata;
+            # a later index joins it, or routes on the metadata it returned
+            # if that index's READ went out on older metadata.
+            if data is not None:
                 stand(idx, gaddr, data)
+            elif gaddr in joining:
+                joining[gaddr].append(idx)
+            elif gaddr in returned and returned[gaddr] is not meta:
+                fresh = returned[gaddr]
+                if route(idx, gaddr, fresh):
+                    later.setdefault(fresh.server_id, []).append(
+                        (idx, gaddr, fresh))
+            else:
+                joining[gaddr] = [idx]
+                miss(gaddr, joining[gaddr],
+                     self.plan_ahead(gaddr, 0, meta.size, meta.size))
 
         def post(conn, wrs, tags):
             """Deal a server's accumulated READs round-robin across its read

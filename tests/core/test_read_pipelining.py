@@ -4,6 +4,7 @@ consistency contract under out-of-order completion.
 
 from repro.core.driver import OpDriver
 from repro.core.errors import ClientError
+from repro.core.reads import SCRATCH_BYTES
 from repro.rdma.rpc import RpcError
 
 from tests.core.conftest import build_pool, fast_config
@@ -362,6 +363,49 @@ def test_a_batch_with_a_stale_tag_and_a_dropped_read_ahead_returns_every_item():
     assert client.m_read_aheads.count - aheads == 2
     assert client.m_read_ahead_drops.count - drops == 1
     assert client._reads.scratch.idle
+
+
+def test_a_repeated_stale_address_is_looked_up_once():
+    """An address at two places of a batch whose cached location went stale
+    costs one lookup and one READ-ahead, as a plain miss at two places does:
+    the second stale verdict joins the first's miss."""
+    sim, pool, addrs = _stale_batch()
+    client, master = pool.clients[0], pool.master
+    stale = addrs[3]
+    pool.run(master.planner.demote(stale))
+    lookups, aheads = client.m_lookups.count, client.m_read_aheads.count
+
+    values = pool.run(client.gread_many([stale, addrs[0], stale]))[0]
+    assert values == [bytes([3]) * 128, bytes([0]) * 128, bytes([3]) * 128]
+    assert client.m_tag_misses.count == 2  # each index's cache READ
+    assert client.m_lookups.count - lookups == 1
+    assert client.m_read_aheads.count - aheads == 1
+    assert client.m_read_ahead_drops.count == 0
+    assert not client._metas.get(stale).cached
+    assert client._reads.scratch.idle
+
+
+def test_a_stale_address_read_after_its_miss_resolved_routes_on_its_answer():
+    """With scratch for one READ at a time, the address's second cache READ
+    goes out on the stale metadata only after the first one's miss has
+    resolved: it finds the stale tag too and is READ again on the metadata
+    that miss returned, with no second lookup or READ-ahead."""
+    sim, pool, addrs = _stale_batch()
+    client, master = pool.clients[0], pool.master
+    stale = addrs[3]
+    pool.run(master.planner.demote(stale))
+    scratch = client._reads.scratch
+    held = SCRATCH_BYTES - 192  # room for one 144 B cache READ
+    hold = scratch.try_alloc(held)
+    lookups, aheads = client.m_lookups.count, client.m_read_aheads.count
+
+    values = pool.run(client.gread_many([stale, stale]))[0]
+    scratch.free(hold, held)
+    assert values == [bytes([3]) * 128] * 2
+    assert client.m_tag_misses.count == 2
+    assert client.m_lookups.count - lookups == 1
+    assert client.m_read_aheads.count - aheads == 1
+    assert scratch.idle
 
 
 def test_stale_tag_of_a_freed_object_raises_what_serial_gread_raises():
