@@ -165,7 +165,7 @@ class _MasterShard:
         window into the retryable :class:`MasterUnavailableError` so the
         resilience engine (and its auto master re-attach) can handle them.
 
-        With ``master_terms`` the reply rides a ``{"t": term, "r": result}``
+        With ``metadata_journal`` the reply rides a ``{"t": term, "r": result}``
         envelope: a term below :attr:`term_floor` is a deposed master's
         echo — rejected with :class:`StaleTermError` rather than trusted.
         A streak of pure transport failures upgrades the verdict to
@@ -216,7 +216,7 @@ class _MasterShard:
                     raise MasterUnavailableError(f"{method}: {msg}") from exc
                 raise FatalError(msg) from exc
             self.fail_streak = 0
-            if client.config.master_terms:
+            if client.config.metadata_journal:
                 term, known = result["t"], self.term_floor
                 if term < known:
                     client.m_stale_terms.add()

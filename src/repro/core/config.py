@@ -81,7 +81,10 @@ class GengarConfig:
     # ---- metadata durability ---------------------------------------------
     #: Journal every allocation/free into a reserved NVM region on the home
     #: server, so the master's directory can be rebuilt after a full restart
-    #: (at the price of one extra RPC + NVM write per gmalloc/gfree).
+    #: (at the price of one extra RPC + NVM write per gmalloc/gfree).  It
+    #: carries the master's *term*: control replies and journal appends
+    #: carry it, stale ones are rejected, and a rebuilt master claims a
+    #: higher one before it serves (PROTOCOLS §9).
     metadata_journal: bool = False
 
     # ---- client ---------------------------------------------------------------
@@ -101,14 +104,6 @@ class GengarConfig:
     #: or a standalone ``renew``) and the master recovers the locks, pins,
     #: and proxy rings of any client whose lease lapses, fencing its epoch.
     client_lease_ns: int = 0
-    #: Control-plane split-brain prevention: the master holds a monotonic
-    #: *term* (generation) journaled alongside allocations; every control
-    #: reply carries it, clients reject stale-term replies, servers reject
-    #: stale-term journal appends, and a recovering master must first claim
-    #: a higher term than any journaled one.  Requires ``metadata_journal``
-    #: (the term lives there).  Off: the control protocol is byte-identical
-    #: to the term-free build.
-    master_terms: bool = False
     #: Phi-accrual-style failure detection over heartbeat history instead
     #: of the raw lease deadline: a lapsed lease is first only *suspected*
     #: (renewals were flowing irregularly — a flapping or partitioned link)
@@ -142,9 +137,6 @@ class GengarConfig:
             raise ValueError("op_deadline_ns must be non-negative (0 disables)")
         if self.client_lease_ns < 0:
             raise ValueError("client_lease_ns must be non-negative (0 disables)")
-        if self.master_terms and not self.metadata_journal:
-            raise ValueError("master_terms requires metadata_journal "
-                             "(terms are persisted in the journal)")
         if self.failure_detector and not self.client_lease_ns:
             raise ValueError("failure_detector requires client_lease_ns "
                              "(it observes lease heartbeats)")

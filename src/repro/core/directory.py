@@ -239,7 +239,7 @@ class Journal:
 
     def __init__(self, master: "Master", term: int):
         self.master = master
-        #: Control-plane generation (split-brain fencing).  0 with terms
+        #: Control-plane generation (split-brain fencing).  0 with the journal
         #: off; a serving master's replies and journal appends all carry it.
         self.term = term
         #: Set once a server rejects our term — a successor claimed a higher
@@ -260,13 +260,13 @@ class Journal:
     def call(self, handle: "ServerHandle", method: str,
              payload: dict) -> Generator[Any, Any, Any]:
         """A master→server call that changes NVM (journal append, scrub),
-        carrying our term when terms are on.  A server that already saw a
-        higher term rejects it — the moment a partitioned master learns it
-        has been deposed.  Journaling before acking turns that into
+        carrying our term when the journal is on.  A server that already
+        saw a higher term rejects it — the moment a partitioned master
+        learns it has been deposed.  Journaling before acking turns that into
         write-path fencing: a stale master cannot ack a single allocation,
         because the ack depends on exactly the append that just failed."""
         master = self.master
-        if master.config.master_terms:
+        if master.config.metadata_journal:
             payload["term"] = self.term
         try:
             result = yield from handle.rpc.call(method, payload)

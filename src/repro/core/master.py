@@ -86,7 +86,7 @@ class Master:
         self.leases = Leases(self)
         self.recovery = Recovery(self)
         self.planner = Planner(self)
-        self.journal = Journal(self, 1 if config.master_terms else 0)
+        self.journal = Journal(self, 1 if config.metadata_journal else 0)
         handlers = {
             "gmalloc": self._handle_gmalloc,
             "gfree": self._handle_gfree,
@@ -96,7 +96,7 @@ class Master:
             "renew": self._handle_renew,
         }
         for method, handler in handlers.items():
-            if config.master_terms:
+            if config.metadata_journal:
                 handler = self._with_term(handler)
             self.rpc.register(method, handler)
         # Shard-to-shard plumbing (advisory, so deliberately outside the
@@ -237,7 +237,7 @@ class Master:
     # ------------------------------------------------------------------
     def _with_term(self, handler):
         """Wrap a handler so its reply rides in the ``{"t": term, "r": ...}``
-        envelope (``master_terms`` only).  Clients compare ``t`` against the
+        envelope (journal on only).  Clients compare ``t`` against the
         highest term they have observed and discard stale-term replies —
         the whole-control-plane analogue of per-object fencing epochs."""
         def wrapped(request):
@@ -690,28 +690,19 @@ class Master:
         epoch); locks whose owner never re-registers are then recovered.
         """
         recovered = 0
-        claimed = not self.config.master_terms
-        try:
-            if self.config.metadata_journal:
-                recovered = yield from self.rebuild()
-                self.journal_replayed.add(recovered)
-            else:
-                self._event("fault", "no journal replay: master reopens with "
-                            "an empty directory")
-            if self.config.master_terms:
-                # Claim a term above every journaled one *before* opening
-                # for business: until the claim lands, this master keeps
-                # failing RPCs typed ("recovering"), so it can never serve
-                # concurrently with the incumbent it is deposing.
-                yield from self.journal.claim()
-                claimed = True
-        finally:
-            # A master whose term claim never landed stays recovering: it
-            # must not serve under a possibly-stale term.
-            if claimed:
-                self._recovering = False
-                for sid in sorted(self._servers):
-                    self._servers[sid].kick()
+        if self.config.metadata_journal:
+            recovered = yield from self.rebuild()
+            self.journal_replayed.add(recovered)
+            # Claim a term above every journaled one *before* opening: till it
+            # lands this master fails RPCs typed ("recovering"), so it never
+            # serves beside the incumbent it deposes, or under a stale term.
+            yield from self.journal.claim()
+        else:
+            self._event("fault", "no journal replay: master reopens with "
+                        "an empty directory")
+        self._recovering = False
+        for sid in sorted(self._servers):
+            self._servers[sid].kick()
         self.failovers.add()
         self._event("failover", "master recovered", objects=recovered,
                     journal=self.config.metadata_journal)

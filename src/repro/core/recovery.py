@@ -193,7 +193,7 @@ class Recovery:
             if not m.node.endpoint.alive or m._recovering or m.journal.deposed:
                 continue
             now = m.sim.now
-            if (m.config.master_terms and m._servers
+            if (m.config.metadata_journal and m._servers
                     and now - validated_ns >= m.config.client_lease_ns):
                 # Periodic authority re-validation against the journal (the
                 # master-lease-on-shared-storage pattern).  Without it a
@@ -215,7 +215,7 @@ class Recovery:
         m = self.master
         if not m.leases.lapsed(name):
             return
-        if m.config.master_terms and m._servers:
+        if m.config.metadata_journal and m._servers:
             # Authority check before the irreversible part: lock recovery
             # CAS-clears lock words directly, so unlike allocations it is
             # not naturally fenced by the journal write path.  A deposed

@@ -743,7 +743,7 @@ class MemoryServer:
             self.journal_base = data_device.capacity - journal
             self.data_capacity = self.journal_base
             self._journal_count = 0
-            #: Highest master term this server has accepted (``master_terms``):
+            #: Highest master term this server has accepted:
             #: appends below it are rejected, which is what actually fences a
             #: deposed master out of the pool's write path.  Volatile, but
             #: re-learned from TERM records on the first post-restart

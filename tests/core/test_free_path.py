@@ -393,7 +393,7 @@ def test_reshard_carries_the_quarantine_in_flight_batch_included():
 def test_stale_term_scrub_is_rejected_like_a_stale_journal_append(monkeypatch):
     """A deposed master's late scrub can never zero an extent its successor
     re-allocated: the scrub carries the term."""
-    cfg = fast_config(metadata_journal=True, master_terms=True)
+    cfg = fast_config(metadata_journal=True)
     sim, pool = build_pool(num_servers=1, num_clients=1, config=cfg)
     client, master, server = pool.clients[0], pool.master, pool.servers[0]
     scrubs = spy(server, "scrub")

@@ -180,8 +180,7 @@ def unjittered_retries(monkeypatch):
 
 
 def test_a_promoted_standby_resyncs(unjittered_retries):
-    config = quiet_config(client_lease_ns=100_000, metadata_journal=True,
-                          master_terms=True)
+    config = quiet_config(client_lease_ns=100_000, metadata_journal=True)
     sim, pool = build_pool(num_servers=2, num_clients=1, config=config,
                            standby_master=True)
     (a,) = pool.clients

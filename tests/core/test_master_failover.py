@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import (MasterUnavailableError, PartitionSuspected,
                         RetryableError)
+from repro.core.master import MasterError
 from repro.faults import ClientCrash, FaultPlan, MasterCrash, MasterRecover
 
 from tests.core.conftest import build_pool, fast_config
@@ -137,6 +138,38 @@ def test_journal_rebuild_end_to_end_via_fault_plan():
 
     (checks,) = pool.run(verify(sim))
     assert all(checks)
+
+
+def test_a_journal_alone_claims_a_term_and_deposes_the_master_it_replaced():
+    """The journal carries the term, with no other switch armed: a promoted
+    standby claims a term above the incumbent's, the servers then refuse
+    the deposed incumbent's journal append (so it cannot ack an allocation
+    beside its successor), and the client follows the successor's term."""
+    sim, pool = build_pool(num_servers=1, num_clients=1,
+                           config=failover_config(), standby_master=True)
+    old, client = pool.master, pool.clients[0]
+    assert old.journal.term == 1
+
+    def drive(sim):
+        yield from client.gmalloc(64)
+        pool.promote_standby()
+        while pool.master._recovering:
+            yield 10_000
+        try:
+            yield from old._handle_gmalloc({"client": client.name, "size": 64})
+        except MasterError as exc:
+            refused = str(exc)
+        else:
+            refused = None
+        yield from client.gmalloc(64)  # bounces off old, served by the new
+        return refused
+
+    (refused,) = pool.run(drive(sim))
+    assert refused is not None and "deposed" in refused
+    assert old.journal.deposed and pool.master.journal.term == 2
+    assert sim.metrics.counter("master.term_claims").count == 1
+    assert sim.metrics.counter("master.depositions").count == 1
+    assert client._shards[0].term_floor == 2
 
 
 def test_client_reattach_keeps_uid_and_epoch():

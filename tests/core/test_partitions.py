@@ -34,7 +34,7 @@ LEASE = 100_000
 
 def partition_config(**overrides):
     defaults = dict(client_lease_ns=LEASE, metadata_journal=True,
-                    master_terms=True, failure_detector=True)
+                    failure_detector=True)
     defaults.update(overrides)
     return fast_config(**defaults)
 

@@ -207,7 +207,7 @@ def test_shard_failover_does_not_stale_the_other_shards_replies():
     like a deposed master's echo — a StaleTermError rotation storm.  The
     floor is per shard: zero stale-term rejections, shard 0's term
     untouched."""
-    cfg = shard_config(master_terms=True, client_lease_ns=LEASE)
+    cfg = shard_config(client_lease_ns=LEASE)
     sim, pool = build_pool(num_servers=2, num_clients=1, config=cfg)
     client = pool.clients[0]
     shard0, shard1 = client._shards
@@ -644,7 +644,7 @@ def test_reshard_across_diverged_terms_does_not_depose_the_adopter():
     shard 0's first journal append to the adopted server would bounce as
     'stale master term' and shard 0 would depose itself off its own
     reshard.  The export carries the term; the adopter rises to it."""
-    cfg = shard_config(master_terms=True, client_lease_ns=LEASE)
+    cfg = shard_config(client_lease_ns=LEASE)
     sim, pool = build_pool(num_servers=2, num_clients=1, config=cfg)
     client = pool.clients[0]
     shard0, shard1 = pool.masters
