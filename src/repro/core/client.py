@@ -894,9 +894,7 @@ class GengarClient:
 
     def _glock_attempt(self, span_op: int, gaddr: int,
                        write: bool) -> Generator[Any, Any, None]:
-        if write:
-            return self.locks.acquire_write(gaddr, span_op=span_op)
-        return self.locks.acquire_read(gaddr, span_op=span_op)
+        return self.locks.acquire(gaddr, write, span_op=span_op)
 
     def gunlock(self, gaddr: int, write: bool = True) -> Generator[Any, Any, None]:
         """Release the object's lock.  Write unlocks sync first."""

@@ -185,36 +185,51 @@ class LockOps:
                 f"{self.sim.now - start_ns} ns (deadline {deadline} ns)")
 
     # ------------------------------------------------------------------
-    def acquire_write(self, gaddr: int, timeout_ns: int = 0,
-                      span_op: int = 0) -> Generator[Any, Any, None]:
-        """Take the exclusive lock on ``gaddr`` (blocks until acquired, or
-        until the client's op deadline — if one is configured — expires).
+    def acquire(self, gaddr: int, write: bool = True, timeout_ns: int = 0,
+                span_op: int = 0) -> Generator[Any, Any, None]:
+        """Take the lock on ``gaddr``, exclusive or shared (blocks until
+        acquired, or until the client's op deadline — if one is configured
+        — expires).
 
-        A positive ``timeout_ns`` bounds the spin on a word held by someone
-        else with a typed :class:`LockTimeoutError`; a word the calling
-        process already holds raises :class:`LockError` at once."""
-        incarnation = self.client._incarnation
-        yield from self._resolve_fence(gaddr, "write-lock", incarnation)
-        meta = yield from self.client._metas.lookup(gaddr, span_op=span_op)
+        The modes differ only in their attempt: a writer installs its word
+        by CAS, a reader adds itself and, finding the writer bit set, takes
+        itself back out.  A positive ``timeout_ns`` bounds the spin on a
+        word held by someone else with a typed :class:`LockTimeoutError`; a
+        word the calling process holds for writing raises
+        :class:`LockError` at once."""
+        client = self.client
+        what = "write-lock" if write else "read-lock"
+        incarnation = client._incarnation
+        yield from self._resolve_fence(gaddr, what, incarnation)
+        meta = yield from client._metas.lookup(gaddr, span_op=span_op)
+        server_id = meta.server_id
         offset = self._word_offset(meta.lock_idx)
-        word = write_lock_word(self.client.uid, self.client.fence_epoch)
+        word = write_lock_word(client.uid, client.fence_epoch)
         start = self.sim.now
         attempt = 0
         while True:
-            old = yield from self.client._atomic_cas(
-                meta.server_id, offset, compare=0, swap=word
-            )
-            if old == 0:
-                self.acquires.add()
-                self._holders[gaddr] = self.sim.active
-                return
-            self._refuse_reentry(old, gaddr, "write-lock")
+            if write:
+                old = yield from client._atomic_cas(
+                    server_id, offset, compare=0, swap=word)
+                if old == 0:
+                    self._holders[gaddr] = self.sim.active
+                    break
+            else:
+                old = yield from client._atomic_faa(
+                    server_id, offset, add=READER_UNIT)
+                if not old & WRITER_BIT:
+                    break
+                # A writer holds it: undo our increment and back off.
+                yield from client._atomic_faa(
+                    server_id, offset, add=_MINUS_READER)
+            self._refuse_reentry(old, gaddr, what)
             self.retries.add()
-            self._check_deadline(start, gaddr, "write-lock")
-            self._check_acquire_timeout(start, timeout_ns, gaddr, "write-lock")
+            self._check_deadline(start, gaddr, what)
+            self._check_acquire_timeout(start, timeout_ns, gaddr, what)
             yield from self._contention_wait(attempt, timeout_ns)
-            yield from self._resolve_fence(gaddr, "write-lock", incarnation)
+            yield from self._resolve_fence(gaddr, what, incarnation)
             attempt += 1
+        self.acquires.add()
 
     def release_write(self, gaddr: int,
                       span_op: int = 0) -> Generator[Any, Any, None]:
@@ -291,34 +306,6 @@ class LockOps:
             f"write-unlock of {gaddr:#x}: word {word:#x} does not carry "
             f"uid {client.uid} at epoch {client.fence_epoch} "
             f"(lock recovered after a lease expiry?)")
-
-    def acquire_read(self, gaddr: int,
-                     span_op: int = 0) -> Generator[Any, Any, None]:
-        """Take a shared lock on ``gaddr`` (blocks until acquired, or until
-        the client's op deadline — if one is configured — expires).  A word
-        the calling process holds for writing raises :class:`LockError` at
-        once."""
-        incarnation = self.client._incarnation
-        yield from self._resolve_fence(gaddr, "read-lock", incarnation)
-        meta = yield from self.client._metas.lookup(gaddr, span_op=span_op)
-        offset = self._word_offset(meta.lock_idx)
-        start = self.sim.now
-        attempt = 0
-        while True:
-            old = yield from self.client._atomic_faa(
-                meta.server_id, offset, add=READER_UNIT
-            )
-            if not old & WRITER_BIT:
-                self.acquires.add()
-                return
-            # A writer holds it: undo our increment and back off.
-            yield from self.client._atomic_faa(meta.server_id, offset, add=_MINUS_READER)
-            self._refuse_reentry(old, gaddr, "read-lock")
-            self.retries.add()
-            self._check_deadline(start, gaddr, "read-lock")
-            yield from self._backoff(attempt)
-            yield from self._resolve_fence(gaddr, "read-lock", incarnation)
-            attempt += 1
 
     def release_read(self, gaddr: int,
                      span_op: int = 0) -> Generator[Any, Any, None]:

@@ -260,7 +260,7 @@ class TxnManager:
         start = self.sim.now
         while True:
             try:
-                yield from client.locks.acquire_write(
+                yield from client.locks.acquire(
                     gaddr, timeout_ns=WAIT_DIE_TIMEOUT_NS)
             except LockTimeoutError:
                 # Elder waits are only live while *something* can free the

@@ -1,4 +1,4 @@
-"""Bounded lock acquisition (``acquire_write(timeout_ns=...)``).
+"""Bounded lock acquisition (``acquire(timeout_ns=...)``).
 
 The contract: a plain ``glock`` spins until the holder lets go; an acquire
 given a timeout raises a *typed* :class:`LockTimeoutError` once the word
@@ -43,7 +43,7 @@ def test_acquire_timeout_raises_typed_error():
         yield sim.timeout(20_000)
         t0 = sim.now
         try:
-            yield from c1.locks.acquire_write(g, timeout_ns=80_000)
+            yield from c1.locks.acquire(g, timeout_ns=80_000)
         except LockTimeoutError as exc:
             return sim.now - t0, str(exc)
         return None
@@ -93,7 +93,7 @@ def test_backoff_schedule_is_deterministic_per_seed():
         def contender(sim):
             yield sim.timeout(20_000)
             try:
-                yield from c1.locks.acquire_write(g, timeout_ns=90_000)
+                yield from c1.locks.acquire(g, timeout_ns=90_000)
             except LockTimeoutError:
                 pass
             return sim.now
