@@ -14,9 +14,9 @@ memory server and every client at construction (``GengarPool.build``); it
 never travels on the wire, so a field costs no protocol bytes.  A field
 exists only where two callers outside the tests want different values: a
 value nobody sets to a second one is a constant at its one reader (the
-lock backoff in ``consistency``, the journal and intent-slot sizes in
-``server``, the phi detector's threshold and window in ``master``, the
-retry budget and backoff in ``driver.RetryPolicy``, the RC retransmission
+journal and intent-slot sizes in ``server``, the phi detector's threshold
+and window in ``recovery``, the retry budget and backoff in
+``driver.RetryPolicy``, which lock waits ride too, the RC retransmission
 timeout in ``rdma.qp``, the wait-die bound in ``txn.manager``) or is
 derived from a field that stays (the lease sweep runs every
 ``client_lease_ns // 4``, the cross-shard aggregation every ``epoch_ns``).

@@ -54,10 +54,6 @@ _MINUS_READER = (1 << 64) - READER_UNIT
 #: The reader half of a lock word (the count sits above the writer bit).
 _READER_BITS = (1 << 32) - READER_UNIT
 
-#: First backoff between lock retries; the legacy schedule doubles it per
-#: attempt up to 64x.
-LOCK_RETRY_NS = 2_000
-
 
 class LockError(Exception):
     """Invalid lock usage (double release, unlock of unheld lock)."""
@@ -66,14 +62,15 @@ class LockError(Exception):
 class LockOps:
     """Lock acquire/release state machines, bound to one client.
 
-    Kept separate from the client so the protocol is unit-testable and the
-    backoff policy is swappable.
+    Kept separate from the client so the protocol is unit-testable.  A
+    contended acquire sleeps on the client's
+    :class:`~repro.core.driver.RetryPolicy`, with jitter from its retry
+    stream, like any op retry.
     """
 
     def __init__(self, client: "GengarClient"):
         self.client = client
         self.sim = client.sim
-        self._rng = self.sim.rng.stream(f"{client.name}.lockjitter")
         m = self.sim.metrics
         self.acquires = m.counter("pool.lock_acquires")
         self.retries = m.counter("pool.lock_retries")
@@ -83,26 +80,6 @@ class LockOps:
         self._holders: Dict[int, Any] = {}
 
     # ------------------------------------------------------------------
-    def _backoff(self, attempt: int) -> Generator[Any, Any, None]:
-        base = LOCK_RETRY_NS
-        # Capped exponential backoff with jitter to break convoys.
-        delay = min(base * (1 << min(attempt, 6)), 64 * base)
-        yield self._rng.randrange(base, delay + 1)
-
-    def _contention_wait(self, attempt: int, timeout_ns: int) -> Generator[Any, Any, None]:
-        """Backoff between acquire attempts.
-
-        An unbounded acquire keeps its own capped exponential; a bounded
-        one (the txn's wait-die acquire) rides
-        :class:`~repro.core.driver.RetryPolicy`'s seeded-jitter schedule so
-        contenders and op retries share one tuning surface.
-        """
-        if timeout_ns:
-            policy = self.client.retry_policy
-            yield policy.backoff_ns(attempt + 1, self.client._driver.jitter_rng())
-        else:
-            yield from self._backoff(attempt)
-
     def _refuse_reentry(self, old: int, gaddr: int, what: str) -> None:
         """A word whose writer half carries this client's uid and epoch,
         taken by the very process now asking again, would never free: the
@@ -226,9 +203,10 @@ class LockOps:
             self.retries.add()
             self._check_deadline(start, gaddr, what)
             self._check_acquire_timeout(start, timeout_ns, gaddr, what)
-            yield from self._contention_wait(attempt, timeout_ns)
-            yield from self._resolve_fence(gaddr, what, incarnation)
             attempt += 1
+            yield client.retry_policy.backoff_ns(
+                attempt, client._driver.jitter_rng())
+            yield from self._resolve_fence(gaddr, what, incarnation)
         self.acquires.add()
 
     def release_write(self, gaddr: int,

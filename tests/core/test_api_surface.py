@@ -19,7 +19,8 @@ pass sends the servers' recovery method, only a fence runs that pass, no
 recovery filter lists survivors, and only a live commit sends
 ``txn_apply``.  And one layer into the client: only
 the ring module moves a proxy ring's cursor, only the metadata module writes
-the metadata map, only the read module builds an RDMA READ, and only a
+the metadata map, only the read module builds an RDMA READ, only the op
+driver opens a jitter stream, and only a
 master shard's own object writes its lease deadline, term floor, fail
 streak and active connection.  And one layer into the server: only the
 proxy drain writes a ring's drain state and its writers' state, and only
@@ -298,6 +299,27 @@ def test_only_the_read_module_builds_an_rdma_read():
             if path != SRC / "core" / "reads.py":
                 offenders += _builds_a_read(path)
     assert offenders == []
+
+
+def _opens_a_stream(node):
+    """Whether ``node`` is a ``<...>.rng.stream(...)`` call."""
+    func = getattr(node, "func", None)
+    return (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+            and func.attr == "stream"
+            and getattr(func.value, "attr", None) == "rng")
+
+
+def test_only_the_op_driver_opens_a_jitter_stream():
+    """Nothing under ``core/`` or ``txn/`` but ``OpDriver.jitter_rng`` opens
+    a seeded random stream: op retries, lease-lapse probes and lock
+    contention all draw their jitter from the client's one retry stream,
+    on the one schedule of ``RetryPolicy.backoff_ns``."""
+    openers = []
+    for package in ("core", "txn"):
+        for path in sorted((SRC / package).rglob("*.py")):
+            openers += [f"{path.relative_to(SRC)}:{scope}"
+                        for scope, _ in _scoped(path, _opens_a_stream)]
+    assert openers == ["core/driver.py:OpDriver.jitter_rng"]
 
 
 def _scoped(path, match):

@@ -10,6 +10,7 @@ acquiring client already holds is refused at once with :class:`LockError`.
 import pytest
 
 from repro.core import LockError
+from repro.core.driver import RetryPolicy
 from repro.core.errors import LockTimeoutError
 from tests.core.conftest import build_pool, fast_config
 
@@ -102,6 +103,37 @@ def test_backoff_schedule_is_deterministic_per_seed():
         return t, sim.metrics.counter("pool.lock_retries").count
 
     assert run_once() == run_once()  # seeded jitter, not wall-clock noise
+
+
+@pytest.mark.parametrize("write", [True, False])
+def test_a_contender_notices_a_freed_word_within_one_backoff_cap(write):
+    """A contender sleeps on the client's :class:`RetryPolicy`, so however
+    long it has waited, it takes a freed word at most one
+    ``max_backoff_ns`` (plus an atomic's round trip) after the holder's
+    unlock returns."""
+    lags = {}
+    for hold_ns in range(300_000, 1_300_001, 100_000):
+        sim, pool = build_pool(seed=7, num_servers=1, num_clients=2,
+                               config=fast_config())
+        c0, c1 = pool.clients
+        g = _alloc(pool, c0)
+
+        def holder(sim):
+            yield from c0.glock(g)
+            yield sim.timeout(hold_ns)
+            yield from c0.gunlock(g)
+            return sim.now
+
+        def contender(sim):
+            yield sim.timeout(20_000)
+            yield from c1.glock(g, write=write)
+            acquired_at = sim.now
+            yield from c1.gunlock(g, write=write)
+            return acquired_at
+
+        freed_at, acquired_at = pool.run(holder(sim), contender(sim))
+        lags[hold_ns] = acquired_at - freed_at
+    assert max(lags.values()) <= RetryPolicy().max_backoff_ns + 5_000, lags
 
 
 @pytest.mark.parametrize("write", [True, False])

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import FencedError, consistency, server_of
+from repro.core import FencedError, server_of
 from repro.core.protocol import lock_epoch, lock_owner
 
 from tests.core.conftest import FUZZ_MAX_EVENTS, build_pool, fast_config
@@ -92,12 +92,13 @@ def test_a_restarted_client_mints_fresh_ids():
     assert new_txn != old_txn
 
 
-def test_a_lock_op_begun_before_the_restart_fails_typed(monkeypatch):
-    # The first spin on a held word sleeps exactly LOCK_RETRY_NS.
-    monkeypatch.setattr(consistency, "LOCK_RETRY_NS", 200_000)
+def test_a_lock_op_begun_before_the_restart_fails_typed():
     sim, pool = build_pool(num_servers=1, num_clients=2,
                            config=lease_config(), max_events=FUZZ_MAX_EVENTS)
     c0, c1 = pool.clients
+    # The first spin on a held word sleeps exactly 200 us.
+    c0.retry_policy = replace(c0.retry_policy, base_backoff_ns=200_000,
+                              max_backoff_ns=200_000)
 
     def setup(sim):
         gaddr = yield from c1.gmalloc(64)
